@@ -13,9 +13,9 @@ serial scripts into a small serving layer:
 * specs hash to content keys (workload parameters, configuration name,
   sorting policy, cost-model parameters, steps, seed, library version)
   that index the on-disk :class:`~repro.analysis.cache.ResultCache`,
-* cache misses execute concurrently over a process pool, degrading to
-  in-process serial execution where the sandbox forbids subprocesses
-  (same pattern as :class:`repro.exec.process.ProcessShardExecutor`).
+* cache misses execute concurrently over a supervised process pool
+  (:class:`repro.exec.pool.SupervisedPool`), degrading to in-process
+  serial execution where the sandbox forbids subprocesses.
 
 ``sweep_configurations`` in :mod:`repro.analysis.runner` and every
 table/figure benchmark route through this module, so a repeated benchmark
@@ -24,15 +24,10 @@ invocation is a pure cache hit.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import logging
 import os
-# imported explicitly: the `concurrent.futures.process` attribute is only
-# bound once the submodule is imported, so referencing it lazily inside an
-# except clause can itself raise AttributeError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type
 
@@ -46,7 +41,8 @@ from repro.analysis.cache import (
 )
 from repro.analysis.metrics import ExperimentResult
 from repro.config import SortingPolicyConfig
-from repro.exec.process import make_process_pool
+from repro.exec.base import TileTask
+from repro.exec.pool import SupervisedPool
 from repro.hardware.cost_model import CostModel
 from repro.hardware.spec import ArchSpec
 from repro.obs.log import log_event
@@ -367,20 +363,12 @@ def _execute_spec_payload(spec_payload: Mapping) -> Dict[str, object]:
     Returning plain JSON data (rather than the result object) keeps the
     parallel path on exactly the same serialisation the cache uses, so a
     fresh parallel result and a cached replay are interchangeable.
+    ``Campaign`` and the ``repro.serve`` worker pool both look this name
+    up on the module at call time, so fault-injection harnesses can
+    substitute it (:func:`repro.ckpt.faults.killing_spec_executor`).
     """
     result = run_spec(ExperimentSpec.from_dict(spec_payload))
     return result.to_json()
-
-
-#: public name of the worker entry point.  The campaign pool and the
-#: ``repro.serve`` worker pool both ship this function to their worker
-#: processes; serve resolves ``_execute_spec_payload`` through the module
-#: attribute at call time, so fault-injection harnesses can substitute it
-#: (:func:`repro.ckpt.faults.killing_spec_executor`) the same way the
-#: campaign fault tests do.
-def execute_spec_payload(spec_payload: Mapping) -> Dict[str, object]:
-    """Run one spec dict and return its result as cache-layout JSON data."""
-    return _execute_spec_payload(spec_payload)
 
 
 # ----------------------------------------------------------------------
@@ -531,6 +519,11 @@ class Campaign:
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = int(checkpoint_every)
         self.resume = resume
+        #: supervises the worker processes of every ``run`` (lazy: a
+        #: ``jobs=1`` or fully cached campaign never forks)
+        self.pool = SupervisedPool(self.jobs, owner="campaign")
+        #: True when some cell of the last ``run`` wanted the pool but
+        #: ran in-process instead
         self.degraded = False
 
     # ------------------------------------------------------------------
@@ -562,11 +555,6 @@ class Campaign:
     # ------------------------------------------------------------------
     def run(self) -> CampaignResult:
         """Execute every spec, consulting the cache first."""
-        # per-run state: a pool failure in an earlier run on this
-        # instance must not mark a later (possibly all-cached) run, and
-        # the reported cache stats cover this run only even when the
-        # ResultCache object is shared across campaigns
-        self.degraded = False
         # captured once: each cell's Simulation re-activates the global
         # telemetry for its own run, so campaign accounting must keep
         # recording into the handle that was active when the run began
@@ -704,79 +692,21 @@ class Campaign:
         ``on_result(position, payload)`` fires as soon as each spec's
         payload is available — before the whole batch finishes — so the
         caller can persist completed work even when a later spec raises.
+        Worker death and unavailable pools are the
+        :class:`~repro.exec.pool.SupervisedPool`'s business: the cells it
+        could not finish run serially in-process, once.
         """
-        payloads = [spec.to_dict() for spec in specs]
-        results: List[Optional[Dict[str, object]]] = [None] * len(payloads)
-
-        def emit(position: int, payload: Dict[str, object]) -> None:
-            results[position] = payload
-            if on_result is not None:
-                on_result(position, payload)
-
-        def run_inline_missing() -> None:
-            for position, payload in enumerate(payloads):
-                if results[position] is None:
-                    emit(position, _execute_spec_payload(payload))
-
-        pool = None
-        if self.jobs > 1 and len(payloads) > 1:
-            pool = self._make_pool()
-        if pool is None:
-            run_inline_missing()
-            return results  # type: ignore[return-value]
-
-        failure: Optional[Exception] = None
-        with pool:
-            futures: Dict[concurrent.futures.Future, int] = {}
-            try:
-                for position, payload in enumerate(payloads):
-                    future = pool.submit(_execute_spec_payload, payload)
-                    futures[future] = position
-            except (OSError, BrokenProcessPool) as exc:
-                # worker processes are spawned lazily inside submit(), so
-                # a sandbox that blocks fork surfaces as a plain OSError
-                # here rather than at pool construction, and a worker
-                # dying mid-loop breaks the pool for the next submit;
-                # whatever was already submitted is still collected below
-                self.degraded = True
-                log_event(
-                    "campaign.pool_broke_submit",
-                    "campaign worker pool broke during submit (%s); "
-                    "unsubmitted cells will run serially in-process", exc,
-                    logger=logger)
-            # as_completed (not a batch wait) so each payload is emitted —
-            # and persisted by the caller — the moment its worker finishes,
-            # even if the main process dies before the batch completes
-            for future in concurrent.futures.as_completed(futures):
-                position = futures[future]
-                try:
-                    emit(position, future.result())
-                except BrokenProcessPool as exc:
-                    # this worker died (OOM, sandbox kill): keep every
-                    # completed result; the cell is retried exactly once
-                    # by the serial sweep below (a retry that raises
-                    # propagates)
-                    self.degraded = True
-                    log_event(
-                        "campaign.worker_died",
-                        "campaign worker died mid-cell (%s); the cell "
-                        "will be retried serially in-process once", exc,
-                        logger=logger)
-                except Exception as exc:
-                    # genuine experiment failure: finish collecting (and
-                    # persisting) the siblings first, then re-raise
-                    if failure is None:
-                        failure = exc
-        if failure is not None:
-            raise failure
-        run_inline_missing()
-        return results  # type: ignore[return-value]
-
-    def _make_pool(self) -> Optional[concurrent.futures.ProcessPoolExecutor]:
-        pool = make_process_pool(self.jobs)
-        if pool is None:
-            self.degraded = True
-        return pool
+        tasks = [TileTask(_execute_spec_payload, (spec.to_dict(),))
+                 for spec in specs]
+        off_pool_before = self.pool.off_pool_tasks
+        try:
+            return self.pool.run(tasks, on_result)
+        finally:
+            # per-run: a pool failure in an earlier run on this instance
+            # does not mark a later (possibly all-cached) run
+            self.degraded = self.pool.off_pool_tasks > off_pool_before
+            # no worker outlives the run
+            self.pool.shutdown()
 
 
 def run_campaign(workloads: Iterable, configurations: Iterable[str],

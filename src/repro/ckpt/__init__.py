@@ -19,6 +19,10 @@ Layout:
   latest-valid selection (corrupt files are skipped, not fatal).
 * :mod:`repro.ckpt.hook` — :class:`CheckpointHook`, periodic snapshots
   through the pipeline's post-stage hook seam.
+* :mod:`repro.ckpt.recordlog` — :class:`RecordLog`, the one buffered,
+  checksummed, keyed record file (corrupt or torn ⇒ empty, best-effort
+  writes); campaign progress and the ``repro.serve`` job journal are
+  thin users of it.
 * :mod:`repro.ckpt.progress` — :class:`CampaignProgress`, per-cell
   auto-resume for campaign sweeps.
 * :mod:`repro.ckpt.faults` — the fault-injection harness (not
@@ -36,6 +40,7 @@ from repro.ckpt.format import (
 )
 from repro.ckpt.hook import CheckpointHook
 from repro.ckpt.progress import CampaignProgress
+from repro.ckpt.recordlog import RecordLog
 from repro.ckpt.session import (
     capture_state,
     restore_simulation,
@@ -59,6 +64,7 @@ __all__ = [
     "CorruptSnapshotError",
     "DEFAULT_CHECKPOINT_DIR",
     "LoadedSnapshot",
+    "RecordLog",
     "SNAPSHOT_VERSION",
     "SnapshotError",
     "SnapshotMismatchError",

@@ -14,8 +14,9 @@ instead of hoping:
   test.
 * :class:`BrokenPoolOnce` — an inline stand-in for
   ``ProcessPoolExecutor`` that raises ``BrokenProcessPool`` at a chosen
-  submit or result, for unit-testing the executor/campaign recovery
-  paths in sandboxes where real process pools are unavailable.
+  submit or result.  It goes in through the one seam every pool user
+  shares, the ``factory`` of :class:`repro.exec.pool.SupervisedPool`,
+  and works in sandboxes where real process pools are unavailable.
 * :func:`truncate_file` / :func:`flip_byte` — torn-write and
   bit-corruption fixtures for snapshot, progress and cache files.
 
@@ -193,9 +194,3 @@ class BrokenPoolOnce:
 
     def shutdown(self, wait: bool = True, **_kwargs: Any) -> None:
         pass
-
-    def __enter__(self) -> "BrokenPoolOnce":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.shutdown()

@@ -9,12 +9,11 @@ re-execution and computes only what is missing — a SIGKILL'd sweep
 re-run with ``--resume`` produces byte-identical deterministic results
 to an uninterrupted run.
 
-The file uses the same checksummed, atomically written, torn-write
-tolerant container as session snapshots (:mod:`repro.ckpt.format`, with
-an empty array table), so a crash mid-rewrite leaves either the old
-intact file or a file that fails verification — never a silently
-half-written progress record.  A corrupt or unreadable file downgrades
-to "no progress recorded" with a logged warning.
+The file is a :class:`repro.ckpt.recordlog.RecordLog` (kind
+``campaign-progress``, one record per completed cell): checksummed,
+atomically rewritten, and a corrupt or torn file downgrades to "no
+progress recorded" with a logged event — see that module for the
+durability contract.
 
 This deliberately complements — not duplicates — the result cache: the
 cache is content-addressed, shared and long-lived; the progress file is
@@ -24,20 +23,12 @@ CI kill-and-resume smoke exercises in isolation.
 
 from __future__ import annotations
 
-import logging
 import os
 from typing import Any, Dict
 
-from repro.ckpt.format import (
-    SnapshotError,
-    read_snapshot,
-    write_snapshot,
-)
-from repro.obs.log import log_event
+from repro.ckpt.recordlog import RecordLog
 
 __all__ = ["PROGRESS_FILENAME", "CampaignProgress"]
-
-logger = logging.getLogger(__name__)
 
 #: progress checkpoint filename inside the campaign checkpoint directory
 PROGRESS_FILENAME = "campaign.ckpt"
@@ -55,16 +46,10 @@ class CampaignProgress:
     """
 
     def __init__(self, directory: str, every: int = 1) -> None:
-        if every < 1:
-            raise ValueError(f"every must be >= 1, got {every}")
-        self.directory = str(directory)
-        self.every = int(every)
-        self.path = os.path.join(self.directory, PROGRESS_FILENAME)
-        self._completed: Dict[str, Dict[str, Any]] = {}
-        self._pending = 0
-        self._dirty = False
+        self.path = os.path.join(str(directory), PROGRESS_FILENAME)
+        self._log = RecordLog(self.path, kind=_PROGRESS_KIND,
+                              field="completed", every=every)
 
-    # ------------------------------------------------------------------
     def load(self) -> Dict[str, Dict[str, Any]]:
         """Adopt the on-disk record; returns ``{key: {spec, result}}``.
 
@@ -72,53 +57,13 @@ class CampaignProgress:
         campaign simply recomputes), with a warning when the file exists
         but does not verify.
         """
-        try:
-            meta, _arrays = read_snapshot(self.path)
-        except FileNotFoundError:
-            return {}
-        except (SnapshotError, OSError) as exc:
-            log_event(
-                "progress.unusable",
-                "ignoring unusable campaign progress file %s: %s",
-                self.path, exc, logger=logger)
-            return {}
-        completed = meta.get("completed")
-        if meta.get("kind") != _PROGRESS_KIND or not isinstance(
-                completed, dict):
-            log_event(
-                "progress.not_a_record",
-                "ignoring %s: not a campaign progress record", self.path,
-                logger=logger)
-            return {}
-        self._completed = dict(completed)
-        return dict(self._completed)
+        return self._log.load()
 
     def record(self, key: str, spec_payload: Dict[str, Any],
                result_payload: Dict[str, Any]) -> None:
         """Buffer one completed cell; rewrites the file on the interval."""
-        self._completed[key] = {"spec": spec_payload,
-                                "result": result_payload}
-        self._dirty = True
-        self._pending += 1
-        if self._pending >= self.every:
-            self.flush()
+        self._log.put(key, {"spec": spec_payload, "result": result_payload})
 
     def flush(self) -> None:
         """Atomically rewrite the progress file if anything is buffered."""
-        if not self._dirty:
-            return
-        meta = {"kind": _PROGRESS_KIND, "completed": self._completed}
-        try:
-            write_snapshot(self.path, meta, {})
-        except OSError as exc:
-            log_event(
-                "progress.write_failed",
-                "could not write campaign progress file %s: %s",
-                self.path, exc, logger=logger)
-            return
-        self._dirty = False
-        self._pending = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"CampaignProgress(path={self.path!r}, "
-                f"completed={len(self._completed)})")
+        self._log.flush()

@@ -561,19 +561,6 @@ class DomainRuntime:
                     sub.interior_view(getattr(sub.slab, name))
         return target
 
-    # ------------------------------------------------------------------
-    # the decomposed step
-    # ------------------------------------------------------------------
-    def step_simulation(self, simulation: "Simulation") -> None:
-        """Advance the whole system by one step (decomposed path).
-
-        Compatibility shim: the decomposed step is now a stage set of the
-        simulation's :class:`~repro.pipeline.StepPipeline` (built from the
-        adapters below), so this simply runs that pipeline — stage for
-        stage the loop that used to be hand-wired here.
-        """
-        simulation.pipeline.run_step()
-
 
 # ----------------------------------------------------------------------
 # pipeline stage adapters (the decomposed stage set)

@@ -15,6 +15,13 @@ handed to a :class:`TileExecutor`:
     A chunked process-shard pool for interpreter-bound stages; tasks
     carry picklable payloads and return their scratch buffers.
 
+Worker *processes* are supervised in exactly one place,
+:class:`repro.exec.pool.SupervisedPool` — lazy fork-preferring pool,
+dead-worker recovery (re-run off-pool once, rebuild once, then degrade),
+one ``factory`` seam for fault injection.  The ``processes`` backend,
+:class:`repro.analysis.campaign.Campaign` and the ``repro.serve`` worker
+pool are all thin callers of it.
+
 All backends obey the determinism contract of :mod:`repro.exec.base`:
 fixed contiguous partition, private per-shard scratch state, serial merge
 in shard order — so for a given shard count the deposited currents and
@@ -38,6 +45,7 @@ from repro.exec.base import (
     partition_shards,
 )
 from repro.exec.factory import create_executor
+from repro.exec.pool import SupervisedPool
 from repro.exec.process import ProcessShardExecutor
 from repro.exec.serial import SerialExecutor
 from repro.exec.threaded import ThreadTileExecutor
@@ -54,5 +62,6 @@ __all__ = [
     "create_executor",
     "ProcessShardExecutor",
     "SerialExecutor",
+    "SupervisedPool",
     "ThreadTileExecutor",
 ]

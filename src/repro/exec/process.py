@@ -2,9 +2,9 @@
 
 Each :class:`~repro.exec.base.TileTask` carries a module-level function
 plus a picklable payload (tile SoA arrays, a :class:`repro.config.GridConfig`,
-scalars).  The backend ships one task per shard to a persistent
-``ProcessPoolExecutor`` — chunking tiles into shards amortises the IPC
-cost over many tiles — and returns the pickled results in task order.
+scalars).  The backend ships one task per shard to a persistent worker
+pool — chunking tiles into shards amortises the IPC cost over many
+tiles — and returns the pickled results in task order.
 
 Because workers live in separate address spaces this backend cannot see
 in-place mutation (``shares_memory = False``): callers use functional
@@ -13,56 +13,20 @@ them in shard order, which keeps the results bitwise identical to the
 serial and threaded backends under the determinism contract of
 :mod:`repro.exec.base`.
 
-The pool prefers the ``fork`` start method (workers inherit ``sys.path``
-and the imported library, so no re-import cost per task) and falls back
-to the platform default elsewhere.  Environments that forbid spawning
-processes altogether (some sandboxes block the semaphores multiprocessing
-needs) degrade to inline serial execution; :attr:`ProcessShardExecutor.degraded`
-records that the fallback was taken so benchmarks can report it.
+The pool is a :class:`repro.exec.pool.SupervisedPool`, which owns the
+whole failure story (fork-preferring start, dead workers, sandboxes that
+forbid subprocesses): shards it cannot finish are recomputed inline
+exactly once, and :attr:`ProcessShardExecutor.degraded` records that the
+executor gave up on pools so benchmarks can report it.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import logging
-import multiprocessing
-# imported explicitly: the `concurrent.futures.process` attribute is only
-# bound once the submodule is imported, so referencing it lazily inside an
-# except clause can itself raise AttributeError
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Sequence
 
 from repro.exec.base import BACKEND_PROCESSES, TileExecutor, TileTask
-from repro.obs.log import log_event
+from repro.exec.pool import SupervisedPool
 from repro.obs.registry import telemetry
-
-logger = logging.getLogger(__name__)
-
-
-def preferred_mp_context() -> multiprocessing.context.BaseContext:
-    """The ``fork`` start method where available, platform default elsewhere."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context()
-
-
-def make_process_pool(max_workers: int
-                      ) -> Optional[concurrent.futures.ProcessPoolExecutor]:
-    """A fork-preferring process pool, or None where subprocesses are banned.
-
-    Shared by the tile-shard executor and the campaign runner so both
-    degrade to serial execution identically: environments that forbid the
-    semaphores/processes multiprocessing needs surface the refusal here
-    as OSError/PermissionError/ValueError, which maps to None.
-    """
-    try:
-        return concurrent.futures.ProcessPoolExecutor(
-            max_workers=max_workers,
-            mp_context=preferred_mp_context(),
-        )
-    except (OSError, PermissionError, ValueError):
-        return None
 
 
 class ProcessShardExecutor(TileExecutor):
@@ -71,55 +35,14 @@ class ProcessShardExecutor(TileExecutor):
     name = BACKEND_PROCESSES
     shares_memory = False
 
-    #: worker-death incidents tolerated before the executor stops
-    #: rebuilding pools and degrades to inline execution for good
-    MAX_POOL_REBUILDS = 1
-
     def __init__(self, num_shards: int = 2):
         super().__init__(num_shards)
-        self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
-        #: True once process creation failed (or workers died repeatedly)
-        #: and tasks run inline instead
-        self.degraded = False
-        #: mid-run worker-death incidents seen so far (diagnostics)
-        self.pool_failures = 0
+        self.pool = SupervisedPool(num_shards, owner="executor")
 
-    def _ensure_pool(self) -> Optional[concurrent.futures.ProcessPoolExecutor]:
-        if self.degraded:
-            return None
-        if self._pool is None:
-            self._pool = make_process_pool(self.num_shards)
-            if self._pool is None:
-                self.degraded = True
-                return None
-        return self._pool
-
-    def _retire_broken_pool(self, cause: BaseException) -> None:
-        """Drop a pool whose workers died mid-run.
-
-        The failed shards were already recomputed inline (the
-        retry-exactly-once); one incident is forgiven — the next ``run``
-        call forks a fresh pool — while a second incident degrades the
-        executor to inline execution permanently.
-        """
-        self.pool_failures += 1
-        if self.pool_failures > self.MAX_POOL_REBUILDS:
-            self.degraded = True
-            log_event(
-                "pool.degraded",
-                "process-shard worker died again (%s); failed shards "
-                "were recomputed inline, degrading to serial execution "
-                "for the rest of the run", cause,
-                logger=logger, failures=self.pool_failures)
-        else:
-            telemetry().count("exec.pool_rebuilds")
-            log_event(
-                "pool.rebuild",
-                "process-shard worker died mid-run (%s); failed shards "
-                "were recomputed inline once, the pool will be rebuilt "
-                "on the next batch", cause,
-                logger=logger, failures=self.pool_failures)
-        self.shutdown()
+    @property
+    def degraded(self) -> bool:
+        """True once shards run inline for good (see :class:`SupervisedPool`)."""
+        return self.pool.degraded
 
     def run(self, tasks: Sequence[TileTask]) -> List[Any]:
         handle = telemetry()
@@ -127,58 +50,9 @@ class ProcessShardExecutor(TileExecutor):
         handle.count("exec.shard_tasks", len(tasks))
         if len(tasks) <= 1:
             return [task() for task in tasks]
-        pool = self._ensure_pool()
-        if pool is None:
-            return [task() for task in tasks]
         with handle.span("shard_batch", cat="exec",
                          args={"tasks": len(tasks)}):
-            return self._run_pooled(pool, tasks)
-
-    def _run_pooled(self, pool: concurrent.futures.ProcessPoolExecutor,
-                    tasks: Sequence[TileTask]) -> List[Any]:
-        futures: List[concurrent.futures.Future] = []
-        broken: Optional[BaseException] = None
-        try:
-            for task in tasks:
-                futures.append(pool.submit(task.fn, *task.args))
-        except OSError as exc:
-            # workers are forked lazily inside submit(): a sandbox that
-            # blocks fork raises plain OSError here — that environment
-            # never yields a working pool, so degrade permanently; keep
-            # the shards already submitted, run the remainder inline
-            # (kept separate from result collection so a *task* raising
-            # OSError is not misread as a pool failure)
-            self.degraded = True
-            log_event(
-                "pool.unavailable",
-                "process pool unavailable (%s); running shard batch "
-                "inline serially", exc, logger=logger)
-        except BrokenProcessPool as exc:
-            # a worker died mid-loop and the pool refuses further
-            # submits; the unsubmitted shards run inline below
-            broken = exc
-        if futures:
-            concurrent.futures.wait(futures)
-        results: List[Any] = []
-        for index, task in enumerate(tasks):
-            if index < len(futures):
-                try:
-                    results.append(futures[index].result())
-                    continue
-                except BrokenProcessPool as exc:
-                    # this worker died (OOM, sandbox kill); genuine task
-                    # exceptions propagate
-                    broken = exc
-            # the retry-exactly-once: recompute the failed or
-            # unsubmitted shard inline (a retry that raises propagates)
-            results.append(task())
-        if broken is not None:
-            self._retire_broken_pool(broken)
-        elif self.degraded:
-            self.shutdown()
-        return results
+            return self.pool.run(tasks)
 
     def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        self.pool.shutdown()

@@ -19,14 +19,13 @@ Since the pipeline redesign the cycle itself lives in
 :mod:`repro.pipeline`: construction builds a
 :class:`~repro.pipeline.StepPipeline` whose stage set is selected from
 the configuration (single-domain / domain-decomposed, with the tile
-executor carried in the stage context), and :meth:`Simulation.step` is a
-thin shim over ``pipeline.run_step()``.  New-style callers drive the
+executor carried in the stage context), and :meth:`Simulation.step` is
+``pipeline.run_step()``.  New-style callers drive the
 loop through :class:`repro.api.Session`.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import List, Optional, Protocol
 
 import numpy as np
@@ -183,46 +182,15 @@ class Simulation:
         return sum(c.num_particles for c in self.containers)
 
     # ------------------------------------------------------------------
-    #: per-call toggles retired by the pipeline redesign: each is still
-    #: honoured (with a DeprecationWarning) so call sites written against
-    #: the run()-style keyword survive the migration — anything else is a
-    #: caller error and raises like any bad signature
-    _REMOVED_STEP_KEYWORDS = frozenset({"record_energy"})
-
-    def step(self, **legacy_kwargs) -> None:
+    def step(self) -> None:
         """Advance the whole system by one time step.
 
-        Thin compatibility shim over ``self.pipeline.run_step()``: the
-        stage ordering, executor sharding and (for a decomposed domain)
-        the per-subdomain variants are all owned by the pipeline, and the
-        result is bitwise identical to the pre-pipeline hand-wired loop.
-        Prefer :meth:`repro.api.Session.run` for new code.
-
-        The removed per-call toggle ``record_energy`` is still honoured
-        (an energy snapshot is recorded after the step) with a
-        :class:`DeprecationWarning` — per-step behaviour now belongs on
-        the pipeline or the :class:`repro.api.Session` facade.  Unknown
-        keywords raise :class:`TypeError` exactly like any wrong
-        signature.
+        Runs ``self.pipeline.run_step()``: the stage ordering, executor
+        sharding and (for a decomposed domain) the per-subdomain variants
+        are all owned by the pipeline.  Prefer
+        :meth:`repro.api.Session.run` for new code.
         """
-        unknown = set(legacy_kwargs) - self._REMOVED_STEP_KEYWORDS
-        if unknown:
-            raise TypeError(
-                f"Simulation.step() got unexpected keyword argument(s) "
-                f"{sorted(unknown)}"
-            )
-        if legacy_kwargs:
-            warnings.warn(
-                f"Simulation.step() keywords {sorted(legacy_kwargs)} are "
-                "removed; configure the behaviour on simulation.pipeline "
-                "(repro.pipeline) or drive the loop through "
-                "repro.api.Session instead",
-                DeprecationWarning, stacklevel=2,
-            )
         self.pipeline.run_step()
-        if legacy_kwargs.get("record_energy"):
-            # honour the retired toggle instead of silently dropping it
-            self._record_energy()
 
     def run(self, steps: Optional[int] = None,
             record_energy: bool = False) -> RuntimeBreakdown:

@@ -7,15 +7,16 @@ only — no framework, no new dependencies):
 * **submission** — ``POST /v1/jobs`` accepts the same workload x PPC x
   configuration grids as the campaign CLI and expands them through the
   identical defaulting path, so HTTP cells hash to the same cache keys,
-* **durability** — accepted jobs are journaled through the checksummed
-  :mod:`repro.ckpt.format` container before the 202 goes out; a server
-  killed mid-queue restarts without losing or re-running accepted cells
-  (:mod:`repro.serve.queue`),
+* **durability** — accepted jobs are journaled in a
+  :class:`repro.ckpt.recordlog.RecordLog` before the 202 goes out; a
+  server killed mid-queue restarts without losing or re-running accepted
+  cells (:mod:`repro.serve.queue`),
 * **deduplication** — each cell resolves through the tenant's on-disk
   cache, the in-flight table (one computation, many subscribers) and a
   bounded cross-tenant memo (:mod:`repro.serve.dedup`),
-* **execution** — cache misses run on a process worker pool with the
-  campaign's rebuild-once/degrade worker-death tolerance,
+* **execution** — cache misses run on a
+  :class:`repro.exec.pool.SupervisedPool` (rebuild-once/degrade
+  worker-death tolerance),
 * **progress** — per-job Server-Sent Events with history replay
   (:mod:`repro.serve.sse`),
 * **tenancy** — per-tenant cache namespaces with byte budgets and LRU

@@ -9,44 +9,34 @@ and CLI sweeps share campaign cache entries.
 
 Accepted jobs are durable before the ``202`` goes out: the
 :class:`JobJournal` persists every job (request, expanded cells,
-completed results) through the checksummed :mod:`repro.ckpt.format`
-container — the same torn-write-tolerant file the campaign progress
+completed results) in a :class:`repro.ckpt.recordlog.RecordLog` — the
+same checksummed, torn-write-tolerant record file the campaign progress
 checkpoint uses — so a server killed mid-queue restarts, re-adopts the
 journal, requeues unfinished jobs and recomputes only the cells that
 never completed (no accepted cell is lost, none runs twice).
 
-Cache misses execute on a :class:`WorkerPool`: a fork-preferring process
-pool (:func:`repro.exec.process.make_process_pool`) bounded by an asyncio
-semaphore.  A worker death (``BrokenProcessPool``) retries the cell once
-off-pool and forgives one incident — the pool is rebuilt for the next
-cell (``exec.pool_rebuilds``) — while a second incident, or a sandbox
-that refuses subprocesses outright, degrades the pool permanently to a
-single in-process worker thread.  Degraded cells are *serialized* on
-purpose: :func:`repro.analysis.campaign.run_spec` activates process
--global backend/telemetry state per cell, so only one may run at a time
-in the server process.
+Cache misses execute on a :class:`WorkerPool`: a
+:class:`repro.exec.pool.SupervisedPool` (which owns worker death,
+rebuild-once and permanent degrade — see there) bounded by an asyncio
+semaphore.  Cells the pool cannot take run on a single in-process worker
+thread, *serialized* on purpose:
+:func:`repro.analysis.campaign.run_spec` activates process-global
+backend/telemetry state per cell, so only one may run at a time in the
+server process.
 """
 
 from __future__ import annotations
 
 import asyncio
 import concurrent.futures
-import logging
 import os
-# imported explicitly: the `concurrent.futures.process` attribute is only
-# bound once the submodule is imported, so referencing it lazily inside an
-# except clause can itself raise AttributeError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.analysis.campaign import ExperimentSpec, spec_for_workload
-from repro.ckpt.format import SnapshotError, read_snapshot, write_snapshot
-from repro.exec.process import make_process_pool
-from repro.obs.log import log_event
+from repro.ckpt.recordlog import RecordLog
+from repro.exec.pool import SupervisedPool
 from repro.obs.registry import Telemetry
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "Job",
@@ -279,7 +269,7 @@ class Job:
 class JobJournal:
     """Crash-durable record of every accepted job and its progress.
 
-    One checksummed :mod:`repro.ckpt.format` container holds the job-id
+    One :class:`~repro.ckpt.recordlog.RecordLog` file holds the job-id
     sequence counter plus each job's full record; ``record`` buffers an
     upsert and rewrites the file every ``every`` records (``flush``
     forces it).  The submission path flushes *before* acknowledging, so
@@ -289,203 +279,96 @@ class JobJournal:
     """
 
     def __init__(self, directory: str, every: int = 1) -> None:
-        if every < 1:
-            raise ValueError(f"every must be >= 1, got {every}")
-        self.directory = str(directory)
-        self.every = int(every)
-        self.path = os.path.join(self.directory, QUEUE_FILENAME)
-        self._jobs: Dict[str, Dict[str, Any]] = {}
-        self._next_seq = 1
-        self._pending = 0
-        self._dirty = False
+        self.path = os.path.join(str(directory), QUEUE_FILENAME)
+        self._log = RecordLog(self.path, kind=_QUEUE_KIND, field="jobs",
+                              version=_QUEUE_VERSION, every=every)
+        self._log.extra["next_seq"] = 1
 
-    # ------------------------------------------------------------------
     def load(self) -> Dict[str, Dict[str, Any]]:
         """Adopt the on-disk journal; returns ``{job_id: record}``."""
-        try:
-            meta, _arrays = read_snapshot(self.path)
-        except FileNotFoundError:
-            return {}
-        except (SnapshotError, OSError) as exc:
-            log_event(
-                "serve.journal_unusable",
-                "ignoring unusable job journal %s: %s", self.path, exc,
-                logger=logger)
-            return {}
-        jobs = meta.get("jobs")
-        if (meta.get("kind") != _QUEUE_KIND
-                or meta.get("version") != _QUEUE_VERSION
-                or not isinstance(jobs, dict)):
-            log_event(
-                "serve.journal_not_a_record",
-                "ignoring %s: not a serve queue journal", self.path,
-                logger=logger)
-            return {}
-        self._jobs = dict(jobs)
-        self._next_seq = max(int(meta.get("next_seq", 1)), 1)
-        return dict(self._jobs)
+        return self._log.load()
 
     def new_job_id(self) -> str:
         """The next job id; the counter itself is journaled, so ids are
         never reused across restarts."""
-        job_id = f"job-{self._next_seq:06d}"
-        self._next_seq += 1
-        self._dirty = True
-        return job_id
+        seq = max(int(self._log.extra["next_seq"]), 1)
+        self._log.extra["next_seq"] = seq + 1
+        self._log.touch()
+        return f"job-{seq:06d}"
 
     def record(self, job_payload: Mapping) -> None:
         """Buffer one job upsert; rewrites the file on the interval."""
-        self._jobs[str(job_payload["job_id"])] = dict(job_payload)
-        self._dirty = True
-        self._pending += 1
-        if self._pending >= self.every:
-            self.flush()
+        self._log.put(str(job_payload["job_id"]), dict(job_payload))
 
     def flush(self) -> None:
-        """Atomically rewrite the journal if anything is buffered.
-
-        Best-effort like the campaign progress file: an unwritable
-        directory degrades durability to a logged warning, it never
-        fails the job itself.
-        """
-        if not self._dirty:
-            return
-        meta = {"kind": _QUEUE_KIND, "version": _QUEUE_VERSION,
-                "next_seq": self._next_seq, "jobs": self._jobs}
-        try:
-            write_snapshot(self.path, meta, {})
-        except OSError as exc:
-            log_event(
-                "serve.journal_write_failed",
-                "could not write job journal %s: %s", self.path, exc,
-                logger=logger)
-            return
-        self._dirty = False
-        self._pending = 0
-
-    def __len__(self) -> int:
-        return len(self._jobs)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"JobJournal(path={self.path!r}, jobs={len(self._jobs)})"
+        """Atomically rewrite the journal if anything is buffered
+        (best-effort: an unwritable directory is a logged warning, it
+        never fails the job itself)."""
+        self._log.flush()
 
 
 # ----------------------------------------------------------------------
 # Worker pool
 # ----------------------------------------------------------------------
 
-def _default_task_fn() -> Callable[[Mapping], Dict[str, Any]]:
-    """Resolve the campaign worker entry point *at call time* through
-    the module attribute, so fault harnesses that monkeypatch
-    ``repro.analysis.campaign._execute_spec_payload``
-    (:func:`repro.ckpt.faults.killing_spec_executor`) reach the service
-    exactly like they reach ``Campaign.run``."""
-    from repro.analysis import campaign
-
-    return campaign._execute_spec_payload
-
-
 class WorkerPool:
-    """Bounded spec executor with rebuild-once worker-death tolerance.
+    """Bounded asyncio spec executor over a :class:`SupervisedPool`.
 
-    ``jobs`` caps concurrent cells (an asyncio semaphore).  Pool
-    acquisition is lazy; where :func:`make_process_pool` returns None
-    (sandboxes that forbid subprocesses) the pool starts degraded.  A
-    cell whose worker dies is retried exactly once off-pool; the first
-    incident rebuilds the pool for later cells (``exec.pool_rebuilds``),
-    a second degrades permanently.  Degraded cells run serialized on one
-    worker thread — ``run_spec`` activates process-global state, so the
-    server process may host only one in-process cell at a time.
+    ``jobs`` caps concurrent cells (an asyncio semaphore) and sizes the
+    process pool.  A cell the supervised pool cannot take — it is
+    degraded, or this cell's worker died and it gets its one retry —
+    runs on one in-process worker thread, serialized: ``run_spec``
+    activates process-global state, so the server process may host only
+    one in-process cell at a time.
     """
-
-    #: worker-death incidents tolerated before degrading for good
-    MAX_POOL_REBUILDS = 1
 
     def __init__(self, jobs: int = 1,
                  task_fn: Optional[Callable] = None,
-                 pool_factory: Callable = make_process_pool,
                  obs: Optional[Telemetry] = None) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = int(jobs)
         self.task_fn = task_fn
-        self.pool_factory = pool_factory
-        self.obs = obs
-        self.degraded = False
-        self.pool_failures = 0
-        self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
-        self._serial: Optional[concurrent.futures.ThreadPoolExecutor] = None
+        self.supervised = SupervisedPool(self.jobs, owner="serve", obs=obs)
+        # threads start on first use, so a healthy pool never spawns it
+        self._serial = concurrent.futures.ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="serve-cell")
         self._semaphore = asyncio.Semaphore(self.jobs)
+
+    @property
+    def degraded(self) -> bool:
+        return self.supervised.degraded
 
     # ------------------------------------------------------------------
     def _resolve_task_fn(self) -> Callable[[Mapping], Dict[str, Any]]:
-        return self.task_fn if self.task_fn is not None else _default_task_fn()
+        """``task_fn``, or the campaign worker entry point resolved *at
+        call time* through the module attribute, so fault harnesses that
+        monkeypatch ``repro.analysis.campaign._execute_spec_payload``
+        (:func:`repro.ckpt.faults.killing_spec_executor`) reach the
+        service exactly like they reach ``Campaign.run``."""
+        if self.task_fn is not None:
+            return self.task_fn
+        from repro.analysis import campaign
 
-    def _ensure_pool(self) -> Optional[concurrent.futures.ProcessPoolExecutor]:
-        if self.degraded:
-            return None
-        if self._pool is None:
-            self._pool = self.pool_factory(self.jobs)
-            if self._pool is None:
-                self._degrade("process pools are unavailable")
-        return self._pool
-
-    def _serial_executor(self) -> concurrent.futures.ThreadPoolExecutor:
-        if self._serial is None:
-            self._serial = concurrent.futures.ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="serve-cell")
-        return self._serial
-
-    def _degrade(self, reason: str) -> None:
-        self.degraded = True
-        log_event(
-            "serve.pool_degraded",
-            "serve worker pool degraded to a single in-process worker "
-            "thread (%s)", reason, logger=logger)
-
-    def _retire_broken_pool(self, cause: BaseException) -> None:
-        self.pool_failures += 1
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False)
-        if self.pool_failures > self.MAX_POOL_REBUILDS:
-            self._degrade(f"worker died again: {cause}")
-        else:
-            if self.obs is not None:
-                self.obs.count("exec.pool_rebuilds")
-            log_event(
-                "serve.pool_rebuild",
-                "serve worker died mid-cell (%s); the cell is retried "
-                "off-pool once and the pool rebuilds for the next cell",
-                cause, logger=logger)
+        return campaign._execute_spec_payload
 
     # ------------------------------------------------------------------
     async def run(self, spec_payload: Mapping) -> Dict[str, Any]:
         """Execute one spec payload, returning its cache-layout result."""
         async with self._semaphore:
-            loop = asyncio.get_running_loop()
             fn = self._resolve_task_fn()
-            pool = self._ensure_pool()
-            if pool is not None:
+            future = self.supervised.submit(fn, dict(spec_payload))
+            if future is not None:
                 try:
-                    return await loop.run_in_executor(
-                        pool, fn, dict(spec_payload))
-                except BrokenProcessPool as exc:
-                    # worker died (SIGKILL, OOM): retry this cell once
-                    # off-pool; genuine task exceptions propagate
-                    self._retire_broken_pool(exc)
-                except OSError as exc:
-                    # workers fork lazily inside submit(): a sandbox
-                    # blocking fork surfaces here, and that environment
-                    # never yields a working pool
-                    self._degrade(f"pool submit failed: {exc}")
-            return await loop.run_in_executor(
-                self._serial_executor(), fn, dict(spec_payload))
+                    return await asyncio.wrap_future(future)
+                except Exception:
+                    # a dead worker (SIGKILL, OOM) costs this cell one
+                    # retry off-pool; genuine task exceptions propagate
+                    if not self.supervised.retire(future):
+                        raise
+            return await asyncio.get_running_loop().run_in_executor(
+                self._serial, fn, dict(spec_payload))
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._serial is not None:
-            self._serial.shutdown(wait=True)
-            self._serial = None
+        self.supervised.shutdown()
+        self._serial.shutdown(wait=True)

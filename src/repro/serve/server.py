@@ -36,7 +36,12 @@ SSE event schema (``data:`` is sorted-key JSON): ``job`` (lifecycle
 transitions), ``cell`` (one resolved cell: index, cache key, source,
 progress counts), ``metrics`` (service counter snapshot), ``trace``
 (forwarded ``repro.obs`` span/instant events, only with tracing on) and
-the terminal ``done``, after which the stream ends.
+the terminal ``done``, after which the stream ends — every connection is
+ended with ``shutdown`` before ``close``, so a client sees end-of-stream
+even when a pool worker forked meanwhile still holds the descriptor.
+
+``SIGTERM`` and ``SIGINT`` stop :func:`run_server` the same way: running
+jobs drain, the journal is flushed and the worker pool is shut down.
 """
 
 from __future__ import annotations
@@ -45,12 +50,13 @@ import asyncio
 import json
 import logging
 import os
+import signal
+import socket
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro._version import __version__
-from repro.exec.process import make_process_pool
 from repro.obs.config import ObsConfig
 from repro.obs.log import log_event
 from repro.obs.registry import Telemetry
@@ -105,8 +111,7 @@ class JobService:
     """Accepts campaign grids and resolves them cell-by-cell."""
 
     def __init__(self, config: ServeConfig,
-                 task_fn: Optional[Callable] = None,
-                 pool_factory: Callable = make_process_pool) -> None:
+                 task_fn: Optional[Callable] = None) -> None:
         self.config = config
         self.obs = Telemetry(ObsConfig(enabled=True, trace=config.trace))
         self.tenants = TenantManager(
@@ -114,8 +119,7 @@ class JobService:
             max_bytes_per_tenant=config.tenant_max_bytes,
             obs=self.obs)
         self.journal = JobJournal(config.root, every=config.journal_every)
-        self.pool = WorkerPool(config.jobs, task_fn=task_fn,
-                               pool_factory=pool_factory, obs=self.obs)
+        self.pool = WorkerPool(config.jobs, task_fn=task_fn, obs=self.obs)
         self.resolver = CellResolver(self.tenants, self.pool, self.obs,
                                      memo_entries=config.memo_entries)
         self.jobs: Dict[str, Job] = {}
@@ -376,11 +380,6 @@ class CampaignServer:
             raise RuntimeError("server is not started")
         return self._server.sockets[0].getsockname()[1]
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            raise RuntimeError("server is not started")
-        await self._server.serve_forever()
-
     async def stop(self) -> None:
         if self._server is not None:
             self._server.close()
@@ -390,6 +389,9 @@ class CampaignServer:
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        # drain() now returns only once every byte is with the kernel,
+        # so the shutdown below can never cut off a buffered tail
+        writer.transport.set_write_buffer_limits(high=0)
         try:
             try:
                 method, path, body = await self._read_request(reader)
@@ -408,6 +410,14 @@ class CampaignServer:
                 except ConnectionError:
                     return
         finally:
+            # a pool worker forked while this connection was open holds
+            # a copy of its descriptor, so close() alone would never end
+            # the stream for the client; shutdown acts on the connection
+            # itself, not on this process's descriptor
+            try:
+                writer.get_extra_info("socket").shutdown(socket.SHUT_RDWR)
+            except OSError:  # the peer is already gone
+                pass
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -555,17 +565,21 @@ async def _serve(config: ServeConfig) -> None:
     # the line CI wait-loops grep for; printed only once actually bound
     print(f"repro serve listening on http://{config.host}:{server.port}",
           file=sys.stderr, flush=True)
+    # SIGTERM (plain `kill`, what supervisors and CI send) stops the
+    # service exactly like SIGINT: drain, flush the journal, shut the
+    # pool down — so no worker process is left behind
+    stop = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        loop.add_signal_handler(signum, stop.set)
     try:
-        await server.serve_forever()
+        await stop.wait()
     finally:
         await server.stop()
         await service.close()
 
 
 def run_server(config: ServeConfig) -> int:
-    """Run the service until interrupted; returns the exit code."""
-    try:
-        asyncio.run(_serve(config))
-    except KeyboardInterrupt:
-        pass
+    """Run the service until SIGINT/SIGTERM; returns the exit code."""
+    asyncio.run(_serve(config))
     return 0

@@ -33,3 +33,10 @@ def make_plasma(grid_config: GridConfig, ppc=(2, 2, 2), seed: int = 7,
             tile.uy = rng.normal(0.0, momentum_scale, n)
             tile.uz = rng.normal(0.0, momentum_scale, n)
     return grid, container
+
+
+def log_events(handle, name):
+    """Fields of every ``log_event(name, ...)`` a tracing telemetry
+    ``handle`` recorded (``repro.obs`` stores them as ``log.<name>``)."""
+    return [event["args"] for event in handle.events
+            if event["name"] == f"log.{name}"]

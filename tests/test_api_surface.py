@@ -47,6 +47,7 @@ API_SURFACE = {
         "CorruptSnapshotError",
         "DEFAULT_CHECKPOINT_DIR",
         "LoadedSnapshot",
+        "RecordLog",
         "SNAPSHOT_VERSION",
         "SnapshotError",
         "SnapshotMismatchError",

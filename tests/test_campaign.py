@@ -202,23 +202,20 @@ class TestCampaign:
             assert (canonical_json(a.result.deterministic_fields())
                     == canonical_json(b.result.deterministic_fields()))
 
-    def test_submit_failure_degrades_to_serial(self, monkeypatch):
+    def test_submit_failure_degrades_to_serial(self):
         """A pool whose submit() raises (fork blocked in the sandbox)
         must degrade to inline execution, not crash."""
         campaign = Campaign.from_grid([tiny_workload(ppc=1)], self.CONFIGS,
                                       steps=1, jobs=2)
 
         class FailingPool:
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
             def submit(self, fn, *args):
                 raise OSError("fork blocked")
 
-        monkeypatch.setattr(campaign, "_make_pool", lambda: FailingPool())
+            def shutdown(self, wait=True):
+                pass
+
+        campaign.pool.factory = lambda max_workers: FailingPool()
         outcome = campaign.run()
         assert outcome.degraded
         assert len(outcome) == 2

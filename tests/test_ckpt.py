@@ -34,7 +34,7 @@ from repro.ckpt import (
 from repro.ckpt.faults import flip_byte, truncate_file
 from repro.cli import main
 from repro.config import ExecutionConfig
-from repro.exec.process import make_process_pool
+from repro.exec.pool import make_process_pool
 from repro.workloads.lwfa import LWFAWorkload
 from repro.workloads.uniform import UniformPlasmaWorkload
 

@@ -279,12 +279,12 @@ class TestSimulationParity:
 # degraded process pools
 # ----------------------------------------------------------------------
 def test_process_executor_degrades_to_inline(monkeypatch):
-    import repro.exec.process as process_mod
+    import repro.exec.pool as pool_mod
 
     def boom(*args, **kwargs):
         raise OSError("no processes for you")
 
-    monkeypatch.setattr(process_mod.concurrent.futures,
+    monkeypatch.setattr(pool_mod.concurrent.futures,
                         "ProcessPoolExecutor", boom)
     executor = ProcessShardExecutor(2)
     tasks = [TileTask(_identity, (i,)) for i in range(4)]

@@ -26,8 +26,12 @@ from repro.ckpt.faults import (
 )
 from repro.ckpt.progress import CampaignProgress
 from repro.exec.base import TileTask
-from repro.exec.process import ProcessShardExecutor, make_process_pool
+from repro.exec.pool import make_process_pool
+from repro.exec.process import ProcessShardExecutor
+from repro.obs import ObsConfig, use_telemetry
 from repro.workloads.uniform import UniformPlasmaWorkload
+
+from helpers import log_events
 
 HAVE_PROCESS_POOLS = make_process_pool(2) is not None
 
@@ -94,59 +98,28 @@ class TestHarness:
 
 
 # ----------------------------------------------------------------------
-# executor recovery (satellite: retry-once + rebuild-once semantics)
+# executor recovery (the schedules live in tests/test_supervised_pool.py;
+# here: the executor is wired to the supervisor, and a real SIGKILL)
 # ----------------------------------------------------------------------
 
 class TestExecutorRecovery:
-    def run_with_pool(self, executor, pool, caplog):
-        executor._pool = pool
-        with caplog.at_level("WARNING", logger="repro.exec.process"):
-            return executor.run(square_tasks())
-
-    def test_worker_death_mid_task_recovers_inline(self, caplog):
+    def test_worker_death_mid_task_recovers_inline(self):
         executor = ProcessShardExecutor(num_shards=2)
-        results = self.run_with_pool(
-            executor, BrokenPoolOnce(fail="result", at=2), caplog)
+        fake = BrokenPoolOnce(fail="result", at=2)
+        executor.pool.factory = lambda max_workers: fake
+        with use_telemetry(ObsConfig(trace=True)) as obs:
+            results = executor.run(square_tasks())
         assert results == [i * i for i in range(6)]
-        assert executor.pool_failures == 1
+        assert fake.broke and fake.submitted == 6
+        assert executor.pool.pool_failures == 1
         assert not executor.degraded  # one incident is forgiven
-        assert executor._pool is None  # broken pool was retired
-        assert any("died mid-run" in rec.message for rec in caplog.records)
-
-    def test_pool_break_at_submit_recovers_inline(self, caplog):
-        executor = ProcessShardExecutor(num_shards=2)
-        results = self.run_with_pool(
-            executor, BrokenPoolOnce(fail="submit", at=3), caplog)
-        assert results == [i * i for i in range(6)]
-        assert executor.pool_failures == 1
-        assert not executor.degraded
-
-    def test_second_incident_degrades_permanently(self, caplog):
-        executor = ProcessShardExecutor(num_shards=2)
-        self.run_with_pool(executor, BrokenPoolOnce(fail="result"), caplog)
-        results = self.run_with_pool(
-            executor, BrokenPoolOnce(fail="result"), caplog)
-        assert results == [i * i for i in range(6)]
-        assert executor.pool_failures == 2
-        assert executor.degraded
-        assert any("degrading to serial" in rec.message
-                   for rec in caplog.records)
-        # degraded executors keep working, inline
-        assert executor.run(square_tasks()) == [i * i for i in range(6)]
-
-    def test_task_exceptions_are_not_pool_failures(self):
-        def boom(x):
-            raise RuntimeError("genuine task failure")
-
-        executor = ProcessShardExecutor(num_shards=2)
-        executor._pool = BrokenPoolOnce(fail="result", at=10_000)  # never
-        with pytest.raises(RuntimeError, match="genuine task failure"):
-            executor.run([TileTask(boom, (i,)) for i in range(3)])
-        assert executor.pool_failures == 0
+        assert obs.metrics.get("exec.pool_rebuilds") == 1
+        (event,) = log_events(obs, "pool.rebuild")
+        assert event["owner"] == "executor"
 
     @pytest.mark.skipif(not HAVE_PROCESS_POOLS,
                         reason="process pools unavailable in this sandbox")
-    def test_real_sigkilled_worker_recovers(self, tmp_path, caplog):
+    def test_real_sigkilled_worker_recovers(self, tmp_path):
         """A genuinely SIGKILL'd worker process: the executor recomputes
         the lost shards inline and later batches run in a fresh pool."""
         switch = KillSwitch(str(tmp_path / "marker"))
@@ -155,14 +128,15 @@ class TestExecutorRecovery:
         tasks = [TileTask(chaos_shard_task, (switch.path, i))
                  for i in range(4)]
         try:
-            with caplog.at_level("WARNING", logger="repro.exec.process"):
+            with use_telemetry(ObsConfig(trace=True)) as obs:
                 results = executor.run(tasks)
             assert results == [0, 1, 2, 3]
-            assert executor.pool_failures == 1
+            assert executor.pool.pool_failures == 1
             assert not executor.degraded
+            assert len(log_events(obs, "pool.rebuild")) == 1
             # next batch gets a rebuilt pool and completes clean
             assert executor.run(tasks) == [0, 1, 2, 3]
-            assert executor.pool_failures == 1
+            assert executor.pool.pool_failures == 1
         finally:
             executor.shutdown()
             switch.disarm()
@@ -173,38 +147,22 @@ class TestExecutorRecovery:
 # ----------------------------------------------------------------------
 
 class TestCampaignPoolRecovery:
-    def run_with_fake_pool(self, monkeypatch, caplog, fake_pool):
-        import repro.analysis.campaign as campaign_module
-
+    def test_worker_death_mid_cell_retries_serially(self):
+        reference = result_fields(Campaign.from_grid(
+            small_workloads(3), ["Baseline"], steps=1,
+            warmup_steps=0).run())
         campaign = Campaign.from_grid(
             small_workloads(3), ["Baseline"], steps=1, warmup_steps=0,
             jobs=2)
-        monkeypatch.setattr(campaign_module.Campaign, "_make_pool",
-                            lambda self: fake_pool)
-        with caplog.at_level("WARNING", logger="repro.analysis.campaign"):
-            outcome = campaign.run()
-        assert campaign.degraded
-        return outcome
-
-    def reference(self):
-        return result_fields(Campaign.from_grid(
-            small_workloads(3), ["Baseline"], steps=1,
-            warmup_steps=0).run())
-
-    def test_worker_death_mid_cell_retries_serially(self, monkeypatch,
-                                                    caplog):
-        outcome = self.run_with_fake_pool(
-            monkeypatch, caplog, BrokenPoolOnce(fail="result", at=1))
-        assert result_fields(outcome) == self.reference()
-        assert any("died mid-cell" in rec.message for rec in caplog.records)
-
-    def test_pool_break_at_submit_runs_rest_serially(self, monkeypatch,
-                                                     caplog):
-        outcome = self.run_with_fake_pool(
-            monkeypatch, caplog, BrokenPoolOnce(fail="submit", at=1))
-        assert result_fields(outcome) == self.reference()
-        assert any("broke during submit" in rec.message
-                   for rec in caplog.records)
+        fake = BrokenPoolOnce(fail="result", at=1)
+        campaign.pool.factory = lambda max_workers: fake
+        outcome = campaign.run()
+        assert result_fields(outcome) == reference
+        assert fake.broke and fake.submitted == 3
+        # some cell of this run ran off-pool
+        assert campaign.degraded and outcome.degraded
+        assert campaign.pool.owner == "campaign"
+        assert campaign.pool.pool_failures == 1
 
 
 # ----------------------------------------------------------------------
@@ -234,17 +192,17 @@ class TestCampaignResume:
         row = outcome.to_json()["results"][0]
         assert row["resumed"] is True
 
-    def test_corrupt_progress_file_recomputes(self, tmp_path, caplog):
+    def test_corrupt_progress_file_recomputes(self, tmp_path):
         reference = result_fields(make_campaign(tmp_path / "ref",
                                                 workloads=2).run())
         campaign = make_campaign(tmp_path, workloads=2)
         campaign.run()
         flip_byte(str(tmp_path / "ck" / "campaign.ckpt"))
-        with caplog.at_level("WARNING", logger="repro.ckpt.progress"):
+        with use_telemetry(ObsConfig(trace=True)) as obs:
             resumed = make_campaign(tmp_path, workloads=2,
                                     resume=True).run()
-        assert any("unusable campaign progress" in rec.message
-                   for rec in caplog.records)
+        (event,) = log_events(obs, "recordlog.unusable")
+        assert event["kind"] == "campaign-progress"
         assert [entry.resumed for entry in resumed] == [False, False]
         assert result_fields(resumed) == reference
 
@@ -275,7 +233,7 @@ class TestCampaignResume:
     @pytest.mark.skipif(not HAVE_PROCESS_POOLS,
                         reason="process pools unavailable in this sandbox")
     def test_sigkilled_campaign_worker_retries_once(self, tmp_path,
-                                                    monkeypatch, caplog):
+                                                    monkeypatch):
         """A campaign worker process SIGKILL'd mid-cell: the pool breaks,
         the cell is retried serially, results match the clean run."""
         import repro.analysis.campaign as campaign_module
@@ -292,14 +250,14 @@ class TestCampaignResume:
             small_workloads(2), ["Baseline"], steps=1, warmup_steps=0,
             jobs=2)
         try:
-            with caplog.at_level("WARNING",
-                                 logger="repro.analysis.campaign"):
+            with use_telemetry(ObsConfig(trace=True)) as obs:
                 outcome = campaign.run()
         finally:
             switch.disarm()
         assert result_fields(outcome) == reference
         assert campaign.degraded
-        assert any("worker" in rec.message for rec in caplog.records)
+        (event,) = log_events(obs, "pool.rebuild")
+        assert event["owner"] == "campaign"
 
 
 # ----------------------------------------------------------------------

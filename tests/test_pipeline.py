@@ -3,8 +3,8 @@
 Two contracts are pinned here:
 
 1. **Bitwise parity with the pre-refactor loops.**  The hand-wired step
-   bodies that used to live in ``Simulation.step`` and
-   ``DomainRuntime.step_simulation`` are replicated inline below
+   bodies that used to live in ``Simulation.step`` and the (since
+   removed) ``DomainRuntime.step_simulation`` are replicated inline below
    (``legacy_global_step`` / ``legacy_domain_step``), and a hypothesis
    suite asserts that pipeline-routed runs are bit-identical to them —
    fields, J/rho and the energy history — over random (backend, shards,
@@ -449,7 +449,7 @@ class TestBreakdownTiming:
 
 
 # ----------------------------------------------------------------------
-# the deprecation shim
+# Simulation.step takes no per-call toggles
 # ----------------------------------------------------------------------
 
 class TestStepShim:
@@ -470,13 +470,6 @@ class TestStepShim:
             sim.step()
         assert sim.step_index == 1
 
-    def test_removed_record_energy_keyword_warns_and_is_honoured(self):
-        sim = self.make()
-        with pytest.warns(DeprecationWarning, match="removed"):
-            sim.step(record_energy=True)
-        assert sim.step_index == 1
-        assert [r.step for r in sim.energy.history] == [1]
-
     def test_unknown_keywords_still_raise_type_error(self):
         sim = self.make()
         with pytest.raises(TypeError, match="unexpected keyword"):
@@ -484,12 +477,3 @@ class TestStepShim:
         with pytest.raises(TypeError, match="unexpected keyword"):
             sim.step(diagnostics=True)
         assert sim.step_index == 0
-
-    def test_step_simulation_shim_routes_through_pipeline(self):
-        sim = uniform_workload(domains=(2, 1, 1)).build_simulation()
-        calls = []
-        sim.pipeline.add_pre_hook(
-            lambda stage, ctx: calls.append(stage.name))
-        sim.domain.step_simulation(sim)
-        assert tuple(calls) == DOMAIN_STAGE_NAMES
-        assert sim.step_index == 1

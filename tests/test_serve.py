@@ -3,6 +3,11 @@
 import asyncio
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
+from urllib.request import Request, urlopen
 
 import pytest
 
@@ -14,7 +19,8 @@ from repro.ckpt.faults import (
     KillSwitch,
     flip_byte,
 )
-from repro.exec.process import make_process_pool
+from repro.exec.pool import make_process_pool
+from repro.obs import ObsConfig, use_telemetry
 from repro.serve import (
     CampaignServer,
     EventBroker,
@@ -30,6 +36,8 @@ from repro.serve import (
     validate_tenant_name,
 )
 from repro.workloads.uniform import UniformPlasmaWorkload
+
+from helpers import log_events
 
 #: the 2-cell grid most service tests submit (tiny but a real simulation)
 GRID = {
@@ -253,6 +261,15 @@ class TestResultMemo:
 # ----------------------------------------------------------------------
 
 class TestWorkerPool:
+    """WorkerPool's own behaviour; the recovery schedules themselves are
+    pinned once in tests/test_supervised_pool.py."""
+
+    def pool_with(self, factory, **kwargs):
+        """A WorkerPool whose supervisor asks ``factory`` for its pools."""
+        pool = WorkerPool(**kwargs)
+        pool.supervised.factory = factory
+        return pool
+
     def run_cells(self, pool, payloads):
         async def main():
             return await asyncio.gather(
@@ -264,10 +281,15 @@ class TestWorkerPool:
             pool.close()
 
     def test_unavailable_pool_degrades_to_serial_thread(self):
-        pool = WorkerPool(jobs=2, task_fn=lambda payload: dict(payload),
-                          pool_factory=lambda jobs: None)
-        results = self.run_cells(pool, [{"n": 1}, {"n": 2}])
-        assert results == [{"n": 1}, {"n": 2}]
+        import threading
+
+        def where(payload):
+            return threading.current_thread().name
+
+        pool = self.pool_with(lambda jobs: None, jobs=2, task_fn=where)
+        names = self.run_cells(pool, [{"n": 1}, {"n": 2}])
+        # off-pool cells are serialized on the one in-process worker
+        assert len(set(names)) == 1 and names[0].startswith("serve-cell")
         assert pool.degraded
 
     def test_worker_death_retries_once_and_rebuilds(self):
@@ -276,47 +298,26 @@ class TestWorkerPool:
         obs = Telemetry(ObsConfig(enabled=True))
         pools = [BrokenPoolOnce(fail="result", at=0),
                  BrokenPoolOnce(fail="result", at=-1)]  # never breaks
-        pool = WorkerPool(jobs=1, task_fn=lambda payload: dict(payload),
-                          pool_factory=lambda jobs: pools.pop(0), obs=obs)
+        pool = self.pool_with(lambda jobs: pools.pop(0), jobs=1,
+                              task_fn=lambda payload: dict(payload), obs=obs)
         assert self.run_cells(pool, [{"n": 1}, {"n": 2}]) \
             == [{"n": 1}, {"n": 2}]
         assert not pool.degraded
-        assert pool.pool_failures == 1
+        assert pool.supervised.pool_failures == 1
+        assert pool.supervised.owner == "serve"
         assert not pools  # the second (healthy) pool was built
         assert obs.metrics.get("exec.pool_rebuilds") == 1
 
-    def test_second_worker_death_degrades_permanently(self):
-        pool = WorkerPool(
-            jobs=1, task_fn=lambda payload: dict(payload),
-            pool_factory=lambda jobs: BrokenPoolOnce(fail="result", at=0))
-
-        async def main():
-            first = await pool.run({"n": 1})
-            second = await pool.run({"n": 2})
-            third = await pool.run({"n": 3})
-            return [first, second, third]
-
-        try:
-            assert asyncio.run(main()) == [{"n": 1}, {"n": 2}, {"n": 3}]
-        finally:
-            pool.close()
-        assert pool.degraded and pool.pool_failures == 2
-
-    def test_submit_failure_degrades(self):
-        pool = WorkerPool(
-            jobs=1, task_fn=lambda payload: dict(payload),
-            pool_factory=lambda jobs: BrokenPoolOnce(fail="submit", at=0))
-        assert self.run_cells(pool, [{"n": 1}]) == [{"n": 1}]
-        assert pool.pool_failures == 1
-
     def test_task_exception_propagates_without_degrading(self):
         def boom(payload):
-            raise RuntimeError("experiment failed")
+            raise OSError("experiment failed")  # not "fork is blocked"
 
-        pool = WorkerPool(jobs=1, task_fn=boom,
-                          pool_factory=lambda jobs: None)
-        with pytest.raises(RuntimeError, match="experiment failed"):
+        pool = self.pool_with(
+            lambda jobs: BrokenPoolOnce(fail="result", at=-1),
+            jobs=1, task_fn=boom)
+        with pytest.raises(OSError, match="experiment failed"):
             self.run_cells(pool, [{"n": 1}])
+        assert not pool.degraded and pool.supervised.pool_failures == 0
 
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ValueError):
@@ -346,7 +347,10 @@ class TestJobJournal:
         journal.new_job_id()
         journal.record({"job_id": "job-000001", "status": "queued"})
         flip_byte(journal.path)
-        assert JobJournal(str(tmp_path)).load() == {}
+        with use_telemetry(ObsConfig(trace=True)) as obs:
+            assert JobJournal(str(tmp_path)).load() == {}
+        (event,) = log_events(obs, "recordlog.unusable")
+        assert event["kind"] == "serve-queue"
 
     def test_rejects_nonpositive_interval(self, tmp_path):
         with pytest.raises(ValueError):
@@ -490,7 +494,7 @@ class TestJobService:
         job = asyncio.run(main())
         assert job.status == "completed"
         assert not marker.exists()  # the switch fired exactly once
-        assert service.pool.pool_failures == 1
+        assert service.pool.supervised.pool_failures == 1
         assert not service.pool.degraded
         assert service.obs.metrics.get("exec.pool_rebuilds") == 1
         monkeypatch.undo()
@@ -501,8 +505,8 @@ class TestJobService:
         def boom(payload):
             raise RuntimeError("injected cell failure")
 
-        service = JobService(config_for(tmp_path), task_fn=boom,
-                             pool_factory=lambda jobs: None)
+        service = JobService(config_for(tmp_path), task_fn=boom)
+        service.pool.supervised.factory = lambda jobs: None
 
         async def main():
             await service.start()
@@ -570,13 +574,15 @@ async def http_sse(port, path):
 
 
 class TestHttpServer:
-    def serve(self, tmp_path, scenario, service_kwargs=None,
-              **config_overrides):
-        """Run ``scenario(service, port)`` against a live server."""
+    def serve(self, tmp_path, scenario, task_fn=None, **config_overrides):
+        """Run ``scenario(service, port)`` against a live server; with a
+        ``task_fn`` the cells run in-process (no process pool)."""
         config = config_for(tmp_path, **config_overrides)
 
         async def main():
-            service = JobService(config, **(service_kwargs or {}))
+            service = JobService(config, task_fn=task_fn)
+            if task_fn is not None:
+                service.pool.supervised.factory = lambda jobs: None
             await service.start()
             server = CampaignServer(service, config)
             await server.start()
@@ -647,9 +653,7 @@ class TestHttpServer:
             assert status == 200 and body["status"] == "completed"
             return None
 
-        self.serve(tmp_path, scenario,
-                   service_kwargs={"task_fn": gated,
-                                   "pool_factory": lambda jobs: None})
+        self.serve(tmp_path, scenario, task_fn=gated)
 
     def test_http_error_mapping(self, tmp_path):
         async def scenario(service, port):
@@ -693,6 +697,42 @@ class TestHttpServer:
 
         self.serve(tmp_path, scenario)
 
+    def test_stream_reaches_eof_for_a_subscriber_older_than_the_pool(
+            self, tmp_path):
+        """A worker forked while an SSE connection is open inherits its
+        descriptor; the stream must still *end* after ``done`` (read to
+        end of stream here, not to the ``done`` frame)."""
+        probe = make_process_pool(1)
+        if probe is None:
+            pytest.skip("process pools unavailable in this sandbox")
+        probe.shutdown(wait=False)
+
+        async def scenario(service, port):
+            subscribed = asyncio.Event()
+            pool_run = service.pool.run
+
+            async def run_after_subscribe(payload):
+                await subscribed.wait()  # park the cell: nothing forked yet
+                return await pool_run(payload)
+
+            service.pool.run = run_after_subscribe
+            status, job = await http_json(port, "POST", "/v1/jobs", GRID)
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(f"GET /v1/jobs/{job['job_id']}/events HTTP/1.1\r\n"
+                         "Host: localhost\r\n\r\n".encode())
+            await writer.drain()
+            # accepted and streaming before the pool's first fork
+            await asyncio.wait_for(reader.readuntil(b"event: job"), 30)
+            subscribed.set()
+            rest = await asyncio.wait_for(reader.read(), 60)
+            writer.close()
+            assert rest.count(b"event: cell") == 2
+            assert b"event: done" in rest
+            assert service.pool.supervised.pool_failures == 0
+            return None
+
+        self.serve(tmp_path, scenario)
+
     def test_sse_replays_history_for_finished_jobs(self, tmp_path):
         async def scenario(service, port):
             status, job = await http_json(port, "POST", "/v1/jobs", GRID)
@@ -704,6 +744,84 @@ class TestHttpServer:
             return None
 
         self.serve(tmp_path, scenario)
+
+
+# ----------------------------------------------------------------------
+# the real process: signals and worker lifetime
+# ----------------------------------------------------------------------
+
+def group_members(group):
+    """Live (non-zombie) pids whose process group is ``group``."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", "r", encoding="ascii",
+                      errors="replace") as stream:
+                # "pid (comm) state ppid pgrp ...": comm may hold spaces
+                fields = stream.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if fields[0] != "Z" and int(fields[2]) == group:
+            members.append(int(entry))
+    return members
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="needs /proc to list a process group")
+class TestServeProcess:
+    def test_sigterm_drains_and_leaves_no_worker_behind(self, tmp_path):
+        probe = make_process_pool(1)
+        if probe is None:
+            pytest.skip("process pools unavailable in this sandbox")
+        probe.shutdown(wait=False)
+        log_path = tmp_path / "serve.log"
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        with open(log_path, "wb") as log:
+            process = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--port", "0",
+                 "--jobs", "2", "--root", str(tmp_path / "root")],
+                stdin=subprocess.DEVNULL, stdout=log, stderr=log,
+                env=dict(os.environ, PYTHONPATH=src),
+                start_new_session=True)  # pid == process group id
+        group = process.pid
+        try:
+            port = 0
+            deadline = time.monotonic() + 60
+            while not port:
+                assert process.poll() is None, log_path.read_text()
+                assert time.monotonic() < deadline, log_path.read_text()
+                for line in log_path.read_text().splitlines():
+                    if "listening on http://" in line:
+                        port = int(line.rsplit(":", 1)[1])
+                time.sleep(0.02)
+            base = f"http://127.0.0.1:{port}"
+            grid = dict(GRID, configurations=["Baseline"])  # one cell
+            request = Request(base + "/v1/jobs", method="POST",
+                              data=json.dumps(grid).encode("utf-8"))
+            with urlopen(request, timeout=60) as response:
+                job = json.loads(response.read())
+            with urlopen(base + f"/v1/jobs/{job['job_id']}/events",
+                         timeout=60) as response:
+                stream = response.read().decode("utf-8")
+            assert "event: done" in stream
+            with urlopen(base + f"/v1/jobs/{job['job_id']}",
+                         timeout=60) as response:
+                assert json.loads(response.read())["status"] == "completed"
+            # the cell ran in a pool worker, and the pool is still up
+            assert len(group_members(group)) > 1
+
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=60) == 0, log_path.read_text()
+            assert group_members(group) == []
+            assert os.path.exists(tmp_path / "root" / "serve-queue.ckpt")
+        finally:
+            try:
+                os.killpg(group, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            process.wait()
 
 
 # ----------------------------------------------------------------------
