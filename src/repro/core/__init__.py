@@ -7,8 +7,6 @@
   moved particles and applying the pending moves to the GPMA,
 * :mod:`repro.core.sort_policy` — the five-trigger adaptive global
   re-sorting policy of §4.4,
-* :mod:`repro.core.rhocell` — the per-cell rhocell accumulator used by the
-  MPU pipeline,
 * :mod:`repro.core.mpu_deposit` — the outer-product formulation of current
   deposition (§4.2.1) for the CIC and QSP schemes,
 * :mod:`repro.core.hybrid_kernel` — the three-stage hybrid VPU-MPU kernel

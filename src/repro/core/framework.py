@@ -15,7 +15,7 @@ every step, incremental + adaptive global sort).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from repro.core.incremental_sort import IncrementalSorter, StepSortStats
 from repro.core.sort_policy import GlobalSortPolicy, RankSortStats
 from repro.hardware.cost_model import CostModel
 from repro.hardware.counters import KernelCounters
-from repro.pic.deposition.base import DepositionKernel
+from repro.pic.deposition.base import DepositionKernel, scratch_reduce
 from repro.pic.grid import Grid
 from repro.pic.particles import ParticleContainer, ParticleTile
 
@@ -39,57 +39,38 @@ SORT_INCREMENTAL = "incremental"
 _SORT_MODES = (SORT_NONE, SORT_GLOBAL_EVERY_STEP, SORT_INCREMENTAL)
 
 
-def _sort_and_deposit_tile(strategy: "MatrixPICDeposition", grid: Grid,
-                           target: Grid, tile: ParticleTile, charge: float,
-                           order: int, counters: KernelCounters,
-                           step_stats: StepSortStats) -> bool:
-    """Sort (as configured) and deposit one tile; returns fallback use.
+def _sort_and_deposit_tiles(target: Grid, tiles: Sequence[ParticleTile],
+                            strategy: "MatrixPICDeposition", charge: float,
+                            order: int
+                            ) -> Tuple[KernelCounters, StepSortStats, int]:
+    """:func:`scratch_reduce` body: sort (as configured) + deposit tiles.
 
-    The single source of the per-tile sequence shared by the serial loop
-    and the shard tasks: ``grid`` provides geometry/fields for the sorter
-    and kernel selection, ``target`` receives the currents (the real grid
-    on the serial path, a shard-private scratch grid otherwise).
+    ``target`` is the real grid at one shard and a shard-private scratch
+    grid with the same live geometry otherwise, so it serves both the
+    sorter's cell ids and the kernel's accumulation.  The incremental
+    sorter's state lives on the tiles themselves (``tile.sorter``), so
+    shards may run concurrently as long as each tile belongs to exactly
+    one shard.  Counters, sort statistics and the fallback-tile count are
+    shard-private and returned for the caller to merge in shard order.
     """
-    ordering = None
-    if strategy.sort_mode == SORT_INCREMENTAL:
-        tile_stats = strategy.sorter.incremental_update_tile(
-            grid, tile, counters)
-        step_stats.merge(tile_stats)
-        ordering = strategy.sorter.iteration_order(tile)
-    elif strategy.sort_mode == SORT_GLOBAL_EVERY_STEP:
-        tile_stats = strategy.sorter.global_sort_tile(grid, tile, counters)
-        step_stats.merge(tile_stats)
-        # after a physical sort the storage order *is* the cell order
-        ordering = None
-    kernel, used_fallback = strategy._pick_kernel(grid, tile)
-    kernel.deposit_tile(target, tile, charge, order, counters,
-                        ordering=ordering)
-    return used_fallback
-
-
-def _matrix_pic_shard(strategy: "MatrixPICDeposition", grid: Grid,
-                      tiles: List[ParticleTile], charge: float, order: int
-                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                 KernelCounters, StepSortStats, int]:
-    """Executor task: sort + deposit one shard of tiles into private scratch.
-
-    The incremental sorter's state lives on the tiles themselves
-    (``tile.sorter``), so shards may run concurrently as long as each tile
-    belongs to exactly one shard; the shared ``grid`` is only read (for
-    geometry and fields).  Currents land in a shard-private scratch grid,
-    counters and sort statistics in shard-private objects — the caller
-    merges everything in shard order.
-    """
-    scratch = Grid(grid.config)
     counters = KernelCounters()
     step_stats = StepSortStats()
     fallback_tiles = 0
     for tile in tiles:
-        fallback_tiles += int(_sort_and_deposit_tile(
-            strategy, grid, scratch, tile, charge, order, counters,
-            step_stats))
-    return (scratch.jx, scratch.jy, scratch.jz, counters, step_stats,
-            fallback_tiles)
+        ordering = None
+        if strategy.sort_mode == SORT_INCREMENTAL:
+            step_stats.merge(strategy.sorter.incremental_update_tile(
+                target, tile, counters))
+            ordering = strategy.sorter.iteration_order(tile)
+        elif strategy.sort_mode == SORT_GLOBAL_EVERY_STEP:
+            # after a physical sort the storage order *is* the cell order
+            step_stats.merge(strategy.sorter.global_sort_tile(
+                target, tile, counters))
+        kernel, used_fallback = strategy._pick_kernel(target, tile)
+        kernel.deposit_tile(target, tile, charge, order, counters,
+                            ordering=ordering)
+        fallback_tiles += int(used_fallback)
+    return counters, step_stats, fallback_tiles
 
 
 class MatrixPICDeposition:
@@ -137,45 +118,25 @@ class MatrixPICDeposition:
                  executor: "TileExecutor | None" = None) -> KernelCounters:
         """Sort (as configured) and deposit one species for one step.
 
-        With a multi-shard ``executor`` the per-tile sort + deposit work
-        is sharded (see :func:`_matrix_pic_shard`) and the per-shard
-        scratch currents, counters and sort statistics merge in shard
-        order.  The process backend runs the *same* shard tasks inline in
-        this process — the incremental sorter mutates tile-attached GPMA
-        state that cannot cross a process boundary — so the reduction
-        tree, and hence the deposited current, stays bitwise identical to
-        the serial and threaded backends at the same shard count.  The
+        The per-tile sort + deposit work is sharded by
+        :func:`~repro.pic.deposition.base.scratch_reduce` as a ``local``
+        stage — the incremental sorter mutates tile-attached GPMA state
+        that cannot cross a process boundary, so every backend runs the
+        same shard tasks in this process — and the per-shard counters and
+        sort statistics merge in shard order: the deposited current is
+        bitwise identical across backends at the same shard count.  The
         adaptive global re-sorting policy always evaluates serially on the
         merged statistics.
         """
         counters = KernelCounters()
         step_stats = StepSortStats()
-        occupied = container.nonempty_tiles()
-
-        if executor is None or executor.is_trivial or len(occupied) <= 1:
-            for tile in occupied:
-                self.fallback_tiles += int(_sort_and_deposit_tile(
-                    self, grid, grid, tile, container.charge, order,
-                    counters, step_stats))
-        else:
-            from repro.exec import TileTask
-
-            tasks = [
-                TileTask(_matrix_pic_shard,
-                         (self, grid, shard, container.charge, order))
-                for shard in executor.partition(occupied)
-            ]
-            if executor.shares_memory:
-                results = executor.run(tasks)
-            else:
-                results = [task() for task in tasks]
-            for jx, jy, jz, shard_counters, shard_stats, fallback in results:
-                grid.jx += jx
-                grid.jy += jy
-                grid.jz += jz
-                counters.merge(shard_counters)
-                step_stats.merge(shard_stats)
-                self.fallback_tiles += fallback
+        for shard_counters, shard_stats, fallback in scratch_reduce(
+                executor, grid, container.nonempty_tiles(),
+                _sort_and_deposit_tiles, self, container.charge, order,
+                local=True):
+            counters.merge(shard_counters)
+            step_stats.merge(shard_stats)
+            self.fallback_tiles += fallback
 
         if self.sort_mode == SORT_INCREMENTAL:
             self._update_global_sort_policy(grid, container, counters, step_stats)

@@ -33,12 +33,15 @@ from repro.core.mpu_deposit import (
     tile_contributions_cic,
     tile_contributions_qsp,
 )
-from repro.core.rhocell import RhocellBuffer
 from repro.hardware.counters import KernelCounters
 from repro.pic.deposition.base import (
     DepositionKernel,
     cell_switch_fraction,
     prepare_tile_data,
+)
+from repro.pic.deposition.rhocell import (
+    reduce_rhocells_to_grid,
+    scatter_rhocell_blocks,
 )
 from repro.pic.grid import Grid
 from repro.pic.particles import ParticleTile
@@ -111,12 +114,12 @@ class HybridMPUDeposition(DepositionKernel):
 
         # --- Stage 2: MPU deposition into the rhocell buffer -----------------
         comp = counters.phase("compute")
-        rhocell = RhocellBuffer(tile.num_cells, order)
         if order == SHAPE_ORDER_CIC:
             cx, cy, cz, stats = tile_contributions_cic(data, order_idx)
         else:
             cx, cy, cz, stats = tile_contributions_qsp(data, order_idx)
-        rhocell.accumulate(processing_cells, cx, cy, cz)
+        rhocells = scatter_rhocell_blocks(processing_cells, tile.num_cells,
+                                          cx, cy, cz)
 
         # MOPA instructions for the three components, the operand assembly
         # (A/B construction, ~12 VPU ops per pair) and the operand loads
@@ -144,4 +147,4 @@ class HybridMPUDeposition(DepositionKernel):
             bytes_near=elements * 8.0,
             bytes_far=elements * 8.0,
         )
-        rhocell.reduce_to_grid(grid, tile)
+        reduce_rhocells_to_grid(grid, tile, order, *rhocells)

@@ -44,14 +44,15 @@ a fixed executor shard count, for every ``(px, py, pz)``:
   interior cells are retained.
 
 The process backend is supported for deposition (window accumulators
-pickle back); the in-place gather/push stage falls back to the inline
-loop under the process backend, whose per-tile results are partition
-independent anyway.
+pickle back); the in-place gather/push and solver stages are ``local``
+(:func:`repro.exec.map_shards`), so under the process backend their shard
+tasks run in this process — per-tile results are partition independent
+anyway.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
@@ -59,6 +60,7 @@ from repro.backend import active_backend
 from repro.domain.decomposition import Decomposition, Subdomain
 from repro.domain.halo import EM_FIELDS, HaloExchange
 from repro.domain.migration import MigrationStats
+from repro.exec import map_shards, run_shards, shard_items
 from repro.pic.deposition.base import prepare_tile_data
 from repro.pic.grid import (
     Grid,
@@ -117,7 +119,7 @@ def slab_stencil(frame: Grid, slab_shape: Tuple[int, int, int],
     return op
 
 
-def _domain_push_shard(frame: Grid, entries: Sequence[Tuple], charge: float,
+def _domain_push_shard(entries: Sequence[Tuple], frame: Grid, charge: float,
                        mass: float, dt: float, order: int) -> None:
     """Executor task: gather from slabs + push one shard of tiles in place."""
     for tile, slab, origin in entries:
@@ -128,16 +130,43 @@ def _domain_push_shard(frame: Grid, entries: Sequence[Tuple], charge: float,
         push_tile(tile, fields, charge, mass, dt)
 
 
-def _domain_deposit_shard(frame_config, geometry: Tuple, windows: Tuple,
-                          payloads: Tuple, charge: float, order: int,
-                          outs: Optional[List[Tuple[np.ndarray, ...]]] = None
-                          ) -> List[Tuple[np.ndarray, ...]]:
-    """Executor task: deposit one shard's current into per-window scratch.
+def _deposit_window_tiles(outs: Sequence[Tuple[np.ndarray, ...]],
+                          windows: Tuple, tiles: Sequence[ParticleTile],
+                          frame: Grid, charge: float, order: int, rho: bool
+                          ) -> None:
+    """Add every tile's stencil box to the windows it overlaps.
 
-    ``windows`` is the picklable ``(window_lo, window_dims)`` geometry of
-    every subdomain.  Shared-memory callers lease the window accumulators
-    (``outs``) and release them after the merge; process workers allocate
-    fresh zeroed arrays (``None``) that cross the pickle boundary.
+    The one per-tile body of the decomposed deposition: ``outs[d]`` holds
+    one accumulator per amplitude for subdomain window ``windows[d]`` —
+    the three current components, or the single charge density when
+    ``rho``.
+    """
+    cell_volume = float(np.prod(frame.cell_size))
+    for tile in tiles:
+        if rho:
+            stencil = StencilOperator.for_grid(frame, tile.x, tile.y, tile.z,
+                                               order)
+            amplitudes = (charge * tile.w / cell_volume,)
+        else:
+            data = prepare_tile_data(frame, tile, charge, order)
+            stencil = data.node_stencil(frame)
+            amplitudes = (data.wqx, data.wqy, data.wqz)
+        for comp, amplitude in enumerate(amplitudes):
+            box = stencil.scatter_box(amplitude)
+            for (w_lo, _), out in zip(windows, outs):
+                stencil.add_box_to_window(box, w_lo, out[comp])
+
+
+def _window_shard(shard: Tuple, frame_config, geometry: Tuple,
+                  windows: Tuple, charge: float, order: int, rho: bool
+                  ) -> List[Tuple[np.ndarray, ...]]:
+    """Executor task: deposit one shard into per-window scratch.
+
+    ``shard`` is ``(tiles, outs)``; ``windows`` the picklable
+    ``(window_lo, window_dims)`` geometry of every subdomain.
+    Shared-memory callers lease the window accumulators and release them
+    after the merge; a worker process receives ``(payloads, None)`` and
+    allocates fresh zeroed arrays that cross the pickle boundary.
 
     Geometry comes from a pooled grid built from ``frame_config`` with
     the live ``(lo, hi)`` snapshot imposed — the same convention as the
@@ -145,48 +174,17 @@ def _domain_deposit_shard(frame_config, geometry: Tuple, windows: Tuple,
     any shard count.  The grid is a geometry carrier only (its dense
     arrays are never touched), so the lease skips the accumulator zeroing.
     """
+    tiles, outs = shard
     frame = apply_grid_geometry(
         scratch_grids.acquire(frame_config, zero=False), geometry)
     try:
         if outs is None:
             zeros = active_backend().zeros
-            outs = [tuple(zeros(dims) for _ in range(3))
+            outs = [tuple(zeros(dims) for _ in range(1 if rho else 3))
                     for _, dims in windows]
-        for payload in payloads:
-            tile = tile_from_payload(payload)
-            data = prepare_tile_data(frame, tile, charge, order)
-            if data.num_particles == 0:
-                continue
-            stencil = data.node_stencil(frame)
-            for comp, amplitude in enumerate((data.wqx, data.wqy, data.wqz)):
-                box = stencil.scatter_box(amplitude)
-                for (w_lo, _), out in zip(windows, outs):
-                    stencil.add_box_to_window(box, w_lo, out[comp])
-        return outs
-    finally:
-        scratch_grids.release(frame)
-
-
-def _domain_rho_shard(frame_config, geometry: Tuple, windows: Tuple,
-                      payloads: Tuple, charge: float, order: int,
-                      outs: Optional[List[np.ndarray]] = None
-                      ) -> List[np.ndarray]:
-    """Executor task: deposit one shard's charge density into window scratch."""
-    frame = apply_grid_geometry(
-        scratch_grids.acquire(frame_config, zero=False), geometry)
-    try:
-        if outs is None:
-            outs = [active_backend().zeros(dims) for _, dims in windows]
-        cell_volume = float(np.prod(frame.cell_size))
-        for payload in payloads:
-            tile = tile_from_payload(payload)
-            if tile.num_particles == 0:
-                continue
-            stencil = StencilOperator.for_grid(frame, tile.x, tile.y, tile.z,
-                                               order)
-            box = stencil.scatter_box(charge * tile.w / cell_volume)
-            for (w_lo, _), out in zip(windows, outs):
-                stencil.add_box_to_window(box, w_lo, out)
+            tiles = [tile_from_payload(payload) for payload in tiles]
+        _deposit_window_tiles(outs, windows, tiles, frame, charge, order,
+                              rho)
         return outs
     finally:
         scratch_grids.release(frame)
@@ -229,14 +227,6 @@ class DomainRuntime:
         """The decomposition's subdomains (row-major order)."""
         return self.decomposition.subdomains
 
-    def _current_views(self) -> List[Tuple[np.ndarray, ...]]:
-        """Interior (jx, jy, jz) views of every slab, decomposition order."""
-        return [
-            tuple(sub.interior_view(arr) for arr in
-                  (sub.slab.jx, sub.slab.jy, sub.slab.jz))
-            for sub in self.subdomains
-        ]
-
     # ------------------------------------------------------------------
     # stage 1: gather + push
     # ------------------------------------------------------------------
@@ -245,8 +235,8 @@ class DomainRuntime:
         """Gather from the slabs and advance every particle of a species.
 
         The per-tile push has no cross-tile accumulation, so it is
-        bitwise independent of the shard partition; the process backend
-        falls back to the inline loop (tiles mutate in place).
+        bitwise independent of the shard partition; tiles mutate in
+        place, so it is a ``local`` stage.
         """
         decomp = self.decomposition
         entries = [
@@ -255,23 +245,9 @@ class DomainRuntime:
             for tid, tile in enumerate(container.tiles)
             if tile.num_particles > 0
         ]
-        if not entries:
-            return
-        frame = simulation.grid
-        executor = simulation.executor
-        charge, mass = container.charge, container.mass
-        dt, order = simulation.dt, simulation.config.shape_order
-        if (executor is None or executor.is_trivial
-                or not executor.shares_memory or len(entries) <= 1):
-            _domain_push_shard(frame, entries, charge, mass, dt, order)
-            return
-
-        from repro.exec import TileTask
-
-        tasks = [TileTask(_domain_push_shard,
-                          (frame, shard, charge, mass, dt, order))
-                 for shard in executor.partition(entries)]
-        executor.run(tasks)
+        map_shards(simulation.executor, _domain_push_shard, entries,
+                   simulation.grid, container.charge, container.mass,
+                   simulation.dt, simulation.config.shape_order, local=True)
 
     # ------------------------------------------------------------------
     # stage 3: deposition with ghost/seam reduction
@@ -286,113 +262,63 @@ class DomainRuntime:
         for sub in self.subdomains:
             sub.slab.zero_charge()
 
-    def deposit_reference(self, simulation: "Simulation",
-                          container: ParticleContainer) -> None:
-        """Add the container's current to the slabs (reference kernel).
+    def _reduce_into_windows(self, simulation: "Simulation",
+                             container: ParticleContainer,
+                             names: Tuple[str, ...]) -> None:
+        """Deposit a species into the slab arrays ``names``, seams reduced.
 
-        Follows exactly the global :func:`deposit_reference` structure:
-        same shard partition of the non-empty tiles, per-tile boxes
-        applied to the disjoint subdomain windows in segment order, and
-        per-shard window accumulators merged in shard order — bitwise
-        identical to the single-domain deposition.
+        The window half of the :mod:`repro.exec.base` contract, following
+        exactly the structure of the global
+        :func:`~repro.pic.deposition.base.scratch_reduce`: same shard
+        partition of the non-empty tiles, per-tile boxes applied to the
+        disjoint subdomain windows in segment order — straight into the
+        slab interiors at one shard, into per-shard zeroed window
+        accumulators merged in shard order otherwise — bitwise identical
+        to the single-domain deposition.  ``names`` is ``("rho",)`` for
+        the charge density, else the three current components.
         """
-        frame = simulation.grid
         executor = simulation.executor
-        order = simulation.config.shape_order
-        charge = container.charge
-        occupied = container.nonempty_tiles()
-        views = self._current_views()
-        if (executor is None or executor.is_trivial or len(occupied) <= 1):
-            for tile in occupied:
-                data = prepare_tile_data(frame, tile, charge, order)
-                if data.num_particles == 0:
-                    continue
-                stencil = data.node_stencil(frame)
-                for comp, amplitude in enumerate(
-                        (data.wqx, data.wqy, data.wqz)):
-                    box = stencil.scatter_box(amplitude)
-                    for sub, out in zip(self.subdomains, views):
-                        stencil.add_box_to_window(box, sub.cell_lo, out[comp])
+        frame = simulation.grid
+        args = (container.charge, simulation.config.shape_order,
+                names == ("rho",))
+        views = [tuple(sub.interior_view(getattr(sub.slab, name))
+                       for name in names) for sub in self.subdomains]
+        shards = shard_items(executor, container.nonempty_tiles())
+        if len(shards) == 1:
+            _deposit_window_tiles(views, self._windows, shards[0], frame,
+                                  *args)
             return
-
-        from repro.exec import TileTask
-
-        shards = executor.partition(occupied)
-        leases: List[Optional[List[Tuple[np.ndarray, ...]]]] = []
-        for _ in shards:
-            if executor.shares_memory:
-                leases.append([
-                    tuple(scratch_arrays.acquire(dims, zero=True)
-                          for _ in range(3))
-                    for _, dims in self._windows
-                ])
-            else:
-                leases.append(None)
-        geometry = grid_geometry(frame)
-        tasks = [
-            TileTask(_domain_deposit_shard,
-                     (frame.config, geometry, self._windows,
-                      tuple(tile_payload(t) for t in shard),
-                      charge, order, lease))
-            for shard, lease in zip(shards, leases)
-        ]
+        if executor.shares_memory:
+            leases = [[tuple(scratch_arrays.acquire(dims, zero=True)
+                             for _ in names) for _, dims in self._windows]
+                      for _ in shards]
+        else:
+            leases = [None] * len(shards)
+            shards = [tuple(tile_payload(tile) for tile in shard)
+                      for shard in shards]
         try:
-            for shard_outs in executor.run(tasks):
-                for out3, view3 in zip(shard_outs, views):
-                    for out, view in zip(out3, view3):
-                        view += out
+            for outs in run_shards(executor, _window_shard,
+                                   list(zip(shards, leases)), frame.config,
+                                   grid_geometry(frame), self._windows,
+                                   *args):
+                for out, view in zip(outs, views):
+                    for out_array, view_array in zip(out, view):
+                        view_array += out_array
         finally:
             for lease in leases:
-                if lease is not None:
-                    for out3 in lease:
-                        for arr in out3:
-                            scratch_arrays.release(arr)
+                for out in lease or ():
+                    for out_array in out:
+                        scratch_arrays.release(out_array)
+
+    def deposit_reference(self, simulation: "Simulation",
+                          container: ParticleContainer) -> None:
+        """Add the container's current to the slabs (reference kernel)."""
+        self._reduce_into_windows(simulation, container, ("jx", "jy", "jz"))
 
     def deposit_rho(self, simulation: "Simulation",
                     container: ParticleContainer) -> None:
         """Add the container's charge density to the slabs."""
-        frame = simulation.grid
-        executor = simulation.executor
-        order = simulation.config.shape_order
-        charge = container.charge
-        occupied = container.nonempty_tiles()
-        views = [sub.interior_view(sub.slab.rho) for sub in self.subdomains]
-        if (executor is None or executor.is_trivial or len(occupied) <= 1):
-            cell_volume = float(np.prod(frame.cell_size))
-            for tile in occupied:
-                stencil = StencilOperator.for_grid(frame, tile.x, tile.y,
-                                                   tile.z, order)
-                box = stencil.scatter_box(charge * tile.w / cell_volume)
-                for sub, out in zip(self.subdomains, views):
-                    stencil.add_box_to_window(box, sub.cell_lo, out)
-            return
-
-        from repro.exec import TileTask
-
-        shards = executor.partition(occupied)
-        leases = [
-            ([scratch_arrays.acquire(dims, zero=True)
-              for _, dims in self._windows]
-             if executor.shares_memory else None)
-            for _ in shards
-        ]
-        geometry = grid_geometry(frame)
-        tasks = [
-            TileTask(_domain_rho_shard,
-                     (frame.config, geometry, self._windows,
-                      tuple(tile_payload(t) for t in shard),
-                      charge, order, lease))
-            for shard, lease in zip(shards, leases)
-        ]
-        try:
-            for shard_outs in executor.run(tasks):
-                for out, view in zip(shard_outs, views):
-                    view += out
-        finally:
-            for lease in leases:
-                if lease is not None:
-                    for arr in lease:
-                        scratch_arrays.release(arr)
+        self._reduce_into_windows(simulation, container, ("rho",))
 
     def pull_currents_from_frame(self, frame: Grid) -> None:
         """Copy frame-grid currents into the slab interiors (exact copies).
@@ -451,17 +377,8 @@ class DomainRuntime:
 
     def _run_solver_stage(self, simulation: "Simulation", method: str,
                           dt: float) -> None:
-        executor = simulation.executor
-        if (executor is None or executor.is_trivial
-                or not executor.shares_memory or len(self.solvers) <= 1):
-            _solver_stage_shard(self.solvers, method, dt)
-            return
-
-        from repro.exec import TileTask
-
-        tasks = [TileTask(_solver_stage_shard, (shard, method, dt))
-                 for shard in executor.partition(self.solvers)]
-        executor.run(tasks)
+        map_shards(simulation.executor, _solver_stage_shard, self.solvers,
+                   method, dt, local=True)
 
     def apply_boundaries(self, simulation: "Simulation") -> None:
         """PEC/absorbing boundaries on the subdomains touching the edge."""

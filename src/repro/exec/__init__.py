@@ -1,9 +1,9 @@
 """Pluggable tile execution engine for the PIC step loop.
 
 Every per-tile stage of the Matrix-PIC cycle (push, boundary/redistribute
-scan, current deposition, energy reduction) is expressed as a list of
-:class:`TileTask` objects — one per contiguous *shard* of tiles — and
-handed to a :class:`TileExecutor`:
+scan, current deposition, energy reduction) calls :func:`map_shards`,
+which turns it into a list of :class:`TileTask` objects — one per
+contiguous *shard* of tiles — and hands them to a :class:`TileExecutor`:
 
 ``serial``
     The reference backend: tasks run inline in submission order.
@@ -42,7 +42,10 @@ from repro.exec.base import (
     TileExecutor,
     TileShard,
     TileTask,
+    map_shards,
     partition_shards,
+    run_shards,
+    shard_items,
 )
 from repro.exec.factory import create_executor
 from repro.exec.pool import SupervisedPool
@@ -58,7 +61,10 @@ __all__ = [
     "TileExecutor",
     "TileShard",
     "TileTask",
+    "map_shards",
     "partition_shards",
+    "run_shards",
+    "shard_items",
     "create_executor",
     "ProcessShardExecutor",
     "SerialExecutor",

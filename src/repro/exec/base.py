@@ -10,16 +10,20 @@ which the backend finished them.
 
 Determinism contract
 --------------------
-Every caller follows the same discipline so that all backends produce
-identical results:
+:func:`map_shards` is the one place that decides whether per-tile work is
+sharded, who runs the shards and in what order their results come back;
+every per-tile stage is a caller of it (directly, or through the
+scratch-reduce helpers built on :func:`shard_items` / :func:`run_shards`:
+:func:`repro.pic.deposition.base.scratch_reduce` for grids and
+``DomainRuntime._reduce_into_windows`` for subdomain windows).  What it
+enforces:
 
-1. tiles are partitioned into contiguous shards with
-   :func:`partition_shards` (a pure function of the tile list and shard
-   count),
-2. each shard accumulates into private scratch state (grid current
-   buffers, :class:`~repro.hardware.counters.KernelCounters`, partial
-   sums), never into shared state,
-3. the caller merges the per-shard results serially in shard-index order.
+1. items are partitioned into contiguous shards — a pure function of the
+   item list and the executor's shard count (:func:`partition_shards`),
+2. each shard runs as one task that accumulates into private scratch
+   state (zeroed grid buffers, fresh counters, partial sums), never into
+   shared state,
+3. results are handed back — and merged by the caller — in shard order.
 
 Because scratch buffers start from zero and the merge order is fixed, the
 floating-point reduction tree is a pure function of the shard partition —
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Sequence, Tuple, TypeVar
+from typing import Any, Callable, List, Optional, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -112,9 +116,9 @@ class TileExecutor(abc.ABC):
     shares_memory:
         True when tasks run in the caller's address space, i.e. in-place
         mutation of tiles is visible to the caller.  The process backend is
-        the only one for which this is False; stages whose tasks mutate
-        shared state (incremental sorters, tile SoA arrays) fall back to a
-        functional payload path or to inline execution when it is unset.
+        the only one for which this is False; :func:`run_shards` runs the
+        tasks of a ``local`` stage (one that mutates caller-owned state)
+        in the calling process when it is unset.
     """
 
     name: str = "abstract"
@@ -161,3 +165,49 @@ class TileExecutor(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(num_shards={self.num_shards})"
+
+
+def shard_items(executor: Optional[TileExecutor], items: Sequence[T]
+                ) -> List[Sequence[T]]:
+    """The shards ``items`` run as: one (the whole list) or the partition.
+
+    The only place that decides *whether* to shard.  No executor, a
+    one-shard executor or at most one item all give a single shard, which
+    callers run inline against their real target — so every backend takes
+    the same reduction tree at one shard.
+    """
+    if executor is None or executor.is_trivial or len(items) <= 1:
+        return [items]
+    return executor.partition(items)
+
+
+def run_shards(executor: Optional[TileExecutor], fn: Callable[..., Any],
+               shards: Sequence[Any], *args: Any, local: bool = False
+               ) -> List[Any]:
+    """``fn(shard, *args)`` for every shard; results in shard order.
+
+    A single shard is one inline call on the caller's thread.  Several
+    shards become one :class:`TileTask` each, run by the executor — unless
+    the work is ``local`` (it mutates or aliases caller-owned state: tile
+    SoA arrays, tile-attached sorters, leased scratch) and the backend
+    does not share memory, in which case the *same* tasks run one after
+    another in this process.  ``fn`` must be a module-level function.
+    """
+    if len(shards) == 1:
+        return [fn(shards[0], *args)]
+    tasks = [TileTask(fn, (shard, *args)) for shard in shards]
+    if local and not executor.shares_memory:
+        return [task() for task in tasks]
+    return executor.run(tasks)
+
+
+def map_shards(executor: Optional[TileExecutor], fn: Callable[..., Any],
+               items: Sequence[T], *args: Any, local: bool = False
+               ) -> List[Any]:
+    """Fan ``fn(shard_of_items, *args)`` out over the executor's shards.
+
+    :func:`shard_items` then :func:`run_shards`: the single rule every
+    per-tile stage follows.
+    """
+    return run_shards(executor, fn, shard_items(executor, items), *args,
+                      local=local)

@@ -14,12 +14,13 @@ enforce this against the scatter-add reference kernel.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.backend import active_backend, active_kernels
 from repro.config import SHAPE_ORDER_CIC, SHAPE_ORDER_QSP, SHAPE_ORDER_TSC
+from repro.exec import TileExecutor, run_shards, shard_items
 from repro.hardware.counters import KernelCounters
 from repro.pic.grid import (
     Grid,
@@ -27,7 +28,12 @@ from repro.pic.grid import (
     grid_geometry,
     scratch_grids,
 )
-from repro.pic.particles import ParticleContainer, ParticleTile
+from repro.pic.particles import (
+    ParticleContainer,
+    ParticleTile,
+    tile_from_payload,
+    tile_payload,
+)
 from repro.pic.pusher import velocities
 from repro.pic.shapes import shape_factors, shape_support
 from repro.pic.stencil import (
@@ -36,9 +42,6 @@ from repro.pic.stencil import (
     box_geometry,
     box_segments,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.exec import TileExecutor
 
 #: Effective FP64 operations per particle of the canonical scalar deposition
 #: algorithm, used as the numerator of the Table 3 peak-efficiency metric.
@@ -260,37 +263,78 @@ def scatter_tile_currents(grid: Grid, data: TileDepositionData) -> None:
     stencil.scatter(data.wqz, jz)
 
 
-def deposit_kernel_shard(kernel: "DepositionKernel", grid_config,
-                         geometry: Tuple, payloads: Tuple, charge: float,
-                         order: int, scratch: Optional[Grid] = None
-                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                    KernelCounters]:
-    """Executor task: deposit one shard of tiles into private scratch.
+def _scratch_shard(shard: Tuple, body, args: Tuple, grid_config,
+                   geometry: Tuple, arrays: Tuple[str, ...]) -> Tuple:
+    """Executor task: run ``body`` over one shard into private scratch.
 
-    Deposits into a scratch :class:`Grid` (same geometry, zeroed currents)
-    so the kernel's ``grid.current_arrays()`` writes land in shard-private
-    buffers, then runs the kernel over the shard's tiles in order.  Works
-    identically in-process (arrays shared by reference, zero copies) and
-    in a worker process (payloads pickled); the caller merges the returned
-    ``(jx, jy, jz, counters)`` in shard order.
-
-    Shared-memory callers lease ``scratch`` from the process-wide
-    :data:`~repro.pic.grid.scratch_grids` pool and release it after the
-    merge (the return value aliases the scratch arrays, so the task
-    itself must not release).  Process workers receive ``scratch=None``
-    and build a fresh grid — their results cross the pickle boundary as
-    copies anyway.
+    ``shard`` is ``(tiles, scratch)``.  In-process callers lease
+    ``scratch`` and release it after the merge (the return value aliases
+    its arrays, so the task itself must not release); a worker process
+    receives ``(payloads, None)`` and builds a fresh grid — its arrays
+    cross the pickle boundary as copies anyway.  The scratch always takes
+    the caller grid's *live* ``(lo, hi)``: the moving window advances them
+    past the static ``GridConfig`` values, and staging positions against
+    a stale origin would normalise the particles into the wrong cells.
     """
-    from repro.pic.particles import tile_from_payload
-
+    tiles, scratch = shard
     if scratch is None:
         scratch = Grid(grid_config)
+        tiles = [tile_from_payload(payload) for payload in tiles]
     apply_grid_geometry(scratch, geometry)
+    value = body(scratch, tiles, *args)
+    return tuple(getattr(scratch, name) for name in arrays), value
+
+
+def scratch_reduce(executor: Optional[TileExecutor], grid: Grid,
+                   tiles: Sequence[ParticleTile], body, *args,
+                   arrays: Tuple[str, ...] = ("jx", "jy", "jz"),
+                   local: bool = False) -> List:
+    """Accumulate ``body(target, tiles, *args)`` over shards into ``grid``.
+
+    The grid half of the :mod:`repro.exec.base` contract.  At one shard
+    ``body`` writes straight into the (possibly non-zero) ``grid``;
+    otherwise every shard gets a zeroed scratch grid with the live
+    geometry as ``target``, and the scratch ``arrays`` are added to the
+    grid in shard order.  Returns the body's return values in shard order.
+
+    ``body`` is a module-level function.  ``local`` marks bodies that
+    mutate caller-owned state (tile-attached sorters): they run in this
+    process on every backend.  Otherwise a backend without shared memory
+    receives tile payloads and returns its scratch arrays by value.
+    """
+    shards = shard_items(executor, tiles)
+    if len(shards) == 1:
+        return [body(grid, tiles, *args)]
+    if local or executor.shares_memory:
+        scratches = [scratch_grids.acquire(grid.config) for _ in shards]
+    else:
+        scratches = [None] * len(shards)
+        shards = [tuple(tile_payload(tile) for tile in shard)
+                  for shard in shards]
+    try:
+        results = run_shards(executor, _scratch_shard,
+                             list(zip(shards, scratches)), body, args,
+                             grid.config, grid_geometry(grid), arrays,
+                             local=local)
+        for shard_arrays, _ in results:
+            for name, scratch_array in zip(arrays, shard_arrays):
+                merged = getattr(grid, name)
+                merged += scratch_array
+        return [value for _, value in results]
+    finally:
+        for scratch in scratches:
+            if scratch is not None:
+                scratch_grids.release(scratch)
+
+
+def _deposit_kernel_tiles(target: Grid, tiles: Sequence[ParticleTile],
+                          kernel: "DepositionKernel", charge: float,
+                          order: int) -> KernelCounters:
+    """:func:`scratch_reduce` body: one kernel over a shard of tiles."""
     counters = KernelCounters()
-    for payload in payloads:
-        tile = tile_from_payload(payload)
-        kernel.deposit_tile(scratch, tile, charge, order, counters)
-    return scratch.jx, scratch.jy, scratch.jz, counters
+    for tile in tiles:
+        kernel.deposit_tile(target, tile, charge, order, counters)
+    return counters
 
 
 class DepositionKernel(abc.ABC):
@@ -313,49 +357,19 @@ class DepositionKernel(abc.ABC):
 
     def deposit(self, grid: Grid, container: ParticleContainer, order: int,
                 counters: Optional[KernelCounters] = None,
-                executor: "TileExecutor | None" = None) -> KernelCounters:
+                executor: Optional[TileExecutor] = None) -> KernelCounters:
         """Deposit the whole container; currents are *added* to the grid.
 
-        With an ``executor`` the non-empty tiles are partitioned into
-        contiguous shards, each deposited into private scratch buffers by
-        :func:`deposit_kernel_shard`, and the scratch currents and
-        counters are merged in shard order — bitwise identical across
-        backends for a given shard count.
+        Sharded by :func:`scratch_reduce`: scratch currents and per-shard
+        counters merge in shard order — bitwise identical across backends
+        for a given shard count.
         """
         if counters is None:
             counters = KernelCounters()
-        if executor is None or executor.is_trivial:
-            for tile in container.iter_tiles():
-                if tile.num_particles == 0:
-                    continue
-                self.deposit_tile(grid, tile, container.charge, order,
-                                  counters)
-            return counters
-
-        from repro.exec import TileTask
-        from repro.pic.particles import tile_payload
-
-        shards = executor.partition(container.nonempty_tiles())
-        scratches = ([scratch_grids.acquire(grid.config) for _ in shards]
-                     if executor.shares_memory else [None] * len(shards))
-        geometry = grid_geometry(grid)
-        tasks = [
-            TileTask(deposit_kernel_shard,
-                     (self, grid.config, geometry,
-                      tuple(tile_payload(t) for t in shard),
-                      container.charge, order, scratch))
-            for shard, scratch in zip(shards, scratches)
-        ]
-        try:
-            for jx, jy, jz, shard_counters in executor.run(tasks):
-                grid.jx += jx
-                grid.jy += jy
-                grid.jz += jz
-                counters.merge(shard_counters)
-        finally:
-            for scratch in scratches:
-                if scratch is not None:
-                    scratch_grids.release(scratch)
+        for shard_counters in scratch_reduce(
+                executor, grid, container.nonempty_tiles(),
+                _deposit_kernel_tiles, self, container.charge, order):
+            counters.merge(shard_counters)
         return counters
 
     # ------------------------------------------------------------------

@@ -6,83 +6,48 @@ instrumentation and are therefore also the fast path used by the plain
 simulation loop and by the physics-level tests (energy conservation, charge
 conservation, LWFA wakefield structure).
 
-Both entry points accept an optional tile executor (:mod:`repro.exec`):
-the container's non-empty tiles are partitioned into contiguous shards,
-every shard scatters into a private scratch grid, and the scratch buffers
-are merged in shard order.  Because each scratch buffer starts at zero and
-the merge order is fixed, the result is bitwise identical whichever
-backend (serial, threads, processes) ran the shards — and, for a single
-shard, identical to the historical inline loop.
+Both entry points accept an optional tile executor (:mod:`repro.exec`)
+and shard through :func:`~repro.pic.deposition.base.scratch_reduce`: the
+result is bitwise identical whichever backend (serial, threads,
+processes) ran the shards — and, for a single shard, identical to the
+plain loop over the tiles.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.pic.deposition.base import prepare_tile_data, scatter_tile_currents
-from repro.pic.grid import (
-    Grid,
-    apply_grid_geometry,
-    grid_geometry,
-    scratch_grids,
+from repro.pic.deposition.base import (
+    prepare_tile_data,
+    scatter_tile_currents,
+    scratch_reduce,
 )
-from repro.pic.particles import (
-    ParticleContainer,
-    tile_from_payload,
-    tile_payload,
-)
+from repro.pic.grid import Grid
+from repro.pic.particles import ParticleContainer, ParticleTile
 from repro.pic.stencil import StencilOperator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec import TileExecutor
 
 
-def _reference_shard_currents(grid_config, geometry: Tuple, payloads: Tuple,
-                              charge: float, order: int,
-                              scratch: "Grid | None" = None
-                              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Executor task: scatter one shard's current into a scratch grid.
-
-    Shared-memory callers lease ``scratch`` from the pool and release it
-    after the merge; process workers build a fresh grid (``None``).
-    ``geometry`` carries the caller grid's *live* ``(lo, hi)`` corners:
-    the moving window advances them past the static ``GridConfig``
-    values, and staging positions against a stale origin would normalise
-    the particles into the wrong cells.
-    """
-    if scratch is None:
-        scratch = Grid(grid_config)
-    apply_grid_geometry(scratch, geometry)
-    for payload in payloads:
-        tile = tile_from_payload(payload)
-        data = prepare_tile_data(scratch, tile, charge, order)
-        scatter_tile_currents(scratch, data)
-    return scratch.jx, scratch.jy, scratch.jz
+def _current_tiles(grid: Grid, tiles: Sequence[ParticleTile], charge: float,
+                   order: int) -> None:
+    """Add the current density of ``tiles`` to the grid's J arrays."""
+    for tile in tiles:
+        scatter_tile_currents(grid,
+                              prepare_tile_data(grid, tile, charge, order))
 
 
-def _reference_shard_rho(grid_config, geometry: Tuple, payloads: Tuple,
-                         charge: float, order: int,
-                         scratch: "Grid | None" = None
-                         ) -> np.ndarray:
-    """Executor task: scatter one shard's charge density into scratch."""
-    if scratch is None:
-        scratch = Grid(grid_config)
-    apply_grid_geometry(scratch, geometry)
-    _rho_tiles(scratch, [tile_from_payload(p) for p in payloads], charge, order)
-    return scratch.rho
-
-
-def _rho_tiles(grid: Grid, tiles: List, charge: float, order: int) -> None:
+def _rho_tiles(grid: Grid, tiles: Sequence[ParticleTile], charge: float,
+               order: int) -> None:
     """Add the charge density of ``tiles`` to ``grid.rho``.
 
     One flattened stencil per tile, one ``np.bincount`` accumulation pass.
     """
     cell_volume = float(np.prod(grid.cell_size))
     for tile in tiles:
-        if tile.num_particles == 0:
-            continue
         stencil = StencilOperator.for_grid(grid, tile.x, tile.y, tile.z, order)
         stencil.scatter(charge * tile.w / cell_volume, grid.rho)
 
@@ -90,62 +55,12 @@ def _rho_tiles(grid: Grid, tiles: List, charge: float, order: int) -> None:
 def deposit_reference(grid: Grid, container: ParticleContainer, order: int,
                       executor: "TileExecutor | None" = None) -> None:
     """Add the container's current density to the grid (numerical reference)."""
-    occupied = container.nonempty_tiles()
-    if executor is None or executor.is_trivial or len(occupied) <= 1:
-        for tile in occupied:
-            data = prepare_tile_data(grid, tile, container.charge, order)
-            scatter_tile_currents(grid, data)
-        return
-
-    from repro.exec import TileTask
-
-    shards = executor.partition(occupied)
-    scratches = ([scratch_grids.acquire(grid.config) for _ in shards]
-                 if executor.shares_memory else [None] * len(shards))
-    geometry = grid_geometry(grid)
-    tasks = [
-        TileTask(_reference_shard_currents,
-                 (grid.config, geometry,
-                  tuple(tile_payload(t) for t in shard),
-                  container.charge, order, scratch))
-        for shard, scratch in zip(shards, scratches)
-    ]
-    try:
-        for jx, jy, jz in executor.run(tasks):
-            grid.jx += jx
-            grid.jy += jy
-            grid.jz += jz
-    finally:
-        for scratch in scratches:
-            if scratch is not None:
-                scratch_grids.release(scratch)
+    scratch_reduce(executor, grid, container.nonempty_tiles(),
+                   _current_tiles, container.charge, order)
 
 
 def deposit_rho_reference(grid: Grid, container: ParticleContainer, order: int,
                           executor: "TileExecutor | None" = None) -> None:
     """Add the container's charge density to ``grid.rho``."""
-    occupied = container.nonempty_tiles()
-    if executor is None or executor.is_trivial or len(occupied) <= 1:
-        _rho_tiles(grid, occupied, container.charge, order)
-        return
-
-    from repro.exec import TileTask
-
-    shards = executor.partition(occupied)
-    scratches = ([scratch_grids.acquire(grid.config) for _ in shards]
-                 if executor.shares_memory else [None] * len(shards))
-    geometry = grid_geometry(grid)
-    tasks = [
-        TileTask(_reference_shard_rho,
-                 (grid.config, geometry,
-                  tuple(tile_payload(t) for t in shard),
-                  container.charge, order, scratch))
-        for shard, scratch in zip(shards, scratches)
-    ]
-    try:
-        for rho in executor.run(tasks):
-            grid.rho += rho
-    finally:
-        for scratch in scratches:
-            if scratch is not None:
-                scratch_grids.release(scratch)
+    scratch_reduce(executor, grid, container.nonempty_tiles(),
+                   _rho_tiles, container.charge, order, arrays=("rho",))

@@ -37,15 +37,41 @@ from repro.pic.shapes import combined_weights, shape_support
 from repro.pic.stencil import StencilOperator, cell_block_ids, scatter_flat
 
 
+def scatter_rhocell_blocks(cell_ids: np.ndarray, num_cells: int,
+                           contrib_x: np.ndarray, contrib_y: np.ndarray,
+                           contrib_z: np.ndarray
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scatter-add per-particle nodal contributions into per-cell blocks.
+
+    ``contrib_*`` have shape ``(n, S^3)`` and ``cell_ids`` maps each row
+    to its tile-local cell.  Returns three ``(num_cells, S^3)`` arrays —
+    one per current component.  The block layout is a flat-index scatter:
+    entry ``(cell, node)`` lives at linear id ``cell * S^3 + node``, so
+    each component is one ``np.bincount`` pass over the flattened
+    contributions.
+    """
+    cell_ids = np.asarray(cell_ids, dtype=np.int64)
+    nodes = contrib_x.shape[-1]
+    if contrib_x.shape != (cell_ids.shape[0], nodes):
+        raise ValueError(
+            f"contribution shape {contrib_x.shape} does not match "
+            f"{cell_ids.shape[0]} cell ids"
+        )
+    block_ids = cell_block_ids(cell_ids, nodes)
+    blocks = []
+    for contrib in (contrib_x, contrib_y, contrib_z):
+        block = active_backend().zeros((num_cells, nodes))
+        scatter_flat(block_ids, contrib, block)
+        blocks.append(block)
+    return tuple(blocks)
+
+
 def accumulate_rhocells(data: TileDepositionData, num_cells: int
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Accumulate staged particles into per-cell rhocell blocks.
 
     Returns three arrays of shape ``(num_cells, S^3)`` — one per current
-    component — indexed by the tile-local cell id.  The block layout is a
-    flat-index scatter too: entry ``(cell, node)`` lives at linear id
-    ``cell * S^3 + node``, so each component is one ``np.bincount`` pass
-    over the flattened contributions.
+    component — indexed by the tile-local cell id.
     """
     if data.order == 2:
         raise ValueError(
@@ -53,22 +79,12 @@ def accumulate_rhocells(data: TileDepositionData, num_cells: int
             "cell; order 2 (TSC) anchors to the nearest node and is only "
             "supported by the direct kernels"
         )
-    support = data.support
-    nodes = support**3
-    backend = active_backend()
-    rho_jx = backend.zeros((num_cells, nodes))
-    rho_jy = backend.zeros((num_cells, nodes))
-    rho_jz = backend.zeros((num_cells, nodes))
-    if data.num_particles == 0:
-        return rho_jx, rho_jy, rho_jz
     # 3-D shape weights, flattened per particle to the rhocell layout
     weights = combined_weights(data.wx, data.wy, data.wz)
-    weights = weights.reshape(data.num_particles, nodes)
-    block_ids = cell_block_ids(data.local_cell_ids, nodes)
-    scatter_flat(block_ids, data.wqx[:, None] * weights, rho_jx)
-    scatter_flat(block_ids, data.wqy[:, None] * weights, rho_jy)
-    scatter_flat(block_ids, data.wqz[:, None] * weights, rho_jz)
-    return rho_jx, rho_jy, rho_jz
+    weights = weights.reshape(data.num_particles, data.support**3)
+    return scatter_rhocell_blocks(
+        data.local_cell_ids, num_cells, data.wqx[:, None] * weights,
+        data.wqy[:, None] * weights, data.wqz[:, None] * weights)
 
 
 def reduce_rhocells_to_grid(grid: Grid, tile: ParticleTile, order: int,

@@ -16,7 +16,6 @@ their tile into the owning tile.
 from __future__ import annotations
 
 from typing import (
-    TYPE_CHECKING,
     Dict,
     Iterator,
     List,
@@ -29,10 +28,8 @@ import numpy as np
 
 from repro.backend import active_backend
 from repro.config import GridConfig, SpeciesConfig
+from repro.exec import TileExecutor, map_shards
 from repro.pic.grid import Grid
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.exec import TileExecutor
 
 _SOA_FIELDS = ("x", "y", "z", "ux", "uy", "uz", "w")
 
@@ -202,8 +199,8 @@ def _boundary_shard(tiles: List[ParticleTile], lo: np.ndarray, hi: np.ndarray,
                for tile in tiles)
 
 
-def _redistribute_scan_shard(container: "ParticleContainer", grid: Grid,
-                             entries: List[Tuple[int, ParticleTile]]
+def _redistribute_scan_shard(entries: List[Tuple[int, ParticleTile]],
+                             container: "ParticleContainer", grid: Grid
                              ) -> List[Tuple[int, np.ndarray, np.ndarray]]:
     """Executor task: find each shard tile's leaving particles (read-only).
 
@@ -328,35 +325,24 @@ class ParticleContainer:
 
     # ------------------------------------------------------------------
     def apply_boundary_conditions(self, grid: Grid,
-                                  executor: "TileExecutor | None" = None
+                                  executor: Optional[TileExecutor] = None
                                   ) -> int:
         """Wrap periodic axes and absorb particles leaving open boundaries.
 
         Returns the number of particles removed by absorbing boundaries.
-        Tiles are independent, so with a shared-memory ``executor`` the
-        per-tile work runs one shard per task; the process backend falls
-        back to the inline loop (shipping SoA arrays both ways would cost
-        more than this stage's arithmetic).
+        Tiles are independent and mutate in place, so the per-tile work is
+        a ``local`` :func:`~repro.exec.map_shards` stage.
         """
         lo, hi = grid.lo, grid.hi
-        extent = hi - lo
         periodic = tuple(
             bc == "periodic" for bc in self.grid_config.particle_boundary
         )
-        occupied = self.nonempty_tiles()
-        if (executor is None or executor.is_trivial
-                or not executor.shares_memory or len(occupied) <= 1):
-            return sum(_apply_tile_boundary(tile, lo, hi, extent, periodic)
-                       for tile in occupied)
-
-        from repro.exec import TileTask
-
-        tasks = [TileTask(_boundary_shard, (shard, lo, hi, extent, periodic))
-                 for shard in executor.partition(occupied)]
-        return sum(executor.run(tasks))
+        return sum(map_shards(executor, _boundary_shard,
+                              self.nonempty_tiles(), lo, hi, hi - lo,
+                              periodic, local=True))
 
     def redistribute(self, grid: Grid,
-                     executor: "TileExecutor | None" = None,
+                     executor: Optional[TileExecutor] = None,
                      move_recorder=None) -> int:
         """Move particles that left their tile into the owning tile.
 
@@ -379,15 +365,9 @@ class ParticleContainer:
         """
         entries = [(tile_id, tile) for tile_id, tile in enumerate(self.tiles)
                    if tile.num_particles > 0]
-        if (executor is None or executor.is_trivial
-                or not executor.shares_memory or len(entries) <= 1):
-            scans = _redistribute_scan_shard(self, grid, entries)
-        else:
-            from repro.exec import TileTask
-
-            tasks = [TileTask(_redistribute_scan_shard, (self, grid, shard))
-                     for shard in executor.partition(entries)]
-            scans = [item for result in executor.run(tasks) for item in result]
+        scans = [item for result in map_shards(
+            executor, _redistribute_scan_shard, entries, self, grid,
+            local=True) for item in result]
 
         moved_total = 0
         pending: Dict[int, List[Dict[str, np.ndarray]]] = {}
@@ -420,31 +400,19 @@ class ParticleContainer:
             for name in (*_SOA_FIELDS, "ids")
         }
 
-    def kinetic_energy(self, executor: "TileExecutor | None" = None) -> float:
+    def kinetic_energy(self, executor: Optional[TileExecutor] = None
+                       ) -> float:
         """Total relativistic kinetic energy of the species [J].
 
         With an ``executor`` the per-tile sums run one shard per task and
         the partial sums reduce in shard order (deterministic for a given
         shard count, though the reduction tree — and hence the last ulp —
-        differs from the executor-less sequential sum).  The process
-        backend computes the same per-shard partial sums inline (shipping
-        SoA arrays would cost more than the sums themselves), so the
-        reduction tree — and the result — is bitwise identical across
-        backends at a fixed shard count.
+        differs from the executor-less sequential sum).  The stage is
+        ``local`` (shipping SoA arrays would cost more than the sums
+        themselves), so every backend computes the same per-shard partial
+        sums and the result is bitwise identical across backends at a
+        fixed shard count.
         """
-        occupied = self.nonempty_tiles()
-        if executor is None or executor.is_trivial or len(occupied) <= 1:
-            return sum(
-                (_kinetic_shard([tile], self.mass) for tile in occupied), 0.0
-            )
-        if not executor.shares_memory:
-            return sum(
-                (_kinetic_shard(shard, self.mass)
-                 for shard in executor.partition(occupied)), 0.0
-            )
-
-        from repro.exec import TileTask
-
-        tasks = [TileTask(_kinetic_shard, (shard, self.mass))
-                 for shard in executor.partition(occupied)]
-        return sum(executor.run(tasks), 0.0)
+        return sum(map_shards(executor, _kinetic_shard,
+                              self.nonempty_tiles(), self.mass, local=True),
+                   0.0)

@@ -7,17 +7,25 @@ rotation / half-acceleration scheme followed by the position advance.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import constants
 from repro.backend import active_backend
-from repro.pic.particles import ParticleContainer, ParticleTile
-from repro.pic.grid import Grid
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.exec import TileExecutor
+from repro.exec import TileExecutor, map_shards
+from repro.pic.grid import (
+    Grid,
+    apply_grid_geometry,
+    grid_geometry,
+    scratch_grids,
+)
+from repro.pic.particles import (
+    ParticleContainer,
+    ParticleTile,
+    tile_from_payload,
+    tile_payload,
+)
 
 
 def lorentz_factor(ux: np.ndarray, uy: np.ndarray, uz: np.ndarray) -> np.ndarray:
@@ -85,7 +93,7 @@ def push_tile(tile: ParticleTile, fields: Tuple[np.ndarray, ...],
     tile.z = tile.z + vz * dt
 
 
-def _push_shard_inplace(grid: Grid, tiles: List[ParticleTile], charge: float,
+def _push_shard_inplace(tiles: List[ParticleTile], grid: Grid, charge: float,
                         mass: float, dt: float, order: int) -> None:
     """Executor task: gather + push one shard of tiles in place.
 
@@ -100,10 +108,10 @@ def _push_shard_inplace(grid: Grid, tiles: List[ParticleTile], charge: float,
         push_tile(tile, fields, charge, mass, dt)
 
 
-def _push_shard_remote(grid_config, geometry: Tuple,
-                       field_arrays: Tuple[np.ndarray, ...],
-                       payloads: Tuple, charge: float, mass: float, dt: float,
-                       order: int) -> List[Tuple[np.ndarray, ...]]:
+def _push_shard_remote(payloads: Sequence[Tuple], grid_config,
+                       geometry: Tuple, field_arrays: Tuple[np.ndarray, ...],
+                       charge: float, mass: float, dt: float, order: int
+                       ) -> List[Tuple[np.ndarray, ...]]:
     """Executor task for the process backend: functional gather + push.
 
     Rebuilds the grid (geometry plus the six field components) in the
@@ -123,8 +131,6 @@ def _push_shard_remote(grid_config, geometry: Tuple,
     avoids re-allocating ten dense arrays per shard per step.
     """
     from repro.pic.gather import gather_fields_for_tile
-    from repro.pic.grid import apply_grid_geometry, scratch_grids
-    from repro.pic.particles import tile_from_payload
 
     # geometry-only lease: the gather reads the caller's shipped field
     # arrays, never the pooled grid's own, so skip the accumulator zeroing
@@ -154,7 +160,7 @@ class BorisPusher:
         self.shape_order = shape_order
 
     def push(self, container: ParticleContainer, grid: Grid, dt: float,
-             executor: "TileExecutor | None" = None) -> None:
+             executor: Optional[TileExecutor] = None) -> None:
         """Gather fields and advance every particle of the container.
 
         The per-tile push is bitwise independent of the shard partition
@@ -162,39 +168,20 @@ class BorisPusher:
         particle state.
         """
         occupied = container.nonempty_tiles()
-        if executor is None or executor.is_trivial or len(occupied) <= 1:
-            _push_shard_inplace(grid, occupied, container.charge,
-                                container.mass, dt, self.shape_order)
+        scalars = (container.charge, container.mass, dt, self.shape_order)
+        if executor is None or executor.shares_memory:
+            map_shards(executor, _push_shard_inplace, occupied, grid,
+                       *scalars)
             return
-
-        from repro.exec import TileTask
-        from repro.pic.particles import tile_payload
-
-        shards = executor.partition(occupied)
-        if executor.shares_memory:
-            tasks = [
-                TileTask(_push_shard_inplace,
-                         (grid, shard, container.charge, container.mass, dt,
-                          self.shape_order))
-                for shard in shards
-            ]
-            executor.run(tasks)
-            return
-
-        from repro.pic.grid import grid_geometry
-
-        fields = (grid.ex, grid.ey, grid.ez, grid.bx, grid.by, grid.bz)
-        geometry = grid_geometry(grid)
-        tasks = [
-            TileTask(_push_shard_remote,
-                     (grid.config, geometry, fields,
-                      tuple(tile_payload(t) for t in shard),
-                      container.charge, container.mass, dt, self.shape_order))
-            for shard in shards
-        ]
-        for shard, results in zip(shards, executor.run(tasks)):
-            for tile, arrays in zip(shard, results):
-                tile.x, tile.y, tile.z, tile.ux, tile.uy, tile.uz = arrays
+        # no shared memory: ship payloads out, write the pushed arrays back
+        payloads = [tile_payload(tile) for tile in occupied]
+        results = map_shards(
+            executor, _push_shard_remote, payloads, grid.config,
+            grid_geometry(grid),
+            (grid.ex, grid.ey, grid.ez, grid.bx, grid.by, grid.bz), *scalars)
+        pushed = (arrays for shard in results for arrays in shard)
+        for tile, arrays in zip(occupied, pushed):
+            tile.x, tile.y, tile.z, tile.ux, tile.uy, tile.uz = arrays
 
 
 class GatherPushStage:

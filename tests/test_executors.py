@@ -10,6 +10,9 @@ across backends.
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -20,14 +23,17 @@ from repro.exec import (
     ThreadTileExecutor,
     TileTask,
     create_executor,
+    map_shards,
     partition_shards,
 )
 from repro.core.framework import MatrixPICDeposition, SORT_INCREMENTAL
+from repro.pic.deposition.base import scratch_reduce
 from repro.pic.deposition.baseline import BaselineDeposition
 from repro.pic.deposition.reference import (
     deposit_reference,
     deposit_rho_reference,
 )
+from repro.pic.grid import scratch_grids
 from repro.workloads.uniform import UniformPlasmaWorkload
 
 from helpers import make_plasma
@@ -93,6 +99,106 @@ class TestPartitioning:
 
 def _identity(value):
     return value
+
+
+# ----------------------------------------------------------------------
+# the one fan-out rule: map_shards and the grid scratch-reduce
+# ----------------------------------------------------------------------
+def _offset_shard(items, offset):
+    return [item + offset for item in items]
+
+
+def _stamp_shard(items):
+    for item in items:
+        item["pid"] = os.getpid()
+    return len(items)
+
+
+def _reciprocal_shard(items):
+    return [1 // item for item in items]
+
+
+def _tile_index_body(target, tiles):
+    return [tile.tile_index for tile in tiles]
+
+
+def _raising_body(target, tiles, targets):
+    targets.append(target)
+    raise RuntimeError("shard body failed")
+
+
+class TestMapShards:
+    def test_unsharded_work_is_one_inline_call(self):
+        calls = []
+
+        def fn(items, tag):
+            calls.append((threading.get_ident(), items))
+            return tag
+
+        with ThreadTileExecutor(1) as one, ThreadTileExecutor(SHARDS) as many:
+            for executor, items in ((None, [1, 2, 3]), (one, [1, 2, 3]),
+                                    (many, [7]), (many, [])):
+                calls.clear()
+                assert map_shards(executor, fn, items, "tag") == ["tag"]
+                assert calls == [(threading.get_ident(), items)]
+
+    def test_results_come_back_in_shard_order(self):
+        for name, executor in _executors().items():
+            with executor:
+                assert map_shards(executor, _offset_shard, list(range(10)),
+                                  100) == [[100, 101, 102, 103],
+                                           [104, 105, 106],
+                                           [107, 108, 109]], name
+
+    def test_local_work_runs_in_process_without_shared_memory(self):
+        with ProcessShardExecutor(SHARDS) as executor:
+            assert not executor.shares_memory
+            items = [{} for _ in range(5)]
+            assert map_shards(executor, _stamp_shard, items,
+                              local=True) == [2, 2, 1]
+            assert items == [{"pid": os.getpid()}] * 5
+            # the same partition crosses the process boundary otherwise,
+            # where the mutation is lost
+            items = [{} for _ in range(5)]
+            assert map_shards(executor, _stamp_shard, items) == [2, 2, 1]
+            assert items == [{}] * 5
+
+    def test_task_exception_propagates(self):
+        for name, executor in _executors().items():
+            with executor, pytest.raises(ZeroDivisionError):
+                map_shards(executor, _reciprocal_shard, [1, 2, 0, 4])
+
+
+class TestScratchReduce:
+    def test_body_values_come_back_in_shard_order(self, tiled_grid_config):
+        grid, container = _fresh_plasma(tiled_grid_config)
+        tiles = container.nonempty_tiles()
+        expected = [[tile.tile_index for tile in shard]
+                    for shard in SerialExecutor(SHARDS).partition(tiles)]
+        assert len(expected) == SHARDS
+        for name, executor in _executors().items():
+            with executor:
+                assert scratch_reduce(executor, grid, tiles,
+                                      _tile_index_body) == expected, name
+        assert scratch_reduce(None, grid, tiles, _tile_index_body) == [
+            [tile.tile_index for tile in tiles]]
+
+    def test_leases_are_released_when_a_task_raises(self, tiled_grid_config):
+        grid, container = _fresh_plasma(tiled_grid_config)
+        scratch_grids.clear()
+        targets = []
+        with ThreadTileExecutor(SHARDS) as executor:
+            with pytest.raises(RuntimeError, match="shard body failed"):
+                scratch_reduce(executor, grid, container.nonempty_tiles(),
+                               _raising_body, targets)
+        # every shard's scratch went back to the pool, which now serves
+        # exactly those grids again
+        pooled = [scratch_grids.acquire(tiled_grid_config)
+                  for _ in range(SHARDS)]
+        assert len(targets) == SHARDS
+        assert all(any(target is grid for grid in pooled)
+                   for target in targets)
+        scratch_grids.clear()
 
 
 # ----------------------------------------------------------------------
@@ -171,6 +277,21 @@ class TestKernelCounterParity:
             for phase in counters_ref.phases:
                 assert (counters.phase(phase).as_dict()
                         == counters_ref.phase(phase).as_dict()), (name, phase)
+
+    def test_kernel_deposit_single_tile_goes_straight_into_grid(
+            self, tiled_grid_config, monkeypatch):
+        # one occupied tile is one shard on any executor, like the
+        # reference deposition: no scratch grid is leased for it
+        grid, container = _fresh_plasma(tiled_grid_config)
+        for tile in container.tiles[1:]:
+            tile.remove(np.ones(tile.num_particles, dtype=bool))
+        monkeypatch.setattr(
+            scratch_grids, "acquire",
+            lambda *args, **kwargs: pytest.fail("leased a scratch grid"))
+        with SerialExecutor(SHARDS) as executor:
+            BaselineDeposition().deposit(grid, container, order=1,
+                                         executor=executor)
+        assert grid.jx.any()
 
     def test_matrix_pic_threaded_matches_serial(self, tiled_grid_config):
         results = {}

@@ -10,8 +10,9 @@ from repro.baselines.configs import (
     available_configurations,
     make_strategy,
 )
+from repro.api import Session
 from repro.baselines.gpu_model import GPUDepositionModel
-from repro.config import SortingPolicyConfig
+from repro.config import ExecutionConfig, SortingPolicyConfig
 from repro.core.framework import (
     MatrixPICDeposition,
     SORT_GLOBAL_EVERY_STEP,
@@ -20,7 +21,10 @@ from repro.core.framework import (
 )
 from repro.core.hybrid_kernel import HybridMPUDeposition
 from repro.core.incremental_sort import TileSortState
+from repro.exec import create_executor
 from repro.hardware.cost_model import CostModel
+from repro.pic.grid import Grid, scratch_grids
+from repro.workloads.lwfa import LWFAWorkload
 
 from helpers import make_plasma
 
@@ -140,3 +144,51 @@ class TestGPUModel:
     def test_throughput_positive(self):
         model = GPUDepositionModel()
         assert model.throughput(10**6, 1, 64) > 0.0
+
+
+class TestShardedDepositOnMovedWindow:
+    """Sharded MatrixPIC scratch must carry the *live* window geometry."""
+
+    @pytest.fixture(scope="class")
+    def shifted(self):
+        session = Session.from_workload(LWFAWorkload(
+            n_cell=(8, 8, 32), tile_size=(8, 8, 16), ppc=8, max_steps=200))
+        simulation = session.simulation
+        while simulation.moving_window.total_shift_cells == 0:
+            session.step()
+        return simulation
+
+    @staticmethod
+    def _deposit(simulation, name, executor):
+        grid = simulation.grid
+        strategy = make_strategy(name)
+        for _ in range(2):  # two steps: the second must reuse the scratch
+            grid.zero_currents()
+            strategy.run_step(grid, simulation.containers[0],
+                              simulation.config.shape_order,
+                              simulation.step_index, executor=executor)
+        return [array.copy() for array in grid.current_arrays()]
+
+    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    @pytest.mark.parametrize("name", ["Hybrid-noSort", "MatrixPIC (FullOpt)"])
+    def test_two_shards_match_one_shard(self, shifted, name, backend,
+                                        monkeypatch):
+        one_shard = self._deposit(shifted, name, None)
+        scratch_grids.clear()
+        built = []
+        grid_init = Grid.__init__
+
+        def counting_init(grid, *args, **kwargs):
+            built.append(grid)
+            grid_init(grid, *args, **kwargs)
+
+        monkeypatch.setattr(Grid, "__init__", counting_init)
+        with create_executor(ExecutionConfig(backend, 2)) as executor:
+            sharded = self._deposit(shifted, name, executor)
+        for got, ref in zip(sharded, one_shard):
+            peak = np.abs(ref).max()
+            assert peak > 0.0
+            assert np.abs(got - ref).max() / peak < 1e-12
+        # the shard scratch is leased from the pool: two grids built on the
+        # first step, none on the second
+        assert len(built) == 2

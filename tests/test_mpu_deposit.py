@@ -12,8 +12,12 @@ from repro.core.mpu_deposit import (
     deposit_cell_qsp_mpu,
     pair_within_runs,
 )
-from repro.core.rhocell import RhocellBuffer
 from repro.hardware.mpu import MatrixUnit
+from repro.pic.deposition.base import prepare_tile_data
+from repro.pic.deposition.rhocell import (
+    accumulate_rhocells,
+    scatter_rhocell_blocks,
+)
 from repro.pic.shapes import shape_factors
 
 
@@ -151,32 +155,22 @@ class TestPerCellMPU:
 
 class TestRhocellBuffer:
     def test_accumulate_and_reduce_shapes(self):
-        buf = RhocellBuffer(num_cells=4, order=1)
-        assert buf.jx.shape == (4, 8)
-        buf.accumulate(np.array([1, 1]), np.ones((2, 8)), np.zeros((2, 8)),
-                       np.zeros((2, 8)))
-        assert buf.jx[1].sum() == pytest.approx(16.0)
-        np.testing.assert_array_equal(buf.occupied_cells(), [1])
-
-    def test_accumulate_cell(self):
-        buf = RhocellBuffer(num_cells=2, order=1)
-        buf.accumulate_cell(0, np.ones(8), np.ones(8), np.ones(8))
-        assert buf.jy[0].sum() == pytest.approx(8.0)
-        with pytest.raises(IndexError):
-            buf.accumulate_cell(5, np.ones(8), np.ones(8), np.ones(8))
+        jx, jy, jz = scatter_rhocell_blocks(
+            np.array([1, 1]), 4, np.ones((2, 8)), np.zeros((2, 8)),
+            np.zeros((2, 8)))
+        assert jx.shape == jy.shape == jz.shape == (4, 8)
+        assert jx[1].sum() == pytest.approx(16.0)
+        assert np.nonzero(np.abs(jx).sum(axis=1))[0].tolist() == [1]
+        assert not jy.any() and not jz.any()
 
     def test_shape_mismatch_rejected(self):
-        buf = RhocellBuffer(num_cells=2, order=1)
         with pytest.raises(ValueError):
-            buf.accumulate(np.array([0]), np.ones((1, 4)), np.ones((1, 4)),
-                           np.ones((1, 4)))
+            scatter_rhocell_blocks(np.array([0, 1]), 2, np.ones((1, 8)),
+                                   np.ones((1, 8)), np.ones((1, 8)))
 
-    def test_order2_rejected(self):
+    def test_order2_rejected(self, plasma_small):
+        grid, container = plasma_small
+        tile = container.nonempty_tiles()[0]
+        data = prepare_tile_data(grid, tile, container.charge, 2)
         with pytest.raises(ValueError):
-            RhocellBuffer(num_cells=2, order=2)
-
-    def test_zero(self):
-        buf = RhocellBuffer(num_cells=2, order=3)
-        buf.jx[:] = 1.0
-        buf.zero()
-        assert np.all(buf.jx == 0.0)
+            accumulate_rhocells(data, tile.num_cells)

@@ -22,12 +22,12 @@ from repro.exec import (
     SerialExecutor,
     ThreadTileExecutor,
 )
-from repro.core.rhocell import RhocellBuffer
 from repro.hardware.vpu import VectorUnit
 from repro.pic.deposition.reference import (
     deposit_reference,
     deposit_rho_reference,
 )
+from repro.pic.deposition.rhocell import scatter_rhocell_blocks
 from repro.pic.grid import ScratchGridPool, scratch_grids
 from repro.pic.shapes import shape_factors, shape_support
 from repro.pic.stencil import (
@@ -277,9 +277,8 @@ class TestConsumers:
         cx = rng.normal(size=(n, nodes))
         cy = rng.normal(size=(n, nodes))
         cz = rng.normal(size=(n, nodes))
-        buf = RhocellBuffer(cells, order=1)
-        buf.accumulate(cell_ids, cx, cy, cz)
-        for got, contrib in ((buf.jx, cx), (buf.jy, cy), (buf.jz, cz)):
+        blocks = scatter_rhocell_blocks(cell_ids, cells, cx, cy, cz)
+        for got, contrib in zip(blocks, (cx, cy, cz)):
             expected = np.zeros((cells, nodes))
             np.add.at(expected, cell_ids, contrib)
             np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13)
