@@ -3,14 +3,21 @@
 The GPMA (§3.5 and §4.3.2 of the paper) keeps the indices of a tile's
 particles grouped by cell ("bin") inside one flat array, with deliberate
 gaps so that the frequent small updates caused by particles crossing cell
-boundaries cost O(1) amortised:
+boundaries cost O(1) amortised.  Every piece of state is a flat int64
+array, so a rebuild and a batch of moves are a fixed number of NumPy
+passes with no Python-level loop over particles:
 
 * ``local_index`` — the flat slot array; each slot holds a particle index
   into the tile's SoA arrays or ``INVALID_PARTICLE_ID`` for a gap,
 * ``bin_offsets`` — the start slot of every bin's region (length
   ``num_bins + 1``),
 * ``bin_lengths`` — valid particles per bin,
-* per-bin empty-slot stacks plus aggregate gap statistics, and
+* ``_particle_slot`` / ``_particle_bin`` — the inverse map: slot and bin
+  of every particle index, ``-1`` for an index that is not stored,
+* ``_gap_stack`` — the per-bin empty-slot stacks, flattened: bin ``b``'s
+  stack lives in ``_gap_stack[bin_offsets[b]:]``, bottom first, and is as
+  deep as the bin has gaps (``region size - bin_lengths[b]``; every empty
+  slot of a region is on its stack, so no separate depth is stored), and
 * rebuild bookkeeping (``was_rebuilt_this_step``, cumulative rebuild count).
 
 Deleting a particle marks its slot invalid and pushes it onto its bin's
@@ -18,17 +25,22 @@ stack (O(1)).  Inserting first pops a gap from the target bin, then tries
 to borrow the nearest gap from the following bin by shifting the elements
 in between (bounded by the bin capacity), and finally falls back to a local
 rebuild of the whole tile structure — exactly the three-level strategy of
-§4.3.2.
+§4.3.2.  Which slot a particle lands in fixes the within-bin iteration
+order and with it the deposition kernel's summation order, so the order
+in which the stacks hand out slots is part of the contract: lowest gap
+first after a build, last freed first after deletes.
+:meth:`GappedPMA.apply_moves` applies a whole step's moves at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.config import INVALID_PARTICLE_ID
+from repro.core.counting_sort import stable_order_by_bin
 
 
 @dataclass
@@ -66,11 +78,9 @@ class GappedPMA:
         self.local_index = np.empty(0, dtype=np.int64)
         self.bin_offsets = np.zeros(num_bins + 1, dtype=np.int64)
         self.bin_lengths = np.zeros(num_bins, dtype=np.int64)
-        self._empty_slots: Dict[int, List[int]] = {b: [] for b in range(num_bins)}
-        #: bin assignment of every particle index currently stored
-        self._particle_bin: Dict[int, int] = {}
-        #: slot of every particle index currently stored
-        self._particle_slot: Dict[int, int] = {}
+        self._particle_slot = np.empty(0, dtype=np.int64)
+        self._particle_bin = np.empty(0, dtype=np.int64)
+        self._gap_stack = np.empty(0, dtype=np.int64)
 
         self.num_particles = 0
         self.num_empty_slots = 0
@@ -86,15 +96,17 @@ class GappedPMA:
 
         ``particle_bins[i]`` is the bin (tile-local cell id) of particle
         ``i``.  Gaps of ``gap_fraction`` of each bin's population (at least
-        ``min_gap_slots``) are appended to every bin region.
+        ``min_gap_slots``) are appended to every bin region.  Particles
+        keep their index order within a bin (``slot = bin_offsets[bin] +
+        rank within bin``).
         """
-        particle_bins = np.asarray(particle_bins, dtype=np.int64)
+        particle_bins = np.array(particle_bins, dtype=np.int64)
         if particle_bins.size and (
             particle_bins.min() < 0 or particle_bins.max() >= self.num_bins
         ):
             raise ValueError("particle bin out of range")
 
-        counts = np.bincount(particle_bins, minlength=self.num_bins)
+        order, sorted_bins, rank, counts = self._rank_within_bin(particle_bins)
         gaps = np.maximum(
             np.ceil(counts * self.gap_fraction).astype(np.int64),
             self.min_gap_slots,
@@ -104,28 +116,22 @@ class GappedPMA:
         np.cumsum(region_sizes, out=self.bin_offsets[1:])
         capacity = int(self.bin_offsets[-1])
 
+        slots = self.bin_offsets[sorted_bins] + rank
         self.local_index = np.full(capacity, INVALID_PARTICLE_ID, dtype=np.int64)
-        self.bin_lengths = counts.astype(np.int64).copy()
-        self._empty_slots = {b: [] for b in range(self.num_bins)}
-        self._particle_bin = {}
-        self._particle_slot = {}
-
-        # place particles bin by bin, preserving their index order
-        order = np.argsort(particle_bins, kind="stable")
-        fill_cursor = self.bin_offsets[:-1].copy()
-        for particle in order:
-            b = int(particle_bins[particle])
-            slot = int(fill_cursor[b])
-            self.local_index[slot] = particle
-            self._particle_bin[int(particle)] = b
-            self._particle_slot[int(particle)] = slot
-            fill_cursor[b] += 1
-        # the remaining slots of each region are gaps
-        for b in range(self.num_bins):
-            start = int(fill_cursor[b])
-            end = int(self.bin_offsets[b + 1])
-            # push in reverse so that pops hand out the lowest slots first
-            self._empty_slots[b] = list(range(end - 1, start - 1, -1))
+        self.local_index[slots] = order
+        self.bin_lengths = counts
+        self._particle_slot = np.empty(particle_bins.size, dtype=np.int64)
+        self._particle_slot[order] = slots
+        self._particle_bin = particle_bins
+        # Every region's stack is written as if the whole region were gaps,
+        # highest slot at the bottom: position j of bin b holds slot
+        # end_b - 1 - j.  Only the first gaps[b] positions are live, which
+        # are exactly the trailing gaps, and pops hand out the lowest first.
+        self._gap_stack = (
+            np.repeat(self.bin_offsets[:-1] + self.bin_offsets[1:] - 1,
+                      region_sizes)
+            - np.arange(capacity, dtype=np.int64)
+        )
 
         self.num_particles = int(particle_bins.size)
         self.num_empty_slots = capacity - self.num_particles
@@ -133,6 +139,22 @@ class GappedPMA:
         self.was_rebuilt_this_step = True
         self.rebuild_count += 1
         return GPMAUpdateStats(rebuilds=1, rebuild_elements=capacity)
+
+    def _rank_within_bin(self, bins: np.ndarray
+                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                    np.ndarray]:
+        """Group a batch by bin, keeping batch order inside each bin.
+
+        Returns the stable permutation ``order``, ``bins[order]``, the
+        position of every sorted element within its bin's group, and the
+        group sizes (length ``num_bins``).
+        """
+        order = stable_order_by_bin(bins, self.num_bins)
+        sorted_bins = bins[order]
+        counts = np.bincount(bins, minlength=self.num_bins)
+        group_starts = np.cumsum(counts) - counts
+        rank = np.arange(bins.size, dtype=np.int64) - group_starts[sorted_bins]
+        return order, sorted_bins, rank, counts
 
     # ------------------------------------------------------------------
     # queries
@@ -156,7 +178,24 @@ class GappedPMA:
 
     def bin_of(self, particle: int) -> Optional[int]:
         """Bin currently storing ``particle`` or None if absent."""
-        return self._particle_bin.get(int(particle))
+        particle = int(particle)
+        if self._slot_of(particle) < 0:
+            return None
+        return int(self._particle_bin[particle])
+
+    def _slot_of(self, particle: int) -> int:
+        """Slot storing ``particle``, -1 when it is not stored."""
+        if not 0 <= particle < self._particle_slot.size:
+            return -1
+        return int(self._particle_slot[particle])
+
+    def _gap_counts(self) -> np.ndarray:
+        """Depth of every bin's gap stack."""
+        return np.diff(self.bin_offsets) - self.bin_lengths
+
+    def _gap_count(self, b: int) -> int:
+        return int(self.bin_offsets[b + 1] - self.bin_offsets[b]
+                   - self.bin_lengths[b])
 
     def particles_in_bin(self, b: int) -> np.ndarray:
         """Particle indices stored in bin ``b`` (in slot order)."""
@@ -180,12 +219,14 @@ class GappedPMA:
     def delete(self, particle: int) -> GPMAUpdateStats:
         """Remove a particle from its bin (O(1))."""
         particle = int(particle)
-        if particle not in self._particle_slot:
+        slot = self._slot_of(particle)
+        if slot < 0:
             raise KeyError(f"particle {particle} is not stored in the GPMA")
-        slot = self._particle_slot.pop(particle)
-        b = self._particle_bin.pop(particle)
+        b = int(self._particle_bin[particle])
+        self._particle_slot[particle] = -1
+        self._particle_bin[particle] = -1
         self.local_index[slot] = INVALID_PARTICLE_ID
-        self._empty_slots[b].append(slot)
+        self._gap_stack[self.bin_offsets[b] + self._gap_count(b)] = slot
         self.bin_lengths[b] -= 1
         self.num_particles -= 1
         self.num_empty_slots += 1
@@ -200,14 +241,17 @@ class GappedPMA:
         expected to trigger a rebuild).
         """
         particle = int(particle)
+        if particle < 0:
+            raise IndexError("particle index must be non-negative")
         if not 0 <= b < self.num_bins:
             raise IndexError(f"bin {b} out of range")
-        if particle in self._particle_slot:
+        if self._slot_of(particle) >= 0:
             raise KeyError(f"particle {particle} is already stored")
         stats = GPMAUpdateStats(insertions=1)
 
-        if self._empty_slots[b]:
-            slot = self._empty_slots[b].pop()
+        gaps = self._gap_count(b)
+        if gaps:
+            slot = int(self._gap_stack[self.bin_offsets[b] + gaps - 1])
             self._place(particle, b, slot)
             return stats
 
@@ -220,6 +264,13 @@ class GappedPMA:
         return stats
 
     def _place(self, particle: int, b: int, slot: int) -> None:
+        size = self._particle_slot.size
+        if particle >= size:
+            # an index beyond the last build: grow the inverse maps
+            grown = np.full(max(particle + 1, 2 * size) - size, -1,
+                            dtype=np.int64)
+            self._particle_slot = np.concatenate([self._particle_slot, grown])
+            self._particle_bin = np.concatenate([self._particle_bin, grown])
         self.local_index[slot] = particle
         self._particle_slot[particle] = slot
         self._particle_bin[particle] = b
@@ -230,29 +281,96 @@ class GappedPMA:
     def _borrow_from_next(self, particle: int, b: int) -> Optional[int]:
         """Borrow a gap from bin ``b + 1``; returns the shift count or None."""
         nxt = b + 1
-        if nxt >= self.num_bins or not self._empty_slots[nxt]:
+        if nxt >= self.num_bins:
             return None
-        # take the lowest gap of the next bin so the shifted block is minimal
-        gap_slot = min(self._empty_slots[nxt])
-        self._empty_slots[nxt].remove(gap_slot)
-
+        gaps = self._gap_count(nxt)
+        if gaps == 0:
+            return None
         boundary = int(self.bin_offsets[nxt])
-        # shift [boundary, gap_slot) one slot to the right
-        shifted = 0
-        for slot in range(gap_slot, boundary, -1):
-            moved = self.local_index[slot - 1]
-            self.local_index[slot] = moved
-            if moved != INVALID_PARTICLE_ID:
-                self._particle_slot[int(moved)] = slot
-            shifted += 1
-        # the boundary slot now belongs to bin b
+        stack = self._gap_stack[boundary: boundary + gaps]
+        # take the lowest gap of the next bin so the shifted block is minimal
+        lowest = int(np.argmin(stack))
+        gap_slot = int(stack[lowest])
+        remaining = np.delete(stack, lowest)
+
+        # Shift [boundary, gap_slot) one slot to the right.  Every empty slot
+        # of a region is on its stack and gap_slot is the lowest of them, so
+        # the block holds particles only and no remaining gap moves.
+        block = self.local_index[boundary: gap_slot].copy()
+        self.local_index[boundary + 1: gap_slot + 1] = block
+        self._particle_slot[block] += 1
+        # the boundary slot now belongs to bin b, and the next bin's stack
+        # storage starts one slot later with it
         self.bin_offsets[nxt] += 1
-        # gaps of the next bin that sat inside the shifted range move right
-        self._empty_slots[nxt] = [
-            s + 1 if boundary <= s < gap_slot else s for s in self._empty_slots[nxt]
-        ]
+        self._gap_stack[boundary + 1: boundary + gaps] = remaining
         self._place(particle, b, boundary)
-        return shifted
+        return gap_slot - boundary
+
+    def apply_moves(self, particles: np.ndarray, new_bins: np.ndarray
+                    ) -> GPMAUpdateStats:
+        """Move ``particles[i]`` to bin ``new_bins[i]``, for a whole batch.
+
+        Equivalent to deleting every particle of the batch in order and
+        then inserting them in order (Stage 2 of §4.3.1), with the same
+        resulting structure and the same work totals.  All deletions are
+        one vectorised pass.  When every target bin holds enough gaps
+        after the deletions no insertion can borrow, bins do not interact,
+        and the insertions are one vectorised pass too; otherwise they run
+        one by one through :meth:`insert`, whose borrows depend on order.
+        """
+        particles = np.asarray(particles, dtype=np.int64)
+        new_bins = np.asarray(new_bins, dtype=np.int64)
+        if particles.ndim != 1 or particles.shape != new_bins.shape:
+            raise ValueError("particles and new_bins must be equal-length "
+                             "1-D arrays")
+        moves = int(particles.size)
+        stats = GPMAUpdateStats()
+        if moves == 0:
+            return stats
+        if new_bins.min() < 0 or new_bins.max() >= self.num_bins:
+            raise IndexError("target bin out of range")
+        if particles.min() < 0 or particles.max() >= self._particle_slot.size:
+            raise KeyError("a particle of the batch is not stored in the GPMA")
+        slots = self._particle_slot[particles]
+        if slots.min() < 0:
+            raise KeyError("a particle of the batch is not stored in the GPMA")
+        if np.bincount(particles).max() > 1:
+            raise KeyError("a particle appears twice in the batch")
+
+        # deletions: mark the slots empty and push them, in batch order,
+        # onto their bins' stacks
+        order, old_bins, rank, freed = self._rank_within_bin(
+            self._particle_bin[particles])
+        self._gap_stack[self.bin_offsets[old_bins]
+                        + self._gap_counts()[old_bins] + rank] = slots[order]
+        self.local_index[slots] = INVALID_PARTICLE_ID
+        self._particle_slot[particles] = -1
+        self._particle_bin[particles] = -1
+        self.bin_lengths -= freed
+        self.num_particles -= moves
+        self.num_empty_slots += moves
+        stats.deletions = moves
+
+        order, target_bins, rank, wanted = self._rank_within_bin(new_bins)
+        gap_counts = self._gap_counts()
+        if np.any(wanted > gap_counts):
+            for particle, b in zip(particles.tolist(), new_bins.tolist()):
+                stats.merge(self.insert(particle, b))
+            return stats
+
+        # insertions: the j-th arrival of a bin pops the j-th slot from the
+        # top of its stack
+        slots = self._gap_stack[self.bin_offsets[target_bins]
+                                + gap_counts[target_bins] - 1 - rank]
+        arrivals = particles[order]
+        self.local_index[slots] = arrivals
+        self._particle_slot[arrivals] = slots
+        self._particle_bin[arrivals] = target_bins
+        self.bin_lengths += wanted
+        self.num_particles += moves
+        self.num_empty_slots -= moves
+        stats.insertions = moves
+        return stats
 
     # ------------------------------------------------------------------
     def needs_rebuild(self, empty_ratio_threshold: float = 0.02,
@@ -276,20 +394,54 @@ class GappedPMA:
         Used by the test suite and by property-based tests; not called on
         the hot path.
         """
+        capacity = self.capacity
+        region_sizes = np.diff(self.bin_offsets)
+        assert self.bin_offsets[0] == 0 and self.bin_offsets[-1] == capacity, \
+            "bin regions do not tile the slot array"
+        assert np.all(region_sizes >= 0), "bin offsets are not monotone"
+        slot_bin = np.repeat(np.arange(self.num_bins), region_sizes)
+
         valid = self.local_index != INVALID_PARTICLE_ID
         assert int(valid.sum()) == self.num_particles, "particle count mismatch"
-        assert self.capacity - self.num_particles == self.num_empty_slots, \
+        assert capacity - self.num_particles == self.num_empty_slots, \
             "empty-slot count mismatch"
-        for b in range(self.num_bins):
-            region = self.local_index[self.bin_offsets[b]: self.bin_offsets[b + 1]]
-            stored = region[region != INVALID_PARTICLE_ID]
-            assert stored.size == self.bin_lengths[b], f"bin {b} length mismatch"
-            for particle in stored:
-                assert self._particle_bin[int(particle)] == b, \
-                    f"particle {particle} bin mismatch"
-        for b, stack in self._empty_slots.items():
-            for slot in stack:
-                assert self.local_index[slot] == INVALID_PARTICLE_ID, \
-                    f"slot {slot} on bin {b}'s stack is not empty"
-                assert self.bin_offsets[b] <= slot < self.bin_offsets[b + 1], \
-                    f"slot {slot} on bin {b}'s stack lies outside its region"
+        np.testing.assert_array_equal(
+            np.bincount(slot_bin[valid], minlength=self.num_bins),
+            self.bin_lengths, err_msg="bin length mismatch")
+
+        # inverse maps <-> local_index round trip
+        stored_slots = np.nonzero(valid)[0]
+        stored = self.local_index[stored_slots]
+        assert stored.size == 0 or (
+            stored.min() >= 0 and stored.max() < self._particle_slot.size), \
+            "stored particle index outside the inverse maps"
+        np.testing.assert_array_equal(
+            self._particle_slot[stored], stored_slots,
+            err_msg="particle slot mismatch")
+        np.testing.assert_array_equal(
+            self._particle_bin[stored], slot_bin[stored_slots],
+            err_msg="particle bin mismatch")
+        assert int((self._particle_slot >= 0).sum()) == self.num_particles, \
+            "inverse map lists a particle that is not stored"
+        np.testing.assert_array_equal(
+            self._particle_slot >= 0, self._particle_bin >= 0,
+            err_msg="slot and bin maps disagree on which particles are stored")
+
+        # gap stacks: bin b's live entries are its region's empty slots,
+        # each exactly once (the depth equals the number of empty slots, so
+        # distinct + empty + inside the region means all of them)
+        gap_counts = self._gap_counts()
+        assert np.all(gap_counts >= 0), "bin holds more particles than slots"
+        depth = np.arange(capacity) - self.bin_offsets[:-1][slot_bin]
+        live = depth < gap_counts[slot_bin]
+        stacked = self._gap_stack[live]
+        assert stacked.size == 0 or (
+            stacked.min() >= 0 and stacked.max() < capacity), \
+            "stacked gap outside the slot array"
+        assert np.all(self.local_index[stacked] == INVALID_PARTICLE_ID), \
+            "a stacked slot is not empty"
+        np.testing.assert_array_equal(
+            slot_bin[stacked], slot_bin[live],
+            err_msg="a stacked slot lies outside its bin's region")
+        assert np.unique(stacked).size == stacked.size, \
+            "a slot is stacked twice"

@@ -7,14 +7,31 @@ grouped by cell.  Each timestep it
 1. recomputes every particle's cell from its pushed position (VPU work that
    the deposition preprocessing performs anyway and is therefore cheap),
 2. collects the particles whose cell changed into a pending-moves list,
-3. applies the moves to the GPMA — O(1) deletions and insertions, with the
-   occasional bounded borrow-shift or local rebuild, and
+3. applies the moves to the GPMA as one batch
+   (:meth:`~repro.core.gpma.GappedPMA.apply_moves`) — O(1) deletions and
+   insertions, with the occasional bounded borrow-shift or local rebuild,
+   and
 4. reports per-tile statistics (moved particles, rebuilds, gap reserve)
    that feed the adaptive global re-sorting policy of §4.4.
 
 The **global sort** (``GlobalSortParticlesByCell``) physically permutes the
 tile's SoA arrays with a counting sort and rebuilds the GPMA, restoring the
 memory coherence that the index-only incremental updates cannot provide.
+
+Everything here works on whole int64 arrays — the tile's cell ids, the
+sort permutation, the GPMA's slot array, inverse maps and flat gap stacks
+(layout in :mod:`repro.core.gpma`) — so a global sort and a batch of moves
+whose target cells have the gaps to take them cost a fixed number of NumPy
+passes however many particles the tile holds.  Only a batch that must
+borrow gaps across cells runs its insertions one at a time.
+
+**What is not incremental.**  The sort state is keyed to the tile's
+particle count: a tile that gained or lost a particle since its last visit
+(migration, the moving window, injection) is not updated but rebuilt from
+scratch by a global sort of that tile (:meth:`IncrementalSorter.ensure_tile_state`).
+The paper's Stage 1 inserts arrivals into the existing structure instead;
+doing so here would change the work counters and the modelled sort share,
+so it is left to a change that re-baselines them.
 """
 
 from __future__ import annotations
@@ -87,16 +104,17 @@ class IncrementalSorter:
         stats = StepSortStats(global_sorts=1)
         n = tile.num_particles
         num_cells = tile.num_cells
+        bins = np.empty(0, dtype=np.int64)
         if n > 0:
             cell_ids = tile.local_cell_ids(grid)
             order, _ = counting_sort_permutation(cell_ids, num_cells)
             tile.permute(order)
+            bins = cell_ids[order]
         gpma = GappedPMA(num_cells, gap_fraction=self.config.gap_fraction)
-        bins = tile.local_cell_ids(grid) if n > 0 else np.empty(0, dtype=np.int64)
         build_stats = gpma.build(bins)
         # a freshly built structure does not count towards the rebuild trigger
         gpma.rebuild_count = 0
-        tile.sorter = TileSortState(gpma=gpma, assigned_bins=bins.copy())
+        tile.sorter = TileSortState(gpma=gpma, assigned_bins=bins)
 
         stats.total_slots = gpma.capacity
         stats.empty_slots = gpma.num_empty_slots
@@ -108,19 +126,25 @@ class IncrementalSorter:
         return stats
 
     def ensure_tile_state(self, grid: Grid, tile: ParticleTile,
-                          counters: Optional[KernelCounters] = None
+                          counters: Optional[KernelCounters] = None,
+                          stats: Optional[StepSortStats] = None
                           ) -> TileSortState:
         """Return the tile's sort state, (re)building it when stale.
 
         The state becomes stale whenever particles were added to or removed
         from the tile (``ParticleTile.append``/``remove`` clear the sorter
-        slot), which corresponds to Stage 1 of §4.3.1 handling newly added
-        particles with a fresh insertion pass.
+        slot).  A stale tile is *rebuilt from scratch* with
+        :meth:`global_sort_tile` — the paper's Stage 1 of §4.3.1 inserts
+        the arrivals into the existing GPMA instead; this reproduction
+        does not, so a tile whose population changed pays a full counting
+        sort.  The rebuild's statistics are merged into ``stats``.
         """
         state = tile.sorter
         if isinstance(state, TileSortState) and state.num_particles == tile.num_particles:
             return state
-        self.global_sort_tile(grid, tile, counters)
+        rebuild = self.global_sort_tile(grid, tile, counters)
+        if stats is not None:
+            stats.merge(rebuild)
         return tile.sorter
 
     # ------------------------------------------------------------------
@@ -134,21 +158,19 @@ class IncrementalSorter:
         n = tile.num_particles
         if n == 0:
             return stats
-        state = self.ensure_tile_state(grid, tile, counters)
+        state = self.ensure_tile_state(grid, tile, counters, stats)
         gpma = state.gpma
         gpma.reset_step_flags()
 
-        new_bins = tile.local_cell_ids(grid)
+        # a tile sorted a moment ago has this step's cells on record already
+        new_bins = (state.assigned_bins if stats.global_sorts
+                    else tile.local_cell_ids(grid))
         moved = np.nonzero(new_bins != state.assigned_bins)[0]
         stats.moved_particles = int(moved.size)
 
-        update = GPMAUpdateStats()
         # Stage 2 of §4.3.1: deletions first (marking old slots empty), then
         # the pending-move insertions.
-        for p in moved:
-            update.merge(gpma.delete(int(p)))
-        for p in moved:
-            update.merge(gpma.insert(int(p), int(new_bins[p])))
+        update = gpma.apply_moves(moved, new_bins[moved])
 
         if gpma.overflow or gpma.needs_rebuild(self.rebuild_empty_ratio):
             rebuild = gpma.build(new_bins)

@@ -210,9 +210,16 @@ class TestIncrementalSorter:
         tile.append(x=np.array([tile.x[0]]), y=np.array([tile.y[0]]),
                     z=np.array([tile.z[0]]))
         stats = sorter.incremental_update_tile(grid, tile)
-        assert stats.global_sorts == 0 or stats.moved_particles == 0
+        # the rebuild is reported, and only once: the slot totals are the
+        # structure's, not the rebuild's and the update's added up
+        assert stats.global_sorts == 1
+        assert stats.moved_particles == 0 and stats.local_rebuilds == 0
         assert isinstance(tile.sorter, TileSortState)
         assert tile.sorter.num_particles == tile.num_particles
+        assert stats.total_slots == tile.sorter.gpma.capacity
+        assert stats.empty_slots == tile.sorter.gpma.num_empty_slots
+        # the next visit finds the state current
+        assert sorter.incremental_update_tile(grid, tile).global_sorts == 0
 
     def test_bin_population_none_without_sorter(self):
         grid, container = make_tiled_plasma()
