@@ -37,7 +37,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -55,21 +54,6 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 def default_cache_dir() -> str:
     """The cache directory used when none is configured explicitly."""
     return os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR)
-
-
-def _fsync_directory(path: str) -> None:
-    """Persist a rename by fsyncing its directory (no-op where
-    directories cannot be opened or fsync'd, e.g. some network mounts)."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
 
 
 def canonical_json(payload: object) -> str:
@@ -190,6 +174,9 @@ class ResultCache:
         discards results that were already computed.  Returns the entry
         path on success.
         """
+        # imported here: repro.ckpt's session layer imports content_key
+        from repro.ckpt.format import atomic_write_bytes
+
         path = self.path_for(key)
         payload = {
             "key": key,
@@ -199,24 +186,7 @@ class ResultCache:
             "result": result,
         }
         try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path),
-                                            suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    fh.write(canonical_json(payload))
-                    # durability: the rename below is only crash-safe if
-                    # the temp file's bytes reach the disk first
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp_path, path)
-            except BaseException:
-                try:
-                    os.remove(tmp_path)
-                except OSError:
-                    pass
-                raise
-            _fsync_directory(os.path.dirname(path))
+            atomic_write_bytes(path, canonical_json(payload).encode("utf-8"))
         except OSError:
             self.stats.write_errors += 1
             return None

@@ -122,6 +122,15 @@ def build_workload(kind: str, params: Mapping):
     for name, config_cls in nested.items():
         value = kwargs.get(name)
         if isinstance(value, Mapping):
+            value = dict(value)
+            if name == "backend":
+                # payloads journaled by builds that still had an array
+                # backend seam carry its one legal value
+                legacy = value.pop("array_backend", "numpy")
+                if legacy != "numpy":
+                    raise ValueError(
+                        f"workload_params['backend'] selects array backend "
+                        f"{legacy!r}; bulk math is plain NumPy")
             kwargs[name] = config_cls(**value)
     return cls(**kwargs)
 
@@ -272,7 +281,6 @@ class ExperimentSpec:
             backend = dataclasses.asdict(backend)
         backend = dict(backend) if backend is not None else {}
         params["backend"] = {
-            "array_backend": backend.get("array_backend", "numpy"),
             "kernel_numerics": kernel_registry.numerics_tag(
                 backend.get("kernel_tier", "auto")),
         }

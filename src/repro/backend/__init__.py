@@ -1,15 +1,10 @@
-"""Pluggable array-backend layer behind the stencil primitive.
+"""Kernel-tier registry behind the stencil primitive.
 
 The numerical layers of the library — the flat-index stencil engine,
-the field gather, the FDTD solver, the scratch pools and the domain
-slab allocations — route their bulk math through two seams defined
-here:
-
-* an :class:`ArrayBackend` (array module handle, scratch allocation,
-  dtype policy) selected by name, and
-* a :class:`KernelRegistry` dispatching the named kernels
-  ``build_weights`` / ``scatter`` / ``scatter3`` / ``gather6`` /
-  ``fdtd_roll`` to the best registered implementation **tier**.
+the field gather, the FDTD solver — are plain NumPy except for one
+seam defined here: a :class:`KernelRegistry` dispatching the named
+kernels ``build_weights`` / ``scatter`` / ``scatter3`` / ``gather6`` /
+``fdtd_roll`` to the best registered implementation **tier**.
 
 Two tiers ship built in: the NumPy flat-index path (``"oracle"`` — the
 historical code, kept verbatim as the correctness reference) and an
@@ -23,20 +18,14 @@ computed on either tier replay from one cache entry.
 Select a tier per simulation with
 ``SimulationConfig(backend=BackendConfig(kernel_tier=...))``, per
 session with ``Session(config, backend="fused")``, or per run with
-``python -m repro run --kernel-tier fused``.  Register a new backend by
+``python -m repro run --kernel-tier fused``.  Register a new tier by
 instantiating :class:`~repro.backend.registry.KernelTier` with the
 kernels it accelerates (everything else inherits the oracle) and
 calling :func:`register_kernel_tier` — see the README's "Backends &
 kernel tiers" section.
 """
 
-from repro.backend.base import (
-    KERNEL_NAMES,
-    Array,
-    ArrayBackend,
-    BackendConfig,
-    NumpyBackend,
-)
+from repro.backend.base import KERNEL_NAMES, Array, BackendConfig
 from repro.backend.registry import (
     KERNEL_TIER_ENV,
     ActiveKernels,
@@ -44,12 +33,9 @@ from repro.backend.registry import (
     KernelRegistry,
     KernelTier,
     activate,
-    active_backend,
     active_kernels,
     active_selection,
-    array_backend_names,
     kernel_registry,
-    register_array_backend,
     register_kernel_tier,
     use_backend,
 )
@@ -57,21 +43,16 @@ from repro.backend.registry import (
 __all__ = [
     "ActiveKernels",
     "Array",
-    "ArrayBackend",
     "BackendConfig",
     "BackendSelection",
     "KERNEL_NAMES",
     "KERNEL_TIER_ENV",
     "KernelRegistry",
     "KernelTier",
-    "NumpyBackend",
     "activate",
-    "active_backend",
     "active_kernels",
     "active_selection",
-    "array_backend_names",
     "kernel_registry",
-    "register_array_backend",
     "register_kernel_tier",
     "use_backend",
 ]

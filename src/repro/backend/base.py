@@ -1,44 +1,24 @@
-"""Array-backend protocol and backend selection configuration.
+"""Kernel names, tier requests and the kernel-tier selection config.
 
 This module is the dependency root of :mod:`repro.backend`: it imports
 nothing from the rest of the library (mirroring ``repro.exec.base``), so
 :mod:`repro.config` can embed :class:`BackendConfig` without a cycle.
 
-An :class:`ArrayBackend` bundles the three things the numerical layers
-need from an array library:
-
-* the **array module handle** (``xp``) — the namespace bulk math is
-  written against (``xp.einsum``, ``xp.subtract(..., out=...)``, ...).
-  For the built-in backend this is NumPy itself, so routing through the
-  handle is behaviour-neutral;
-* **scratch allocation** (:meth:`~ArrayBackend.empty`,
-  :meth:`~ArrayBackend.zeros`) — every dense grid array, pool lease and
-  domain slab accumulator goes through these, which is where a device
-  backend would substitute resident device memory;
-* the **dtype policy** (``float_dtype``/``index_dtype``) — the single
-  source of truth for the FP64 field/current arrays and the ``int64``
-  flat stencil indices.
-
-Compiled *kernels* (the fused build+scatter path, etc.) are not part of
-this protocol: they are registered per named kernel with the
-:class:`~repro.backend.registry.KernelRegistry` so a backend can
-accelerate exactly the kernels it has and inherit the oracle for the
-rest.
+Bulk array math, scratch allocation and the dtype policy (FP64
+field/current arrays, ``int64`` flat stencil indices) are plain NumPy at
+the call sites; the one extension point of the numerical layer is the
+per-kernel tier registry (:class:`~repro.backend.registry.KernelRegistry`),
+where a tier accelerates exactly the kernels it has and inherits the
+oracle for the rest.
 """
 
 from __future__ import annotations
 
-# repro-lint: allow-module(backend-purity): NumpyBackend is the definition site of the numpy backend; its raw np.* calls are the thing every other module routes through
-
 from dataclasses import dataclass
-from types import ModuleType
-from typing import Any, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
-#: Annotation alias for dense arrays handled by a backend.  The NumPy
-#: backend hands out ``np.ndarray``; consumers annotate with ``Array`` so
-#: they stay agnostic of the concrete array type.
+#: Annotation alias for the dense arrays the numerical layers exchange.
 Array = np.ndarray
 
 #: Kernel names understood by the registry, in dispatch order of one PIC
@@ -57,82 +37,12 @@ TIER_FUSED = "fused"
 KNOWN_TIER_REQUESTS = (TIER_AUTO, TIER_ORACLE, TIER_FUSED)
 
 
-@runtime_checkable
-class ArrayBackend(Protocol):
-    """Protocol every array backend implements.
-
-    Registration is by value: instantiate the implementation and hand it
-    to :func:`repro.backend.register_array_backend`.  See
-    :class:`NumpyBackend` for the reference implementation.
-    """
-
-    #: registry name ("numpy", "cupy", ...)
-    name: str
-    #: the array module handle bulk math is written against
-    xp: ModuleType
-
-    @property
-    def float_dtype(self) -> Any:
-        """Floating dtype of field/current/weight arrays."""
-
-    @property
-    def index_dtype(self) -> Any:
-        """Integer dtype of flat stencil/node indices."""
-
-    def empty(self, shape: Tuple[int, ...], dtype: Any = None) -> Array:
-        """Uninitialised dense array owned by this backend."""
-
-    def zeros(self, shape: Tuple[int, ...], dtype: Any = None) -> Array:
-        """Zero-filled dense array owned by this backend."""
-
-    def asarray(self, data: Any, dtype: Any = None) -> Array:
-        """View/convert ``data`` as this backend's array type."""
-
-
-class NumpyBackend:
-    """The built-in CPU backend: plain NumPy arrays, FP64 policy.
-
-    This is the backend every existing code path ran on implicitly; the
-    explicit object exists so the numerical layers can be written against
-    the :class:`ArrayBackend` protocol instead of the global ``numpy``
-    import.
-    """
-
-    name = "numpy"
-    xp = np
-
-    @property
-    def float_dtype(self) -> Any:
-        return np.float64
-
-    @property
-    def index_dtype(self) -> Any:
-        return np.int64
-
-    def empty(self, shape: Tuple[int, ...], dtype: Any = None) -> Array:
-        return np.empty(shape, dtype=self.float_dtype if dtype is None
-                        else dtype)
-
-    def zeros(self, shape: Tuple[int, ...], dtype: Any = None) -> Array:
-        return np.zeros(shape, dtype=self.float_dtype if dtype is None
-                        else dtype)
-
-    def asarray(self, data: Any, dtype: Any = None) -> Array:
-        return np.asarray(data, dtype=dtype)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "NumpyBackend()"
-
-
 @dataclass(frozen=True)
 class BackendConfig:
-    """Array-backend and kernel-tier selection for one simulation.
+    """Kernel-tier selection for one simulation.
 
     Parameters
     ----------
-    array_backend:
-        Name of a registered :class:`ArrayBackend` (default ``"numpy"``,
-        the only built-in).
     kernel_tier:
         ``"auto"`` (default) picks the best available registered kernel
         tier — the numba-fused tier when numba imports, silently falling
@@ -147,15 +57,9 @@ class BackendConfig:
     known.
     """
 
-    array_backend: str = "numpy"
     kernel_tier: str = TIER_AUTO
 
     def __post_init__(self) -> None:
-        if not self.array_backend or not isinstance(self.array_backend, str):
-            raise ValueError(
-                f"array_backend must be a non-empty string, "
-                f"got {self.array_backend!r}"
-            )
         if not self.kernel_tier or not isinstance(self.kernel_tier, str):
             raise ValueError(
                 f"kernel_tier must be a non-empty string, "

@@ -40,8 +40,6 @@ against the oracle without compiling anything.
 
 from __future__ import annotations
 
-# repro-lint: allow-module(backend-purity): njit compiles np.empty/np.zeros natively inside kernel bodies; routing through the backend object would defeat compilation
-
 from typing import Optional, Tuple
 
 import numpy as np

@@ -15,8 +15,6 @@ through :mod:`repro.backend.base`, before the PIC stack exists.
 
 from __future__ import annotations
 
-# repro-lint: allow-module(backend-purity): this tier IS the raw-numpy reference; its verbatim np.* formulation is the bitwise contract every other tier is pinned against
-
 from typing import Optional, Sequence, Tuple
 
 import numpy as np

@@ -1,4 +1,4 @@
-"""Kernel registry, tier resolution and backend activation state.
+"""Kernel registry, tier resolution and kernel-tier activation state.
 
 The :class:`KernelRegistry` maps named kernels (:data:`KERNEL_NAMES`) to
 per-tier implementations and resolves a tier *request* (``"auto"`` /
@@ -6,7 +6,7 @@ per-tier implementations and resolves a tier *request* (``"auto"`` /
 dispatch table the numerical layers call through
 (:class:`ActiveKernels`).  Registration is additive: a tier provides the
 kernels it accelerates and inherits the oracle for the rest, which is
-what makes a new backend a registration instead of a rewrite.
+what makes a new tier a registration instead of a rewrite.
 
 Selection order (first match wins):
 
@@ -52,10 +52,8 @@ from repro.backend.base import (
     TIER_AUTO,
     TIER_FUSED,
     TIER_ORACLE,
-    ArrayBackend,
     BackendConfig,
     KERNEL_NAMES,
-    NumpyBackend,
 )
 
 logger = logging.getLogger("repro.backend")
@@ -273,38 +271,14 @@ def register_kernel_tier(tier: KernelTier, replace: bool = False) -> None:
 
 
 # ---------------------------------------------------------------------------
-# array-backend registry
-# ---------------------------------------------------------------------------
-
-_ARRAY_BACKENDS: Dict[str, ArrayBackend] = {"numpy": NumpyBackend()}
-
-
-def register_array_backend(backend: ArrayBackend,
-                           replace: bool = False) -> None:
-    """Register an :class:`ArrayBackend` implementation by its name."""
-    if backend.name in _ARRAY_BACKENDS and not replace:
-        raise ValueError(
-            f"array backend {backend.name!r} is already registered; "
-            "pass replace=True to overwrite"
-        )
-    _ARRAY_BACKENDS[backend.name] = backend
-
-
-def array_backend_names() -> Tuple[str, ...]:
-    """Names of the registered array backends."""
-    return tuple(sorted(_ARRAY_BACKENDS))
-
-
-# ---------------------------------------------------------------------------
 # process-wide activation state
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BackendSelection:
-    """The resolved (array backend, kernel tier) pair of one activation."""
+    """The resolved kernel tier of one activation."""
 
     config: BackendConfig
-    backend: ArrayBackend
     kernels: ActiveKernels
 
     @property
@@ -347,18 +321,12 @@ def activate(config: ConfigLike = None) -> BackendSelection:
     """
     global _active
     config = _coerce_config(config)
-    backend = _ARRAY_BACKENDS.get(config.array_backend)
-    if backend is None:
-        raise ValueError(
-            f"unknown array backend {config.array_backend!r}; registered: "
-            f"{list(array_backend_names())}"
-        )
     request = config.kernel_tier
     if request == TIER_AUTO:
         env = os.environ.get(KERNEL_TIER_ENV, "").strip()
         if env:
             request = env  # strict: an env-forced tier must exist
-    _active = BackendSelection(config=config, backend=backend,
+    _active = BackendSelection(config=config,
                                kernels=kernel_registry.resolve(request))
     return _active
 
@@ -368,11 +336,6 @@ def active_selection() -> BackendSelection:
     if _active is None:
         return activate()
     return _active
-
-
-def active_backend() -> ArrayBackend:
-    """The active :class:`ArrayBackend` (array handle + allocation)."""
-    return active_selection().backend
 
 
 def active_kernels() -> ActiveKernels:

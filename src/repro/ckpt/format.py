@@ -44,6 +44,7 @@ __all__ = [
     "CorruptSnapshotError",
     "SnapshotError",
     "SnapshotMismatchError",
+    "atomic_write_bytes",
     "read_snapshot",
     "write_snapshot",
 ]
@@ -89,7 +90,10 @@ def _fsync_directory(path: str) -> None:
         os.close(fd)
 
 
-def _atomic_write_bytes(path: str, data: bytes) -> None:
+def atomic_write_bytes(path: str, data: bytes) -> None:
+    """Durably replace ``path`` with ``data``: private ``*.tmp`` file in
+    the same directory, fsync, ``os.replace``, directory fsync.  A crash
+    or a failure at any point leaves the previous file intact."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -144,7 +148,7 @@ def write_snapshot(path: str, meta: Mapping[str, Any],
     chunks.extend(blobs)
     for chunk in chunks:
         digest.update(chunk)
-    _atomic_write_bytes(path, b"".join(chunks) + digest.digest())
+    atomic_write_bytes(path, b"".join(chunks) + digest.digest())
     return path
 
 

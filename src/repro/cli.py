@@ -38,6 +38,7 @@ from repro.analysis.cache import (
     default_cache_dir,
 )
 from repro.ckpt.store import CKPT_DIR_ENV, DEFAULT_CHECKPOINT_DIR
+from repro.workloads import GRID_CHOICES, GRID_DEFAULTS, workload_for_family
 
 
 def _comma_list(text: str) -> List[str]:
@@ -96,6 +97,50 @@ def _int3(text: str) -> Tuple[int, int, int]:
     return tuple(values)  # type: ignore[return-value]
 
 
+def _joined(key: str) -> str:
+    return ",".join(str(item) for item in GRID_DEFAULTS[key])
+
+
+def _add_grid_arguments(sub: argparse.ArgumentParser) -> None:
+    """The grid options ``campaign`` and ``run`` share, read from the one
+    schema in :mod:`repro.workloads` (``repro.serve`` reads the same)."""
+    sub.add_argument("--workload", choices=GRID_CHOICES["workload"],
+                     default=GRID_DEFAULTS["workload"],
+                     help="workload family "
+                          f"(default: {GRID_DEFAULTS['workload']})")
+    sub.add_argument("--shape-order", type=int,
+                     choices=GRID_CHOICES["shape_order"], default=None,
+                     help="deposition shape order (uniform workload only — "
+                          "the lwfa workload is fixed at order 1; "
+                          "default: 1)")
+    sub.add_argument("--n-cell", type=_int3, default=None,
+                     metavar="NX,NY,NZ",
+                     help="grid cells per axis (defaults: 8,8,8 uniform / "
+                          "8,8,32 lwfa)")
+    sub.add_argument("--tile-size", type=_int3, default=None,
+                     metavar="TX,TY,TZ",
+                     help="particle tile size per axis (defaults: 8,8,8 "
+                          "uniform / 8,8,16 lwfa)")
+    sub.add_argument("--domains", type=_int3, default=None,
+                     metavar="PX,PY,PZ",
+                     help="domain decomposition of the grid (repro.domain; "
+                          "default: 1,1,1 = single domain).  Decomposed "
+                          "runs are bitwise identical to single-domain "
+                          "ones at a fixed shard count")
+    sub.add_argument("--kernel-tier", choices=GRID_CHOICES["kernel_tier"],
+                     default=GRID_DEFAULTS["kernel_tier"],
+                     help="stencil kernel tier (repro.backend): 'oracle' = "
+                          "NumPy flat-index reference, 'fused' = "
+                          "numba-compiled kernels (requires the [jit] "
+                          "extra), 'auto' = best available (default).  "
+                          "Tiers are bitwise identical, so cached results "
+                          "are shared across them")
+    sub.add_argument("--seed", type=_nonnegative_int,
+                     default=GRID_DEFAULTS["seed"],
+                     help="workload RNG seed "
+                          f"(default: {GRID_DEFAULTS['seed']})")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level ``repro`` argument parser."""
     parser = argparse.ArgumentParser(
@@ -112,57 +157,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Expand and run an experiment grid through the "
                     "on-disk result cache and an optional process pool.",
     )
-    campaign.add_argument("--workload", choices=("uniform", "lwfa"),
-                          default="uniform",
-                          help="workload family (default: uniform)")
-    campaign.add_argument("--ppc", type=_positive_int_list, default=[8, 64],
+    _add_grid_arguments(campaign)
+    campaign.add_argument("--ppc", type=_positive_int_list,
+                          default=list(GRID_DEFAULTS["ppc"]),
                           metavar="N[,N...]",
                           help="comma-separated particles-per-cell scan "
-                               "(default: 8,64)")
+                               f"(default: {_joined('ppc')})")
     campaign.add_argument("--configurations", type=_comma_list,
-                          default=["Baseline", "MatrixPIC (FullOpt)"],
+                          default=list(GRID_DEFAULTS["configurations"]),
                           metavar="NAME[,NAME...]",
                           help='comma-separated configuration names '
-                               '(default: "Baseline,MatrixPIC (FullOpt)")')
+                               f'(default: "{_joined("configurations")}")')
     campaign.add_argument("--list-configurations", action="store_true",
                           help="print the available configuration names "
                                "and exit")
-    campaign.add_argument("--steps", type=_nonnegative_int, default=2,
-                          help="measured steps per experiment (default: 2)")
-    campaign.add_argument("--warmup-steps", type=_nonnegative_int, default=1,
+    campaign.add_argument("--steps", type=_nonnegative_int,
+                          default=GRID_DEFAULTS["steps"],
+                          help="measured steps per experiment "
+                               f"(default: {GRID_DEFAULTS['steps']})")
+    campaign.add_argument("--warmup-steps", type=_nonnegative_int,
+                          default=GRID_DEFAULTS["warmup_steps"],
                           help="warm-up steps excluded from measurement "
-                               "(default: 1)")
-    campaign.add_argument("--shape-order", type=int, choices=(1, 2, 3),
-                          default=None,
-                          help="deposition shape order (uniform workload "
-                               "only — the lwfa workload is fixed at "
-                               "order 1; default: 1)")
-    campaign.add_argument("--n-cell", type=_int3, default=None,
-                          metavar="NX,NY,NZ",
-                          help="grid cells per axis (defaults: 8,8,8 "
-                               "uniform / 8,8,32 lwfa)")
-    campaign.add_argument("--tile-size", type=_int3, default=None,
-                          metavar="TX,TY,TZ",
-                          help="particle tile size per axis (defaults: "
-                               "8,8,8 uniform / 8,8,16 lwfa)")
-    campaign.add_argument("--domains", type=_int3, default=None,
-                          metavar="PX,PY,PZ",
-                          help="domain decomposition of the grid "
-                               "(repro.domain; default: 1,1,1 = single "
-                               "domain).  Decomposed runs are bitwise "
-                               "identical to single-domain ones at a "
-                               "fixed shard count")
-    campaign.add_argument("--kernel-tier",
-                          choices=("auto", "oracle", "fused"),
-                          default="auto",
-                          help="stencil kernel tier (repro.backend): "
-                               "'oracle' = NumPy flat-index reference, "
-                               "'fused' = numba-compiled kernels (requires "
-                               "the [jit] extra), 'auto' = best available "
-                               "(default).  Tiers are bitwise identical, so "
-                               "cached results are shared across them")
-    campaign.add_argument("--seed", type=_nonnegative_int, default=2026,
-                          help="workload RNG seed (default: 2026)")
+                               f"(default: {GRID_DEFAULTS['warmup_steps']})")
     campaign.add_argument("--no-scramble", action="store_true",
                           help="keep the freshly loaded particle order "
                                "instead of scrambling it")
@@ -220,42 +236,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "(the repro.pipeline stage graph) and print the "
                     "per-stage wall-time breakdown.",
     )
-    run.add_argument("--workload", choices=("uniform", "lwfa"),
-                     default="uniform",
-                     help="workload family (default: uniform)")
+    _add_grid_arguments(run)
     run.add_argument("--ppc", type=_positive_int, default=8,
                      help="particles per cell (default: 8)")
     run.add_argument("--steps", type=_nonnegative_int, default=5,
                      help="steps to run (default: 5)")
-    run.add_argument("--shape-order", type=int, choices=(1, 2, 3),
-                     default=None,
-                     help="deposition shape order (uniform workload only; "
-                          "default: 1)")
-    run.add_argument("--n-cell", type=_int3, default=None,
-                     metavar="NX,NY,NZ",
-                     help="grid cells per axis (defaults: 8,8,8 uniform / "
-                          "8,8,32 lwfa)")
-    run.add_argument("--tile-size", type=_int3, default=None,
-                     metavar="TX,TY,TZ",
-                     help="particle tile size per axis (defaults: 8,8,8 "
-                          "uniform / 8,8,16 lwfa)")
-    run.add_argument("--domains", type=_int3, default=None,
-                     metavar="PX,PY,PZ",
-                     help="domain decomposition (default: 1,1,1)")
     run.add_argument("--backend", choices=("serial", "threads", "processes"),
                      default="serial",
                      help="tile execution backend (default: serial)")
     run.add_argument("--shards", type=_positive_int, default=1,
                      help="tile shards / workers per stage (default: 1)")
-    run.add_argument("--kernel-tier",
-                     choices=("auto", "oracle", "fused"),
-                     default="auto",
-                     help="stencil kernel tier (repro.backend): 'oracle' = "
-                          "NumPy flat-index reference, 'fused' = "
-                          "numba-compiled kernels (requires the [jit] "
-                          "extra), 'auto' = best available (default)")
-    run.add_argument("--seed", type=_nonnegative_int, default=2026,
-                     help="workload RNG seed (default: 2026)")
     run.add_argument("--record-energy", action="store_true",
                      help="record the energy history and report the drift")
     run.add_argument("--checkpoint-dir", default=None, metavar="DIR",
@@ -405,15 +395,13 @@ def _make_workload(family: str, *, ppc: int, args, execution=None,
     so HTTP submissions and CLI invocations of the same grid hash to the
     same campaign cache keys.
     """
-    from repro.workloads import workload_for_family
-
     return workload_for_family(
         family,
         ppc=ppc,
         max_steps=args.steps,
         seed=args.seed,
         domains=args.domains,
-        kernel_tier=getattr(args, "kernel_tier", "auto"),
+        kernel_tier=args.kernel_tier,
         n_cell=args.n_cell,
         tile_size=args.tile_size,
         shape_order=(args.shape_order if family == "uniform" else None),

@@ -30,7 +30,6 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import active_backend
 from repro.config import GridConfig
 from repro.exec.base import partition_shards
 from repro.pic.grid import Grid
@@ -160,19 +159,16 @@ class Decomposition:
                         self.halo,
                     ))
 
-        backend = active_backend()
         #: linear tile id -> linear subdomain id
-        self.tile_owner = backend.empty(
-            (int(np.prod(self.tiles_per_axis)),),
-            dtype=backend.index_dtype)
+        self.tile_owner = np.empty(
+            (int(np.prod(self.tiles_per_axis)),), dtype=np.int64)
         for sub in self.subdomains:
             self.tile_owner[list(sub.tile_ids)] = sub.linear_index
 
         #: per-axis map: global cell index -> domain position along the axis
         self._cell_owner_axis: List[np.ndarray] = []
         for axis in range(3):
-            owner = backend.empty((grid_config.n_cell[axis],),
-                                  dtype=backend.index_dtype)
+            owner = np.empty((grid_config.n_cell[axis],), dtype=np.int64)
             for pos, (lo, hi) in enumerate(self._axis_cells[axis]):
                 owner[lo:hi] = pos
             self._cell_owner_axis.append(owner)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import active_backend
 from repro.domain.decomposition import Decomposition
 
 
@@ -29,10 +28,9 @@ class MigrationStats:
         #: particles whose destination tile lies in another subdomain
         self.migrated_particles = 0
         #: migrations per (source domain, destination domain) pair
-        backend = active_backend()
-        self.pair_counts: np.ndarray = backend.zeros(
+        self.pair_counts: np.ndarray = np.zeros(
             (decomposition.num_domains, decomposition.num_domains),
-            dtype=backend.index_dtype,
+            dtype=np.int64,
         )
 
     # ------------------------------------------------------------------

@@ -56,7 +56,6 @@ from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import active_backend
 from repro.domain.decomposition import Decomposition, Subdomain
 from repro.domain.halo import EM_FIELDS, HaloExchange
 from repro.domain.migration import MigrationStats
@@ -179,8 +178,7 @@ def _window_shard(shard: Tuple, frame_config, geometry: Tuple,
         scratch_grids.acquire(frame_config, zero=False), geometry)
     try:
         if outs is None:
-            zeros = active_backend().zeros
-            outs = [tuple(zeros(dims) for _ in range(1 if rho else 3))
+            outs = [tuple(np.zeros(dims) for _ in range(1 if rho else 3))
                     for _, dims in windows]
             tiles = [tile_from_payload(payload) for payload in tiles]
         _deposit_window_tiles(outs, windows, tiles, frame, charge, order,

@@ -25,7 +25,6 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.backend import active_backend
 from repro.config import GridConfig
 from repro.pic.grid import Grid
 
@@ -93,7 +92,7 @@ class FieldBoundaryConditions:
         profile = self._profiles.get(n)
         if profile is None:
             layer = min(self.damping_cells, n // 2)
-            profile = active_backend().xp.ones(n)
+            profile = np.ones(n)
             if layer > 0:
                 ramp = np.linspace(1.0, 0.0, layer, endpoint=False)[::-1]
                 damping = np.exp(-self.damping_strength * ramp**2)

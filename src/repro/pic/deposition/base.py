@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import active_backend, active_kernels
+from repro.backend import active_kernels
 from repro.config import SHAPE_ORDER_CIC, SHAPE_ORDER_QSP, SHAPE_ORDER_TSC
 from repro.exec import TileExecutor, run_shards, shard_items
 from repro.hardware.counters import KernelCounters
@@ -184,10 +184,9 @@ def prepare_tile_data(grid: Grid, tile: ParticleTile, charge: float,
     """
     n = tile.num_particles
     if n == 0:
-        backend = active_backend()
-        empty = backend.empty((0,))
-        empty_i = backend.empty((0,), dtype=backend.index_dtype)
-        zero_w = backend.empty((0, shape_support(order)))
+        empty = np.empty((0,))
+        empty_i = np.empty((0,), dtype=np.int64)
+        zero_w = np.empty((0, shape_support(order)))
         data = TileDepositionData(
             order=order,
             base_x=empty_i, base_y=empty_i, base_z=empty_i,

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import active_backend
 from repro.hardware.counters import KernelCounters
 from repro.pic.deposition.base import (
     DepositionKernel,
@@ -60,7 +59,7 @@ def scatter_rhocell_blocks(cell_ids: np.ndarray, num_cells: int,
     block_ids = cell_block_ids(cell_ids, nodes)
     blocks = []
     for contrib in (contrib_x, contrib_y, contrib_z):
-        block = active_backend().zeros((num_cells, nodes))
+        block = np.zeros((num_cells, nodes))
         scatter_flat(block_ids, contrib, block)
         blocks.append(block)
     return tuple(blocks)

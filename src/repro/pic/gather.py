@@ -23,7 +23,9 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.backend import Array, active_backend, active_kernels
+import numpy as np
+
+from repro.backend import Array, active_kernels
 from repro.pic.grid import Grid
 from repro.pic.particles import ParticleTile
 
@@ -31,10 +33,9 @@ from repro.pic.particles import ParticleTile
 def gather_field(grid: Grid, field: Array, x: Array, y: Array,
                  z: Array, order: int) -> Array:
     """Interpolate one field component to the given particle positions."""
-    backend = active_backend()
-    x = backend.asarray(x, dtype=backend.float_dtype)
+    x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
-        return backend.zeros(x.shape)
+        return np.zeros(x.shape)
     (out,) = active_kernels().gather6(grid, x, y, z, order, (field,))
     return out
 
@@ -48,7 +49,7 @@ def gather_fields_for_tile(grid: Grid, tile: ParticleTile, order: int
     ex/ey/ez/bx/by/bz — the single-pass adjoint of the deposition scatter.
     """
     if tile.num_particles == 0:
-        empty = active_backend().empty(0)
+        empty = np.empty(0)
         return (empty,) * 6
     return active_kernels().gather6(
         grid, tile.x, tile.y, tile.z, order,

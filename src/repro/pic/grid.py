@@ -22,7 +22,6 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.backend import active_backend
 from repro.config import GridConfig
 from repro.pic.stencil import wrap_axis_indices
 
@@ -41,17 +40,16 @@ class Grid:
             [bc == "periodic" for bc in config.field_boundary], dtype=bool
         )
 
-        backend = active_backend()
-        self.ex = backend.zeros(self.shape)
-        self.ey = backend.zeros(self.shape)
-        self.ez = backend.zeros(self.shape)
-        self.bx = backend.zeros(self.shape)
-        self.by = backend.zeros(self.shape)
-        self.bz = backend.zeros(self.shape)
-        self.jx = backend.zeros(self.shape)
-        self.jy = backend.zeros(self.shape)
-        self.jz = backend.zeros(self.shape)
-        self.rho = backend.zeros(self.shape)
+        self.ex = np.zeros(self.shape)
+        self.ey = np.zeros(self.shape)
+        self.ez = np.zeros(self.shape)
+        self.bx = np.zeros(self.shape)
+        self.by = np.zeros(self.shape)
+        self.bz = np.zeros(self.shape)
+        self.jx = np.zeros(self.shape)
+        self.jy = np.zeros(self.shape)
+        self.jz = np.zeros(self.shape)
+        self.rho = np.zeros(self.shape)
 
     # ------------------------------------------------------------------
     # geometry helpers
@@ -271,15 +269,14 @@ class ScratchArrayPool:
     def acquire(self, shape: Tuple[int, ...], zero: bool = False
                 ) -> np.ndarray:
         """A float64 scratch array of ``shape`` (zero-filled when ``zero``)."""
-        backend = active_backend()
-        key = (tuple(int(s) for s in shape), np.dtype(backend.float_dtype))
+        key = (tuple(int(s) for s in shape), np.dtype(np.float64))
         with self._lock:
             stack = self._free.get(key)
             arr = stack.pop() if stack else None
             if arr is not None:
                 self._num_free -= 1
         if arr is None:
-            return backend.zeros(key[0]) if zero else backend.empty(key[0])
+            return np.zeros(key[0]) if zero else np.empty(key[0])
         if zero:
             arr.fill(0.0)
         return arr

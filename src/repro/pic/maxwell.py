@@ -24,16 +24,16 @@ step (:mod:`repro.domain`) runs this same solver on halo-padded local
 slabs, which is what makes the decomposed field solve bitwise identical
 to the global one.
 
-Backend dispatch: the wrap-around shifts route through the active kernel
-tier's ``fdtd_roll`` kernel and the bulk ufunc arithmetic goes through the
-active :class:`~repro.backend.ArrayBackend`'s array-module handle — this
-module does not import numpy directly.
+Kernel dispatch: the wrap-around shifts route through the active kernel
+tier's ``fdtd_roll`` kernel; the bulk ufunc arithmetic is plain NumPy.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro import constants
-from repro.backend import Array, active_backend, active_kernels
+from repro.backend import Array, active_kernels
 from repro.pic.grid import Grid, scratch_arrays
 
 
@@ -47,15 +47,14 @@ def _diff(field: Array, axis: int, delta: float, forward: bool) -> Array:
 
     Returns a *leased* scratch array; the caller owns the lease.
     """
-    xp = active_backend().xp
     out = scratch_arrays.acquire(field.shape)
     if forward:
         _roll_into(field, -1, axis, out)
-        xp.subtract(out, field, out=out)
+        np.subtract(out, field, out=out)
     else:
         _roll_into(field, 1, axis, out)
-        xp.subtract(field, out, out=out)
-    xp.divide(out, delta, out=out)
+        np.subtract(field, out, out=out)
+    np.divide(out, delta, out=out)
     return out
 
 
@@ -71,26 +70,25 @@ def _transverse_smooth(field: Array, axis: int,
 
     Returns a *leased* scratch array; ``field`` is left untouched.
     """
-    xp = active_backend().xp
     axes = [a for a in range(3) if a != axis]
     result = scratch_arrays.acquire(field.shape)
     tmp_a = scratch_arrays.acquire(field.shape)
     tmp_b = scratch_arrays.acquire(field.shape)
     try:
-        xp.multiply(field, alpha, out=result)
+        np.multiply(field, alpha, out=result)
         for t in axes:
             _roll_into(field, 1, t, tmp_a)
             _roll_into(field, -1, t, tmp_b)
-            xp.add(tmp_a, tmp_b, out=tmp_a)
-            xp.multiply(tmp_a, beta, out=tmp_a)
-            xp.add(result, tmp_a, out=result)
+            np.add(tmp_a, tmp_b, out=tmp_a)
+            np.multiply(tmp_a, beta, out=tmp_a)
+            np.add(result, tmp_a, out=result)
         a, b = axes
         for sa in (1, -1):
             _roll_into(field, sa, a, tmp_a)
             for sb in (1, -1):
                 _roll_into(tmp_a, sb, b, tmp_b)
-                xp.multiply(tmp_b, gamma, out=tmp_b)
-                xp.add(result, tmp_b, out=result)
+                np.multiply(tmp_b, gamma, out=tmp_b)
+                np.add(result, tmp_b, out=result)
     finally:
         scratch_arrays.release(tmp_a)
         scratch_arrays.release(tmp_b)
@@ -117,7 +115,6 @@ class FDTDSolver:
 
         Returns three leased scratch arrays (the caller releases them).
         """
-        xp = active_backend().xp
         g = self.grid
         dx, dy, dz = g.cell_size
         dez_dy = self._d(g.ez, 1, dy, forward=True)
@@ -126,9 +123,9 @@ class FDTDSolver:
         dez_dx = self._d(g.ez, 0, dx, forward=True)
         dey_dx = self._d(g.ey, 0, dx, forward=True)
         dex_dy = self._d(g.ex, 1, dy, forward=True)
-        xp.subtract(dez_dy, dey_dz, out=dez_dy)
-        xp.subtract(dex_dz, dez_dx, out=dex_dz)
-        xp.subtract(dey_dx, dex_dy, out=dey_dx)
+        np.subtract(dez_dy, dey_dz, out=dez_dy)
+        np.subtract(dex_dz, dez_dx, out=dex_dz)
+        np.subtract(dey_dx, dex_dy, out=dey_dx)
         for leased in (dey_dz, dez_dx, dex_dy):
             scratch_arrays.release(leased)
         return dez_dy, dex_dz, dey_dx
@@ -138,7 +135,6 @@ class FDTDSolver:
 
         Returns three leased scratch arrays (the caller releases them).
         """
-        xp = active_backend().xp
         g = self.grid
         dx, dy, dz = g.cell_size
         dbz_dy = self._d(g.bz, 1, dy, forward=False)
@@ -147,9 +143,9 @@ class FDTDSolver:
         dbz_dx = self._d(g.bz, 0, dx, forward=False)
         dby_dx = self._d(g.by, 0, dx, forward=False)
         dbx_dy = self._d(g.bx, 1, dy, forward=False)
-        xp.subtract(dbz_dy, dby_dz, out=dbz_dy)
-        xp.subtract(dbx_dz, dbz_dx, out=dbx_dz)
-        xp.subtract(dby_dx, dbx_dy, out=dby_dx)
+        np.subtract(dbz_dy, dby_dz, out=dbz_dy)
+        np.subtract(dbx_dz, dbz_dx, out=dbx_dz)
+        np.subtract(dby_dx, dbx_dy, out=dby_dx)
         for leased in (dby_dz, dbz_dx, dbx_dy):
             scratch_arrays.release(leased)
         return dbz_dy, dbx_dz, dby_dx
@@ -167,17 +163,15 @@ class FDTDSolver:
     # ------------------------------------------------------------------
     def push_b(self, dt: float) -> None:
         """Advance B by ``dt`` using Faraday's law (dB/dt = -curl E)."""
-        xp = active_backend().xp
         cx, cy, cz = self._curl_e()
         g = self.grid
         for curl, target in ((cx, g.bx), (cy, g.by), (cz, g.bz)):
-            xp.multiply(curl, dt, out=curl)
-            xp.subtract(target, curl, out=target)
+            np.multiply(curl, dt, out=curl)
+            np.subtract(target, curl, out=target)
             scratch_arrays.release(curl)
 
     def push_e(self, dt: float) -> None:
         """Advance E by ``dt`` using Ampere's law with the deposited current."""
-        xp = active_backend().xp
         cx, cy, cz = self._curl_b()
         g = self.grid
         c2 = constants.C_LIGHT**2
@@ -186,11 +180,11 @@ class FDTDSolver:
         try:
             for curl, current, target in ((cx, g.jx, g.ex), (cy, g.jy, g.ey),
                                           (cz, g.jz, g.ez)):
-                xp.multiply(curl, c2, out=curl)
-                xp.multiply(current, inv_eps0, out=tmp)
-                xp.subtract(curl, tmp, out=curl)
-                xp.multiply(curl, dt, out=curl)
-                xp.add(target, curl, out=target)
+                np.multiply(curl, c2, out=curl)
+                np.multiply(current, inv_eps0, out=tmp)
+                np.subtract(curl, tmp, out=curl)
+                np.multiply(curl, dt, out=curl)
+                np.add(target, curl, out=target)
                 scratch_arrays.release(curl)
         finally:
             scratch_arrays.release(tmp)

@@ -26,7 +26,6 @@ from typing import (
 
 import numpy as np
 
-from repro.backend import active_backend
 from repro.config import GridConfig, SpeciesConfig
 from repro.exec import TileExecutor, map_shards
 from repro.pic.grid import Grid
@@ -67,15 +66,14 @@ class ParticleTile:
         self.cell_lo = tuple(int(v) for v in cell_lo)
         #: exclusive upper cell index of the tile box, per axis
         self.cell_hi = tuple(int(v) for v in cell_hi)
-        backend = active_backend()
-        self.x = backend.empty((0,))
-        self.y = backend.empty((0,))
-        self.z = backend.empty((0,))
-        self.ux = backend.empty((0,))
-        self.uy = backend.empty((0,))
-        self.uz = backend.empty((0,))
-        self.w = backend.empty((0,))
-        self.ids = backend.empty((0,), dtype=backend.index_dtype)
+        self.x = np.empty((0,))
+        self.y = np.empty((0,))
+        self.z = np.empty((0,))
+        self.ux = np.empty((0,))
+        self.uy = np.empty((0,))
+        self.uz = np.empty((0,))
+        self.w = np.empty((0,))
+        self.ids = np.empty((0,), dtype=np.int64)
         #: slot used by repro.core to attach the tile's GPMA sorter
         self.sorter = None
 
@@ -109,21 +107,20 @@ class ParticleTile:
         Missing momentum/weight arrays default to zero / one.  ``ids`` may be
         omitted, in which case the caller is expected to re-id afterwards.
         """
-        backend = active_backend()
         n = len(np.asarray(arrays["x"]))
         for name in _SOA_FIELDS:
             if name in arrays:
                 new = np.asarray(arrays[name], dtype=np.float64)
             elif name == "w":
-                new = backend.xp.ones(n)
+                new = np.ones(n)
             else:
-                new = backend.zeros((n,))
+                new = np.zeros((n,))
             if new.shape[0] != n:
                 raise ValueError(
                     f"SoA field {name!r} has length {new.shape[0]}, expected {n}"
                 )
             setattr(self, name, np.concatenate([getattr(self, name), new]))
-        new_ids = np.asarray(arrays.get("ids", backend.xp.full(n, -1)),
+        new_ids = np.asarray(arrays.get("ids", np.full(n, -1)),
                              dtype=np.int64)
         self.ids = np.concatenate([self.ids, new_ids])
         self.sorter = None  # any attached GPMA is now stale
@@ -180,7 +177,7 @@ def _apply_tile_boundary(tile: ParticleTile, lo: np.ndarray, hi: np.ndarray,
                          extent: np.ndarray, periodic: Sequence[bool]) -> int:
     """Wrap/absorb one tile's particles in place; returns removed count."""
     coords = [tile.x, tile.y, tile.z]
-    absorb_mask = active_backend().zeros((tile.num_particles,), dtype=bool)
+    absorb_mask = np.zeros((tile.num_particles,), dtype=bool)
     for axis, arr in enumerate(coords):
         if periodic[axis]:
             arr[...] = lo[axis] + np.mod(arr - lo[axis], extent[axis])
@@ -301,14 +298,13 @@ class ParticleContainer:
             return
         y = np.asarray(y, dtype=np.float64)
         z = np.asarray(z, dtype=np.float64)
-        backend = active_backend()
-        ux = backend.zeros((n,)) if ux is None \
+        ux = np.zeros((n,)) if ux is None \
             else np.asarray(ux, dtype=np.float64)
-        uy = backend.zeros((n,)) if uy is None \
+        uy = np.zeros((n,)) if uy is None \
             else np.asarray(uy, dtype=np.float64)
-        uz = backend.zeros((n,)) if uz is None \
+        uz = np.zeros((n,)) if uz is None \
             else np.asarray(uz, dtype=np.float64)
-        w = backend.xp.ones(n) if w is None \
+        w = np.ones(n) if w is None \
             else np.asarray(w, dtype=np.float64)
         ids = np.arange(self._next_id, self._next_id + n, dtype=np.int64)
         self._next_id += n
@@ -393,7 +389,7 @@ class ParticleContainer:
         """Concatenate the SoA arrays of all tiles (diagnostics helper)."""
         parts = [tile.soa() for tile in self.tiles if tile.num_particles > 0]
         if not parts:
-            return {name: active_backend().empty((0,))
+            return {name: np.empty((0,))
                     for name in (*_SOA_FIELDS, "ids")}
         return {
             name: np.concatenate([p[name] for p in parts])

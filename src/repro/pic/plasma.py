@@ -21,7 +21,6 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from repro.backend import active_backend
 from repro.config import SpeciesConfig
 from repro.pic.grid import Grid
 from repro.pic.particles import ParticleContainer
@@ -107,7 +106,7 @@ def _load_cells(grid: Grid, container: ParticleContainer, species: SpeciesConfig
 
     cell_volume = float(np.prod(grid.cell_size))
     weight = species.density * cell_volume / n_per_cell
-    w = active_backend().xp.full(n, weight)
+    w = np.full(n, weight)
     if density_profile is not None:
         w = w * np.asarray(density_profile(z), dtype=np.float64)
 
@@ -117,7 +116,7 @@ def _load_cells(grid: Grid, container: ParticleContainer, species: SpeciesConfig
         uy = rng.normal(0.0, vth, n)
         uz = rng.normal(0.0, vth, n)
     else:
-        ux = uy = uz = active_backend().zeros((n,))
+        ux = uy = uz = np.zeros((n,))
 
     container.add_particles(grid, x=x, y=y, z=z, ux=ux, uy=uy, uz=uz, w=w)
     return n

@@ -12,7 +12,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import constants
-from repro.backend import active_backend
 from repro.exec import TileExecutor, map_shards
 from repro.pic.grid import (
     Grid,
@@ -31,7 +30,7 @@ from repro.pic.particles import (
 def lorentz_factor(ux: np.ndarray, uy: np.ndarray, uz: np.ndarray) -> np.ndarray:
     """Relativistic gamma for momenta expressed as ``u = gamma v`` [m/s]."""
     c2 = constants.C_LIGHT**2
-    return active_backend().xp.sqrt(1.0 + (ux**2 + uy**2 + uz**2) / c2)
+    return np.sqrt(1.0 + (ux**2 + uy**2 + uz**2) / c2)
 
 
 def velocities(ux: np.ndarray, uy: np.ndarray, uz: np.ndarray

@@ -95,7 +95,7 @@ class Simulation:
                  deposition: Optional[DepositionStrategy] = None,
                  load_plasma: bool = True):
         self.config = config
-        #: array backend + kernel tier resolved from ``config.backend``
+        #: kernel tier resolved from ``config.backend``
         #: (process-global: the stencil primitives dispatch through it)
         self.backend_selection = activate(config.backend)
         #: telemetry registry resolved from ``config.observe``

@@ -35,15 +35,14 @@ resolution (the historical formulation's fancy-index scatters shared this
 property, which a naive whole-grid ``bincount(minlength=grid)`` would
 lose on multi-tile domains).
 
-Backend dispatch
-----------------
+Kernel dispatch
+---------------
 The two inner primitives — the ``(n, support**3)`` id/weight *build* and
 the flattened scatter-add *accumulation* — dispatch through the kernel
 registry of :mod:`repro.backend` (``build_weights`` and ``scatter``), so
 a compiled tier replaces exactly those passes while the boundary
 handling (the wrapped/clamped segment application below) stays this
-module's shared NumPy code on every tier.  Bulk array math goes through
-the active :class:`~repro.backend.ArrayBackend` handle.
+module's shared NumPy code on every tier.
 
 Determinism contract
 --------------------
@@ -67,7 +66,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
-from repro.backend import Array, active_backend, active_kernels
+import numpy as np
+
+from repro.backend import Array, active_kernels
 from repro.pic.shapes import combined_weights, shape_factors
 
 __all__ = [
@@ -84,10 +85,9 @@ __all__ = [
 
 def wrap_axis_indices(idx: Array, n: int, periodic: bool) -> Array:
     """Wrap (periodic) or clamp (open boundary) node indices on one axis."""
-    xp = active_backend().xp
     if periodic:
-        return xp.mod(idx, n)
-    return xp.clip(idx, 0, n - 1)
+        return np.mod(idx, n)
+    return np.clip(idx, 0, n - 1)
 
 
 def flat_node_ids(shape: Tuple[int, int, int], periodic: Sequence[bool],
@@ -105,20 +105,18 @@ def flat_node_ids(shape: Tuple[int, int, int], periodic: Sequence[bool],
     (even far out-of-domain) base indices; the per-step hot paths use the
     bounding-box :class:`StencilOperator` fast path instead.
     """
-    backend = active_backend()
-    xp = backend.xp
     nx, ny, nz = shape
-    base_x = backend.asarray(base_x, dtype=backend.index_dtype)
+    base_x = np.asarray(base_x, dtype=np.int64)
     n = base_x.shape[0]
-    offsets = xp.arange(support, dtype=backend.index_dtype)
+    offsets = np.arange(support, dtype=np.int64)
     gx = wrap_axis_indices(base_x[:, None] + offsets, nx,
                            bool(periodic[0])) * (ny * nz)
     gy = wrap_axis_indices(
-        backend.asarray(base_y, dtype=backend.index_dtype)[:, None]
-        + offsets, ny, bool(periodic[1])) * nz
+        np.asarray(base_y, dtype=np.int64)[:, None] + offsets,
+        ny, bool(periodic[1])) * nz
     gz = wrap_axis_indices(
-        backend.asarray(base_z, dtype=backend.index_dtype)[:, None]
-        + offsets, nz, bool(periodic[2]))
+        np.asarray(base_z, dtype=np.int64)[:, None] + offsets,
+        nz, bool(periodic[2]))
     # staged like the weight tensor product: the small (n, S^2) xy plane
     # first, then one streaming pass over the full stencil
     plane = (gx[:, :, None] + gy[:, None, :]).reshape(n, support * support)
@@ -144,11 +142,9 @@ def cell_block_ids(cell_ids: Array, nodes_per_cell: int) -> Array:
     Row ``p`` addresses the ``nodes_per_cell`` consecutive entries of the
     block owned by ``cell_ids[p]`` — the rhocell accumulation pattern.
     """
-    backend = active_backend()
-    cell_ids = backend.asarray(cell_ids, dtype=backend.index_dtype)
+    cell_ids = np.asarray(cell_ids, dtype=np.int64)
     return (cell_ids[:, None] * nodes_per_cell
-            + backend.xp.arange(nodes_per_cell,
-                                dtype=backend.index_dtype)[None, :])
+            + np.arange(nodes_per_cell, dtype=np.int64)[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +153,8 @@ def cell_block_ids(cell_ids: Array, nodes_per_cell: int) -> Array:
 @lru_cache(maxsize=256)
 def _box_offsets(box_yz: Tuple[int, int], support: int) -> Array:
     """The constant ``(support**3,)`` row-major box offset vector, cached."""
-    backend = active_backend()
     dy, dz = box_yz
-    offs = backend.xp.arange(support, dtype=backend.index_dtype)
+    offs = np.arange(support, dtype=np.int64)
     flat = (offs[:, None, None] * dy + offs[None, :, None]) * dz \
         + offs[None, None, :]
     flat = flat.reshape(support**3)
@@ -317,12 +312,11 @@ class StencilOperator:
                    support: int, weights: Optional[Array] = None
                    ) -> "StencilOperator":
         """Build from per-axis base node indices (ids only by default)."""
-        backend = active_backend()
         shape = tuple(int(s) for s in shape)
         periodic = tuple(bool(p) for p in periodic)
-        base_x = backend.asarray(base_x, dtype=backend.index_dtype)
-        base_y = backend.asarray(base_y, dtype=backend.index_dtype)
-        base_z = backend.asarray(base_z, dtype=backend.index_dtype)
+        base_x = np.asarray(base_x, dtype=np.int64)
+        base_y = np.asarray(base_y, dtype=np.int64)
+        base_z = np.asarray(base_z, dtype=np.int64)
         geometry = box_geometry(shape, base_x, base_y, base_z, support)
         if geometry is None:
             ids = flat_node_ids(shape, periodic, base_x, base_y, base_z,
@@ -347,13 +341,12 @@ class StencilOperator:
         out-of-range fallback keeps the exact wrapped-space oracle
         formulation on every tier.
         """
-        backend = active_backend()
         shape = tuple(int(s) for s in shape)
         periodic = tuple(bool(p) for p in periodic)
         n, support = wx.shape
-        base_x = backend.asarray(base_x, dtype=backend.index_dtype)
-        base_y = backend.asarray(base_y, dtype=backend.index_dtype)
-        base_z = backend.asarray(base_z, dtype=backend.index_dtype)
+        base_x = np.asarray(base_x, dtype=np.int64)
+        base_y = np.asarray(base_y, dtype=np.int64)
+        base_z = np.asarray(base_z, dtype=np.int64)
         geometry = box_geometry(shape, base_x, base_y, base_z, support)
         if geometry is None:
             weights = combined_weights(wx, wy, wz).reshape(n, support**3)
@@ -483,15 +476,13 @@ class StencilOperator:
 
     def _extract_box(self, field: Array) -> Array:
         """The wrapped/clamped box view of a field, for the gather."""
-        backend = active_backend()
         idx = tuple(
             wrap_axis_indices(
-                self.box_lo[a] + backend.xp.arange(
-                    self.box_dims[a], dtype=backend.index_dtype),
+                self.box_lo[a] + np.arange(self.box_dims[a], dtype=np.int64),
                 self.shape[a], self.periodic[a])
             for a in range(3)
         )
-        return field[backend.xp.ix_(*idx)]
+        return field[np.ix_(*idx)]
 
     # ------------------------------------------------------------------
     # application
@@ -517,8 +508,7 @@ class StencilOperator:
             if amplitude is None:
                 contributions = self.weights
             else:
-                contributions = active_backend().asarray(
-                    amplitude)[:, None] * self.weights
+                contributions = np.asarray(amplitude)[:, None] * self.weights
             scatter_flat(self.flat_ids, contributions, out)
             return
         self._apply_box(self.scatter_box(amplitude), out)
@@ -533,12 +523,11 @@ class StencilOperator:
         loop, so every tier shares this one reduce (compiled tiers
         accelerate the id/weight build instead).
         """
-        xp = active_backend().xp
         if self.num_particles == 0:
-            return xp.empty(0)
+            return np.empty(0)
         source = (field if self.box_dims is None
                   else self._extract_box(field))
-        return xp.einsum("pn,pn->p", source.reshape(-1)[self.flat_ids],
+        return np.einsum("pn,pn->p", source.reshape(-1)[self.flat_ids],
                          self.weights)
 
     def gather_many(self, fields: Sequence[Array]) -> Tuple[Array, ...]:

@@ -37,6 +37,7 @@ from repro.analysis.campaign import ExperimentSpec, spec_for_workload
 from repro.ckpt.recordlog import RecordLog
 from repro.exec.pool import SupervisedPool
 from repro.obs.registry import Telemetry
+from repro.workloads import GRID_CHOICES, GRID_DEFAULTS, workload_for_family
 
 __all__ = [
     "Job",
@@ -70,19 +71,26 @@ REQUEST_KEYS = frozenset({
 })
 
 
-def _int_value(request: Mapping, key: str, default: int,
-               minimum: int = 0) -> int:
-    value = request.get(key, default)
+def _int_value(request: Mapping, key: str) -> int:
+    value = request.get(key, GRID_DEFAULTS[key])
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{key} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{key} must be >= {minimum}, got {value}")
+    if value < 0:
+        raise ValueError(f"{key} must be >= 0, got {value}")
     return value
 
 
-def _int_sequence(request: Mapping, key: str,
-                  default: List[int]) -> List[int]:
+def _choice(request: Mapping, key: str) -> Any:
+    default = GRID_DEFAULTS.get(key)
     value = request.get(key, default)
+    if value not in (default, *GRID_CHOICES[key]):
+        raise ValueError(
+            f"{key} must be one of {list(GRID_CHOICES[key])}, got {value!r}")
+    return value
+
+
+def _int_sequence(request: Mapping, key: str) -> List[int]:
+    value = request.get(key, GRID_DEFAULTS[key])
     if isinstance(value, int) and not isinstance(value, bool):
         value = [value]
     if (not isinstance(value, (list, tuple)) or not value
@@ -104,7 +112,6 @@ def expand_request(request: Mapping) -> List[ExperimentSpec]:
     PPC outside the paper's scan, ``shape_order`` on the lwfa workload.
     """
     from repro.baselines.configs import available_configurations
-    from repro.workloads import workload_for_family
 
     if not isinstance(request, Mapping):
         raise ValueError(
@@ -115,14 +122,9 @@ def expand_request(request: Mapping) -> List[ExperimentSpec]:
             f"unknown submission key(s) {unknown}; "
             f"valid keys: {sorted(REQUEST_KEYS)}")
 
-    workload_family = request.get("workload", "uniform")
-    if workload_family not in ("uniform", "lwfa"):
-        raise ValueError(
-            f"workload must be 'uniform' or 'lwfa', "
-            f"got {workload_family!r}")
-
+    workload_family = _choice(request, "workload")
     configurations = request.get(
-        "configurations", ["Baseline", "MatrixPIC (FullOpt)"])
+        "configurations", GRID_DEFAULTS["configurations"])
     if (not isinstance(configurations, (list, tuple)) or not configurations
             or any(not isinstance(name, str) for name in configurations)):
         raise ValueError(
@@ -135,22 +137,15 @@ def expand_request(request: Mapping) -> List[ExperimentSpec]:
             f"unknown configuration(s) {bad}; "
             f"valid names: {list(available_configurations())}")
 
-    ppc_scan = _int_sequence(request, "ppc", [8, 64])
-    steps = _int_value(request, "steps", 2)
-    warmup_steps = _int_value(request, "warmup_steps", 1)
-    seed = _int_value(request, "seed", 2026)
+    ppc_scan = _int_sequence(request, "ppc")
+    steps = _int_value(request, "steps")
+    warmup_steps = _int_value(request, "warmup_steps")
+    seed = _int_value(request, "seed")
     scramble = request.get("scramble", True)
     if not isinstance(scramble, bool):
         raise ValueError(f"scramble must be a boolean, got {scramble!r}")
-    kernel_tier = request.get("kernel_tier", "auto")
-    if kernel_tier not in ("auto", "oracle", "fused"):
-        raise ValueError(
-            f"kernel_tier must be 'auto', 'oracle' or 'fused', "
-            f"got {kernel_tier!r}")
-    shape_order = request.get("shape_order")
-    if shape_order is not None and shape_order not in (1, 2, 3):
-        raise ValueError(
-            f"shape_order must be 1, 2 or 3, got {shape_order!r}")
+    kernel_tier = _choice(request, "kernel_tier")
+    shape_order = _choice(request, "shape_order")
 
     workloads = [
         workload_for_family(

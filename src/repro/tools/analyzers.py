@@ -3,13 +3,10 @@
 Five analyzers enforce the repository's core contracts:
 
 ``backend-purity``
-    Hot-path modules (any package path containing ``pic``, ``domain``,
-    ``exec`` or ``backend``) may not allocate arrays or run heavy bulk
-    math through raw ``numpy`` — those calls must route through the
-    active array backend (``active_backend().zeros`` / the backend's
-    ``xp`` handle) so an accelerator backend can intercept them.
-    ``np.add.at`` is banned repo-wide (scatter-add goes through the
-    kernel registry, where the fused tier can replace it).
+    ``np.<ufunc>.at`` is banned repo-wide: scatter-add goes through the
+    kernel registry (:mod:`repro.backend`), where the fused tier can
+    replace it and the flat-index engine fixes the summation order.
+    All other bulk math and allocation is plain NumPy.
 
 ``determinism``
     Seeded ``numpy.random.Generator`` streams only — the legacy
@@ -60,7 +57,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.tools.lint import LintContext
 
 __all__ = [
-    "BANNED_BULK_CALLS",
     "HOT_PATH_PACKAGES",
     "check_api_surface",
     "check_backend_purity",
@@ -135,26 +131,7 @@ def _numpy_path(node: ast.AST, aliases: set,
 # backend-purity
 # ----------------------------------------------------------------------
 
-#: path components marking a module as hot-path (backend-mediated)
-HOT_PATH_PACKAGES = frozenset({"pic", "domain", "exec", "backend"})
-
-#: numpy calls banned on the hot path: array allocation plus the heavy
-#: bulk entry points.  Elementwise expression math (``a + b``,
-#: ``np.sqrt``) is deliberately NOT banned — with the numpy backend the
-#: ``xp`` handle *is* numpy, so only allocation and bulk kernels need to
-#: route through the backend for an accelerator tier to take over.
-BANNED_BULK_CALLS = frozenset({
-    "zeros", "empty", "ones", "full",
-    "zeros_like", "empty_like", "ones_like", "full_like",
-    "einsum", "bincount", "matmul", "dot",
-    "add", "subtract", "multiply", "divide",
-})
-
 RULE_BACKEND = "backend-purity"
-
-
-def is_hot_path(rel_path: str) -> bool:
-    return bool(HOT_PATH_PACKAGES.intersection(Path(rel_path).parts))
 
 
 def _backend_purity_file(sf: SourceFile) -> Iterable[Finding]:
@@ -163,33 +140,17 @@ def _backend_purity_file(sf: SourceFile) -> Iterable[Finding]:
     aliases, from_names = _numpy_aliases(sf.tree)
     if not aliases and not from_names:
         return
-    hot = is_hot_path(sf.rel_path)
     for node in ast.walk(sf.tree):
         if not isinstance(node, ast.Call):
             continue
         path = _numpy_path(node.func, aliases, from_names)
-        if path is None:
-            continue
-        if path.endswith(".at"):
+        if path is not None and path.endswith(".at"):
             finding = sf.finding(
                 RULE_BACKEND, node.lineno,
                 f"unbuffered numpy scatter `np.{path}` is banned repo-wide",
                 hint="route scatter-adds through the kernel registry "
                      "(active_kernels()) so the fused tier can replace "
                      "them",
-            )
-            if finding is not None:
-                yield finding
-            continue
-        if hot and path in BANNED_BULK_CALLS:
-            idiom = ("active_backend()." + path
-                     if path in ("zeros", "empty")
-                     else "active_backend().xp." + path)
-            finding = sf.finding(
-                RULE_BACKEND, node.lineno,
-                f"hot-path module calls `np.{path}` directly",
-                hint=f"allocate/compute through the array backend: "
-                     f"`{idiom}(...)`",
             )
             if finding is not None:
                 yield finding
@@ -207,6 +168,14 @@ def check_backend_purity(ctx: "LintContext") -> List[Finding]:
 # ----------------------------------------------------------------------
 
 RULE_DETERMINISM = "determinism"
+
+#: path components marking a module as hot-path (feeds FP accumulation)
+HOT_PATH_PACKAGES = frozenset({"pic", "domain", "exec", "backend"})
+
+
+def is_hot_path(rel_path: str) -> bool:
+    return bool(HOT_PATH_PACKAGES.intersection(Path(rel_path).parts))
+
 
 #: ``np.random.<name>`` attributes that are deterministic-by-seed and
 #: therefore allowed; everything else on the module touches the hidden

@@ -12,6 +12,7 @@
 
 from typing import Optional, Sequence, Tuple
 
+from repro.backend.base import KNOWN_TIER_REQUESTS, TIER_AUTO
 from repro.workloads.lwfa import LWFAWorkload
 from repro.workloads.nbody_pm import ParticleMeshGravity
 from repro.workloads.pme import PMEChargeAssignment
@@ -22,6 +23,8 @@ __all__ = [
     "LWFAWorkload",
     "ParticleMeshGravity",
     "PMEChargeAssignment",
+    "GRID_CHOICES",
+    "GRID_DEFAULTS",
     "workload_for_family",
 ]
 
@@ -33,11 +36,29 @@ _FAMILY_DEFAULTS = {
     "lwfa": {"n_cell": (8, 8, 32), "tile_size": (8, 8, 16)},
 }
 
+#: the campaign grid schema: the one statement of the defaults and
+#: enumerations that the argparse declarations of ``python -m repro
+#: campaign|run`` and ``repro.serve``'s ``expand_request`` both read
+GRID_DEFAULTS = {
+    "workload": "uniform",
+    "ppc": (8, 64),
+    "configurations": ("Baseline", "MatrixPIC (FullOpt)"),
+    "steps": 2,
+    "warmup_steps": 1,
+    "seed": 2026,
+    "kernel_tier": TIER_AUTO,
+}
+GRID_CHOICES = {
+    "workload": tuple(_FAMILY_DEFAULTS),
+    "shape_order": (1, 2, 3),
+    "kernel_tier": KNOWN_TIER_REQUESTS,
+}
+
 
 def workload_for_family(family: str, *, ppc: int, max_steps: int,
-                        seed: int = 2026,
+                        seed: int = GRID_DEFAULTS["seed"],
                         domains: Optional[Sequence[int]] = None,
-                        kernel_tier: str = "auto",
+                        kernel_tier: str = GRID_DEFAULTS["kernel_tier"],
                         n_cell: Optional[Sequence[int]] = None,
                         tile_size: Optional[Sequence[int]] = None,
                         shape_order: Optional[int] = None,
@@ -90,8 +111,11 @@ def _triple(value: Optional[Sequence[int]], default: Tuple[int, int, int],
             name: str) -> Tuple[int, int, int]:
     if value is None:
         return default
-    items = tuple(int(v) for v in value)
-    if len(items) != 3 or any(v <= 0 for v in items):
+    # exactly three positive ints: a string, a float or a bool that
+    # merely coerces would expand a typo into some other grid
+    if (not isinstance(value, (list, tuple)) or len(value) != 3
+            or any(isinstance(v, bool) or not isinstance(v, int) or v <= 0
+                   for v in value)):
         raise ValueError(
             f"{name} must be 3 positive integers, got {value!r}")
-    return items
+    return tuple(value)

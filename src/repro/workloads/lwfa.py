@@ -55,7 +55,7 @@ class LWFAWorkload:
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
     #: (px, py, pz) domain decomposition of the grid (:mod:`repro.domain`)
     domains: Tuple[int, int, int] = (1, 1, 1)
-    #: array backend and kernel tier (:mod:`repro.backend`)
+    #: kernel tier (:mod:`repro.backend`)
     backend: BackendConfig = field(default_factory=BackendConfig)
     #: tracing/metrics/health telemetry (:mod:`repro.obs`) — inert to
     #: results, excluded from campaign cache keys

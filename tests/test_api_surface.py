@@ -22,21 +22,16 @@ API_SURFACE = {
     "repro.backend": (
         "ActiveKernels",
         "Array",
-        "ArrayBackend",
         "BackendConfig",
         "BackendSelection",
         "KERNEL_NAMES",
         "KERNEL_TIER_ENV",
         "KernelRegistry",
         "KernelTier",
-        "NumpyBackend",
         "activate",
-        "active_backend",
         "active_kernels",
         "active_selection",
-        "array_backend_names",
         "kernel_registry",
-        "register_array_backend",
         "register_kernel_tier",
         "use_backend",
     ),

@@ -66,41 +66,6 @@ def rules_of(findings):
 # ----------------------------------------------------------------------
 
 class TestBackendPurity:
-    def test_flags_hot_path_allocation(self, tmp_path):
-        ctx = make_tree(tmp_path, {"pic/mod.py": """
-            import numpy as np
-
-            def make():
-                return np.zeros((4, 4))
-        """})
-        findings = check_backend_purity(ctx)
-        assert len(findings) == 1
-        assert findings[0].rule == "backend-purity"
-        assert findings[0].path == "pic/mod.py"
-        assert "np.zeros" in findings[0].message
-        assert "active_backend" in findings[0].hint
-
-    def test_near_miss_cold_path_allocation_passes(self, tmp_path):
-        # same call, but the module is not in a hot-path package
-        ctx = make_tree(tmp_path, {"analysis/mod.py": """
-            import numpy as np
-
-            def make():
-                return np.zeros((4, 4))
-        """})
-        assert check_backend_purity(ctx) == []
-
-    def test_near_miss_xp_handle_passes(self, tmp_path):
-        # the fix idiom itself must not be flagged
-        ctx = make_tree(tmp_path, {"pic/mod.py": """
-            from repro.backend import active_backend
-
-            def make(n):
-                backend = active_backend()
-                return backend.xp.ones(n), backend.zeros((n,))
-        """})
-        assert check_backend_purity(ctx) == []
-
     def test_add_at_banned_repo_wide(self, tmp_path):
         ctx = make_tree(tmp_path, {"analysis/mod.py": """
             import numpy as np
@@ -113,12 +78,15 @@ class TestBackendPurity:
         assert "add.at" in findings[0].message
 
     def test_detects_alias_and_from_imports(self, tmp_path):
+        # the ufunc's plain call and hot-path allocation are not findings
         ctx = make_tree(tmp_path, {"domain/mod.py": """
             import numpy as xyz
-            from numpy import einsum
+            from numpy import add, subtract
 
-            def f(a, b):
-                return xyz.empty(3), einsum("ij,j->i", a, b)
+            def f(acc, ids, vals):
+                xyz.add.at(acc, ids, vals)
+                subtract.at(acc, ids, vals)
+                return xyz.empty(3), add(vals, vals)
         """})
         assert len(check_backend_purity(ctx)) == 2
 
@@ -126,9 +94,9 @@ class TestBackendPurity:
         ctx = make_tree(tmp_path, {"pic/mod.py": """
             import numpy as np
 
-            def make():
-                # repro-lint: allow(backend-purity): bool mask, never on device
-                return np.zeros(4)
+            def scatter(acc, ids, vals):
+                # repro-lint: allow(backend-purity): oracle the engine is pinned against
+                np.add.at(acc, ids, vals)
         """})
         assert check_backend_purity(ctx) == []
         assert LintContext(tmp_path).structural_findings() == []
@@ -138,11 +106,11 @@ class TestBackendPurity:
             # repro-lint: allow-module(backend-purity): reference tier
             import numpy as np
 
-            def a():
-                return np.zeros(3)
+            def a(acc, ids, vals):
+                np.add.at(acc, ids, vals)
 
-            def b():
-                return np.empty(3)
+            def b(acc, ids, vals):
+                np.maximum.at(acc, ids, vals)
         """})
         assert check_backend_purity(ctx) == []
 
@@ -150,8 +118,8 @@ class TestBackendPurity:
         ctx = make_tree(tmp_path, {"pic/mod.py": """
             import numpy as np
 
-            def make():
-                return np.zeros(4)  # repro-lint: allow(backend-purity)
+            def scatter(acc, ids, vals):
+                np.add.at(acc, ids, vals)  # repro-lint: allow(backend-purity)
         """})
         structural = ctx.structural_findings()
         assert [f.rule for f in structural] == ["pragma"]
@@ -484,9 +452,9 @@ class TestDriver:
         make_tree(tmp_path, {"src/pic/mod.py": """
             import numpy as np
 
-            def f(values):
+            def f(acc, ids, values):
                 np.random.seed(0)
-                return np.zeros(3)
+                np.add.at(acc, ids, values)
         """})
         all_findings = run_lint(root=tmp_path,
                                 rules=["backend-purity", "determinism"])
@@ -503,8 +471,8 @@ class TestDriver:
         make_tree(tmp_path, {"src/pic/mod.py": """
             import numpy as np
 
-            def f():
-                return np.zeros(3)
+            def f(acc, ids, values):
+                np.add.at(acc, ids, values)
         """})
         findings = run_lint(root=tmp_path, rules=["backend-purity"])
         payload = json.loads(format_findings(findings, fmt="json"))
@@ -520,8 +488,8 @@ class TestDriver:
         make_tree(tmp_path, {"src/pic/mod.py": """
             import numpy as np
 
-            def f():
-                return np.zeros(3)
+            def f(acc, ids, values):
+                np.add.at(acc, ids, values)
         """})
         findings = run_lint(root=tmp_path, rules=["backend-purity"])
         table = format_findings(findings, fmt="table")
@@ -548,7 +516,7 @@ class TestCli:
     def test_findings_exit_nonzero(self, tmp_path):
         (tmp_path / "src" / "pic").mkdir(parents=True)
         (tmp_path / "src" / "pic" / "mod.py").write_text(
-            "import numpy as np\n\n\ndef f():\n    return np.zeros(3)\n")
+            "import numpy as np\n\n\ndef f(a, i, v):\n    np.add.at(a, i, v)\n")
         proc = self.run_cli("--root", str(tmp_path), "--rules",
                             "backend-purity")
         assert proc.returncode == 1

@@ -1,5 +1,6 @@
 """Structural guard: one pool supervisor, one record log, one tile
-fan-out rule — no re-growth.
+fan-out rule, one numerical extension point, one grid schema, one atomic
+writer — no re-growth.
 
 Pool supervision (anything that has to know ``BrokenProcessPool``) lives
 in ``repro/exec/pool.py``, record files (``write_snapshot`` with an
@@ -8,6 +9,11 @@ whether and how to shard per-tile work (``executor.partition``,
 ``is_trivial``, ``TileTask``, ``shares_memory``) in ``repro/exec/``.  A
 second implementation of any of them starts by naming one of those
 things, so naming them anywhere else under ``src/repro/`` fails here.
+
+Bulk math is plain NumPy (the kernel-tier registry is the only seam of
+the numerical layer), the campaign grid's defaults and enumerations are
+stated in ``repro.workloads`` only, and ``ckpt/format.py`` holds the one
+temp-file + ``os.replace`` sequence.
 """
 
 from __future__ import annotations
@@ -16,18 +22,26 @@ import ast
 import os
 
 import repro
+from repro import workloads
+from repro.cli import build_parser
+from repro.serve import expand_request
 
 SRC = os.path.dirname(os.path.abspath(repro.__file__))
 
 
-def source_trees():
+def source_texts():
     for directory, _subdirs, files in os.walk(SRC):
         for name in sorted(files):
             if name.endswith(".py"):
                 path = os.path.join(directory, name)
                 with open(path, "r", encoding="utf-8") as stream:
-                    tree = ast.parse(stream.read(), filename=path)
-                yield os.path.relpath(path, SRC).replace(os.sep, "/"), tree
+                    text = stream.read()
+                yield os.path.relpath(path, SRC).replace(os.sep, "/"), text
+
+
+def source_trees():
+    for path, text in source_texts():
+        yield path, ast.parse(text, filename=path)
 
 
 def name_of(node):
@@ -111,3 +125,60 @@ def test_only_the_reduce_helpers_and_the_pusher_ask_about_shared_memory():
         "pic/deposition/base.py::scratch_reduce",
         "pic/pusher.py::push",
     ]
+
+
+def test_the_array_backend_seam_is_gone():
+    # comments and docstrings included: nothing should teach the idiom
+    retired = ("ArrayBackend", "NumpyBackend", "active_backend",
+               "register_array_backend", "array_backend")
+    users = [(path, line.strip()) for path, text in source_texts()
+             for line in text.splitlines()
+             if any(name in line for name in retired)]
+    # the one survivor reads the key out of spec payloads journaled by
+    # builds that still had the seam
+    assert users == [("analysis/campaign.py",
+                      'legacy = value.pop("array_backend", "numpy")')]
+
+
+def test_only_the_snapshot_format_stages_and_renames_files():
+    def renames(tree):
+        return any(isinstance(node, ast.Attribute) and node.attr == "replace"
+                   and name_of(node.value) == "os" for node in ast.walk(tree))
+
+    assert sorted(path for path, tree in source_trees()
+                  if "mkstemp" in names_in(tree)) == ["ckpt/format.py"]
+    assert sorted(path for path, tree in source_trees()
+                  if renames(tree)) == ["ckpt/format.py"]
+
+
+def test_cli_and_service_read_grid_defaults_from_the_one_schema(monkeypatch):
+    patched = {"workload": "lwfa", "ppc": (8,),
+               "configurations": ("Baseline",), "steps": 3,
+               "warmup_steps": 0, "seed": 7, "kernel_tier": "oracle"}
+    assert set(patched) == set(workloads.GRID_DEFAULTS)
+    for key, value in patched.items():
+        monkeypatch.setitem(workloads.GRID_DEFAULTS, key, value)
+    args = vars(build_parser().parse_args(["campaign"]))
+    assert {key: args[key] for key in patched} == {
+        key: list(value) if isinstance(value, tuple) else value
+        for key, value in patched.items()}
+    args = vars(build_parser().parse_args(["run"]))
+    assert all(args[key] == patched[key]
+               for key in ("workload", "seed", "kernel_tier"))
+    (spec,) = expand_request({})
+    assert (spec.workload_kind, spec.workload_params["ppc"],
+            spec.configuration, spec.steps, spec.warmup_steps,
+            spec.workload_params["seed"],
+            spec.workload_params["backend"]["kernel_tier"]) \
+        == ("lwfa", 8, "Baseline", 3, 0, 7, "oracle")
+
+
+def test_grid_enumerations_are_not_restated_beside_the_schema():
+    restated = [tuple(choices) for choices in workloads.GRID_CHOICES.values()]
+    for path, tree in source_trees():
+        if path in ("cli.py", "serve/queue.py"):
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Tuple, ast.List)) and all(
+                        isinstance(item, ast.Constant) for item in node.elts):
+                    literal = tuple(item.value for item in node.elts)
+                    assert literal not in restated, (path, node.lineno)

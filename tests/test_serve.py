@@ -233,6 +233,17 @@ class TestExpandRequest:
         with pytest.raises(ValueError):
             expand_request([1, 2])
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_cell", 5),                 # was a TypeError, i.e. an HTTP 500
+        ("n_cell", [8, 8, None]),      # likewise
+        ("n_cell", "888"),             # was coerced to (8, 8, 8)
+        ("domains", [2.7, 1, 1]),      # was coerced to (2, 1, 1)
+        ("tile_size", [True, 8, 8]),   # was coerced to (1, 8, 8)
+    ])
+    def test_grid_triples_are_validated_not_coerced(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            expand_request({**GRID, key: value})
+
 
 # ----------------------------------------------------------------------
 # Dedup primitives
@@ -671,6 +682,9 @@ class TestHttpServer:
             assert status == 400 and "tenant" in body["error"]
             status, body = await http_json(port, "POST", "/v1/jobs", [1])
             assert status == 400
+            status, body = await http_json(
+                port, "POST", "/v1/jobs", dict(GRID, n_cell=5))
+            assert status == 400 and "n_cell" in body["error"]
             return None
 
         self.serve(tmp_path, scenario)
