@@ -93,9 +93,9 @@ class KillSwitch:
 
 
 def chaos_shard_task(marker_path: str, payload: Any) -> Any:
-    """Executor task that dies once (via ``marker_path``) then echoes.
+    """Pool task that dies once (via ``marker_path``) then echoes.
 
-    Module-level so the process-shard executor can pickle it; the first
+    Module-level so the worker pool can pickle it; the first
     worker to claim the armed marker is SIGKILLed mid-task, every retry
     returns ``payload`` unchanged.
     """

@@ -38,6 +38,7 @@ from repro.analysis.cache import (
     default_cache_dir,
 )
 from repro.ckpt.store import CKPT_DIR_ENV, DEFAULT_CHECKPOINT_DIR
+from repro.exec import SUPPORTED_BACKENDS
 from repro.workloads import GRID_CHOICES, GRID_DEFAULTS, workload_for_family
 
 
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="particles per cell (default: 8)")
     run.add_argument("--steps", type=_nonnegative_int, default=5,
                      help="steps to run (default: 5)")
-    run.add_argument("--backend", choices=("serial", "threads", "processes"),
+    run.add_argument("--backend", choices=SUPPORTED_BACKENDS,
                      default="serial",
                      help="tile execution backend (default: serial)")
     run.add_argument("--shards", type=_positive_int, default=1,

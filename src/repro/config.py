@@ -230,13 +230,17 @@ class ExecutionConfig:
     Parameters
     ----------
     backend:
-        ``"serial"`` (reference, default), ``"threads"`` (shared-memory
-        thread pool) or ``"processes"`` (chunked process shards).
+        ``"serial"`` (reference, default) or ``"threads"`` (thread
+        pool).  Per-tile work always runs in the caller's address space;
+        the ``"processes"`` backend of earlier builds is rejected.
     num_shards:
         Number of contiguous tile shards each per-tile stage is split
-        into; also the worker count of the concurrent backends.  All
-        backends produce bitwise-identical results for the same shard
-        count (see the determinism contract in :mod:`repro.exec.base`).
+        into; also the worker count of the threaded backend.  A positive
+        ``int``, validated rather than coerced: the shard count fixes the
+        deposition reduction tree and is part of the checkpoint
+        fingerprint.  Both backends produce bitwise-identical results
+        for the same shard count (see the determinism contract in
+        :mod:`repro.exec.base`).
 
     The executor this selects travels inside the step pipeline's stage
     context (:class:`repro.pipeline.StageContext`): the executor-sharded
@@ -249,15 +253,17 @@ class ExecutionConfig:
 
     def __post_init__(self) -> None:
         if self.backend not in EXECUTION_BACKENDS:
+            hint = ("; 'threads' at the same num_shards is bitwise-identical"
+                    if self.backend == "processes" else "")
             raise ValueError(
                 f"backend must be one of {EXECUTION_BACKENDS}, "
-                f"got {self.backend!r}"
+                f"got {self.backend!r}{hint}"
             )
-        if int(self.num_shards) <= 0:
+        if type(self.num_shards) is not int or self.num_shards <= 0:
             raise ValueError(
-                f"num_shards must be positive, got {self.num_shards}"
+                f"num_shards must be a positive int, "
+                f"got {self.num_shards!r}"
             )
-        object.__setattr__(self, "num_shards", int(self.num_shards))
 
 
 @dataclass(frozen=True)

@@ -119,12 +119,11 @@ class MatrixPICDeposition:
         """Sort (as configured) and deposit one species for one step.
 
         The per-tile sort + deposit work is sharded by
-        :func:`~repro.pic.deposition.base.scratch_reduce` as a ``local``
-        stage — the incremental sorter mutates tile-attached GPMA state
-        that cannot cross a process boundary, so every backend runs the
-        same shard tasks in this process — and the per-shard counters and
-        sort statistics merge in shard order: the deposited current is
-        bitwise identical across backends at the same shard count.  The
+        :func:`~repro.pic.deposition.base.scratch_reduce` — the
+        incremental sorter mutates the GPMA state attached to each tile
+        in place — and the per-shard counters and sort statistics merge
+        in shard order: the deposited current is bitwise identical
+        across backends at the same shard count.  The
         adaptive global re-sorting policy always evaluates serially on the
         merged statistics.
         """
@@ -132,8 +131,7 @@ class MatrixPICDeposition:
         step_stats = StepSortStats()
         for shard_counters, shard_stats, fallback in scratch_reduce(
                 executor, grid, container.nonempty_tiles(),
-                _sort_and_deposit_tiles, self, container.charge, order,
-                local=True):
+                _sort_and_deposit_tiles, self, container.charge, order):
             counters.merge(shard_counters)
             step_stats.merge(shard_stats)
             self.fallback_tiles += fallback

@@ -195,10 +195,10 @@ class Decomposition:
 
     def windows(self) -> Tuple[Tuple[Tuple[int, int, int],
                                      Tuple[int, int, int]], ...]:
-        """Picklable ``(window_lo, window_dims)`` geometry of every block.
+        """``(window_lo, window_dims)`` geometry of every block.
 
-        This lightweight tuple is what crosses the process boundary for
-        the deposition shard tasks — the slabs themselves never do.
+        What the deposition shard tasks see of a subdomain: they
+        accumulate into window-shaped scratch, never into the slabs.
         """
         return tuple(
             (sub.cell_lo, sub.interior_shape) for sub in self.subdomains

@@ -42,12 +42,6 @@ a fixed executor shard count, for every ``(px, py, pz)``:
   halo-padded slabs whose ghost layers wrap periodically on every axis,
   exactly like the global solver's ``np.roll`` differences; only
   interior cells are retained.
-
-The process backend is supported for deposition (window accumulators
-pickle back); the in-place gather/push and solver stages are ``local``
-(:func:`repro.exec.map_shards`), so under the process backend their shard
-tasks run in this process — per-tile results are partition independent
-anyway.
 """
 
 from __future__ import annotations
@@ -61,20 +55,9 @@ from repro.domain.halo import EM_FIELDS, HaloExchange
 from repro.domain.migration import MigrationStats
 from repro.exec import map_shards, run_shards, shard_items
 from repro.pic.deposition.base import prepare_tile_data
-from repro.pic.grid import (
-    Grid,
-    apply_grid_geometry,
-    grid_geometry,
-    scratch_arrays,
-    scratch_grids,
-)
+from repro.pic.grid import Grid, scratch_arrays
 from repro.pic.maxwell import FDTDSolver
-from repro.pic.particles import (
-    ParticleContainer,
-    ParticleTile,
-    tile_from_payload,
-    tile_payload,
-)
+from repro.pic.particles import ParticleContainer, ParticleTile
 from repro.pic.pusher import push_tile
 from repro.pic.shapes import shape_factors
 from repro.pic.stencil import StencilOperator
@@ -129,17 +112,20 @@ def _domain_push_shard(entries: Sequence[Tuple], frame: Grid, charge: float,
         push_tile(tile, fields, charge, mass, dt)
 
 
-def _deposit_window_tiles(outs: Sequence[Tuple[np.ndarray, ...]],
-                          windows: Tuple, tiles: Sequence[ParticleTile],
-                          frame: Grid, charge: float, order: int, rho: bool
-                          ) -> None:
-    """Add every tile's stencil box to the windows it overlaps.
+def _window_shard(shard: Tuple, windows: Tuple, frame: Grid, charge: float,
+                  order: int, rho: bool) -> None:
+    """Executor task: add every tile's stencil box to the windows it overlaps.
 
-    The one per-tile body of the decomposed deposition: ``outs[d]`` holds
-    one accumulator per amplitude for subdomain window ``windows[d]`` —
-    the three current components, or the single charge density when
-    ``rho``.
+    The one per-tile body of the decomposed deposition.  ``shard`` is
+    ``(tiles, outs)``: ``outs[d]`` holds one accumulator per amplitude
+    for subdomain window ``windows[d]`` — the three current components,
+    or the single charge density when ``rho`` — and is either the slab
+    interiors themselves (one shard) or zeroed window scratch the caller
+    leases and merges in shard order.  ``frame`` is read for its live
+    geometry only — the same convention as the global shard tasks, so
+    the staged shape factors are bit-identical at any shard count.
     """
+    tiles, outs = shard
     cell_volume = float(np.prod(frame.cell_size))
     for tile in tiles:
         if rho:
@@ -154,38 +140,6 @@ def _deposit_window_tiles(outs: Sequence[Tuple[np.ndarray, ...]],
             box = stencil.scatter_box(amplitude)
             for (w_lo, _), out in zip(windows, outs):
                 stencil.add_box_to_window(box, w_lo, out[comp])
-
-
-def _window_shard(shard: Tuple, frame_config, geometry: Tuple,
-                  windows: Tuple, charge: float, order: int, rho: bool
-                  ) -> List[Tuple[np.ndarray, ...]]:
-    """Executor task: deposit one shard into per-window scratch.
-
-    ``shard`` is ``(tiles, outs)``; ``windows`` the picklable
-    ``(window_lo, window_dims)`` geometry of every subdomain.
-    Shared-memory callers lease the window accumulators and release them
-    after the merge; a worker process receives ``(payloads, None)`` and
-    allocates fresh zeroed arrays that cross the pickle boundary.
-
-    Geometry comes from a pooled grid built from ``frame_config`` with
-    the live ``(lo, hi)`` snapshot imposed — the same convention as the
-    global shard tasks, so the staged shape factors are bit-identical at
-    any shard count.  The grid is a geometry carrier only (its dense
-    arrays are never touched), so the lease skips the accumulator zeroing.
-    """
-    tiles, outs = shard
-    frame = apply_grid_geometry(
-        scratch_grids.acquire(frame_config, zero=False), geometry)
-    try:
-        if outs is None:
-            outs = [tuple(np.zeros(dims) for _ in range(1 if rho else 3))
-                    for _, dims in windows]
-            tiles = [tile_from_payload(payload) for payload in tiles]
-        _deposit_window_tiles(outs, windows, tiles, frame, charge, order,
-                              rho)
-        return outs
-    finally:
-        scratch_grids.release(frame)
 
 
 def _solver_stage_shard(solvers: Sequence[FDTDSolver], method: str,
@@ -234,7 +188,7 @@ class DomainRuntime:
 
         The per-tile push has no cross-tile accumulation, so it is
         bitwise independent of the shard partition; tiles mutate in
-        place, so it is a ``local`` stage.
+        place.
         """
         decomp = self.decomposition
         entries = [
@@ -245,7 +199,7 @@ class DomainRuntime:
         ]
         map_shards(simulation.executor, _domain_push_shard, entries,
                    simulation.grid, container.charge, container.mass,
-                   simulation.dt, simulation.config.shape_order, local=True)
+                   simulation.dt, simulation.config.shape_order)
 
     # ------------------------------------------------------------------
     # stage 3: deposition with ghost/seam reduction
@@ -283,28 +237,21 @@ class DomainRuntime:
                        for name in names) for sub in self.subdomains]
         shards = shard_items(executor, container.nonempty_tiles())
         if len(shards) == 1:
-            _deposit_window_tiles(views, self._windows, shards[0], frame,
-                                  *args)
+            _window_shard((shards[0], views), self._windows, frame, *args)
             return
-        if executor.shares_memory:
-            leases = [[tuple(scratch_arrays.acquire(dims, zero=True)
-                             for _ in names) for _, dims in self._windows]
-                      for _ in shards]
-        else:
-            leases = [None] * len(shards)
-            shards = [tuple(tile_payload(tile) for tile in shard)
-                      for shard in shards]
+        leases = [[tuple(scratch_arrays.acquire(dims, zero=True)
+                         for _ in names) for _, dims in self._windows]
+                  for _ in shards]
         try:
-            for outs in run_shards(executor, _window_shard,
-                                   list(zip(shards, leases)), frame.config,
-                                   grid_geometry(frame), self._windows,
-                                   *args):
+            run_shards(executor, _window_shard, list(zip(shards, leases)),
+                       self._windows, frame, *args)
+            for outs in leases:
                 for out, view in zip(outs, views):
                     for out_array, view_array in zip(out, view):
                         view_array += out_array
         finally:
             for lease in leases:
-                for out in lease or ():
+                for out in lease:
                     for out_array in out:
                         scratch_arrays.release(out_array)
 
@@ -376,7 +323,7 @@ class DomainRuntime:
     def _run_solver_stage(self, simulation: "Simulation", method: str,
                           dt: float) -> None:
         map_shards(simulation.executor, _solver_stage_shard, self.solvers,
-                   method, dt, local=True)
+                   method, dt)
 
     def apply_boundaries(self, simulation: "Simulation") -> None:
         """PEC/absorbing boundaries on the subdomains touching the edge."""

@@ -11,18 +11,18 @@ contiguous *shard* of tiles — and hands them to a :class:`TileExecutor`:
     A shared :class:`~concurrent.futures.ThreadPoolExecutor`; NumPy's GIL
     release inside large ufunc loops overlaps shard arithmetic on
     multi-core machines.
-``processes``
-    A chunked process-shard pool for interpreter-bound stages; tasks
-    carry picklable payloads and return their scratch buffers.
 
-Worker *processes* are supervised in exactly one place,
+Per-tile work stays in the caller's address space (the paper's execution
+model is shared-memory many-core: tile-local accumulators and a sorter
+attached to the tile).  Worker *processes* are for coarse work — whole
+campaign cells and served jobs — and are supervised in exactly one place,
 :class:`repro.exec.pool.SupervisedPool` — lazy fork-preferring pool,
 dead-worker recovery (re-run off-pool once, rebuild once, then degrade),
-one ``factory`` seam for fault injection.  The ``processes`` backend,
+one ``factory`` seam for fault injection.
 :class:`repro.analysis.campaign.Campaign` and the ``repro.serve`` worker
-pool are all thin callers of it.
+pool are its two thin callers.
 
-All backends obey the determinism contract of :mod:`repro.exec.base`:
+Both backends obey the determinism contract of :mod:`repro.exec.base`:
 fixed contiguous partition, private per-shard scratch state, serial merge
 in shard order — so for a given shard count the deposited currents and
 merged :class:`~repro.hardware.counters.KernelCounters` are bitwise
@@ -35,7 +35,6 @@ stage runs.
 """
 
 from repro.exec.base import (
-    BACKEND_PROCESSES,
     BACKEND_SERIAL,
     BACKEND_THREADS,
     SUPPORTED_BACKENDS,
@@ -49,12 +48,10 @@ from repro.exec.base import (
 )
 from repro.exec.factory import create_executor
 from repro.exec.pool import SupervisedPool
-from repro.exec.process import ProcessShardExecutor
 from repro.exec.serial import SerialExecutor
 from repro.exec.threaded import ThreadTileExecutor
 
 __all__ = [
-    "BACKEND_PROCESSES",
     "BACKEND_SERIAL",
     "BACKEND_THREADS",
     "SUPPORTED_BACKENDS",
@@ -66,7 +63,6 @@ __all__ = [
     "run_shards",
     "shard_items",
     "create_executor",
-    "ProcessShardExecutor",
     "SerialExecutor",
     "SupervisedPool",
     "ThreadTileExecutor",

@@ -27,8 +27,9 @@ enforces:
 
 Because scratch buffers start from zero and the merge order is fixed, the
 floating-point reduction tree is a pure function of the shard partition —
-the serial, threaded and process backends are bitwise identical for the
-same shard count.
+the serial and threaded backends are bitwise identical for the same shard
+count.  Both run their tasks in the caller's address space: a shard body
+mutates its own tiles in place and reads the caller's grid directly.
 """
 
 from __future__ import annotations
@@ -42,18 +43,17 @@ T = TypeVar("T")
 #: Backend names accepted by :class:`repro.config.ExecutionConfig`.
 BACKEND_SERIAL = "serial"
 BACKEND_THREADS = "threads"
-BACKEND_PROCESSES = "processes"
-SUPPORTED_BACKENDS = (BACKEND_SERIAL, BACKEND_THREADS, BACKEND_PROCESSES)
+SUPPORTED_BACKENDS = (BACKEND_SERIAL, BACKEND_THREADS)
 
 
 @dataclass(frozen=True)
 class TileTask:
     """One unit of executor work: a function applied to a shard.
 
-    ``fn`` must be a module-level function (process backends pickle it) and
-    ``args`` its positional payload.  Backends that share the caller's
-    address space simply invoke the task; the process backend ships
-    ``(fn, args)`` to a worker and returns the pickled result.
+    ``args`` is the positional payload of ``fn``.  Tile executors simply
+    invoke the task; :class:`repro.exec.pool.SupervisedPool` ships
+    ``(fn, args)`` to a worker process, which needs a module-level ``fn``
+    and a picklable payload and result.
     """
 
     fn: Callable[..., Any]
@@ -113,16 +113,9 @@ class TileExecutor(abc.ABC):
         Target number of shards callers should partition into.  This is a
         scheduling hint, not a hard cap — callers may submit fewer tasks
         when a container has fewer non-empty tiles.
-    shares_memory:
-        True when tasks run in the caller's address space, i.e. in-place
-        mutation of tiles is visible to the caller.  The process backend is
-        the only one for which this is False; :func:`run_shards` runs the
-        tasks of a ``local`` stage (one that mutates caller-owned state)
-        in the calling process when it is unset.
     """
 
     name: str = "abstract"
-    shares_memory: bool = True
 
     def __init__(self, num_shards: int = 1):
         if num_shards <= 0:
@@ -148,8 +141,8 @@ class TileExecutor(abc.ABC):
     def is_trivial(self) -> bool:
         """True when the executor cannot outrun the plain serial loop.
 
-        Keyed on the shard count alone — a single-shard thread or process
-        pool gains nothing either — so that *every* backend takes the same
+        Keyed on the shard count alone — a single-shard thread pool gains
+        nothing either — so that *every* backend takes the same
         (inline) code path at one shard.  Deciding this per backend would
         break the cross-backend bitwise contract: the inline loop deposits
         straight into the possibly non-zero grid, the sharded path
@@ -182,32 +175,22 @@ def shard_items(executor: Optional[TileExecutor], items: Sequence[T]
 
 
 def run_shards(executor: Optional[TileExecutor], fn: Callable[..., Any],
-               shards: Sequence[Any], *args: Any, local: bool = False
-               ) -> List[Any]:
+               shards: Sequence[Any], *args: Any) -> List[Any]:
     """``fn(shard, *args)`` for every shard; results in shard order.
 
     A single shard is one inline call on the caller's thread.  Several
-    shards become one :class:`TileTask` each, run by the executor — unless
-    the work is ``local`` (it mutates or aliases caller-owned state: tile
-    SoA arrays, tile-attached sorters, leased scratch) and the backend
-    does not share memory, in which case the *same* tasks run one after
-    another in this process.  ``fn`` must be a module-level function.
+    shards become one :class:`TileTask` each, run by the executor.
     """
     if len(shards) == 1:
         return [fn(shards[0], *args)]
-    tasks = [TileTask(fn, (shard, *args)) for shard in shards]
-    if local and not executor.shares_memory:
-        return [task() for task in tasks]
-    return executor.run(tasks)
+    return executor.run([TileTask(fn, (shard, *args)) for shard in shards])
 
 
 def map_shards(executor: Optional[TileExecutor], fn: Callable[..., Any],
-               items: Sequence[T], *args: Any, local: bool = False
-               ) -> List[Any]:
+               items: Sequence[T], *args: Any) -> List[Any]:
     """Fan ``fn(shard_of_items, *args)`` out over the executor's shards.
 
     :func:`shard_items` then :func:`run_shards`: the single rule every
     per-tile stage follows.
     """
-    return run_shards(executor, fn, shard_items(executor, items), *args,
-                      local=local)
+    return run_shards(executor, fn, shard_items(executor, items), *args)

@@ -5,12 +5,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.exec.base import (
-    BACKEND_PROCESSES,
     BACKEND_SERIAL,
     BACKEND_THREADS,
     TileExecutor,
 )
-from repro.exec.process import ProcessShardExecutor
 from repro.exec.serial import SerialExecutor
 from repro.exec.threaded import ThreadTileExecutor
 
@@ -20,7 +18,6 @@ if TYPE_CHECKING:  # pragma: no cover
 _BACKENDS = {
     BACKEND_SERIAL: SerialExecutor,
     BACKEND_THREADS: ThreadTileExecutor,
-    BACKEND_PROCESSES: ProcessShardExecutor,
 }
 
 

@@ -1,8 +1,8 @@
 """The one supervised worker pool: lazy fork, rebuild once, then degrade.
 
-Every place that ships work to worker processes — the ``processes``
-tile executor, :class:`repro.analysis.campaign.Campaign` and the
-``repro.serve`` :class:`~repro.serve.queue.WorkerPool` — goes through
+Both places that ship work to worker processes —
+:class:`repro.analysis.campaign.Campaign` and the ``repro.serve``
+:class:`~repro.serve.queue.WorkerPool` — go through
 :class:`SupervisedPool`, so recovery from a dead worker is one state
 machine with one fault-injection seam (``factory``):
 

@@ -18,7 +18,6 @@ class SerialExecutor(TileExecutor):
     """Run tile tasks one after another in the calling thread."""
 
     name = BACKEND_SERIAL
-    shares_memory = True
 
     def run(self, tasks: Sequence[TileTask]) -> List[Any]:
         return [task() for task in tasks]

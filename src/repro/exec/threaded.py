@@ -26,7 +26,6 @@ class ThreadTileExecutor(TileExecutor):
     """Run each tile task on a worker thread, preserving task order."""
 
     name = BACKEND_THREADS
-    shares_memory = True
 
     def __init__(self, num_shards: int = 2):
         super().__init__(num_shards)

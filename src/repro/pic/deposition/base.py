@@ -28,12 +28,7 @@ from repro.pic.grid import (
     grid_geometry,
     scratch_grids,
 )
-from repro.pic.particles import (
-    ParticleContainer,
-    ParticleTile,
-    tile_from_payload,
-    tile_payload,
-)
+from repro.pic.particles import ParticleContainer, ParticleTile
 from repro.pic.pusher import velocities
 from repro.pic.shapes import shape_factors, shape_support
 from repro.pic.stencil import (
@@ -262,23 +257,18 @@ def scatter_tile_currents(grid: Grid, data: TileDepositionData) -> None:
     stencil.scatter(data.wqz, jz)
 
 
-def _scratch_shard(shard: Tuple, body, args: Tuple, grid_config,
-                   geometry: Tuple, arrays: Tuple[str, ...]) -> Tuple:
+def _scratch_shard(shard: Tuple, body, args: Tuple, geometry: Tuple,
+                   arrays: Tuple[str, ...]) -> Tuple:
     """Executor task: run ``body`` over one shard into private scratch.
 
-    ``shard`` is ``(tiles, scratch)``.  In-process callers lease
-    ``scratch`` and release it after the merge (the return value aliases
-    its arrays, so the task itself must not release); a worker process
-    receives ``(payloads, None)`` and builds a fresh grid — its arrays
-    cross the pickle boundary as copies anyway.  The scratch always takes
-    the caller grid's *live* ``(lo, hi)``: the moving window advances them
+    ``shard`` is ``(tiles, scratch)``.  The caller leases ``scratch`` and
+    releases it after the merge (the return value aliases its arrays, so
+    the task itself must not release).  The scratch always takes the
+    caller grid's *live* ``(lo, hi)``: the moving window advances them
     past the static ``GridConfig`` values, and staging positions against
     a stale origin would normalise the particles into the wrong cells.
     """
     tiles, scratch = shard
-    if scratch is None:
-        scratch = Grid(grid_config)
-        tiles = [tile_from_payload(payload) for payload in tiles]
     apply_grid_geometry(scratch, geometry)
     value = body(scratch, tiles, *args)
     return tuple(getattr(scratch, name) for name in arrays), value
@@ -286,8 +276,7 @@ def _scratch_shard(shard: Tuple, body, args: Tuple, grid_config,
 
 def scratch_reduce(executor: Optional[TileExecutor], grid: Grid,
                    tiles: Sequence[ParticleTile], body, *args,
-                   arrays: Tuple[str, ...] = ("jx", "jy", "jz"),
-                   local: bool = False) -> List:
+                   arrays: Tuple[str, ...] = ("jx", "jy", "jz")) -> List:
     """Accumulate ``body(target, tiles, *args)`` over shards into ``grid``.
 
     The grid half of the :mod:`repro.exec.base` contract.  At one shard
@@ -295,26 +284,15 @@ def scratch_reduce(executor: Optional[TileExecutor], grid: Grid,
     otherwise every shard gets a zeroed scratch grid with the live
     geometry as ``target``, and the scratch ``arrays`` are added to the
     grid in shard order.  Returns the body's return values in shard order.
-
-    ``body`` is a module-level function.  ``local`` marks bodies that
-    mutate caller-owned state (tile-attached sorters): they run in this
-    process on every backend.  Otherwise a backend without shared memory
-    receives tile payloads and returns its scratch arrays by value.
     """
     shards = shard_items(executor, tiles)
     if len(shards) == 1:
         return [body(grid, tiles, *args)]
-    if local or executor.shares_memory:
-        scratches = [scratch_grids.acquire(grid.config) for _ in shards]
-    else:
-        scratches = [None] * len(shards)
-        shards = [tuple(tile_payload(tile) for tile in shard)
-                  for shard in shards]
+    scratches = [scratch_grids.acquire(grid.config) for _ in shards]
     try:
         results = run_shards(executor, _scratch_shard,
                              list(zip(shards, scratches)), body, args,
-                             grid.config, grid_geometry(grid), arrays,
-                             local=local)
+                             grid_geometry(grid), arrays)
         for shard_arrays, _ in results:
             for name, scratch_array in zip(arrays, shard_arrays):
                 merged = getattr(grid, name)
@@ -322,8 +300,7 @@ def scratch_reduce(executor: Optional[TileExecutor], grid: Grid,
         return [value for _, value in results]
     finally:
         for scratch in scratches:
-            if scratch is not None:
-                scratch_grids.release(scratch)
+            scratch_grids.release(scratch)
 
 
 def _deposit_kernel_tiles(target: Grid, tiles: Sequence[ParticleTile],

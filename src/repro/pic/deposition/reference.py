@@ -8,9 +8,9 @@ conservation, LWFA wakefield structure).
 
 Both entry points accept an optional tile executor (:mod:`repro.exec`)
 and shard through :func:`~repro.pic.deposition.base.scratch_reduce`: the
-result is bitwise identical whichever backend (serial, threads,
-processes) ran the shards — and, for a single shard, identical to the
-plain loop over the tiles.
+result is bitwise identical whichever backend (serial, threads) ran the
+shards — and, for a single shard, identical to the plain loop over the
+tiles.
 """
 
 from __future__ import annotations

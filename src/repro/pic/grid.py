@@ -192,8 +192,7 @@ class ScratchGridPool:
     merged (or abandoned) the arrays it holds — the deposition callers
     release only after the shard merge, because the task's return value
     aliases the scratch arrays.  Field components (``ex`` .. ``bz``) are
-    *not* cleared on acquire; deposition tasks never read them and the
-    remote push task rebinds them wholesale.
+    *not* cleared on acquire; deposition tasks never read them.
 
     The pool is thread-safe (the threads backend runs shard tasks
     concurrently) and per-process (each worker process grows its own).
@@ -209,14 +208,8 @@ class ScratchGridPool:
         self._num_free = 0
         self._lock = threading.Lock()
 
-    def acquire(self, config: GridConfig, zero: bool = True) -> Grid:
-        """A scratch grid for ``config`` with zeroed current/charge.
-
-        Pass ``zero=False`` when the grid is leased as a *geometry
-        carrier* only (normalised positions, cell size, wrap/clamp
-        convention) and its dense arrays are never read — skipping four
-        full-grid memsets per lease.
-        """
+    def acquire(self, config: GridConfig) -> Grid:
+        """A scratch grid for ``config`` with zeroed current/charge."""
         with self._lock:
             stack = self._free.get(config)
             grid = stack.pop() if stack else None
@@ -224,9 +217,8 @@ class ScratchGridPool:
                 self._num_free -= 1
         if grid is None:
             return Grid(config)
-        if zero:
-            grid.zero_currents()
-            grid.zero_charge()
+        grid.zero_currents()
+        grid.zero_charge()
         return grid
 
     def release(self, grid: Grid) -> None:

@@ -33,28 +33,6 @@ from repro.pic.grid import Grid
 _SOA_FIELDS = ("x", "y", "z", "ux", "uy", "uz", "w")
 
 
-def tile_payload(tile: "ParticleTile") -> Tuple:
-    """Picklable snapshot of a tile for the process-shard executor.
-
-    The arrays are passed by reference, so building a payload is free for
-    shared-memory backends; only the process backend pays the pickling
-    cost when the payload crosses the process boundary.
-    """
-    soa = {name: getattr(tile, name) for name in _SOA_FIELDS}
-    soa["ids"] = tile.ids
-    return (tile.tile_index, tile.cell_lo, tile.cell_hi, soa)
-
-
-def tile_from_payload(payload: Tuple) -> "ParticleTile":
-    """Rebuild a :class:`ParticleTile` from :func:`tile_payload` output."""
-    tile_index, cell_lo, cell_hi, soa = payload
-    tile = ParticleTile(tile_index, cell_lo, cell_hi)
-    for name in _SOA_FIELDS:
-        setattr(tile, name, soa[name])
-    tile.ids = soa["ids"]
-    return tile
-
-
 class ParticleTile:
     """Particles belonging to one tile of cells, stored as SoA arrays."""
 
@@ -326,8 +304,8 @@ class ParticleContainer:
         """Wrap periodic axes and absorb particles leaving open boundaries.
 
         Returns the number of particles removed by absorbing boundaries.
-        Tiles are independent and mutate in place, so the per-tile work is
-        a ``local`` :func:`~repro.exec.map_shards` stage.
+        Tiles are independent and mutate in place; the per-tile work is
+        sharded through :func:`~repro.exec.map_shards`.
         """
         lo, hi = grid.lo, grid.hi
         periodic = tuple(
@@ -335,7 +313,7 @@ class ParticleContainer:
         )
         return sum(map_shards(executor, _boundary_shard,
                               self.nonempty_tiles(), lo, hi, hi - lo,
-                              periodic, local=True))
+                              periodic))
 
     def redistribute(self, grid: Grid,
                      executor: Optional[TileExecutor] = None,
@@ -362,8 +340,8 @@ class ParticleContainer:
         entries = [(tile_id, tile) for tile_id, tile in enumerate(self.tiles)
                    if tile.num_particles > 0]
         scans = [item for result in map_shards(
-            executor, _redistribute_scan_shard, entries, self, grid,
-            local=True) for item in result]
+            executor, _redistribute_scan_shard, entries, self, grid)
+            for item in result]
 
         moved_total = 0
         pending: Dict[int, List[Dict[str, np.ndarray]]] = {}
@@ -403,12 +381,9 @@ class ParticleContainer:
         With an ``executor`` the per-tile sums run one shard per task and
         the partial sums reduce in shard order (deterministic for a given
         shard count, though the reduction tree — and hence the last ulp —
-        differs from the executor-less sequential sum).  The stage is
-        ``local`` (shipping SoA arrays would cost more than the sums
-        themselves), so every backend computes the same per-shard partial
-        sums and the result is bitwise identical across backends at a
-        fixed shard count.
+        differs from the executor-less sequential sum).  Every backend
+        computes the same per-shard partial sums, so the result is bitwise
+        identical across backends at a fixed shard count.
         """
         return sum(map_shards(executor, _kinetic_shard,
-                              self.nonempty_tiles(), self.mass, local=True),
-                   0.0)
+                              self.nonempty_tiles(), self.mass), 0.0)

@@ -7,24 +7,14 @@ rotation / half-acceleration scheme followed by the position advance.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro import constants
 from repro.exec import TileExecutor, map_shards
-from repro.pic.grid import (
-    Grid,
-    apply_grid_geometry,
-    grid_geometry,
-    scratch_grids,
-)
-from repro.pic.particles import (
-    ParticleContainer,
-    ParticleTile,
-    tile_from_payload,
-    tile_payload,
-)
+from repro.pic.grid import Grid
+from repro.pic.particles import ParticleContainer, ParticleTile
 
 
 def lorentz_factor(ux: np.ndarray, uy: np.ndarray, uz: np.ndarray) -> np.ndarray:
@@ -97,59 +87,14 @@ def _push_shard_inplace(tiles: List[ParticleTile], grid: Grid, charge: float,
     """Executor task: gather + push one shard of tiles in place.
 
     Tiles are independent (the gather reads the shared field arrays, the
-    push writes only the shard's own tiles), so shared-memory backends run
-    shards concurrently without synchronisation.
+    push writes only the shard's own tiles), so shards run concurrently
+    without synchronisation.
     """
     from repro.pic.gather import gather_fields_for_tile
 
     for tile in tiles:
         fields = gather_fields_for_tile(grid, tile, order)
         push_tile(tile, fields, charge, mass, dt)
-
-
-def _push_shard_remote(payloads: Sequence[Tuple], grid_config,
-                       geometry: Tuple, field_arrays: Tuple[np.ndarray, ...],
-                       charge: float, mass: float, dt: float, order: int
-                       ) -> List[Tuple[np.ndarray, ...]]:
-    """Executor task for the process backend: functional gather + push.
-
-    Rebuilds the grid (geometry plus the six field components) in the
-    worker, pushes the shard's tiles, and returns the updated position and
-    momentum arrays; the caller writes them back tile by tile.
-
-    Every shard task ships its own copy of the six field arrays through
-    the pickle channel, so the IPC cost grows with ``num_shards x grid
-    size`` per step.  That is acceptable for the particle-dominated
-    workloads this backend targets (many particles per cell, modest
-    grids); for field-dominated runs prefer ``backend="threads"``, whose
-    shards read the caller's field arrays in place.
-
-    The geometry-only grid wrapper is leased from the worker-local
-    scratch pool and released at task end (the returned arrays are the
-    tiles' own, never the grid's, so immediate release is safe), which
-    avoids re-allocating ten dense arrays per shard per step.
-    """
-    from repro.pic.gather import gather_fields_for_tile
-
-    # geometry-only lease: the gather reads the caller's shipped field
-    # arrays, never the pooled grid's own, so skip the accumulator zeroing
-    grid = scratch_grids.acquire(grid_config, zero=False)
-    apply_grid_geometry(grid, geometry)
-    own_fields = (grid.ex, grid.ey, grid.ez, grid.bx, grid.by, grid.bz)
-    try:
-        grid.ex, grid.ey, grid.ez, grid.bx, grid.by, grid.bz = field_arrays
-        out: List[Tuple[np.ndarray, ...]] = []
-        for payload in payloads:
-            tile = tile_from_payload(payload)
-            fields = gather_fields_for_tile(grid, tile, order)
-            push_tile(tile, fields, charge, mass, dt)
-            out.append((tile.x, tile.y, tile.z, tile.ux, tile.uy, tile.uz))
-        return out
-    finally:
-        # restore the grid's own field arrays before releasing: pooled
-        # grids must never alias the caller's live simulation state
-        (grid.ex, grid.ey, grid.ez, grid.bx, grid.by, grid.bz) = own_fields
-        scratch_grids.release(grid)
 
 
 class BorisPusher:
@@ -166,21 +111,9 @@ class BorisPusher:
         (no cross-tile accumulation), so every backend produces identical
         particle state.
         """
-        occupied = container.nonempty_tiles()
-        scalars = (container.charge, container.mass, dt, self.shape_order)
-        if executor is None or executor.shares_memory:
-            map_shards(executor, _push_shard_inplace, occupied, grid,
-                       *scalars)
-            return
-        # no shared memory: ship payloads out, write the pushed arrays back
-        payloads = [tile_payload(tile) for tile in occupied]
-        results = map_shards(
-            executor, _push_shard_remote, payloads, grid.config,
-            grid_geometry(grid),
-            (grid.ex, grid.ey, grid.ez, grid.bx, grid.by, grid.bz), *scalars)
-        pushed = (arrays for shard in results for arrays in shard)
-        for tile, arrays in zip(occupied, pushed):
-            tile.x, tile.y, tile.z, tile.ux, tile.uy, tile.uz = arrays
+        map_shards(executor, _push_shard_inplace, container.nonempty_tiles(),
+                   grid, container.charge, container.mass, dt,
+                   self.shape_order)
 
 
 class GatherPushStage:

@@ -87,6 +87,11 @@ DEFAULT_ROOT = ".repro-serve"
 #: request bodies above this are refused with 413 (a grid is tiny JSON)
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
+#: seconds a peer gets to deliver its whole request (head and declared
+#: body); a client that stalls past it is answered 408 and disconnected
+#: instead of pinning a handler task and a socket until the server exits
+REQUEST_READ_SECONDS = 30.0
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -350,7 +355,8 @@ class _HttpError(Exception):
 
 _STATUS_TEXT = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 409: "Conflict", 413: "Payload Too Large",
+    405: "Method Not Allowed", 408: "Request Timeout", 409: "Conflict",
+    413: "Payload Too Large",
     500: "Internal Server Error",
 }
 
@@ -394,7 +400,12 @@ class CampaignServer:
         writer.transport.set_write_buffer_limits(high=0)
         try:
             try:
-                method, path, body = await self._read_request(reader)
+                try:
+                    method, path, body = await asyncio.wait_for(
+                        self._read_request(reader), REQUEST_READ_SECONDS)
+                except asyncio.TimeoutError:
+                    raise _HttpError(408, "request not received within "
+                                          f"{REQUEST_READ_SECONDS:g} s")
                 await self._dispatch(method, path, body, writer)
             except _HttpError as exc:
                 await self._respond_json(

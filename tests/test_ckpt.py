@@ -34,7 +34,6 @@ from repro.ckpt import (
 from repro.ckpt.faults import flip_byte, truncate_file
 from repro.cli import main
 from repro.config import ExecutionConfig
-from repro.exec.pool import make_process_pool
 from repro.workloads.lwfa import LWFAWorkload
 from repro.workloads.uniform import UniformPlasmaWorkload
 
@@ -257,13 +256,6 @@ class TestResumeParity:
         with lwfa_session() as probe:
             run_steps(probe, 8)
             assert probe.simulation.moving_window.total_shift_cells > 0
-
-    @pytest.mark.skipif(make_process_pool(2) is None,
-                        reason="process pools unavailable in this sandbox")
-    def test_process_backend(self, tmp_path):
-        self.parity(
-            lambda: uniform_session(backend="processes", shards=2),
-            4, 2, tmp_path)
 
     @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
     def test_fused_kernel_tier(self, tmp_path):

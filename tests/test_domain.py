@@ -280,12 +280,6 @@ class TestStepParity:
             run_uniform((2, 2, 1), backend="threads", shards=4),
         )
 
-    def test_process_backend_fixed_shards(self):
-        assert_bitwise_equal(
-            run_uniform((1, 1, 1), backend="processes", shards=2, steps=2),
-            run_uniform((1, 2, 2), backend="processes", shards=2, steps=2),
-        )
-
     def test_qsp_order_with_thin_subdomains(self):
         # nz tiles of 2 cells -> 4 subdomains of 2 cells < QSP support 4
         assert_bitwise_equal(

@@ -1,8 +1,8 @@
 """Tests for the tile executor subsystem (:mod:`repro.exec`).
 
 The central property is the determinism contract: for a fixed shard
-count, the serial, threaded and process backends partition tiles
-identically, accumulate into private scratch buffers, and merge in shard
+count, the serial and threaded backends partition tiles identically,
+accumulate into private scratch buffers, and merge in shard
 order — so deposited currents, charge densities and merged
 :class:`~repro.hardware.counters.KernelCounters` are *bitwise identical*
 across backends.
@@ -10,7 +10,6 @@ across backends.
 
 from __future__ import annotations
 
-import os
 import threading
 
 import numpy as np
@@ -18,8 +17,9 @@ import pytest
 
 from repro.config import ExecutionConfig
 from repro.exec import (
-    ProcessShardExecutor,
+    SUPPORTED_BACKENDS,
     SerialExecutor,
+    SupervisedPool,
     ThreadTileExecutor,
     TileTask,
     create_executor,
@@ -49,7 +49,6 @@ def _executors():
     return {
         "serial": SerialExecutor(SHARDS),
         "threads": ThreadTileExecutor(SHARDS),
-        "processes": ProcessShardExecutor(SHARDS),
     }
 
 
@@ -73,16 +72,41 @@ class TestPartitioning:
             partition_shards(4, 0)
 
     def test_execution_config_validation(self):
-        with pytest.raises(ValueError):
-            ExecutionConfig(backend="gpu")
-        with pytest.raises(ValueError):
-            ExecutionConfig(num_shards=0)
-        assert ExecutionConfig().backend == "serial"
+        # one test id (not parametrized) so the id stays stable
+        for kwargs, message in [
+            (dict(backend="gpu"), "backend"),
+            # the retired per-tile backend: the error names what is left
+            (dict(backend="processes", num_shards=2),
+             r"serial.*threads.*got 'processes'.*bitwise-identical"),
+            # the shard count is validated, never coerced
+            (dict(num_shards=0), "num_shards"),
+            (dict(num_shards=2.7), "num_shards"),
+            (dict(num_shards=True), "num_shards"),
+            (dict(num_shards="3"), "num_shards"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                ExecutionConfig(**kwargs)
+        assert ExecutionConfig() == ExecutionConfig("serial", 1)
+        assert SUPPORTED_BACKENDS == ("serial", "threads")
+
+    def test_retired_backend_is_refused_at_every_door(self, capsys):
+        # a durable spec payload journaled by an earlier build ...
+        from repro.analysis.campaign import build_workload
+        from repro.cli import build_parser
+
+        with pytest.raises(ValueError, match="serial.*threads"):
+            build_workload("uniform", {"ppc": 1, "execution": {
+                "backend": "processes", "num_shards": 2}})
+        # ... and the command line, whose choices are SUPPORTED_BACKENDS
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--backend", "processes"])
+        assert "'serial', 'threads'" in capsys.readouterr().err
+        args = build_parser().parse_args(["run", "--backend", "threads"])
+        assert args.backend == "threads"
 
     def test_factory_builds_each_backend(self):
         for backend, cls in (("serial", SerialExecutor),
-                             ("threads", ThreadTileExecutor),
-                             ("processes", ProcessShardExecutor)):
+                             ("threads", ThreadTileExecutor)):
             executor = create_executor(
                 ExecutionConfig(backend=backend, num_shards=2))
             assert isinstance(executor, cls)
@@ -106,12 +130,6 @@ def _identity(value):
 # ----------------------------------------------------------------------
 def _offset_shard(items, offset):
     return [item + offset for item in items]
-
-
-def _stamp_shard(items):
-    for item in items:
-        item["pid"] = os.getpid()
-    return len(items)
 
 
 def _reciprocal_shard(items):
@@ -149,19 +167,6 @@ class TestMapShards:
                                   100) == [[100, 101, 102, 103],
                                            [104, 105, 106],
                                            [107, 108, 109]], name
-
-    def test_local_work_runs_in_process_without_shared_memory(self):
-        with ProcessShardExecutor(SHARDS) as executor:
-            assert not executor.shares_memory
-            items = [{} for _ in range(5)]
-            assert map_shards(executor, _stamp_shard, items,
-                              local=True) == [2, 2, 1]
-            assert items == [{"pid": os.getpid()}] * 5
-            # the same partition crosses the process boundary otherwise,
-            # where the mutation is lost
-            items = [{} for _ in range(5)]
-            assert map_shards(executor, _stamp_shard, items) == [2, 2, 1]
-            assert items == [{}] * 5
 
     def test_task_exception_propagates(self):
         for name, executor in _executors().items():
@@ -212,9 +217,8 @@ class TestReferenceParity:
             with executor:
                 deposit_reference(grid, container, order=1, executor=executor)
             results[name] = (grid.jx.copy(), grid.jy.copy(), grid.jz.copy())
-        for name in ("threads", "processes"):
-            for ref, got in zip(results["serial"], results[name]):
-                assert np.array_equal(ref, got), name
+        for ref, got in zip(results["serial"], results["threads"]):
+            assert np.array_equal(ref, got)
 
     def test_sharded_matches_inline_loop(self, tiled_grid_config):
         grid_inline, container = _fresh_plasma(tiled_grid_config)
@@ -234,7 +238,7 @@ class TestReferenceParity:
         # the non-zero grid, a scratch-merge path would reassociate the
         # sums and drift in the last ulp.
         results = {}
-        for name in ("serial", "threads", "processes"):
+        for name in SUPPORTED_BACKENDS:
             grid, container = _fresh_plasma(tiled_grid_config)
             _, other = _fresh_plasma(tiled_grid_config, seed=91)
             with create_executor(ExecutionConfig(backend=name,
@@ -243,7 +247,6 @@ class TestReferenceParity:
                 deposit_reference(grid, container, order=1, executor=executor)
             results[name] = grid.jx.copy()
         assert np.array_equal(results["serial"], results["threads"])
-        assert np.array_equal(results["serial"], results["processes"])
 
     def test_rho_bitwise_identical_across_backends(self, tiled_grid_config):
         results = {}
@@ -254,7 +257,6 @@ class TestReferenceParity:
                                       executor=executor)
             results[name] = grid.rho.copy()
         assert np.array_equal(results["serial"], results["threads"])
-        assert np.array_equal(results["serial"], results["processes"])
 
 
 # ----------------------------------------------------------------------
@@ -271,12 +273,11 @@ class TestKernelCounterParity:
                                           executor=executor)
             results[name] = (grid.jx.copy(), counters)
         jx_ref, counters_ref = results["serial"]
-        for name in ("threads", "processes"):
-            jx, counters = results[name]
-            assert np.array_equal(jx_ref, jx), name
-            for phase in counters_ref.phases:
-                assert (counters.phase(phase).as_dict()
-                        == counters_ref.phase(phase).as_dict()), (name, phase)
+        jx, counters = results["threads"]
+        assert np.array_equal(jx_ref, jx)
+        for phase in counters_ref.phases:
+            assert (counters.phase(phase).as_dict()
+                    == counters_ref.phase(phase).as_dict()), phase
 
     def test_kernel_deposit_single_tile_goes_straight_into_grid(
             self, tiled_grid_config, monkeypatch):
@@ -309,28 +310,6 @@ class TestKernelCounterParity:
         for phase in counters_ref.phases:
             assert (counters_thr.phase(phase).as_dict()
                     == counters_ref.phase(phase).as_dict()), phase
-
-    def test_matrix_pic_process_backend_matches_serial_shards(
-            self, tiled_grid_config):
-        # the incremental sorter's GPMA state lives on the tiles, so the
-        # process backend runs the same shard tasks inline — the reduction
-        # tree (and the result) must match the serial executor bitwise at
-        # the same shard count.
-        grid_a, container_a = _fresh_plasma(tiled_grid_config)
-        strategy_a = MatrixPICDeposition(sort_mode=SORT_INCREMENTAL)
-        with SerialExecutor(SHARDS) as executor:
-            counters_a = strategy_a.run_step(grid_a, container_a, 1, 0,
-                                             executor=executor)
-
-        grid_b, container_b = _fresh_plasma(tiled_grid_config)
-        strategy_b = MatrixPICDeposition(sort_mode=SORT_INCREMENTAL)
-        with ProcessShardExecutor(SHARDS) as executor:
-            counters_b = strategy_b.run_step(grid_b, container_b, 1, 0,
-                                             executor=executor)
-        assert np.array_equal(grid_a.jx, grid_b.jx)
-        for phase in counters_a.phases:
-            assert (counters_b.phase(phase).as_dict()
-                    == counters_a.phase(phase).as_dict()), phase
 
 
 # ----------------------------------------------------------------------
@@ -366,17 +345,6 @@ class TestSimulationParity:
             assert np.array_equal(ref_arr, thr["soa"][key]), key
         assert thr["energy"] == ref["energy"]
 
-    def test_processes_match_serial_currents_and_particles(self):
-        ref = self._run("serial", 4)
-        proc = self._run("processes", 4)
-        assert np.array_equal(ref["jx"], proc["jx"])
-        for key, ref_arr in ref["soa"].items():
-            assert np.array_equal(ref_arr, proc["soa"][key]), key
-        # the kinetic-energy reduction runs inline for the process backend
-        # but over the same shard partition, so even the reduction tree —
-        # and hence the value — matches bitwise.
-        assert proc["energy"] == ref["energy"]
-
     def test_boundary_and_redistribute_sharded(self, tiled_grid_config):
         grid_a, container_a = _fresh_plasma(tiled_grid_config, seed=23)
         grid_b, container_b = _fresh_plasma(tiled_grid_config, seed=23)
@@ -407,7 +375,7 @@ def test_process_executor_degrades_to_inline(monkeypatch):
 
     monkeypatch.setattr(pool_mod.concurrent.futures,
                         "ProcessPoolExecutor", boom)
-    executor = ProcessShardExecutor(2)
+    pool = SupervisedPool(2, owner="executor")
     tasks = [TileTask(_identity, (i,)) for i in range(4)]
-    assert executor.run(tasks) == [0, 1, 2, 3]
-    assert executor.degraded
+    assert pool.run(tasks) == [0, 1, 2, 3]
+    assert pool.degraded

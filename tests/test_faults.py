@@ -26,8 +26,7 @@ from repro.ckpt.faults import (
 )
 from repro.ckpt.progress import CampaignProgress
 from repro.exec.base import TileTask
-from repro.exec.pool import make_process_pool
-from repro.exec.process import ProcessShardExecutor
+from repro.exec.pool import SupervisedPool, make_process_pool
 from repro.obs import ObsConfig, use_telemetry
 from repro.workloads.uniform import UniformPlasmaWorkload
 
@@ -98,21 +97,22 @@ class TestHarness:
 
 
 # ----------------------------------------------------------------------
-# executor recovery (the schedules live in tests/test_supervised_pool.py;
-# here: the executor is wired to the supervisor, and a real SIGKILL)
+# task-batch recovery (the schedules live in tests/test_supervised_pool.py;
+# here: a batch of tasks through the supervisor with telemetry and the
+# owner tag, and a real SIGKILL)
 # ----------------------------------------------------------------------
 
 class TestExecutorRecovery:
     def test_worker_death_mid_task_recovers_inline(self):
-        executor = ProcessShardExecutor(num_shards=2)
+        pool = SupervisedPool(2, owner="executor")
         fake = BrokenPoolOnce(fail="result", at=2)
-        executor.pool.factory = lambda max_workers: fake
+        pool.factory = lambda max_workers: fake
         with use_telemetry(ObsConfig(trace=True)) as obs:
-            results = executor.run(square_tasks())
+            results = pool.run(square_tasks())
         assert results == [i * i for i in range(6)]
         assert fake.broke and fake.submitted == 6
-        assert executor.pool.pool_failures == 1
-        assert not executor.degraded  # one incident is forgiven
+        assert pool.pool_failures == 1
+        assert not pool.degraded  # one incident is forgiven
         assert obs.metrics.get("exec.pool_rebuilds") == 1
         (event,) = log_events(obs, "pool.rebuild")
         assert event["owner"] == "executor"
@@ -120,25 +120,25 @@ class TestExecutorRecovery:
     @pytest.mark.skipif(not HAVE_PROCESS_POOLS,
                         reason="process pools unavailable in this sandbox")
     def test_real_sigkilled_worker_recovers(self, tmp_path):
-        """A genuinely SIGKILL'd worker process: the executor recomputes
-        the lost shards inline and later batches run in a fresh pool."""
+        """A genuinely SIGKILL'd worker process: the pool recomputes the
+        lost tasks inline and later batches run in a fresh pool."""
         switch = KillSwitch(str(tmp_path / "marker"))
         switch.arm()
-        executor = ProcessShardExecutor(num_shards=2)
+        pool = SupervisedPool(2, owner="executor")
         tasks = [TileTask(chaos_shard_task, (switch.path, i))
                  for i in range(4)]
         try:
             with use_telemetry(ObsConfig(trace=True)) as obs:
-                results = executor.run(tasks)
+                results = pool.run(tasks)
             assert results == [0, 1, 2, 3]
-            assert executor.pool.pool_failures == 1
-            assert not executor.degraded
+            assert pool.pool_failures == 1
+            assert not pool.degraded
             assert len(log_events(obs, "pool.rebuild")) == 1
             # next batch gets a rebuilt pool and completes clean
-            assert executor.run(tasks) == [0, 1, 2, 3]
-            assert executor.pool.pool_failures == 1
+            assert pool.run(tasks) == [0, 1, 2, 3]
+            assert pool.pool_failures == 1
         finally:
-            executor.shutdown()
+            pool.shutdown()
             switch.disarm()
 
 

@@ -6,9 +6,12 @@ Pool supervision (anything that has to know ``BrokenProcessPool``) lives
 in ``repro/exec/pool.py``, record files (``write_snapshot`` with an
 empty array table) in ``repro/ckpt/recordlog.py``, and the decision
 whether and how to shard per-tile work (``executor.partition``,
-``is_trivial``, ``TileTask``, ``shares_memory``) in ``repro/exec/``.  A
-second implementation of any of them starts by naming one of those
-things, so naming them anywhere else under ``src/repro/`` fails here.
+``is_trivial``, ``TileTask``) in ``repro/exec/``.  A second
+implementation of any of them starts by naming one of those things, so
+naming them anywhere else under ``src/repro/`` fails here.  Per-tile
+work runs in the caller's address space on every backend, so nothing
+under ``src/repro/`` asks whether memory is shared, ships tile payloads
+or marks a stage ``local=``.
 
 Bulk math is plain NumPy (the kernel-tier registry is the only seam of
 the numerical layer), the campaign grid's defaults and enumerations are
@@ -116,15 +119,22 @@ def test_only_repro_exec_decides_whether_to_shard():
         "serve/server.py::_read_request"]
 
 
-def test_only_the_reduce_helpers_and_the_pusher_ask_about_shared_memory():
-    # who leases scratch (in-process) or ships payloads (worker process):
-    # the grid scratch-reduce, its subdomain-window twin, and the pusher's
-    # functional process path
-    assert functions_naming("shares_memory") == [
-        "domain/runtime.py::_reduce_into_windows",
-        "pic/deposition/base.py::scratch_reduce",
-        "pic/pusher.py::push",
-    ]
+def test_per_tile_work_never_leaves_the_callers_address_space():
+    # the per-tile `processes` backend is retired, and with it the
+    # question every stage had to answer (comments and docstrings
+    # included: nothing should teach the idiom)
+    retired = ("shares_memory", "tile_payload", "tile_from_payload",
+               "ProcessShardExecutor", "BACKEND_PROCESSES")
+    assert [(path, line.strip()) for path, text in source_texts()
+            for line in text.splitlines()
+            if any(name in line for name in retired)] == []
+    # ... nor its answer: no fan-out call marks its body `local`
+    fan_outs = ("map_shards", "run_shards", "scratch_reduce")
+    assert sorted({
+        path for path, tree in source_trees() for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and name_of(node.func) in fan_outs
+        and any(kw.arg == "local" for kw in node.keywords)}) == []
+    assert not os.path.exists(os.path.join(SRC, "exec", "process.py"))
 
 
 def test_the_array_backend_seam_is_gone():

@@ -191,12 +191,6 @@ class TestLegacyParity:
             DOMAIN_STAGE_SET if domains != (1, 1, 1) else GLOBAL_STAGE_SET)
         assert_bitwise_equal(sim_pipe, sim_ref)
 
-    def test_process_backend_parity(self):
-        """The process backend (or its inline degradation) stays bitwise."""
-        workload = uniform_workload(backend="processes", shards=2)
-        sim_pipe, sim_ref = run_pair(workload, steps=2)
-        assert_bitwise_equal(sim_pipe, sim_ref)
-
     def test_lwfa_parity_domain(self):
         """Laser + absorbing walls + moving window, decomposed."""
         workload = LWFAWorkload(

@@ -689,6 +689,31 @@ class TestHttpServer:
 
         self.serve(tmp_path, scenario)
 
+    def test_stalled_client_gets_408_and_is_disconnected(
+            self, tmp_path, monkeypatch):
+        import repro.serve.server as server_module
+
+        monkeypatch.setattr(server_module, "REQUEST_READ_SECONDS", 0.5)
+
+        async def scenario(service, port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            # a Content-Length the peer never fulfils
+            writer.write(b"POST /v1/jobs HTTP/1.1\r\n"
+                         b"Content-Length: 10\r\n\r\nabc")
+            await writer.drain()
+            # the stalled connection does not hold up a well-formed one
+            status, health = await http_json(port, "GET", "/v1/healthz")
+            assert status == 200 and health["status"] == "ok"
+            # 408, then EOF (unbounded reads hang here: fail, not wedge)
+            raw = await asyncio.wait_for(reader.read(), timeout=10)
+            writer.close()
+            head, _, body = raw.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 408 Request Timeout")
+            assert "not received" in json.loads(body)["error"]
+            return None
+
+        self.serve(tmp_path, scenario, task_fn=dict)
+
     def test_two_tenants_share_computation_but_not_caches(self, tmp_path):
         async def scenario(service, port):
             for tenant in ("alice", "bob"):

@@ -1,7 +1,7 @@
 """Contract suite of the one pool supervisor (repro.exec.pool).
 
-Every recovery schedule the ``processes`` executor, the campaign runner
-and the ``repro.serve`` worker pool rely on is driven here, once,
+Every recovery schedule the campaign runner and the ``repro.serve``
+worker pool rely on is driven here, once,
 against :class:`SupervisedPool` itself through its single fault seam
 (``factory``) and through **both** entry points: the synchronous batch
 (``run``) and the ``submit``/``retire`` pair an asyncio caller drives.
