@@ -39,7 +39,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.backend import BackendConfig, kernel_registry, use_backend
+from repro.backend import kernel_registry
 from repro.config import GridConfig
 from repro.pic.deposition.base import prepare_tile_data, scatter_tile_currents
 from repro.pic.gather import gather_fields_for_tile
@@ -231,15 +231,17 @@ def _tier_bench_point(order: int, ppc: int) -> Dict[str, object]:
         if tier not in available:
             point[f"deposit_{tier}_ms"] = None
             continue
-        with use_backend(BackendConfig(kernel_tier=tier)):
-            def deposit():
-                data = prepare_tile_data(grid, tile, container.charge, order)
-                grid.zero_currents()
-                scatter_tile_currents(grid, data)
+        # the tier under test is the grid's: kernels travel with the grid
+        grid.kernels = kernel_registry.resolve(tier)
 
-            point[f"deposit_{tier}_ms"] = _best_of(deposit) * 1e3
-            deposit()
-            currents[tier] = (grid.jx.copy(), grid.jy.copy(), grid.jz.copy())
+        def deposit():
+            data = prepare_tile_data(grid, tile, container.charge, order)
+            grid.zero_currents()
+            scatter_tile_currents(grid, data)
+
+        point[f"deposit_{tier}_ms"] = _best_of(deposit) * 1e3
+        deposit()
+        currents[tier] = (grid.jx.copy(), grid.jy.copy(), grid.jz.copy())
     for tier, arrays in currents.items():
         for ref, got in zip(currents["oracle"], arrays):
             assert np.array_equal(ref, got), (

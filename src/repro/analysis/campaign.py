@@ -46,7 +46,7 @@ from repro.exec.pool import SupervisedPool
 from repro.hardware.cost_model import CostModel
 from repro.hardware.spec import ArchSpec
 from repro.obs.log import log_event
-from repro.obs.registry import telemetry
+from repro.obs.registry import NULL_TELEMETRY, Telemetry
 
 logger = logging.getLogger(__name__)
 
@@ -506,6 +506,11 @@ class Campaign:
         Adopt completed cells from the latest valid progress checkpoint
         before executing.  Corrupt or torn progress files are detected
         (checksummed container) and ignored with a warning.
+    obs:
+        The registry the campaign's own accounting lands in
+        (``campaign.*``, the ``campaign`` span, pool and progress
+        notices).  Cells record into their own per-run registries and
+        report through ``ExperimentResult.metrics``.
     """
 
     def __init__(self, specs: Sequence[ExperimentSpec], *,
@@ -513,7 +518,8 @@ class Campaign:
                  jobs: int = 1,
                  checkpoint_dir: Optional[str] = None,
                  checkpoint_every: int = 1,
-                 resume: bool = False):
+                 resume: bool = False,
+                 obs: Telemetry = NULL_TELEMETRY):
         if jobs <= 0:
             raise ValueError(f"jobs must be positive, got {jobs}")
         if checkpoint_every <= 0:
@@ -527,9 +533,10 @@ class Campaign:
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = int(checkpoint_every)
         self.resume = resume
+        self.obs = obs
         #: supervises the worker processes of every ``run`` (lazy: a
         #: ``jobs=1`` or fully cached campaign never forks)
-        self.pool = SupervisedPool(self.jobs, owner="campaign")
+        self.pool = SupervisedPool(self.jobs, owner="campaign", obs=obs)
         #: True when some cell of the last ``run`` wanted the pool but
         #: ran in-process instead
         self.degraded = False
@@ -546,7 +553,8 @@ class Campaign:
                   jobs: int = 1,
                   checkpoint_dir: Optional[str] = None,
                   checkpoint_every: int = 1,
-                  resume: bool = False) -> "Campaign":
+                  resume: bool = False,
+                  obs: Telemetry = NULL_TELEMETRY) -> "Campaign":
         """Expand a workloads x configurations grid into a campaign."""
         specs = [
             spec_for_workload(workload, configuration, steps=steps,
@@ -558,21 +566,20 @@ class Campaign:
         ]
         return cls(specs, cache=cache, jobs=jobs,
                    checkpoint_dir=checkpoint_dir,
-                   checkpoint_every=checkpoint_every, resume=resume)
+                   checkpoint_every=checkpoint_every, resume=resume,
+                   obs=obs)
 
     # ------------------------------------------------------------------
     def run(self) -> CampaignResult:
         """Execute every spec, consulting the cache first."""
-        # captured once: each cell's Simulation re-activates the global
-        # telemetry for its own run, so campaign accounting must keep
-        # recording into the handle that was active when the run began
-        obs = telemetry()
-        obs.count("campaign.cells", len(self.specs))
-        with obs.span("campaign", cat="campaign",
-                      args={"cells": len(self.specs), "jobs": self.jobs}):
-            return self._run(obs)
+        self.obs.count("campaign.cells", len(self.specs))
+        with self.obs.span("campaign", cat="campaign",
+                           args={"cells": len(self.specs),
+                                 "jobs": self.jobs}):
+            return self._run()
 
-    def _run(self, obs) -> CampaignResult:
+    def _run(self) -> CampaignResult:
+        obs = self.obs
         stats_before = (dataclasses.replace(self.cache.stats)
                         if self.cache is not None else None)
         entries: List[Optional[CampaignEntry]] = [None] * len(self.specs)
@@ -584,7 +591,7 @@ class Campaign:
             from repro.ckpt.progress import CampaignProgress
 
             progress = CampaignProgress(self.checkpoint_dir,
-                                        every=self.checkpoint_every)
+                                        every=self.checkpoint_every, obs=obs)
             if self.resume:
                 completed_prior = progress.load()
 
@@ -621,7 +628,7 @@ class Campaign:
                         "campaign.progress_malformed",
                         "ignoring malformed progress record for %s; "
                         "recomputing the cell", spec.label(),
-                        logger=logger)
+                        logger=logger, obs=obs)
                 else:
                     obs.count("campaign.resumed")
                     entries[index] = CampaignEntry(

@@ -3,12 +3,12 @@
 The numerical layers of the library — the flat-index stencil engine,
 the field gather, the FDTD solver — are plain NumPy except for one
 seam defined here: a :class:`KernelRegistry` dispatching the named
-kernels ``build_weights`` / ``scatter`` / ``scatter3`` / ``gather6`` /
-``fdtd_roll`` to the best registered implementation **tier**.
+kernels ``build_weights`` / ``scatter`` / ``scatter3`` to the best
+registered implementation **tier**.
 
 Two tiers ship built in: the NumPy flat-index path (``"oracle"`` — the
 historical code, kept verbatim as the correctness reference) and an
-optional numba-compiled fused build+scatter / build+gather tier
+optional numba-compiled fused build+scatter tier
 (``"fused"``) that auto-selects when numba imports and silently falls
 back otherwise.  Both produce bitwise-identical results, pinned by the
 hypothesis suite in ``tests/test_stencil.py``; the shared ``numerics``
@@ -18,7 +18,12 @@ computed on either tier replay from one cache entry.
 Select a tier per simulation with
 ``SimulationConfig(backend=BackendConfig(kernel_tier=...))``, per
 session with ``Session(config, backend="fused")``, or per run with
-``python -m repro run --kernel-tier fused``.  Register a new tier by
+``python -m repro run --kernel-tier fused``.  The selection belongs to
+the run: :func:`activate` only *resolves* a configuration to a
+:class:`BackendSelection`, the :class:`~repro.pic.simulation.Simulation`
+carries the resolved :class:`ActiveKernels` on its grid
+(``grid.kernels``), and no module here remembers a "current" tier, so
+two runs in one process do not see each other.  Register a new tier by
 instantiating :class:`~repro.backend.registry.KernelTier` with the
 kernels it accelerates (everything else inherits the oracle) and
 calling :func:`register_kernel_tier` — see the README's "Backends &
@@ -33,11 +38,8 @@ from repro.backend.registry import (
     KernelRegistry,
     KernelTier,
     activate,
-    active_kernels,
-    active_selection,
     kernel_registry,
     register_kernel_tier,
-    use_backend,
 )
 
 __all__ = [
@@ -50,9 +52,6 @@ __all__ = [
     "KernelRegistry",
     "KernelTier",
     "activate",
-    "active_kernels",
-    "active_selection",
     "kernel_registry",
     "register_kernel_tier",
-    "use_backend",
 ]

@@ -24,11 +24,10 @@ Array = np.ndarray
 #: Kernel names understood by the registry, in dispatch order of one PIC
 #: step.  ``scatter3`` is the fully fused three-component (jx, jy, jz)
 #: form of ``scatter`` used by the current deposition hot loop.
-KERNEL_NAMES = ("build_weights", "scatter", "scatter3", "gather6",
-                "fdtd_roll")
+KERNEL_NAMES = ("build_weights", "scatter", "scatter3")
 
 #: Kernel-tier requests understood by :class:`BackendConfig`.  ``auto``
-#: resolves to the best *available* registered tier at activation time;
+#: resolves to the best *available* registered tier when a run resolves it;
 #: the concrete names select one tier explicitly (and raise when its
 #: dependency is missing).
 TIER_AUTO = "auto"
@@ -48,11 +47,11 @@ class BackendConfig:
         tier — the numba-fused tier when numba imports, silently falling
         back to the NumPy oracle otherwise (logged once).  ``"oracle"``
         and ``"fused"`` select a tier explicitly; an explicit tier whose
-        dependency is missing raises at activation instead of falling
+        dependency is missing raises at resolution instead of falling
         back.
 
     Tier names other than the built-ins are accepted so user-registered
-    tiers can be selected; unknown names fail at activation time
+    tiers can be selected; unknown names fail at resolution time
     (:func:`repro.backend.activate`), when the registry contents are
     known.
     """

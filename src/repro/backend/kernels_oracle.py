@@ -15,7 +15,7 @@ through :mod:`repro.backend.base`, before the PIC stack exists.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -68,43 +68,3 @@ def scatter(flat_ids: Array, weights: Array, amplitude: Optional[Array],
 #: the reference formulation.  Consumers treat a ``None`` ``scatter3`` as
 #: "use the stencil path".
 scatter3 = None
-
-
-def gather6(grid, x: Array, y: Array, z: Array, order: int,
-            fields: Sequence[Array]) -> Tuple[Array, ...]:
-    """Six-component field gather for one particle batch.
-
-    Builds one stencil (ids + weights, through the *active* tier's
-    :func:`build_weights`) and reads every component through the shared
-    fused multiply-reduce.  The reduction itself is identical across
-    tiers: a compiled sequential reduction could not match ``einsum``'s
-    pairwise accumulation order bitwise, so tiers accelerate the build
-    and share the reduce.
-    """
-    from repro.pic.stencil import StencilOperator
-
-    return StencilOperator.for_grid(grid, x, y, z, order).gather_many(fields)
-
-
-def fdtd_roll(src: Array, shift: int, axis: int, out: Array) -> Array:
-    """``np.roll(src, shift, axis)`` materialised into ``out``.
-
-    Two contiguous block copies — already memcpy-bound, which is why the
-    fused tier inherits this implementation unchanged.
-    """
-    n = src.shape[axis]
-    s = shift % n
-    if s == 0:
-        out[...] = src
-        return out
-    head = [slice(None)] * src.ndim
-    tail = [slice(None)] * src.ndim
-    head[axis] = slice(0, s)
-    tail[axis] = slice(s, None)
-    src_tail = [slice(None)] * src.ndim
-    src_head = [slice(None)] * src.ndim
-    src_tail[axis] = slice(n - s, None)
-    src_head[axis] = slice(0, n - s)
-    out[tuple(head)] = src[tuple(src_tail)]
-    out[tuple(tail)] = src[tuple(src_head)]
-    return out

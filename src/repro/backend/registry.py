@@ -1,4 +1,4 @@
-"""Kernel registry, tier resolution and kernel-tier activation state.
+"""Kernel registry and tier resolution.
 
 The :class:`KernelRegistry` maps named kernels (:data:`KERNEL_NAMES`) to
 per-tier implementations and resolves a tier *request* (``"auto"`` /
@@ -7,6 +7,13 @@ dispatch table the numerical layers call through
 (:class:`ActiveKernels`).  Registration is additive: a tier provides the
 kernels it accelerates and inherits the oracle for the rest, which is
 what makes a new tier a registration instead of a rewrite.
+
+Nothing here holds a "current" table: :func:`activate` is a pure
+resolver and the caller keeps the result (a simulation carries it on
+its grid, ``grid.kernels``).  A caller with no run — a bare
+``Grid(config)``, the grid-less Appendix-B workloads — uses
+``activate().kernels``, a function of the installed packages and the
+environment only.
 
 Selection order (first match wins):
 
@@ -32,12 +39,10 @@ from __future__ import annotations
 import logging
 import os
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
-    Iterator,
     Mapping,
     Optional,
     Set,
@@ -47,7 +52,6 @@ from typing import (
 
 from repro.backend import kernels_numba, kernels_oracle
 from repro.obs.log import log_event
-from repro.obs.registry import telemetry
 from repro.backend.base import (
     TIER_AUTO,
     TIER_FUSED,
@@ -114,8 +118,6 @@ class ActiveKernels:
     build_weights: Callable
     scatter: Callable
     scatter3: Optional[Callable]
-    gather6: Callable
-    fdtd_roll: Callable
 
 
 class KernelRegistry:
@@ -176,7 +178,6 @@ class KernelRegistry:
         cached = self._resolved.get(request)
         if cached is not None:
             return cached
-        telemetry().count("backend.tier_resolves")
         if request == TIER_AUTO:
             tier = self._resolve_auto()
         else:
@@ -245,8 +246,6 @@ kernel_registry.register(KernelTier(
         "build_weights": kernels_oracle.build_weights,
         "scatter": kernels_oracle.scatter,
         "scatter3": kernels_oracle.scatter3,  # None: stencil path is the ref
-        "gather6": kernels_oracle.gather6,
-        "fdtd_roll": kernels_oracle.fdtd_roll,
     },
 ))
 kernel_registry.register(KernelTier(
@@ -257,8 +256,6 @@ kernel_registry.register(KernelTier(
         "build_weights": kernels_numba.build_weights,
         "scatter": kernels_numba.scatter,
         "scatter3": kernels_numba.scatter3,
-        # gather6 and fdtd_roll inherit the oracle: the gather reduce
-        # must stay the shared einsum (bitwise), the roll is memcpy-bound
     },
     is_available=kernels_numba.available,
     unavailable_reason=kernels_numba.unavailable_reason,
@@ -271,12 +268,12 @@ def register_kernel_tier(tier: KernelTier, replace: bool = False) -> None:
 
 
 # ---------------------------------------------------------------------------
-# process-wide activation state
+# resolving a configuration
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BackendSelection:
-    """The resolved kernel tier of one activation."""
+    """The kernel tier one configuration resolved to."""
 
     config: BackendConfig
     kernels: ActiveKernels
@@ -285,9 +282,6 @@ class BackendSelection:
     def kernel_tier(self) -> str:
         """Name of the resolved kernel tier (``auto`` already resolved)."""
         return self.kernels.tier
-
-
-_active: Optional[BackendSelection] = None
 
 
 #: accepted forms of a backend selection request
@@ -308,47 +302,18 @@ def _coerce_config(value: ConfigLike) -> BackendConfig:
 
 
 def activate(config: ConfigLike = None) -> BackendSelection:
-    """Resolve and install the process-wide backend selection.
+    """Resolve a backend configuration; installs nothing.
 
     ``config`` is a :class:`~repro.backend.base.BackendConfig`, a bare
     kernel-tier name, or ``None`` for the defaults.  Called by
-    :class:`repro.pic.simulation.Simulation` at construction; the
-    selection is process-global because the kernels dispatch from deep
-    inside per-tile loops that never see a configuration object — which
-    is benign across the built-in tiers precisely because they are
-    bitwise identical.  Tests scope a selection with
-    :func:`use_backend`.
+    :class:`repro.pic.simulation.Simulation` at construction, which
+    carries the result on its grid.
     """
-    global _active
     config = _coerce_config(config)
     request = config.kernel_tier
     if request == TIER_AUTO:
         env = os.environ.get(KERNEL_TIER_ENV, "").strip()
         if env:
             request = env  # strict: an env-forced tier must exist
-    _active = BackendSelection(config=config,
-                               kernels=kernel_registry.resolve(request))
-    return _active
-
-
-def active_selection() -> BackendSelection:
-    """The current selection, activating the defaults on first use."""
-    if _active is None:
-        return activate()
-    return _active
-
-
-def active_kernels() -> ActiveKernels:
-    """The active kernel dispatch table."""
-    return active_selection().kernels
-
-
-@contextmanager
-def use_backend(config: ConfigLike) -> Iterator[BackendSelection]:
-    """Context manager scoping a backend selection (tests, benchmarks)."""
-    global _active
-    previous = _active
-    try:
-        yield activate(config)
-    finally:
-        _active = previous
+    return BackendSelection(config=config,
+                            kernels=kernel_registry.resolve(request))

@@ -32,7 +32,7 @@ import signal
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, Optional
 
-from repro.obs.registry import telemetry
+from repro.obs.registry import NULL_TELEMETRY, Telemetry
 
 __all__ = [
     "BrokenPoolOnce",
@@ -87,7 +87,6 @@ class KillSwitch:
             os.remove(self.path)
         except OSError:
             return False
-        telemetry().count("faults.injected")
         kill_current_process()
         return True  # pragma: no cover - unreachable
 
@@ -159,14 +158,17 @@ class BrokenPoolOnce:
     out); with ``fail="result"`` (default) the returned future carries
     ``BrokenProcessPool`` (the worker died mid-task).  Deterministic,
     fork-free, usable where sandboxes forbid real process pools.
+    Each injected fault counts ``faults.injected`` on ``obs``.
     """
 
-    def __init__(self, fail: str = "result", at: int = 0) -> None:
+    def __init__(self, fail: str = "result", at: int = 0,
+                 obs: Telemetry = NULL_TELEMETRY) -> None:
         if fail not in ("submit", "result"):
             raise ValueError(f"fail must be 'submit' or 'result', "
                              f"got {fail!r}")
         self.fail = fail
         self.at = int(at)
+        self.obs = obs
         self.submitted = 0
         self.broke = False
 
@@ -176,13 +178,13 @@ class BrokenPoolOnce:
         self.submitted += 1
         if self.fail == "submit" and index == self.at:
             self.broke = True
-            telemetry().count("faults.injected")
+            self.obs.count("faults.injected")
             raise BrokenProcessPool(
                 "injected fault: pool broke at submit")
         future: "concurrent.futures.Future" = concurrent.futures.Future()
         if self.fail == "result" and index == self.at:
             self.broke = True
-            telemetry().count("faults.injected")
+            self.obs.count("faults.injected")
             future.set_exception(BrokenProcessPool(
                 "injected fault: worker died mid-task"))
             return future

@@ -27,6 +27,7 @@ import os
 from typing import Any, Dict
 
 from repro.ckpt.recordlog import RecordLog
+from repro.obs.registry import NULL_TELEMETRY, Telemetry
 
 __all__ = ["PROGRESS_FILENAME", "CampaignProgress"]
 
@@ -45,10 +46,11 @@ class CampaignProgress:
     logged warning instead of failing the sweep itself.
     """
 
-    def __init__(self, directory: str, every: int = 1) -> None:
+    def __init__(self, directory: str, every: int = 1,
+                 obs: Telemetry = NULL_TELEMETRY) -> None:
         self.path = os.path.join(str(directory), PROGRESS_FILENAME)
         self._log = RecordLog(self.path, kind=_PROGRESS_KIND,
-                              field="completed", every=every)
+                              field="completed", every=every, obs=obs)
 
     def load(self) -> Dict[str, Dict[str, Any]]:
         """Adopt the on-disk record; returns ``{key: {spec, result}}``.

@@ -33,6 +33,7 @@ from typing import Any, Dict, Optional
 
 from repro.ckpt.format import SnapshotError, read_snapshot, write_snapshot
 from repro.obs.log import log_event
+from repro.obs.registry import NULL_TELEMETRY, Telemetry
 
 __all__ = ["RecordLog"]
 
@@ -45,10 +46,13 @@ class RecordLog:
     ``field`` names the meta entry holding the records; ``extra`` holds
     further meta entries persisted beside them (a sequence counter) —
     change one through :meth:`touch` so the next flush writes it.
+    ``obs`` is the owner's registry; the ``recordlog.*`` notices are
+    mirrored there.
     """
 
     def __init__(self, path: str, *, kind: str, field: str,
-                 version: Optional[int] = None, every: int = 1) -> None:
+                 version: Optional[int] = None, every: int = 1,
+                 obs: Telemetry = NULL_TELEMETRY) -> None:
         if every < 1:
             raise ValueError(f"every must be >= 1, got {every}")
         self.path = str(path)
@@ -56,6 +60,7 @@ class RecordLog:
         self.field = field
         self.version = version
         self.every = int(every)
+        self.obs = obs
         self.records: Dict[str, Any] = {}
         self.extra: Dict[str, Any] = {}
         self._pending = 0
@@ -71,7 +76,7 @@ class RecordLog:
             log_event(
                 "recordlog.unusable",
                 "ignoring unusable %s file %s: %s", self.kind, self.path,
-                exc, logger=logger, kind=self.kind)
+                exc, logger=logger, obs=self.obs, kind=self.kind)
             return {}
         records = meta.get(self.field)
         if (meta.get("kind") != self.kind
@@ -80,7 +85,7 @@ class RecordLog:
             log_event(
                 "recordlog.not_a_record",
                 "ignoring %s: not a %s record file", self.path, self.kind,
-                logger=logger, kind=self.kind)
+                logger=logger, obs=self.obs, kind=self.kind)
             return {}
         self.records = dict(records)
         self.extra.update(
@@ -113,7 +118,7 @@ class RecordLog:
             log_event(
                 "recordlog.write_failed",
                 "could not write %s file %s: %s", self.kind, self.path,
-                exc, logger=logger, kind=self.kind)
+                exc, logger=logger, obs=self.obs, kind=self.kind)
             return
         self._dirty = False
         self._pending = 0

@@ -273,9 +273,7 @@ def restore_state(simulation: "Simulation", meta: Dict[str, Any],
 def save_simulation(simulation: "Simulation", path: str, *,
                     step_index: "int | None" = None) -> str:
     """Capture ``simulation`` and write it to ``path`` atomically."""
-    from repro.obs.registry import telemetry
-
-    handle = telemetry()
+    handle = simulation.telemetry
     with handle.span("ckpt.save", cat="ckpt"):
         meta, arrays = capture_state(simulation, step_index=step_index)
         written = write_snapshot(path, meta, arrays)
@@ -289,9 +287,7 @@ def save_simulation(simulation: "Simulation", path: str, *,
 
 def restore_simulation(simulation: "Simulation", path: str) -> None:
     """Read, verify and load the snapshot at ``path`` into ``simulation``."""
-    from repro.obs.registry import telemetry
-
-    handle = telemetry()
+    handle = simulation.telemetry
     with handle.span("ckpt.restore", cat="ckpt"):
         meta, arrays = read_snapshot(path)
         restore_state(simulation, meta, arrays)

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.ckpt.format import SnapshotError, read_snapshot
 from repro.obs.log import log_event
+from repro.obs.registry import NULL_TELEMETRY, Telemetry
 
 __all__ = [
     "CKPT_DIR_ENV",
@@ -82,12 +83,13 @@ def list_snapshots(directory: str) -> List[Tuple[int, str]]:
     return sorted(found)
 
 
-def latest_valid_snapshot(directory: str) -> Optional[LoadedSnapshot]:
+def latest_valid_snapshot(directory: str, obs: Telemetry = NULL_TELEMETRY
+                          ) -> Optional[LoadedSnapshot]:
     """The newest snapshot in ``directory`` that verifies, or ``None``.
 
     Corrupt, torn or unreadable snapshot files are skipped with a logged
-    warning so an interrupted final write falls back to the previous
-    intact snapshot instead of aborting the resume.
+    warning (mirrored into ``obs``) so an interrupted final write falls
+    back to the previous intact snapshot instead of aborting the resume.
     """
     for step, path in reversed(list_snapshots(directory)):
         try:
@@ -96,7 +98,7 @@ def latest_valid_snapshot(directory: str) -> Optional[LoadedSnapshot]:
             log_event(
                 "ckpt.snapshot_skipped",
                 "skipping unusable snapshot %s: %s", path, exc,
-                logger=logger, path=path)
+                logger=logger, obs=obs, path=path)
             continue
         return LoadedSnapshot(step=step, path=path, meta=meta,
                               arrays=arrays)

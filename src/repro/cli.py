@@ -498,7 +498,13 @@ def cmd_campaign(args, stdout=None) -> int:
 
         checkpoint_dir = default_checkpoint_dir()
 
-    campaign = Campaign.from_grid(
+    # the campaign-level registry (disabled without --trace/--metrics);
+    # cells record into their own per-run handles
+    from repro.obs import ObsConfig, Telemetry
+
+    handle = Telemetry(ObsConfig(enabled=bool(args.trace or args.metrics),
+                                 trace=bool(args.trace)))
+    outcome = Campaign.from_grid(
         workloads, args.configurations,
         steps=args.steps, warmup_steps=args.warmup_steps,
         scramble=not args.no_scramble,
@@ -506,23 +512,14 @@ def cmd_campaign(args, stdout=None) -> int:
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
         resume=args.resume,
-    )
-    if args.trace or args.metrics:
-        # a campaign-level registry, scoped so Campaign.run captures it
-        # for its accounting; cells activate their own per-run handles
-        from repro.obs import ObsConfig, use_telemetry
+        obs=handle,
+    ).run()
+    if args.trace:
+        from repro.obs import export_chrome_trace
 
-        with use_telemetry(ObsConfig(enabled=True,
-                                     trace=bool(args.trace))) as handle:
-            outcome = campaign.run()
-        if args.trace:
-            from repro.obs import export_chrome_trace
-
-            export_chrome_trace(handle, args.trace)
-            print(f"trace written to {args.trace} "
-                  f"({len(handle.events)} events)", file=sys.stderr)
-    else:
-        outcome = campaign.run()
+        export_chrome_trace(handle, args.trace)
+        print(f"trace written to {args.trace} "
+              f"({len(handle.events)} events)", file=sys.stderr)
 
     if cache is not None and args.cache_max_bytes is not None:
         evicted = cache.evict(args.cache_max_bytes)
@@ -585,7 +582,8 @@ def cmd_run(args, stdout=None) -> int:
         if args.resume:
             from repro.ckpt import latest_valid_snapshot
 
-            loaded = latest_valid_snapshot(checkpoint_dir)
+            loaded = latest_valid_snapshot(checkpoint_dir,
+                                           session.telemetry)
             if loaded is not None:
                 session.restore(loaded.path)
                 print(f"resumed from {loaded.path} "

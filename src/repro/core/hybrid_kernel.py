@@ -119,7 +119,7 @@ class HybridMPUDeposition(DepositionKernel):
         else:
             cx, cy, cz, stats = tile_contributions_qsp(data, order_idx)
         rhocells = scatter_rhocell_blocks(processing_cells, tile.num_cells,
-                                          cx, cy, cz)
+                                          cx, cy, cz, grid.kernels)
 
         # MOPA instructions for the three components, the operand assembly
         # (A/B construction, ~12 VPU ops per pair) and the operand loads

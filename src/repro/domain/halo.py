@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from repro.obs.registry import telemetry
+from repro.obs.registry import NULL_TELEMETRY, Telemetry
 
 from repro.domain.decomposition import Decomposition, Subdomain
 
@@ -56,8 +56,11 @@ class HaloExchange:
     """Refreshes the ghost layers of every subdomain slab."""
 
     def __init__(self, decomposition: Decomposition,
-                 periodic: Sequence[bool]):
+                 periodic: Sequence[bool],
+                 obs: Telemetry = NULL_TELEMETRY):
         self.decomposition = decomposition
+        #: the owning run's registry (``domain.halo_exchanges``)
+        self.obs = obs
         self.periodic = tuple(bool(p) for p in periodic)
         self._plans = {
             "wrap": self._build_plan(always_wrap=True),
@@ -125,7 +128,7 @@ class HaloExchange:
             plan = self._plans[mode]
         except KeyError:
             raise ValueError(f"unknown halo mode {mode!r}") from None
-        telemetry().count("domain.halo_exchanges")
+        self.obs.count("domain.halo_exchanges")
         for axis in range(3):
             for sub, dest_layer, src_sub, src_layer in plan[axis]:
                 dest_region = self._region(axis, sub, dest_layer)

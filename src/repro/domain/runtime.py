@@ -88,7 +88,7 @@ def slab_stencil(frame: Grid, slab_shape: Tuple[int, int, int],
     op = StencilOperator.from_shape_data(
         slab_shape, (False, False, False),
         base_x - origin[0], base_y - origin[1], base_z - origin[2],
-        wx, wy, wz,
+        wx, wy, wz, frame.kernels,
     )
     if op.box_dims is None or any(
         op.box_lo[a] < 0 or op.box_lo[a] + op.box_dims[a] > slab_shape[a]
@@ -159,7 +159,8 @@ class DomainRuntime:
         self.decomposition = Decomposition(config.grid, config.domain.domains,
                                            halo)
         self.decomposition.build_slabs(simulation.grid)
-        self.halo = HaloExchange(self.decomposition, simulation.grid.periodic)
+        self.halo = HaloExchange(self.decomposition, simulation.grid.periodic,
+                                 simulation.telemetry)
         self.migration = MigrationStats(self.decomposition)
         self._windows = self.decomposition.windows()
         self.solvers: List[FDTDSolver] = (

@@ -38,6 +38,8 @@ import abc
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple, TypeVar
 
+from repro.obs.registry import NULL_TELEMETRY, Telemetry
+
 T = TypeVar("T")
 
 #: Backend names accepted by :class:`repro.config.ExecutionConfig`.
@@ -113,14 +115,18 @@ class TileExecutor(abc.ABC):
         Target number of shards callers should partition into.  This is a
         scheduling hint, not a hard cap — callers may submit fewer tasks
         when a container has fewer non-empty tiles.
+    obs:
+        The owning run's telemetry registry (``exec.*`` accounting).
     """
 
     name: str = "abstract"
 
-    def __init__(self, num_shards: int = 1):
+    def __init__(self, num_shards: int = 1,
+                 obs: Telemetry = NULL_TELEMETRY):
         if num_shards <= 0:
             raise ValueError(f"num_shards must be positive, got {num_shards}")
         self.num_shards = num_shards
+        self.obs = obs
 
     # ------------------------------------------------------------------
     @abc.abstractmethod

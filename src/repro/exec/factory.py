@@ -12,6 +12,8 @@ from repro.exec.base import (
 from repro.exec.serial import SerialExecutor
 from repro.exec.threaded import ThreadTileExecutor
 
+from repro.obs.registry import NULL_TELEMETRY, Telemetry
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.config import ExecutionConfig
 
@@ -21,10 +23,12 @@ _BACKENDS = {
 }
 
 
-def create_executor(config: "ExecutionConfig | None" = None) -> TileExecutor:
-    """The executor selected by ``config`` (default: 1-shard serial)."""
+def create_executor(config: "ExecutionConfig | None" = None,
+                    obs: Telemetry = NULL_TELEMETRY) -> TileExecutor:
+    """The executor selected by ``config`` (default: 1-shard serial),
+    recording its ``exec.*`` accounting into the owning run's ``obs``."""
     if config is None:
-        return SerialExecutor(1)
+        return SerialExecutor(1, obs)
     try:
         cls = _BACKENDS[config.backend]
     except KeyError:
@@ -32,4 +36,4 @@ def create_executor(config: "ExecutionConfig | None" = None) -> TileExecutor:
             f"unknown execution backend {config.backend!r}; "
             f"expected one of {tuple(_BACKENDS)}"
         ) from None
-    return cls(config.num_shards)
+    return cls(config.num_shards, obs)

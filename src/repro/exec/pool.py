@@ -47,7 +47,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.exec.base import TileTask
 from repro.obs.log import log_event
-from repro.obs.registry import Telemetry, telemetry
+from repro.obs.registry import NULL_TELEMETRY, Telemetry
 
 logger = logging.getLogger(__name__)
 
@@ -92,8 +92,8 @@ class SupervisedPool:
         ``submit``/``shutdown``) or ``None`` where pools are unavailable;
         fault tests substitute :class:`repro.ckpt.faults.BrokenPoolOnce`.
     obs:
-        Handle that counts ``exec.pool_rebuilds``; ``None`` resolves
-        :func:`repro.obs.registry.telemetry` at incident time.
+        The owner's registry: counts ``exec.pool_rebuilds`` and mirrors
+        the ``pool.*`` events.
     """
 
     #: broken pool objects forgiven (rebuilt) before degrading for good
@@ -101,7 +101,7 @@ class SupervisedPool:
 
     def __init__(self, max_workers: int, *, owner: str,
                  factory: Callable[[int], Optional[Any]] = make_process_pool,
-                 obs: Optional[Telemetry] = None) -> None:
+                 obs: Telemetry = NULL_TELEMETRY) -> None:
         self.max_workers = int(max_workers)
         self.owner = owner
         self.factory = factory
@@ -225,8 +225,7 @@ class SupervisedPool:
             self.pool_failures += 1
         if broke and self.pool_failures <= self.MAX_POOL_REBUILDS:
             event, outlook = "pool.rebuild", "the pool is rebuilt on next use"
-            handle = self.obs if self.obs is not None else telemetry()
-            handle.count("exec.pool_rebuilds")
+            self.obs.count("exec.pool_rebuilds")
         else:
             self.degraded = True
             event = "pool.degraded" if broke else "pool.unavailable"
@@ -235,4 +234,5 @@ class SupervisedPool:
             event, "%s process pool %s (%s); unfinished work is re-run "
             "off-pool once, %s", self.owner,
             "lost a worker" if broke else "is unavailable", cause, outlook,
-            logger=logger, owner=self.owner, failures=self.pool_failures)
+            logger=logger, obs=self.obs, owner=self.owner,
+            failures=self.pool_failures)

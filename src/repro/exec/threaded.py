@@ -19,7 +19,7 @@ import concurrent.futures
 from typing import Any, List, Optional, Sequence
 
 from repro.exec.base import BACKEND_THREADS, TileExecutor, TileTask
-from repro.obs.registry import telemetry
+from repro.obs.registry import NULL_TELEMETRY, Telemetry
 
 
 class ThreadTileExecutor(TileExecutor):
@@ -27,8 +27,9 @@ class ThreadTileExecutor(TileExecutor):
 
     name = BACKEND_THREADS
 
-    def __init__(self, num_shards: int = 2):
-        super().__init__(num_shards)
+    def __init__(self, num_shards: int = 2,
+                 obs: Telemetry = NULL_TELEMETRY):
+        super().__init__(num_shards, obs)
         self._pool: Optional[concurrent.futures.ThreadPoolExecutor] = None
 
     def _ensure_pool(self) -> concurrent.futures.ThreadPoolExecutor:
@@ -40,7 +41,7 @@ class ThreadTileExecutor(TileExecutor):
         return self._pool
 
     def run(self, tasks: Sequence[TileTask]) -> List[Any]:
-        handle = telemetry()
+        handle = self.obs
         handle.count("exec.shard_batches")
         handle.count("exec.shard_tasks", len(tasks))
         if len(tasks) <= 1:

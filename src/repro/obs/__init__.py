@@ -2,10 +2,11 @@
 
 One spine for every runtime signal the library emits:
 
-* :class:`Telemetry` (:mod:`repro.obs.registry`) — the process-wide
-  registry of counters/gauges (:class:`MetricSet`) and span/instant
-  events, activated per run from a frozen :class:`ObsConfig`
-  (``Session(observe=...)``, ``--trace``/``--metrics`` on the CLIs);
+* :class:`Telemetry` (:mod:`repro.obs.registry`) — one run's registry
+  of counters/gauges (:class:`MetricSet`) and span/instant events,
+  built from a frozen :class:`ObsConfig` (``Session(observe=...)``,
+  ``--trace``/``--metrics`` on the CLIs) and passed as ``obs=`` to
+  everything that records into it;
 * :class:`TracingHook` (:mod:`repro.obs.hooks`) — pipeline-hook-seam
   instrumentation producing the run → step → stage span hierarchy and
   the always-on pipeline counters;
@@ -15,7 +16,8 @@ One spine for every runtime signal the library emits:
   (Perfetto-loadable), schema validation and the ``python -m repro
   trace summarize`` folder;
 * :func:`log_event` (:mod:`repro.obs.log`) — the structured-logging
-  bridge that mirrors module-logger notices as machine-readable events.
+  bridge that mirrors module-logger notices as machine-readable events
+  into the ``obs=`` handle it is given.
 
 Telemetry content is deterministic (event sequence and counter values
 bitwise-reproducible at fixed configuration; only timestamps vary),
@@ -27,13 +29,7 @@ from repro.obs.config import ObsConfig
 from repro.obs.health import HealthHook, PhysicsHealthError
 from repro.obs.hooks import TracingHook
 from repro.obs.log import log_event
-from repro.obs.registry import (
-    MetricSet,
-    Telemetry,
-    activate,
-    telemetry,
-    use_telemetry,
-)
+from repro.obs.registry import MetricSet, Telemetry
 from repro.obs.trace import (
     TRACE_SCHEMA,
     chrome_trace_events,
@@ -52,14 +48,11 @@ __all__ = [
     "TRACE_SCHEMA",
     "Telemetry",
     "TracingHook",
-    "activate",
     "chrome_trace_events",
     "export_chrome_trace",
     "export_jsonl",
     "load_trace_events",
     "log_event",
     "summarize_trace",
-    "telemetry",
-    "use_telemetry",
     "validate_chrome_trace",
 ]

@@ -176,7 +176,7 @@ class HealthHook:
                 event,
                 "%s %.3e exceeds warn threshold %.3e after step %d",
                 label, value, warn, completed,
-                logger=logger,
+                logger=logger, obs=self.telemetry,
                 value=value, threshold=warn, step=completed,
             )
 

@@ -1,17 +1,19 @@
-"""The process-wide telemetry registry: metrics, events, spans.
+"""The telemetry registry of one run: metrics, events, spans.
 
-One :class:`Telemetry` object is the spine every subsystem reports into:
-counters and gauges land in its :class:`MetricSet`, spans and structured
-log events in its ordered event list.  Activation follows the
-:func:`repro.backend.activate` precedent — a process-global handle that
-:class:`~repro.pic.simulation.Simulation` installs from its
-``config.observe`` at construction, so instrumentation sites deep in the
-executors, the halo exchange and the checkpoint store reach the current
-run's registry without threading a handle through every signature::
+One :class:`Telemetry` object is the spine every subsystem of a run
+reports into: counters and gauges land in its :class:`MetricSet`, spans
+and structured log events in its ordered event list.  A registry is
+*handed* to whoever records into it — the
+:class:`~repro.pic.simulation.Simulation` builds one from its
+``config.observe`` and passes it to its executor and halo exchange, a
+campaign or the job service passes its own to its pool, journal and
+caches — and nothing in this module remembers a "current" one, so a
+traced run and an untraced one in the same process never mix::
 
-    from repro.obs import telemetry
+    HaloExchange(decomposition, periodic, obs=simulation.telemetry)
 
-    telemetry().count("domain.halo_exchanges")
+A handle parameter defaults to :data:`NULL_TELEMETRY`, the shared
+disabled registry: recording into it is a single flag check.
 
 Determinism contract
 --------------------
@@ -63,16 +65,14 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.config import ObsConfig
 
 __all__ = [
     "MetricSet",
+    "NULL_TELEMETRY",
     "Telemetry",
-    "activate",
-    "telemetry",
-    "use_telemetry",
 ]
 
 #: counter-name prefixes excluded from the deterministic snapshot:
@@ -297,48 +297,7 @@ class Telemetry:
                 f"{len(self.events)} events)")
 
 
-# ----------------------------------------------------------------------
-# process-global activation (the repro.backend.activate precedent)
-# ----------------------------------------------------------------------
-
-#: the shared disabled singleton: installed while no run observes, and
-#: asserted empty by the disabled-path tests
-_NULL = Telemetry(ObsConfig())
-
-_ACTIVE: Telemetry = _NULL
-
-
-def telemetry() -> Telemetry:
-    """The currently active telemetry (the null singleton by default)."""
-    return _ACTIVE
-
-
-def activate(config: Union[ObsConfig, Telemetry, None]) -> Telemetry:
-    """Install the process-global telemetry for a run and return it.
-
-    ``None`` or a disabled :class:`ObsConfig` installs the shared null
-    singleton (so instrumentation stays a single flag check); an enabled
-    config builds a fresh registry; an existing :class:`Telemetry` is
-    installed as-is (campaign drivers share one across cells this way).
-    """
-    global _ACTIVE
-    if isinstance(config, Telemetry):
-        _ACTIVE = config
-    elif config is None or not config.enabled:
-        _ACTIVE = _NULL
-    else:
-        _ACTIVE = Telemetry(config)
-    return _ACTIVE
-
-
-@contextmanager
-def use_telemetry(handle: Union[ObsConfig, Telemetry, None]
-                  ) -> Iterator[Telemetry]:
-    """Temporarily activate a telemetry (tests and scoped drivers)."""
-    global _ACTIVE
-    previous = _ACTIVE
-    installed = activate(handle)
-    try:
-        yield installed
-    finally:
-        _ACTIVE = previous
+#: the shared disabled registry: the default value of every ``obs``
+#: handle parameter, and what an unobserved run records into (asserted
+#: empty by the disabled-path tests)
+NULL_TELEMETRY = Telemetry(ObsConfig())

@@ -18,7 +18,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import active_kernels
 from repro.config import SHAPE_ORDER_CIC, SHAPE_ORDER_QSP, SHAPE_ORDER_TSC
 from repro.exec import TileExecutor, run_shards, shard_items
 from repro.hardware.counters import KernelCounters
@@ -156,15 +155,15 @@ class TileDepositionData:
         """The tile's flattened grid-node stencil, built once and cached.
 
         The stencil depends only on the grid *geometry* (shape and
-        boundary kind), which is identical for the scratch grids the
-        executor tasks deposit into, so the cache is safe across the
-        grid instances a tile meets within one staging.
+        boundary kind) and its kernel tier, which are identical for the
+        scratch grids the executor tasks deposit into, so the cache is
+        safe across the grid instances a tile meets within one staging.
         """
         if self._stencil is None:
             self._stencil = StencilOperator.from_shape_data(
                 grid.shape, grid.periodic,
                 self.base_x, self.base_y, self.base_z,
-                self.wx, self.wy, self.wz,
+                self.wx, self.wy, self.wz, grid.kernels,
             )
         return self._stencil
 
@@ -226,7 +225,7 @@ def scatter_tile_currents(grid: Grid, data: TileDepositionData) -> None:
     The three components share one flattened stencil (node ids and 3-D
     weights computed once per tile) and accumulate with a single
     scatter-add pass each — see :mod:`repro.pic.stencil`.  When the
-    active kernel tier provides a fused three-component ``scatter3``
+    grid's kernel tier provides a fused three-component ``scatter3``
     (the numba tier), the whole staged tile deposits in one compiled
     pass into bounding-box accumulators; the boxes are applied to the
     grid through the same wrapped/clamped segment logic as the stencil
@@ -235,7 +234,7 @@ def scatter_tile_currents(grid: Grid, data: TileDepositionData) -> None:
     if data.num_particles == 0:
         return
     jx, jy, jz = grid.current_arrays()
-    kern = active_kernels()
+    kern = grid.kernels
     if kern.scatter3 is not None:
         geometry = box_geometry(grid.shape, data.base_x, data.base_y,
                                 data.base_z, data.support)
@@ -264,9 +263,10 @@ def _scratch_shard(shard: Tuple, body, args: Tuple, geometry: Tuple,
     ``shard`` is ``(tiles, scratch)``.  The caller leases ``scratch`` and
     releases it after the merge (the return value aliases its arrays, so
     the task itself must not release).  The scratch always takes the
-    caller grid's *live* ``(lo, hi)``: the moving window advances them
-    past the static ``GridConfig`` values, and staging positions against
-    a stale origin would normalise the particles into the wrong cells.
+    caller grid's *live* ``(lo, hi)`` and its kernel table: the moving
+    window advances the corners past the static ``GridConfig`` values,
+    and staging positions against a stale origin would normalise the
+    particles into the wrong cells.
     """
     tiles, scratch = shard
     apply_grid_geometry(scratch, geometry)

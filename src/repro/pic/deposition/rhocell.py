@@ -21,8 +21,11 @@ identical to the reference kernel.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
+from repro.backend import ActiveKernels
 from repro.hardware.counters import KernelCounters
 from repro.pic.deposition.base import (
     DepositionKernel,
@@ -38,7 +41,8 @@ from repro.pic.stencil import StencilOperator, cell_block_ids, scatter_flat
 
 def scatter_rhocell_blocks(cell_ids: np.ndarray, num_cells: int,
                            contrib_x: np.ndarray, contrib_y: np.ndarray,
-                           contrib_z: np.ndarray
+                           contrib_z: np.ndarray,
+                           kernels: Optional[ActiveKernels] = None
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scatter-add per-particle nodal contributions into per-cell blocks.
 
@@ -60,12 +64,13 @@ def scatter_rhocell_blocks(cell_ids: np.ndarray, num_cells: int,
     blocks = []
     for contrib in (contrib_x, contrib_y, contrib_z):
         block = np.zeros((num_cells, nodes))
-        scatter_flat(block_ids, contrib, block)
+        scatter_flat(block_ids, contrib, block, kernels)
         blocks.append(block)
     return tuple(blocks)
 
 
-def accumulate_rhocells(data: TileDepositionData, num_cells: int
+def accumulate_rhocells(data: TileDepositionData, num_cells: int,
+                        kernels: Optional[ActiveKernels] = None
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Accumulate staged particles into per-cell rhocell blocks.
 
@@ -83,7 +88,7 @@ def accumulate_rhocells(data: TileDepositionData, num_cells: int
     weights = weights.reshape(data.num_particles, data.support**3)
     return scatter_rhocell_blocks(
         data.local_cell_ids, num_cells, data.wqx[:, None] * weights,
-        data.wqy[:, None] * weights, data.wqz[:, None] * weights)
+        data.wqy[:, None] * weights, data.wqz[:, None] * weights, kernels)
 
 
 def reduce_rhocells_to_grid(grid: Grid, tile: ParticleTile, order: int,
@@ -117,7 +122,7 @@ def reduce_rhocells_to_grid(grid: Grid, tile: ParticleTile, order: int,
     # identical to the rhocell block layout, so the blocks scatter as-is
     op = StencilOperator.from_bases(grid.shape, grid.periodic,
                                     lx + offset, ly + offset, lz + offset,
-                                    support)
+                                    support, kernels=grid.kernels)
     op.scatter_values(rho_jx, grid.jx)
     op.scatter_values(rho_jy, grid.jy)
     op.scatter_values(rho_jz, grid.jz)
@@ -211,5 +216,6 @@ class RhocellDeposition(DepositionKernel):
         )
 
         # --- numerics --------------------------------------------------------
-        rho_jx, rho_jy, rho_jz = accumulate_rhocells(data, num_cells)
+        rho_jx, rho_jy, rho_jz = accumulate_rhocells(data, num_cells,
+                                                     grid.kernels)
         reduce_rhocells_to_grid(grid, tile, order, rho_jx, rho_jy, rho_jz)

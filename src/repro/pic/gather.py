@@ -14,9 +14,10 @@ builds one stencil instead of recomputing indices and weights per
 component (6x at the old code's cost), and reads each field through a
 single flat fancy-index pass instead of a ``support**3`` loop nest.
 
-Both entry points dispatch through the active kernel tier's ``gather6``
-kernel (:mod:`repro.backend`), so a compiled tier accelerates the
-stencil build while the multiply-reduce stays the shared ``einsum``.
+Both entry points build the stencil on ``grid`` — so the id/weight
+build runs on the grid's kernel tier (:mod:`repro.backend`) — while the
+multiply-reduce stays the shared ``einsum`` on every tier: a compiled
+sequential reduction could not match its pairwise order bitwise.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.backend import Array, active_kernels
+from repro.backend import Array
 from repro.pic.grid import Grid
 from repro.pic.particles import ParticleTile
+from repro.pic.stencil import StencilOperator
 
 
 def gather_field(grid: Grid, field: Array, x: Array, y: Array,
@@ -36,8 +38,7 @@ def gather_field(grid: Grid, field: Array, x: Array, y: Array,
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         return np.zeros(x.shape)
-    (out,) = active_kernels().gather6(grid, x, y, z, order, (field,))
-    return out
+    return StencilOperator.for_grid(grid, x, y, z, order).gather(field)
 
 
 def gather_fields_for_tile(grid: Grid, tile: ParticleTile, order: int
@@ -51,7 +52,6 @@ def gather_fields_for_tile(grid: Grid, tile: ParticleTile, order: int
     if tile.num_particles == 0:
         empty = np.empty(0)
         return (empty,) * 6
-    return active_kernels().gather6(
-        grid, tile.x, tile.y, tile.z, order,
-        (grid.ex, grid.ey, grid.ez, grid.bx, grid.by, grid.bz)
-    )
+    return StencilOperator.for_grid(
+        grid, tile.x, tile.y, tile.z, order
+    ).gather_many((grid.ex, grid.ey, grid.ez, grid.bx, grid.by, grid.bz))

@@ -18,10 +18,11 @@ produce bit-identical grid currents.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.backend import ActiveKernels, activate
 from repro.config import GridConfig
 from repro.pic.stencil import wrap_axis_indices
 
@@ -29,8 +30,14 @@ from repro.pic.stencil import wrap_axis_indices
 class Grid:
     """Field and current storage for one MPI-rank-equivalent domain."""
 
-    def __init__(self, config: GridConfig):
+    def __init__(self, config: GridConfig,
+                 kernels: Optional[ActiveKernels] = None):
         self.config = config
+        #: kernel dispatch table of the run that owns this grid; every
+        #: stencil built on the grid scatters through it.  A grid with
+        #: no run gets the registry's default resolution.
+        self.kernels = kernels if kernels is not None \
+            else activate().kernels
         nx, ny, nz = config.n_cell
         self.shape = (nx, ny, nz)
         self.lo = np.asarray(config.lo, dtype=np.float64)
@@ -158,22 +165,23 @@ class Grid:
             arr[...] = other.field_arrays()[name]
 
 
-def grid_geometry(grid: "Grid") -> Tuple[np.ndarray, np.ndarray]:
-    """Picklable snapshot of a grid's *live* physical corners.
+def grid_geometry(grid: "Grid") -> Tuple:
+    """Opaque snapshot of what a config-built grid lacks: the *live*
+    physical corners and the owning run's kernel table.
 
     ``GridConfig`` is frozen, but the moving window advances ``grid.lo``
     and ``grid.hi`` past the configured values.  Executor shard tasks
     that rebuild (or lease) a geometry grid from the config must restore
     the live corners with :func:`apply_grid_geometry`, otherwise they
-    would normalise particle positions against a stale origin.
+    would normalise particle positions against a stale origin — and
+    must deposit through the caller's kernel tier, not the default one.
     """
-    return grid.lo.copy(), grid.hi.copy()
+    return grid.lo.copy(), grid.hi.copy(), grid.kernels
 
 
-def apply_grid_geometry(grid: "Grid",
-                        geometry: Tuple[np.ndarray, np.ndarray]) -> "Grid":
+def apply_grid_geometry(grid: "Grid", geometry: Tuple) -> "Grid":
     """Impose a :func:`grid_geometry` snapshot onto a (scratch) grid."""
-    lo, hi = geometry
+    lo, hi, grid.kernels = geometry
     grid.lo[...] = lo
     grid.hi[...] = hi
     return grid

@@ -23,9 +23,6 @@ expressions, so the refactor is bitwise-neutral.  The domain-decomposed
 step (:mod:`repro.domain`) runs this same solver on halo-padded local
 slabs, which is what makes the decomposed field solve bitwise identical
 to the global one.
-
-Kernel dispatch: the wrap-around shifts route through the active kernel
-tier's ``fdtd_roll`` kernel; the bulk ufunc arithmetic is plain NumPy.
 """
 
 from __future__ import annotations
@@ -33,13 +30,32 @@ from __future__ import annotations
 import numpy as np
 
 from repro import constants
-from repro.backend import Array, active_kernels
+from repro.backend import Array
 from repro.pic.grid import Grid, scratch_arrays
 
 
 def _roll_into(src: Array, shift: int, axis: int, out: Array) -> Array:
-    """``roll(src, shift, axis)`` materialised into ``out`` (two copies)."""
-    return active_kernels().fdtd_roll(src, shift, axis, out)
+    """``np.roll(src, shift, axis)`` materialised into ``out``.
+
+    Two contiguous block copies — memcpy-bound, so plain NumPy on every
+    kernel tier.
+    """
+    n = src.shape[axis]
+    s = shift % n
+    if s == 0:
+        out[...] = src
+        return out
+    head = [slice(None)] * src.ndim
+    tail = [slice(None)] * src.ndim
+    head[axis] = slice(0, s)
+    tail[axis] = slice(s, None)
+    src_tail = [slice(None)] * src.ndim
+    src_head = [slice(None)] * src.ndim
+    src_tail[axis] = slice(n - s, None)
+    src_head[axis] = slice(0, n - s)
+    out[tuple(head)] = src[tuple(src_tail)]
+    out[tuple(tail)] = src[tuple(src_head)]
+    return out
 
 
 def _diff(field: Array, axis: int, delta: float, forward: bool) -> Array:

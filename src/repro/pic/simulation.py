@@ -22,6 +22,12 @@ the configuration (single-domain / domain-decomposed, with the tile
 executor carried in the stage context), and :meth:`Simulation.step` is
 ``pipeline.run_step()``.  New-style callers drive the
 loop through :class:`repro.api.Session`.
+
+A simulation owns its collaborators: the kernel table resolved from
+``config.backend`` rides on its grid, and the telemetry registry built
+from ``config.observe`` is handed to its executor, halo exchange and
+hooks.  Neither is process state, so simulations with different tiers
+or tracing settings coexist in one process.
 """
 
 from __future__ import annotations
@@ -34,8 +40,8 @@ from repro.backend import activate
 from repro.config import SimulationConfig
 from repro.exec import TileExecutor, create_executor
 from repro.hardware.counters import KernelCounters
-from repro.obs import HealthHook, TracingHook
-from repro.obs.registry import activate as activate_telemetry
+from repro.obs import HealthHook, Telemetry, TracingHook
+from repro.obs.registry import NULL_TELEMETRY
 from repro.pic.boundary import FieldBoundaryConditions
 from repro.pic.deposition.reference import deposit_reference
 from repro.pic.diagnostics import (
@@ -95,14 +101,15 @@ class Simulation:
                  deposition: Optional[DepositionStrategy] = None,
                  load_plasma: bool = True):
         self.config = config
-        #: kernel tier resolved from ``config.backend``
-        #: (process-global: the stencil primitives dispatch through it)
+        #: kernel tier resolved from ``config.backend``; the stencil
+        #: primitives dispatch through ``grid.kernels``
         self.backend_selection = activate(config.backend)
-        #: telemetry registry resolved from ``config.observe``
-        #: (process-global, the same activation pattern; the shared null
-        #: singleton when observability is off)
-        self.telemetry = activate_telemetry(config.observe)
-        self.grid = Grid(config.grid)
+        #: this run's telemetry registry, from ``config.observe`` (the
+        #: shared disabled one when observability is off)
+        self.telemetry = (Telemetry(config.observe)
+                          if config.observe.enabled else NULL_TELEMETRY)
+        self.telemetry.count("backend.tier_resolves")
+        self.grid = Grid(config.grid, self.backend_selection.kernels)
         self.dt = config.time_step
         self.step_index = 0
         self.rng = np.random.default_rng(config.seed)
@@ -129,7 +136,8 @@ class Simulation:
             deposition if deposition is not None else ReferenceDeposition()
         )
         #: tile execution engine shared by every per-tile stage of the loop
-        self.executor: TileExecutor = create_executor(config.execution)
+        self.executor: TileExecutor = create_executor(config.execution,
+                                                      self.telemetry)
 
         #: domain-decomposed runtime (``None`` on the single-domain path)
         self.domain = None

@@ -42,7 +42,10 @@ the flattened scatter-add *accumulation* — dispatch through the kernel
 registry of :mod:`repro.backend` (``build_weights`` and ``scatter``), so
 a compiled tier replaces exactly those passes while the boundary
 handling (the wrapped/clamped segment application below) stays this
-module's shared NumPy code on every tier.
+module's shared NumPy code on every tier.  Which tier is the caller's
+to say: an operator carries the dispatch table it was built with
+(``kernels=`` — :meth:`StencilOperator.for_grid` copies ``grid.kernels``)
+and only a caller with no run gets the registry's default resolution.
 
 Determinism contract
 --------------------
@@ -68,7 +71,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import Array, active_kernels
+from repro.backend import ActiveKernels, Array, activate
 from repro.pic.shapes import combined_weights, shape_factors
 
 __all__ = [
@@ -123,16 +126,23 @@ def flat_node_ids(shape: Tuple[int, int, int], periodic: Sequence[bool],
     return (plane[:, :, None] + gz[:, None, :]).reshape(n, support**3)
 
 
-def scatter_flat(flat_ids: Array, weights: Array, out: Array) -> None:
+def _kernels_or_default(kernels: Optional[ActiveKernels]) -> ActiveKernels:
+    """``kernels``, or the default resolution for a caller with no run."""
+    return kernels if kernels is not None else activate().kernels
+
+
+def scatter_flat(flat_ids: Array, weights: Array, out: Array,
+                 kernels: Optional[ActiveKernels] = None) -> None:
     """Single-pass scatter-add of flattened stencil weights into ``out``.
 
     ``flat_ids`` and ``weights`` have matching ``(n, m)`` shapes; ``out``
     is the dense target array, addressed through its raveled (row-major)
-    view.  The accumulation pass dispatches to the active kernel tier.
+    view.  The accumulation pass dispatches to the ``kernels`` tier.
     """
     if flat_ids.size == 0:
         return
-    acc = active_kernels().scatter(flat_ids, weights, None, out.size)
+    acc = _kernels_or_default(kernels).scatter(flat_ids, weights, None,
+                                               out.size)
     out += acc.reshape(out.shape)
 
 
@@ -280,20 +290,23 @@ class StencilOperator:
     (:meth:`for_grid`), from raw normalised positions (:meth:`for_box`,
     used by the grid-less PM/PME workloads), from precomputed shape data
     (:meth:`from_shape_data`, the deposition staging path — this is
-    where the ``build_weights`` kernel of the active tier runs), or from
-    bare per-axis base indices (:meth:`from_bases`, the rhocell
-    reduction).
+    where the ``build_weights`` kernel runs), or from bare per-axis base
+    indices (:meth:`from_bases`, the rhocell reduction).  Every
+    constructor takes the ``kernels`` dispatch table its scatters go
+    through.
     """
 
     __slots__ = ("flat_ids", "weights", "shape", "periodic", "box_lo",
-                 "box_dims", "num_particles", "_segments_cache")
+                 "box_dims", "num_particles", "kernels", "_segments_cache")
 
     def __init__(self, flat_ids: Array,
                  weights: Optional[Array],
                  shape: Tuple[int, int, int],
                  periodic: Tuple[bool, bool, bool],
                  box_lo: Optional[Tuple[int, int, int]],
-                 box_dims: Optional[Tuple[int, int, int]]):
+                 box_dims: Optional[Tuple[int, int, int]],
+                 kernels: Optional[ActiveKernels] = None):
+        self.kernels = _kernels_or_default(kernels)
         self.flat_ids = flat_ids
         self.weights = weights
         self.shape = shape
@@ -309,7 +322,8 @@ class StencilOperator:
     @classmethod
     def from_bases(cls, shape: Tuple[int, int, int], periodic: Sequence[bool],
                    base_x: Array, base_y: Array, base_z: Array,
-                   support: int, weights: Optional[Array] = None
+                   support: int, weights: Optional[Array] = None,
+                   kernels: Optional[ActiveKernels] = None
                    ) -> "StencilOperator":
         """Build from per-axis base node indices (ids only by default)."""
         shape = tuple(int(s) for s in shape)
@@ -321,23 +335,24 @@ class StencilOperator:
         if geometry is None:
             ids = flat_node_ids(shape, periodic, base_x, base_y, base_z,
                                 support)
-            return cls(ids, weights, shape, periodic, None, None)
+            return cls(ids, weights, shape, periodic, None, None, kernels)
         lo, dims = geometry
         base = ((base_x - lo[0]) * dims[1] + (base_y - lo[1])) * dims[2] \
             + (base_z - lo[2])
         ids = base[:, None] + _box_offsets((dims[1], dims[2]), support)
-        return cls(ids, weights, shape, periodic, lo, dims)
+        return cls(ids, weights, shape, periodic, lo, dims, kernels)
 
     @classmethod
     def from_shape_data(cls, shape: Tuple[int, int, int],
                         periodic: Sequence[bool],
                         base_x: Array, base_y: Array, base_z: Array,
-                        wx: Array, wy: Array, wz: Array
+                        wx: Array, wy: Array, wz: Array,
+                        kernels: Optional[ActiveKernels] = None
                         ) -> "StencilOperator":
         """Build from per-axis base indices and 1-D weights.
 
-        The combined id/weight build dispatches to the active tier's
-        ``build_weights`` kernel on the bounding-box fast path; the
+        The combined id/weight build dispatches to the ``build_weights``
+        kernel of ``kernels`` on the bounding-box fast path; the
         out-of-range fallback keeps the exact wrapped-space oracle
         formulation on every tier.
         """
@@ -352,29 +367,32 @@ class StencilOperator:
             weights = combined_weights(wx, wy, wz).reshape(n, support**3)
             ids = flat_node_ids(shape, periodic, base_x, base_y, base_z,
                                 support)
-            return cls(ids, weights, shape, periodic, None, None)
+            return cls(ids, weights, shape, periodic, None, None, kernels)
         lo, dims = geometry
-        ids, weights = active_kernels().build_weights(
+        kernels = _kernels_or_default(kernels)
+        ids, weights = kernels.build_weights(
             base_x, base_y, base_z, wx, wy, wz, lo, dims)
-        return cls(ids, weights, shape, periodic, lo, dims)
+        return cls(ids, weights, shape, periodic, lo, dims, kernels)
 
     @classmethod
     def for_box(cls, shape: Tuple[int, int, int], periodic: Sequence[bool],
-                xi: Array, yi: Array, zi: Array, order: int
+                xi: Array, yi: Array, zi: Array, order: int,
+                kernels: Optional[ActiveKernels] = None
                 ) -> "StencilOperator":
         """Build from grid-normalised positions on a bare index box."""
         base_x, wx = shape_factors(xi, order)
         base_y, wy = shape_factors(yi, order)
         base_z, wz = shape_factors(zi, order)
         return cls.from_shape_data(shape, periodic, base_x, base_y, base_z,
-                                   wx, wy, wz)
+                                   wx, wy, wz, kernels)
 
     @classmethod
     def for_grid(cls, grid, x: Array, y: Array, z: Array,
                  order: int) -> "StencilOperator":
         """Build from physical positions on a :class:`~repro.pic.grid.Grid`."""
         xi, yi, zi = grid.normalized_position(x, y, z)
-        return cls.for_box(grid.shape, grid.periodic, xi, yi, zi, order)
+        return cls.for_box(grid.shape, grid.periodic, xi, yi, zi, order,
+                           grid.kernels)
 
     # ------------------------------------------------------------------
     # box <-> grid transfer
@@ -410,7 +428,7 @@ class StencilOperator:
             )
         size = int(self.box_dims[0]) * int(self.box_dims[1]) \
             * int(self.box_dims[2])
-        return active_kernels().scatter(
+        return self.kernels.scatter(
             self.flat_ids, values, None, size).reshape(self.box_dims)
 
     def scatter_box(self, amplitude: Optional[Array]) -> Array:
@@ -429,7 +447,7 @@ class StencilOperator:
             return self.box_accumulate(self.weights)
         size = int(self.box_dims[0]) * int(self.box_dims[1]) \
             * int(self.box_dims[2])
-        return active_kernels().scatter(
+        return self.kernels.scatter(
             self.flat_ids, self.weights, amplitude, size
         ).reshape(self.box_dims)
 
@@ -492,7 +510,7 @@ class StencilOperator:
         if self.num_particles == 0:
             return
         if self.box_dims is None:
-            scatter_flat(self.flat_ids, values, out)
+            scatter_flat(self.flat_ids, values, out, self.kernels)
             return
         self._apply_box(self.box_accumulate(values), out)
 
@@ -509,7 +527,7 @@ class StencilOperator:
                 contributions = self.weights
             else:
                 contributions = np.asarray(amplitude)[:, None] * self.weights
-            scatter_flat(self.flat_ids, contributions, out)
+            scatter_flat(self.flat_ids, contributions, out, self.kernels)
             return
         self._apply_box(self.scatter_box(amplitude), out)
 

@@ -41,6 +41,7 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.backend import ActiveKernels
     from repro.config import SimulationConfig
     from repro.domain.runtime import DomainRuntime
     from repro.exec import TileExecutor
@@ -80,6 +81,11 @@ class StageContext:
     def grid(self) -> "Grid":
         """The global frame grid (single-domain arrays of record)."""
         return self.simulation.grid
+
+    @property
+    def kernels(self) -> "ActiveKernels":
+        """The run's kernel dispatch table (carried by the grid)."""
+        return self.simulation.grid.kernels
 
     @property
     def executor(self) -> "TileExecutor":

@@ -64,6 +64,7 @@ RESOURCES: FrozenSet[str] = frozenset({
     "step_index",
     "time",
     "executor",
+    "kernels",
     "breakdown",
     # the run's metric/event registry (repro.obs); an external
     # accumulator like `breakdown` — recording never orders stages
@@ -125,6 +126,7 @@ EXTERNAL_RESOURCES: FrozenSet[str] = frozenset({
     "step_index",
     "time",
     "executor",
+    "kernels",
     "breakdown",
     "telemetry",
     "simulation.pusher",

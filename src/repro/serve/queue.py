@@ -18,11 +18,8 @@ never completed (no accepted cell is lost, none runs twice).
 Cache misses execute on a :class:`WorkerPool`: a
 :class:`repro.exec.pool.SupervisedPool` (which owns worker death,
 rebuild-once and permanent degrade — see there) bounded by an asyncio
-semaphore.  Cells the pool cannot take run on a single in-process worker
-thread, *serialized* on purpose:
-:func:`repro.analysis.campaign.run_spec` activates process-global
-backend/telemetry state per cell, so only one may run at a time in the
-server process.
+semaphore.  Cells the pool cannot take run one at a time on a single
+in-process worker thread.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional
 from repro.analysis.campaign import ExperimentSpec, spec_for_workload
 from repro.ckpt.recordlog import RecordLog
 from repro.exec.pool import SupervisedPool
-from repro.obs.registry import Telemetry
+from repro.obs.registry import NULL_TELEMETRY, Telemetry
 from repro.workloads import GRID_CHOICES, GRID_DEFAULTS, workload_for_family
 
 __all__ = [
@@ -273,10 +270,11 @@ class JobJournal:
     warning — exactly the campaign-progress recovery contract.
     """
 
-    def __init__(self, directory: str, every: int = 1) -> None:
+    def __init__(self, directory: str, every: int = 1,
+                 obs: Telemetry = NULL_TELEMETRY) -> None:
         self.path = os.path.join(str(directory), QUEUE_FILENAME)
         self._log = RecordLog(self.path, kind=_QUEUE_KIND, field="jobs",
-                              version=_QUEUE_VERSION, every=every)
+                              version=_QUEUE_VERSION, every=every, obs=obs)
         self._log.extra["next_seq"] = 1
 
     def load(self) -> Dict[str, Dict[str, Any]]:
@@ -312,14 +310,12 @@ class WorkerPool:
     ``jobs`` caps concurrent cells (an asyncio semaphore) and sizes the
     process pool.  A cell the supervised pool cannot take — it is
     degraded, or this cell's worker died and it gets its one retry —
-    runs on one in-process worker thread, serialized: ``run_spec``
-    activates process-global state, so the server process may host only
-    one in-process cell at a time.
+    runs on one in-process worker thread, one cell at a time.
     """
 
     def __init__(self, jobs: int = 1,
                  task_fn: Optional[Callable] = None,
-                 obs: Optional[Telemetry] = None) -> None:
+                 obs: Telemetry = NULL_TELEMETRY) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = int(jobs)

@@ -12,10 +12,9 @@ jobs requeue with their already-completed cells adopted as
 missing cells compute — the restart-mid-queue contract the acceptance
 test pins.
 
-The service holds its **own** :class:`~repro.obs.registry.Telemetry`
-handle rather than the process-global one: degraded-mode cells run
-in-process and re-activate the global registry per cell, which would
-stomp service counters mid-flight.
+The service builds its own :class:`~repro.obs.registry.Telemetry` and
+hands it to everything it owns (tenant caches, journal, pool, resolver);
+cells run with their own per-run registries.
 
 :class:`CampaignServer` speaks just enough HTTP/1.1 over
 ``asyncio.start_server`` for the JSON API (stdlib only, one request per
@@ -123,7 +122,8 @@ class JobService:
             os.path.join(config.root, "tenants"),
             max_bytes_per_tenant=config.tenant_max_bytes,
             obs=self.obs)
-        self.journal = JobJournal(config.root, every=config.journal_every)
+        self.journal = JobJournal(config.root, every=config.journal_every,
+                                  obs=self.obs)
         self.pool = WorkerPool(config.jobs, task_fn=task_fn, obs=self.obs)
         self.resolver = CellResolver(self.tenants, self.pool, self.obs,
                                      memo_entries=config.memo_entries)
@@ -146,7 +146,7 @@ class JobService:
                 log_event(
                     "serve.journal_job_malformed",
                     "dropping malformed journaled job %s: %s", job_id, exc,
-                    logger=logger)
+                    logger=logger, obs=self.obs)
                 continue
             self.jobs[job.job_id] = job
             broker = self._broker(job.job_id)
@@ -241,7 +241,8 @@ class JobService:
             self.obs.count("serve.jobs.failed")
             log_event(
                 "serve.job_failed",
-                "job %s failed: %s", job.job_id, job.error, logger=logger)
+                "job %s failed: %s", job.job_id, job.error, logger=logger,
+                obs=self.obs)
         else:
             job.status = "completed"
             self.obs.count("serve.jobs.completed")

@@ -25,7 +25,7 @@ import re
 from typing import Dict, Optional
 
 from repro.analysis.cache import ResultCache
-from repro.obs.registry import Telemetry, telemetry
+from repro.obs.registry import NULL_TELEMETRY, Telemetry
 
 __all__ = [
     "DEFAULT_TENANT",
@@ -62,7 +62,7 @@ class TenantNamespace:
 
     def __init__(self, name: str, directory: str,
                  max_bytes: Optional[int] = None,
-                 obs: Optional[Telemetry] = None) -> None:
+                 obs: Telemetry = NULL_TELEMETRY) -> None:
         self.name = name
         self.directory = directory
         self.max_bytes = max_bytes
@@ -84,10 +84,9 @@ class TenantNamespace:
         before = self.cache.stats.evicted_bytes
         evicted = self.cache.evict(self.max_bytes)
         if evicted:
-            obs = self._obs if self._obs is not None else telemetry()
-            obs.count("serve.tenant.evictions", evicted)
-            obs.count("serve.tenant.evicted_bytes",
-                      self.cache.stats.evicted_bytes - before)
+            self._obs.count("serve.tenant.evictions", evicted)
+            self._obs.count("serve.tenant.evicted_bytes",
+                            self.cache.stats.evicted_bytes - before)
 
     def stats(self) -> Dict[str, object]:
         """Accounting the service reports for this namespace."""
@@ -106,7 +105,7 @@ class TenantManager:
     """Lazily materialised tenant-name -> namespace map under one root."""
 
     def __init__(self, root: str, max_bytes_per_tenant: Optional[int] = None,
-                 obs: Optional[Telemetry] = None) -> None:
+                 obs: Telemetry = NULL_TELEMETRY) -> None:
         if max_bytes_per_tenant is not None and max_bytes_per_tenant < 0:
             raise ValueError(
                 f"max_bytes_per_tenant must be >= 0, "

@@ -1,6 +1,6 @@
 """The repro-lint rule implementations.
 
-Five analyzers enforce the repository's core contracts:
+Four analyzers enforce the repository's core contracts:
 
 ``backend-purity``
     ``np.<ufunc>.at`` is banned repo-wide: scatter-add goes through the
@@ -32,10 +32,6 @@ Five analyzers enforce the repository's core contracts:
     standard containers, Optional/Union of those, and nested
     dataclasses.
 
-``api-drift``
-    ``__all__`` of each snapshotted module must match the frozen
-    API_SURFACE table in ``tests/test_api_surface.py``.
-
 Each analyzer is a function ``(LintContext) -> List[Finding]``; the
 registry lives in :mod:`repro.tools.lint`.
 """
@@ -44,12 +40,11 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-import importlib
 import inspect
 import textwrap
 import typing
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.tools.findings import Finding, SourceFile
 
@@ -58,7 +53,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "HOT_PATH_PACKAGES",
-    "check_api_surface",
     "check_backend_purity",
     "check_determinism",
     "check_picklable_dataclass",
@@ -148,9 +142,8 @@ def _backend_purity_file(sf: SourceFile) -> Iterable[Finding]:
             finding = sf.finding(
                 RULE_BACKEND, node.lineno,
                 f"unbuffered numpy scatter `np.{path}` is banned repo-wide",
-                hint="route scatter-adds through the kernel registry "
-                     "(active_kernels()) so the fused tier can replace "
-                     "them",
+                hint="route scatter-adds through the run's kernel table "
+                     "(grid.kernels) so the fused tier can replace them",
             )
             if finding is not None:
                 yield finding
@@ -322,7 +315,7 @@ RULE_STAGE_EFFECTS = "stage-effects"
 #: StageContext attribute names == effect resource roots
 _CONTEXT_ROOTS = frozenset({
     "config", "grid", "executor", "containers", "domain", "breakdown",
-    "dt", "step_index", "time", "simulation", "telemetry",
+    "dt", "step_index", "time", "simulation", "telemetry", "kernels",
 })
 
 
@@ -529,92 +522,5 @@ def check_spec_purity(ctx: "LintContext") -> List[Finding]:
                 hint="specs must carry only JSON-able data (atoms, "
                      "containers, nested dataclasses); convert the "
                      "value at the spec boundary",
-            ))
-    return findings
-
-
-# ----------------------------------------------------------------------
-# api-drift
-# ----------------------------------------------------------------------
-
-RULE_API_DRIFT = "api-drift"
-
-
-def _load_snapshot(snapshot_path: Path
-                   ) -> Tuple[Dict[str, Sequence[str]], Dict[str, int]]:
-    """(module -> names, module -> snapshot line) from the test module."""
-    tree = ast.parse(snapshot_path.read_text(encoding="utf-8"))
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "API_SURFACE"
-                        for t in node.targets)
-                and isinstance(node.value, ast.Dict)):
-            snapshot = ast.literal_eval(node.value)
-            lines = {
-                key_node.value: key_node.lineno
-                for key_node in node.value.keys
-                if isinstance(key_node, ast.Constant)
-            }
-            return snapshot, lines
-    raise LookupError(f"no API_SURFACE dict found in {snapshot_path}")
-
-
-def check_api_surface(ctx: "LintContext",
-                      snapshot_path: Optional[Path] = None
-                      ) -> List[Finding]:
-    if snapshot_path is None:
-        snapshot_path = ctx.root / "tests" / "test_api_surface.py"
-    rel = ctx.relativize(snapshot_path)
-    if not snapshot_path.exists():
-        return [Finding(
-            rule=RULE_API_DRIFT, path=rel, line=1,
-            message="api-surface snapshot module is missing",
-            hint="restore tests/test_api_surface.py",
-        )]
-    try:
-        snapshot, lines = _load_snapshot(snapshot_path)
-    except (SyntaxError, ValueError, LookupError) as exc:
-        return [Finding(
-            rule=RULE_API_DRIFT, path=rel, line=1,
-            message=f"cannot read API_SURFACE snapshot: {exc}",
-            hint="keep API_SURFACE a literal dict of name tuples",
-        )]
-    findings: List[Finding] = []
-    for module_name in sorted(snapshot):
-        line = lines.get(module_name, 1)
-        try:
-            module = importlib.import_module(module_name)
-        except ImportError as exc:
-            findings.append(Finding(
-                rule=RULE_API_DRIFT, path=rel, line=line,
-                message=f"snapshotted module {module_name!r} does not "
-                        f"import: {exc}",
-                hint="fix the module or drop it from API_SURFACE",
-            ))
-            continue
-        declared = getattr(module, "__all__", None)
-        if declared is None:
-            findings.append(Finding(
-                rule=RULE_API_DRIFT, path=rel, line=line,
-                message=f"{module_name} declares no __all__",
-                hint="declare __all__ matching the snapshot",
-            ))
-            continue
-        expected = set(snapshot[module_name])
-        actual = set(declared)
-        added = sorted(actual - expected)
-        removed = sorted(expected - actual)
-        if added or removed:
-            drift = []
-            if added:
-                drift.append(f"added {added}")
-            if removed:
-                drift.append(f"removed {removed}")
-            findings.append(Finding(
-                rule=RULE_API_DRIFT, path=rel, line=line,
-                message=f"{module_name}.__all__ drifted from the "
-                        f"snapshot: {'; '.join(drift)}",
-                hint="update API_SURFACE in tests/test_api_surface.py "
-                     "in the same commit as a deliberate API change",
             ))
     return findings

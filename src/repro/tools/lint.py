@@ -76,7 +76,6 @@ ANALYZERS: Dict[str, Callable[[LintContext], List[Finding]]] = {
     "determinism": analyzers.check_determinism,
     "stage-effects": analyzers.check_stage_effects,
     "spec-purity": analyzers.check_spec_purity,
-    "api-drift": analyzers.check_api_surface,
 }
 
 

@@ -29,11 +29,8 @@ API_SURFACE = {
         "KernelRegistry",
         "KernelTier",
         "activate",
-        "active_kernels",
-        "active_selection",
         "kernel_registry",
         "register_kernel_tier",
-        "use_backend",
     ),
     "repro.ckpt": (
         "CKPT_DIR_ENV",
@@ -65,15 +62,12 @@ API_SURFACE = {
         "TRACE_SCHEMA",
         "Telemetry",
         "TracingHook",
-        "activate",
         "chrome_trace_events",
         "export_chrome_trace",
         "export_jsonl",
         "load_trace_events",
         "log_event",
         "summarize_trace",
-        "telemetry",
-        "use_telemetry",
         "validate_chrome_trace",
     ),
     "repro.pipeline": (

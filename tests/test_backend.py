@@ -8,8 +8,9 @@ oracle (runnable without numba: the ``_impl`` loop bodies are plain
 Python functions), and the configuration plumbing — ``BackendConfig`` on
 ``SimulationConfig``/workloads, the ``Session(backend=...)`` knob, the
 ``REPRO_KERNEL_TIER`` environment override, the ``kernel_tier`` field of
-``RuntimeBreakdown`` and the numerics-tag normalisation of campaign
-cache keys.
+``RuntimeBreakdown``, the numerics-tag normalisation of campaign
+cache keys, and run isolation: the kernel table travels with the run, so
+two sessions with different tiers in one process never share one.
 """
 
 from __future__ import annotations
@@ -28,9 +29,7 @@ from repro.backend import (
     KernelRegistry,
     KernelTier,
     activate,
-    active_kernels,
     kernel_registry,
-    use_backend,
 )
 from repro.backend import kernels_numba, kernels_oracle
 from repro.backend.registry import NUMERICS_FLAT_V1
@@ -61,8 +60,6 @@ def _registry_with_builtin_wiring():
             "build_weights": kernels_oracle.build_weights,
             "scatter": kernels_oracle.scatter,
             "scatter3": kernels_oracle.scatter3,
-            "gather6": kernels_oracle.gather6,
-            "fdtd_roll": kernels_oracle.fdtd_roll,
         },
     ))
     reg.register(KernelTier(
@@ -106,13 +103,13 @@ class TestRegistry:
             KernelTier(name="bogus", numerics="x", priority=1,
                        kernels={"not_a_kernel": lambda: None})
 
-    def test_fused_inherits_oracle_gather_and_roll(self):
-        reg = _registry_with_builtin_wiring()
-        if not kernels_numba.available():
-            pytest.skip("numba missing: fused tier cannot resolve")
-        resolved = reg.resolve("fused")
-        assert resolved.gather6 is kernels_oracle.gather6
-        assert resolved.fdtd_roll is kernels_oracle.fdtd_roll
+    @pytest.mark.parametrize("retired", ["gather6", "fdtd_roll"])
+    def test_one_implementation_kernels_are_not_registry_entries(
+            self, retired):
+        assert KERNEL_NAMES == ("build_weights", "scatter", "scatter3")
+        with pytest.raises(ValueError, match="unknown kernel"):
+            KernelTier(name="stale", numerics="x", priority=1,
+                       kernels={retired: lambda: None})
 
     def test_oracle_dispatch_table_is_complete(self):
         resolved = kernel_registry.resolve("oracle")
@@ -223,23 +220,33 @@ class TestFusedBitwiseParity:
         assert out.shape == (8,) and not out.any()
 
 
+def _bare_grid():
+    from repro.config import GridConfig
+    from repro.pic.grid import Grid
+
+    return Grid(GridConfig(n_cell=(4, 4, 4)))
+
+
 class TestActivation:
     def test_default_activation_is_numpy_oracle(self):
-        with use_backend(None) as selection:
-            assert selection.kernel_tier == \
-                kernel_registry.available_tier_names()[0]
-            assert active_kernels() is selection.kernels
+        selection = activate(None)
+        assert selection.kernel_tier == \
+            kernel_registry.available_tier_names()[0]
+        # a grid with no run gets exactly this default resolution
+        assert _bare_grid().kernels is selection.kernels
 
     def test_string_coerces_to_kernel_tier(self):
-        with use_backend("oracle") as selection:
-            assert selection.kernel_tier == "oracle"
-            assert selection.config == BackendConfig(kernel_tier="oracle")
+        selection = activate("oracle")
+        assert selection.kernel_tier == "oracle"
+        assert selection.config == BackendConfig(kernel_tier="oracle")
 
-    def test_use_backend_restores_previous_selection(self):
+    def test_activate_installs_nothing(self):
         before = activate(BackendConfig())
-        with use_backend("oracle"):
-            pass
-        assert active_kernels() is before.kernels
+        explicit = activate("oracle")
+        assert explicit.kernels is not before.kernels
+        # resolving another tier left no trace for later callers
+        assert _bare_grid().kernels is before.kernels
+        assert activate(BackendConfig()).kernels is before.kernels
 
     def test_invalid_config_type_is_an_error(self):
         with pytest.raises(TypeError):
@@ -247,18 +254,127 @@ class TestActivation:
 
     def test_env_override_applies_to_auto_only(self, monkeypatch):
         monkeypatch.setenv(KERNEL_TIER_ENV, "oracle")
-        with use_backend(BackendConfig()) as selection:
-            assert selection.kernel_tier == "oracle"
+        assert activate(BackendConfig()).kernel_tier == "oracle"
+        assert _bare_grid().kernels.tier == "oracle"
         # an explicitly configured tier wins over the environment
         monkeypatch.setenv(KERNEL_TIER_ENV, "no-such-tier")
-        with use_backend(BackendConfig(kernel_tier="oracle")) as selection:
-            assert selection.kernel_tier == "oracle"
+        assert activate(
+            BackendConfig(kernel_tier="oracle")).kernel_tier == "oracle"
 
     def test_env_override_is_strict(self, monkeypatch):
         monkeypatch.setenv(KERNEL_TIER_ENV, "no-such-tier")
         with pytest.raises(ValueError, match="unknown kernel tier"):
-            with use_backend(BackendConfig()):
-                pass  # pragma: no cover
+            activate(BackendConfig())
+
+
+class TestRunIsolation:
+    """The kernel table belongs to the run, not to the process."""
+
+    SPY_TIER = "test-spy"
+
+    @pytest.fixture
+    def spy_calls(self):
+        """Register a tier whose ``scatter`` counts calls, then delegates
+        to the oracle (same numerics tag: bitwise identical)."""
+        calls = []
+
+        def scatter(flat_ids, weights, amplitude, size):
+            calls.append(size)
+            return kernels_oracle.scatter(flat_ids, weights, amplitude, size)
+
+        kernel_registry.register(
+            KernelTier(name=self.SPY_TIER, numerics=NUMERICS_FLAT_V1,
+                       priority=-100, kernels={"scatter": scatter}),
+            replace=True)
+        return calls
+
+    @staticmethod
+    def _session(backend, **params):
+        from repro.api import Session
+        from repro.workloads.uniform import UniformPlasmaWorkload
+
+        workload = UniformPlasmaWorkload(
+            n_cell=(8, 8, 8), tile_size=(4, 4, 4), ppc=1, max_steps=4,
+            **params)
+        return Session.from_workload(workload, backend=backend)
+
+    @staticmethod
+    def _digest(session):
+        import hashlib
+
+        from repro.ckpt import capture_state
+
+        _meta, arrays = capture_state(session.simulation)
+        digest = hashlib.sha256()
+        for name in sorted(arrays):
+            digest.update(name.encode("ascii"))
+            digest.update(arrays[name].tobytes())
+        return digest.hexdigest()
+
+    def test_a_later_session_does_not_change_an_earlier_ones_tier(
+            self, spy_calls):
+        with self._session("oracle") as first, \
+                self._session(self.SPY_TIER) as second:
+            assert first.grid.kernels.tier == "oracle"
+            assert second.grid.kernels.tier == self.SPY_TIER
+            first.step()
+            assert spy_calls == []
+            second.step()
+            assert spy_calls
+            assert first.breakdown.kernel_tier == "oracle"
+            assert second.breakdown.kernel_tier == self.SPY_TIER
+
+    @pytest.mark.skipif(not kernels_numba.available(),
+                        reason="numba missing: no fused tier to pair with")
+    def test_oracle_and_fused_sessions_coexist(self):
+        """The real pair (CI ``kernel-tiers`` jit leg): each session
+        dispatches its own tier's ``scatter``, bitwise-equal results."""
+        with self._session("oracle") as first, \
+                self._session("fused") as second:
+            assert first.grid.kernels.scatter is kernels_oracle.scatter
+            assert second.grid.kernels.scatter is kernels_numba.scatter
+            for _ in range(2):
+                first.step()
+                second.step()
+            assert first.breakdown.kernel_tier == "oracle"
+            assert second.breakdown.kernel_tier == "fused"
+            assert self._digest(first) == self._digest(second)
+
+    @pytest.mark.parametrize("params", [
+        {},
+        {"domains": (2, 1, 1)},
+    ], ids=["global", "domains2"])
+    def test_sharded_and_decomposed_paths_use_the_runs_tier(
+            self, spy_calls, params):
+        from repro.config import ExecutionConfig
+
+        with self._session("oracle") as decoy:
+            with self._session(self.SPY_TIER, execution=ExecutionConfig(
+                    backend="threads", num_shards=2), **params) as session:
+                session.step()
+            assert spy_calls  # scratch grids and slabs carry the table
+            del spy_calls[:]
+            decoy.step()
+            assert spy_calls == []
+
+    def test_interleaved_sessions_match_their_solo_runs(self, spy_calls):
+        def solo(backend):
+            with self._session(backend) as session:
+                for _ in range(3):
+                    session.step()
+                return self._digest(session)
+
+        expected = {tier: solo(tier) for tier in ("oracle", self.SPY_TIER)}
+        solo_calls = len(spy_calls)
+        del spy_calls[:]
+        with self._session("oracle") as first, \
+                self._session(self.SPY_TIER) as second:
+            for _ in range(3):
+                first.step()
+                second.step()
+            assert self._digest(first) == expected["oracle"]
+            assert self._digest(second) == expected[self.SPY_TIER]
+        assert len(spy_calls) == solo_calls
 
 
 class TestConfigPlumbing:

@@ -27,7 +27,8 @@ from repro.ckpt.faults import (
 from repro.ckpt.progress import CampaignProgress
 from repro.exec.base import TileTask
 from repro.exec.pool import SupervisedPool, make_process_pool
-from repro.obs import ObsConfig, use_telemetry
+from repro.obs import ObsConfig, Telemetry
+from repro.obs.registry import NULL_TELEMETRY
 from repro.workloads.uniform import UniformPlasmaWorkload
 
 from helpers import log_events
@@ -50,12 +51,12 @@ def small_workloads(count=2):
 
 
 def make_campaign(tmp_path, *, workloads=2, resume=False, jobs=1,
-                  checkpoint=True):
+                  checkpoint=True, obs=NULL_TELEMETRY):
     return Campaign.from_grid(
         small_workloads(workloads), ["Baseline"], steps=1, warmup_steps=0,
         jobs=jobs,
         checkpoint_dir=str(tmp_path / "ck") if checkpoint else None,
-        resume=resume)
+        resume=resume, obs=obs)
 
 
 def result_fields(outcome):
@@ -104,11 +105,11 @@ class TestHarness:
 
 class TestExecutorRecovery:
     def test_worker_death_mid_task_recovers_inline(self):
-        pool = SupervisedPool(2, owner="executor")
+        obs = Telemetry(ObsConfig(trace=True))
+        pool = SupervisedPool(2, owner="executor", obs=obs)
         fake = BrokenPoolOnce(fail="result", at=2)
         pool.factory = lambda max_workers: fake
-        with use_telemetry(ObsConfig(trace=True)) as obs:
-            results = pool.run(square_tasks())
+        results = pool.run(square_tasks())
         assert results == [i * i for i in range(6)]
         assert fake.broke and fake.submitted == 6
         assert pool.pool_failures == 1
@@ -124,12 +125,12 @@ class TestExecutorRecovery:
         lost tasks inline and later batches run in a fresh pool."""
         switch = KillSwitch(str(tmp_path / "marker"))
         switch.arm()
-        pool = SupervisedPool(2, owner="executor")
+        obs = Telemetry(ObsConfig(trace=True))
+        pool = SupervisedPool(2, owner="executor", obs=obs)
         tasks = [TileTask(chaos_shard_task, (switch.path, i))
                  for i in range(4)]
         try:
-            with use_telemetry(ObsConfig(trace=True)) as obs:
-                results = pool.run(tasks)
+            results = pool.run(tasks)
             assert results == [0, 1, 2, 3]
             assert pool.pool_failures == 1
             assert not pool.degraded
@@ -198,9 +199,9 @@ class TestCampaignResume:
         campaign = make_campaign(tmp_path, workloads=2)
         campaign.run()
         flip_byte(str(tmp_path / "ck" / "campaign.ckpt"))
-        with use_telemetry(ObsConfig(trace=True)) as obs:
-            resumed = make_campaign(tmp_path, workloads=2,
-                                    resume=True).run()
+        obs = Telemetry(ObsConfig(trace=True))
+        resumed = make_campaign(tmp_path, workloads=2, resume=True,
+                                obs=obs).run()
         (event,) = log_events(obs, "recordlog.unusable")
         assert event["kind"] == "campaign-progress"
         assert [entry.resumed for entry in resumed] == [False, False]
@@ -246,12 +247,12 @@ class TestCampaignResume:
         monkeypatch.setenv(SPEC_KILL_MARKER_ENV, switch.path)
         monkeypatch.setattr(campaign_module, "_execute_spec_payload",
                             killing_spec_executor)
+        obs = Telemetry(ObsConfig(trace=True))
         campaign = Campaign.from_grid(
             small_workloads(2), ["Baseline"], steps=1, warmup_steps=0,
-            jobs=2)
+            jobs=2, obs=obs)
         try:
-            with use_telemetry(ObsConfig(trace=True)) as obs:
-                outcome = campaign.run()
+            outcome = campaign.run()
         finally:
             switch.disarm()
         assert result_fields(outcome) == reference

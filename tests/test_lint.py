@@ -37,7 +37,6 @@ from repro.tools import (
     run_lint,
 )
 from repro.tools.analyzers import (
-    check_api_surface,
     check_backend_purity,
     check_determinism,
     check_picklable_dataclass,
@@ -392,55 +391,14 @@ class TestSpecPurity:
 
 
 # ----------------------------------------------------------------------
-# api-drift
-# ----------------------------------------------------------------------
-
-class TestApiDrift:
-    def _snapshot_ctx(self, tmp_path, snapshot_literal):
-        tests_dir = tmp_path / "tests"
-        tests_dir.mkdir()
-        (tests_dir / "test_api_surface.py").write_text(
-            f"API_SURFACE = {snapshot_literal}\n")
-        (tmp_path / "src").mkdir()
-        return LintContext(tmp_path)
-
-    def test_flags_drifted_all(self, tmp_path):
-        # the real repro.tools exports more than this stale snapshot
-        ctx = self._snapshot_ctx(
-            tmp_path, "{'repro.tools': ('run_lint',)}")
-        findings = check_api_surface(ctx)
-        assert len(findings) == 1
-        assert "drifted" in findings[0].message
-        assert "added" in findings[0].message
-
-    def test_near_miss_matching_snapshot_passes(self, tmp_path):
-        import repro.tools
-
-        names = tuple(sorted(repro.tools.__all__))
-        ctx = self._snapshot_ctx(tmp_path,
-                                 f"{{'repro.tools': {names!r}}}")
-        assert check_api_surface(ctx) == []
-
-    def test_missing_snapshot_is_reported(self, tmp_path):
-        (tmp_path / "src").mkdir()
-        ctx = LintContext(tmp_path)
-        findings = check_api_surface(ctx)
-        assert len(findings) == 1
-        assert "missing" in findings[0].message
-
-    def test_repo_surface_matches_snapshot(self):
-        assert check_api_surface(LintContext(REPO_ROOT)) == []
-
-
-# ----------------------------------------------------------------------
 # driver, formatting, CLI
 # ----------------------------------------------------------------------
 
 class TestDriver:
-    def test_registry_has_the_five_analyzers(self):
+    def test_registry_has_the_four_analyzers(self):
         assert analyzer_names() == [
             "backend-purity", "determinism", "stage-effects",
-            "spec-purity", "api-drift",
+            "spec-purity",
         ]
         assert set(ANALYZERS) == set(analyzer_names())
 

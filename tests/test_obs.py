@@ -33,20 +33,11 @@ from repro.obs import (
     load_trace_events,
     log_event,
     summarize_trace,
-    telemetry,
-    use_telemetry,
     validate_chrome_trace,
 )
-from repro.obs.registry import _NULL, activate
+from repro.obs.registry import NULL_TELEMETRY
 from repro.pic.diagnostics import RuntimeBreakdown
 from repro.workloads.uniform import UniformPlasmaWorkload
-
-
-@pytest.fixture(autouse=True)
-def _reset_active_telemetry():
-    """Sessions activate the process-global registry; always restore."""
-    yield
-    activate(None)
 
 
 def _workload(**overrides):
@@ -157,14 +148,19 @@ class TestTelemetry:
         assert "exec.shard_tasks" in t.snapshot(deterministic=False)
 
     def test_activation_semantics(self):
-        handle = activate(ObsConfig(enabled=True))
-        assert telemetry() is handle
-        assert activate(None) is _NULL
-        shared = Telemetry(ObsConfig(enabled=True))
-        assert activate(shared) is shared
-        with use_telemetry(ObsConfig(enabled=True)) as scoped:
-            assert telemetry() is scoped
-        assert telemetry() is shared
+        """What activation used to decide, decided per run: an enabled
+        config builds a private registry, a disabled one takes the shared
+        null, and building another run changes neither."""
+        with Session.from_workload(_workload(), observe=True) as first:
+            handle = first.telemetry
+            assert handle.enabled and handle is not NULL_TELEMETRY
+            with Session.from_workload(_workload()) as plain, \
+                    Session.from_workload(_workload(),
+                                          observe=True) as second:
+                assert plain.telemetry is NULL_TELEMETRY
+                assert second.telemetry is not handle
+            assert first.telemetry is handle
+            assert first.simulation.executor.obs is handle
 
 
 # ----------------------------------------------------------------------
@@ -185,9 +181,9 @@ class TestBitwiseNeutrality:
 
     def test_disabled_run_keeps_the_null_registry_empty(self):
         _fields, _history, handle = _run_session(None)
-        assert handle is _NULL
-        assert len(_NULL.metrics) == 0
-        assert _NULL.events == []
+        assert handle is NULL_TELEMETRY
+        assert len(NULL_TELEMETRY.metrics) == 0
+        assert NULL_TELEMETRY.events == []
 
     def test_observe_excluded_from_checkpoint_fingerprint(self):
         from repro.ckpt.session import config_fingerprint
@@ -240,6 +236,74 @@ class TestDeterministicContent:
         assert ("B", "step 1") in sequence
         payload = {"traceEvents": chrome_trace_events(handle)}
         assert validate_chrome_trace(payload) == []
+
+
+class TestRunIsolation:
+    """A run's counters land in its registry whatever else the process
+    builds meanwhile."""
+
+    @staticmethod
+    def _step_construct_step(counter, after_step=None, **overrides):
+        workload = _workload(tile_size=(4, 4, 4), **overrides)
+        with Session.from_workload(workload, observe=True) as session:
+            session.step()
+            if after_step is not None:
+                after_step(session)
+            before = session.telemetry.metrics.get(counter)
+            assert before > 0
+            with Session.from_workload(_workload()):  # untraced bystander
+                session.step()
+                if after_step is not None:
+                    after_step(session)
+            assert session.telemetry.metrics.get(counter) == 2 * before
+        assert len(NULL_TELEMETRY.metrics) == 0
+
+    def test_halo_exchanges_keep_counting(self):
+        self._step_construct_step("domain.halo_exchanges",
+                                  domains=(2, 1, 1))
+
+    def test_shard_batches_keep_counting(self):
+        from repro.config import ExecutionConfig
+
+        self._step_construct_step(
+            "exec.shard_batches",
+            execution=ExecutionConfig(backend="threads", num_shards=2))
+
+    def test_checkpoint_saves_keep_counting(self, tmp_path):
+        self._step_construct_step(
+            "ckpt.saves",
+            after_step=lambda session: session.save(
+                str(tmp_path / f"s{session.step_index}.ckpt")))
+
+    def test_interleaved_traced_and_untraced_match_their_solo_runs(self):
+        observe = ObsConfig(trace=True, health=True)
+
+        def state(session):
+            return ({name: array.copy() for name, array
+                     in session.grid.field_arrays().items()},
+                    session.telemetry.snapshot(),
+                    session.telemetry.event_sequence())
+
+        def solo(observe):
+            with Session.from_workload(_workload(),
+                                       observe=observe) as session:
+                for _ in range(3):
+                    session.step()
+                return state(session)
+
+        expected_traced, expected_plain = solo(observe), solo(None)
+        with Session.from_workload(_workload(), observe=observe) as traced, \
+                Session.from_workload(_workload()) as plain:
+            for _ in range(3):
+                traced.step()
+                plain.step()
+            for got, expected in ((state(traced), expected_traced),
+                                  (state(plain), expected_plain)):
+                assert got[1:] == expected[1:]
+                for name, reference in expected[0].items():
+                    assert np.array_equal(reference, got[0][name]), name
+        assert expected_traced[1]["particles.pushed"] > 0
+        assert expected_plain[1:] == ({}, [])
 
 
 # ----------------------------------------------------------------------
@@ -393,10 +457,10 @@ class TestLogEvent:
         assert caplog.records[0].getMessage() == "thing badly happened"
 
     def test_structured_event_recorded_when_tracing(self):
-        with use_telemetry(ObsConfig(trace=True)) as handle:
-            log_event("test.event", "thing %s happened", "badly",
-                      logger=logging.getLogger("repro.test.channel"),
-                      detail=42)
+        handle = Telemetry(ObsConfig(trace=True))
+        log_event("test.event", "thing %s happened", "badly",
+                  logger=logging.getLogger("repro.test.channel"),
+                  obs=handle, detail=42)
         assert handle.metrics.get("log.test.event") == 1
         event = handle.events[-1]
         assert event["name"] == "log.test.event"
@@ -405,7 +469,7 @@ class TestLogEvent:
 
     def test_noop_when_disabled(self):
         log_event("test.event", "quiet")
-        assert len(_NULL.metrics) == 0
+        assert len(NULL_TELEMETRY.metrics) == 0
 
 
 # ----------------------------------------------------------------------
@@ -432,10 +496,10 @@ class TestCheckpointCounters:
 
         from repro.ckpt.faults import BrokenPoolOnce
 
-        with use_telemetry(ObsConfig(enabled=True)) as handle:
-            pool = BrokenPoolOnce(fail="submit", at=0)
-            with pytest.raises(BrokenProcessPool):
-                pool.submit(lambda: None)
+        handle = Telemetry(ObsConfig(enabled=True))
+        pool = BrokenPoolOnce(fail="submit", at=0, obs=handle)
+        with pytest.raises(BrokenProcessPool):
+            pool.submit(lambda: None)
         assert handle.metrics.get("faults.injected") == 1
 
 
@@ -444,13 +508,13 @@ class TestCheckpointCounters:
 # ----------------------------------------------------------------------
 
 class TestCampaignMetrics:
-    def _campaign(self, cache=None):
+    def _campaign(self, cache=None, obs=NULL_TELEMETRY):
         from repro.analysis.campaign import Campaign
 
         workload = _workload(max_steps=2,
                              observe=ObsConfig(enabled=True))
         return Campaign.from_grid([workload], ["Baseline"], steps=1,
-                                  cache=cache)
+                                  cache=cache, obs=obs)
 
     def test_observe_does_not_split_cache_keys(self):
         from repro.analysis.campaign import spec_for_workload
@@ -472,8 +536,8 @@ class TestCampaignMetrics:
         assert rebuilt.observe == ObsConfig(enabled=True)
 
     def test_cell_metrics_aggregate_into_campaign_json(self):
-        with use_telemetry(ObsConfig(enabled=True)) as handle:
-            outcome = self._campaign().run()
+        handle = Telemetry(ObsConfig(enabled=True))
+        outcome = self._campaign(obs=handle).run()
         payload = outcome.to_json()
         assert payload["metrics"]["particles.pushed"] > 0
         assert outcome.entries[0].result.metrics["particles.pushed"] > 0
@@ -488,8 +552,24 @@ class TestCampaignMetrics:
         second = self._campaign(cache=cache).run()
         assert second.entries[0].cache_hit
         assert second.aggregated_metrics() == first.aggregated_metrics()
-        with use_telemetry(ObsConfig(enabled=True)) as handle:
-            self._campaign(cache=cache).run()
+        handle = Telemetry(ObsConfig(enabled=True))
+        self._campaign(cache=cache, obs=handle).run()
+        assert handle.metrics.get("campaign.cache.hits") == 1
+
+    def test_campaign_accounting_stays_on_its_registry(self, tmp_path):
+        """In-process cells that observe build registries of their own;
+        the campaign's ``obs`` keeps exactly the campaign's accounting."""
+        from repro.analysis.cache import ResultCache
+
+        cache = ResultCache(str(tmp_path / "cache"))
+        handle = Telemetry(ObsConfig(enabled=True))
+        outcome = self._campaign(cache=cache, obs=handle).run()
+        assert outcome.entries[0].result.metrics["particles.pushed"] > 0
+        assert handle.metrics.get("campaign.cells") == 1
+        assert handle.metrics.get("campaign.cache.misses") == 1
+        assert "particles.pushed" not in handle.metrics
+        self._campaign(cache=cache, obs=handle).run()
+        assert handle.metrics.get("campaign.cells") == 2
         assert handle.metrics.get("campaign.cache.hits") == 1
 
     def test_result_metrics_round_trip(self):
@@ -575,4 +655,4 @@ class TestSessionObserve:
 
     def test_default_is_the_null_registry(self):
         with Session.from_workload(_workload()) as session:
-            assert session.telemetry is _NULL
+            assert session.telemetry is NULL_TELEMETRY

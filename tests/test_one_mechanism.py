@@ -1,6 +1,6 @@
 """Structural guard: one pool supervisor, one record log, one tile
 fan-out rule, one numerical extension point, one grid schema, one atomic
-writer — no re-growth.
+writer, no ambient run state — no re-growth.
 
 Pool supervision (anything that has to know ``BrokenProcessPool``) lives
 in ``repro/exec/pool.py``, record files (``write_snapshot`` with an
@@ -148,6 +148,22 @@ def test_the_array_backend_seam_is_gone():
     # builds that still had the seam
     assert users == [("analysis/campaign.py",
                       'legacy = value.pop("array_backend", "numpy")')]
+
+
+def test_no_ambient_run_state():
+    """The kernel table and the telemetry registry are handed to their
+    users; no module remembers a "current" one, and the two registry
+    kernels that only ever had one implementation stay plain code."""
+    retired = ("active_kernels", "active_selection", "use_backend",
+               "use_telemetry", "gather6", "fdtd_roll", "check_api_surface",
+               "telemetry()")
+    assert [(path, line.strip()) for path, text in source_texts()
+            for line in text.splitlines()
+            if any(name in line for name in retired)] == []
+    assert [(path, node.lineno) for path, tree in source_trees()
+            if path.startswith(("backend/", "obs/"))
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Global, ast.Nonlocal))] == []
 
 
 def test_only_the_snapshot_format_stages_and_renames_files():

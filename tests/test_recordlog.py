@@ -19,7 +19,7 @@ from repro.ckpt import RecordLog
 from repro.ckpt.faults import flip_byte
 from repro.ckpt.format import read_snapshot, write_snapshot
 from repro.ckpt.progress import PROGRESS_FILENAME, CampaignProgress
-from repro.obs import ObsConfig, use_telemetry
+from repro.obs import ObsConfig, Telemetry
 from repro.serve import QUEUE_FILENAME, JobJournal
 
 from helpers import log_events
@@ -149,16 +149,16 @@ class TestRecordLog:
         assert read_snapshot(log.path)[0]["cursor"] == 1
 
     def test_missing_file_is_silently_empty(self, tmp_path):
-        with use_telemetry(ObsConfig(trace=True)) as obs:
-            assert make_log(tmp_path).load() == {}
+        obs = Telemetry(ObsConfig(trace=True))
+        assert make_log(tmp_path, obs=obs).load() == {}
         assert not obs.events
 
     def test_corrupt_file_is_empty_with_an_event(self, tmp_path):
         log = make_log(tmp_path)
         log.put("a", 1)
         flip_byte(log.path)
-        with use_telemetry(ObsConfig(trace=True)) as obs:
-            assert make_log(tmp_path).load() == {}
+        obs = Telemetry(ObsConfig(trace=True))
+        assert make_log(tmp_path, obs=obs).load() == {}
         (event,) = log_events(obs, "recordlog.unusable")
         assert event["kind"] == "test-kind"
 
@@ -169,21 +169,21 @@ class TestRecordLog:
         {"kind": "test-kind", "version": 2},
     ], ids=["kind", "version", "records-type", "records-missing"])
     def test_foreign_file_is_empty_with_an_event(self, tmp_path, meta):
-        log = make_log(tmp_path)
+        obs = Telemetry(ObsConfig(trace=True))
+        log = make_log(tmp_path, obs=obs)
         write_snapshot(log.path, meta, {})
-        with use_telemetry(ObsConfig(trace=True)) as obs:
-            assert log.load() == {}
+        assert log.load() == {}
         (event,) = log_events(obs, "recordlog.not_a_record")
         assert event["kind"] == "test-kind"
 
     def test_write_failure_is_an_event_not_an_error(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a regular file where a directory is needed")
+        obs = Telemetry(ObsConfig(trace=True))
         log = RecordLog(str(blocker / "log.ckpt"), kind="test-kind",
-                        field="items")
-        with use_telemetry(ObsConfig(trace=True)) as obs:
-            log.put("a", 1)  # must not raise
-            log.flush()      # still dirty: tried again
+                        field="items", obs=obs)
+        log.put("a", 1)  # must not raise
+        log.flush()      # still dirty: tried again
         assert len(log_events(obs, "recordlog.write_failed")) == 2
 
     def test_rejects_nonpositive_interval(self, tmp_path):

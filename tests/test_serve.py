@@ -20,7 +20,7 @@ from repro.ckpt.faults import (
     flip_byte,
 )
 from repro.exec.pool import make_process_pool
-from repro.obs import ObsConfig, use_telemetry
+from repro.obs import ObsConfig, Telemetry
 from repro.serve import (
     CampaignServer,
     EventBroker,
@@ -358,8 +358,8 @@ class TestJobJournal:
         journal.new_job_id()
         journal.record({"job_id": "job-000001", "status": "queued"})
         flip_byte(journal.path)
-        with use_telemetry(ObsConfig(trace=True)) as obs:
-            assert JobJournal(str(tmp_path)).load() == {}
+        obs = Telemetry(ObsConfig(trace=True))
+        assert JobJournal(str(tmp_path), obs=obs).load() == {}
         (event,) = log_events(obs, "recordlog.unusable")
         assert event["kind"] == "serve-queue"
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backend import BackendConfig, kernel_registry, use_backend
+from repro.backend import kernel_registry
 from repro.config import GridConfig
 from repro.exec import (
     SerialExecutor,
@@ -326,9 +326,9 @@ class TestKernelTierParity:
         expected = oracle_scatter(shape, periodic, xi, yi, zi, order,
                                   amplitude)
         out = np.zeros(shape)
-        with use_backend(BackendConfig(kernel_tier=tier)):
-            op = StencilOperator.for_box(shape, periodic, xi, yi, zi, order)
-            op.scatter(amplitude, out)
+        op = StencilOperator.for_box(shape, periodic, xi, yi, zi, order,
+                                     kernels=kernel_registry.resolve(tier))
+        op.scatter(amplitude, out)
         bound = oracle_scatter(shape, periodic, xi, yi, zi, order,
                                np.abs(amplitude))
         tol = 64 * np.finfo(float).eps * (bound + bound.max())
@@ -348,13 +348,13 @@ class TestKernelTierParity:
         field = rng.normal(0.0, 1.0, shape)
         results = {}
         for name in ("oracle", tier):
-            with use_backend(BackendConfig(kernel_tier=name)):
-                op = StencilOperator.for_box(shape, periodic, xi, yi, zi,
-                                             order)
-                out = np.zeros(shape)
-                op.scatter(amplitude, out)
-                results[name] = (op.flat_ids.copy(), op.weights.copy(),
-                                 out, op.gather(field))
+            op = StencilOperator.for_box(
+                shape, periodic, xi, yi, zi, order,
+                kernels=kernel_registry.resolve(name))
+            out = np.zeros(shape)
+            op.scatter(amplitude, out)
+            results[name] = (op.flat_ids.copy(), op.weights.copy(),
+                             out, op.gather(field))
         for ref, got in zip(results["oracle"], results[tier]):
             assert np.array_equal(ref, got)
 

@@ -18,7 +18,7 @@ import pytest
 
 from repro.ckpt.faults import BrokenPoolOnce
 from repro.exec import SupervisedPool, TileTask
-from repro.obs import ObsConfig, Telemetry, use_telemetry
+from repro.obs import ObsConfig, Telemetry
 
 from helpers import log_events
 
@@ -87,19 +87,17 @@ BREAK_MODES = pytest.mark.parametrize("fail", ["submit", "result"])
 @BREAK_MODES
 class TestWorkerDeath:
     def test_first_broken_pool_is_forgiven_and_rebuilt(self, drive, fail):
-        obs = Telemetry(ObsConfig(enabled=True))
+        obs = Telemetry(ObsConfig(trace=True))
         factory = scheduled(BrokenPoolOnce(fail=fail, at=1), healthy())
         pool = SupervisedPool(2, owner="contract", factory=factory, obs=obs)
         ran = []
-        with use_telemetry(ObsConfig(trace=True)) as active:
-            assert drive(pool, make_tasks(ran)) == expected()
+        assert drive(pool, make_tasks(ran)) == expected()
         # the failed work ran off-pool exactly once, nothing ran twice
         assert sorted(ran) == list(range(N_TASKS))
         assert pool.pool_failures == 1 and not pool.degraded
-        # counted on the handle the pool was given, not the active one
+        # counted and mirrored on the handle the pool was given
         assert obs.metrics.get("exec.pool_rebuilds") == 1
-        assert active.metrics.get("exec.pool_rebuilds") == 0
-        (event,) = log_events(active, "pool.rebuild")
+        (event,) = log_events(obs, "pool.rebuild")
         assert event["owner"] == "contract"
         assert event["failures"] == 1
         # later work runs on the rebuilt, healthy pool
@@ -110,19 +108,18 @@ class TestWorkerDeath:
     def test_second_broken_pool_degrades_for_good(self, drive, fail):
         factory = scheduled(BrokenPoolOnce(fail=fail, at=1),
                             BrokenPoolOnce(fail=fail, at=0))
-        pool = SupervisedPool(2, owner="contract", factory=factory)
+        active = Telemetry(ObsConfig(trace=True))
+        pool = SupervisedPool(2, owner="contract", factory=factory,
+                              obs=active)
         ran = []
-        with use_telemetry(ObsConfig(trace=True)) as active:
-            assert drive(pool, make_tasks(ran)) == expected()
-            assert drive(pool, make_tasks(ran)) == expected()
-            assert pool.pool_failures == 2 and pool.degraded
-            # degraded pools keep working, off-pool, and never ask the
-            # factory again (it would assert)
-            assert drive(pool, make_tasks(ran)) == expected()
+        assert drive(pool, make_tasks(ran)) == expected()
+        assert drive(pool, make_tasks(ran)) == expected()
+        assert pool.pool_failures == 2 and pool.degraded
+        # degraded pools keep working, off-pool, and never ask the
+        # factory again (it would assert)
+        assert drive(pool, make_tasks(ran)) == expected()
         assert sorted(ran) == sorted(3 * list(range(N_TASKS)))
         assert pool.pool_failures == 2
-        # with no handle passed, the rebuild is counted on the telemetry
-        # active at incident time
         assert active.metrics.get("exec.pool_rebuilds") == 1
         assert len(log_events(active, "pool.rebuild")) == 1
         (event,) = log_events(active, "pool.degraded")
@@ -179,22 +176,23 @@ class ForkBlockedPool:
 @ENTRY_POINTS
 class TestUnavailable:
     def test_factory_returning_none_degrades_at_once(self, drive):
+        active = Telemetry(ObsConfig(trace=True))
         pool = SupervisedPool(2, owner="contract",
-                              factory=scheduled(None))
+                              factory=scheduled(None), obs=active)
         ran = []
-        with use_telemetry(ObsConfig(trace=True)) as active:
-            assert drive(pool, make_tasks(ran)) == expected()
-            assert drive(pool, make_tasks(ran)) == expected()
+        assert drive(pool, make_tasks(ran)) == expected()
+        assert drive(pool, make_tasks(ran)) == expected()
         assert pool.degraded and pool.pool_failures == 0
         (event,) = log_events(active, "pool.unavailable")
         assert event["owner"] == "contract"
 
     def test_submit_oserror_degrades_at_once(self, drive):
+        active = Telemetry(ObsConfig(trace=True))
         pool = SupervisedPool(2, owner="contract",
-                              factory=scheduled(ForkBlockedPool(2)))
+                              factory=scheduled(ForkBlockedPool(2)),
+                              obs=active)
         ran = []
-        with use_telemetry(ObsConfig(trace=True)) as active:
-            assert drive(pool, make_tasks(ran)) == expected()
+        assert drive(pool, make_tasks(ran)) == expected()
         # what was already submitted is kept, the rest ran off-pool
         assert sorted(ran) == list(range(N_TASKS))
         assert pool.degraded and pool.pool_failures == 0
