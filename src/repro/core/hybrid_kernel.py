@@ -11,6 +11,11 @@ The kernel processes each tile in three stages:
    outer-product per pair per current component, keeping the tile register
    resident per cell (CIC) or reading it back per pair (QSP, where the
    trailing s_z multiply is VPU work); accumulate into the rhocell buffer.
+   That is the instruction stream the counters are charged for; the
+   values come from :func:`~repro.core.mpu_deposit.tile_rhocells`, which
+   sums the same outer products as stacked per-cell matrix products (BLAS
+   GEMM standing in for the resident MOPA accumulation) in ``ordering``
+   — the only kernel whose numerics read it, hence the permutation check.
 3. **VPU postprocessing** — reduce the rhocell buffer to the global
    current arrays with indexed scatter-adds.
 
@@ -29,20 +34,14 @@ from typing import Optional
 import numpy as np
 
 from repro.config import SHAPE_ORDER_CIC, SHAPE_ORDER_QSP
-from repro.core.mpu_deposit import (
-    tile_contributions_cic,
-    tile_contributions_qsp,
-)
+from repro.core.mpu_deposit import tile_rhocells
 from repro.hardware.counters import KernelCounters
 from repro.pic.deposition.base import (
     DepositionKernel,
     cell_switch_fraction,
     prepare_tile_data,
 )
-from repro.pic.deposition.rhocell import (
-    reduce_rhocells_to_grid,
-    scatter_rhocell_blocks,
-)
+from repro.pic.deposition.rhocell import reduce_rhocells_to_grid
 from repro.pic.grid import Grid
 from repro.pic.particles import ParticleTile
 from repro.pic.shapes import shape_support
@@ -76,8 +75,12 @@ class HybridMPUDeposition(DepositionKernel):
         nodes = support**3
         order_idx = (np.arange(n, dtype=np.int64) if ordering is None
                      else np.asarray(ordering, dtype=np.int64))
-        if order_idx.shape[0] != n:
+        if order_idx.shape != (n,):
             raise ValueError("ordering length does not match particle count")
+        if ordering is not None and (
+                order_idx.min() < 0 or order_idx.max() >= n
+                or np.any(np.bincount(order_idx, minlength=n) != 1)):
+            raise ValueError("ordering is not a permutation of the particles")
         processing_cells = data.local_cell_ids[order_idx]
         switch = cell_switch_fraction(processing_cells)
 
@@ -114,12 +117,7 @@ class HybridMPUDeposition(DepositionKernel):
 
         # --- Stage 2: MPU deposition into the rhocell buffer -----------------
         comp = counters.phase("compute")
-        if order == SHAPE_ORDER_CIC:
-            cx, cy, cz, stats = tile_contributions_cic(data, order_idx)
-        else:
-            cx, cy, cz, stats = tile_contributions_qsp(data, order_idx)
-        rhocells = scatter_rhocell_blocks(processing_cells, tile.num_cells,
-                                          cx, cy, cz, grid.kernels)
+        *rhocells, stats = tile_rhocells(data, order_idx, tile.num_cells)
 
         # MOPA instructions for the three components, the operand assembly
         # (A/B construction, ~12 VPU ops per pair) and the operand loads

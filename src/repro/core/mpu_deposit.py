@@ -22,13 +22,16 @@ structure of a vector outer product:
   remaining multiplication by the four ``s_z`` factors and the accumulation
   into the 64-entry rhocell is VPU work, so the tile is read back per pair.
 
-Two families of functions are provided: *per-cell* routines that drive a
-:class:`~repro.hardware.mpu.MatrixUnit` exactly as Algorithm 2 describes
-(used by the unit tests and by the examples that illustrate the mapping),
-and *per-tile batched* routines that perform the identical arithmetic with
-vectorised NumPy einsums while charging the same instruction counts (used
-by the benchmarks, where a Python loop over every pair would only measure
-interpreter overhead).
+Two families of functions are provided.  The *per-cell* routines drive a
+:class:`~repro.hardware.mpu.MatrixUnit` pair by pair exactly as
+Algorithm 2 describes — the executable statement of the mapping (unit
+tests, ``examples/mpu_mapping_demo.py``).  The *per-tile* routine
+:func:`tile_rhocells` is the production Stage 2: summed over a cell's
+particles the outer products are one matrix product ``A^T B``, so a tile
+is a stack of fixed-height block products handed to BLAS GEMM (this
+machine's MOPA-accumulate) and no per-particle ``S^3`` block is built.
+The modelled instruction counts (:func:`mpu_work_statistics`) remain
+those of the pairwise MOPA stream on the processing order.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.config import SHAPE_ORDER_CIC
+from repro.core.counting_sort import stable_order_by_bin
 from repro.hardware.mpu import MatrixUnit
 from repro.pic.deposition.base import TileDepositionData
 
@@ -219,113 +224,110 @@ def deposit_cell_qsp_mpu(mpu: MatrixUnit, wx: np.ndarray, wy: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# per-tile batched paths (identical arithmetic, vectorised)
+# per-tile block-matrix path (the production Stage 2)
 # ---------------------------------------------------------------------------
-def tile_contributions_cic(data: TileDepositionData, order_idx: np.ndarray
-                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    """Per-particle CIC nodal contributions computed through pair outer products.
+#: Rows (particles) per block of the stacked product.  It fixes how a
+#: cell's particles are grouped before they are summed, so it is part of
+#: the numerics — a constant, not an option.
+BLOCK_ROWS = 16
 
-    ``order_idx`` is the processing order (e.g. the GPMA iteration order).
-    Returns three ``(n, 8)`` arrays — one per current component, rows in
-    processing order — plus a dictionary of MPU work statistics
-    (``mopa`` instructions per component, ``tile_flushes``, ``runs``).
+
+def mpu_work_statistics(cell_sequence: np.ndarray, order: int) -> dict:
+    """MPU/VPU work of one tile in processing order, *per current component*
+    (the hybrid kernel multiplies by three): ``mopa`` instructions,
+    ``tile_flushes``, ``runs`` and, for QSP, ``vpu_sz_fma`` — the VPU
+    multiply-accumulate by the s_z factors.
     """
-    cells = data.local_cell_ids[order_idx]
-    first, second, valid2, _, num_runs = pair_within_runs(cells)
-    n = order_idx.shape[0]
+    first, _, _, _, num_runs = pair_within_runs(cell_sequence)
     npairs = first.shape[0]
-
-    wx = data.wx[order_idx]
-    wy = data.wy[order_idx]
-    wz = data.wz[order_idx]
-
-    # B operand per particle: s_y_j * s_z_k packed (j fast, k slow), length 4
-    b_particle = np.einsum("pk,pj->pkj", wz, wy).reshape(n, 4)
-
-    results = []
-    # work statistics are reported *per current component*; the hybrid
-    # kernel multiplies by three when charging the counters
-    stats = {"mopa": float(npairs), "tile_flushes": float(num_runs),
-             "runs": float(num_runs)}
-    for wq_all in (data.wqx[order_idx], data.wqy[order_idx], data.wqz[order_idx]):
-        # A operands of every pair: (npairs, 4); B operands: (npairs, 8)
-        a_ops = np.zeros((npairs, 4))
-        b_ops = np.zeros((npairs, 8))
-        a_ops[:, 0:2] = wq_all[first, None] * wx[first]
-        b_ops[:, 0:4] = b_particle[first]
-        sec = second[valid2]
-        a_ops[valid2, 2:4] = wq_all[sec, None] * wx[sec]
-        b_ops[valid2, 4:8] = b_particle[sec]
-
-        # the MOPA instructions: one 4x8 outer product per pair
-        tiles = np.einsum("pi,pj->pij", a_ops, b_ops)
-
-        per_particle = np.zeros((n, 8))
-        # extract each particle's 2x4 block and reorder (i, j+2k) -> (i, j, k)
-        block1 = tiles[:, 0:2, 0:4]
-        block2 = tiles[:, 2:4, 4:8]
-        per_particle[first] = _reorder_cic_block(block1)
-        per_particle[sec] = _reorder_cic_block(block2[valid2])
-        results.append(per_particle)
-
-    return results[0], results[1], results[2], stats
-
-
-def _reorder_cic_block(block: np.ndarray) -> np.ndarray:
-    """Reorder a (m, 2, 4) outer-product block to the (i, j, k) rhocell layout."""
-    m = block.shape[0]
-    reordered = np.empty((m, 2, 2, 2))
-    reordered[:, :, 0, 0] = block[:, :, 0]
-    reordered[:, :, 1, 0] = block[:, :, 1]
-    reordered[:, :, 0, 1] = block[:, :, 2]
-    reordered[:, :, 1, 1] = block[:, :, 3]
-    return reordered.reshape(m, 8)
-
-
-def tile_contributions_qsp(data: TileDepositionData, order_idx: np.ndarray
-                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    """Per-particle QSP nodal contributions via pair outer products.
-
-    Returns three ``(n, 64)`` arrays plus MPU/VPU work statistics
-    (``mopa``, ``tile_flushes``, ``vpu_sz_fma`` — the Stage-2 VPU
-    multiply-accumulate by the s_z factors).
-    """
-    cells = data.local_cell_ids[order_idx]
-    first, second, valid2, _, num_runs = pair_within_runs(cells)
-    n = order_idx.shape[0]
-    npairs = first.shape[0]
-
-    wx = data.wx[order_idx]
-    wy = data.wy[order_idx]
-    wz = data.wz[order_idx]
-
-    results = []
-    # per-component work statistics (the hybrid kernel multiplies by three)
-    stats = {
+    if order == SHAPE_ORDER_CIC:
+        # the tile register stays resident per run and is read out once
+        return {"mopa": float(npairs), "tile_flushes": float(num_runs),
+                "runs": float(num_runs)}
+    return {
         "mopa": float(npairs),
         # the tile cannot stay resident across pairs for QSP (the s_z
         # multiply differs per particle), so it is read back per pair
         "tile_flushes": float(npairs + num_runs),
         "runs": float(num_runs),
-        "vpu_sz_fma": float(n * 64) / 8.0,
+        "vpu_sz_fma": float(cell_sequence.shape[0] * 64) / 8.0,
     }
-    for wq_all in (data.wqx[order_idx], data.wqy[order_idx], data.wqz[order_idx]):
-        a_first = wq_all[first, None] * wx[first]          # (npairs, 4)
-        b_first = wy[first]                                # (npairs, 4)
-        sxy_first = np.einsum("pi,pj->pij", a_first, b_first)
 
-        per_particle = np.zeros((n, 64))
-        contrib_first = np.einsum("pij,pk->pijk", sxy_first, wz[first])
-        per_particle[first] = contrib_first.reshape(npairs, 64)
 
-        sec = second[valid2]
-        if sec.size:
-            a_sec = wq_all[sec, None] * wx[sec]
-            b_sec = wy[sec]
-            sxy_sec = np.einsum("pi,pj->pij", a_sec, b_sec)
-            contrib_sec = np.einsum("pij,pk->pijk", sxy_sec, wz[sec])
-            per_particle[sec] = contrib_sec.reshape(sec.size, 64)
+def tile_rhocells(data: TileDepositionData, order_idx: np.ndarray,
+                  num_cells: int
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """Rhocell blocks of one tile as stacked matrix products (both orders).
 
-        results.append(per_particle)
+    ``order_idx`` is the processing order (a permutation of the tile's
+    particles, e.g. the GPMA iteration order).  Returns the three
+    ``(num_cells, S^3)`` rhocell arrays — one per current component,
+    ``(i, j, k)`` row-major — plus :func:`mpu_work_statistics`.
 
-    return results[0], results[1], results[2], stats
+    A cell's rhocell is ``A^T B`` over its particles with
+    ``A = [wqx sx | wqy sx | wqz sx]`` (``3S`` columns) and
+    ``B = sy (x) sz`` (``S^2`` columns).  Each cell's run is cut into
+    blocks of :data:`BLOCK_ROWS` rows (the tail zero-padded: exact
+    zeros), every block is one matrix product — ``BLOCK_ROWS / 2`` MOPA
+    accumulations into a resident tile, three components at once — and
+    a cell's blocks are folded in block order, so a cell's result
+    depends on that cell's own particle sequence only.
+    """
+    n = order_idx.shape[0]
+    support = data.support
+    nodes = support**3
+    cells = data.local_cell_ids[order_idx]
+    if n and (cells.min() < 0 or cells.max() >= num_cells):
+        raise ValueError(
+            f"local cell id out of range for a tile of {num_cells} cells")
+    stats = mpu_work_statistics(cells, data.order)
+
+    # group the processing order by cell, keeping each cell's sequence
+    if n > 1 and np.any(cells[1:] < cells[:-1]):
+        group = stable_order_by_bin(cells, num_cells)
+        order_idx = order_idx[group]
+        cells = cells[group]
+
+    # slot of every particle in the zero-padded, block-aligned row space
+    counts = np.bincount(cells, minlength=num_cells)
+    cell_blocks = (counts + (BLOCK_ROWS - 1)) // BLOCK_ROWS
+    block_end = np.cumsum(cell_blocks)
+    block_start = block_end - cell_blocks
+    num_blocks = int(block_end[-1])
+    run_start = np.cumsum(counts) - counts
+    slots = np.empty(n, dtype=np.int64)
+    slots[order_idx] = (np.arange(n, dtype=np.int64)
+                        + (block_start * BLOCK_ROWS - run_start)[cells])
+
+    # the two operand panels, built in storage order and scattered to
+    # their slots: 3S + S^2 doubles per particle for all three components
+    rows = num_blocks * BLOCK_ROWS
+    width_left = 3 * support
+    width_right = support * support
+    panels = np.zeros(rows * (width_left + width_right))
+    left = panels[:rows * width_left].reshape(rows, width_left)
+    right = panels[rows * width_left:].reshape(rows, width_right)
+    wq = np.concatenate((data.wqx, data.wqy, data.wqz)).reshape(3, n)
+    left[slots] = np.einsum("cp,pi->pci", wq, data.wx).reshape(n, width_left)
+    right[slots] = np.einsum("pj,pk->pjk", data.wy, data.wz
+                             ).reshape(n, width_right)
+
+    # one (3S, S^2) product per block; row c*S + i, column j*S + k is
+    # component c of rhocell entry (i, j, k)
+    products = np.matmul(
+        left.reshape(num_blocks, BLOCK_ROWS, width_left).transpose(0, 2, 1),
+        right.reshape(num_blocks, BLOCK_ROWS, width_right)
+    ).reshape(num_blocks, 3 * nodes)
+
+    # fold each cell's blocks in block order, all cells at once per rank
+    occupied = np.nonzero(cell_blocks)[0]
+    first_block = block_start[occupied]
+    depth = cell_blocks[occupied]
+    folded = products[first_block]
+    for rank in range(1, int(depth.max(initial=0))):
+        more = depth > rank
+        folded[more] += products[first_block[more] + rank]
+
+    rhocells = np.zeros((3, num_cells, nodes))
+    rhocells[:, occupied] = folded.reshape(-1, 3, nodes).transpose(1, 0, 2)
+    return rhocells[0], rhocells[1], rhocells[2], stats

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import repro.ckpt as ckpt
 from repro.api import Session
+from repro.baselines.configs import make_strategy
 from repro.ckpt import (
     CheckpointHook,
     CorruptSnapshotError,
@@ -42,12 +43,14 @@ KERNEL_TIERS = ["oracle"] + (["fused"] if HAVE_NUMBA else [])
 
 
 def uniform_session(*, backend="serial", shards=1, domains=(1, 1, 1),
-                    tier="oracle", steps=6):
+                    tier="oracle", steps=6, order=1, strategy=None):
     workload = UniformPlasmaWorkload(
         n_cell=(8, 8, 8), tile_size=(4, 4, 4), ppc=8, max_steps=steps,
-        domains=domains,
+        shape_order=order, domains=domains,
         execution=ExecutionConfig(backend=backend, num_shards=shards))
-    return Session.from_workload(workload, backend=tier)
+    return Session.from_workload(
+        workload, backend=tier,
+        deposition=make_strategy(strategy) if strategy else None)
 
 
 def lwfa_session(steps=8):
@@ -256,6 +259,15 @@ class TestResumeParity:
         with lwfa_session() as probe:
             run_steps(probe, 8)
             assert probe.simulation.moving_window.total_shift_cells > 0
+
+    def test_matrix_pic_qsp(self, tmp_path):
+        """The block-product kernel on the incremental sorter's order:
+        sorter state rebuilt after a restore must hand the kernel the
+        same within-cell sequences, or J moves in the last ulp."""
+        self.parity(
+            lambda: uniform_session(order=3, strategy="MatrixPIC (FullOpt)",
+                                    backend="threads", shards=2),
+            5, 2, tmp_path, record_energy=True)
 
     @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
     def test_fused_kernel_tier(self, tmp_path):

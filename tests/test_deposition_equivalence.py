@@ -130,10 +130,20 @@ def test_hybrid_kernel_rejects_bad_mode():
 def test_hybrid_kernel_rejects_bad_ordering(small_grid_config):
     grid, container = make_plasma(small_grid_config)
     tile = container.nonempty_tiles()[0]
-    with pytest.raises(ValueError):
-        HybridMPUDeposition().deposit_tile(grid, tile, -1.0, 1,
-                                           KernelCounters(),
-                                           ordering=np.array([0, 1, 2]))
+    n = tile.num_particles
+    duplicate = np.arange(n)
+    duplicate[1] = 0            # particle 0 twice, particle 1 never
+    out_of_range = np.arange(n)
+    out_of_range[-1] = n
+    negative = np.arange(n)
+    negative[0] = -1
+    for ordering in (np.array([0, 1, 2]), duplicate, out_of_range, negative):
+        before = grid.jx.copy()
+        with pytest.raises(ValueError, match="ordering"):
+            HybridMPUDeposition().deposit_tile(grid, tile, -1.0, 1,
+                                               KernelCounters(),
+                                               ordering=ordering)
+        assert np.array_equal(grid.jx, before)
 
 
 class TestCellSwitchFraction:

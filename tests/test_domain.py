@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_plasma
+from repro import constants
+from repro.baselines.configs import make_strategy
 from repro.config import (
     DomainConfig,
     ExecutionConfig,
@@ -42,8 +44,13 @@ ALL_COMPONENTS = ("ex", "ey", "ez", "bx", "by", "bz", "jx", "jy", "jz", "rho")
 # ----------------------------------------------------------------------
 
 def run_uniform(domains, *, backend="serial", shards=1, steps=3, order=1,
-                n_cell=(8, 8, 8), tile=(4, 4, 4), ppc=8, thermal=None):
-    """Run the uniform workload; returns the simulation (fields assembled)."""
+                n_cell=(8, 8, 8), tile=(4, 4, 4), ppc=8, thermal=None,
+                strategy=None):
+    """Run the uniform workload; returns the simulation (fields assembled).
+
+    ``strategy`` names a ``make_strategy`` configuration (the reference
+    deposition when None).
+    """
     kwargs = {} if thermal is None else {"thermal_velocity": thermal}
     workload = UniformPlasmaWorkload(
         n_cell=n_cell, tile_size=tile, ppc=ppc, shape_order=order,
@@ -51,7 +58,8 @@ def run_uniform(domains, *, backend="serial", shards=1, steps=3, order=1,
         execution=ExecutionConfig(backend=backend, num_shards=shards),
         **kwargs,
     )
-    simulation = workload.build_simulation()
+    simulation = workload.build_simulation(
+        deposition=make_strategy(strategy) if strategy else None)
     try:
         simulation.run(steps=steps, record_energy=True)
         for container in simulation.containers:
@@ -304,6 +312,19 @@ class TestStepParity:
                 )
 
 
+    def test_matrix_pic_qsp_agrees_across_backends_and_splits(self):
+        # the block-product kernel: a cell's rhocell depends on that
+        # cell's particle sequence only, so neither the thread a tile
+        # runs on nor the subdomain it belongs to may show in J
+        mpic = dict(order=3, strategy="MatrixPIC (FullOpt)", shards=2,
+                    thermal=0.2 * constants.C_LIGHT)
+        reference = run_uniform((1, 1, 1), backend="serial", **mpic)
+        assert_bitwise_equal(
+            reference, run_uniform((1, 1, 1), backend="threads", **mpic))
+        assert_bitwise_equal(
+            reference, run_uniform((2, 1, 1), backend="threads", **mpic))
+
+
 class TestLWFAParity:
     """Seam-crossing laser + wakefield + moving window + absorbing walls."""
 
@@ -358,8 +379,6 @@ class TestPECBoundary:
 
 class TestMigration:
     def test_cross_subdomain_moves_counted(self):
-        from repro import constants
-
         sim = run_uniform((2, 1, 2), steps=6,
                           thermal=0.4 * constants.C_LIGHT)
         stats = sim.domain.migration

@@ -1,19 +1,27 @@
 """Tests for the MPU outer-product deposition mapping (§4.2.1)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deposit_oracles import oracle_tile_rhocells
+from helpers import make_plasma
+from repro.core.hybrid_kernel import HybridMPUDeposition
 from repro.core.mpu_deposit import (
+    BLOCK_ROWS,
     build_cic_operands,
     build_qsp_operands,
     deposit_cell_cic_mpu,
     deposit_cell_qsp_mpu,
     pair_within_runs,
+    tile_rhocells,
 )
+from repro.hardware.counters import KernelCounters
 from repro.hardware.mpu import MatrixUnit
-from repro.pic.deposition.base import prepare_tile_data
+from repro.pic.deposition.base import TileDepositionData, prepare_tile_data
 from repro.pic.deposition.rhocell import (
     accumulate_rhocells,
     scatter_rhocell_blocks,
@@ -174,3 +182,240 @@ class TestRhocellBuffer:
         data = prepare_tile_data(grid, tile, container.charge, 2)
         with pytest.raises(ValueError):
             accumulate_rhocells(data, tile.num_cells)
+
+
+# ----------------------------------------------------------------------
+# the production Stage 2: stacked block products, held to the oracle
+# ----------------------------------------------------------------------
+K = BLOCK_ROWS
+
+
+def staged_tile(cells, order, seed=0):
+    """Synthetic Stage-1 output: random shape factors and currents for
+    particles sitting in the given tile-local ``cells`` (storage order)."""
+    cells = np.asarray(cells, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    n = cells.shape[0]
+    weights = [shape_factors(rng.uniform(0.0, 1.0, n), order)[1]
+               for _ in range(3)]
+    currents = [rng.normal(size=n) for _ in range(3)]
+    return restaged(order, cells, weights, currents)
+
+
+def restaged(order, cells, weights, currents, rows=slice(None)):
+    """Staging data over ``rows`` of the given per-particle arrays."""
+    base = np.zeros(cells[rows].shape[0], dtype=np.int64)
+    data = TileDepositionData(order, base, base, base,
+                              *(w[rows] for w in weights),
+                              *(c[rows] for c in currents))
+    data._cell_ids = data._local_cell_ids = cells[rows]
+    return data
+
+
+def take(data, rows):
+    """The same particles, restricted to / reordered by ``rows``."""
+    return restaged(data.order, data.local_cell_ids,
+                    (data.wx, data.wy, data.wz),
+                    (data.wqx, data.wqy, data.wqz), rows)
+
+
+def within_cell_preserving_shuffle(cells, rng):
+    """A processing order that interleaves the cells at random but keeps
+    every cell's own particles in storage order."""
+    keys = rng.random(cells.shape[0])
+    for cell in np.unique(cells):
+        members = np.nonzero(cells == cell)[0]
+        keys[members] = np.sort(keys[members])
+    return np.argsort(keys, kind="stable")
+
+
+#: run lengths around the block size, where the padding logic can go wrong
+RUN_LENGTHS = st.sampled_from([1, 2, 3, 5, K - 1, K, K + 1, 2 * K, 2 * K + 1])
+CELL_RUNS = st.lists(st.tuples(st.integers(0, 11), RUN_LENGTHS), max_size=14)
+
+
+class TestBlockProductAgainstOracle:
+    NUM_CELLS = 12
+
+    @settings(max_examples=60, deadline=None)
+    @given(runs=CELL_RUNS, order=st.sampled_from([1, 3]),
+           arrangement=st.sampled_from(["sorted", "runs", "shuffled"]),
+           seed=st.integers(0, 2**16))
+    def test_values_and_work_statistics(self, runs, order, arrangement, seed):
+        cells = np.repeat([cell for cell, _ in runs],
+                          [length for _, length in runs]).astype(np.int64)
+        rng = np.random.default_rng(seed)
+        if arrangement == "sorted":
+            cells = np.sort(cells)
+        elif arrangement == "shuffled":
+            cells = rng.permutation(cells)
+        data = staged_tile(cells, order, seed)
+        order_idx = rng.permutation(cells.shape[0])
+        for idx in (np.arange(cells.shape[0]), order_idx):
+            *got, got_stats = tile_rhocells(data, idx, self.NUM_CELLS)
+            *want, want_stats = oracle_tile_rhocells(data, idx,
+                                                     self.NUM_CELLS)
+            # the statistics feed KernelCounters: exact, keys included
+            assert got_stats == want_stats
+            scale = max(float(np.max(np.abs(w))) for w in want) or 1.0
+            for g, w in zip(got, want):
+                assert g.shape == (self.NUM_CELLS, (order + 1)**3)
+                np.testing.assert_allclose(g, w, rtol=1e-13,
+                                           atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_empty_tile_and_single_particle(self, order):
+        for cells in ([], [4]):
+            data = staged_tile(cells, order)
+            idx = np.arange(len(cells))
+            *got, got_stats = tile_rhocells(data, idx, 6)
+            *want, want_stats = oracle_tile_rhocells(data, idx, 6)
+            assert got_stats == want_stats
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g, w, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_cell_id_outside_the_tile_is_rejected(self, order):
+        for cells in ([0, 6], [-1, 2]):
+            data = staged_tile(cells, order)
+            with pytest.raises(ValueError, match="local cell id out of range"):
+                tile_rhocells(data, np.arange(2), 6)
+
+    # the pinned numbers are the parent commit's (per-particle Stage 2)
+    @pytest.mark.parametrize("order, scrambled, compute", [
+        (1, False, dict(vpu_alu=9216.0, vpu_mem=12288.0, mpu_mopa=6144.0,
+                        mpu_tile_moves=1536.0, bytes_near=92170.50256410256,
+                        bytes_far=6133.497435897436,
+                        effective_flops=413696.0)),
+        (1, True, dict(vpu_alu=18409.5, vpu_mem=24546.0, mpu_mopa=12273.0,
+                       mpu_tile_moves=12273.0, bytes_near=393215.53113553114,
+                       bytes_far=392256.46886446886,
+                       effective_flops=413696.0)),
+        (3, False, dict(vpu_fma=98304.0, vpu_alu=9216.0, vpu_mem=12288.0,
+                        mpu_mopa=6144.0, mpu_tile_moves=7680.0,
+                        bytes_near=3686820.1025641025,
+                        bytes_far=245339.89743589744,
+                        effective_flops=1716224.0)),
+        (3, True, dict(vpu_fma=98304.0, vpu_alu=18409.5, vpu_mem=24546.0,
+                       mpu_mopa=12273.0, mpu_tile_moves=24546.0,
+                       bytes_near=6291448.498168498,
+                       bytes_far=6276103.501831502,
+                       effective_flops=1716224.0)),
+    ])
+    def test_deposit_tile_charges_the_parents_counters(
+            self, small_grid_config, order, scrambled, compute):
+        grid, container = make_plasma(small_grid_config)
+        tile = container.nonempty_tiles()[0]
+        cells = tile.local_cell_ids(grid)
+        ordering = (np.random.default_rng(3).permutation(tile.num_particles)
+                    if scrambled else np.argsort(cells, kind="stable"))
+        counters = KernelCounters()
+        HybridMPUDeposition().deposit_tile(grid, tile, container.charge,
+                                           order, counters, ordering=ordering)
+        charged = {name: value for name, value
+                   in counters.phase("compute").as_dict().items() if value}
+        assert charged == compute
+
+
+class TestCellLocality:
+    """A cell's rhocell block is a function of that cell's own particle
+    sequence and ``BLOCK_ROWS`` only — bit for bit."""
+
+    NUM_CELLS = 9
+
+    def tile(self, order, seed=5):
+        rng = np.random.default_rng(seed)
+        counts = [0, 1, K - 1, K, K + 1, 2 * K + 1, 3, 40, 2]
+        cells = rng.permutation(np.repeat(np.arange(self.NUM_CELLS), counts))
+        return staged_tile(cells, order, seed), rng
+
+    @staticmethod
+    def blocks(data, order_idx, num_cells):
+        rho = tile_rhocells(data, order_idx, num_cells)[:3]
+        return np.stack(rho, axis=1)           # (cell, component, node)
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_other_cells_added_removed_or_reordered(self, order):
+        data, rng = self.tile(order)
+        cells = data.local_cell_ids
+        n = cells.shape[0]
+        full = self.blocks(data, np.arange(n), self.NUM_CELLS)
+        for cell in (2, 4, 5, 7):
+            mine = cells == cell
+            # drop a random half of everybody else's particles
+            keep = np.nonzero(mine | (rng.random(n) < 0.5))[0]
+            fewer = take(data, keep)
+            got = self.blocks(fewer, np.arange(keep.shape[0]),
+                              self.NUM_CELLS)
+            assert np.array_equal(got[cell], full[cell])
+            # only this cell's particles left in the tile
+            alone = take(data, np.nonzero(mine)[0])
+            got = self.blocks(alone, np.arange(int(mine.sum())),
+                              self.NUM_CELLS)
+            assert np.array_equal(got[cell], full[cell])
+            # everybody else reordered around this cell's fixed sequence
+            others = np.nonzero(~mine)[0]
+            rows = np.arange(n)
+            rows[others] = rng.permutation(others)
+            moved = take(data, rows)
+            got = self.blocks(moved, np.arange(n), self.NUM_CELLS)
+            assert np.array_equal(got[cell], full[cell])
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_sorted_and_unsorted_processing_agree(self, order):
+        data, rng = self.tile(order)
+        cells = data.local_cell_ids
+        by_cell = np.argsort(cells, kind="stable")
+        interleaved = within_cell_preserving_shuffle(cells, rng)
+        assert np.any(np.diff(cells[interleaved]) < 0)
+        assert np.array_equal(
+            self.blocks(data, by_cell, self.NUM_CELLS),
+            self.blocks(data, interleaved, self.NUM_CELLS))
+        # ... while a different within-cell sequence is a different sum
+        reversed_cells = by_cell[::-1]
+        assert not np.array_equal(
+            self.blocks(data, by_cell, self.NUM_CELLS),
+            self.blocks(data, reversed_cells, self.NUM_CELLS))
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_equals_the_matrix_unit_per_cell(self, order):
+        """The emulator-driven Algorithm 2 and the production kernel are
+        the same mapping."""
+        data, _ = self.tile(order)
+        cells = data.local_cell_ids
+        per_cell = (deposit_cell_cic_mpu if order == 1
+                    else deposit_cell_qsp_mpu)
+        rho = tile_rhocells(data, np.arange(cells.shape[0]),
+                            self.NUM_CELLS)[:3]
+        for cell in range(self.NUM_CELLS):
+            rows = np.nonzero(cells == cell)[0]
+            for got, wq in zip(rho, (data.wqx, data.wqy, data.wqz)):
+                if rows.size == 0:
+                    assert not got[cell].any()
+                    continue
+                want = per_cell(MatrixUnit(), data.wx[rows], data.wy[rows],
+                                data.wz[rows], wq[rows])
+                np.testing.assert_allclose(
+                    got[cell], want, rtol=1e-12,
+                    atol=1e-12 * float(np.max(np.abs(want))))
+
+
+def test_deposit_tile_never_materialises_per_particle_blocks(
+        small_grid_config):
+    """512 cells x 64 PPC, QSP: the three ``(n, 64)`` contribution arrays
+    of the per-particle formulation alone are 1.5 KiB per particle (the
+    oracle path peaks at 2.8 KiB); the block product stages 28 doubles."""
+    grid, container = make_plasma(small_grid_config, ppc=(4, 4, 4))
+    tile = container.nonempty_tiles()[0]
+    n = tile.num_particles
+    assert (tile.num_cells, n) == (512, 32768)
+    kernel = HybridMPUDeposition()
+    ordering = np.random.default_rng(0).permutation(n)
+    tracemalloc.start()
+    try:
+        kernel.deposit_tile(grid, tile, container.charge, 3,
+                            KernelCounters(), ordering=ordering)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * n

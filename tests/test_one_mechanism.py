@@ -17,6 +17,10 @@ Bulk math is plain NumPy (the kernel-tier registry is the only seam of
 the numerical layer), the campaign grid's defaults and enumerations are
 stated in ``repro.workloads`` only, and ``ckpt/format.py`` holds the one
 temp-file + ``os.replace`` sequence.
+
+The MatrixPIC kernel has one Stage 2 (``core/mpu_deposit.py::
+tile_rhocells``); the per-particle formulation it replaced is the test
+oracle ``tests/deposit_oracles.py`` and is named nowhere under ``src/``.
 """
 
 from __future__ import annotations
@@ -164,6 +168,21 @@ def test_no_ambient_run_state():
             if path.startswith(("backend/", "obs/"))
             for node in ast.walk(tree)
             if isinstance(node, (ast.Global, ast.Nonlocal))] == []
+
+
+def test_the_per_particle_mpu_stage_lives_under_tests_only():
+    # Stage 2 of the MatrixPIC kernel is core/mpu_deposit.py::tile_rhocells
+    # (stacked block products); the formulation that materialised three
+    # (n, S^3) contribution arrays is tests/deposit_oracles.py, the oracle,
+    # and a second production path would start by naming one of these
+    retired = ("tile_contributions_cic", "tile_contributions_qsp",
+               "_reorder_cic_block")
+    assert [(path, line.strip()) for path, text in source_texts()
+            for line in text.splitlines()
+            if any(name in line for name in retired)] == []
+    # ... and the block size is one module constant, read in one module
+    assert sorted(path for path, text in source_texts()
+                  if "BLOCK_ROWS" in text) == ["core/mpu_deposit.py"]
 
 
 def test_only_the_snapshot_format_stages_and_renames_files():
