@@ -262,12 +262,11 @@ def _uniform_stage_seconds(order: int, ppc: int = 64, steps: int = 3
     workload = UniformPlasmaWorkload(n_cell=BENCH_N_CELL,
                                      tile_size=BENCH_N_CELL, ppc=ppc,
                                      shape_order=order, max_steps=steps + 1)
-    simulation = workload.build_simulation()
-    try:
-        simulation.run(steps=1)  # warm-up step
-        simulation.breakdown.reset()
-        simulation.run(steps=steps)
-        seconds = dict(simulation.breakdown.seconds)
+    with workload.build_session() as session:
+        session.run_all(steps=1)  # warm-up step
+        session.breakdown.reset()
+        session.run_all(steps=steps)
+        seconds = dict(session.breakdown.seconds)
         return {
             "order": order,
             "ppc": ppc,
@@ -277,8 +276,6 @@ def _uniform_stage_seconds(order: int, ppc: int = 64, steps: int = 3
             "current_deposition_s_per_step":
                 seconds.get("current_deposition", 0.0) / steps,
         }
-    finally:
-        simulation.shutdown()
 
 
 def output_path() -> str:

@@ -51,9 +51,9 @@ def main() -> None:
 
     print("== 1. physics run with the MatrixPIC framework installed ==")
     strategy = make_strategy("MatrixPIC (FullOpt)")
-    simulation = workload.build_simulation(deposition=strategy)
-    simulation.run(workload.max_steps)
-    wake_diagnostics(simulation)
+    with workload.build_session(deposition=strategy) as session:
+        session.run_all()
+        wake_diagnostics(session.simulation)
     print(f"adaptive global sorts performed: {strategy.global_sorts_performed}")
 
     print("\n== 2. Figure 9: deposition kernel time, baseline vs MatrixPIC ==")

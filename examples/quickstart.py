@@ -27,7 +27,6 @@ from repro.hardware.cost_model import CostModel
 from repro.pic.deposition.reference import deposit_reference
 from repro.pic.diagnostics import current_residual
 from repro.pic.grid import Grid
-from repro.pic.simulation import Simulation
 from repro.workloads.uniform import UniformPlasmaWorkload
 
 #: CI smoke mode: same code paths, minimum useful problem size
@@ -83,10 +82,9 @@ def main() -> None:
     for backend in ("serial", "threads"):
         config = workload.build_config().with_updates(
             execution=ExecutionConfig(backend=backend, num_shards=4))
-        simulation = Simulation(config)
-        simulation.run(steps=2)
-        runs[backend] = simulation.grid.jx.copy()
-        simulation.shutdown()
+        with Session(config) as session:
+            session.run_all(steps=2)
+            runs[backend] = session.grid.jx.copy()
     identical = bool(np.array_equal(runs["serial"], runs["threads"]))
     print(f"threads(4 shards) current == serial(4 shards) current: {identical}")
 

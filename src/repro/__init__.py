@@ -52,7 +52,6 @@ from repro.api import Session
 from repro.config import (
     ExecutionConfig,
     GridConfig,
-    HardwareConfig,
     SimulationConfig,
     SortingPolicyConfig,
     SpeciesConfig,
@@ -66,7 +65,6 @@ __all__ = [
     "__version__",
     "ExecutionConfig",
     "GridConfig",
-    "HardwareConfig",
     "SimulationConfig",
     "SortingPolicyConfig",
     "SpeciesConfig",

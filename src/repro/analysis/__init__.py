@@ -6,8 +6,6 @@ from repro.analysis.campaign import (
     CampaignEntry,
     CampaignResult,
     ExperimentSpec,
-    register_workload_kind,
-    run_campaign,
     run_spec,
 )
 from repro.analysis.metrics import (
@@ -37,8 +35,6 @@ __all__ = [
     "ExperimentResult",
     "ExperimentSpec",
     "ResultCache",
-    "register_workload_kind",
-    "run_campaign",
     "run_spec",
     "speedup",
     "particles_per_second",

@@ -29,7 +29,7 @@ import hashlib
 import logging
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro._version import __version__
 from repro.analysis.cache import (
@@ -52,73 +52,35 @@ logger = logging.getLogger(__name__)
 
 
 # ----------------------------------------------------------------------
-# Workload registry: spec <-> builder object
+# Workload families: spec <-> builder object
 # ----------------------------------------------------------------------
 
-#: Workload kinds a spec can name; the built-ins are added lazily (the
-#: workload modules import the simulation stack, so a top-level import
-#: here would be circular).
-_WORKLOAD_KINDS: Dict[str, Type] = {}
-_BUILTINS_LOADED = False
-
-
-def _ensure_builtin_kinds() -> None:
-    global _BUILTINS_LOADED
-    if _BUILTINS_LOADED:
-        return
-    from repro.workloads.lwfa import LWFAWorkload
-    from repro.workloads.uniform import UniformPlasmaWorkload
-
-    # setdefault: a user registration under a built-in name wins
-    _WORKLOAD_KINDS.setdefault("uniform", UniformPlasmaWorkload)
-    _WORKLOAD_KINDS.setdefault("lwfa", LWFAWorkload)
-    _BUILTINS_LOADED = True
-
-
-def register_workload_kind(kind: str, cls: Type) -> None:
-    """Register a workload dataclass under a spec ``kind`` name.
-
-    The class must be a dataclass whose fields are JSON-able (tuples,
-    numbers, strings, plus nested ``SortingPolicyConfig`` /
-    ``ExecutionConfig``) and importable from worker processes.
-    """
-    if not dataclasses.is_dataclass(cls):
-        raise TypeError(f"workload kind {kind!r} must be a dataclass, "
-                        f"got {cls!r}")
-    _WORKLOAD_KINDS[kind] = cls
-
-
-def workload_kinds() -> Dict[str, Type]:
-    """The registered kind -> class mapping (built-ins included)."""
-    _ensure_builtin_kinds()
-    return dict(_WORKLOAD_KINDS)
-
-
-def kind_for_workload(workload) -> Optional[str]:
-    """The registered kind of a workload object, or None when unknown."""
-    for kind, cls in workload_kinds().items():
-        if type(workload) is cls:
-            return kind
-    return None
-
-
 def build_workload(kind: str, params: Mapping):
-    """Rebuild a workload builder from its kind and parameter dict."""
-    kinds = workload_kinds()
-    if kind not in kinds:
+    """Rebuild a workload builder from its kind and parameter dict.
+
+    ``kind`` names a family of :data:`repro.workloads.FAMILIES` (imported
+    here: the workload modules import the simulation stack, so a
+    top-level import would be circular).
+    """
+    from repro.workloads import FAMILIES
+
+    if kind not in FAMILIES:
         raise ValueError(
-            f"unknown workload kind {kind!r}; expected one of {sorted(kinds)}"
+            f"unknown workload kind {kind!r}; expected one of "
+            f"{sorted(FAMILIES)}"
         )
-    cls = kinds[kind]
     kwargs = dict(params)
+    # payloads journaled by builds whose workloads still carried an
+    # (unread) sorting policy; the real one travels in the spec
+    kwargs.pop("sorting", None)
     # nested config dataclasses arrive as plain dicts after a JSON round
     # trip; rebuild them from the declared field types
     from repro.backend import BackendConfig
     from repro.config import ExecutionConfig
     from repro.obs import ObsConfig
 
-    nested = {"sorting": SortingPolicyConfig, "execution": ExecutionConfig,
-              "backend": BackendConfig, "observe": ObsConfig}
+    nested = {"execution": ExecutionConfig, "backend": BackendConfig,
+              "observe": ObsConfig}
     for name, config_cls in nested.items():
         value = kwargs.get(name)
         if isinstance(value, Mapping):
@@ -132,7 +94,7 @@ def build_workload(kind: str, params: Mapping):
                         f"workload_params['backend'] selects array backend "
                         f"{legacy!r}; bulk math is plain NumPy")
             kwargs[name] = config_cls(**value)
-    return cls(**kwargs)
+    return FAMILIES[kind]["builder"](**kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -305,10 +267,6 @@ class ExperimentSpec:
         return f"{self.workload_kind}/ppc={ppc}"
 
 
-class UnregisteredWorkloadError(TypeError):
-    """The workload's class is not registered with the campaign layer."""
-
-
 def spec_for_workload(workload, configuration: str, *,
                       steps: Optional[int] = None,
                       warmup_steps: int = 1,
@@ -318,16 +276,17 @@ def spec_for_workload(workload, configuration: str, *,
                       ) -> ExperimentSpec:
     """Build the spec describing ``run_deposition_experiment`` on a workload.
 
-    Raises :class:`UnregisteredWorkloadError` (a :class:`TypeError`) when
-    the workload's class is not registered (see
-    :func:`register_workload_kind`); callers that accept arbitrary
-    builder objects should catch it and fall back to direct execution.
+    Raises :class:`TypeError` when the workload is not a builder of one
+    of the families in :data:`repro.workloads.FAMILIES`.
     """
-    kind = kind_for_workload(workload)
+    from repro.workloads import FAMILIES
+
+    kind = next((name for name, family in FAMILIES.items()
+                 if type(workload) is family["builder"]), None)
     if kind is None:
-        raise UnregisteredWorkloadError(
-            f"workload type {type(workload).__name__} is not registered "
-            "with the campaign layer; use register_workload_kind()"
+        raise TypeError(
+            f"workload type {type(workload).__name__} is not one of the "
+            f"campaign's workload families {sorted(FAMILIES)}"
         )
     return ExperimentSpec(
         workload_kind=kind,
@@ -722,9 +681,3 @@ class Campaign:
             self.degraded = self.pool.off_pool_tasks > off_pool_before
             # no worker outlives the run
             self.pool.shutdown()
-
-
-def run_campaign(workloads: Iterable, configurations: Iterable[str],
-                 **kwargs) -> CampaignResult:
-    """One-shot helper: expand the grid and run it (see :class:`Campaign`)."""
-    return Campaign.from_grid(workloads, configurations, **kwargs).run()

@@ -126,35 +126,20 @@ def sweep_configurations(workload, configurations: Iterable[str], *,
     (:mod:`repro.analysis.campaign`): pass ``cache`` (a
     :class:`~repro.analysis.cache.ResultCache`) to replay previously
     computed cells from disk and ``jobs`` to execute cache misses over a
-    process pool.  Workload types that are not registered with the
-    campaign layer fall back to direct in-process execution (no caching,
-    no parallelism).
+    process pool.  ``workload`` must be a builder of one of the
+    families in :data:`repro.workloads.FAMILIES` (a :class:`TypeError`
+    otherwise).
     """
     # imported here: campaign builds specs on top of this module's
     # run_deposition_experiment, so a top-level import would be circular
-    from repro.analysis.campaign import Campaign, UnregisteredWorkloadError
+    from repro.analysis.campaign import Campaign
 
-    configurations = list(configurations)
-    try:
-        campaign = Campaign.from_grid(
-            [workload], configurations, steps=steps,
-            warmup_steps=warmup_steps, scramble=scramble,
-            sorting_config=sorting_config, cost_model=cost_model,
-            cache=cache, jobs=jobs,
-        )
-    except UnregisteredWorkloadError:
-        # without caching or parallelism an unregistered workload can
-        # still run directly
-        if cache is not None or jobs != 1:
-            raise
-        return {
-            name: run_deposition_experiment(
-                workload, name, steps=steps, cost_model=cost_model,
-                sorting_config=sorting_config, scramble=scramble,
-                warmup_steps=warmup_steps,
-            )
-            for name in configurations
-        }
+    campaign = Campaign.from_grid(
+        [workload], list(configurations), steps=steps,
+        warmup_steps=warmup_steps, scramble=scramble,
+        sorting_config=sorting_config, cost_model=cost_model,
+        cache=cache, jobs=jobs,
+    )
     return campaign.run().by_configuration()
 
 

@@ -20,8 +20,7 @@ exposed for extension (``session.pipeline.insert_after(...)``,
 
 Bitwise contract: a session-driven run is bit-identical to the same
 number of ``Simulation.step()`` calls — both are the same
-``pipeline.run_step()`` underneath — including the energy history layout
-of ``Simulation.run(record_energy=True)``.
+``pipeline.run_step()`` underneath.
 """
 
 from __future__ import annotations
@@ -212,9 +211,9 @@ class Session:
         yielding a :class:`StepResult` after each one.
 
         A generator: iterate it (or drain it with :meth:`run_all`) for
-        the steps to execute.  With ``record_energy`` the history matches
-        ``Simulation.run(record_energy=True)`` exactly — one initial
-        snapshot before the first step, one after every step.
+        the steps to execute.  With ``record_energy`` the history holds
+        one initial snapshot before the first step and one after every
+        step.
         """
         simulation = self._simulation
         n = simulation.config.max_steps if steps is None else steps

@@ -158,43 +158,6 @@ class SortingPolicyConfig:
 
 
 @dataclass(frozen=True)
-class HardwareConfig:
-    """Architectural parameters of the simulated LX2-style CPU (paper §5.1)."""
-
-    frequency_hz: float = 1.3e9
-    vpu_lanes: int = 8
-    mpu_tile_rows: int = 8
-    mpu_tile_cols: int = 8
-    mpu_flops_ratio: float = 4.0
-    cores: int = 256
-    memory_bandwidth_bytes: float = 1.2e12
-    cache_line_bytes: int = 64
-
-    def __post_init__(self) -> None:
-        if self.frequency_hz <= 0.0:
-            raise ValueError("frequency must be positive")
-        if self.vpu_lanes <= 0 or self.mpu_tile_rows <= 0 or self.mpu_tile_cols <= 0:
-            raise ValueError("unit widths must be positive")
-        if self.mpu_flops_ratio <= 0.0:
-            raise ValueError("mpu_flops_ratio must be positive")
-
-    @property
-    def vpu_flops_per_cycle(self) -> float:
-        """FP64 FLOPs per cycle per core of the VPU (FMA counts as two)."""
-        return 2.0 * self.vpu_lanes
-
-    @property
-    def mpu_flops_per_cycle(self) -> float:
-        """FP64 FLOPs per cycle per core of the MPU (MOPA path)."""
-        return self.mpu_flops_ratio * self.vpu_flops_per_cycle
-
-    @property
-    def peak_flops_per_core(self) -> float:
-        """Theoretical FP64 peak of one core, MPU path [FLOP/s]."""
-        return self.mpu_flops_per_cycle * self.frequency_hz
-
-
-@dataclass(frozen=True)
 class LaserConfig:
     """Gaussian laser pulse injected by an antenna (LWFA workload)."""
 
@@ -346,8 +309,6 @@ class SimulationConfig:
     cfl: float = 1.0
     max_steps: int = 100
     field_solver: str = "ckc"
-    sorting: SortingPolicyConfig = field(default_factory=SortingPolicyConfig)
-    hardware: HardwareConfig = field(default_factory=HardwareConfig)
     laser: LaserConfig | None = None
     moving_window: MovingWindowConfig = field(default_factory=MovingWindowConfig)
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)

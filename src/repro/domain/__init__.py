@@ -2,12 +2,12 @@
 
 The grid is partitioned into an axis-aligned ``(px, py, pz)`` block of
 subdomains, each owning its interior cells plus a ghost/halo ring sized
-by the field stencil and the deposition support.  Every stage of the PIC
-step — field gather/push, particle migration, current deposition with
-ghost/seam reduction, the FDTD solve, boundary conditions, laser
-injection and the moving window — runs per subdomain on halo-padded
-local arrays, and is **bitwise identical** to the single-domain path at
-a fixed executor shard count.
+by the field stencil and the deposition support.  Field gather/push,
+particle migration, the FDTD solve, boundary conditions, laser injection
+and the moving window run per subdomain on halo-padded local arrays;
+current deposition runs on the frame grid like every other run and is
+copied into the slabs.  The step is **bitwise identical** to the
+single-domain path at a fixed executor shard count.
 
 * :mod:`repro.domain.decomposition` — subdomain geometry and the
   global<->local index maps,

@@ -193,17 +193,6 @@ class Decomposition:
         """Domain position along ``axis`` owning a (in-range) global cell."""
         return int(self._cell_owner_axis[axis][cell])
 
-    def windows(self) -> Tuple[Tuple[Tuple[int, int, int],
-                                     Tuple[int, int, int]], ...]:
-        """``(window_lo, window_dims)`` geometry of every block.
-
-        What the deposition shard tasks see of a subdomain: they
-        accumulate into window-shaped scratch, never into the slabs.
-        """
-        return tuple(
-            (sub.cell_lo, sub.interior_shape) for sub in self.subdomains
-        )
-
     # ------------------------------------------------------------------
     def build_slabs(self, frame: Grid) -> None:
         """Allocate every subdomain's halo-padded local field slab.

@@ -26,13 +26,10 @@ transfers are pure array copies between slabs, so the exchanged values
 are bit-exact images of the owning interiors whatever order the copies
 run in.
 
-Ghost *reduction* for deposited current/charge — the adjoint direction,
-summing ghost contributions back onto the owner — does not live here:
-the decomposed deposition applies every tile's stencil box directly to
-each overlapping subdomain window in the global (shard, tile, segment)
-fold order (see :meth:`repro.pic.stencil.StencilOperator.add_box_to_window`
-and :mod:`repro.domain.runtime`), which is what keeps the seam sums
-bitwise identical to the single-array path.
+Ghost *reduction* for deposited current — the adjoint direction,
+summing ghost contributions back onto the owner — does not exist: a
+decomposed run deposits on the frame grid like every other run and the
+slab currents are copies of the result (:mod:`repro.domain.runtime`).
 """
 
 from __future__ import annotations

@@ -11,8 +11,10 @@ configured with more than one domain:
    particles between tiles; tiles are statically owned by subdomains, so
    a cross-subdomain migration is just a tile move whose destination
    belongs to another block (counted by :class:`MigrationStats`),
-3. **deposition + seam reduction** — every tile's stencil box is
-   accumulated once and applied to each subdomain window it overlaps,
+3. **deposition** — frame, then copy: the shared deposit stage runs on
+   the frame grid (:func:`~repro.pic.deposition.base.scratch_reduce`,
+   the same code as a single-domain run) and the frame currents are
+   copied into the slab interiors,
 4. **field solve** — each slab runs the shared scratch-pooled
    :class:`~repro.pic.maxwell.FDTDSolver` with halo exchanges between
    the three leap-frog sub-updates; PEC/absorbing boundaries and the
@@ -30,14 +32,8 @@ a fixed executor shard count, for every ``(px, py, pz)``:
 * the gather reads slab values that are bit-exact copies of the global
   arrays (halo exchange is pure copying), through identical ids and
   weights, so the fused einsum reduction produces identical momenta;
-* deposition keeps the global fold order: the *same* contiguous shard
-  partition over the global tile list, each tile's box accumulated by
-  the same single ``np.bincount`` pass, applied to the disjoint
-  subdomain windows in the same nested segment order
-  (:meth:`~repro.pic.stencil.StencilOperator.add_box_to_window`), and
-  per-shard window accumulators merged in shard order — every grid node
-  sees exactly the additions of the single-array path, in the same
-  order;
+* deposition *is* the single-domain deposition — it runs on the frame
+  grid — and the slab currents are copies of its result;
 * the field solve runs the same elementwise update sequence on
   halo-padded slabs whose ghost layers wrap periodically on every axis,
   exactly like the global solver's ``np.roll`` differences; only
@@ -48,19 +44,17 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
-import numpy as np
-
 from repro.domain.decomposition import Decomposition, Subdomain
 from repro.domain.halo import EM_FIELDS, HaloExchange
 from repro.domain.migration import MigrationStats
-from repro.exec import map_shards, run_shards, shard_items
-from repro.pic.deposition.base import prepare_tile_data
+from repro.exec import map_shards
 from repro.pic.grid import Grid, scratch_arrays
 from repro.pic.maxwell import FDTDSolver
 from repro.pic.particles import ParticleContainer, ParticleTile
 from repro.pic.pusher import push_tile
 from repro.pic.shapes import shape_factors
 from repro.pic.stencil import StencilOperator
+from repro.pipeline.stages import DepositStage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pic.simulation import Simulation
@@ -112,36 +106,6 @@ def _domain_push_shard(entries: Sequence[Tuple], frame: Grid, charge: float,
         push_tile(tile, fields, charge, mass, dt)
 
 
-def _window_shard(shard: Tuple, windows: Tuple, frame: Grid, charge: float,
-                  order: int, rho: bool) -> None:
-    """Executor task: add every tile's stencil box to the windows it overlaps.
-
-    The one per-tile body of the decomposed deposition.  ``shard`` is
-    ``(tiles, outs)``: ``outs[d]`` holds one accumulator per amplitude
-    for subdomain window ``windows[d]`` — the three current components,
-    or the single charge density when ``rho`` — and is either the slab
-    interiors themselves (one shard) or zeroed window scratch the caller
-    leases and merges in shard order.  ``frame`` is read for its live
-    geometry only — the same convention as the global shard tasks, so
-    the staged shape factors are bit-identical at any shard count.
-    """
-    tiles, outs = shard
-    cell_volume = float(np.prod(frame.cell_size))
-    for tile in tiles:
-        if rho:
-            stencil = StencilOperator.for_grid(frame, tile.x, tile.y, tile.z,
-                                               order)
-            amplitudes = (charge * tile.w / cell_volume,)
-        else:
-            data = prepare_tile_data(frame, tile, charge, order)
-            stencil = data.node_stencil(frame)
-            amplitudes = (data.wqx, data.wqy, data.wqz)
-        for comp, amplitude in enumerate(amplitudes):
-            box = stencil.scatter_box(amplitude)
-            for (w_lo, _), out in zip(windows, outs):
-                stencil.add_box_to_window(box, w_lo, out[comp])
-
-
 def _solver_stage_shard(solvers: Sequence[FDTDSolver], method: str,
                         dt: float) -> None:
     """Executor task: run one leap-frog sub-update on a shard of slabs."""
@@ -162,7 +126,6 @@ class DomainRuntime:
         self.halo = HaloExchange(self.decomposition, simulation.grid.periodic,
                                  simulation.telemetry)
         self.migration = MigrationStats(self.decomposition)
-        self._windows = self.decomposition.windows()
         self.solvers: List[FDTDSolver] = (
             [FDTDSolver(sub.slab, scheme=config.field_solver)
              for sub in self.decomposition.subdomains]
@@ -203,75 +166,14 @@ class DomainRuntime:
                    simulation.dt, simulation.config.shape_order)
 
     # ------------------------------------------------------------------
-    # stage 3: deposition with ghost/seam reduction
+    # stage 3: deposition (on the frame grid) -> slabs
     # ------------------------------------------------------------------
-    def zero_currents(self) -> None:
-        """Zero every slab's current accumulators (whole slab, halo too)."""
-        for sub in self.subdomains:
-            sub.slab.zero_currents()
-
-    def zero_charge(self) -> None:
-        """Zero every slab's charge accumulator."""
-        for sub in self.subdomains:
-            sub.slab.zero_charge()
-
-    def _reduce_into_windows(self, simulation: "Simulation",
-                             container: ParticleContainer,
-                             names: Tuple[str, ...]) -> None:
-        """Deposit a species into the slab arrays ``names``, seams reduced.
-
-        The window half of the :mod:`repro.exec.base` contract, following
-        exactly the structure of the global
-        :func:`~repro.pic.deposition.base.scratch_reduce`: same shard
-        partition of the non-empty tiles, per-tile boxes applied to the
-        disjoint subdomain windows in segment order — straight into the
-        slab interiors at one shard, into per-shard zeroed window
-        accumulators merged in shard order otherwise — bitwise identical
-        to the single-domain deposition.  ``names`` is ``("rho",)`` for
-        the charge density, else the three current components.
-        """
-        executor = simulation.executor
-        frame = simulation.grid
-        args = (container.charge, simulation.config.shape_order,
-                names == ("rho",))
-        views = [tuple(sub.interior_view(getattr(sub.slab, name))
-                       for name in names) for sub in self.subdomains]
-        shards = shard_items(executor, container.nonempty_tiles())
-        if len(shards) == 1:
-            _window_shard((shards[0], views), self._windows, frame, *args)
-            return
-        leases = [[tuple(scratch_arrays.acquire(dims, zero=True)
-                         for _ in names) for _, dims in self._windows]
-                  for _ in shards]
-        try:
-            run_shards(executor, _window_shard, list(zip(shards, leases)),
-                       self._windows, frame, *args)
-            for outs in leases:
-                for out, view in zip(outs, views):
-                    for out_array, view_array in zip(out, view):
-                        view_array += out_array
-        finally:
-            for lease in leases:
-                for out in lease:
-                    for out_array in out:
-                        scratch_arrays.release(out_array)
-
-    def deposit_reference(self, simulation: "Simulation",
-                          container: ParticleContainer) -> None:
-        """Add the container's current to the slabs (reference kernel)."""
-        self._reduce_into_windows(simulation, container, ("jx", "jy", "jz"))
-
-    def deposit_rho(self, simulation: "Simulation",
-                    container: ParticleContainer) -> None:
-        """Add the container's charge density to the slabs."""
-        self._reduce_into_windows(simulation, container, ("rho",))
-
     def pull_currents_from_frame(self, frame: Grid) -> None:
         """Copy frame-grid currents into the slab interiors (exact copies).
 
-        Fallback for instrumented :class:`DepositionStrategy` objects,
-        which run on the global frame exactly as in the single-domain
-        path; copying their result into the slabs is bitwise-neutral.
+        Every deposition strategy runs on the global frame exactly as in
+        the single-domain path; the slab current halos are never written
+        or read (the solver's ``push_e`` reads J at the cell it updates).
         """
         for sub in self.subdomains:
             for name in ("jx", "jy", "jz"):
@@ -481,47 +383,21 @@ class DomainGatherPushStage:
             ctx.domain.push(ctx.simulation, container)
 
 
-class DomainDepositStage:
-    """Pipeline stage: deposition into the slabs with seam reduction.
+class DomainDepositStage(DepositStage):
+    """Pipeline stage: the shared deposit stage, then frame -> slabs.
 
-    Reference runs deposit straight into the subdomain windows;
-    instrumented strategies run on the global frame exactly as in the
-    single-domain path and their result is copied into the slabs
-    (bitwise-neutral fallback).
+    Deposition runs on the frame grid exactly as in the single-domain
+    path (same strategy, same shard partition, same scratch reduction);
+    the slab currents are copies of the result, so decomposed parity
+    needs no argument beyond "a copy is a copy".
     """
 
-    name = "deposit"
-    bucket = "current_deposition"
-    reads = frozenset({
-        "containers.position", "containers.momentum",
-        "containers.membership", "grid.geometry", "domain.geometry",
-        "executor", "simulation.deposition", "step_index",
-    })
-    writes = frozenset({
-        "domain.slabs.currents", "grid.currents",
-        "simulation.deposition_counters",
-    })
+    reads = DepositStage.reads | {"domain.geometry"}
+    writes = DepositStage.writes | {"domain.slabs.currents"}
 
     def run(self, ctx) -> None:
-        from repro.pic.simulation import ReferenceDeposition
-
-        simulation = ctx.simulation
-        domain = ctx.domain
-        frame = ctx.grid
-        domain.zero_currents()
-        if isinstance(simulation.deposition, ReferenceDeposition):
-            for container in ctx.containers:
-                domain.deposit_reference(simulation, container)
-            return
-        frame.zero_currents()
-        for container in ctx.containers:
-            counters = simulation.deposition.run_step(
-                frame, container, simulation.config.shape_order,
-                simulation.step_index, executor=ctx.executor,
-            )
-            if counters is not None:
-                simulation.deposition_counters.merge(counters)
-        domain.pull_currents_from_frame(frame)
+        super().run(ctx)
+        ctx.domain.pull_currents_from_frame(ctx.grid)
 
 
 class DomainLaserStage:

@@ -12,11 +12,9 @@ Determinism contract
 --------------------
 :func:`map_shards` is the one place that decides whether per-tile work is
 sharded, who runs the shards and in what order their results come back;
-every per-tile stage is a caller of it (directly, or through the
-scratch-reduce helpers built on :func:`shard_items` / :func:`run_shards`:
-:func:`repro.pic.deposition.base.scratch_reduce` for grids and
-``DomainRuntime._reduce_into_windows`` for subdomain windows).  What it
-enforces:
+every per-tile stage is a caller of it (directly, or through the one
+scratch-reduce helper built on :func:`shard_items` / :func:`run_shards`,
+:func:`repro.pic.deposition.base.scratch_reduce`).  What it enforces:
 
 1. items are partitioned into contiguous shards — a pure function of the
    item list and the executor's shard count (:func:`partition_shards`),

@@ -279,7 +279,7 @@ def scratch_reduce(executor: Optional[TileExecutor], grid: Grid,
                    arrays: Tuple[str, ...] = ("jx", "jy", "jz")) -> List:
     """Accumulate ``body(target, tiles, *args)`` over shards into ``grid``.
 
-    The grid half of the :mod:`repro.exec.base` contract.  At one shard
+    The reduce half of the :mod:`repro.exec.base` contract.  At one shard
     ``body`` writes straight into the (possibly non-zero) ``grid``;
     otherwise every shard gets a zeroed scratch grid with the live
     geometry as ``target``, and the scratch ``arrays`` are added to the

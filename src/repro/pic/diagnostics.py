@@ -7,7 +7,6 @@ of a uniform-plasma run) and the normalised breakdown panel of Figure 8.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -45,7 +44,7 @@ class RuntimeBreakdown:
     breakdown owns a private set and behaves exactly as before.
 
     Two granularities, kept in lockstep by the single recording path
-    :meth:`_credit`:
+    :meth:`record_stage`:
 
     * ``seconds`` — the coarse *buckets* of :data:`STAGES`, the
       historical Figure-1 categories every table/figure formatter
@@ -54,8 +53,7 @@ class RuntimeBreakdown:
       (:mod:`repro.pipeline`), one entry per
       :class:`~repro.pipeline.Stage` name, filled by the pipeline's
       post-stage timing hook.  A bucket's value is the sum of its
-      stages' values — except seconds credited through the legacy
-      bucket-only :meth:`record` path, which have no stage attribution.
+      stages' values.
 
     ``executor_name`` records which tile execution backend
     (:mod:`repro.exec`) produced the timings, and ``kernel_tier`` which
@@ -76,36 +74,16 @@ class RuntimeBreakdown:
     # ------------------------------------------------------------------
     # the one recording path
     # ------------------------------------------------------------------
-    def _credit(self, bucket: Optional[str], stage: Optional[str],
-                seconds: float) -> None:
-        """Credit ``seconds`` to a bucket and/or a pipeline stage."""
-        seconds = float(seconds)
-        if bucket is not None:
-            self.metrics.add(_BUCKET_PREFIX + bucket, seconds)
-        if stage is not None:
-            self.metrics.add(_STAGE_PREFIX + stage, seconds)
-
-    def record(self, stage: str, seconds: float) -> None:
-        """Legacy shim: credit ``seconds`` to the bucket ``stage``.
-
-        Bucket-only — no per-pipeline-stage attribution.  Kept for the
-        pre-pipeline call sites (``timeit`` blocks); new code times
-        through the pipeline's post-stage hook.
-        """
-        self._credit(stage, None, seconds)
-
     def record_stage(self, stage: str, bucket: str, seconds: float) -> None:
-        """Legacy shim: credit one pipeline stage *and* its coarse bucket.
+        """Credit ``seconds`` to one pipeline stage *and* its coarse bucket.
 
         Called by the pipeline's post-stage hook: ``stage`` is the
         pipeline stage name (``gather_push``, ``migrate``, ...), ``bucket``
         the :data:`STAGES` category it rolls up into.
         """
-        self._credit(bucket, stage, seconds)
-
-    def timeit(self, stage: str):
-        """Context manager timing a stage with the wall clock."""
-        return _StageTimer(self, stage)
+        seconds = float(seconds)
+        self.metrics.add(_BUCKET_PREFIX + bucket, seconds)
+        self.metrics.add(_STAGE_PREFIX + stage, seconds)
 
     def finish_step(self) -> None:
         """Mark the end of one simulation step."""
@@ -162,11 +140,7 @@ class RuntimeBreakdown:
         ]
 
     def stage_rows(self) -> List[Dict[str, float]]:
-        """Fine-grained pipeline-stage rows, in first-recorded order.
-
-        Empty when the breakdown was filled through the legacy
-        :meth:`record` path only (no pipeline timing hook attached).
-        """
+        """Fine-grained pipeline-stage rows, in first-recorded order."""
         stage_seconds = self.stage_seconds
         total = sum(stage_seconds.values())
         return [
@@ -174,20 +148,6 @@ class RuntimeBreakdown:
              "fraction": (seconds / total if total > 0.0 else 0.0)}
             for stage, seconds in stage_seconds.items()
         ]
-
-
-class _StageTimer:
-    def __init__(self, breakdown: RuntimeBreakdown, stage: str):
-        self.breakdown = breakdown
-        self.stage = stage
-        self._start = 0.0
-
-    def __enter__(self) -> "_StageTimer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.breakdown.record(self.stage, time.perf_counter() - self._start)
 
 
 @dataclass

@@ -249,10 +249,10 @@ class ScratchArrayPool:
 
     The FDTD solver needs roughly ten grid-shaped temporaries per field
     update (one per spatial derivative plus working buffers for the CKC
-    transverse smoothing), and the domain-decomposed deposition needs
-    window-shaped accumulators per shard.  Allocating them fresh every
-    step is pure overhead, so callers lease arrays here: :meth:`acquire`
-    hands out an array of the requested shape (optionally zeroed) and
+    transverse smoothing), and the decomposed window shift needs one
+    interior-shaped buffer per field.  Allocating them fresh every step
+    is pure overhead, so callers lease arrays here: :meth:`acquire`
+    hands out an array of the requested shape (contents unspecified) and
     :meth:`release` returns it to the free list.
 
     Thread-safe and per-process, like :class:`ScratchGridPool`; the free
@@ -266,9 +266,8 @@ class ScratchArrayPool:
         self._num_free = 0
         self._lock = threading.Lock()
 
-    def acquire(self, shape: Tuple[int, ...], zero: bool = False
-                ) -> np.ndarray:
-        """A float64 scratch array of ``shape`` (zero-filled when ``zero``)."""
+    def acquire(self, shape: Tuple[int, ...]) -> np.ndarray:
+        """A float64 scratch array of ``shape`` (contents unspecified)."""
         key = (tuple(int(s) for s in shape), np.dtype(np.float64))
         with self._lock:
             stack = self._free.get(key)
@@ -276,9 +275,7 @@ class ScratchArrayPool:
             if arr is not None:
                 self._num_free -= 1
         if arr is None:
-            return np.zeros(key[0]) if zero else np.empty(key[0])
-        if zero:
-            arr.fill(0.0)
+            return np.empty(key[0])
         return arr
 
     def release(self, arr: np.ndarray) -> None:
@@ -304,6 +301,6 @@ class ScratchArrayPool:
 #: process-wide scratch pool shared by every executor shard task
 scratch_grids = ScratchGridPool()
 
-#: process-wide scratch array pool (field solver temporaries, deposition
-#: window accumulators)
+#: process-wide scratch array pool (field solver temporaries, window-shift
+#: buffers)
 scratch_arrays = ScratchArrayPool()

@@ -200,21 +200,6 @@ class Simulation:
         """
         self.pipeline.run_step()
 
-    def run(self, steps: Optional[int] = None,
-            record_energy: bool = False) -> RuntimeBreakdown:
-        """Run ``steps`` steps (defaults to the configured ``max_steps``)."""
-        n = self.config.max_steps if steps is None else steps
-        if record_energy:
-            if self._skip_initial_energy_record:
-                self._skip_initial_energy_record = False
-            else:
-                self._record_energy()
-        for _ in range(n):
-            self.step()
-            if record_energy:
-                self._record_energy()
-        return self.breakdown
-
     def _record_energy(self) -> EnergyRecord:
         """Record an energy snapshot (assembling decomposed fields first)."""
         if self.domain is not None:

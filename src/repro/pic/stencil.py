@@ -412,10 +412,7 @@ class StencilOperator:
 
         This is the first half of :meth:`scatter_values` on the fast path:
         one scatter-add kernel pass over the flattened stencil, *before*
-        the box is folded onto any grid.  The domain-decomposed deposition
-        uses it to compute each tile's contribution once and then apply
-        it to every subdomain window it overlaps
-        (:meth:`add_box_to_window`) — the ghost/seam reduction.
+        the box is folded onto the grid.
 
         Requires the bounding-box fast path (``box_dims`` set); per-step
         callers always satisfy this because redistributed particles sit
@@ -450,47 +447,6 @@ class StencilOperator:
         return self.kernels.scatter(
             self.flat_ids, self.weights, amplitude, size
         ).reshape(self.box_dims)
-
-    def add_box_to_window(self, box: Array,
-                          window_lo: Tuple[int, int, int],
-                          out: Array) -> None:
-        """Add a :meth:`box_accumulate` result onto a sub-window of the grid.
-
-        ``out`` is a dense array covering the global cell window starting
-        at ``window_lo`` (shape = window dims); the window must not wrap.
-        The box is decomposed into exactly the same wrapped/clamped
-        segments — in the same nested order — as :meth:`_apply_box`, and
-        every segment is intersected with the window.  Because each
-        global node lives in exactly one window of a disjoint
-        decomposition, the per-node accumulation order is identical to
-        the single-array path, which makes the decomposed deposition
-        bitwise identical to the global one.
-        """
-        w_lo = tuple(int(v) for v in window_lo)
-        w_hi = tuple(w_lo[a] + out.shape[a] for a in range(3))
-        seg_x, seg_y, seg_z = self._segments()
-        clipped = []
-        for axis, segments in enumerate((seg_x, seg_y, seg_z)):
-            axis_out = []
-            for b, g, collapse in segments:
-                start = max(g.start, w_lo[axis])
-                stop = min(g.stop, w_hi[axis])
-                if stop <= start:
-                    continue
-                if collapse:
-                    # overhang collapses onto a single boundary plane; the
-                    # box range stays whole (it is summed along the axis)
-                    b_adj = b
-                else:
-                    offset = start - g.start
-                    b_adj = slice(b.start + offset,
-                                  b.start + offset + (stop - start))
-                dest = slice(start - w_lo[axis], stop - w_lo[axis])
-                axis_out.append((b_adj, dest, collapse))
-            if not axis_out:
-                return  # the box misses the window entirely on this axis
-            clipped.append(axis_out)
-        apply_box(box, tuple(clipped), out)
 
     def _extract_box(self, field: Array) -> Array:
         """The wrapped/clamped box view of a field, for the gather."""

@@ -9,7 +9,7 @@ Public surface
 * :func:`build_pipeline` / :func:`global_stages` / :func:`domain_stages` /
   :func:`stage_set_for` — stage-set selection;
 * the stage vocabulary — gather/push, migrate, moving window, deposit,
-  laser, solve, boundary, diagnostics, plus the per-subdomain variants;
+  laser, solve, boundary, plus the per-subdomain variants;
 * the effect contract (:mod:`repro.pipeline.effects`) — the
   :data:`~repro.pipeline.effects.RESOURCES` vocabulary, per-stage
   ``reads``/``writes`` declarations and the static write-after-read
@@ -50,13 +50,11 @@ from repro.pipeline.effects import (
     RESOURCES,
     STEP_CARRIED,
     EffectViolation,
-    check_overlap_groups,
     check_stage_set,
     declared_effects,
 )
 from repro.pipeline.stages import (
     DepositStage,
-    DiagnosticsStage,
     FieldBoundaryStage,
     FieldSolveStage,
     GatherPushStage,
@@ -69,7 +67,6 @@ __all__ = [
     "BreakdownTimingHook",
     "DOMAIN_STAGE_SET",
     "DepositStage",
-    "DiagnosticsStage",
     "DomainBoundaryStage",
     "DomainDepositStage",
     "DomainGatherPushStage",
@@ -92,7 +89,6 @@ __all__ = [
     "StageContext",
     "StepPipeline",
     "build_pipeline",
-    "check_overlap_groups",
     "check_stage_set",
     "declared_effects",
     "domain_stages",

@@ -144,11 +144,7 @@ class Stage(Protocol):
     The declarations are the input to the static write-after-read hazard
     checker (:func:`repro.pipeline.effects.check_stage_set`) and are
     verified complete against the ``run`` body by ``python -m repro
-    lint`` — every shipped stage must carry them.  An optional
-    ``overlap_group`` attribute (default ``None``) additionally declares
-    the stage safe to run concurrently with the other members of its
-    group, which :func:`repro.pipeline.effects.check_overlap_groups`
-    race-checks against the declared effects.
+    lint`` — every shipped stage must carry them.
     """
 
     name: str
@@ -302,11 +298,9 @@ class StepPipeline:
 class BreakdownTimingHook:
     """Post-stage hook feeding per-stage wall time into the breakdown.
 
-    Replaces the ad-hoc ``breakdown.timeit(...)`` blocks of the old
-    hand-wired loops: every stage's seconds land both under its own name
+    Every stage's seconds land both under its own name
     (``breakdown.stage_seconds``) and under its coarse bucket
-    (``breakdown.seconds``), so the historical Figure-1 categories keep
-    working unchanged.
+    (``breakdown.seconds``), the Figure-1 categories.
     """
 
     def __call__(self, stage: Stage, ctx: StageContext,

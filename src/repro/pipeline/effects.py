@@ -17,15 +17,7 @@ enforced in two layers:
   — e.g. the leap-frog fields gathered before the solve rewrites them)
   or an external per-step input (:data:`EXTERNAL_RESOURCES`).  Anything
   else reads a value a later stage is about to clobber — exactly the
-  dependency that silently breaks when stages are reordered or, as
-  planned for the halo/interior overlap, run concurrently.
-
-Concurrency is declared with an optional ``overlap_group`` attribute: a
-stage carrying a non-``None`` group name asserts it may run concurrently
-with every other stage in the same group.  :func:`check_overlap_groups`
-is the race detector for that assertion — it requires all pairwise
-effect sets within a group to be conflict-free (no write/read, read/write
-or write/write intersection under :func:`conflicts`).
+  dependency that silently breaks when stages are reordered.
 
 Resource names are hierarchical: ``"grid.currents"`` conflicts with
 ``"grid.currents"`` and with ``"grid"`` but not with ``"grid.fields"``.
@@ -37,7 +29,7 @@ possible without executing any stage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.pipeline.core import Stage
 
@@ -46,7 +38,6 @@ __all__ = [
     "RESOURCES",
     "STEP_CARRIED",
     "EffectViolation",
-    "check_overlap_groups",
     "check_stage_set",
     "conflicts",
     "declared_effects",
@@ -144,7 +135,7 @@ EXTERNAL_RESOURCES: FrozenSet[str] = frozenset({
 class EffectViolation:
     """One contract violation found by the effect checker."""
 
-    #: which check fired ("declaration", "vocabulary", "hazard", "overlap")
+    #: which check fired ("declaration", "vocabulary", "hazard")
     kind: str
     #: name of the offending stage
     stage: str
@@ -263,48 +254,4 @@ def check_stage_set(stages: Iterable[Stage]) -> List[EffectViolation]:
                 stage=getattr(stage, "name", type(stage).__name__),
                 message=message,
             ))
-    violations.extend(check_overlap_groups(stages))
-    return violations
-
-
-def check_overlap_groups(stages: Iterable[Stage]) -> List[EffectViolation]:
-    """Race-detect stages declared safe to run concurrently.
-
-    Stages sharing a non-``None`` ``overlap_group`` attribute assert
-    mutual concurrency safety; every pair in a group must therefore have
-    conflict-free effects: no resource may be written by one member and
-    read *or* written by another.  This is the gate the planned
-    halo/interior overlap must pass before any stage actually runs
-    off-thread.
-    """
-    grouped: Dict[str, List[Tuple[str, FrozenSet[str], FrozenSet[str]]]] = {}
-    for stage in stages:
-        group = getattr(stage, "overlap_group", None)
-        if group is None:
-            continue
-        declared = declared_effects(stage)
-        if declared is None:
-            continue  # reported by the declaration check
-        name = getattr(stage, "name", type(stage).__name__)
-        grouped.setdefault(str(group), []).append((name, *declared))
-    violations: List[EffectViolation] = []
-    for group, members in sorted(grouped.items()):
-        for i, (name_a, reads_a, writes_a) in enumerate(members):
-            for name_b, reads_b, writes_b in members[i + 1:]:
-                clashes = sorted({
-                    f"{ra} vs {wb}"
-                    for wb in writes_b for ra in reads_a | writes_a
-                    if conflicts(ra, wb)
-                } | {
-                    f"{wa} vs {rb}"
-                    for wa in writes_a for rb in reads_b
-                    if conflicts(wa, rb)
-                })
-                if clashes:
-                    violations.append(EffectViolation(
-                        kind="overlap", stage=name_a,
-                        message=f"declared concurrent with {name_b!r} "
-                                f"(overlap group {group!r}) but their "
-                                f"effects conflict: {clashes}",
-                    ))
     return violations

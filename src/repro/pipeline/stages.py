@@ -4,9 +4,9 @@ Most stage adapters live next to the physics they wrap
 (:class:`repro.pic.pusher.GatherPushStage`,
 :class:`repro.pic.maxwell.FieldSolveStage`, ...); this module holds the
 stages that span several components — the particle boundary/migration
-scan, the pluggable deposition step and the optional in-step diagnostics
-stage — and re-exports the component-owned ones so
-``repro.pipeline`` is the single catalogue of the stage vocabulary.
+scan and the pluggable deposition step — and re-exports the
+component-owned ones so ``repro.pipeline`` is the single catalogue of
+the stage vocabulary.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "DepositStage",
-    "DiagnosticsStage",
     "FieldBoundaryStage",
     "FieldSolveStage",
     "GatherPushStage",
@@ -98,25 +97,3 @@ class DepositStage:
             )
             if counters is not None:
                 simulation.deposition_counters.merge(counters)
-
-
-class DiagnosticsStage:
-    """Optional pipeline stage: record an energy snapshot every step.
-
-    Not part of either default stage set — :meth:`repro.api.Session.run`
-    and :meth:`~repro.pic.simulation.Simulation.run` record energy in the
-    step epilogue (after ``step_index`` advances), preserving the legacy
-    history layout.  Install this stage (``pipeline.append`` or
-    ``insert_after``) to sample diagnostics *inside* the step instead;
-    snapshots are then labelled with the in-step index.
-    """
-
-    name = "diagnostics"
-    bucket = "other"
-    reads = frozenset({
-        "grid.fields", "containers.momentum", "simulation.energy",
-    })
-    writes = frozenset({"simulation.energy"})
-
-    def run(self, ctx: "StageContext") -> None:
-        ctx.simulation._record_energy()

@@ -498,11 +498,11 @@ def _annotation_problems(annotation, seen: set) -> List[str]:
 
 def check_spec_purity(ctx: "LintContext") -> List[Finding]:
     from repro.analysis import campaign
+    from repro.workloads import FAMILIES
 
     findings: List[Finding] = []
     targets = [campaign.ExperimentSpec]
-    targets.extend(cls for _, cls in sorted(campaign.workload_kinds()
-                                            .items()))
+    targets.extend(family["builder"] for _, family in sorted(FAMILIES.items()))
     seen_problems = set()
     for cls in targets:
         try:

@@ -23,17 +23,22 @@ __all__ = [
     "LWFAWorkload",
     "ParticleMeshGravity",
     "PMEChargeAssignment",
+    "FAMILIES",
     "GRID_CHOICES",
     "GRID_DEFAULTS",
     "workload_for_family",
 ]
 
-#: per-family grid defaults shared by the CLI and the campaign service,
-#: so "the same grid" means the same thing over HTTP and on the command
-#: line (and therefore hashes to the same cache keys)
-_FAMILY_DEFAULTS = {
-    "uniform": {"n_cell": (8, 8, 8), "tile_size": (8, 8, 8)},
-    "lwfa": {"n_cell": (8, 8, 32), "tile_size": (8, 8, 16)},
+#: the workload families a campaign spec can name — the one statement of
+#: them: the builder dataclass behind each ``ExperimentSpec.workload_kind``
+#: and the per-family grid defaults shared by the CLI and the campaign
+#: service, so "the same grid" means the same thing over HTTP and on the
+#: command line (and therefore hashes to the same cache keys)
+FAMILIES = {
+    "uniform": {"builder": UniformPlasmaWorkload,
+                "n_cell": (8, 8, 8), "tile_size": (8, 8, 8)},
+    "lwfa": {"builder": LWFAWorkload,
+             "n_cell": (8, 8, 32), "tile_size": (8, 8, 16)},
 }
 
 #: the campaign grid schema: the one statement of the defaults and
@@ -49,7 +54,7 @@ GRID_DEFAULTS = {
     "kernel_tier": TIER_AUTO,
 }
 GRID_CHOICES = {
-    "workload": tuple(_FAMILY_DEFAULTS),
+    "workload": tuple(FAMILIES),
     "shape_order": (1, 2, 3),
     "kernel_tier": KNOWN_TIER_REQUESTS,
 }
@@ -72,13 +77,13 @@ def workload_for_family(family: str, *, ppc: int, max_steps: int,
     for an unknown family, a ``shape_order`` on the (order-1-fixed) lwfa
     workload, or a PPC outside the paper's scan.
     """
-    if family not in _FAMILY_DEFAULTS:
+    if family not in FAMILIES:
         raise ValueError(
             f"unknown workload family {family!r}; expected one of "
-            f"{sorted(_FAMILY_DEFAULTS)}")
+            f"{sorted(FAMILIES)}")
     from repro.backend import BackendConfig
 
-    defaults = _FAMILY_DEFAULTS[family]
+    defaults = FAMILIES[family]
     kwargs = dict(
         ppc=int(ppc),
         max_steps=int(max_steps),
@@ -93,14 +98,12 @@ def workload_for_family(family: str, *, ppc: int, max_steps: int,
     if execution is not None:
         kwargs["execution"] = execution
     if family == "uniform":
-        workload = UniformPlasmaWorkload(
-            shape_order=int(shape_order) if shape_order is not None else 1,
-            **kwargs)
-    else:
-        if shape_order is not None:
-            raise ValueError("shape_order applies only to the uniform "
-                             "workload (lwfa is fixed at order 1)")
-        workload = LWFAWorkload(**kwargs)
+        kwargs["shape_order"] = (int(shape_order)
+                                 if shape_order is not None else 1)
+    elif shape_order is not None:
+        raise ValueError("shape_order applies only to the uniform "
+                         "workload (lwfa is fixed at order 1)")
+    workload = defaults["builder"](**kwargs)
     # fail fast on a PPC outside the paper's scan (builders only check
     # lazily when the simulation is built)
     workload.ppc_triple()

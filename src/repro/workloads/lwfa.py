@@ -27,7 +27,6 @@ from repro.config import (
     LaserConfig,
     MovingWindowConfig,
     SimulationConfig,
-    SortingPolicyConfig,
     SpeciesConfig,
 )
 from repro.obs import ObsConfig
@@ -50,7 +49,6 @@ class LWFAWorkload:
     laser_a0: float = 4.0
     laser_wavelength: float = 0.8e-6
     ramp_fraction: float = 0.2
-    sorting: SortingPolicyConfig = field(default_factory=SortingPolicyConfig)
     #: tile execution engine used by the step loop (:mod:`repro.exec`)
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
     #: (px, py, pz) domain decomposition of the grid (:mod:`repro.domain`)
@@ -117,7 +115,6 @@ class LWFAWorkload:
             cfl=1.0,
             max_steps=self.max_steps,
             field_solver="ckc",
-            sorting=self.sorting,
             laser=laser,
             moving_window=window,
             execution=self.execution,

@@ -23,7 +23,6 @@ from repro.config import (
     ExecutionConfig,
     GridConfig,
     SimulationConfig,
-    SortingPolicyConfig,
     SpeciesConfig,
 )
 from repro.obs import ObsConfig
@@ -50,7 +49,6 @@ class UniformPlasmaWorkload:
     density: float = 1.0e25
     thermal_velocity: float = 0.01 * constants.C_LIGHT
     field_solver: str = "ckc"
-    sorting: SortingPolicyConfig = field(default_factory=SortingPolicyConfig)
     #: tile execution engine used by the step loop (:mod:`repro.exec`)
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
     #: (px, py, pz) domain decomposition of the grid (:mod:`repro.domain`)
@@ -103,7 +101,6 @@ class UniformPlasmaWorkload:
             cfl=1.0,
             max_steps=self.max_steps,
             field_solver=self.field_solver,
-            sorting=self.sorting,
             execution=self.execution,
             domain=DomainConfig(domains=self.domains),
             backend=self.backend,

@@ -82,7 +82,7 @@ class TestRunIterator:
     def test_record_energy_populates_results_and_history(self):
         session = workload().build_session()
         results = list(session.run(2, record_energy=True))
-        # one initial snapshot + one per step, like Simulation.run
+        # one initial snapshot + one per step
         assert len(session.energy.history) == 3
         assert all(r.energy is not None for r in results)
         assert results[-1].energy is session.energy.history[-1]
@@ -103,12 +103,15 @@ class TestRunIterator:
 
 class TestLegacyEquivalence:
     def test_session_run_matches_simulation_run_bitwise(self):
-        """Session.run == Simulation.run: fields, J/rho, energy history."""
+        """Session.run == Simulation.step calls: fields, J/rho, energy."""
         session = workload().build_session()
         legacy = workload().build_simulation()
         for _ in session.run(3, record_energy=True):
             pass
-        legacy.run(3, record_energy=True)
+        legacy._record_energy()
+        for _ in range(3):
+            legacy.step()
+            legacy._record_energy()
         for name in ALL_COMPONENTS:
             assert np.array_equal(getattr(session.grid, name),
                                   getattr(legacy.grid, name)), name
@@ -126,7 +129,8 @@ class TestLegacyEquivalence:
                 pass
             session.simulation.domain.assemble(session.grid)
             with build().build_simulation() as legacy:
-                legacy.run(2, record_energy=True)
+                for _ in range(2):
+                    legacy.step()
                 legacy.domain.assemble(legacy.grid)
                 for name in ALL_COMPONENTS:
                     assert np.array_equal(getattr(session.grid, name),

@@ -74,7 +74,6 @@ API_SURFACE = {
         "BreakdownTimingHook",
         "DOMAIN_STAGE_SET",
         "DepositStage",
-        "DiagnosticsStage",
         "DomainBoundaryStage",
         "DomainDepositStage",
         "DomainGatherPushStage",
@@ -97,7 +96,6 @@ API_SURFACE = {
         "StageContext",
         "StepPipeline",
         "build_pipeline",
-        "check_overlap_groups",
         "check_stage_set",
         "declared_effects",
         "domain_stages",

@@ -10,7 +10,7 @@ from repro.analysis.cache import ResultCache, canonical_json, content_key
 from repro.analysis.campaign import (
     Campaign,
     ExperimentSpec,
-    kind_for_workload,
+    build_workload,
     run_spec,
     spec_for_workload,
 )
@@ -49,32 +49,26 @@ class TestExperimentSpec:
         assert rebuilt.cache_key() == spec.cache_key()
 
     def test_known_workloads_are_registered(self):
-        assert kind_for_workload(tiny_workload()) == "uniform"
-        assert kind_for_workload(LWFAWorkload()) == "lwfa"
-        assert kind_for_workload(object()) is None
+        assert spec_for_workload(
+            tiny_workload(), "Baseline").workload_kind == "uniform"
+        assert spec_for_workload(
+            LWFAWorkload(), "Baseline").workload_kind == "lwfa"
+        with pytest.raises(TypeError, match="workload families"):
+            spec_for_workload(object(), "Baseline")
 
-    def test_early_registration_keeps_builtin_kinds(self, monkeypatch):
-        """Registering a custom kind before first use must not drop the
-        built-in 'uniform'/'lwfa' kinds."""
-        import dataclasses
-
-        import repro.analysis.campaign as campaign_module
-        from repro.analysis.campaign import (
-            register_workload_kind,
-            workload_kinds,
-        )
-
-        @dataclasses.dataclass
-        class CustomWorkload:
-            ppc: int = 8
-
-        # simulate a fresh interpreter where nothing touched the registry
-        monkeypatch.setattr(campaign_module, "_WORKLOAD_KINDS", {})
-        monkeypatch.setattr(campaign_module, "_BUILTINS_LOADED", False)
-        register_workload_kind("custom", CustomWorkload)
-        kinds = workload_kinds()
-        assert kinds["custom"] is CustomWorkload
-        assert "uniform" in kinds and "lwfa" in kinds
+    def test_workloads_take_no_sorting_policy(self):
+        """The policy a run uses travels in ``ExperimentSpec.sorting`` /
+        ``make_strategy(sorting_config=)``; a workload-level copy was
+        accepted, hashed and read by nothing."""
+        for cls in (UniformPlasmaWorkload, LWFAWorkload):
+            with pytest.raises(TypeError, match="sorting"):
+                cls(sorting=SortingPolicyConfig(sort_interval=20))
+        # ... and a payload journaled while the field existed still
+        # rebuilds the workload it described
+        workload = tiny_workload(seed=7)
+        params = dict(spec_for_workload(workload, "Baseline").workload_params)
+        params["sorting"] = {"sort_interval": 50, "min_sort_interval": 10}
+        assert build_workload("uniform", params) == workload
 
     def test_build_workload_reconstructs_equal_builder(self):
         workload = tiny_workload(seed=7)
@@ -403,7 +397,7 @@ class TestSweepIntegration:
             assert (canonical_json(results[name].to_json())
                     == canonical_json(again[name].to_json()))
 
-    def test_unregistered_workload_falls_back_to_direct_execution(self):
+    def test_a_workload_of_neither_family_is_a_type_error(self):
         class OpaqueWorkload:
             ppc = 8
             shape_order = 1
@@ -412,12 +406,8 @@ class TestSweepIntegration:
             def build_simulation(self, deposition=None):
                 return tiny_workload().build_simulation(deposition=deposition)
 
-        results = sweep_configurations(OpaqueWorkload(), ("Baseline",),
-                                       steps=1)
-        assert results["Baseline"].timing.total > 0.0
-        with pytest.raises(TypeError):
-            sweep_configurations(OpaqueWorkload(), ("Baseline",), steps=1,
-                                 jobs=2)
+        with pytest.raises(TypeError, match="workload families"):
+            sweep_configurations(OpaqueWorkload(), ("Baseline",), steps=1)
 
 
 class TestFormatters:

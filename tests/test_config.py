@@ -5,7 +5,6 @@ import pytest
 from repro import constants
 from repro.config import (
     GridConfig,
-    HardwareConfig,
     LaserConfig,
     MovingWindowConfig,
     SimulationConfig,
@@ -75,20 +74,6 @@ class TestSortingPolicyConfig:
     def test_ratio_bounds(self):
         with pytest.raises(ValueError):
             SortingPolicyConfig(sort_trigger_empty_ratio=1.5)
-
-
-class TestHardwareConfig:
-    def test_mpu_flops_ratio(self):
-        hw = HardwareConfig()
-        assert hw.mpu_flops_per_cycle == pytest.approx(4.0 * hw.vpu_flops_per_cycle)
-
-    def test_peak_flops(self):
-        hw = HardwareConfig(frequency_hz=1.3e9, vpu_lanes=8, mpu_flops_ratio=4.0)
-        assert hw.peak_flops_per_core == pytest.approx(4.0 * 16.0 * 1.3e9)
-
-    def test_rejects_nonpositive_frequency(self):
-        with pytest.raises(ValueError):
-            HardwareConfig(frequency_hz=0.0)
 
 
 class TestLaserConfig:

@@ -15,6 +15,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.config import ExecutionConfig
 from repro.exec import (
     SUPPORTED_BACKENDS,
@@ -324,7 +325,7 @@ class TestSimulationParity:
         )
         simulation = workload.build_simulation()
         try:
-            simulation.run(record_energy=True)
+            Session.from_simulation(simulation).run_all(record_energy=True)
             soa = simulation.containers[0].gather_soa()
             order = np.argsort(soa["ids"])
             return {

@@ -1,4 +1,4 @@
-"""Tests for the simulated MPU/VPU hardware and the cost model."""
+"""Tests for the simulated MPU hardware and the cost model."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.hardware.counters import KernelCounters, PhaseCounters
 from repro.hardware.cost_model import CostModel, KernelTiming, summarize_timings
 from repro.hardware.mpu import MatrixUnit
 from repro.hardware.spec import A800_SPEC, LX2_SPEC
-from repro.hardware.vpu import VectorUnit
 
 
 class TestCounters:
@@ -50,58 +49,6 @@ class TestCounters:
     def test_total_events_excludes_bytes(self):
         c = PhaseCounters(vpu_fma=2.0, bytes_near=1000.0, effective_flops=99.0)
         assert c.total_events() == 2.0
-
-
-class TestVectorUnit:
-    def test_fma_counts_instructions(self):
-        counters = PhaseCounters()
-        vpu = VectorUnit(lanes=8, counters=counters)
-        a = np.arange(20.0)
-        result = vpu.fma(a, a, a)
-        np.testing.assert_allclose(result, a * a + a)
-        assert counters.vpu_fma == 3.0   # ceil(20 / 8)
-
-    def test_scatter_add_numerics(self):
-        counters = PhaseCounters()
-        vpu = VectorUnit(counters=counters)
-        target = np.zeros(4)
-        vpu.scatter_add(target, np.array([1, 1, 3]), np.array([2.0, 3.0, 4.0]))
-        np.testing.assert_allclose(target, [0.0, 5.0, 0.0, 4.0])
-        assert counters.vpu_gather_scatter == 1.0
-
-    def test_atomic_scatter_add_counts_conflicts(self):
-        counters = PhaseCounters()
-        vpu = VectorUnit(lanes=4, counters=counters)
-        target = np.zeros(8)
-        # all four lanes hit the same index -> 3 conflicts in the vector
-        vpu.atomic_scatter_add(target, np.array([2, 2, 2, 2]),
-                               np.ones(4))
-        assert target[2] == pytest.approx(4.0)
-        assert counters.atomic_updates == 4.0
-        assert counters.atomic_conflicts == 3.0
-
-    def test_gather(self):
-        vpu = VectorUnit()
-        out = vpu.gather(np.array([10.0, 20.0, 30.0]), np.array([2, 0]))
-        np.testing.assert_allclose(out, [30.0, 10.0])
-
-    def test_select_and_compare(self):
-        vpu = VectorUnit()
-        mask = vpu.compare(np.array([1, 2, 3]), np.array([2, 2, 2]), op="lt")
-        out = vpu.select(mask, np.array([9, 9, 9]), np.array([0, 0, 0]))
-        np.testing.assert_array_equal(out, [9, 0, 0])
-
-    def test_bytes_charged_near_vs_far(self):
-        counters = PhaseCounters()
-        vpu = VectorUnit(counters=counters)
-        vpu.load(np.zeros(8), far=False)
-        vpu.load(np.zeros(8), far=True)
-        assert counters.bytes_near == 64.0
-        assert counters.bytes_far == 64.0
-
-    def test_invalid_lanes(self):
-        with pytest.raises(ValueError):
-            VectorUnit(lanes=0)
 
 
 class TestMatrixUnit:

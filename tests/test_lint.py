@@ -24,7 +24,6 @@ import pytest
 
 from repro.pipeline.effects import (
     EffectViolation,
-    check_overlap_groups,
     check_stage_set,
     conflicts,
     declared_effects,
@@ -241,13 +240,11 @@ class TestDeterminism:
 # ----------------------------------------------------------------------
 
 class FakeStage:
-    def __init__(self, name, reads=(), writes=(), overlap_group=None):
+    def __init__(self, name, reads=(), writes=()):
         self.name = name
         self.bucket = "other"
         self.reads = frozenset(reads)
         self.writes = frozenset(writes)
-        if overlap_group is not None:
-            self.overlap_group = overlap_group
 
     def run(self, ctx):  # pragma: no cover - never executed
         pass
@@ -304,20 +301,6 @@ class TestEffectChecker:
         gather = FakeStage("gather", reads={"grid.fields"})
         solve = FakeStage("solve", writes={"grid.fields"})
         assert check_stage_set([gather, solve]) == []
-
-    def test_overlap_group_conflict_is_reported(self):
-        a = FakeStage("halo", writes={"domain.halos"}, overlap_group="ov")
-        b = FakeStage("interior", reads={"domain.halos"},
-                      overlap_group="ov")
-        violations = check_overlap_groups([a, b])
-        assert [v.kind for v in violations] == ["overlap"]
-        assert "interior" in violations[0].message
-
-    def test_disjoint_overlap_group_passes(self):
-        a = FakeStage("halo", writes={"domain.halos"}, overlap_group="ov")
-        b = FakeStage("interior", reads={"grid.fields"},
-                      writes={"containers.momentum"}, overlap_group="ov")
-        assert check_overlap_groups([a, b]) == []
 
 
 class TestStageEffectsAnalyzer:

@@ -367,12 +367,6 @@ class TestTraceExport:
 # ----------------------------------------------------------------------
 
 class TestRuntimeBreakdown:
-    def test_record_is_bucket_only(self):
-        breakdown = RuntimeBreakdown()
-        breakdown.record("push", 1.5)
-        assert breakdown.seconds["push"] == 1.5
-        assert breakdown.stage_seconds == {}
-
     def test_record_stage_credits_both_views(self):
         breakdown = RuntimeBreakdown()
         breakdown.record_stage("gather_push", "push", 2.0)

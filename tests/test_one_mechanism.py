@@ -21,6 +21,11 @@ temp-file + ``os.replace`` sequence.
 The MatrixPIC kernel has one Stage 2 (``core/mpu_deposit.py::
 tile_rhocells``); the per-particle formulation it replaced is the test
 oracle ``tests/deposit_oracles.py`` and is named nowhere under ``src/``.
+
+A decomposed run deposits on the frame grid like every other run (the
+shared deposit stage, then a copy into the slabs), so ``scratch_reduce``
+is the only reduce helper behind the fan-out rule, and the workload
+families are stated once, in ``repro.workloads.FAMILIES``.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import os
 import repro
 from repro import workloads
 from repro.cli import build_parser
+from repro.pipeline import DepositStage, domain_stages, global_stages
 from repro.serve import expand_request
 
 SRC = os.path.dirname(os.path.abspath(repro.__file__))
@@ -139,6 +145,33 @@ def test_per_tile_work_never_leaves_the_callers_address_space():
         if isinstance(node, ast.Call) and name_of(node.func) in fan_outs
         and any(kw.arg == "local" for kw in node.keywords)}) == []
     assert not os.path.exists(os.path.join(SRC, "exec", "process.py"))
+
+
+def test_a_decomposed_run_deposits_on_the_frame():
+    # one reduce helper: the primitives map_shards is made of are named
+    # outside repro/exec/ by scratch_reduce (and its module's import) only
+    for primitive in ("run_shards", "shard_items"):
+        assert functions_naming(primitive) == [
+            "pic/deposition/base.py",
+            "pic/deposition/base.py::scratch_reduce"]
+    # the window-seam reduction, and the knobs, emulator and extension
+    # points retired with it (comments and docstrings included)
+    retired = ("_reduce_into_windows", "_window_shard", "add_box_to_window",
+               "overlap_group", "register_workload_kind", "VectorUnit",
+               "HardwareConfig")
+    assert [(path, line.strip()) for path, text in source_texts()
+            for line in text.splitlines()
+            if any(name in line for name in retired)] == []
+    # no stage asks which strategy is installed
+    assert [(path, node.lineno) for path, tree in source_trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and name_of(node.func) == "isinstance"
+            and "ReferenceDeposition" in names_in(node)] == []
+    # both stage sets run the shared deposit body under one name
+    for stages in (global_stages(), domain_stages()):
+        (deposit,) = [stage for stage in stages if stage.name == "deposit"]
+        assert isinstance(deposit, DepositStage)
+        assert deposit.bucket == "current_deposition"
 
 
 def test_the_array_backend_seam_is_gone():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import constants
+from repro.api import Session
 from repro.baselines.configs import make_strategy
 from repro.config import GridConfig, SimulationConfig, SpeciesConfig
 from repro.pic.simulation import ReferenceDeposition, Simulation
@@ -43,19 +44,19 @@ class TestSimulationConstruction:
 class TestSimulationRun:
     def test_run_advances_steps_and_time(self):
         sim = Simulation(small_config())
-        sim.run(3)
+        Session.from_simulation(sim).run_all(3)
         assert sim.step_index == 3
         assert sim.time == pytest.approx(3 * sim.dt)
 
     def test_particle_count_conserved_with_periodic_boundaries(self):
         sim = Simulation(small_config())
         initial = sim.num_particles
-        sim.run(3)
+        Session.from_simulation(sim).run_all(3)
         assert sim.num_particles == initial
 
     def test_positions_stay_inside_domain(self):
         sim = Simulation(small_config())
-        sim.run(3)
+        Session.from_simulation(sim).run_all(3)
         soa = sim.containers[0].gather_soa()
         for axis, coord in enumerate((soa["x"], soa["y"], soa["z"])):
             assert np.all(coord >= sim.grid.lo[axis])
@@ -63,13 +64,13 @@ class TestSimulationRun:
 
     def test_fields_remain_finite(self):
         sim = Simulation(small_config())
-        sim.run(3)
+        Session.from_simulation(sim).run_all(3)
         for arr in sim.grid.field_arrays().values():
             assert np.all(np.isfinite(arr))
 
     def test_breakdown_records_all_stages(self):
         sim = Simulation(small_config())
-        sim.run(2)
+        Session.from_simulation(sim).run_all(2)
         stages = set(sim.breakdown.seconds)
         assert {"field_gather_push", "boundary_redistribute",
                 "current_deposition", "field_solve"} <= stages
@@ -78,7 +79,7 @@ class TestSimulationRun:
 
     def test_energy_recording(self):
         sim = Simulation(small_config())
-        sim.run(2, record_energy=True)
+        Session.from_simulation(sim).run_all(2, record_energy=True)
         assert len(sim.energy.history) == 3
         assert np.isfinite(sim.energy.relative_energy_drift())
 
@@ -90,7 +91,7 @@ class TestSimulationRun:
             max_steps=5,
         )
         sim = Simulation(config)
-        sim.run(5, record_energy=True)
+        Session.from_simulation(sim).run_all(5, record_energy=True)
         final_kinetic = sim.energy.history[-1].kinetic_energy
         # the self-field pushes particles a little, but far below relativistic
         soa = sim.containers[0].gather_soa()
@@ -104,7 +105,7 @@ class TestSimulationWithStrategies:
     def test_instrumented_strategy_accumulates_counters(self, name):
         sim = Simulation(small_config(max_steps=2),
                          deposition=make_strategy(name))
-        sim.run(2)
+        Session.from_simulation(sim).run_all(2)
         combined = sim.deposition_counters.combined()
         assert combined.total_events() > 0
         assert combined.effective_flops > 0
@@ -115,8 +116,8 @@ class TestSimulationWithStrategies:
         sim_ref = Simulation(small_config(max_steps=3))
         sim_mpu = Simulation(small_config(max_steps=3),
                              deposition=make_strategy("MatrixPIC (FullOpt)"))
-        sim_ref.run(3)
-        sim_mpu.run(3)
+        Session.from_simulation(sim_ref).run_all(3)
+        Session.from_simulation(sim_mpu).run_all(3)
         scale = np.max(np.abs(sim_ref.grid.ex)) or 1.0
         np.testing.assert_allclose(sim_mpu.grid.ex, sim_ref.grid.ex,
                                    atol=1e-9 * scale)

@@ -21,7 +21,6 @@ from repro.exec import (
     SerialExecutor,
     ThreadTileExecutor,
 )
-from repro.hardware.vpu import VectorUnit
 from repro.pic.deposition.reference import (
     deposit_reference,
     deposit_rho_reference,
@@ -281,23 +280,6 @@ class TestConsumers:
             expected = np.zeros((cells, nodes))
             np.add.at(expected, cell_ids, contrib)
             np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13)
-
-    def test_vpu_scatter_add_matches_addat(self):
-        vpu = VectorUnit()
-        target = np.zeros(16)
-        indices = np.array([3, 3, 3, 9, 0])
-        values = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
-        vpu.scatter_add(target, indices, values)
-        expected = np.zeros(16)
-        np.add.at(expected, indices, values)
-        np.testing.assert_allclose(target, expected)
-
-    def test_vpu_scatter_add_broadcasts_scalar(self):
-        vpu = VectorUnit()
-        target = np.zeros(8)
-        vpu.scatter_add(target, np.array([1, 1, 5]), 2.0)
-        assert target[1] == pytest.approx(4.0)
-        assert target[5] == pytest.approx(2.0)
 
 
 # ----------------------------------------------------------------------

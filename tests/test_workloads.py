@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import constants
+from repro.api import Session
 from repro.workloads.lwfa import LWFAWorkload
 from repro.workloads.nbody_pm import ParticleMeshGravity
 from repro.workloads.pme import PMEChargeAssignment
@@ -84,7 +85,7 @@ class TestLWFAWorkload:
         workload = LWFAWorkload(n_cell=(4, 4, 16), tile_size=(4, 4, 16),
                                 ppc=1, max_steps=2)
         simulation = workload.build_simulation()
-        simulation.run(2)
+        Session.from_simulation(simulation).run_all(2)
         assert simulation.step_index == 2
         assert np.isfinite(simulation.grid.field_energy())
 
