@@ -8,7 +8,7 @@ per tile occupancy, for both directions of the stencil:
 * **scatter** — three-component current deposition of one staged tile,
 * **gather** — six-component field interpolation for one tile.
 
-It also times the full deposition stage once per registered kernel tier
+It also times the full deposition stage once per kernel tier
 (``oracle`` vs the optional numba ``fused`` tier; unavailable tiers
 report ``null`` columns), runs the uniform-plasma workload end to end,
 and records the wall-clock of the ``field_gather_push`` and
@@ -39,7 +39,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.backend import kernel_registry
+from repro.backend import KERNEL_TIERS, activate
 from repro.config import GridConfig
 from repro.pic.deposition.base import prepare_tile_data, scatter_tile_currents
 from repro.pic.gather import gather_fields_for_tile
@@ -210,29 +210,41 @@ def _bench_point(order: int, ppc: int) -> Dict[str, float]:
     }
 
 
-def _tier_bench_point(order: int, ppc: int) -> Dict[str, object]:
-    """Full-deposit timing per registered kernel tier for one cell.
+def _available_tiers() -> List[str]:
+    """The rows of the tier table :func:`activate` accepts here."""
+    available = []
+    for tier in KERNEL_TIERS:
+        try:
+            activate(tier)
+        except ValueError:
+            continue
+        available.append(tier)
+    return available
 
-    Unavailable tiers (e.g. ``fused`` without numba) get ``null``
+
+def _tier_bench_point(order: int, ppc: int) -> Dict[str, object]:
+    """Full-deposit timing per kernel tier for one cell.
+
+    Tiers that cannot run here (``fused`` without numba) get ``null``
     columns so the JSON schema is identical on every environment.  All
-    available tiers are also checked bitwise against the oracle tier:
-    a tier that diverges is a registry bug, not a benchmark datapoint.
+    runnable tiers are also checked bitwise against the oracle tier:
+    a tier that diverges is a kernel bug, not a benchmark datapoint.
     """
     grid, container = _make_plasma(ppc)
     tile = container.nonempty_tiles()[0]
-    available = kernel_registry.available_tier_names()
+    available = _available_tiers()
     point: Dict[str, object] = {
         "order": order,
         "ppc": ppc,
         "num_particles": tile.num_particles,
     }
     currents: Dict[str, tuple] = {}
-    for tier in kernel_registry.tier_names():
+    for tier, kernels in KERNEL_TIERS.items():
         if tier not in available:
             point[f"deposit_{tier}_ms"] = None
             continue
         # the tier under test is the grid's: kernels travel with the grid
-        grid.kernels = kernel_registry.resolve(tier)
+        grid.kernels = kernels
 
         def deposit():
             data = prepare_tile_data(grid, tile, container.charge, order)
@@ -297,8 +309,8 @@ def run_benchmark() -> Dict[str, object]:
         "reps": REPS,
         "points": points,
         "kernel_tiers": {
-            "registered": list(kernel_registry.tier_names()),
-            "available": list(kernel_registry.available_tier_names()),
+            "registered": list(KERNEL_TIERS),
+            "available": _available_tiers(),
             "points": tier_points,
         },
         "uniform_stage_seconds": stages,

@@ -220,12 +220,13 @@ class ExperimentSpec:
         in-place source edit ever replays results computed by older code.
 
         The kernel tier is normalised to its **numerics tag**: tiers that
-        are bitwise identical (the built-in oracle and fused tiers share
+        are bitwise identical (the oracle and fused tiers share
         ``"flat-index-v1"``) map to the same key, so a result computed on
         either replays for both — while any future tier with different
-        numerics gets distinct cache entries.
+        numerics gets distinct cache entries.  A tier that cannot run
+        here has no key: :func:`repro.backend.activate` raises.
         """
-        from repro.backend import BackendConfig, kernel_registry
+        from repro.backend import BackendConfig, activate
 
         payload = self.to_dict()
         params = dict(payload["workload_params"])
@@ -243,8 +244,8 @@ class ExperimentSpec:
             backend = dataclasses.asdict(backend)
         backend = dict(backend) if backend is not None else {}
         params["backend"] = {
-            "kernel_numerics": kernel_registry.numerics_tag(
-                backend.get("kernel_tier", "auto")),
+            "kernel_numerics": activate(
+                backend.get("kernel_tier", "auto")).numerics,
         }
         payload["workload_params"] = params
         if payload["sorting"] is None:

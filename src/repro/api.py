@@ -47,18 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["Session", "StepResult"]
 
 
-def _coerce_backend(backend: Union[BackendConfig, str]) -> BackendConfig:
-    """A ``backend=`` argument as a full :class:`BackendConfig`."""
-    if isinstance(backend, BackendConfig):
-        return backend
-    if isinstance(backend, str):
-        return BackendConfig(kernel_tier=backend)
-    raise TypeError(
-        f"backend must be a BackendConfig or a kernel-tier name, "
-        f"got {backend!r}"
-    )
-
-
 def _coerce_observe(observe: Union[ObsConfig, bool]) -> ObsConfig:
     """An ``observe=`` argument as a full :class:`~repro.obs.ObsConfig`."""
     if isinstance(observe, ObsConfig):
@@ -105,7 +93,7 @@ class Session:
         counters-only telemetry.
         """
         if backend is not None:
-            config = config.with_updates(backend=_coerce_backend(backend))
+            config = config.with_updates(backend=BackendConfig.coerce(backend))
         if observe is not None:
             config = config.with_updates(observe=_coerce_observe(observe))
         self._simulation = Simulation(config, deposition=deposition,
@@ -138,7 +126,7 @@ class Session:
         """
         if backend is not None:
             workload = dataclasses.replace(
-                workload, backend=_coerce_backend(backend))
+                workload, backend=BackendConfig.coerce(backend))
         if observe is not None:
             workload = dataclasses.replace(
                 workload, observe=_coerce_observe(observe))

@@ -1,39 +1,25 @@
-"""Kernel names, tier requests and the kernel-tier selection config.
+"""Tier requests and the kernel-tier selection config.
 
 This module is the dependency root of :mod:`repro.backend`: it imports
 nothing from the rest of the library (mirroring ``repro.exec.base``), so
 :mod:`repro.config` can embed :class:`BackendConfig` without a cycle.
-
-Bulk array math, scratch allocation and the dtype policy (FP64
-field/current arrays, ``int64`` flat stencil indices) are plain NumPy at
-the call sites; the one extension point of the numerical layer is the
-per-kernel tier registry (:class:`~repro.backend.registry.KernelRegistry`),
-where a tier accelerates exactly the kernels it has and inherits the
-oracle for the rest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
 #: Annotation alias for the dense arrays the numerical layers exchange.
 Array = np.ndarray
 
-#: Kernel names understood by the registry, in dispatch order of one PIC
-#: step.  ``scatter3`` is the fully fused three-component (jx, jy, jz)
-#: form of ``scatter`` used by the current deposition hot loop.
-KERNEL_NAMES = ("build_weights", "scatter", "scatter3")
-
-#: Kernel-tier requests understood by :class:`BackendConfig`.  ``auto``
-#: resolves to the best *available* registered tier when a run resolves it;
-#: the concrete names select one tier explicitly (and raise when its
-#: dependency is missing).
+#: The kernel-tier request that names no tier: it resolves to the best
+#: *available* one when a run resolves it.  Every other request is a row
+#: name of ``repro.backend.KERNEL_TIERS``, selected explicitly (and
+#: raising when its dependency is missing).
 TIER_AUTO = "auto"
-TIER_ORACLE = "oracle"
-TIER_FUSED = "fused"
-KNOWN_TIER_REQUESTS = (TIER_AUTO, TIER_ORACLE, TIER_FUSED)
 
 
 @dataclass(frozen=True)
@@ -43,17 +29,15 @@ class BackendConfig:
     Parameters
     ----------
     kernel_tier:
-        ``"auto"`` (default) picks the best available registered kernel
-        tier — the numba-fused tier when numba imports, silently falling
-        back to the NumPy oracle otherwise (logged once).  ``"oracle"``
-        and ``"fused"`` select a tier explicitly; an explicit tier whose
-        dependency is missing raises at resolution instead of falling
-        back.
+        ``"auto"`` (default) picks the best available kernel tier — the
+        numba-fused tier when numba imports, silently falling back to
+        the NumPy oracle otherwise.  ``"oracle"`` and ``"fused"`` select
+        a tier explicitly; an explicit tier whose dependency is missing
+        raises at resolution instead of falling back.
 
-    Tier names other than the built-ins are accepted so user-registered
-    tiers can be selected; unknown names fail at resolution time
-    (:func:`repro.backend.activate`), when the registry contents are
-    known.
+    The name is checked against the tier table at resolution time
+    (:func:`repro.backend.activate`), not here: this module cannot
+    import the table.
     """
 
     kernel_tier: str = TIER_AUTO
@@ -64,3 +48,19 @@ class BackendConfig:
                 f"kernel_tier must be a non-empty string, "
                 f"got {self.kernel_tier!r}"
             )
+
+    @classmethod
+    def coerce(cls, value: Union["BackendConfig", str, None]
+               ) -> "BackendConfig":
+        """A backend request as a config: a :class:`BackendConfig`, a
+        bare kernel-tier name, or ``None`` for the defaults."""
+        if value is None:
+            return cls()
+        if isinstance(value, cls):
+            return value
+        if isinstance(value, str):
+            return cls(kernel_tier=value)
+        raise TypeError(
+            f"expected a BackendConfig, a kernel-tier name or None, "
+            f"got {value!r}"
+        )

@@ -31,20 +31,22 @@ bits out.
 
 Missing-dependency behaviour: when numba is not importable the
 ``@njit`` decoration is skipped and the implementations below remain
-plain Python functions.  They are far too slow to *run* as a tier (the
-registry marks the tier unavailable and auto-selection falls back to
-the oracle, logged once), but they stay directly callable — which is
-how the no-numba test environment pins the fused algorithms bitwise
-against the oracle without compiling anything.
+plain Python functions.  They are far too slow to *run* as a tier
+(:func:`repro.backend.activate` refuses the tier and auto-selection
+falls back to the oracle, noted once below), but they stay directly
+callable — which is how the no-numba test environment pins the fused
+algorithms bitwise against the oracle without compiling anything.
 """
 
 from __future__ import annotations
 
+import logging
 from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.backend.base import Array
+from repro.obs.log import log_event
 
 try:  # pragma: no cover - exercised via the CI [jit] leg
     from numba import njit as _njit
@@ -53,6 +55,13 @@ try:  # pragma: no cover - exercised via the CI [jit] leg
 except ImportError as exc:  # numba is an optional extra
     _njit = None
     _NUMBA_IMPORT_ERROR = exc
+    log_event(
+        "tier.fallback",
+        "kernel tier 'fused' unavailable (%s); auto-selection falls "
+        "back to the oracle tier", exc,
+        logger=logging.getLogger("repro.backend"), level=logging.INFO,
+        tier="fused",
+    )
 
 
 def available() -> bool:
@@ -158,7 +167,7 @@ _scatter3_jit = _maybe_jit(_scatter3_impl)
 
 
 # ---------------------------------------------------------------------------
-# registry-facing kernels (argument normalisation + empty-batch guards
+# the tier's kernels (argument normalisation + empty-batch guards
 # stay in Python; the loops above never see a zero-particle batch)
 # ---------------------------------------------------------------------------
 

@@ -3,13 +3,13 @@
 These are the library's reference numerics — the flat-index formulation
 of :mod:`repro.pic.stencil` (one vectorised ``(n, support**3)`` id/weight
 build, one ``np.bincount`` accumulation pass per component) packaged as
-registry kernels.  The implementations delegate to the stencil module's
+tier kernels.  The implementations delegate to the stencil module's
 own helpers, so this tier *is* the historical code path, verbatim; every
 other tier is pinned bitwise against it by the hypothesis suite in
 ``tests/test_stencil.py``.
 
 Imports from :mod:`repro.pic` happen lazily inside the kernels: this
-module is imported by the registry, which :mod:`repro.config` reaches
+module is imported by the tier table, which :mod:`repro.config` reaches
 through :mod:`repro.backend.base`, before the PIC stack exists.
 """
 

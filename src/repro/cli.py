@@ -37,6 +37,7 @@ from repro.analysis.cache import (
     DEFAULT_CACHE_DIR,
     default_cache_dir,
 )
+from repro.backend import activate
 from repro.ckpt.store import CKPT_DIR_ENV, DEFAULT_CHECKPOINT_DIR
 from repro.exec import SUPPORTED_BACKENDS
 from repro.workloads import GRID_CHOICES, GRID_DEFAULTS, workload_for_family
@@ -417,6 +418,9 @@ def _build_workloads(args) -> list:
     workloads = [_make_workload(args.workload, ppc=ppc, args=args,
                                 observe=observe if observe.enabled else None)
                  for ppc in args.ppc]
+    # fail fast on a kernel tier that cannot run here (--kernel-tier or
+    # the environment), before any cell runs or cache key is hashed
+    activate(workloads[0].backend)
     if domains != (1, 1, 1):
         # fail fast on a decomposition the tile lattice cannot support
         from repro.domain.decomposition import Decomposition

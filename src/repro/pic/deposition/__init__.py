@@ -8,9 +8,7 @@ This package contains the *non-MPU* kernels:
 * :mod:`repro.pic.deposition.baseline` — the WarpX-style direct deposition
   baseline, instrumented for the cost model,
 * :mod:`repro.pic.deposition.rhocell` — the Vincenti et al. rhocell kernel
-  in its compiler-auto-vectorised and hand-tuned VPU variants,
-* :mod:`repro.pic.deposition.esirkepov` — a charge-conserving deposition
-  scheme implemented as an extension (listed as future work in the paper).
+  in its compiler-auto-vectorised and hand-tuned VPU variants.
 
 The MPU/hybrid kernel — the paper's contribution — lives in
 :mod:`repro.core`.

@@ -27,7 +27,7 @@ from repro.pic.grid import (
     grid_geometry,
     scratch_grids,
 )
-from repro.pic.particles import ParticleContainer, ParticleTile
+from repro.pic.particles import ParticleTile
 from repro.pic.pusher import velocities
 from repro.pic.shapes import shape_factors, shape_support
 from repro.pic.stencil import (
@@ -303,16 +303,6 @@ def scratch_reduce(executor: Optional[TileExecutor], grid: Grid,
             scratch_grids.release(scratch)
 
 
-def _deposit_kernel_tiles(target: Grid, tiles: Sequence[ParticleTile],
-                          kernel: "DepositionKernel", charge: float,
-                          order: int) -> KernelCounters:
-    """:func:`scratch_reduce` body: one kernel over a shard of tiles."""
-    counters = KernelCounters()
-    for tile in tiles:
-        kernel.deposit_tile(target, tile, charge, order, counters)
-    return counters
-
-
 class DepositionKernel(abc.ABC):
     """Interface of an instrumented current-deposition kernel."""
 
@@ -330,23 +320,6 @@ class DepositionKernel(abc.ABC):
         omitted, the storage order is used.  The numerics are independent of
         the order; only the modelled locality and gather costs change.
         """
-
-    def deposit(self, grid: Grid, container: ParticleContainer, order: int,
-                counters: Optional[KernelCounters] = None,
-                executor: Optional[TileExecutor] = None) -> KernelCounters:
-        """Deposit the whole container; currents are *added* to the grid.
-
-        Sharded by :func:`scratch_reduce`: scratch currents and per-shard
-        counters merge in shard order — bitwise identical across backends
-        for a given shard count.
-        """
-        if counters is None:
-            counters = KernelCounters()
-        for shard_counters in scratch_reduce(
-                executor, grid, container.nonempty_tiles(),
-                _deposit_kernel_tiles, self, container.charge, order):
-            counters.merge(shard_counters)
-        return counters
 
     # ------------------------------------------------------------------
     @staticmethod

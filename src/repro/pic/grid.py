@@ -35,9 +35,8 @@ class Grid:
         self.config = config
         #: kernel dispatch table of the run that owns this grid; every
         #: stencil built on the grid scatters through it.  A grid with
-        #: no run gets the registry's default resolution.
-        self.kernels = kernels if kernels is not None \
-            else activate().kernels
+        #: no run gets the default selection.
+        self.kernels = kernels if kernels is not None else activate()
         nx, ny, nz = config.n_cell
         self.shape = (nx, ny, nz)
         self.lo = np.asarray(config.lo, dtype=np.float64)

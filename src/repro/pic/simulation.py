@@ -101,15 +101,14 @@ class Simulation:
                  deposition: Optional[DepositionStrategy] = None,
                  load_plasma: bool = True):
         self.config = config
-        #: kernel tier resolved from ``config.backend``; the stencil
-        #: primitives dispatch through ``grid.kernels``
-        self.backend_selection = activate(config.backend)
         #: this run's telemetry registry, from ``config.observe`` (the
         #: shared disabled one when observability is off)
         self.telemetry = (Telemetry(config.observe)
                           if config.observe.enabled else NULL_TELEMETRY)
         self.telemetry.count("backend.tier_resolves")
-        self.grid = Grid(config.grid, self.backend_selection.kernels)
+        #: the kernel tier ``config.backend`` selects rides on the grid;
+        #: the stencil primitives dispatch through ``grid.kernels``
+        self.grid = Grid(config.grid, activate(config.backend))
         self.dt = config.time_step
         self.step_index = 0
         self.rng = np.random.default_rng(config.seed)
@@ -151,7 +150,7 @@ class Simulation:
 
         self.breakdown = RuntimeBreakdown(
             executor_name=self.executor.name,
-            kernel_tier=self.backend_selection.kernel_tier,
+            kernel_tier=self.grid.kernels.kernel_tier,
             # share the telemetry's metric registry so the breakdown is
             # a view over the exported metrics (time.bucket.*/time.stage.*)
             metrics=(self.telemetry.metrics if self.telemetry.enabled

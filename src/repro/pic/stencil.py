@@ -39,19 +39,19 @@ Kernel dispatch
 ---------------
 The two inner primitives — the ``(n, support**3)`` id/weight *build* and
 the flattened scatter-add *accumulation* — dispatch through the kernel
-registry of :mod:`repro.backend` (``build_weights`` and ``scatter``), so
+table of :mod:`repro.backend` (``build_weights`` and ``scatter``), so
 a compiled tier replaces exactly those passes while the boundary
 handling (the wrapped/clamped segment application below) stays this
 module's shared NumPy code on every tier.  Which tier is the caller's
 to say: an operator carries the dispatch table it was built with
 (``kernels=`` — :meth:`StencilOperator.for_grid` copies ``grid.kernels``)
-and only a caller with no run gets the registry's default resolution.
+and only a caller with no run gets the default, ``activate()``.
 
 Determinism contract
 --------------------
 The scatter kernel accumulates strictly in flattened input order
 (particle-major, stencil-point-minor — ``np.bincount`` order; every
-registered tier honours it bitwise) and the box is applied as a fixed
+tier honours it bitwise) and the box is applied as a fixed
 sequence of slice additions, so the result is a pure function of the
 flattened stencil — bitwise reproducible across runs, executor backends
 (the shard partition fixes the input order) and kernel tiers.  The
@@ -127,8 +127,8 @@ def flat_node_ids(shape: Tuple[int, int, int], periodic: Sequence[bool],
 
 
 def _kernels_or_default(kernels: Optional[ActiveKernels]) -> ActiveKernels:
-    """``kernels``, or the default resolution for a caller with no run."""
-    return kernels if kernels is not None else activate().kernels
+    """``kernels``, or the default selection for a caller with no run."""
+    return kernels if kernels is not None else activate()
 
 
 def scatter_flat(flat_ids: Array, weights: Array, out: Array,

@@ -4,7 +4,7 @@ Four analyzers enforce the repository's core contracts:
 
 ``backend-purity``
     ``np.<ufunc>.at`` is banned repo-wide: scatter-add goes through the
-    kernel registry (:mod:`repro.backend`), where the fused tier can
+    run's kernel table (:mod:`repro.backend`), where the fused tier can
     replace it and the flat-index engine fixes the summation order.
     All other bulk math and allocation is plain NumPy.
 
@@ -23,7 +23,7 @@ Four analyzers enforce the repository's core contracts:
     ``writes`` effect sets (AST-checked against the ``StageContext``
     attributes its ``run`` body touches), and every built stage set must
     pass the :func:`repro.pipeline.effects.check_stage_set` static
-    write-after-read hazard check plus the overlap-group race check.
+    write-after-read hazard check.
 
 ``spec-purity``
     :class:`repro.analysis.campaign.ExperimentSpec` (and every workload

@@ -12,7 +12,8 @@
 
 from typing import Optional, Sequence, Tuple
 
-from repro.backend.base import KNOWN_TIER_REQUESTS, TIER_AUTO
+from repro.backend import KERNEL_TIERS, BackendConfig
+from repro.backend.base import TIER_AUTO
 from repro.workloads.lwfa import LWFAWorkload
 from repro.workloads.nbody_pm import ParticleMeshGravity
 from repro.workloads.pme import PMEChargeAssignment
@@ -56,7 +57,7 @@ GRID_DEFAULTS = {
 GRID_CHOICES = {
     "workload": tuple(FAMILIES),
     "shape_order": (1, 2, 3),
-    "kernel_tier": KNOWN_TIER_REQUESTS,
+    "kernel_tier": (TIER_AUTO, *KERNEL_TIERS),
 }
 
 
@@ -81,8 +82,6 @@ def workload_for_family(family: str, *, ppc: int, max_steps: int,
         raise ValueError(
             f"unknown workload family {family!r}; expected one of "
             f"{sorted(FAMILIES)}")
-    from repro.backend import BackendConfig
-
     defaults = FAMILIES[family]
     kwargs = dict(
         ppc=int(ppc),

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import GridConfig, SpeciesConfig
+from repro.core.framework import SORT_NONE, MatrixPICDeposition
 from repro.pic.grid import Grid
 from repro.pic.particles import ParticleContainer
 from repro.pic.plasma import load_uniform_plasma
@@ -33,6 +34,14 @@ def make_plasma(grid_config: GridConfig, ppc=(2, 2, 2), seed: int = 7,
             tile.uy = rng.normal(0.0, momentum_scale, n)
             tile.uz = rng.normal(0.0, momentum_scale, n)
     return grid, container
+
+
+def deposit_unsorted(kernel, grid, container, order, executor=None):
+    """One instrumented kernel over the container in storage order — the
+    ``Baseline`` configuration's tile loop with any kernel plugged in;
+    returns the merged :class:`~repro.hardware.counters.KernelCounters`."""
+    return MatrixPICDeposition(kernel, SORT_NONE).run_step(
+        grid, container, order, 0, executor=executor)
 
 
 def log_events(handle, name):

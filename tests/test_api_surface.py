@@ -23,14 +23,9 @@ API_SURFACE = {
         "ActiveKernels",
         "Array",
         "BackendConfig",
-        "BackendSelection",
-        "KERNEL_NAMES",
+        "KERNEL_TIERS",
         "KERNEL_TIER_ENV",
-        "KernelRegistry",
-        "KernelTier",
         "activate",
-        "kernel_registry",
-        "register_kernel_tier",
     ),
     "repro.ckpt": (
         "CKPT_DIR_ENV",

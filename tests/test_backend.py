@@ -1,9 +1,10 @@
-"""Tests for the kernel-tier registry (:mod:`repro.backend`).
+"""Tests for the kernel-tier table (:mod:`repro.backend`).
 
-Covers the kernel registry (tier listing, auto-selection, strict explicit
-selection, inheritance from the oracle), the missing-numba fallback
-(faked ImportError, logged exactly once, silent to callers), the
-bitwise-parity contract between the fused kernel implementations and the
+Covers the table (both rows, best first, the ``fused`` row present with
+or without numba) and ``activate()``'s selection rule (auto, strict
+explicit and environment requests), the missing-numba fallback (faked
+ImportError, noted exactly once per guarded import, silent to callers),
+the bitwise-parity contract between the fused kernel implementations and the
 oracle (runnable without numba: the ``_impl`` loop bodies are plain
 Python functions), and the configuration plumbing — ``BackendConfig`` on
 ``SimulationConfig``/workloads, the ``Session(backend=...)`` knob, the
@@ -15,24 +16,23 @@ two sessions with different tiers in one process never share one.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import logging
-import sys
 
 import numpy as np
 import pytest
 
 from repro.backend import (
-    BackendConfig,
-    KERNEL_NAMES,
     KERNEL_TIER_ENV,
-    KernelRegistry,
-    KernelTier,
+    KERNEL_TIERS,
+    NUMERICS_FLAT_V1,
+    ActiveKernels,
+    BackendConfig,
     activate,
-    kernel_registry,
+    kernels_numba,
+    kernels_oracle,
 )
-from repro.backend import kernels_numba, kernels_oracle
-from repro.backend.registry import NUMERICS_FLAT_V1
 from repro.pic.shapes import shape_factors, shape_support
 
 
@@ -51,114 +51,77 @@ def _random_shape_data(rng, shape, n, order):
     return base_x, base_y, base_z, wx, wy, wz, lo, dims
 
 
-def _registry_with_builtin_wiring():
-    """A fresh registry mirroring the module-level tier registration."""
-    reg = KernelRegistry()
-    reg.register(KernelTier(
-        name="oracle", numerics=NUMERICS_FLAT_V1, priority=0,
-        kernels={
-            "build_weights": kernels_oracle.build_weights,
-            "scatter": kernels_oracle.scatter,
-            "scatter3": kernels_oracle.scatter3,
-        },
-    ))
-    reg.register(KernelTier(
-        name="fused", numerics=NUMERICS_FLAT_V1, priority=10,
-        kernels={
-            "build_weights": kernels_numba.build_weights,
-            "scatter": kernels_numba.scatter,
-            "scatter3": kernels_numba.scatter3,
-        },
-        is_available=kernels_numba.available,
-        unavailable_reason=kernels_numba.unavailable_reason,
-    ))
-    return reg
-
-
 class TestRegistry:
+    """The tier table and ``activate()``'s rule (the class keeps the
+    name its test ids have carried since there was a registry)."""
+
     def test_builtin_tiers_registered_best_first(self):
-        names = kernel_registry.tier_names()
-        assert names.index("fused") < names.index("oracle")
+        assert list(KERNEL_TIERS) == ["fused", "oracle"]
+        assert all(row.kernel_tier == name for name, row in KERNEL_TIERS.items())
 
-    def test_oracle_always_available(self):
-        assert "oracle" in kernel_registry.available_tier_names()
+    def test_fused_row_is_present_without_numba(self, numba_missing):
+        assert KERNEL_TIERS["fused"].scatter3 is not None
 
-    def test_auto_resolves_to_best_available(self):
-        resolved = kernel_registry.resolve("auto")
-        assert resolved.tier == kernel_registry.available_tier_names()[0]
-        assert resolved.numerics == NUMERICS_FLAT_V1
+    def test_oracle_always_available(self, numba_missing):
+        assert activate("oracle") is KERNEL_TIERS["oracle"]
+
+    def test_auto_resolves_to_best_available(self, monkeypatch):
+        monkeypatch.delenv(KERNEL_TIER_ENV, raising=False)
+        best = "fused" if kernels_numba.available() else "oracle"
+        assert activate("auto") is KERNEL_TIERS[best]
+        assert activate("auto").numerics == NUMERICS_FLAT_V1
 
     def test_unknown_tier_is_an_error(self):
         with pytest.raises(ValueError, match="unknown kernel tier"):
-            kernel_registry.resolve("no-such-tier")
+            activate("no-such-tier")
 
-    def test_explicit_unavailable_tier_is_an_error(self):
-        if kernels_numba.available():
-            pytest.skip("numba installed: fused tier is available")
-        with pytest.raises(ValueError, match="not available"):
-            kernel_registry.resolve("fused")
-
-    def test_tier_rejects_unknown_kernel_names(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            KernelTier(name="bogus", numerics="x", priority=1,
-                       kernels={"not_a_kernel": lambda: None})
+    def test_explicit_unavailable_tier_is_an_error(self, numba_missing):
+        with pytest.raises(ValueError, match=r"not available.*\[jit\]"):
+            activate("fused")
 
     @pytest.mark.parametrize("retired", ["gather6", "fdtd_roll"])
     def test_one_implementation_kernels_are_not_registry_entries(
             self, retired):
-        assert KERNEL_NAMES == ("build_weights", "scatter", "scatter3")
-        with pytest.raises(ValueError, match="unknown kernel"):
-            KernelTier(name="stale", numerics="x", priority=1,
-                       kernels={retired: lambda: None})
+        columns = [f.name for f in dataclasses.fields(ActiveKernels)]
+        assert columns == ["kernel_tier", "numerics",
+                           "build_weights", "scatter", "scatter3"]
+        assert retired not in columns
 
     def test_oracle_dispatch_table_is_complete(self):
-        resolved = kernel_registry.resolve("oracle")
-        for name in KERNEL_NAMES:
-            if name == "scatter3":
-                assert resolved.scatter3 is None  # stencil path is the ref
-            else:
-                assert callable(getattr(resolved, name))
+        oracle = KERNEL_TIERS["oracle"]
+        assert oracle.scatter3 is None  # stencil path is the ref
+        assert callable(oracle.build_weights) and callable(oracle.scatter)
 
 
 class TestMissingNumbaFallback:
-    def test_faked_import_error_disables_tier_and_logs_once(self, caplog):
+    def test_faked_import_error_disables_tier_and_logs_once(
+            self, caplog, monkeypatch, numba_missing):
         """With numba unimportable the fused tier silently drops out of
-        auto-selection; the skip is logged exactly once per registry."""
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setitem(sys.modules, "numba", None)  # forces ImportError
-            importlib.reload(kernels_numba)
-            assert not kernels_numba.available()
-            assert "numba is not importable" in \
-                kernels_numba.unavailable_reason()
-            assert "[jit]" in kernels_numba.unavailable_reason()
+        auto-selection; each failed import is noted exactly once, where
+        it happens."""
+        def notices():
+            return [r for r in caplog.records if "fused" in r.getMessage()]
 
-            reg = _registry_with_builtin_wiring()
-            with caplog.at_level(logging.INFO, logger="repro.backend"):
-                assert reg.resolve("auto").tier == "oracle"
-                first = [r for r in caplog.records if "fused" in r.getMessage()]
-                assert len(first) == 1
-                # a second auto resolution does not log again
-                reg2 = KernelRegistry()
-                for name in ("oracle", "fused"):
-                    reg2.register(_registry_with_builtin_wiring().tier(name))
-                caplog.clear()
-                reg.resolve("auto")
-                assert not [r for r in caplog.records
-                            if "fused" in r.getMessage()]
-        # restore the real import state for the rest of the suite
-        importlib.reload(kernels_numba)
+        monkeypatch.delenv(KERNEL_TIER_ENV, raising=False)  # jit leg sets it
+        assert not kernels_numba.available()
+        assert "numba is not importable" in kernels_numba.unavailable_reason()
+        assert "[jit]" in kernels_numba.unavailable_reason()
+        with caplog.at_level(logging.INFO, logger="repro.backend"):
+            importlib.reload(kernels_numba)  # one more guarded import
+            assert len(notices()) == 1
+            # selecting a tier, however often, notes nothing more
+            assert activate() is KERNEL_TIERS["oracle"]
+            assert activate(BackendConfig()) is KERNEL_TIERS["oracle"]
+            assert len(notices()) == 1
 
-    def test_plain_python_kernels_still_work_without_numba(self):
+    def test_plain_python_kernels_still_work_without_numba(
+            self, numba_missing):
         """The kernel wrappers stay callable (and correct) with the jit
         decoration skipped — the substance of the silent fallback."""
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setitem(sys.modules, "numba", None)
-            importlib.reload(kernels_numba)
-            ids = np.array([[0, 1], [1, 2]])
-            weights = np.array([[1.0, 2.0], [3.0, 4.0]])
-            out = kernels_numba.scatter(ids, weights, None, 4)
-            assert out.tolist() == [1.0, 5.0, 4.0, 0.0]
-        importlib.reload(kernels_numba)
+        ids = np.array([[0, 1], [1, 2]])
+        weights = np.array([[1.0, 2.0], [3.0, 4.0]])
+        out = kernels_numba.scatter(ids, weights, None, 4)
+        assert out.tolist() == [1.0, 5.0, 4.0, 0.0]
 
 
 class TestFusedBitwiseParity:
@@ -230,23 +193,24 @@ def _bare_grid():
 class TestActivation:
     def test_default_activation_is_numpy_oracle(self):
         selection = activate(None)
-        assert selection.kernel_tier == \
-            kernel_registry.available_tier_names()[0]
-        # a grid with no run gets exactly this default resolution
-        assert _bare_grid().kernels is selection.kernels
+        assert selection is activate("auto")
+        assert selection.kernel_tier in KERNEL_TIERS
+        # a grid with no run gets exactly this default selection
+        assert _bare_grid().kernels is selection
 
     def test_string_coerces_to_kernel_tier(self):
         selection = activate("oracle")
         assert selection.kernel_tier == "oracle"
-        assert selection.config == BackendConfig(kernel_tier="oracle")
+        assert selection is activate(BackendConfig(kernel_tier="oracle"))
 
-    def test_activate_installs_nothing(self):
+    def test_activate_installs_nothing(self, monkeypatch):
+        monkeypatch.setitem(KERNEL_TIERS, "test-other", dataclasses.replace(
+            KERNEL_TIERS["oracle"], kernel_tier="test-other"))
         before = activate(BackendConfig())
-        explicit = activate("oracle")
-        assert explicit.kernels is not before.kernels
-        # resolving another tier left no trace for later callers
-        assert _bare_grid().kernels is before.kernels
-        assert activate(BackendConfig()).kernels is before.kernels
+        assert activate("test-other") is not before
+        # selecting another tier left no trace for later callers
+        assert _bare_grid().kernels is before
+        assert activate(BackendConfig()) is before
 
     def test_invalid_config_type_is_an_error(self):
         with pytest.raises(TypeError):
@@ -255,16 +219,26 @@ class TestActivation:
     def test_env_override_applies_to_auto_only(self, monkeypatch):
         monkeypatch.setenv(KERNEL_TIER_ENV, "oracle")
         assert activate(BackendConfig()).kernel_tier == "oracle"
-        assert _bare_grid().kernels.tier == "oracle"
+        assert _bare_grid().kernels.kernel_tier == "oracle"
         # an explicitly configured tier wins over the environment
         monkeypatch.setenv(KERNEL_TIER_ENV, "no-such-tier")
         assert activate(
             BackendConfig(kernel_tier="oracle")).kernel_tier == "oracle"
 
-    def test_env_override_is_strict(self, monkeypatch):
+    @pytest.mark.parametrize("value", ["auto", "", "  \t"])
+    def test_env_auto_and_whitespace_mean_auto(self, monkeypatch, value):
+        monkeypatch.delenv(KERNEL_TIER_ENV, raising=False)
+        default = activate()
+        monkeypatch.setenv(KERNEL_TIER_ENV, value)
+        assert activate() is default
+
+    def test_env_override_is_strict(self, monkeypatch, numba_missing):
         monkeypatch.setenv(KERNEL_TIER_ENV, "no-such-tier")
         with pytest.raises(ValueError, match="unknown kernel tier"):
             activate(BackendConfig())
+        monkeypatch.setenv(KERNEL_TIER_ENV, "fused")
+        with pytest.raises(ValueError, match=r"not available.*\[jit\]"):
+            activate("auto")
 
 
 class TestRunIsolation:
@@ -273,19 +247,18 @@ class TestRunIsolation:
     SPY_TIER = "test-spy"
 
     @pytest.fixture
-    def spy_calls(self):
-        """Register a tier whose ``scatter`` counts calls, then delegates
-        to the oracle (same numerics tag: bitwise identical)."""
+    def spy_calls(self, monkeypatch):
+        """Install, for this test only, a row whose ``scatter`` counts
+        calls, then delegates to the oracle (same numerics tag: bitwise
+        identical)."""
         calls = []
 
         def scatter(flat_ids, weights, amplitude, size):
             calls.append(size)
             return kernels_oracle.scatter(flat_ids, weights, amplitude, size)
 
-        kernel_registry.register(
-            KernelTier(name=self.SPY_TIER, numerics=NUMERICS_FLAT_V1,
-                       priority=-100, kernels={"scatter": scatter}),
-            replace=True)
+        monkeypatch.setitem(KERNEL_TIERS, self.SPY_TIER, dataclasses.replace(
+            KERNEL_TIERS["oracle"], kernel_tier=self.SPY_TIER, scatter=scatter))
         return calls
 
     @staticmethod
@@ -315,8 +288,8 @@ class TestRunIsolation:
             self, spy_calls):
         with self._session("oracle") as first, \
                 self._session(self.SPY_TIER) as second:
-            assert first.grid.kernels.tier == "oracle"
-            assert second.grid.kernels.tier == self.SPY_TIER
+            assert first.grid.kernels.kernel_tier == "oracle"
+            assert second.grid.kernels.kernel_tier == self.SPY_TIER
             first.step()
             assert spy_calls == []
             second.step()
@@ -401,10 +374,12 @@ class TestConfigPlumbing:
             assert session.breakdown.kernel_tier == "oracle"
 
     def test_session_rejects_bad_backend_argument(self):
-        from repro.api import _coerce_backend
+        from repro.api import Session
+        from repro.config import GridConfig, SimulationConfig
 
+        config = SimulationConfig(grid=GridConfig(n_cell=(4, 4, 4)))
         with pytest.raises(TypeError):
-            _coerce_backend(42)
+            Session(config, backend=42)
 
     def test_workloads_carry_backend_config(self):
         from repro.workloads.lwfa import LWFAWorkload
@@ -455,17 +430,16 @@ class TestCacheKeyNumericsTag:
                 + (("fused",) if kernels_numba.available() else ())}
         assert len(keys) == 1
 
-    def test_different_numerics_get_different_keys(self):
+    def test_different_numerics_get_different_keys(self, monkeypatch):
         """A tier with a different numerics tag cannot replay flat-index
         results from the cache."""
         tier_name = "test-different-numerics"
-        kernel_registry.register(
-            KernelTier(name=tier_name, numerics="test-numerics-v2",
-                       priority=-100), replace=True)
-        assert kernel_registry.numerics_tag(tier_name) == "test-numerics-v2"
+        monkeypatch.setitem(KERNEL_TIERS, tier_name, dataclasses.replace(
+            KERNEL_TIERS["oracle"], kernel_tier=tier_name,
+            numerics="test-numerics-v2"))
+        assert activate(tier_name).numerics == "test-numerics-v2"
         assert self._spec(tier_name).cache_key() != \
             self._spec("oracle").cache_key()
 
     def test_numerics_tag_of_auto_matches_oracle(self):
-        assert kernel_registry.numerics_tag("auto") == \
-            kernel_registry.numerics_tag("oracle")
+        assert activate("auto").numerics == activate("oracle").numerics

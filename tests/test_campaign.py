@@ -523,6 +523,21 @@ class TestCLI:
                      "--no-cache"]) == 2
         assert "uniform" in capsys.readouterr().err
 
+    def test_campaign_cli_rejects_a_tier_that_cannot_run(
+            self, tmp_path, capsys, monkeypatch, numba_missing):
+        # the same usage error `run` gives, before any cell runs or any
+        # cache entry is written — not a traceback out of a pool task
+        cache_dir = tmp_path / "cache"
+        base = self.ARGS + ["--cache-dir", str(cache_dir)]
+        assert main(base + ["--kernel-tier", "fused"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: kernel tier 'fused' is not available")
+        monkeypatch.setenv("REPRO_KERNEL_TIER", "no-such-tier")
+        assert main(base) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: unknown kernel tier 'no-such-tier'")
+        assert not [p for p in cache_dir.rglob("*") if p.is_file()]
+
     def test_list_configurations(self, capsys):
         assert main(["campaign", "--list-configurations"]) == 0
         out = capsys.readouterr().out

@@ -24,7 +24,7 @@ from repro.pic.deposition.rhocell import RhocellDeposition
 from repro.pic.diagnostics import current_residual
 from repro.pic.grid import Grid
 
-from helpers import make_plasma
+from helpers import deposit_unsorted, make_plasma
 
 KERNELS = {
     "baseline": BaselineDeposition(),
@@ -44,7 +44,7 @@ def reference_current(grid_config, order, ppc=(2, 2, 2), seed=7):
 
 def kernel_current(kernel, grid_config, order, ppc=(2, 2, 2), seed=7):
     grid, container = make_plasma(grid_config, ppc=ppc, seed=seed)
-    counters = kernel.deposit(grid, container, order)
+    counters = deposit_unsorted(kernel, grid, container, order)
     return grid, counters, container
 
 
@@ -119,7 +119,7 @@ def test_repeated_steps_stay_exact(tiled_grid_config):
 def test_hybrid_kernel_rejects_tsc(small_grid_config):
     grid, container = make_plasma(small_grid_config)
     with pytest.raises(ValueError):
-        HybridMPUDeposition().deposit(grid, container, 2)
+        deposit_unsorted(HybridMPUDeposition(), grid, container, 2)
 
 
 def test_hybrid_kernel_rejects_bad_mode():
@@ -183,7 +183,8 @@ class TestInstrumentationStructure:
         for tile in container_a.iter_tiles():
             if tile.num_particles:
                 tile.permute(rng.permutation(tile.num_particles))
-        unsorted_counters = BaselineDeposition().deposit(grid_a, container_a, 1)
+        unsorted_counters = deposit_unsorted(
+            BaselineDeposition(), grid_a, container_a, 1)
 
         grid_b, container_b = make_plasma(small_grid_config, ppc=(4, 4, 4))
         strategy = make_strategy("Baseline+IncrSort")

@@ -37,7 +37,7 @@ from repro.pic.deposition.reference import (
 from repro.pic.grid import scratch_grids
 from repro.workloads.uniform import UniformPlasmaWorkload
 
-from helpers import make_plasma
+from helpers import deposit_unsorted, make_plasma
 
 SHARDS = 3
 
@@ -268,10 +268,9 @@ class TestKernelCounterParity:
         results = {}
         for name, executor in _executors().items():
             grid, container = _fresh_plasma(tiled_grid_config)
-            kernel = BaselineDeposition()
             with executor:
-                counters = kernel.deposit(grid, container, order=1,
-                                          executor=executor)
+                counters = deposit_unsorted(BaselineDeposition(), grid,
+                                            container, 1, executor)
             results[name] = (grid.jx.copy(), counters)
         jx_ref, counters_ref = results["serial"]
         jx, counters = results["threads"]
@@ -291,8 +290,8 @@ class TestKernelCounterParity:
             scratch_grids, "acquire",
             lambda *args, **kwargs: pytest.fail("leased a scratch grid"))
         with SerialExecutor(SHARDS) as executor:
-            BaselineDeposition().deposit(grid, container, order=1,
-                                         executor=executor)
+            deposit_unsorted(BaselineDeposition(), grid, container, 1,
+                             executor)
         assert grid.jx.any()
 
     def test_matrix_pic_threaded_matches_serial(self, tiled_grid_config):

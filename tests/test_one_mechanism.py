@@ -13,8 +13,9 @@ work runs in the caller's address space on every backend, so nothing
 under ``src/repro/`` asks whether memory is shared, ships tile payloads
 or marks a stage ``local=``.
 
-Bulk math is plain NumPy (the kernel-tier registry is the only seam of
-the numerical layer), the campaign grid's defaults and enumerations are
+Bulk math is plain NumPy (the kernel-tier table is the only seam of the
+numerical layer: two rows and ``activate()``, the one rule that picks
+one), the campaign grid's defaults and enumerations are
 stated in ``repro.workloads`` only, and ``ckpt/format.py`` holds the one
 temp-file + ``os.replace`` sequence.
 
@@ -35,7 +36,9 @@ import os
 
 import repro
 from repro import workloads
+from repro.backend import KERNEL_TIERS, BackendConfig, activate
 from repro.cli import build_parser
+from repro.pic.deposition import DepositionKernel
 from repro.pipeline import DepositStage, domain_stages, global_stages
 from repro.serve import expand_request
 
@@ -189,7 +192,7 @@ def test_the_array_backend_seam_is_gone():
 
 def test_no_ambient_run_state():
     """The kernel table and the telemetry registry are handed to their
-    users; no module remembers a "current" one, and the two registry
+    users; no module remembers a "current" one, and the two dispatched
     kernels that only ever had one implementation stay plain code."""
     retired = ("active_kernels", "active_selection", "use_backend",
                "use_telemetry", "gather6", "fdtd_roll", "check_api_surface",
@@ -201,6 +204,27 @@ def test_no_ambient_run_state():
             if path.startswith(("backend/", "obs/"))
             for node in ast.walk(tree)
             if isinstance(node, (ast.Global, ast.Nonlocal))] == []
+
+
+def test_kernel_tiers_are_a_table():
+    # the registry (registration, priorities, availability callbacks,
+    # oracle inheritance, resolve cache) and the second tile loop over an
+    # instrumented kernel are gone, comments and docstrings included
+    retired = ("KernelRegistry", "KernelTier", "kernel_registry",
+               "register_kernel_tier", "BackendSelection", "KERNEL_NAMES",
+               "backend_selection", "_deposit_kernel_tiles")
+    assert [(path, line.strip()) for path, text in source_texts()
+            for line in text.splitlines()
+            if any(name in line for name in retired)] == []
+    assert not hasattr(DepositionKernel, "deposit")
+    # one function reads REPRO_KERNEL_TIER: the rule, next to the table
+    assert functions_naming("KERNEL_TIER_ENV") == [
+        "backend/__init__.py", "backend/__init__.py::activate"]
+    assert [path for path, tree in source_trees() for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and node.value == "REPRO_KERNEL_TIER"] == ["backend/__init__.py"]
+    # ... and what bench/harness.py stamps on a record is a row's name
+    assert activate(BackendConfig()).kernel_tier in KERNEL_TIERS
 
 
 def test_the_per_particle_mpu_stage_lives_under_tests_only():

@@ -666,7 +666,7 @@ class TestHttpServer:
 
         self.serve(tmp_path, scenario, task_fn=gated)
 
-    def test_http_error_mapping(self, tmp_path):
+    def test_http_error_mapping(self, tmp_path, numba_missing):
         async def scenario(service, port):
             status, body = await http_json(port, "GET", "/v1/nope")
             assert status == 404
@@ -685,6 +685,12 @@ class TestHttpServer:
             status, body = await http_json(
                 port, "POST", "/v1/jobs", dict(GRID, n_cell=5))
             assert status == 400 and "n_cell" in body["error"]
+            # a tier that cannot run here is refused at submit, never
+            # accepted and failed later
+            status, body = await http_json(
+                port, "POST", "/v1/jobs", dict(GRID, kernel_tier="fused"))
+            assert status == 400 and "not available" in body["error"]
+            assert service.obs.metrics.get("serve.jobs.accepted") == 0
             return None
 
         self.serve(tmp_path, scenario)
