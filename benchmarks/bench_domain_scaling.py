@@ -69,7 +69,6 @@ def _run_point(domains: Tuple[int, int, int], backend: str, shards: int,
             start = time.perf_counter()
             session.run_all(steps=steps)
             best = min(best, time.perf_counter() - start)
-        # records energy, which assembles the slabs into the frame grid
         session.run_all(steps=0, record_energy=True)
         energy = session.energy.history[-1]
         return (best / steps, session.grid.jx.copy(),

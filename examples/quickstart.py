@@ -93,8 +93,7 @@ def main() -> None:
     # pipeline that Simulation.step() now shims over, exposing per-stage
     # wall time and a stepping iterator instead of an imperative loop.
     with Session.from_workload(workload) as session:
-        print(f"stage set: {session.pipeline.name} "
-              f"[{' -> '.join(session.pipeline.stage_names())}]")
+        print(f"stages: {' -> '.join(session.pipeline.stage_names())}")
         for state in session.run(steps=2, record_energy=True):
             print(f"  step {state.step}: t = {state.time:.3e} s, "
                   f"total energy = {state.energy.total:.3e} J")

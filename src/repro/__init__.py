@@ -33,9 +33,8 @@ Matrix Outer-product for High-Performance Particle-in-Cell Simulations*
 ``repro.pipeline``
     The composable step-pipeline API: a :class:`~repro.pipeline.Stage`
     protocol, the :class:`~repro.pipeline.StepPipeline` stage graph with
-    pre/post hooks, and the stage-set selection that routes the global,
-    executor-sharded and domain-decomposed step paths through one
-    implementation.
+    pre/post hooks, and the one stage list that the global,
+    executor-sharded and domain-decomposed runs all step through.
 
 ``repro.api``
     The public facade: :class:`~repro.api.Session` builds a simulation

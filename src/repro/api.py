@@ -275,5 +275,4 @@ class Session:
         self.shutdown()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Session(step={self.step_index}, "
-                f"pipeline={self.pipeline.name!r})")
+        return f"Session(step={self.step_index})"

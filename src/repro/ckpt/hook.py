@@ -10,10 +10,8 @@ advances ``step_index``, the completed step is ``ctx.step_index + 1``
 Like every shipped stage, the hook declares its ``reads``/``writes``
 effect sets against the :mod:`repro.pipeline.effects` vocabulary so the
 effect checkers (and ``python -m repro lint``) can reason about it: a
-checkpoint reads essentially the whole simulation state, and on the
-domain path the save folds slab interiors back into the global frame
-(the bitwise-neutral ``sync + assemble`` pair), which is a write to the
-frame fields and the seeded flag.
+checkpoint reads essentially the whole simulation state and writes
+none of it.
 """
 
 from __future__ import annotations
@@ -48,12 +46,8 @@ class CheckpointHook:
         "containers.membership",
         "simulation.moving_window", "simulation.energy",
         "simulation.deposition_counters",
-        "domain.slabs.fields", "domain.slabs.currents", "domain.seeded",
     })
-    writes = frozenset({
-        # domain-path save assembles slab interiors into the frame
-        "grid.fields", "grid.currents", "domain.seeded",
-    })
+    writes = frozenset()
 
     def __init__(self, directory: str, every: int = 1,
                  keep: "int | None" = None) -> None:

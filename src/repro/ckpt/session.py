@@ -21,18 +21,13 @@ What a snapshot holds
   different configuration raises :class:`SnapshotMismatchError` instead
   of silently producing garbage.
 
-Domain-decomposed runs snapshot the assembled *global frame*: capture
-first folds the authoritative slab interiors back into the frame (the
-same ``sync + assemble`` pair the energy diagnostic uses, which is
-bitwise neutral), and restore clears the runtime's seeded flag so the
-next ``domain_sync`` stage re-seeds every slab from the restored frame
-bit-exactly.  Per-subdomain state therefore never needs its own
-serialization format, and the snapshot is identical across domain
-splits of the same run.
+The frame grid is the array of record for every run, so a
+domain-decomposed run needs no serialization format of its own and its
+snapshot is identical across domain splits of the same run.
 
-Restore mutates arrays **in place** — solver stencils, boundary
-machinery and halo exchange all hold references to the grid arrays, so
-rebinding them would silently fork the state.
+Restore mutates arrays **in place** — the solver stencils hold
+references to the grid arrays, so rebinding them would silently fork the
+state.
 """
 
 from __future__ import annotations
@@ -49,7 +44,6 @@ from repro.ckpt.format import (
     read_snapshot,
     write_snapshot,
 )
-from repro.domain.runtime import _ALL_FIELDS
 from repro.hardware.counters import KernelCounters, PhaseCounters
 from repro.pic.particles import _SOA_FIELDS
 
@@ -113,21 +107,13 @@ def capture_state(simulation: "Simulation", *,
                   ) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
     """Snapshot ``simulation`` into a ``(meta, arrays)`` pair.
 
-    On the domain path the slab interiors are folded back into the
-    global frame first (bitwise neutral — identical to the energy
-    diagnostic's preamble), so the captured frame is authoritative for
-    any domain split.
-
     ``step_index`` overrides the recorded step count: a post-stage hook
     runs before the pipeline epilogue advances ``simulation.step_index``,
     so it passes the just-completed step explicitly.
     """
-    if simulation.domain is not None:
-        simulation.domain.sync_from_frame_once(simulation.grid)
-        simulation.domain.assemble(simulation.grid)
     grid = simulation.grid
     arrays: Dict[str, np.ndarray] = {
-        f"grid.{name}": getattr(grid, name) for name in _ALL_FIELDS
+        f"grid.{name}": array for name, array in grid.field_arrays().items()
     }
     arrays["grid.lo"] = grid.lo
     arrays["grid.hi"] = grid.hi
@@ -192,13 +178,13 @@ def restore_state(simulation: "Simulation", meta: Dict[str, Any],
             "configuration; rebuild the session from the original "
             "workload before restoring")
     grid = simulation.grid
-    for name in _ALL_FIELDS:
+    for name, array in grid.field_arrays().items():
         loaded = arrays[f"grid.{name}"]
-        if loaded.shape != getattr(grid, name).shape:
+        if loaded.shape != array.shape:
             raise SnapshotMismatchError(
                 f"snapshot field {name!r} has shape {loaded.shape}, "
-                f"grid expects {getattr(grid, name).shape}")
-        getattr(grid, name)[...] = loaded
+                f"grid expects {array.shape}")
+        array[...] = loaded
     grid.lo[...] = arrays["grid.lo"]
     grid.hi[...] = arrays["grid.hi"]
 
@@ -258,10 +244,6 @@ def restore_state(simulation: "Simulation", meta: Dict[str, Any],
         for phase, values in meta.get("counters", {}).items()
     })
     simulation.step_index = int(meta["step_index"])
-    if simulation.domain is not None:
-        # the next domain_sync stage re-seeds every slab interior from
-        # the restored frame, bit-exactly
-        simulation.domain._synced = False
     # the restored history already holds the record for the current step
     # iff the snapshot was taken after a recording run's epilogue; a
     # periodic-hook snapshot fires before it, so the resumed run must

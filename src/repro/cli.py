@@ -425,9 +425,7 @@ def _build_workloads(args) -> list:
         # fail fast on a decomposition the tile lattice cannot support
         from repro.domain.decomposition import Decomposition
 
-        config = workloads[0].build_config()
-        Decomposition(config.grid, domains,
-                      config.domain.halo_for_order(config.shape_order))
+        Decomposition(workloads[0].build_config().grid, domains)
     return workloads
 
 
@@ -611,7 +609,6 @@ def cmd_run(args, stdout=None) -> int:
             "shards": args.shards,
             "kernel_tier": session.breakdown.kernel_tier,
             "domains": list(args.domains or (1, 1, 1)),
-            "stage_set": session.pipeline.name,
             "stages": session.pipeline.stage_names(),
             "stage_seconds": {row["stage"]: row["seconds"]
                               for row in session.breakdown.stage_rows()},
@@ -646,8 +643,7 @@ def cmd_run(args, stdout=None) -> int:
     print(f"workload={args.workload} ppc={args.ppc} "
           f"steps={payload['steps']} particles={payload['num_particles']}",
           file=stdout)
-    print(f"pipeline: {payload['stage_set']} "
-          f"[{' -> '.join(payload['stages'])}]", file=stdout)
+    print(f"pipeline: {' -> '.join(payload['stages'])}", file=stdout)
     print(f"executor: {args.backend} x{args.shards}, "
           f"domains={tuple(payload['domains'])}, "
           f"kernel-tier={payload['kernel_tier']}", file=stdout)

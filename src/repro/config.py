@@ -207,7 +207,7 @@ class ExecutionConfig:
 
     The executor this selects travels inside the step pipeline's stage
     context (:class:`repro.pipeline.StageContext`): the executor-sharded
-    step path is the *same* stage set as the serial one, sharding inside
+    step path is the *same* stage list as the serial one, sharding inside
     the stage bodies.
     """
 
@@ -239,12 +239,8 @@ class DomainConfig:
         Number of subdomains along (x, y, z).  The grid is partitioned
         into an axis-aligned block of subdomains whose boundaries are
         aligned with the particle-tile lattice; ``(1, 1, 1)`` (the
-        default) selects the classic single-domain step path.
-    halo:
-        Ghost-ring width in cells around every subdomain.  ``None``
-        (default) sizes it automatically from the simulation's shape
-        order: ``max(shape_order, 1)`` covers both the deposition /
-        gather stencil support and the field solver's one-cell reach.
+        default) is a single-domain run.  Every run steps on the frame
+        grid; a decomposed one runs the field solve per subdomain.
 
     The determinism contract is strict: for a fixed executor shard
     count, a decomposed run is **bitwise identical** to the
@@ -252,12 +248,9 @@ class DomainConfig:
     """
 
     domains: Tuple[int, int, int] = (1, 1, 1)
-    halo: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "domains", _as_int3(self.domains, "domains"))
-        if self.halo is not None and int(self.halo) <= 0:
-            raise ValueError(f"halo must be positive, got {self.halo}")
 
     @property
     def num_domains(self) -> int:
@@ -269,12 +262,6 @@ class DomainConfig:
     def is_decomposed(self) -> bool:
         """True when more than one subdomain is requested."""
         return self.num_domains > 1
-
-    def halo_for_order(self, shape_order: int) -> int:
-        """Effective halo width for a given deposition shape order."""
-        if self.halo is not None:
-            return int(self.halo)
-        return max(int(shape_order), 1)
 
 
 @dataclass(frozen=True)
@@ -297,10 +284,10 @@ class MovingWindowConfig:
 class SimulationConfig:
     """Top-level configuration of one simulation run.
 
-    ``execution`` and ``domain`` together select the step-pipeline stage
-    set (:mod:`repro.pipeline`): a decomposed ``domain`` picks the
-    per-subdomain stage variants, while ``execution`` only changes how
-    each stage shards its tiles — never which stages run.
+    Neither ``execution`` nor ``domain`` changes which stages run
+    (:mod:`repro.pipeline`): ``execution`` changes how each stage shards
+    its tiles, a decomposed ``domain`` how the solve stage updates the
+    fields.
     """
 
     grid: GridConfig

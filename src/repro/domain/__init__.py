@@ -1,13 +1,13 @@
-"""Domain-decomposed stepping (:class:`Decomposition` + halo exchange).
+"""Domain-decomposed field solve (:class:`Decomposition` + halo exchange).
 
 The grid is partitioned into an axis-aligned ``(px, py, pz)`` block of
-subdomains, each owning its interior cells plus a ghost/halo ring sized
-by the field stencil and the deposition support.  Field gather/push,
-particle migration, the FDTD solve, boundary conditions, laser injection
-and the moving window run per subdomain on halo-padded local arrays;
-current deposition runs on the frame grid like every other run and is
-copied into the slabs.  The step is **bitwise identical** to the
-single-domain path at a fixed executor shard count.
+subdomains, each owning its interior cells plus a one-cell ghost ring
+(the field solver's reach).  The frame grid is the array of record for
+every run — gather/push, deposition, laser, boundaries and the moving
+window run on it exactly as in a single-domain run; the FDTD solve alone
+runs per subdomain, on halo-padded slabs loaded from and stored back to
+the frame.  The step is **bitwise identical** to the single-domain path
+at a fixed executor shard count.
 
 * :mod:`repro.domain.decomposition` — subdomain geometry and the
   global<->local index maps,
@@ -15,8 +15,8 @@ single-domain path at a fixed executor shard count.
   layers,
 * :mod:`repro.domain.migration` — cross-subdomain particle-migration
   accounting on top of the tile redistribution scan,
-* :mod:`repro.domain.runtime` — the decomposed step loop driven by
-  :class:`repro.pic.simulation.Simulation`.
+* :mod:`repro.domain.runtime` — the decomposed solve driven by the
+  pipeline's solve stage.
 """
 
 from repro.domain.decomposition import Decomposition, Subdomain

@@ -13,11 +13,10 @@ Each subdomain owns:
 * a halo-padded local field **slab**: a :class:`~repro.pic.grid.Grid` of
   shape ``interior + 2 * halo`` whose cell ``local = global - origin``
   with ``origin = cell_lo - halo``.  The halo ring is refreshed by
-  :class:`repro.domain.halo.HaloExchange`; the ring is sized to cover
-  both the deposition/gather stencil support and the field solver's
-  one-cell reach, so every per-tile stencil box lies strictly inside the
-  slab (no wrapping or clamping inside a subdomain — the pad holds the
-  wrapped/clamped values instead).
+  :class:`repro.domain.halo.HaloExchange` and covers the field solver's
+  one-cell reach (no wrapping inside a subdomain — the pad holds the
+  wrapped values instead).  The slab is the decomposed solve's scratch;
+  the frame grid stays the array of record.
 
 The per-axis split reuses the contiguous first-gets-extra partition of
 :func:`repro.exec.base.partition_shards`, which is also how the executor
@@ -82,25 +81,20 @@ class Subdomain:
         """The interior window view of one of the slab's dense arrays."""
         return slab_array[self.interior_slices]
 
-    def touches_lower_edge(self, axis: int) -> bool:
-        """True when the interior touches global cell 0 on ``axis``."""
-        return self.cell_lo[axis] == 0
-
-    def touches_upper_edge(self, axis: int, n_cell: Tuple[int, int, int]
-                           ) -> bool:
-        """True when the interior touches the last global cell on ``axis``."""
-        return self.cell_hi[axis] == n_cell[axis]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Subdomain(index={self.index}, cell_lo={self.cell_lo}, "
                 f"cell_hi={self.cell_hi}, tiles={len(self.tile_ids)})")
 
 
 class Decomposition:
-    """Partition of the grid (and its tile lattice) into subdomains."""
+    """Partition of the grid (and its tile lattice) into subdomains.
+
+    ``halo`` defaults to the field solver's reach: each leap-frog
+    sub-update reads at most one cell past the cells it keeps.
+    """
 
     def __init__(self, grid_config: GridConfig,
-                 domains: Sequence[int], halo: int):
+                 domains: Sequence[int], halo: int = 1):
         self.grid_config = grid_config
         self.domains = tuple(int(d) for d in domains)
         if len(self.domains) != 3 or any(d <= 0 for d in self.domains):

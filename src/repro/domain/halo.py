@@ -1,21 +1,13 @@
 """Halo exchange: refreshing subdomain ghost layers from their owners.
 
 Every subdomain slab pads its interior with ``halo`` ghost cells per
-side.  Before a stage reads neighbouring data — the field gather reads
-the stencil box around each tile, each FDTD sub-update reads one cell
-past the cells it writes — the ghost layers must hold exactly the values
-the global arrays would have supplied:
-
-* ``mode="wrap"`` — periodic wrap on **every** axis.  This is what the
-  field solver needs: the global solver evaluates its finite differences
-  with periodic rolls on all axes (non-periodic boundaries are imposed
-  *afterwards* by :mod:`repro.pic.boundary`), so the decomposed solve
-  must see wrapped ghost values even on open axes to stay bitwise
-  identical.
-* ``mode="boundary"`` — wrap on periodic axes, clamp (repeat the edge
-  plane) on open axes.  This is what the particle gather needs: the
-  flat-index stencil engine clamps out-of-domain node indices on open
-  axes.
+side.  Each FDTD sub-update reads one cell past the cells it writes, so
+before it runs the ghost layers must hold exactly the values the global
+arrays would have supplied: the periodic wrap on **every** axis.  The
+global solver evaluates its finite differences with periodic rolls on
+all axes (non-periodic boundaries are imposed *afterwards* by
+:mod:`repro.pic.boundary`), so the decomposed solve must see wrapped
+ghost values even on open axes to stay bitwise identical.
 
 The exchange sweeps the axes in a fixed order (x, then y, then z) — the
 classic telescoping pattern: the x-pass copies interior cross-sections,
@@ -27,9 +19,10 @@ are bit-exact images of the owning interiors whatever order the copies
 run in.
 
 Ghost *reduction* for deposited current — the adjoint direction,
-summing ghost contributions back onto the owner — does not exist: a
-decomposed run deposits on the frame grid like every other run and the
-slab currents are copies of the result (:mod:`repro.domain.runtime`).
+summing ghost contributions back onto the owner — does not exist, and
+neither does a clamped exchange for the particle gather: a decomposed
+run gathers and deposits on the frame grid like every other run
+(:mod:`repro.domain.runtime`).
 """
 
 from __future__ import annotations
@@ -50,7 +43,11 @@ _CopyOp = Tuple[Subdomain, int, Subdomain, int]
 
 
 class HaloExchange:
-    """Refreshes the ghost layers of every subdomain slab."""
+    """Refreshes the ghost layers of every subdomain slab.
+
+    ``periodic`` is the frame grid's periodicity; the solver's ghosts
+    wrap on every axis whatever it says, so the copy plan ignores it.
+    """
 
     def __init__(self, decomposition: Decomposition,
                  periodic: Sequence[bool],
@@ -58,14 +55,10 @@ class HaloExchange:
         self.decomposition = decomposition
         #: the owning run's registry (``domain.halo_exchanges``)
         self.obs = obs
-        self.periodic = tuple(bool(p) for p in periodic)
-        self._plans = {
-            "wrap": self._build_plan(always_wrap=True),
-            "boundary": self._build_plan(always_wrap=False),
-        }
+        self._plan = self._build_plan()
 
     # ------------------------------------------------------------------
-    def _build_plan(self, always_wrap: bool) -> List[List[_CopyOp]]:
+    def _build_plan(self) -> List[List[_CopyOp]]:
         """Per-axis copy lists; sources always read interior layers."""
         decomp = self.decomposition
         n_cell = decomp.grid_config.n_cell
@@ -80,10 +73,7 @@ class HaloExchange:
                     list(range(h + interior, sub.slab_shape[axis]))
                 for local in halo_layers:
                     g = sub.origin[axis] + local
-                    if always_wrap or self.periodic[axis]:
-                        src_cell = g % n
-                    else:
-                        src_cell = min(max(g, 0), n - 1)
+                    src_cell = g % n
                     owner_pos = decomp.owner_along_axis(axis, src_cell)
                     src_index = list(sub.index)
                     src_index[axis] = owner_pos
@@ -114,20 +104,11 @@ class HaloExchange:
         return tuple(slices)
 
     # ------------------------------------------------------------------
-    def exchange(self, field_names: Sequence[str], mode: str = "wrap"
-                 ) -> None:
-        """Refresh the named slab fields' ghost layers everywhere.
-
-        ``mode`` is ``"wrap"`` (periodic wrap on all axes — field solve)
-        or ``"boundary"`` (respect the grid's boundary kinds — gather).
-        """
-        try:
-            plan = self._plans[mode]
-        except KeyError:
-            raise ValueError(f"unknown halo mode {mode!r}") from None
+    def exchange(self, field_names: Sequence[str]) -> None:
+        """Refresh the named slab fields' ghost layers everywhere."""
         self.obs.count("domain.halo_exchanges")
         for axis in range(3):
-            for sub, dest_layer, src_sub, src_layer in plan[axis]:
+            for sub, dest_layer, src_sub, src_layer in self._plan[axis]:
                 dest_region = self._region(axis, sub, dest_layer)
                 src_region = self._region(axis, src_sub, src_layer)
                 for name in field_names:

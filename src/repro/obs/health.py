@@ -11,20 +11,21 @@ last stage of a step, every ``health_every`` completed steps):
   arrays aborts immediately (:class:`PhysicsHealthError`); a non-finite
   field never recovers, so there is no warn level.
 * **Energy drift** — relative total (field + kinetic) energy change
-  against the first probe; gauge ``health.energy_drift``.
+  against the first probe with a non-zero total (a cold plasma before
+  the laser arrives has nothing to drift from); gauge
+  ``health.energy_drift``.
 * **Charge residual** — relative total macro-particle charge change
-  against the first probe; gauge ``health.charge_residual``.
+  against the first probe with a non-zero total; gauge
+  ``health.charge_residual``.
 
 Warn thresholds emit one structured :func:`repro.obs.log.log_event` per
 condition per run (not per step — a drifting run would otherwise drown
 the log); abort thresholds raise.  ``0.0`` disables a threshold.
 
-Bitwise-neutrality contract: the probe only *reads* simulation state.
-On the decomposed path it first refreshes the frame arrays with the
-``sync_from_frame_once`` + ``assemble`` pair — the same bit-exact copy
-:meth:`repro.pic.simulation.Simulation._record_energy` and the
-checkpoint writer perform — and it never touches the energy history, so
-a health-probed run stays bitwise identical to a bare one.
+Bitwise-neutrality contract: the probe only *reads* simulation state
+(the frame grid, the array of record for every run) and never touches
+the energy history, so a health-probed run stays bitwise identical to a
+bare one.
 
 The physics helpers are imported lazily inside the probe (the
 :mod:`repro.ckpt` precedent): ``repro.obs`` loads from
@@ -73,21 +74,16 @@ class HealthHook:
         "containers.position", "containers.momentum",
         "containers.membership",
         "executor",
-        "domain.slabs.fields", "domain.slabs.currents", "domain.seeded",
         "telemetry",
     })
-    writes = frozenset({
-        # decomposed-path probe assembles slab interiors into the frame
-        # (the bitwise-neutral sync + assemble pair, as CheckpointHook)
-        "grid.fields", "grid.currents", "domain.seeded",
-        "telemetry",
-    })
+    writes = frozenset({"telemetry"})
 
     def __init__(self, config: ObsConfig, telemetry: Telemetry) -> None:
         self.config = config
         self.telemetry = telemetry
-        #: totals captured by the first probe; drift is measured against
-        #: them so a restored/warm-started run re-baselines on attach
+        #: totals captured by the first probe that saw a non-zero one;
+        #: drift is measured against them so a restored/warm-started run
+        #: re-baselines on attach
         self._baseline_energy: Optional[float] = None
         self._baseline_charge: Optional[float] = None
         self._warned_energy = False
@@ -109,11 +105,6 @@ class HealthHook:
         from repro.pic.diagnostics import total_particle_charge
 
         simulation = ctx.simulation
-        if simulation.domain is not None:
-            # frame arrays are stale between steps on the decomposed
-            # path; refresh with bit-exact copies of the slab state
-            simulation.domain.sync_from_frame_once(simulation.grid)
-            simulation.domain.assemble(simulation.grid)
         grid = simulation.grid
         telemetry = self.telemetry
         telemetry.count("health.probes")
@@ -135,15 +126,12 @@ class HealthHook:
         charge = sum(total_particle_charge(container)
                      for container in simulation.containers)
 
-        if self._baseline_energy is None:
+        if not self._baseline_energy:
             self._baseline_energy = total_energy
+        if not self._baseline_charge:
             self._baseline_charge = charge
-            telemetry.gauge("health.energy_drift", 0.0)
-            telemetry.gauge("health.charge_residual", 0.0)
-            return
-
         drift = self._relative(total_energy, self._baseline_energy)
-        residual = self._relative(charge, self._baseline_charge or 0.0)
+        residual = self._relative(charge, self._baseline_charge)
         telemetry.gauge("health.energy_drift", drift)
         telemetry.gauge("health.charge_residual", residual)
 
@@ -159,8 +147,10 @@ class HealthHook:
     # ------------------------------------------------------------------
     @staticmethod
     def _relative(value: float, baseline: float) -> float:
+        # a zero baseline was taken from this very probe: nothing to
+        # measure against yet
         if baseline == 0.0:
-            return 0.0 if value == 0.0 else float("inf")
+            return 0.0
         return abs(value - baseline) / abs(baseline)
 
     def _check(self, label: str, value: float, warn: float, abort: float,

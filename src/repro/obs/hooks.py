@@ -40,9 +40,9 @@ class TracingHook:
 
     Per stage: a span named after the stage (category = its timing
     bucket) and a ``stage.<name>.calls`` counter.  The physics counters
-    ride the stage names shared by both stage sets: ``gather_push``
-    contributes ``particles.pushed``, ``deposit`` contributes
-    ``tiles.deposited`` (non-empty tiles scanned).  On the last stage of
+    ride the stage names: ``gather_push`` contributes
+    ``particles.pushed``, ``deposit`` contributes ``tiles.deposited``
+    (non-empty tiles scanned).  On the last stage of
     each step a ``C`` (counter) event samples the deterministic metric
     snapshot, so a loaded trace shows counter evolution step by step.
     """

@@ -6,22 +6,11 @@ implemented exactly (tangential E and normal B forced to zero on the
 boundary planes) and the PML is replaced by a simple exponential damping
 layer, which is sufficient to absorb the laser and wakefield radiation at
 the reduced scale of the reproduction.
-
-Both conditions can be applied either to a whole global grid
-(:meth:`FieldBoundaryConditions.apply`) or to an arbitrary cell window of
-it (:meth:`FieldBoundaryConditions.apply_window`), which is how the
-domain-decomposed step (:mod:`repro.domain`) applies them only on the
-subdomains that touch a global edge.  The damping profile is computed
-once per axis length and *sliced* for windows, so a decomposed
-application multiplies by exactly the same floats as the global one —
-the interior cells of the global path see a factor of exactly ``1.0``,
-which is why restricting the multiply to boundary-touching windows is
-bitwise-neutral.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -44,47 +33,25 @@ class FieldBoundaryConditions:
     # ------------------------------------------------------------------
     def apply(self, grid: Grid) -> None:
         """Apply the configured boundary condition on every non-periodic axis."""
-        shape = grid.shape
-        self.apply_window(grid.field_arrays(), (0, 0, 0), shape)
-
-    def apply_window(self, fields: Dict[str, np.ndarray],
-                     window_lo: Tuple[int, int, int],
-                     global_shape: Tuple[int, int, int]) -> None:
-        """Apply the boundaries to a cell window of the global grid.
-
-        ``fields`` maps the conventional component names (``ex`` .. ``bz``
-        at least) to dense arrays covering the global cell window that
-        starts at ``window_lo``; only the planes/layers of the window that
-        intersect a global boundary are touched.
-        """
         for axis, bc in enumerate(self.config.field_boundary):
             if bc == "pec":
-                self._apply_pec(fields, axis, window_lo, global_shape)
+                self._apply_pec(grid, axis)
             elif bc == "absorbing":
-                self._apply_absorbing(fields, axis, window_lo, global_shape)
+                self._apply_absorbing(grid, axis)
 
     # ------------------------------------------------------------------
-    def _apply_pec(self, fields: Dict[str, np.ndarray], axis: int,
-                   window_lo: Tuple[int, int, int],
-                   global_shape: Tuple[int, int, int]) -> None:
+    def _apply_pec(self, grid: Grid, axis: int) -> None:
         """Perfect electric conductor: zero tangential E on both walls."""
         tangential = {
-            0: (fields["ey"], fields["ez"]),
-            1: (fields["ex"], fields["ez"]),
-            2: (fields["ex"], fields["ey"]),
+            0: (grid.ey, grid.ez),
+            1: (grid.ex, grid.ez),
+            2: (grid.ex, grid.ey),
         }[axis]
-        normal_b = {0: fields["bx"], 1: fields["by"], 2: fields["bz"]}[axis]
-        n = global_shape[axis]
+        normal_b = {0: grid.bx, 1: grid.by, 2: grid.bz}[axis]
         for arr in (*tangential, normal_b):
-            dim = arr.shape[axis]
-            window_hi = window_lo[axis] + dim
-            if window_lo[axis] == 0:
+            for plane in (0, -1):
                 sl = [slice(None)] * 3
-                sl[axis] = 0
-                arr[tuple(sl)] = 0.0
-            if window_hi == n:
-                sl = [slice(None)] * 3
-                sl[axis] = dim - 1
+                sl[axis] = plane
                 arr[tuple(sl)] = 0.0
 
     def damping_profile(self, n: int) -> np.ndarray:
@@ -102,27 +69,14 @@ class FieldBoundaryConditions:
             self._profiles[n] = profile
         return profile
 
-    def _apply_absorbing(self, fields: Dict[str, np.ndarray], axis: int,
-                         window_lo: Tuple[int, int, int],
-                         global_shape: Tuple[int, int, int]) -> None:
+    def _apply_absorbing(self, grid: Grid, axis: int) -> None:
         """Exponential damping layer (simplified PML) near both walls."""
-        n = global_shape[axis]
-        layer = min(self.damping_cells, n // 2)
-        if layer == 0:
-            return
-        dim = fields["ex"].shape[axis]
-        if window_lo[axis] >= layer and window_lo[axis] + dim <= n - layer:
-            # the window lies strictly between the damping layers, where
-            # the profile is exactly 1.0 — multiplying would be a bitwise
-            # no-op, so edge-interior subdomains skip it entirely
-            return
-        profile = self.damping_profile(n)
-        for name in ("ex", "ey", "ez", "bx", "by", "bz"):
-            arr = fields[name]
-            window = profile[window_lo[axis]:window_lo[axis] + dim]
-            shape = [1, 1, 1]
-            shape[axis] = dim
-            arr *= window.reshape(shape)
+        n = grid.shape[axis]
+        shape = [1, 1, 1]
+        shape[axis] = n
+        profile = self.damping_profile(n).reshape(shape)
+        for arr in (grid.ex, grid.ey, grid.ez, grid.bx, grid.by, grid.bz):
+            arr *= profile
 
 
 class FieldBoundaryStage:

@@ -50,41 +50,21 @@ class LaserAntenna:
         r2 = centers[0][:, None] + centers[1][None, :]
         return np.exp(-r2 / self.config.waist**2)
 
-    @property
-    def field_name(self) -> str:
-        """Name of the field component the antenna drives (``ex``/``ey``)."""
-        return "ex" if self.config.polarization == "x" else "ey"
-
-    def drive(self, grid: Grid, t: float, dt: float):
-        """The antenna source for the step ending at ``t``.
-
-        Returns ``None`` when the envelope is negligible, otherwise the
-        2-D array added to the driven component on the antenna plane.
-        ``grid`` provides the *global* geometry; the domain-decomposed
-        step computes the drive once here and scatters window slices of
-        it, so every subdomain adds exactly the floats the global path
-        adds.
-        """
+    def inject(self, grid: Grid, t: float, dt: float) -> None:
+        """Add the antenna source field for the step ending at time ``t``."""
         env = self.envelope(t)
         if env < 1.0e-8:
-            return None
+            return
         carrier = np.sin(self.omega * t)
         amplitude = self.config.peak_field * env * carrier
         profile = self.transverse_profile(grid)
         # soft source: add a current-like drive scaled so that a pulse of the
         # configured a0 builds up over the pulse duration
         drive = amplitude * dt * self.omega / (2.0 * np.pi)
-        return drive * profile
-
-    def inject(self, grid: Grid, t: float, dt: float) -> None:
-        """Add the antenna source field for the step ending at time ``t``."""
-        values = self.drive(grid, t, dt)
-        if values is None:
-            return
-        field = grid.field_arrays()[self.field_name]
+        field = grid.ex if self.config.polarization == "x" else grid.ey
         index = [slice(None)] * 3
         index[self.axis] = self.plane_index
-        field[tuple(index)] += values
+        field[tuple(index)] += drive * profile
 
 
 class LaserStage:

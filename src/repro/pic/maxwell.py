@@ -213,18 +213,28 @@ class FDTDSolver:
 
 
 class FieldSolveStage:
-    """Pipeline stage: one leap-frog FDTD update on the global grid.
+    """Pipeline stage: one leap-frog FDTD update of the frame grid.
 
-    No-op when the simulation was configured with ``field_solver="none"``
-    (kernel-only studies), matching the pre-pipeline loop.
+    The one stage a decomposed run does differently: with a domain
+    runtime attached, the update runs per subdomain slab
+    (:meth:`repro.domain.runtime.DomainRuntime.solve`, bitwise equal to
+    the global solver).  No-op when the simulation was configured with
+    ``field_solver="none"`` (kernel-only studies).
     """
 
     name = "solve"
     bucket = "field_solve"
-    reads = frozenset({"grid.currents", "simulation.solver", "dt"})
-    writes = frozenset({"grid.fields"})
+    reads = frozenset({
+        "grid.fields", "grid.currents", "simulation.solver",
+        "domain.solvers", "dt", "executor", "telemetry",
+    })
+    writes = frozenset({"grid.fields", "telemetry"})
 
     def run(self, ctx) -> None:
         solver = ctx.simulation.solver
-        if solver is not None:
+        if solver is None:
+            return
+        if ctx.domain is not None:
+            ctx.domain.solve(ctx.simulation)
+        else:
             solver.step(ctx.dt)

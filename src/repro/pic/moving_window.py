@@ -32,12 +32,6 @@ class MovingWindow:
         #: callback invoked as ``injector(grid, container, z_lo, z_hi)`` to
         #: fill the newly exposed slab with plasma
         self.injector = injector
-        #: optional replacement for the field shift, invoked as
-        #: ``field_shifter(grid, shift)``.  The domain-decomposed step
-        #: installs a shifter that moves the per-subdomain field slabs
-        #: instead of the (then stale) global arrays; grid origin
-        #: advance, particle trimming and plasma injection stay here.
-        self.field_shifter: Optional[Callable[[Grid, int], None]] = None
         self._accumulated = 0.0
         self.total_shift_cells = 0
 
@@ -56,10 +50,7 @@ class MovingWindow:
         self._accumulated -= shift * dx
         self.total_shift_cells += shift
 
-        if self.field_shifter is not None:
-            self.field_shifter(grid, shift)
-        else:
-            self._shift_fields(grid, shift)
+        self._shift_fields(grid, shift)
         old_hi = grid.hi[axis]
         grid.lo[axis] += shift * dx
         grid.hi[axis] += shift * dx
@@ -95,13 +86,7 @@ class MovingWindow:
 
 
 class MovingWindowStage:
-    """Pipeline stage: advance the moving window (both step paths).
-
-    The decomposed path reuses this stage unchanged: the domain runtime
-    installs its slab shifter as :attr:`MovingWindow.field_shifter` at
-    construction, so ``advance`` transparently moves the per-subdomain
-    slabs instead of the (then stale) global arrays.
-    """
+    """Pipeline stage: advance the moving window on the frame grid."""
 
     name = "moving_window"
     bucket = "boundary_redistribute"
@@ -111,8 +96,7 @@ class MovingWindowStage:
     })
     writes = frozenset({
         "grid.geometry", "grid.fields", "grid.currents",
-        "containers.membership", "domain.geometry",
-        "domain.slabs.fields", "domain.slabs.currents",
+        "containers.membership",
     })
 
     def run(self, ctx) -> None:

@@ -15,13 +15,12 @@ reference kernel is used, while the benchmarks install a
 :mod:`repro.baselines` or the Matrix-PIC framework of :mod:`repro.core`)
 that also performs sorting and records hardware counters.
 
-Since the pipeline redesign the cycle itself lives in
-:mod:`repro.pipeline`: construction builds a
-:class:`~repro.pipeline.StepPipeline` whose stage set is selected from
-the configuration (single-domain / domain-decomposed, with the tile
-executor carried in the stage context), and :meth:`Simulation.step` is
-``pipeline.run_step()``.  New-style callers drive the
-loop through :class:`repro.api.Session`.
+The cycle itself lives in :mod:`repro.pipeline`: construction builds the
+one :class:`~repro.pipeline.StepPipeline` stage list (the tile executor
+and, on a decomposed run, the domain runtime travel in the stage
+context), and :meth:`Simulation.step` is ``pipeline.run_step()``.
+``Simulation.grid`` is the array of record for every run.  New-style
+callers drive the loop through :class:`repro.api.Session`.
 
 A simulation owns its collaborators: the kernel table resolved from
 ``config.backend`` rides on its grid, and the telemetry registry built
@@ -138,15 +137,13 @@ class Simulation:
         self.executor: TileExecutor = create_executor(config.execution,
                                                       self.telemetry)
 
-        #: domain-decomposed runtime (``None`` on the single-domain path)
+        #: domain-decomposed solve + migration accounting (``None`` on a
+        #: single-domain run)
         self.domain = None
         if config.domain.is_decomposed:
             from repro.domain.runtime import DomainRuntime
 
             self.domain = DomainRuntime(self)
-            # the moving window shifts the per-subdomain slabs; origin
-            # advance, particle trimming and plasma injection are shared
-            self.moving_window.field_shifter = self.domain.shift_window_fields
 
         self.breakdown = RuntimeBreakdown(
             executor_name=self.executor.name,
@@ -164,10 +161,7 @@ class Simulation:
         self._skip_initial_energy_record = False
         #: accumulated hardware counters from the deposition strategy
         self.deposition_counters = KernelCounters()
-        #: the stage graph every step runs through (:mod:`repro.pipeline`);
-        #: its stage set is selected from the configuration — global,
-        #: executor-sharded (same set, executor in the context) or
-        #: domain-decomposed
+        #: the stage graph every step runs through (:mod:`repro.pipeline`)
         self.pipeline: StepPipeline = build_pipeline(self)
         if self.telemetry.enabled:
             tracing = TracingHook(self.telemetry)
@@ -193,21 +187,14 @@ class Simulation:
         """Advance the whole system by one time step.
 
         Runs ``self.pipeline.run_step()``: the stage ordering, executor
-        sharding and (for a decomposed domain) the per-subdomain variants
+        sharding and (for a decomposed domain) the per-subdomain solve
         are all owned by the pipeline.  Prefer
         :meth:`repro.api.Session.run` for new code.
         """
         self.pipeline.run_step()
 
     def _record_energy(self) -> EnergyRecord:
-        """Record an energy snapshot (assembling decomposed fields first)."""
-        if self.domain is not None:
-            # the frame arrays are stale between steps on the decomposed
-            # path; refresh them with bit-exact copies of the slab state
-            # (seeding the slabs first, so an initial condition imposed
-            # on the frame grid is not overwritten with zeros)
-            self.domain.sync_from_frame_once(self.grid)
-            self.domain.assemble(self.grid)
+        """Record an energy snapshot of the current step."""
         return self.energy.record(self.step_index, self.grid,
                                   self.containers, executor=self.executor)
 

@@ -6,15 +6,14 @@ Public surface
 * :class:`StageContext` — the live view a stage works through;
 * :class:`StepPipeline` — stage ordering, pre/post hooks, ``run_step``;
 * :class:`BreakdownTimingHook` — the default per-stage timing hook;
-* :func:`build_pipeline` / :func:`global_stages` / :func:`domain_stages` /
-  :func:`stage_set_for` — stage-set selection;
+* :func:`build_pipeline` / :func:`global_stages` — the one stage list;
 * the stage vocabulary — gather/push, migrate, moving window, deposit,
-  laser, solve, boundary, plus the per-subdomain variants;
+  laser, solve, boundary;
 * the effect contract (:mod:`repro.pipeline.effects`) — the
   :data:`~repro.pipeline.effects.RESOURCES` vocabulary, per-stage
   ``reads``/``writes`` declarations and the static write-after-read
   hazard checker :func:`~repro.pipeline.effects.check_stage_set`
-  (enforced over every built stage set by ``python -m repro lint``).
+  (enforced over the built stage list by ``python -m repro lint``).
 
 The bitwise contract of the old hand-wired loops carries over unchanged:
 pipeline-routed steps are bit-identical to the pre-redesign paths for
@@ -22,23 +21,7 @@ fields, J/rho and the energy history, across executor backends, shard
 counts and domain splits (pinned by ``tests/test_pipeline.py``).
 """
 
-from repro.pipeline.builder import (
-    DOMAIN_STAGE_SET,
-    GLOBAL_STAGE_SET,
-    build_pipeline,
-    domain_stages,
-    global_stages,
-    stage_set_for,
-)
-from repro.domain.runtime import (
-    DomainBoundaryStage,
-    DomainDepositStage,
-    DomainGatherPushStage,
-    DomainLaserStage,
-    DomainSolveStage,
-    DomainSyncStage,
-    HaloExchangeStage,
-)
+from repro.pipeline.builder import build_pipeline, global_stages
 from repro.pipeline.core import (
     BreakdownTimingHook,
     Stage,
@@ -65,21 +48,12 @@ from repro.pipeline.stages import (
 
 __all__ = [
     "BreakdownTimingHook",
-    "DOMAIN_STAGE_SET",
     "DepositStage",
-    "DomainBoundaryStage",
-    "DomainDepositStage",
-    "DomainGatherPushStage",
-    "DomainLaserStage",
-    "DomainSolveStage",
-    "DomainSyncStage",
     "EXTERNAL_RESOURCES",
     "EffectViolation",
     "FieldBoundaryStage",
     "FieldSolveStage",
-    "GLOBAL_STAGE_SET",
     "GatherPushStage",
-    "HaloExchangeStage",
     "LaserStage",
     "MigrateStage",
     "MovingWindowStage",
@@ -91,7 +65,5 @@ __all__ = [
     "build_pipeline",
     "check_stage_set",
     "declared_effects",
-    "domain_stages",
     "global_stages",
-    "stage_set_for",
 ]

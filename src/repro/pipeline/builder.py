@@ -1,18 +1,15 @@
-"""Stage-set selection: one pipeline behind every step path.
+"""The one stage list behind every step path.
 
-The three historical step paths differ only in *which stages* run:
+Every run — single-domain, executor-sharded, domain-decomposed — steps
+through the same seven stages on the frame grid.  Sharding happens
+inside the stage bodies, driven by the executor carried in the context;
+a decomposed run differs inside the solve stage only
+(:class:`~repro.pic.maxwell.FieldSolveStage`).
 
-* **global** — the classic single-domain loop; the executor-sharded
-  variant is the *same* stage set (sharding happens inside the stage
-  bodies, driven by the executor carried in the context, exactly as
-  before the redesign);
-* **domain** — the decomposed loop, built from the
-  :mod:`repro.domain.runtime` stage adapters.
-
-:func:`build_pipeline` picks the set from the simulation's configuration
-and attaches the default :class:`~repro.pipeline.core.BreakdownTimingHook`
-so per-stage wall time flows into :class:`~repro.pic.diagnostics.
-RuntimeBreakdown` without any ad-hoc timing blocks in the loop.
+:func:`build_pipeline` attaches the default
+:class:`~repro.pipeline.core.BreakdownTimingHook` so per-stage wall time
+flows into :class:`~repro.pic.diagnostics.RuntimeBreakdown` without any
+ad-hoc timing blocks in the loop.
 """
 
 from __future__ import annotations
@@ -33,13 +30,9 @@ from repro.pipeline.stages import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pic.simulation import Simulation
 
-#: stage-set labels reported by :attr:`StepPipeline.name`
-GLOBAL_STAGE_SET = "global"
-DOMAIN_STAGE_SET = "domain"
-
 
 def global_stages() -> List[Stage]:
-    """The single-domain stage set (also the executor-sharded one)."""
+    """The stage list of every run, in execution order."""
     return [
         GatherPushStage(),
         MigrateStage(),
@@ -51,37 +44,6 @@ def global_stages() -> List[Stage]:
     ]
 
 
-def domain_stages() -> List[Stage]:
-    """The domain-decomposed stage set (per-subdomain variants)."""
-    from repro.domain.runtime import (
-        DomainBoundaryStage,
-        DomainDepositStage,
-        DomainGatherPushStage,
-        DomainLaserStage,
-        DomainSolveStage,
-        DomainSyncStage,
-        HaloExchangeStage,
-    )
-
-    return [
-        DomainSyncStage(),
-        HaloExchangeStage(),
-        DomainGatherPushStage(),
-        MigrateStage(),
-        MovingWindowStage(),
-        DomainDepositStage(),
-        DomainLaserStage(),
-        DomainSolveStage(),
-        DomainBoundaryStage(),
-    ]
-
-
-def stage_set_for(simulation: "Simulation") -> str:
-    """Which stage set a simulation selects (``"global"`` / ``"domain"``)."""
-    return DOMAIN_STAGE_SET if simulation.domain is not None \
-        else GLOBAL_STAGE_SET
-
-
 def build_pipeline(simulation: "Simulation") -> StepPipeline:
     """The step pipeline for a simulation, timing hook attached.
 
@@ -90,8 +52,6 @@ def build_pipeline(simulation: "Simulation") -> StepPipeline:
     :class:`~repro.api.Session` facade above it) then just runs the
     returned pipeline.
     """
-    name = stage_set_for(simulation)
-    stages = domain_stages() if name == DOMAIN_STAGE_SET else global_stages()
-    pipeline = StepPipeline(stages, StageContext(simulation), name=name)
+    pipeline = StepPipeline(global_stages(), StageContext(simulation))
     pipeline.add_post_hook(BreakdownTimingHook())
     return pipeline

@@ -2,14 +2,12 @@
 the :class:`StepPipeline` that owns stage ordering and hooks.
 
 One pipeline instance drives **every** step path of the library — the
-global single-domain loop, the executor-sharded loop (same stage set, the
-executor travels in the context) and the domain-decomposed loop (a
-different stage set built from :mod:`repro.domain.runtime` adapters).
-What used to be three hand-wired copies of the PIC cycle is now a
-*stage-set selection* (:mod:`repro.pipeline.builder`), so new
-capabilities — halo/interior overlap, process-resident subdomains,
-per-stage instrumentation — plug in as stages or hooks instead of being
-threaded through each copy.
+global single-domain loop, the executor-sharded loop (the executor
+travels in the context) and the domain-decomposed loop (the solve stage
+runs per subdomain slab) — through one stage list
+(:mod:`repro.pipeline.builder`), so new capabilities — per-stage
+instrumentation, checkpointing, health probes — plug in as stages or
+hooks instead of being threaded through copies of the PIC cycle.
 
 Determinism contract
 --------------------
@@ -79,7 +77,7 @@ class StageContext:
 
     @property
     def grid(self) -> "Grid":
-        """The global frame grid (single-domain arrays of record)."""
+        """The global frame grid (the arrays of record of every run)."""
         return self.simulation.grid
 
     @property
@@ -98,7 +96,8 @@ class StageContext:
 
     @property
     def domain(self) -> "DomainRuntime | None":
-        """Domain-decomposed runtime, or None on the single-domain path."""
+        """Domain-decomposed runtime (solve + migration accounting), or
+        None on a single-domain run."""
         return self.simulation.domain
 
     @property
@@ -167,12 +166,10 @@ class StepPipeline:
     loops.
     """
 
-    def __init__(self, stages: Iterable[Stage], context: StageContext,
-                 name: str = "global") -> None:
+    def __init__(self, stages: Iterable[Stage],
+                 context: StageContext) -> None:
         self._stages: List[Stage] = []
         self.context = context
-        #: stage-set label (``"global"`` or ``"domain"``), diagnostics only
-        self.name = name
         self._pre_hooks: List[PreStageHook] = []
         self._post_hooks: List[PostStageHook] = []
         for stage in stages:
@@ -291,8 +288,7 @@ class StepPipeline:
         simulation.step_index += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"StepPipeline(name={self.name!r}, "
-                f"stages={list(self.stage_names())})")
+        return f"StepPipeline(stages={list(self.stage_names())})"
 
 
 class BreakdownTimingHook:

@@ -10,7 +10,7 @@ enforced in two layers:
   :class:`~repro.pipeline.core.StageContext` attribute accesses and
   verifies the declarations are *complete*: every context attribute the
   body touches must be the root of at least one declared resource;
-* :func:`check_stage_set` replays each built stage set against the
+* :func:`check_stage_set` replays the built stage list against the
   declarations and reports **write-after-read ordering hazards**: a
   stage that consumes a resource before any same-step producer has run
   must either read genuinely *step-carried* state (:data:`STEP_CARRIED`
@@ -78,12 +78,8 @@ RESOURCES: FrozenSet[str] = frozenset({
     "containers.position",
     "containers.momentum",
     "containers.membership",
-    # domain-decomposed state
-    "domain.geometry",
-    "domain.seeded",
-    "domain.slabs.fields",
-    "domain.slabs.currents",
-    "domain.halos",
+    # domain-decomposed state (the slabs are the solve stage's scratch,
+    # not a resource: nothing outlives the stage that fills them)
     "domain.solvers",
     "domain.migration",
 })
@@ -100,11 +96,6 @@ STEP_CARRIED: FrozenSet[str] = frozenset({
     "containers.position",
     "containers.momentum",
     "containers.membership",
-    "domain.geometry",
-    "domain.seeded",
-    "domain.slabs.fields",
-    "domain.slabs.currents",
-    "domain.halos",
     "domain.migration",
     "simulation.energy",
 })

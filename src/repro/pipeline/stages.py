@@ -1,4 +1,4 @@
-"""Stages shared by both stage sets, plus the deposition stage.
+"""The stages that span several components.
 
 Most stage adapters live next to the physics they wrap
 (:class:`repro.pic.pusher.GatherPushStage`,
@@ -36,11 +36,10 @@ __all__ = [
 class MigrateStage:
     """Pipeline stage: particle boundary conditions + tile redistribution.
 
-    Shared by both stage sets.  Tiles are statically owned by subdomains
-    on the decomposed path, so a cross-subdomain migration is just a tile
-    move whose destination belongs to another block — the only difference
-    is the migration-statistics recorder the domain runtime hangs on the
-    scan.
+    Tiles are statically owned by subdomains on a decomposed run, so a
+    cross-subdomain migration is just a tile move whose destination
+    belongs to another block — the only difference is the
+    migration-statistics recorder the domain runtime hangs on the scan.
     """
 
     name = "migrate"

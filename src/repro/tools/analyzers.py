@@ -21,7 +21,7 @@ Four analyzers enforce the repository's core contracts:
 ``stage-effects``
     Every shipped pipeline stage must declare complete ``reads`` /
     ``writes`` effect sets (AST-checked against the ``StageContext``
-    attributes its ``run`` body touches), and every built stage set must
+    attributes its ``run`` body touches), and the built stage list must
     pass the :func:`repro.pipeline.effects.check_stage_set` static
     write-after-read hazard check.
 
@@ -364,57 +364,46 @@ def check_stage_effects(ctx: "LintContext") -> List[Finding]:
     )
 
     findings: List[Finding] = []
-    stage_sets = {
-        "global": builder.global_stages(),
-        # the executor-sharded path runs the *same* stage classes as the
-        # global one, but it is its own built set and is gated as such
-        "sharded": builder.global_stages(),
-        "domain": builder.domain_stages(),
-    }
+    # one list: the executor-sharded and domain-decomposed runs step
+    # through the same stage classes as the global one
+    stages = builder.global_stages()
 
-    # hazard + declaration check of every built set
-    for set_name, stages in sorted(stage_sets.items()):
-        by_name = {getattr(s, "name", type(s).__name__): s for s in stages}
-        for violation in check_stage_set(stages):
-            stage = by_name.get(violation.stage)
-            path, line = _stage_location(ctx, stage) if stage is not None \
-                else ("src/repro/pipeline/builder.py", 1)
+    # hazard + declaration check of the built list
+    by_name = {getattr(s, "name", type(s).__name__): s for s in stages}
+    for violation in check_stage_set(stages):
+        stage = by_name.get(violation.stage)
+        path, line = _stage_location(ctx, stage) if stage is not None \
+            else ("src/repro/pipeline/builder.py", 1)
+        findings.append(Finding(
+            rule=RULE_STAGE_EFFECTS, path=path, line=line,
+            message=f"stage {violation.stage!r}: [{violation.kind}] "
+                    f"{violation.message}",
+            hint="fix the reads/writes declaration or reorder the "
+                 "stage list",
+        ))
+
+    # AST completeness: each stage class's run body vs its declaration
+    for stage in stages:
+        cls = type(stage)
+        declared = declared_effects(stage)
+        if declared is None:
+            continue  # already reported by check_stage_set
+        declared_names = declared[0] | declared[1]
+        try:
+            accessed = run_body_context_roots(cls.run)
+        except (OSError, TypeError, SyntaxError):
+            continue
+        path, line = _stage_location(ctx, stage)
+        for root in sorted(accessed):
+            if any(conflicts(name, root) for name in declared_names):
+                continue
             findings.append(Finding(
                 rule=RULE_STAGE_EFFECTS, path=path, line=line,
-                message=f"stage set {set_name!r}, stage "
-                        f"{violation.stage!r}: [{violation.kind}] "
-                        f"{violation.message}",
-                hint="fix the reads/writes declaration or reorder the "
-                     "stage set",
+                message=f"{cls.__name__}.run accesses ctx.{root} but "
+                        f"declares no effect on {root!r}",
+                hint=f"add the touched `{root}.*` resource to the "
+                     "stage's reads or writes",
             ))
-
-    # AST completeness: each unique stage class's run body vs declaration
-    seen = set()
-    for stages in stage_sets.values():
-        for stage in stages:
-            cls = type(stage)
-            if cls in seen:
-                continue
-            seen.add(cls)
-            declared = declared_effects(stage)
-            if declared is None:
-                continue  # already reported by check_stage_set
-            declared_names = declared[0] | declared[1]
-            try:
-                accessed = run_body_context_roots(cls.run)
-            except (OSError, TypeError, SyntaxError):
-                continue
-            path, line = _stage_location(ctx, stage)
-            for root in sorted(accessed):
-                if any(conflicts(name, root) for name in declared_names):
-                    continue
-                findings.append(Finding(
-                    rule=RULE_STAGE_EFFECTS, path=path, line=line,
-                    message=f"{cls.__name__}.run accesses ctx.{root} but "
-                            f"declares no effect on {root!r}",
-                    hint=f"add the touched `{root}.*` resource to the "
-                         "stage's reads or writes",
-                ))
     return findings
 
 

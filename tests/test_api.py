@@ -127,11 +127,9 @@ class TestLegacyEquivalence:
         with build().build_session() as session:
             for _ in session.run(2, record_energy=True):
                 pass
-            session.simulation.domain.assemble(session.grid)
             with build().build_simulation() as legacy:
                 for _ in range(2):
                     legacy.step()
-                legacy.domain.assemble(legacy.grid)
                 for name in ALL_COMPONENTS:
                     assert np.array_equal(getattr(session.grid, name),
                                           getattr(legacy.grid, name)), name

@@ -67,21 +67,12 @@ API_SURFACE = {
     ),
     "repro.pipeline": (
         "BreakdownTimingHook",
-        "DOMAIN_STAGE_SET",
         "DepositStage",
-        "DomainBoundaryStage",
-        "DomainDepositStage",
-        "DomainGatherPushStage",
-        "DomainLaserStage",
-        "DomainSolveStage",
-        "DomainSyncStage",
         "EXTERNAL_RESOURCES",
         "EffectViolation",
         "FieldBoundaryStage",
         "FieldSolveStage",
-        "GLOBAL_STAGE_SET",
         "GatherPushStage",
-        "HaloExchangeStage",
         "LaserStage",
         "MigrateStage",
         "MovingWindowStage",
@@ -93,9 +84,7 @@ API_SURFACE = {
         "build_pipeline",
         "check_stage_set",
         "declared_effects",
-        "domain_stages",
         "global_stages",
-        "stage_set_for",
     ),
     "repro.serve": (
         "CampaignServer",
@@ -166,12 +155,12 @@ def test_package_root_reexports():
 
 
 def test_stage_vocabulary_is_importable_from_one_place():
-    """Every stage class in the builder's sets is public in repro.pipeline."""
+    """Every stage class in the builder's list is public in repro.pipeline."""
     pipeline = importlib.import_module("repro.pipeline")
-    for stage in (*pipeline.global_stages(), *pipeline.domain_stages()):
+    for stage in pipeline.global_stages():
         class_name = type(stage).__name__
         assert class_name in pipeline.__all__, (
-            f"{class_name} is installed by a builder stage set but not "
+            f"{class_name} is installed by the builder but not "
             "exported from repro.pipeline"
         )
         assert getattr(pipeline, class_name) is type(stage)

@@ -1,5 +1,5 @@
 """Domain decomposition (:mod:`repro.domain`): geometry, halo exchange,
-frame-then-copy deposition, migration, and the bitwise parity contract.
+the per-slab solve, migration, and the bitwise parity contract.
 
 The contract under test: for any ``(px, py, pz)`` split, any executor
 backend and a fixed shard count, a decomposed run is **bitwise
@@ -43,7 +43,7 @@ ALL_COMPONENTS = ("ex", "ey", "ez", "bx", "by", "bz", "jx", "jy", "jz", "rho")
 def run_uniform(domains, *, backend="serial", shards=1, steps=3, order=1,
                 n_cell=(8, 8, 8), tile=(4, 4, 4), ppc=8, thermal=None,
                 strategy=None):
-    """Run the uniform workload; returns the simulation (fields assembled).
+    """Run the uniform workload; returns the simulation.
 
     ``strategy`` names a ``make_strategy`` configuration (the reference
     deposition when None).
@@ -59,8 +59,6 @@ def run_uniform(domains, *, backend="serial", shards=1, steps=3, order=1,
         deposition=make_strategy(strategy) if strategy else None)
     try:
         Session.from_simulation(simulation).run_all(steps, record_energy=True)
-        if simulation.domain is not None:
-            simulation.domain.assemble(simulation.grid)
         return simulation
     finally:
         simulation.shutdown()
@@ -76,8 +74,6 @@ def run_lwfa(domains, *, backend="serial", shards=1, steps=12):
     simulation = workload.build_simulation()
     try:
         Session.from_simulation(simulation).run_all(steps, record_energy=True)
-        if simulation.domain is not None:
-            simulation.domain.assemble(simulation.grid)
         return simulation
     finally:
         simulation.shutdown()
@@ -141,14 +137,9 @@ class TestDecomposition:
         with pytest.raises(ValueError, match="tile-aligned"):
             Simulation(config, load_plasma=False)
 
-    def test_halo_sizing_follows_shape_order(self):
-        assert DomainConfig().halo_for_order(1) == 1
-        assert DomainConfig().halo_for_order(3) == 3
-        assert DomainConfig(halo=5).halo_for_order(1) == 5
-
 
 # ----------------------------------------------------------------------
-# halo exchange against the global wrap/clamp oracle
+# halo exchange against the global wrap oracle
 # ----------------------------------------------------------------------
 
 def _random_decomposed_fields(rng, n_cell, tile, domains, halo,
@@ -169,27 +160,21 @@ def _random_decomposed_fields(rng, n_cell, tile, domains, halo,
     return frame, decomp
 
 
-@pytest.mark.parametrize("mode", ["wrap", "boundary"])
+@pytest.mark.parametrize("mode", ["wrap"])  # the one mode; ids unchanged
 @pytest.mark.parametrize("field_boundary", [
     ("periodic", "periodic", "periodic"),
     ("periodic", "periodic", "absorbing"),
 ])
 def test_halo_exchange_matches_global_indexing(mode, field_boundary):
-    """Every ghost cell equals the globally wrapped/clamped value."""
+    """Every ghost cell equals the globally wrapped value, open axes too."""
     rng = np.random.default_rng(3)
     frame, decomp = _random_decomposed_fields(
         rng, (8, 6, 8), (4, 3, 2), (2, 2, 4), halo=3, field_boundary=field_boundary)
     exchange = HaloExchange(decomp, frame.periodic)
-    exchange.exchange(EM_FIELDS, mode=mode)
+    exchange.exchange(EM_FIELDS)
     for sub in decomp.subdomains:
-        idx = []
-        for a in range(3):
-            g = sub.origin[a] + np.arange(sub.slab_shape[a])
-            n = frame.shape[a]
-            if mode == "wrap" or frame.periodic[a]:
-                idx.append(np.mod(g, n))
-            else:
-                idx.append(np.clip(g, 0, n - 1))
+        idx = [np.mod(sub.origin[a] + np.arange(sub.slab_shape[a]),
+                      frame.shape[a]) for a in range(3)]
         for name in EM_FIELDS:
             expected = getattr(frame, name)[np.ix_(*idx)]
             assert np.array_equal(getattr(sub.slab, name), expected), \
@@ -197,16 +182,14 @@ def test_halo_exchange_matches_global_indexing(mode, field_boundary):
 
 
 # ----------------------------------------------------------------------
-# deposition: frame, then copy — one path for every strategy
+# deposition: on the frame — one path for every strategy
 # ----------------------------------------------------------------------
 
 def test_decomposed_deposit_matches_global_run():
     """After one step every split holds the global run's J, bit for bit.
 
-    The slabs are assembled over the frame before comparing, so it is
-    the slab currents that are checked.  Reference and instrumented
-    deposition go through the same stage; the two-cell subdomains are
-    thinner than the four-node QSP support.
+    Reference and instrumented deposition go through the same stage;
+    the two-cell subdomains are thinner than the four-node QSP support.
     """
     cases = [(order, strategy, backend, shards)
              for order in (1, 2, 3) for strategy in (None, "Baseline")
@@ -230,7 +213,9 @@ class TestStepParity:
 
     def test_initial_field_on_frame_grid_is_honoured(self):
         """A field imposed on ``sim.grid`` after construction must enter
-        the decomposed state (slabs are seeded lazily, not at init)."""
+        the decomposed state.  Trivially true now that the frame grid is
+        the array of record (the solve loads its slabs from it every
+        step); kept as the pin against a second copy of the fields."""
         def build(domains):
             workload = UniformPlasmaWorkload(
                 n_cell=(8, 8, 8), tile_size=(4, 4, 4), ppc=8, max_steps=3,
@@ -242,8 +227,6 @@ class TestStepParity:
                     simulation.grid.shape)
                 Session.from_simulation(simulation).run_all(
                     3, record_energy=True)
-                if simulation.domain is not None:
-                    simulation.domain.assemble(simulation.grid)
                 return simulation
             finally:
                 simulation.shutdown()
@@ -297,6 +280,48 @@ class TestStepParity:
             reference, run_uniform((2, 1, 1), backend="threads", **mpic))
 
 
+class TestFrameGridIsTheRecord:
+    """``session.grid`` is current after every step of a decomposed run —
+    with no energy record, checkpoint or health probe to refresh it."""
+
+    @staticmethod
+    def final_grid(workload, steps):
+        with workload.build_session() as session:
+            session.run_all(steps, record_energy=False)
+            assert not session.energy.history
+            return session.grid, session.simulation.moving_window
+
+    @staticmethod
+    def assert_grids_equal(grid_a, grid_b):
+        assert np.any(grid_a.ex != 0.0)
+        for name in ALL_COMPONENTS:
+            assert np.array_equal(getattr(grid_a, name),
+                                  getattr(grid_b, name)), name
+
+    @pytest.mark.parametrize("order", [1, 3])
+    @pytest.mark.parametrize("domains", [(2, 1, 1), (1, 2, 2)])
+    def test_uniform(self, domains, order):
+        def build(split):
+            return UniformPlasmaWorkload(
+                seed=7, n_cell=(8, 8, 8), tile_size=(4, 4, 4), ppc=8,
+                shape_order=order, max_steps=4, domains=split,
+                execution=ExecutionConfig(backend="threads", num_shards=2))
+
+        reference, _ = self.final_grid(build((1, 1, 1)), 4)
+        decomposed, _ = self.final_grid(build(domains), 4)
+        self.assert_grids_equal(reference, decomposed)
+
+    def test_lwfa_with_a_window_shift(self):
+        def build(split):
+            return LWFAWorkload(n_cell=(8, 8, 32), tile_size=(4, 4, 8),
+                                ppc=1, max_steps=12, domains=split)
+
+        reference, _ = self.final_grid(build((1, 1, 1)), 12)
+        decomposed, window = self.final_grid(build((1, 1, 2)), 12)
+        assert window.total_shift_cells > 0
+        self.assert_grids_equal(reference, decomposed)
+
+
 class TestLWFAParity:
     """Seam-crossing laser + wakefield + moving window + absorbing walls."""
 
@@ -331,8 +356,6 @@ class TestPECBoundary:
             try:
                 Session.from_simulation(simulation).run_all(
                     record_energy=True)
-                if simulation.domain is not None:
-                    simulation.domain.assemble(simulation.grid)
                 return simulation
             finally:
                 simulation.shutdown()
@@ -401,13 +424,13 @@ def test_decomposed_solve_matches_global(split, scheme, seed):
     reference.copy_fields_from(frame)
     FDTDSolver(reference, scheme=scheme).step(dt)
 
-    exchange.exchange(("ex", "ey", "ez"), mode="wrap")
+    exchange.exchange(("ex", "ey", "ez"))
     for solver in solvers:
         solver.push_b(0.5 * dt)
-    exchange.exchange(("bx", "by", "bz"), mode="wrap")
+    exchange.exchange(("bx", "by", "bz"))
     for solver in solvers:
         solver.push_e(dt)
-    exchange.exchange(("ex", "ey", "ez"), mode="wrap")
+    exchange.exchange(("ex", "ey", "ez"))
     for solver in solvers:
         solver.push_b(0.5 * dt)
 
@@ -443,8 +466,6 @@ def test_custom_strategy_runs_on_frame_and_matches():
         try:
             Session.from_simulation(simulation).run_all(
                 3, record_energy=True)
-            if simulation.domain is not None:
-                simulation.domain.assemble(simulation.grid)
             return simulation
         finally:
             simulation.shutdown()

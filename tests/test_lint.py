@@ -276,12 +276,8 @@ class TestEffectChecker:
         assert "grid.curents" in violations[0].message
 
     def test_write_after_read_hazard_is_reported(self):
-        # halos is neither external nor written earlier -> hazard, and
-        # the message names the later writer
-        reader = FakeStage("reader", reads={"domain.halos"})
-        writer = FakeStage("writer", writes={"domain.halos"})
-        # drop halos from the carried set? it IS carried, so use a
-        # non-carried resource instead: deposition_counters
+        # deposition_counters is neither external, step-carried nor
+        # written earlier -> hazard, and the message names the later writer
         reader = FakeStage("reader", reads={"simulation.deposition_counters"})
         writer = FakeStage("writer",
                            writes={"simulation.deposition_counters"})
@@ -318,9 +314,9 @@ class TestStageEffectsAnalyzer:
         assert check_stage_effects(ctx) == []
 
     def test_every_shipped_stage_declares_effects(self):
-        from repro.pipeline import domain_stages, global_stages
+        from repro.pipeline import global_stages
 
-        for stage in (*global_stages(), *domain_stages()):
+        for stage in global_stages():
             effects = declared_effects(stage)
             assert effects is not None, stage
             reads, writes = effects

@@ -23,10 +23,12 @@ The MatrixPIC kernel has one Stage 2 (``core/mpu_deposit.py::
 tile_rhocells``); the per-particle formulation it replaced is the test
 oracle ``tests/deposit_oracles.py`` and is named nowhere under ``src/``.
 
-A decomposed run deposits on the frame grid like every other run (the
-shared deposit stage, then a copy into the slabs), so ``scratch_reduce``
-is the only reduce helper behind the fan-out rule, and the workload
-families are stated once, in ``repro.workloads.FAMILIES``.
+A decomposed run deposits on the frame grid like every other run, so
+``scratch_reduce`` is the only reduce helper behind the fan-out rule, and
+the workload families are stated once, in ``repro.workloads.FAMILIES``.
+
+There is one stage list: the frame grid is the array of record for every
+run, and a decomposed run differs inside the solve stage only.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from repro import workloads
 from repro.backend import KERNEL_TIERS, BackendConfig, activate
 from repro.cli import build_parser
 from repro.pic.deposition import DepositionKernel
-from repro.pipeline import DepositStage, domain_stages, global_stages
+from repro.pipeline import DepositStage, global_stages
 from repro.serve import expand_request
 
 SRC = os.path.dirname(os.path.abspath(repro.__file__))
@@ -170,11 +172,40 @@ def test_a_decomposed_run_deposits_on_the_frame():
             for node in ast.walk(tree)
             if isinstance(node, ast.Call) and name_of(node.func) == "isinstance"
             and "ReferenceDeposition" in names_in(node)] == []
-    # both stage sets run the shared deposit body under one name
-    for stages in (global_stages(), domain_stages()):
-        (deposit,) = [stage for stage in stages if stage.name == "deposit"]
-        assert isinstance(deposit, DepositStage)
-        assert deposit.bucket == "current_deposition"
+    # every run deposits through the shared stage, under one name
+    (deposit,) = [stage for stage in global_stages()
+                  if stage.name == "deposit"]
+    assert isinstance(deposit, DepositStage)
+    assert deposit.bucket == "current_deposition"
+
+
+def test_there_is_one_stage_list():
+    # a decomposed run steps through the stage list of every other run
+    names = ("gather_push", "migrate", "moving_window", "deposit", "laser",
+             "solve", "boundary")
+    for domains in ((1, 1, 1), (2, 1, 1)):
+        workload = workloads.UniformPlasmaWorkload(
+            n_cell=(8, 8, 8), tile_size=(4, 4, 4), ppc=1, domains=domains)
+        assert workload.build_simulation().pipeline.stage_names() == names
+    # the second copy of the field state, and what kept it coherent with
+    # the frame grid (comments and docstrings included)
+    retired = ("sync_from_frame_once", "assemble(", "field_shifter",
+               "apply_window", "domain_stages", "stage_set_for",
+               "halo_for_order", "_synced")
+    assert [(path, line.strip()) for path, text in source_texts()
+            for line in text.splitlines()
+            if any(name in line for name in retired)] == []
+    # the domain runtime is built by the simulation, carried by the stage
+    # context and reached by the solve and migrate stages — nobody else
+    # asks whether a run is decomposed
+    users = {f"{path}::{func.name}" for path, tree in source_trees()
+             if not path.startswith("domain/")
+             for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+             for node in ast.walk(func)
+             if isinstance(node, ast.Attribute) and node.attr == "domain"}
+    assert users == {"pic/simulation.py::__init__",
+                     "pipeline/core.py::domain",
+                     "pic/maxwell.py::run", "pipeline/stages.py::run"}
 
 
 def test_the_array_backend_seam_is_gone():

@@ -1,6 +1,6 @@
 """The composable step pipeline (:mod:`repro.pipeline`).
 
-The stage graph mechanics: stage-set selection, stage ordering, list
+The stage graph mechanics: the one stage list, stage ordering, list
 surgery (insert/replace/remove), pre/post hook invocation and the
 per-stage wall-time flow into :class:`RuntimeBreakdown`.  Bitwise step
 parity across backends, shard counts and domain splits is pinned against
@@ -22,21 +22,16 @@ from repro.config import (
 )
 from repro.pic.simulation import Simulation
 from repro.pipeline import (
-    DOMAIN_STAGE_SET,
-    GLOBAL_STAGE_SET,
     BreakdownTimingHook,
     Stage,
     StageContext,
     StepPipeline,
-    domain_stages,
     global_stages,
 )
 from repro.workloads.uniform import UniformPlasmaWorkload
 
 GLOBAL_STAGE_NAMES = ("gather_push", "migrate", "moving_window", "deposit",
                       "laser", "solve", "boundary")
-DOMAIN_STAGE_NAMES = ("sync_frame", "halo_exchange", "gather_push", "migrate",
-                      "moving_window", "deposit", "laser", "solve", "boundary")
 
 
 def uniform_workload(domains=(1, 1, 1), backend="serial", shards=1,
@@ -55,13 +50,11 @@ def uniform_workload(domains=(1, 1, 1), backend="serial", shards=1,
 class TestStageSets:
     def test_global_stage_order(self):
         sim = uniform_workload().build_simulation()
-        assert sim.pipeline.name == GLOBAL_STAGE_SET
         assert sim.pipeline.stage_names() == GLOBAL_STAGE_NAMES
 
     def test_domain_stage_order(self):
         sim = uniform_workload(domains=(2, 1, 1)).build_simulation()
-        assert sim.pipeline.name == DOMAIN_STAGE_SET
-        assert sim.pipeline.stage_names() == DOMAIN_STAGE_NAMES
+        assert sim.pipeline.stage_names() == GLOBAL_STAGE_NAMES
 
     def test_executor_sharded_path_shares_the_global_stage_set(self):
         serial = uniform_workload().build_simulation()
@@ -77,10 +70,9 @@ class TestStageSets:
 
     def test_builder_stage_factories_match_installed_sets(self):
         assert tuple(s.name for s in global_stages()) == GLOBAL_STAGE_NAMES
-        assert tuple(s.name for s in domain_stages()) == DOMAIN_STAGE_NAMES
 
     def test_every_stage_satisfies_the_protocol(self):
-        for stage in (*global_stages(), *domain_stages()):
+        for stage in global_stages():
             assert isinstance(stage, Stage)
             assert stage.bucket
 
@@ -147,7 +139,7 @@ class TestPipelineSurgery:
         log = []
         pipeline = StepPipeline(
             [_NoOpStage("a", log), _NoOpStage("b", log)],
-            StageContext(sim), name="custom",
+            StageContext(sim),
         )
         pipeline.run_step()
         assert log == ["a", "b"]
@@ -242,7 +234,7 @@ class TestBreakdownTiming:
     def test_domain_set_times_its_own_stages(self):
         sim = uniform_workload(domains=(2, 1, 1)).build_simulation()
         Session.from_simulation(sim).run_all(1)
-        assert set(sim.breakdown.stage_seconds) == set(DOMAIN_STAGE_NAMES)
+        assert set(sim.breakdown.stage_seconds) == set(GLOBAL_STAGE_NAMES)
 
     def test_timing_hook_is_detachable(self):
         sim = uniform_workload().build_simulation()
