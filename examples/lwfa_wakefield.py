@@ -30,19 +30,19 @@ from repro.workloads.lwfa import LWFAWorkload
 SMOKE = bool(os.environ.get("REPRO_EXAMPLES_SMOKE"))
 
 
-def wake_diagnostics(simulation) -> None:
-    grid = simulation.grid
+def wake_diagnostics(session) -> None:
+    grid = session.grid
     # longitudinal electric field on the laser axis
     nx, ny, _ = grid.shape
     on_axis_ez = grid.ez[nx // 2, ny // 2, :]
     peak = float(np.max(np.abs(on_axis_ez)))
     print(f"peak |E_z| on axis:            {peak:.3e} V/m")
     print(f"laser field energy in the box: {grid.field_energy():.3e} J")
-    kinetic = simulation.containers[0].kinetic_energy()
+    kinetic = session.containers[0].kinetic_energy()
     print(f"electron kinetic energy:       {kinetic:.3e} J")
-    print(f"particles in the window:       {simulation.num_particles}")
+    print(f"particles in the window:       {session.num_particles}")
     print(f"window shifted by:             "
-          f"{simulation.moving_window.total_shift_cells} cells")
+          f"{session.moving_window.total_shift_cells} cells")
 
 
 def main() -> None:
@@ -53,7 +53,7 @@ def main() -> None:
     strategy = make_strategy("MatrixPIC (FullOpt)")
     with workload.build_session(deposition=strategy) as session:
         session.run_all()
-        wake_diagnostics(session.simulation)
+        wake_diagnostics(session)
     print(f"adaptive global sorts performed: {strategy.global_sorts_performed}")
 
     print("\n== 2. Figure 9: deposition kernel time, baseline vs MatrixPIC ==")

@@ -41,16 +41,16 @@ def main() -> None:
                                      max_steps=2 if SMOKE else 3)
 
     print("== 1. correctness: every kernel reproduces the reference current ==")
-    simulation = workload.build_simulation()
-    workload.scramble_particles(simulation)
-    reference = Grid(simulation.config.grid)
-    deposit_reference(reference, simulation.containers[0], order=1)
+    session = workload.build_session()
+    workload.scramble_particles(session)
+    reference = Grid(session.config.grid)
+    deposit_reference(reference, session.containers[0], order=1)
 
     from repro.baselines.configs import make_strategy
 
-    check = Grid(simulation.config.grid)
+    check = Grid(session.config.grid)
     strategy = make_strategy("MatrixPIC (FullOpt)")
-    strategy.run_step(check, simulation.containers[0], order=1, step=0)
+    strategy.run_step(check, session.containers[0], order=1, step=0)
     residual = current_residual(check, reference)
     scale = float(np.max(np.abs(reference.jx)))
     print(f"max |J_MatrixPIC - J_reference| / max |J| = {residual / scale:.2e}\n")
@@ -88,9 +88,8 @@ def main() -> None:
     identical = bool(np.array_equal(runs["serial"], runs["threads"]))
     print(f"threads(4 shards) current == serial(4 shards) current: {identical}")
 
-    print("\n== 5. the public facade: repro.api.Session over repro.pipeline ==")
-    # New-style entry point: the session drives the same composable step
-    # pipeline that Simulation.step() now shims over, exposing per-stage
+    print("\n== 5. the run object: repro.api.Session and its step pipeline ==")
+    # The session owns the composable step pipeline, exposing per-stage
     # wall time and a stepping iterator instead of an imperative loop.
     with Session.from_workload(workload) as session:
         print(f"stages: {' -> '.join(session.pipeline.stage_names())}")

@@ -33,12 +33,12 @@ Matrix Outer-product for High-Performance Particle-in-Cell Simulations*
 ``repro.pipeline``
     The composable step-pipeline API: a :class:`~repro.pipeline.Stage`
     protocol, the :class:`~repro.pipeline.StepPipeline` stage graph with
-    pre/post hooks, and the one stage list that the global,
+    pre-stage/post-stage/step hooks, and the one stage list that the global,
     executor-sharded and domain-decomposed runs all step through.
 
 ``repro.api``
-    The public facade: :class:`~repro.api.Session` builds a simulation
-    behind the pipeline and drives it with a stepping iterator
+    The run object: :class:`~repro.api.Session` assembles a simulation,
+    owns the pipeline and drives it with a stepping iterator
     (``Session.run(steps)``).
 
 ``repro.analysis``
@@ -56,7 +56,6 @@ from repro.config import (
     SpeciesConfig,
 )
 from repro.exec import create_executor
-from repro.pic.simulation import Simulation
 from repro.core.framework import MatrixPICDeposition
 from repro.pipeline import StepPipeline, build_pipeline
 
@@ -68,7 +67,6 @@ __all__ = [
     "SortingPolicyConfig",
     "SpeciesConfig",
     "Session",
-    "Simulation",
     "StepPipeline",
     "MatrixPICDeposition",
     "build_pipeline",

@@ -6,9 +6,8 @@ serial scripts into a small serving layer:
 * a declarative grid — workloads x configurations (x sorting policy,
   cost model, steps, ...) — expands into :class:`ExperimentSpec` values,
 * each spec is a pure, picklable description of one experiment; running
-  it builds a fully isolated simulation through the
-  :class:`repro.api.Session` facade (and therefore the
-  :mod:`repro.pipeline` stage graph), so results are identical whether
+  it builds a fully isolated :class:`repro.api.Session` (and therefore
+  the :mod:`repro.pipeline` stage list), so results are identical whether
   a spec runs serially, in a worker process or is replayed from cache,
 * specs hash to content keys (workload parameters, configuration name,
   sorting policy, cost-model parameters, steps, seed, library version)

@@ -28,7 +28,6 @@ from repro.baselines.configs import make_strategy
 from repro.config import SortingPolicyConfig
 from repro.hardware.cost_model import CostModel
 from repro.hardware.counters import KernelCounters
-from repro.pic.simulation import Simulation
 
 
 def run_deposition_experiment(workload, configuration: str, *,
@@ -42,7 +41,7 @@ def run_deposition_experiment(workload, configuration: str, *,
     Parameters
     ----------
     workload:
-        A workload builder exposing ``build_simulation`` and the attributes
+        A workload builder exposing ``build_session`` and the attributes
         ``ppc``, ``shape_order`` and ``max_steps`` (both
         :class:`~repro.workloads.uniform.UniformPlasmaWorkload` and
         :class:`~repro.workloads.lwfa.LWFAWorkload` qualify).
@@ -64,21 +63,20 @@ def run_deposition_experiment(workload, configuration: str, *,
     strategy = make_strategy(configuration, sorting_config=sorting_config,
                              cost_model=cost_model)
     with Session.from_workload(workload, deposition=strategy) as session:
-        simulation = session.simulation
         if scramble and hasattr(workload, "scramble_particles"):
-            workload.scramble_particles(simulation)
+            workload.scramble_particles(session)
 
         for _ in range(warmup_steps):
             session.step()
-        simulation.deposition_counters = KernelCounters()
+        session.deposition_counters = KernelCounters()
         # the stage breakdown must cover exactly the measured steps, like
         # the kernel counters and wall clock (warmup contaminated the
         # reported stage_seconds — the Figure-1 style breakdowns — before
         # this reset existed); ditto the telemetry counters reported as
         # the result's ``metrics``
-        simulation.breakdown.reset()
-        if simulation.telemetry.enabled:
-            simulation.telemetry.reset()
+        session.breakdown.reset()
+        if session.telemetry.enabled:
+            session.telemetry.reset()
 
         n_steps = workload.max_steps if steps is None else steps
         start = time.perf_counter()
@@ -86,13 +84,13 @@ def run_deposition_experiment(workload, configuration: str, *,
             pass
         wall = time.perf_counter() - start
 
-    timing = cost_model.timing(simulation.deposition_counters)
-    shape_order = getattr(workload, "shape_order", simulation.config.shape_order)
+    timing = cost_model.timing(session.deposition_counters)
+    shape_order = getattr(workload, "shape_order", session.config.shape_order)
     return ExperimentResult(
         configuration=configuration,
         ppc=getattr(workload, "ppc", 0),
         shape_order=shape_order,
-        num_particles=simulation.num_particles,
+        num_particles=session.num_particles,
         steps=n_steps,
         timing=timing,
         wall_seconds=wall,
@@ -100,13 +98,13 @@ def run_deposition_experiment(workload, configuration: str, *,
         # fine-grained breakdown.stage_seconds: the ExperimentResult
         # schema and the Figure-1/8 tables are keyed on the historical
         # bucket names
-        stage_seconds=dict(simulation.breakdown.seconds),
+        stage_seconds=dict(session.breakdown.seconds),
         # deterministic counter snapshot (wall-clock / executor-shaped
         # series excluded) — empty unless the workload enabled telemetry
-        metrics=(simulation.telemetry.snapshot()
-                 if simulation.telemetry.enabled else {}),
+        metrics=(session.telemetry.snapshot()
+                 if session.telemetry.enabled else {}),
         extra={
-            "effective_flops": simulation.deposition_counters.effective_flops,
+            "effective_flops": session.deposition_counters.effective_flops,
             "global_sorts": float(getattr(strategy, "global_sorts_performed", 0)),
         },
     )
@@ -144,17 +142,17 @@ def sweep_configurations(workload, configurations: Iterable[str], *,
 
 
 def run_simulation_experiment(workload, *, steps: Optional[int] = None
-                              ) -> Simulation:
+                              ) -> Session:
     """Run the plain (reference-kernel) simulation loop of a workload.
 
-    Returns the finished :class:`Simulation`; its ``breakdown`` attribute
+    Returns the finished :class:`Session`; its ``breakdown`` attribute
     holds the per-stage wall-clock seconds used for the Figure-1 style
     runtime breakdown.
     """
     # the context manager releases the executor's worker pools even when
     # the run raises; they are recreated lazily if the caller steps the
-    # returned simulation further
+    # returned session further
     with Session.from_workload(workload) as session:
         n_steps = workload.max_steps if steps is None else steps
         session.run_all(n_steps)
-    return session.simulation
+    return session

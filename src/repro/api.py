@@ -1,9 +1,19 @@
-"""Public facade: build and drive simulations through one small API.
+"""The run object: build and drive a simulation through one small API.
 
-:class:`Session` is the supported entry point for running the PIC loop.
-It wraps a :class:`~repro.pic.simulation.Simulation` (and therefore the
-:class:`~repro.pipeline.StepPipeline` behind it) and exposes a stepping
-iterator instead of the legacy imperative ``Simulation.step()`` calls::
+:class:`Session` *is* a run.  It wires the substrate together — grid,
+particle containers, Boris pusher, FDTD solver, boundary conditions,
+laser antenna, moving window, the pluggable deposition strategy, the
+tile executor and (on a decomposed run) the domain runtime — and
+advances it through the standard PIC cycle of §3.1:
+
+1. field gather and particle push,
+2. particle boundary conditions and tile redistribution,
+3. current deposition,
+4. field solve (Maxwell update) plus laser injection and window motion.
+
+The cycle itself is the one :class:`~repro.pipeline.StepPipeline` stage
+list built at construction; every stage and hook is handed the session
+itself, and ``session.grid`` is the array of record for every run::
 
     from repro.api import Session
     from repro.workloads.uniform import UniformPlasmaWorkload
@@ -13,36 +23,42 @@ iterator instead of the legacy imperative ``Simulation.step()`` calls::
             print(state.step, state.energy.total)
     breakdown = session.breakdown          # per-stage wall time
 
-Everything the old API returned is reachable through the session
-(``session.simulation`` for the full legacy object), and the pipeline is
-exposed for extension (``session.pipeline.insert_after(...)``,
-``session.pipeline.add_post_hook(...)``).
-
-Bitwise contract: a session-driven run is bit-identical to the same
-number of ``Simulation.step()`` calls — both are the same
-``pipeline.run_step()`` underneath.
+A session owns its collaborators: the kernel table resolved from
+``config.backend`` rides on its grid, and the telemetry registry built
+from ``config.observe`` is handed to its executor, halo exchange and
+hooks.  Neither is process state, so sessions with different tiers or
+tracing settings coexist in one process.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, List, Optional, Union
+from typing import Iterator, List, Optional, Union
 
-from repro.backend import BackendConfig
+import numpy as np
+
+from repro.backend import BackendConfig, activate
 from repro.config import SimulationConfig
-from repro.obs import ObsConfig, Telemetry
+from repro.exec import TileExecutor, create_executor
+from repro.hardware.counters import KernelCounters
+from repro.obs import HealthHook, ObsConfig, Telemetry, TracingHook
+from repro.obs.registry import NULL_TELEMETRY
+from repro.pic.boundary import FieldBoundaryConditions
 from repro.pic.diagnostics import (
     EnergyDiagnostic,
     EnergyRecord,
     RuntimeBreakdown,
 )
-from repro.pic.simulation import DepositionStrategy, Simulation
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.pic.grid import Grid
-    from repro.pic.particles import ParticleContainer
-    from repro.pipeline import StepPipeline
+from repro.pic.grid import Grid
+from repro.pic.laser import LaserAntenna
+from repro.pic.maxwell import FDTDSolver
+from repro.pic.moving_window import MovingWindow
+from repro.pic.particles import ParticleContainer
+from repro.pic.plasma import load_uniform_plasma
+from repro.pic.pusher import BorisPusher
+from repro.pic.simulation import DepositionStrategy, ReferenceDeposition
+from repro.pipeline import StepPipeline, build_pipeline
 
 __all__ = ["Session", "StepResult"]
 
@@ -71,13 +87,11 @@ class StepResult:
 
 
 class Session:
-    """One simulation run behind the composable step pipeline.
+    """A complete PIC run assembled from a :class:`SimulationConfig`.
 
-    Construct from a :class:`~repro.config.SimulationConfig` (keyword
-    options mirror :class:`~repro.pic.simulation.Simulation`), from a
-    workload builder (:meth:`from_workload` — also available as the
-    workloads' ``build_session``), or around an existing simulation
-    (:meth:`from_simulation`).
+    Construct from a config, or from a workload builder
+    (:meth:`from_workload` — also available as the workloads'
+    ``build_session``).
     """
 
     def __init__(self, config: SimulationConfig, *,
@@ -96,18 +110,80 @@ class Session:
             config = config.with_updates(backend=BackendConfig.coerce(backend))
         if observe is not None:
             config = config.with_updates(observe=_coerce_observe(observe))
-        self._simulation = Simulation(config, deposition=deposition,
-                                      load_plasma=load_plasma)
+        self.config = config
+        #: this run's telemetry registry, from ``config.observe`` (the
+        #: shared disabled one when observability is off, so recording
+        #: into it is always safe)
+        self.telemetry = (Telemetry(config.observe)
+                          if config.observe.enabled else NULL_TELEMETRY)
+        self.telemetry.count("backend.tier_resolves")
+        #: the kernel tier ``config.backend`` selects rides on the grid;
+        #: the stencil primitives dispatch through ``grid.kernels``
+        self.grid = Grid(config.grid, activate(config.backend))
+        self.dt = config.time_step
+        #: completed steps (the pipeline advances it after each one)
+        self.step_index = 0
+        self.rng = np.random.default_rng(config.seed)
 
-    # ------------------------------------------------------------------
-    # constructors
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_simulation(cls, simulation: Simulation) -> "Session":
-        """Wrap an already constructed simulation (no copies made)."""
-        session = cls.__new__(cls)
-        session._simulation = simulation
-        return session
+        self.containers: List[ParticleContainer] = [
+            ParticleContainer(config.grid, species) for species in config.species
+        ]
+        if load_plasma:
+            for container, species in zip(self.containers, config.species):
+                load_uniform_plasma(self.grid, container, species, self.rng)
+
+        self.pusher = BorisPusher(shape_order=config.shape_order)
+        self.solver = (
+            FDTDSolver(self.grid, scheme=config.field_solver)
+            if config.field_solver != "none" else None
+        )
+        self.boundaries = FieldBoundaryConditions(config.grid)
+        self.laser = (
+            LaserAntenna(config.laser, self.grid, axis=config.moving_window.axis)
+            if config.laser is not None else None
+        )
+        self.moving_window = MovingWindow(config.moving_window)
+        self.deposition: DepositionStrategy = (
+            deposition if deposition is not None else ReferenceDeposition()
+        )
+        #: tile execution engine shared by every per-tile stage of the loop
+        self.executor: TileExecutor = create_executor(config.execution,
+                                                      self.telemetry)
+
+        #: domain-decomposed solve + migration accounting (``None`` on a
+        #: single-domain run)
+        self.domain = None
+        if config.domain.is_decomposed:
+            from repro.domain.runtime import DomainRuntime
+
+            self.domain = DomainRuntime(self)
+
+        #: per-stage wall-time accounting of every step run so far
+        self.breakdown = RuntimeBreakdown(
+            executor_name=self.executor.name,
+            kernel_tier=self.grid.kernels.kernel_tier,
+            # share the telemetry's metric registry so the breakdown is
+            # a view over the exported metrics (time.bucket.*/time.stage.*)
+            metrics=(self.telemetry.metrics if self.telemetry.enabled
+                     else None),
+        )
+        self.energy = EnergyDiagnostic()
+        #: one-shot flag set by a :mod:`repro.ckpt` restore when the
+        #: re-loaded history already holds the record for the current
+        #: step; the next recording run consumes it instead of writing a
+        #: duplicate initial snapshot
+        self._skip_initial_energy_record = False
+        #: accumulated hardware counters from the deposition strategy
+        self.deposition_counters = KernelCounters()
+        #: the stage list every step runs through (:mod:`repro.pipeline`)
+        self.pipeline: StepPipeline = build_pipeline(self)
+        if self.telemetry.enabled:
+            tracing = TracingHook(self.telemetry)
+            self.pipeline.add_post_hook(tracing)
+            self.pipeline.add_step_hook(tracing.on_step)
+            if config.observe.health:
+                self.pipeline.add_step_hook(
+                    HealthHook(config.observe, self.telemetry))
 
     @classmethod
     def from_workload(cls, workload, *,
@@ -117,7 +193,7 @@ class Session:
                       ) -> "Session":
         """Build a session from a workload builder.
 
-        ``workload`` is anything exposing ``build_simulation`` (all of
+        ``workload`` is anything exposing ``build_session`` (all of
         :mod:`repro.workloads`, plus user-defined builders).  ``backend``
         overrides the workload's backend selection (a
         :class:`~repro.backend.BackendConfig` or a kernel-tier name);
@@ -130,68 +206,32 @@ class Session:
         if observe is not None:
             workload = dataclasses.replace(
                 workload, observe=_coerce_observe(observe))
-        return cls.from_simulation(
-            workload.build_simulation(deposition=deposition))
+        return workload.build_session(deposition=deposition)
 
     # ------------------------------------------------------------------
-    # the underlying objects
-    # ------------------------------------------------------------------
     @property
-    def simulation(self) -> Simulation:
-        """The wrapped simulation (full legacy surface)."""
-        return self._simulation
-
-    @property
-    def pipeline(self) -> "StepPipeline":
-        """The stage graph driving every step; open for extension."""
-        return self._simulation.pipeline
-
-    @property
-    def config(self) -> SimulationConfig:
-        return self._simulation.config
-
-    @property
-    def grid(self) -> "Grid":
-        return self._simulation.grid
-
-    @property
-    def containers(self) -> List["ParticleContainer"]:
-        return self._simulation.containers
-
-    @property
-    def breakdown(self) -> RuntimeBreakdown:
-        """Per-stage wall-time accounting of every step run so far."""
-        return self._simulation.breakdown
-
-    @property
-    def energy(self) -> EnergyDiagnostic:
-        return self._simulation.energy
-
-    @property
-    def telemetry(self) -> Telemetry:
-        """The run's telemetry registry (:mod:`repro.obs`)."""
-        return self._simulation.telemetry
-
-    @property
-    def step_index(self) -> int:
-        return self._simulation.step_index
+    def simulation(self) -> "Session":
+        """The session itself: the one alias left of the retired
+        ``Simulation`` wrapper, kept while ``bench/`` spells it."""
+        return self
 
     @property
     def time(self) -> float:
-        return self._simulation.time
+        """Physical time of the current step [s]."""
+        return self.step_index * self.dt
 
     @property
     def num_particles(self) -> int:
-        return self._simulation.num_particles
+        """Total macro-particles across all species."""
+        return sum(c.num_particles for c in self.containers)
 
     # ------------------------------------------------------------------
     # stepping
     # ------------------------------------------------------------------
     def step(self) -> StepResult:
         """Advance exactly one step through the pipeline."""
-        simulation = self._simulation
-        simulation.pipeline.run_step()
-        return StepResult(step=simulation.step_index, time=simulation.time)
+        self.pipeline.run_step()
+        return StepResult(step=self.step_index, time=self.time)
 
     def run(self, steps: Optional[int] = None,
             record_energy: bool = False) -> Iterator[StepResult]:
@@ -203,35 +243,37 @@ class Session:
         one initial snapshot before the first step and one after every
         step.
         """
-        simulation = self._simulation
-        n = simulation.config.max_steps if steps is None else steps
-        telemetry = simulation.telemetry
-        telemetry.begin_span("run", cat="run", args={"steps": n})
+        n = self.config.max_steps if steps is None else steps
+        self.telemetry.begin_span("run", cat="run", args={"steps": n})
         try:
             if record_energy:
-                if simulation._skip_initial_energy_record:
+                if self._skip_initial_energy_record:
                     # a ckpt restore re-loaded a history that already
                     # holds the record for the current step; recording it
                     # again would fork the history from an uninterrupted
                     # run
-                    simulation._skip_initial_energy_record = False
+                    self._skip_initial_energy_record = False
                 else:
-                    simulation._record_energy()
+                    self._record_energy()
             for _ in range(n):
-                simulation.pipeline.run_step()
-                energy = (simulation._record_energy()
-                          if record_energy else None)
-                yield StepResult(step=simulation.step_index,
-                                 time=simulation.time, energy=energy)
+                self.pipeline.run_step()
+                energy = self._record_energy() if record_energy else None
+                yield StepResult(step=self.step_index, time=self.time,
+                                 energy=energy)
         finally:
-            telemetry.end_span("run")
+            self.telemetry.end_span("run")
 
     def run_all(self, steps: Optional[int] = None,
                 record_energy: bool = False) -> RuntimeBreakdown:
         """Drain :meth:`run` and return the runtime breakdown."""
         for _ in self.run(steps, record_energy=record_energy):
             pass
-        return self._simulation.breakdown
+        return self.breakdown
+
+    def _record_energy(self) -> EnergyRecord:
+        """Record an energy snapshot of the current step."""
+        return self.energy.record(self.step_index, self.grid,
+                                  self.containers, executor=self.executor)
 
     # ------------------------------------------------------------------
     # checkpoint/restart
@@ -245,7 +287,7 @@ class Session:
         """
         from repro.ckpt import save_simulation
 
-        return save_simulation(self._simulation, path)
+        return save_simulation(self, path)
 
     def restore(self, path: str) -> "Session":
         """Load the snapshot at ``path`` into this session, in place.
@@ -258,15 +300,16 @@ class Session:
         """
         from repro.ckpt import restore_simulation
 
-        restore_simulation(self._simulation, path)
+        restore_simulation(self, path)
         return self
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
-        """Release the executor's worker pools (idempotent)."""
-        self._simulation.shutdown()
+        """Release the executor's worker pools (idempotent; the pools
+        are recreated lazily if the session is stepped again)."""
+        self.executor.shutdown()
 
     def __enter__(self) -> "Session":
         return self

@@ -24,7 +24,7 @@ selection rule (first match wins):
 
 The selection belongs to the run: :func:`activate` is a pure function
 of its argument, the installed packages and the environment, the
-:class:`~repro.pic.simulation.Simulation` carries the row on its grid
+:class:`~repro.api.Session` carries the row on its grid
 (``grid.kernels``), and no module here remembers a "current" tier, so
 two runs in one process do not see each other.  A caller with no run —
 a bare ``Grid(config)``, the grid-less Appendix-B workloads — uses
@@ -111,7 +111,7 @@ def activate(config: Union[BackendConfig, str, None] = None
 
     ``config`` is a :class:`~repro.backend.base.BackendConfig`, a bare
     kernel-tier name, or ``None`` for the defaults.  Called by
-    :class:`repro.pic.simulation.Simulation` at construction, which
+    :class:`repro.api.Session` at construction, which
     carries the row on its grid.  Raises :class:`ValueError` for an
     unknown tier name and for an explicit tier that cannot run here.
     """

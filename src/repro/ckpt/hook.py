@@ -1,11 +1,10 @@
-"""Periodic checkpointing as a :class:`StepPipeline` post-stage hook.
+"""Periodic checkpointing as a :class:`StepPipeline` step hook.
 
-The hook rides the PR 5 hook seam instead of being a stage: it fires
-after every stage, does nothing until the *last* stage of the step has
-run, and then snapshots the just-completed step when it lands on the
-``every`` interval.  Because hooks run before the pipeline epilogue
-advances ``step_index``, the completed step is ``ctx.step_index + 1``
-— the snapshot filename records the number of fully executed steps.
+The hook rides the PR 5 hook seam instead of being a stage: the pipeline
+calls it once per completed step, after the epilogue has advanced
+``step_index``, and it snapshots the session when that count lands on
+the ``every`` interval — the snapshot filename records the number of
+fully executed steps.
 
 Like every shipped stage, the hook declares its ``reads``/``writes``
 effect sets against the :mod:`repro.pipeline.effects` vocabulary so the
@@ -23,15 +22,15 @@ from repro.ckpt.session import save_simulation
 from repro.ckpt.store import list_snapshots, snapshot_path
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.pipeline.core import Stage, StageContext
+    from repro.api import Session
 
 __all__ = ["CheckpointHook"]
 
 
 class CheckpointHook:
-    """Post-stage hook writing a snapshot every ``every`` completed steps.
+    """Step hook writing a snapshot every ``every`` completed steps.
 
-    Attach with ``pipeline.add_post_hook(hook)``; detach with
+    Attach with ``pipeline.add_step_hook(hook)``; detach with
     ``pipeline.remove_hook(hook)``.  ``keep`` bounds the directory to
     the newest ``keep`` snapshots (older ones are pruned best-effort
     after each write); ``None`` keeps everything.
@@ -40,14 +39,14 @@ class CheckpointHook:
     name = "checkpoint"
 
     reads = frozenset({
-        "step_index",
+        "config", "step_index",
         "grid.fields", "grid.currents", "grid.geometry",
         "containers.position", "containers.momentum",
         "containers.membership",
-        "simulation.moving_window", "simulation.energy",
-        "simulation.deposition_counters",
+        "moving_window", "energy", "deposition_counters",
+        "telemetry",
     })
-    writes = frozenset()
+    writes = frozenset({"telemetry"})
 
     def __init__(self, directory: str, every: int = 1,
                  keep: "int | None" = None) -> None:
@@ -61,18 +60,11 @@ class CheckpointHook:
         #: paths written by this hook, oldest first (diagnostics/tests)
         self.saved: List[str] = []
 
-    def __call__(self, stage: "Stage", ctx: "StageContext",
-                 seconds: float) -> None:
-        stages = ctx.simulation.pipeline.stages
-        if not stages or stage is not stages[-1]:
+    def __call__(self, session: "Session") -> None:
+        if session.step_index % self.every != 0:
             return
-        completed = ctx.step_index + 1
-        if completed % self.every != 0:
-            return
-        path = snapshot_path(self.directory, completed)
-        # the epilogue has not advanced step_index yet: record the
-        # completed step explicitly so resume continues *after* it
-        save_simulation(ctx.simulation, path, step_index=completed)
+        path = snapshot_path(self.directory, session.step_index)
+        save_simulation(session, path)
         self.saved.append(path)
         if self.keep is not None:
             self._prune()

@@ -1,4 +1,5 @@
-"""Full-state capture and bitwise-exact restore of a :class:`Simulation`.
+"""Full-state capture and bitwise-exact restore of a
+:class:`~repro.api.Session`.
 
 The resume contract mirrors the domain-parity contract: for any
 (backend, kernel tier, shard count, domain split), a run of ``N`` steps
@@ -48,7 +49,7 @@ from repro.hardware.counters import KernelCounters, PhaseCounters
 from repro.pic.particles import _SOA_FIELDS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.pic.simulation import Simulation
+    from repro.api import Session
 
 __all__ = [
     "STATE_VERSION",
@@ -96,21 +97,15 @@ def _rng_state(rng: Any) -> Any:
     return None if rng is None else rng.bit_generator.state
 
 
-def _injector_rng(simulation: "Simulation") -> Any:
+def _injector_rng(simulation: "Session") -> Any:
     """The moving-window injector's RNG, when the workload exposes one."""
     injector = simulation.moving_window.injector
     return getattr(injector, "rng", None) if injector is not None else None
 
 
-def capture_state(simulation: "Simulation", *,
-                  step_index: "int | None" = None
+def capture_state(simulation: "Session"
                   ) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
-    """Snapshot ``simulation`` into a ``(meta, arrays)`` pair.
-
-    ``step_index`` overrides the recorded step count: a post-stage hook
-    runs before the pipeline epilogue advances ``simulation.step_index``,
-    so it passes the just-completed step explicitly.
-    """
+    """Snapshot ``simulation`` into a ``(meta, arrays)`` pair."""
     grid = simulation.grid
     arrays: Dict[str, np.ndarray] = {
         f"grid.{name}": array for name, array in grid.field_arrays().items()
@@ -138,8 +133,7 @@ def capture_state(simulation: "Simulation", *,
     meta: Dict[str, Any] = {
         "state_version": STATE_VERSION,
         "config_fingerprint": config_fingerprint(simulation.config),
-        "step_index": (simulation.step_index if step_index is None
-                       else int(step_index)),
+        "step_index": simulation.step_index,
         "window_total_shift_cells": window.total_shift_cells,
         "rng": {
             "simulation": _rng_state(simulation.rng),
@@ -159,7 +153,7 @@ def capture_state(simulation: "Simulation", *,
     return meta, arrays
 
 
-def restore_state(simulation: "Simulation", meta: Dict[str, Any],
+def restore_state(simulation: "Session", meta: Dict[str, Any],
                   arrays: Dict[str, np.ndarray]) -> None:
     """Load a captured ``(meta, arrays)`` pair into ``simulation``.
 
@@ -252,12 +246,11 @@ def restore_state(simulation: "Simulation", meta: Dict[str, Any],
         history and history[-1][0] >= simulation.step_index)
 
 
-def save_simulation(simulation: "Simulation", path: str, *,
-                    step_index: "int | None" = None) -> str:
+def save_simulation(simulation: "Session", path: str) -> str:
     """Capture ``simulation`` and write it to ``path`` atomically."""
     handle = simulation.telemetry
     with handle.span("ckpt.save", cat="ckpt"):
-        meta, arrays = capture_state(simulation, step_index=step_index)
+        meta, arrays = capture_state(simulation)
         written = write_snapshot(path, meta, arrays)
     handle.count("ckpt.saves")
     try:
@@ -267,7 +260,7 @@ def save_simulation(simulation: "Simulation", path: str, *,
     return written
 
 
-def restore_simulation(simulation: "Simulation", path: str) -> None:
+def restore_simulation(simulation: "Session", path: str) -> None:
     """Read, verify and load the snapshot at ``path`` into ``simulation``."""
     handle = simulation.telemetry
     with handle.span("ckpt.restore", cat="ckpt"):

@@ -13,10 +13,9 @@ directory is a pure cache hit::
 The JSON output embeds the cache accounting (``{"cache": {"hits": ...}}``)
 so CI jobs can assert a warm rerun recomputed nothing.
 
-The ``run`` subcommand drives one simulation through the public
-:class:`repro.api.Session` facade (and therefore the
-:mod:`repro.pipeline` stage graph) and reports the per-stage wall-time
-breakdown plus, optionally, the energy history::
+The ``run`` subcommand drives one :class:`repro.api.Session` (and
+therefore the :mod:`repro.pipeline` stage list) and reports the
+per-stage wall-time breakdown plus, optionally, the energy history::
 
     python -m repro run --workload uniform --ppc 8 --steps 5 \\
         --backend threads --shards 4 --domains 2,1,1 --record-energy
@@ -28,6 +27,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = subparsers.add_parser(
         "run",
-        help="run one simulation through the repro.api.Session facade",
+        help="run one simulation as a repro.api.Session",
         description="Build a single workload, drive it with Session.run "
                     "(the repro.pipeline stage graph) and print the "
                     "per-stage wall-time breakdown.",
@@ -582,12 +582,17 @@ def cmd_run(args, stdout=None) -> int:
     with session:
         steps = args.steps
         if args.resume:
-            from repro.ckpt import latest_valid_snapshot
+            from repro.ckpt import SnapshotError, latest_valid_snapshot
 
             loaded = latest_valid_snapshot(checkpoint_dir,
                                            session.telemetry)
             if loaded is not None:
-                session.restore(loaded.path)
+                try:
+                    session.restore(loaded.path)
+                except SnapshotError as exc:
+                    print(f"error: cannot resume from {loaded.path}: {exc}",
+                          file=sys.stderr)
+                    return 2
                 print(f"resumed from {loaded.path} "
                       f"(step {loaded.step})", file=sys.stderr)
             # run only what remains toward the requested step count
@@ -595,7 +600,17 @@ def cmd_run(args, stdout=None) -> int:
         if args.checkpoint_every is not None:
             from repro.ckpt import CheckpointHook
 
-            session.pipeline.add_post_hook(
+            # fail before the first step, not at the first snapshot
+            try:
+                os.makedirs(checkpoint_dir, exist_ok=True)
+                if not os.access(checkpoint_dir, os.W_OK | os.X_OK):
+                    raise PermissionError(f"{checkpoint_dir!r} is not "
+                                          "writable")
+            except OSError as exc:
+                print(f"error: cannot use checkpoint directory: {exc}",
+                      file=sys.stderr)
+                return 2
+            session.pipeline.add_step_hook(
                 CheckpointHook(checkpoint_dir,
                                every=args.checkpoint_every))
         for _ in session.run(steps, record_energy=args.record_energy):

@@ -205,10 +205,9 @@ class ExecutionConfig:
         for the same shard count (see the determinism contract in
         :mod:`repro.exec.base`).
 
-    The executor this selects travels inside the step pipeline's stage
-    context (:class:`repro.pipeline.StageContext`): the executor-sharded
-    step path is the *same* stage list as the serial one, sharding inside
-    the stage bodies.
+    The executor this selects belongs to the run (``session.executor``):
+    the executor-sharded step path is the *same* stage list as the serial
+    one, sharding inside the stage bodies.
     """
 
     backend: str = "serial"

@@ -1,6 +1,6 @@
 """The domain-decomposed field solve.
 
-The frame grid (``simulation.grid``) is the array of record for every
+The frame grid (``session.grid``) is the array of record for every
 run: gather/push, deposition, laser, boundaries, the moving window,
 energy, checkpoints and health probes all run the single-domain code on
 it.  A decomposed run differs in one stage, the field solve:
@@ -32,11 +32,12 @@ from typing import TYPE_CHECKING, List, Sequence
 from repro.domain.decomposition import Decomposition, Subdomain
 from repro.domain.halo import B_FIELDS, E_FIELDS, EM_FIELDS, HaloExchange
 from repro.domain.migration import MigrationStats
-from repro.exec import map_shards
+from repro.exec import TileExecutor, map_shards
+from repro.pic.grid import Grid
 from repro.pic.maxwell import FDTDSolver
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.pic.simulation import Simulation
+    from repro.api import Session
 
 
 def _solver_stage_shard(solvers: Sequence[FDTDSolver], method: str,
@@ -47,15 +48,15 @@ def _solver_stage_shard(solvers: Sequence[FDTDSolver], method: str,
 
 
 class DomainRuntime:
-    """The decomposition and per-slab solvers attached to a ``Simulation``."""
+    """The decomposition and per-slab solvers attached to a ``Session``."""
 
-    def __init__(self, simulation: "Simulation"):
-        config = simulation.config
+    def __init__(self, session: "Session"):
+        config = session.config
         self.decomposition = Decomposition(config.grid,
                                            config.domain.domains)
-        self.decomposition.build_slabs(simulation.grid)
-        self.halo = HaloExchange(self.decomposition, simulation.grid.periodic,
-                                 simulation.telemetry)
+        self.decomposition.build_slabs(session.grid)
+        self.halo = HaloExchange(self.decomposition, session.grid.periodic,
+                                 session.telemetry)
         self.migration = MigrationStats(self.decomposition)
         self.solvers: List[FDTDSolver] = (
             [FDTDSolver(sub.slab, scheme=config.field_solver)
@@ -68,8 +69,8 @@ class DomainRuntime:
         """The decomposition's subdomains (row-major order)."""
         return self.decomposition.subdomains
 
-    def solve(self, simulation: "Simulation") -> None:
-        """One leap-frog field update of the frame grid, slab by slab.
+    def solve(self, grid: Grid, dt: float, executor: TileExecutor) -> None:
+        """One leap-frog field update of the frame ``grid``, slab by slab.
 
         Each sub-update reads at most one cell past the cells it keeps,
         so an exchange before each of the three sub-updates makes every
@@ -77,17 +78,16 @@ class DomainRuntime:
         update.  The slab current halos are never written or read (the
         solver's ``push_e`` reads J at the cell it updates).
         """
-        frame = simulation.grid.field_arrays()
+        frame = grid.field_arrays()
         for sub in self.subdomains:
             for name in (*EM_FIELDS, "jx", "jy", "jz"):
                 sub.interior_view(getattr(sub.slab, name))[...] = \
                     frame[name][sub.global_slices]
-        dt = simulation.dt
         for names, method, sub_dt in ((E_FIELDS, "push_b", 0.5 * dt),
                                       (B_FIELDS, "push_e", dt),
                                       (E_FIELDS, "push_b", 0.5 * dt)):
             self.halo.exchange(names)
-            map_shards(simulation.executor, _solver_stage_shard,
+            map_shards(executor, _solver_stage_shard,
                        self.solvers, method, sub_dt)
         for sub in self.subdomains:
             for name in EM_FIELDS:

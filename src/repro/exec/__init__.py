@@ -28,10 +28,10 @@ in shard order — so for a given shard count the deposited currents and
 merged :class:`~repro.hardware.counters.KernelCounters` are bitwise
 identical whichever backend ran the shards.
 
-The simulation's executor rides inside the step pipeline's stage context
-(:class:`repro.pipeline.StageContext`); stages shard their tile work over
-it, so switching backends never changes the stage set — only how each
-stage runs.
+The executor belongs to the run (``session.executor``,
+:class:`repro.api.Session`); stages shard their tile work over it, so
+switching backends never changes the stage set — only how each stage
+runs.
 """
 
 from repro.exec.base import (

@@ -8,8 +8,9 @@ One spine for every runtime signal the library emits:
   ``--trace``/``--metrics`` on the CLIs) and passed as ``obs=`` to
   everything that records into it;
 * :class:`TracingHook` (:mod:`repro.obs.hooks`) — pipeline-hook-seam
-  instrumentation producing the run → step → stage span hierarchy and
-  the always-on pipeline counters;
+  instrumentation producing the always-on pipeline counters and the
+  per-step counter sample (the run → step → stage spans are opened and
+  closed by the session and its pipeline);
 * :class:`HealthHook` (:mod:`repro.obs.health`) — per-step energy-drift,
   charge-conservation and NaN/Inf probes with warn/abort thresholds;
 * :mod:`repro.obs.trace` — JSONL and Chrome ``trace_event`` export

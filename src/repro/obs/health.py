@@ -3,9 +3,9 @@
 A PIC run can go numerically wrong long before it crashes — a CFL
 violation shows up as secular energy growth, a broken deposition as a
 drifting total charge, an unstable solver as NaNs that silently spread.
-:class:`HealthHook` watches all three as a post-stage pipeline hook (the
-:class:`~repro.ckpt.hook.CheckpointHook` pattern: fire only after the
-last stage of a step, every ``health_every`` completed steps):
+:class:`HealthHook` watches all three as a pipeline step hook (the
+:class:`~repro.ckpt.hook.CheckpointHook` pattern: fire once per
+completed step, act every ``health_every`` of them):
 
 * **NaN/Inf field guard** — any non-finite value in the six EM field
   arrays aborts immediately (:class:`PhysicsHealthError`); a non-finite
@@ -44,7 +44,7 @@ from repro.obs.log import log_event
 from repro.obs.registry import Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.pipeline.core import Stage, StageContext
+    from repro.api import Session
 
 __all__ = ["HealthHook", "PhysicsHealthError"]
 
@@ -59,9 +59,9 @@ class PhysicsHealthError(RuntimeError):
 
 
 class HealthHook:
-    """Post-stage hook probing physics health every ``health_every`` steps.
+    """Step hook probing physics health every ``health_every`` steps.
 
-    Attach with ``pipeline.add_post_hook(hook)``.  Thresholds and
+    Attach with ``pipeline.add_step_hook(hook)``.  Thresholds and
     cadence come from the run's :class:`~repro.obs.config.ObsConfig`;
     probe results land as gauges on the supplied telemetry.
     """
@@ -90,22 +90,16 @@ class HealthHook:
         self._warned_charge = False
 
     # ------------------------------------------------------------------
-    def __call__(self, stage: "Stage", ctx: "StageContext",
-                 seconds: float) -> None:
-        stages = ctx.simulation.pipeline.stages
-        if not stages or stage is not stages[-1]:
-            return
-        completed = ctx.step_index + 1
-        if completed % self.config.health_every != 0:
-            return
-        self.probe(ctx, completed)
+    def __call__(self, session: "Session") -> None:
+        if session.step_index % self.config.health_every == 0:
+            self.probe(session)
 
-    def probe(self, ctx: "StageContext", completed: int) -> None:
+    def probe(self, session: "Session") -> None:
         """Run all enabled probes against the just-completed step."""
         from repro.pic.diagnostics import total_particle_charge
 
-        simulation = ctx.simulation
-        grid = simulation.grid
+        completed = session.step_index
+        grid = session.grid
         telemetry = self.telemetry
         telemetry.count("health.probes")
 
@@ -119,12 +113,12 @@ class HealthHook:
 
         field_energy = grid.field_energy()
         kinetic = sum(
-            container.kinetic_energy(executor=simulation.executor)
-            for container in simulation.containers
+            container.kinetic_energy(executor=session.executor)
+            for container in session.containers
         )
         total_energy = field_energy + kinetic
         charge = sum(total_particle_charge(container)
-                     for container in simulation.containers)
+                     for container in session.containers)
 
         if not self._baseline_energy:
             self._baseline_energy = total_energy

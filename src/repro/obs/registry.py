@@ -4,13 +4,13 @@ One :class:`Telemetry` object is the spine every subsystem of a run
 reports into: counters and gauges land in its :class:`MetricSet`, spans
 and structured log events in its ordered event list.  A registry is
 *handed* to whoever records into it — the
-:class:`~repro.pic.simulation.Simulation` builds one from its
+:class:`~repro.api.Session` builds one from its
 ``config.observe`` and passes it to its executor and halo exchange, a
 campaign or the job service passes its own to its pool, journal and
 caches — and nothing in this module remembers a "current" one, so a
 traced run and an untraced one in the same process never mix::
 
-    HaloExchange(decomposition, periodic, obs=simulation.telemetry)
+    HaloExchange(decomposition, periodic, obs=session.telemetry)
 
 A handle parameter defaults to :data:`NULL_TELEMETRY`, the shared
 disabled registry: recording into it is a single flag check.

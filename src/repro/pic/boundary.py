@@ -90,11 +90,10 @@ class FieldBoundaryStage:
     name = "boundary"
     bucket = "field_solve"
     reads = frozenset({
-        "grid.geometry", "simulation.solver", "simulation.boundaries",
+        "grid.geometry", "solver", "boundaries",
     })
     writes = frozenset({"grid.fields"})
 
-    def run(self, ctx) -> None:
-        simulation = ctx.simulation
-        if simulation.solver is not None:
-            simulation.boundaries.apply(ctx.grid)
+    def run(self, session) -> None:
+        if session.solver is not None:
+            session.boundaries.apply(session.grid)

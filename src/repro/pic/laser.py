@@ -76,11 +76,10 @@ class LaserStage:
     name = "laser"
     bucket = "field_solve"
     reads = frozenset({
-        "grid.geometry", "simulation.laser", "simulation.time", "dt",
+        "grid.geometry", "laser", "time", "dt",
     })
     writes = frozenset({"grid.fields"})
 
-    def run(self, ctx) -> None:
-        simulation = ctx.simulation
-        if simulation.laser is not None:
-            simulation.laser.inject(ctx.grid, simulation.time, ctx.dt)
+    def run(self, session) -> None:
+        if session.laser is not None:
+            session.laser.inject(session.grid, session.time, session.dt)

@@ -225,16 +225,16 @@ class FieldSolveStage:
     name = "solve"
     bucket = "field_solve"
     reads = frozenset({
-        "grid.fields", "grid.currents", "simulation.solver",
+        "grid.fields", "grid.currents", "solver",
         "domain.solvers", "dt", "executor", "telemetry",
     })
     writes = frozenset({"grid.fields", "telemetry"})
 
-    def run(self, ctx) -> None:
-        solver = ctx.simulation.solver
+    def run(self, session) -> None:
+        solver = session.solver
         if solver is None:
             return
-        if ctx.domain is not None:
-            ctx.domain.solve(ctx.simulation)
+        if session.domain is not None:
+            session.domain.solve(session.grid, session.dt, session.executor)
         else:
-            solver.step(ctx.dt)
+            solver.step(session.dt)

@@ -91,7 +91,7 @@ class MovingWindowStage:
     name = "moving_window"
     bucket = "boundary_redistribute"
     reads = frozenset({
-        "simulation.moving_window", "grid.geometry", "containers.position",
+        "moving_window", "grid.geometry", "containers.position",
         "containers.membership", "dt", "step_index",
     })
     writes = frozenset({
@@ -99,6 +99,6 @@ class MovingWindowStage:
         "containers.membership",
     })
 
-    def run(self, ctx) -> None:
-        ctx.simulation.moving_window.advance(ctx.grid, ctx.containers,
-                                             ctx.dt, ctx.step_index)
+    def run(self, session) -> None:
+        session.moving_window.advance(session.grid, session.containers,
+                                      session.dt, session.step_index)

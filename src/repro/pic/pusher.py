@@ -119,9 +119,9 @@ class BorisPusher:
 class GatherPushStage:
     """Pipeline stage: field gather + Boris push for every species.
 
-    Single-domain variant — gathers from the global frame grid, sharding
-    the per-tile work over the context's executor exactly like the
-    pre-pipeline loop (see :class:`repro.pipeline.StepPipeline`).
+    Gathers from the frame grid, sharding the per-tile work over the
+    session's executor exactly like the pre-pipeline loop (see
+    :class:`repro.pipeline.StepPipeline`).
     """
 
     name = "gather_push"
@@ -129,12 +129,11 @@ class GatherPushStage:
     reads = frozenset({
         "grid.fields", "grid.geometry", "containers.position",
         "containers.momentum", "containers.membership",
-        "simulation.pusher", "dt", "executor",
+        "pusher", "dt", "executor",
     })
     writes = frozenset({"containers.position", "containers.momentum"})
 
-    def run(self, ctx) -> None:
-        simulation = ctx.simulation
-        for container in ctx.containers:
-            simulation.pusher.push(container, ctx.grid, ctx.dt,
-                                   executor=ctx.executor)
+    def run(self, session) -> None:
+        for container in session.containers:
+            session.pusher.push(container, session.grid, session.dt,
+                                executor=session.executor)

@@ -2,9 +2,11 @@
 
 Public surface
 --------------
-* :class:`Stage` — structural protocol: ``name``, ``bucket``, ``run(ctx)``;
-* :class:`StageContext` — the live view a stage works through;
-* :class:`StepPipeline` — stage ordering, pre/post hooks, ``run_step``;
+* :class:`Stage` — structural protocol: ``name``, ``bucket``,
+  ``run(session)`` (stages and hooks are handed the
+  :class:`~repro.api.Session` itself);
+* :class:`StepPipeline` — stage ordering, pre-stage / post-stage / step
+  hooks, ``run_step``;
 * :class:`BreakdownTimingHook` — the default per-stage timing hook;
 * :func:`build_pipeline` / :func:`global_stages` — the one stage list;
 * the stage vocabulary — gather/push, migrate, moving window, deposit,
@@ -25,7 +27,6 @@ from repro.pipeline.builder import build_pipeline, global_stages
 from repro.pipeline.core import (
     BreakdownTimingHook,
     Stage,
-    StageContext,
     StepPipeline,
 )
 from repro.pipeline.effects import (
@@ -60,7 +61,6 @@ __all__ = [
     "RESOURCES",
     "STEP_CARRIED",
     "Stage",
-    "StageContext",
     "StepPipeline",
     "build_pipeline",
     "check_stage_set",

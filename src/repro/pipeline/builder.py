@@ -2,8 +2,8 @@
 
 Every run — single-domain, executor-sharded, domain-decomposed — steps
 through the same seven stages on the frame grid.  Sharding happens
-inside the stage bodies, driven by the executor carried in the context;
-a decomposed run differs inside the solve stage only
+inside the stage bodies, driven by the session's executor; a decomposed
+run differs inside the solve stage only
 (:class:`~repro.pic.maxwell.FieldSolveStage`).
 
 :func:`build_pipeline` attaches the default
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List
 
-from repro.pipeline.core import BreakdownTimingHook, Stage, StageContext, StepPipeline
+from repro.pipeline.core import BreakdownTimingHook, Stage, StepPipeline
 from repro.pipeline.stages import (
     DepositStage,
     FieldBoundaryStage,
@@ -28,7 +28,7 @@ from repro.pipeline.stages import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.pic.simulation import Simulation
+    from repro.api import Session
 
 
 def global_stages() -> List[Stage]:
@@ -44,14 +44,12 @@ def global_stages() -> List[Stage]:
     ]
 
 
-def build_pipeline(simulation: "Simulation") -> StepPipeline:
-    """The step pipeline for a simulation, timing hook attached.
+def build_pipeline(session: "Session") -> StepPipeline:
+    """The step pipeline for a session, timing hook attached.
 
-    Every :class:`~repro.pic.simulation.Simulation` calls this once at
-    construction; ``Simulation.step`` (and the
-    :class:`~repro.api.Session` facade above it) then just runs the
-    returned pipeline.
+    Every :class:`~repro.api.Session` calls this once at construction;
+    ``Session.step`` then just runs the returned pipeline.
     """
-    pipeline = StepPipeline(global_stages(), StageContext(simulation))
+    pipeline = StepPipeline(global_stages(), session)
     pipeline.add_post_hook(BreakdownTimingHook())
     return pipeline

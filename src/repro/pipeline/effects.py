@@ -7,8 +7,8 @@ enforced in two layers:
 
 * ``python -m repro lint`` (the ``stage-effects`` analyzer in
   :mod:`repro.tools`) AST-scans each stage's ``run`` method for
-  :class:`~repro.pipeline.core.StageContext` attribute accesses and
-  verifies the declarations are *complete*: every context attribute the
+  attribute accesses on the :class:`~repro.api.Session` it is handed and
+  verifies the declarations are *complete*: every session attribute the
   body touches must be the root of at least one declared resource;
 * :func:`check_stage_set` replays the built stage list against the
   declarations and reports **write-after-read ordering hazards**: a
@@ -21,9 +21,9 @@ enforced in two layers:
 
 Resource names are hierarchical: ``"grid.currents"`` conflicts with
 ``"grid.currents"`` and with ``"grid"`` but not with ``"grid.fields"``.
-The roots are exactly the :class:`~repro.pipeline.core.StageContext`
-attribute names, which is what makes the AST completeness check
-possible without executing any stage.
+The roots are exactly the :class:`~repro.api.Session` attribute names —
+a stage is handed the session and nothing else — which is what makes the
+AST completeness check possible without executing any stage.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ __all__ = [
 ]
 
 #: The closed resource vocabulary stages may declare effects over.  The
-#: first dotted component is always a :class:`~repro.pipeline.core.
-#: StageContext` attribute name; finer components name the piece of that
-#: object the stage touches.  Extend this tuple (and the carried/external
-#: sets below) in the same change that introduces a new resource.
+#: first dotted component is always a :class:`~repro.api.Session`
+#: attribute name; finer components name the piece of that object the
+#: stage touches.  Extend this tuple (and the carried/external sets
+#: below) in the same change that introduces a new resource.
 RESOURCES: FrozenSet[str] = frozenset({
     # per-step external inputs (never written by a stage)
     "config",
@@ -55,21 +55,19 @@ RESOURCES: FrozenSet[str] = frozenset({
     "step_index",
     "time",
     "executor",
-    "kernels",
     "breakdown",
     # the run's metric/event registry (repro.obs); an external
     # accumulator like `breakdown` — recording never orders stages
     "telemetry",
-    # services and telemetry owned by the simulation object
-    "simulation.pusher",
-    "simulation.deposition",
-    "simulation.deposition_counters",
-    "simulation.laser",
-    "simulation.solver",
-    "simulation.boundaries",
-    "simulation.moving_window",
-    "simulation.time",
-    "simulation.energy",
+    # the session's construction-time services and accumulators
+    "pusher",
+    "deposition",
+    "deposition_counters",
+    "laser",
+    "solver",
+    "boundaries",
+    "moving_window",
+    "energy",
     # the global frame grid
     "grid.fields",
     "grid.currents",
@@ -97,7 +95,7 @@ STEP_CARRIED: FrozenSet[str] = frozenset({
     "containers.momentum",
     "containers.membership",
     "domain.migration",
-    "simulation.energy",
+    "energy",
 })
 
 #: Read-only per-step inputs and construction-time services.  Reading
@@ -108,16 +106,14 @@ EXTERNAL_RESOURCES: FrozenSet[str] = frozenset({
     "step_index",
     "time",
     "executor",
-    "kernels",
     "breakdown",
     "telemetry",
-    "simulation.pusher",
-    "simulation.deposition",
-    "simulation.laser",
-    "simulation.solver",
-    "simulation.boundaries",
-    "simulation.moving_window",
-    "simulation.time",
+    "pusher",
+    "deposition",
+    "laser",
+    "solver",
+    "boundaries",
+    "moving_window",
     "domain.solvers",
 })
 

@@ -11,16 +11,11 @@ the stage vocabulary.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.pic.boundary import FieldBoundaryStage
 from repro.pic.laser import LaserStage
 from repro.pic.maxwell import FieldSolveStage
 from repro.pic.moving_window import MovingWindowStage
 from repro.pic.pusher import GatherPushStage
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.pipeline.core import StageContext
 
 __all__ = [
     "DepositStage",
@@ -53,14 +48,15 @@ class MigrateStage:
         "telemetry",
     })
 
-    def run(self, ctx: "StageContext") -> None:
-        domain = ctx.domain
+    def run(self, session) -> None:
+        domain = session.domain
         recorder = domain.migration.recorder if domain is not None else None
-        telemetry = ctx.telemetry
-        for container in ctx.containers:
-            container.apply_boundary_conditions(ctx.grid,
-                                                executor=ctx.executor)
-            moved = container.redistribute(ctx.grid, executor=ctx.executor,
+        telemetry = session.telemetry
+        for container in session.containers:
+            container.apply_boundary_conditions(session.grid,
+                                                executor=session.executor)
+            moved = container.redistribute(session.grid,
+                                           executor=session.executor,
                                            move_recorder=recorder)
             telemetry.count("particles.migrated", moved)
 
@@ -79,20 +75,17 @@ class DepositStage:
     reads = frozenset({
         "containers.position", "containers.momentum",
         "containers.membership", "grid.geometry", "executor",
-        "simulation.deposition", "step_index",
+        "config", "deposition", "step_index",
     })
-    writes = frozenset({
-        "grid.currents", "simulation.deposition_counters",
-    })
+    writes = frozenset({"grid.currents", "deposition_counters"})
 
-    def run(self, ctx: "StageContext") -> None:
-        simulation = ctx.simulation
-        grid = ctx.grid
+    def run(self, session) -> None:
+        grid = session.grid
         grid.zero_currents()
-        for container in ctx.containers:
-            counters = simulation.deposition.run_step(
-                grid, container, simulation.config.shape_order,
-                simulation.step_index, executor=ctx.executor,
+        for container in session.containers:
+            counters = session.deposition.run_step(
+                grid, container, session.config.shape_order,
+                session.step_index, executor=session.executor,
             )
             if counters is not None:
-                simulation.deposition_counters.merge(counters)
+                session.deposition_counters.merge(counters)

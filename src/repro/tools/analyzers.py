@@ -20,10 +20,10 @@ Four analyzers enforce the repository's core contracts:
 
 ``stage-effects``
     Every shipped pipeline stage must declare complete ``reads`` /
-    ``writes`` effect sets (AST-checked against the ``StageContext``
-    attributes its ``run`` body touches), and the built stage list must
-    pass the :func:`repro.pipeline.effects.check_stage_set` static
-    write-after-read hazard check.
+    ``writes`` effect sets (AST-checked against every attribute its
+    ``run`` body touches on the session it is handed), and the built
+    stage list must pass the static write-after-read hazard check
+    :func:`repro.pipeline.effects.check_stage_set`.
 
 ``spec-purity``
     :class:`repro.analysis.campaign.ExperimentSpec` (and every workload
@@ -312,20 +312,15 @@ def check_determinism(ctx: "LintContext") -> List[Finding]:
 
 RULE_STAGE_EFFECTS = "stage-effects"
 
-#: StageContext attribute names == effect resource roots
-_CONTEXT_ROOTS = frozenset({
-    "config", "grid", "executor", "containers", "domain", "breakdown",
-    "dt", "step_index", "time", "simulation", "telemetry", "kernels",
-})
-
 
 def run_body_context_roots(run_method) -> FrozenSet[str]:
-    """Context attributes a stage's ``run`` body accesses, by AST scan.
+    """Session attributes a stage's ``run`` body accesses, by AST scan.
 
-    Parses the method source and collects every ``<ctx>.<attr>`` access
-    where ``<ctx>`` is the method's context parameter and ``<attr>`` is a
-    :class:`~repro.pipeline.core.StageContext` attribute (an effect
-    resource root).
+    Parses the method source and collects every ``<session>.<attr>``
+    access where ``<session>`` is the method's parameter: a stage is
+    handed the :class:`~repro.api.Session` and nothing else, so these
+    first-level attributes are everything it can reach, and each must be
+    the root of a declared :data:`~repro.pipeline.effects.RESOURCES` name.
     """
     source = textwrap.dedent(inspect.getsource(run_method))
     tree = ast.parse(source)
@@ -340,8 +335,7 @@ def run_body_context_roots(run_method) -> FrozenSet[str]:
     for node in ast.walk(func):
         if (isinstance(node, ast.Attribute)
                 and isinstance(node.value, ast.Name)
-                and node.value.id == ctx_param
-                and node.attr in _CONTEXT_ROOTS):
+                and node.value.id == ctx_param):
             roots.add(node.attr)
     return frozenset(roots)
 
@@ -399,8 +393,8 @@ def check_stage_effects(ctx: "LintContext") -> List[Finding]:
                 continue
             findings.append(Finding(
                 rule=RULE_STAGE_EFFECTS, path=path, line=line,
-                message=f"{cls.__name__}.run accesses ctx.{root} but "
-                        f"declares no effect on {root!r}",
+                message=f"{cls.__name__}.run accesses session.{root} "
+                        f"but declares no effect on {root!r}",
                 hint=f"add the touched `{root}.*` resource to the "
                      "stage's reads or writes",
             ))

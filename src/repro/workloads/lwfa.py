@@ -19,6 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro import constants
+from repro.api import Session
 from repro.backend import BackendConfig
 from repro.config import (
     DomainConfig,
@@ -33,7 +34,7 @@ from repro.obs import ObsConfig
 from repro.pic.grid import Grid
 from repro.pic.particles import ParticleContainer
 from repro.pic.plasma import load_plasma_slab
-from repro.pic.simulation import DepositionStrategy, Simulation
+from repro.pic.simulation import DepositionStrategy
 from repro.workloads.uniform import PPC_SCAN
 
 
@@ -136,13 +137,13 @@ class LWFAWorkload:
 
         return profile
 
-    def build_simulation(self, deposition: Optional[DepositionStrategy] = None
-                         ) -> Simulation:
-        """A fully initialised LWFA simulation (plasma, laser, window)."""
+    def build_session(self, deposition: Optional[DepositionStrategy] = None
+                      ) -> Session:
+        """A fully initialised LWFA session (plasma, laser, window)."""
         config = self.build_config()
-        simulation = Simulation(config, deposition=deposition, load_plasma=False)
-        grid = simulation.grid
-        container = simulation.containers[0]
+        session = Session(config, deposition=deposition, load_plasma=False)
+        grid = session.grid
+        container = session.containers[0]
         species = config.species[0]
         extent_z = grid.hi[2] - grid.lo[2]
         profile = self.density_profile(extent_z)
@@ -151,14 +152,8 @@ class LWFAWorkload:
                          z_lo=grid.lo[2] + 0.1 * extent_z, z_hi=grid.hi[2],
                          density_profile=profile,
                          rng=np.random.default_rng(self.seed))
-        simulation.moving_window.injector = self._window_injector(species)
-        return simulation
-
-    def build_session(self, deposition: Optional[DepositionStrategy] = None):
-        """A :class:`repro.api.Session` driving this workload's simulation."""
-        from repro.api import Session
-
-        return Session.from_workload(self, deposition=deposition)
+        session.moving_window.injector = self._window_injector(species)
+        return session
 
     def _window_injector(self, species: SpeciesConfig):
         """Injector refilling the slab exposed by the moving window."""

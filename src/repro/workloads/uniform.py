@@ -17,6 +17,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro import constants
+from repro.api import Session
 from repro.backend import BackendConfig
 from repro.config import (
     DomainConfig,
@@ -26,7 +27,7 @@ from repro.config import (
     SpeciesConfig,
 )
 from repro.obs import ObsConfig
-from repro.pic.simulation import DepositionStrategy, Simulation
+from repro.pic.simulation import DepositionStrategy
 
 #: PPC triples of the paper's density scan and the average PPC they produce.
 PPC_SCAN: Dict[int, Tuple[int, int, int]] = {
@@ -108,19 +109,13 @@ class UniformPlasmaWorkload:
             seed=self.seed,
         )
 
-    def build_simulation(self, deposition: Optional[DepositionStrategy] = None
-                         ) -> Simulation:
-        """A fully initialised simulation using the given deposition strategy."""
-        return Simulation(self.build_config(), deposition=deposition)
-
-    def build_session(self, deposition: Optional[DepositionStrategy] = None):
-        """A :class:`repro.api.Session` driving this workload's simulation."""
-        from repro.api import Session
-
-        return Session.from_workload(self, deposition=deposition)
+    def build_session(self, deposition: Optional[DepositionStrategy] = None
+                      ) -> Session:
+        """A fully initialised session using the given deposition strategy."""
+        return Session(self.build_config(), deposition=deposition)
 
     # ------------------------------------------------------------------
-    def scramble_particles(self, simulation: Simulation,
+    def scramble_particles(self, session: Session,
                            seed: Optional[int] = None) -> None:
         """Randomly permute every tile's particle storage order.
 
@@ -131,7 +126,7 @@ class UniformPlasmaWorkload:
         having to run the warm-up phase.
         """
         rng = np.random.default_rng(self.seed if seed is None else seed)
-        for container in simulation.containers:
+        for container in session.containers:
             for tile in container.iter_tiles():
                 if tile.num_particles > 1:
                     tile.permute(rng.permutation(tile.num_particles))

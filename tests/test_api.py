@@ -1,4 +1,4 @@
-"""The public :class:`repro.api.Session` facade."""
+"""The public run object, :class:`repro.api.Session`."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.api import Session, StepResult
 from repro.config import ExecutionConfig
-from repro.pic.simulation import Simulation
 from repro.workloads.uniform import UniformPlasmaWorkload
 
 ALL_COMPONENTS = ("ex", "ey", "ez", "bx", "by", "bz", "jx", "jy", "jz", "rho")
@@ -23,28 +22,19 @@ def workload(**kwargs):
 class TestConstruction:
     def test_from_config(self):
         session = Session(workload().build_config())
-        assert isinstance(session.simulation, Simulation)
         assert session.num_particles == 8 * 8 * 8 * 8
 
     def test_from_workload_and_build_session_agree(self):
         a = Session.from_workload(workload())
         b = workload().build_session()
-        assert type(a.simulation) is type(b.simulation)
+        assert type(a) is type(b) is Session
         assert a.config == b.config
-
-    def test_from_simulation_wraps_without_copy(self):
-        simulation = workload().build_simulation()
-        session = Session.from_simulation(simulation)
-        assert session.simulation is simulation
-        assert session.pipeline is simulation.pipeline
-        assert session.grid is simulation.grid
 
     def test_properties_passthrough(self):
         session = workload().build_session()
-        sim = session.simulation
-        assert session.containers is sim.containers
-        assert session.breakdown is sim.breakdown
-        assert session.energy is sim.energy
+        # the one alias the retired wrapper left behind (bench/ spells it)
+        assert session.simulation is session
+        assert session.pipeline.session is session
         assert session.step_index == 0
         assert session.time == 0.0
 
@@ -55,7 +45,7 @@ class TestRunIterator:
         results = list(session.run(3))
         assert [r.step for r in results] == [1, 2, 3]
         assert session.step_index == 3
-        dt = session.simulation.dt
+        dt = session.dt
         for result in results:
             assert isinstance(result, StepResult)
             assert result.time == pytest.approx(result.step * dt)
@@ -103,9 +93,9 @@ class TestRunIterator:
 
 class TestLegacyEquivalence:
     def test_session_run_matches_simulation_run_bitwise(self):
-        """Session.run == Simulation.step calls: fields, J/rho, energy."""
+        """Session.run == Session.step calls: fields, J/rho, energy."""
         session = workload().build_session()
-        legacy = workload().build_simulation()
+        legacy = workload().build_session()
         for _ in session.run(3, record_energy=True):
             pass
         legacy._record_energy()
@@ -127,7 +117,7 @@ class TestLegacyEquivalence:
         with build().build_session() as session:
             for _ in session.run(2, record_energy=True):
                 pass
-            with build().build_simulation() as legacy:
+            with build().build_session() as legacy:
                 for _ in range(2):
                     legacy.step()
                 for name in ALL_COMPONENTS:
@@ -141,8 +131,8 @@ class TestLifecycle:
             execution=ExecutionConfig(backend="threads", num_shards=2)
         ).build_session() as session:
             list(session.run(1))
-            executor = session.simulation.executor
+            executor = session.executor
         # pool released; stepping again recreates it lazily
-        assert executor is session.simulation.executor
+        assert executor is session.executor
         list(session.run(1))
         session.shutdown()

@@ -79,7 +79,6 @@ API_SURFACE = {
         "RESOURCES",
         "STEP_CARRIED",
         "Stage",
-        "StageContext",
         "StepPipeline",
         "build_pipeline",
         "check_stage_set",
@@ -122,7 +121,7 @@ API_SURFACE = {
 }
 
 #: names the package root re-exports for the one-import experience
-ROOT_EXPORTS = ("Session", "StepPipeline", "build_pipeline", "Simulation")
+ROOT_EXPORTS = ("Session", "StepPipeline", "build_pipeline")
 
 
 @pytest.mark.parametrize("module_name", sorted(API_SURFACE))

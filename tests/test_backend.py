@@ -277,7 +277,7 @@ class TestRunIsolation:
 
         from repro.ckpt import capture_state
 
-        _meta, arrays = capture_state(session.simulation)
+        _meta, arrays = capture_state(session)
         digest = hashlib.sha256()
         for name in sorted(arrays):
             digest.update(name.encode("ascii"))

@@ -403,8 +403,8 @@ class TestSweepIntegration:
             shape_order = 1
             max_steps = 1
 
-            def build_simulation(self, deposition=None):
-                return tiny_workload().build_simulation(deposition=deposition)
+            def build_session(self, deposition=None):
+                return tiny_workload().build_session(deposition=deposition)
 
         with pytest.raises(TypeError, match="workload families"):
             sweep_configurations(OpaqueWorkload(), ("Baseline",), steps=1)

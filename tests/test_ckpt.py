@@ -203,7 +203,7 @@ class TestResumeParity:
         path = str(tmp_path / "s.ckpt")
         with make_session() as full:
             run_steps(full, total, record_energy)
-            ref = capture_state(full.simulation)
+            ref = capture_state(full)
         with make_session() as first:
             run_steps(first, k, record_energy)
             first.save(path)
@@ -211,7 +211,7 @@ class TestResumeParity:
             second.restore(path)
             assert second.step_index == k
             run_steps(second, total - k, record_energy)
-            assert_state_equal(ref, capture_state(second.simulation))
+            assert_state_equal(ref, capture_state(second))
 
     def test_uniform_serial(self, tmp_path):
         self.parity(uniform_session, 6, 3, tmp_path)
@@ -233,7 +233,7 @@ class TestResumeParity:
         path = str(tmp_path / "s.ckpt")
         with uniform_session() as full:
             run_steps(full, 6)
-            ref = capture_state(full.simulation)
+            ref = capture_state(full)
         with uniform_session() as first:
             run_steps(first, 3)
             first.save(path)
@@ -241,7 +241,7 @@ class TestResumeParity:
                              domains=(1, 2, 1)) as second:
             second.restore(path)
             run_steps(second, 3)
-            assert_state_equal(ref, capture_state(second.simulation))
+            assert_state_equal(ref, capture_state(second))
 
     def test_shard_count_stays_in_fingerprint(self, tmp_path):
         path = str(tmp_path / "s.ckpt")
@@ -258,7 +258,7 @@ class TestResumeParity:
         self.parity(lwfa_session, 8, 5, tmp_path, record_energy=True)
         with lwfa_session() as probe:
             run_steps(probe, 8)
-            assert probe.simulation.moving_window.total_shift_cells > 0
+            assert probe.moving_window.total_shift_cells > 0
 
     def test_matrix_pic_qsp(self, tmp_path):
         """The block-product kernel on the incremental sorter's order:
@@ -316,7 +316,7 @@ class TestRestoreGuards:
         path = str(tmp_path / "s.ckpt")
         with uniform_session() as session:
             run_steps(session, 1)
-            meta, arrays = capture_state(session.simulation)
+            meta, arrays = capture_state(session)
             meta["state_version"] = 999
             write_snapshot(path, meta, arrays)
             with pytest.raises(SnapshotMismatchError, match="version"):
@@ -332,10 +332,10 @@ class TestCheckpointHook:
         directory = str(tmp_path / "ck")
         with lwfa_session() as full:
             run_steps(full, 6, record_energy=True)
-            ref = capture_state(full.simulation)
+            ref = capture_state(full)
         with lwfa_session() as first:
             hook = CheckpointHook(directory, every=2)
-            first.pipeline.add_post_hook(hook)
+            first.pipeline.add_step_hook(hook)
             run_steps(first, 4, record_energy=True)
             assert [step for step, _ in list_snapshots(directory)] == [2, 4]
             assert hook.saved == [path for _, path in
@@ -346,12 +346,12 @@ class TestCheckpointHook:
         with lwfa_session() as second:
             second.restore(loaded.path)
             run_steps(second, 2, record_energy=True)
-            assert_state_equal(ref, capture_state(second.simulation))
+            assert_state_equal(ref, capture_state(second))
 
     def test_keep_prunes_old_snapshots(self, tmp_path):
         directory = str(tmp_path / "ck")
         with uniform_session() as session:
-            session.pipeline.add_post_hook(
+            session.pipeline.add_step_hook(
                 CheckpointHook(directory, every=1, keep=2))
             run_steps(session, 5)
         assert [step for step, _ in list_snapshots(directory)] == [4, 5]
@@ -425,6 +425,33 @@ class TestRunCLI:
             capsys)
         assert "step-00000002.ckpt" in err
         assert self.stable(resumed) == self.stable(full)
+
+    @pytest.mark.parametrize("changed", (["--ppc", "64"], ["--shards", "2"]))
+    def test_resume_onto_another_configuration_is_a_usage_error(
+            self, changed, tmp_path, capsys):
+        directory = str(tmp_path / "ck")
+        self.run_json(["--steps", "1", "--checkpoint-dir", directory,
+                       "--checkpoint-every", "1"], capsys)
+        assert main(self.ARGS + changed + [
+            "--steps", "2", "--checkpoint-dir", directory, "--resume"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot resume from ")
+        assert "different simulation configuration" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_unusable_checkpoint_directory_fails_before_the_first_step(
+            self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        assert main(self.ARGS + [
+            "--steps", "1", "--checkpoint-every", "1",
+            "--checkpoint-dir", str(blocker / "ck")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: cannot use checkpoint directory: ")
+        assert "Traceback" not in captured.err
 
     def test_default_directory_from_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(ckpt.CKPT_DIR_ENV, str(tmp_path / "env-ck"))

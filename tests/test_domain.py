@@ -29,7 +29,6 @@ from repro.domain.halo import EM_FIELDS, HaloExchange
 from repro.pic.deposition.reference import deposit_reference
 from repro.pic.grid import Grid
 from repro.pic.maxwell import FDTDSolver
-from repro.pic.simulation import Simulation
 from repro.workloads.lwfa import LWFAWorkload
 from repro.workloads.uniform import UniformPlasmaWorkload
 
@@ -55,10 +54,10 @@ def run_uniform(domains, *, backend="serial", shards=1, steps=3, order=1,
         execution=ExecutionConfig(backend=backend, num_shards=shards),
         **kwargs,
     )
-    simulation = workload.build_simulation(
+    simulation = workload.build_session(
         deposition=make_strategy(strategy) if strategy else None)
     try:
-        Session.from_simulation(simulation).run_all(steps, record_energy=True)
+        simulation.run_all(steps, record_energy=True)
         return simulation
     finally:
         simulation.shutdown()
@@ -71,15 +70,15 @@ def run_lwfa(domains, *, backend="serial", shards=1, steps=12):
         domains=domains,
         execution=ExecutionConfig(backend=backend, num_shards=shards),
     )
-    simulation = workload.build_simulation()
+    simulation = workload.build_session()
     try:
-        Session.from_simulation(simulation).run_all(steps, record_energy=True)
+        simulation.run_all(steps, record_energy=True)
         return simulation
     finally:
         simulation.shutdown()
 
 
-def assert_bitwise_equal(sim_a: Simulation, sim_b: Simulation,
+def assert_bitwise_equal(sim_a: Session, sim_b: Session,
                          components=ALL_COMPONENTS) -> None:
     """Fields, currents and energy history must match bit for bit."""
     for name in components:
@@ -135,7 +134,7 @@ class TestDecomposition:
             domain=DomainConfig(domains=(8, 1, 1)),
         )
         with pytest.raises(ValueError, match="tile-aligned"):
-            Simulation(config, load_plasma=False)
+            Session(config, load_plasma=False)
 
 
 # ----------------------------------------------------------------------
@@ -220,13 +219,12 @@ class TestStepParity:
             workload = UniformPlasmaWorkload(
                 n_cell=(8, 8, 8), tile_size=(4, 4, 4), ppc=8, max_steps=3,
                 domains=domains)
-            simulation = workload.build_simulation()
+            simulation = workload.build_session()
             try:
                 rng = np.random.default_rng(11)
                 simulation.grid.ez[...] = 1e3 * rng.standard_normal(
                     simulation.grid.shape)
-                Session.from_simulation(simulation).run_all(
-                    3, record_energy=True)
+                simulation.run_all(3, record_energy=True)
                 return simulation
             finally:
                 simulation.shutdown()
@@ -289,7 +287,7 @@ class TestFrameGridIsTheRecord:
         with workload.build_session() as session:
             session.run_all(steps, record_energy=False)
             assert not session.energy.history
-            return session.grid, session.simulation.moving_window
+            return session.grid, session.moving_window
 
     @staticmethod
     def assert_grids_equal(grid_a, grid_b):
@@ -352,10 +350,9 @@ class TestPECBoundary:
                 grid=grid, species=(SpeciesConfig(ppc=(2, 2, 2)),),
                 max_steps=4, domain=DomainConfig(domains=domains),
             )
-            simulation = Simulation(config)
+            simulation = Session(config)
             try:
-                Session.from_simulation(simulation).run_all(
-                    record_energy=True)
+                simulation.run_all(record_energy=True)
                 return simulation
             finally:
                 simulation.shutdown()
@@ -462,10 +459,9 @@ def test_custom_strategy_runs_on_frame_and_matches():
         workload = UniformPlasmaWorkload(
             n_cell=(8, 8, 8), tile_size=(4, 4, 4), ppc=8, max_steps=3,
             domains=domains)
-        simulation = workload.build_simulation(deposition=_FrameStrategy())
+        simulation = workload.build_session(deposition=_FrameStrategy())
         try:
-            Session.from_simulation(simulation).run_all(
-                3, record_energy=True)
+            simulation.run_all(3, record_energy=True)
             return simulation
         finally:
             simulation.shutdown()

@@ -15,7 +15,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.api import Session
 from repro.config import ExecutionConfig
 from repro.exec import (
     SUPPORTED_BACKENDS,
@@ -322,9 +321,9 @@ class TestSimulationParity:
             n_cell=(8, 8, 8), tile_size=(4, 4, 4), ppc=8, max_steps=steps,
             execution=ExecutionConfig(backend=backend, num_shards=num_shards),
         )
-        simulation = workload.build_simulation()
+        simulation = workload.build_session()
         try:
-            Session.from_simulation(simulation).run_all(record_energy=True)
+            simulation.run_all(record_energy=True)
             soa = simulation.containers[0].gather_soa()
             order = np.argsort(soa["ids"])
             return {

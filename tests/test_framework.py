@@ -153,10 +153,9 @@ class TestShardedDepositOnMovedWindow:
     def shifted(self):
         session = Session.from_workload(LWFAWorkload(
             n_cell=(8, 8, 32), tile_size=(8, 8, 16), ppc=8, max_steps=200))
-        simulation = session.simulation
-        while simulation.moving_window.total_shift_cells == 0:
+        while session.moving_window.total_shift_cells == 0:
             session.step()
-        return simulation
+        return session
 
     @staticmethod
     def _deposit(simulation, name, executor):

@@ -278,17 +278,15 @@ class TestEffectChecker:
     def test_write_after_read_hazard_is_reported(self):
         # deposition_counters is neither external, step-carried nor
         # written earlier -> hazard, and the message names the later writer
-        reader = FakeStage("reader", reads={"simulation.deposition_counters"})
-        writer = FakeStage("writer",
-                           writes={"simulation.deposition_counters"})
+        reader = FakeStage("reader", reads={"deposition_counters"})
+        writer = FakeStage("writer", writes={"deposition_counters"})
         violations = check_stage_set([reader, writer])
         assert [v.kind for v in violations] == ["hazard"]
         assert "writer" in violations[0].message
 
     def test_read_after_write_passes(self):
-        writer = FakeStage("writer",
-                           writes={"simulation.deposition_counters"})
-        reader = FakeStage("reader", reads={"simulation.deposition_counters"})
+        writer = FakeStage("writer", writes={"deposition_counters"})
+        reader = FakeStage("reader", reads={"deposition_counters"})
         assert check_stage_set([writer, reader]) == []
 
     def test_step_carried_read_passes(self):
@@ -302,12 +300,38 @@ class TestEffectChecker:
 class TestStageEffectsAnalyzer:
     def test_run_body_scan_sees_context_roots(self):
         class S:
-            def run(self, ctx):
-                ctx.grid.jx[...] = 0.0
-                return ctx.dt
+            def run(self, session):
+                session.grid.jx[...] = 0.0
+                return session.dt
 
         roots = run_body_context_roots(S.run)
         assert roots == frozenset({"grid", "dt"})
+
+    def test_undeclared_access_through_the_run_object_is_reported(
+            self, monkeypatch):
+        # a stage is handed the session itself, so there is no wrapper
+        # to hide behind: every first-level attribute is checked, also
+        # one that is no effect resource at all (the alias, the rng)
+        from repro.pipeline import builder
+
+        class Sloppy:
+            name = "sloppy"
+            bucket = "other"
+            reads = frozenset({"dt"})
+            writes = frozenset()
+
+            def run(self, session):
+                session.containers[0].tiles
+                session.grid.jx[...] = 0.0
+                session.simulation.rng.random()
+                return session.dt
+
+        monkeypatch.setattr(builder, "global_stages", lambda: [Sloppy()])
+        messages = [f.message for f in check_stage_effects(
+            LintContext(REPO_ROOT))]
+        assert messages == [
+            f"Sloppy.run accesses session.{root} but declares no effect "
+            f"on {root!r}" for root in ("containers", "grid", "simulation")]
 
     def test_shipped_declarations_are_complete_and_hazard_free(self):
         ctx = LintContext(REPO_ROOT)

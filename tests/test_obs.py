@@ -160,7 +160,7 @@ class TestTelemetry:
                 assert plain.telemetry is NULL_TELEMETRY
                 assert second.telemetry is not handle
             assert first.telemetry is handle
-            assert first.simulation.executor.obs is handle
+            assert first.executor.obs is handle
 
 
 # ----------------------------------------------------------------------
@@ -234,6 +234,29 @@ class TestDeterministicContent:
         assert sequence[1] == ("B", "step 0")
         assert sequence[-1] == ("E", "run")
         assert ("B", "step 1") in sequence
+        payload = {"traceEvents": chrome_trace_events(handle)}
+        assert validate_chrome_trace(payload) == []
+
+    def test_a_run_that_dies_mid_step_still_exports_a_valid_trace(self):
+        class Boom:
+            name = "boom"
+            bucket = "other"
+
+            def run(self, session):
+                if session.step_index == 1:
+                    raise RuntimeError("boom")
+
+        with Session.from_workload(_workload(),
+                                   observe=ObsConfig(trace=True)) as session:
+            session.pipeline.append(Boom())
+            with pytest.raises(RuntimeError, match="boom"):
+                session.run_all(3)
+            assert session.step_index == 1  # the dying step did not count
+            handle = session.telemetry
+        # the stage and step spans are closed on the way out, innermost
+        # first: the one trace an operator most needs validates
+        assert handle.event_sequence()[-3:] == [
+            ("E", "boom"), ("E", "step 1"), ("E", "run")]
         payload = {"traceEvents": chrome_trace_events(handle)}
         assert validate_chrome_trace(payload) == []
 

@@ -29,16 +29,21 @@ the workload families are stated once, in ``repro.workloads.FAMILIES``.
 
 There is one stage list: the frame grid is the array of record for every
 run, and a decomposed run differs inside the solve stage only.
+
+A run is one object, ``repro.api.Session``: stages and hooks are handed
+it, and the pipeline tells the step hooks when a step has completed.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 import os
 
 import repro
 from repro import workloads
 from repro.backend import KERNEL_TIERS, BackendConfig, activate
+from repro.ckpt import capture_state
 from repro.cli import build_parser
 from repro.pic.deposition import DepositionKernel
 from repro.pipeline import DepositStage, global_stages
@@ -186,7 +191,7 @@ def test_there_is_one_stage_list():
     for domains in ((1, 1, 1), (2, 1, 1)):
         workload = workloads.UniformPlasmaWorkload(
             n_cell=(8, 8, 8), tile_size=(4, 4, 4), ppc=1, domains=domains)
-        assert workload.build_simulation().pipeline.stage_names() == names
+        assert workload.build_session().pipeline.stage_names() == names
     # the second copy of the field state, and what kept it coherent with
     # the frame grid (comments and docstrings included)
     retired = ("sync_from_frame_once", "assemble(", "field_shifter",
@@ -195,17 +200,59 @@ def test_there_is_one_stage_list():
     assert [(path, line.strip()) for path, text in source_texts()
             for line in text.splitlines()
             if any(name in line for name in retired)] == []
-    # the domain runtime is built by the simulation, carried by the stage
-    # context and reached by the solve and migrate stages — nobody else
-    # asks whether a run is decomposed
+    # the domain runtime is built by the session and reached by the solve
+    # and migrate stages — nobody else asks whether a run is decomposed
     users = {f"{path}::{func.name}" for path, tree in source_trees()
              if not path.startswith("domain/")
              for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
              for node in ast.walk(func)
              if isinstance(node, ast.Attribute) and node.attr == "domain"}
-    assert users == {"pic/simulation.py::__init__",
-                     "pipeline/core.py::domain",
+    assert users == {"api.py::__init__",
                      "pic/maxwell.py::run", "pipeline/stages.py::run"}
+
+
+def test_a_run_is_one_object():
+    # Session, Simulation and StageContext were the same attributes three
+    # times; the wrappers, the second builder and what only they needed
+    # are gone, comments and docstrings included
+    retired = ("StageContext", "from_simulation", "build_simulation",
+               "class Simulation:", "class Simulation(", "_CONTEXT_ROOTS",
+               "step_index + 1")
+    assert [(path, line.strip()) for path, text in source_texts()
+            for line in text.splitlines()
+            if any(name in line for name in retired)] == []
+    # the pipeline alone knows which stage is first or last: it says "the
+    # step ended" once, and no hook re-derives it
+    assert sorted({path for path, text in source_texts()
+                   if "stages[-1]" in text or "stages[0]" in text}
+                  - {"pipeline/core.py"}) == []
+    assert "step_index" not in inspect.signature(capture_state).parameters
+    # exactly one class owns the run's collaborators
+    owners = [f"{path}::{cls.name}" for path, tree in source_trees()
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              if {"grid", "containers", "executor", "pipeline"} <= {
+                  target.attr for node in ast.walk(cls)
+                  if isinstance(node, (ast.Assign, ast.AnnAssign))
+                  for target in (node.targets if isinstance(node, ast.Assign)
+                                 else [node.target])
+                  if isinstance(target, ast.Attribute)
+                  and name_of(target.value) == "self"}]
+    assert owners == ["api.py::Session"]
+    # ... and every stage and hook is handed that object, nothing else
+    workload = workloads.UniformPlasmaWorkload(
+        n_cell=(8, 8, 8), tile_size=(4, 4, 4), ppc=1)
+    with workload.build_session() as session:
+        assert session.simulation is session  # the alias bench/ spells
+        seen = []
+        session.pipeline.add_pre_hook(lambda stage, s: seen.append(s))
+        session.pipeline.add_post_hook(lambda stage, s, secs: seen.append(s))
+        session.pipeline.add_step_hook(seen.append)
+        spy = type("Spy", (), {"name": "spy", "bucket": "other",
+                               "run": lambda self, s: seen.append(s)})()
+        session.pipeline.append(spy)
+        session.step()
+        assert len(seen) == 2 * 8 + 1 + 1
+        assert all(s is session for s in seen)
 
 
 def test_the_array_backend_seam_is_gone():

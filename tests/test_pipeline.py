@@ -1,7 +1,7 @@
 """The composable step pipeline (:mod:`repro.pipeline`).
 
-The stage graph mechanics: the one stage list, stage ordering, list
-surgery (insert/replace/remove), pre/post hook invocation and the
+The stage list mechanics: the one stage list, stage ordering, stage
+validation, pre-stage / post-stage / step hook invocation and the
 per-stage wall-time flow into :class:`RuntimeBreakdown`.  Bitwise step
 parity across backends, shard counts and domain splits is pinned against
 live code by ``tests/test_domain.py`` (``TestStepParity``,
@@ -20,11 +20,9 @@ from repro.config import (
     SimulationConfig,
     SpeciesConfig,
 )
-from repro.pic.simulation import Simulation
 from repro.pipeline import (
     BreakdownTimingHook,
     Stage,
-    StageContext,
     StepPipeline,
     global_stages,
 )
@@ -49,17 +47,17 @@ def uniform_workload(domains=(1, 1, 1), backend="serial", shards=1,
 
 class TestStageSets:
     def test_global_stage_order(self):
-        sim = uniform_workload().build_simulation()
+        sim = uniform_workload().build_session()
         assert sim.pipeline.stage_names() == GLOBAL_STAGE_NAMES
 
     def test_domain_stage_order(self):
-        sim = uniform_workload(domains=(2, 1, 1)).build_simulation()
+        sim = uniform_workload(domains=(2, 1, 1)).build_session()
         assert sim.pipeline.stage_names() == GLOBAL_STAGE_NAMES
 
     def test_executor_sharded_path_shares_the_global_stage_set(self):
-        serial = uniform_workload().build_simulation()
+        serial = uniform_workload().build_session()
         sharded = uniform_workload(backend="threads",
-                                   shards=4).build_simulation()
+                                   shards=4).build_session()
         try:
             assert (serial.pipeline.stage_names()
                     == sharded.pipeline.stage_names())
@@ -78,7 +76,7 @@ class TestStageSets:
 
 
 # ----------------------------------------------------------------------
-# stage-list surgery
+# stage validation
 # ----------------------------------------------------------------------
 
 class _NoOpStage:
@@ -88,59 +86,37 @@ class _NoOpStage:
         self.name = name
         self.log = log if log is not None else []
 
-    def run(self, ctx):
+    def run(self, session):
         self.log.append(self.name)
 
 
 class TestPipelineSurgery:
     def make(self):
-        sim = uniform_workload().build_simulation()
+        sim = uniform_workload().build_session()
         return sim.pipeline
-
-    def test_insert_before_and_after(self):
-        pipeline = self.make()
-        pipeline.insert_before("deposit", _NoOpStage("pre_deposit"))
-        pipeline.insert_after("deposit", _NoOpStage("post_deposit"))
-        names = pipeline.stage_names()
-        index = names.index("deposit")
-        assert names[index - 1] == "pre_deposit"
-        assert names[index + 1] == "post_deposit"
-
-    def test_replace_and_remove(self):
-        pipeline = self.make()
-        old = pipeline.replace("laser", _NoOpStage("laser"))
-        assert old.name == "laser" and type(old) is not _NoOpStage
-        removed = pipeline.remove("moving_window")
-        assert removed.name == "moving_window"
-        assert "moving_window" not in pipeline.stage_names()
 
     def test_duplicate_names_rejected(self):
         pipeline = self.make()
         with pytest.raises(ValueError, match="duplicate stage name"):
             pipeline.append(_NoOpStage("deposit"))
-
-    def test_replace_failure_keeps_old_stage(self):
-        pipeline = self.make()
-        before = pipeline.stage_names()
-        with pytest.raises(TypeError):
-            pipeline.replace("laser", object())
-        assert pipeline.stage_names() == before
+        with pytest.raises(ValueError, match="duplicate stage name"):
+            StepPipeline([_NoOpStage("a"), _NoOpStage("a")],
+                         pipeline.session)
 
     def test_malformed_stage_rejected(self):
         pipeline = self.make()
         with pytest.raises(TypeError, match="no usable name"):
             pipeline.append(object())
-        with pytest.raises(KeyError):
-            pipeline.insert_before("no_such_stage", _NoOpStage())
+        with pytest.raises(TypeError, match="no run"):
+            StepPipeline([type("S", (), {"name": "s", "bucket": "other"})()],
+                         pipeline.session)
 
     def test_unknown_stage_set_still_runs_custom_stages(self):
         """A pipeline is just a stage list: custom graphs run standalone."""
-        sim = uniform_workload().build_simulation()
+        sim = uniform_workload().build_session()
         log = []
         pipeline = StepPipeline(
-            [_NoOpStage("a", log), _NoOpStage("b", log)],
-            StageContext(sim),
-        )
+            [_NoOpStage("a", log), _NoOpStage("b", log)], sim)
         pipeline.run_step()
         assert log == ["a", "b"]
         assert sim.step_index == 1
@@ -152,12 +128,13 @@ class TestPipelineSurgery:
 
 class TestHooks:
     def test_pre_and_post_hooks_fire_per_stage_in_order(self):
-        sim = uniform_workload().build_simulation()
+        sim = uniform_workload().build_session()
         events = []
         sim.pipeline.add_pre_hook(
-            lambda stage, ctx: events.append(("pre", stage.name)))
+            lambda stage, session: events.append(("pre", stage.name)))
         sim.pipeline.add_post_hook(
-            lambda stage, ctx, seconds: events.append(("post", stage.name)))
+            lambda stage, session, seconds:
+            events.append(("post", stage.name)))
         sim.step()
         expected = []
         for name in GLOBAL_STAGE_NAMES:
@@ -165,19 +142,19 @@ class TestHooks:
         assert events == expected
 
     def test_post_hook_receives_wall_seconds(self):
-        sim = uniform_workload().build_simulation()
+        sim = uniform_workload().build_session()
         seen = []
         sim.pipeline.add_post_hook(
-            lambda stage, ctx, seconds: seen.append(seconds))
+            lambda stage, session, seconds: seen.append(seconds))
         sim.step()
         assert len(seen) == len(GLOBAL_STAGE_NAMES)
         assert all(s >= 0.0 for s in seen)
 
     def test_remove_hook(self):
-        sim = uniform_workload().build_simulation()
+        sim = uniform_workload().build_session()
         calls = []
 
-        def hook(stage, ctx):
+        def hook(stage, session):
             calls.append(stage.name)
 
         sim.pipeline.add_pre_hook(hook)
@@ -190,26 +167,43 @@ class TestHooks:
         assert not sim.pipeline.remove_hook(hook)
 
     def test_hook_context_is_live(self):
-        sim = uniform_workload().build_simulation()
+        sim = uniform_workload().build_session()
         seen = []
         sim.pipeline.add_pre_hook(
-            lambda stage, ctx: seen.append(
-                (ctx.simulation is sim, ctx.grid is sim.grid,
-                 ctx.executor is sim.executor)))
+            lambda stage, session: seen.append(session is sim))
+        sim.pipeline.add_post_hook(
+            lambda stage, session, seconds: seen.append(session is sim))
+        sim.pipeline.add_step_hook(
+            lambda session: seen.append(session is sim))
         sim.step()
-        assert all(all(flags) for flags in seen)
+        assert len(seen) == 2 * len(GLOBAL_STAGE_NAMES) + 1 and all(seen)
+
+    def test_step_hook_fires_once_per_completed_step(self):
+        sim = uniform_workload().build_session()
+        events = []
+        sim.pipeline.add_post_hook(
+            lambda stage, session, seconds: events.append(stage.name))
+        hook = sim.pipeline.add_step_hook(
+            lambda session: events.append(session.step_index))
+        sim.run_all(2)
+        # after the last stage and after the epilogue: the hook reads the
+        # number of completed steps, not the index of the one in flight
+        assert events == [*GLOBAL_STAGE_NAMES, 1, *GLOBAL_STAGE_NAMES, 2]
+        assert sim.pipeline.remove_hook(hook)
+        sim.step()
+        assert events[-1] == "boundary"
 
 
 class TestBreakdownTiming:
     def test_stage_seconds_filled_per_pipeline_stage(self):
-        sim = uniform_workload().build_simulation()
-        Session.from_simulation(sim).run_all(2)
+        sim = uniform_workload().build_session()
+        sim.run_all(2)
         assert set(sim.breakdown.stage_seconds) == set(GLOBAL_STAGE_NAMES)
         assert all(v >= 0.0 for v in sim.breakdown.stage_seconds.values())
 
     def test_buckets_are_the_sum_of_their_stages(self):
-        sim = uniform_workload().build_simulation()
-        Session.from_simulation(sim).run_all(2)
+        sim = uniform_workload().build_session()
+        sim.run_all(2)
         seconds = sim.breakdown.seconds
         stage = sim.breakdown.stage_seconds
         assert seconds["field_gather_push"] == pytest.approx(
@@ -222,8 +216,8 @@ class TestBreakdownTiming:
             stage["laser"] + stage["solve"] + stage["boundary"])
 
     def test_stage_rows_and_reset(self):
-        sim = uniform_workload().build_simulation()
-        Session.from_simulation(sim).run_all(1)
+        sim = uniform_workload().build_session()
+        sim.run_all(1)
         rows = sim.breakdown.stage_rows()
         assert [row["stage"] for row in rows] == list(GLOBAL_STAGE_NAMES)
         assert sum(row["fraction"] for row in rows) == pytest.approx(1.0)
@@ -232,12 +226,12 @@ class TestBreakdownTiming:
         assert sim.breakdown.stage_rows() == []
 
     def test_domain_set_times_its_own_stages(self):
-        sim = uniform_workload(domains=(2, 1, 1)).build_simulation()
-        Session.from_simulation(sim).run_all(1)
+        sim = uniform_workload(domains=(2, 1, 1)).build_session()
+        sim.run_all(1)
         assert set(sim.breakdown.stage_seconds) == set(GLOBAL_STAGE_NAMES)
 
     def test_timing_hook_is_detachable(self):
-        sim = uniform_workload().build_simulation()
+        sim = uniform_workload().build_session()
         hooks = [h for h in sim.pipeline._post_hooks
                  if isinstance(h, BreakdownTimingHook)]
         assert len(hooks) == 1
@@ -247,7 +241,7 @@ class TestBreakdownTiming:
 
 
 # ----------------------------------------------------------------------
-# Simulation.step takes no per-call toggles
+# Session.step takes no per-call toggles
 # ----------------------------------------------------------------------
 
 class TestStepShim:
@@ -257,7 +251,7 @@ class TestStepShim:
             species=(SpeciesConfig(density=1.0e24, ppc=(1, 1, 1)),),
             max_steps=2,
         )
-        return Simulation(config)
+        return Session(config)
 
     def test_plain_step_does_not_warn(self):
         sim = self.make()

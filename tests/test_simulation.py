@@ -7,7 +7,7 @@ from repro import constants
 from repro.api import Session
 from repro.baselines.configs import make_strategy
 from repro.config import GridConfig, SimulationConfig, SpeciesConfig
-from repro.pic.simulation import ReferenceDeposition, Simulation
+from repro.pic.simulation import ReferenceDeposition
 
 
 def small_config(**kwargs):
@@ -24,53 +24,53 @@ def small_config(**kwargs):
 
 class TestSimulationConstruction:
     def test_particles_loaded(self):
-        sim = Simulation(small_config())
+        sim = Session(small_config())
         assert sim.num_particles == 8 * 8 * 8
 
     def test_no_plasma_option(self):
-        sim = Simulation(small_config(), load_plasma=False)
+        sim = Session(small_config(), load_plasma=False)
         assert sim.num_particles == 0
 
     def test_default_strategy_is_reference(self):
-        sim = Simulation(small_config())
+        sim = Session(small_config())
         assert isinstance(sim.deposition, ReferenceDeposition)
 
     def test_time_step_positive(self):
-        sim = Simulation(small_config())
+        sim = Session(small_config())
         assert sim.dt > 0.0
         assert sim.time == 0.0
 
 
 class TestSimulationRun:
     def test_run_advances_steps_and_time(self):
-        sim = Simulation(small_config())
-        Session.from_simulation(sim).run_all(3)
+        sim = Session(small_config())
+        sim.run_all(3)
         assert sim.step_index == 3
         assert sim.time == pytest.approx(3 * sim.dt)
 
     def test_particle_count_conserved_with_periodic_boundaries(self):
-        sim = Simulation(small_config())
+        sim = Session(small_config())
         initial = sim.num_particles
-        Session.from_simulation(sim).run_all(3)
+        sim.run_all(3)
         assert sim.num_particles == initial
 
     def test_positions_stay_inside_domain(self):
-        sim = Simulation(small_config())
-        Session.from_simulation(sim).run_all(3)
+        sim = Session(small_config())
+        sim.run_all(3)
         soa = sim.containers[0].gather_soa()
         for axis, coord in enumerate((soa["x"], soa["y"], soa["z"])):
             assert np.all(coord >= sim.grid.lo[axis])
             assert np.all(coord < sim.grid.hi[axis])
 
     def test_fields_remain_finite(self):
-        sim = Simulation(small_config())
-        Session.from_simulation(sim).run_all(3)
+        sim = Session(small_config())
+        sim.run_all(3)
         for arr in sim.grid.field_arrays().values():
             assert np.all(np.isfinite(arr))
 
     def test_breakdown_records_all_stages(self):
-        sim = Simulation(small_config())
-        Session.from_simulation(sim).run_all(2)
+        sim = Session(small_config())
+        sim.run_all(2)
         stages = set(sim.breakdown.seconds)
         assert {"field_gather_push", "boundary_redistribute",
                 "current_deposition", "field_solve"} <= stages
@@ -78,8 +78,8 @@ class TestSimulationRun:
         assert sim.breakdown.total > 0.0
 
     def test_energy_recording(self):
-        sim = Simulation(small_config())
-        Session.from_simulation(sim).run_all(2, record_energy=True)
+        sim = Session(small_config())
+        sim.run_all(2, record_energy=True)
         assert len(sim.energy.history) == 3
         assert np.isfinite(sim.energy.relative_energy_drift())
 
@@ -90,8 +90,8 @@ class TestSimulationRun:
                                    thermal_velocity=0.0),),
             max_steps=5,
         )
-        sim = Simulation(config)
-        Session.from_simulation(sim).run_all(5, record_energy=True)
+        sim = Session(config)
+        sim.run_all(5, record_energy=True)
         final_kinetic = sim.energy.history[-1].kinetic_energy
         # the self-field pushes particles a little, but far below relativistic
         soa = sim.containers[0].gather_soa()
@@ -103,9 +103,9 @@ class TestSimulationRun:
 class TestSimulationWithStrategies:
     @pytest.mark.parametrize("name", ["Baseline", "MatrixPIC (FullOpt)"])
     def test_instrumented_strategy_accumulates_counters(self, name):
-        sim = Simulation(small_config(max_steps=2),
+        sim = Session(small_config(max_steps=2),
                          deposition=make_strategy(name))
-        Session.from_simulation(sim).run_all(2)
+        sim.run_all(2)
         combined = sim.deposition_counters.combined()
         assert combined.total_events() > 0
         assert combined.effective_flops > 0
@@ -113,11 +113,11 @@ class TestSimulationWithStrategies:
     def test_strategy_and_reference_agree_on_physics(self):
         """Running the loop with the MPU strategy gives the same fields as
         running it with the reference kernel."""
-        sim_ref = Simulation(small_config(max_steps=3))
-        sim_mpu = Simulation(small_config(max_steps=3),
+        sim_ref = Session(small_config(max_steps=3))
+        sim_mpu = Session(small_config(max_steps=3),
                              deposition=make_strategy("MatrixPIC (FullOpt)"))
-        Session.from_simulation(sim_ref).run_all(3)
-        Session.from_simulation(sim_mpu).run_all(3)
+        sim_ref.run_all(3)
+        sim_mpu.run_all(3)
         scale = np.max(np.abs(sim_ref.grid.ex)) or 1.0
         np.testing.assert_allclose(sim_mpu.grid.ex, sim_ref.grid.ex,
                                    atol=1e-9 * scale)

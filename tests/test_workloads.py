@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro import constants
-from repro.api import Session
 from repro.workloads.lwfa import LWFAWorkload
 from repro.workloads.nbody_pm import ParticleMeshGravity
 from repro.workloads.pme import PMEChargeAssignment
@@ -39,13 +38,13 @@ class TestUniformWorkload:
     def test_build_simulation_loads_particles(self):
         workload = UniformPlasmaWorkload(n_cell=(4, 4, 4), tile_size=(4, 4, 4),
                                          ppc=8, max_steps=1)
-        simulation = workload.build_simulation()
+        simulation = workload.build_session()
         assert simulation.num_particles == 4 * 4 * 4 * 8
 
     def test_scramble_changes_order_not_count(self):
         workload = UniformPlasmaWorkload(n_cell=(4, 4, 4), tile_size=(4, 4, 4),
                                          ppc=8, max_steps=1)
-        simulation = workload.build_simulation()
+        simulation = workload.build_session()
         before = simulation.containers[0].gather_soa()["x"].copy()
         workload.scramble_particles(simulation)
         after = simulation.containers[0].gather_soa()["x"]
@@ -67,7 +66,7 @@ class TestLWFAWorkload:
     def test_build_simulation_plasma_starts_downstream(self):
         workload = LWFAWorkload(n_cell=(8, 8, 32), tile_size=(8, 8, 16),
                                 ppc=1, max_steps=1)
-        simulation = workload.build_simulation()
+        simulation = workload.build_session()
         z = simulation.containers[0].gather_soa()["z"]
         assert z.size > 0
         extent = simulation.grid.hi[2] - simulation.grid.lo[2]
@@ -84,8 +83,8 @@ class TestLWFAWorkload:
     def test_short_run_executes(self):
         workload = LWFAWorkload(n_cell=(4, 4, 16), tile_size=(4, 4, 16),
                                 ppc=1, max_steps=2)
-        simulation = workload.build_simulation()
-        Session.from_simulation(simulation).run_all(2)
+        simulation = workload.build_session()
+        simulation.run_all(2)
         assert simulation.step_index == 2
         assert np.isfinite(simulation.grid.field_energy())
 
