@@ -6,7 +6,9 @@ the oracle, verbatim from the pre-stencil kernels) against the flat-index
 per tile occupancy, for both directions of the stencil:
 
 * **scatter** — three-component current deposition of one staged tile,
-* **gather** — six-component field interpolation for one tile.
+* **gather** — six-component field interpolation for one tile (the
+  ``gather_flat_ms`` column is ``gather_fields_for_tile``, the
+  cell-grouped block gather of :mod:`repro.pic.gather`).
 
 It also times the full deposition stage once per kernel tier
 (``oracle`` vs the optional numba ``fused`` tier; unavailable tiers
@@ -192,6 +194,14 @@ def _bench_point(order: int, ppc: int) -> Dict[str, float]:
     scale = float(np.abs(ref).max()) or 1.0
     rel_err = float(np.abs(grid.jx - ref).max()) / scale
     assert rel_err < 1e-12, f"scatter engine diverged from oracle: {rel_err}"
+    for name, expected, got in zip(
+            ("ex", "ey", "ez", "bx", "by", "bz"),
+            addat_gather_six(grid, tile, order),
+            gather_fields_for_tile(grid, tile, order)):
+        scale = float(np.abs(expected).max()) or 1.0
+        rel_err = float(np.abs(got - expected).max()) / scale
+        assert rel_err < 1e-12, \
+            f"gather of {name} diverged from oracle: {rel_err}"
 
     return {
         "order": order,

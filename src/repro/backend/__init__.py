@@ -32,7 +32,9 @@ a bare ``Grid(config)``, the grid-less Appendix-B workloads — uses
 
 Rows sharing a ``numerics`` tag guarantee **bitwise-identical** results
 (the oracle and fused tiers share ``"flat-index-v1"``, pinned by
-``tests/test_stencil.py``); the campaign cache keys hash the tag instead
+``tests/test_stencil.py``; the field gather — BLAS block products per
+step, the shared ``einsum`` adjoint otherwise — has no row here, so it
+cannot tell the tiers apart); the campaign cache keys hash the tag instead
 of the tier name, so bitwise-equal tiers share cache entries while a
 tier with different numerics gets distinct keys automatically.
 """

@@ -22,12 +22,15 @@ Every kernel is bitwise identical to the oracle, by construction:
   Do **not** enable fastmath here; it would break the bitwise pin
   against the oracle (and with it the cross-tier cache-key sharing).
 
-The gather is intentionally *not* a compiled reduction: ``np.einsum``
-reduces with a pairwise/SIMD order a sequential loop cannot reproduce
-bitwise, so the fused tier accelerates the stencil *build* (this
-module's :func:`build_weights`) and inherits the oracle's shared
-``einsum`` reduce — identical arrays in, identical reduction, identical
-bits out.
+The gather is intentionally *not* a compiled kernel.  The per-step
+gather (:func:`repro.pic.gather.gather_fields_for_tile`) is a stack of
+BLAS block products with no tier seam at all, and the stencil engine's
+generic adjoint (:meth:`~repro.pic.stencil.StencilOperator.gather`)
+reduces with ``np.einsum``, whose pairwise/SIMD order a sequential loop
+cannot reproduce bitwise — so both tiers share both, and the fused tier
+accelerates the stencil *build* (this module's :func:`build_weights`)
+and the scatters only: identical arrays in, identical reduction,
+identical bits out.
 
 Missing-dependency behaviour: when numba is not importable the
 ``@njit`` decoration is skipped and the implementations below remain

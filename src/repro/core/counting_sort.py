@@ -14,18 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
-
-def stable_order_by_bin(bins: np.ndarray, num_bins: int) -> np.ndarray:
-    """Stable permutation that sorts int64 ``bins`` (all in ``[0, num_bins)``).
-
-    A stable sort's permutation is unique, so this is exactly the order a
-    counting sort's placement pass produces.  NumPy's stable ``argsort`` is
-    an O(n) radix sort for 16-bit keys and a merge sort otherwise, so the
-    keys are narrowed whenever the bin count allows it (every tile in the
-    paper's configurations has far fewer than 65 536 cells).
-    """
-    keys = bins.astype(np.uint16) if num_bins <= 1 << 16 else bins
-    return np.argsort(keys, kind="stable")
+from repro.pic.blocks import stable_order_by_bin
 
 
 def counting_sort_permutation(cell_ids: np.ndarray, num_cells: int

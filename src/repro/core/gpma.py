@@ -40,7 +40,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.config import INVALID_PARTICLE_ID
-from repro.core.counting_sort import stable_order_by_bin
+from repro.pic.blocks import stable_order_by_bin
 
 
 @dataclass

@@ -41,8 +41,8 @@ from typing import Tuple
 import numpy as np
 
 from repro.config import SHAPE_ORDER_CIC
-from repro.core.counting_sort import stable_order_by_bin
 from repro.hardware.mpu import MatrixUnit
+from repro.pic.blocks import BLOCK_ROWS, cell_block_slots
 from repro.pic.deposition.base import TileDepositionData
 
 
@@ -226,12 +226,6 @@ def deposit_cell_qsp_mpu(mpu: MatrixUnit, wx: np.ndarray, wy: np.ndarray,
 # ---------------------------------------------------------------------------
 # per-tile block-matrix path (the production Stage 2)
 # ---------------------------------------------------------------------------
-#: Rows (particles) per block of the stacked product.  It fixes how a
-#: cell's particles are grouped before they are summed, so it is part of
-#: the numerics — a constant, not an option.
-BLOCK_ROWS = 16
-
-
 def mpu_work_statistics(cell_sequence: np.ndarray, order: int) -> dict:
     """MPU/VPU work of one tile in processing order, *per current component*
     (the hybrid kernel multiplies by three): ``mopa`` instructions,
@@ -282,22 +276,11 @@ def tile_rhocells(data: TileDepositionData, order_idx: np.ndarray,
             f"local cell id out of range for a tile of {num_cells} cells")
     stats = mpu_work_statistics(cells, data.order)
 
-    # group the processing order by cell, keeping each cell's sequence
-    if n > 1 and np.any(cells[1:] < cells[:-1]):
-        group = stable_order_by_bin(cells, num_cells)
-        order_idx = order_idx[group]
-        cells = cells[group]
-
-    # slot of every particle in the zero-padded, block-aligned row space
-    counts = np.bincount(cells, minlength=num_cells)
-    cell_blocks = (counts + (BLOCK_ROWS - 1)) // BLOCK_ROWS
-    block_end = np.cumsum(cell_blocks)
-    block_start = block_end - cell_blocks
-    num_blocks = int(block_end[-1])
-    run_start = np.cumsum(counts) - counts
-    slots = np.empty(n, dtype=np.int64)
-    slots[order_idx] = (np.arange(n, dtype=np.int64)
-                        + (block_start * BLOCK_ROWS - run_start)[cells])
+    # every particle's row in the cell-grouped, block-aligned row space
+    # (the layout the gather shares: repro.pic.blocks)
+    slots, cell_blocks, block_start = cell_block_slots(cells, num_cells,
+                                                       order_idx)
+    num_blocks = int(cell_blocks.sum())
 
     # the two operand panels, built in storage order and scattered to
     # their slots: 3S + S^2 doubles per particle for all three components

@@ -14,6 +14,12 @@ the near (cache-resident / streaming) and far (DRAM, scattered) byte
 traffic separately.  Atomic conflicts add serialisation cycles on top, so
 the contention behaviour that motivates the paper (Figure 2) is visible in
 the modelled numbers.
+
+The model covers the deposition kernel (preprocess, compute, reduce,
+sort) only — the paper's subject.  The field gather, the push and the
+field solve record no counters, so a change to them moves wall-clock
+metrics and leaves every modelled number (``hardware.modelled_*`` in the
+benchmark) bit-identical.
 """
 
 from __future__ import annotations

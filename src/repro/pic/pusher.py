@@ -43,19 +43,22 @@ def boris_push_momentum(ux: np.ndarray, uy: np.ndarray, uz: np.ndarray,
     qmdt2 = charge * dt / (2.0 * mass)
 
     # half electric acceleration
-    uxm = ux + qmdt2 * ex
-    uym = uy + qmdt2 * ey
-    uzm = uz + qmdt2 * ez
+    ax = qmdt2 * ex
+    ay = qmdt2 * ey
+    az = qmdt2 * ez
+    uxm = ux + ax
+    uym = uy + ay
+    uzm = uz + az
 
     # magnetic rotation
     gamma = lorentz_factor(uxm, uym, uzm)
     tx = qmdt2 * bx / gamma
     ty = qmdt2 * by / gamma
     tz = qmdt2 * bz / gamma
-    t2 = tx**2 + ty**2 + tz**2
-    sx = 2.0 * tx / (1.0 + t2)
-    sy = 2.0 * ty / (1.0 + t2)
-    sz = 2.0 * tz / (1.0 + t2)
+    norm = 1.0 + (tx**2 + ty**2 + tz**2)
+    sx = 2.0 * tx / norm
+    sy = 2.0 * ty / norm
+    sz = 2.0 * tz / norm
 
     upx = uxm + (uym * tz - uzm * ty)
     upy = uym + (uzm * tx - uxm * tz)
@@ -66,7 +69,7 @@ def boris_push_momentum(ux: np.ndarray, uy: np.ndarray, uz: np.ndarray,
     uzp = uzm + (upx * sy - upy * sx)
 
     # second half electric acceleration
-    return uxp + qmdt2 * ex, uyp + qmdt2 * ey, uzp + qmdt2 * ez
+    return uxp + ax, uyp + ay, uzp + az
 
 
 def push_tile(tile: ParticleTile, fields: Tuple[np.ndarray, ...],

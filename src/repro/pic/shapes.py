@@ -62,7 +62,9 @@ def _cic_factors(xi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """First-order (linear / Cloud-in-Cell) weights on 2 nodes."""
     base = np.floor(xi).astype(np.int64)
     d = xi - base
-    weights = np.stack([1.0 - d, d], axis=-1)
+    weights = np.empty(xi.shape + (2,))
+    np.subtract(1.0, d, out=weights[..., 0])
+    weights[..., 1] = d
     return base, weights
 
 
@@ -70,10 +72,10 @@ def _tsc_factors(xi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Second-order (Triangular-Shaped-Cloud) weights on 3 nodes."""
     nearest = np.floor(xi + 0.5).astype(np.int64)
     delta = xi - nearest
-    w_lo = 0.5 * (0.5 - delta) ** 2
-    w_mid = 0.75 - delta**2
-    w_hi = 0.5 * (0.5 + delta) ** 2
-    weights = np.stack([w_lo, w_mid, w_hi], axis=-1)
+    weights = np.empty(xi.shape + (3,))
+    np.multiply(0.5, (0.5 - delta) ** 2, out=weights[..., 0])
+    np.subtract(0.75, delta**2, out=weights[..., 1])
+    np.multiply(0.5, (0.5 + delta) ** 2, out=weights[..., 2])
     return nearest - 1, weights
 
 
@@ -81,12 +83,14 @@ def _qsp_factors(xi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Third-order (cubic B-spline, "QSP" in the paper) weights on 4 nodes."""
     cell = np.floor(xi).astype(np.int64)
     d = xi - cell
-    one_minus = 1.0 - d
-    w0 = one_minus**3 / 6.0
-    w1 = (4.0 - 6.0 * d**2 + 3.0 * d**3) / 6.0
-    w2 = (1.0 + 3.0 * d + 3.0 * d**2 - 3.0 * d**3) / 6.0
-    w3 = d**3 / 6.0
-    weights = np.stack([w0, w1, w2, w3], axis=-1)
+    d2 = d**2
+    d3 = d**3
+    weights = np.empty(xi.shape + (4,))
+    np.divide((1.0 - d) ** 3, 6.0, out=weights[..., 0])
+    np.divide(4.0 - 6.0 * d2 + 3.0 * d3, 6.0, out=weights[..., 1])
+    np.divide(1.0 + 3.0 * d + 3.0 * d2 - 3.0 * d3, 6.0,
+              out=weights[..., 2])
+    np.divide(d3, 6.0, out=weights[..., 3])
     return cell - 1, weights
 
 

@@ -5,6 +5,12 @@ deposition, the rhocell cell->node reduction, the field gather, and the
 PM/PME workloads of Appendix B — evaluates the same tensor-product stencil:
 a particle at grid-normalised position ``xi`` touches ``support`` nodes per
 axis with separable 1-D weights, i.e. ``support**3`` grid nodes in total.
+(The per-step field gather does not build that stencil per particle: it
+is the cell-grouped block product of :mod:`repro.pic.gather`, which
+borrows this module's bounding box and wrap/clamp rule.  The adjoint
+here, :meth:`StencilOperator.gather`, is the boundary-exact generic form
+— the Appendix-B workloads, the far-out-of-domain fallback and the
+oracle the block form is tested against.)
 
 Historically each consumer walked that stencil with a triple Python loop,
 issuing one ``np.add.at`` (NumPy's slowest scatter primitive: an unbuffered
@@ -80,6 +86,7 @@ __all__ = [
     "scatter_flat",
     "cell_block_ids",
     "box_geometry",
+    "box_node_ids",
     "box_segments",
     "apply_box",
     "StencilOperator",
@@ -193,6 +200,24 @@ def box_geometry(shape: Tuple[int, int, int],
         return None
     dims = tuple(hi[a] - lo[a] + support for a in range(3))
     return lo, dims  # type: ignore[return-value]
+
+
+def box_node_ids(box_lo: Tuple[int, int, int], box_dims: Tuple[int, int, int],
+                 shape: Tuple[int, int, int], periodic: Sequence[bool]
+                 ) -> Array:
+    """Flat grid node id of every box node, wrapped/clamped per axis.
+
+    Row-major over the box: reading a field's raveled view through it
+    is the gather-side counterpart of :func:`apply_box` (periodic axes
+    wrap, open axes repeat the boundary plane).
+    """
+    gx, gy, gz = (
+        wrap_axis_indices(
+            box_lo[a] + np.arange(box_dims[a], dtype=np.int64),
+            shape[a], bool(periodic[a]))
+        for a in range(3))
+    return (((gx * shape[1])[:, None, None] + gy[None, :, None])
+            * shape[2] + gz[None, None, :]).reshape(-1)
 
 
 def _axis_segments(lo: int, dim: int, n: int, periodic: bool
@@ -448,16 +473,6 @@ class StencilOperator:
             self.flat_ids, self.weights, amplitude, size
         ).reshape(self.box_dims)
 
-    def _extract_box(self, field: Array) -> Array:
-        """The wrapped/clamped box view of a field, for the gather."""
-        idx = tuple(
-            wrap_axis_indices(
-                self.box_lo[a] + np.arange(self.box_dims[a], dtype=np.int64),
-                self.shape[a], self.periodic[a])
-            for a in range(3)
-        )
-        return field[np.ix_(*idx)]
-
     # ------------------------------------------------------------------
     # application
     # ------------------------------------------------------------------
@@ -490,19 +505,25 @@ class StencilOperator:
     def gather(self, field: Array) -> Array:
         """Interpolate ``field`` to the particles (adjoint of scatter).
 
-        The multiply-reduce is fused (``einsum``) so no ``(n, S^3)``
-        product temporary is materialised per component.  The reduction
+        The generic, boundary-exact adjoint: one ``(n, S^3)`` fancy-index
+        read of the field through the shared ids, reduced against the
+        weights by a fused ``einsum`` (no product temporary).  It serves
+        the grid-less Appendix-B workloads and batches far outside the
+        domain, and is the oracle of the per-step gather — which does
+        not come through here: :func:`repro.pic.gather.
+        gather_fields_for_tile` computes the same sums as cell-grouped
+        block products without the ``(n, S^3)`` arrays.  The reduction
         is deliberately *not* tier-dispatched: einsum's pairwise
         accumulation order is not reproducible by a sequential compiled
-        loop, so every tier shares this one reduce (compiled tiers
-        accelerate the id/weight build instead).
+        loop, so every tier shares this one reduce.
         """
         if self.num_particles == 0:
             return np.empty(0)
-        source = (field if self.box_dims is None
-                  else self._extract_box(field))
-        return np.einsum("pn,pn->p", source.reshape(-1)[self.flat_ids],
-                         self.weights)
+        source = field.reshape(-1)
+        if self.box_dims is not None:  # the wrapped/clamped box copy
+            source = source[box_node_ids(self.box_lo, self.box_dims,
+                                         self.shape, self.periodic)]
+        return np.einsum("pn,pn->p", source[self.flat_ids], self.weights)
 
     def gather_many(self, fields: Sequence[Array]) -> Tuple[Array, ...]:
         """Interpolate several field components through the shared stencil."""

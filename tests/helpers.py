@@ -36,6 +36,21 @@ def make_plasma(grid_config: GridConfig, ppc=(2, 2, 2), seed: int = 7,
     return grid, container
 
 
+#: the six gathered field components, in ``gather_fields_for_tile`` order
+FIELD_NAMES = ("ex", "ey", "ez", "bx", "by", "bz")
+
+
+def random_field_grid(shape, periodic, rng):
+    """A grid of unit cells (a position is its normalised coordinate)
+    with random E and B; open axes are ``pec``."""
+    grid = Grid(GridConfig(
+        n_cell=shape, hi=tuple(float(s) for s in shape),
+        field_boundary=tuple("periodic" if p else "pec" for p in periodic)))
+    for name in FIELD_NAMES:
+        getattr(grid, name)[...] = rng.normal(0.0, 1.0, shape)
+    return grid
+
+
 def deposit_unsorted(kernel, grid, container, order, executor=None):
     """One instrumented kernel over the container in storage order — the
     ``Baseline`` configuration's tile loop with any kernel plugged in;

@@ -22,6 +22,9 @@ temp-file + ``os.replace`` sequence.
 The MatrixPIC kernel has one Stage 2 (``core/mpu_deposit.py::
 tile_rhocells``); the per-particle formulation it replaced is the test
 oracle ``tests/deposit_oracles.py`` and is named nowhere under ``src/``.
+Its transpose is the one per-step gather (``pic/gather.py::
+gather_fields_for_tile``), and the block row space the two share is
+stated once, in ``pic/blocks.py``.
 
 A decomposed run deposits on the frame grid like every other run, so
 ``scratch_reduce`` is the only reduce helper behind the fan-out rule, and
@@ -315,9 +318,66 @@ def test_the_per_particle_mpu_stage_lives_under_tests_only():
     assert [(path, line.strip()) for path, text in source_texts()
             for line in text.splitlines()
             if any(name in line for name in retired)] == []
-    # ... and the block size is one module constant, read in one module
-    assert sorted(path for path, text in source_texts()
-                  if "BLOCK_ROWS" in text) == ["core/mpu_deposit.py"]
+
+
+def test_the_block_layout_is_stated_once():
+    # the deposit and its transpose, the gather, share one row space:
+    # BLOCK_ROWS and the group-by-cell + slot map are defined in
+    # pic/blocks.py and imported — not restated — by the two users
+    def defines(tree, name):
+        return any(
+            isinstance(node, ast.FunctionDef) and node.name == name
+            or isinstance(node, ast.Assign)
+            and any(name_of(target) == name for target in node.targets)
+            for node in ast.walk(tree))
+
+    def imported_from(tree):
+        """``{module: names}`` of every ``from module import names``."""
+        return {node.module: {alias.name for alias in node.names}
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+
+    trees = dict(source_trees())
+    for name in ("BLOCK_ROWS", "cell_block_slots", "stable_order_by_bin"):
+        assert [path for path, tree in trees.items()
+                if defines(tree, name)] == ["pic/blocks.py"], name
+    for name in ("BLOCK_ROWS", "cell_block_slots"):
+        assert sorted(path for path, text in source_texts()
+                      if name in text) == [
+            "core/mpu_deposit.py", "pic/blocks.py", "pic/gather.py"], name
+        for user in ("core/mpu_deposit.py", "pic/gather.py"):
+            assert name in imported_from(trees[user])["repro.pic.blocks"]
+    # ... which is on the pic side because repro.pic stays below repro.core
+    assert [path for path, text in source_texts() if path.startswith("pic/")
+            and ("from repro.core" in text or "import repro.core" in text)
+            ] == []
+
+
+def test_the_step_reaches_one_gather():
+    # per-step traffic gathers through gather_fields_for_tile; the
+    # stencil engine's generic adjoint (StencilOperator.gather /
+    # gather_many) is called by the one documented out-of-domain
+    # fallback inside pic/gather.py and by gather_many's own loop,
+    # nowhere else under pic/, pipeline/ or core/
+    def adjoint_calls(tree):
+        return [node.func.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("gather", "gather_many")]
+
+    trees = dict(source_trees())
+    assert {path: adjoint_calls(tree) for path, tree in trees.items()
+            if path.startswith(("pic/", "pipeline/", "core/"))
+            and adjoint_calls(tree)} == {
+        "pic/gather.py": ["gather_many"], "pic/stencil.py": ["gather"]}
+    # ... and the pusher and the pipeline name no other gather function
+    stage_names = {"gather_push", "GatherPushStage", "field_gather_push"}
+    for path, tree in trees.items():
+        if path == "pic/pusher.py" or path.startswith("pipeline/"):
+            assert {name for name in names_in(tree) - stage_names
+                    if "gather" in name.lower()} <= {
+                "gather_fields_for_tile"}, path
+    assert "gather_fields_for_tile" in names_in(trees["pic/pusher.py"])
 
 
 def test_only_the_snapshot_format_stages_and_renames_files():

@@ -127,3 +127,40 @@ def test_combined_weights_sum_to_one_property(x, y, z):
         _, wz = shape_factors(np.array([z]), order)
         total = combined_weights(wx, wy, wz).sum()
         assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def _stacked_shape_factors(xi, order):
+    """The column-per-temporary ``np.stack`` formulation ``shape_factors``
+    replaced (it now fills one preallocated ``(n, S)`` array)."""
+    if order == 1:
+        base = np.floor(xi).astype(np.int64)
+        d = xi - base
+        return base, np.stack([1.0 - d, d], axis=-1)
+    if order == 2:
+        nearest = np.floor(xi + 0.5).astype(np.int64)
+        delta = xi - nearest
+        return nearest - 1, np.stack([0.5 * (0.5 - delta) ** 2,
+                                      0.75 - delta**2,
+                                      0.5 * (0.5 + delta) ** 2], axis=-1)
+    cell = np.floor(xi).astype(np.int64)
+    d = xi - cell
+    one_minus = 1.0 - d
+    return cell - 1, np.stack([
+        one_minus**3 / 6.0,
+        (4.0 - 6.0 * d**2 + 3.0 * d**3) / 6.0,
+        (1.0 + 3.0 * d + 3.0 * d**2 - 3.0 * d**3) / 6.0,
+        d**3 / 6.0], axis=-1)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("n", [0, 1, 7, 4096])
+def test_preallocated_columns_are_bitwise_the_stacked_expression(order, n):
+    xi = np.random.default_rng(n + order).uniform(-4.0, 40.0, n)
+    expected_base, expected = _stacked_shape_factors(xi, order)
+    base, weights = shape_factors(xi, order)
+    assert np.array_equal(base, expected_base)
+    assert base.dtype == expected_base.dtype
+    assert weights.shape == expected.shape == (n, order + 1)
+    assert weights.dtype == expected.dtype
+    assert weights.flags.c_contiguous
+    assert np.array_equal(weights, expected)
