@@ -4,8 +4,8 @@ Summed over a cell's particles, the ``S^3`` nodal terms of the
 tensor-product stencil are one matrix product (paper §4.2.1), in either
 direction: the deposit (:func:`repro.core.mpu_deposit.tile_rhocells`)
 contracts the particles away, the gather
-(:func:`repro.pic.gather.gather_fields_for_tile`) is its transpose and
-contracts the cell's nodes away.  Both lay a tile's particles into the
+(:func:`repro.pic.gather.gather_fields`) is its transpose and
+contracts the cell's nodes away.  Both lay a batch's particles into the
 same row space — grouped by cell, each cell's run cut into blocks of
 :data:`BLOCK_ROWS` rows, the tail block zero-padded — and hand the stack
 of blocks to BLAS ``matmul``.  That layout is stated here, once.

@@ -10,9 +10,11 @@ The per-step gather is the transpose of the block-matrix deposit
 (:func:`repro.core.mpu_deposit.tile_rhocells`, paper §4.2.1): the
 ``S^3`` nodal terms of a particle factor into 1-D shape factors, so for
 the particles of one cell the interpolation is one matrix product.
-:func:`gather_fields_for_tile`
+:func:`gather_fields` takes a batch of positions — one tile's
+(:func:`gather_fields_for_tile`) or a run of tiles' (the pusher's
+batches, :mod:`repro.pic.pusher`) — and
 
-1. extracts the wrapped/clamped field box of the tile **once** for all
+1. extracts the wrapped/clamped field box of the batch **once** for all
    six components,
 2. gives every particle its stencil *base cell* in box coordinates
    (from the shape factors' base indices, so a particle outside its
@@ -27,12 +29,13 @@ the particles of one cell the interpolation is one matrix product.
 No ``(n, S^3)`` id, weight or value array is built.  A row of a block
 product depends on that row and the cell's operand only, so a
 particle's gathered fields are a function of that particle and the grid
-— not of its tile-mates or the storage order — which is what keeps
-executors, resumed runs and domain splits bitwise equal.  Both kernel
-tiers share this one path (:mod:`repro.backend`).
+— not of its tile-mates, its batch-mates or the storage order — which
+is what keeps executors, resumed runs, domain splits and any grouping
+of tiles into batches bitwise equal.  Both kernel tiers share this one
+path (:mod:`repro.backend`).
 
 Batches reaching more than a stencil width outside the domain (no
-per-step caller does) fall back to the stencil engine's exact
+per-step caller does) fall back as a whole to the stencil engine's exact
 wrapped-space adjoint, :meth:`repro.pic.stencil.StencilOperator.gather`,
 which is also the oracle the block form is tested against.
 """
@@ -130,13 +133,25 @@ def gather_field(grid: Grid, field: Array, x: Array, y: Array,
     return _gather_components(grid, (field,), x, y, z, order)[0]
 
 
-def gather_fields_for_tile(grid: Grid, tile: ParticleTile, order: int
-                           ) -> Tuple[Array, Array, Array,
-                                      Array, Array, Array]:
-    """Interpolate all six field components to a tile's particles."""
-    if tile.num_particles == 0:
+def gather_fields(grid: Grid, x: Array, y: Array, z: Array, order: int
+                  ) -> Tuple[Array, Array, Array, Array, Array, Array]:
+    """Interpolate all six field components to a batch of positions.
+
+    The batch may hold the particles of any number of tiles: a
+    particle's result depends on that particle and the grid only, so
+    gathering a run of tiles at once equals gathering them one by one,
+    bit for bit (the pusher batches small tiles this way).
+    """
+    if x.shape[0] == 0:
         empty = np.empty(0)
         return (empty,) * 6
     return _gather_components(
         grid, (grid.ex, grid.ey, grid.ez, grid.bx, grid.by, grid.bz),
-        tile.x, tile.y, tile.z, order)
+        x, y, z, order)
+
+
+def gather_fields_for_tile(grid: Grid, tile: ParticleTile, order: int
+                           ) -> Tuple[Array, Array, Array,
+                                      Array, Array, Array]:
+    """Interpolate all six field components to a tile's particles."""
+    return gather_fields(grid, tile.x, tile.y, tile.z, order)

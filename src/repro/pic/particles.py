@@ -10,12 +10,22 @@ Matrix-PIC framework populates with the tile's GPMA structure (§4.3).
 The container is also responsible for the per-step redistribution that in
 WarpX happens in the particle exchange: applying the periodic/absorbing
 particle boundary conditions and moving particles whose positions left
-their tile into the owning tile.
+their tile into the owning tile.  Both run over many tiles per NumPy
+call: the wrap and the owner scan once per executor shard on the shard's
+concatenated coordinates, and the migration as one stable regroup of
+the changed tiles (:meth:`ParticleContainer.redistribute`, which states
+the storage-order contract the deposition's summation order rests on).
+
+A tile's SoA arrays may therefore be slices of a batch array shared with
+other tiles (the pusher hands out slices too, :mod:`repro.pic.pusher`).
+The slices are disjoint, so writing into one tile's arrays never touches
+another tile's particles.
 """
 
 from __future__ import annotations
 
 from typing import (
+    Callable,
     Dict,
     Iterator,
     List,
@@ -28,6 +38,7 @@ import numpy as np
 
 from repro.config import GridConfig, SpeciesConfig
 from repro.exec import TileExecutor, map_shards
+from repro.pic.blocks import stable_order_by_bin
 from repro.pic.grid import Grid
 
 _SOA_FIELDS = ("x", "y", "z", "ux", "uy", "uz", "w")
@@ -108,8 +119,8 @@ class ParticleTile:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape[0] != self.num_particles:
             raise ValueError("mask length does not match particle count")
-        removed = {name: getattr(self, name)[mask].copy() for name in _SOA_FIELDS}
-        removed["ids"] = self.ids[mask].copy()
+        removed = {name: getattr(self, name)[mask] for name in _SOA_FIELDS}
+        removed["ids"] = self.ids[mask]
         keep = ~mask
         for name in _SOA_FIELDS:
             setattr(self, name, getattr(self, name)[keep])
@@ -151,47 +162,79 @@ class ParticleTile:
         self.ids = self.ids[order]
 
 
-def _apply_tile_boundary(tile: ParticleTile, lo: np.ndarray, hi: np.ndarray,
-                         extent: np.ndarray, periodic: Sequence[bool]) -> int:
-    """Wrap/absorb one tile's particles in place; returns removed count."""
-    coords = [tile.x, tile.y, tile.z]
-    absorb_mask = np.zeros((tile.num_particles,), dtype=bool)
-    for axis, arr in enumerate(coords):
-        if periodic[axis]:
-            arr[...] = lo[axis] + np.mod(arr - lo[axis], extent[axis])
-        else:
-            absorb_mask |= (arr < lo[axis]) | (arr >= hi[axis])
-    if absorb_mask.any():
-        removed = tile.remove(absorb_mask)
-        return int(removed["ids"].shape[0])
-    return 0
+def concat_tiles(tiles: Sequence[ParticleTile], name: str) -> np.ndarray:
+    """The ``name`` SoA array of ``tiles`` joined in tile order.
+
+    One tile's own array is returned as is, not copied: callers only
+    read the result.
+    """
+    arrays = [getattr(tile, name) for tile in tiles]
+    if len(arrays) == 1:
+        return arrays[0]
+    return np.concatenate(arrays or [np.empty((0,))])
+
+
+def split_to_tiles(tiles: Sequence[ParticleTile], ends: Sequence[int],
+                   arrays: Dict[str, np.ndarray]) -> None:
+    """Give each tile its slice of every batch array in ``arrays``.
+
+    Tile ``k`` gets ``[ends[k - 1], ends[k])`` (from 0 for the first),
+    as views: the batch arrays are shared, their slices disjoint.
+    """
+    start = 0
+    for tile, end in zip(tiles, ends):
+        for name, values in arrays.items():
+            setattr(tile, name, values[start:end])
+        start = end
 
 
 def _boundary_shard(tiles: List[ParticleTile], lo: np.ndarray, hi: np.ndarray,
                     extent: np.ndarray, periodic: Tuple[bool, ...]) -> int:
-    """Executor task: boundary conditions for one shard of tiles (in place)."""
-    return sum(_apply_tile_boundary(tile, lo, hi, extent, periodic)
-               for tile in tiles)
+    """Executor task: boundary conditions for one shard of tiles.
 
-
-def _redistribute_scan_shard(entries: List[Tuple[int, ParticleTile]],
-                             container: "ParticleContainer", grid: Grid
-                             ) -> List[Tuple[int, np.ndarray, np.ndarray]]:
-    """Executor task: find each shard tile's leaving particles (read-only).
-
-    Returns ``(tile_id, leaving_mask, owners_of_leaving)`` triples; the
-    caller applies the removals and appends serially so the merge order —
-    and therefore the destination tiles' storage order — is independent of
-    the backend's scheduling.
+    Periodic axes are wrapped in one pass over the shard's concatenated
+    coordinates (each tile gets its slice back); the open-axis absorb
+    mask is computed on the concatenation too, and only the tiles whose
+    slice of it has a hit remove particles.  Returns the removed count.
     """
-    out: List[Tuple[int, np.ndarray, np.ndarray]] = []
-    for tile_id, tile in entries:
-        ix, iy, iz = grid.cell_index(tile.x, tile.y, tile.z)
-        owner = container.tile_of_cell(ix, iy, iz)
-        leaving = owner != tile_id
-        if leaving.any():
-            out.append((tile_id, leaving, owner[leaving]))
-    return out
+    counts = [tile.num_particles for tile in tiles]
+    ends = np.cumsum(counts, dtype=np.int64)
+    absorb = np.zeros(sum(counts), dtype=bool)
+    for axis, name in enumerate(("x", "y", "z")):
+        coords = concat_tiles(tiles, name)
+        if periodic[axis]:
+            # lo + mod(coords - lo, extent): np.mod costs several compares
+            # and is the identity on the open interval (0, extent), so only
+            # the offsets outside it go through np.mod (same bits)
+            offset = coords - lo[axis]
+            outside = ~((offset > 0.0) & (offset < extent[axis]))
+            offset[outside] = np.mod(offset[outside], extent[axis])
+            split_to_tiles(tiles, ends, {name: lo[axis] + offset})
+        else:
+            absorb |= (coords < lo[axis]) | (coords >= hi[axis])
+    hits = np.flatnonzero(absorb)
+    for k in np.unique(np.searchsorted(ends, hits, side="right")):
+        tiles[k].remove(absorb[ends[k] - counts[k]:ends[k]])
+    return int(hits.shape[0])
+
+
+def _owner_scan_shard(entries: List[Tuple[int, ParticleTile]],
+                      container: "ParticleContainer", grid: Grid
+                      ) -> np.ndarray:
+    """Executor task: the owning tile of every particle of a shard.
+
+    One cell-index + owner lookup over the shard's concatenated
+    positions (read-only); returned in entry order, particle by particle.
+    """
+    tiles = [tile for _, tile in entries]
+    ix, iy, iz = grid.cell_index(concat_tiles(tiles, "x"),
+                                 concat_tiles(tiles, "y"),
+                                 concat_tiles(tiles, "z"))
+    return container.tile_of_cell(ix, iy, iz)
+
+
+def record_nothing(source_tile_id: int, owner_tile_ids: np.ndarray) -> None:
+    """The default ``move_recorder`` of :meth:`ParticleContainer.redistribute`."""
 
 
 def _kinetic_shard(tiles: List[ParticleTile], mass: float) -> float:
@@ -317,7 +360,8 @@ class ParticleContainer:
 
     def redistribute(self, grid: Grid,
                      executor: Optional[TileExecutor] = None,
-                     move_recorder=None) -> int:
+                     move_recorder: Callable[[int, np.ndarray], None]
+                     = record_nothing) -> int:
         """Move particles that left their tile into the owning tile.
 
         Returns the number of particles moved between tiles.  Boundary
@@ -325,42 +369,55 @@ class ParticleContainer:
         a valid tile.
 
         The read-only scan (cell index + owning tile of every particle)
-        is sharded over the ``executor``; removals and appends — the part
-        that mutates more than one tile — always run serially in ascending
-        source-tile order, so the destination tiles' storage order is
-        identical for every backend.
+        runs once per shard of the ``executor`` over the shard's
+        concatenated positions.  The moves are then applied as one stable
+        regroup of the changed tiles' concatenated SoA arrays — the tiles
+        that lose or gain a particle — by the key ``2 * destination +
+        is_arrival``.  That is the storage-order contract, the same for
+        every backend: a tile keeps its stayers in their order, followed
+        by its arrivals in ascending source-tile order, each source's in
+        its storage order.  A changed tile's arrays become slices of the
+        regrouped arrays and its ``sorter`` is cleared (its population
+        changed, even when its count did not); every other tile keeps
+        its arrays and its ``sorter`` object.
 
-        ``move_recorder`` is an optional callback invoked (during the
-        serial apply phase, in ascending source-tile order) as
+        ``move_recorder`` is called, in ascending source-tile order, as
         ``move_recorder(source_tile_id, owner_tile_ids)`` with the
-        destination tile of every leaving particle — the hook the domain
-        decomposition uses to account for particles migrating between
-        subdomains without a second scan.
+        destination tile of every particle leaving that source — the
+        hook the domain decomposition uses to account for particles
+        migrating between subdomains without a second scan.
         """
         entries = [(tile_id, tile) for tile_id, tile in enumerate(self.tiles)
                    if tile.num_particles > 0]
-        scans = [item for result in map_shards(
-            executor, _redistribute_scan_shard, entries, self, grid)
-            for item in result]
+        owner = np.concatenate(map_shards(
+            executor, _owner_scan_shard, entries, self, grid))
+        source = np.repeat(
+            np.array([tile_id for tile_id, _ in entries], dtype=np.int64),
+            [tile.num_particles for _, tile in entries])
+        leaving = owner != source
+        departures, destinations = source[leaving], owner[leaving]
 
-        moved_total = 0
-        pending: Dict[int, List[Dict[str, np.ndarray]]] = {}
-        for tile_id, leaving, owners in scans:
-            if move_recorder is not None:
-                move_recorder(tile_id, owners)
-            removed = self.tiles[tile_id].remove(leaving)
-            for dest in np.unique(owners):
-                sel = owners == dest
-                pending.setdefault(int(dest), []).append(
-                    {k: v[sel] for k, v in removed.items()}
-                )
-            moved_total += int(leaving.sum())
-        for dest, chunks in pending.items():
-            merged = {
-                k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]
-            }
-            self.tiles[dest].append(**merged)
-        return moved_total
+        sources, first = np.unique(departures, return_index=True)
+        for tile_id, owners in zip(sources.tolist(),
+                                   np.split(destinations, first[1:])):
+            move_recorder(tile_id, owners)
+
+        num_tiles = len(self.tiles)
+        changed = np.zeros(num_tiles, dtype=bool)
+        changed[departures] = True
+        changed[destinations] = True
+        member = changed[source]
+        order = stable_order_by_bin((2 * owner + leaving)[member],
+                                    2 * num_tiles)
+        tiles = [self.tiles[tile_id] for tile_id in np.flatnonzero(changed)]
+        ends = np.cumsum(np.bincount(owner[member],
+                                     minlength=num_tiles)[changed])
+        split_to_tiles(tiles, ends, {
+            name: concat_tiles(tiles, name)[order]
+            for name in (*_SOA_FIELDS, "ids")})
+        for tile in tiles:
+            tile.sorter = None
+        return int(departures.shape[0])
 
     # ------------------------------------------------------------------
     def gather_soa(self) -> Dict[str, np.ndarray]:

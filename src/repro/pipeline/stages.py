@@ -15,6 +15,7 @@ from repro.pic.boundary import FieldBoundaryStage
 from repro.pic.laser import LaserStage
 from repro.pic.maxwell import FieldSolveStage
 from repro.pic.moving_window import MovingWindowStage
+from repro.pic.particles import record_nothing
 from repro.pic.pusher import GatherPushStage
 
 __all__ = [
@@ -50,7 +51,8 @@ class MigrateStage:
 
     def run(self, session) -> None:
         domain = session.domain
-        recorder = domain.migration.recorder if domain is not None else None
+        recorder = (domain.migration.recorder if domain is not None
+                    else record_nothing)
         telemetry = session.telemetry
         for container in session.containers:
             container.apply_boundary_conditions(session.grid,

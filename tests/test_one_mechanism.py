@@ -24,7 +24,10 @@ tile_rhocells``); the per-particle formulation it replaced is the test
 oracle ``tests/deposit_oracles.py`` and is named nowhere under ``src/``.
 Its transpose is the one per-step gather (``pic/gather.py::
 gather_fields_for_tile``), and the block row space the two share is
-stated once, in ``pic/blocks.py``.
+stated once, in ``pic/blocks.py``.  The particle stages run over
+batches of tiles: the per-tile push is gone (its loop is the oracle in
+``tests/particle_oracles.py``), the run size is one pusher constant, and
+migration is one regroup that removes and appends nothing tile by tile.
 
 A decomposed run deposits on the frame grid like every other run, so
 ``scratch_reduce`` is the only reduce helper behind the fan-out rule, and
@@ -354,7 +357,8 @@ def test_the_block_layout_is_stated_once():
 
 
 def test_the_step_reaches_one_gather():
-    # per-step traffic gathers through gather_fields_for_tile; the
+    # per-step traffic gathers through gather_fields (a run of tiles per
+    # call; gather_fields_for_tile is its one-tile entry point); the
     # stencil engine's generic adjoint (StencilOperator.gather /
     # gather_many) is called by the one documented out-of-domain
     # fallback inside pic/gather.py and by gather_many's own loop,
@@ -375,9 +379,38 @@ def test_the_step_reaches_one_gather():
     for path, tree in trees.items():
         if path == "pic/pusher.py" or path.startswith("pipeline/"):
             assert {name for name in names_in(tree) - stage_names
-                    if "gather" in name.lower()} <= {
-                "gather_fields_for_tile"}, path
-    assert "gather_fields_for_tile" in names_in(trees["pic/pusher.py"])
+                    if "gather" in name.lower()} <= {"gather_fields"}, path
+    assert "gather_fields" in names_in(trees["pic/pusher.py"])
+
+
+def test_particle_stages_run_once_per_batch():
+    # gather + push run per run of tiles: the per-tile push is gone
+    # (its loop is the oracle in tests/particle_oracles.py) ...
+    assert [(path, line.strip()) for path, text in source_texts()
+            for line in text.splitlines() if "push_tile" in line] == []
+    # ... and the run size is one constant, read by the pusher only
+    trees = dict(source_trees())
+    assert [path for path, tree in trees.items()
+            for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and any(name_of(target) == "RUN_PARTICLES"
+                    for target in node.targets)] == ["pic/pusher.py"]
+    assert [path for path, text in source_texts()
+            if "RUN_PARTICLES" in text] == ["pic/pusher.py"]
+    # migration is one regroup: redistribute removes and appends nothing
+    # tile by tile, and calls its move recorder without asking whether
+    # there is one (a decomposed run takes the same path)
+    (redistribute,) = [
+        node for node in ast.walk(trees["pic/particles.py"])
+        if isinstance(node, ast.FunctionDef) and node.name == "redistribute"]
+    calls = [name_of(node.func) for node in ast.walk(redistribute)
+             if isinstance(node, ast.Call)]
+    assert "remove" not in calls and "append" not in calls
+    assert "move_recorder" in calls
+    uses = [node for node in ast.walk(redistribute)
+            if isinstance(node, ast.Name) and node.id == "move_recorder"]
+    called = [node.func for node in ast.walk(redistribute)
+              if isinstance(node, ast.Call)]
+    assert uses and all(any(use is func for func in called) for use in uses)
 
 
 def test_only_the_snapshot_format_stages_and_renames_files():

@@ -40,6 +40,10 @@ class TestParticleTile:
         assert tile.num_particles == 2
         np.testing.assert_array_equal(removed["ids"], [10, 12])
         np.testing.assert_array_equal(tile.ids, [11, 13])
+        # the removed particles are the caller's to keep: no view of the
+        # tile's storage (mask indexing allocates; no second copy needed)
+        for name in ("x", "y", "z", "ux", "uy", "uz", "w", "ids"):
+            assert not np.shares_memory(removed[name], getattr(tile, name))
 
     def test_remove_mask_length_check(self):
         tile = ParticleTile((0, 0, 0), (0, 0, 0), (4, 4, 4))
