@@ -7,9 +7,9 @@ tile executor and (on a decomposed run) the domain runtime — and
 advances it through the standard PIC cycle of §3.1:
 
 1. field gather and particle push,
-2. particle boundary conditions and tile redistribution,
+2. window motion, particle boundary conditions and tile redistribution,
 3. current deposition,
-4. field solve (Maxwell update) plus laser injection and window motion.
+4. field solve (Maxwell update) plus laser injection.
 
 The cycle itself is the one :class:`~repro.pipeline.StepPipeline` stage
 list built at construction; every stage and hook is handed the session
@@ -142,7 +142,7 @@ class Session:
             LaserAntenna(config.laser, self.grid, axis=config.moving_window.axis)
             if config.laser is not None else None
         )
-        self.moving_window = MovingWindow(config.moving_window)
+        self.moving_window = MovingWindow(config.moving_window, config.seed)
         self.deposition: DepositionStrategy = (
             deposition if deposition is not None else ReferenceDeposition()
         )

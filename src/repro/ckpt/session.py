@@ -16,7 +16,7 @@ What a snapshot holds
   exactly), ids, and the id allocator cursor,
 * step index, moving-window accumulator and total shift count,
 * both RNG streams (the construction-time generator and the moving
-  window injector's stream) as exact bit-generator states,
+  window's refill stream) as exact bit-generator states,
 * the energy history and the per-phase deposition counters,
 * a config fingerprint — restoring into a session built from a
   different configuration raises :class:`SnapshotMismatchError` instead
@@ -93,14 +93,9 @@ def config_fingerprint(config: Any) -> str:
     return content_key(payload)
 
 
-def _rng_state(rng: Any) -> Any:
-    return None if rng is None else rng.bit_generator.state
-
-
-def _injector_rng(simulation: "Session") -> Any:
-    """The moving-window injector's RNG, when the workload exposes one."""
-    injector = simulation.moving_window.injector
-    return getattr(injector, "rng", None) if injector is not None else None
+#: snapshot key of the moving window's refill stream (named for the
+#: callback that once owned it, so older snapshots still restore)
+_WINDOW_RNG = "injector"
 
 
 def capture_state(simulation: "Session"
@@ -136,8 +131,8 @@ def capture_state(simulation: "Session"
         "step_index": simulation.step_index,
         "window_total_shift_cells": window.total_shift_cells,
         "rng": {
-            "simulation": _rng_state(simulation.rng),
-            "injector": _rng_state(_injector_rng(simulation)),
+            "simulation": simulation.rng.bit_generator.state,
+            _WINDOW_RNG: window.rng.bit_generator.state,
         },
         "energy_history": [
             [record.step, record.field_energy, record.kinetic_energy]
@@ -221,9 +216,8 @@ def restore_state(simulation: "Session", meta: Dict[str, Any],
     rng_meta = meta.get("rng", {})
     if rng_meta.get("simulation") is not None:
         simulation.rng.bit_generator.state = rng_meta["simulation"]
-    injector_rng = _injector_rng(simulation)
-    if rng_meta.get("injector") is not None and injector_rng is not None:
-        injector_rng.bit_generator.state = rng_meta["injector"]
+    if rng_meta.get(_WINDOW_RNG) is not None:
+        window.rng.bit_generator.state = rng_meta[_WINDOW_RNG]
 
     history = [(int(step), float(fe), float(ke))
                for step, fe, ke in meta.get("energy_history", [])]

@@ -27,7 +27,8 @@ borrow gaps across cells runs its insertions one at a time.
 
 **What is not incremental.**  The sort state is keyed to the tile's
 particle count: a tile that gained or lost a particle since its last visit
-(migration, the moving window, injection) is not updated but rebuilt from
+(the moving window's refill, or ``migrate`` — which also absorbs what the
+window left behind and re-tiles its shift) is not updated but rebuilt from
 scratch by a global sort of that tile (:meth:`IncrementalSorter.ensure_tile_state`).
 The paper's Stage 1 inserts arrivals into the existing structure instead;
 doing so here would change the work counters and the modelled sort share,

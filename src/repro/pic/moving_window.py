@@ -7,31 +7,35 @@ has advanced by at least one cell, the implementation
 
 * shifts every field array backwards by the corresponding number of cells
   (zero-filling the newly exposed slab at the leading edge),
-* advances the grid origin,
-* drops particles that fell behind the trailing edge, and
-* injects fresh background plasma in the newly exposed cells.
+* advances the grid origin, and
+* refills the newly exposed slab with fresh background plasma.
+
+The ``migrate`` stage runs next: it drops the particles left behind the
+new trailing edge and re-tiles the rest against the new origin.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Optional
 
 import numpy as np
 
 from repro.config import MovingWindowConfig
 from repro.pic.grid import Grid
 from repro.pic.particles import ParticleContainer
+from repro.pic.plasma import load_plasma_slab
 
 
 class MovingWindow:
-    """Shifts the grid and particle population to follow the laser."""
+    """Shifts the grid to follow the laser and refills the exposed slab.
 
-    def __init__(self, config: MovingWindowConfig,
-                 injector: Optional[Callable[[Grid, ParticleContainer, float, float], None]] = None):
+    The refill loads each container's species along z
+    (:func:`~repro.pic.plasma.load_plasma_slab`), the axis of the one
+    workload that moves its window, jittered from the window's own
+    stream ``rng`` (seeded ``seed + 1``; :mod:`repro.ckpt` restores it).
+    """
+
+    def __init__(self, config: MovingWindowConfig, seed: int):
         self.config = config
-        #: callback invoked as ``injector(grid, container, z_lo, z_hi)`` to
-        #: fill the newly exposed slab with plasma
-        self.injector = injector
+        self.rng = np.random.default_rng(seed + 1)
         self._accumulated = 0.0
         self.total_shift_cells = 0
 
@@ -56,9 +60,8 @@ class MovingWindow:
         grid.hi[axis] += shift * dx
 
         for container in containers:
-            self._trim_particles(container, grid)
-            if self.injector is not None:
-                self.injector(grid, container, old_hi, grid.hi[axis])
+            load_plasma_slab(grid, container, container.species,
+                             z_lo=old_hi, z_hi=grid.hi[axis], rng=self.rng)
         return shift
 
     # ------------------------------------------------------------------
@@ -70,32 +73,19 @@ class MovingWindow:
             index[axis] = slice(-shift, None)
             arr[tuple(index)] = 0.0
 
-    def _trim_particles(self, container: ParticleContainer, grid: Grid) -> int:
-        """Remove particles that fell behind the new trailing edge."""
-        axis = self.config.axis
-        removed = 0
-        for tile in container.iter_tiles():
-            if tile.num_particles == 0:
-                continue
-            coords = (tile.x, tile.y, tile.z)[axis]
-            behind = coords < grid.lo[axis]
-            if behind.any():
-                removed += int(behind.sum())
-                tile.remove(behind)
-        return removed
-
 
 class MovingWindowStage:
-    """Pipeline stage: advance the moving window on the frame grid."""
+    """Pipeline stage: move the window on the frame grid, refill its slab."""
 
     name = "moving_window"
     bucket = "boundary_redistribute"
     reads = frozenset({
-        "moving_window", "grid.geometry", "containers.position",
-        "containers.membership", "dt", "step_index",
+        "moving_window", "grid.geometry", "containers.membership", "dt",
+        "step_index",
     })
     writes = frozenset({
-        "grid.geometry", "grid.fields", "grid.currents",
+        "moving_window", "grid.geometry", "grid.fields", "grid.currents",
+        "containers.position", "containers.momentum",
         "containers.membership",
     })
 

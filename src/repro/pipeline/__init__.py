@@ -9,7 +9,7 @@ Public surface
   hooks, ``run_step``;
 * :class:`BreakdownTimingHook` — the default per-stage timing hook;
 * :func:`build_pipeline` / :func:`global_stages` — the one stage list;
-* the stage vocabulary — gather/push, migrate, moving window, deposit,
+* the stage vocabulary — gather/push, moving window, migrate, deposit,
   laser, solve, boundary;
 * the effect contract (:mod:`repro.pipeline.effects`) — the
   :data:`~repro.pipeline.effects.RESOURCES` vocabulary, per-stage

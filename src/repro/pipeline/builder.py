@@ -35,8 +35,8 @@ def global_stages() -> List[Stage]:
     """The stage list of every run, in execution order."""
     return [
         GatherPushStage(),
-        MigrateStage(),
         MovingWindowStage(),
+        MigrateStage(),
         DepositStage(),
         LaserStage(),
         FieldSolveStage(),

@@ -32,6 +32,11 @@ __all__ = [
 class MigrateStage:
     """Pipeline stage: particle boundary conditions + tile redistribution.
 
+    It runs after the moving window: its absorbing wall at the new
+    ``grid.lo`` drops what the window left behind, and its regroup
+    re-tiles the shift, so every particle's cell lies in its tile's box
+    when ``deposit`` runs.
+
     Tiles are statically owned by subdomains on a decomposed run, so a
     cross-subdomain migration is just a tile move whose destination
     belongs to another block — the only difference is the

@@ -31,8 +31,6 @@ from repro.config import (
     SpeciesConfig,
 )
 from repro.obs import ObsConfig
-from repro.pic.grid import Grid
-from repro.pic.particles import ParticleContainer
 from repro.pic.plasma import load_plasma_slab
 from repro.pic.simulation import DepositionStrategy
 from repro.workloads.uniform import PPC_SCAN
@@ -152,19 +150,4 @@ class LWFAWorkload:
                          z_lo=grid.lo[2] + 0.1 * extent_z, z_hi=grid.hi[2],
                          density_profile=profile,
                          rng=np.random.default_rng(self.seed))
-        session.moving_window.injector = self._window_injector(species)
         return session
-
-    def _window_injector(self, species: SpeciesConfig):
-        """Injector refilling the slab exposed by the moving window."""
-        rng = np.random.default_rng(self.seed + 1)
-
-        def inject(grid: Grid, container: ParticleContainer,
-                   z_lo: float, z_hi: float) -> None:
-            load_plasma_slab(grid, container, species, z_lo=z_lo, z_hi=z_hi,
-                             rng=rng)
-
-        # repro.ckpt captures/restores the stream through this attribute
-        # so a resumed run injects bitwise-identical plasma
-        inject.rng = rng
-        return inject

@@ -36,6 +36,19 @@ def make_plasma(grid_config: GridConfig, ppc=(2, 2, 2), seed: int = 7,
     return grid, container
 
 
+def cells_outside_their_tile(grid, container):
+    """How many particles sit in a cell outside their own tile's box."""
+    outside = 0
+    for tile in container.nonempty_tiles():
+        cells = grid.cell_index(tile.x, tile.y, tile.z)
+        inside = np.ones(tile.num_particles, dtype=bool)
+        for axis, index in enumerate(cells):
+            inside &= ((index >= tile.cell_lo[axis])
+                       & (index < tile.cell_hi[axis]))
+        outside += int(np.count_nonzero(~inside))
+    return outside
+
+
 #: the six gathered field components, in ``gather_fields_for_tile`` order
 FIELD_NAMES = ("ex", "ey", "ez", "bx", "by", "bz")
 

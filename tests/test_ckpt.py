@@ -254,7 +254,7 @@ class TestResumeParity:
 
     def test_lwfa_moving_window(self, tmp_path):
         """Moving-window runs exercise the window accumulator, the grid
-        origin shift and the injector RNG stream."""
+        origin shift and the window's refill stream."""
         self.parity(lwfa_session, 8, 5, tmp_path, record_energy=True)
         with lwfa_session() as probe:
             run_steps(probe, 8)

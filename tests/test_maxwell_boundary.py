@@ -4,13 +4,24 @@ import numpy as np
 import pytest
 
 from repro import constants
-from repro.config import GridConfig, LaserConfig, MovingWindowConfig, SpeciesConfig
+from repro.api import Session
+from repro.config import (
+    GridConfig,
+    LaserConfig,
+    MovingWindowConfig,
+    SimulationConfig,
+    SpeciesConfig,
+)
 from repro.pic.boundary import FieldBoundaryConditions
 from repro.pic.grid import Grid
 from repro.pic.laser import LaserAntenna
 from repro.pic.maxwell import FDTDSolver
 from repro.pic.moving_window import MovingWindow
 from repro.pic.particles import ParticleContainer
+from repro.pic.plasma import load_plasma_slab
+from repro.pipeline import MigrateStage, MovingWindowStage
+
+from helpers import cells_outside_their_tile
 
 
 def make_grid(n=16, bc=("periodic",) * 3):
@@ -133,13 +144,14 @@ class TestMovingWindow:
 
     def test_disabled_window_does_nothing(self):
         _, grid, container = self._setup()
-        window = MovingWindow(MovingWindowConfig(enabled=False))
+        window = MovingWindow(MovingWindowConfig(enabled=False), seed=0)
         assert window.advance(grid, [container], dt=1.0, step=10) == 0
 
     def test_window_shifts_fields_and_origin(self):
         _, grid, container = self._setup()
         grid.ex[:, :, 3] = 7.0
-        window = MovingWindow(MovingWindowConfig(enabled=True, axis=2, speed=1.0))
+        window = MovingWindow(MovingWindowConfig(enabled=True, axis=2, speed=1.0),
+                              seed=0)
         old_lo = grid.lo[2]
         shift = window.advance(grid, [container], dt=2.0, step=0)
         assert shift == 2
@@ -149,31 +161,66 @@ class TestMovingWindow:
         # the newly exposed leading slab is zero
         assert np.all(grid.ex[:, :, -2:] == 0.0)
 
-    def test_window_drops_trailing_particles(self):
-        _, grid, container = self._setup()
-        container.add_particles(grid, x=np.array([0.5, 0.5]),
-                                y=np.array([0.5, 0.5]), z=np.array([0.5, 7.5]))
-        window = MovingWindow(MovingWindowConfig(enabled=True, axis=2, speed=1.0))
-        window.advance(grid, [container], dt=1.0, step=0)
-        # the particle at z=0.5 fell behind the new lower edge (1.0)
-        assert container.num_particles == 1
-
-    def test_window_injector_called(self):
-        _, grid, container = self._setup()
-        calls = []
-
-        def injector(grid_, container_, z_lo, z_hi):
-            calls.append((z_lo, z_hi))
-
-        window = MovingWindow(MovingWindowConfig(enabled=True, axis=2, speed=1.0),
-                              injector=injector)
-        window.advance(grid, [container], dt=1.0, step=0)
-        assert len(calls) == 1
-        assert calls[0][1] > calls[0][0]
-
     def test_window_waits_for_start_step(self):
         _, grid, container = self._setup()
         window = MovingWindow(MovingWindowConfig(enabled=True, axis=2,
-                                                 speed=1.0, start_step=5))
+                                                 speed=1.0, start_step=5),
+                              seed=0)
         assert window.advance(grid, [container], dt=1.0, step=0) == 0
         assert window.advance(grid, [container], dt=1.0, step=5) == 1
+
+    # -- a shift is a particle boundary event: moving_window, then migrate
+    @staticmethod
+    def _shift_once(z):
+        """A window session holding particles at ``z`` (ids 0, 1, ...),
+        after one one-cell shift through the two stages."""
+        config = SimulationConfig(
+            grid=GridConfig(
+                n_cell=(4, 4, 8), hi=(4.0, 4.0, 8.0), tile_size=(4, 4, 4),
+                field_boundary=("periodic", "periodic", "absorbing"),
+                particle_boundary=("periodic", "periodic", "absorbing")),
+            species=(SpeciesConfig(ppc=(1, 1, 2)),),
+            moving_window=MovingWindowConfig(enabled=True, axis=2, speed=1.0))
+        session = Session(config, load_plasma=False)
+        session.dt = 1.0  # one cell per shift
+        half = np.full(len(z), 0.5)
+        session.containers[0].add_particles(session.grid, x=half, y=half,
+                                            z=np.array(z, dtype=float))
+        reference = np.random.default_rng(config.seed + 1)
+        MovingWindowStage().run(session)
+        MigrateStage().run(session)
+        assert (session.grid.lo[2], session.grid.hi[2]) == (1.0, 9.0)
+        return session, reference
+
+    def test_migrate_absorbs_what_the_window_left_behind(self):
+        session, _ = self._shift_once([0.5, 4.5])
+        container = session.containers[0]
+        ids = container.gather_soa()["ids"]
+        # z = 0.5 is behind the new lower edge; z = 4.5 stays and moves
+        # from the second tile's box into the first's
+        assert 0 not in ids and 1 in ids
+        (kept,) = [tile for tile in container.tiles if 1 in tile.ids]
+        assert kept.cell_lo[2] == 0
+        assert cells_outside_their_tile(session.grid, container) == 0
+
+    def test_particles_past_the_old_leading_edge_stay(self):
+        # the push carried it into [old_hi, new_hi): inside the new box
+        session, _ = self._shift_once([8.5])
+        container = session.containers[0]
+        assert 0 in container.gather_soa()["ids"]
+        assert cells_outside_their_tile(session.grid, container) == 0
+
+    def test_window_refills_the_exposed_slab(self):
+        session, reference = self._shift_once([])
+        z = session.containers[0].gather_soa()["z"]
+        # ppc = 2 in each of the 4 x 4 cells of the exposed layer [8, 9)
+        assert z.shape[0] == 4 * 4 * 2
+        assert np.all((z >= 8.0) & (z < 9.0))
+        # ... jittered from the window's own stream, seeded seed + 1
+        expected = ParticleContainer(session.config.grid,
+                                     session.config.species[0])
+        load_plasma_slab(session.grid, expected, expected.species,
+                         z_lo=8.0, z_hi=9.0, rng=reference)
+        assert np.array_equal(np.sort(z), np.sort(expected.gather_soa()["z"]))
+        assert (session.moving_window.rng.bit_generator.state
+                == reference.bit_generator.state)

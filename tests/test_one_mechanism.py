@@ -38,6 +38,10 @@ run, and a decomposed run differs inside the solve stage only.
 
 A run is one object, ``repro.api.Session``: stages and hooks are handed
 it, and the pipeline tells the step hooks when a step has completed.
+
+A window shift is a particle boundary event: the window shifts before
+``migrate``, whose absorbing wall and regroup are the only trim and
+re-tile, and it refills the exposed slab from its own stream.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from repro.backend import KERNEL_TIERS, BackendConfig, activate
 from repro.ckpt import capture_state
 from repro.cli import build_parser
 from repro.pic.deposition import DepositionKernel
-from repro.pipeline import DepositStage, global_stages
+from repro.pipeline import DepositStage, check_stage_set, global_stages
 from repro.serve import expand_request
 
 SRC = os.path.dirname(os.path.abspath(repro.__file__))
@@ -192,7 +196,7 @@ def test_a_decomposed_run_deposits_on_the_frame():
 
 def test_there_is_one_stage_list():
     # a decomposed run steps through the stage list of every other run
-    names = ("gather_push", "migrate", "moving_window", "deposit", "laser",
+    names = ("gather_push", "moving_window", "migrate", "deposit", "laser",
              "solve", "boundary")
     for domains in ((1, 1, 1), (2, 1, 1)):
         workload = workloads.UniformPlasmaWorkload(
@@ -259,6 +263,29 @@ def test_a_run_is_one_object():
         session.step()
         assert len(seen) == 2 * 8 + 1 + 1
         assert all(s is session for s in seen)
+
+
+def test_the_window_shifts_before_migration():
+    # a shift is a particle boundary event: migrate's absorbing wall and
+    # regroup see the new origin, so the window neither trims particles
+    # nor leaves them in a tile whose box no longer holds their cell
+    names = [stage.name for stage in global_stages()]
+    assert names.index("moving_window") < names.index("migrate")
+    assert check_stage_set(global_stages()) == []
+    trees = dict(source_trees())
+    assert [node.lineno for node in ast.walk(trees["pic/moving_window.py"])
+            if isinstance(node, ast.Call)
+            and name_of(node.func) == "remove"] == []
+    # the window refills its slab from its own stream: the callback seam
+    # and the attribute that carried its generator to repro.ckpt are gone
+    # (comments and docstrings included); the one survivor is the
+    # snapshot key older snapshots were written under
+    retired = ("_trim_particles", "injector", "_window_injector",
+               "_injector_rng")
+    assert [(path, line.strip()) for path, text in source_texts()
+            for line in text.splitlines()
+            if any(name in line for name in retired)] == [
+        ("ckpt/session.py", '_WINDOW_RNG = "injector"')]
 
 
 def test_the_array_backend_seam_is_gone():

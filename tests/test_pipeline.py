@@ -28,7 +28,7 @@ from repro.pipeline import (
 )
 from repro.workloads.uniform import UniformPlasmaWorkload
 
-GLOBAL_STAGE_NAMES = ("gather_push", "migrate", "moving_window", "deposit",
+GLOBAL_STAGE_NAMES = ("gather_push", "moving_window", "migrate", "deposit",
                       "laser", "solve", "boundary")
 
 
@@ -209,7 +209,7 @@ class TestBreakdownTiming:
         assert seconds["field_gather_push"] == pytest.approx(
             stage["gather_push"])
         assert seconds["boundary_redistribute"] == pytest.approx(
-            stage["migrate"] + stage["moving_window"])
+            stage["moving_window"] + stage["migrate"])
         assert seconds["current_deposition"] == pytest.approx(
             stage["deposit"])
         assert seconds["field_solve"] == pytest.approx(
