@@ -72,26 +72,24 @@ def build_workload(kind: str, params: Mapping):
     # payloads journaled by builds whose workloads still carried an
     # (unread) sorting policy; the real one travels in the spec
     kwargs.pop("sorting", None)
+    # ... or a kernel-tier request, dropped: the tier is the machine's;
+    # those journaled while an array backend seam existed carry its one
+    # legal value
+    value = dict(kwargs.pop("backend", None) or {})
+    legacy = value.pop("array_backend", "numpy")
+    if legacy != "numpy":
+        raise ValueError(
+            f"workload_params['backend'] selects array backend "
+            f"{legacy!r}; bulk math is plain NumPy")
     # nested config dataclasses arrive as plain dicts after a JSON round
     # trip; rebuild them from the declared field types
-    from repro.backend import BackendConfig
     from repro.config import ExecutionConfig
     from repro.obs import ObsConfig
 
-    nested = {"execution": ExecutionConfig, "backend": BackendConfig,
-              "observe": ObsConfig}
+    nested = {"execution": ExecutionConfig, "observe": ObsConfig}
     for name, config_cls in nested.items():
         value = kwargs.get(name)
         if isinstance(value, Mapping):
-            value = dict(value)
-            if name == "backend":
-                # payloads journaled by builds that still had an array
-                # backend seam carry its one legal value
-                legacy = value.pop("array_backend", "numpy")
-                if legacy != "numpy":
-                    raise ValueError(
-                        f"workload_params['backend'] selects array backend "
-                        f"{legacy!r}; bulk math is plain NumPy")
             kwargs[name] = config_cls(**value)
     return FAMILIES[kind]["builder"](**kwargs)
 
@@ -217,16 +215,9 @@ class ExperimentSpec:
         different key.  The library version and a digest of the package
         sources are part of the payload: neither a new release nor an
         in-place source edit ever replays results computed by older code.
-
-        The kernel tier is normalised to its **numerics tag**: tiers that
-        are bitwise identical (the oracle and fused tiers share
-        ``"flat-index-v1"``) map to the same key, so a result computed on
-        either replays for both — while any future tier with different
-        numerics gets distinct cache entries.  A tier that cannot run
-        here has no key: :func:`repro.backend.activate` raises.
+        The kernel tier is not part of the key: the tiers are bitwise
+        identical, so a result computed on either replays for both.
         """
-        from repro.backend import BackendConfig, activate
-
         payload = self.to_dict()
         params = dict(payload["workload_params"])
         if payload["steps"] is not None:
@@ -238,14 +229,6 @@ class ExperimentSpec:
         # observability is inert to results (a traced run is bitwise
         # identical to an untraced one), so it never splits cache keys
         params.pop("observe", None)
-        backend = params.pop("backend", None)
-        if isinstance(backend, BackendConfig):
-            backend = dataclasses.asdict(backend)
-        backend = dict(backend) if backend is not None else {}
-        params["backend"] = {
-            "kernel_numerics": activate(
-                backend.get("kernel_tier", "auto")).numerics,
-        }
         payload["workload_params"] = params
         if payload["sorting"] is None:
             payload["sorting"] = sorting_config_to_dict(SortingPolicyConfig())

@@ -23,11 +23,12 @@ itself, and ``session.grid`` is the array of record for every run::
             print(state.step, state.energy.total)
     breakdown = session.breakdown          # per-stage wall time
 
-A session owns its collaborators: the kernel table resolved from
-``config.backend`` rides on its grid, and the telemetry registry built
-from ``config.observe`` is handed to its executor, halo exchange and
-hooks.  Neither is process state, so sessions with different tiers or
-tracing settings coexist in one process.
+A session owns its collaborators: the kernel table it resolves at
+construction (the machine's tier, :func:`repro.backend.activate`) rides
+on its grid, and the telemetry registry built from ``config.observe`` is
+handed to its executor, halo exchange and hooks.  Neither is process
+state, so sessions with different tiers or tracing settings coexist in
+one process.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Iterator, List, Optional, Union
 
 import numpy as np
 
-from repro.backend import BackendConfig, activate
+from repro.backend import activate
 from repro.config import SimulationConfig
 from repro.exec import TileExecutor, create_executor
 from repro.hardware.counters import KernelCounters
@@ -97,17 +98,12 @@ class Session:
     def __init__(self, config: SimulationConfig, *,
                  deposition: Optional[DepositionStrategy] = None,
                  load_plasma: bool = True,
-                 backend: Union[BackendConfig, str, None] = None,
                  observe: Union[ObsConfig, bool, None] = None):
-        """``backend`` overrides ``config.backend``: a
-        :class:`~repro.backend.BackendConfig`, or a kernel-tier name
-        (``"auto"`` / ``"oracle"`` / ``"fused"``) as shorthand.
-        ``observe`` overrides ``config.observe``: an
+        """``observe`` overrides ``config.observe``: an
         :class:`~repro.obs.ObsConfig`, or a bool as shorthand for
-        counters-only telemetry.
+        counters-only telemetry.  Raises :class:`ValueError` when
+        ``REPRO_KERNEL_TIER`` names a tier that cannot run here.
         """
-        if backend is not None:
-            config = config.with_updates(backend=BackendConfig.coerce(backend))
         if observe is not None:
             config = config.with_updates(observe=_coerce_observe(observe))
         self.config = config
@@ -117,9 +113,9 @@ class Session:
         self.telemetry = (Telemetry(config.observe)
                           if config.observe.enabled else NULL_TELEMETRY)
         self.telemetry.count("backend.tier_resolves")
-        #: the kernel tier ``config.backend`` selects rides on the grid;
-        #: the stencil primitives dispatch through ``grid.kernels``
-        self.grid = Grid(config.grid, activate(config.backend))
+        #: the machine's kernel tier rides on the grid; the stencil
+        #: primitives dispatch through ``grid.kernels``
+        self.grid = Grid(config.grid, activate())
         self.dt = config.time_step
         #: completed steps (the pipeline advances it after each one)
         self.step_index = 0
@@ -188,21 +184,15 @@ class Session:
     @classmethod
     def from_workload(cls, workload, *,
                       deposition: Optional[DepositionStrategy] = None,
-                      backend: Union[BackendConfig, str, None] = None,
                       observe: Union[ObsConfig, bool, None] = None
                       ) -> "Session":
         """Build a session from a workload builder.
 
         ``workload`` is anything exposing ``build_session`` (all of
-        :mod:`repro.workloads`, plus user-defined builders).  ``backend``
-        overrides the workload's backend selection (a
-        :class:`~repro.backend.BackendConfig` or a kernel-tier name);
-        ``observe`` overrides its telemetry selection (an
+        :mod:`repro.workloads`, plus user-defined builders).  ``observe``
+        overrides its telemetry selection (an
         :class:`~repro.obs.ObsConfig`, or a bool for counters-only).
         """
-        if backend is not None:
-            workload = dataclasses.replace(
-                workload, backend=BackendConfig.coerce(backend))
         if observe is not None:
             workload = dataclasses.replace(
                 workload, observe=_coerce_observe(observe))

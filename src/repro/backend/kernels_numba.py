@@ -20,7 +20,8 @@ Every kernel is bitwise identical to the oracle, by construction:
 * The functions are compiled with numba's default ``fastmath=False``,
   which preserves IEEE semantics: no reassociation, no FMA contraction.
   Do **not** enable fastmath here; it would break the bitwise pin
-  against the oracle (and with it the cross-tier cache-key sharing).
+  against the oracle (and with it the rule that the tier, being inert
+  to results, stays out of cache keys and snapshot fingerprints).
 
 The gather is intentionally *not* a compiled kernel.  The per-step
 gather (:func:`repro.pic.gather.gather_fields_for_tile`) is a stack of

@@ -9,8 +9,8 @@ other tier is pinned bitwise against it by the hypothesis suite in
 ``tests/test_stencil.py``.
 
 Imports from :mod:`repro.pic` happen lazily inside the kernels: this
-module is imported by the tier table, which :mod:`repro.config` reaches
-through :mod:`repro.backend.base`, before the PIC stack exists.
+module is imported by the tier table, which :mod:`repro.pic` itself
+imports.
 """
 
 from __future__ import annotations

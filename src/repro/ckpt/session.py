@@ -66,15 +66,16 @@ STATE_VERSION = 1
 
 
 #: config fields excluded from the restore fingerprint: the executor
-#: backend, kernel tier and domain split are axes the parity contract
-#: pins to bitwise-identical results, so a snapshot is portable across
-#: them; ``max_steps`` is a loop bound, not physics — resuming with a
-#: larger total is the whole point; ``observe`` is telemetry — a traced
-#: run is bitwise identical to an untraced one, so snapshots are
-#: portable across observability settings.  The *shard count* stays in:
-#: it fixes the deposition merge order, so results are only pinned for
-#: the same ``num_shards`` (see the contract in :mod:`repro.exec.base`).
-_FINGERPRINT_EXCLUDE = ("max_steps", "domain", "backend", "observe")
+#: backend and domain split are axes the parity contract pins to
+#: bitwise-identical results, so a snapshot is portable across them (and
+#: across kernel tiers, which no config names); ``max_steps`` is a loop
+#: bound, not physics — resuming with a larger total is the whole point;
+#: ``observe`` is telemetry — a traced run is bitwise identical to an
+#: untraced one, so snapshots are portable across observability
+#: settings.  The *shard count* stays in: it fixes the deposition merge
+#: order, so results are only pinned for the same ``num_shards`` (see
+#: the contract in :mod:`repro.exec.base`).
+_FINGERPRINT_EXCLUDE = ("max_steps", "domain", "observe")
 
 
 def config_fingerprint(config: Any) -> str:

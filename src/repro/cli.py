@@ -129,14 +129,6 @@ def _add_grid_arguments(sub: argparse.ArgumentParser) -> None:
                           "default: 1,1,1 = single domain).  Decomposed "
                           "runs are bitwise identical to single-domain "
                           "ones at a fixed shard count")
-    sub.add_argument("--kernel-tier", choices=GRID_CHOICES["kernel_tier"],
-                     default=GRID_DEFAULTS["kernel_tier"],
-                     help="stencil kernel tier (repro.backend): 'oracle' = "
-                          "NumPy flat-index reference, 'fused' = "
-                          "numba-compiled kernels (requires the [jit] "
-                          "extra), 'auto' = best available (default).  "
-                          "Tiers are bitwise identical, so cached results "
-                          "are shared across them")
     sub.add_argument("--seed", type=_nonnegative_int,
                      default=GRID_DEFAULTS["seed"],
                      help="workload RNG seed "
@@ -403,7 +395,6 @@ def _make_workload(family: str, *, ppc: int, args, execution=None,
         max_steps=args.steps,
         seed=args.seed,
         domains=args.domains,
-        kernel_tier=args.kernel_tier,
         n_cell=args.n_cell,
         tile_size=args.tile_size,
         shape_order=(args.shape_order if family == "uniform" else None),
@@ -418,9 +409,9 @@ def _build_workloads(args) -> list:
     workloads = [_make_workload(args.workload, ppc=ppc, args=args,
                                 observe=observe if observe.enabled else None)
                  for ppc in args.ppc]
-    # fail fast on a kernel tier that cannot run here (--kernel-tier or
-    # the environment), before any cell runs or cache key is hashed
-    activate(workloads[0].backend)
+    # fail fast on a kernel tier that cannot run here (named by
+    # REPRO_KERNEL_TIER), before any cell runs
+    activate()
     if domains != (1, 1, 1):
         # fail fast on a decomposition the tile lattice cannot support
         from repro.domain.decomposition import Decomposition
@@ -681,6 +672,13 @@ def cmd_serve(args, stdout=None) -> int:
     """Entry point of the ``serve`` subcommand."""
     from repro.serve import DEFAULT_ROOT, ServeConfig, run_server
 
+    # a kernel tier that cannot run here (named by REPRO_KERNEL_TIER)
+    # would fail every cell: refuse it before binding
+    try:
+        activate()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     config = ServeConfig(
         host=args.host,
         port=args.port,

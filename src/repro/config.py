@@ -13,9 +13,8 @@ from typing import Sequence, Tuple
 
 from repro import constants
 
-# safe: repro.exec, repro.backend and repro.obs have no runtime
-# dependency back on this module
-from repro.backend.base import BackendConfig
+# safe: repro.exec and repro.obs have no runtime dependency back on this
+# module
 from repro.exec.base import SUPPORTED_BACKENDS
 from repro.obs.config import ObsConfig
 
@@ -299,7 +298,6 @@ class SimulationConfig:
     moving_window: MovingWindowConfig = field(default_factory=MovingWindowConfig)
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
     domain: DomainConfig = field(default_factory=DomainConfig)
-    backend: BackendConfig = field(default_factory=BackendConfig)
     #: observability selection (:mod:`repro.obs`); inert to results —
     #: excluded from checkpoint fingerprints and campaign cache keys
     observe: ObsConfig = field(default_factory=ObsConfig)

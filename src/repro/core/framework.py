@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.config import SortingPolicyConfig
 from repro.core.hybrid_kernel import HybridMPUDeposition
 from repro.core.incremental_sort import IncrementalSorter, StepSortStats
@@ -42,7 +40,7 @@ _SORT_MODES = (SORT_NONE, SORT_GLOBAL_EVERY_STEP, SORT_INCREMENTAL)
 def _sort_and_deposit_tiles(target: Grid, tiles: Sequence[ParticleTile],
                             strategy: "MatrixPICDeposition", charge: float,
                             order: int
-                            ) -> Tuple[KernelCounters, StepSortStats, int]:
+                            ) -> Tuple[KernelCounters, StepSortStats]:
     """:func:`scratch_reduce` body: sort (as configured) + deposit tiles.
 
     ``target`` is the real grid at one shard and a shard-private scratch
@@ -50,12 +48,11 @@ def _sort_and_deposit_tiles(target: Grid, tiles: Sequence[ParticleTile],
     sorter's cell ids and the kernel's accumulation.  The incremental
     sorter's state lives on the tiles themselves (``tile.sorter``), so
     shards may run concurrently as long as each tile belongs to exactly
-    one shard.  Counters, sort statistics and the fallback-tile count are
-    shard-private and returned for the caller to merge in shard order.
+    one shard.  Counters and sort statistics are shard-private and
+    returned for the caller to merge in shard order.
     """
     counters = KernelCounters()
     step_stats = StepSortStats()
-    fallback_tiles = 0
     for tile in tiles:
         ordering = None
         if strategy.sort_mode == SORT_INCREMENTAL:
@@ -66,11 +63,9 @@ def _sort_and_deposit_tiles(target: Grid, tiles: Sequence[ParticleTile],
             # after a physical sort the storage order *is* the cell order
             step_stats.merge(strategy.sorter.global_sort_tile(
                 target, tile, counters))
-        kernel, used_fallback = strategy._pick_kernel(target, tile)
-        kernel.deposit_tile(target, tile, charge, order, counters,
-                            ordering=ordering)
-        fallback_tiles += int(used_fallback)
-    return counters, step_stats, fallback_tiles
+        strategy.kernel.deposit_tile(target, tile, charge, order, counters,
+                                     ordering=ordering)
+    return counters, step_stats
 
 
 class MatrixPICDeposition:
@@ -80,31 +75,15 @@ class MatrixPICDeposition:
                  sort_mode: str = SORT_INCREMENTAL,
                  sorting_config: Optional[SortingPolicyConfig] = None,
                  cost_model: Optional[CostModel] = None,
-                 name: Optional[str] = None,
-                 vpu_fallback_ppc: Optional[float] = None,
-                 fallback_kernel: Optional[DepositionKernel] = None):
+                 name: Optional[str] = None):
         if sort_mode not in _SORT_MODES:
             raise ValueError(f"sort_mode must be one of {_SORT_MODES}")
-        if vpu_fallback_ppc is not None and vpu_fallback_ppc < 0.0:
-            raise ValueError("vpu_fallback_ppc must be non-negative")
         self.kernel = kernel if kernel is not None else HybridMPUDeposition()
         self.sort_mode = sort_mode
         self.sorting_config = (sorting_config if sorting_config is not None
                                else SortingPolicyConfig())
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.name = name if name is not None else self.kernel.name
-        #: density threshold (average particles per occupied cell) below
-        #: which a tile is deposited with the VPU fallback kernel instead of
-        #: the MPU kernel — the hybrid execution strategy the paper
-        #: recommends for sparse regions (§6.1).  None disables the fallback.
-        self.vpu_fallback_ppc = vpu_fallback_ppc
-        self.fallback_kernel = fallback_kernel
-        if vpu_fallback_ppc is not None and fallback_kernel is None:
-            from repro.pic.deposition.rhocell import RhocellDeposition
-
-            self.fallback_kernel = RhocellDeposition(hand_tuned=True)
-        #: tiles deposited through the fallback kernel so far (diagnostics)
-        self.fallback_tiles = 0
 
         self.sorter = IncrementalSorter(self.sorting_config)
         self.policy = GlobalSortPolicy(self.sorting_config)
@@ -129,39 +108,15 @@ class MatrixPICDeposition:
         """
         counters = KernelCounters()
         step_stats = StepSortStats()
-        for shard_counters, shard_stats, fallback in scratch_reduce(
+        for shard_counters, shard_stats in scratch_reduce(
                 executor, grid, container.nonempty_tiles(),
                 _sort_and_deposit_tiles, self, container.charge, order):
             counters.merge(shard_counters)
             step_stats.merge(shard_stats)
-            self.fallback_tiles += fallback
 
         if self.sort_mode == SORT_INCREMENTAL:
             self._update_global_sort_policy(grid, container, counters, step_stats)
         return counters
-
-    # ------------------------------------------------------------------
-    def _pick_kernel(self, grid: Grid, tile) -> Tuple[DepositionKernel, bool]:
-        """Pick the MPU kernel or the VPU fallback for one tile.
-
-        The fallback triggers when the tile's average particles per
-        *occupied* cell drops below ``vpu_fallback_ppc`` — sparse regions
-        where the per-cell staging and tile-register overheads of the MPU
-        path are not amortised (paper §6.1 recommends ~8 PPC).  Returns
-        the kernel plus whether the fallback was chosen; the caller owns
-        the ``fallback_tiles`` accounting so shard tasks stay free of
-        shared-state writes.
-        """
-        if self.vpu_fallback_ppc is None or self.fallback_kernel is None:
-            return self.kernel, False
-        cells = tile.local_cell_ids(grid)
-        occupied = np.unique(cells).size if cells.size else 0
-        if occupied == 0:
-            return self.kernel, False
-        density = tile.num_particles / occupied
-        if density < self.vpu_fallback_ppc:
-            return self.fallback_kernel, True
-        return self.kernel, False
 
     # ------------------------------------------------------------------
     def _update_global_sort_policy(self, grid: Grid,

@@ -30,29 +30,17 @@ from repro.pic.shapes import shape_support
 class BaselineDeposition(DepositionKernel):
     """The unmodified (auto-vectorised, direct-write) deposition kernel.
 
-    Parameters
-    ----------
-    auto_vec_efficiency:
-        Fraction of the arithmetic the compiler manages to vectorise; the
-        remainder is charged as scalar instructions.  The paper observes
-        that compilers struggle with the preprocessing stages (§6.3); the
-        default of 0.8 reproduces the preprocess-to-compute split of
-        Table 1.
-    use_atomics:
-        When True the grid updates are charged as atomic read-modify-writes
-        with intra-vector conflict serialisation (the GPU-style execution of
-        Figure 2).  The CPU baseline of the paper owns one tile per thread
-        and therefore does not need atomics, which is the default.
+    The CPU baseline of the paper owns one tile per thread, so its grid
+    updates are plain (non-atomic) read-modify-writes.
     """
 
     name = "Baseline"
 
-    def __init__(self, auto_vec_efficiency: float = 0.8,
-                 use_atomics: bool = False):
-        if not 0.0 < auto_vec_efficiency <= 1.0:
-            raise ValueError("auto_vec_efficiency must lie in (0, 1]")
-        self.auto_vec_efficiency = auto_vec_efficiency
-        self.use_atomics = use_atomics
+    #: Fraction of the arithmetic the compiler manages to vectorise; the
+    #: remainder is charged as scalar instructions.  The paper observes
+    #: that compilers struggle with the preprocessing stages (§6.3); 0.8
+    #: reproduces the preprocess-to-compute split of Table 1.
+    auto_vec_efficiency = 0.8
 
     # ------------------------------------------------------------------
     def deposit_tile(self, grid: Grid, tile: ParticleTile, charge: float,
@@ -98,12 +86,6 @@ class BaselineDeposition(DepositionKernel):
             bytes_far=write_bytes * switch,
             bytes_near=write_bytes * (1.0 - switch),
         )
-        if self.use_atomics:
-            updates = float(n * nodes * 3)
-            # With cell-sorted particles neighbouring SIMD lanes hit the same
-            # nodes, so the conflict fraction rises as locality improves.
-            comp.add(atomic_updates=updates,
-                     atomic_conflicts=updates * (1.0 - switch) * 0.5)
 
         self.charge_effective_work(counters, n, order)
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.analysis.campaign import ExperimentSpec, spec_for_workload
@@ -64,7 +64,7 @@ JOB_STATES = ("queued", "running", "completed", "failed")
 REQUEST_KEYS = frozenset({
     "tenant", "workload", "ppc", "configurations", "steps",
     "warmup_steps", "seed", "scramble", "shape_order", "n_cell",
-    "tile_size", "domains", "kernel_tier",
+    "tile_size", "domains",
 })
 
 
@@ -141,14 +141,12 @@ def expand_request(request: Mapping) -> List[ExperimentSpec]:
     scramble = request.get("scramble", True)
     if not isinstance(scramble, bool):
         raise ValueError(f"scramble must be a boolean, got {scramble!r}")
-    kernel_tier = _choice(request, "kernel_tier")
     shape_order = _choice(request, "shape_order")
 
     workloads = [
         workload_for_family(
             workload_family, ppc=ppc, max_steps=steps, seed=seed,
             domains=request.get("domains"),
-            kernel_tier=kernel_tier,
             n_cell=request.get("n_cell"),
             tile_size=request.get("tile_size"),
             shape_order=shape_order)

@@ -12,12 +12,10 @@
 
 from typing import Optional, Sequence, Tuple
 
-from repro.backend import KERNEL_TIERS, BackendConfig
-from repro.backend.base import TIER_AUTO
 from repro.workloads.lwfa import LWFAWorkload
 from repro.workloads.nbody_pm import ParticleMeshGravity
 from repro.workloads.pme import PMEChargeAssignment
-from repro.workloads.uniform import UniformPlasmaWorkload
+from repro.workloads.uniform import UniformPlasmaWorkload, ppc_triple
 
 __all__ = [
     "UniformPlasmaWorkload",
@@ -52,19 +50,16 @@ GRID_DEFAULTS = {
     "steps": 2,
     "warmup_steps": 1,
     "seed": 2026,
-    "kernel_tier": TIER_AUTO,
 }
 GRID_CHOICES = {
     "workload": tuple(FAMILIES),
     "shape_order": (1, 2, 3),
-    "kernel_tier": (TIER_AUTO, *KERNEL_TIERS),
 }
 
 
 def workload_for_family(family: str, *, ppc: int, max_steps: int,
                         seed: int = GRID_DEFAULTS["seed"],
                         domains: Optional[Sequence[int]] = None,
-                        kernel_tier: str = GRID_DEFAULTS["kernel_tier"],
                         n_cell: Optional[Sequence[int]] = None,
                         tile_size: Optional[Sequence[int]] = None,
                         shape_order: Optional[int] = None,
@@ -89,7 +84,6 @@ def workload_for_family(family: str, *, ppc: int, max_steps: int,
         n_cell=_triple(n_cell, defaults["n_cell"], "n_cell"),
         tile_size=_triple(tile_size, defaults["tile_size"], "tile_size"),
         domains=_triple(domains, (1, 1, 1), "domains"),
-        backend=BackendConfig(kernel_tier=str(kernel_tier)),
         seed=int(seed),
     )
     if observe is not None:
@@ -102,11 +96,10 @@ def workload_for_family(family: str, *, ppc: int, max_steps: int,
     elif shape_order is not None:
         raise ValueError("shape_order applies only to the uniform "
                          "workload (lwfa is fixed at order 1)")
-    workload = defaults["builder"](**kwargs)
     # fail fast on a PPC outside the paper's scan (builders only check
     # lazily when the simulation is built)
-    workload.ppc_triple()
-    return workload
+    ppc_triple(kwargs["ppc"])
+    return defaults["builder"](**kwargs)
 
 
 def _triple(value: Optional[Sequence[int]], default: Tuple[int, int, int],

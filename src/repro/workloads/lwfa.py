@@ -20,7 +20,6 @@ import numpy as np
 
 from repro import constants
 from repro.api import Session
-from repro.backend import BackendConfig
 from repro.config import (
     DomainConfig,
     ExecutionConfig,
@@ -33,7 +32,7 @@ from repro.config import (
 from repro.obs import ObsConfig
 from repro.pic.plasma import load_plasma_slab
 from repro.pic.simulation import DepositionStrategy
-from repro.workloads.uniform import PPC_SCAN
+from repro.workloads.uniform import ppc_triple
 
 
 @dataclass
@@ -52,23 +51,12 @@ class LWFAWorkload:
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
     #: (px, py, pz) domain decomposition of the grid (:mod:`repro.domain`)
     domains: Tuple[int, int, int] = (1, 1, 1)
-    #: kernel tier (:mod:`repro.backend`)
-    backend: BackendConfig = field(default_factory=BackendConfig)
     #: tracing/metrics/health telemetry (:mod:`repro.obs`) — inert to
     #: results, excluded from campaign cache keys
     observe: ObsConfig = field(default_factory=ObsConfig)
     seed: int = 2026
 
     # ------------------------------------------------------------------
-    def ppc_triple(self) -> Tuple[int, int, int]:
-        """Per-axis particles-per-cell triple (paper's scan values)."""
-        if self.ppc in PPC_SCAN:
-            return PPC_SCAN[self.ppc]
-        root = round(self.ppc ** (1.0 / 3.0))
-        if root**3 == self.ppc:
-            return (root, root, root)
-        raise ValueError(f"unsupported PPC {self.ppc}")
-
     def domain_extent(self) -> Tuple[float, float, float]:
         """Domain sized to resolve the plasma wavelength along z."""
         lambda_p = constants.plasma_wavelength(self.density)
@@ -94,7 +82,7 @@ class LWFAWorkload:
         species = SpeciesConfig(
             name="electrons",
             density=self.density,
-            ppc=self.ppc_triple(),
+            ppc=ppc_triple(self.ppc),
             thermal_velocity=0.0,
         )
         laser = LaserConfig(
@@ -118,7 +106,6 @@ class LWFAWorkload:
             moving_window=window,
             execution=self.execution,
             domain=DomainConfig(domains=self.domains),
-            backend=self.backend,
             observe=self.observe,
             seed=self.seed,
         )

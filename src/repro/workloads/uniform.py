@@ -18,7 +18,6 @@ import numpy as np
 
 from repro import constants
 from repro.api import Session
-from repro.backend import BackendConfig
 from repro.config import (
     DomainConfig,
     ExecutionConfig,
@@ -38,6 +37,20 @@ PPC_SCAN: Dict[int, Tuple[int, int, int]] = {
 }
 
 
+def ppc_triple(ppc: int) -> Tuple[int, int, int]:
+    """The per-axis particles-per-cell triple of an average PPC: the
+    paper's scan value, or the cube root of a perfect cube."""
+    if ppc in PPC_SCAN:
+        return PPC_SCAN[ppc]
+    root = round(ppc ** (1.0 / 3.0))
+    if root**3 == ppc:
+        return (root, root, root)
+    raise ValueError(
+        f"PPC {ppc} is not part of the paper's scan {sorted(PPC_SCAN)} "
+        "and is not a perfect cube"
+    )
+
+
 @dataclass
 class UniformPlasmaWorkload:
     """Builder for uniform-plasma simulations at a given PPC density."""
@@ -54,24 +67,10 @@ class UniformPlasmaWorkload:
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
     #: (px, py, pz) domain decomposition of the grid (:mod:`repro.domain`)
     domains: Tuple[int, int, int] = (1, 1, 1)
-    #: kernel tier (:mod:`repro.backend`)
-    backend: BackendConfig = field(default_factory=BackendConfig)
     #: tracing/metrics/health telemetry (:mod:`repro.obs`) — inert to
     #: results, excluded from campaign cache keys
     observe: ObsConfig = field(default_factory=ObsConfig)
     seed: int = 2026
-
-    def ppc_triple(self) -> Tuple[int, int, int]:
-        """The per-axis particles-per-cell triple for the requested density."""
-        if self.ppc in PPC_SCAN:
-            return PPC_SCAN[self.ppc]
-        root = round(self.ppc ** (1.0 / 3.0))
-        if root**3 == self.ppc:
-            return (root, root, root)
-        raise ValueError(
-            f"PPC {self.ppc} is not part of the paper's scan {sorted(PPC_SCAN)} "
-            "and is not a perfect cube"
-        )
 
     def domain_extent(self) -> Tuple[float, float, float]:
         """Physical domain size: one plasma skin depth per ~10 cells."""
@@ -92,7 +91,7 @@ class UniformPlasmaWorkload:
         species = SpeciesConfig(
             name="electrons",
             density=self.density,
-            ppc=self.ppc_triple(),
+            ppc=ppc_triple(self.ppc),
             thermal_velocity=self.thermal_velocity,
         )
         return SimulationConfig(
@@ -104,7 +103,6 @@ class UniformPlasmaWorkload:
             field_solver=self.field_solver,
             execution=self.execution,
             domain=DomainConfig(domains=self.domains),
-            backend=self.backend,
             observe=self.observe,
             seed=self.seed,
         )

@@ -6,18 +6,18 @@ explicit and environment requests), the missing-numba fallback (faked
 ImportError, noted exactly once per guarded import, silent to callers),
 the bitwise-parity contract between the fused kernel implementations and the
 oracle (runnable without numba: the ``_impl`` loop bodies are plain
-Python functions), and the configuration plumbing — ``BackendConfig`` on
-``SimulationConfig``/workloads, the ``Session(backend=...)`` knob, the
-``REPRO_KERNEL_TIER`` environment override, the ``kernel_tier`` field of
-``RuntimeBreakdown``, the numerics-tag normalisation of campaign
-cache keys, and run isolation: the kernel table travels with the run, so
-two sessions with different tiers in one process never share one.
+Python functions), the one selection surface — ``REPRO_KERNEL_TIER``,
+read when a run starts and refused by ``run``/``campaign``/``serve``
+before any work — and run isolation: the kernel table travels with the
+run, so two sessions built under different tiers in one process never
+share one.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import importlib
+import json
 import logging
 
 import numpy as np
@@ -26,7 +26,6 @@ import pytest
 from repro.backend import (
     KERNEL_TIER_ENV,
     KERNEL_TIERS,
-    NUMERICS_FLAT_V1,
     ActiveKernels,
     BackendConfig,
     activate,
@@ -69,7 +68,7 @@ class TestRegistry:
         monkeypatch.delenv(KERNEL_TIER_ENV, raising=False)
         best = "fused" if kernels_numba.available() else "oracle"
         assert activate("auto") is KERNEL_TIERS[best]
-        assert activate("auto").numerics == NUMERICS_FLAT_V1
+        assert activate() is KERNEL_TIERS[best]
 
     def test_unknown_tier_is_an_error(self):
         with pytest.raises(ValueError, match="unknown kernel tier"):
@@ -83,7 +82,7 @@ class TestRegistry:
     def test_one_implementation_kernels_are_not_registry_entries(
             self, retired):
         columns = [f.name for f in dataclasses.fields(ActiveKernels)]
-        assert columns == ["kernel_tier", "numerics",
+        assert columns == ["kernel_tier",
                            "build_weights", "scatter", "scatter3"]
         assert retired not in columns
 
@@ -249,8 +248,7 @@ class TestRunIsolation:
     @pytest.fixture
     def spy_calls(self, monkeypatch):
         """Install, for this test only, a row whose ``scatter`` counts
-        calls, then delegates to the oracle (same numerics tag: bitwise
-        identical)."""
+        calls, then delegates to the oracle (bitwise identical)."""
         calls = []
 
         def scatter(flat_ids, weights, amplitude, size):
@@ -261,15 +259,23 @@ class TestRunIsolation:
             KERNEL_TIERS["oracle"], kernel_tier=self.SPY_TIER, scatter=scatter))
         return calls
 
-    @staticmethod
-    def _session(backend, **params):
+    @pytest.fixture
+    def session_under(self, monkeypatch):
+        """``session_under(tier, **params)``: a small uniform session built
+        under ``REPRO_KERNEL_TIER=tier``, the one way to select a tier.
+        The session keeps the row it resolved on its grid, whatever the
+        variable says later."""
         from repro.api import Session
         from repro.workloads.uniform import UniformPlasmaWorkload
 
-        workload = UniformPlasmaWorkload(
-            n_cell=(8, 8, 8), tile_size=(4, 4, 4), ppc=1, max_steps=4,
-            **params)
-        return Session.from_workload(workload, backend=backend)
+        def build(tier, **params):
+            monkeypatch.setenv(KERNEL_TIER_ENV, tier)
+            workload = UniformPlasmaWorkload(
+                n_cell=(8, 8, 8), tile_size=(4, 4, 4), ppc=1, max_steps=4,
+                **params)
+            return Session.from_workload(workload)
+
+        return build
 
     @staticmethod
     def _digest(session):
@@ -285,9 +291,9 @@ class TestRunIsolation:
         return digest.hexdigest()
 
     def test_a_later_session_does_not_change_an_earlier_ones_tier(
-            self, spy_calls):
-        with self._session("oracle") as first, \
-                self._session(self.SPY_TIER) as second:
+            self, spy_calls, session_under):
+        with session_under("oracle") as first, \
+                session_under(self.SPY_TIER) as second:
             assert first.grid.kernels.kernel_tier == "oracle"
             assert second.grid.kernels.kernel_tier == self.SPY_TIER
             first.step()
@@ -299,11 +305,11 @@ class TestRunIsolation:
 
     @pytest.mark.skipif(not kernels_numba.available(),
                         reason="numba missing: no fused tier to pair with")
-    def test_oracle_and_fused_sessions_coexist(self):
+    def test_oracle_and_fused_sessions_coexist(self, session_under):
         """The real pair (CI ``kernel-tiers`` jit leg): each session
         dispatches its own tier's ``scatter``, bitwise-equal results."""
-        with self._session("oracle") as first, \
-                self._session("fused") as second:
+        with session_under("oracle") as first, \
+                session_under("fused") as second:
             assert first.grid.kernels.scatter is kernels_oracle.scatter
             assert second.grid.kernels.scatter is kernels_numba.scatter
             for _ in range(2):
@@ -318,11 +324,11 @@ class TestRunIsolation:
         {"domains": (2, 1, 1)},
     ], ids=["global", "domains2"])
     def test_sharded_and_decomposed_paths_use_the_runs_tier(
-            self, spy_calls, params):
+            self, spy_calls, session_under, params):
         from repro.config import ExecutionConfig
 
-        with self._session("oracle") as decoy:
-            with self._session(self.SPY_TIER, execution=ExecutionConfig(
+        with session_under("oracle") as decoy:
+            with session_under(self.SPY_TIER, execution=ExecutionConfig(
                     backend="threads", num_shards=2), **params) as session:
                 session.step()
             assert spy_calls  # scratch grids and slabs carry the table
@@ -330,9 +336,10 @@ class TestRunIsolation:
             decoy.step()
             assert spy_calls == []
 
-    def test_interleaved_sessions_match_their_solo_runs(self, spy_calls):
-        def solo(backend):
-            with self._session(backend) as session:
+    def test_interleaved_sessions_match_their_solo_runs(
+            self, spy_calls, session_under):
+        def solo(tier):
+            with session_under(tier) as session:
                 for _ in range(3):
                     session.step()
                 return self._digest(session)
@@ -340,8 +347,8 @@ class TestRunIsolation:
         expected = {tier: solo(tier) for tier in ("oracle", self.SPY_TIER)}
         solo_calls = len(spy_calls)
         del spy_calls[:]
-        with self._session("oracle") as first, \
-                self._session(self.SPY_TIER) as second:
+        with session_under("oracle") as first, \
+                session_under(self.SPY_TIER) as second:
             for _ in range(3):
                 first.step()
                 second.step()
@@ -350,96 +357,49 @@ class TestRunIsolation:
         assert len(spy_calls) == solo_calls
 
 
-class TestConfigPlumbing:
-    def test_simulation_config_carries_backend(self):
-        from repro.config import GridConfig, SimulationConfig
+class TestOneSelectionSurface:
+    """``REPRO_KERNEL_TIER`` is the one way to select a tier: no flag, no
+    config field, no served key; a tier it names that cannot run stops
+    ``run``, ``campaign`` and ``serve`` before any work."""
 
-        config = SimulationConfig(grid=GridConfig(n_cell=(4, 4, 4)))
-        assert config.backend == BackendConfig()
-        updated = config.with_updates(
-            backend=BackendConfig(kernel_tier="oracle"))
-        assert updated.backend.kernel_tier == "oracle"
+    RUN = ["run", "--n-cell", "4,4,4", "--tile-size", "4,4,4", "--ppc", "1",
+           "--steps", "1", "--format", "json"]
 
-    def test_session_backend_knob_and_breakdown_tier(self):
-        from repro.workloads.uniform import UniformPlasmaWorkload
+    @pytest.mark.parametrize("command", ["run", "campaign"])
+    def test_there_is_no_kernel_tier_flag(self, command, capsys):
+        from repro.cli import main
 
-        workload = UniformPlasmaWorkload(n_cell=(4, 4, 4),
-                                         tile_size=(4, 4, 4),
-                                         ppc=1, max_steps=1)
-        from repro.api import Session
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--kernel-tier", "oracle"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-        with Session.from_workload(workload, backend="oracle") as session:
-            assert session.config.backend.kernel_tier == "oracle"
-            session.run_all(1)
-            assert session.breakdown.kernel_tier == "oracle"
+    def test_the_environment_selects_the_runs_tier(self, monkeypatch,
+                                                   capsys):
+        from repro.cli import main
 
-    def test_session_rejects_bad_backend_argument(self):
-        from repro.api import Session
-        from repro.config import GridConfig, SimulationConfig
+        monkeypatch.setenv(KERNEL_TIER_ENV, "oracle")
+        assert main(self.RUN) == 0
+        assert json.loads(capsys.readouterr().out)["kernel_tier"] == "oracle"
 
-        config = SimulationConfig(grid=GridConfig(n_cell=(4, 4, 4)))
-        with pytest.raises(TypeError):
-            Session(config, backend=42)
+    @pytest.mark.parametrize("command", ["run", "campaign", "serve"])
+    def test_a_tier_that_cannot_run_is_refused_before_any_work(
+            self, command, monkeypatch, capsys, tmp_path):
+        import repro.serve as serve_package
+        from repro.cli import main
 
-    def test_workloads_carry_backend_config(self):
-        from repro.workloads.lwfa import LWFAWorkload
-        from repro.workloads.uniform import UniformPlasmaWorkload
+        def never(*args, **kwargs):
+            raise AssertionError("work started under an unusable tier")
 
-        for cls in (UniformPlasmaWorkload, LWFAWorkload):
-            workload = cls(backend=BackendConfig(kernel_tier="oracle"))
-            assert workload.build_config().backend.kernel_tier == "oracle"
-
-    def test_campaign_rebuilds_nested_backend(self):
-        # durable spec payloads written before the array-backend seam was
-        # retired carry its one legal value; they must still rebuild
-        from repro.analysis.campaign import build_workload
-
-        workload = build_workload("uniform", {
-            "ppc": 8,
-            "backend": {"array_backend": "numpy", "kernel_tier": "oracle"},
-        })
-        assert workload.backend == BackendConfig(kernel_tier="oracle")
-        with pytest.raises(ValueError, match="cupy"):
-            build_workload("uniform", {
-                "ppc": 8,
-                "backend": {"array_backend": "cupy", "kernel_tier": "oracle"},
-            })
-
-
-class TestCacheKeyNumericsTag:
-    def _spec(self, kernel_tier):
-        import dataclasses
-
-        from repro.analysis.campaign import spec_for_workload
-        from repro.workloads.uniform import UniformPlasmaWorkload
-
-        workload = UniformPlasmaWorkload(
-            ppc=8, backend=BackendConfig(kernel_tier=kernel_tier))
-        spec = spec_for_workload(workload, "Baseline", steps=1)
-        assert dataclasses.asdict(workload)["backend"][
-            "kernel_tier"] == kernel_tier
-        return spec
-
-    def test_bitwise_equal_tiers_share_cache_keys(self):
-        """'oracle', 'auto' and (when available) 'fused' all resolve to
-        the flat-index numerics tag, so their results share one cache
-        entry — different tiers must not collide *unless* bitwise equal,
-        and the built-ins are."""
-        keys = {self._spec(tier).cache_key()
-                for tier in ("oracle", "auto")
-                + (("fused",) if kernels_numba.available() else ())}
-        assert len(keys) == 1
-
-    def test_different_numerics_get_different_keys(self, monkeypatch):
-        """A tier with a different numerics tag cannot replay flat-index
-        results from the cache."""
-        tier_name = "test-different-numerics"
-        monkeypatch.setitem(KERNEL_TIERS, tier_name, dataclasses.replace(
-            KERNEL_TIERS["oracle"], kernel_tier=tier_name,
-            numerics="test-numerics-v2"))
-        assert activate(tier_name).numerics == "test-numerics-v2"
-        assert self._spec(tier_name).cache_key() != \
-            self._spec("oracle").cache_key()
-
-    def test_numerics_tag_of_auto_matches_oracle(self):
-        assert activate("auto").numerics == activate("oracle").numerics
+        # cmd_serve imports run_server from the package at call time
+        monkeypatch.setattr(serve_package, "run_server", never)
+        monkeypatch.setattr("repro.analysis.campaign.Campaign.run", never)
+        monkeypatch.setenv(KERNEL_TIER_ENV, "no-such-tier")
+        argv = {"run": self.RUN,
+                "campaign": ["campaign", "--no-cache", "--ppc", "1"],
+                "serve": ["serve", "--port", "0",
+                          "--root", str(tmp_path / "root")]}[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: unknown kernel tier 'no-such-tier'")
+        assert not (tmp_path / "root").exists()

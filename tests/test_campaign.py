@@ -70,6 +70,22 @@ class TestExperimentSpec:
         params["sorting"] = {"sort_interval": 50, "min_sort_interval": 10}
         assert build_workload("uniform", params) == workload
 
+    def test_workloads_take_no_kernel_tier(self):
+        """The tier is the machine's (``REPRO_KERNEL_TIER``): no workload
+        carries a request, and a payload journaled while one did still
+        rebuilds the workload it described."""
+        for cls in (UniformPlasmaWorkload, LWFAWorkload):
+            with pytest.raises(TypeError, match="backend"):
+                cls(backend={"kernel_tier": "oracle"})
+        workload = tiny_workload(seed=7)
+        params = dict(spec_for_workload(workload, "Baseline").workload_params)
+        params["backend"] = {"array_backend": "numpy", "kernel_tier": "oracle"}
+        assert build_workload("uniform", params) == workload
+        # ... except one naming an array backend other than NumPy
+        params["backend"] = {"array_backend": "cupy", "kernel_tier": "oracle"}
+        with pytest.raises(ValueError, match="cupy"):
+            build_workload("uniform", params)
+
     def test_build_workload_reconstructs_equal_builder(self):
         workload = tiny_workload(seed=7)
         rebuilt = spec_for_workload(workload, "Baseline").build_workload()
@@ -81,6 +97,15 @@ class TestCacheKey:
 
     def test_key_is_stable(self):
         assert tiny_spec().cache_key() == tiny_spec().cache_key()
+
+    def test_key_ignores_the_kernel_tier(self, monkeypatch):
+        # the tiers are bitwise identical, so the tier is inert to results
+        # and never resolved for a key: a result cached on one tier is a
+        # hit on every other
+        key = tiny_spec().cache_key()
+        for tier in ("oracle", "no-such-tier"):
+            monkeypatch.setenv("REPRO_KERNEL_TIER", tier)
+            assert tiny_spec().cache_key() == key
 
     @pytest.mark.parametrize("overrides", [
         {"configuration": "Baseline+IncrSort"},
@@ -529,7 +554,8 @@ class TestCLI:
         # cache entry is written — not a traceback out of a pool task
         cache_dir = tmp_path / "cache"
         base = self.ARGS + ["--cache-dir", str(cache_dir)]
-        assert main(base + ["--kernel-tier", "fused"]) == 2
+        monkeypatch.setenv("REPRO_KERNEL_TIER", "fused")
+        assert main(base) == 2
         assert capsys.readouterr().err.startswith(
             "error: kernel tier 'fused' is not available")
         monkeypatch.setenv("REPRO_KERNEL_TIER", "no-such-tier")

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import repro.ckpt as ckpt
 from repro.api import Session
+from repro.backend import KERNEL_TIER_ENV
 from repro.baselines.configs import make_strategy
 from repro.ckpt import (
     CheckpointHook,
@@ -43,14 +44,20 @@ KERNEL_TIERS = ["oracle"] + (["fused"] if HAVE_NUMBA else [])
 
 
 def uniform_session(*, backend="serial", shards=1, domains=(1, 1, 1),
-                    tier="oracle", steps=6, order=1, strategy=None):
+                    tier=None, steps=6, order=1, strategy=None):
+    """A small uniform session; ``tier`` (default: the machine's) is
+    selected the one way there is, ``REPRO_KERNEL_TIER``, and rides on
+    the session's grid from then on."""
     workload = UniformPlasmaWorkload(
         n_cell=(8, 8, 8), tile_size=(4, 4, 4), ppc=8, max_steps=steps,
         shape_order=order, domains=domains,
         execution=ExecutionConfig(backend=backend, num_shards=shards))
-    return Session.from_workload(
-        workload, backend=tier,
-        deposition=make_strategy(strategy) if strategy else None)
+    with pytest.MonkeyPatch.context() as env:
+        if tier is not None:
+            env.setenv(KERNEL_TIER_ENV, tier)
+        return Session.from_workload(
+            workload,
+            deposition=make_strategy(strategy) if strategy else None)
 
 
 def lwfa_session(steps=8):
@@ -272,6 +279,8 @@ class TestResumeParity:
     @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
     def test_fused_kernel_tier(self, tmp_path):
         self.parity(lambda: uniform_session(tier="fused"), 4, 2, tmp_path)
+        with uniform_session(tier="fused") as session:
+            assert session.breakdown.kernel_tier == "fused"
 
     @settings(max_examples=6, deadline=None)
     @given(

@@ -28,7 +28,6 @@ from helpers import deposit_unsorted, make_plasma
 
 KERNELS = {
     "baseline": BaselineDeposition(),
-    "baseline-atomic": BaselineDeposition(use_atomics=True),
     "rhocell-auto": RhocellDeposition(hand_tuned=False),
     "rhocell-vpu": RhocellDeposition(hand_tuned=True),
     "mpu-hybrid": HybridMPUDeposition(mode="hybrid"),

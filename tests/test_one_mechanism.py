@@ -15,7 +15,8 @@ or marks a stage ``local=``.
 
 Bulk math is plain NumPy (the kernel-tier table is the only seam of the
 numerical layer: two rows and ``activate()``, the one rule that picks
-one), the campaign grid's defaults and enumerations are
+one — from ``REPRO_KERNEL_TIER`` or the machine, never from a run's
+configuration), the campaign grid's defaults and enumerations are
 stated in ``repro.workloads`` only, and ``ckpt/format.py`` holds the one
 temp-file + ``os.replace`` sequence.
 
@@ -338,6 +339,38 @@ def test_kernel_tiers_are_a_table():
     assert activate(BackendConfig()).kernel_tier in KERNEL_TIERS
 
 
+def test_the_kernel_tier_is_the_machines():
+    # the library resolves the tier one way, activate() with no request
+    # (REPRO_KERNEL_TIER, else the best available row); requests are for
+    # tests and benchmarks/ that compare rows side by side
+    assert [(path, node.lineno) for path, tree in source_trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and name_of(node.func) == "activate"
+            and (node.args or node.keywords)] == []
+    # no config field, workload field, grid key, Session argument, CLI
+    # flag or served key carries a tier request (comments and docstrings
+    # included); what survives reports the row a run resolved
+    def carries_requests(path):
+        return path in ("config.py", "api.py", "cli.py") or path.startswith(
+            ("workloads/", "serve/"))
+
+    assert [(path, line.strip()) for path, text in source_texts()
+            if carries_requests(path) for line in text.splitlines()
+            if any(name in line for name in (
+                "kernel_tier", "kernel-tier", "BackendConfig"))] == [
+        ("api.py", "kernel_tier=self.grid.kernels.kernel_tier,"),
+        ("cli.py", '"kernel_tier": session.breakdown.kernel_tier,'),
+        ("cli.py", "f\"kernel-tier={payload['kernel_tier']}\", file=stdout)")]
+    # ... and nothing is left of the cache-key numerics tag or the
+    # density-adaptive fallback kernel
+    retired = (".numerics", "NUMERICS_FLAT", "kernel_numerics",
+               "vpu_fallback_ppc", "fallback_kernel", "_pick_kernel",
+               "use_atomics")
+    assert [(path, line.strip()) for path, text in source_texts()
+            for line in text.splitlines()
+            if any(name in line for name in retired)] == []
+
+
 def test_the_per_particle_mpu_stage_lives_under_tests_only():
     # Stage 2 of the MatrixPIC kernel is core/mpu_deposit.py::tile_rhocells
     # (stacked block products); the formulation that materialised three
@@ -454,7 +487,7 @@ def test_only_the_snapshot_format_stages_and_renames_files():
 def test_cli_and_service_read_grid_defaults_from_the_one_schema(monkeypatch):
     patched = {"workload": "lwfa", "ppc": (8,),
                "configurations": ("Baseline",), "steps": 3,
-               "warmup_steps": 0, "seed": 7, "kernel_tier": "oracle"}
+               "warmup_steps": 0, "seed": 7}
     assert set(patched) == set(workloads.GRID_DEFAULTS)
     for key, value in patched.items():
         monkeypatch.setitem(workloads.GRID_DEFAULTS, key, value)
@@ -464,13 +497,12 @@ def test_cli_and_service_read_grid_defaults_from_the_one_schema(monkeypatch):
         for key, value in patched.items()}
     args = vars(build_parser().parse_args(["run"]))
     assert all(args[key] == patched[key]
-               for key in ("workload", "seed", "kernel_tier"))
+               for key in ("workload", "seed"))
     (spec,) = expand_request({})
     assert (spec.workload_kind, spec.workload_params["ppc"],
             spec.configuration, spec.steps, spec.warmup_steps,
-            spec.workload_params["seed"],
-            spec.workload_params["backend"]["kernel_tier"]) \
-        == ("lwfa", 8, "Baseline", 3, 0, 7, "oracle")
+            spec.workload_params["seed"]) \
+        == ("lwfa", 8, "Baseline", 3, 0, 7)
 
 
 def test_grid_enumerations_are_not_restated_beside_the_schema():

@@ -7,7 +7,11 @@ from repro import constants
 from repro.workloads.lwfa import LWFAWorkload
 from repro.workloads.nbody_pm import ParticleMeshGravity
 from repro.workloads.pme import PMEChargeAssignment
-from repro.workloads.uniform import PPC_SCAN, UniformPlasmaWorkload
+from repro.workloads.uniform import (
+    PPC_SCAN,
+    UniformPlasmaWorkload,
+    ppc_triple,
+)
 
 
 class TestUniformWorkload:
@@ -17,15 +21,16 @@ class TestUniformWorkload:
 
     @pytest.mark.parametrize("ppc", [1, 8, 64, 128])
     def test_ppc_triple_product(self, ppc):
-        triple = UniformPlasmaWorkload(ppc=ppc).ppc_triple()
-        assert np.prod(triple) == ppc
+        assert np.prod(ppc_triple(ppc)) == ppc
 
     def test_cube_ppc_outside_scan(self):
-        assert UniformPlasmaWorkload(ppc=27).ppc_triple() == (3, 3, 3)
+        assert ppc_triple(27) == (3, 3, 3)
 
     def test_invalid_ppc_rejected(self):
-        with pytest.raises(ValueError):
-            UniformPlasmaWorkload(ppc=7).ppc_triple()
+        # both builders read the one ppc_triple, error message included
+        for workload in (UniformPlasmaWorkload(ppc=7), LWFAWorkload(ppc=7)):
+            with pytest.raises(ValueError, match="not part of the paper's"):
+                workload.build_config()
 
     def test_config_structure(self):
         workload = UniformPlasmaWorkload(n_cell=(8, 8, 8), ppc=8, max_steps=3)
