@@ -403,3 +403,49 @@ class TestOneSelectionSurface:
         assert capsys.readouterr().err.startswith(
             "error: unknown kernel tier 'no-such-tier'")
         assert not (tmp_path / "root").exists()
+
+    @staticmethod
+    def _workload():
+        from repro.workloads.uniform import UniformPlasmaWorkload
+
+        return UniformPlasmaWorkload(n_cell=(4, 4, 4), tile_size=(4, 4, 4),
+                                     ppc=1, max_steps=1)
+
+    @pytest.mark.parametrize("entry", [
+        "Session", "Session.from_workload", "SimulationConfig"])
+    def test_no_constructor_takes_a_tier_request(self, entry):
+        from repro.api import Session
+        from repro.config import GridConfig, SimulationConfig
+
+        workload = self._workload()
+        build = {
+            "Session": lambda: Session(workload.build_config(),
+                                       backend="oracle"),
+            "Session.from_workload": lambda: Session.from_workload(
+                workload, backend="oracle"),
+            "SimulationConfig": lambda: SimulationConfig(
+                grid=GridConfig(n_cell=(4, 4, 4)),
+                backend=BackendConfig(kernel_tier="oracle")),
+        }[entry]
+        with pytest.raises(TypeError, match="backend"):
+            build()
+
+    def test_a_session_keeps_the_tier_it_resolved(self, monkeypatch):
+        from repro.api import Session
+
+        monkeypatch.setenv(KERNEL_TIER_ENV, "oracle")
+        with Session.from_workload(self._workload()) as session:
+            # the variable is read once, when the session is built
+            monkeypatch.setenv(KERNEL_TIER_ENV, "no-such-tier")
+            session.run_all(1)
+            assert session.grid.kernels is KERNEL_TIERS["oracle"]
+            assert session.breakdown.kernel_tier == "oracle"
+
+    @pytest.mark.parametrize("tier", ["no-such-tier", "fused"])
+    def test_a_tier_that_cannot_run_stops_session_construction(
+            self, tier, monkeypatch, numba_missing):
+        from repro.api import Session
+
+        monkeypatch.setenv(KERNEL_TIER_ENV, tier)
+        with pytest.raises(ValueError, match=f"kernel tier '{tier}'"):
+            Session.from_workload(self._workload())

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.configs import available_configurations, make_strategy
+from repro.core.framework import MatrixPICDeposition
 from repro.core.hybrid_kernel import HybridMPUDeposition
 from repro.hardware.counters import KernelCounters
 from repro.pic.deposition.base import (
@@ -73,6 +74,44 @@ def test_baseline_matches_reference_tsc(small_grid_config):
     grid, _, _ = kernel_current(BaselineDeposition(), small_grid_config, 2)
     scale = np.max(np.abs(reference.jx)) or 1.0
     assert current_residual(grid, reference) / scale < 1e-12
+
+
+def test_baseline_knobs_are_fixed(small_grid_config):
+    """The paper's CPU baseline: 0.8 of the arithmetic vectorises (the
+    preprocess-to-compute split of Table 1) and every grid update is a
+    plain write, never an atomic."""
+    with pytest.raises(TypeError):
+        BaselineDeposition(use_atomics=True)
+    assert BaselineDeposition.auto_vec_efficiency == 0.8
+    _, counters, container = kernel_current(
+        BaselineDeposition(), small_grid_config, 1)
+    n = sum(tile.num_particles for tile in container.iter_tiles())
+    pre = counters.phase("preprocess")
+    # vectorised : scalar arithmetic = 0.8 : 0.2 (8 lanes; 4 scalar
+    # loop-control ops per particle on top)
+    assert pre.vpu_fma * 8.0 / (pre.scalar_ops - 4.0 * n) == pytest.approx(4.0)
+    combined = counters.combined()
+    assert combined.atomic_updates == 0.0
+    assert combined.atomic_conflicts == 0.0
+
+
+@pytest.mark.parametrize("ppc", [(1, 1, 1), (3, 3, 3)],
+                         ids=["sparse", "dense"])
+def test_matrixpic_deposits_every_density_on_the_mpu(tiled_grid_config, ppc):
+    """No density-adaptive fallback: sparse tiles run the MPU kernel as
+    dense ones do, and stay exact."""
+    reference = reference_current(tiled_grid_config, 1, ppc=ppc)
+    grid, container = make_plasma(tiled_grid_config, ppc=ppc, seed=7)
+    counters = MatrixPICDeposition().run_step(grid, container, 1, 0)
+    scale = np.max(np.abs(reference.jx)) or 1.0
+    assert current_residual(grid, reference) / scale < 1e-12
+    assert counters.phase("compute").mpu_mopa > 0.0
+
+
+@pytest.mark.parametrize("knob", ["vpu_fallback_ppc", "fallback_kernel"])
+def test_matrixpic_takes_no_fallback_knob(knob):
+    with pytest.raises(TypeError, match=knob):
+        MatrixPICDeposition(**{knob: None})
 
 
 @pytest.mark.parametrize("order", [1, 3])
