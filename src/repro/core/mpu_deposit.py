@@ -47,57 +47,6 @@ from repro.pic.deposition.base import TileDepositionData
 
 
 # ---------------------------------------------------------------------------
-# pairing of cell-sorted particles
-# ---------------------------------------------------------------------------
-def pair_within_runs(cell_sequence: np.ndarray
-                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Pair consecutive particles that share a cell in the processing order.
-
-    Parameters
-    ----------
-    cell_sequence:
-        The cell id of each particle in the order the kernel processes them
-        (GPMA order when sorted, storage order otherwise).
-
-    Returns
-    -------
-    first, second:
-        Indices (into the processing order) of each pair's two particles;
-        ``second`` is ``-1`` for the unpaired tail of an odd-length run.
-    pair_valid2:
-        Boolean mask, True where the pair has a second particle.
-    pair_cell:
-        Cell id of each pair.
-    num_runs:
-        Number of maximal runs of equal consecutive cells.  For a perfectly
-        sorted sequence this equals the number of occupied cells; for an
-        unsorted sequence it approaches the particle count, which is what
-        makes the no-sort configurations pay for extra tile flushes.
-    """
-    cell_sequence = np.asarray(cell_sequence, dtype=np.int64)
-    n = cell_sequence.shape[0]
-    if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, np.empty(0, dtype=bool), empty, 0
-
-    change = np.empty(n, dtype=bool)
-    change[0] = True
-    change[1:] = cell_sequence[1:] != cell_sequence[:-1]
-    run_id = np.cumsum(change) - 1
-    num_runs = int(run_id[-1]) + 1
-    run_start = np.nonzero(change)[0]
-    pos_in_run = np.arange(n) - run_start[run_id]
-
-    first = np.nonzero(pos_in_run % 2 == 0)[0]
-    second = first + 1
-    valid2 = (second < n)
-    valid2[valid2] &= run_id[second[valid2]] == run_id[first[valid2]]
-    second = np.where(valid2, second, -1)
-    pair_cell = cell_sequence[first]
-    return first, second, valid2, pair_cell, num_runs
-
-
-# ---------------------------------------------------------------------------
 # operand construction
 # ---------------------------------------------------------------------------
 def build_cic_operands(wx: np.ndarray, wy: np.ndarray, wz: np.ndarray,
@@ -231,9 +180,19 @@ def mpu_work_statistics(cell_sequence: np.ndarray, order: int) -> dict:
     (the hybrid kernel multiplies by three): ``mopa`` instructions,
     ``tile_flushes``, ``runs`` and, for QSP, ``vpu_sz_fma`` — the VPU
     multiply-accumulate by the s_z factors.
+
+    A *run* is a maximal stretch of consecutive particles in one cell:
+    one per occupied cell when sorted, approaching one per particle when
+    not, which is what makes the no-sort configurations pay for extra
+    tile flushes.  Consecutive particles of a run are paired, one MOPA
+    per pair (the odd tail alone), so a run of length ``L`` issues
+    ``ceil(L / 2)`` of them.
     """
-    first, _, _, _, num_runs = pair_within_runs(cell_sequence)
-    npairs = first.shape[0]
+    n = cell_sequence.shape[0]
+    starts = np.flatnonzero(cell_sequence[1:] != cell_sequence[:-1]) + 1
+    lengths = np.diff(starts, prepend=0, append=n)
+    num_runs = starts.shape[0] + 1 if n else 0
+    npairs = int(np.sum((lengths + 1) // 2))
     if order == SHAPE_ORDER_CIC:
         # the tile register stays resident per run and is read out once
         return {"mopa": float(npairs), "tile_flushes": float(num_runs),

@@ -1,7 +1,9 @@
 """Shared infrastructure for the current-deposition kernels.
 
 Every kernel (baseline, rhocell variants, MPU hybrid) consumes the same
-per-tile staging data produced by :func:`prepare_tile_data` and implements
+per-tile staging data produced by :func:`prepare_tile_data` (the
+reference deposit stages whole runs of tiles through the same body,
+:func:`prepare_run_data`) and implements
 the :class:`DepositionKernel` interface: deposit the tile's current into
 the grid arrays and record the work it performed in a
 :class:`~repro.hardware.counters.KernelCounters` object.
@@ -27,7 +29,7 @@ from repro.pic.grid import (
     grid_geometry,
     scratch_grids,
 )
-from repro.pic.particles import ParticleTile
+from repro.pic.particles import ParticleTile, concat_tiles
 from repro.pic.pusher import velocities
 from repro.pic.shapes import shape_factors, shape_support
 from repro.pic.stencil import (
@@ -73,14 +75,16 @@ def cell_switch_fraction(cell_ids: np.ndarray) -> float:
 
 
 class TileDepositionData:
-    """Per-particle staging data for one tile (Stage 1 of Algorithm 2).
+    """Per-particle staging data for one tile or one run of tiles (Stage 1
+    of Algorithm 2).
 
     The shape-factor and effective-current arrays are computed eagerly by
-    :func:`prepare_tile_data`; the cell ids (used only by the instrumented
+    :func:`prepare_run_data`; the cell ids (used only by the instrumented
     kernels for locality metrics and the rhocell/MPU layouts) and the
     flat-index node stencil (used only by the direct scatter) are derived
     lazily from the staged coordinates, so each consumer pays exactly for
-    what it touches.
+    what it touches.  Tile-local cell ids need a tile box, so the staging
+    of a run of several tiles refuses them.
     """
 
     __slots__ = ("order", "base_x", "base_y", "base_z", "wx", "wy", "wz",
@@ -106,7 +110,8 @@ class TileDepositionData:
         self.wqx = wqx
         self.wqy = wqy
         self.wqz = wqz
-        #: (grid, tile, xi, yi, zi) for the lazy cell-id derivation
+        #: (grid, tile, xi, yi, zi) for the lazy cell-id derivation; the
+        #: tile is ``None`` for a run of several tiles (no tile box)
         self._cell_source = cell_source
         self._cell_ids: Optional[np.ndarray] = None
         self._local_cell_ids: Optional[np.ndarray] = None
@@ -135,7 +140,8 @@ class TileDepositionData:
         iy = grid.wrap_node_index(np.floor(yi).astype(np.int64), axis=1)
         iz = grid.wrap_node_index(np.floor(zi).astype(np.int64), axis=2)
         self._cell_ids = grid.linear_cell_id(ix, iy, iz)
-        self._local_cell_ids = tile.local_ids_from_cells(ix, iy, iz)
+        if tile is not None:
+            self._local_cell_ids = tile.local_ids_from_cells(ix, iy, iz)
 
     @property
     def cell_ids(self) -> np.ndarray:
@@ -146,18 +152,22 @@ class TileDepositionData:
 
     @property
     def local_cell_ids(self) -> np.ndarray:
-        """Linear cell id within the tile box."""
+        """Linear cell id within the tile box (one-tile staging only)."""
         if self._local_cell_ids is None:
+            if self._cell_source[1] is None:
+                raise ValueError(
+                    "a run of several tiles has no tile box: stage one "
+                    "tile (prepare_tile_data) for tile-local cell ids")
             self._derive_cell_ids()
         return self._local_cell_ids
 
     def node_stencil(self, grid: Grid) -> StencilOperator:
-        """The tile's flattened grid-node stencil, built once and cached.
+        """The batch's flattened grid-node stencil, built once and cached.
 
         The stencil depends only on the grid *geometry* (shape and
         boundary kind) and its kernel tier, which are identical for the
         scratch grids the executor tasks deposit into, so the cache is
-        safe across the grid instances a tile meets within one staging.
+        safe across the grid instances a batch meets within one staging.
         """
         if self._stencil is None:
             self._stencil = StencilOperator.from_shape_data(
@@ -168,38 +178,28 @@ class TileDepositionData:
         return self._stencil
 
 
-def prepare_tile_data(grid: Grid, tile: ParticleTile, charge: float,
-                      order: int) -> TileDepositionData:
-    """Compute shape factors and effective currents for a tile's particles.
+def prepare_run_data(grid: Grid, tiles: Sequence[ParticleTile], charge: float,
+                     order: int) -> TileDepositionData:
+    """Compute shape factors and effective currents for a run of tiles.
 
-    The returned arrays follow the *storage order* of the tile, so a kernel
-    observing them sees exactly the locality (or lack of it) that the
-    sorting machinery established.
+    The particles are staged once, concatenated in tile order, each
+    tile's in its *storage order*, so a kernel observing them sees
+    exactly the locality (or lack of it) that the sorting machinery
+    established.  A one-tile run keeps its tile box for
+    :attr:`TileDepositionData.local_cell_ids`.
     """
-    n = tile.num_particles
-    if n == 0:
-        empty = np.empty((0,))
-        empty_i = np.empty((0,), dtype=np.int64)
-        zero_w = np.empty((0, shape_support(order)))
-        data = TileDepositionData(
-            order=order,
-            base_x=empty_i, base_y=empty_i, base_z=empty_i,
-            wx=zero_w, wy=zero_w, wz=zero_w,
-            wqx=empty, wqy=empty, wqz=empty,
-        )
-        data._cell_ids = empty_i
-        data._local_cell_ids = empty_i
-        return data
-
-    xi, yi, zi = grid.normalized_position(tile.x, tile.y, tile.z)
+    x, y, z, ux, uy, uz, w = (
+        concat_tiles(tiles, name)
+        for name in ("x", "y", "z", "ux", "uy", "uz", "w"))
+    xi, yi, zi = grid.normalized_position(x, y, z)
     base_x, wx = shape_factors(xi, order)
     base_y, wy = shape_factors(yi, order)
     base_z, wz = shape_factors(zi, order)
 
-    vx, vy, vz = velocities(tile.ux, tile.uy, tile.uz)
+    vx, vy, vz = velocities(ux, uy, uz)
     cell_volume = float(np.prod(grid.cell_size))
     scale = charge / cell_volume
-    weight_scale = scale * tile.w
+    weight_scale = scale * w
     wqx = weight_scale * vx
     wqy = weight_scale * vy
     wqz = weight_scale * vz
@@ -209,27 +209,37 @@ def prepare_tile_data(grid: Grid, tile: ParticleTile, charge: float,
         base_x=base_x, base_y=base_y, base_z=base_z,
         wx=wx, wy=wy, wz=wz,
         wqx=wqx, wqy=wqy, wqz=wqz,
-        cell_source=(grid, tile, xi, yi, zi),
+        cell_source=(grid, tiles[0] if len(tiles) == 1 else None,
+                     xi, yi, zi),
     )
 
 
-def scatter_tile_currents(grid: Grid, data: TileDepositionData) -> None:
-    """Numerically exact scatter-add of a tile's staged currents to the grid.
+def prepare_tile_data(grid: Grid, tile: ParticleTile, charge: float,
+                      order: int) -> TileDepositionData:
+    """Staging data of one tile: :func:`prepare_run_data` of a one-tile run."""
+    return prepare_run_data(grid, [tile], charge, order)
 
-    Used by kernels whose instrumentation differs but whose arithmetic is
-    the straightforward per-node accumulation (baseline and rhocell paths
-    both reduce to this formula).  Tile-shard executor tasks point ``grid``
-    at a shard-private scratch :class:`Grid`, so the accumulation target is
-    always ``grid.current_arrays()``.
+
+def scatter_tile_currents(grid: Grid, data: TileDepositionData) -> None:
+    """Numerically exact scatter-add of staged currents to the grid.
+
+    ``data`` is one tile's or one run's staging.  Used by kernels whose
+    instrumentation differs but whose arithmetic is the straightforward
+    per-node accumulation (baseline and rhocell paths both reduce to this
+    formula) and by the reference deposit, once per run of tiles.
+    Tile-shard executor tasks point ``grid`` at a shard-private scratch
+    :class:`Grid`, so the accumulation target is always
+    ``grid.current_arrays()``.
 
     The three components share one flattened stencil (node ids and 3-D
-    weights computed once per tile) and accumulate with a single
-    scatter-add pass each — see :mod:`repro.pic.stencil`.  When the
-    grid's kernel tier provides a fused three-component ``scatter3``
-    (the numba tier), the whole staged tile deposits in one compiled
-    pass into bounding-box accumulators; the boxes are applied to the
-    grid through the same wrapped/clamped segment logic as the stencil
-    path, so both routes are bitwise identical.
+    weights computed once per staging) and accumulate with a single
+    scatter-add pass each into the batch's bounding box — see
+    :mod:`repro.pic.stencil`.  When the grid's kernel tier provides a
+    fused three-component ``scatter3`` (the numba tier), the whole staged
+    batch deposits in one compiled pass into bounding-box accumulators;
+    the boxes are applied to the grid through the same wrapped/clamped
+    segment logic as the stencil path, so both routes are bitwise
+    identical.
     """
     if data.num_particles == 0:
         return

@@ -4,28 +4,21 @@ The paper's evaluation uses the Boris pusher (§5.2).  Momenta are stored as
 ``u = gamma * v`` so the update is the standard half-acceleration /
 rotation / half-acceleration scheme followed by the position advance.
 
-Gather and push run once per *run of tiles*: a shard's consecutive tiles
-are grouped until a run holds :data:`RUN_PARTICLES` particles, the run's
-positions and momenta are concatenated once, and one block gather
-(:func:`repro.pic.gather.gather_fields`), one Boris update, one velocity
-and one position update serve the whole run; each tile then holds slices
-of the run's result arrays.  Each of those steps is a per-particle
-function — a particle's gathered fields do not depend on its batch-mates
-— so every grouping gives the same bits as pushing tile by tile.
-
-Why a threshold: the interpreter pays a fixed cost per NumPy call, which
-dominates small tiles (eight 512-particle tiles gathered at once take
-about half the time of eight separate gathers), while the block
-gather's field box and temporaries grow with the batch, which dominates
-big tiles (two 65 536-particle tiles gathered at once are slower than
-one by one).  So a tile already holding ``RUN_PARTICLES`` is its own run
-and is not copied.
+Gather and push run once per *run of tiles*
+(:func:`repro.pic.particles.tile_runs`, the runs the reference deposit
+uses too): the run's positions and momenta are concatenated once, and
+one block gather (:func:`repro.pic.gather.gather_fields`), one Boris
+update, one velocity and one position update serve the whole run; each
+tile then holds slices of the run's result arrays.  Each of those steps
+is a per-particle function — a particle's gathered fields do not depend
+on its batch-mates — so every grouping gives the same bits as pushing
+tile by tile.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -38,12 +31,8 @@ from repro.pic.particles import (
     ParticleTile,
     concat_tiles,
     split_to_tiles,
+    tile_runs,
 )
-
-#: Particles a run of consecutive tiles gathers and pushes as one batch.
-#: Any grouping gives the same bits, so this is a speed constant (4096
-#: measured well on 512-particle tiles), not an option.
-RUN_PARTICLES = 4096
 
 #: the SoA arrays the push reads and replaces
 _PUSHED = ("x", "y", "z", "ux", "uy", "uz")
@@ -102,27 +91,6 @@ def boris_push_momentum(ux: np.ndarray, uy: np.ndarray, uz: np.ndarray,
 
     # second half electric acceleration
     return uxp + ax, uyp + ay, uzp + az
-
-
-def tile_runs(tiles: List[ParticleTile]) -> Iterator[List[ParticleTile]]:
-    """Consecutive ``tiles`` grouped into runs of ``RUN_PARTICLES`` or more.
-
-    Only the last run may hold fewer; a tile holding ``RUN_PARTICLES``
-    or more is a run of its own.
-    """
-    run: List[ParticleTile] = []
-    held = 0
-    for tile in tiles:
-        if run and tile.num_particles >= RUN_PARTICLES:
-            yield run
-            run, held = [], 0
-        run.append(tile)
-        held += tile.num_particles
-        if held >= RUN_PARTICLES:
-            yield run
-            run, held = [], 0
-    if run:
-        yield run
 
 
 def _push_shard_inplace(tiles: List[ParticleTile], grid: Grid, charge: float,

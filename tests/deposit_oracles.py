@@ -1,25 +1,113 @@
-"""The per-particle MatrixPIC Stage 2, kept as the test oracle.
+"""Deposition code paths replaced in ``src/``, kept as test oracles.
 
-This is what ``repro.core.mpu_deposit`` shipped before Stage 2 became a
-stacked block-matrix product: per current component it builds every
-particle's full ``S^3`` nodal block through pair outer products
-(``tile_contributions_cic`` / ``tile_contributions_qsp``, verbatim) and
+The per-particle MatrixPIC Stage 2 is what ``repro.core.mpu_deposit``
+shipped before Stage 2 became a stacked block-matrix product: per current
+component it builds every particle's full ``S^3`` nodal block through
+pair outer products (``tile_contributions_cic`` /
+``tile_contributions_qsp`` and their ``pair_within_runs``, verbatim) and
 hands the ``(n, S^3)`` arrays to ``scatter_rhocell_blocks``' ``bincount``.
 It is slow, allocates ~2.8 KiB per particle and is obviously right; it
 exists only so ``tests/test_mpu_deposit.py`` can hold the production
 ``tile_rhocells`` to its values (to summation order) and to its work
 statistics (exactly — they feed ``KernelCounters``).
+
+The per-tile reference deposit (``oracle_deposit_reference`` /
+``oracle_deposit_rho_reference``) is what ``repro.pic.deposition.
+reference`` shipped before it deposited once per run of tiles: one
+staging pass and one box scatter per tile.  ``tests/
+test_deposit_batches.py`` holds the run deposit to it — bitwise wherever
+one tile's particles alone reach a node.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.core.mpu_deposit import pair_within_runs
-from repro.pic.deposition.base import TileDepositionData
+from repro.pic.deposition.base import (
+    TileDepositionData,
+    prepare_tile_data,
+    scatter_tile_currents,
+    scratch_reduce,
+)
 from repro.pic.deposition.rhocell import scatter_rhocell_blocks
+from repro.pic.stencil import StencilOperator
+
+
+def _current_tiles(grid, tiles: Sequence, charge: float, order: int) -> None:
+    for tile in tiles:
+        scatter_tile_currents(grid,
+                              prepare_tile_data(grid, tile, charge, order))
+
+
+def _rho_tiles(grid, tiles: Sequence, charge: float, order: int) -> None:
+    cell_volume = float(np.prod(grid.cell_size))
+    for tile in tiles:
+        stencil = StencilOperator.for_grid(grid, tile.x, tile.y, tile.z, order)
+        stencil.scatter(charge * tile.w / cell_volume, grid.rho)
+
+
+def oracle_deposit_reference(grid, container, order: int,
+                             executor=None) -> None:
+    """``deposit_reference`` with one staging + box scatter per tile."""
+    scratch_reduce(executor, grid, container.nonempty_tiles(),
+                   _current_tiles, container.charge, order)
+
+
+def oracle_deposit_rho_reference(grid, container, order: int,
+                                 executor=None) -> None:
+    """``deposit_rho_reference`` with one stencil per tile."""
+    scratch_reduce(executor, grid, container.nonempty_tiles(),
+                   _rho_tiles, container.charge, order, arrays=("rho",))
+
+
+def pair_within_runs(cell_sequence: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """Pair consecutive particles that share a cell in the processing order.
+
+    Parameters
+    ----------
+    cell_sequence:
+        The cell id of each particle in the order the kernel processes them
+        (GPMA order when sorted, storage order otherwise).
+
+    Returns
+    -------
+    first, second:
+        Indices (into the processing order) of each pair's two particles;
+        ``second`` is ``-1`` for the unpaired tail of an odd-length run.
+    pair_valid2:
+        Boolean mask, True where the pair has a second particle.
+    pair_cell:
+        Cell id of each pair.
+    num_runs:
+        Number of maximal runs of equal consecutive cells.  For a perfectly
+        sorted sequence this equals the number of occupied cells; for an
+        unsorted sequence it approaches the particle count, which is what
+        makes the no-sort configurations pay for extra tile flushes.
+    """
+    cell_sequence = np.asarray(cell_sequence, dtype=np.int64)
+    n = cell_sequence.shape[0]
+    if n == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, np.empty(0, dtype=bool), empty, 0
+
+    change = np.empty(n, dtype=bool)
+    change[0] = True
+    change[1:] = cell_sequence[1:] != cell_sequence[:-1]
+    run_id = np.cumsum(change) - 1
+    num_runs = int(run_id[-1]) + 1
+    run_start = np.nonzero(change)[0]
+    pos_in_run = np.arange(n) - run_start[run_id]
+
+    first = np.nonzero(pos_in_run % 2 == 0)[0]
+    second = first + 1
+    valid2 = (second < n)
+    valid2[valid2] &= run_id[second[valid2]] == run_id[first[valid2]]
+    second = np.where(valid2, second, -1)
+    pair_cell = cell_sequence[first]
+    return first, second, valid2, pair_cell, num_runs
 
 
 def oracle_tile_rhocells(data: TileDepositionData, order_idx: np.ndarray,

@@ -11,7 +11,9 @@ the suite.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
+from repro import constants
 from repro.config import GridConfig, SpeciesConfig
 from repro.core.framework import SORT_NONE, MatrixPICDeposition
 from repro.pic.grid import Grid
@@ -51,6 +53,58 @@ def cells_outside_their_tile(grid, container):
 
 #: the six gathered field components, in ``gather_fields_for_tile`` order
 FIELD_NAMES = ("ex", "ey", "ez", "bx", "by", "bz")
+
+
+#: (n_cell, tile_size) on unit cells: 8 to 24 tiles, some of them cut
+#: short by the domain edge
+TILE_LAYOUTS = (((8, 8, 8), (4, 4, 4)), ((12, 8, 8), (4, 4, 4)),
+                ((10, 8, 12), (4, 4, 4)), ((8, 4, 16), (4, 4, 4)))
+
+
+def tiled_plasma(n_cell, tile_size, periodic, populations, seed,
+                 species=SpeciesConfig()):
+    """Grid with random E/B + a container holding ``populations[i]``
+    particles inside tile ``i``'s box, with random momenta and weights.
+
+    Unit cells; ``periodic`` axes are periodic for fields and particles,
+    the others ``pec`` / ``absorbing``."""
+    config = GridConfig(
+        n_cell=n_cell, hi=tuple(float(n) for n in n_cell),
+        tile_size=tile_size,
+        particle_boundary=tuple("periodic" if p else "absorbing"
+                                for p in periodic),
+        field_boundary=tuple("periodic" if p else "pec" for p in periodic))
+    rng = np.random.default_rng(seed)
+    grid = Grid(config)
+    for name in FIELD_NAMES:
+        scale = 1.0e5 if name.startswith("e") else 1.0e-3
+        getattr(grid, name)[...] = rng.normal(0.0, scale, grid.shape)
+    container = ParticleContainer(config, species)
+    first = 0
+    for tile, n in zip(container.tiles, populations):
+        pos = rng.uniform(tile.cell_lo, tile.cell_hi, (n, 3))
+        mom = rng.normal(0.0, 0.5 * constants.C_LIGHT, (n, 3))
+        tile.append(x=pos[:, 0], y=pos[:, 1], z=pos[:, 2], ux=mom[:, 0],
+                    uy=mom[:, 1], uz=mom[:, 2], w=rng.uniform(0.5, 1.5, n),
+                    ids=np.arange(first, first + n))
+        first += n
+    return grid, container
+
+
+@st.composite
+def tiled_scenarios(draw):
+    """``tiled_plasma`` arguments: a layout of ``TILE_LAYOUTS``, 0-600
+    particles per tile (empty tiles included), any periodic/open mix."""
+    n_cell, tile_size = draw(st.sampled_from(TILE_LAYOUTS))
+    num_tiles = int(np.prod([-(-n // t) for n, t in zip(n_cell, tile_size)]))
+    populations = draw(st.lists(
+        st.one_of(st.just(0), st.integers(1, 600)),
+        min_size=num_tiles, max_size=num_tiles))
+    return dict(
+        n_cell=n_cell, tile_size=tile_size, populations=populations,
+        periodic=draw(st.tuples(st.booleans(), st.booleans(),
+                                st.booleans())),
+        seed=draw(st.integers(0, 2**31)))
 
 
 def random_field_grid(shape, periodic, rng):

@@ -4,10 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deposit_oracles import oracle_tile_rhocells
+from deposit_oracles import oracle_tile_rhocells, pair_within_runs
 from helpers import make_plasma
 from repro.core.hybrid_kernel import HybridMPUDeposition
 from repro.core.mpu_deposit import (
@@ -16,7 +16,7 @@ from repro.core.mpu_deposit import (
     build_qsp_operands,
     deposit_cell_cic_mpu,
     deposit_cell_qsp_mpu,
-    pair_within_runs,
+    mpu_work_statistics,
     tile_rhocells,
 )
 from repro.hardware.counters import KernelCounters
@@ -234,6 +234,40 @@ RUN_LENGTHS = st.sampled_from([1, 2, 3, 5, K - 1, K, K + 1, 2 * K, 2 * K + 1])
 CELL_RUNS = st.lists(st.tuples(st.integers(0, 11), RUN_LENGTHS), max_size=14)
 
 
+def cell_sequence(runs, arrangement, seed):
+    """Tile-local cells of ``(cell, run length)`` runs: as given, sorted
+    or shuffled."""
+    cells = np.repeat([cell for cell, _ in runs],
+                      [length for _, length in runs]).astype(np.int64)
+    if arrangement == "sorted":
+        return np.sort(cells)
+    if arrangement == "shuffled":
+        return np.random.default_rng(seed).permutation(cells)
+    return cells
+
+
+class TestWorkStatistics:
+    """``mpu_work_statistics`` counts pairs as the sum of ceil(run length
+    / 2) and runs as cell changes + 1; the oracle pairs the particles
+    (``pair_within_runs``) and takes the lengths.  The counts feed
+    ``KernelCounters``, so they must be exactly equal."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(runs=CELL_RUNS, order=st.sampled_from([1, 3]),
+           arrangement=st.sampled_from(["sorted", "runs", "shuffled"]),
+           seed=st.integers(0, 2**16))
+    @example(runs=[], order=1, arrangement="runs", seed=0)
+    @example(runs=[(4, 1)], order=3, arrangement="runs", seed=0)
+    @example(runs=[(2, 3), (2, 5), (7, 1)], order=1, arrangement="runs",
+             seed=0)
+    def test_counts_equal_the_pairing_oracle(self, runs, order, arrangement,
+                                             seed):
+        cells = cell_sequence(runs, arrangement, seed)
+        *_, want = oracle_tile_rhocells(staged_tile(cells, order, seed),
+                                        np.arange(cells.shape[0]), 12)
+        assert mpu_work_statistics(cells, order) == want
+
+
 class TestBlockProductAgainstOracle:
     NUM_CELLS = 12
 
@@ -242,13 +276,8 @@ class TestBlockProductAgainstOracle:
            arrangement=st.sampled_from(["sorted", "runs", "shuffled"]),
            seed=st.integers(0, 2**16))
     def test_values_and_work_statistics(self, runs, order, arrangement, seed):
-        cells = np.repeat([cell for cell, _ in runs],
-                          [length for _, length in runs]).astype(np.int64)
+        cells = cell_sequence(runs, arrangement, seed)
         rng = np.random.default_rng(seed)
-        if arrangement == "sorted":
-            cells = np.sort(cells)
-        elif arrangement == "shuffled":
-            cells = rng.permutation(cells)
         data = staged_tile(cells, order, seed)
         order_idx = rng.permutation(cells.shape[0])
         for idx in (np.arange(cells.shape[0]), order_idx):

@@ -26,9 +26,12 @@ oracle ``tests/deposit_oracles.py`` and is named nowhere under ``src/``.
 Its transpose is the one per-step gather (``pic/gather.py::
 gather_fields_for_tile``), and the block row space the two share is
 stated once, in ``pic/blocks.py``.  The particle stages run over
-batches of tiles: the per-tile push is gone (its loop is the oracle in
-``tests/particle_oracles.py``), the run size is one pusher constant, and
-migration is one regroup that removes and appends nothing tile by tile.
+batches of tiles: the per-tile push and the per-tile reference deposit
+are gone (their loops are the oracles in ``tests/particle_oracles.py``
+and ``tests/deposit_oracles.py``), the run rule is one function and one
+constant in ``pic/particles.py`` that the pusher and the reference
+deposit share, and migration is one regroup that removes and appends
+nothing tile by tile.
 
 A decomposed run deposits on the frame grid like every other run, so
 ``scratch_reduce`` is the only reduce helper behind the fan-out rule, and
@@ -448,14 +451,43 @@ def test_particle_stages_run_once_per_batch():
     # (its loop is the oracle in tests/particle_oracles.py) ...
     assert [(path, line.strip()) for path, text in source_texts()
             for line in text.splitlines() if "push_tile" in line] == []
-    # ... and the run size is one constant, read by the pusher only
+    # ... the run size is one constant beside the tile SoA helpers, read
+    # by the run rule only ...
     trees = dict(source_trees())
     assert [path for path, tree in trees.items()
             for node in ast.walk(tree) if isinstance(node, ast.Assign)
             and any(name_of(target) == "RUN_PARTICLES"
-                    for target in node.targets)] == ["pic/pusher.py"]
-    assert [path for path, text in source_texts()
-            if "RUN_PARTICLES" in text] == ["pic/pusher.py"]
+                    for target in node.targets)] == ["pic/particles.py"]
+    assert functions_naming("RUN_PARTICLES") == [
+        "pic/particles.py", "pic/particles.py::tile_runs"]
+    # ... and the rule is shared, not copied: the pusher and the reference
+    # deposit both call it
+    assert sorted({path for path, tree in trees.items()
+                   for node in ast.walk(tree) if isinstance(node, ast.Call)
+                   and name_of(node.func) == "tile_runs"}) == [
+        "pic/deposition/reference.py", "pic/pusher.py"]
+    # the reference deposit scatters once per run: no loop over anything
+    # but tile_runs(...) holds a scatter_tile_currents call (the per-tile
+    # loop is the oracle in tests/deposit_oracles.py)
+    def iterated(loop):
+        if isinstance(loop, ast.For):
+            return [loop.iter]
+        return [generator.iter for generator in loop.generators]
+
+    loops = [node for node in ast.walk(trees["pic/deposition/reference.py"])
+             if isinstance(node, (ast.For, ast.ListComp, ast.SetComp,
+                                  ast.GeneratorExp, ast.DictComp))]
+    scatters = [loop for loop in loops if any(
+        isinstance(node, ast.Call)
+        and name_of(node.func) == "scatter_tile_currents"
+        for node in ast.walk(loop))]
+    assert scatters and all(
+        isinstance(source, ast.Call) and name_of(source.func) == "tile_runs"
+        for loop in scatters for source in iterated(loop))
+    # the MOPA pairing that only counted pairs is the test oracle now
+    assert [(path, node.name) for path, tree in trees.items()
+            for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            and node.name == "pair_within_runs"] == []
     # migration is one regroup: redistribute removes and appends nothing
     # tile by tile, and calls its move recorder without asking whether
     # there is one (a decomposed run takes the same path)

@@ -21,21 +21,20 @@ from hypothesis import given, settings, strategies as st
 from repro import constants
 from repro.config import GridConfig, SpeciesConfig
 from repro.core.incremental_sort import IncrementalSorter
-from repro.exec import SerialExecutor, ThreadTileExecutor
-from repro.pic import pusher
+from repro.exec import SerialExecutor, ThreadTileExecutor, shard_items
+from repro.pic import particles, pusher
 from repro.pic.gather import gather_fields
 from repro.pic.grid import Grid
-from repro.pic.particles import ParticleContainer, ParticleTile
-from repro.pic.pusher import (
+from repro.pic.particles import (
     RUN_PARTICLES,
-    BorisPusher,
-    boris_push_momentum,
+    ParticleContainer,
+    ParticleTile,
     tile_runs,
-    velocities,
 )
+from repro.pic.pusher import BorisPusher, boris_push_momentum, velocities
 from repro.pic.stencil import StencilOperator
 
-from helpers import FIELD_NAMES
+from helpers import FIELD_NAMES, tiled_plasma, tiled_scenarios
 from particle_oracles import (
     oracle_apply_boundary_conditions,
     oracle_push,
@@ -43,41 +42,11 @@ from particle_oracles import (
 )
 
 SOA = ("x", "y", "z", "ux", "uy", "uz", "w", "ids")
-#: (n_cell, tile_size) on unit cells: 8 to 24 tiles, some of them cut
-#: short by the domain edge
-LAYOUTS = (((8, 8, 8), (4, 4, 4)), ((12, 8, 8), (4, 4, 4)),
-           ((10, 8, 12), (4, 4, 4)), ((8, 4, 16), (4, 4, 4)))
 EXECUTORS = {"serial1": lambda: SerialExecutor(1),
              "serial3": lambda: SerialExecutor(3),
              "threads2": lambda: ThreadTileExecutor(2)}
 #: a step moves a particle at most half a cell
 DT = 0.5 / constants.C_LIGHT
-
-
-def build(n_cell, tile_size, periodic, populations, seed):
-    """Grid with random E/B + a container holding ``populations[i]``
-    particles inside tile ``i``'s box, with random momenta and weights."""
-    config = GridConfig(
-        n_cell=n_cell, hi=tuple(float(n) for n in n_cell),
-        tile_size=tile_size,
-        particle_boundary=tuple("periodic" if p else "absorbing"
-                                for p in periodic),
-        field_boundary=tuple("periodic" if p else "pec" for p in periodic))
-    rng = np.random.default_rng(seed)
-    grid = Grid(config)
-    for name in FIELD_NAMES:
-        scale = 1.0e5 if name.startswith("e") else 1.0e-3
-        getattr(grid, name)[...] = rng.normal(0.0, scale, grid.shape)
-    container = ParticleContainer(config, SpeciesConfig())
-    first = 0
-    for tile, n in zip(container.tiles, populations):
-        pos = rng.uniform(tile.cell_lo, tile.cell_hi, (n, 3))
-        mom = rng.normal(0.0, 0.5 * constants.C_LIGHT, (n, 3))
-        tile.append(x=pos[:, 0], y=pos[:, 1], z=pos[:, 2], ux=mom[:, 0],
-                    uy=mom[:, 1], uz=mom[:, 2], w=rng.uniform(0.5, 1.5, n),
-                    ids=np.arange(first, first + n))
-        first += n
-    return grid, container
 
 
 def jump(container, seed, share):
@@ -123,29 +92,15 @@ def kept_sorters(container, marks):
     return kept
 
 
-@st.composite
-def scenarios(draw):
-    n_cell, tile_size = draw(st.sampled_from(LAYOUTS))
-    num_tiles = int(np.prod([-(-n // t) for n, t in zip(n_cell, tile_size)]))
-    populations = draw(st.lists(
-        st.one_of(st.just(0), st.integers(1, 600)),
-        min_size=num_tiles, max_size=num_tiles))
-    return dict(
-        n_cell=n_cell, tile_size=tile_size, populations=populations,
-        periodic=draw(st.tuples(st.booleans(), st.booleans(),
-                                st.booleans())),
-        seed=draw(st.integers(0, 2**31)))
-
-
 class TestBatchedStagesMatchThePerTileOracle:
     @settings(max_examples=40, deadline=None)
-    @given(scenario=scenarios(), order=st.integers(1, 3),
+    @given(scenario=tiled_scenarios(), order=st.integers(1, 3),
            share=st.sampled_from([0.0, 0.05, 0.5]),
            run_particles=st.sampled_from([1, 700, RUN_PARTICLES]))
     def test_push_boundary_and_migration(self, scenario, order, share,
                                          run_particles):
         # the oracle, stage by stage
-        grid, oracle = build(**scenario)
+        grid, oracle = tiled_plasma(**scenario)
         oracle_push(oracle, grid, DT, order)
         pushed = snapshot(oracle)
         jump(oracle, scenario["seed"], share)
@@ -159,12 +114,21 @@ class TestBatchedStagesMatchThePerTileOracle:
         kept = kept_sorters(oracle, marks)
 
         for name, make_executor in EXECUTORS.items():
-            _, batched = build(**scenario)
+            _, batched = tiled_plasma(**scenario)
             with make_executor() as executor:
-                with mock.patch.object(pusher, "RUN_PARTICLES",
-                                       run_particles):
+                with mock.patch.object(particles, "RUN_PARTICLES",
+                                       run_particles), \
+                        mock.patch.object(pusher, "gather_fields",
+                                          wraps=gather_fields) as gathers:
+                    runs = [run for shard in shard_items(
+                                executor, batched.nonempty_tiles())
+                            for run in tile_runs(shard)]
                     BorisPusher(order).push(batched, grid, DT,
                                             executor=executor)
+                # the patched run size reaches the pusher: one gather a run
+                assert gathers.call_count == len(runs), name
+                if run_particles == 1:
+                    assert all(len(run) == 1 for run in runs)
                 assert_same_tiles(pushed, batched)
                 jump(batched, scenario["seed"], share)
                 assert batched.apply_boundary_conditions(
@@ -185,11 +149,11 @@ class TestBatchedStagesMatchThePerTileOracle:
     def test_a_tile_of_run_size_is_pushed_alone(self, order):
         # a 5000-particle tile between small ones: its own run, no copy
         populations = [300, 5000, 0, 200, 4096, 100, 50, 20]
-        grid, oracle = build((8, 8, 8), (4, 4, 4), (True, False, True),
-                             populations, seed=12)
+        grid, oracle = tiled_plasma((8, 8, 8), (4, 4, 4),
+                                    (True, False, True), populations, seed=12)
         oracle_push(oracle, grid, DT, order)
-        _, batched = build((8, 8, 8), (4, 4, 4), (True, False, True),
-                           populations, seed=12)
+        _, batched = tiled_plasma((8, 8, 8), (4, 4, 4), (True, False, True),
+                                  populations, seed=12)
         BorisPusher(order).push(batched, grid, DT)
         assert_same_tiles(snapshot(oracle), batched)
 
@@ -254,8 +218,8 @@ def test_a_run_reaching_far_outside_takes_the_fallback_as_a_whole(order):
     """One particle more than a stencil width outside the domain leaves
     the run's box unbounded: every particle of the run — not only that
     tile's — is gathered by ``StencilOperator.gather``."""
-    grid, container = build((8, 8, 8), (4, 4, 4), (True, False, True),
-                            [40] * 8, seed=21)
+    grid, container = tiled_plasma((8, 8, 8), (4, 4, 4), (True, False, True),
+                                   [40] * 8, seed=21)
     container.tiles[3].x[0] = -40.0
     assert container.num_particles < RUN_PARTICLES  # one run
     x, y, z, ux, uy, uz = (
