@@ -49,6 +49,10 @@ from repro.hardware.counters import KernelCounters
 from repro.pic.grid import Grid
 from repro.pic.particles import ParticleTile
 
+#: a tile's GPMA is rebuilt in :meth:`IncrementalSorter.incremental_update_tile`
+#: once its empty-slot reserve falls below this share of its capacity
+REBUILD_EMPTY_RATIO = 0.02
+
 
 @dataclass
 class TileSortState:
@@ -90,10 +94,8 @@ class StepSortStats:
 class IncrementalSorter:
     """Maintains cell-sorted particle order with O(1) amortised updates."""
 
-    def __init__(self, config: Optional[SortingPolicyConfig] = None,
-                 rebuild_empty_ratio: float = 0.02):
+    def __init__(self, config: Optional[SortingPolicyConfig] = None):
         self.config = config if config is not None else SortingPolicyConfig()
-        self.rebuild_empty_ratio = rebuild_empty_ratio
 
     # ------------------------------------------------------------------
     # global (per-tile) sort
@@ -173,7 +175,7 @@ class IncrementalSorter:
         # the pending-move insertions.
         update = gpma.apply_moves(moved, new_bins[moved])
 
-        if gpma.overflow or gpma.needs_rebuild(self.rebuild_empty_ratio):
+        if gpma.overflow or gpma.needs_rebuild(REBUILD_EMPTY_RATIO):
             rebuild = gpma.build(new_bins)
             update.merge(rebuild)
             stats.local_rebuilds += 1

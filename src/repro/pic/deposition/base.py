@@ -20,15 +20,15 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import SHAPE_ORDER_CIC, SHAPE_ORDER_QSP, SHAPE_ORDER_TSC
+from repro.config import (
+    SHAPE_ORDER_CIC,
+    SHAPE_ORDER_QSP,
+    SHAPE_ORDER_TSC,
+    GridConfig,
+)
 from repro.exec import TileExecutor, run_shards, shard_items
 from repro.hardware.counters import KernelCounters
-from repro.pic.grid import (
-    Grid,
-    apply_grid_geometry,
-    grid_geometry,
-    scratch_grids,
-)
+from repro.pic.grid import Grid, apply_grid_geometry, grid_geometry
 from repro.pic.particles import ParticleTile, concat_tiles
 from repro.pic.pusher import velocities
 from repro.pic.shapes import shape_factors, shape_support
@@ -266,20 +266,21 @@ def scatter_tile_currents(grid: Grid, data: TileDepositionData) -> None:
     stencil.scatter(data.wqz, jz)
 
 
-def _scratch_shard(shard: Tuple, body, args: Tuple, geometry: Tuple,
+def _scratch_shard(tiles: Sequence[ParticleTile], body, args: Tuple,
+                   config: GridConfig, geometry: Tuple,
                    arrays: Tuple[str, ...]) -> Tuple:
-    """Executor task: run ``body`` over one shard into private scratch.
+    """Executor task: run ``body`` over one shard into a private scratch.
 
-    ``shard`` is ``(tiles, scratch)``.  The caller leases ``scratch`` and
-    releases it after the merge (the return value aliases its arrays, so
-    the task itself must not release).  The scratch always takes the
-    caller grid's *live* ``(lo, hi)`` and its kernel table: the moving
-    window advances the corners past the static ``GridConfig`` values,
-    and staging positions against a stale origin would normalise the
-    particles into the wrong cells.
+    The task builds its own zeroed scratch :class:`Grid` from the caller
+    grid's config and :func:`~repro.pic.grid.grid_geometry` snapshot, so
+    it deposits through the caller's kernel table and against the *live*
+    ``(lo, hi)``: the moving window advances the corners past the static
+    ``GridConfig`` values, and staging positions against a stale origin
+    would normalise the particles into the wrong cells.  The returned
+    arrays are the scratch's own; nothing else holds them.
     """
-    tiles, scratch = shard
-    apply_grid_geometry(scratch, geometry)
+    _, _, kernels = geometry
+    scratch = apply_grid_geometry(Grid(config, kernels), geometry)
     value = body(scratch, tiles, *args)
     return tuple(getattr(scratch, name) for name in arrays), value
 
@@ -291,26 +292,21 @@ def scratch_reduce(executor: Optional[TileExecutor], grid: Grid,
 
     The reduce half of the :mod:`repro.exec.base` contract.  At one shard
     ``body`` writes straight into the (possibly non-zero) ``grid``;
-    otherwise every shard gets a zeroed scratch grid with the live
-    geometry as ``target``, and the scratch ``arrays`` are added to the
-    grid in shard order.  Returns the body's return values in shard order.
+    otherwise every shard's task builds a zeroed scratch grid with the
+    live geometry as ``target``, and the scratch ``arrays`` are added to
+    the grid in shard order.  Returns the body's return values in shard
+    order; a body that raises raises here.
     """
     shards = shard_items(executor, tiles)
     if len(shards) == 1:
         return [body(grid, tiles, *args)]
-    scratches = [scratch_grids.acquire(grid.config) for _ in shards]
-    try:
-        results = run_shards(executor, _scratch_shard,
-                             list(zip(shards, scratches)), body, args,
-                             grid_geometry(grid), arrays)
-        for shard_arrays, _ in results:
-            for name, scratch_array in zip(arrays, shard_arrays):
-                merged = getattr(grid, name)
-                merged += scratch_array
-        return [value for _, value in results]
-    finally:
-        for scratch in scratches:
-            scratch_grids.release(scratch)
+    results = run_shards(executor, _scratch_shard, shards, body, args,
+                         grid.config, grid_geometry(grid), arrays)
+    for shard_arrays, _ in results:
+        for name, scratch_array in zip(arrays, shard_arrays):
+            merged = getattr(grid, name)
+            merged += scratch_array
+    return [value for _, value in results]
 
 
 class DepositionKernel(abc.ABC):

@@ -13,12 +13,14 @@ defined once in :func:`repro.pic.stencil.wrap_axis_indices`;
 redistribution and every deposition kernel — the scalar reference, the
 rhocell variants and the MPU hybrid kernel — share one convention and
 produce bit-identical grid currents.
+
+Nothing here is pooled: a sharded deposit's task builds its own scratch
+:class:`Grid` from the config and a :func:`grid_geometry` snapshot.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -170,10 +172,10 @@ def grid_geometry(grid: "Grid") -> Tuple:
 
     ``GridConfig`` is frozen, but the moving window advances ``grid.lo``
     and ``grid.hi`` past the configured values.  Executor shard tasks
-    that rebuild (or lease) a geometry grid from the config must restore
-    the live corners with :func:`apply_grid_geometry`, otherwise they
-    would normalise particle positions against a stale origin — and
-    must deposit through the caller's kernel tier, not the default one.
+    that build a scratch grid from the config must restore the live
+    corners with :func:`apply_grid_geometry`, otherwise they would
+    normalise particle positions against a stale origin — and must
+    deposit through the caller's kernel tier, not the default one.
     """
     return grid.lo.copy(), grid.hi.copy(), grid.kernels
 
@@ -185,121 +187,3 @@ def apply_grid_geometry(grid: "Grid", geometry: Tuple) -> "Grid":
     grid.hi[...] = hi
     return grid
 
-
-class ScratchGridPool:
-    """Reusable scratch :class:`Grid` instances, keyed by geometry.
-
-    The executor shard tasks accumulate into shard-private scratch grids.
-    Allocating ten dense arrays per shard per step is pure overhead, so
-    callers lease grids here instead: :meth:`acquire` hands out a grid
-    with zeroed current and charge accumulators (bit-identical to a fresh
-    ``Grid``) and :meth:`release` returns it to the free list.
-
-    Lease discipline: a grid stays checked out until its consumer has
-    merged (or abandoned) the arrays it holds — the deposition callers
-    release only after the shard merge, because the task's return value
-    aliases the scratch arrays.  Field components (``ex`` .. ``bz``) are
-    *not* cleared on acquire; deposition tasks never read them.
-
-    The pool is thread-safe (the threads backend runs shard tasks
-    concurrently) and per-process (each worker process grows its own).
-    The free list is capped (``max_free``, across all geometries):
-    releases beyond the cap simply drop the grid, so long-lived campaign
-    processes sweeping many grid configurations cannot accumulate
-    retained arrays without bound.
-    """
-
-    def __init__(self, max_free: int = 32) -> None:
-        self.max_free = max_free
-        self._free: Dict[GridConfig, List[Grid]] = {}
-        self._num_free = 0
-        self._lock = threading.Lock()
-
-    def acquire(self, config: GridConfig) -> Grid:
-        """A scratch grid for ``config`` with zeroed current/charge."""
-        with self._lock:
-            stack = self._free.get(config)
-            grid = stack.pop() if stack else None
-            if grid is not None:
-                self._num_free -= 1
-        if grid is None:
-            return Grid(config)
-        grid.zero_currents()
-        grid.zero_charge()
-        return grid
-
-    def release(self, grid: Grid) -> None:
-        """Return a leased grid to the free list (dropped when full)."""
-        with self._lock:
-            if self._num_free >= self.max_free:
-                return
-            self._free.setdefault(grid.config, []).append(grid)
-            self._num_free += 1
-
-    def clear(self) -> None:
-        """Drop all pooled grids (tests / memory pressure)."""
-        with self._lock:
-            self._free.clear()
-            self._num_free = 0
-
-
-class ScratchArrayPool:
-    """Reusable dense float64 scratch arrays, keyed by shape.
-
-    The FDTD solver needs roughly ten grid-shaped temporaries per field
-    update (one per spatial derivative plus working buffers for the CKC
-    transverse smoothing), and the decomposed window shift needs one
-    interior-shaped buffer per field.  Allocating them fresh every step
-    is pure overhead, so callers lease arrays here: :meth:`acquire`
-    hands out an array of the requested shape (contents unspecified) and
-    :meth:`release` returns it to the free list.
-
-    Thread-safe and per-process, like :class:`ScratchGridPool`; the free
-    list is capped across all shapes so long-lived processes sweeping
-    many geometries cannot retain arrays without bound.
-    """
-
-    def __init__(self, max_free: int = 64) -> None:
-        self.max_free = max_free
-        self._free: Dict[Tuple, List[np.ndarray]] = {}
-        self._num_free = 0
-        self._lock = threading.Lock()
-
-    def acquire(self, shape: Tuple[int, ...]) -> np.ndarray:
-        """A float64 scratch array of ``shape`` (contents unspecified)."""
-        key = (tuple(int(s) for s in shape), np.dtype(np.float64))
-        with self._lock:
-            stack = self._free.get(key)
-            arr = stack.pop() if stack else None
-            if arr is not None:
-                self._num_free -= 1
-        if arr is None:
-            return np.empty(key[0])
-        return arr
-
-    def release(self, arr: np.ndarray) -> None:
-        """Return a leased array to the free list (dropped when full).
-
-        The free list is keyed by ``(shape, dtype)`` so a stray
-        non-float64 release can never be handed back to a caller
-        expecting the float64 arrays :meth:`acquire` produces.
-        """
-        with self._lock:
-            if self._num_free >= self.max_free:
-                return
-            self._free.setdefault((arr.shape, arr.dtype), []).append(arr)
-            self._num_free += 1
-
-    def clear(self) -> None:
-        """Drop all pooled arrays (tests / memory pressure)."""
-        with self._lock:
-            self._free.clear()
-            self._num_free = 0
-
-
-#: process-wide scratch pool shared by every executor shard task
-scratch_grids = ScratchGridPool()
-
-#: process-wide scratch array pool (field solver temporaries, window-shift
-#: buffers)
-scratch_arrays = ScratchArrayPool()

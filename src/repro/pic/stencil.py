@@ -428,50 +428,14 @@ class StencilOperator:
                                                 self.shape, self.periodic)
         return self._segments_cache
 
-    def _apply_box(self, box: Array, out: Array) -> None:
-        """Add the box accumulator onto the grid (wrap/clamp per axis)."""
-        apply_box(box, self._segments(), out)
-
-    def box_accumulate(self, values: Array) -> Array:
-        """The dense bounding-box accumulation of per-stencil-point values.
-
-        This is the first half of :meth:`scatter_values` on the fast path:
-        one scatter-add kernel pass over the flattened stencil, *before*
-        the box is folded onto the grid.
-
-        Requires the bounding-box fast path (``box_dims`` set); per-step
-        callers always satisfy this because redistributed particles sit
-        within one stencil width of the domain.
-        """
-        if self.box_dims is None:
-            raise ValueError(
-                "box_accumulate requires the bounding-box fast path "
-                "(bases within one stencil width of the domain)"
-            )
-        size = int(self.box_dims[0]) * int(self.box_dims[1]) \
-            * int(self.box_dims[2])
-        return self.kernels.scatter(
-            self.flat_ids, values, None, size).reshape(self.box_dims)
-
-    def scatter_box(self, amplitude: Optional[Array]) -> Array:
-        """Bounding-box accumulation of ``amplitude[p] * weights[p, m]``.
-
-        The amplitude scaling is fused into the scatter kernel, so a
-        compiled tier never materialises the ``(n, support**3)``
-        contribution temporary.
-        """
-        if self.box_dims is None:
-            raise ValueError(
-                "scatter_box requires the bounding-box fast path "
-                "(bases within one stencil width of the domain)"
-            )
-        if amplitude is None:
-            return self.box_accumulate(self.weights)
-        size = int(self.box_dims[0]) * int(self.box_dims[1]) \
-            * int(self.box_dims[2])
-        return self.kernels.scatter(
-            self.flat_ids, self.weights, amplitude, size
-        ).reshape(self.box_dims)
+    def _box_scatter(self, values: Array, amplitude: Optional[Array],
+                     out: Array) -> None:
+        """One scatter-add kernel pass into the bounding box, then the box
+        added onto the grid (wrap/clamp per axis)."""
+        dims = self.box_dims
+        box = self.kernels.scatter(self.flat_ids, values, amplitude,
+                                   int(dims[0]) * int(dims[1]) * int(dims[2]))
+        apply_box(box.reshape(dims), self._segments(), out)
 
     # ------------------------------------------------------------------
     # application
@@ -483,13 +447,15 @@ class StencilOperator:
         if self.box_dims is None:
             scatter_flat(self.flat_ids, values, out, self.kernels)
             return
-        self._apply_box(self.box_accumulate(values), out)
+        self._box_scatter(values, None, out)
 
     def scatter(self, amplitude: Optional[Array], out: Array) -> None:
         """Add ``amplitude[p] * weights[p, m]`` to the dense array ``out``.
 
         ``amplitude`` is a per-particle factor (charge/current term); pass
-        ``None`` to scatter the bare stencil weights.
+        ``None`` to scatter the bare stencil weights.  On the box path the
+        scaling is fused into the scatter kernel, so a compiled tier never
+        materialises the ``(n, support**3)`` contribution temporary.
         """
         if self.num_particles == 0:
             return
@@ -500,7 +466,7 @@ class StencilOperator:
                 contributions = np.asarray(amplitude)[:, None] * self.weights
             scatter_flat(self.flat_ids, contributions, out, self.kernels)
             return
-        self._apply_box(self.scatter_box(amplitude), out)
+        self._box_scatter(self.weights, amplitude, out)
 
     def gather(self, field: Array) -> Array:
         """Interpolate ``field`` to the particles (adjoint of scatter).

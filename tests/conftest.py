@@ -9,24 +9,9 @@ import pytest
 
 from repro.backend import kernels_numba
 from repro.config import GridConfig
-from repro.pic.grid import Grid, scratch_arrays, scratch_grids
+from repro.pic.grid import Grid
 
 from helpers import make_plasma  # noqa: F401  (re-exported fixture helper)
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _clear_scratch_pools():
-    """Drop the process-wide scratch pools after every test module.
-
-    The pools are keyed by grid geometry, so a module sweeping many
-    configurations would otherwise leave its grids/arrays retained for
-    the rest of the session — masking leaks and inflating memory across
-    unrelated suites.  Clearing between modules keeps every module's
-    pool behaviour independent.
-    """
-    yield
-    scratch_grids.clear()
-    scratch_arrays.clear()
 
 
 @pytest.fixture

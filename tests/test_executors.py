@@ -33,7 +33,7 @@ from repro.pic.deposition.reference import (
     deposit_reference,
     deposit_rho_reference,
 )
-from repro.pic.grid import scratch_grids
+from repro.pic.grid import Grid
 from repro.workloads.uniform import UniformPlasmaWorkload
 
 from helpers import deposit_unsorted, make_plasma
@@ -188,22 +188,20 @@ class TestScratchReduce:
         assert scratch_reduce(None, grid, tiles, _tile_index_body) == [
             [tile.tile_index for tile in tiles]]
 
-    def test_leases_are_released_when_a_task_raises(self, tiled_grid_config):
+    def test_a_raising_shard_body_propagates(self, tiled_grid_config):
         grid, container = _fresh_plasma(tiled_grid_config)
-        scratch_grids.clear()
-        targets = []
-        with ThreadTileExecutor(SHARDS) as executor:
-            with pytest.raises(RuntimeError, match="shard body failed"):
+        for name, executor in _executors().items():
+            targets = []
+            with executor, pytest.raises(RuntimeError,
+                                         match="shard body failed"):
                 scratch_reduce(executor, grid, container.nonempty_tiles(),
                                _raising_body, targets)
-        # every shard's scratch went back to the pool, which now serves
-        # exactly those grids again
-        pooled = [scratch_grids.acquire(tiled_grid_config)
-                  for _ in range(SHARDS)]
-        assert len(targets) == SHARDS
-        assert all(any(target is grid for grid in pooled)
-                   for target in targets)
-        scratch_grids.clear()
+            # the shards that ran got scratch grids of their own, and
+            # nothing was merged into the grid
+            assert targets, name
+            assert all(isinstance(target, Grid) and target is not grid
+                       for target in targets), name
+            assert not any(array.any() for array in grid.current_arrays())
 
 
 # ----------------------------------------------------------------------
@@ -281,13 +279,13 @@ class TestKernelCounterParity:
     def test_kernel_deposit_single_tile_goes_straight_into_grid(
             self, tiled_grid_config, monkeypatch):
         # one occupied tile is one shard on any executor, like the
-        # reference deposition: no scratch grid is leased for it
+        # reference deposition: no scratch grid is built for it
         grid, container = _fresh_plasma(tiled_grid_config)
         for tile in container.tiles[1:]:
             tile.remove(np.ones(tile.num_particles, dtype=bool))
         monkeypatch.setattr(
-            scratch_grids, "acquire",
-            lambda *args, **kwargs: pytest.fail("leased a scratch grid"))
+            Grid, "__init__",
+            lambda *args, **kwargs: pytest.fail("built a scratch grid"))
         with SerialExecutor(SHARDS) as executor:
             deposit_unsorted(BaselineDeposition(), grid, container, 1,
                              executor)

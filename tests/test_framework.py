@@ -23,7 +23,7 @@ from repro.core.hybrid_kernel import HybridMPUDeposition
 from repro.core.incremental_sort import TileSortState
 from repro.exec import create_executor
 from repro.hardware.cost_model import CostModel
-from repro.pic.grid import Grid, scratch_grids
+from repro.pic.grid import Grid
 from repro.workloads.lwfa import LWFAWorkload
 
 from helpers import make_plasma
@@ -161,7 +161,7 @@ class TestShardedDepositOnMovedWindow:
     def _deposit(simulation, name, executor):
         grid = simulation.grid
         strategy = make_strategy(name)
-        for _ in range(2):  # two steps: the second must reuse the scratch
+        for _ in range(2):
             grid.zero_currents()
             strategy.run_step(grid, simulation.containers[0],
                               simulation.config.shape_order,
@@ -173,7 +173,6 @@ class TestShardedDepositOnMovedWindow:
     def test_two_shards_match_one_shard(self, shifted, name, backend,
                                         monkeypatch):
         one_shard = self._deposit(shifted, name, None)
-        scratch_grids.clear()
         built = []
         grid_init = Grid.__init__
 
@@ -188,6 +187,5 @@ class TestShardedDepositOnMovedWindow:
             peak = np.abs(ref).max()
             assert peak > 0.0
             assert np.abs(got - ref).max() / peak < 1e-12
-        # the shard scratch is leased from the pool: two grids built on the
-        # first step, none on the second
-        assert len(built) == 2
+        # each shard builds its own scratch grid, every step
+        assert len(built) == 4

@@ -46,6 +46,10 @@ it, and the pipeline tells the step hooks when a step has completed.
 A window shift is a particle boundary event: the window shifts before
 ``migrate``, whose absorbing wall and regroup are the only trim and
 re-tile, and it refills the exposed slab from its own stream.
+
+No buffer outlives the call that uses it: the field solve computes plain
+temporaries and a sharded deposit's task builds its own scratch grid, so
+``repro.pic`` keeps no process-wide pool and no lock.
 """
 
 from __future__ import annotations
@@ -546,3 +550,28 @@ def test_grid_enumerations_are_not_restated_beside_the_schema():
                         isinstance(item, ast.Constant) for item in node.elts):
                     literal = tuple(item.value for item in node.elts)
                     assert literal not in restated, (path, node.lineno)
+
+
+def test_no_process_wide_scratch_pools():
+    # the scratch grid and array pools and their module instances are gone
+    # (comments and docstrings included); the names are spelled in halves
+    # so that a search of the tree finds them nowhere at all
+    retired = [head + tail for head, tail in (
+        ("ScratchGrid", "Pool"), ("ScratchArray", "Pool"),
+        ("scratch_grid", "s"), ("scratch_array", "s"))]
+    assert [(path, line.strip()) for path, text in source_texts()
+            for line in text.splitlines()
+            if any(name in line for name in retired)] == []
+    # ... and with them the locks: nothing under pic/ imports threading
+    assert [path for path, tree in source_trees() if path.startswith("pic/")
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Import)
+                and any(alias.name == "threading" for alias in node.names))
+            or (isinstance(node, ast.ImportFrom)
+                and node.module == "threading")] == []
+    # the solver leases nothing: all it takes from the grid module is Grid
+    trees = dict(source_trees())
+    assert [sorted(alias.name for alias in node.names)
+            for node in ast.walk(trees["pic/maxwell.py"])
+            if isinstance(node, ast.ImportFrom)
+            and node.module == "repro.pic.grid"] == [["Grid"]]

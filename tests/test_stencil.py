@@ -27,7 +27,6 @@ from repro.pic.deposition.reference import (
 )
 from repro.pic.deposition.rhocell import scatter_rhocell_blocks
 from repro.pic.gather import gather_fields_for_tile
-from repro.pic.grid import ScratchGridPool, scratch_grids
 from repro.pic.particles import ParticleTile
 from repro.pic.shapes import shape_factors, shape_support
 from repro.pic.stencil import (
@@ -439,44 +438,3 @@ class TestExecutorBitwiseParity:
             deposit_reference(grid_sharded, container, 3, executor=executor)
         assert np.array_equal(grid_inline.jx, grid_sharded.jx)
 
-
-# ----------------------------------------------------------------------
-# scratch grid pool
-# ----------------------------------------------------------------------
-class TestScratchGridPool:
-    def test_acquire_release_reuses_instance(self):
-        pool = ScratchGridPool()
-        config = GridConfig(n_cell=(4, 4, 4))
-        grid = pool.acquire(config)
-        grid.jx[...] = 7.0
-        grid.rho[...] = 3.0
-        pool.release(grid)
-        again = pool.acquire(config)
-        assert again is grid
-        # re-leased grids are indistinguishable from a fresh Grid for
-        # deposition purposes: zeroed current and charge accumulators
-        assert not again.jx.any() and not again.rho.any()
-
-    def test_distinct_geometries_do_not_mix(self):
-        pool = ScratchGridPool()
-        a = pool.acquire(GridConfig(n_cell=(4, 4, 4)))
-        pool.release(a)
-        b = pool.acquire(GridConfig(n_cell=(8, 4, 4)))
-        assert b is not a
-        assert b.shape == (8, 4, 4)
-
-    def test_sharded_deposit_returns_grids_to_global_pool(self):
-        scratch_grids.clear()
-        config = GridConfig(n_cell=(8, 8, 8), hi=(8.0e-6,) * 3,
-                            tile_size=(4, 4, 4))
-        grid, container = make_plasma(config, ppc=(1, 1, 1), seed=2)
-        with SerialExecutor(3) as executor:
-            deposit_reference(grid, container, 1, executor=executor)
-        leased = scratch_grids.acquire(config)
-        try:
-            # the shard scratch grids were recycled, not leaked: the pool
-            # serves one of them back instead of allocating from scratch
-            assert leased.shape == grid.shape
-            assert not leased.jx.any()
-        finally:
-            scratch_grids.release(leased)
