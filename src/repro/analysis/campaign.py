@@ -14,7 +14,10 @@ serial scripts into a small serving layer:
   that index the on-disk :class:`~repro.analysis.cache.ResultCache`,
 * cache misses execute concurrently over a supervised process pool
   (:class:`repro.exec.pool.SupervisedPool`), degrading to in-process
-  serial execution where the sandbox forbids subprocesses.
+  serial execution where the sandbox forbids subprocesses,
+* the cache is also the campaign's one durable per-cell record: each
+  cell is stored the moment its payload exists, so a killed sweep re-run
+  on the same cache adopts its completed cells and computes the rest.
 
 ``sweep_configurations`` in :mod:`repro.analysis.runner` and every
 table/figure benchmark route through this module, so a repeated benchmark
@@ -25,7 +28,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import logging
 import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -44,10 +46,7 @@ from repro.exec.base import TileTask
 from repro.exec.pool import SupervisedPool
 from repro.hardware.cost_model import CostModel
 from repro.hardware.spec import ArchSpec
-from repro.obs.log import log_event
 from repro.obs.registry import NULL_TELEMETRY, Telemetry
-
-logger = logging.getLogger(__name__)
 
 
 # ----------------------------------------------------------------------
@@ -333,16 +332,12 @@ class CampaignEntry:
     result: ExperimentResult
     cache_hit: bool = False
     cache_key: Optional[str] = None
-    #: True when the result was adopted from a campaign progress
-    #: checkpoint (:mod:`repro.ckpt.progress`) instead of being executed
-    resumed: bool = False
 
     def to_json(self) -> Dict[str, object]:
         return {
             "spec": self.spec.to_dict(),
             "cache_hit": self.cache_hit,
             "cache_key": self.cache_key,
-            "resumed": self.resumed,
             "result": self.result.to_json(),
         }
 
@@ -431,50 +426,31 @@ class Campaign:
         The experiments, in the order results should be reported.
     cache:
         Optional :class:`ResultCache`; None disables caching entirely.
+        Every computed cell is stored as soon as it completes, so a
+        killed campaign re-run on the same cache replays the cells it
+        finished (a torn or corrupt entry is a miss and is recomputed);
+        without a cache nothing is kept.
     jobs:
         Worker processes used for cache misses.  ``jobs=1`` runs misses
         serially in-process; higher values use a fork-based
         ``ProcessPoolExecutor`` and degrade to serial execution where the
         environment forbids subprocesses.
-    checkpoint_dir:
-        Optional directory for a campaign progress checkpoint
-        (:class:`repro.ckpt.CampaignProgress`): every executed cell's
-        result is durably recorded there, so a killed sweep re-run with
-        ``resume=True`` adopts the completed cells and computes only the
-        rest.  Independent of the result cache (works with ``--no-cache``).
-    checkpoint_every:
-        Rewrite the progress file every N completed cells (default 1).
-    resume:
-        Adopt completed cells from the latest valid progress checkpoint
-        before executing.  Corrupt or torn progress files are detected
-        (checksummed container) and ignored with a warning.
     obs:
         The registry the campaign's own accounting lands in
-        (``campaign.*``, the ``campaign`` span, pool and progress
-        notices).  Cells record into their own per-run registries and
-        report through ``ExperimentResult.metrics``.
+        (``campaign.*``, the ``campaign`` span, pool notices).  Cells
+        record into their own per-run registries and report through
+        ``ExperimentResult.metrics``.
     """
 
     def __init__(self, specs: Sequence[ExperimentSpec], *,
                  cache: Optional[ResultCache] = None,
                  jobs: int = 1,
-                 checkpoint_dir: Optional[str] = None,
-                 checkpoint_every: int = 1,
-                 resume: bool = False,
                  obs: Telemetry = NULL_TELEMETRY):
         if jobs <= 0:
             raise ValueError(f"jobs must be positive, got {jobs}")
-        if checkpoint_every <= 0:
-            raise ValueError(
-                f"checkpoint_every must be positive, got {checkpoint_every}")
-        if resume and checkpoint_dir is None:
-            raise ValueError("resume=True requires a checkpoint_dir")
         self.specs = list(specs)
         self.cache = cache
         self.jobs = int(jobs)
-        self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_every = int(checkpoint_every)
-        self.resume = resume
         self.obs = obs
         #: supervises the worker processes of every ``run`` (lazy: a
         #: ``jobs=1`` or fully cached campaign never forks)
@@ -493,9 +469,6 @@ class Campaign:
                   cost_model: Optional[CostModel] = None,
                   cache: Optional[ResultCache] = None,
                   jobs: int = 1,
-                  checkpoint_dir: Optional[str] = None,
-                  checkpoint_every: int = 1,
-                  resume: bool = False,
                   obs: Telemetry = NULL_TELEMETRY) -> "Campaign":
         """Expand a workloads x configurations grid into a campaign."""
         specs = [
@@ -506,10 +479,7 @@ class Campaign:
             for workload in workloads
             for configuration in configurations
         ]
-        return cls(specs, cache=cache, jobs=jobs,
-                   checkpoint_dir=checkpoint_dir,
-                   checkpoint_every=checkpoint_every, resume=resume,
-                   obs=obs)
+        return cls(specs, cache=cache, jobs=jobs, obs=obs)
 
     # ------------------------------------------------------------------
     def run(self) -> CampaignResult:
@@ -527,55 +497,23 @@ class Campaign:
         entries: List[Optional[CampaignEntry]] = [None] * len(self.specs)
         pending: List[Tuple[int, ExperimentSpec, Optional[str]]] = []
 
-        progress = None
-        completed_prior: Dict[str, Dict[str, object]] = {}
-        if self.checkpoint_dir is not None:
-            from repro.ckpt.progress import CampaignProgress
-
-            progress = CampaignProgress(self.checkpoint_dir,
-                                        every=self.checkpoint_every, obs=obs)
-            if self.resume:
-                completed_prior = progress.load()
-
         for index, spec in enumerate(self.specs):
-            # one content identity serves both the cache and the progress
-            # checkpoint; the entry's cache_key stays None when caching
-            # is off so provenance reads true
-            key = (spec.cache_key()
-                   if self.cache is not None or progress is not None
-                   else None)
-            cache_key = key if self.cache is not None else None
-            payload = (self.cache.get(cache_key)
-                       if self.cache is not None else None)
+            # the entry's cache_key stays None when caching is off so
+            # provenance reads true
+            key = spec.cache_key() if self.cache is not None else None
+            payload = self.cache.get(key) if key is not None else None
             if payload is not None:
                 try:
                     result = ExperimentResult.from_json(payload["result"])
                 except (KeyError, TypeError, ValueError, AttributeError):
                     # malformed payload that still parsed as JSON: treat
                     # like any other corrupt entry and recompute
-                    self.cache.reclassify_corrupt_hit(cache_key)
+                    self.cache.reclassify_corrupt_hit(key)
                 else:
                     obs.count("campaign.cache.hits")
                     entries[index] = CampaignEntry(
                         spec=spec, result=result,
-                        cache_hit=True, cache_key=cache_key)
-                    continue
-            record = (completed_prior.get(key)
-                      if key is not None else None)
-            if record is not None:
-                try:
-                    result = ExperimentResult.from_json(record["result"])
-                except (KeyError, TypeError, ValueError, AttributeError):
-                    log_event(
-                        "campaign.progress_malformed",
-                        "ignoring malformed progress record for %s; "
-                        "recomputing the cell", spec.label(),
-                        logger=logger, obs=obs)
-                else:
-                    obs.count("campaign.resumed")
-                    entries[index] = CampaignEntry(
-                        spec=spec, result=result, cache_hit=False,
-                        cache_key=cache_key, resumed=True)
+                        cache_hit=True, cache_key=key)
                     continue
             if self.cache is not None:
                 obs.count("campaign.cache.misses")
@@ -596,25 +534,16 @@ class Campaign:
             # called as soon as each miss's payload materializes, so a
             # crash later in the batch never discards completed work
             _index, spec, key = unique_items[position][0]
-            if self.cache is not None and key is not None:
+            if key is not None:
                 self.cache.put(key, spec.to_dict(), payload)
-            if progress is not None and key is not None:
-                progress.record(key, spec.to_dict(), payload)
 
-        try:
-            executed = self._execute(
-                [items[0][1] for items in unique_items], on_result=store)
-        finally:
-            if progress is not None:
-                # persist cells buffered below the checkpoint_every
-                # interval even when a sibling spec raised
-                progress.flush()
+        executed = self._execute(
+            [items[0][1] for items in unique_items], on_result=store)
         for items, payload in zip(unique_items, executed):
             for index, spec, key in items:
                 entries[index] = CampaignEntry(
                     spec=spec, result=ExperimentResult.from_json(payload),
-                    cache_hit=False,
-                    cache_key=key if self.cache is not None else None)
+                    cache_hit=False, cache_key=key)
 
         return CampaignResult(
             entries=[e for e in entries if e is not None],

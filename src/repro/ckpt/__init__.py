@@ -21,10 +21,8 @@ Layout:
   through the pipeline's post-stage hook seam.
 * :mod:`repro.ckpt.recordlog` — :class:`RecordLog`, the one buffered,
   checksummed, keyed record file (corrupt or torn ⇒ empty, best-effort
-  writes); campaign progress and the ``repro.serve`` job journal are
-  thin users of it.
-* :mod:`repro.ckpt.progress` — :class:`CampaignProgress`, per-cell
-  auto-resume for campaign sweeps.
+  writes); the ``repro.serve`` job journal is its user.  A campaign
+  keeps no record here: its result cache is its resume log.
 * :mod:`repro.ckpt.faults` — the fault-injection harness (not
   re-exported here; it is a test utility surface, imported explicitly
   as ``repro.ckpt.faults``).
@@ -39,7 +37,6 @@ from repro.ckpt.format import (
     write_snapshot,
 )
 from repro.ckpt.hook import CheckpointHook
-from repro.ckpt.progress import CampaignProgress
 from repro.ckpt.recordlog import RecordLog
 from repro.ckpt.session import (
     capture_state,
@@ -59,7 +56,6 @@ from repro.ckpt.store import (
 
 __all__ = [
     "CKPT_DIR_ENV",
-    "CampaignProgress",
     "CheckpointHook",
     "CorruptSnapshotError",
     "DEFAULT_CHECKPOINT_DIR",

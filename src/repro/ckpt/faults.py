@@ -18,7 +18,7 @@ instead of hoping:
   shares, the ``factory`` of :class:`repro.exec.pool.SupervisedPool`,
   and works in sandboxes where real process pools are unavailable.
 * :func:`truncate_file` / :func:`flip_byte` — torn-write and
-  bit-corruption fixtures for snapshot, progress and cache files.
+  bit-corruption fixtures for snapshot, record-log and cache files.
 
 Nothing here is imported by production code; it is a harness, published
 as ``repro.ckpt.faults`` so external suites can reuse it.

@@ -1,10 +1,9 @@
 """The one durable record log: keyed upserts, whole-file atomic rewrite.
 
-Both places that keep a crash-durable table of JSON records — campaign
-progress (:class:`repro.ckpt.progress.CampaignProgress`, one record per
-completed cell) and the service queue
-(:class:`repro.serve.queue.JobJournal`, one record per accepted job) —
-are thin users of :class:`RecordLog`:
+The service queue (:class:`repro.serve.queue.JobJournal`, one record per
+accepted job) is the one thin user of :class:`RecordLog`.  A campaign's
+completed cells need no such table: each is durable in the result cache,
+one fsync'd file per cell.
 
 * ``put`` upserts one record under its key and rewrites the file every
   ``every`` puts; ``flush`` forces the rewrite, and is a no-op when

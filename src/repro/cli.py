@@ -4,7 +4,8 @@ The ``campaign`` subcommand expands a declarative (workload x PPC x
 configuration) grid, runs it through the experiment cache and an optional
 process pool (:mod:`repro.analysis.campaign`) and renders the results as a
 table, CSV or JSON.  A repeated invocation with the same grid and cache
-directory is a pure cache hit::
+directory is a pure cache hit, and a killed one, re-run the same way,
+computes only the cells it had not finished::
 
     python -m repro campaign --workload uniform --ppc 8,64 \\
         --configurations "Baseline,MatrixPIC (FullOpt)" \\
@@ -181,9 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default: 1 = serial)")
     campaign.add_argument("--cache-dir", default=None,
                           help=f"result cache directory (default: "
-                               f"${CACHE_DIR_ENV} or {DEFAULT_CACHE_DIR})")
+                               f"${CACHE_DIR_ENV} or {DEFAULT_CACHE_DIR}); "
+                               "every completed cell is stored there at "
+                               "once, so a killed sweep re-run on it "
+                               "resumes")
     campaign.add_argument("--no-cache", action="store_true",
-                          help="disable the result cache entirely")
+                          help="disable the result cache entirely (nothing "
+                               "durable is kept)")
     campaign.add_argument("--cache-max-bytes", type=_nonnegative_int,
                           default=None, metavar="BYTES",
                           help="after the run, LRU-evict cache entries "
@@ -194,22 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="delete every cached entry (including ones "
                                "stranded by source edits or version bumps) "
                                "before running")
-    campaign.add_argument("--checkpoint-dir", default=None,
-                          metavar="DIR",
-                          help="enable campaign progress checkpointing "
-                               "into DIR (repro.ckpt): every completed "
-                               "cell is durably recorded so a killed "
-                               "sweep can auto-resume")
-    campaign.add_argument("--checkpoint-every", type=_positive_int,
-                          default=1, metavar="N",
-                          help="rewrite the progress checkpoint every N "
-                               "completed cells (default: 1)")
-    campaign.add_argument("--resume", action="store_true",
-                          help="adopt completed cells from the progress "
-                               "checkpoint in --checkpoint-dir (default: "
-                               f"${CKPT_DIR_ENV} or {DEFAULT_CHECKPOINT_DIR}) "
-                               "before executing; corrupt checkpoints are "
-                               "detected and ignored")
     campaign.add_argument("--trace", default=None, metavar="FILE",
                           help="record a Chrome trace_event timeline of "
                                "the campaign (repro.obs) and write it to "
@@ -397,7 +386,7 @@ def _make_workload(family: str, *, ppc: int, args, execution=None,
         domains=args.domains,
         n_cell=args.n_cell,
         tile_size=args.tile_size,
-        shape_order=(args.shape_order if family == "uniform" else None),
+        shape_order=args.shape_order,
         execution=execution,
         observe=observe,
     )
@@ -464,11 +453,6 @@ def cmd_campaign(args, stdout=None) -> int:
               file=sys.stderr)
         return 2
 
-    if args.workload == "lwfa" and args.shape_order is not None:
-        print("error: --shape-order applies only to the uniform workload "
-              "(the lwfa workload is fixed at order 1)", file=sys.stderr)
-        return 2
-
     cache_dir = args.cache_dir if args.cache_dir else default_cache_dir()
     if args.clear_cache:
         removed = ResultCache(cache_dir).clear()
@@ -485,12 +469,6 @@ def cmd_campaign(args, stdout=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    checkpoint_dir = args.checkpoint_dir
-    if checkpoint_dir is None and args.resume:
-        from repro.ckpt import default_checkpoint_dir
-
-        checkpoint_dir = default_checkpoint_dir()
-
     # the campaign-level registry (disabled without --trace/--metrics);
     # cells record into their own per-run handles
     from repro.obs import ObsConfig, Telemetry
@@ -502,9 +480,6 @@ def cmd_campaign(args, stdout=None) -> int:
         steps=args.steps, warmup_steps=args.warmup_steps,
         scramble=not args.no_scramble,
         cache=cache, jobs=args.jobs,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        resume=args.resume,
         obs=handle,
     ).run()
     if args.trace:
@@ -548,11 +523,6 @@ def _build_run_workload(args):
 def cmd_run(args, stdout=None) -> int:
     """Entry point of the ``run`` subcommand."""
     stdout = stdout if stdout is not None else sys.stdout
-
-    if args.workload == "lwfa" and args.shape_order is not None:
-        print("error: --shape-order applies only to the uniform workload "
-              "(the lwfa workload is fixed at order 1)", file=sys.stderr)
-        return 2
 
     try:
         workload = _build_run_workload(args)

@@ -1,7 +1,7 @@
 """Structured logging bridge: one notice, two audiences.
 
 The repo's operational notices — kernel-tier fallback, process-pool
-degrade, corrupt-snapshot skip, malformed progress records — predate the
+degrade, corrupt-snapshot skip, unusable record files — predate the
 telemetry layer and were scattered plain ``logging`` calls: readable by
 humans, invisible to machines.  :func:`log_event` routes each of them
 through one seam that emits **both**:

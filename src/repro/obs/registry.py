@@ -35,7 +35,7 @@ Counter-name vocabulary (dotted, lowercase):
 ``exec.shard_batches``            shard batches executed
 ``exec.pool_rebuilds``            worker pools retired after deaths
 ``backend.tier_resolves``         kernel-tier dispatch resolutions
-``campaign.cells`` / ``.cache.hits`` / ``.cache.misses`` / ``.resumed``
+``campaign.cells`` / ``.cache.hits`` / ``.cache.misses``
                                   campaign accounting
 ``serve.jobs.accepted`` / ``.completed`` / ``.failed``
                                   campaign-service job lifecycle

@@ -8,9 +8,10 @@ only — no framework, no new dependencies):
   configuration grids as the campaign CLI and expands them through the
   identical defaulting path, so HTTP cells hash to the same cache keys,
 * **durability** — accepted jobs are journaled in a
-  :class:`repro.ckpt.recordlog.RecordLog` before the 202 goes out; a
-  server killed mid-queue restarts without losing or re-running accepted
-  cells (:mod:`repro.serve.queue`),
+  :class:`repro.ckpt.recordlog.RecordLog` (the journal is its one user)
+  before the 202 goes out; a server killed mid-queue restarts without
+  losing or re-running accepted cells (:mod:`repro.serve.queue`), and a
+  completed cell is durable in the tenant's result cache,
 * **deduplication** — each cell resolves through the tenant's on-disk
   cache, the in-flight table (one computation, many subscribers) and a
   bounded cross-tenant memo (:mod:`repro.serve.dedup`),

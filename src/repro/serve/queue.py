@@ -10,8 +10,8 @@ and CLI sweeps share campaign cache entries.
 Accepted jobs are durable before the ``202`` goes out: the
 :class:`JobJournal` persists every job (request, expanded cells,
 completed results) in a :class:`repro.ckpt.recordlog.RecordLog` — the
-same checksummed, torn-write-tolerant record file the campaign progress
-checkpoint uses — so a server killed mid-queue restarts, re-adopts the
+checksummed, torn-write-tolerant record file, of which the journal is
+the one user — so a server killed mid-queue restarts, re-adopts the
 journal, requeues unfinished jobs and recomputes only the cells that
 never completed (no accepted cell is lost, none runs twice).
 
@@ -265,7 +265,7 @@ class JobJournal:
     forces it).  The submission path flushes *before* acknowledging, so
     an accepted job is on disk by the time the client sees its 202.
     A corrupt or torn journal downgrades to "empty queue" with a logged
-    warning — exactly the campaign-progress recovery contract.
+    warning — the :class:`RecordLog` recovery contract.
     """
 
     def __init__(self, directory: str, every: int = 1,

@@ -29,7 +29,6 @@ API_SURFACE = {
     ),
     "repro.ckpt": (
         "CKPT_DIR_ENV",
-        "CampaignProgress",
         "CheckpointHook",
         "CorruptSnapshotError",
         "DEFAULT_CHECKPOINT_DIR",

@@ -548,6 +548,13 @@ class TestCLI:
                      "--no-cache"]) == 2
         assert "uniform" in capsys.readouterr().err
 
+    def test_run_cli_rejects_shape_order_for_lwfa(self, capsys):
+        # the one check is workload_for_family's; `run` reports it the
+        # way `campaign` does, before a session is built
+        assert main(["run", "--workload", "lwfa", "--shape-order", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "uniform" in err
+
     def test_campaign_cli_rejects_a_tier_that_cannot_run(
             self, tmp_path, capsys, monkeypatch, numba_missing):
         # the same usage error `run` gives, before any cell runs or any

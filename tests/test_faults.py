@@ -4,16 +4,17 @@ Every failure mode the checkpoint/restart subsystem claims to survive is
 injected deterministically here (:mod:`repro.ckpt.faults`) and the
 recovery contract asserted: retried work produces the same results as an
 undisturbed run, corrupt state is detected rather than trusted, and a
-SIGKILL'd campaign auto-resumes to identical deterministic output.
+killed campaign re-run on the same result cache resumes to identical
+deterministic output.
 """
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
 
+from repro.analysis.cache import ResultCache
 from repro.analysis.campaign import Campaign
 from repro.ckpt.faults import (
     SPEC_KILL_MARKER_ENV,
@@ -24,11 +25,10 @@ from repro.ckpt.faults import (
     killing_spec_executor,
     truncate_file,
 )
-from repro.ckpt.progress import CampaignProgress
+from repro.cli import main
 from repro.exec.base import TileTask
 from repro.exec.pool import SupervisedPool, make_process_pool
 from repro.obs import ObsConfig, Telemetry
-from repro.obs.registry import NULL_TELEMETRY
 from repro.workloads.uniform import UniformPlasmaWorkload
 
 from helpers import log_events
@@ -50,13 +50,11 @@ def small_workloads(count=2):
             for ppc in (1, 8, 27, 64)[:count]]
 
 
-def make_campaign(tmp_path, *, workloads=2, resume=False, jobs=1,
-                  checkpoint=True, obs=NULL_TELEMETRY):
+def make_campaign(cache_dir=None, *, workloads=2):
+    """A small Baseline grid; ``cache_dir`` None runs it without a cache."""
     return Campaign.from_grid(
         small_workloads(workloads), ["Baseline"], steps=1, warmup_steps=0,
-        jobs=jobs,
-        checkpoint_dir=str(tmp_path / "ck") if checkpoint else None,
-        resume=resume, obs=obs)
+        cache=ResultCache(str(cache_dir)) if cache_dir is not None else None)
 
 
 def result_fields(outcome):
@@ -165,72 +163,6 @@ class TestCampaignPoolRecovery:
         assert campaign.pool.owner == "campaign"
         assert campaign.pool.pool_failures == 1
 
-
-# ----------------------------------------------------------------------
-# campaign checkpoint / auto-resume
-# ----------------------------------------------------------------------
-
-class TestCampaignResume:
-    def test_interrupted_campaign_resumes_identically(self, tmp_path):
-        reference = result_fields(make_campaign(tmp_path / "ref",
-                                                workloads=4).run())
-        # "crash" after two of four cells: run a smaller grid sharing the
-        # same checkpoint directory, then resume the full grid
-        partial = make_campaign(tmp_path, workloads=2)
-        partial.run()
-        progress = CampaignProgress(str(tmp_path / "ck"))
-        assert len(progress.load()) == 2
-
-        resumed = make_campaign(tmp_path, workloads=4, resume=True).run()
-        flags = [entry.resumed for entry in resumed]
-        assert flags == [True, True, False, False]
-        assert all(not entry.cache_hit for entry in resumed)
-        assert result_fields(resumed) == reference
-
-    def test_resumed_entries_survive_into_json(self, tmp_path):
-        make_campaign(tmp_path, workloads=1).run()
-        outcome = make_campaign(tmp_path, workloads=1, resume=True).run()
-        row = outcome.to_json()["results"][0]
-        assert row["resumed"] is True
-
-    def test_corrupt_progress_file_recomputes(self, tmp_path):
-        reference = result_fields(make_campaign(tmp_path / "ref",
-                                                workloads=2).run())
-        campaign = make_campaign(tmp_path, workloads=2)
-        campaign.run()
-        flip_byte(str(tmp_path / "ck" / "campaign.ckpt"))
-        obs = Telemetry(ObsConfig(trace=True))
-        resumed = make_campaign(tmp_path, workloads=2, resume=True,
-                                obs=obs).run()
-        (event,) = log_events(obs, "recordlog.unusable")
-        assert event["kind"] == "campaign-progress"
-        assert [entry.resumed for entry in resumed] == [False, False]
-        assert result_fields(resumed) == reference
-
-    def test_truncated_progress_file_recomputes(self, tmp_path):
-        campaign = make_campaign(tmp_path, workloads=1)
-        campaign.run()
-        truncate_file(str(tmp_path / "ck" / "campaign.ckpt"))
-        resumed = make_campaign(tmp_path, workloads=1, resume=True).run()
-        assert [entry.resumed for entry in resumed] == [False]
-
-    def test_progress_interval_buffers_then_flushes(self, tmp_path):
-        progress = CampaignProgress(str(tmp_path), every=2)
-        progress.record("k1", {"spec": 1}, {"r": 1})
-        assert not os.path.exists(progress.path)  # buffered below interval
-        progress.record("k2", {"spec": 2}, {"r": 2})
-        assert os.path.exists(progress.path)
-        loaded = CampaignProgress(str(tmp_path)).load()
-        assert set(loaded) == {"k1", "k2"}
-        progress.flush()  # clean: must be a no-op, not a rewrite
-        mtime = os.path.getmtime(progress.path)
-        progress.flush()
-        assert os.path.getmtime(progress.path) == mtime
-
-    def test_resume_requires_checkpoint_dir(self):
-        with pytest.raises(ValueError, match="requires a checkpoint_dir"):
-            Campaign([], resume=True)
-
     @pytest.mark.skipif(not HAVE_PROCESS_POOLS,
                         reason="process pools unavailable in this sandbox")
     def test_sigkilled_campaign_worker_retries_once(self, tmp_path,
@@ -259,6 +191,57 @@ class TestCampaignResume:
         assert campaign.degraded
         (event,) = log_events(obs, "pool.rebuild")
         assert event["owner"] == "campaign"
+
+
+# ----------------------------------------------------------------------
+# campaign resume: the result cache is the one durable per-cell record
+# ----------------------------------------------------------------------
+
+class TestCampaignResume:
+    def test_interrupted_campaign_resumes_from_the_cache(self, tmp_path):
+        reference = result_fields(make_campaign(workloads=4).run())
+        # "crash" after two of four cells: run a smaller grid on the same
+        # cache directory, then re-run the full grid there
+        make_campaign(tmp_path / "cache", workloads=2).run()
+        assert len(ResultCache(str(tmp_path / "cache"))) == 2
+
+        resumed = make_campaign(tmp_path / "cache", workloads=4).run()
+        assert [entry.cache_hit for entry in resumed] == [
+            True, True, False, False]
+        assert result_fields(resumed) == reference
+        # a row says where its result came from in one field
+        assert [sorted(row) for row in resumed.to_json()["results"]] == [
+            ["cache_hit", "cache_key", "result", "spec"]] * 4
+
+    @pytest.mark.parametrize("damage", [truncate_file, flip_byte])
+    def test_a_damaged_cache_entry_is_recomputed(self, tmp_path, damage):
+        reference = result_fields(make_campaign(workloads=2).run())
+        first = make_campaign(tmp_path / "cache", workloads=2).run()
+        cache = ResultCache(str(tmp_path / "cache"))
+        damage(cache.path_for(first.entries[0].cache_key))
+
+        resumed = make_campaign(tmp_path / "cache", workloads=2).run()
+        assert [entry.cache_hit for entry in resumed] == [False, True]
+        assert resumed.cache_stats.invalidations == 1
+        assert result_fields(resumed) == reference
+
+    @pytest.mark.parametrize("flag", [
+        ["--checkpoint-dir", "ck"], ["--checkpoint-every", "2"],
+        ["--resume"]], ids=lambda flag: flag[0])
+    def test_campaign_has_no_progress_checkpoint_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "--no-cache", *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kwargs", [
+        {"resume": True}, {"checkpoint_dir": "ck"},
+        {"checkpoint_every": 2}], ids=lambda kwargs: next(iter(kwargs)))
+    def test_campaign_takes_no_progress_checkpoint_arguments(self, kwargs):
+        with pytest.raises(TypeError):
+            Campaign([], **kwargs)
+        with pytest.raises(TypeError):
+            Campaign.from_grid([], [], **kwargs)
 
 
 # ----------------------------------------------------------------------

@@ -50,6 +50,10 @@ re-tile, and it refills the exposed slab from its own stream.
 No buffer outlives the call that uses it: the field solve computes plain
 temporaries and a sharded deposit's task builds its own scratch grid, so
 ``repro.pic`` keeps no process-wide pool and no lock.
+
+A campaign cell has one durable record, its result-cache entry: a killed
+sweep resumes by re-running on the same cache, so the campaign keeps no
+progress file and the job journal is the one ``RecordLog``.
 """
 
 from __future__ import annotations
@@ -550,6 +554,24 @@ def test_grid_enumerations_are_not_restated_beside_the_schema():
                         isinstance(item, ast.Constant) for item in node.elts):
                     literal = tuple(item.value for item in node.elts)
                     assert literal not in restated, (path, node.lineno)
+
+
+def test_a_campaign_cell_has_one_durable_record():
+    # the result cache is the resume log: no second per-cell store ...
+    assert not os.path.exists(os.path.join(SRC, "ckpt", "progress.py"))
+    # ... no campaign parameter, attribute or import that would carry one
+    trees = dict(source_trees())
+    campaign = trees["analysis/campaign.py"]
+    identifiers = names_in(campaign) | {
+        node.arg for node in ast.walk(campaign)
+        if isinstance(node, (ast.arg, ast.keyword))}
+    assert identifiers & {"CampaignProgress", "checkpoint_dir", "resume"} \
+        == set()
+    # ... and the job journal is the one record log
+    assert sorted({path for path, tree in trees.items()
+                   for node in ast.walk(tree) if isinstance(node, ast.Call)
+                   and name_of(node.func) == "RecordLog"}) == [
+        "serve/queue.py"]
 
 
 def test_no_process_wide_scratch_pools():

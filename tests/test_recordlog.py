@@ -1,10 +1,11 @@
-"""The one record log (repro.ckpt.recordlog) and its two on-disk formats.
+"""The one record log (repro.ckpt.recordlog) and its on-disk format.
 
-``CampaignProgress`` and ``JobJournal`` are thin users of ``RecordLog``;
-their files must stay **byte-identical** to what the pre-RecordLog code
-wrote, and files written by that code must still load.  The golden files
-under ``tests/golden/`` were written by the parent commit (a97b89c) from
-the record sequences below; the sha256 constants were computed there.
+``JobJournal`` is the one user of ``RecordLog``; its file must stay
+**byte-identical** to what the pre-RecordLog code wrote, and files
+written by that code must still load.  The golden file under
+``tests/golden/`` was written by the commit before ``RecordLog``
+(a97b89c) from the record sequence below; the sha256 constant was
+computed there.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import pytest
 from repro.ckpt import RecordLog
 from repro.ckpt.faults import flip_byte
 from repro.ckpt.format import read_snapshot, write_snapshot
-from repro.ckpt.progress import PROGRESS_FILENAME, CampaignProgress
 from repro.obs import ObsConfig, Telemetry
 from repro.serve import QUEUE_FILENAME, JobJournal
 
@@ -26,25 +26,8 @@ from helpers import log_events
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
-PROGRESS_SHA256 = \
-    "9f04c96c9ab3e32fd2cbc55362da00a1a5e02e11be8718db3b77e206275f5657"
 JOURNAL_SHA256 = \
     "5fb2c86fa3c99c7efffd9a49970d7f5dce866577d327fc63063751a21a8e88c8"
-
-
-def write_progress(directory):
-    progress = CampaignProgress(str(directory), every=2)
-    progress.record("key-b", {"workload": {"kind": "uniform", "ppc": 8},
-                              "steps": 1},
-                    {"energy": 1.5, "counters": {"fma": 3}})
-    progress.record("key-a", {"workload": {"kind": "lwfa", "ppc": 1},
-                              "steps": 2},
-                    {"energy": 0.25, "counters": {"fma": 0}})
-    progress.record("key-b", {"workload": {"kind": "uniform", "ppc": 8},
-                              "steps": 1},
-                    {"energy": 2.5, "counters": {"fma": 4}})
-    progress.flush()
-    return progress.path
 
 
 def write_journal(directory):
@@ -73,7 +56,6 @@ def file_bytes(path):
 
 class TestGoldenFiles:
     @pytest.mark.parametrize("writer, filename, digest", [
-        (write_progress, PROGRESS_FILENAME, PROGRESS_SHA256),
         (write_journal, QUEUE_FILENAME, JOURNAL_SHA256),
     ])
     def test_fixed_sequence_is_byte_identical_to_parent(
@@ -81,14 +63,6 @@ class TestGoldenFiles:
         written = file_bytes(writer(tmp_path))
         assert hashlib.sha256(written).hexdigest() == digest
         assert written == file_bytes(os.path.join(GOLDEN, filename))
-
-    def test_parent_written_progress_loads(self, tmp_path):
-        shutil.copy(os.path.join(GOLDEN, PROGRESS_FILENAME), tmp_path)
-        completed = CampaignProgress(str(tmp_path)).load()
-        assert sorted(completed) == ["key-a", "key-b"]
-        assert completed["key-b"]["result"] == {
-            "energy": 2.5, "counters": {"fma": 4}}
-        assert completed["key-a"]["spec"]["workload"]["kind"] == "lwfa"
 
     def test_parent_written_journal_loads_and_continues_the_sequence(
             self, tmp_path):
