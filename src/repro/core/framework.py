@@ -54,7 +54,7 @@ def _sort_and_deposit_tiles(target: Grid, tiles: Sequence[ParticleTile],
     counters = KernelCounters()
     step_stats = StepSortStats()
     for tile in tiles:
-        ordering = None
+        ordering = local_cells = None
         if strategy.sort_mode == SORT_INCREMENTAL:
             step_stats.merge(strategy.sorter.incremental_update_tile(
                 target, tile, counters))
@@ -63,8 +63,14 @@ def _sort_and_deposit_tiles(target: Grid, tiles: Sequence[ParticleTile],
             # after a physical sort the storage order *is* the cell order
             step_stats.merge(strategy.sorter.global_sort_tile(
                 target, tile, counters))
+        if strategy.sort_mode != SORT_NONE:
+            # the sorter has just computed this storage order's tile-local
+            # cell ids (same floor, wrap and clip as the staging): one
+            # cell-id pass per tile per deposit
+            local_cells = tile.sorter.assigned_bins
         strategy.kernel.deposit_tile(target, tile, charge, order, counters,
-                                     ordering=ordering)
+                                     ordering=ordering,
+                                     local_cells=local_cells)
     return counters, step_stats
 
 

@@ -6,7 +6,9 @@ The kernel processes each tile in three stages:
    indices, intra-cell coordinates, the 1-D shape factors and the three
    effective-current terms, and stage them for the MPU (hand-tuned
    intrinsics in the paper, so the modelled instruction stream is fully
-   vectorised).
+   vectorised).  The cell indices are the sorter's when the framework
+   hands them over (``local_cells``: the ids it just computed for the
+   tile's storage order), so a sorted deposit derives them once per tile.
 2. **MPU deposition** — pair cell-sorted particles and issue one MOPA
    outer-product per pair per current component, keeping the tile register
    resident per cell (CIC) or reading it back per pair (QSP, where the
@@ -38,8 +40,8 @@ from repro.core.mpu_deposit import tile_rhocells
 from repro.hardware.counters import KernelCounters
 from repro.pic.deposition.base import (
     DepositionKernel,
-    cell_switch_fraction,
     prepare_tile_data,
+    run_switch_fraction,
 )
 from repro.pic.deposition.rhocell import reduce_rhocells_to_grid
 from repro.pic.grid import Grid
@@ -61,12 +63,13 @@ class HybridMPUDeposition(DepositionKernel):
     # ------------------------------------------------------------------
     def deposit_tile(self, grid: Grid, tile: ParticleTile, charge: float,
                      order: int, counters: KernelCounters,
-                     ordering: Optional[np.ndarray] = None) -> None:
+                     ordering: Optional[np.ndarray] = None,
+                     local_cells: Optional[np.ndarray] = None) -> None:
         if order not in (SHAPE_ORDER_CIC, SHAPE_ORDER_QSP):
             raise ValueError(
                 "the MPU kernel supports the CIC (1) and QSP (3) schemes only"
             )
-        data = prepare_tile_data(grid, tile, charge, order)
+        data = prepare_tile_data(grid, tile, charge, order, local_cells)
         n = data.num_particles
         if n == 0:
             return
@@ -81,8 +84,6 @@ class HybridMPUDeposition(DepositionKernel):
                 order_idx.min() < 0 or order_idx.max() >= n
                 or np.any(np.bincount(order_idx, minlength=n) != 1)):
             raise ValueError("ordering is not a permutation of the particles")
-        processing_cells = data.local_cell_ids[order_idx]
-        switch = cell_switch_fraction(processing_cells)
 
         # --- Stage 1: VPU preprocessing -------------------------------------
         pre = counters.phase("preprocess")
@@ -118,6 +119,8 @@ class HybridMPUDeposition(DepositionKernel):
         # --- Stage 2: MPU deposition into the rhocell buffer -----------------
         comp = counters.phase("compute")
         *rhocells, stats = tile_rhocells(data, order_idx, tile.num_cells)
+        # the locality metric, from the runs Stage 2 already counted
+        switch = run_switch_fraction(stats["runs"], n)
 
         # MOPA instructions for the three components, the operand assembly
         # (A/B construction, ~12 VPU ops per pair) and the operand loads

@@ -30,6 +30,10 @@ tests, ``examples/mpu_mapping_demo.py``).  The *per-tile* routine
 particles the outer products are one matrix product ``A^T B``, so a tile
 is a stack of fixed-height block products handed to BLAS GEMM (this
 machine's MOPA-accumulate) and no per-particle ``S^3`` block is built.
+Its data preparation — the VPU side of the paper's hybrid pipeline — is
+particle-inner: the operand panels are long-axis products of the
+node-major shape factors (:func:`repro.pic.blocks.outer_rows`), and the
+tile-local cell ids come from the sorter when it has just computed them.
 The modelled instruction counts (:func:`mpu_work_statistics`) remain
 those of the pairwise MOPA stream on the processing order.
 """
@@ -42,7 +46,7 @@ import numpy as np
 
 from repro.config import SHAPE_ORDER_CIC
 from repro.hardware.mpu import MatrixUnit
-from repro.pic.blocks import BLOCK_ROWS, cell_block_slots
+from repro.pic.blocks import BLOCK_ROWS, cell_block_slots, outer_rows
 from repro.pic.deposition.base import TileDepositionData
 
 
@@ -219,12 +223,15 @@ def tile_rhocells(data: TileDepositionData, order_idx: np.ndarray,
 
     A cell's rhocell is ``A^T B`` over its particles with
     ``A = [wqx sx | wqy sx | wqz sx]`` (``3S`` columns) and
-    ``B = sy (x) sz`` (``S^2`` columns).  Each cell's run is cut into
-    blocks of :data:`BLOCK_ROWS` rows (the tail zero-padded: exact
-    zeros), every block is one matrix product — ``BLOCK_ROWS / 2`` MOPA
-    accumulations into a resident tile, three components at once — and
-    a cell's blocks are folded in block order, so a cell's result
-    depends on that cell's own particle sequence only.
+    ``B = sy (x) sz`` (``S^2`` columns), each built as ``3S`` / ``S^2``
+    products along the particle axis of the node-major factors and
+    scattered to the particles' rows (:func:`~repro.pic.blocks.outer_rows`:
+    the same values, bit for bit, as a per-particle outer product).
+    Each cell's run is cut into blocks of :data:`BLOCK_ROWS` rows (the
+    tail zero-padded: exact zeros), every block is one matrix product —
+    ``BLOCK_ROWS / 2`` MOPA accumulations into a resident tile, three
+    components at once — and a cell's blocks are folded in block order,
+    so a cell's result depends on that cell's own particle sequence only.
     """
     n = order_idx.shape[0]
     support = data.support
@@ -241,8 +248,9 @@ def tile_rhocells(data: TileDepositionData, order_idx: np.ndarray,
                                                        order_idx)
     num_blocks = int(cell_blocks.sum())
 
-    # the two operand panels, built in storage order and scattered to
-    # their slots: 3S + S^2 doubles per particle for all three components
+    # the two operand panels, built node-major in storage order and
+    # scattered to their slots: 3S + S^2 doubles per particle for all
+    # three components
     rows = num_blocks * BLOCK_ROWS
     width_left = 3 * support
     width_right = support * support
@@ -250,9 +258,8 @@ def tile_rhocells(data: TileDepositionData, order_idx: np.ndarray,
     left = panels[:rows * width_left].reshape(rows, width_left)
     right = panels[rows * width_left:].reshape(rows, width_right)
     wq = np.concatenate((data.wqx, data.wqy, data.wqz)).reshape(3, n)
-    left[slots] = np.einsum("cp,pi->pci", wq, data.wx).reshape(n, width_left)
-    right[slots] = np.einsum("pj,pk->pjk", data.wy, data.wz
-                             ).reshape(n, width_right)
+    outer_rows(left, slots, wq, data.wx.T)
+    outer_rows(right, slots, data.wy.T, data.wz.T)
 
     # one (3S, S^2) product per block; row c*S + i, column j*S + k is
     # component c of rhocell entry (i, j, k)

@@ -8,7 +8,10 @@ contracts the particles away, the gather
 contracts the cell's nodes away.  Both lay a batch's particles into the
 same row space — grouped by cell, each cell's run cut into blocks of
 :data:`BLOCK_ROWS` rows, the tail block zero-padded — and hand the stack
-of blocks to BLAS ``matmul``.  That layout is stated here, once.
+of blocks to BLAS ``matmul``.  That layout is stated here, once, with the
+one way both directions fill it: :func:`outer_rows` multiplies the
+node-major shape factors (:mod:`repro.pic.shapes`) along the particle
+axis and scatters each particle's outer product to its row.
 """
 
 from __future__ import annotations
@@ -71,3 +74,22 @@ def cell_block_slots(cells: np.ndarray, num_cells: int,
     slots = np.empty(n, dtype=np.int64)
     slots[order_idx] = grouped
     return slots, cell_blocks, block_start
+
+
+def outer_rows(out: np.ndarray, slots: np.ndarray, a: np.ndarray,
+               b: np.ndarray) -> None:
+    """Write every particle's outer product ``a ⊗ b`` to its row of ``out``.
+
+    ``a`` (``(U, n)``) and ``b`` (``(V, n)``) are node-major: row ``u``
+    holds factor ``u`` of every particle, as ``weights.T`` of
+    :func:`repro.pic.shapes.shape_factors` does.  Row ``slots[p]`` of
+    ``out`` (``(rows, U * V)``) receives ``a[u, p] * b[v, p]`` in column
+    ``u * V + v``; rows no slot names are left as they are.  The ``U * V``
+    products run along the long particle axis — one ufunc pass, no
+    ``S``-wide inner loop — and the finished panel is scattered once.
+    """
+    u, n = a.shape
+    v = b.shape[0]
+    products = np.empty((u, v, n))
+    np.multiply(a[:, None, :], b[None, :, :], out=products)
+    out[slots] = products.reshape(u * v, n).T

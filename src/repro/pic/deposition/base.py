@@ -74,6 +74,15 @@ def cell_switch_fraction(cell_ids: np.ndarray) -> float:
     return float(switches) / float(cell_ids.size - 1)
 
 
+def run_switch_fraction(runs: float, n: int) -> float:
+    """:func:`cell_switch_fraction` of ``n`` cells known to form ``runs``
+    maximal runs of equal cells — every switch starts a run — without
+    scanning the sequence again."""
+    if n <= 1:
+        return 0.0
+    return (runs - 1.0) / float(n - 1)
+
+
 class TileDepositionData:
     """Per-particle staging data for one tile or one run of tiles (Stage 1
     of Algorithm 2).
@@ -215,9 +224,24 @@ def prepare_run_data(grid: Grid, tiles: Sequence[ParticleTile], charge: float,
 
 
 def prepare_tile_data(grid: Grid, tile: ParticleTile, charge: float,
-                      order: int) -> TileDepositionData:
-    """Staging data of one tile: :func:`prepare_run_data` of a one-tile run."""
-    return prepare_run_data(grid, [tile], charge, order)
+                      order: int,
+                      local_cell_ids: Optional[np.ndarray] = None
+                      ) -> TileDepositionData:
+    """Staging data of one tile: :func:`prepare_run_data` of a one-tile run.
+
+    ``local_cell_ids``, when given, are the tile-local cell ids of the
+    tile's current storage order — the ids the sorter computed a moment
+    ago with the same floor, wrap and clip — and are used as they are
+    instead of being derived a second time.
+    """
+    data = prepare_run_data(grid, [tile], charge, order)
+    if local_cell_ids is not None:
+        if local_cell_ids.shape != (data.num_particles,):
+            raise ValueError(
+                f"{local_cell_ids.shape[0]} local cell ids for a tile of "
+                f"{data.num_particles} particles")
+        data._local_cell_ids = local_cell_ids
+    return data
 
 
 def scatter_tile_currents(grid: Grid, data: TileDepositionData) -> None:
@@ -318,13 +342,18 @@ class DepositionKernel(abc.ABC):
     @abc.abstractmethod
     def deposit_tile(self, grid: Grid, tile: ParticleTile, charge: float,
                      order: int, counters: KernelCounters,
-                     ordering: Optional[np.ndarray] = None) -> None:
+                     ordering: Optional[np.ndarray] = None,
+                     local_cells: Optional[np.ndarray] = None) -> None:
         """Deposit one tile's current into the grid, recording counters.
 
         ``ordering`` is the processing order of the tile's particles (the
         GPMA iteration order when an incremental sorter is active).  When
         omitted, the storage order is used.  The numerics are independent of
         the order; only the modelled locality and gather costs change.
+        ``local_cells`` are the tile-local cell ids of the storage order
+        when the caller already holds them (the sorter's, just computed);
+        a kernel that reads tile-local ids uses them instead of deriving
+        its own (:func:`prepare_tile_data`).
         """
 
     # ------------------------------------------------------------------

@@ -45,7 +45,8 @@ class BaselineDeposition(DepositionKernel):
     # ------------------------------------------------------------------
     def deposit_tile(self, grid: Grid, tile: ParticleTile, charge: float,
                      order: int, counters: KernelCounters,
-                     ordering=None) -> None:
+                     ordering=None, local_cells=None) -> None:
+        # the direct scatter reads global cell ids only: local_cells unused
         data = prepare_tile_data(grid, tile, charge, order)
         n = data.num_particles
         if n == 0:

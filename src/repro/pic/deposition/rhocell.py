@@ -140,8 +140,8 @@ class RhocellDeposition(DepositionKernel):
     # ------------------------------------------------------------------
     def deposit_tile(self, grid: Grid, tile: ParticleTile, charge: float,
                      order: int, counters: KernelCounters,
-                     ordering=None) -> None:
-        data = prepare_tile_data(grid, tile, charge, order)
+                     ordering=None, local_cells=None) -> None:
+        data = prepare_tile_data(grid, tile, charge, order, local_cells)
         n = data.num_particles
         if n == 0:
             return

@@ -22,9 +22,10 @@ batches, :mod:`repro.pic.pusher`) — and
    lays the particles into the cell-grouped, zero-padded
    ``BLOCK_ROWS``-row space the deposit uses (:mod:`repro.pic.blocks`),
 3. multiplies each block's ``(BLOCK_ROWS, S^2)`` panel of ``sy (x) sz``
-   by its cell's ``(S^2, S * 6)`` field operand — one stacked BLAS
-   ``matmul`` over all blocks — and contracts the remaining ``sx``
-   factor per particle.
+   (built node-major by :func:`repro.pic.blocks.outer_rows`, the
+   deposit's panel builder) by its cell's ``(S^2, S * 6)`` field
+   operand — one stacked BLAS ``matmul`` over all blocks — and contracts
+   the remaining ``sx`` factor per particle.
 
 No ``(n, S^3)`` id, weight or value array is built.  A row of a block
 product depends on that row and the cell's operand only, so a
@@ -48,7 +49,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.backend import Array
-from repro.pic.blocks import BLOCK_ROWS, cell_block_slots
+from repro.pic.blocks import BLOCK_ROWS, cell_block_slots, outer_rows
 from repro.pic.grid import Grid
 from repro.pic.particles import ParticleTile
 from repro.pic.shapes import shape_factors
@@ -84,7 +85,7 @@ def _gather_components(grid: Grid, fields: Sequence[Array], x: Array,
     base_x, sx = shape_factors(xi, order)
     base_y, sy = shape_factors(yi, order)
     base_z, sz = shape_factors(zi, order)
-    n, support = sx.shape
+    support = sx.shape[1]
     shape, periodic = grid.shape, grid.periodic
     geometry = box_geometry(shape, base_x, base_y, base_z, support)
     if geometry is None:
@@ -112,7 +113,7 @@ def _gather_components(grid: Grid, fields: Sequence[Array], x: Array,
     plane = support * support
     width = support * components
     right = np.zeros((num_blocks * BLOCK_ROWS, plane))
-    right[slots] = np.einsum("pj,pk->pjk", sy, sz).reshape(n, plane)
+    outer_rows(right, slots, sy.T, sz.T)
     # a cell's (S^2, S * components) operand, repeated for its blocks
     operand = np.repeat(
         box[occupied[:, None]
@@ -121,7 +122,11 @@ def _gather_components(grid: Grid, fields: Sequence[Array], x: Array,
     rows = np.matmul(right.reshape(num_blocks, BLOCK_ROWS, plane),
                      operand.reshape(num_blocks, plane, width))
     rows = rows.reshape(num_blocks * BLOCK_ROWS, support, components)
-    return tuple(np.einsum("pi,pic->cp", sx, rows[slots]))
+    # einsum picks its summation order from the operands' strides: the
+    # contraction reads sx row-major, as it always has, so a one-component
+    # gather rounds as before (six components sum alike either way)
+    return tuple(np.einsum("pi,pic->cp", np.ascontiguousarray(sx),
+                           rows[slots]))
 
 
 def gather_field(grid: Grid, field: Array, x: Array, y: Array,

@@ -10,6 +10,15 @@ node that receives a contribution together with the 1-D weights for the
 
 The weights of every scheme sum to exactly one (charge conservation of the
 assignment function), which the property-based tests rely on.
+
+**Layout.**  Each scheme writes its weights *node-major*: one contiguous
+row of ``n`` values per stencil node, in an ``(S, n)`` buffer.  Callers
+get that buffer's transpose, an ``(n, S)`` view, so ``weights[p, i]``
+indexes as it always did while ``weights.T[i]`` is a contiguous row —
+what the operand panels of the block deposit and the block gather
+(:mod:`repro.pic.blocks`) multiply along.  Writing rows instead of
+stride-``S`` columns is also the cheaper fill; the values are the same
+expressions in the same operation order either way.
 """
 
 from __future__ import annotations
@@ -46,7 +55,9 @@ def shape_factors(xi: np.ndarray, order: int) -> Tuple[np.ndarray, np.ndarray]:
         caller is responsible for wrapping/clamping these indices at domain
         boundaries.
     weights:
-        Array of shape ``(len(xi), order + 1)`` with the per-node weights.
+        Array of shape ``(len(xi), order + 1)`` with the per-node weights:
+        the transpose of the node-major ``(order + 1, len(xi))`` buffer
+        they were written to, so ``weights.T`` is C-contiguous.
     """
     xi = np.asarray(xi, dtype=np.float64)
     if order == SHAPE_ORDER_CIC:
@@ -62,21 +73,21 @@ def _cic_factors(xi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """First-order (linear / Cloud-in-Cell) weights on 2 nodes."""
     base = np.floor(xi).astype(np.int64)
     d = xi - base
-    weights = np.empty(xi.shape + (2,))
-    np.subtract(1.0, d, out=weights[..., 0])
-    weights[..., 1] = d
-    return base, weights
+    weights = np.empty((2,) + xi.shape)
+    np.subtract(1.0, d, out=weights[0])
+    weights[1] = d
+    return base, weights.T
 
 
 def _tsc_factors(xi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Second-order (Triangular-Shaped-Cloud) weights on 3 nodes."""
     nearest = np.floor(xi + 0.5).astype(np.int64)
     delta = xi - nearest
-    weights = np.empty(xi.shape + (3,))
-    np.multiply(0.5, (0.5 - delta) ** 2, out=weights[..., 0])
-    np.subtract(0.75, delta**2, out=weights[..., 1])
-    np.multiply(0.5, (0.5 + delta) ** 2, out=weights[..., 2])
-    return nearest - 1, weights
+    weights = np.empty((3,) + xi.shape)
+    np.multiply(0.5, (0.5 - delta) ** 2, out=weights[0])
+    np.subtract(0.75, delta**2, out=weights[1])
+    np.multiply(0.5, (0.5 + delta) ** 2, out=weights[2])
+    return nearest - 1, weights.T
 
 
 def _qsp_factors(xi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -85,13 +96,12 @@ def _qsp_factors(xi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     d = xi - cell
     d2 = d**2
     d3 = d**3
-    weights = np.empty(xi.shape + (4,))
-    np.divide((1.0 - d) ** 3, 6.0, out=weights[..., 0])
-    np.divide(4.0 - 6.0 * d2 + 3.0 * d3, 6.0, out=weights[..., 1])
-    np.divide(1.0 + 3.0 * d + 3.0 * d2 - 3.0 * d3, 6.0,
-              out=weights[..., 2])
-    np.divide(d3, 6.0, out=weights[..., 3])
-    return cell - 1, weights
+    weights = np.empty((4,) + xi.shape)
+    np.divide((1.0 - d) ** 3, 6.0, out=weights[0])
+    np.divide(4.0 - 6.0 * d2 + 3.0 * d3, 6.0, out=weights[1])
+    np.divide(1.0 + 3.0 * d + 3.0 * d2 - 3.0 * d3, 6.0, out=weights[2])
+    np.divide(d3, 6.0, out=weights[3])
+    return cell - 1, weights.T
 
 
 def combined_weights(

@@ -17,6 +17,14 @@ reference`` shipped before it deposited once per run of tiles: one
 staging pass and one box scatter per tile.  ``tests/
 test_deposit_batches.py`` holds the run deposit to it — bitwise wherever
 one tile's particles alone reach a node.
+
+The einsum operand panels (``einsum_deposit_panels``,
+``oracle_einsum_tile_rhocells``, ``oracle_einsum_gather_fields``) are the
+block deposit and the block gather as they built their panels before the
+node-major staging: one ``np.einsum`` per panel over an ``S``-wide
+innermost axis, from row-major ``(n, S)`` shape factors.
+``tests/test_operand_panels.py`` holds the node-major panels, and with
+them ``tile_rhocells`` and ``gather_fields``, to these bit for bit.
 """
 
 from __future__ import annotations
@@ -25,6 +33,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from repro.core.mpu_deposit import mpu_work_statistics
+from repro.pic.blocks import BLOCK_ROWS, cell_block_slots
 from repro.pic.deposition.base import (
     TileDepositionData,
     prepare_tile_data,
@@ -32,7 +42,13 @@ from repro.pic.deposition.base import (
     scratch_reduce,
 )
 from repro.pic.deposition.rhocell import scatter_rhocell_blocks
-from repro.pic.stencil import StencilOperator
+from repro.pic.gather import _cell_operand_offsets
+from repro.pic.shapes import shape_factors
+from repro.pic.stencil import (
+    StencilOperator,
+    box_geometry,
+    box_node_ids,
+)
 
 
 def _current_tiles(grid, tiles: Sequence, charge: float, order: int) -> None:
@@ -230,3 +246,102 @@ def tile_contributions_qsp(data: TileDepositionData, order_idx: np.ndarray
         results.append(per_particle)
 
     return results[0], results[1], results[2], stats
+
+
+def _row_major(factors: Tuple[np.ndarray, np.ndarray]
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """``shape_factors``' output with the weights in the row-major
+    ``(n, S)`` layout the einsum formulation was written for."""
+    base, weights = factors
+    return base, np.ascontiguousarray(weights)
+
+
+def einsum_deposit_panels(data: TileDepositionData, slots: np.ndarray,
+                          rows: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``tile_rhocells``' operand panels ``A = wq (x) sx`` and
+    ``B = sy (x) sz``, built in storage order and scattered to ``slots``."""
+    n = data.num_particles
+    support = data.support
+    wx, wy, wz = (np.ascontiguousarray(w) for w in (data.wx, data.wy, data.wz))
+    width_left = 3 * support
+    width_right = support * support
+    panels = np.zeros(rows * (width_left + width_right))
+    left = panels[:rows * width_left].reshape(rows, width_left)
+    right = panels[rows * width_left:].reshape(rows, width_right)
+    wq = np.concatenate((data.wqx, data.wqy, data.wqz)).reshape(3, n)
+    left[slots] = np.einsum("cp,pi->pci", wq, wx).reshape(n, width_left)
+    right[slots] = np.einsum("pj,pk->pjk", wy, wz
+                             ).reshape(n, width_right)
+    return left, right
+
+
+def oracle_einsum_tile_rhocells(data: TileDepositionData,
+                                order_idx: np.ndarray, num_cells: int
+                                ) -> Tuple[np.ndarray, np.ndarray,
+                                           np.ndarray, dict]:
+    """``tile_rhocells`` over :func:`einsum_deposit_panels`."""
+    support = data.support
+    nodes = support**3
+    cells = data.local_cell_ids[order_idx]
+    stats = mpu_work_statistics(cells, data.order)
+    slots, cell_blocks, block_start = cell_block_slots(cells, num_cells,
+                                                       order_idx)
+    num_blocks = int(cell_blocks.sum())
+    left, right = einsum_deposit_panels(data, slots, num_blocks * BLOCK_ROWS)
+
+    products = np.matmul(
+        left.reshape(num_blocks, BLOCK_ROWS, 3 * support).transpose(0, 2, 1),
+        right.reshape(num_blocks, BLOCK_ROWS, support * support)
+    ).reshape(num_blocks, 3 * nodes)
+
+    occupied = np.nonzero(cell_blocks)[0]
+    first_block = block_start[occupied]
+    depth = cell_blocks[occupied]
+    folded = products[first_block]
+    for rank in range(1, int(depth.max(initial=0))):
+        more = depth > rank
+        folded[more] += products[first_block[more] + rank]
+
+    rhocells = np.zeros((3, num_cells, nodes))
+    rhocells[:, occupied] = folded.reshape(-1, 3, nodes).transpose(1, 0, 2)
+    return rhocells[0], rhocells[1], rhocells[2], stats
+
+
+def oracle_einsum_gather_fields(grid, x: np.ndarray, y: np.ndarray,
+                                z: np.ndarray, order: int
+                                ) -> Tuple[np.ndarray, ...]:
+    """``gather_fields`` with the einsum ``sy (x) sz`` panel and row-major
+    shape factors (in-domain batches: a bounded field box)."""
+    fields = (grid.ex, grid.ey, grid.ez, grid.bx, grid.by, grid.bz)
+    xi, yi, zi = grid.normalized_position(x, y, z)
+    base_x, sx = _row_major(shape_factors(xi, order))
+    base_y, sy = _row_major(shape_factors(yi, order))
+    base_z, sz = _row_major(shape_factors(zi, order))
+    n, support = sx.shape
+    shape, periodic = grid.shape, grid.periodic
+    lo, dims = box_geometry(shape, base_x, base_y, base_z, support)
+    components = len(fields)
+
+    node_ids = box_node_ids(lo, dims, shape, periodic)
+    box = np.concatenate([field.reshape(-1)[node_ids] for field in fields])
+
+    cells = ((base_x - lo[0]) * dims[1] + (base_y - lo[1])) * dims[2] \
+        + (base_z - lo[2])
+    num_cells = dims[0] * dims[1] * dims[2]
+    slots, cell_blocks, _ = cell_block_slots(cells, num_cells)
+    occupied = np.nonzero(cell_blocks)[0]
+    depth = cell_blocks[occupied]
+    num_blocks = int(depth.sum())
+
+    plane = support * support
+    width = support * components
+    right = np.zeros((num_blocks * BLOCK_ROWS, plane))
+    right[slots] = np.einsum("pj,pk->pjk", sy, sz).reshape(n, plane)
+    operand = np.repeat(
+        box[occupied[:, None]
+            + _cell_operand_offsets(dims, support, components)],
+        depth, axis=0)
+    rows = np.matmul(right.reshape(num_blocks, BLOCK_ROWS, plane),
+                     operand.reshape(num_blocks, plane, width))
+    rows = rows.reshape(num_blocks * BLOCK_ROWS, support, components)
+    return tuple(np.einsum("pi,pic->cp", sx, rows[slots]))

@@ -9,6 +9,11 @@ from hypothesis import strategies as st
 
 from deposit_oracles import oracle_tile_rhocells, pair_within_runs
 from helpers import make_plasma
+from repro.core.framework import (
+    SORT_GLOBAL_EVERY_STEP,
+    SORT_INCREMENTAL,
+    MatrixPICDeposition,
+)
 from repro.core.hybrid_kernel import HybridMPUDeposition
 from repro.core.mpu_deposit import (
     BLOCK_ROWS,
@@ -21,7 +26,12 @@ from repro.core.mpu_deposit import (
 )
 from repro.hardware.counters import KernelCounters
 from repro.hardware.mpu import MatrixUnit
-from repro.pic.deposition.base import TileDepositionData, prepare_tile_data
+from repro.pic.deposition.base import (
+    TileDepositionData,
+    cell_switch_fraction,
+    prepare_tile_data,
+    run_switch_fraction,
+)
 from repro.pic.deposition.rhocell import (
     accumulate_rhocells,
     scatter_rhocell_blocks,
@@ -265,7 +275,12 @@ class TestWorkStatistics:
         cells = cell_sequence(runs, arrangement, seed)
         *_, want = oracle_tile_rhocells(staged_tile(cells, order, seed),
                                         np.arange(cells.shape[0]), 12)
-        assert mpu_work_statistics(cells, order) == want
+        stats = mpu_work_statistics(cells, order)
+        assert stats == want
+        # the kernel's locality metric comes from the same run count,
+        # exactly: it feeds KernelCounters
+        assert run_switch_fraction(stats["runs"], cells.shape[0]) \
+            == cell_switch_fraction(cells)
 
 
 class TestBlockProductAgainstOracle:
@@ -427,6 +442,26 @@ class TestCellLocality:
                 np.testing.assert_allclose(
                     got[cell], want, rtol=1e-12,
                     atol=1e-12 * float(np.max(np.abs(want))))
+
+
+def test_a_sorted_deposit_takes_the_sorters_cell_ids(small_grid_config,
+                                                     monkeypatch):
+    """One cell-id pass per tile per deposit: the sorter's ids of the
+    storage order reach the kernel, which derives none of its own."""
+    grid, container = make_plasma(small_grid_config)
+    derived = []
+    derive = TileDepositionData._derive_cell_ids
+    monkeypatch.setattr(TileDepositionData, "_derive_cell_ids",
+                        lambda data: derived.append(data) or derive(data))
+    for mode in (SORT_INCREMENTAL, SORT_GLOBAL_EVERY_STEP):
+        MatrixPICDeposition(sort_mode=mode).run_step(grid, container, 3, 0)
+    assert derived == []
+    # ids handed in must be one per particle
+    tile = container.nonempty_tiles()[0]
+    with pytest.raises(ValueError, match="local cell ids"):
+        HybridMPUDeposition().deposit_tile(
+            grid, tile, container.charge, 3, KernelCounters(),
+            local_cells=tile.local_cell_ids(grid)[1:])
 
 
 def test_deposit_tile_never_materialises_per_particle_blocks(

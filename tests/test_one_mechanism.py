@@ -411,16 +411,34 @@ def test_the_block_layout_is_stated_once():
                 for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom)}
 
+    def einsum_specs(tree, function):
+        """Subscripts of every ``einsum`` call inside ``function``."""
+        body = next(node for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == function)
+        return [node.args[0].value for node in ast.walk(body)
+                if isinstance(node, ast.Call)
+                and name_of(node.func) == "einsum"]
+
     trees = dict(source_trees())
-    for name in ("BLOCK_ROWS", "cell_block_slots", "stable_order_by_bin"):
+    for name in ("BLOCK_ROWS", "cell_block_slots", "stable_order_by_bin",
+                 "outer_rows"):
         assert [path for path, tree in trees.items()
                 if defines(tree, name)] == ["pic/blocks.py"], name
-    for name in ("BLOCK_ROWS", "cell_block_slots"):
+    for name in ("BLOCK_ROWS", "cell_block_slots", "outer_rows"):
         assert sorted(path for path, text in source_texts()
                       if name in text) == [
             "core/mpu_deposit.py", "pic/blocks.py", "pic/gather.py"], name
         for user in ("core/mpu_deposit.py", "pic/gather.py"):
             assert name in imported_from(trees[user])["repro.pic.blocks"]
+    # ... and both build their operand panels through outer_rows: an
+    # einsum left in either is a contraction (some input index summed
+    # away), never an outer-product operand build
+    for user, function in (("core/mpu_deposit.py", "tile_rhocells"),
+                           ("pic/gather.py", "_gather_components")):
+        for spec in einsum_specs(trees[user], function):
+            inputs, output = spec.split("->")
+            assert set(inputs) - set(output) - {","}, (user, spec)
     # ... which is on the pic side because repro.pic stays below repro.core
     assert [path for path, text in source_texts() if path.startswith("pic/")
             and ("from repro.core" in text or "import repro.core" in text)

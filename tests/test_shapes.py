@@ -162,5 +162,6 @@ def test_preallocated_columns_are_bitwise_the_stacked_expression(order, n):
     assert base.dtype == expected_base.dtype
     assert weights.shape == expected.shape == (n, order + 1)
     assert weights.dtype == expected.dtype
-    assert weights.flags.c_contiguous
+    # node-major: the (n, S) result is the transpose of an (S, n) buffer
+    assert weights.T.flags.c_contiguous
     assert np.array_equal(weights, expected)
