@@ -12,15 +12,16 @@ Matrix Outer-product for High-Performance Particle-in-Cell Simulations*
     moving window.
 
 ``repro.hardware``
-    An instruction-level simulator of the LX2-style hybrid VPU/MPU CPU used
-    in the paper, together with an analytic cost model that converts
-    instruction and byte counts into modelled kernel seconds.
+    The LX2-style hybrid VPU/MPU CPU used in the paper as architecture
+    parameters and per-phase instruction counters, together with an
+    analytic cost model that converts instruction and byte counts into
+    modelled kernel seconds.
 
 ``repro.core``
     The paper's contribution: the rhocell accumulator, the Gapped Packed
     Memory Array (GPMA), the incremental particle sorter, the adaptive
-    global resorting policy, the MPU outer-product deposition mapping and
-    the hybrid VPU-MPU kernel.
+    global resorting policy, the MPU outer-product deposition as stacked
+    block products and the hybrid VPU-MPU kernel.
 
 ``repro.baselines``
     The ablation and comparison configurations of the evaluation section

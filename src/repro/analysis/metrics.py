@@ -51,13 +51,6 @@ class ExperimentResult:
         return self.timing.total
 
     @property
-    def kernel_seconds_per_step(self) -> float:
-        """Modelled deposition seconds per step."""
-        if self.steps == 0:
-            return 0.0
-        return self.timing.total / self.steps
-
-    @property
     def throughput(self) -> float:
         """Deposition throughput in particles per modelled second."""
         return particles_per_second(self.num_particles * self.steps,

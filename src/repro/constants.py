@@ -53,14 +53,6 @@ def skin_depth(density: float) -> float:
     return C_LIGHT / omega
 
 
-def critical_density(wavelength: float) -> float:
-    """Critical plasma density for a laser of the given wavelength [m^-3]."""
-    if wavelength <= 0.0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
-    omega = 2.0 * math.pi * C_LIGHT / wavelength
-    return EPSILON_0 * M_ELECTRON * omega**2 / Q_PROTON**2
-
-
 def laser_a0_to_field(a0: float, wavelength: float) -> float:
     """Peak electric field [V/m] of a laser with strength parameter ``a0``."""
     if wavelength <= 0.0:

@@ -8,7 +8,9 @@
 * :mod:`repro.core.sort_policy` — the five-trigger adaptive global
   re-sorting policy of §4.4,
 * :mod:`repro.core.mpu_deposit` — the outer-product formulation of current
-  deposition (§4.2.1) for the CIC and QSP schemes,
+  deposition (§4.2.1) for the CIC and QSP schemes: Stage 2 as stacked
+  block products, whose pair-by-pair MOPA mapping is the test oracle
+  ``tests/mpu_oracles.py``,
 * :mod:`repro.core.hybrid_kernel` — the three-stage hybrid VPU-MPU kernel
   (Algorithm 2),
 * :mod:`repro.core.framework` — the :class:`MatrixPICDeposition` strategy
@@ -20,12 +22,6 @@ from repro.core.framework import MatrixPICDeposition
 from repro.core.gpma import GappedPMA
 from repro.core.hybrid_kernel import HybridMPUDeposition
 from repro.core.incremental_sort import IncrementalSorter
-from repro.core.mpu_deposit import (
-    build_cic_operands,
-    build_qsp_operands,
-    deposit_cell_cic_mpu,
-    deposit_cell_qsp_mpu,
-)
 from repro.core.sort_policy import GlobalSortPolicy, RankSortStats
 
 __all__ = [
@@ -34,10 +30,6 @@ __all__ = [
     "IncrementalSorter",
     "GlobalSortPolicy",
     "RankSortStats",
-    "build_cic_operands",
-    "build_qsp_operands",
-    "deposit_cell_cic_mpu",
-    "deposit_cell_qsp_mpu",
     "HybridMPUDeposition",
     "MatrixPICDeposition",
 ]

@@ -22,20 +22,22 @@ structure of a vector outer product:
   remaining multiplication by the four ``s_z`` factors and the accumulation
   into the 64-entry rhocell is VPU work, so the tile is read back per pair.
 
-Two families of functions are provided.  The *per-cell* routines drive a
-:class:`~repro.hardware.mpu.MatrixUnit` pair by pair exactly as
-Algorithm 2 describes — the executable statement of the mapping (unit
-tests, ``examples/mpu_mapping_demo.py``).  The *per-tile* routine
-:func:`tile_rhocells` is the production Stage 2: summed over a cell's
-particles the outer products are one matrix product ``A^T B``, so a tile
-is a stack of fixed-height block products handed to BLAS GEMM (this
-machine's MOPA-accumulate) and no per-particle ``S^3`` block is built.
-Its data preparation — the VPU side of the paper's hybrid pipeline — is
-particle-inner: the operand panels are long-axis products of the
-node-major shape factors (:func:`repro.pic.blocks.outer_rows`), and the
-tile-local cell ids come from the sorter when it has just computed them.
-The modelled instruction counts (:func:`mpu_work_statistics`) remain
-those of the pairwise MOPA stream on the processing order.
+Summed over a cell's particles those pair outer products are one matrix
+product ``A^T B``, and :func:`tile_rhocells`, the production Stage 2,
+computes that product: a tile is a stack of fixed-height block products
+handed to BLAS GEMM (this machine's MOPA-accumulate) and no per-particle
+``S^3`` block is built.  Its data preparation — the VPU side of the
+paper's hybrid pipeline — is particle-inner: the operand panels are
+long-axis products of the node-major shape factors
+(:func:`repro.pic.blocks.outer_rows`), and the tile-local cell ids come
+from the sorter when it has just computed them.  The modelled
+instruction counts (:func:`mpu_work_statistics`) remain those of the
+pairwise MOPA stream on the processing order.
+
+The pair-by-pair mapping itself, a functional MPU tile register driven
+one MOPA per pair as Algorithm 2 describes, is a test oracle
+(``tests/mpu_oracles.py``): no run executes it, and the tests hold
+:func:`tile_rhocells` to it per cell.
 """
 
 from __future__ import annotations
@@ -45,140 +47,10 @@ from typing import Tuple
 import numpy as np
 
 from repro.config import SHAPE_ORDER_CIC
-from repro.hardware.mpu import MatrixUnit
 from repro.pic.blocks import BLOCK_ROWS, cell_block_slots, outer_rows
 from repro.pic.deposition.base import TileDepositionData
 
 
-# ---------------------------------------------------------------------------
-# operand construction
-# ---------------------------------------------------------------------------
-def build_cic_operands(wx: np.ndarray, wy: np.ndarray, wz: np.ndarray,
-                       wq: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """CIC MPU operands for a *pair* of particles and one current component.
-
-    ``wx``/``wy``/``wz`` have shape ``(2, 2)`` (two particles, two 1-D shape
-    factors each) and ``wq`` shape ``(2,)``.  Unused second-particle slots
-    can simply be passed as zeros.  Returns ``A`` of length 4 and ``B`` of
-    length 8.
-    """
-    wx = np.asarray(wx, dtype=np.float64).reshape(2, 2)
-    wy = np.asarray(wy, dtype=np.float64).reshape(2, 2)
-    wz = np.asarray(wz, dtype=np.float64).reshape(2, 2)
-    wq = np.asarray(wq, dtype=np.float64).reshape(2)
-
-    a = np.concatenate([wq[0] * wx[0], wq[1] * wx[1]])
-    # b packs s_y,j * s_z,k with k varying slowest, matching the row-major
-    # flattening of the rhocell (j fastest within a z-plane)
-    b1 = np.concatenate([wy[0] * wz[0, 0], wy[0] * wz[0, 1]])
-    b2 = np.concatenate([wy[1] * wz[1, 0], wy[1] * wz[1, 1]])
-    return a, np.concatenate([b1, b2])
-
-
-def build_qsp_operands(wx: np.ndarray, wy: np.ndarray, wq: np.ndarray
-                       ) -> Tuple[np.ndarray, np.ndarray]:
-    """QSP MPU operands for a pair of particles and one current component.
-
-    ``wx``/``wy`` have shape ``(2, 4)`` and ``wq`` shape ``(2,)``.  Returns
-    ``A`` and ``B`` both of length 8.
-    """
-    wx = np.asarray(wx, dtype=np.float64).reshape(2, 4)
-    wy = np.asarray(wy, dtype=np.float64).reshape(2, 4)
-    wq = np.asarray(wq, dtype=np.float64).reshape(2)
-    a = np.concatenate([wq[0] * wx[0], wq[1] * wx[1]])
-    b = np.concatenate([wy[0], wy[1]])
-    return a, b
-
-
-# ---------------------------------------------------------------------------
-# per-cell reference paths (Algorithm 2, driven through the MatrixUnit)
-# ---------------------------------------------------------------------------
-def deposit_cell_cic_mpu(mpu: MatrixUnit, wx: np.ndarray, wy: np.ndarray,
-                         wz: np.ndarray, wq: np.ndarray) -> np.ndarray:
-    """Nodal CIC contributions of one cell's particles via MOPA instructions.
-
-    ``wx, wy, wz`` have shape ``(n, 2)`` and ``wq`` shape ``(n,)`` for the
-    ``n`` particles of the cell and one current component.  Returns the 8
-    accumulated rhocell entries of the cell, ordered ``(i, j, k)`` row-major
-    (x slowest).
-    """
-    wx = np.atleast_2d(np.asarray(wx, dtype=np.float64))
-    wy = np.atleast_2d(np.asarray(wy, dtype=np.float64))
-    wz = np.atleast_2d(np.asarray(wz, dtype=np.float64))
-    wq = np.atleast_1d(np.asarray(wq, dtype=np.float64))
-    n = wx.shape[0]
-
-    mpu.zero_tile()
-    for start in range(0, n, 2):
-        pair = slice(start, min(start + 2, n))
-        pwx = np.zeros((2, 2))
-        pwy = np.zeros((2, 2))
-        pwz = np.zeros((2, 2))
-        pwq = np.zeros(2)
-        count = pair.stop - pair.start
-        pwx[:count] = wx[pair]
-        pwy[:count] = wy[pair]
-        pwz[:count] = wz[pair]
-        pwq[:count] = wq[pair]
-        a, b = build_cic_operands(pwx, pwy, pwz, pwq)
-        mpu.mopa(a, b)
-
-    tile = mpu.read_tile(4, 8)
-    # p1 contributions: rows 0-1 x cols 0-3; p2: rows 2-3 x cols 4-7.  Both
-    # blocks are (s_x_i) x (s_y_j s_z_k) with j fastest, k next; summing the
-    # two blocks yields the cell's accumulated values.
-    block = tile[0:2, 0:4] + tile[2:4, 4:8]
-    # reorder (i, [j + 2k]) -> flat (i, j, k) row-major
-    contrib = np.empty(8)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                contrib[(i * 2 + j) * 2 + k] = block[i, j + 2 * k]
-    return contrib
-
-
-def deposit_cell_qsp_mpu(mpu: MatrixUnit, wx: np.ndarray, wy: np.ndarray,
-                         wz: np.ndarray, wq: np.ndarray) -> np.ndarray:
-    """Nodal QSP contributions of one cell's particles via MOPA instructions.
-
-    Shapes: ``wx, wy, wz`` are ``(n, 4)``, ``wq`` is ``(n,)``.  Returns the
-    64 accumulated rhocell entries of the cell, ``(i, j, k)`` row-major.
-    """
-    wx = np.atleast_2d(np.asarray(wx, dtype=np.float64))
-    wy = np.atleast_2d(np.asarray(wy, dtype=np.float64))
-    wz = np.atleast_2d(np.asarray(wz, dtype=np.float64))
-    wq = np.atleast_1d(np.asarray(wq, dtype=np.float64))
-    n = wx.shape[0]
-
-    contrib = np.zeros(64)
-    for start in range(0, n, 2):
-        pair = slice(start, min(start + 2, n))
-        count = pair.stop - pair.start
-        pwx = np.zeros((2, 4))
-        pwy = np.zeros((2, 4))
-        pwz = np.zeros((2, 4))
-        pwq = np.zeros(2)
-        pwx[:count] = wx[pair]
-        pwy[:count] = wy[pair]
-        pwz[:count] = wz[pair]
-        pwq[:count] = wq[pair]
-
-        mpu.zero_tile()
-        a, b = build_qsp_operands(pwx, pwy, pwq)
-        mpu.mopa(a, b)
-        tile = mpu.read_tile(8, 8)
-        # per-particle 4x4 blocks of w * s_x_i * s_y_j
-        for p in range(count):
-            block = tile[4 * p: 4 * p + 4, 4 * p: 4 * p + 4]
-            # VPU stage: multiply by the particle's four s_z factors and
-            # accumulate into the 64-entry layout (i, j, k) row-major
-            contrib += np.einsum("ij,k->ijk", block, pwz[p]).reshape(64)
-    return contrib
-
-
-# ---------------------------------------------------------------------------
-# per-tile block-matrix path (the production Stage 2)
-# ---------------------------------------------------------------------------
 def mpu_work_statistics(cell_sequence: np.ndarray, order: int) -> dict:
     """MPU/VPU work of one tile in processing order, *per current component*
     (the hybrid kernel multiplies by three): ``mopa`` instructions,

@@ -68,11 +68,6 @@ class PhaseCounters:
         """Counter values keyed by name."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def total_events(self) -> float:
-        """Sum of all instruction-like counters (excludes bytes and FLOPs)."""
-        skip = {"bytes_near", "bytes_far", "effective_flops"}
-        return sum(v for k, v in self.as_dict().items() if k not in skip)
-
 
 @dataclass
 class KernelCounters:

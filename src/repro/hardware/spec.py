@@ -65,17 +65,6 @@ class ArchSpec:
         fma_per_mopa = self.mpu_tile_rows * self.mpu_tile_cols
         return 2.0 * fma_per_mopa / self.mpu_cycles_per_mopa
 
-    @property
-    def peak_flops(self) -> float:
-        """Theoretical peak FP64 FLOP/s of one core over its fastest path."""
-        per_cycle = max(self.mpu_flops_per_cycle, self.vpu_flops_per_cycle)
-        return per_cycle * self.frequency_hz
-
-    @property
-    def peak_flops_all_cores(self) -> float:
-        """Theoretical peak FP64 FLOP/s of the whole device."""
-        return self.peak_flops * self.cores
-
 
 #: LX2 CPU core (paper §5.1): 8-lane FP64 VPU, 8x8 FP64 MPU at 4x the VPU rate.
 #: A MOPA covers 64 FMAs; with the VPU doing 8 FMAs/cycle, a 4x FLOP ratio

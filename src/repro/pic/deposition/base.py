@@ -9,8 +9,14 @@ the grid arrays and record the work it performed in a
 :class:`~repro.hardware.counters.KernelCounters` object.
 
 All kernels are *numerically equivalent*: for the same particle state they
-must add exactly the same current to the grid.  The integration tests
-enforce this against the scatter-add reference kernel.
+add the reference deposit's current to the grid up to rounding.  The
+baseline kernel applies the reference's formula
+(:func:`scatter_tile_currents`) tile by tile, so it adds the same bits
+wherever a run of tiles the reference stages is one tile; the rhocell and
+MPU kernels sum each cell's contributions before the reduction and differ
+at rounding level (up to about 2e-15 of peak ``|J|`` on a 16^3-cell,
+8-PPC plasma).  The integration tests hold every kernel to 1e-12 of
+peak ``|J|`` against the reference.
 """
 
 from __future__ import annotations
@@ -247,10 +253,10 @@ def prepare_tile_data(grid: Grid, tile: ParticleTile, charge: float,
 def scatter_tile_currents(grid: Grid, data: TileDepositionData) -> None:
     """Numerically exact scatter-add of staged currents to the grid.
 
-    ``data`` is one tile's or one run's staging.  Used by kernels whose
-    instrumentation differs but whose arithmetic is the straightforward
-    per-node accumulation (baseline and rhocell paths both reduce to this
-    formula) and by the reference deposit, once per run of tiles.
+    ``data`` is one tile's or one run's staging.  Used by the reference
+    deposit, once per run of tiles, and by the baseline kernel, once per
+    tile: the straightforward per-node accumulation (the rhocell paths sum
+    per cell first, which rounds differently).
     Tile-shard executor tasks point ``grid`` at a shard-private scratch
     :class:`Grid`, so the accumulation target is always
     ``grid.current_arrays()``.

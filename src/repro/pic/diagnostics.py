@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.obs.registry import MetricSet
 from repro.pic.grid import Grid
 from repro.pic.particles import ParticleContainer
@@ -127,18 +125,6 @@ class RuntimeBreakdown:
             return {stage: 0.0 for stage in seconds}
         return {stage: s / total for stage, s in seconds.items()}
 
-    def as_rows(self) -> List[Dict[str, float]]:
-        """Table rows (stage, seconds, fraction) sorted by execution order."""
-        seconds = self.seconds
-        fractions = self.fractions()
-        ordered = [s for s in STAGES if s in seconds]
-        ordered += [s for s in seconds if s not in STAGES]
-        return [
-            {"stage": stage, "seconds": seconds[stage],
-             "fraction": fractions.get(stage, 0.0)}
-            for stage in ordered
-        ]
-
     def stage_rows(self) -> List[Dict[str, float]]:
         """Fine-grained pipeline-stage rows, in first-recorded order."""
         stage_seconds = self.stage_seconds
@@ -195,11 +181,6 @@ class EnergyDiagnostic:
         return abs(last - first) / abs(first)
 
 
-def total_deposited_charge(grid: Grid) -> float:
-    """Volume integral of the node-centred charge density."""
-    return float(grid.rho.sum() * np.prod(grid.cell_size))
-
-
 def total_particle_charge(container: ParticleContainer) -> float:
     """Sum of macro-particle charges of a container."""
     total = 0.0
@@ -207,18 +188,3 @@ def total_particle_charge(container: ParticleContainer) -> float:
         if tile.num_particles:
             total += float(tile.w.sum()) * container.charge
     return total
-
-
-def current_residual(grid_a: Grid, grid_b: Grid) -> float:
-    """Maximum absolute difference between the currents of two grids.
-
-    Used by the equivalence tests: every deposition kernel must reproduce
-    the reference kernel's grid current to round-off.
-    """
-    return float(
-        max(
-            np.max(np.abs(grid_a.jx - grid_b.jx), initial=0.0),
-            np.max(np.abs(grid_a.jy - grid_b.jy), initial=0.0),
-            np.max(np.abs(grid_a.jz - grid_b.jz), initial=0.0),
-        )
-    )

@@ -129,15 +129,6 @@ def _gather_components(grid: Grid, fields: Sequence[Array], x: Array,
                            rows[slots]))
 
 
-def gather_field(grid: Grid, field: Array, x: Array, y: Array,
-                 z: Array, order: int) -> Array:
-    """Interpolate one field component to the given particle positions."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        return np.zeros(x.shape)
-    return _gather_components(grid, (field,), x, y, z, order)[0]
-
-
 def gather_fields(grid: Grid, x: Array, y: Array, z: Array, order: int
                   ) -> Tuple[Array, Array, Array, Array, Array, Array]:
     """Interpolate all six field components to a batch of positions.

@@ -99,16 +99,6 @@ class Grid:
         _, ny, nz = self.shape
         return (np.asarray(ix) * ny + np.asarray(iy)) * nz + np.asarray(iz)
 
-    def unravel_cell_id(self, cell_id: np.ndarray
-                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Inverse of :meth:`linear_cell_id`."""
-        _, ny, nz = self.shape
-        cell_id = np.asarray(cell_id)
-        iz = cell_id % nz
-        iy = (cell_id // nz) % ny
-        ix = cell_id // (ny * nz)
-        return ix, iy, iz
-
     # ------------------------------------------------------------------
     # field/current management
     # ------------------------------------------------------------------
@@ -117,15 +107,6 @@ class Grid:
         self.jx.fill(0.0)
         self.jy.fill(0.0)
         self.jz.fill(0.0)
-
-    def zero_charge(self) -> None:
-        """Reset the charge density accumulator."""
-        self.rho.fill(0.0)
-
-    def zero_fields(self) -> None:
-        """Reset all electromagnetic field components."""
-        for arr in (self.ex, self.ey, self.ez, self.bx, self.by, self.bz):
-            arr.fill(0.0)
 
     def current_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The (jx, jy, jz) arrays, for deposition kernels."""
@@ -140,10 +121,6 @@ class Grid:
             "rho": self.rho,
         }
 
-    def total_current(self) -> Tuple[float, float, float]:
-        """Domain-summed current density, used by conservation checks."""
-        return float(self.jx.sum()), float(self.jy.sum()), float(self.jz.sum())
-
     def field_energy(self) -> float:
         """Total electromagnetic field energy in the domain [J]."""
         from repro import constants
@@ -155,15 +132,6 @@ class Grid:
             0.5 * cell_volume * (constants.EPSILON_0 * e2.sum()
                                  + b2.sum() / constants.MU_0)
         )
-
-    def copy_fields_from(self, other: "Grid") -> None:
-        """Copy all field/current arrays from another grid of equal shape."""
-        if other.shape != self.shape:
-            raise ValueError(
-                f"grid shapes differ: {other.shape} vs {self.shape}"
-            )
-        for name, arr in self.field_arrays().items():
-            arr[...] = other.field_arrays()[name]
 
 
 def grid_geometry(grid: "Grid") -> Tuple:

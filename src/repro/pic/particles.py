@@ -104,12 +104,6 @@ class ParticleTile:
         cx, cy, cz = self.tile_cells
         return cx * cy * cz
 
-    def soa(self) -> Dict[str, np.ndarray]:
-        """All SoA arrays keyed by name (positions, momenta, weight, ids)."""
-        data = {name: getattr(self, name) for name in _SOA_FIELDS}
-        data["ids"] = self.ids
-        return data
-
     # ------------------------------------------------------------------
     def append(self, **arrays: np.ndarray) -> None:
         """Append particles given as keyword SoA arrays.
@@ -462,17 +456,6 @@ class ParticleContainer:
         return int(departures.shape[0])
 
     # ------------------------------------------------------------------
-    def gather_soa(self) -> Dict[str, np.ndarray]:
-        """Concatenate the SoA arrays of all tiles (diagnostics helper)."""
-        parts = [tile.soa() for tile in self.tiles if tile.num_particles > 0]
-        if not parts:
-            return {name: np.empty((0,))
-                    for name in (*_SOA_FIELDS, "ids")}
-        return {
-            name: np.concatenate([p[name] for p in parts])
-            for name in (*_SOA_FIELDS, "ids")
-        }
-
     def kinetic_energy(self, executor: Optional[TileExecutor] = None
                        ) -> float:
         """Total relativistic kinetic energy of the species [J].

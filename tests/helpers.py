@@ -6,6 +6,10 @@ with a relative import fails because the ``tests`` directory is not a
 package.  Pytest's default ``prepend`` import mode puts this directory on
 ``sys.path``, so ``from helpers import make_plasma`` works everywhere in
 the suite.
+
+Helpers that only tests call live here rather than in ``src/``:
+``tests/test_one_mechanism.py`` fails on a public ``src/`` definition
+that nothing under ``src/`` or ``bench/`` uses.
 """
 
 from __future__ import annotations
@@ -16,8 +20,10 @@ from hypothesis import strategies as st
 from repro import constants
 from repro.config import GridConfig, SpeciesConfig
 from repro.core.framework import SORT_NONE, MatrixPICDeposition
+from repro.hardware.counters import PhaseCounters
+from repro.pic.gather import _gather_components
 from repro.pic.grid import Grid
-from repro.pic.particles import ParticleContainer
+from repro.pic.particles import _SOA_FIELDS, ParticleContainer
 from repro.pic.plasma import load_uniform_plasma
 
 
@@ -131,3 +137,46 @@ def log_events(handle, name):
     ``handle`` recorded (``repro.obs`` stores them as ``log.<name>``)."""
     return [event["args"] for event in handle.events
             if event["name"] == f"log.{name}"]
+
+
+def current_residual(grid_a: Grid, grid_b: Grid) -> float:
+    """Maximum absolute difference between the currents of two grids."""
+    return float(
+        max(
+            np.max(np.abs(grid_a.jx - grid_b.jx), initial=0.0),
+            np.max(np.abs(grid_a.jy - grid_b.jy), initial=0.0),
+            np.max(np.abs(grid_a.jz - grid_b.jz), initial=0.0),
+        )
+    )
+
+
+def total_deposited_charge(grid: Grid) -> float:
+    """Volume integral of the node-centred charge density."""
+    return float(grid.rho.sum() * np.prod(grid.cell_size))
+
+
+def gather_field(grid: Grid, field, x, y, z, order: int):
+    """Interpolate one field component to the given particle positions,
+    through the block gather ``gather_fields`` runs (same rounding)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.size == 0:
+        return np.zeros(x.shape)
+    return _gather_components(grid, (field,), x, y, z, order)[0]
+
+
+def gather_soa(container: ParticleContainer):
+    """Concatenate the SoA arrays (positions, momenta, weight, ids) of all
+    of a container's tiles."""
+    names = (*_SOA_FIELDS, "ids")
+    tiles = [tile for tile in container.tiles if tile.num_particles > 0]
+    if not tiles:
+        return {name: np.empty((0,)) for name in names}
+    return {name: np.concatenate([getattr(tile, name) for tile in tiles])
+            for name in names}
+
+
+def total_events(counters: PhaseCounters) -> float:
+    """Sum of a phase's instruction-like counters (bytes and FLOPs
+    excluded)."""
+    skip = {"bytes_near", "bytes_far", "effective_flops"}
+    return sum(v for k, v in counters.as_dict().items() if k not in skip)

@@ -54,7 +54,6 @@ class TestMetrics:
         row = result.as_row()
         assert row["configuration"] == "Baseline"
         assert row["total_s"] == pytest.approx(2.0)
-        assert result.kernel_seconds_per_step == pytest.approx(1.0)
         assert result.throughput == pytest.approx(1000.0)
 
     def test_crossover_ppc(self):

@@ -44,16 +44,6 @@ def test_skin_depth_zero_density_raises():
         constants.skin_depth(0.0)
 
 
-def test_critical_density_for_800nm():
-    # the critical density of a 0.8 um laser is ~1.74e27 m^-3
-    assert constants.critical_density(0.8e-6) == pytest.approx(1.74e27, rel=0.01)
-
-
-def test_critical_density_invalid_wavelength():
-    with pytest.raises(ValueError):
-        constants.critical_density(0.0)
-
-
 def test_laser_a0_to_field_linear_in_a0():
     e1 = constants.laser_a0_to_field(1.0, 0.8e-6)
     e5 = constants.laser_a0_to_field(5.0, 0.8e-6)

@@ -36,7 +36,7 @@ from repro.pic.deposition.reference import (
 from repro.pic.grid import Grid
 from repro.workloads.uniform import UniformPlasmaWorkload
 
-from helpers import deposit_unsorted, make_plasma
+from helpers import deposit_unsorted, gather_soa, make_plasma
 
 SHARDS = 3
 
@@ -322,7 +322,7 @@ class TestSimulationParity:
         simulation = workload.build_session()
         try:
             simulation.run_all(record_energy=True)
-            soa = simulation.containers[0].gather_soa()
+            soa = gather_soa(simulation.containers[0])
             order = np.argsort(soa["ids"])
             return {
                 "jx": simulation.grid.jx.copy(),

@@ -23,7 +23,7 @@ from repro.pic.particles import ParticleContainer
 from repro.pic.plasma import load_plasma_slab
 from repro.pipeline import MigrateStage, MovingWindowStage
 
-from helpers import cells_outside_their_tile
+from helpers import cells_outside_their_tile, gather_soa
 
 
 def make_grid(n=16, bc=("periodic",) * 3):
@@ -241,7 +241,7 @@ class TestMovingWindow:
     def test_migrate_absorbs_what_the_window_left_behind(self):
         session, _ = self._shift_once([0.5, 4.5])
         container = session.containers[0]
-        ids = container.gather_soa()["ids"]
+        ids = gather_soa(container)["ids"]
         # z = 0.5 is behind the new lower edge; z = 4.5 stays and moves
         # from the second tile's box into the first's
         assert 0 not in ids and 1 in ids
@@ -253,12 +253,12 @@ class TestMovingWindow:
         # the push carried it into [old_hi, new_hi): inside the new box
         session, _ = self._shift_once([8.5])
         container = session.containers[0]
-        assert 0 in container.gather_soa()["ids"]
+        assert 0 in gather_soa(container)["ids"]
         assert cells_outside_their_tile(session.grid, container) == 0
 
     def test_window_refills_the_exposed_slab(self):
         session, reference = self._shift_once([])
-        z = session.containers[0].gather_soa()["z"]
+        z = gather_soa(session.containers[0])["z"]
         # ppc = 2 in each of the 4 x 4 cells of the exposed layer [8, 9)
         assert z.shape[0] == 4 * 4 * 2
         assert np.all((z >= 8.0) & (z < 9.0))
@@ -267,6 +267,6 @@ class TestMovingWindow:
                                      session.config.species[0])
         load_plasma_slab(session.grid, expected, expected.species,
                          z_lo=8.0, z_hi=9.0, rng=reference)
-        assert np.array_equal(np.sort(z), np.sort(expected.gather_soa()["z"]))
+        assert np.array_equal(np.sort(z), np.sort(gather_soa(expected)["z"]))
         assert (session.moving_window.rng.bit_generator.state
                 == reference.bit_generator.state)

@@ -1,4 +1,9 @@
-"""Tests for the MPU outer-product deposition mapping (§4.2.1)."""
+"""Tests for the MPU outer-product deposition mapping (§4.2.1).
+
+The pair-by-pair mapping (``tests/mpu_oracles.py``) is checked against a
+scalar sum; the production Stage 2, ``tile_rhocells``, is held to two
+independent oracles: the per-particle formulation it replaced
+(``tests/deposit_oracles.py``) and that per-pair MOPA emulator."""
 
 import tracemalloc
 
@@ -9,6 +14,14 @@ from hypothesis import strategies as st
 
 from deposit_oracles import oracle_tile_rhocells, pair_within_runs
 from helpers import make_plasma
+from mpu_oracles import (
+    MatrixUnit,
+    build_cic_operands,
+    build_qsp_operands,
+    deposit_cell_cic_mpu,
+    deposit_cell_qsp_mpu,
+    emulated_tile_rhocells,
+)
 from repro.core.framework import (
     SORT_GLOBAL_EVERY_STEP,
     SORT_INCREMENTAL,
@@ -17,15 +30,10 @@ from repro.core.framework import (
 from repro.core.hybrid_kernel import HybridMPUDeposition
 from repro.core.mpu_deposit import (
     BLOCK_ROWS,
-    build_cic_operands,
-    build_qsp_operands,
-    deposit_cell_cic_mpu,
-    deposit_cell_qsp_mpu,
     mpu_work_statistics,
     tile_rhocells,
 )
 from repro.hardware.counters import KernelCounters
-from repro.hardware.mpu import MatrixUnit
 from repro.pic.deposition.base import (
     TileDepositionData,
     cell_switch_fraction,
@@ -229,6 +237,16 @@ def take(data, rows):
                     (data.wqx, data.wqy, data.wqz), rows)
 
 
+def assert_equal_per_cell(got, want, cells):
+    """Every component's rhocell of every cell in ``cells``, to
+    summation order (relative to that cell's own largest entry)."""
+    for g, w in zip(got, want):
+        for cell in cells:
+            np.testing.assert_allclose(
+                g[cell], w[cell], rtol=1e-12,
+                atol=1e-12 * float(np.max(np.abs(w[cell]))))
+
+
 def within_cell_preserving_shuffle(cells, rng):
     """A processing order that interleaves the cells at random but keeps
     every cell's own particles in storage order."""
@@ -306,6 +324,29 @@ class TestBlockProductAgainstOracle:
                 assert g.shape == (self.NUM_CELLS, (order + 1)**3)
                 np.testing.assert_allclose(g, w, rtol=1e-13,
                                            atol=1e-13 * scale)
+            # the second oracle: the per-pair MOPA emulator, cell by cell
+            emulated, units = emulated_tile_rhocells(data, idx,
+                                                     self.NUM_CELLS)
+            assert_equal_per_cell(got, emulated, np.unique(cells))
+            # cell-sorted, a run is a cell: the modelled MOPA stream is
+            # the one the emulator executes, exactly
+            if got_stats["runs"] == np.unique(cells).shape[0]:
+                assert [unit.counters.mpu_mopa for unit in units] \
+                    == [got_stats["mopa"]] * 3
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_sorted_mopa_count_is_the_emulators(self, order):
+        """4^3 cells x 27 particles, cell-sorted processing order: 14
+        pairs per cell, 896 MOPAs per component both ways."""
+        cells = np.random.default_rng(4).permutation(
+            np.repeat(np.arange(64), 27))
+        data = staged_tile(cells, order, seed=4)
+        by_cell = np.argsort(cells, kind="stable")
+        *got, stats = tile_rhocells(data, by_cell, 64)
+        emulated, units = emulated_tile_rhocells(data, by_cell, 64)
+        assert stats["mopa"] == 896.0
+        assert [unit.counters.mpu_mopa for unit in units] == [896.0] * 3
+        assert_equal_per_cell(got, emulated, np.arange(64))
 
     @pytest.mark.parametrize("order", [1, 3])
     def test_empty_tile_and_single_particle(self, order):
@@ -420,28 +461,6 @@ class TestCellLocality:
         assert not np.array_equal(
             self.blocks(data, by_cell, self.NUM_CELLS),
             self.blocks(data, reversed_cells, self.NUM_CELLS))
-
-    @pytest.mark.parametrize("order", [1, 3])
-    def test_equals_the_matrix_unit_per_cell(self, order):
-        """The emulator-driven Algorithm 2 and the production kernel are
-        the same mapping."""
-        data, _ = self.tile(order)
-        cells = data.local_cell_ids
-        per_cell = (deposit_cell_cic_mpu if order == 1
-                    else deposit_cell_qsp_mpu)
-        rho = tile_rhocells(data, np.arange(cells.shape[0]),
-                            self.NUM_CELLS)[:3]
-        for cell in range(self.NUM_CELLS):
-            rows = np.nonzero(cells == cell)[0]
-            for got, wq in zip(rho, (data.wqx, data.wqy, data.wqz)):
-                if rows.size == 0:
-                    assert not got[cell].any()
-                    continue
-                want = per_cell(MatrixUnit(), data.wx[rows], data.wy[rows],
-                                data.wz[rows], wq[rows])
-                np.testing.assert_allclose(
-                    got[cell], want, rtol=1e-12,
-                    atol=1e-12 * float(np.max(np.abs(want))))
 
 
 def test_a_sorted_deposit_takes_the_sorters_cell_ids(small_grid_config,

@@ -54,13 +54,20 @@ temporaries and a sharded deposit's task builds its own scratch grid, so
 A campaign cell has one durable record, its result-cache entry: a killed
 sweep resumes by re-running on the same cache, so the campaign keeps no
 progress file and the job journal is the one ``RecordLog``.
+
+``src/`` holds only what an entry point reaches: oracles and helpers that
+only tests call live under ``tests/``.
 """
 
 from __future__ import annotations
 
 import ast
+import collections
 import inspect
 import os
+import re
+
+import pytest
 
 import repro
 from repro import workloads
@@ -72,6 +79,7 @@ from repro.pipeline import DepositStage, check_stage_set, global_stages
 from repro.serve import expand_request
 
 SRC = os.path.dirname(os.path.abspath(repro.__file__))
+BENCH = os.path.join(os.path.dirname(os.path.dirname(SRC)), "bench")
 
 
 def source_texts():
@@ -388,7 +396,11 @@ def test_the_per_particle_mpu_stage_lives_under_tests_only():
     # (n, S^3) contribution arrays is tests/deposit_oracles.py, the oracle,
     # and a second production path would start by naming one of these
     retired = ("tile_contributions_cic", "tile_contributions_qsp",
-               "_reorder_cic_block")
+               "_reorder_cic_block",
+               # ... and so would the per-pair MPU emulator, which is the
+               # second oracle now (tests/mpu_oracles.py)
+               "MatrixUnit", "build_cic_operands", "build_qsp_operands",
+               "deposit_cell_cic_mpu", "deposit_cell_qsp_mpu", "mopa_batch")
     assert [(path, line.strip()) for path, text in source_texts()
             for line in text.splitlines()
             if any(name in line for name in retired)] == []
@@ -615,3 +627,146 @@ def test_no_process_wide_scratch_pools():
             for node in ast.walk(trees["pic/maxwell.py"])
             if isinstance(node, ast.ImportFrom)
             and node.module == "repro.pic.grid"] == [["Grid"]]
+
+
+#: public ``src/`` definitions that nothing under ``src/`` or ``bench/``
+#: uses yet, and why each stays; an entry that is gone or has gained a
+#: user fails the guard below, so the list can only shrink
+_PAPER_HARNESS = ("paper harness, read by benchmarks/ and examples/: it "
+                  "stays only if the paper-fidelity ledger in bench/ reads it")
+ALLOWLIST = {
+    **{name: _PAPER_HARNESS for name in (
+        "format_kernel_table", "format_efficiency_table",
+        "format_breakdown_table", "format_series_table", "speedup_series",
+        "peak_efficiency_percent", "summarize_timings", "GPUDepositionModel",
+        "fractions", "ParticleMeshGravity", "random_particles",
+        "PMEChargeAssignment", "assign_charges", "reciprocal_energy",
+        "total_mesh_charge", "random_molecule")},
+    "crossover_ppc": "the Fig. 8 crossover; waits on the wall-clock PPC "
+                     "sweep in bench/ that is to record it",
+    "deposit_rho_reference": "the one rho deposit; waits on the Gauss's-law "
+                             "health gauge, its first run-path caller",
+    "check_invariants": "the GPMA verification surface the sorter "
+                        "differential tests read",
+    "bin_of": "GPMA inspection surface the sorter differential tests read",
+    "particles_in_bin": "GPMA inspection surface the sorter differential "
+                        "tests read",
+    "disarm": "the KillSwitch fault-injection seam",
+    "axis_windows": "leaves with repro.domain",
+}
+
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _python_files(root):
+    for directory, subdirs, files in os.walk(root):
+        subdirs[:] = sorted(name for name in subdirs if name != "__pycache__")
+        for name in sorted(files):
+            if name.endswith(".py"):
+                yield os.path.join(directory, name)
+
+
+def _re_exports(path, tree):
+    """Line numbers of an ``__init__.py``'s imports and ``__all__``."""
+    if os.path.basename(path) != "__init__.py":
+        return set()
+    return {line for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            or isinstance(node, ast.Assign)
+            and any(name_of(target) == "__all__" for target in node.targets)
+            for line in range(node.lineno, node.end_lineno + 1)}
+
+
+def unreached_definitions(src, *users):
+    """``(name, path, line)`` of every public top-level function or class
+    under ``src`` and every public method of a top-level class whose name
+    occurs nowhere under ``src`` or ``users`` but at definitions.
+
+    A use is an identifier-shaped word anywhere in the text — code,
+    strings or comments, so dispatch by name and a docstring pointer both
+    count — except in an ``__init__.py``'s imports and ``__all__``, which
+    re-export.  The words are counted once over all files (one regex pass
+    per line, not one per name).  The check is one-hop and blind to
+    homonyms: a name shared with anything used counts as used, and a
+    cluster of definitions that only reference each other passes.
+    """
+    words, sites, public = collections.Counter(), collections.Counter(), []
+    for root in (src, *users):
+        for path in _python_files(root):
+            with open(path, "r", encoding="utf-8") as stream:
+                text = stream.read()
+            tree = ast.parse(text, filename=path)
+            skip = _re_exports(path, tree)
+            for number, line in enumerate(text.splitlines(), 1):
+                if number not in skip:
+                    words.update(_WORD.findall(line))
+            sites.update(node.name for node in ast.walk(tree)
+                         if isinstance(node, _DEFINITIONS))
+            if root != src:
+                continue
+            where = os.path.relpath(path, src).replace(os.sep, "/")
+            for node in tree.body:
+                if not isinstance(node, _DEFINITIONS):
+                    continue
+                methods = [item for item in node.body if isinstance(
+                    item, (ast.FunctionDef, ast.AsyncFunctionDef))] \
+                    if isinstance(node, ast.ClassDef) else []
+                public += [(definition.name, where, definition.lineno)
+                           for definition in (node, *methods)
+                           if not definition.name.startswith("_")]
+    return [(name, path, line) for name, path, line in public
+            if words[name] <= sites[name]]
+
+
+def test_src_is_what_an_entry_point_reaches():
+    """A public ``src/`` name that no ``src/`` or ``bench/`` code uses is
+    a test oracle or a test helper (it belongs under ``tests/``) or dead.
+
+    Static, so it cannot see a cluster that only references itself; the
+    evidence for those is a ``sys.setprofile`` trace of the entry points.
+    """
+    unreached = unreached_definitions(SRC, BENCH)
+    offenders = [f"src/repro/{path}:{line}: {name}"
+                 for name, path, line in unreached if name not in ALLOWLIST]
+    assert not offenders, (
+        "public definitions nothing under src/ or bench/ uses; give each a "
+        "caller, or move it to tests/ (tests/helpers.py, an oracle module) "
+        "or delete it:\n" + "\n".join(offenders))
+    stale = sorted(set(ALLOWLIST) - {name for name, _, _ in unreached})
+    assert not stale, (
+        "ALLOWLIST entries that are gone or have a user now; delete them: "
+        + ", ".join(stale))
+
+
+@pytest.mark.parametrize("files, unreached", [
+    # a public function, method or class nobody names; private ones and
+    # names a caller spells are fine
+    ({"src/a.py": "def orphan():\n    pass\n\n\ndef _hidden():\n    pass\n\n\n"
+                  "class Box:\n    def open(self):\n        pass\n\n"
+                  "    def shut(self):\n        pass\n",
+      "src/b.py": "from a import Box\n\nBox().open()\n"},
+     [("orphan", "a.py", 1), ("shut", "a.py", 13)]),
+    # a package re-export is not a use; a docstring pointer or a use
+    # under bench/ is
+    ({"src/__init__.py": "from a import kept, orphan\n\n"
+                         "__all__ = ['kept', 'orphan', 'pointed']\n",
+      "src/a.py": "def kept():\n    pass\n\n\ndef orphan():\n    pass\n",
+      "src/c.py": '"""See pointed()."""\n\n\ndef pointed():\n    pass\n',
+      "bench/run.py": "from a import kept\n\nkept()\n"},
+     [("orphan", "a.py", 5)]),
+    # two unused homonyms are two unused definitions, not each other's use
+    ({"src/a.py": "def twin():\n    pass\n",
+      "src/b.py": "class Twin:\n    def twin(self):\n        pass\n\n\n"
+                  "Twin()\n"},
+     [("twin", "a.py", 1), ("twin", "b.py", 2)]),
+], ids=["unused", "re-export-vs-use", "homonyms"])
+def test_the_reach_guard_counts_uses_not_definitions(tmp_path, files,
+                                                     unreached):
+    for name, text in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(text)
+    (tmp_path / "bench").mkdir(exist_ok=True)
+    assert sorted(unreached_definitions(
+        str(tmp_path / "src"), str(tmp_path / "bench"))) == unreached

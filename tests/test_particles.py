@@ -7,6 +7,8 @@ from repro.config import GridConfig, SpeciesConfig
 from repro.pic.grid import Grid
 from repro.pic.particles import ParticleContainer, ParticleTile
 
+from helpers import gather_soa
+
 
 @pytest.fixture
 def setup():
@@ -98,7 +100,7 @@ class TestParticleContainer:
                                 z=np.full(5, 0.5))
         container.add_particles(grid, x=np.full(5, 7.5), y=np.full(5, 7.5),
                                 z=np.full(5, 7.5))
-        ids = container.gather_soa()["ids"]
+        ids = gather_soa(container)["ids"]
         assert np.unique(ids).size == 10
 
     def test_periodic_boundary_wraps_positions(self, setup):
@@ -159,5 +161,5 @@ class TestParticleContainer:
 
     def test_gather_soa_empty(self, setup):
         _, _, container = setup
-        soa = container.gather_soa()
+        soa = gather_soa(container)
         assert soa["x"].size == 0

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import constants
 from repro.config import GridConfig, SpeciesConfig
-from repro.pic.gather import gather_field, gather_fields_for_tile
+from repro.pic.gather import gather_fields_for_tile
 from repro.pic.grid import Grid
 from repro.pic.particles import ParticleContainer, ParticleTile
 from repro.pic.pusher import (
@@ -18,7 +18,7 @@ from repro.pic.pusher import (
 from repro.pic.shapes import shape_factors, shape_support
 from repro.pic.stencil import StencilOperator, box_geometry
 
-from helpers import FIELD_NAMES, random_field_grid
+from helpers import FIELD_NAMES, gather_field, random_field_grid
 
 
 def _single(value=0.0):

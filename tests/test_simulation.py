@@ -9,6 +9,8 @@ from repro.baselines.configs import make_strategy
 from repro.config import GridConfig, SimulationConfig, SpeciesConfig
 from repro.pic.simulation import ReferenceDeposition
 
+from helpers import gather_soa, total_events
+
 
 def small_config(**kwargs):
     defaults = dict(
@@ -57,7 +59,7 @@ class TestSimulationRun:
     def test_positions_stay_inside_domain(self):
         sim = Session(small_config())
         sim.run_all(3)
-        soa = sim.containers[0].gather_soa()
+        soa = gather_soa(sim.containers[0])
         for axis, coord in enumerate((soa["x"], soa["y"], soa["z"])):
             assert np.all(coord >= sim.grid.lo[axis])
             assert np.all(coord < sim.grid.hi[axis])
@@ -94,7 +96,7 @@ class TestSimulationRun:
         sim.run_all(5, record_energy=True)
         final_kinetic = sim.energy.history[-1].kinetic_energy
         # the self-field pushes particles a little, but far below relativistic
-        soa = sim.containers[0].gather_soa()
+        soa = gather_soa(sim.containers[0])
         u_max = np.max(np.abs(np.concatenate([soa["ux"], soa["uy"], soa["uz"]])))
         assert u_max < 0.5 * constants.C_LIGHT
         assert np.isfinite(final_kinetic)
@@ -107,7 +109,7 @@ class TestSimulationWithStrategies:
                          deposition=make_strategy(name))
         sim.run_all(2)
         combined = sim.deposition_counters.combined()
-        assert combined.total_events() > 0
+        assert total_events(combined) > 0
         assert combined.effective_flops > 0
 
     def test_strategy_and_reference_agree_on_physics(self):

@@ -13,6 +13,8 @@ from repro.workloads.uniform import (
     ppc_triple,
 )
 
+from helpers import gather_soa
+
 
 class TestUniformWorkload:
     def test_ppc_scan_matches_paper(self):
@@ -50,9 +52,9 @@ class TestUniformWorkload:
         workload = UniformPlasmaWorkload(n_cell=(4, 4, 4), tile_size=(4, 4, 4),
                                          ppc=8, max_steps=1)
         simulation = workload.build_session()
-        before = simulation.containers[0].gather_soa()["x"].copy()
+        before = gather_soa(simulation.containers[0])["x"].copy()
         workload.scramble_particles(simulation)
-        after = simulation.containers[0].gather_soa()["x"]
+        after = gather_soa(simulation.containers[0])["x"]
         assert before.shape == after.shape
         assert not np.array_equal(before, after)
         np.testing.assert_allclose(np.sort(before), np.sort(after))
@@ -72,7 +74,7 @@ class TestLWFAWorkload:
         workload = LWFAWorkload(n_cell=(8, 8, 32), tile_size=(8, 8, 16),
                                 ppc=1, max_steps=1)
         simulation = workload.build_session()
-        z = simulation.containers[0].gather_soa()["z"]
+        z = gather_soa(simulation.containers[0])["z"]
         assert z.size > 0
         extent = simulation.grid.hi[2] - simulation.grid.lo[2]
         assert z.min() > simulation.grid.lo[2] + 0.05 * extent
