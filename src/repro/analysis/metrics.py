@@ -33,7 +33,7 @@ class ExperimentResult:
     #: Python wall-clock of the measured steps [s] (interpreter time; used
     #: only as a sanity signal, never compared against the paper)
     wall_seconds: float = 0.0
-    #: wall-clock seconds per coarse STAGES bucket (Figure-1 style
+    #: wall-clock seconds per coarse stage ``bucket`` (Figure-1 style
     #: breakdown, i.e. ``RuntimeBreakdown.seconds`` — the historical
     #: field name predates the finer per-pipeline-stage
     #: ``RuntimeBreakdown.stage_seconds``, which is NOT what is stored

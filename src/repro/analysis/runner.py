@@ -94,7 +94,7 @@ def run_deposition_experiment(workload, configuration: str, *,
         steps=n_steps,
         timing=timing,
         wall_seconds=wall,
-        # the coarse STAGES buckets (breakdown.seconds) — NOT the
+        # the coarse stage buckets (breakdown.seconds) — NOT the
         # fine-grained breakdown.stage_seconds: the ExperimentResult
         # schema and the Figure-1/8 tables are keyed on the historical
         # bucket names

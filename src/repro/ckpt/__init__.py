@@ -12,17 +12,16 @@ parity).
 Layout:
 
 * :mod:`repro.ckpt.format` — the deterministic binary container
-  (magic + JSON header + raw arrays + sha256 trailer).
+  (magic + JSON header + raw arrays + sha256 trailer).  With an empty
+  array table it is also the ``repro.serve`` job journal
+  (:class:`repro.serve.queue.JobJournal`).  No cell result is kept
+  here: a campaign or served cell is durable in its result-cache entry.
 * :mod:`repro.ckpt.session` — capture/restore of the simulation state
   inventory.
 * :mod:`repro.ckpt.store` — snapshot directory naming and
   latest-valid selection (corrupt files are skipped, not fatal).
 * :mod:`repro.ckpt.hook` — :class:`CheckpointHook`, periodic snapshots
   through the pipeline's post-stage hook seam.
-* :mod:`repro.ckpt.recordlog` — :class:`RecordLog`, the one buffered,
-  checksummed, keyed record file (corrupt or torn ⇒ empty, best-effort
-  writes); the ``repro.serve`` job journal is its user.  A campaign
-  keeps no record here: its result cache is its resume log.
 * :mod:`repro.ckpt.faults` — the fault-injection harness (not
   re-exported here; it is a test utility surface, imported explicitly
   as ``repro.ckpt.faults``).
@@ -37,7 +36,6 @@ from repro.ckpt.format import (
     write_snapshot,
 )
 from repro.ckpt.hook import CheckpointHook
-from repro.ckpt.recordlog import RecordLog
 from repro.ckpt.session import (
     capture_state,
     restore_simulation,
@@ -60,7 +58,6 @@ __all__ = [
     "CorruptSnapshotError",
     "DEFAULT_CHECKPOINT_DIR",
     "LoadedSnapshot",
-    "RecordLog",
     "SNAPSHOT_VERSION",
     "SnapshotError",
     "SnapshotMismatchError",

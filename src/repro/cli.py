@@ -287,11 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=256, metavar="N",
                        help="bound of the in-memory cross-tenant result "
                             "memo (default: 256)")
-    serve.add_argument("--journal-every", type=_positive_int, default=1,
-                       metavar="N",
-                       help="rewrite the job journal every N records; "
-                            "submissions always flush before the 202 "
-                            "(default: 1)")
     serve.add_argument("--trace", action="store_true",
                        help="record repro.obs spans/events and forward "
                             "them on the SSE streams as 'trace' frames")
@@ -656,7 +651,6 @@ def cmd_serve(args, stdout=None) -> int:
         jobs=args.jobs,
         tenant_max_bytes=args.tenant_max_bytes,
         memo_entries=args.memo_entries,
-        journal_every=args.journal_every,
         trace=args.trace,
     )
     return run_server(config)

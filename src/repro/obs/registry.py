@@ -40,7 +40,7 @@ Counter-name vocabulary (dotted, lowercase):
 ``serve.jobs.accepted`` / ``.completed`` / ``.failed``
                                   campaign-service job lifecycle
 ``serve.cells.computed`` / ``.cache_hits`` / ``.inflight_hits`` /
-``.memo_hits`` / ``.journal_adopted``
+``.memo_hits``
                                   per-cell dedup provenance (repro.serve)
 ``serve.tenant.evictions`` / ``.evicted_bytes``
                                   tenant cache-budget LRU reclamation

@@ -14,16 +14,6 @@ from repro.obs.registry import MetricSet
 from repro.pic.grid import Grid
 from repro.pic.particles import ParticleContainer
 
-#: Stage names used by the simulation loop, in execution order.
-STAGES = (
-    "field_gather_push",
-    "boundary_redistribute",
-    "current_deposition",
-    "field_solve",
-    "other",
-)
-
-
 #: metric-name prefixes the breakdown stores its seconds under
 _BUCKET_PREFIX = "time.bucket."
 _STAGE_PREFIX = "time.stage."
@@ -44,7 +34,8 @@ class RuntimeBreakdown:
     Two granularities, kept in lockstep by the single recording path
     :meth:`record_stage`:
 
-    * ``seconds`` — the coarse *buckets* of :data:`STAGES`, the
+    * ``seconds`` — the coarse *buckets* named by the stages'
+      ``bucket`` attribute (:class:`~repro.pipeline.Stage`), the
       historical Figure-1 categories every table/figure formatter
       consumes.  Every second recorded lands in exactly one bucket.
     * ``stage_seconds`` — the fine-grained pipeline stages
@@ -77,7 +68,7 @@ class RuntimeBreakdown:
 
         Called by the pipeline's post-stage hook: ``stage`` is the
         pipeline stage name (``gather_push``, ``migrate``, ...), ``bucket``
-        the :data:`STAGES` category it rolls up into.
+        the stage's ``bucket`` attribute, the category it rolls up into.
         """
         seconds = float(seconds)
         self.metrics.add(_BUCKET_PREFIX + bucket, seconds)

@@ -19,9 +19,9 @@ to the pre-pipeline hand-wired loop for fields, J/rho and the energy
 history — across backends, shard counts and domain splits.
 
 A *stage* is any object with a unique ``name``, a ``bucket`` (the coarse
-:data:`repro.pic.diagnostics.STAGES` category its wall time rolls up
-into) and a ``run(session)`` method; no registration or base class is
-required (structural typing via :class:`Stage`).
+Figure-1 category its wall time rolls up into, e.g.
+``current_deposition``) and a ``run(session)`` method; no registration
+or base class is required (structural typing via :class:`Stage`).
 """
 
 from __future__ import annotations
@@ -55,9 +55,10 @@ class Stage(Protocol):
     """One named unit of the PIC step cycle.
 
     ``name`` must be unique within a pipeline; ``bucket`` names the
-    coarse :data:`repro.pic.diagnostics.STAGES` category the stage's wall
-    time is credited to; ``run`` performs the work, mutating the
-    session's state.
+    coarse Figure-1 category (``field_gather_push``,
+    ``boundary_redistribute``, ``current_deposition``, ``field_solve``)
+    the stage's wall time is credited to; ``run`` performs the work,
+    mutating the session's state.
 
     ``reads`` and ``writes`` declare the stage's *effects*: the
     :mod:`repro.pipeline.effects` resources it consumes and produces.

@@ -7,11 +7,11 @@ only — no framework, no new dependencies):
 * **submission** — ``POST /v1/jobs`` accepts the same workload x PPC x
   configuration grids as the campaign CLI and expands them through the
   identical defaulting path, so HTTP cells hash to the same cache keys,
-* **durability** — accepted jobs are journaled in a
-  :class:`repro.ckpt.recordlog.RecordLog` (the journal is its one user)
-  before the 202 goes out; a server killed mid-queue restarts without
-  losing or re-running accepted cells (:mod:`repro.serve.queue`), and a
-  completed cell is durable in the tenant's result cache,
+* **durability** — accepted jobs are journaled (request, status and
+  cell keys, :class:`repro.serve.queue.JobJournal`) before the 202 goes
+  out and again when they end; a completed cell is durable in one place,
+  the tenant's result cache, so a server killed mid-queue restarts
+  without losing or re-running accepted cells,
 * **deduplication** — each cell resolves through the tenant's on-disk
   cache, the in-flight table (one computation, many subscribers) and a
   bounded cross-tenant memo (:mod:`repro.serve.dedup`),

@@ -201,13 +201,6 @@ class CellResolver:
             self._store, tenant, key, spec_payload, payload)
         return payload, "computed"
 
-    def adopt(self, tenant: str, spec_payload: Mapping, key: str,
-              payload: Dict[str, object]) -> None:
-        """Feed an externally recovered result (a journaled cell from a
-        previous server life) into the memo and the tenant cache."""
-        self.memo.put(key, payload)
-        self._store(tenant, key, spec_payload, payload)
-
     def _store(self, tenant: str, key: str, spec_payload: Mapping,
                payload: Dict[str, object]) -> None:
         self.tenants.get(tenant).store(key, dict(spec_payload), payload)

@@ -8,12 +8,13 @@ as the CLI — same expansion, same ``cache_key()``, so HTTP submissions
 and CLI sweeps share campaign cache entries.
 
 Accepted jobs are durable before the ``202`` goes out: the
-:class:`JobJournal` persists every job (request, expanded cells,
-completed results) in a :class:`repro.ckpt.recordlog.RecordLog` — the
-checksummed, torn-write-tolerant record file, of which the journal is
-the one user — so a server killed mid-queue restarts, re-adopts the
-journal, requeues unfinished jobs and recomputes only the cells that
-never completed (no accepted cell is lost, none runs twice).
+:class:`JobJournal` (a checksummed, torn-write-tolerant file) records
+each job's request, status and cell keys, on acceptance and again when
+the job ends.  A cell's result is durable in one place only, the
+tenant's result cache under the cell's key.  So a server killed
+mid-queue restarts, restores finished jobs from the cache and re-expands
+unfinished ones on the running build, and computes only the cells the
+cache lacks (no accepted cell is lost, none runs twice).
 
 Cache misses execute on a :class:`WorkerPool`: a
 :class:`repro.exec.pool.SupervisedPool` (which owns worker death,
@@ -26,13 +27,16 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import logging
 import os
+import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.analysis.campaign import ExperimentSpec, spec_for_workload
-from repro.ckpt.recordlog import RecordLog
+from repro.ckpt.format import SnapshotError, read_snapshot, write_snapshot
 from repro.exec.pool import SupervisedPool
+from repro.obs.log import log_event
 from repro.obs.registry import NULL_TELEMETRY, Telemetry
 from repro.workloads import GRID_CHOICES, GRID_DEFAULTS, workload_for_family
 
@@ -44,6 +48,8 @@ __all__ = [
     "WorkerPool",
     "expand_request",
 ]
+
+logger = logging.getLogger(__name__)
 
 #: queue journal filename inside the service root directory
 QUEUE_FILENAME = "serve-queue.ckpt"
@@ -166,18 +172,29 @@ def expand_request(request: Mapping) -> List[ExperimentSpec]:
 
 @dataclass
 class JobCell:
-    """One expanded grid cell of a job, plus its resolution state."""
+    """One expanded grid cell of a job, plus its resolution state.
+
+    ``spec_payload`` is None only for a cell of a finished job whose
+    tenant-cache entry is gone: such a cell is never run again.
+    """
 
     index: int
-    spec_payload: Dict[str, Any]
     key: str
-    #: provenance once resolved: cache | inflight | memo | computed | journal
+    spec_payload: Optional[Dict[str, Any]] = None
+    #: provenance once resolved: cache | inflight | memo | computed
     source: Optional[str] = None
     result: Optional[Dict[str, Any]] = None
 
     @property
     def done(self) -> bool:
         return self.result is not None
+
+
+def expand_cells(request: Mapping) -> List[JobCell]:
+    """The cells of a submission on this build: specs and cache keys."""
+    return [JobCell(index=index, key=spec.cache_key(),
+                    spec_payload=spec.to_dict())
+            for index, spec in enumerate(expand_request(request))]
 
 
 @dataclass
@@ -208,37 +225,25 @@ class Job:
 
     # ------------------------------------------------------------------
     def to_journal(self) -> Dict[str, Any]:
-        """JSON-able journal record (full request + per-cell results)."""
+        """JSON-able journal record: the request and each cell's key.
+
+        A cell's spec and result live in the tenant cache under that key.
+        """
         return {
             "job_id": self.job_id,
             "tenant": self.tenant,
             "request": self.request,
             "status": self.status,
             "error": self.error,
-            "cells": [
-                {
-                    "index": cell.index,
-                    "spec": cell.spec_payload,
-                    "key": cell.key,
-                    "source": cell.source,
-                    "result": cell.result,
-                }
-                for cell in self.cells
-            ],
+            "cells": [{"index": cell.index, "key": cell.key}
+                      for cell in self.cells],
         }
 
     @classmethod
     def from_journal(cls, payload: Mapping) -> "Job":
-        cells = [
-            JobCell(
-                index=int(entry["index"]),
-                spec_payload=dict(entry["spec"]),
-                key=str(entry["key"]),
-                source=entry.get("source"),
-                result=entry.get("result"),
-            )
-            for entry in payload["cells"]
-        ]
+        """The job a record describes, its cells not yet resolved (the
+        ``spec``/``source``/``result`` that older records carry per cell
+        are ignored)."""
         status = str(payload.get("status", "queued"))
         if status not in JOB_STATES:
             status = "queued"
@@ -246,7 +251,8 @@ class Job:
             job_id=str(payload["job_id"]),
             tenant=str(payload["tenant"]),
             request=dict(payload.get("request", {})),
-            cells=cells,
+            cells=[JobCell(index=int(entry["index"]), key=str(entry["key"]))
+                   for entry in payload["cells"]],
             status=status,
             error=payload.get("error"),
         )
@@ -257,45 +263,98 @@ class Job:
 # ----------------------------------------------------------------------
 
 class JobJournal:
-    """Crash-durable record of every accepted job and its progress.
+    """Crash-durable record of every accepted job, rewritten whole.
 
-    One :class:`~repro.ckpt.recordlog.RecordLog` file holds the job-id
-    sequence counter plus each job's full record; ``record`` buffers an
-    upsert and rewrites the file every ``every`` records (``flush``
-    forces it).  The submission path flushes *before* acknowledging, so
-    an accepted job is on disk by the time the client sees its 202.
-    A corrupt or torn journal downgrades to "empty queue" with a logged
-    warning — the :class:`RecordLog` recovery contract.
+    The file is the checksummed, atomically and durably written
+    :mod:`repro.ckpt.format` container with an empty array table, meta
+    ``{"kind": "serve-queue", "version": 1, "next_seq": n,
+    "jobs": {job_id: record}}``.  ``record`` upserts one job and rewrites
+    the file every ``every`` records; ``flush`` forces the rewrite and is
+    a no-op when nothing changed.  The service writes a job twice: on
+    acceptance, before the 202, and when it reaches a terminal state.
+
+    A missing file is an empty journal.  A corrupt, torn or foreign one
+    (wrong ``kind``/``version``) is an empty journal plus a
+    ``serve.journal_unusable`` event, and an unwritable directory is a
+    ``serve.journal_write_failed`` event: durability degrades, the jobs
+    themselves never fail.  Writes from several threads are serialised.
     """
 
     def __init__(self, directory: str, every: int = 1,
                  obs: Telemetry = NULL_TELEMETRY) -> None:
+        if every < 1:
+            raise ValueError(f"every must be >= 1, got {every}")
         self.path = os.path.join(str(directory), QUEUE_FILENAME)
-        self._log = RecordLog(self.path, kind=_QUEUE_KIND, field="jobs",
-                              version=_QUEUE_VERSION, every=every, obs=obs)
-        self._log.extra["next_seq"] = 1
+        self.every = int(every)
+        self.obs = obs
+        self.jobs: Dict[str, Dict[str, Any]] = {}
+        self.next_seq = 1
+        self._pending = 0
+        self._dirty = False
+        self._lock = threading.Lock()
 
     def load(self) -> Dict[str, Dict[str, Any]]:
         """Adopt the on-disk journal; returns ``{job_id: record}``."""
-        return self._log.load()
+        try:
+            meta, _arrays = read_snapshot(self.path)
+        except FileNotFoundError:
+            return {}
+        except (SnapshotError, OSError) as exc:
+            self._unusable(exc)
+            return {}
+        jobs = meta.get("jobs")
+        if (meta.get("kind") != _QUEUE_KIND
+                or meta.get("version") != _QUEUE_VERSION
+                or not isinstance(jobs, dict)):
+            self._unusable("not a job journal")
+            return {}
+        self.jobs = dict(jobs)
+        self.next_seq = meta.get("next_seq", 1)
+        return dict(self.jobs)
 
     def new_job_id(self) -> str:
         """The next job id; the counter itself is journaled, so ids are
         never reused across restarts."""
-        seq = max(int(self._log.extra["next_seq"]), 1)
-        self._log.extra["next_seq"] = seq + 1
-        self._log.touch()
+        with self._lock:
+            seq = max(int(self.next_seq), 1)
+            self.next_seq = seq + 1
+            self._dirty = True
         return f"job-{seq:06d}"
 
     def record(self, job_payload: Mapping) -> None:
         """Buffer one job upsert; rewrites the file on the interval."""
-        self._log.put(str(job_payload["job_id"]), dict(job_payload))
+        with self._lock:
+            self.jobs[str(job_payload["job_id"])] = dict(job_payload)
+            self._pending += 1
+            self._dirty = True
+            if self._pending >= self.every:
+                self._write()
 
     def flush(self) -> None:
-        """Atomically rewrite the journal if anything is buffered
-        (best-effort: an unwritable directory is a logged warning, it
-        never fails the job itself)."""
-        self._log.flush()
+        """Atomically rewrite the journal if anything is buffered."""
+        with self._lock:
+            if self._dirty:
+                self._write()
+
+    def _write(self) -> None:
+        meta = {"kind": _QUEUE_KIND, "version": _QUEUE_VERSION,
+                "next_seq": self.next_seq, "jobs": self.jobs}
+        try:
+            write_snapshot(self.path, meta, {})
+        except OSError as exc:
+            log_event(
+                "serve.journal_write_failed",
+                "could not write job journal %s: %s", self.path, exc,
+                logger=logger, obs=self.obs)
+            return
+        self._dirty = False
+        self._pending = 0
+
+    def _unusable(self, reason: object) -> None:
+        log_event(
+            "serve.journal_unusable",
+            "ignoring unusable job journal %s: %s", self.path, reason,
+            logger=logger, obs=self.obs)
 
 
 # ----------------------------------------------------------------------

@@ -4,13 +4,15 @@
 durable :class:`~repro.serve.queue.JobJournal`, the
 :class:`~repro.serve.queue.WorkerPool` and the
 :class:`~repro.serve.dedup.CellResolver`, and drives each accepted job
-cell-by-cell, journaling every completion and publishing SSE frames to
-the job's :class:`~repro.serve.sse.EventBroker`.  On start-up it
-re-adopts the journal: finished jobs come back queryable, unfinished
-jobs requeue with their already-completed cells adopted as
-``source="journal"`` (``serve.cells.journal_adopted``) so only the
-missing cells compute — the restart-mid-queue contract the acceptance
-test pins.
+cell-by-cell, publishing SSE frames to the job's
+:class:`~repro.serve.sse.EventBroker`.  The journal records a job on
+acceptance and when it ends; a cell's result lives in the tenant cache
+only.  On start-up a finished job gets its cells back from the tenant
+cache by journaled key (``source="cache"``); an unfinished job, or a
+finished one whose cache entries were evicted, is re-expanded from its
+request on the running build and requeued, so only cells the cache
+lacks compute — the restart-mid-queue contract the acceptance test
+pins.
 
 The service builds its own :class:`~repro.obs.registry.Telemetry` and
 hands it to everything it owns (tenant caches, journal, pool, resolver);
@@ -65,7 +67,7 @@ from repro.serve.queue import (
     JobCell,
     JobJournal,
     WorkerPool,
-    expand_request,
+    expand_cells,
 )
 from repro.serve.sse import EventBroker
 from repro.serve.tenants import TenantManager, TenantNameError
@@ -105,8 +107,6 @@ class ServeConfig:
     tenant_max_bytes: Optional[int] = None
     #: bound of the cross-tenant in-memory result memo
     memo_entries: int = 256
-    #: journal rewrite interval in records (submissions always flush)
-    journal_every: int = 1
     #: record spans/events and forward them over SSE ``trace`` frames
     trace: bool = False
 
@@ -122,8 +122,7 @@ class JobService:
             os.path.join(config.root, "tenants"),
             max_bytes_per_tenant=config.tenant_max_bytes,
             obs=self.obs)
-        self.journal = JobJournal(config.root, every=config.journal_every,
-                                  obs=self.obs)
+        self.journal = JobJournal(config.root, obs=self.obs)
         self.pool = WorkerPool(config.jobs, task_fn=task_fn, obs=self.obs)
         self.resolver = CellResolver(self.tenants, self.pool, self.obs,
                                      memo_entries=config.memo_entries)
@@ -137,11 +136,12 @@ class JobService:
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Adopt the journal and requeue every unfinished job."""
+        """Adopt the journal: restore finished jobs, requeue the rest."""
         records = await asyncio.to_thread(self.journal.load)
         for job_id in sorted(records):
             try:
-                job = Job.from_journal(records[job_id])
+                job = await asyncio.to_thread(
+                    self._recover, records[job_id])
             except (KeyError, TypeError, ValueError) as exc:
                 log_event(
                     "serve.journal_job_malformed",
@@ -151,22 +151,39 @@ class JobService:
             self.jobs[job.job_id] = job
             broker = self._broker(job.job_id)
             self._publish_job(job, broker)
-            for cell in job.cells:
-                if cell.done:
-                    # completed before the restart: feed the memo and the
-                    # tenant cache so dedup sees it, re-emit its frame
-                    cell.source = "journal"
-                    await asyncio.to_thread(
-                        self.resolver.adopt, job.tenant, cell.spec_payload,
-                        cell.key, cell.result)
-                    self.obs.count("serve.cells.journal_adopted")
-                    self._publish_cell(job, cell, broker)
-            if job.status in ("completed", "failed"):
-                self._publish_done(job, broker)
-            else:
-                job.status = "queued"
+            if job.status == "queued":
                 self._tasks[job.job_id] = asyncio.get_running_loop() \
                     .create_task(self._run_job(job))
+                continue
+            for cell in job.cells:
+                if cell.done:
+                    self._publish_cell(job, cell, broker)
+            self._publish_done(job, broker)
+
+    def _recover(self, record: Dict[str, Any]) -> Job:
+        """The job a journal record describes, as this life resumes it.
+
+        A finished job's cells come back from the tenant cache by
+        journaled key.  An unfinished job, or a completed one missing a
+        cache entry, is re-expanded from its request on the running
+        build and queued: its keys name this build, and only cells the
+        cache lacks will compute.
+        """
+        job = Job.from_journal(record)
+        cache = self.tenants.get(job.tenant).cache
+        if job.status in ("completed", "failed"):
+            for cell in job.cells:
+                entry = cache.get(cell.key)
+                if entry is not None and isinstance(entry.get("result"),
+                                                    dict):
+                    cell.spec_payload = entry.get("spec")
+                    cell.result = entry["result"]
+                    cell.source = "cache"
+            if job.status == "failed" or all(c.done for c in job.cells):
+                return job
+        job.cells = expand_cells(job.request)
+        job.status = "queued"
+        return job
 
     async def wait(self) -> None:
         """Block until every queued/running job reaches a terminal state."""
@@ -190,23 +207,13 @@ class JobService:
         malformed submission (the HTTP layer maps both to 400).
         """
         tenant = self.tenants.get(request.get("tenant")).name
-        specs = await asyncio.to_thread(expand_request, request)
-        keys = await asyncio.to_thread(
-            lambda: [spec.cache_key() for spec in specs])
-        job = Job(
-            job_id=self.journal.new_job_id(),
-            tenant=tenant,
-            request=dict(request),
-            cells=[
-                JobCell(index=index, spec_payload=spec.to_dict(), key=key)
-                for index, (spec, key) in enumerate(zip(specs, keys))
-            ],
-        )
+        cells = await asyncio.to_thread(expand_cells, request)
+        job = Job(job_id=self.journal.new_job_id(), tenant=tenant,
+                  request=dict(request), cells=cells)
         self.jobs[job.job_id] = job
-        self.journal.record(job.to_journal())
         # durability before acknowledgement: the 202 must imply the job
         # survives a SIGKILL'd server
-        await asyncio.to_thread(self.journal.flush)
+        await asyncio.to_thread(self._journal, job)
         self.obs.count("serve.jobs.accepted")
         broker = self._broker(job.job_id)
         self._publish_job(job, broker)
@@ -223,17 +230,11 @@ class JobService:
         self._publish_job(job, broker)
         try:
             for cell in job.cells:
-                if cell.done:
-                    continue
                 with self.obs.span("serve.cell", cat="serve",
                                    args={"job": job.job_id,
                                          "index": cell.index}):
-                    payload, source = await self.resolver.resolve(
+                    cell.result, cell.source = await self.resolver.resolve(
                         job.tenant, cell.spec_payload, cell.key)
-                cell.result = payload
-                cell.source = source
-                await asyncio.to_thread(
-                    self.journal.record, job.to_journal())
                 self._publish_cell(job, cell, broker)
         except Exception as exc:
             job.status = "failed"
@@ -246,10 +247,10 @@ class JobService:
         else:
             job.status = "completed"
             self.obs.count("serve.jobs.completed")
-        await asyncio.to_thread(self._journal_final, job)
+        await asyncio.to_thread(self._journal, job)
         self._publish_done(job, broker)
 
-    def _journal_final(self, job: Job) -> None:
+    def _journal(self, job: Job) -> None:
         self.journal.record(job.to_journal())
         self.journal.flush()
 

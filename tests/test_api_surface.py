@@ -33,7 +33,6 @@ API_SURFACE = {
         "CorruptSnapshotError",
         "DEFAULT_CHECKPOINT_DIR",
         "LoadedSnapshot",
-        "RecordLog",
         "SNAPSHOT_VERSION",
         "SnapshotError",
         "SnapshotMismatchError",

@@ -3,8 +3,9 @@ fan-out rule, one numerical extension point, one grid schema, one atomic
 writer, no ambient run state — no re-growth.
 
 Pool supervision (anything that has to know ``BrokenProcessPool``) lives
-in ``repro/exec/pool.py``, record files (``write_snapshot`` with an
-empty array table) in ``repro/ckpt/recordlog.py``, and the decision
+in ``repro/exec/pool.py``, the one record file (``write_snapshot`` with
+an empty array table, the job journal) in ``repro/serve/queue.py``, and
+the decision
 whether and how to shard per-tile work (``executor.partition``,
 ``is_trivial``, ``TileTask``) in ``repro/exec/``.  A second
 implementation of any of them starts by naming one of those things, so
@@ -53,7 +54,8 @@ temporaries and a sharded deposit's task builds its own scratch grid, so
 
 A campaign cell has one durable record, its result-cache entry: a killed
 sweep resumes by re-running on the same cache, so the campaign keeps no
-progress file and the job journal is the one ``RecordLog``.
+progress file.  A served cell has the same one record: the job journal
+holds jobs and cell keys, never a cell's spec or result.
 
 ``src/`` holds only what an entry point reaches: oracles and helpers that
 only tests call live under ``tests/``.
@@ -111,6 +113,12 @@ def names_in(tree):
     return {name_of(node) for node in ast.walk(tree)} - {None}
 
 
+def defined_names(tree):
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))}
+
+
 def writes_record_file(call):
     """``write_snapshot(path, meta, {})`` — a snapshot with no arrays."""
     func = call.func
@@ -129,11 +137,11 @@ def test_only_the_supervised_pool_knows_broken_process_pool():
     assert users == ["ckpt/faults.py", "exec/pool.py"]
 
 
-def test_only_the_record_log_writes_array_less_snapshots():
+def test_only_the_job_journal_writes_array_less_snapshots():
     users = sorted({
         path for path, tree in source_trees() for node in ast.walk(tree)
         if isinstance(node, ast.Call) and writes_record_file(node)})
-    assert users == ["ckpt/recordlog.py"]
+    assert users == ["serve/queue.py"]
 
 
 def functions_naming(name):
@@ -597,11 +605,19 @@ def test_a_campaign_cell_has_one_durable_record():
         if isinstance(node, (ast.arg, ast.keyword))}
     assert identifiers & {"CampaignProgress", "checkpoint_dir", "resume"} \
         == set()
-    # ... and the job journal is the one record log
-    assert sorted({path for path, tree in trees.items()
-                   for node in ast.walk(tree) if isinstance(node, ast.Call)
-                   and name_of(node.func) == "RecordLog"}) == [
-        "serve/queue.py"]
+    # ... and a served cell neither: the journal's record log is folded
+    # into the journal, which keeps each cell's key only
+    assert not os.path.exists(os.path.join(SRC, "ckpt", "recordlog.py"))
+    assert [path for path, tree in trees.items()
+            if (names_in(tree) | defined_names(tree))
+            & {"RecordLog", "adopt", "journal_every"}] == []
+    to_journal = next(
+        node for node in ast.walk(trees["serve/queue.py"])
+        if isinstance(node, ast.FunctionDef) and node.name == "to_journal")
+    assert {key.value for node in ast.walk(to_journal)
+            if isinstance(node, ast.Dict) for key in node.keys} == {
+        "job_id", "tenant", "request", "status", "error", "cells",
+        "index", "key"}
 
 
 def test_no_process_wide_scratch_pools():

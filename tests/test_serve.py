@@ -17,14 +17,12 @@ from repro.ckpt.faults import (
     SPEC_KILL_MARKER_ENV,
     BrokenPoolOnce,
     KillSwitch,
-    flip_byte,
 )
 from repro.exec.pool import make_process_pool
 from repro.obs import ObsConfig, Telemetry
 from repro.serve import (
     CampaignServer,
     EventBroker,
-    JobJournal,
     JobService,
     ResultMemo,
     ServeConfig,
@@ -36,8 +34,6 @@ from repro.serve import (
     validate_tenant_name,
 )
 from repro.workloads.uniform import UniformPlasmaWorkload
-
-from helpers import log_events
 
 #: the 2-cell grid most service tests submit (tiny but a real simulation)
 GRID = {
@@ -336,39 +332,6 @@ class TestWorkerPool:
 
 
 # ----------------------------------------------------------------------
-# Job journal
-# ----------------------------------------------------------------------
-
-class TestJobJournal:
-    def test_round_trip_and_id_sequence(self, tmp_path):
-        journal = JobJournal(str(tmp_path))
-        assert journal.load() == {}
-        first = journal.new_job_id()
-        journal.record({"job_id": first, "status": "queued"})
-        assert first == "job-000001"
-
-        reloaded = JobJournal(str(tmp_path))
-        records = reloaded.load()
-        assert records[first]["status"] == "queued"
-        # the sequence counter survives: ids are never reused
-        assert reloaded.new_job_id() == "job-000002"
-
-    def test_corrupt_journal_degrades_to_empty(self, tmp_path):
-        journal = JobJournal(str(tmp_path))
-        journal.new_job_id()
-        journal.record({"job_id": "job-000001", "status": "queued"})
-        flip_byte(journal.path)
-        obs = Telemetry(ObsConfig(trace=True))
-        assert JobJournal(str(tmp_path), obs=obs).load() == {}
-        (event,) = log_events(obs, "recordlog.unusable")
-        assert event["kind"] == "serve-queue"
-
-    def test_rejects_nonpositive_interval(self, tmp_path):
-        with pytest.raises(ValueError):
-            JobJournal(str(tmp_path), every=0)
-
-
-# ----------------------------------------------------------------------
 # Service: dedup, parity, restart, worker faults
 # ----------------------------------------------------------------------
 
@@ -459,15 +422,16 @@ class TestJobService:
         asyncio.run(second_life())
         rerun = service2.jobs[accepted.job_id]
         assert rerun.status == "completed"
-        # the cell the first life completed replays from the adopted
-        # journal/cache; only the genuinely new cell computes
+        # the cell the first life completed is a cache hit; only the
+        # genuinely new cell computes
         assert service2.obs.metrics.get("serve.cells.computed") == 1
-        assert service2.obs.metrics.get("serve.cells.journal_adopted") == 1
         sources = [cell.source for cell in rerun.cells]
         assert sorted(sources) == ["cache", "computed"]
-        # the finished job is intact and queryable after the restart
+        # the finished job is restored from the cache, intact and
+        # queryable after the restart
         replayed = service2.jobs[done.job_id]
         assert replayed.status == "completed"
+        assert [c.source for c in replayed.cells] == ["cache"]
         assert [canonical_json(c.result) for c in replayed.cells] \
             == [canonical_json(c.result) for c in done.cells]
         # results match the offline campaign's reproducible fields
