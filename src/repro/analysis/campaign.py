@@ -68,18 +68,6 @@ def build_workload(kind: str, params: Mapping):
             f"{sorted(FAMILIES)}"
         )
     kwargs = dict(params)
-    # payloads journaled by builds whose workloads still carried an
-    # (unread) sorting policy; the real one travels in the spec
-    kwargs.pop("sorting", None)
-    # ... or a kernel-tier request, dropped: the tier is the machine's;
-    # those journaled while an array backend seam existed carry its one
-    # legal value
-    value = dict(kwargs.pop("backend", None) or {})
-    legacy = value.pop("array_backend", "numpy")
-    if legacy != "numpy":
-        raise ValueError(
-            f"workload_params['backend'] selects array backend "
-            f"{legacy!r}; bulk math is plain NumPy")
     # nested config dataclasses arrive as plain dicts after a JSON round
     # trip; rebuild them from the declared field types
     from repro.config import ExecutionConfig

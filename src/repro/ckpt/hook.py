@@ -8,7 +8,7 @@ fully executed steps.
 
 Like every shipped stage, the hook declares its ``reads``/``writes``
 effect sets against the :mod:`repro.pipeline.effects` vocabulary so the
-effect checkers (and ``python -m repro lint``) can reason about it: a
+effect checkers (and the ``stage-effects`` rule) can reason about it: a
 checkpoint reads essentially the whole simulation state and writes
 none of it.
 """

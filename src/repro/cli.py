@@ -292,26 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "them on the SSE streams as 'trace' frames")
     serve.set_defaults(func=cmd_serve)
 
-    lint = subparsers.add_parser(
-        "lint",
-        help="run the repository's static invariant checkers",
-        description="AST/introspection analyzers enforcing the backend, "
-                    "determinism, stage-effect, spec-purity and "
-                    "API-surface contracts; exits 1 on any finding.",
-    )
-    lint.add_argument("--format", choices=("table", "json"),
-                      default="table",
-                      help="output format (default: table)")
-    lint.add_argument("--rules", type=_comma_list, default=None,
-                      metavar="RULE[,RULE...]",
-                      help="run only these analyzers (default: all)")
-    lint.add_argument("--root", default=None,
-                      help="repository root to scan (default: "
-                           "autodetected from the installed package)")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="list the registered analyzers and exit")
-    lint.set_defaults(func=cmd_lint)
-
     trace = subparsers.add_parser(
         "trace",
         help="inspect trace files recorded with --trace",
@@ -654,27 +634,6 @@ def cmd_serve(args, stdout=None) -> int:
         trace=args.trace,
     )
     return run_server(config)
-
-
-def cmd_lint(args, stdout=None) -> int:
-    """Entry point of the ``lint`` subcommand."""
-    from pathlib import Path
-
-    from repro.tools import analyzer_names, format_findings, run_lint
-
-    stdout = stdout if stdout is not None else sys.stdout
-    if args.list_rules:
-        for name in analyzer_names():
-            print(name, file=stdout)
-        return 0
-    root = Path(args.root) if args.root is not None else None
-    try:
-        findings = run_lint(root=root, rules=args.rules)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(format_findings(findings, fmt=args.format), file=stdout)
-    return 1 if findings else 0
 
 
 def cmd_trace_summarize(args, stdout=None) -> int:

@@ -15,7 +15,7 @@ Public surface
   :data:`~repro.pipeline.effects.RESOURCES` vocabulary, per-stage
   ``reads``/``writes`` declarations and the static write-after-read
   hazard checker :func:`~repro.pipeline.effects.check_stage_set`
-  (enforced over the built stage list by ``python -m repro lint``).
+  (run over the built stage list by ``tests/test_static_rules.py``).
 
 The bitwise contract of the old hand-wired loops carries over unchanged:
 pipeline-routed steps are bit-identical to the pre-redesign paths for

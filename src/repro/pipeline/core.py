@@ -64,8 +64,9 @@ class Stage(Protocol):
     :mod:`repro.pipeline.effects` resources it consumes and produces.
     The declarations are the input to the static write-after-read hazard
     checker (:func:`repro.pipeline.effects.check_stage_set`) and are
-    verified complete against the ``run`` body by ``python -m repro
-    lint`` — every shipped stage must carry them.
+    verified complete against the ``run`` body by the ``stage-effects``
+    rule of ``tests/test_static_rules.py`` — every shipped stage must
+    carry them.
     """
 
     name: str

@@ -5,11 +5,11 @@ Every shipped pipeline stage declares the *resources* it ``reads`` and
 :data:`RESOURCES`).  The declarations are a machine-checked contract,
 enforced in two layers:
 
-* ``python -m repro lint`` (the ``stage-effects`` analyzer in
-  :mod:`repro.tools`) AST-scans each stage's ``run`` method for
-  attribute accesses on the :class:`~repro.api.Session` it is handed and
-  verifies the declarations are *complete*: every session attribute the
-  body touches must be the root of at least one declared resource;
+* the ``stage-effects`` rule of ``tests/test_static_rules.py``
+  AST-scans each stage's ``run`` method for attribute accesses on the
+  :class:`~repro.api.Session` it is handed and verifies the
+  declarations are *complete*: every session attribute the body
+  touches must be the root of at least one declared resource;
 * :func:`check_stage_set` replays the built stage list against the
   declarations and reports **write-after-read ordering hazards**: a
   stage that consumes a resource before any same-step producer has run

@@ -106,16 +106,6 @@ API_SURFACE = {
         "run_server",
         "validate_tenant_name",
     ),
-    "repro.tools": (
-        "ANALYZERS",
-        "Finding",
-        "LintContext",
-        "PragmaError",
-        "SourceFile",
-        "analyzer_names",
-        "format_findings",
-        "run_lint",
-    ),
 }
 
 #: names the package root re-exports for the one-import experience

@@ -10,7 +10,6 @@ from repro.analysis.cache import ResultCache, canonical_json, content_key
 from repro.analysis.campaign import (
     Campaign,
     ExperimentSpec,
-    build_workload,
     run_spec,
     spec_for_workload,
 )
@@ -63,28 +62,13 @@ class TestExperimentSpec:
         for cls in (UniformPlasmaWorkload, LWFAWorkload):
             with pytest.raises(TypeError, match="sorting"):
                 cls(sorting=SortingPolicyConfig(sort_interval=20))
-        # ... and a payload journaled while the field existed still
-        # rebuilds the workload it described
-        workload = tiny_workload(seed=7)
-        params = dict(spec_for_workload(workload, "Baseline").workload_params)
-        params["sorting"] = {"sort_interval": 50, "min_sort_interval": 10}
-        assert build_workload("uniform", params) == workload
 
     def test_workloads_take_no_kernel_tier(self):
         """The tier is the machine's (``REPRO_KERNEL_TIER``): no workload
-        carries a request, and a payload journaled while one did still
-        rebuilds the workload it described."""
+        carries a request."""
         for cls in (UniformPlasmaWorkload, LWFAWorkload):
             with pytest.raises(TypeError, match="backend"):
                 cls(backend={"kernel_tier": "oracle"})
-        workload = tiny_workload(seed=7)
-        params = dict(spec_for_workload(workload, "Baseline").workload_params)
-        params["backend"] = {"array_backend": "numpy", "kernel_tier": "oracle"}
-        assert build_workload("uniform", params) == workload
-        # ... except one naming an array backend other than NumPy
-        params["backend"] = {"array_backend": "cupy", "kernel_tier": "oracle"}
-        with pytest.raises(ValueError, match="cupy"):
-            build_workload("uniform", params)
 
     def test_build_workload_reconstructs_equal_builder(self):
         workload = tiny_workload(seed=7)

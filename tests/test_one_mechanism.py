@@ -58,7 +58,10 @@ progress file.  A served cell has the same one record: the job journal
 holds jobs and cell keys, never a cell's spec or result.
 
 ``src/`` holds only what an entry point reaches: oracles and helpers that
-only tests call live under ``tests/``.
+only tests call live under ``tests/``.  So do the static rules: they are
+tier-1 tests in ``tests/test_static_rules.py``, sharing this file's AST
+helpers (``tests/ast_helpers.py``), with no linter, subcommand or
+suppression pragma in ``src/``.
 """
 
 from __future__ import annotations
@@ -71,7 +74,6 @@ import re
 
 import pytest
 
-import repro
 from repro import workloads
 from repro.backend import KERNEL_TIERS, BackendConfig, activate
 from repro.ckpt import capture_state
@@ -80,43 +82,17 @@ from repro.pic.deposition import DepositionKernel
 from repro.pipeline import DepositStage, check_stage_set, global_stages
 from repro.serve import expand_request
 
-SRC = os.path.dirname(os.path.abspath(repro.__file__))
+from ast_helpers import (
+    SRC,
+    defined_names,
+    name_of,
+    names_in,
+    python_files,
+    source_texts,
+    source_trees,
+)
+
 BENCH = os.path.join(os.path.dirname(os.path.dirname(SRC)), "bench")
-
-
-def source_texts():
-    for directory, _subdirs, files in os.walk(SRC):
-        for name in sorted(files):
-            if name.endswith(".py"):
-                path = os.path.join(directory, name)
-                with open(path, "r", encoding="utf-8") as stream:
-                    text = stream.read()
-                yield os.path.relpath(path, SRC).replace(os.sep, "/"), text
-
-
-def source_trees():
-    for path, text in source_texts():
-        yield path, ast.parse(text, filename=path)
-
-
-def name_of(node):
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.alias):
-        return node.name.rsplit(".", 1)[-1]
-    return None
-
-
-def names_in(tree):
-    return {name_of(node) for node in ast.walk(tree)} - {None}
-
-
-def defined_names(tree):
-    return {node.name for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))}
 
 
 def writes_record_file(call):
@@ -323,10 +299,7 @@ def test_the_array_backend_seam_is_gone():
     users = [(path, line.strip()) for path, text in source_texts()
              for line in text.splitlines()
              if any(name in line for name in retired)]
-    # the one survivor reads the key out of spec payloads journaled by
-    # builds that still had the seam
-    assert users == [("analysis/campaign.py",
-                      'legacy = value.pop("array_backend", "numpy")')]
+    assert users == []
 
 
 def test_no_ambient_run_state():
@@ -675,14 +648,6 @@ _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _python_files(root):
-    for directory, subdirs, files in os.walk(root):
-        subdirs[:] = sorted(name for name in subdirs if name != "__pycache__")
-        for name in sorted(files):
-            if name.endswith(".py"):
-                yield os.path.join(directory, name)
-
-
 def _re_exports(path, tree):
     """Line numbers of an ``__init__.py``'s imports and ``__all__``."""
     if os.path.basename(path) != "__init__.py":
@@ -709,7 +674,7 @@ def unreached_definitions(src, *users):
     """
     words, sites, public = collections.Counter(), collections.Counter(), []
     for root in (src, *users):
-        for path in _python_files(root):
+        for path in python_files(root):
             with open(path, "r", encoding="utf-8") as stream:
                 text = stream.read()
             tree = ast.parse(text, filename=path)
@@ -753,6 +718,17 @@ def test_src_is_what_an_entry_point_reaches():
     assert not stale, (
         "ALLOWLIST entries that are gone or have a user now; delete them: "
         + ", ".join(stale))
+
+
+def test_the_static_rules_live_under_tests():
+    # the linter package, its subcommand and its suppression pragma are
+    # gone; the rules are tests/test_static_rules.py
+    assert not os.path.exists(os.path.join(SRC, "tools"))
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(["lint"])
+    assert exit_info.value.code == 2
+    assert [path for path, text in source_texts()
+            if "repro-lint" in text] == []
 
 
 @pytest.mark.parametrize("files, unreached", [
