@@ -720,13 +720,19 @@ def test_src_is_what_an_entry_point_reaches():
         + ", ".join(stale))
 
 
+# the linter package, its subcommand and its suppression pragma are
+# gone; the rules are tests/test_static_rules.py
 def test_the_static_rules_live_under_tests():
-    # the linter package, its subcommand and its suppression pragma are
-    # gone; the rules are tests/test_static_rules.py
     assert not os.path.exists(os.path.join(SRC, "tools"))
+
+
+def test_there_is_no_lint_subcommand():
     with pytest.raises(SystemExit) as exit_info:
         build_parser().parse_args(["lint"])
     assert exit_info.value.code == 2
+
+
+def test_no_src_module_carries_a_lint_pragma():
     assert [path for path, text in source_texts()
             if "repro-lint" in text] == []
 

@@ -385,6 +385,41 @@ class TestBackendPurity:
         """})
         assert len(check_backend_purity(root)) == 2
 
+    def test_near_miss_reduceat_and_non_numpy_at_pass(self, tmp_path):
+        root = write_tree(tmp_path, {"pic/mod.py": """
+            import numpy as np
+
+            def f(acc, ids, vals, frame):
+                frame.add.at(acc, ids, vals)
+                return np.add.reduceat(vals, ids), np.bincount(ids, vals)
+        """})
+        assert check_backend_purity(root) == []
+
+    # the former ``# repro-lint: allow(...)`` exceptions are plain comments
+    # now: a module that needs np.<ufunc>.at is a test oracle
+    def test_line_pragma_no_longer_suppresses(self, tmp_path):
+        root = write_tree(tmp_path, {"pic/mod.py": """
+            import numpy as np
+
+            def scatter(acc, ids, vals):
+                # repro-lint: allow(backend-purity): oracle the engine is pinned against
+                np.add.at(acc, ids, vals)
+        """})
+        assert len(check_backend_purity(root)) == 1
+
+    def test_module_pragma_no_longer_suppresses(self, tmp_path):
+        root = write_tree(tmp_path, {"backend/oracle.py": """
+            # repro-lint: allow-module(backend-purity): reference tier
+            import numpy as np
+
+            def a(acc, ids, vals):
+                np.add.at(acc, ids, vals)
+
+            def b(acc, ids, vals):
+                np.maximum.at(acc, ids, vals)
+        """})
+        assert len(check_backend_purity(root)) == 2
+
 
 # ----------------------------------------------------------------------
 # determinism
@@ -646,14 +681,99 @@ class TestSpecPurity:
 
 
 # ----------------------------------------------------------------------
+# the rule set
+# ----------------------------------------------------------------------
+
+class TestRuleSet:
+    def test_the_four_rules(self):
+        assert list(RULES) == [
+            "backend-purity", "determinism", "stage-effects", "spec-purity"]
+
+    @pytest.mark.parametrize("rule", ["backend-purity", "determinism"])
+    def test_an_unparseable_module_is_not_skipped(self, tmp_path, rule):
+        root = write_tree(tmp_path, {"pic/mod.py": "def broken(:\n"})
+        with pytest.raises(SyntaxError):
+            RULES[rule](root)
+
+    def test_findings_come_in_path_order(self, tmp_path):
+        scatter = """
+            import numpy as np
+
+            def f(acc, ids, vals):
+                np.add.at(acc, ids, vals)
+        """
+        root = write_tree(tmp_path, {"pic/mod.py": scatter,
+                                     "analysis/mod.py": scatter})
+        assert [finding.split(": ", 1)[0]
+                for finding in check_backend_purity(root)] == [
+            "analysis/mod.py:5", "pic/mod.py:5"]
+
+
+# ----------------------------------------------------------------------
 # the repository check (one test per rule) + external toolchain
 # ----------------------------------------------------------------------
+
+def plant_in_src(tmp_path, monkeypatch, statement):
+    """A copy of ``src/repro`` whose pic/gather.py ends in ``statement``."""
+    root = tmp_path / "repro"
+    shutil.copytree(SRC, root, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(root / "pic" / "gather.py", "a", encoding="utf-8") as stream:
+        stream.write(f"\n\ndef planted(acc, ids, vals):\n    {statement}\n")
+    return str(root), "pic/gather.py"
+
+
+def plant_undeclared_session_read(tmp_path, monkeypatch):
+    from repro.pic.laser import LaserStage
+
+    class PlantedLaserStage(LaserStage):
+        def run(self, session):
+            session.rng.random()
+            super().run(session)
+
+    shipped = builder.global_stages()
+    monkeypatch.setattr(builder, "global_stages", lambda: [
+        PlantedLaserStage() if isinstance(stage, LaserStage) else stage
+        for stage in shipped])
+    return SRC, "PlantedLaserStage.run accesses session.rng"
+
+
+def plant_any_workload_field(tmp_path, monkeypatch):
+    family = FAMILIES["uniform"]
+
+    @dataclasses.dataclass
+    class PlantedWorkload(family["builder"]):
+        payload: Any = None
+
+    monkeypatch.setitem(FAMILIES, "uniform",
+                        {**family, "builder": PlantedWorkload})
+    return SRC, "PlantedWorkload.payload"
+
+
+#: rule -> plant(tmp_path, monkeypatch) -> (root, text of the finding)
+PLANTED = {
+    "backend-purity": lambda *args: plant_in_src(
+        *args, "np.add.at(acc, ids, vals)"),
+    "determinism": lambda *args: plant_in_src(*args, "np.random.seed(0)"),
+    "stage-effects": plant_undeclared_session_read,
+    "spec-purity": plant_any_workload_field,
+}
+
 
 class TestRepositoryIsClean:
     @pytest.mark.parametrize("rule", sorted(RULES))
     def test_src_obeys(self, rule):
         findings = RULES[rule](SRC)
         assert findings == [], f"{rule}:\n" + "\n".join(findings)
+
+    @pytest.mark.parametrize("rule", sorted(RULES))
+    def test_a_planted_violation_fails_the_src_check(
+            self, tmp_path, monkeypatch, rule):
+        # the repository check is not vacuous: one violation of its rule
+        # planted in (a copy of) src/ is exactly what it reports
+        root, expected = PLANTED[rule](tmp_path, monkeypatch)
+        findings = RULES[rule](root)
+        assert len(findings) == 1, findings
+        assert expected in findings[0]
 
     @pytest.mark.skipif(shutil.which("ruff") is None,
                         reason="ruff not installed (CI-only toolchain)")
