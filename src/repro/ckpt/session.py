@@ -211,7 +211,7 @@ def restore_state(simulation: "Session", meta: Dict[str, Any],
                 else:
                     setattr(tile, name, chunk)
         for tile in tiles:
-            tile.sorter = None  # any attached GPMA predates the snapshot
+            tile.drop_sort_state()  # any sort state predates the snapshot
         container._next_id = int(cmeta["next_id"])
 
     rng_meta = meta.get("rng", {})

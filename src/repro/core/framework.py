@@ -64,9 +64,10 @@ def _sort_and_deposit_tiles(target: Grid, tiles: Sequence[ParticleTile],
             step_stats.merge(strategy.sorter.global_sort_tile(
                 target, tile, counters))
         if strategy.sort_mode != SORT_NONE:
-            # the sorter has just computed this storage order's tile-local
-            # cell ids (same floor, wrap and clip as the staging): one
-            # cell-id pass per tile per deposit
+            # the sort state holds this storage order's tile-local cell ids
+            # (same floor, wrap and clip as the staging), computed by the
+            # sorter this step or handed over by the migration regroup:
+            # at most one cell-id pass per tile per deposit
             local_cells = tile.sorter.assigned_bins
         strategy.kernel.deposit_tile(target, tile, charge, order, counters,
                                      ordering=ordering,

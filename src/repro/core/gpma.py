@@ -62,6 +62,21 @@ class GPMAUpdateStats:
         self.rebuild_elements += other.rebuild_elements
 
 
+def empty_ratio(empty_slots: int, capacity: int) -> float:
+    """Fraction of ``capacity`` slots that are gaps (0 for no slots)."""
+    if capacity == 0:
+        return 0.0
+    return empty_slots / capacity
+
+
+def reserve_exhausted(empty_slots: int, capacity: int, num_particles: int,
+                      threshold: float) -> bool:
+    """The optional local-rebuild trigger: a structure holding particles
+    whose gap reserve fell below ``threshold`` of its slots."""
+    return empty_ratio(empty_slots, capacity) < threshold \
+        and num_particles > 0
+
+
 class GappedPMA:
     """Cell-sorted particle-index array with gaps for O(1) updates."""
 
@@ -107,11 +122,7 @@ class GappedPMA:
             raise ValueError("particle bin out of range")
 
         order, sorted_bins, rank, counts = self._rank_within_bin(particle_bins)
-        gaps = np.maximum(
-            np.ceil(counts * self.gap_fraction).astype(np.int64),
-            self.min_gap_slots,
-        )
-        region_sizes = counts + gaps
+        region_sizes = self.region_sizes(counts)
         self.bin_offsets = np.zeros(self.num_bins + 1, dtype=np.int64)
         np.cumsum(region_sizes, out=self.bin_offsets[1:])
         capacity = int(self.bin_offsets[-1])
@@ -140,6 +151,17 @@ class GappedPMA:
         self.rebuild_count += 1
         return GPMAUpdateStats(rebuilds=1, rebuild_elements=capacity)
 
+    def region_sizes(self, counts: np.ndarray) -> np.ndarray:
+        """Slots of every bin's region in a build with ``counts`` particles
+        per bin: the one capacity formula.
+
+        Each bin's population plus ``gap_fraction`` of it as gaps, at
+        least ``min_gap_slots``.
+        """
+        gaps = np.maximum(np.ceil(counts * self.gap_fraction).astype(np.int64),
+                          self.min_gap_slots)
+        return counts + gaps
+
     def _rank_within_bin(self, bins: np.ndarray
                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                                     np.ndarray]:
@@ -167,9 +189,7 @@ class GappedPMA:
     @property
     def empty_ratio(self) -> float:
         """Fraction of slots that are gaps."""
-        if self.capacity == 0:
-            return 0.0
-        return self.num_empty_slots / self.capacity
+        return empty_ratio(self.num_empty_slots, self.capacity)
 
     @property
     def fill_ratio(self) -> float:
@@ -208,10 +228,6 @@ class GappedPMA:
         """All stored particle indices in cell-sorted order."""
         valid = self.local_index != INVALID_PARTICLE_ID
         return self.local_index[valid]
-
-    def bin_population(self) -> np.ndarray:
-        """Copy of the valid-particle count per bin."""
-        return self.bin_lengths.copy()
 
     # ------------------------------------------------------------------
     # O(1) updates
@@ -382,7 +398,8 @@ class GappedPMA:
         """
         if len(self.overflow) > overflow_limit:
             return True
-        return self.empty_ratio < empty_ratio_threshold and self.num_particles > 0
+        return reserve_exhausted(self.num_empty_slots, self.capacity,
+                                 self.num_particles, empty_ratio_threshold)
 
     def reset_step_flags(self) -> None:
         """Clear the per-step rebuild flag (called once per timestep)."""

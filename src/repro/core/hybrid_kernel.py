@@ -6,9 +6,10 @@ The kernel processes each tile in three stages:
    indices, intra-cell coordinates, the 1-D shape factors and the three
    effective-current terms, and stage them for the MPU (hand-tuned
    intrinsics in the paper, so the modelled instruction stream is fully
-   vectorised).  The cell indices are the sorter's when the framework
-   hands them over (``local_cells``: the ids it just computed for the
-   tile's storage order), so a sorted deposit derives them once per tile.
+   vectorised).  The cell indices are the sort state's when the framework
+   hands them over (``local_cells``: the ids of the tile's storage order,
+   computed by the sorter or handed to it by the migration regroup), so a
+   sorted deposit derives them at most once per tile.
 2. **MPU deposition** — pair cell-sorted particles and issue one MOPA
    outer-product per pair per current component, keeping the tile register
    resident per cell (CIC) or reading it back per pair (QSP, where the

@@ -14,9 +14,11 @@ grouped by cell.  Each timestep it
 4. reports per-tile statistics (moved particles, rebuilds, gap reserve)
    that feed the adaptive global re-sorting policy of §4.4.
 
-The **global sort** (``GlobalSortParticlesByCell``) physically permutes the
-tile's SoA arrays with a counting sort and rebuilds the GPMA, restoring the
-memory coherence that the index-only incremental updates cannot provide.
+The **global sort** (``GlobalSortParticlesByCell``) leaves the tile's SoA
+arrays in cell order — by a counting sort and permute, or by adopting the
+order the migration regroup left (below) — and starts a fresh GPMA,
+restoring the memory coherence that the index-only incremental updates
+cannot provide.
 
 Everything here works on whole int64 arrays — the tile's cell ids, the
 sort permutation, the GPMA's slot array, inverse maps and flat gap stacks
@@ -25,14 +27,23 @@ whose target cells have the gaps to take them cost a fixed number of NumPy
 passes however many particles the tile holds.  Only a batch that must
 borrow gaps across cells runs its insertions one at a time.
 
-**What is not incremental.**  The sort state is keyed to the tile's
-particle count: a tile that gained or lost a particle since its last visit
-(the moving window's refill, or ``migrate`` — which also absorbs what the
-window left behind and re-tiles its shift) is not updated but rebuilt from
-scratch by a global sort of that tile (:meth:`IncrementalSorter.ensure_tile_state`).
-The paper's Stage 1 inserts arrivals into the existing structure instead;
-doing so here would change the work counters and the modelled sort share,
-so it is left to a change that re-baselines them.
+**What is not incremental.**  A tile that gained or lost a particle since
+its last visit (the moving window's refill, or ``migrate`` — which also
+absorbs what the window left behind and re-tiles its shift) gets a fresh
+sort state instead of GPMA deletions and insertions; the paper's Stage 1
+inserts the arrivals into the existing structure.  The fresh state costs
+no sort of its own on a tile the sorter manages
+(``ParticleTile.keeps_cell_order``): the migration regroup copies every
+changed tile anyway, its one stable key sort leaves such a tile in cell
+order, and it hands over the cell ids (``ParticleTile.sorted_cells``),
+which :meth:`IncrementalSorter.global_sort_tile` adopts as they are.  A
+delete/insert batch would not be smaller: a window shift lowers every
+particle's tile-local z index by one, so the batch would hold the whole
+tile.  A fresh state's GPMA is built only when an incremental update
+first needs it (:class:`TileSortState`).  The modelled clock still
+charges every fresh state a counting sort and a GPMA build; charging
+insertions instead would change the work counters and the modelled sort
+share, so it is left to a change that re-baselines them.
 """
 
 from __future__ import annotations
@@ -44,7 +55,7 @@ import numpy as np
 
 from repro.config import SortingPolicyConfig
 from repro.core.counting_sort import counting_sort_permutation, counting_sort_work
-from repro.core.gpma import GappedPMA, GPMAUpdateStats
+from repro.core.gpma import GappedPMA, GPMAUpdateStats, reserve_exhausted
 from repro.hardware.counters import KernelCounters
 from repro.pic.grid import Grid
 from repro.pic.particles import ParticleTile
@@ -54,18 +65,63 @@ from repro.pic.particles import ParticleTile
 REBUILD_EMPTY_RATIO = 0.02
 
 
-@dataclass
 class TileSortState:
-    """Per-tile sorting state attached to ``ParticleTile.sorter``."""
+    """Per-tile sorting state attached to ``ParticleTile.sorter``.
 
-    gpma: GappedPMA
-    #: bin currently recorded for every particle index (mirrors the GPMA)
-    assigned_bins: np.ndarray
+    Made by a global sort, which leaves the tile's storage order in cell
+    order.  So a fresh state holds only the sorted bins and an empty
+    :class:`GappedPMA`, built from those bins when an incremental update
+    first needs it (:attr:`gpma`).  Until then the iteration order is the
+    identity and the slot count comes from the build's capacity formula
+    (:meth:`GappedPMA.region_sizes`) — both what the built structure
+    would give.
+    """
+
+    def __init__(self, assigned_bins: np.ndarray, gpma: GappedPMA):
+        #: bin currently recorded for every particle index (mirrors the GPMA)
+        self.assigned_bins = assigned_bins
+        self._gpma = gpma
+        self._built = False
+        #: local rebuilds counted before the structure was built
+        self._rebuilds = 0
+        #: slots of the structure built from the sorted bins
+        self.fresh_capacity = int(gpma.region_sizes(
+            np.bincount(assigned_bins, minlength=gpma.num_bins)).sum())
 
     @property
     def num_particles(self) -> int:
         """Particles tracked by this state."""
         return int(self.assigned_bins.shape[0])
+
+    @property
+    def gpma(self) -> GappedPMA:
+        """The tile's GPMA, built from the sorted bins on first use."""
+        if not self._built:
+            self._gpma.build(self.assigned_bins)
+            self._gpma.rebuild_count = self._rebuilds
+            self._built = True
+        return self._gpma
+
+    def iteration_order(self) -> np.ndarray:
+        """Particle indices in cell-sorted order."""
+        if self._built:
+            return self._gpma.iteration_order()
+        return np.arange(self.num_particles, dtype=np.int64)
+
+    def count_reserve_rebuild(self, threshold: float) -> GPMAUpdateStats:
+        """The local rebuild a freshly built structure triggers when its
+        gap reserve is below ``threshold`` (a small ``gap_fraction``).
+
+        A rebuild from the same bins makes the same structure, so it is
+        counted (and returned for the caller to charge), not run.
+        """
+        empty = self.fresh_capacity - self.num_particles
+        if not reserve_exhausted(empty, self.fresh_capacity,
+                                 self.num_particles, threshold):
+            return GPMAUpdateStats()
+        self._rebuilds += 1
+        return GPMAUpdateStats(rebuilds=1,
+                               rebuild_elements=self.fresh_capacity)
 
 
 @dataclass
@@ -103,44 +159,52 @@ class IncrementalSorter:
     def global_sort_tile(self, grid: Grid, tile: ParticleTile,
                          counters: Optional[KernelCounters] = None
                          ) -> StepSortStats:
-        """Counting-sort the tile's SoA arrays and rebuild its GPMA."""
-        stats = StepSortStats(global_sorts=1)
+        """Leave the tile's SoA arrays in cell order under a fresh state.
+
+        A tile the migration regroup has just left in cell order hands
+        over its cell ids (``tile.sorted_cells``), which are adopted as
+        they are; any other tile is counting-sorted and permuted.  Either
+        way the work charged is a counting sort and a GPMA build, though
+        the build itself waits for the first incremental update
+        (:class:`TileSortState`).  The tile is managed from then on
+        (``tile.keeps_cell_order``).
+        """
         n = tile.num_particles
         num_cells = tile.num_cells
-        bins = np.empty(0, dtype=np.int64)
-        if n > 0:
-            cell_ids = tile.local_cell_ids(grid)
-            order, _ = counting_sort_permutation(cell_ids, num_cells)
-            tile.permute(order)
-            bins = cell_ids[order]
-        gpma = GappedPMA(num_cells, gap_fraction=self.config.gap_fraction)
-        build_stats = gpma.build(bins)
-        # a freshly built structure does not count towards the rebuild trigger
-        gpma.rebuild_count = 0
-        tile.sorter = TileSortState(gpma=gpma, assigned_bins=bins)
+        bins = tile.sorted_cells
+        if bins is None:
+            bins = np.empty(0, dtype=np.int64)
+            if n > 0:
+                cell_ids = tile.local_cell_ids(grid)
+                order, _ = counting_sort_permutation(cell_ids, num_cells)
+                tile.permute(order)
+                bins = cell_ids[order]
+        state = TileSortState(bins, GappedPMA(
+            num_cells, gap_fraction=self.config.gap_fraction))
+        tile.sorter = state
+        tile.keeps_cell_order = True
 
-        stats.total_slots = gpma.capacity
-        stats.empty_slots = gpma.num_empty_slots
+        capacity = state.fresh_capacity
         if counters is not None:
             sort = counters.phase("sort")
             sort.add(**counting_sort_work(n, num_cells))
-            sort.add(scalar_ops=2.0 * build_stats.rebuild_elements,
-                     bytes_near=8.0 * build_stats.rebuild_elements)
-        return stats
+            sort.add(scalar_ops=2.0 * capacity, bytes_near=8.0 * capacity)
+        return StepSortStats(global_sorts=1, total_slots=capacity,
+                             empty_slots=capacity - n)
 
     def ensure_tile_state(self, grid: Grid, tile: ParticleTile,
                           counters: Optional[KernelCounters] = None,
                           stats: Optional[StepSortStats] = None
                           ) -> TileSortState:
-        """Return the tile's sort state, (re)building it when stale.
+        """Return the tile's sort state, making a fresh one when there is none.
 
-        The state becomes stale whenever particles were added to or removed
-        from the tile (``ParticleTile.append``/``remove`` clear the sorter
-        slot).  A stale tile is *rebuilt from scratch* with
-        :meth:`global_sort_tile` — the paper's Stage 1 of §4.3.1 inserts
-        the arrivals into the existing GPMA instead; this reproduction
-        does not, so a tile whose population changed pays a full counting
-        sort.  The rebuild's statistics are merged into ``stats``.
+        The migration regroup, ``append``, ``remove`` and ``permute`` drop
+        the state of a tile whose population or storage order they
+        change.  Such a tile gets a fresh state from
+        :meth:`global_sort_tile` — adopting the regroup's cell ids where
+        it left them — rather than the paper's Stage 1 insertions
+        (§4.3.1) into its old GPMA.  The global sort's statistics are
+        merged into ``stats``.
         """
         state = tile.sorter
         if isinstance(state, TileSortState) and state.num_particles == tile.num_particles:
@@ -162,32 +226,34 @@ class IncrementalSorter:
         if n == 0:
             return stats
         state = self.ensure_tile_state(grid, tile, counters, stats)
-        gpma = state.gpma
-        gpma.reset_step_flags()
+        if stats.global_sorts:
+            # sorted a moment ago: this step's cells are on record and
+            # nothing moved; only the reserve trigger is left to count
+            moved = 0
+            update = state.count_reserve_rebuild(REBUILD_EMPTY_RATIO)
+            stats.total_slots = state.fresh_capacity
+            stats.empty_slots = state.fresh_capacity - n
+        else:
+            gpma = state.gpma
+            gpma.reset_step_flags()
+            new_bins = tile.local_cell_ids(grid)
+            movers = np.nonzero(new_bins != state.assigned_bins)[0]
+            moved = int(movers.size)
+            # Stage 2 of §4.3.1: deletions first (marking old slots
+            # empty), then the pending-move insertions.
+            update = gpma.apply_moves(movers, new_bins[movers])
+            if gpma.overflow or gpma.needs_rebuild(REBUILD_EMPTY_RATIO):
+                update.merge(gpma.build(new_bins))
+            state.assigned_bins = new_bins
+            stats.total_slots = gpma.capacity
+            stats.empty_slots = gpma.num_empty_slots
 
-        # a tile sorted a moment ago has this step's cells on record already
-        new_bins = (state.assigned_bins if stats.global_sorts
-                    else tile.local_cell_ids(grid))
-        moved = np.nonzero(new_bins != state.assigned_bins)[0]
-        stats.moved_particles = int(moved.size)
-
-        # Stage 2 of §4.3.1: deletions first (marking old slots empty), then
-        # the pending-move insertions.
-        update = gpma.apply_moves(moved, new_bins[moved])
-
-        if gpma.overflow or gpma.needs_rebuild(REBUILD_EMPTY_RATIO):
-            rebuild = gpma.build(new_bins)
-            update.merge(rebuild)
-            stats.local_rebuilds += 1
-
-        state.assigned_bins = new_bins
+        stats.moved_particles = moved
+        stats.local_rebuilds = update.rebuilds
         stats.pending_inserts = update.insertions
         stats.borrow_shifts = update.borrow_shifts
-        stats.total_slots = gpma.capacity
-        stats.empty_slots = gpma.num_empty_slots
-
         if counters is not None:
-            self._charge_incremental_work(counters, n, update, moved.size)
+            self._charge_incremental_work(counters, n, update, moved)
         return stats
 
     def _charge_incremental_work(self, counters: KernelCounters, n: int,
@@ -214,13 +280,5 @@ class IncrementalSorter:
         """Cell-sorted particle order of a tile, or None when unsorted."""
         state = tile.sorter
         if isinstance(state, TileSortState):
-            return state.gpma.iteration_order()
-        return None
-
-    @staticmethod
-    def bin_population(tile: ParticleTile) -> Optional[np.ndarray]:
-        """Per-cell particle counts of a tile, or None when unsorted."""
-        state = tile.sorter
-        if isinstance(state, TileSortState):
-            return state.gpma.bin_population()
+            return state.iteration_order()
         return None

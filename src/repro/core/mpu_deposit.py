@@ -30,7 +30,7 @@ handed to BLAS GEMM (this machine's MOPA-accumulate) and no per-particle
 paper's hybrid pipeline — is particle-inner: the operand panels are
 long-axis products of the node-major shape factors
 (:func:`repro.pic.blocks.outer_rows`), and the tile-local cell ids come
-from the sorter when it has just computed them.  The modelled
+from the sort state when it holds them.  The modelled
 instruction counts (:func:`mpu_work_statistics`) remain those of the
 pairwise MOPA stream on the processing order.
 

@@ -236,8 +236,8 @@ def prepare_tile_data(grid: Grid, tile: ParticleTile, charge: float,
     """Staging data of one tile: :func:`prepare_run_data` of a one-tile run.
 
     ``local_cell_ids``, when given, are the tile-local cell ids of the
-    tile's current storage order — the ids the sorter computed a moment
-    ago with the same floor, wrap and clip — and are used as they are
+    tile's current storage order — the ids the sort state holds, taken
+    with the same floor, wrap and clip — and are used as they are
     instead of being derived a second time.
     """
     data = prepare_run_data(grid, [tile], charge, order)
@@ -357,7 +357,7 @@ class DepositionKernel(abc.ABC):
         omitted, the storage order is used.  The numerics are independent of
         the order; only the modelled locality and gather costs change.
         ``local_cells`` are the tile-local cell ids of the storage order
-        when the caller already holds them (the sorter's, just computed);
+        when the caller already holds them (the sort state's);
         a kernel that reads tile-local ids uses them instead of deriving
         its own (:func:`prepare_tile_data`).
         """

@@ -5,7 +5,8 @@ splits the domain into tiles of ``particles.tile_size`` cells exactly as in
 the paper (Appendix A uses 8x8x8 for the uniform plasma and 8x8x64 for the
 LWFA workload).  Each :class:`ParticleTile` owns SoA arrays for positions,
 momenta, weights and ids, plus an optional ``sorter`` slot that the
-Matrix-PIC framework populates with the tile's GPMA structure (§4.3).
+Matrix-PIC framework populates with the tile's sort state (§4.3).  A tile
+the sorter manages is marked ``keeps_cell_order``.
 
 The container is also responsible for the per-step redistribution that in
 WarpX happens in the particle exchange: applying the periodic/absorbing
@@ -15,6 +16,10 @@ call: the wrap and the owner scan once per executor shard on the shard's
 concatenated coordinates, and the migration as one stable regroup of
 the changed tiles (:meth:`ParticleContainer.redistribute`, which states
 the storage-order contract the deposition's summation order rests on).
+The regroup also sorts: it leaves a changed tile that keeps cell order
+sorted by cell and hands the sorter those cell ids
+(``ParticleTile.sorted_cells``), so the deposit that follows adopts them
+instead of re-sorting the tile.
 
 A tile's SoA arrays may therefore be slices of a batch array shared with
 other tiles (the pusher hands out slices too, :mod:`repro.pic.pusher`).
@@ -38,6 +43,7 @@ is not copied.
 
 from __future__ import annotations
 
+import functools
 from typing import (
     Callable,
     Dict,
@@ -84,8 +90,17 @@ class ParticleTile:
         self.uz = np.empty((0,))
         self.w = np.empty((0,))
         self.ids = np.empty((0,), dtype=np.int64)
-        #: slot used by repro.core to attach the tile's GPMA sorter
+        #: slot used by repro.core to attach the tile's sort state
         self.sorter = None
+        #: set by the sorter on a tile it manages: the migration regroup
+        #: leaves such a tile in cell order (kept across append/remove)
+        self.keeps_cell_order = False
+        #: the regroup's handoff to the sorter: every particle's tile-local
+        #: cell id in storage order, non-decreasing.  Valid only for the
+        #: storage order and positions that regroup left, so anything that
+        #: changes either drops it (permute, append, remove,
+        #: split_to_tiles — the push and the boundary wrap).
+        self.sorted_cells: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     @property
@@ -127,7 +142,7 @@ class ParticleTile:
         new_ids = np.asarray(arrays.get("ids", np.full(n, -1)),
                              dtype=np.int64)
         self.ids = np.concatenate([self.ids, new_ids])
-        self.sorter = None  # any attached GPMA is now stale
+        self.drop_sort_state()
 
     def remove(self, mask: np.ndarray) -> Dict[str, np.ndarray]:
         """Remove particles where ``mask`` is True and return their SoA data."""
@@ -140,7 +155,7 @@ class ParticleTile:
         for name in _SOA_FIELDS:
             setattr(self, name, getattr(self, name)[keep])
         self.ids = self.ids[keep]
-        self.sorter = None
+        self.drop_sort_state()
         return removed
 
     def local_cell_ids(self, grid: Grid) -> np.ndarray:
@@ -168,13 +183,26 @@ class ParticleTile:
         return (lx * cy + ly) * cz + lz
 
     def permute(self, order: np.ndarray) -> None:
-        """Reorder the SoA arrays in-place following ``order``."""
+        """Reorder the SoA arrays in-place following ``order``.
+
+        Drops the sort state: it describes the old storage order.
+        """
         order = np.asarray(order, dtype=np.int64)
         if order.shape[0] != self.num_particles:
             raise ValueError("permutation length does not match particle count")
         for name in _SOA_FIELDS:
             setattr(self, name, getattr(self, name)[order])
         self.ids = self.ids[order]
+        self.drop_sort_state()
+
+    def drop_sort_state(self) -> None:
+        """Forget the sort state and the regroup's cell ids.
+
+        Called whenever the storage order or the population changes;
+        ``keeps_cell_order`` stays.
+        """
+        self.sorter = None
+        self.sorted_cells = None
 
 
 def concat_tiles(tiles: Sequence[ParticleTile], name: str) -> np.ndarray:
@@ -215,12 +243,14 @@ def split_to_tiles(tiles: Sequence[ParticleTile], ends: Sequence[int],
     """Give each tile its slice of every batch array in ``arrays``.
 
     Tile ``k`` gets ``[ends[k - 1], ends[k])`` (from 0 for the first),
-    as views: the batch arrays are shared, their slices disjoint.
+    as views: the batch arrays are shared, their slices disjoint.  A
+    tile's ``sorted_cells`` no longer describe its arrays and are dropped.
     """
     start = 0
     for tile, end in zip(tiles, ends):
         for name, values in arrays.items():
             setattr(tile, name, values[start:end])
+        tile.sorted_cells = None
         start = end
 
 
@@ -255,18 +285,18 @@ def _boundary_shard(tiles: List[ParticleTile], lo: np.ndarray, hi: np.ndarray,
 
 
 def _owner_scan_shard(entries: List[Tuple[int, ParticleTile]],
-                      container: "ParticleContainer", grid: Grid
-                      ) -> np.ndarray:
-    """Executor task: the owning tile of every particle of a shard.
+                      cell_keys: np.ndarray, grid: Grid) -> np.ndarray:
+    """Executor task: the cell key of every particle of a shard.
 
-    One cell-index + owner lookup over the shard's concatenated
-    positions (read-only); returned in entry order, particle by particle.
+    One cell-index + ``cell_keys`` (:attr:`ParticleContainer.cell_keys`)
+    lookup over the shard's concatenated positions (read-only); returned
+    in entry order, particle by particle.
     """
     tiles = [tile for _, tile in entries]
     ix, iy, iz = grid.cell_index(concat_tiles(tiles, "x"),
                                  concat_tiles(tiles, "y"),
                                  concat_tiles(tiles, "z"))
-    return container.tile_of_cell(ix, iy, iz)
+    return cell_keys[grid.linear_cell_id(ix, iy, iz)]
 
 
 def record_nothing(source_tile_id: int, owner_tile_ids: np.ndarray) -> None:
@@ -307,6 +337,28 @@ class ParticleContainer:
                           min((ity + 1) * ty, ny),
                           min((itz + 1) * tz, nz))
                     self.tiles.append(ParticleTile((itx, ity, itz), lo, hi))
+        #: cells of a full tile: the stride of :attr:`cell_keys`
+        self.cells_per_tile = tx * ty * tz
+
+    @functools.cached_property
+    def cell_keys(self) -> np.ndarray:
+        """``tile * cells_per_tile + tile-local cell id`` of every grid cell.
+
+        Row-major over the grid (``(ix * ny + iy) * nz + iz``), with the
+        owning tile's :meth:`ParticleTile.local_ids_from_cells`: one
+        lookup gives the owning tile (``key // cells_per_tile``) and the
+        cell within it.  Within a tile the keys ascend in local cell
+        order, so one stable sort by key groups particles by tile and
+        orders each tile by cell.  Built on the first migration.
+        """
+        keys = np.empty(self.grid_config.n_cell, dtype=np.int64)
+        for tile_id, tile in enumerate(self.tiles):
+            axes = [np.arange(lo, hi)
+                    for lo, hi in zip(tile.cell_lo, tile.cell_hi)]
+            keys[np.ix_(*axes)] = (
+                tile_id * self.cells_per_tile
+                + tile.local_ids_from_cells(*np.meshgrid(*axes, indexing="ij")))
+        return keys.ravel()
 
     # ------------------------------------------------------------------
     @property
@@ -404,18 +456,24 @@ class ParticleContainer:
         conditions must already have been applied, so every particle maps to
         a valid tile.
 
-        The read-only scan (cell index + owning tile of every particle)
-        runs once per shard of the ``executor`` over the shard's
-        concatenated positions.  The moves are then applied as one stable
+        The read-only scan (cell index + :attr:`cell_keys` entry, that
+        is owning tile and cell within it, of every particle) runs once
+        per shard of the ``executor`` over the shard's concatenated
+        positions.  The moves are then applied as one stable
         regroup of the changed tiles' concatenated SoA arrays — the tiles
-        that lose or gain a particle — by the key ``2 * destination +
-        is_arrival``.  That is the storage-order contract, the same for
-        every backend: a tile keeps its stayers in their order, followed
-        by its arrivals in ascending source-tile order, each source's in
-        its storage order.  A changed tile's arrays become slices of the
-        regrouped arrays and its ``sorter`` is cleared (its population
-        changed, even when its count did not); every other tile keeps
-        its arrays and its ``sorter`` object.
+        that lose or gain a particle — by the key ``(destination, cell,
+        is_arrival)``, where ``cell`` is the particle's cell within its
+        destination for a tile that ``keeps_cell_order`` and 0 for any
+        other.  That is the storage-order contract, the same for every
+        backend.  A tile that does not keep cell order keeps its stayers
+        in their order, followed by its arrivals in ascending source-tile
+        order, each source's in its storage order.  A tile that keeps
+        cell order ends in that order stably sorted by cell — bit for
+        bit what a stable counting sort of it would give — and gets
+        those cell ids as ``sorted_cells``.  A changed tile's arrays
+        become slices of the regrouped arrays and its ``sorter`` is
+        cleared (its population changed, even when its count did not);
+        every other tile keeps its arrays and its ``sorter`` object.
 
         ``move_recorder`` is called, in ascending source-tile order, as
         ``move_recorder(source_tile_id, owner_tile_ids)`` with the
@@ -425,8 +483,10 @@ class ParticleContainer:
         """
         entries = [(tile_id, tile) for tile_id, tile in enumerate(self.tiles)
                    if tile.num_particles > 0]
-        owner = np.concatenate(map_shards(
-            executor, _owner_scan_shard, entries, self, grid))
+        keys = np.concatenate(map_shards(
+            executor, _owner_scan_shard, entries, self.cell_keys, grid))
+        span = self.cells_per_tile
+        owner = keys // span
         source = np.repeat(
             np.array([tile_id for tile_id, _ in entries], dtype=np.int64),
             [tile.num_particles for _, tile in entries])
@@ -442,17 +502,31 @@ class ParticleContainer:
         changed = np.zeros(num_tiles, dtype=bool)
         changed[departures] = True
         changed[destinations] = True
+        ordered = changed & [tile.keeps_cell_order for tile in self.tiles]
         member = changed[source]
-        order = stable_order_by_bin((2 * owner + leaving)[member],
-                                    2 * num_tiles)
-        tiles = [self.tiles[tile_id] for tile_id in np.flatnonzero(changed)]
-        ends = np.cumsum(np.bincount(owner[member],
-                                     minlength=num_tiles)[changed])
+        owner, leaving = owner[member], leaving[member]
+        if ordered.any():
+            # (destination, cell, is_arrival); cell 0 where not ordered
+            key = keys[member]
+            if not ordered[changed].all():
+                key = np.where(ordered[owner], key, owner * span)
+        else:
+            # (destination, is_arrival): no tile's cell enters the key
+            key, span = owner, 1
+        order = stable_order_by_bin(2 * key + leaving, 2 * num_tiles * span)
+        tile_ids = np.flatnonzero(changed).tolist()
+        tiles = [self.tiles[tile_id] for tile_id in tile_ids]
+        counts = np.bincount(owner, minlength=num_tiles)[changed]
+        ends = np.cumsum(counts)
         split_to_tiles(tiles, ends, {
             name: concat_tiles(tiles, name)[order]
             for name in (*_SOA_FIELDS, "ids")})
-        for tile in tiles:
+        sorted_keys = key[order] if ordered.any() else None
+        for tile_id, tile, end, count in zip(tile_ids, tiles, ends, counts):
             tile.sorter = None
+            if ordered[tile_id]:
+                tile.sorted_cells = (sorted_keys[end - count:end]
+                                     - tile_id * span)
         return int(departures.shape[0])
 
     # ------------------------------------------------------------------

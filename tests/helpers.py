@@ -62,9 +62,10 @@ FIELD_NAMES = ("ex", "ey", "ez", "bx", "by", "bz")
 
 
 #: (n_cell, tile_size) on unit cells: 8 to 24 tiles, some of them cut
-#: short by the domain edge
+#: short by the domain edge (on x in one layout, on y and z in another)
 TILE_LAYOUTS = (((8, 8, 8), (4, 4, 4)), ((12, 8, 8), (4, 4, 4)),
-                ((10, 8, 12), (4, 4, 4)), ((8, 4, 16), (4, 4, 4)))
+                ((10, 8, 12), (4, 4, 4)), ((8, 4, 16), (4, 4, 4)),
+                ((8, 10, 6), (4, 4, 4)))
 
 
 def tiled_plasma(n_cell, tile_size, periodic, populations, seed,

@@ -10,7 +10,8 @@ dropping the executor (the per-tile results never depended on it).  They
 are slow and obviously right; ``tests/test_particle_batches.py`` holds the
 batched stages to their results bit for bit: every tile's SoA arrays and
 storage order, the absorbed and moved counts, the ``move_recorder`` call
-sequence and which tiles keep their ``sorter``.
+sequence, which tiles keep their ``sorter`` and the cell ids handed to
+the sorter (``sorted_cells``).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.counting_sort import counting_sort_permutation
 from repro.pic.gather import gather_fields_for_tile
 from repro.pic.grid import Grid
 from repro.pic.particles import ParticleContainer, ParticleTile
@@ -75,7 +77,12 @@ def oracle_apply_boundary_conditions(container: ParticleContainer,
 def oracle_redistribute(container: ParticleContainer, grid: Grid,
                         move_recorder=None) -> int:
     """``ParticleContainer.redistribute`` as a per-tile scan followed by
-    ``remove`` from every source and ``append`` to every destination."""
+    ``remove`` from every source and ``append`` to every destination.
+
+    A changed tile that keeps cell order is then permuted by a stable
+    counting sort of its cells, and those sorted cell ids are its
+    ``sorted_cells``; every other tile keeps its stayers followed by its
+    arrivals."""
     scans: List[Tuple[int, np.ndarray, np.ndarray]] = []
     for tile_id, tile in enumerate(container.tiles):
         if tile.num_particles == 0:
@@ -103,4 +110,13 @@ def oracle_redistribute(container: ParticleContainer, grid: Grid,
             k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]
         }
         container.tiles[dest].append(**merged)
+
+    changed = {tile_id for tile_id, _, _ in scans} | set(pending)
+    for tile_id in sorted(changed):
+        tile = container.tiles[tile_id]
+        if tile.keeps_cell_order:
+            cells = tile.local_cell_ids(grid)
+            order, _ = counting_sort_permutation(cells, tile.num_cells)
+            tile.permute(order)
+            tile.sorted_cells = cells[order]
     return moved_total

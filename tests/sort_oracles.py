@@ -8,16 +8,28 @@ oracles for ``tests/test_sort_differential.py`` — the array-native code
 must reproduce their permutation, slot assignment, gap hand-out order
 and ``GPMAUpdateStats`` exactly, because within-bin order feeds the
 deposition kernel's summation order.
+
+:class:`OracleIncrementalSorter` is the sorter as it stood before the
+migration regroup handed it cell ids: every fresh sort state recomputes
+the tile's cells, counting-sorts and permutes the tile and builds its
+GPMA at once.  A session run with it must equal one run with
+``IncrementalSorter`` bit for bit, counters and statistics included.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.config import INVALID_PARTICLE_ID
-from repro.core.gpma import GPMAUpdateStats
+from repro.config import INVALID_PARTICLE_ID, SortingPolicyConfig
+from repro.core.counting_sort import counting_sort_permutation, counting_sort_work
+from repro.core.gpma import GappedPMA, GPMAUpdateStats
+from repro.core.incremental_sort import REBUILD_EMPTY_RATIO, StepSortStats
+from repro.hardware.counters import KernelCounters
+from repro.pic.grid import Grid
+from repro.pic.particles import ParticleTile
 
 
 def oracle_counting_sort_permutation(cell_ids: np.ndarray, num_cells: int
@@ -274,3 +286,120 @@ class OracleGappedPMA:
                     f"slot {slot} on bin {b}'s stack is not empty"
                 assert self.bin_offsets[b] <= slot < self.bin_offsets[b + 1], \
                     f"slot {slot} on bin {b}'s stack lies outside its region"
+
+
+@dataclass
+class OracleTileSortState:
+    """The eager sort state: a built GPMA and the bins it holds."""
+
+    gpma: GappedPMA
+    assigned_bins: np.ndarray
+
+    @property
+    def num_particles(self) -> int:
+        """Particles tracked by this state."""
+        return int(self.assigned_bins.shape[0])
+
+
+class OracleIncrementalSorter:
+    """``IncrementalSorter`` with the recompute path on every fresh state.
+
+    It never marks a tile as kept in cell order, so the migration regroup
+    leaves its tiles in storage order and hands over no cell ids.
+    """
+
+    def __init__(self, config: Optional[SortingPolicyConfig] = None):
+        self.config = config if config is not None else SortingPolicyConfig()
+
+    def global_sort_tile(self, grid: Grid, tile: ParticleTile,
+                         counters: Optional[KernelCounters] = None
+                         ) -> StepSortStats:
+        """Counting-sort the tile's SoA arrays and rebuild its GPMA."""
+        stats = StepSortStats(global_sorts=1)
+        n = tile.num_particles
+        num_cells = tile.num_cells
+        bins = np.empty(0, dtype=np.int64)
+        if n > 0:
+            cell_ids = tile.local_cell_ids(grid)
+            order, _ = counting_sort_permutation(cell_ids, num_cells)
+            tile.permute(order)
+            bins = cell_ids[order]
+        gpma = GappedPMA(num_cells, gap_fraction=self.config.gap_fraction)
+        build_stats = gpma.build(bins)
+        # a freshly built structure does not count towards the rebuild trigger
+        gpma.rebuild_count = 0
+        tile.sorter = OracleTileSortState(gpma=gpma, assigned_bins=bins)
+
+        stats.total_slots = gpma.capacity
+        stats.empty_slots = gpma.num_empty_slots
+        if counters is not None:
+            sort = counters.phase("sort")
+            sort.add(**counting_sort_work(n, num_cells))
+            sort.add(scalar_ops=2.0 * build_stats.rebuild_elements,
+                     bytes_near=8.0 * build_stats.rebuild_elements)
+        return stats
+
+    def ensure_tile_state(self, grid: Grid, tile: ParticleTile,
+                          counters: Optional[KernelCounters] = None,
+                          stats: Optional[StepSortStats] = None
+                          ) -> OracleTileSortState:
+        """Return the tile's sort state, rebuilding it from scratch when stale."""
+        state = tile.sorter
+        if (isinstance(state, OracleTileSortState)
+                and state.num_particles == tile.num_particles):
+            return state
+        rebuild = self.global_sort_tile(grid, tile, counters)
+        if stats is not None:
+            stats.merge(rebuild)
+        return tile.sorter
+
+    def incremental_update_tile(self, grid: Grid, tile: ParticleTile,
+                                counters: Optional[KernelCounters] = None
+                                ) -> StepSortStats:
+        """Apply one timestep's pending moves to the tile's GPMA."""
+        stats = StepSortStats()
+        n = tile.num_particles
+        if n == 0:
+            return stats
+        state = self.ensure_tile_state(grid, tile, counters, stats)
+        gpma = state.gpma
+        gpma.reset_step_flags()
+
+        # a tile sorted a moment ago has this step's cells on record already
+        new_bins = (state.assigned_bins if stats.global_sorts
+                    else tile.local_cell_ids(grid))
+        moved = np.nonzero(new_bins != state.assigned_bins)[0]
+        stats.moved_particles = int(moved.size)
+
+        update = gpma.apply_moves(moved, new_bins[moved])
+
+        if gpma.overflow or gpma.needs_rebuild(REBUILD_EMPTY_RATIO):
+            rebuild = gpma.build(new_bins)
+            update.merge(rebuild)
+            stats.local_rebuilds += 1
+
+        state.assigned_bins = new_bins
+        stats.pending_inserts = update.insertions
+        stats.borrow_shifts = update.borrow_shifts
+        stats.total_slots = gpma.capacity
+        stats.empty_slots = gpma.num_empty_slots
+
+        if counters is not None:
+            sort = counters.phase("sort")
+            lanes = 8.0
+            sort.add(vpu_alu=2.0 * n / lanes, bytes_near=8.0 * n)
+            sort.add(scalar_ops=8.0 * (update.deletions + update.insertions),
+                     bytes_near=32.0 * moved.size)
+            sort.add(scalar_ops=2.0 * update.borrow_shifts
+                     + 2.0 * update.rebuild_elements,
+                     bytes_near=8.0 * update.borrow_shifts
+                     + 16.0 * update.rebuild_elements)
+        return stats
+
+    @staticmethod
+    def iteration_order(tile: ParticleTile) -> Optional[np.ndarray]:
+        """Cell-sorted particle order of a tile, or None when unsorted."""
+        state = tile.sorter
+        if isinstance(state, OracleTileSortState):
+            return state.gpma.iteration_order()
+        return None

@@ -60,10 +60,11 @@ def uniform_session(*, backend="serial", shards=1, domains=(1, 1, 1),
             deposition=make_strategy(strategy) if strategy else None)
 
 
-def lwfa_session(steps=8):
-    workload = LWFAWorkload(n_cell=(8, 8, 32), tile_size=(4, 4, 8),
+def lwfa_session(steps=8, tile_size=(4, 4, 8), strategy=None):
+    workload = LWFAWorkload(n_cell=(8, 8, 32), tile_size=tile_size,
                             max_steps=steps)
-    return Session.from_workload(workload)
+    return Session.from_workload(
+        workload, deposition=make_strategy(strategy) if strategy else None)
 
 
 def assert_state_equal(ref, got):
@@ -266,6 +267,16 @@ class TestResumeParity:
         with lwfa_session() as probe:
             run_steps(probe, 8)
             assert probe.moving_window.total_shift_cells > 0
+
+    def test_lwfa_matrix_pic(self, tmp_path):
+        """The ``lwfa-mpic`` benchmark's smoke shape: every step the
+        migration regroup leaves the tiles in cell order for the sorter
+        to adopt.  The restored session's first deposit has no such
+        handoff and re-sorts instead, to the same bits."""
+        self.parity(
+            lambda: lwfa_session(tile_size=(8, 8, 16),
+                                 strategy="MatrixPIC (FullOpt)"),
+            8, 5, tmp_path, record_energy=True)
 
     def test_matrix_pic_qsp(self, tmp_path):
         """The block-product kernel on the incremental sorter's order:

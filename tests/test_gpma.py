@@ -24,7 +24,7 @@ class TestBuild:
     def test_basic_build(self):
         gpma = build_gpma([0, 0, 1, 3, 3, 3])
         assert gpma.num_particles == 6
-        np.testing.assert_array_equal(gpma.bin_population(),
+        np.testing.assert_array_equal(gpma.bin_lengths,
                                       [2, 1, 0, 3, 0, 0, 0, 0])
         gpma.check_invariants()
 
@@ -94,7 +94,7 @@ class TestUpdates:
         gpma.delete(1)
         gpma.insert(1, 3)
         assert gpma.bin_of(1) == 3
-        np.testing.assert_array_equal(gpma.bin_population(),
+        np.testing.assert_array_equal(gpma.bin_lengths,
                                       [1, 0, 1, 2, 0, 0, 0, 0])
         gpma.check_invariants()
 
@@ -160,7 +160,7 @@ class TestGPMAProperties:
         gpma.check_invariants()
         assert gpma.num_particles == len(bins)
         expected = np.bincount(np.asarray(bins, dtype=int), minlength=8)
-        np.testing.assert_array_equal(gpma.bin_population(), expected)
+        np.testing.assert_array_equal(gpma.bin_lengths, expected)
         # every particle index appears exactly once
         order = np.sort(gpma.iteration_order())
         np.testing.assert_array_equal(order, np.arange(len(bins)))
@@ -193,4 +193,4 @@ class TestGPMAProperties:
         expected = np.bincount(np.array([current[i] for i in range(n)]),
                                minlength=8)
         if not gpma.overflow:
-            np.testing.assert_array_equal(gpma.bin_population(), expected)
+            np.testing.assert_array_equal(gpma.bin_lengths, expected)

@@ -5,9 +5,10 @@ boundary wrap once per shard and the migration as one stable regroup
 (``repro.pic.particles``).  The per-tile bodies they replaced are the
 oracle in ``tests/particle_oracles.py``; every tile's eight SoA arrays
 (values and storage order), the absorbed and moved counts, the
-``move_recorder`` call sequence and which tiles keep their ``sorter``
-must match it for any tile populations, shape order, boundary mix, run
-size and executor.
+``move_recorder`` call sequence, which tiles keep their ``sorter`` and
+the cell ids the regroup hands a tile kept in cell order must match it
+for any tile populations, tiles kept in cell order, shape order,
+boundary mix, run size and executor.
 """
 
 from __future__ import annotations
@@ -77,11 +78,13 @@ def assert_same_tiles(expected, container):
             assert np.array_equal(got, want, equal_nan=True), (index, name)
 
 
-def mark_sorters(container):
-    """A distinct stand-in sort state on every tile."""
+def mark_sorters(container, managed):
+    """A distinct stand-in sort state on every tile, and the tiles a
+    sorter manages (``managed[i]``) marked as keeping cell order."""
     marks = [object() for _ in container.tiles]
-    for tile, mark in zip(container.tiles, marks):
+    for tile, mark, keeps in zip(container.tiles, marks, managed):
         tile.sorter = mark
+        tile.keeps_cell_order = keeps
     return marks
 
 
@@ -92,13 +95,23 @@ def kept_sorters(container, marks):
     return kept
 
 
+def handed_cells(container):
+    """Every tile's ``sorted_cells`` as a list, None where there are none."""
+    return [None if tile.sorted_cells is None else tile.sorted_cells.tolist()
+            for tile in container.tiles]
+
+
 class TestBatchedStagesMatchThePerTileOracle:
     @settings(max_examples=40, deadline=None)
     @given(scenario=tiled_scenarios(), order=st.integers(1, 3),
            share=st.sampled_from([0.0, 0.05, 0.5]),
-           run_particles=st.sampled_from([1, 700, RUN_PARTICLES]))
+           run_particles=st.sampled_from([1, 700, RUN_PARTICLES]),
+           data=st.data())
     def test_push_boundary_and_migration(self, scenario, order, share,
-                                         run_particles):
+                                         run_particles, data):
+        managed = data.draw(st.lists(
+            st.booleans(), min_size=len(scenario["populations"]),
+            max_size=len(scenario["populations"])), label="managed")
         # the oracle, stage by stage
         grid, oracle = tiled_plasma(**scenario)
         oracle_push(oracle, grid, DT, order)
@@ -106,12 +119,13 @@ class TestBatchedStagesMatchThePerTileOracle:
         jump(oracle, scenario["seed"], share)
         absorbed = oracle_apply_boundary_conditions(oracle, grid)
         bounded = snapshot(oracle)
-        marks = mark_sorters(oracle)
+        marks = mark_sorters(oracle, managed)
         calls = []
         moved = oracle_redistribute(
             oracle, grid, lambda tile_id, owners: calls.append(
                 (type(tile_id), tile_id, owners.tolist())))
         kept = kept_sorters(oracle, marks)
+        handed = handed_cells(oracle)
 
         for name, make_executor in EXECUTORS.items():
             _, batched = tiled_plasma(**scenario)
@@ -134,7 +148,7 @@ class TestBatchedStagesMatchThePerTileOracle:
                 assert batched.apply_boundary_conditions(
                     grid, executor=executor) == absorbed, name
                 assert_same_tiles(bounded, batched)
-                marks = mark_sorters(batched)
+                marks = mark_sorters(batched, managed)
                 mine = []
                 assert batched.redistribute(
                     grid, executor=executor,
@@ -144,6 +158,7 @@ class TestBatchedStagesMatchThePerTileOracle:
             assert_same_tiles(snapshot(oracle), batched)
             assert mine == calls, name
             assert kept_sorters(batched, marks) == kept, name
+            assert handed_cells(batched) == handed, name
 
     @pytest.mark.parametrize("order", [1, 3])
     def test_a_tile_of_run_size_is_pushed_alone(self, order):
@@ -246,9 +261,11 @@ def test_a_tile_that_swaps_particles_loses_its_sort_state():
     """A tile that loses k particles and gains k keeps its count, and
     ``IncrementalSorter.ensure_tile_state`` takes an equal count for a
     valid state — so the migration itself must clear the tile's
-    ``sorter``, or the deposit would follow a stale ordering.  A tile
-    the migration does not touch keeps its state object, so no global
-    sort is spent on it."""
+    ``sorter``, or the deposit would follow a stale ordering.  The tiles
+    the sorter manages come out of the regroup in cell order with their
+    cell ids handed over, which the next global sort adopts without a
+    counting sort.  A tile the migration does not touch keeps its state
+    object, so no global sort is spent on it."""
     config = GridConfig(n_cell=(8, 8, 8), hi=(8.0, 8.0, 8.0),
                         tile_size=(4, 4, 4))
     grid = Grid(config)
@@ -270,5 +287,42 @@ def test_a_tile_that_swaps_particles_loses_its_sort_state():
     assert container.redistribute(grid) == 4
     assert [t.num_particles for t in container.tiles[:3]] == [6, 6, 6]
     assert first.sorter is None and second.sorter is None
-    assert bystander.sorter is state
+    for tile in (first, second):
+        cells = tile.local_cell_ids(grid)
+        assert np.all(np.diff(cells) >= 0)
+        assert np.array_equal(tile.sorted_cells, cells)
+    ids = first.ids.copy()
+    with mock.patch("repro.core.incremental_sort.counting_sort_permutation",
+                    side_effect=AssertionError("re-sorted")):
+        sorter.ensure_tile_state(grid, first)
+    assert np.array_equal(first.ids, ids)
+    assert np.array_equal(first.sorter.assigned_bins, first.sorted_cells)
+    assert bystander.sorter is state and bystander.sorted_cells is None
     assert sorter.ensure_tile_state(grid, bystander) is state
+
+
+def test_cell_order_on_tiles_smaller_than_the_tile_size():
+    """``n_cell`` is not a multiple of ``tile_size`` on y and z, so the
+    edge tiles have fewer cells per row and plane than a full tile.  The
+    cell ids the regroup hands over are each tile's own
+    (``ParticleTile.local_cell_ids``), and its order equals the oracle's
+    counting sort."""
+    scenario = dict(n_cell=(8, 10, 6), tile_size=(4, 4, 4),
+                    periodic=(True, True, True), populations=[300] * 12,
+                    seed=5)
+    grid, oracle = tiled_plasma(**scenario)
+    _, batched = tiled_plasma(**scenario)
+    for container in (oracle, batched):
+        jump(container, scenario["seed"], 0.3)
+        for tile in container.tiles:
+            tile.keeps_cell_order = True
+    oracle_apply_boundary_conditions(oracle, grid)
+    batched.apply_boundary_conditions(grid)
+    moved = oracle_redistribute(oracle, grid)
+    assert batched.redistribute(grid) == moved > 0
+    assert_same_tiles(snapshot(oracle), batched)
+    assert handed_cells(batched) == handed_cells(oracle)
+    edge = [tile for tile in batched.tiles if tile.tile_cells != (4, 4, 4)]
+    assert edge and all(tile.num_particles for tile in edge)
+    for tile in batched.tiles:
+        assert np.array_equal(tile.sorted_cells, tile.local_cell_ids(grid))

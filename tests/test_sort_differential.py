@@ -4,10 +4,16 @@
 Python; the implementations they replaced live in ``sort_oracles`` and
 define the expected result slot for slot, because the slot a particle
 lands in fixes the kernel's summation order and therefore J bitwise.
-The scaling tests at the bottom pin the other half of the contract: the
-work done in the interpreter does not grow with the particle count.
+The session tests hold the sorter that adopts the migration regroup's
+cell order and builds its GPMA lazily to the eager recompute path
+(``sort_oracles.OracleIncrementalSorter``) over whole runs.  The scaling
+tests at the bottom pin the other half of the contract: the work done in
+the interpreter does not grow with the particle count.
 """
 
+import dataclasses
+import functools
+import hashlib
 import sys
 
 import numpy as np
@@ -15,13 +21,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import GridConfig
+from repro import constants
+from repro.api import Session
+from repro.baselines.configs import available_configurations, make_strategy
+from repro.ckpt import capture_state
+from repro.config import GridConfig, SortingPolicyConfig
 from repro.core.counting_sort import counting_sort_permutation
 from repro.core.gpma import GappedPMA
-from repro.core.incremental_sort import IncrementalSorter
+from repro.core.incremental_sort import (
+    REBUILD_EMPTY_RATIO,
+    IncrementalSorter,
+    TileSortState,
+)
+from repro.workloads.lwfa import LWFAWorkload
+from repro.workloads.uniform import UniformPlasmaWorkload
 
 from helpers import make_plasma
-from sort_oracles import OracleGappedPMA, oracle_counting_sort_permutation
+from sort_oracles import (
+    OracleGappedPMA,
+    OracleIncrementalSorter,
+    oracle_counting_sort_permutation,
+)
 
 
 # ----------------------------------------------------------------------
@@ -185,7 +205,7 @@ class TestGappedPMAAgainstOracle:
         stats, rebuilt = move_pair(gpma, oracle, bins, [0, 1], [1, 1])
         assert stats.insertions == 2
         assert rebuilt and gpma.rebuild_count == 2
-        np.testing.assert_array_equal(gpma.bin_population(), [0, 4])
+        np.testing.assert_array_equal(gpma.bin_lengths, [0, 4])
 
     @pytest.mark.parametrize("gap_fraction", [0.25, 0.05])
     def test_window_shift_batch(self, gap_fraction):
@@ -215,6 +235,161 @@ class TestGappedPMAAgainstOracle:
             gpma.apply_moves([1, 2], [0])
         gpma.check_invariants()                 # nothing was applied
         assert gpma.num_particles == 3
+
+
+class TestLazyBuild:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=8),
+           st.sampled_from([0.0, 0.01, 0.25, 0.5]),
+           st.data())
+    def test_equals_the_eager_build(self, num_bins, gap_fraction, data):
+        """A fresh state's GPMA, built on first use from its sorted bins,
+        is the structure an eager build makes; before the build its
+        iteration order, slot count and reserve trigger already are."""
+        bins = np.sort(np.asarray(data.draw(st.lists(
+            st.integers(min_value=0, max_value=num_bins - 1), max_size=60)),
+            dtype=np.int64))
+        eager = GappedPMA(num_bins, gap_fraction=gap_fraction)
+        eager.build(bins)
+        state = TileSortState(bins, GappedPMA(num_bins,
+                                              gap_fraction=gap_fraction))
+        np.testing.assert_array_equal(state.iteration_order(),
+                                      eager.iteration_order())
+        assert state.fresh_capacity == eager.capacity
+        rebuild = state.count_reserve_rebuild(REBUILD_EMPTY_RATIO)
+        assert rebuild.rebuilds == int(eager.needs_rebuild(REBUILD_EMPTY_RATIO))
+        assert rebuild.rebuild_elements == rebuild.rebuilds * eager.capacity
+
+        lazy = state.gpma
+        np.testing.assert_array_equal(lazy.local_index, eager.local_index)
+        np.testing.assert_array_equal(lazy.bin_offsets, eager.bin_offsets)
+        np.testing.assert_array_equal(lazy.bin_lengths, eager.bin_lengths)
+        assert gap_stacks(lazy) == gap_stacks(eager)
+        assert lazy.rebuild_count == rebuild.rebuilds
+        lazy.check_invariants()
+        np.testing.assert_array_equal(state.iteration_order(),
+                                      eager.iteration_order())
+
+
+# ----------------------------------------------------------------------
+# whole sessions: adopting the regroup's order equals the recompute path
+# ----------------------------------------------------------------------
+
+#: a policy that re-sorts within a few steps, so its decisions are compared
+QUICK_POLICY = SortingPolicyConfig(sort_interval=3, min_sort_interval=2)
+
+
+def uniform_qsp():
+    return UniformPlasmaWorkload(n_cell=(8, 8, 16), tile_size=(8, 8, 8),
+                                 ppc=8, shape_order=3, max_steps=100)
+
+
+def lwfa():
+    return LWFAWorkload(n_cell=(8, 8, 32), tile_size=(8, 8, 16), ppc=8,
+                        max_steps=100)
+
+
+def one_tile():
+    """One tile spans the periodic box, so no step migrates a particle;
+    a hot plasma, so particles change cells every step."""
+    return UniformPlasmaWorkload(n_cell=(8, 8, 8), tile_size=(8, 8, 8),
+                                 ppc=8, shape_order=1, max_steps=100,
+                                 thermal_velocity=0.3 * constants.C_LIGHT)
+
+
+def record_sorter(sorter, log):
+    """Log every per-tile call's ``StepSortStats``, in call order."""
+    for name in ("global_sort_tile", "incremental_update_tile"):
+        method = getattr(sorter, name)
+
+        @functools.wraps(method)
+        def recorded(*args, _method=method, _name=name, **kwargs):
+            stats = _method(*args, **kwargs)
+            log.append((_name, dataclasses.asdict(stats)))
+            return stats
+        setattr(sorter, name, recorded)
+
+
+def trajectory(workload, config_name, sorter_cls, steps, sorting):
+    """Per step: the state digest, the counters, the sort statistics of
+    every tile visit, the rank statistics and the policy's decision."""
+    strategy = make_strategy(config_name, sorting_config=sorting)
+    strategy.sorter = sorter_cls(strategy.sorting_config)
+    visits = []
+    record_sorter(strategy.sorter, visits)
+    rows = []
+    with Session.from_workload(workload, deposition=strategy) as session:
+        if hasattr(workload, "scramble_particles"):
+            workload.scramble_particles(session.simulation)
+        for _ in range(steps):
+            session.step()
+            _, arrays = capture_state(session.simulation)
+            digest = hashlib.sha256()
+            for name in sorted(arrays):
+                digest.update(name.encode("ascii"))
+                digest.update(arrays[name].tobytes())
+            counters = session.simulation.deposition_counters
+            rows.append(dict(
+                digest=digest.hexdigest(),
+                counters={phase: c.as_dict()
+                          for phase, c in sorted(counters.phases.items())},
+                visits=list(visits),
+                rank=dict(vars(strategy.rank_stats)),
+                global_sorts=strategy.global_sorts_performed,
+                trigger=strategy.policy.last_trigger,
+            ))
+            visits.clear()
+        shifts = session.moving_window.total_shift_cells
+    return rows, shifts
+
+
+def assert_same_trajectory(workload, config_name, steps,
+                           sorting=QUICK_POLICY):
+    mine, shifts = trajectory(workload(), config_name, IncrementalSorter,
+                              steps, sorting)
+    oracle, _ = trajectory(workload(), config_name, OracleIncrementalSorter,
+                           steps, sorting)
+    for step, (got, want) in enumerate(zip(mine, oracle)):
+        assert got == want, (config_name, step)
+    return mine, shifts
+
+
+class TestAdoptionEqualsTheRebuild:
+    @pytest.mark.parametrize("config_name", available_configurations())
+    def test_uniform_qsp(self, config_name):
+        assert_same_trajectory(uniform_qsp, config_name, 4)
+
+    @pytest.mark.parametrize("config_name", available_configurations())
+    def test_lwfa_with_window_shifts(self, config_name):
+        _, shifts = assert_same_trajectory(lwfa, config_name, 8)
+        assert shifts >= 5
+
+    @pytest.mark.parametrize("config_name", available_configurations())
+    def test_steps_without_migration(self, config_name):
+        """The lazily built GPMA takes the moves: an incremental visit
+        that moves particles, on a state no global sort made that step."""
+        rows, _ = assert_same_trajectory(one_tile, config_name, 3)
+        updates = [stats for row in rows for name, stats in row["visits"]
+                   if name == "incremental_update_tile"]
+        if make_strategy(config_name).sort_mode == "incremental":
+            assert any(stats["global_sorts"] == 0
+                       and stats["moved_particles"] > 0
+                       for stats in updates)
+
+    def test_no_gaps_at_ppc_128(self):
+        """``gap_fraction=0`` leaves a fresh structure below the reserve
+        threshold, so the local rebuild right after every global sort is
+        counted and charged without building anything."""
+        workload = functools.partial(
+            UniformPlasmaWorkload, n_cell=(4, 4, 8), tile_size=(4, 4, 4),
+            ppc=128, shape_order=1, max_steps=100)
+        rows, _ = assert_same_trajectory(
+            workload, "MatrixPIC (FullOpt)", 4,
+            sorting=SortingPolicyConfig(gap_fraction=0.0))
+        fresh = [stats for row in rows for name, stats in row["visits"]
+                 if name == "incremental_update_tile"
+                 and stats["global_sorts"]]
+        assert fresh and all(stats["local_rebuilds"] == 1 for stats in fresh)
 
 
 # ----------------------------------------------------------------------

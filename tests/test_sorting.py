@@ -223,10 +223,9 @@ class TestIncrementalSorter:
         # the next visit finds the state current
         assert sorter.incremental_update_tile(grid, tile).global_sorts == 0
 
-    def test_bin_population_none_without_sorter(self):
+    def test_iteration_order_none_without_sorter(self):
         grid, container = make_tiled_plasma()
         tile = container.nonempty_tiles()[0]
-        assert IncrementalSorter.bin_population(tile) is None
         assert IncrementalSorter.iteration_order(tile) is None
 
     def test_empty_tile_update(self):
