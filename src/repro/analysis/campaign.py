@@ -4,7 +4,11 @@ A :class:`Campaign` turns the paper's artifact generation from a pile of
 serial scripts into a small serving layer:
 
 * a declarative grid — workloads x configurations (x sorting policy,
-  cost model, steps, ...) — expands into :class:`ExperimentSpec` values,
+  cost model, steps, ...) — expands into :class:`ExperimentSpec` values;
+  the grid mapping that ``python -m repro campaign`` builds from its
+  flags and a ``repro.serve`` submission go through one function,
+  :func:`expand_request`, so both accept the same grids and hash them to
+  the same keys,
 * each spec is a pure, picklable description of one experiment; running
   it builds a fully isolated :class:`repro.api.Session` (and therefore
   the :mod:`repro.pipeline` stage list), so results are identical whether
@@ -270,6 +274,98 @@ def spec_for_workload(workload, configuration: str, *,
         cost_model=(cost_model_to_dict(cost_model)
                     if cost_model is not None else None),
     )
+
+
+# ----------------------------------------------------------------------
+# Grid expansion (a grid mapping -> ExperimentSpec cells)
+# ----------------------------------------------------------------------
+
+#: every key a grid may carry; anything else is an error (typos in a grid
+#: silently expanding to the default would poison cache parity)
+REQUEST_KEYS = frozenset({
+    "tenant", "workload", "ppc", "configurations", "steps",
+    "warmup_steps", "seed", "scramble", "shape_order", "n_cell",
+    "tile_size", "domains",
+})
+
+
+def _int_value(key: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{key} must be >= 0, got {value}")
+    return value
+
+
+def expand_request(request: Mapping, *, observe=None) -> List[ExperimentSpec]:
+    """The one grid expansion: a grid mapping -> its cells' specs.
+
+    ``python -m repro campaign`` builds the mapping from its flags and a
+    ``repro.serve`` submission is one, so the two accept the same grids
+    and hash them to the same cache keys.  Missing keys take
+    :data:`repro.workloads.GRID_DEFAULTS`; workloads nest outer,
+    configurations inner; ``observe`` (inert to keys) goes to every
+    cell.  Raises :class:`ValueError` for anything malformed: an unknown
+    key or configuration, a PPC outside the paper's scan, a shape order
+    the lwfa workload or a configuration's kernel does not take, a
+    decomposition the tile lattice cannot split.
+    """
+    from repro.baselines.configs import (
+        available_configurations,
+        configuration_kernel,
+    )
+    from repro.workloads import (GRID_DEFAULTS, positive_ints,
+                                 workload_for_family)
+
+    if not isinstance(request, Mapping):
+        raise ValueError(
+            f"submission must be a JSON object, got {type(request).__name__}")
+    unknown = sorted(set(request) - REQUEST_KEYS)
+    if unknown:
+        raise ValueError(
+            f"unknown submission key(s) {unknown}; "
+            f"valid keys: {sorted(REQUEST_KEYS)}")
+    grid = {**GRID_DEFAULTS, **request}
+
+    configurations = grid["configurations"]
+    if not isinstance(configurations, (list, tuple)) or not configurations:
+        raise ValueError(
+            "configurations must be a non-empty list of configuration "
+            f"names, got {configurations!r}")
+    bad = [name for name in configurations
+           if name not in available_configurations()]
+    if bad:
+        raise ValueError(
+            f"unknown configuration(s) {bad}; "
+            f"valid names: {list(available_configurations())}")
+
+    ppc_scan = grid["ppc"]
+    if isinstance(ppc_scan, int) and not isinstance(ppc_scan, bool):
+        ppc_scan = [ppc_scan]
+    ppc_scan = positive_ints("ppc", ppc_scan)
+    steps, warmup_steps, seed = (_int_value(key, grid[key])
+                                 for key in ("steps", "warmup_steps", "seed"))
+    scramble = grid.get("scramble", True)
+    if not isinstance(scramble, bool):
+        raise ValueError(f"scramble must be a boolean, got {scramble!r}")
+
+    workloads = [
+        workload_for_family(
+            grid["workload"], ppc=ppc, max_steps=steps, seed=seed,
+            domains=grid.get("domains"), n_cell=grid.get("n_cell"),
+            tile_size=grid.get("tile_size"),
+            shape_order=grid.get("shape_order"), observe=observe)
+        for ppc in ppc_scan
+    ]
+    order = workloads[0].build_config().shape_order
+    for name in configurations:
+        configuration_kernel(name).check_order(order)
+    return [
+        spec_for_workload(workload, configuration, steps=steps,
+                          warmup_steps=warmup_steps, scramble=scramble)
+        for workload in workloads
+        for configuration in configurations
+    ]
 
 
 # ----------------------------------------------------------------------

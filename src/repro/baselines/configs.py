@@ -24,7 +24,7 @@ the benchmark harnesses can iterate them in the paper's order.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Type
 
 from repro.config import SortingPolicyConfig
 from repro.core.framework import (
@@ -35,6 +35,7 @@ from repro.core.framework import (
 )
 from repro.core.hybrid_kernel import HybridMPUDeposition
 from repro.hardware.cost_model import CostModel
+from repro.pic.deposition.base import DepositionKernel
 from repro.pic.deposition.baseline import BaselineDeposition
 from repro.pic.deposition.rhocell import RhocellDeposition
 
@@ -65,22 +66,34 @@ QSP_COMPARISON_CONFIGS: Tuple[str, ...] = (
     "MatrixPIC (FullOpt)",
 )
 
-_ALL_CONFIGS = (
-    "Baseline",
-    "Baseline+IncrSort",
-    "Rhocell",
-    "Rhocell+IncrSort",
-    "Rhocell+IncrSort (VPU)",
-    "Matrix-only",
-    "Hybrid-noSort",
-    "Hybrid-GlobalSort",
-    "MatrixPIC (FullOpt)",
-)
+#: every configuration: name -> (kernel class, kernel arguments, sorting
+#: mode), in the order :func:`available_configurations` lists them
+_CONFIGURATIONS = {
+    "Baseline": (BaselineDeposition, {}, SORT_NONE),
+    "Baseline+IncrSort": (BaselineDeposition, {}, SORT_INCREMENTAL),
+    "Rhocell": (RhocellDeposition, {"hand_tuned": False}, SORT_NONE),
+    "Rhocell+IncrSort": (RhocellDeposition, {"hand_tuned": False},
+                         SORT_INCREMENTAL),
+    "Rhocell+IncrSort (VPU)": (RhocellDeposition, {"hand_tuned": True},
+                               SORT_INCREMENTAL),
+    "Matrix-only": (HybridMPUDeposition, {"mode": "matrix_only"}, SORT_NONE),
+    "Hybrid-noSort": (HybridMPUDeposition, {"mode": "hybrid"}, SORT_NONE),
+    "Hybrid-GlobalSort": (HybridMPUDeposition, {"mode": "hybrid"},
+                          SORT_GLOBAL_EVERY_STEP),
+    "MatrixPIC (FullOpt)": (HybridMPUDeposition, {"mode": "hybrid"},
+                            SORT_INCREMENTAL),
+}
 
 
 def available_configurations() -> Tuple[str, ...]:
     """Names accepted by :func:`make_strategy`."""
-    return _ALL_CONFIGS
+    return tuple(_CONFIGURATIONS)
+
+
+def configuration_kernel(name: str) -> Type[DepositionKernel]:
+    """The deposition kernel class configuration ``name`` runs, without
+    building it (its ``shape_orders`` say which orders the name takes)."""
+    return _CONFIGURATIONS[name][0]
 
 
 def make_strategy(name: str,
@@ -98,32 +111,14 @@ def make_strategy(name: str,
     cost_model:
         Cost model used for the performance-degradation sorting trigger.
     """
-    sorting_config = sorting_config if sorting_config is not None else SortingPolicyConfig()
-    cost_model = cost_model if cost_model is not None else CostModel()
-
-    def build(kernel, sort_mode):
-        return MatrixPICDeposition(kernel=kernel, sort_mode=sort_mode,
-                                   sorting_config=sorting_config,
-                                   cost_model=cost_model, name=name)
-
-    if name == "Baseline":
-        return build(BaselineDeposition(), SORT_NONE)
-    if name == "Baseline+IncrSort":
-        return build(BaselineDeposition(), SORT_INCREMENTAL)
-    if name == "Rhocell":
-        return build(RhocellDeposition(hand_tuned=False), SORT_NONE)
-    if name == "Rhocell+IncrSort":
-        return build(RhocellDeposition(hand_tuned=False), SORT_INCREMENTAL)
-    if name == "Rhocell+IncrSort (VPU)":
-        return build(RhocellDeposition(hand_tuned=True), SORT_INCREMENTAL)
-    if name == "Matrix-only":
-        return build(HybridMPUDeposition(mode="matrix_only"), SORT_NONE)
-    if name == "Hybrid-noSort":
-        return build(HybridMPUDeposition(mode="hybrid"), SORT_NONE)
-    if name == "Hybrid-GlobalSort":
-        return build(HybridMPUDeposition(mode="hybrid"), SORT_GLOBAL_EVERY_STEP)
-    if name == "MatrixPIC (FullOpt)":
-        return build(HybridMPUDeposition(mode="hybrid"), SORT_INCREMENTAL)
-    raise ValueError(
-        f"unknown configuration {name!r}; expected one of {_ALL_CONFIGS}"
-    )
+    if name not in _CONFIGURATIONS:
+        raise ValueError(
+            f"unknown configuration {name!r}; expected one of "
+            f"{available_configurations()}")
+    kernel, kernel_args, sort_mode = _CONFIGURATIONS[name]
+    return MatrixPICDeposition(
+        kernel=kernel(**kernel_args), sort_mode=sort_mode,
+        sorting_config=(sorting_config if sorting_config is not None
+                        else SortingPolicyConfig()),
+        cost_model=cost_model if cost_model is not None else CostModel(),
+        name=name)

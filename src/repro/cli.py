@@ -30,7 +30,7 @@ import io
 import json
 import os
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro._version import __version__
 from repro.analysis.cache import (
@@ -41,7 +41,12 @@ from repro.analysis.cache import (
 from repro.backend import activate
 from repro.ckpt.store import CKPT_DIR_ENV, DEFAULT_CHECKPOINT_DIR
 from repro.exec import SUPPORTED_BACKENDS
-from repro.workloads import GRID_CHOICES, GRID_DEFAULTS, workload_for_family
+from repro.workloads import (
+    FAMILIES,
+    GRID_CHOICES,
+    GRID_DEFAULTS,
+    workload_for_family,
+)
 
 
 def _comma_list(text: str) -> List[str]:
@@ -58,55 +63,40 @@ def _int_list(text: str) -> List[int]:
         ) from exc
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {text!r}") from exc
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from exc
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {text!r}")
+        return value
+    return parse
 
 
-def _positive_int_list(text: str) -> List[int]:
-    values = _int_list(text)
-    if any(v <= 0 for v in values):
-        raise argparse.ArgumentTypeError(
-            f"expected positive integers, got {text!r}")
-    return values
+_positive_int, _nonnegative_int = _int_at_least(1), _int_at_least(0)
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {text!r}") from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}")
-    return value
+def _joined(values: Sequence) -> str:
+    return ",".join(str(item) for item in values)
 
 
-def _int3(text: str) -> Tuple[int, int, int]:
-    values = _int_list(text)
-    if len(values) != 3 or any(v <= 0 for v in values):
-        raise argparse.ArgumentTypeError(
-            f"expected exactly 3 comma-separated positive integers, "
-            f"got {text!r}"
-        )
-    return tuple(values)  # type: ignore[return-value]
-
-
-def _joined(key: str) -> str:
-    return ",".join(str(item) for item in GRID_DEFAULTS[key])
+def _family_defaults(key: str) -> str:
+    return " / ".join(f"{_joined(family[key])} {name}"
+                      for name, family in FAMILIES.items())
 
 
 def _add_grid_arguments(sub: argparse.ArgumentParser) -> None:
     """The grid options ``campaign`` and ``run`` share, read from the one
-    schema in :mod:`repro.workloads` (``repro.serve`` reads the same)."""
+    schema in :mod:`repro.workloads` (``repro.serve`` reads the same).
+
+    They parse syntax only; the ranges are checked where the grid is
+    expanded (``expand_request``, ``workload_for_family``).
+    """
     sub.add_argument("--workload", choices=GRID_CHOICES["workload"],
                      default=GRID_DEFAULTS["workload"],
                      help="workload family "
@@ -116,15 +106,15 @@ def _add_grid_arguments(sub: argparse.ArgumentParser) -> None:
                      help="deposition shape order (uniform workload only — "
                           "the lwfa workload is fixed at order 1; "
                           "default: 1)")
-    sub.add_argument("--n-cell", type=_int3, default=None,
+    sub.add_argument("--n-cell", type=_int_list, default=None,
                      metavar="NX,NY,NZ",
-                     help="grid cells per axis (defaults: 8,8,8 uniform / "
-                          "8,8,32 lwfa)")
-    sub.add_argument("--tile-size", type=_int3, default=None,
+                     help="grid cells per axis "
+                          f"(defaults: {_family_defaults('n_cell')})")
+    sub.add_argument("--tile-size", type=_int_list, default=None,
                      metavar="TX,TY,TZ",
-                     help="particle tile size per axis (defaults: 8,8,8 "
-                          "uniform / 8,8,16 lwfa)")
-    sub.add_argument("--domains", type=_int3, default=None,
+                     help="particle tile size per axis "
+                          f"(defaults: {_family_defaults('tile_size')})")
+    sub.add_argument("--domains", type=_int_list, default=None,
                      metavar="PX,PY,PZ",
                      help="domain decomposition of the grid (repro.domain; "
                           "default: 1,1,1 = single domain).  Decomposed "
@@ -153,24 +143,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "on-disk result cache and an optional process pool.",
     )
     _add_grid_arguments(campaign)
-    campaign.add_argument("--ppc", type=_positive_int_list,
+    campaign.add_argument("--ppc", type=_int_list,
                           default=list(GRID_DEFAULTS["ppc"]),
                           metavar="N[,N...]",
                           help="comma-separated particles-per-cell scan "
-                               f"(default: {_joined('ppc')})")
+                               f"(default: {_joined(GRID_DEFAULTS['ppc'])})")
     campaign.add_argument("--configurations", type=_comma_list,
                           default=list(GRID_DEFAULTS["configurations"]),
                           metavar="NAME[,NAME...]",
                           help='comma-separated configuration names '
-                               f'(default: "{_joined("configurations")}")')
+                               '(default: '
+                               f'"{_joined(GRID_DEFAULTS["configurations"])}")')
     campaign.add_argument("--list-configurations", action="store_true",
                           help="print the available configuration names "
                                "and exit")
-    campaign.add_argument("--steps", type=_nonnegative_int,
+    campaign.add_argument("--steps", type=int,
                           default=GRID_DEFAULTS["steps"],
                           help="measured steps per experiment "
                                f"(default: {GRID_DEFAULTS['steps']})")
-    campaign.add_argument("--warmup-steps", type=_nonnegative_int,
+    campaign.add_argument("--warmup-steps", type=int,
                           default=GRID_DEFAULTS["warmup_steps"],
                           help="warm-up steps excluded from measurement "
                                f"(default: {GRID_DEFAULTS['warmup_steps']})")
@@ -326,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _observe_config(args, *, trace: bool = False):
-    """The :class:`repro.obs.ObsConfig` requested by the CLI flags.
+    """The :class:`repro.obs.ObsConfig` requested by the CLI flags, or
+    None when they request no telemetry.
 
     ``trace`` controls whether the per-run telemetry records span events
     (the campaign command keeps cell tracing off — worker processes
@@ -335,53 +327,11 @@ def _observe_config(args, *, trace: bool = False):
     """
     from repro.obs import ObsConfig
 
-    return ObsConfig(
-        enabled=bool(getattr(args, "metrics", False)
-                     or getattr(args, "trace", None)
-                     or getattr(args, "health", False)),
-        trace=trace,
-        health=bool(getattr(args, "health", False)),
-    )
-
-
-def _make_workload(family: str, *, ppc: int, args, execution=None,
-                   observe=None):
-    """One workload builder with the CLI defaults.
-
-    Thin adapter over :func:`repro.workloads.workload_for_family` — the
-    single defaulting point shared with the ``repro.serve`` job service,
-    so HTTP submissions and CLI invocations of the same grid hash to the
-    same campaign cache keys.
-    """
-    return workload_for_family(
-        family,
-        ppc=ppc,
-        max_steps=args.steps,
-        seed=args.seed,
-        domains=args.domains,
-        n_cell=args.n_cell,
-        tile_size=args.tile_size,
-        shape_order=args.shape_order,
-        execution=execution,
-        observe=observe,
-    )
-
-
-def _build_workloads(args) -> list:
-    domains = args.domains or (1, 1, 1)
-    observe = _observe_config(args)
-    workloads = [_make_workload(args.workload, ppc=ppc, args=args,
-                                observe=observe if observe.enabled else None)
-                 for ppc in args.ppc]
-    # fail fast on a kernel tier that cannot run here (named by
-    # REPRO_KERNEL_TIER), before any cell runs
-    activate()
-    if domains != (1, 1, 1):
-        # fail fast on a decomposition the tile lattice cannot support
-        from repro.domain.decomposition import Decomposition
-
-        Decomposition(workloads[0].build_config().grid, domains)
-    return workloads
+    health = bool(getattr(args, "health", False))
+    if not (getattr(args, "metrics", False) or getattr(args, "trace", None)
+            or health):
+        return None
+    return ObsConfig(enabled=True, trace=trace, health=health)
 
 
 def _render_csv(campaign_result, stream) -> None:
@@ -404,7 +354,7 @@ def _render_csv(campaign_result, stream) -> None:
 def cmd_campaign(args, stdout=None) -> int:
     """Entry point of the ``campaign`` subcommand."""
     from repro.analysis.cache import ResultCache
-    from repro.analysis.campaign import Campaign
+    from repro.analysis.campaign import REQUEST_KEYS, Campaign, expand_request
     from repro.analysis.tables import format_campaign_table
     from repro.baselines.configs import available_configurations
 
@@ -415,17 +365,19 @@ def cmd_campaign(args, stdout=None) -> int:
             print(name, file=stdout)
         return 0
 
-    if not args.ppc or not args.configurations:
-        print("error: --ppc and --configurations must each name at least "
-              "one value", file=sys.stderr)
-        return 2
-
-    unknown = [name for name in args.configurations
-               if name not in available_configurations()]
-    if unknown:
-        print(f"error: unknown configuration(s) {unknown}; "
-              f"valid names: {list(available_configurations())}",
-              file=sys.stderr)
+    # the grid flags are the grid keys the job service takes, so the
+    # sweep is accepted, rejected and hashed exactly as a submission
+    request = {key: value for key, value in vars(args).items()
+               if key in REQUEST_KEYS}
+    request["scramble"] = not args.no_scramble
+    try:
+        specs = expand_request(request, observe=_observe_config(args))
+        # fail fast on a kernel tier that cannot run here (named by
+        # REPRO_KERNEL_TIER), before any cell runs
+        activate()
+    except ValueError as exc:
+        # a usage-style error, not a traceback from inside the run
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
     cache_dir = args.cache_dir if args.cache_dir else default_cache_dir()
@@ -435,28 +387,12 @@ def cmd_campaign(args, stdout=None) -> int:
               file=sys.stderr)
     cache = None if args.no_cache else ResultCache(cache_dir)
 
-    try:
-        workloads = _build_workloads(args)
-    except ValueError as exc:
-        # invalid workload parameters (e.g. a PPC outside the paper's
-        # scan that is not a perfect cube) get a usage-style error, not
-        # a traceback from deep inside the campaign run
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
     # the campaign-level registry (disabled without --trace/--metrics);
     # cells record into their own per-run handles
-    from repro.obs import ObsConfig, Telemetry
+    from repro.obs import Telemetry
 
-    handle = Telemetry(ObsConfig(enabled=bool(args.trace or args.metrics),
-                                 trace=bool(args.trace)))
-    outcome = Campaign.from_grid(
-        workloads, args.configurations,
-        steps=args.steps, warmup_steps=args.warmup_steps,
-        scramble=not args.no_scramble,
-        cache=cache, jobs=args.jobs,
-        obs=handle,
-    ).run()
+    handle = Telemetry(_observe_config(args, trace=bool(args.trace)))
+    outcome = Campaign(specs, cache=cache, jobs=args.jobs, obs=handle).run()
     if args.trace:
         from repro.obs import export_chrome_trace
 
@@ -484,25 +420,20 @@ def cmd_campaign(args, stdout=None) -> int:
     return 0
 
 
-def _build_run_workload(args):
-    """A single workload builder for the ``run`` subcommand."""
-    from repro.config import ExecutionConfig
-
-    execution = ExecutionConfig(backend=args.backend, num_shards=args.shards)
-    observe = _observe_config(args, trace=bool(args.trace))
-    return _make_workload(args.workload, ppc=args.ppc, args=args,
-                          execution=execution,
-                          observe=observe if observe.enabled else None)
-
-
 def cmd_run(args, stdout=None) -> int:
     """Entry point of the ``run`` subcommand."""
+    from repro.config import ExecutionConfig
+
     stdout = stdout if stdout is not None else sys.stdout
 
     try:
-        workload = _build_run_workload(args)
-        # building the session also validates the decomposition against
-        # the tile lattice — surface that as a usage error, not a traceback
+        workload = workload_for_family(
+            args.workload, ppc=args.ppc, max_steps=args.steps,
+            seed=args.seed, domains=args.domains, n_cell=args.n_cell,
+            tile_size=args.tile_size, shape_order=args.shape_order,
+            execution=ExecutionConfig(backend=args.backend,
+                                      num_shards=args.shards),
+            observe=_observe_config(args, trace=bool(args.trace)))
         session = workload.build_session()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -55,6 +55,9 @@ _MODES = ("hybrid", "matrix_only")
 class HybridMPUDeposition(DepositionKernel):
     """The Matrix-PIC deposition kernel (MPU outer products + VPU staging)."""
 
+    #: the paper's MPU formulation is CIC/QSP only (§4.2.1)
+    shape_orders = (SHAPE_ORDER_CIC, SHAPE_ORDER_QSP)
+
     def __init__(self, mode: str = "hybrid"):
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -66,10 +69,7 @@ class HybridMPUDeposition(DepositionKernel):
                      order: int, counters: KernelCounters,
                      ordering: Optional[np.ndarray] = None,
                      local_cells: Optional[np.ndarray] = None) -> None:
-        if order not in (SHAPE_ORDER_CIC, SHAPE_ORDER_QSP):
-            raise ValueError(
-                "the MPU kernel supports the CIC (1) and QSP (3) schemes only"
-            )
+        self.check_order(order)
         data = prepare_tile_data(grid, tile, charge, order, local_cells)
         n = data.num_particles
         if n == 0:

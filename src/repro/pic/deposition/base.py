@@ -30,6 +30,7 @@ from repro.config import (
     SHAPE_ORDER_CIC,
     SHAPE_ORDER_QSP,
     SHAPE_ORDER_TSC,
+    SUPPORTED_SHAPE_ORDERS,
     GridConfig,
 )
 from repro.exec import TileExecutor, run_shards, shard_items
@@ -344,6 +345,16 @@ class DepositionKernel(abc.ABC):
 
     #: human-readable configuration name used in tables and figures
     name: str = "abstract"
+    #: the shape orders this kernel deposits, read by :meth:`check_order`
+    shape_orders: Tuple[int, ...] = SUPPORTED_SHAPE_ORDERS
+
+    @classmethod
+    def check_order(cls, order: int) -> None:
+        """Raise :class:`ValueError` unless this kernel deposits ``order``."""
+        if order not in cls.shape_orders:
+            raise ValueError(
+                f"{cls.__name__} deposits shape orders "
+                f"{list(cls.shape_orders)} only, got {order}")
 
     @abc.abstractmethod
     def deposit_tile(self, grid: Grid, tile: ParticleTile, charge: float,

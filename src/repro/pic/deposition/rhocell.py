@@ -28,6 +28,7 @@ from typing import Optional
 import numpy as np
 
 from repro.backend import ActiveKernels
+from repro.config import SHAPE_ORDER_CIC, SHAPE_ORDER_QSP
 from repro.hardware.counters import KernelCounters
 from repro.pic.deposition.base import (
     DepositionKernel,
@@ -79,12 +80,7 @@ def accumulate_rhocells(data: TileDepositionData, num_cells: int,
     Returns three arrays of shape ``(num_cells, S^3)`` — one per current
     component — indexed by the tile-local cell id.
     """
-    if data.order == 2:
-        raise ValueError(
-            "the rhocell layout requires a stencil anchored to the particle's "
-            "cell; order 2 (TSC) anchors to the nearest node and is only "
-            "supported by the direct kernels"
-        )
+    RhocellDeposition.check_order(data.order)
     # 3-D shape weights, flattened per particle to the rhocell layout
     weights = combined_weights(data.wx, data.wy, data.wz)
     weights = weights.reshape(data.num_particles, data.support**3)
@@ -101,8 +97,6 @@ def reduce_rhocells_to_grid(grid: Grid, tile: ParticleTile, order: int,
     This is the Equation-5 reduction: one pass over the tile's cells, each
     contributing its ``S^3`` node values to the surrounding grid nodes.
     """
-    if order == 2:
-        raise ValueError("order 2 (TSC) is not supported by the rhocell layout")
     support = shape_support(order)
     cx, cy, cz = tile.tile_cells
     num_cells = cx * cy * cz
@@ -132,6 +126,10 @@ def reduce_rhocells_to_grid(grid: Grid, tile: ParticleTile, order: int,
 
 class RhocellDeposition(DepositionKernel):
     """Rhocell-based VPU deposition (auto-vectorised or hand-tuned)."""
+
+    #: the rhocell layout anchors a particle's stencil to its cell: CIC and
+    #: QSP do, order 2 (TSC) anchors to the nearest node instead
+    shape_orders = (SHAPE_ORDER_CIC, SHAPE_ORDER_QSP)
 
     def __init__(self, hand_tuned: bool = False):
         self.hand_tuned = hand_tuned

@@ -6,7 +6,8 @@ only — no framework, no new dependencies):
 
 * **submission** — ``POST /v1/jobs`` accepts the same workload x PPC x
   configuration grids as the campaign CLI and expands them through the
-  identical defaulting path, so HTTP cells hash to the same cache keys,
+  same function (:func:`repro.analysis.campaign.expand_request`), so the
+  two reject the same grids and HTTP cells hash to the same cache keys,
 * **durability** — accepted jobs are journaled (request, status and
   cell keys, :class:`repro.serve.queue.JobJournal`) before the 202 goes
   out and again when they end; a completed cell is durable in one place,
@@ -24,6 +25,7 @@ only — no framework, no new dependencies):
   eviction (:mod:`repro.serve.tenants`).
 """
 
+from repro.analysis.campaign import expand_request
 from repro.serve.dedup import CellResolver, InFlightTable, ResultMemo
 from repro.serve.queue import (
     Job,
@@ -31,7 +33,6 @@ from repro.serve.queue import (
     JobJournal,
     QUEUE_FILENAME,
     WorkerPool,
-    expand_request,
 )
 from repro.serve.server import (
     CampaignServer,

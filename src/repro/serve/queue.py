@@ -1,11 +1,11 @@
-"""Job model, grid expansion, durable queue journal, worker pool.
+"""Job model, durable queue journal, worker pool.
 
 A submission is a declarative campaign grid (the same workload x PPC x
-configuration space as ``python -m repro campaign``);
-:func:`expand_request` turns it into :class:`~repro.analysis.campaign
-.ExperimentSpec` cells using the *identical* defaults and nesting order
-as the CLI — same expansion, same ``cache_key()``, so HTTP submissions
-and CLI sweeps share campaign cache entries.
+configuration space as ``python -m repro campaign``).  Its cells come
+from :func:`repro.analysis.campaign.expand_request`, the one grid
+expansion, which the CLI runs too: a grid one of them rejects the other
+rejects, and an accepted one has the same cells and ``cache_key()``s, so
+HTTP submissions and CLI sweeps share campaign cache entries.
 
 Accepted jobs are durable before the ``202`` goes out: the
 :class:`JobJournal` (a checksummed, torn-write-tolerant file) records
@@ -13,8 +13,9 @@ each job's request, status and cell keys, on acceptance and again when
 the job ends.  A cell's result is durable in one place only, the
 tenant's result cache under the cell's key.  So a server killed
 mid-queue restarts, restores finished jobs from the cache and re-expands
-unfinished ones on the running build, and computes only the cells the
-cache lacks (no accepted cell is lost, none runs twice).
+unfinished ones on the running build (failing one whose grid this build
+rejects), and computes only the cells the cache lacks (no accepted cell
+is lost, none runs twice).
 
 Cache misses execute on a :class:`WorkerPool`: a
 :class:`repro.exec.pool.SupervisedPool` (which owns worker death,
@@ -33,12 +34,11 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
-from repro.analysis.campaign import ExperimentSpec, spec_for_workload
+from repro.analysis.campaign import expand_request
 from repro.ckpt.format import SnapshotError, read_snapshot, write_snapshot
 from repro.exec.pool import SupervisedPool
 from repro.obs.log import log_event
 from repro.obs.registry import NULL_TELEMETRY, Telemetry
-from repro.workloads import GRID_CHOICES, GRID_DEFAULTS, workload_for_family
 
 __all__ = [
     "Job",
@@ -46,7 +46,6 @@ __all__ = [
     "JobJournal",
     "QUEUE_FILENAME",
     "WorkerPool",
-    "expand_request",
 ]
 
 logger = logging.getLogger(__name__)
@@ -59,111 +58,6 @@ _QUEUE_VERSION = 1
 
 #: job lifecycle states
 JOB_STATES = ("queued", "running", "completed", "failed")
-
-
-# ----------------------------------------------------------------------
-# Grid expansion (HTTP request -> ExperimentSpec cells)
-# ----------------------------------------------------------------------
-
-#: every key a submission may carry; anything else is a 400 (typos in a
-#: grid silently expanding to the default would poison cache parity)
-REQUEST_KEYS = frozenset({
-    "tenant", "workload", "ppc", "configurations", "steps",
-    "warmup_steps", "seed", "scramble", "shape_order", "n_cell",
-    "tile_size", "domains",
-})
-
-
-def _int_value(request: Mapping, key: str) -> int:
-    value = request.get(key, GRID_DEFAULTS[key])
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{key} must be >= 0, got {value}")
-    return value
-
-
-def _choice(request: Mapping, key: str) -> Any:
-    default = GRID_DEFAULTS.get(key)
-    value = request.get(key, default)
-    if value not in (default, *GRID_CHOICES[key]):
-        raise ValueError(
-            f"{key} must be one of {list(GRID_CHOICES[key])}, got {value!r}")
-    return value
-
-
-def _int_sequence(request: Mapping, key: str) -> List[int]:
-    value = request.get(key, GRID_DEFAULTS[key])
-    if isinstance(value, int) and not isinstance(value, bool):
-        value = [value]
-    if (not isinstance(value, (list, tuple)) or not value
-            or any(isinstance(v, bool) or not isinstance(v, int) or v <= 0
-                   for v in value)):
-        raise ValueError(
-            f"{key} must be a positive integer or a non-empty list of "
-            f"positive integers, got {value!r}")
-    return list(value)
-
-
-def expand_request(request: Mapping) -> List[ExperimentSpec]:
-    """Expand a submission grid into specs, mirroring the campaign CLI.
-
-    Defaults, validation and nesting order (workloads outer,
-    configurations inner) all match ``python -m repro campaign``, so the
-    cells hash to the same cache keys.  Raises :class:`ValueError` for
-    anything malformed — unknown keys, unknown configuration names, a
-    PPC outside the paper's scan, ``shape_order`` on the lwfa workload.
-    """
-    from repro.baselines.configs import available_configurations
-
-    if not isinstance(request, Mapping):
-        raise ValueError(
-            f"submission must be a JSON object, got {type(request).__name__}")
-    unknown = sorted(set(request) - REQUEST_KEYS)
-    if unknown:
-        raise ValueError(
-            f"unknown submission key(s) {unknown}; "
-            f"valid keys: {sorted(REQUEST_KEYS)}")
-
-    workload_family = _choice(request, "workload")
-    configurations = request.get(
-        "configurations", GRID_DEFAULTS["configurations"])
-    if (not isinstance(configurations, (list, tuple)) or not configurations
-            or any(not isinstance(name, str) for name in configurations)):
-        raise ValueError(
-            "configurations must be a non-empty list of configuration "
-            f"names, got {configurations!r}")
-    bad = [name for name in configurations
-           if name not in available_configurations()]
-    if bad:
-        raise ValueError(
-            f"unknown configuration(s) {bad}; "
-            f"valid names: {list(available_configurations())}")
-
-    ppc_scan = _int_sequence(request, "ppc")
-    steps = _int_value(request, "steps")
-    warmup_steps = _int_value(request, "warmup_steps")
-    seed = _int_value(request, "seed")
-    scramble = request.get("scramble", True)
-    if not isinstance(scramble, bool):
-        raise ValueError(f"scramble must be a boolean, got {scramble!r}")
-    shape_order = _choice(request, "shape_order")
-
-    workloads = [
-        workload_for_family(
-            workload_family, ppc=ppc, max_steps=steps, seed=seed,
-            domains=request.get("domains"),
-            n_cell=request.get("n_cell"),
-            tile_size=request.get("tile_size"),
-            shape_order=shape_order)
-        for ppc in ppc_scan
-    ]
-    return [
-        spec_for_workload(workload, configuration, steps=steps,
-                          warmup_steps=warmup_steps, scramble=scramble)
-        for workload in workloads
-        for configuration in configurations
-    ]
 
 
 # ----------------------------------------------------------------------

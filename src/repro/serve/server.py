@@ -12,7 +12,7 @@ cache by journaled key (``source="cache"``); an unfinished job, or a
 finished one whose cache entries were evicted, is re-expanded from its
 request on the running build and requeued, so only cells the cache
 lacks compute — the restart-mid-queue contract the acceptance test
-pins.
+pins.  A job whose grid the running build rejects comes back failed.
 
 The service builds its own :class:`~repro.obs.registry.Telemetry` and
 hands it to everything it owns (tenant caches, journal, pool, resolver);
@@ -167,7 +167,9 @@ class JobService:
         journaled key.  An unfinished job, or a completed one missing a
         cache entry, is re-expanded from its request on the running
         build and queued: its keys name this build, and only cells the
-        cache lacks will compute.
+        cache lacks will compute.  A grid an earlier build accepted and
+        this one rejects was still acknowledged, so its job comes back
+        failed, with the expansion error, rather than vanishing.
         """
         job = Job.from_journal(record)
         cache = self.tenants.get(job.tenant).cache
@@ -181,7 +183,16 @@ class JobService:
                     cell.source = "cache"
             if job.status == "failed" or all(c.done for c in job.cells):
                 return job
-        job.cells = expand_cells(job.request)
+        try:
+            job.cells = expand_cells(job.request)
+        except ValueError as exc:
+            job.status = "failed"
+            job.error = f"{type(exc).__name__}: {exc}"
+            log_event(
+                "serve.job_failed",
+                "job %s failed: %s", job.job_id, job.error, logger=logger,
+                obs=self.obs)
+            return job
         job.status = "queued"
         return job
 
@@ -206,8 +217,8 @@ class JobService:
         Raises :class:`ValueError` / :class:`TenantNameError` for a
         malformed submission (the HTTP layer maps both to 400).
         """
-        tenant = self.tenants.get(request.get("tenant")).name
         cells = await asyncio.to_thread(expand_cells, request)
+        tenant = self.tenants.get(request.get("tenant")).name
         job = Job(job_id=self.journal.new_job_id(), tenant=tenant,
                   request=dict(request), cells=cells)
         self.jobs[job.job_id] = job
@@ -527,8 +538,6 @@ class CampaignServer:
             request = json.loads(body.decode("utf-8") or "null")
         except (ValueError, UnicodeDecodeError) as exc:
             raise _HttpError(400, f"request body is not JSON: {exc}")
-        if not isinstance(request, dict):
-            raise _HttpError(400, "submission must be a JSON object")
         try:
             job = await self.service.submit(request)
         except (TenantNameError, ValueError) as exc:

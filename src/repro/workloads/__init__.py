@@ -12,6 +12,8 @@
 
 from typing import Optional, Sequence, Tuple
 
+from repro.config import SUPPORTED_SHAPE_ORDERS
+from repro.domain.decomposition import Decomposition
 from repro.workloads.lwfa import LWFAWorkload
 from repro.workloads.nbody_pm import ParticleMeshGravity
 from repro.workloads.pme import PMEChargeAssignment
@@ -42,7 +44,7 @@ FAMILIES = {
 
 #: the campaign grid schema: the one statement of the defaults and
 #: enumerations that the argparse declarations of ``python -m repro
-#: campaign|run`` and ``repro.serve``'s ``expand_request`` both read
+#: campaign|run`` and the grid expansion ``expand_request`` both read
 GRID_DEFAULTS = {
     "workload": "uniform",
     "ppc": (8, 64),
@@ -53,7 +55,7 @@ GRID_DEFAULTS = {
 }
 GRID_CHOICES = {
     "workload": tuple(FAMILIES),
-    "shape_order": (1, 2, 3),
+    "shape_order": SUPPORTED_SHAPE_ORDERS,
 }
 
 
@@ -66,24 +68,32 @@ def workload_for_family(family: str, *, ppc: int, max_steps: int,
                         execution=None, observe=None):
     """One workload builder with the canonical per-family defaults.
 
-    The single defaulting point behind both ``python -m repro
-    run|campaign`` and the ``repro.serve`` job service: a grid submitted
-    over HTTP expands to exactly the workloads the CLI would build, so
-    the two share campaign cache entries.  Raises :class:`ValueError`
-    for an unknown family, a ``shape_order`` on the (order-1-fixed) lwfa
-    workload, or a PPC outside the paper's scan.
+    The single defaulting point behind ``python -m repro run`` and the
+    grid expansion (:func:`repro.analysis.campaign.expand_request`) that
+    ``campaign`` and the ``repro.serve`` job service share.  Raises
+    :class:`ValueError` for an unknown family or shape order, a
+    ``shape_order`` on the (order-1-fixed) lwfa workload, a PPC outside
+    the paper's scan, or a decomposition the tile lattice cannot split.
     """
-    if family not in FAMILIES:
+    # tuple membership: an unhashable value is refused, not a TypeError
+    if family not in GRID_CHOICES["workload"]:
         raise ValueError(
             f"unknown workload family {family!r}; expected one of "
             f"{sorted(FAMILIES)}")
+    if shape_order not in (None, *GRID_CHOICES["shape_order"]):
+        raise ValueError(
+            f"shape_order must be one of "
+            f"{list(GRID_CHOICES['shape_order'])}, got {shape_order!r}")
     defaults = FAMILIES[family]
     kwargs = dict(
         ppc=int(ppc),
         max_steps=int(max_steps),
-        n_cell=_triple(n_cell, defaults["n_cell"], "n_cell"),
-        tile_size=_triple(tile_size, defaults["tile_size"], "tile_size"),
-        domains=_triple(domains, (1, 1, 1), "domains"),
+        n_cell=(defaults["n_cell"] if n_cell is None
+                else positive_ints("n_cell", n_cell, 3)),
+        tile_size=(defaults["tile_size"] if tile_size is None
+                   else positive_ints("tile_size", tile_size, 3)),
+        domains=(1, 1, 1) if domains is None else positive_ints(
+            "domains", domains, 3),
         seed=int(seed),
     )
     if observe is not None:
@@ -99,18 +109,22 @@ def workload_for_family(family: str, *, ppc: int, max_steps: int,
     # fail fast on a PPC outside the paper's scan (builders only check
     # lazily when the simulation is built)
     ppc_triple(kwargs["ppc"])
-    return defaults["builder"](**kwargs)
+    workload = defaults["builder"](**kwargs)
+    if kwargs["domains"] != (1, 1, 1):
+        Decomposition(workload.build_config().grid, kwargs["domains"])
+    return workload
 
 
-def _triple(value: Optional[Sequence[int]], default: Tuple[int, int, int],
-            name: str) -> Tuple[int, int, int]:
-    if value is None:
-        return default
-    # exactly three positive ints: a string, a float or a bool that
-    # merely coerces would expand a typo into some other grid
-    if (not isinstance(value, (list, tuple)) or len(value) != 3
+def positive_ints(name: str, value: Sequence[int],
+                  length: Optional[int] = None) -> Tuple[int, ...]:
+    """``value`` as a tuple of positive ints: exactly ``length`` of them
+    when given, else one or more.  A string, a float or a bool that
+    merely coerces is refused: it would expand a typo into some other
+    grid."""
+    if (not isinstance(value, (list, tuple)) or not value
+            or len(value) != (length or len(value))
             or any(isinstance(v, bool) or not isinstance(v, int) or v <= 0
                    for v in value)):
-        raise ValueError(
-            f"{name} must be 3 positive integers, got {value!r}")
+        raise ValueError(f"{name} must be {length or 'one or more'} "
+                         f"positive integers, got {value!r}")
     return tuple(value)

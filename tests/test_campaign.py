@@ -2,14 +2,19 @@
 
 import json
 import os
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import repro.analysis.campaign as campaign_module
 from repro._version import __version__
 from repro.analysis.cache import ResultCache, canonical_json, content_key
 from repro.analysis.campaign import (
     Campaign,
     ExperimentSpec,
+    expand_request,
     run_spec,
     spec_for_workload,
 )
@@ -490,9 +495,9 @@ class TestCLI:
         # usage error, not a traceback from inside the campaign run
         assert main(["campaign", "--ppc", "5", "--no-cache"]) == 2
         assert "error" in capsys.readouterr().err
-        with pytest.raises(SystemExit) as excinfo:
-            main(["campaign", "--steps", "-3", "--no-cache"])
-        assert excinfo.value.code == 2
+        # the flag parses any int; the grid expansion rejects the range
+        assert main(["campaign", "--steps", "-3", "--no-cache"]) == 2
+        assert capsys.readouterr().err.startswith("error: steps")
 
     def test_campaign_cli_clear_cache(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
@@ -559,6 +564,108 @@ class TestCLI:
         assert main(["campaign", "--list-configurations"]) == 0
         out = capsys.readouterr().out
         assert "MatrixPIC (FullOpt)" in out
+
+    def test_campaign_cli_rejects_an_order_the_kernel_cannot_deposit(
+            self, capsys):
+        # a usage error before any cell runs, not a ValueError out of main
+        assert main(["campaign", "--shape-order", "2", "--configurations",
+                     "Rhocell", "--no-cache"]) == 2
+        assert "shape orders [1, 3]" in capsys.readouterr().err
+
+    def test_run_cli_rejects_a_decomposition_before_the_session(
+            self, capsys):
+        # workload_for_family's check, the one campaign and HTTP reach
+        assert main(["run", "--domains", "3,1,1", "--steps", "1"]) == 2
+        assert "cannot split" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# One grid expansion: the CLI accepts exactly the grids the service does
+# ----------------------------------------------------------------------
+
+class _Intercepted(Exception):
+    """Raised instead of running the campaign the CLI built."""
+
+
+class _InterceptedCampaign(Campaign):
+    def run(self):
+        raise _Intercepted(self.specs)
+
+
+def cli_specs(argv):
+    """The specs ``main(argv)`` would run, or its exit code."""
+    with mock.patch.object(campaign_module, "Campaign",
+                           _InterceptedCampaign):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+        except _Intercepted as intercepted:
+            return intercepted.args[0]
+
+
+def campaign_argv(grid):
+    """A grid mapping rendered as ``repro campaign`` flags."""
+    argv = ["campaign", "--no-cache"]
+    for key, value in grid.items():
+        if key == "scramble":
+            argv += [] if value else ["--no-scramble"]
+            continue
+        argv += ["--" + key.replace("_", "-"),
+                 ",".join(map(str, value)) if isinstance(value, list)
+                 else str(value)]
+    return argv
+
+
+#: one small valid grid (8^3 cells in 4^3 tiles) the examples vary
+BASE_GRID = {"workload": "uniform", "ppc": [1], "steps": 1,
+             "configurations": ["Baseline"], "tile_size": [4, 4, 4]}
+
+#: grids valid and invalid; each axis repeats its valid values so that
+#: a fair share of the drawn grids is accepted
+GRIDS = st.fixed_dictionaries(
+    {"workload": st.sampled_from(["uniform", "uniform", "lwfa"]),
+     "ppc": st.sampled_from([[1], [8], [1, 8], [8, 1], [1], [5], []]),
+     "configurations": st.sampled_from([
+         ["Baseline"], ["Baseline"], ["Baseline", "MatrixPIC (FullOpt)"],
+         ["MatrixPIC (FullOpt)"], ["Rhocell"], ["NoSuchConfig"], []]),
+     "steps": st.sampled_from([0, 1, 1, 2, -1])},
+    optional={"shape_order": st.sampled_from([1, 2, 3]),
+              "domains": st.sampled_from([[1, 1, 1], [2, 1, 1], [3, 1, 1]]),
+              "tile_size": st.sampled_from([[4, 4, 4], [4, 4, 4], [4, 4]]),
+              "warmup_steps": st.integers(0, 1),
+              "seed": st.integers(0, 3),
+              "scramble": st.booleans()})
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(GRIDS)
+@example(dict(BASE_GRID, ppc=[5]))
+@example(dict(BASE_GRID, ppc=[]))
+@example(dict(BASE_GRID, workload="lwfa", shape_order=3))
+@example(dict(BASE_GRID, domains=[3, 1, 1]))
+@example(dict(BASE_GRID, domains=[2, 1, 1], shape_order=3,
+              configurations=["Baseline", "MatrixPIC (FullOpt)"]))
+@example(dict(BASE_GRID, shape_order=2,
+              configurations=["MatrixPIC (FullOpt)"]))
+@example(dict(BASE_GRID, shape_order=2, configurations=["Rhocell"]))
+@example(dict(BASE_GRID, shape_order=2))
+@example(dict(BASE_GRID, configurations=["NoSuchConfig"]))
+def test_the_cli_accepts_exactly_the_grids_the_service_accepts(grid):
+    """``repro campaign`` exits 2 exactly when ``expand_request`` raises,
+    and an accepted grid runs the service's specs under its keys."""
+    try:
+        expected = expand_request(grid)
+    except ValueError:
+        expected = None
+    outcome = cli_specs(campaign_argv(grid))
+    if expected is None:
+        assert outcome == 2
+        return
+    assert [spec.to_dict() for spec in outcome] \
+        == [spec.to_dict() for spec in expected]
+    assert [spec.cache_key() for spec in outcome] \
+        == [spec.cache_key() for spec in expected]
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,12 @@ property of the reproduction.
 import numpy as np
 import pytest
 
-from repro.baselines.configs import available_configurations, make_strategy
+from repro.baselines.configs import (
+    available_configurations,
+    configuration_kernel,
+    make_strategy,
+)
+from repro.config import SUPPORTED_SHAPE_ORDERS
 from repro.core.framework import MatrixPICDeposition
 from repro.core.hybrid_kernel import HybridMPUDeposition
 from repro.hardware.counters import KernelCounters
@@ -149,6 +154,24 @@ def test_named_configuration_matches_reference(tiled_grid_config, config_name,
     scale = np.max(np.abs(reference.jx)) or 1.0
     assert current_residual(grid, reference) / scale < 1e-12
     assert isinstance(counters, KernelCounters)
+
+
+@pytest.mark.parametrize("config_name", available_configurations())
+def test_a_configuration_deposits_exactly_its_kernels_shape_orders(
+        small_grid_config, config_name):
+    """The orders a kernel class states are the ones its strategy
+    deposits, so the grid expansion can reject a (configuration, order)
+    pair by reading them, without building a strategy."""
+    kernel = configuration_kernel(config_name)
+    assert type(make_strategy(config_name).kernel) is kernel
+    for order in SUPPORTED_SHAPE_ORDERS:
+        grid, container = make_plasma(small_grid_config)
+        strategy = make_strategy(config_name)
+        if order in kernel.shape_orders:
+            strategy.run_step(grid, container, order, step=0)
+            continue
+        with pytest.raises(ValueError, match="shape orders"):
+            strategy.run_step(grid, container, order, step=0)
 
 
 def test_repeated_steps_stay_exact(tiled_grid_config):

@@ -535,13 +535,20 @@ def test_only_the_snapshot_format_stages_and_renames_files():
                   if renames(tree)) == ["ckpt/format.py"]
 
 
-def test_cli_and_service_read_grid_defaults_from_the_one_schema(monkeypatch):
+def test_cli_and_service_read_grid_defaults_from_the_one_schema(monkeypatch,
+                                                               capsys):
     patched = {"workload": "lwfa", "ppc": (8,),
                "configurations": ("Baseline",), "steps": 3,
                "warmup_steps": 0, "seed": 7}
     assert set(patched) == set(workloads.GRID_DEFAULTS)
     for key, value in patched.items():
         monkeypatch.setitem(workloads.GRID_DEFAULTS, key, value)
+    families = {"uniform": {"n_cell": (12, 12, 12), "tile_size": (6, 6, 6)},
+                "lwfa": {"n_cell": (12, 12, 48), "tile_size": (12, 12, 24)}}
+    assert set(families) == set(workloads.FAMILIES)
+    for name, family in families.items():
+        for key, value in family.items():
+            monkeypatch.setitem(workloads.FAMILIES[name], key, value)
     args = vars(build_parser().parse_args(["campaign"]))
     assert {key: args[key] for key in patched} == {
         key: list(value) if isinstance(value, tuple) else value
@@ -549,17 +556,37 @@ def test_cli_and_service_read_grid_defaults_from_the_one_schema(monkeypatch):
     args = vars(build_parser().parse_args(["run"]))
     assert all(args[key] == patched[key]
                for key in ("workload", "seed"))
+    # --help states each family's grid defaults as FAMILIES has them
+    for command in ("campaign", "run"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "(defaults: 12,12,12 uniform / 12,12,48 lwfa)" in text
+        assert "(defaults: 6,6,6 uniform / 12,12,24 lwfa)" in text
     (spec,) = expand_request({})
     assert (spec.workload_kind, spec.workload_params["ppc"],
             spec.configuration, spec.steps, spec.warmup_steps,
-            spec.workload_params["seed"]) \
-        == ("lwfa", 8, "Baseline", 3, 0, 7)
+            spec.workload_params["seed"], spec.workload_params["n_cell"],
+            spec.workload_params["tile_size"]) \
+        == ("lwfa", 8, "Baseline", 3, 0, 7, (12, 12, 48), (12, 12, 24))
+
+
+def test_a_grid_is_expanded_in_one_place():
+    # the CLI and the service hand their grid to expand_request; neither
+    # builds specs of its own nor carries a second expansion
+    trees = dict(source_trees())
+    for path, tree in trees.items():
+        if path == "cli.py" or path.startswith("serve/"):
+            assert not names_in(tree) & {"spec_for_workload", "from_grid"}, \
+                path
+            assert "expand_request" not in defined_names(tree), path
+    assert "expand_request" in defined_names(trees["analysis/campaign.py"])
 
 
 def test_grid_enumerations_are_not_restated_beside_the_schema():
     restated = [tuple(choices) for choices in workloads.GRID_CHOICES.values()]
     for path, tree in source_trees():
-        if path in ("cli.py", "serve/queue.py"):
+        if path in ("cli.py", "serve/queue.py", "analysis/campaign.py"):
             for node in ast.walk(tree):
                 if isinstance(node, (ast.Tuple, ast.List)) and all(
                         isinstance(item, ast.Constant) for item in node.elts):

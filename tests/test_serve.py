@@ -220,6 +220,11 @@ class TestExpandRequest:
         {"shape_order": 4},
         {"workload": "lwfa", "shape_order": 2},
         {"n_cell": [4, 4]},
+        # the tile lattice (one 4^3 tile) cannot split into 3 subdomains
+        {"domains": [3, 1, 1]},
+        # the rhocell layout and the MPU kernel take CIC and QSP only
+        {"shape_order": 2, "configurations": ["Rhocell"]},
+        {"shape_order": 2, "configurations": ["MatrixPIC (FullOpt)"]},
     ])
     def test_rejects_malformed_requests(self, request_patch):
         with pytest.raises(ValueError):

@@ -24,6 +24,7 @@ import shutil
 import tempfile
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +35,7 @@ from repro.analysis.campaign import ExperimentSpec
 from repro.baselines.configs import available_configurations
 from repro.ckpt.format import read_snapshot
 from repro.serve import (
+    DEFAULT_TENANT,
     QUEUE_FILENAME,
     JobJournal,
     JobService,
@@ -245,6 +247,39 @@ def test_a_failed_job_comes_back_failed_with_its_finished_cells(tmp_path):
     assert job.cells[0].result == failed.cells[0].result
     assert canonical_json(job.cells[0].spec_payload) \
         == canonical_json(failed.cells[0].spec_payload)
+
+
+def test_an_unfinished_job_this_build_rejects_comes_back_failed(tmp_path):
+    """A journal written by a build that accepted a grid this build
+    rejects (one 4^3 tile cannot split into 3 subdomains): the job was
+    acknowledged, so it is restored failed with the expansion error, not
+    dropped, and nothing computes."""
+    request = dict(grid(1), domains=[3, 1, 1])
+    with pytest.raises(ValueError) as rejection:
+        expand_request(request)
+    root = tmp_path / "serve"
+    journal = JobJournal(str(root))
+    journal.record({"job_id": journal.new_job_id(), "tenant": DEFAULT_TENANT,
+                    "request": request, "status": "queued", "error": None,
+                    "cells": [{"index": 0, "key": "0" * 64}]})
+    journal.flush()
+
+    cells = Cells()
+    service, _ = life(root, cells)
+    job = service.jobs["job-000001"]
+    assert (job.status, job.error) \
+        == ("failed", f"ValueError: {rejection.value}")
+    assert "cannot split" in job.error
+    assert not cells.computed
+    assert service.obs.metrics.get("log.serve.job_failed") == 1
+
+    async def frames():
+        return [frame.decode() async for frame
+                in service.brokers[job.job_id].subscribe()]
+
+    last = asyncio.run(frames())[-1]
+    assert "event: done" in last and '"status":"failed"' in last
+    assert service.journal.new_job_id() == "job-000002"
 
 
 def test_a_journal_with_cell_results_still_restores(tmp_path):
