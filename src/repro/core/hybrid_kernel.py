@@ -9,18 +9,28 @@ The kernel processes each tile in three stages:
    vectorised).  The cell indices are the sort state's when the framework
    hands them over (``local_cells``: the ids of the tile's storage order,
    computed by the sorter or handed to it by the migration regroup), so a
-   sorted deposit derives them at most once per tile.
+   sorted deposit derives them at most once per tile; without a sort
+   state they are derived once for the whole tile
+   (:meth:`~repro.pic.particles.ParticleTile.local_cell_ids`, the
+   staging's floor, wrap and clip).  The rest is staged piece by piece
+   just ahead of Stage 2, as the paper's VPU feeds the MPU: a piece is
+   a cell-aligned slice of about ``BATCH_PARTICLES`` particles of the
+   cell-grouped processing order, staged by
+   :func:`~repro.pic.deposition.base.prepare_run_data` (a tile at or
+   under the cap is one piece).
 2. **MPU deposition** — pair cell-sorted particles and issue one MOPA
    outer-product per pair per current component, keeping the tile register
    resident per cell (CIC) or reading it back per pair (QSP, where the
    trailing s_z multiply is VPU work); accumulate into the rhocell buffer.
-   That is the instruction stream the counters are charged for; the
-   values come from :func:`~repro.core.mpu_deposit.tile_rhocells`, which
-   sums the same outer products as stacked per-cell matrix products (BLAS
-   GEMM standing in for the resident MOPA accumulation) in ``ordering``
-   — the only kernel whose numerics read it, hence the permutation check.
+   That is the instruction stream the counters are charged for, from the
+   whole tile's processing order; the values come from
+   :func:`~repro.core.mpu_deposit.tile_rhocells`, which sums the same
+   outer products as stacked per-cell matrix products (BLAS GEMM
+   standing in for the resident MOPA accumulation), one piece at a
+   time, in ``ordering`` — the only kernel whose numerics read it, hence
+   the permutation check.
 3. **VPU postprocessing** — reduce the rhocell buffer to the global
-   current arrays with indexed scatter-adds.
+   current arrays with indexed scatter-adds, once per tile.
 
 Two instrumentation modes reproduce the ablation configurations of §6.2:
 
@@ -32,6 +42,7 @@ Two instrumentation modes reproduce the ablation configurations of §6.2:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -41,7 +52,8 @@ from repro.core.mpu_deposit import tile_rhocells
 from repro.hardware.counters import KernelCounters
 from repro.pic.deposition.base import (
     DepositionKernel,
-    prepare_tile_data,
+    checked_cell_ids,
+    prepare_run_data,
     run_switch_fraction,
 )
 from repro.pic.deposition.rhocell import reduce_rhocells_to_grid
@@ -70,21 +82,26 @@ class HybridMPUDeposition(DepositionKernel):
                      ordering: Optional[np.ndarray] = None,
                      local_cells: Optional[np.ndarray] = None) -> None:
         self.check_order(order)
-        data = prepare_tile_data(grid, tile, charge, order, local_cells)
-        n = data.num_particles
+        n = tile.num_particles
         if n == 0:
             return
+        # the tile's cell ids with the staging's floor, wrap and clip:
+        # the sort state's, or derived once for the whole tile
+        local_cells = (tile.local_cell_ids(grid) if local_cells is None
+                       else checked_cell_ids(local_cells, n))
         lanes = 8.0
         support = shape_support(order)
         nodes = support**3
-        order_idx = (np.arange(n, dtype=np.int64) if ordering is None
-                     else np.asarray(ordering, dtype=np.int64))
-        if order_idx.shape != (n,):
-            raise ValueError("ordering length does not match particle count")
-        if ordering is not None and (
-                order_idx.min() < 0 or order_idx.max() >= n
-                or np.any(np.bincount(order_idx, minlength=n) != 1)):
-            raise ValueError("ordering is not a permutation of the particles")
+        order_idx = None
+        if ordering is not None:
+            order_idx = np.asarray(ordering, dtype=np.int64)
+            if order_idx.shape != (n,):
+                raise ValueError(
+                    "ordering length does not match particle count")
+            if (order_idx.min() < 0 or order_idx.max() >= n
+                    or np.any(np.bincount(order_idx, minlength=n) != 1)):
+                raise ValueError(
+                    "ordering is not a permutation of the particles")
 
         # --- Stage 1: VPU preprocessing -------------------------------------
         pre = counters.phase("preprocess")
@@ -119,7 +136,9 @@ class HybridMPUDeposition(DepositionKernel):
 
         # --- Stage 2: MPU deposition into the rhocell buffer -----------------
         comp = counters.phase("compute")
-        *rhocells, stats = tile_rhocells(data, order_idx, tile.num_cells)
+        *rhocells, stats = tile_rhocells(
+            partial(prepare_run_data, grid, [tile], charge, order),
+            local_cells, order_idx, tile.num_cells, order)
         # the locality metric, from the runs Stage 2 already counted
         switch = run_switch_fraction(stats["runs"], n)
 

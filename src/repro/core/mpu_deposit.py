@@ -30,9 +30,14 @@ handed to BLAS GEMM (this machine's MOPA-accumulate) and no per-particle
 paper's hybrid pipeline — is particle-inner: the operand panels are
 long-axis products of the node-major shape factors
 (:func:`repro.pic.blocks.outer_rows`), and the tile-local cell ids come
-from the sort state when it holds them.  The modelled
+from the sort state when it holds them.  As the paper's VPU stages
+operands just ahead of the MPU, a dense tile is staged, multiplied and
+folded piece by piece — cell-aligned pieces of about
+``BATCH_PARTICLES`` particles (:func:`repro.pic.particles.piece_bounds`)
+— so a piece's staging, panels and products stay in cache instead of
+streaming whole-tile arrays from memory.  The modelled
 instruction counts (:func:`mpu_work_statistics`) remain those of the
-pairwise MOPA stream on the processing order.
+pairwise MOPA stream on the whole tile's processing order.
 
 The pair-by-pair mapping itself, a functional MPU tile register driven
 one MOPA per pair as Algorithm 2 describes, is a test oracle
@@ -42,13 +47,20 @@ one MOPA per pair as Algorithm 2 describes, is a test oracle
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.config import SHAPE_ORDER_CIC
-from repro.pic.blocks import BLOCK_ROWS, cell_block_slots, outer_rows
-from repro.pic.deposition.base import TileDepositionData
+from repro.pic.blocks import (
+    BLOCK_ROWS,
+    cell_block_slots,
+    group_by_cell,
+    outer_rows,
+)
+from repro.pic.deposition.base import Selection, TileDepositionData
+from repro.pic.particles import piece_bounds
+from repro.pic.shapes import shape_support
 
 
 def mpu_work_statistics(cell_sequence: np.ndarray, order: int) -> dict:
@@ -83,46 +95,79 @@ def mpu_work_statistics(cell_sequence: np.ndarray, order: int) -> dict:
     }
 
 
-def tile_rhocells(data: TileDepositionData, order_idx: np.ndarray,
-                  num_cells: int
+def tile_rhocells(stage: Callable[[Selection], TileDepositionData],
+                  cells: np.ndarray, order_idx: Optional[np.ndarray],
+                  num_cells: int, order: int
                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Rhocell blocks of one tile as stacked matrix products (both orders).
 
-    ``order_idx`` is the processing order (a permutation of the tile's
-    particles, e.g. the GPMA iteration order).  Returns the three
-    ``(num_cells, S^3)`` rhocell arrays — one per current component,
-    ``(i, j, k)`` row-major — plus :func:`mpu_work_statistics`.
+    ``cells`` are the tile-local cell ids of the tile's particles in
+    storage order and ``order_idx`` the processing order (a permutation
+    of them, e.g. the GPMA iteration order; ``None``: storage order).
+    ``stage(selection)`` stages the particles a selection of the
+    storage order picks, in its order (:func:`~repro.pic.deposition.base.
+    prepare_run_data`).  Returns the three ``(num_cells, S^3)`` rhocell
+    arrays — one per current component, ``(i, j, k)`` row-major — plus
+    :func:`mpu_work_statistics` of the whole processing order.
 
-    A cell's rhocell is ``A^T B`` over its particles with
-    ``A = [wqx sx | wqy sx | wqz sx]`` (``3S`` columns) and
-    ``B = sy (x) sz`` (``S^2`` columns), each built as ``3S`` / ``S^2``
-    products along the particle axis of the node-major factors and
-    scattered to the particles' rows (:func:`~repro.pic.blocks.outer_rows`:
-    the same values, bit for bit, as a per-particle outer product).
-    Each cell's run is cut into blocks of :data:`BLOCK_ROWS` rows (the
-    tail zero-padded: exact zeros), every block is one matrix product —
-    ``BLOCK_ROWS / 2`` MOPA accumulations into a resident tile, three
-    components at once — and a cell's blocks are folded in block order,
-    so a cell's result depends on that cell's own particle sequence only.
+    The processing order is grouped by cell once, each cell keeping its
+    sequence, and cut between cells into pieces of about
+    ``BATCH_PARTICLES`` (:func:`~repro.pic.particles.piece_bounds`; a
+    tile at or under it is one piece).  Each piece stages its own
+    particles — a slice when the grouped order is the storage order, a
+    gather otherwise — so its staging, panels and products stay in
+    cache, and its cells' rows are written once (:func:`_piece_rhocells`).
+    A cell lies in one piece with its whole sequence, so it gets the
+    same blocks, folded in the same order, under any cut.
     """
-    n = order_idx.shape[0]
-    support = data.support
-    nodes = support**3
-    cells = data.local_cell_ids[order_idx]
+    n = cells.shape[0]
     if n and (cells.min() < 0 or cells.max() >= num_cells):
         raise ValueError(
             f"local cell id out of range for a tile of {num_cells} cells")
-    stats = mpu_work_statistics(cells, data.order)
+    sequence = cells if order_idx is None else cells[order_idx]
+    stats = mpu_work_statistics(sequence, order)
 
+    grouped, sequence = group_by_cell(sequence, num_cells, order_idx)
+    if grouped is not None and np.array_equal(grouped, np.arange(n)):
+        grouped = None
+    bounds = piece_bounds(
+        n, np.flatnonzero(sequence[1:] != sequence[:-1]) + 1)
+    rhocells = np.zeros((3, num_cells, shape_support(order)**3))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        data = stage(slice(lo, hi) if grouped is None else grouped[lo:hi])
+        _piece_rhocells(data, sequence[lo:hi], rhocells)
+    return rhocells[0], rhocells[1], rhocells[2], stats
+
+
+def _piece_rhocells(data: TileDepositionData, cells: np.ndarray,
+                    rhocells: np.ndarray) -> None:
+    """Write the rhocells of the cells one piece holds whole.
+
+    ``data`` stages the piece's particles grouped by cell and ``cells``
+    are their cell ids (non-decreasing).  A cell's rhocell is ``A^T B``
+    over its particles with ``A = [wqx sx | wqy sx | wqz sx]`` (``3S``
+    columns) and ``B = sy (x) sz`` (``S^2`` columns), each built as
+    ``3S`` / ``S^2`` products along the particle axis of the node-major
+    factors and scattered to the particles' rows
+    (:func:`~repro.pic.blocks.outer_rows`: the same values, bit for bit,
+    as a per-particle outer product).  Each cell's run is cut into
+    blocks of :data:`BLOCK_ROWS` rows (the tail zero-padded: exact
+    zeros), every block is one matrix product — ``BLOCK_ROWS / 2`` MOPA
+    accumulations into a resident tile, three components at once — and
+    a cell's blocks are folded in block order, so a cell's result
+    depends on that cell's own particle sequence only.
+    """
+    n = data.num_particles
+    support = data.support
+    nodes = support**3
+    num_cells = rhocells.shape[1]
     # every particle's row in the cell-grouped, block-aligned row space
     # (the layout the gather shares: repro.pic.blocks)
-    slots, cell_blocks, block_start = cell_block_slots(cells, num_cells,
-                                                       order_idx)
+    slots, cell_blocks, block_start = cell_block_slots(cells, num_cells)
     num_blocks = int(cell_blocks.sum())
 
-    # the two operand panels, built node-major in storage order and
-    # scattered to their slots: 3S + S^2 doubles per particle for all
-    # three components
+    # the two operand panels, built node-major and scattered to their
+    # slots: 3S + S^2 doubles per particle for all three components
     rows = num_blocks * BLOCK_ROWS
     width_left = 3 * support
     width_right = support * support
@@ -148,7 +193,4 @@ def tile_rhocells(data: TileDepositionData, order_idx: np.ndarray,
     for rank in range(1, int(depth.max(initial=0))):
         more = depth > rank
         folded[more] += products[first_block[more] + rank]
-
-    rhocells = np.zeros((3, num_cells, nodes))
     rhocells[:, occupied] = folded.reshape(-1, 3, nodes).transpose(1, 0, 2)
-    return rhocells[0], rhocells[1], rhocells[2], stats

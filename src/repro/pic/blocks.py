@@ -39,29 +39,40 @@ def stable_order_by_bin(bins: np.ndarray, num_bins: int) -> np.ndarray:
     return np.argsort(keys, kind="stable")
 
 
+def group_by_cell(cells: np.ndarray, num_cells: int,
+                  order_idx: Optional[np.ndarray] = None
+                  ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+    """A processing order grouped by cell, each cell keeping its sequence.
+
+    ``cells`` is the cell id (in ``[0, num_cells)``) of each particle in
+    processing order and ``order_idx`` the storage index of each
+    processing position (``None``: processing order is storage order).
+    Returns the grouped ``(order_idx, cells)``: as given when the cells
+    are already non-decreasing (a sorted tile), else after one
+    :func:`stable_order_by_bin` pass.
+    """
+    if cells.shape[0] > 1 and np.any(cells[1:] < cells[:-1]):
+        group = stable_order_by_bin(cells, num_cells)
+        order_idx = group if order_idx is None else order_idx[group]
+        cells = cells[group]
+    return order_idx, cells
+
+
 def cell_block_slots(cells: np.ndarray, num_cells: int,
                      order_idx: Optional[np.ndarray] = None
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row of every particle in the zero-padded, block-aligned row space.
 
-    ``cells`` is the cell id (in ``[0, num_cells)``) of each particle in
-    processing order and ``order_idx`` the storage index of each
-    processing position (``None``: processing order is storage order).
-    The processing order is grouped by cell keeping each cell's sequence
-    (skipped when it is already non-decreasing — a sorted tile — else
-    one :func:`stable_order_by_bin` pass); cell ``c`` then owns the
-    ``cell_blocks[c]`` consecutive blocks from ``block_start[c]`` and
-    its particles fill their rows in sequence.
+    ``cells`` and ``order_idx`` are a processing order as
+    :func:`group_by_cell` takes it, which groups it by cell; cell ``c``
+    then owns the ``cell_blocks[c]`` consecutive blocks from
+    ``block_start[c]`` and its particles fill their rows in sequence.
 
     Returns ``(slots, cell_blocks, block_start)`` with ``slots`` indexed
     by *storage* index.
     """
     n = cells.shape[0]
-    if n > 1 and np.any(cells[1:] < cells[:-1]):
-        group = stable_order_by_bin(cells, num_cells)
-        order_idx = group if order_idx is None else order_idx[group]
-        cells = cells[group]
-
+    order_idx, cells = group_by_cell(cells, num_cells, order_idx)
     counts = np.bincount(cells, minlength=num_cells)
     cell_blocks = (counts + (BLOCK_ROWS - 1)) // BLOCK_ROWS
     block_end = np.cumsum(cell_blocks)

@@ -3,7 +3,8 @@
 Every kernel (baseline, rhocell variants, MPU hybrid) consumes the same
 per-tile staging data produced by :func:`prepare_tile_data` (the
 reference deposit stages whole runs of tiles through the same body,
-:func:`prepare_run_data`) and implements
+:func:`prepare_run_data`, and the MatrixPIC kernel a dense tile's
+pieces) and implements
 the :class:`DepositionKernel` interface: deposit the tile's current into
 the grid arrays and record the work it performed in a
 :class:`~repro.hardware.counters.KernelCounters` object.
@@ -22,7 +23,7 @@ peak ``|J|`` against the reference.
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -45,6 +46,10 @@ from repro.pic.stencil import (
     box_geometry,
     box_segments,
 )
+
+#: the particles a staging takes (:func:`prepare_run_data`): a slice of
+#: the storage order or storage indices
+Selection = Union[slice, np.ndarray]
 
 #: Effective FP64 operations per particle of the canonical scalar deposition
 #: algorithm, used as the numerator of the Table 3 peak-efficiency metric.
@@ -195,17 +200,22 @@ class TileDepositionData:
 
 
 def prepare_run_data(grid: Grid, tiles: Sequence[ParticleTile], charge: float,
-                     order: int) -> TileDepositionData:
+                     order: int, selection: Selection = slice(None)
+                     ) -> TileDepositionData:
     """Compute shape factors and effective currents for a run of tiles.
 
     The particles are staged once, concatenated in tile order, each
     tile's in its *storage order*, so a kernel observing them sees
     exactly the locality (or lack of it) that the sorting machinery
-    established.  A one-tile run keeps its tile box for
-    :attr:`TileDepositionData.local_cell_ids`.
+    established.  ``selection`` picks the particles of that
+    concatenation to stage, in its order: a slice (a view, no copy) or
+    storage indices (one gather).  Every staged value is a function of
+    its own particle, so staging a selection gives the selected rows of
+    the whole staging, bit for bit.  A one-tile run keeps its tile box
+    for :attr:`TileDepositionData.local_cell_ids`.
     """
     x, y, z, ux, uy, uz, w = (
-        concat_tiles(tiles, name)
+        concat_tiles(tiles, name)[selection]
         for name in ("x", "y", "z", "ux", "uy", "uz", "w"))
     xi, yi, zi = grid.normalized_position(x, y, z)
     base_x, wx = shape_factors(xi, order)
@@ -243,12 +253,20 @@ def prepare_tile_data(grid: Grid, tile: ParticleTile, charge: float,
     """
     data = prepare_run_data(grid, [tile], charge, order)
     if local_cell_ids is not None:
-        if local_cell_ids.shape != (data.num_particles,):
-            raise ValueError(
-                f"{local_cell_ids.shape[0]} local cell ids for a tile of "
-                f"{data.num_particles} particles")
-        data._local_cell_ids = local_cell_ids
+        data._local_cell_ids = checked_cell_ids(local_cell_ids,
+                                                data.num_particles)
     return data
+
+
+def checked_cell_ids(local_cell_ids: np.ndarray, num_particles: int
+                     ) -> np.ndarray:
+    """``local_cell_ids`` handed in for a tile of ``num_particles``
+    particles, refused unless there is one per particle."""
+    if local_cell_ids.shape != (num_particles,):
+        raise ValueError(
+            f"{local_cell_ids.shape[0]} local cell ids for a tile of "
+            f"{num_particles} particles")
+    return local_cell_ids
 
 
 def scatter_tile_currents(grid: Grid, data: TileDepositionData) -> None:

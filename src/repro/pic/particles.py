@@ -34,11 +34,21 @@ holds :data:`RUN_PARTICLES` particles): the gather + push
 threshold: the interpreter pays a fixed cost per NumPy call, which
 dominates small tiles (eight 512-particle tiles gathered at once take
 about half the time of eight separate gathers), while the run's field
-or current box and temporaries grow with the batch, which dominates big
-batches (two 65 536-particle tiles gathered at once are slower than one
-by one; 64 small tiles deposited in one box are slower than in runs of
-eight).  So a tile already holding ``RUN_PARTICLES`` is its own run and
-is not copied.
+or current box and temporaries grow with the batch (64 small tiles
+deposited in one box are slower than in runs of eight).  So a tile
+already holding ``RUN_PARTICLES`` is its own run and is not copied.
+
+A tile holding more than :data:`BATCH_PARTICLES` is the opposite case:
+its whole-tile panels and products (8-15 MB each for a 65 536-particle
+QSP tile) no longer fit the core's cache, and every pass over them
+streams from memory.  The gather + push and the MatrixPIC deposit
+(:mod:`repro.core.mpu_deposit`) work such a tile in near-equal pieces
+(:func:`piece_bounds`; the deposit cuts only between cells), each staged
+and multiplied on its own (on a 2-core Xeon with 2 MB of L2 per core,
+two 65 536-particle QSP tiles gather and push in 93 ms whole and 62 ms
+in 16 384-particle pieces).  Both stages are per particle (or per cell)
+functions, so any cut gives the same bits; the reference deposit keeps
+its whole runs, whose boxes fix J's summation order.
 """
 
 from __future__ import annotations
@@ -69,6 +79,13 @@ _SOA_FIELDS = ("x", "y", "z", "ux", "uy", "uz", "w")
 #: speed constant (4096 measured well on 512-particle tiles), not an
 #: option.
 RUN_PARTICLES = 4096
+
+#: Particles one piece of a dense tile holds: a tile above it is worked
+#: slice by slice (:func:`piece_bounds`), so that a piece's staging,
+#: operand panels and products stay in the core's cache (16 384 QSP
+#: particles stage about 2 MB per panel).  The per-particle stages give
+#: the same bits for any cut, so this is a speed constant too.
+BATCH_PARTICLES = 16384
 
 
 class ParticleTile:
@@ -236,6 +253,25 @@ def tile_runs(tiles: Sequence[ParticleTile]) -> Iterator[List[ParticleTile]]:
             run, held = [], 0
     if run:
         yield run
+
+
+def piece_bounds(n: int, cuts: Optional[np.ndarray] = None) -> np.ndarray:
+    """Bounds of the pieces ``n`` particles of one tile are worked in.
+
+    ``[0, n]`` (one piece) up to ``BATCH_PARTICLES`` particles; above
+    it, ``ceil(n / BATCH_PARTICLES)`` near-equal pieces.  ``cuts``, when
+    given, are the ascending positions the particles may be cut at
+    (e.g. where each cell's run of a cell-grouped order begins): every
+    inner bound moves up to the first of them at or after it and pieces
+    left empty go, so no run is cut and a piece exceeds
+    ``n / pieces`` by less than one run.
+    """
+    pieces = max(-(-n // BATCH_PARTICLES), 1)
+    bounds = np.arange(pieces + 1, dtype=np.int64) * n // pieces
+    if cuts is None:
+        return bounds
+    allowed = np.concatenate(([0], cuts, [n]))
+    return np.unique(allowed[np.searchsorted(allowed, bounds)])
 
 
 def split_to_tiles(tiles: Sequence[ParticleTile], ends: Sequence[int],

@@ -4,15 +4,22 @@ The paper's evaluation uses the Boris pusher (§5.2).  Momenta are stored as
 ``u = gamma * v`` so the update is the standard half-acceleration /
 rotation / half-acceleration scheme followed by the position advance.
 
-Gather and push run once per *run of tiles*
+Gather and push run once per *batch*: a run of tiles
 (:func:`repro.pic.particles.tile_runs`, the runs the reference deposit
-uses too): the run's positions and momenta are concatenated once, and
-one block gather (:func:`repro.pic.gather.gather_fields`), one Boris
-update, one velocity and one position update serve the whole run; each
-tile then holds slices of the run's result arrays.  Each of those steps
-is a per-particle function — a particle's gathered fields do not depend
-on its batch-mates — so every grouping gives the same bits as pushing
-tile by tile.
+uses too), or a piece of a tile that is a run of its own and holds
+more than ``BATCH_PARTICLES`` particles
+(:func:`repro.pic.particles.piece_bounds`).  One block gather
+(:func:`repro.pic.gather.gather_fields`), one Boris update, one velocity
+and one position update serve a batch.  A whole run's result arrays
+become its tiles' arrays, each tile holding slices of them; a piece
+reads views of its tile's arrays and writes its slice of the tile's
+new arrays.  Small tiles are batched because the interpreter
+pays a fixed cost per NumPy call; a dense tile is cut because its
+whole-tile panels and products (8-13 MB each for a 65 536-particle QSP
+tile) stream from memory where a piece's stay in cache.  Each of those
+steps is a per-particle function — a particle's gathered fields do not
+depend on its batch-mates — so every grouping and cut gives the same
+bits as pushing tile by tile.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from repro.pic.particles import (
     ParticleContainer,
     ParticleTile,
     concat_tiles,
+    piece_bounds,
     split_to_tiles,
     tile_runs,
 )
@@ -93,24 +101,43 @@ def boris_push_momentum(ux: np.ndarray, uy: np.ndarray, uz: np.ndarray,
     return uxp + ax, uyp + ay, uzp + az
 
 
+def _pushed(grid: Grid, x: np.ndarray, y: np.ndarray, z: np.ndarray,
+            ux: np.ndarray, uy: np.ndarray, uz: np.ndarray, charge: float,
+            mass: float, dt: float, order: int) -> Tuple[np.ndarray, ...]:
+    """Gather + push one batch: its new ``_PUSHED`` arrays."""
+    ex, ey, ez, bx, by, bz = gather_fields(grid, x, y, z, order)
+    ux, uy, uz = boris_push_momentum(ux, uy, uz, ex, ey, ez, bx, by, bz,
+                                     charge, mass, dt)
+    vx, vy, vz = velocities(ux, uy, uz)
+    return x + vx * dt, y + vy * dt, z + vz * dt, ux, uy, uz
+
+
 def _push_shard_inplace(tiles: List[ParticleTile], grid: Grid, charge: float,
                         mass: float, dt: float, order: int) -> None:
-    """Executor task: gather + push one shard of tiles, run by run.
+    """Executor task: gather + push one shard of tiles, batch by batch.
 
-    Tiles are independent (the gather reads the shared field arrays, the
-    push writes only the shard's own tiles), so shards run concurrently
+    A run of one piece keeps its batch's result arrays; a tile cut into
+    pieces gets new arrays that each piece writes its slice of.  Tiles
+    are independent (the gather reads the shared field arrays, the push
+    writes only the shard's own tiles), so shards run concurrently
     without synchronisation.
     """
     for run in tile_runs(tiles):
-        x, y, z, ux, uy, uz = (concat_tiles(run, name) for name in _PUSHED)
-        ex, ey, ez, bx, by, bz = gather_fields(grid, x, y, z, order)
-        ux, uy, uz = boris_push_momentum(ux, uy, uz, ex, ey, ez, bx, by, bz,
-                                         charge, mass, dt)
-        vx, vy, vz = velocities(ux, uy, uz)
+        held = [concat_tiles(run, name) for name in _PUSHED]
+        total = held[0].shape[0]
+        bounds = piece_bounds(total) if len(run) == 1 else (0, total)
+        if len(bounds) == 2:
+            pushed = _pushed(grid, *held, charge, mass, dt, order)
+        else:
+            pushed = np.empty((len(_PUSHED), total))
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                for row, values in zip(pushed, _pushed(
+                        grid, *(array[lo:hi] for array in held),
+                        charge, mass, dt, order)):
+                    row[lo:hi] = values
         split_to_tiles(
             run, list(accumulate(tile.num_particles for tile in run)),
-            dict(zip(_PUSHED, (x + vx * dt, y + vy * dt, z + vz * dt,
-                               ux, uy, uz))))
+            dict(zip(_PUSHED, pushed)))
 
 
 class BorisPusher:

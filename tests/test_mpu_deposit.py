@@ -237,6 +237,13 @@ def take(data, rows):
                     (data.wqx, data.wqy, data.wqz), rows)
 
 
+def staged_rhocells(data, order_idx, num_cells):
+    """``tile_rhocells`` of the synthetic staging ``data``: each piece
+    stages its particles by taking them from ``data``."""
+    return tile_rhocells(lambda rows: take(data, rows), data.local_cell_ids,
+                         order_idx, num_cells, data.order)
+
+
 def assert_equal_per_cell(got, want, cells):
     """Every component's rhocell of every cell in ``cells``, to
     summation order (relative to that cell's own largest entry)."""
@@ -314,7 +321,7 @@ class TestBlockProductAgainstOracle:
         data = staged_tile(cells, order, seed)
         order_idx = rng.permutation(cells.shape[0])
         for idx in (np.arange(cells.shape[0]), order_idx):
-            *got, got_stats = tile_rhocells(data, idx, self.NUM_CELLS)
+            *got, got_stats = staged_rhocells(data, idx, self.NUM_CELLS)
             *want, want_stats = oracle_tile_rhocells(data, idx,
                                                      self.NUM_CELLS)
             # the statistics feed KernelCounters: exact, keys included
@@ -342,7 +349,7 @@ class TestBlockProductAgainstOracle:
             np.repeat(np.arange(64), 27))
         data = staged_tile(cells, order, seed=4)
         by_cell = np.argsort(cells, kind="stable")
-        *got, stats = tile_rhocells(data, by_cell, 64)
+        *got, stats = staged_rhocells(data, by_cell, 64)
         emulated, units = emulated_tile_rhocells(data, by_cell, 64)
         assert stats["mopa"] == 896.0
         assert [unit.counters.mpu_mopa for unit in units] == [896.0] * 3
@@ -353,7 +360,7 @@ class TestBlockProductAgainstOracle:
         for cells in ([], [4]):
             data = staged_tile(cells, order)
             idx = np.arange(len(cells))
-            *got, got_stats = tile_rhocells(data, idx, 6)
+            *got, got_stats = staged_rhocells(data, idx, 6)
             *want, want_stats = oracle_tile_rhocells(data, idx, 6)
             assert got_stats == want_stats
             for g, w in zip(got, want):
@@ -364,7 +371,7 @@ class TestBlockProductAgainstOracle:
         for cells in ([0, 6], [-1, 2]):
             data = staged_tile(cells, order)
             with pytest.raises(ValueError, match="local cell id out of range"):
-                tile_rhocells(data, np.arange(2), 6)
+                staged_rhocells(data, np.arange(2), 6)
 
     # the pinned numbers are the parent commit's (per-particle Stage 2)
     @pytest.mark.parametrize("order, scrambled, compute", [
@@ -416,7 +423,7 @@ class TestCellLocality:
 
     @staticmethod
     def blocks(data, order_idx, num_cells):
-        rho = tile_rhocells(data, order_idx, num_cells)[:3]
+        rho = staged_rhocells(data, order_idx, num_cells)[:3]
         return np.stack(rho, axis=1)           # (cell, component, node)
 
     @pytest.mark.parametrize("order", [1, 3])

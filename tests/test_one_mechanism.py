@@ -31,7 +31,8 @@ batches of tiles: the per-tile push and the per-tile reference deposit
 are gone (their loops are the oracles in ``tests/particle_oracles.py``
 and ``tests/deposit_oracles.py``), the run rule is one function and one
 constant in ``pic/particles.py`` that the pusher and the reference
-deposit share, and migration is one regroup that removes and appends
+deposit share, the piece rule for a dense tile is one more of each that
+the pusher and the MatrixPIC deposit share, and migration is one regroup that removes and appends
 nothing tile by tile.
 
 A decomposed run deposits on the frame grid like every other run, so
@@ -485,6 +486,23 @@ def test_particle_stages_run_once_per_batch():
                    for node in ast.walk(tree) if isinstance(node, ast.Call)
                    and name_of(node.func) == "tile_runs"}) == [
         "pic/deposition/reference.py", "pic/pusher.py"]
+    # a dense tile is worked in pieces: the cap is one constant beside
+    # the run size, read by the piece rule only, and the pusher and the
+    # MatrixPIC deposit both take their pieces from that rule ...
+    assert [path for path, tree in trees.items()
+            for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and any(name_of(target) == "BATCH_PARTICLES"
+                    for target in node.targets)] == ["pic/particles.py"]
+    assert functions_naming("BATCH_PARTICLES") == [
+        "pic/particles.py", "pic/particles.py::piece_bounds"]
+    assert sorted({path for path, tree in trees.items()
+                   for node in ast.walk(tree) if isinstance(node, ast.Call)
+                   and name_of(node.func) == "piece_bounds"}) == [
+        "core/mpu_deposit.py", "pic/pusher.py"]
+    # ... and the MatrixPIC kernel stages nothing itself: its pieces
+    # stage through prepare_run_data, the one staging body
+    assert not {"shape_factors", "velocities"} & names_in(
+        trees["core/hybrid_kernel.py"])
     # the reference deposit scatters once per run: no loop over anything
     # but tile_runs(...) holds a scatter_tile_currents call (the per-tile
     # loop is the oracle in tests/deposit_oracles.py)

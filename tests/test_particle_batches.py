@@ -27,9 +27,11 @@ from repro.pic import particles, pusher
 from repro.pic.gather import gather_fields
 from repro.pic.grid import Grid
 from repro.pic.particles import (
+    BATCH_PARTICLES,
     RUN_PARTICLES,
     ParticleContainer,
     ParticleTile,
+    piece_bounds,
     tile_runs,
 )
 from repro.pic.pusher import BorisPusher, boris_push_momentum, velocities
@@ -106,9 +108,11 @@ class TestBatchedStagesMatchThePerTileOracle:
     @given(scenario=tiled_scenarios(), order=st.integers(1, 3),
            share=st.sampled_from([0.0, 0.05, 0.5]),
            run_particles=st.sampled_from([1, 700, RUN_PARTICLES]),
+           batch_particles=st.sampled_from([1, 700, BATCH_PARTICLES]),
            data=st.data())
     def test_push_boundary_and_migration(self, scenario, order, share,
-                                         run_particles, data):
+                                         run_particles, batch_particles,
+                                         data):
         managed = data.draw(st.lists(
             st.booleans(), min_size=len(scenario["populations"]),
             max_size=len(scenario["populations"])), label="managed")
@@ -132,6 +136,8 @@ class TestBatchedStagesMatchThePerTileOracle:
             with make_executor() as executor:
                 with mock.patch.object(particles, "RUN_PARTICLES",
                                        run_particles), \
+                        mock.patch.object(particles, "BATCH_PARTICLES",
+                                          batch_particles), \
                         mock.patch.object(pusher, "gather_fields",
                                           wraps=gather_fields) as gathers:
                     runs = [run for shard in shard_items(
@@ -139,8 +145,15 @@ class TestBatchedStagesMatchThePerTileOracle:
                             for run in tile_runs(shard)]
                     BorisPusher(order).push(batched, grid, DT,
                                             executor=executor)
-                # the patched run size reaches the pusher: one gather a run
-                assert gathers.call_count == len(runs), name
+                # the patched run size and cap reach the pusher: one
+                # gather a batch — a run, or a piece of a tile that is a
+                # run of its own and holds more than the cap
+                batches = [
+                    -(-run[0].num_particles // batch_particles)
+                    if len(run) == 1
+                    and run[0].num_particles > batch_particles else 1
+                    for run in runs]
+                assert gathers.call_count == sum(batches), name
                 if run_particles == 1:
                     assert all(len(run) == 1 for run in runs)
                 assert_same_tiles(pushed, batched)
@@ -226,6 +239,33 @@ class TestRuns:
             if index + 1 < len(runs):
                 assert (sum(held) >= RUN_PARTICLES
                         or runs[index + 1][0].num_particles >= RUN_PARTICLES)
+
+
+class TestPieces:
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(0, 5000), cap=st.sampled_from([1, 7, 700, 4096]),
+           runs=st.lists(st.integers(1, 900), max_size=30))
+    def test_pieces_are_near_equal_and_cut_only_between_runs(self, n, cap,
+                                                             runs):
+        with mock.patch.object(particles, "BATCH_PARTICLES", cap):
+            bounds = piece_bounds(n).tolist()
+            # ceil(n / cap) pieces, none empty, sizes within one
+            sizes = np.diff(bounds)
+            assert bounds[0] == 0 and bounds[-1] == n
+            assert len(sizes) == max(-(-n // cap), 1)
+            assert n == 0 or (sizes.min() > 0 and sizes.max() <= cap
+                              and sizes.max() - sizes.min() <= 1)
+            # cut only where a run of a grouped order begins
+            ends = np.cumsum(runs).tolist()
+            total = ends[-1] if ends else 0
+            cuts = piece_bounds(total, np.array(ends[:-1], dtype=np.int64))
+            assert set(cuts.tolist()) <= {0, *ends}
+            assert cuts[0] == 0 and cuts[-1] == total
+            assert np.all(np.diff(cuts) > 0)
+            pieces = max(-(-total // cap), 1)
+            assert len(cuts) - 1 <= pieces
+            assert all(size < total / pieces + max(runs)
+                       for size in np.diff(cuts))
 
 
 @pytest.mark.parametrize("order", [1, 3])
