@@ -1,87 +1,12 @@
-"""Shared helpers for the benchmark harnesses.
+"""The fixture the benchmark scripts share when run through pytest.
 
-Every benchmark regenerates one table or figure of the paper's evaluation
-section at a reduced problem size (the pure-Python substrate cannot run the
-paper's 30-million-cell domains).  The numbers printed by each harness are
-*modelled* LX2 kernel seconds from the cost model — the quantity the
-EXPERIMENTS.md comparison uses — while pytest-benchmark records the Python
-wall-clock of the harness itself.
-
-The harnesses route through the campaign result cache, so on repeat runs
-the recorded wall-clock measures cache replay, not simulation: to use it
-as an interpreter-performance regression guard, run with
-``REPRO_BENCH_NO_CACHE=1`` (the modelled kernel seconds are unaffected
-either way).
+The paper's tables and figures are not benchmarks: their numbers are the
+rows of ``tests/test_paper_ledger.py``.
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
-
-from repro.analysis.cache import ResultCache, default_cache_dir
-from repro.analysis.runner import sweep_configurations
-from repro.workloads.lwfa import LWFAWorkload
-from repro.workloads.uniform import UniformPlasmaWorkload
-
-#: grid used by the kernel-study benchmarks (one 8x8x8 tile, as in Table 4)
-BENCH_N_CELL = (8, 8, 8)
-BENCH_TILE = (8, 8, 8)
-#: measured steps per configuration (after one warm-up step)
-BENCH_STEPS = 2
-#: PPC sweep of Figures 8-10 (the paper's scan, Appendix A)
-PPC_SWEEP = (1, 8, 64, 128)
-
-def _jobs_from_env() -> int:
-    """Worker count from $REPRO_BENCH_JOBS; malformed values fall back to
-    serial instead of crashing benchmark collection."""
-    try:
-        return max(1, int(os.environ.get("REPRO_BENCH_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
-#: worker processes used for cache misses (overridable for CI scaling runs)
-BENCH_JOBS = _jobs_from_env()
-
-
-def bench_cache() -> ResultCache | None:
-    """The shared on-disk result cache of the benchmark harnesses.
-
-    Defaults to ``.repro-cache`` in the working directory (override with
-    ``$REPRO_CACHE_DIR``); a second run of any table/figure benchmark
-    replays every cell from here instead of recomputing it.
-
-    The cache key covers the experiment spec, the library version and a
-    digest of the ``repro`` package sources, so editing kernel or
-    cost-model code invalidates stale entries automatically; set
-    ``REPRO_BENCH_NO_CACHE=1`` to bypass the cache entirely.
-    """
-    if os.environ.get("REPRO_BENCH_NO_CACHE"):
-        return None
-    return ResultCache(default_cache_dir())
-
-
-def campaign_sweep(workload, configurations, **kwargs):
-    """``sweep_configurations`` wired to the shared benchmark cache."""
-    return sweep_configurations(workload, configurations,
-                                cache=bench_cache(), jobs=BENCH_JOBS,
-                                **kwargs)
-
-
-def uniform_workload(ppc: int, shape_order: int = 1,
-                     max_steps: int = BENCH_STEPS) -> UniformPlasmaWorkload:
-    """The uniform-plasma workload at benchmark scale."""
-    return UniformPlasmaWorkload(n_cell=BENCH_N_CELL, tile_size=BENCH_TILE,
-                                 ppc=ppc, shape_order=shape_order,
-                                 max_steps=max_steps)
-
-
-def lwfa_workload(ppc: int, max_steps: int = BENCH_STEPS) -> LWFAWorkload:
-    """The LWFA workload at benchmark scale."""
-    return LWFAWorkload(n_cell=(8, 8, 32), tile_size=(8, 8, 16), ppc=ppc,
-                        max_steps=max_steps)
 
 
 @pytest.fixture

@@ -22,7 +22,7 @@ import os
 import numpy as np
 
 from repro.analysis.runner import sweep_configurations
-from repro.analysis.tables import format_series_table, speedup_series
+from repro.analysis.tables import format_table
 from repro.baselines.configs import make_strategy
 from repro.workloads.lwfa import LWFAWorkload
 
@@ -57,16 +57,17 @@ def main() -> None:
     print(f"adaptive global sorts performed: {strategy.global_sorts_performed}")
 
     print("\n== 2. Figure 9: deposition kernel time, baseline vs MatrixPIC ==")
-    kernel_time = {}
+    rows = []
     for ppc in (1, 8) if SMOKE else (1, 8, 64):
         sweep = sweep_configurations(
             LWFAWorkload(n_cell=(8, 8, 32), tile_size=(8, 8, 16), ppc=ppc,
                          max_steps=2),
             ("Baseline", "MatrixPIC (FullOpt)"), steps=2, scramble=False)
-        kernel_time[ppc] = {n: r.timing.total for n, r in sweep.items()}
-    print(format_series_table(kernel_time, "modelled kernel seconds"))
-    speedups = speedup_series(kernel_time, "Baseline", "MatrixPIC (FullOpt)")
-    print("speedups:", {k: round(v, 2) for k, v in sorted(speedups.items())})
+        baseline = sweep["Baseline"].timing.total
+        matrix = sweep["MatrixPIC (FullOpt)"].timing.total
+        rows.append((ppc, baseline, matrix, baseline / matrix))
+    print(format_table(("PPC", "Baseline (s)", "MatrixPIC (s)", "Speedup"),
+                       rows))
     print("\nExpected shape (paper §6.1): below ~8 PPC the baseline wins; the")
     print("dense wake regions favour MatrixPIC and the advantage grows with PPC.")
 

@@ -20,10 +20,9 @@ import os
 import numpy as np
 
 from repro.analysis.runner import sweep_configurations
-from repro.analysis.tables import format_kernel_table
+from repro.analysis.tables import format_table
 from repro.api import Session
 from repro.config import ExecutionConfig
-from repro.hardware.cost_model import CostModel
 from repro.pic.deposition.reference import deposit_reference
 from repro.pic.grid import Grid
 from repro.workloads.uniform import UniformPlasmaWorkload
@@ -60,21 +59,17 @@ def main() -> None:
     results = sweep_configurations(
         workload, ("Baseline", "Rhocell+IncrSort (VPU)", "MatrixPIC (FullOpt)"),
         steps=2)
-    print(format_kernel_table(results))
-
     baseline = results["Baseline"].timing.total
-    matrix = results["MatrixPIC (FullOpt)"].timing.total
-    print(f"\nMatrixPIC speedup over the baseline kernel: {baseline / matrix:.2f}x")
-    print(f"deposition throughput: {results['MatrixPIC (FullOpt)'].throughput:.3e} "
+    print(format_table(
+        ("Configuration", "Total (s)", "Preproc. (s)", "Compute (s)",
+         "Sort (s)", "Speedup"),
+        [(name, r.timing.total, r.timing.preprocess, r.timing.compute,
+          r.timing.sort, baseline / r.timing.total)
+         for name, r in results.items()]))
+    print(f"\ndeposition throughput: {results['MatrixPIC (FullOpt)'].throughput:.3e} "
           "particles per modelled second")
 
-    print("\n== 3. efficiency: percent of theoretical FP64 peak ==")
-    cost_model = CostModel()
-    for name, result in results.items():
-        eff = 100.0 * cost_model.peak_efficiency(result.timing)
-        print(f"  {name:28s} {eff:6.1f} %")
-
-    print("\n== 4. execution engine: serial vs. tile-sharded step loop ==")
+    print("\n== 3. execution engine: serial vs. tile-sharded step loop ==")
     # The same workload run through the tile executor: four contiguous tile
     # shards on a thread pool.  The determinism contract of repro.exec makes
     # the sharded run bitwise-identical to the serial run at the same shard
@@ -89,7 +84,7 @@ def main() -> None:
     identical = bool(np.array_equal(runs["serial"], runs["threads"]))
     print(f"threads(4 shards) current == serial(4 shards) current: {identical}")
 
-    print("\n== 5. the run object: repro.api.Session and its step pipeline ==")
+    print("\n== 4. the run object: repro.api.Session and its step pipeline ==")
     # The session owns the composable step pipeline, exposing per-stage
     # wall time and a stepping iterator instead of an imperative loop.
     with Session.from_workload(workload) as session:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 
 from repro.analysis.runner import sweep_configurations
-from repro.analysis.tables import format_series_table, speedup_series
+from repro.analysis.tables import format_table
 from repro.baselines.configs import ABLATION_CONFIGS
 from repro.workloads.uniform import UniformPlasmaWorkload
 
@@ -35,14 +35,15 @@ def main() -> None:
         throughput[ppc] = {n: r.throughput for n, r in results.items()}
         print(f"finished PPC={ppc}")
 
-    print()
-    print(format_series_table(kernel_time, "modelled deposition kernel seconds"))
-    print()
-    print(format_series_table(throughput, "particles per modelled second"))
-    print()
-    speedups = speedup_series(kernel_time, "Baseline", "MatrixPIC (FullOpt)")
-    print("MatrixPIC (FullOpt) speedup over Baseline:")
-    for ppc, value in sorted(speedups.items()):
+    for title, series in (("modelled deposition kernel seconds", kernel_time),
+                          ("particles per modelled second", throughput)):
+        print(f"\n[{title}]")
+        print(format_table(("PPC", *ABLATION_CONFIGS),
+                           [(ppc, *(row[name] for name in ABLATION_CONFIGS))
+                            for ppc, row in series.items()]))
+    print("\nMatrixPIC (FullOpt) speedup over Baseline:")
+    for ppc, row in kernel_time.items():
+        value = row["Baseline"] / row["MatrixPIC (FullOpt)"]
         marker = "baseline wins" if value < 1.0 else "MatrixPIC wins"
         print(f"  PPC={ppc:4d}:  {value:5.2f}x   ({marker})")
     print("\nExpected shape (paper §6.1/§6.2): the framework overheads are not")

@@ -24,12 +24,10 @@ Matrix Outer-product for High-Performance Particle-in-Cell Simulations*
     block products and the hybrid VPU-MPU kernel.
 
 ``repro.baselines``
-    The ablation and comparison configurations of the evaluation section
-    plus an analytic model of the WarpX CUDA baseline on an A800 GPU.
+    The ablation and comparison configurations of the evaluation section.
 
 ``repro.workloads``
-    The uniform-plasma and LWFA workloads of the paper and the Appendix-B
-    particle-mesh (N-body) and PME (molecular dynamics) generalisations.
+    The uniform-plasma and LWFA workloads of the paper.
 
 ``repro.pipeline``
     The composable step-pipeline API: a :class:`~repro.pipeline.Stage`
@@ -43,8 +41,10 @@ Matrix Outer-product for High-Performance Particle-in-Cell Simulations*
     (``Session.run(steps)``).
 
 ``repro.analysis``
-    Metrics (throughput, speedup, percent of theoretical peak), runtime
-    breakdowns, and formatters that regenerate the paper's tables/figures.
+    Metrics (throughput, speedup), the experiment runners, the campaign
+    layer with its result cache, and a fixed-width table formatter.  The
+    paper's numbers are held against the model in one test ledger,
+    ``tests/test_paper_ledger.py``.
 """
 
 from repro._version import __version__

@@ -23,9 +23,8 @@ serial scripts into a small serving layer:
   cell is stored the moment its payload exists, so a killed sweep re-run
   on the same cache adopts its completed cells and computes the rest.
 
-``sweep_configurations`` in :mod:`repro.analysis.runner` and every
-table/figure benchmark route through this module, so a repeated benchmark
-invocation is a pure cache hit.
+``sweep_configurations`` in :mod:`repro.analysis.runner` routes through
+this module, so a repeated sweep on the same cache is a pure cache hit.
 """
 
 from __future__ import annotations

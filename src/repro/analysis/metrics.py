@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.hardware.cost_model import CostModel, KernelTiming
+from repro.hardware.cost_model import KernelTiming
 
 
 @dataclass
@@ -141,12 +141,6 @@ def particles_per_second(num_particles: int, kernel_seconds: float) -> float:
     if kernel_seconds <= 0.0:
         return 0.0
     return num_particles / kernel_seconds
-
-
-def peak_efficiency_percent(cost_model: CostModel, timing: KernelTiming,
-                            reference: str = "vpu") -> float:
-    """Percent of theoretical peak FP64 (Table 3 metric)."""
-    return 100.0 * cost_model.peak_efficiency(timing, reference=reference)
 
 
 def crossover_ppc(results_by_ppc: Dict[int, Dict[str, ExperimentResult]],

@@ -1,15 +1,9 @@
-"""Experiment runners shared by the benchmarks, examples and tests.
+"""Experiment runners shared by the campaign layer, examples and tests.
 
-Two levels are provided:
-
-* :func:`run_deposition_experiment` — run one named configuration on one
-  workload for a number of steps and return an
-  :class:`~repro.analysis.metrics.ExperimentResult` with the modelled
-  kernel timing (this is what Tables 1-3 and Figures 8-10 are built from),
-* :func:`run_simulation_experiment` — run the plain simulation loop with
-  the reference kernel and return the wall-clock stage breakdown
-  (Figure 1).
-
+:func:`run_deposition_experiment` runs one named configuration on one
+workload for a number of steps and returns an
+:class:`~repro.analysis.metrics.ExperimentResult` with the modelled
+kernel timing (this is what Tables 1-3 and Figures 8-10 are built from).
 ``sweep_configurations`` maps a list of configuration names over a
 workload through the campaign layer (:mod:`repro.analysis.campaign`):
 every configuration runs on a freshly built, identically seeded
@@ -139,20 +133,3 @@ def sweep_configurations(workload, configurations: Iterable[str], *,
         cache=cache, jobs=jobs,
     )
     return campaign.run().by_configuration()
-
-
-def run_simulation_experiment(workload, *, steps: Optional[int] = None
-                              ) -> Session:
-    """Run the plain (reference-kernel) simulation loop of a workload.
-
-    Returns the finished :class:`Session`; its ``breakdown`` attribute
-    holds the per-stage wall-clock seconds used for the Figure-1 style
-    runtime breakdown.
-    """
-    # the context manager releases the executor's worker pools even when
-    # the run raises; they are recreated lazily if the caller steps the
-    # returned session further
-    with Session.from_workload(workload) as session:
-        n_steps = workload.max_steps if steps is None else steps
-        session.run_all(n_steps)
-    return session

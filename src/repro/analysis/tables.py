@@ -1,95 +1,39 @@
-"""Plain-text table and series formatters for the reproduced artifacts.
+"""Plain-text tables: the campaign CLI's rendering and the examples'.
 
-The benchmark harnesses print their results with these helpers so that the
-console output mirrors the rows/series of the paper's tables and figures
-(Table 1/2 kernel breakdowns, Table 3 efficiencies, the PPC sweeps of
-Figures 8-10 and the stage breakdown of Figure 1).
+The paper's own tables are not rendered here: their numbers are held
+against the model in the test ledger ``tests/test_paper_ledger.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence
-
-from repro.analysis.metrics import ExperimentResult
+from typing import Iterable, Sequence
 
 
-def _format_cell(value, width: int) -> str:
+def _format_cell(value) -> str:
     if isinstance(value, float):
         if value == 0.0:
-            text = "0"
-        elif abs(value) >= 1000 or abs(value) < 0.001:
-            text = f"{value:.3e}"
-        else:
-            text = f"{value:.3f}"
-    else:
-        text = str(value)
-    return text.rjust(width)
+            return "0"
+        if abs(value) >= 1000 or abs(value) < 0.001:
+            return f"{value:.3e}"
+        return f"{value:.3f}"
+    return str(value)
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """Simple fixed-width ASCII table."""
-    rows = [list(r) for r in rows]
-    widths = [max(len(str(h)), 12) for h in headers]
-    lines = ["  ".join(str(h).rjust(w) for h, w in zip(headers, widths))]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(_format_cell(v, w) for v, w in zip(row, widths)))
-    return "\n".join(lines)
+    """Fixed-width ASCII table, right-aligned.
 
-
-def format_kernel_table(results: Mapping[str, ExperimentResult]) -> str:
-    """Table 1/2 style breakdown: Total / Preproc / Compute / Sort seconds."""
-    headers = ("Configuration", "Total (s)", "Preproc. (s)", "Compute (s)",
-               "Sort (s)", "Speedup")
-    baseline_total = None
-    for name, result in results.items():
-        if name.startswith("Baseline") and "IncrSort" not in name:
-            baseline_total = result.timing.total
-            break
-    if baseline_total is None and results:
-        baseline_total = next(iter(results.values())).timing.total
-    rows = []
-    for name, result in results.items():
-        timing = result.timing
-        rel = (baseline_total / timing.total) if timing.total > 0 else float("inf")
-        rows.append((name, timing.total, timing.preprocess, timing.compute,
-                     timing.sort, rel))
-    return format_table(headers, rows)
-
-
-def format_efficiency_table(efficiencies: Mapping[str, float]) -> str:
-    """Table 3 style: configuration -> percent of theoretical peak."""
-    headers = ("System / Config.", "Peak Efficiency (%)")
-    rows = [(name, value) for name, value in efficiencies.items()]
-    return format_table(headers, rows)
-
-
-def format_breakdown_table(stage_seconds: Mapping[str, float]) -> str:
-    """Figure 1 style: per-stage seconds and fraction of the total."""
-    total = sum(stage_seconds.values())
-    headers = ("Stage", "Seconds", "Fraction")
-    rows = []
-    for stage, seconds in stage_seconds.items():
-        fraction = seconds / total if total > 0 else 0.0
-        rows.append((stage, seconds, fraction))
-    return format_table(headers, rows)
-
-
-def format_series_table(series: Mapping[int, Mapping[str, float]],
-                        value_label: str = "value") -> str:
-    """Figure 8/9/10 style: one row per PPC, one column per configuration."""
-    configurations: list[str] = []
-    for row in series.values():
-        for name in row:
-            if name not in configurations:
-                configurations.append(name)
-    headers = ("PPC", *configurations)
-    rows = []
-    for ppc in sorted(series):
-        rows.append((ppc, *(series[ppc].get(name, float("nan"))
-                            for name in configurations)))
-    table = format_table(headers, rows)
-    return f"[{value_label}]\n{table}"
+    Each column is as wide as the widest of its header and its formatted
+    cells (at least 12 characters), so every row's columns line up.
+    """
+    lines = [[str(h) for h in headers]]
+    lines += [[_format_cell(v) for v in row] for row in rows]
+    widths = [12] * len(headers)
+    for line in lines:
+        for i, text in enumerate(line[:len(widths)]):
+            widths[i] = max(widths[i], len(text))
+    lines.insert(1, ["-" * w for w in widths])
+    return "\n".join("  ".join(text.rjust(w) for text, w in zip(line, widths))
+                     for line in lines)
 
 
 def campaign_rows(campaign_result) -> list:
@@ -130,16 +74,3 @@ def format_campaign_table(campaign_result) -> str:
     if campaign_result.degraded:
         lines.append("note: process pool unavailable; misses ran serially")
     return "\n".join(lines)
-
-
-def speedup_series(series: Mapping[int, Mapping[str, float]],
-                   baseline: str, optimized: str) -> Dict[int, float]:
-    """Per-PPC speedup of ``optimized`` over ``baseline``."""
-    out: Dict[int, float] = {}
-    for ppc, row in series.items():
-        base = row.get(baseline)
-        opt = row.get(optimized)
-        if base is None or opt is None or opt <= 0:
-            continue
-        out[ppc] = base / opt
-    return out

@@ -1,12 +1,11 @@
-"""Evaluation configurations: ablation variants, VPU baselines, GPU model.
+"""Evaluation configurations: ablation variants and VPU baselines.
 
 :mod:`repro.baselines.configs` builds the named deposition strategies used
 throughout §6 of the paper (Baseline, Baseline+IncrSort, Rhocell,
 Rhocell+IncrSort, Rhocell+IncrSort (VPU), Matrix-only, Hybrid-noSort,
-Hybrid-GlobalSort, MatrixPIC/FullOpt) and
-:mod:`repro.baselines.gpu_model` provides the analytic model of the WarpX
-CUDA kernel on an NVIDIA A800 used in the Table 3 cross-platform
-comparison.
+Hybrid-GlobalSort, MatrixPIC/FullOpt).  The analytic model of the WarpX
+CUDA kernel on an NVIDIA A800 that Table 3 compares against is a test
+comparator (``tests/efficiency_oracles.py``), read by the paper ledger.
 """
 
 from repro.baselines.configs import (
@@ -16,7 +15,6 @@ from repro.baselines.configs import (
     available_configurations,
     make_strategy,
 )
-from repro.baselines.gpu_model import GPUDepositionModel
 
 __all__ = [
     "make_strategy",
@@ -24,5 +22,4 @@ __all__ = [
     "ABLATION_CONFIGS",
     "CIC_COMPARISON_CONFIGS",
     "QSP_COMPARISON_CONFIGS",
-    "GPUDepositionModel",
 ]

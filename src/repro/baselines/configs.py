@@ -19,7 +19,8 @@ MatrixPIC (FullOpt)          hybrid VPU-MPU                  incremental + polic
 
 The first block (ablation study, Figure 10) and the second block
 (comparative study, Tables 1 and 2) are exposed as ordered name lists so
-the benchmark harnesses can iterate them in the paper's order.
+the paper ledger (``tests/test_paper_ledger.py``) and the examples can
+iterate them in the paper's order.
 """
 
 from __future__ import annotations

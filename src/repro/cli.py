@@ -40,6 +40,7 @@ from repro.analysis.cache import (
 )
 from repro.backend import activate
 from repro.ckpt.store import CKPT_DIR_ENV, DEFAULT_CHECKPOINT_DIR
+from repro.config import ExecutionConfig
 from repro.exec import SUPPORTED_BACKENDS
 from repro.workloads import (
     FAMILIES,
@@ -215,11 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="particles per cell (default: 8)")
     run.add_argument("--steps", type=_nonnegative_int, default=5,
                      help="steps to run (default: 5)")
+    execution = ExecutionConfig()
     run.add_argument("--backend", choices=SUPPORTED_BACKENDS,
-                     default="serial",
-                     help="tile execution backend (default: serial)")
-    run.add_argument("--shards", type=_positive_int, default=1,
-                     help="tile shards / workers per stage (default: 1)")
+                     default=execution.backend,
+                     help="tile execution backend (default: %(default)s)")
+    run.add_argument("--shards", type=_positive_int,
+                     default=execution.num_shards,
+                     help="tile shards / workers per stage "
+                          "(default: %(default)s)")
     run.add_argument("--record-energy", action="store_true",
                      help="record the energy history and report the drift")
     run.add_argument("--checkpoint-dir", default=None, metavar="DIR",
@@ -422,8 +426,6 @@ def cmd_campaign(args, stdout=None) -> int:
 
 def cmd_run(args, stdout=None) -> int:
     """Entry point of the ``run`` subcommand."""
-    from repro.config import ExecutionConfig
-
     stdout = stdout if stdout is not None else sys.stdout
 
     try:

@@ -9,26 +9,25 @@ this subpackage provides:
 * :class:`~repro.hardware.counters.KernelCounters` — per-phase instruction
   and byte counters that every kernel implementation feeds,
 * :class:`~repro.hardware.cost_model.CostModel` — an analytic model that
-  converts counters into modelled seconds using the LX2 (or A800)
-  architecture parameters.
+  converts counters into modelled seconds using the LX2 architecture
+  parameters.
 
 Neither unit is simulated: kernels charge their vector and MOPA work to
 the counters directly.  The functional model of the MPU tile register,
 driven pair by pair as Algorithm 2 describes, is the test oracle
 ``tests/mpu_oracles.py`` that the production Stage 2 is held to.
-Performance numbers flow through the cost model, so the benchmark
-harnesses reproduce the *shape* of the paper's results without depending
-on Python interpreter speed.
+Performance numbers flow through the cost model, so the paper ledger
+(``tests/test_paper_ledger.py``) holds the model to the paper's results
+without depending on Python interpreter speed.
 """
 
 from repro.hardware.counters import KernelCounters, PhaseCounters
 from repro.hardware.cost_model import CostModel, KernelTiming
-from repro.hardware.spec import A800_SPEC, LX2_SPEC, ArchSpec
+from repro.hardware.spec import LX2_SPEC, ArchSpec
 
 __all__ = [
     "ArchSpec",
     "LX2_SPEC",
-    "A800_SPEC",
     "KernelCounters",
     "PhaseCounters",
     "CostModel",

@@ -76,15 +76,6 @@ class KernelTiming:
             effective_flops=self.effective_flops * factor,
         )
 
-    def as_row(self) -> Dict[str, float]:
-        """The Table 1/2 row: total / preprocess / compute / sort seconds."""
-        return {
-            "total": self.total,
-            "preprocess": self.preprocess,
-            "compute": self.compute,
-            "sort": self.sort,
-        }
-
     def to_dict(self) -> Dict[str, object]:
         """Lossless JSON-able representation (see :meth:`from_dict`).
 
@@ -168,35 +159,6 @@ class CostModel:
         )
 
     # ------------------------------------------------------------------
-    def peak_efficiency(self, timing: KernelTiming,
-                        reference: str = "vpu") -> float:
-        """Fraction of theoretical peak FP64 achieved (Table 3 metric).
-
-        The numerator is the *effective* work — the FLOPs of the canonical
-        scalar deposition algorithm — while the denominator charges the full
-        modelled kernel time against the hardware's peak rate, exactly the
-        methodology of §5.2.2 (credit only essential work, penalise every
-        overhead).
-
-        ``reference`` selects the peak used in the denominator: ``"vpu"``
-        (default) uses the conventional FP64 SIMD peak, which is how the
-        paper's Table 3 is normalised (its MatrixPIC entry exceeds what a
-        VPU-only kernel could reach but stays below 100 % of the MLA peak);
-        ``"max"`` uses the fastest path available (the MOPA peak on the
-        LX2).
-        """
-        if timing.total <= 0.0:
-            return 0.0
-        if reference == "vpu":
-            per_cycle = self.spec.vpu_flops_per_cycle
-        elif reference == "max":
-            per_cycle = max(self.spec.vpu_flops_per_cycle,
-                            self.spec.mpu_flops_per_cycle)
-        else:
-            raise ValueError(f"unknown peak reference {reference!r}")
-        peak = per_cycle * self.spec.frequency_hz * self.parallel_cores
-        return timing.effective_flops / (timing.total * peak)
-
     def throughput(self, timing: KernelTiming, num_particles: int) -> float:
         """Deposition throughput in particles per modelled second."""
         if timing.total <= 0.0:
@@ -209,8 +171,3 @@ class CostModel:
         if optimized.total <= 0.0:
             return float("inf")
         return reference.total / optimized.total
-
-
-def summarize_timings(timings: Mapping[str, KernelTiming]) -> Dict[str, Dict[str, float]]:
-    """Format a mapping of configuration name -> timing as table rows."""
-    return {name: timing.as_row() for name, timing in timings.items()}

@@ -1,14 +1,11 @@
 """Architecture specifications used by the cost model.
 
-Two architectures are described:
-
-* ``LX2_SPEC`` — the MPU-equipped CPU of the paper's LS pilot system
-  (§5.1): >256 cores per package, 512-bit FP64 VPUs, 8x8 FP64 MPU tiles
-  whose MOPA instruction delivers roughly 4x the VPU MLA FLOP rate,
-  operating at 1.3 GHz.
-* ``A800_SPEC`` — the data-centre GPU used for the cross-platform
-  comparison in Table 3 (A800 = bandwidth-limited A100 variant, 80 GB
-  HBM2e).
+``LX2_SPEC`` is the MPU-equipped CPU of the paper's LS pilot system
+(§5.1): >256 cores per package, 512-bit FP64 VPUs, 8x8 FP64 MPU tiles
+whose MOPA instruction delivers roughly 4x the VPU MLA FLOP rate,
+operating at 1.3 GHz.  The data-centre GPU of Table 3's cross-platform
+comparison (an A800) is described beside the paper ledger, in
+``tests/efficiency_oracles.py``.
 
 Values that the paper does not state explicitly (per-core bandwidth,
 latencies) are set to representative numbers for the class of hardware and
@@ -52,19 +49,6 @@ class ArchSpec:
     tile_move_cycles: float
     cores: int = 1
 
-    @property
-    def vpu_flops_per_cycle(self) -> float:
-        """FP64 FLOPs per cycle of the VPU path (FMA counts as 2 FLOPs)."""
-        return 2.0 * self.vpu_lanes / self.vpu_cycles_per_op
-
-    @property
-    def mpu_flops_per_cycle(self) -> float:
-        """FP64 FLOPs per cycle of the MOPA path (0 when no MPU exists)."""
-        if self.mpu_tile_rows == 0 or self.mpu_tile_cols == 0:
-            return 0.0
-        fma_per_mopa = self.mpu_tile_rows * self.mpu_tile_cols
-        return 2.0 * fma_per_mopa / self.mpu_cycles_per_mopa
-
 
 #: LX2 CPU core (paper §5.1): 8-lane FP64 VPU, 8x8 FP64 MPU at 4x the VPU rate.
 #: A MOPA covers 64 FMAs; with the VPU doing 8 FMAs/cycle, a 4x FLOP ratio
@@ -85,26 +69,4 @@ LX2_SPEC = ArchSpec(
     bytes_per_cycle_far=10.0,
     tile_move_cycles=8.0,
     cores=256,
-)
-
-#: NVIDIA A800 SXM used for the Table 3 comparison.  The "core" here is one
-#: SM; the CUDA deposition kernel is modelled separately in
-#: :mod:`repro.baselines.gpu_model`, this spec only provides the peak FP64
-#: rate and memory bandwidth for the efficiency denominator.
-A800_SPEC = ArchSpec(
-    name="A800",
-    frequency_hz=1.41e9,
-    vpu_lanes=32,           # one FP64 warp-half per cycle per SM partition
-    mpu_tile_rows=0,        # tensor cores are not usable for scatter-add PIC
-    mpu_tile_cols=0,
-    vpu_cycles_per_op=1.0,
-    mpu_cycles_per_mopa=1.0,
-    gather_scatter_penalty=2.0,
-    scalar_cycles_per_op=1.0,
-    atomic_cycles=4.0,
-    atomic_conflict_cycles=32.0,
-    bytes_per_cycle_near=128.0,
-    bytes_per_cycle_far=16.0,
-    tile_move_cycles=4.0,
-    cores=108,
 )

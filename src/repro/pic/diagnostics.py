@@ -108,14 +108,6 @@ class RuntimeBreakdown:
         """Total recorded seconds across all buckets."""
         return sum(self.seconds.values())
 
-    def fractions(self) -> Dict[str, float]:
-        """Per-bucket fraction of the total runtime."""
-        seconds = self.seconds
-        total = sum(seconds.values())
-        if total <= 0.0:
-            return {stage: 0.0 for stage in seconds}
-        return {stage: s / total for stage, s in seconds.items()}
-
     def stage_rows(self) -> List[Dict[str, float]]:
         """Fine-grained pipeline-stage rows, in first-recorded order."""
         stage_seconds = self.stage_seconds

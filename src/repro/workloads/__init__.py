@@ -3,11 +3,7 @@
 * :mod:`repro.workloads.uniform` — the uniform-plasma workload used for the
   controlled kernel studies (Figures 8 and 10, Tables 1-3),
 * :mod:`repro.workloads.lwfa` — the Laser-Wakefield Acceleration workload
-  (Figure 9),
-* :mod:`repro.workloads.nbody_pm` — Appendix B: particle-mesh mass
-  deposition for N-body gravity,
-* :mod:`repro.workloads.pme` — Appendix B: particle-mesh-Ewald charge
-  assignment for molecular dynamics.
+  (Figure 9).
 """
 
 from typing import Optional, Sequence, Tuple
@@ -15,15 +11,11 @@ from typing import Optional, Sequence, Tuple
 from repro.config import SUPPORTED_SHAPE_ORDERS
 from repro.domain.decomposition import Decomposition
 from repro.workloads.lwfa import LWFAWorkload
-from repro.workloads.nbody_pm import ParticleMeshGravity
-from repro.workloads.pme import PMEChargeAssignment
 from repro.workloads.uniform import UniformPlasmaWorkload, ppc_triple
 
 __all__ = [
     "UniformPlasmaWorkload",
     "LWFAWorkload",
-    "ParticleMeshGravity",
-    "PMEChargeAssignment",
     "FAMILIES",
     "GRID_CHOICES",
     "GRID_DEFAULTS",

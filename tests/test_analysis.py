@@ -1,4 +1,6 @@
-"""Tests for the metrics, experiment runners and table formatters."""
+"""Tests for the metrics, experiment runners and the table formatter."""
+
+import re
 
 import pytest
 
@@ -6,23 +8,15 @@ from repro.analysis.metrics import (
     ExperimentResult,
     crossover_ppc,
     particles_per_second,
-    peak_efficiency_percent,
     speedup,
 )
 from repro.analysis.runner import (
     run_deposition_experiment,
-    run_simulation_experiment,
     sweep_configurations,
 )
-from repro.analysis.tables import (
-    format_breakdown_table,
-    format_efficiency_table,
-    format_kernel_table,
-    format_series_table,
-    format_table,
-    speedup_series,
-)
-from repro.hardware.cost_model import CostModel, KernelTiming
+from repro.analysis.tables import format_table
+from repro.api import Session
+from repro.hardware.cost_model import KernelTiming
 from repro.workloads.uniform import UniformPlasmaWorkload
 
 
@@ -41,13 +35,6 @@ class TestMetrics:
     def test_particles_per_second(self):
         assert particles_per_second(100, 2.0) == pytest.approx(50.0)
         assert particles_per_second(100, 0.0) == 0.0
-
-    def test_peak_efficiency_percent(self):
-        model = CostModel()
-        timing = KernelTiming("LX2", {"compute": 1.0},
-                              effective_flops=model.spec.vpu_flops_per_cycle
-                              * model.spec.frequency_hz)
-        assert peak_efficiency_percent(model, timing) == pytest.approx(100.0)
 
     def test_experiment_result_row(self):
         result = make_result("Baseline", total=2.0)
@@ -72,31 +59,19 @@ class TestTables:
         assert "a" in text and "x" in text
         assert len(text.splitlines()) == 4
 
-    def test_kernel_table_contains_speedup_column(self):
-        results = {"Baseline": make_result("Baseline", 2.0),
-                   "MatrixPIC (FullOpt)": make_result("MatrixPIC (FullOpt)", 0.5)}
-        text = format_kernel_table(results)
-        assert "Baseline" in text
-        assert "Speedup" in text
-        assert "4.000" in text   # 2.0 / 0.5
-
-    def test_efficiency_table(self):
-        text = format_efficiency_table({"LX2 MatrixPIC": 83.1, "A800": 29.8})
-        assert "LX2 MatrixPIC" in text
-
-    def test_breakdown_table_fractions(self):
-        text = format_breakdown_table({"deposition": 3.0, "push": 1.0})
-        assert "deposition" in text
-        assert "0.750" in text
-
-    def test_series_table_and_speedups(self):
-        series = {1: {"Baseline": 1.0, "MatrixPIC": 2.0},
-                  8: {"Baseline": 4.0, "MatrixPIC": 2.0}}
-        text = format_series_table(series, value_label="wall time")
-        assert "wall time" in text
-        ratios = speedup_series(series, "Baseline", "MatrixPIC")
-        assert ratios[8] == pytest.approx(2.0)
-        assert ratios[1] == pytest.approx(0.5)
+    def test_columns_fit_cells_wider_than_their_header(self):
+        # the campaign table's first two columns: a label longer than the
+        # 12-character floor and a configuration longer than its header
+        text = format_table(
+            ("Workload", "Configuration", "Total (s)"),
+            [("uniform/ppc=1", "MatrixPIC (FullOpt)", 0.5),
+             ("uniform/ppc=8", "Baseline", 12.25)])
+        # columns are right-aligned and at least two spaces apart, so a
+        # column boundary is where a run of non-blank text ends
+        ends = [[m.end() for m in re.finditer(r"\S+(?: \S+)*", line)]
+                for line in text.splitlines()]
+        assert all(line_ends == ends[0] for line_ends in ends), text
+        assert len(ends[0]) == 3
 
 
 class TestRunner:
@@ -122,7 +97,8 @@ class TestRunner:
             assert result.timing.total > 0.0
 
     def test_simulation_experiment_breakdown(self, tiny_workload):
-        simulation = run_simulation_experiment(tiny_workload, steps=2)
+        with Session.from_workload(tiny_workload) as simulation:
+            simulation.run_all(2)
         assert simulation.step_index == 2
         assert "current_deposition" in simulation.breakdown.seconds
 
@@ -142,7 +118,8 @@ class TestRunner:
         assert sum(measured.stage_seconds.values()) > 0.0
 
     def test_breakdown_reset_clears_stages_and_steps(self, tiny_workload):
-        simulation = run_simulation_experiment(tiny_workload, steps=2)
+        with Session.from_workload(tiny_workload) as simulation:
+            simulation.run_all(2)
         assert simulation.breakdown.steps == 2
         simulation.breakdown.reset()
         assert simulation.breakdown.steps == 0

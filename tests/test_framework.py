@@ -11,7 +11,6 @@ from repro.baselines.configs import (
     make_strategy,
 )
 from repro.api import Session
-from repro.baselines.gpu_model import GPUDepositionModel
 from repro.config import ExecutionConfig, SortingPolicyConfig
 from repro.core.framework import (
     MatrixPICDeposition,
@@ -121,29 +120,6 @@ class TestNamedConfigurations:
         assert make_strategy("Matrix-only").kernel.mode == "matrix_only"
         assert make_strategy("Rhocell+IncrSort (VPU)").kernel.hand_tuned is True
         assert make_strategy("Rhocell").kernel.hand_tuned is False
-
-
-class TestGPUModel:
-    def test_efficiency_in_expected_range(self):
-        model = GPUDepositionModel()
-        eff = model.peak_efficiency(1_000_000, order=3, particles_per_cell=512)
-        # the paper reports 29.76 % for the A800 CUDA baseline
-        assert 0.15 < eff < 0.45
-
-    def test_zero_particles(self):
-        model = GPUDepositionModel()
-        assert model.kernel_seconds(0, 3, 512) == 0.0
-        assert model.peak_efficiency(0, 3, 512) == 0.0
-
-    def test_conflicts_reduce_efficiency(self):
-        model = GPUDepositionModel()
-        low = model.peak_efficiency(10**6, 3, particles_per_cell=1)
-        high = model.peak_efficiency(10**6, 3, particles_per_cell=512)
-        assert high < low
-
-    def test_throughput_positive(self):
-        model = GPUDepositionModel()
-        assert model.throughput(10**6, 1, 64) > 0.0
 
 
 class TestShardedDepositOnMovedWindow:

@@ -5,9 +5,16 @@ import numpy as np
 import pytest
 
 from repro.hardware.counters import KernelCounters, PhaseCounters
-from repro.hardware.cost_model import CostModel, KernelTiming, summarize_timings
-from repro.hardware.spec import A800_SPEC, LX2_SPEC
+from repro.hardware.cost_model import CostModel, KernelTiming
+from repro.hardware.spec import LX2_SPEC
 
+from efficiency_oracles import (
+    A800_SPEC,
+    GPUDepositionModel,
+    mpu_flops_per_cycle,
+    peak_efficiency,
+    vpu_flops_per_cycle,
+)
 from helpers import total_events
 from mpu_oracles import MatrixUnit
 
@@ -91,11 +98,11 @@ class TestMatrixUnit:
 
 class TestSpecs:
     def test_lx2_mpu_is_4x_vpu(self):
-        assert LX2_SPEC.mpu_flops_per_cycle == pytest.approx(
-            4.0 * LX2_SPEC.vpu_flops_per_cycle)
+        assert mpu_flops_per_cycle(LX2_SPEC) == pytest.approx(
+            4.0 * vpu_flops_per_cycle(LX2_SPEC))
 
     def test_a800_has_no_mpu_path(self):
-        assert A800_SPEC.mpu_flops_per_cycle == 0.0
+        assert mpu_flops_per_cycle(A800_SPEC) == 0.0
 
 
 class TestCostModel:
@@ -140,13 +147,13 @@ class TestCostModel:
         counters.phase("compute").add(vpu_fma=1.0e6,
                                       effective_flops=1.0e6 * 16.0)
         timing = model.timing(counters)
-        assert model.peak_efficiency(timing, reference="vpu") == pytest.approx(1.0)
-        assert model.peak_efficiency(timing, reference="max") == pytest.approx(0.25)
+        assert peak_efficiency(model, timing, reference="vpu") == pytest.approx(1.0)
+        assert peak_efficiency(model, timing, reference="max") == pytest.approx(0.25)
 
     def test_peak_efficiency_unknown_reference(self):
         model = CostModel(LX2_SPEC)
         with pytest.raises(ValueError):
-            model.peak_efficiency(KernelTiming("LX2", {"compute": 1.0}), reference="gpu")
+            peak_efficiency(model, KernelTiming("LX2", {"compute": 1.0}), reference="gpu")
 
     def test_timing_merge_and_scale(self):
         t1 = KernelTiming("LX2", {"compute": 1.0, "sort": 0.5}, effective_flops=10.0)
@@ -157,10 +164,29 @@ class TestCostModel:
         scaled = t1.scaled(2.0)
         assert scaled.total == pytest.approx(7.0)
 
-    def test_summarize_timings(self):
-        rows = summarize_timings({"a": KernelTiming("LX2", {"compute": 1.0})})
-        assert rows["a"]["total"] == pytest.approx(1.0)
-
     def test_invalid_parallel_cores(self):
         with pytest.raises(ValueError):
             CostModel(LX2_SPEC, parallel_cores=0)
+
+
+class TestGPUModel:
+    def test_efficiency_in_expected_range(self):
+        model = GPUDepositionModel()
+        eff = model.peak_efficiency(1_000_000, order=3, particles_per_cell=512)
+        # the paper reports 29.76 % for the A800 CUDA baseline
+        assert 0.15 < eff < 0.45
+
+    def test_zero_particles(self):
+        model = GPUDepositionModel()
+        assert model.kernel_seconds(0, 3, 512) == 0.0
+        assert model.peak_efficiency(0, 3, 512) == 0.0
+
+    def test_conflicts_reduce_efficiency(self):
+        model = GPUDepositionModel()
+        low = model.peak_efficiency(10**6, 3, particles_per_cell=1)
+        high = model.peak_efficiency(10**6, 3, particles_per_cell=512)
+        assert high < low
+
+    def test_throughput_positive(self):
+        model = GPUDepositionModel()
+        assert model.throughput(10**6, 1, 64) > 0.0

@@ -63,6 +63,10 @@ only tests call live under ``tests/``.  So do the static rules: they are
 tier-1 tests in ``tests/test_static_rules.py``, sharing this file's AST
 helpers (``tests/ast_helpers.py``), with no linter, subcommand or
 suppression pragma in ``src/``.
+
+The paper's numbers live in one place, the tier-1 ledger
+``tests/test_paper_ledger.py``; ``benchmarks/`` keeps only the two
+wall-clock scripts CI gates.
 """
 
 from __future__ import annotations
@@ -75,10 +79,11 @@ import re
 
 import pytest
 
-from repro import workloads
+from repro import cli, workloads
 from repro.backend import KERNEL_TIERS, BackendConfig, activate
 from repro.ckpt import capture_state
 from repro.cli import build_parser
+from repro.config import ExecutionConfig
 from repro.pic.deposition import DepositionKernel
 from repro.pipeline import DepositStage, check_stage_set, global_stages
 from repro.serve import expand_request
@@ -589,6 +594,18 @@ def test_cli_and_service_read_grid_defaults_from_the_one_schema(monkeypatch,
         == ("lwfa", 8, "Baseline", 3, 0, 7, (12, 12, 48), (12, 12, 24))
 
 
+def test_run_reads_its_execution_defaults_from_execution_config(
+        monkeypatch):
+    args = build_parser().parse_args(["run"])
+    assert (args.backend, args.shards) == (ExecutionConfig().backend,
+                                           ExecutionConfig().num_shards)
+    # read, not restated: other defaults there are other defaults here
+    monkeypatch.setattr(cli, "ExecutionConfig", lambda: ExecutionConfig(
+        backend="threads", num_shards=3))
+    args = build_parser().parse_args(["run"])
+    assert (args.backend, args.shards) == ("threads", 3)
+
+
 def test_a_grid_is_expanded_in_one_place():
     # the CLI and the service hand their grid to expand_request; neither
     # builds specs of its own nor carries a second expansion
@@ -666,16 +683,7 @@ def test_no_process_wide_scratch_pools():
 #: public ``src/`` definitions that nothing under ``src/`` or ``bench/``
 #: uses yet, and why each stays; an entry that is gone or has gained a
 #: user fails the guard below, so the list can only shrink
-_PAPER_HARNESS = ("paper harness, read by benchmarks/ and examples/: it "
-                  "stays only if the paper-fidelity ledger in bench/ reads it")
 ALLOWLIST = {
-    **{name: _PAPER_HARNESS for name in (
-        "format_kernel_table", "format_efficiency_table",
-        "format_breakdown_table", "format_series_table", "speedup_series",
-        "peak_efficiency_percent", "summarize_timings", "GPUDepositionModel",
-        "fractions", "ParticleMeshGravity", "random_particles",
-        "PMEChargeAssignment", "assign_charges", "reciprocal_energy",
-        "total_mesh_charge", "random_molecule")},
     "crossover_ppc": "the Fig. 8 crossover; waits on the wall-clock PPC "
                      "sweep in bench/ that is to record it",
     "deposit_rho_reference": "the one rho deposit; waits on the Gauss's-law "
@@ -763,6 +771,22 @@ def test_src_is_what_an_entry_point_reaches():
     assert not stale, (
         "ALLOWLIST entries that are gone or have a user now; delete them: "
         + ", ".join(stale))
+
+
+#: what ``benchmarks/`` may hold: the two scripts CI runs and gates, and
+#: the fixture they share; the paper's numbers are tests/test_paper_ledger.py
+BENCHMARK_SCRIPTS = ["__init__.py", "bench_deposition_scatter.py",
+                     "bench_domain_scaling.py", "conftest.py"]
+
+
+def test_the_paper_numbers_live_in_the_ledger_not_in_benchmarks():
+    benchmarks = os.path.join(os.path.dirname(BENCH), "benchmarks")
+    assert sorted(name for name in os.listdir(benchmarks)
+                  if name != "__pycache__") == BENCHMARK_SCRIPTS, (
+        "benchmarks/ holds only the two CI-gated scripts: a paper number "
+        "is a row of tests/test_paper_ledger.py.  The two leave with what "
+        "they measure: bench_deposition_scatter.py with the kernel-tier "
+        "table (repro.backend), bench_domain_scaling.py with repro.domain")
 
 
 # the linter package, its subcommand and its suppression pragma are

@@ -6,7 +6,6 @@ import pytest
 from repro.config import GridConfig, SpeciesConfig
 from repro.pic.diagnostics import (
     EnergyDiagnostic,
-    RuntimeBreakdown,
     total_particle_charge,
 )
 from repro.pic.deposition.reference import deposit_rho_reference
@@ -76,14 +75,6 @@ class TestPlasmaLoading:
 
 
 class TestDiagnostics:
-    def test_runtime_breakdown_fractions_sum_to_one(self):
-        breakdown = RuntimeBreakdown()
-        breakdown.record_stage("gather_push", "field_gather_push", 2.0)
-        breakdown.record_stage("deposit", "current_deposition", 6.0)
-        fractions = breakdown.fractions()
-        assert sum(fractions.values()) == pytest.approx(1.0)
-        assert fractions["current_deposition"] == pytest.approx(0.75)
-
     def test_energy_diagnostic_drift(self, setup):
         _, grid, species, container = setup
         load_uniform_plasma(grid, container, species)
