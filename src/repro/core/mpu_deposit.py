@@ -163,8 +163,8 @@ def _piece_rhocells(data: TileDepositionData, cells: np.ndarray,
     num_cells = rhocells.shape[1]
     # every particle's row in the cell-grouped, block-aligned row space
     # (the layout the gather shares: repro.pic.blocks)
-    slots, cell_blocks, block_start = cell_block_slots(cells, num_cells)
-    num_blocks = int(cell_blocks.sum())
+    layout = cell_block_slots(cells, num_cells)
+    slots, num_blocks = layout.slots, layout.num_blocks
 
     # the two operand panels, built node-major and scattered to their
     # slots: 3S + S^2 doubles per particle for all three components
@@ -186,11 +186,10 @@ def _piece_rhocells(data: TileDepositionData, cells: np.ndarray,
     ).reshape(num_blocks, 3 * nodes)
 
     # fold each cell's blocks in block order, all cells at once per rank
-    occupied = np.nonzero(cell_blocks)[0]
-    first_block = block_start[occupied]
-    depth = cell_blocks[occupied]
+    first_block, depth = layout.first_block, layout.depth
     folded = products[first_block]
     for rank in range(1, int(depth.max(initial=0))):
         more = depth > rank
         folded[more] += products[first_block[more] + rank]
-    rhocells[:, occupied] = folded.reshape(-1, 3, nodes).transpose(1, 0, 2)
+    rhocells[:, layout.cells] = (folded.reshape(-1, 3, nodes)
+                                 .transpose(1, 0, 2))

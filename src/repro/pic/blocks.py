@@ -7,16 +7,21 @@ contracts the particles away, the gather
 (:func:`repro.pic.gather.gather_fields`) is its transpose and
 contracts the cell's nodes away.  Both lay a batch's particles into the
 same row space — grouped by cell, each cell's run cut into blocks of
-:data:`BLOCK_ROWS` rows, the tail block zero-padded — and hand the stack
-of blocks to BLAS ``matmul``.  That layout is stated here, once, with the
-one way both directions fill it: :func:`outer_rows` multiplies the
-node-major shape factors (:mod:`repro.pic.shapes`) along the particle
-axis and scatters each particle's outer product to its row.
+:data:`BLOCK_ROWS` rows, the tail block zero-padded, and the cells of
+equal depth (block count) side by side — and hand it to BLAS ``matmul``.
+The deposit multiplies block by block and folds each cell's blocks; the
+gather multiplies each run of equal-depth cells as one stack, every
+cell's rows against that cell's operand, which it builds once however
+deep the cell is (:attr:`BlockLayout.depth_runs`).  That layout is
+stated here, once, with the one way both directions fill it:
+:func:`outer_rows` multiplies the node-major shape factors
+(:mod:`repro.pic.shapes`) along the particle axis and scatters each
+particle's outer product to its row.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -58,33 +63,65 @@ def group_by_cell(cells: np.ndarray, num_cells: int,
     return order_idx, cells
 
 
+class BlockLayout(NamedTuple):
+    """The row space of one batch (:func:`cell_block_slots`).
+
+    ``cells`` are the occupied cells in row order, ``depth`` their block
+    counts (non-decreasing) and ``first_block`` the first of each cell's
+    ``depth`` consecutive blocks; ``slots`` is every particle's row, by
+    storage index.  ``depth_runs`` holds one ``(depth, lo, hi)`` per
+    depth present, in row order: ``cells[lo:hi]`` are the cells of that
+    depth, and own the blocks from ``first_block[lo]`` on.
+    """
+
+    slots: np.ndarray
+    cells: np.ndarray
+    depth: np.ndarray
+    first_block: np.ndarray
+    depth_runs: Tuple[Tuple[int, int, int], ...]
+
+    @property
+    def num_blocks(self) -> int:
+        return int(self.depth.sum())
+
+
 def cell_block_slots(cells: np.ndarray, num_cells: int,
-                     order_idx: Optional[np.ndarray] = None
-                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     order_idx: Optional[np.ndarray] = None) -> BlockLayout:
     """Row of every particle in the zero-padded, block-aligned row space.
 
     ``cells`` and ``order_idx`` are a processing order as
-    :func:`group_by_cell` takes it, which groups it by cell; cell ``c``
-    then owns the ``cell_blocks[c]`` consecutive blocks from
-    ``block_start[c]`` and its particles fill their rows in sequence.
-
-    Returns ``(slots, cell_blocks, block_start)`` with ``slots`` indexed
-    by *storage* index.
+    :func:`group_by_cell` takes it, which groups it by cell; every
+    occupied cell then owns consecutive blocks, its particles filling
+    their rows in sequence.  The cells are laid out by ascending depth
+    and, within a depth, by cell id, so the cells of one depth own one
+    contiguous run of blocks.  When no cell is deeper than one block,
+    that is plain cell order and costs no ordering pass.
     """
     n = cells.shape[0]
     order_idx, cells = group_by_cell(cells, num_cells, order_idx)
     counts = np.bincount(cells, minlength=num_cells)
-    cell_blocks = (counts + (BLOCK_ROWS - 1)) // BLOCK_ROWS
-    block_end = np.cumsum(cell_blocks)
-    block_start = block_end - cell_blocks
-    run_start = np.cumsum(counts) - counts
-    grouped = (np.arange(n, dtype=np.int64)
-               + (block_start * BLOCK_ROWS - run_start)[cells])
-    if order_idx is None:
-        return grouped, cell_blocks, block_start
-    slots = np.empty(n, dtype=np.int64)
-    slots[order_idx] = grouped
-    return slots, cell_blocks, block_start
+    occupied = np.flatnonzero(counts)
+    held = counts[occupied]
+    run_start = np.cumsum(held) - held
+    depth = (held + (BLOCK_ROWS - 1)) // BLOCK_ROWS
+    per_depth = np.bincount(depth)
+    if per_depth.shape[0] > 2:  # some cell is deeper than one block
+        by_depth = stable_order_by_bin(depth, per_depth.shape[0])
+        occupied, run_start = occupied[by_depth], run_start[by_depth]
+        depth = depth[by_depth]
+    first_block = np.cumsum(depth) - depth
+    ends = np.cumsum(per_depth).tolist()
+    runs = tuple((d, ends[d - 1], ends[d]) for d in range(1, len(ends))
+                 if ends[d] > ends[d - 1])
+    # only the entries of occupied cells are ever read
+    shift = np.empty(num_cells, dtype=np.int64)
+    shift[occupied] = first_block * BLOCK_ROWS - run_start
+    grouped = np.arange(n, dtype=np.int64) + shift[cells]
+    if order_idx is not None:
+        slots = np.empty(n, dtype=np.int64)
+        slots[order_idx] = grouped
+        grouped = slots
+    return BlockLayout(grouped, occupied, depth, first_block, runs)
 
 
 def outer_rows(out: np.ndarray, slots: np.ndarray, a: np.ndarray,

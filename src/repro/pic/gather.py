@@ -21,14 +21,18 @@ batches, :mod:`repro.pic.pusher`) — and
    tile's cell box on a shifted window is still gathered exactly) and
    lays the particles into the cell-grouped, zero-padded
    ``BLOCK_ROWS``-row space the deposit uses (:mod:`repro.pic.blocks`),
-3. multiplies each block's ``(BLOCK_ROWS, S^2)`` panel of ``sy (x) sz``
-   (built node-major by :func:`repro.pic.blocks.outer_rows`, the
-   deposit's panel builder) by its cell's ``(S^2, S * 6)`` field
-   operand — one stacked BLAS ``matmul`` over all blocks — and contracts
-   the remaining ``sx`` factor per particle.
+   where cells of equal depth (block count) sit side by side,
+3. builds each occupied cell's ``(S^2, S * 6)`` field operand once and
+   multiplies the cell's ``(depth * BLOCK_ROWS, S^2)`` panel of
+   ``sy (x) sz`` (built node-major by :func:`repro.pic.blocks.outer_rows`,
+   the deposit's panel builder) by it — one stacked BLAS ``matmul`` per
+   depth, every cell's rows against its own operand, as the paper's MPU
+   keeps a cell's tile resident while the cell's particles stream
+   through — and contracts the remaining ``sx`` factor per particle.
 
-No ``(n, S^3)`` id, weight or value array is built.  A row of a block
-product depends on that row and the cell's operand only, so a
+No ``(n, S^3)`` id, weight or value array is built, and no copy of a
+cell's operand per block.  A row of a block product depends on that row
+and the cell's operand only, whatever the depth of the stack, so a
 particle's gathered fields are a function of that particle and the grid
 — not of its tile-mates, its batch-mates or the storage order — which
 is what keeps executors, resumed runs, domain splits and any grouping
@@ -105,28 +109,34 @@ def _gather_components(grid: Grid, fields: Sequence[Array], x: Array,
     cells = ((base_x - lo[0]) * dims[1] + (base_y - lo[1])) * dims[2] \
         + (base_z - lo[2])
     num_cells = dims[0] * dims[1] * dims[2]
-    slots, cell_blocks, _ = cell_block_slots(cells, num_cells)
-    occupied = np.nonzero(cell_blocks)[0]
-    depth = cell_blocks[occupied]
-    num_blocks = int(depth.sum())
+    layout = cell_block_slots(cells, num_cells)
+    num_rows = layout.num_blocks * BLOCK_ROWS
 
     plane = support * support
     width = support * components
-    right = np.zeros((num_blocks * BLOCK_ROWS, plane))
-    outer_rows(right, slots, sy.T, sz.T)
-    # a cell's (S^2, S * components) operand, repeated for its blocks
-    operand = np.repeat(
-        box[occupied[:, None]
-            + _cell_operand_offsets(dims, support, components)],
-        depth, axis=0)
-    rows = np.matmul(right.reshape(num_blocks, BLOCK_ROWS, plane),
-                     operand.reshape(num_blocks, plane, width))
-    rows = rows.reshape(num_blocks * BLOCK_ROWS, support, components)
+    right = np.zeros((num_rows, plane))
+    outer_rows(right, layout.slots, sy.T, sz.T)
+    # each occupied cell's (S^2, S * components) operand, once
+    operand = box[layout.cells[:, None]
+                  + _cell_operand_offsets(dims, support, components)
+                  ].reshape(-1, plane, width)
+    # a run of equal-depth cells is one stack of (depth * BLOCK_ROWS, S^2)
+    # by (S^2, S * components) products, straight into its rows (the
+    # runs follow each other in row order)
+    rows = np.empty((num_rows, width))
+    first = 0
+    for depth, lo, hi in layout.depth_runs:
+        shape = (hi - lo, depth * BLOCK_ROWS)
+        last = first + shape[0] * shape[1]
+        np.matmul(right[first:last].reshape(*shape, plane), operand[lo:hi],
+                  out=rows[first:last].reshape(*shape, width))
+        first = last
+    picked = rows.take(layout.slots, axis=0).reshape(-1, support,
+                                                     components)
     # einsum picks its summation order from the operands' strides: the
     # contraction reads sx row-major, as it always has, so a one-component
     # gather rounds as before (six components sum alike either way)
-    return tuple(np.einsum("pi,pic->cp", np.ascontiguousarray(sx),
-                           rows[slots]))
+    return tuple(np.einsum("pi,pic->cp", np.ascontiguousarray(sx), picked))
 
 
 def gather_fields(grid: Grid, x: Array, y: Array, z: Array, order: int

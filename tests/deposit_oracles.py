@@ -284,35 +284,37 @@ def oracle_einsum_tile_rhocells(data: TileDepositionData,
     nodes = support**3
     cells = data.local_cell_ids[order_idx]
     stats = mpu_work_statistics(cells, data.order)
-    slots, cell_blocks, block_start = cell_block_slots(cells, num_cells,
-                                                       order_idx)
-    num_blocks = int(cell_blocks.sum())
-    left, right = einsum_deposit_panels(data, slots, num_blocks * BLOCK_ROWS)
+    layout = cell_block_slots(cells, num_cells, order_idx)
+    num_blocks = layout.num_blocks
+    left, right = einsum_deposit_panels(data, layout.slots,
+                                        num_blocks * BLOCK_ROWS)
 
     products = np.matmul(
         left.reshape(num_blocks, BLOCK_ROWS, 3 * support).transpose(0, 2, 1),
         right.reshape(num_blocks, BLOCK_ROWS, support * support)
     ).reshape(num_blocks, 3 * nodes)
 
-    occupied = np.nonzero(cell_blocks)[0]
-    first_block = block_start[occupied]
-    depth = cell_blocks[occupied]
+    first_block, depth = layout.first_block, layout.depth
     folded = products[first_block]
     for rank in range(1, int(depth.max(initial=0))):
         more = depth > rank
         folded[more] += products[first_block[more] + rank]
 
     rhocells = np.zeros((3, num_cells, nodes))
-    rhocells[:, occupied] = folded.reshape(-1, 3, nodes).transpose(1, 0, 2)
+    rhocells[:, layout.cells] = (folded.reshape(-1, 3, nodes)
+                                 .transpose(1, 0, 2))
     return rhocells[0], rhocells[1], rhocells[2], stats
 
 
 def oracle_einsum_gather_fields(grid, x: np.ndarray, y: np.ndarray,
-                                z: np.ndarray, order: int
+                                z: np.ndarray, order: int,
+                                fields: Sequence[np.ndarray] = ()
                                 ) -> Tuple[np.ndarray, ...]:
-    """``gather_fields`` with the einsum ``sy (x) sz`` panel and row-major
-    shape factors (in-domain batches: a bounded field box)."""
-    fields = (grid.ex, grid.ey, grid.ez, grid.bx, grid.by, grid.bz)
+    """``gather_fields`` with the einsum ``sy (x) sz`` panel, row-major
+    shape factors and one ``(BLOCK_ROWS, S^2)`` product per block against
+    a copy of its cell's operand (in-domain batches: a bounded field
+    box).  ``fields`` defaults to the six components."""
+    fields = fields or (grid.ex, grid.ey, grid.ez, grid.bx, grid.by, grid.bz)
     xi, yi, zi = grid.normalized_position(x, y, z)
     base_x, sx = _row_major(shape_factors(xi, order))
     base_y, sy = _row_major(shape_factors(yi, order))
@@ -328,19 +330,17 @@ def oracle_einsum_gather_fields(grid, x: np.ndarray, y: np.ndarray,
     cells = ((base_x - lo[0]) * dims[1] + (base_y - lo[1])) * dims[2] \
         + (base_z - lo[2])
     num_cells = dims[0] * dims[1] * dims[2]
-    slots, cell_blocks, _ = cell_block_slots(cells, num_cells)
-    occupied = np.nonzero(cell_blocks)[0]
-    depth = cell_blocks[occupied]
-    num_blocks = int(depth.sum())
+    layout = cell_block_slots(cells, num_cells)
+    slots, num_blocks = layout.slots, layout.num_blocks
 
     plane = support * support
     width = support * components
     right = np.zeros((num_blocks * BLOCK_ROWS, plane))
     right[slots] = np.einsum("pj,pk->pjk", sy, sz).reshape(n, plane)
-    operand = np.repeat(
-        box[occupied[:, None]
-            + _cell_operand_offsets(dims, support, components)],
-        depth, axis=0)
+    # a cell owns its blocks consecutively: its operand, once per block
+    owner = np.repeat(layout.cells, layout.depth)
+    operand = box[owner[:, None]
+                  + _cell_operand_offsets(dims, support, components)]
     rows = np.matmul(right.reshape(num_blocks, BLOCK_ROWS, plane),
                      operand.reshape(num_blocks, plane, width))
     rows = rows.reshape(num_blocks * BLOCK_ROWS, support, components)

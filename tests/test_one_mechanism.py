@@ -399,7 +399,8 @@ def test_the_block_layout_is_stated_once():
     # pic/blocks.py and imported — not restated — by the two users
     def defines(tree, name):
         return any(
-            isinstance(node, ast.FunctionDef) and node.name == name
+            isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name == name
             or isinstance(node, ast.Assign)
             and any(name_of(target) == name for target in node.targets)
             for node in ast.walk(tree))
@@ -410,14 +411,21 @@ def test_the_block_layout_is_stated_once():
                 for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom)}
 
-    def einsum_specs(tree, function):
-        """Subscripts of every ``einsum`` call inside ``function``."""
+    def calls(tree, function):
+        """Every call inside ``function``."""
         body = next(node for node in ast.walk(tree)
                     if isinstance(node, ast.FunctionDef)
                     and node.name == function)
-        return [node.args[0].value for node in ast.walk(body)
-                if isinstance(node, ast.Call)
-                and name_of(node.func) == "einsum"]
+        return [node for node in ast.walk(body)
+                if isinstance(node, ast.Call)]
+
+    def einsum_specs(tree, function):
+        """Subscripts of every ``einsum`` call inside ``function``."""
+        return [node.args[0].value for node in calls(tree, function)
+                if name_of(node.func) == "einsum"]
+
+    def call_names(tree, function):
+        return {name_of(node.func) for node in calls(tree, function)}
 
     trees = dict(source_trees())
     for name in ("BLOCK_ROWS", "cell_block_slots", "stable_order_by_bin",
@@ -438,6 +446,20 @@ def test_the_block_layout_is_stated_once():
         for spec in einsum_specs(trees[user], function):
             inputs, output = spec.split("->")
             assert set(inputs) - set(output) - {","}, (user, spec)
+    # ... and the cells of one depth side by side is the layout's too:
+    # both users read it off the BlockLayout and order nothing themselves
+    # — no sort, and no per-block copy of a cell's operand (the gather
+    # multiplies each cell's operand once per run of its depth)
+    assert [path for path, tree in trees.items()
+            if defines(tree, "BlockLayout")] == ["pic/blocks.py"]
+    ordering = {"repeat", "argsort", "sort", "lexsort", "unique",
+                "stable_order_by_bin"}
+    for user, function in (("core/mpu_deposit.py", "_piece_rhocells"),
+                           ("pic/gather.py", "_gather_components")):
+        assert not call_names(trees[user], function) & ordering, user
+    assert "depth_runs" in {
+        node.attr for node in ast.walk(trees["pic/gather.py"])
+        if isinstance(node, ast.Attribute)}
     # ... which is on the pic side because repro.pic stays below repro.core
     assert [path for path, text in source_texts() if path.startswith("pic/")
             and ("from repro.core" in text or "import repro.core" in text)

@@ -14,6 +14,13 @@ both sides hand BLAS the same arrays.
 between cells, each staged on its own; the oracle stages and multiplies
 the whole tile at once.  A cell's blocks do not depend on the cut, so
 the two are equal bit for bit at any cap, a cell above the cap included.
+
+The row space lays the cells of one depth (block count) side by side,
+and the gather multiplies each depth's cells as one stack against one
+copy of each cell's operand; the oracle multiplies block by block
+against a copy per block.  Crowded cells one to four blocks deep beside
+sparse ones hold the two equal bit for bit, and a property test holds
+``cell_block_slots`` to its layout.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from functools import partial
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +38,7 @@ from deposit_oracles import (
     oracle_einsum_gather_fields,
     oracle_einsum_tile_rhocells,
 )
-from helpers import tiled_plasma, tiled_scenarios
+from helpers import gather_field, tiled_plasma, tiled_scenarios
 from repro import constants
 from repro.core.gpma import GappedPMA
 from repro.core.mpu_deposit import tile_rhocells
@@ -78,10 +86,11 @@ def test_panels_rhocells_and_gather_are_bitwise_the_einsum_oracle(
                               np.arange(tile.num_particles))
 
         # the deposit's two panels, scattered to the same slots
-        slots, cell_blocks, _ = cell_block_slots(
-            data.local_cell_ids[order_idx], num_cells, order_idx)
+        layout = cell_block_slots(data.local_cell_ids[order_idx],
+                                  num_cells, order_idx)
+        slots = layout.slots
         want_left, want_right = einsum_deposit_panels(
-            data, slots, int(cell_blocks.sum()) * BLOCK_ROWS)
+            data, slots, layout.num_blocks * BLOCK_ROWS)
         left = np.zeros_like(want_left)
         right = np.zeros_like(want_right)
         outer_rows(left, slots, np.stack((data.wqx, data.wqy, data.wqz)),
@@ -116,6 +125,81 @@ def crowd_one_cell(tile, count, rng):
     tile.append(x=pos[:, 0], y=pos[:, 1], z=pos[:, 2], ux=mom[:, 0],
                 uy=mom[:, 1], uz=mom[:, 2], w=rng.uniform(0.5, 1.5, count),
                 ids=np.arange(count))
+
+
+@pytest.mark.parametrize("order", [1, 3])
+@pytest.mark.parametrize("ordering", ORDERINGS)
+@settings(max_examples=10, deadline=None)
+@given(scenario=tiled_scenarios())
+def test_the_gather_of_cells_of_several_depths_is_bitwise_the_oracle(
+        scenario, ordering, order):
+    # cells one to four blocks deep beside sparse ones: the gather
+    # multiplies each depth's cells as one stack, the oracle block by block
+    grid, container = tiled_plasma(**scenario)
+    rng = np.random.default_rng(scenario["seed"])
+    for k in (1, 2, 3):
+        crowd_one_cell(container.tiles[0], k * BLOCK_ROWS + 1, rng)
+    # each tile's particles in processing order, then all of them at once
+    batches = []
+    for tile in container.nonempty_tiles():
+        order_idx = processing_order(tile.local_cell_ids(grid),
+                                     tile.num_cells, ordering, rng)
+        batches.append([getattr(tile, axis)[order_idx] for axis in "xyz"])
+    batches.append([np.concatenate(axis) for axis in zip(*batches)])
+    for x, y, z in batches:
+        got = gather_fields(grid, x, y, z, order)
+        want = oracle_einsum_gather_fields(grid, x, y, z, order)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        for field in (grid.ex, grid.bz):
+            assert np.array_equal(
+                gather_field(grid, field, x, y, z, order),
+                oracle_einsum_gather_fields(grid, x, y, z, order,
+                                            (field,))[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(counts=st.lists(st.one_of(st.just(0), st.integers(1, 70)),
+                       min_size=1, max_size=40),
+       shuffle=st.booleans(), seed=st.integers(0, 2**31))
+def test_cell_block_slots_lays_cells_of_equal_depth_side_by_side(
+        counts, shuffle, seed):
+    rng = np.random.default_rng(seed)
+    num_cells = len(counts)
+    cells = rng.permutation(np.repeat(np.arange(num_cells), counts))
+    order_idx = rng.permutation(cells.shape[0]) if shuffle else None
+    sequence = cells if order_idx is None else cells[order_idx]
+    layout = cell_block_slots(sequence, num_cells, order_idx)
+
+    # the occupied cells, each once, with ceil(count / BLOCK_ROWS) blocks
+    counts = np.asarray(counts)
+    assert sorted(layout.cells.tolist()) == np.flatnonzero(counts).tolist()
+    assert np.array_equal(layout.depth,
+                          -(-counts[layout.cells] // BLOCK_ROWS))
+    # each cell's blocks are consecutive, the cells back to back
+    assert np.array_equal(layout.first_block,
+                          np.cumsum(layout.depth) - layout.depth)
+    # cells of equal depth are contiguous, and the runs say where
+    runs = layout.depth_runs
+    assert len(runs) == len(set(layout.depth.tolist()))
+    assert [(lo, hi) for _, lo, hi in runs] == list(
+        zip([0] + [hi for _, _, hi in runs[:-1]],
+            [hi for _, _, hi in runs]))
+    assert (runs[-1][2] if runs else 0) == layout.cells.shape[0]
+    for depth, lo, hi in runs:
+        assert set(layout.depth[lo:hi].tolist()) == {depth}
+    # the slots fill the leading rows of each cell's blocks, one particle
+    # a row, in the processing order
+    rows_of = {}
+    processing = (np.arange(cells.shape[0]) if order_idx is None
+                  else order_idx)
+    for p in processing:
+        rows_of.setdefault(int(cells[p]), []).append(int(layout.slots[p]))
+    for cell, first in zip(layout.cells, layout.first_block):
+        start = int(first) * BLOCK_ROWS
+        assert rows_of[int(cell)] == list(
+            range(start, start + int(counts[cell])))
+    assert len(set(layout.slots.tolist())) == cells.shape[0]
 
 
 @settings(max_examples=30, deadline=None)
