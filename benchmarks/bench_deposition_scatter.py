@@ -10,10 +10,7 @@ per tile occupancy, for both directions of the stencil:
   ``gather_flat_ms`` column is ``gather_fields_for_tile``, the
   cell-grouped block gather of :mod:`repro.pic.gather`).
 
-It also times the full deposition stage once per kernel tier
-(``oracle`` vs the optional numba ``fused`` tier; unavailable tiers
-report ``null`` columns), runs the uniform-plasma workload end to end,
-and records the wall-clock of the ``field_gather_push`` and
+It also runs the uniform-plasma workload end to end and records the wall-clock of the ``field_gather_push`` and
 ``current_deposition`` stages through the new engine.
 
 The perf trajectory JSON (``BENCH_deposition_scatter.json``, override
@@ -27,9 +24,7 @@ Or via pytest:   python -m pytest benchmarks/bench_deposition_scatter.py -s
 
 The CI perf-smoke job asserts the flat-index scatter beats the
 ``np.add.at`` oracle by >=2x on CIC deposition (the engine's weakest
-case; QSP gains are far larger) and, when numba is installed, that the
-fused tier beats the oracle tier by >=1.5x on CIC deposition.  The
-JSON is uploaded as an artifact.
+case; QSP gains are far larger).  The JSON is uploaded as an artifact.
 """
 
 from __future__ import annotations
@@ -41,7 +36,6 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.backend import KERNEL_TIERS, activate
 from repro.config import GridConfig
 from repro.pic.deposition.base import prepare_tile_data, scatter_tile_currents
 from repro.pic.gather import gather_fields_for_tile
@@ -60,10 +54,6 @@ REPS = 5
 
 #: CI gate: flat-index scatter must beat the np.add.at oracle on CIC
 CIC_SCATTER_TARGET = 2.0
-
-#: CI gate (numba leg only): fused tier must beat the oracle tier on
-#: CIC deposition, the shallowest stencil and hence the weakest case
-FUSED_CIC_DEPOSIT_TARGET = 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -220,63 +210,6 @@ def _bench_point(order: int, ppc: int) -> Dict[str, float]:
     }
 
 
-def _available_tiers() -> List[str]:
-    """The rows of the tier table :func:`activate` accepts here."""
-    available = []
-    for tier in KERNEL_TIERS:
-        try:
-            activate(tier)
-        except ValueError:
-            continue
-        available.append(tier)
-    return available
-
-
-def _tier_bench_point(order: int, ppc: int) -> Dict[str, object]:
-    """Full-deposit timing per kernel tier for one cell.
-
-    Tiers that cannot run here (``fused`` without numba) get ``null``
-    columns so the JSON schema is identical on every environment.  All
-    runnable tiers are also checked bitwise against the oracle tier:
-    a tier that diverges is a kernel bug, not a benchmark datapoint.
-    """
-    grid, container = _make_plasma(ppc)
-    tile = container.nonempty_tiles()[0]
-    available = _available_tiers()
-    point: Dict[str, object] = {
-        "order": order,
-        "ppc": ppc,
-        "num_particles": tile.num_particles,
-    }
-    currents: Dict[str, tuple] = {}
-    for tier, kernels in KERNEL_TIERS.items():
-        if tier not in available:
-            point[f"deposit_{tier}_ms"] = None
-            continue
-        # the tier under test is the grid's: kernels travel with the grid
-        grid.kernels = kernels
-
-        def deposit():
-            data = prepare_tile_data(grid, tile, container.charge, order)
-            grid.zero_currents()
-            scatter_tile_currents(grid, data)
-
-        point[f"deposit_{tier}_ms"] = _best_of(deposit) * 1e3
-        deposit()
-        currents[tier] = (grid.jx.copy(), grid.jy.copy(), grid.jz.copy())
-    for tier, arrays in currents.items():
-        for ref, got in zip(currents["oracle"], arrays):
-            assert np.array_equal(ref, got), (
-                f"kernel tier {tier!r} diverged bitwise from the oracle "
-                f"tier at order {order}"
-            )
-    oracle_ms = point["deposit_oracle_ms"]
-    fused_ms = point.get("deposit_fused_ms")
-    point["fused_deposit_speedup"] = (
-        oracle_ms / fused_ms if fused_ms else None)
-    return point
-
-
 def _uniform_stage_seconds(order: int, ppc: int = 64, steps: int = 3
                            ) -> Dict[str, float]:
     """field_gather_push / current_deposition wall seconds per step through
@@ -310,19 +243,12 @@ def output_path() -> str:
 def run_benchmark() -> Dict[str, object]:
     points = [_bench_point(order, ppc) for order in ORDERS
               for ppc in PPC_POINTS]
-    tier_points = [_tier_bench_point(order, ppc) for order in ORDERS
-                   for ppc in PPC_POINTS]
     stages = [_uniform_stage_seconds(order) for order in (1, 3)]
     report = {
         "benchmark": "deposition_scatter",
         "n_cell": list(BENCH_N_CELL),
         "reps": REPS,
         "points": points,
-        "kernel_tiers": {
-            "registered": list(KERNEL_TIERS),
-            "available": _available_tiers(),
-            "points": tier_points,
-        },
         "uniform_stage_seconds": stages,
     }
     return report
@@ -337,22 +263,6 @@ def format_report(report: Dict[str, object]) -> str:
             f"{p['scatter_speedup']:>7.1f}x {p['deposit_speedup']:>7.1f}x "
             f"{p['gather_speedup']:>7.1f}x {p['combined_speedup']:>8.1f}x"
         )
-    tiers = report["kernel_tiers"]
-    lines.append("")
-    lines.append(f"kernel tiers available: {', '.join(tiers['available'])}")
-    lines.append(f"{'order':>5s} {'ppc':>5s} " + " ".join(
-        f"{'deposit/' + t:>14s}" for t in tiers["registered"])
-        + f" {'fused vs oracle':>16s}")
-    for p in tiers["points"]:
-        cols = []
-        for t in tiers["registered"]:
-            ms = p[f"deposit_{t}_ms"]
-            cols.append(f"{ms:>11.2f} ms" if ms is not None else
-                        f"{'n/a':>14s}")
-        speedup = p["fused_deposit_speedup"]
-        tail = f"{speedup:>15.1f}x" if speedup is not None else f"{'n/a':>16s}"
-        lines.append(f"{p['order']:>5d} {p['ppc']:>5d} "
-                     + " ".join(cols) + f" {tail}")
     lines.append("")
     for s in report["uniform_stage_seconds"]:
         lines.append(
@@ -408,20 +318,6 @@ def main() -> None:
     print(f"CIC scatter speedup: {cic['scatter_speedup']:.1f}x "
           f"(target >={CIC_SCATTER_TARGET}x: met); "
           f"QSP gather+deposit combined: {qsp['combined_speedup']:.1f}x")
-
-    if "fused" in report["kernel_tiers"]["available"]:
-        tier_cic = [p for p in report["kernel_tiers"]["points"]
-                    if p["order"] == 1 and p["ppc"] == max(PPC_POINTS)][0]
-        speedup = tier_cic["fused_deposit_speedup"]
-        assert speedup >= FUSED_CIC_DEPOSIT_TARGET, (
-            f"fused CIC deposit only {speedup:.2f}x faster than the "
-            f"oracle tier (target >={FUSED_CIC_DEPOSIT_TARGET}x)"
-        )
-        print(f"fused CIC deposit speedup: {speedup:.1f}x "
-              f"(target >={FUSED_CIC_DEPOSIT_TARGET}x: met)")
-    else:
-        print("fused tier unavailable here (no numba); tier columns "
-              "recorded as null, speedup gate skipped")
 
 
 def test_deposition_scatter(print_header):

@@ -205,8 +205,6 @@ class ExperimentSpec:
         different key.  The library version and a digest of the package
         sources are part of the payload: neither a new release nor an
         in-place source edit ever replays results computed by older code.
-        The kernel tier is not part of the key: the tiers are bitwise
-        identical, so a result computed on either replays for both.
         """
         payload = self.to_dict()
         params = dict(payload["workload_params"])

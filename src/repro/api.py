@@ -23,12 +23,10 @@ itself, and ``session.grid`` is the array of record for every run::
             print(state.step, state.energy.total)
     breakdown = session.breakdown          # per-stage wall time
 
-A session owns its collaborators: the kernel table it resolves at
-construction (the machine's tier, :func:`repro.backend.activate`) rides
-on its grid, and the telemetry registry built from ``config.observe`` is
-handed to its executor, halo exchange and hooks.  Neither is process
-state, so sessions with different tiers or tracing settings coexist in
-one process.
+A session owns its collaborators: the telemetry registry built from
+``config.observe`` is handed to its executor, halo exchange and hooks.
+It is not process state, so sessions with different tracing settings
+coexist in one process.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from typing import Iterator, List, Optional, Union
 
 import numpy as np
 
-from repro.backend import activate
 from repro.config import SimulationConfig
 from repro.exec import TileExecutor, create_executor
 from repro.hardware.counters import KernelCounters
@@ -101,8 +98,7 @@ class Session:
                  observe: Union[ObsConfig, bool, None] = None):
         """``observe`` overrides ``config.observe``: an
         :class:`~repro.obs.ObsConfig`, or a bool as shorthand for
-        counters-only telemetry.  Raises :class:`ValueError` when
-        ``REPRO_KERNEL_TIER`` names a tier that cannot run here.
+        counters-only telemetry.
         """
         if observe is not None:
             config = config.with_updates(observe=_coerce_observe(observe))
@@ -112,10 +108,7 @@ class Session:
         #: into it is always safe)
         self.telemetry = (Telemetry(config.observe)
                           if config.observe.enabled else NULL_TELEMETRY)
-        self.telemetry.count("backend.tier_resolves")
-        #: the machine's kernel tier rides on the grid; the stencil
-        #: primitives dispatch through ``grid.kernels``
-        self.grid = Grid(config.grid, activate())
+        self.grid = Grid(config.grid)
         self.dt = config.time_step
         #: completed steps (the pipeline advances it after each one)
         self.step_index = 0
@@ -157,7 +150,6 @@ class Session:
         #: per-stage wall-time accounting of every step run so far
         self.breakdown = RuntimeBreakdown(
             executor_name=self.executor.name,
-            kernel_tier=self.grid.kernels.kernel_tier,
             # share the telemetry's metric registry so the breakdown is
             # a view over the exported metrics (time.bucket.*/time.stage.*)
             metrics=(self.telemetry.metrics if self.telemetry.enabled

@@ -6,8 +6,7 @@ RNG streams, energy history and deposition counters — into
 checksummed, atomically written, torn-write tolerant files, and
 restores them such that a run of ``N`` steps is **bitwise identical**
 to ``k`` steps + save + restore + ``N - k`` steps, for any backend,
-kernel tier, shard count and domain split (the same pin as domain
-parity).
+shard count and domain split (the same pin as domain parity).
 
 Layout:
 

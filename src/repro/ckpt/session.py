@@ -2,7 +2,7 @@
 :class:`~repro.api.Session`.
 
 The resume contract mirrors the domain-parity contract: for any
-(backend, kernel tier, shard count, domain split), a run of ``N`` steps
+(backend, shard count, domain split), a run of ``N`` steps
 is bitwise identical — fields, currents, particles, energy history — to
 a run of ``k`` steps + :func:`save_simulation` + :func:`restore_simulation`
 into a fresh session + ``N - k`` more steps.

@@ -38,7 +38,6 @@ from repro.analysis.cache import (
     DEFAULT_CACHE_DIR,
     default_cache_dir,
 )
-from repro.backend import activate
 from repro.ckpt.store import CKPT_DIR_ENV, DEFAULT_CHECKPOINT_DIR
 from repro.config import ExecutionConfig
 from repro.exec import SUPPORTED_BACKENDS
@@ -376,9 +375,6 @@ def cmd_campaign(args, stdout=None) -> int:
     request["scramble"] = not args.no_scramble
     try:
         specs = expand_request(request, observe=_observe_config(args))
-        # fail fast on a kernel tier that cannot run here (named by
-        # REPRO_KERNEL_TIER), before any cell runs
-        activate()
     except ValueError as exc:
         # a usage-style error, not a traceback from inside the run
         print(f"error: {exc}", file=sys.stderr)
@@ -491,7 +487,6 @@ def cmd_run(args, stdout=None) -> int:
             "num_particles": session.num_particles,
             "backend": args.backend,
             "shards": args.shards,
-            "kernel_tier": session.breakdown.kernel_tier,
             "domains": list(args.domains or (1, 1, 1)),
             "stages": session.pipeline.stage_names(),
             "stage_seconds": {row["stage"]: row["seconds"]
@@ -529,8 +524,7 @@ def cmd_run(args, stdout=None) -> int:
           file=stdout)
     print(f"pipeline: {' -> '.join(payload['stages'])}", file=stdout)
     print(f"executor: {args.backend} x{args.shards}, "
-          f"domains={tuple(payload['domains'])}, "
-          f"kernel-tier={payload['kernel_tier']}", file=stdout)
+          f"domains={tuple(payload['domains'])}", file=stdout)
     total = sum(payload["stage_seconds"].values()) or 1.0
     print("per-stage wall time:", file=stdout)
     for stage, seconds in payload["stage_seconds"].items():
@@ -550,13 +544,6 @@ def cmd_serve(args, stdout=None) -> int:
     """Entry point of the ``serve`` subcommand."""
     from repro.serve import DEFAULT_ROOT, ServeConfig, run_server
 
-    # a kernel tier that cannot run here (named by REPRO_KERNEL_TIER)
-    # would fail every cell: refuse it before binding
-    try:
-        activate()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     config = ServeConfig(
         host=args.host,
         port=args.port,

@@ -206,5 +206,5 @@ class Decomposition:
                 field_boundary=self.grid_config.field_boundary,
                 particle_boundary=self.grid_config.particle_boundary,
             )
-            sub.slab = Grid(config, frame.kernels)
+            sub.slab = Grid(config)
             sub.slab.cell_size = frame.cell_size.copy()

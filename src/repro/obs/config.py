@@ -1,7 +1,6 @@
 """Frozen observability configuration (:class:`ObsConfig`).
 
-The shape mirrors :class:`repro.backend.BackendConfig`: a small frozen
-dataclass that travels inside :class:`repro.config.SimulationConfig`
+A small frozen dataclass that travels inside :class:`repro.config.SimulationConfig`
 (field ``observe``), is accepted by ``Session(observe=...)`` and is
 normalised out of every identity that must not depend on telemetry —
 checkpoint fingerprints (:data:`repro.ckpt.session._FINGERPRINT_EXCLUDE`)

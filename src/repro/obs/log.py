@@ -1,7 +1,6 @@
 """Structured logging bridge: one notice, two audiences.
 
-The repo's operational notices — kernel-tier fallback, process-pool
-degrade, corrupt-snapshot skip, unusable record files — predate the
+The repo's operational notices — process-pool degrade, corrupt-snapshot skip, unusable record files — predate the
 telemetry layer and were scattered plain ``logging`` calls: readable by
 humans, invisible to machines.  :func:`log_event` routes each of them
 through one seam that emits **both**:
@@ -15,9 +14,9 @@ through one seam that emits **both**:
   on.  A caller with no handle only logs.
 
 Event names are short dotted slugs naming the *condition*, not the
-module — ``pool.rebuild``, ``pool.degraded``, ``ckpt.snapshot_skipped``,
-``tier.fallback`` — so a trace or metric query finds every occurrence
-regardless of which subsystem raised it.
+module — ``pool.rebuild``, ``pool.degraded``, ``ckpt.snapshot_skipped``
+— so a trace or metric query finds every occurrence regardless of which
+subsystem raised it.
 """
 
 from __future__ import annotations

@@ -34,7 +34,6 @@ Counter-name vocabulary (dotted, lowercase):
 ``exec.shard_tasks``              tile tasks shipped to shard workers
 ``exec.shard_batches``            shard batches executed
 ``exec.pool_rebuilds``            worker pools retired after deaths
-``backend.tier_resolves``         kernel-tier dispatch resolutions
 ``campaign.cells`` / ``.cache.hits`` / ``.cache.misses``
                                   campaign accounting
 ``serve.jobs.accepted`` / ``.completed`` / ``.failed``
@@ -54,8 +53,8 @@ Counter-name vocabulary (dotted, lowercase):
                                   wall-clock seconds (RuntimeBreakdown)
 ================================  ====================================
 
-``time.*`` is wall-clock and ``exec.* / log.* / backend.* /
-campaign.* / serve.*`` depend on the execution environment (pool
+``time.*`` is wall-clock and ``exec.* / log.* / campaign.* /
+serve.*`` depend on the execution environment (pool
 availability, warm caches, dedup traffic), so
 :meth:`Telemetry.snapshot` excludes them from its deterministic
 projection; everything else must reproduce bitwise.
@@ -79,8 +78,8 @@ __all__ = [
 #: wall-clock seconds and environment-dependent accounting (pool
 #: availability, cache warmth, dedup traffic, once-per-process log
 #: notices)
-_NONDETERMINISTIC_PREFIXES = ("time.", "exec.", "log.", "backend.",
-                              "campaign.", "serve.")
+_NONDETERMINISTIC_PREFIXES = ("time.", "exec.", "log.", "campaign.",
+                              "serve.")
 
 
 class MetricSet:
@@ -261,8 +260,8 @@ class Telemetry:
         """Sorted ``name -> value`` copy of the metric registry.
 
         With ``deterministic`` (the default) the wall-clock (``time.*``)
-        and environment-dependent (``exec.*``, ``log.*``, ``backend.*``,
-        ``campaign.*``) metrics are excluded: the remainder must be
+        and environment-dependent (``exec.*``, ``log.*``, ``campaign.*``,
+        ``serve.*``) metrics are excluded: the remainder must be
         bitwise identical
         across runs of the same configuration and is what campaign
         results embed (:class:`repro.analysis.metrics.ExperimentResult`).

@@ -40,12 +40,7 @@ from repro.pic.grid import Grid, apply_grid_geometry, grid_geometry
 from repro.pic.particles import ParticleTile, concat_tiles
 from repro.pic.pusher import velocities
 from repro.pic.shapes import shape_factors, shape_support
-from repro.pic.stencil import (
-    StencilOperator,
-    apply_box,
-    box_geometry,
-    box_segments,
-)
+from repro.pic.stencil import StencilOperator
 
 #: the particles a staging takes (:func:`prepare_run_data`): a slice of
 #: the storage order or storage indices
@@ -186,7 +181,7 @@ class TileDepositionData:
         """The batch's flattened grid-node stencil, built once and cached.
 
         The stencil depends only on the grid *geometry* (shape and
-        boundary kind) and its kernel tier, which are identical for the
+        boundary kind), which is identical for the
         scratch grids the executor tasks deposit into, so the cache is
         safe across the grid instances a batch meets within one staging.
         """
@@ -194,7 +189,7 @@ class TileDepositionData:
             self._stencil = StencilOperator.from_shape_data(
                 grid.shape, grid.periodic,
                 self.base_x, self.base_y, self.base_z,
-                self.wx, self.wy, self.wz, grid.kernels,
+                self.wx, self.wy, self.wz,
             )
         return self._stencil
 
@@ -283,32 +278,11 @@ def scatter_tile_currents(grid: Grid, data: TileDepositionData) -> None:
     The three components share one flattened stencil (node ids and 3-D
     weights computed once per staging) and accumulate with a single
     scatter-add pass each into the batch's bounding box — see
-    :mod:`repro.pic.stencil`.  When the grid's kernel tier provides a
-    fused three-component ``scatter3`` (the numba tier), the whole staged
-    batch deposits in one compiled pass into bounding-box accumulators;
-    the boxes are applied to the grid through the same wrapped/clamped
-    segment logic as the stencil path, so both routes are bitwise
-    identical.
+    :mod:`repro.pic.stencil`.
     """
     if data.num_particles == 0:
         return
     jx, jy, jz = grid.current_arrays()
-    kern = grid.kernels
-    if kern.scatter3 is not None:
-        geometry = box_geometry(grid.shape, data.base_x, data.base_y,
-                                data.base_z, data.support)
-        if geometry is not None:
-            lo, dims = geometry
-            box_x, box_y, box_z = kern.scatter3(
-                data.base_x, data.base_y, data.base_z,
-                data.wx, data.wy, data.wz,
-                data.wqx, data.wqy, data.wqz, lo, dims)
-            segments = box_segments(lo, dims, grid.shape,
-                                    tuple(bool(p) for p in grid.periodic))
-            apply_box(box_x, segments, jx)
-            apply_box(box_y, segments, jy)
-            apply_box(box_z, segments, jz)
-            return
     stencil = data.node_stencil(grid)
     stencil.scatter(data.wqx, jx)
     stencil.scatter(data.wqy, jy)
@@ -322,14 +296,13 @@ def _scratch_shard(tiles: Sequence[ParticleTile], body, args: Tuple,
 
     The task builds its own zeroed scratch :class:`Grid` from the caller
     grid's config and :func:`~repro.pic.grid.grid_geometry` snapshot, so
-    it deposits through the caller's kernel table and against the *live*
-    ``(lo, hi)``: the moving window advances the corners past the static
-    ``GridConfig`` values, and staging positions against a stale origin
-    would normalise the particles into the wrong cells.  The returned
-    arrays are the scratch's own; nothing else holds them.
+    it deposits against the *live* ``(lo, hi)``: the moving window
+    advances the corners past the static ``GridConfig`` values, and
+    staging positions against a stale origin would normalise the
+    particles into the wrong cells.  The returned arrays are the
+    scratch's own; nothing else holds them.
     """
-    _, _, kernels = geometry
-    scratch = apply_grid_geometry(Grid(config, kernels), geometry)
+    scratch = apply_grid_geometry(Grid(config), geometry)
     value = body(scratch, tiles, *args)
     return tuple(getattr(scratch, name) for name in arrays), value
 

@@ -23,11 +23,8 @@ per-cell sums change the summation order: up to about 2e-15 of peak
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.backend import ActiveKernels
 from repro.config import SHAPE_ORDER_CIC, SHAPE_ORDER_QSP
 from repro.hardware.counters import KernelCounters
 from repro.pic.deposition.base import (
@@ -44,8 +41,7 @@ from repro.pic.stencil import StencilOperator, cell_block_ids, scatter_flat
 
 def scatter_rhocell_blocks(cell_ids: np.ndarray, num_cells: int,
                            contrib_x: np.ndarray, contrib_y: np.ndarray,
-                           contrib_z: np.ndarray,
-                           kernels: Optional[ActiveKernels] = None
+                           contrib_z: np.ndarray
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scatter-add per-particle nodal contributions into per-cell blocks.
 
@@ -67,13 +63,12 @@ def scatter_rhocell_blocks(cell_ids: np.ndarray, num_cells: int,
     blocks = []
     for contrib in (contrib_x, contrib_y, contrib_z):
         block = np.zeros((num_cells, nodes))
-        scatter_flat(block_ids, contrib, block, kernels)
+        scatter_flat(block_ids, contrib, block)
         blocks.append(block)
     return tuple(blocks)
 
 
-def accumulate_rhocells(data: TileDepositionData, num_cells: int,
-                        kernels: Optional[ActiveKernels] = None
+def accumulate_rhocells(data: TileDepositionData, num_cells: int
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Accumulate staged particles into per-cell rhocell blocks.
 
@@ -86,7 +81,7 @@ def accumulate_rhocells(data: TileDepositionData, num_cells: int,
     weights = weights.reshape(data.num_particles, data.support**3)
     return scatter_rhocell_blocks(
         data.local_cell_ids, num_cells, data.wqx[:, None] * weights,
-        data.wqy[:, None] * weights, data.wqz[:, None] * weights, kernels)
+        data.wqy[:, None] * weights, data.wqz[:, None] * weights)
 
 
 def reduce_rhocells_to_grid(grid: Grid, tile: ParticleTile, order: int,
@@ -118,7 +113,7 @@ def reduce_rhocells_to_grid(grid: Grid, tile: ParticleTile, order: int,
     # identical to the rhocell block layout, so the blocks scatter as-is
     op = StencilOperator.from_bases(grid.shape, grid.periodic,
                                     lx + offset, ly + offset, lz + offset,
-                                    support, kernels=grid.kernels)
+                                    support)
     op.scatter_values(rho_jx, grid.jx)
     op.scatter_values(rho_jy, grid.jy)
     op.scatter_values(rho_jz, grid.jz)
@@ -216,6 +211,5 @@ class RhocellDeposition(DepositionKernel):
         )
 
         # --- numerics --------------------------------------------------------
-        rho_jx, rho_jy, rho_jz = accumulate_rhocells(data, num_cells,
-                                                     grid.kernels)
+        rho_jx, rho_jy, rho_jz = accumulate_rhocells(data, num_cells)
         reduce_rhocells_to_grid(grid, tile, order, rho_jx, rho_jy, rho_jz)

@@ -45,20 +45,17 @@ class RuntimeBreakdown:
       stages' values.
 
     ``executor_name`` records which tile execution backend
-    (:mod:`repro.exec`) produced the timings, and ``kernel_tier`` which
-    kernel tier (:mod:`repro.backend`) ran the stencil primitives, so
-    scaling studies can label their breakdowns.
+    (:mod:`repro.exec`) produced the timings, so scaling studies can
+    label their breakdowns.
     """
 
     def __init__(self, executor_name: str = "serial",
-                 kernel_tier: str = "oracle",
                  metrics: Optional[MetricSet] = None) -> None:
         #: the backing metric registry (shared with the telemetry when
         #: observability is on, private otherwise)
         self.metrics = metrics if metrics is not None else MetricSet()
         self.steps = 0
         self.executor_name = executor_name
-        self.kernel_tier = kernel_tier
 
     # ------------------------------------------------------------------
     # the one recording path

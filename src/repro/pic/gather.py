@@ -36,8 +36,7 @@ and the cell's operand only, whatever the depth of the stack, so a
 particle's gathered fields are a function of that particle and the grid
 — not of its tile-mates, its batch-mates or the storage order — which
 is what keeps executors, resumed runs, domain splits and any grouping
-of tiles into batches bitwise equal.  Both kernel tiers share this one
-path (:mod:`repro.backend`).
+of tiles into batches bitwise equal.
 
 Batches reaching more than a stencil width outside the domain (no
 per-step caller does) fall back as a whole to the stencil engine's exact
@@ -52,12 +51,16 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import Array
 from repro.pic.blocks import BLOCK_ROWS, cell_block_slots, outer_rows
 from repro.pic.grid import Grid
 from repro.pic.particles import ParticleTile
 from repro.pic.shapes import shape_factors
-from repro.pic.stencil import StencilOperator, box_geometry, box_node_ids
+from repro.pic.stencil import (
+    Array,
+    StencilOperator,
+    box_geometry,
+    box_node_ids,
+)
 
 
 @lru_cache(maxsize=256)
@@ -96,8 +99,8 @@ def _gather_components(grid: Grid, fields: Sequence[Array], x: Array,
         # more than a stencil width outside the domain: the box would be
         # unbounded, so the engine's exact wrapped-space adjoint serves
         return StencilOperator.from_shape_data(
-            shape, periodic, base_x, base_y, base_z, sx, sy, sz,
-            grid.kernels).gather_many(fields)
+            shape, periodic, base_x, base_y, base_z, sx, sy, sz
+        ).gather_many(fields)
     lo, dims = geometry
     components = len(fields)
 

@@ -20,11 +20,10 @@ Nothing here is pooled: a sharded deposit's task builds its own scratch
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.backend import ActiveKernels, activate
 from repro.config import GridConfig
 from repro.pic.stencil import wrap_axis_indices
 
@@ -32,13 +31,8 @@ from repro.pic.stencil import wrap_axis_indices
 class Grid:
     """Field and current storage for one MPI-rank-equivalent domain."""
 
-    def __init__(self, config: GridConfig,
-                 kernels: Optional[ActiveKernels] = None):
+    def __init__(self, config: GridConfig):
         self.config = config
-        #: kernel dispatch table of the run that owns this grid; every
-        #: stencil built on the grid scatters through it.  A grid with
-        #: no run gets the default selection.
-        self.kernels = kernels if kernels is not None else activate()
         nx, ny, nz = config.n_cell
         self.shape = (nx, ny, nz)
         self.lo = np.asarray(config.lo, dtype=np.float64)
@@ -135,22 +129,21 @@ class Grid:
 
 
 def grid_geometry(grid: "Grid") -> Tuple:
-    """Opaque snapshot of what a config-built grid lacks: the *live*
-    physical corners and the owning run's kernel table.
+    """Snapshot ``(lo, hi)`` of what a config-built grid lacks: the
+    *live* physical corners.
 
     ``GridConfig`` is frozen, but the moving window advances ``grid.lo``
     and ``grid.hi`` past the configured values.  Executor shard tasks
     that build a scratch grid from the config must restore the live
     corners with :func:`apply_grid_geometry`, otherwise they would
-    normalise particle positions against a stale origin — and must
-    deposit through the caller's kernel tier, not the default one.
+    normalise particle positions against a stale origin.
     """
-    return grid.lo.copy(), grid.hi.copy(), grid.kernels
+    return grid.lo.copy(), grid.hi.copy()
 
 
 def apply_grid_geometry(grid: "Grid", geometry: Tuple) -> "Grid":
     """Impose a :func:`grid_geometry` snapshot onto a (scratch) grid."""
-    lo, hi, grid.kernels = geometry
+    lo, hi = geometry
     grid.lo[...] = lo
     grid.hi[...] = hi
     return grid

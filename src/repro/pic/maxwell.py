@@ -24,8 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro import constants
-from repro.backend import Array
 from repro.pic.grid import Grid
+from repro.pic.stencil import Array
 
 
 def _roll(src: Array, shift: int, axis: int) -> Array:

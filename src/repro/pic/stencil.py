@@ -41,33 +41,20 @@ resolution (the historical formulation's fancy-index scatters shared this
 property, which a naive whole-grid ``bincount(minlength=grid)`` would
 lose on multi-tile domains).
 
-Kernel dispatch
----------------
-The two inner primitives — the ``(n, support**3)`` id/weight *build* and
-the flattened scatter-add *accumulation* — dispatch through the kernel
-table of :mod:`repro.backend` (``build_weights`` and ``scatter``), so
-a compiled tier replaces exactly those passes while the boundary
-handling (the wrapped/clamped segment application below) stays this
-module's shared NumPy code on every tier.  Which tier is the caller's
-to say: an operator carries the dispatch table it was built with
-(``kernels=`` — :meth:`StencilOperator.for_grid` copies ``grid.kernels``)
-and only a caller with no run gets the default, ``activate()``.
-
 Determinism contract
 --------------------
-The scatter kernel accumulates strictly in flattened input order
-(particle-major, stencil-point-minor — ``np.bincount`` order; every
-tier honours it bitwise) and the box is applied as a fixed
-sequence of slice additions, so the result is a pure function of the
-flattened stencil — bitwise reproducible across runs, executor backends
-(the shard partition fixes the input order) and kernel tiers.  The
-summation order *within* a node differs from the historical
+The scatter accumulates strictly in flattened input order
+(particle-major, stencil-point-minor — ``np.bincount`` order) and the
+box is applied as a fixed sequence of slice additions, so the result is
+a pure function of the flattened stencil — bitwise reproducible across
+runs and executor backends (the shard partition fixes the input order).
+The summation order *within* a node differs from the historical
 ``np.add.at`` loop nest (particle-major here, offset-major there), so
 individual sums may differ from the old code in the last ulp; all
 consumers route through this one primitive, which preserves the
 cross-kernel equivalence properties by construction.  The property suite
 in ``tests/test_stencil.py`` pins the engine against an ``np.add.at``
-oracle on every registered tier.
+oracle.
 """
 
 from __future__ import annotations
@@ -77,10 +64,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import ActiveKernels, Array, activate
 from repro.pic.shapes import combined_weights, shape_factors
 
+#: Annotation alias for the dense arrays the numerical layers exchange.
+Array = np.ndarray
+
 __all__ = [
+    "Array",
     "wrap_axis_indices",
     "flat_node_ids",
     "scatter_flat",
@@ -133,23 +123,31 @@ def flat_node_ids(shape: Tuple[int, int, int], periodic: Sequence[bool],
     return (plane[:, :, None] + gz[:, None, :]).reshape(n, support**3)
 
 
-def _kernels_or_default(kernels: Optional[ActiveKernels]) -> ActiveKernels:
-    """``kernels``, or the default selection for a caller with no run."""
-    return kernels if kernels is not None else activate()
+def _scatter(flat_ids: Array, weights: Array, amplitude: Optional[Array],
+             size: int) -> Array:
+    """Flat scatter-add accumulation of one particle batch.
+
+    Accumulates ``amplitude[p] * weights[p, m]`` (or the bare weights
+    when ``amplitude`` is None) into a zero-initialised flat accumulator
+    of ``size`` entries, adding strictly in flattened input order
+    (particle-major, stencil-point-minor).
+    """
+    values = weights if amplitude is None \
+        else np.asarray(amplitude)[:, None] * weights
+    return np.bincount(flat_ids.ravel(), weights=values.ravel(),
+                       minlength=size)
 
 
-def scatter_flat(flat_ids: Array, weights: Array, out: Array,
-                 kernels: Optional[ActiveKernels] = None) -> None:
+def scatter_flat(flat_ids: Array, weights: Array, out: Array) -> None:
     """Single-pass scatter-add of flattened stencil weights into ``out``.
 
     ``flat_ids`` and ``weights`` have matching ``(n, m)`` shapes; ``out``
     is the dense target array, addressed through its raveled (row-major)
-    view.  The accumulation pass dispatches to the ``kernels`` tier.
+    view.
     """
     if flat_ids.size == 0:
         return
-    acc = _kernels_or_default(kernels).scatter(flat_ids, weights, None,
-                                               out.size)
+    acc = _scatter(flat_ids, weights, None, out.size)
     out += acc.reshape(out.shape)
 
 
@@ -270,9 +268,8 @@ def box_segments(box_lo: Tuple[int, int, int], box_dims: Tuple[int, int, int],
 def apply_box(box: Array, segments: Tuple[List, ...], out: Array) -> None:
     """Add a box accumulator onto the grid along its segment decomposition.
 
-    Shared by every scatter path — the :class:`StencilOperator` box
-    application and the fused three-component deposit — so boundary
-    handling is identical across kernel tiers by construction.
+    The one boundary rule of every :class:`StencilOperator` box
+    scatter.
     """
     seg_x, seg_y, seg_z = segments
     for bx, gx, cx in seg_x:
@@ -295,7 +292,7 @@ class StencilOperator:
     once, and applies them in either direction:
 
     * :meth:`scatter` — deposit ``amplitude[p] * weights[p, m]`` into a
-      dense grid array (one scatter-add kernel pass per component),
+      dense grid array (one scatter-add pass per component),
     * :meth:`scatter_values` — deposit precomputed per-stencil-point
       values (the rhocell cell->node reduction),
     * :meth:`gather` — interpolate a dense grid array back to the
@@ -314,24 +311,20 @@ class StencilOperator:
     Built from a :class:`~repro.pic.grid.Grid` plus positions
     (:meth:`for_grid`), from raw normalised positions (:meth:`for_box`,
     used by the grid-less PM/PME workloads), from precomputed shape data
-    (:meth:`from_shape_data`, the deposition staging path — this is
-    where the ``build_weights`` kernel runs), or from bare per-axis base
-    indices (:meth:`from_bases`, the rhocell reduction).  Every
-    constructor takes the ``kernels`` dispatch table its scatters go
-    through.
+    (:meth:`from_shape_data`, the deposition staging path), or from
+    bare per-axis base indices (:meth:`from_bases`, the rhocell
+    reduction).
     """
 
     __slots__ = ("flat_ids", "weights", "shape", "periodic", "box_lo",
-                 "box_dims", "num_particles", "kernels", "_segments_cache")
+                 "box_dims", "num_particles", "_segments_cache")
 
     def __init__(self, flat_ids: Array,
                  weights: Optional[Array],
                  shape: Tuple[int, int, int],
                  periodic: Tuple[bool, bool, bool],
                  box_lo: Optional[Tuple[int, int, int]],
-                 box_dims: Optional[Tuple[int, int, int]],
-                 kernels: Optional[ActiveKernels] = None):
-        self.kernels = _kernels_or_default(kernels)
+                 box_dims: Optional[Tuple[int, int, int]]):
         self.flat_ids = flat_ids
         self.weights = weights
         self.shape = shape
@@ -347,8 +340,7 @@ class StencilOperator:
     @classmethod
     def from_bases(cls, shape: Tuple[int, int, int], periodic: Sequence[bool],
                    base_x: Array, base_y: Array, base_z: Array,
-                   support: int, weights: Optional[Array] = None,
-                   kernels: Optional[ActiveKernels] = None
+                   support: int, weights: Optional[Array] = None
                    ) -> "StencilOperator":
         """Build from per-axis base node indices (ids only by default)."""
         shape = tuple(int(s) for s in shape)
@@ -360,64 +352,43 @@ class StencilOperator:
         if geometry is None:
             ids = flat_node_ids(shape, periodic, base_x, base_y, base_z,
                                 support)
-            return cls(ids, weights, shape, periodic, None, None, kernels)
+            return cls(ids, weights, shape, periodic, None, None)
         lo, dims = geometry
         base = ((base_x - lo[0]) * dims[1] + (base_y - lo[1])) * dims[2] \
             + (base_z - lo[2])
         ids = base[:, None] + _box_offsets((dims[1], dims[2]), support)
-        return cls(ids, weights, shape, periodic, lo, dims, kernels)
+        return cls(ids, weights, shape, periodic, lo, dims)
 
     @classmethod
     def from_shape_data(cls, shape: Tuple[int, int, int],
                         periodic: Sequence[bool],
                         base_x: Array, base_y: Array, base_z: Array,
-                        wx: Array, wy: Array, wz: Array,
-                        kernels: Optional[ActiveKernels] = None
+                        wx: Array, wy: Array, wz: Array
                         ) -> "StencilOperator":
-        """Build from per-axis base indices and 1-D weights.
-
-        The combined id/weight build dispatches to the ``build_weights``
-        kernel of ``kernels`` on the bounding-box fast path; the
-        out-of-range fallback keeps the exact wrapped-space oracle
-        formulation on every tier.
-        """
-        shape = tuple(int(s) for s in shape)
-        periodic = tuple(bool(p) for p in periodic)
+        """Build from per-axis base indices and 1-D weights: the ids of
+        :meth:`from_bases` with the tensor-product weights."""
         n, support = wx.shape
-        base_x = np.asarray(base_x, dtype=np.int64)
-        base_y = np.asarray(base_y, dtype=np.int64)
-        base_z = np.asarray(base_z, dtype=np.int64)
-        geometry = box_geometry(shape, base_x, base_y, base_z, support)
-        if geometry is None:
-            weights = combined_weights(wx, wy, wz).reshape(n, support**3)
-            ids = flat_node_ids(shape, periodic, base_x, base_y, base_z,
-                                support)
-            return cls(ids, weights, shape, periodic, None, None, kernels)
-        lo, dims = geometry
-        kernels = _kernels_or_default(kernels)
-        ids, weights = kernels.build_weights(
-            base_x, base_y, base_z, wx, wy, wz, lo, dims)
-        return cls(ids, weights, shape, periodic, lo, dims, kernels)
+        weights = combined_weights(wx, wy, wz).reshape(n, support**3)
+        return cls.from_bases(shape, periodic, base_x, base_y, base_z,
+                              support, weights)
 
     @classmethod
     def for_box(cls, shape: Tuple[int, int, int], periodic: Sequence[bool],
-                xi: Array, yi: Array, zi: Array, order: int,
-                kernels: Optional[ActiveKernels] = None
+                xi: Array, yi: Array, zi: Array, order: int
                 ) -> "StencilOperator":
         """Build from grid-normalised positions on a bare index box."""
         base_x, wx = shape_factors(xi, order)
         base_y, wy = shape_factors(yi, order)
         base_z, wz = shape_factors(zi, order)
         return cls.from_shape_data(shape, periodic, base_x, base_y, base_z,
-                                   wx, wy, wz, kernels)
+                                   wx, wy, wz)
 
     @classmethod
     def for_grid(cls, grid, x: Array, y: Array, z: Array,
                  order: int) -> "StencilOperator":
         """Build from physical positions on a :class:`~repro.pic.grid.Grid`."""
         xi, yi, zi = grid.normalized_position(x, y, z)
-        return cls.for_box(grid.shape, grid.periodic, xi, yi, zi, order,
-                           grid.kernels)
+        return cls.for_box(grid.shape, grid.periodic, xi, yi, zi, order)
 
     # ------------------------------------------------------------------
     # box <-> grid transfer
@@ -430,11 +401,11 @@ class StencilOperator:
 
     def _box_scatter(self, values: Array, amplitude: Optional[Array],
                      out: Array) -> None:
-        """One scatter-add kernel pass into the bounding box, then the box
+        """One scatter-add pass into the bounding box, then the box
         added onto the grid (wrap/clamp per axis)."""
         dims = self.box_dims
-        box = self.kernels.scatter(self.flat_ids, values, amplitude,
-                                   int(dims[0]) * int(dims[1]) * int(dims[2]))
+        box = _scatter(self.flat_ids, values, amplitude,
+                       int(dims[0]) * int(dims[1]) * int(dims[2]))
         apply_box(box.reshape(dims), self._segments(), out)
 
     # ------------------------------------------------------------------
@@ -445,7 +416,7 @@ class StencilOperator:
         if self.num_particles == 0:
             return
         if self.box_dims is None:
-            scatter_flat(self.flat_ids, values, out, self.kernels)
+            scatter_flat(self.flat_ids, values, out)
             return
         self._box_scatter(values, None, out)
 
@@ -453,9 +424,7 @@ class StencilOperator:
         """Add ``amplitude[p] * weights[p, m]`` to the dense array ``out``.
 
         ``amplitude`` is a per-particle factor (charge/current term); pass
-        ``None`` to scatter the bare stencil weights.  On the box path the
-        scaling is fused into the scatter kernel, so a compiled tier never
-        materialises the ``(n, support**3)`` contribution temporary.
+        ``None`` to scatter the bare stencil weights.
         """
         if self.num_particles == 0:
             return
@@ -464,7 +433,7 @@ class StencilOperator:
                 contributions = self.weights
             else:
                 contributions = np.asarray(amplitude)[:, None] * self.weights
-            scatter_flat(self.flat_ids, contributions, out, self.kernels)
+            scatter_flat(self.flat_ids, contributions, out)
             return
         self._box_scatter(self.weights, amplitude, out)
 
@@ -478,10 +447,7 @@ class StencilOperator:
         domain, and is the oracle of the per-step gather — which does
         not come through here: :func:`repro.pic.gather.
         gather_fields_for_tile` computes the same sums as cell-grouped
-        block products without the ``(n, S^3)`` arrays.  The reduction
-        is deliberately *not* tier-dispatched: einsum's pairwise
-        accumulation order is not reproducible by a sequential compiled
-        loop, so every tier shares this one reduce.
+        block products without the ``(n, S^3)`` arrays.
         """
         if self.num_particles == 0:
             return np.empty(0)

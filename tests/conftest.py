@@ -2,32 +2,12 @@
 
 from __future__ import annotations
 
-import importlib
-import sys
-
 import pytest
 
-from repro.backend import kernels_numba
 from repro.config import GridConfig
 from repro.pic.grid import Grid
 
 from helpers import make_plasma  # noqa: F401  (re-exported fixture helper)
-
-
-@pytest.fixture
-def numba_missing():
-    """Re-import ``kernels_numba`` with numba unimportable (so the
-    ``fused`` tier cannot run, also on the CI jit leg).  Afterwards the
-    module gets its own objects back, not a third import: the tier table
-    holds the functions it was built with, compiled ones on the jit leg.
-    """
-    real = dict(vars(kernels_numba))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(sys.modules, "numba", None)  # forces ImportError
-        importlib.reload(kernels_numba)
-        yield
-    vars(kernels_numba).clear()
-    vars(kernels_numba).update(real)
 
 
 @pytest.fixture

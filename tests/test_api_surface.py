@@ -20,11 +20,7 @@ API_SURFACE = {
         "StepResult",
     ),
     "repro.backend": (
-        "ActiveKernels",
-        "Array",
         "BackendConfig",
-        "KERNEL_TIERS",
-        "KERNEL_TIER_ENV",
         "activate",
     ),
     "repro.ckpt": (

@@ -69,11 +69,23 @@ class TestExperimentSpec:
                 cls(sorting=SortingPolicyConfig(sort_interval=20))
 
     def test_workloads_take_no_kernel_tier(self):
-        """The tier is the machine's (``REPRO_KERNEL_TIER``): no workload
-        carries a request."""
+        """There is one scatter path: no workload, session or simulation
+        config carries a kernel tier."""
+        from repro.api import Session
+        from repro.config import GridConfig, SimulationConfig
+
         for cls in (UniformPlasmaWorkload, LWFAWorkload):
             with pytest.raises(TypeError, match="backend"):
                 cls(backend={"kernel_tier": "oracle"})
+        workload = UniformPlasmaWorkload(n_cell=(4, 4, 4),
+                                         tile_size=(4, 4, 4), ppc=1)
+        for build in (
+                lambda: Session(workload.build_config(), backend="oracle"),
+                lambda: Session.from_workload(workload, backend="oracle"),
+                lambda: SimulationConfig(grid=GridConfig(n_cell=(4, 4, 4)),
+                                         backend="oracle")):
+            with pytest.raises(TypeError, match="backend"):
+                build()
 
     def test_build_workload_reconstructs_equal_builder(self):
         workload = tiny_workload(seed=7)
@@ -86,15 +98,6 @@ class TestCacheKey:
 
     def test_key_is_stable(self):
         assert tiny_spec().cache_key() == tiny_spec().cache_key()
-
-    def test_key_ignores_the_kernel_tier(self, monkeypatch):
-        # the tiers are bitwise identical, so the tier is inert to results
-        # and never resolved for a key: a result cached on one tier is a
-        # hit on every other
-        key = tiny_spec().cache_key()
-        for tier in ("oracle", "no-such-tier"):
-            monkeypatch.setenv("REPRO_KERNEL_TIER", tier)
-            assert tiny_spec().cache_key() == key
 
     @pytest.mark.parametrize("overrides", [
         {"configuration": "Baseline+IncrSort"},
@@ -543,22 +546,6 @@ class TestCLI:
         assert main(["run", "--workload", "lwfa", "--shape-order", "3"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "uniform" in err
-
-    def test_campaign_cli_rejects_a_tier_that_cannot_run(
-            self, tmp_path, capsys, monkeypatch, numba_missing):
-        # the same usage error `run` gives, before any cell runs or any
-        # cache entry is written — not a traceback out of a pool task
-        cache_dir = tmp_path / "cache"
-        base = self.ARGS + ["--cache-dir", str(cache_dir)]
-        monkeypatch.setenv("REPRO_KERNEL_TIER", "fused")
-        assert main(base) == 2
-        assert capsys.readouterr().err.startswith(
-            "error: kernel tier 'fused' is not available")
-        monkeypatch.setenv("REPRO_KERNEL_TIER", "no-such-tier")
-        assert main(base) == 2
-        assert capsys.readouterr().err.startswith(
-            "error: unknown kernel tier 'no-such-tier'")
-        assert not [p for p in cache_dir.rglob("*") if p.is_file()]
 
     def test_list_configurations(self, capsys):
         assert main(["campaign", "--list-configurations"]) == 0

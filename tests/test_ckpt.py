@@ -1,7 +1,7 @@
 """Checkpoint/restart: snapshot format, bitwise resume parity, CLI wiring.
 
 The resume contract under test mirrors the domain-parity contract: for
-any (backend, kernel tier, shard count, domain split), a run of ``N``
+any (backend, shard count, domain split), a run of ``N``
 steps is bitwise identical — fields, currents, particles, RNG streams,
 energy history — to a run of ``k`` steps + save + restore into a fresh
 session + ``N - k`` more steps.
@@ -9,7 +9,6 @@ session + ``N - k`` more steps.
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import os
 
@@ -20,7 +19,6 @@ from hypothesis import strategies as st
 
 import repro.ckpt as ckpt
 from repro.api import Session
-from repro.backend import KERNEL_TIER_ENV
 from repro.baselines.configs import make_strategy
 from repro.ckpt import (
     CheckpointHook,
@@ -39,25 +37,15 @@ from repro.config import ExecutionConfig
 from repro.workloads.lwfa import LWFAWorkload
 from repro.workloads.uniform import UniformPlasmaWorkload
 
-HAVE_NUMBA = importlib.util.find_spec("numba") is not None
-KERNEL_TIERS = ["oracle"] + (["fused"] if HAVE_NUMBA else [])
-
-
 def uniform_session(*, backend="serial", shards=1, domains=(1, 1, 1),
-                    tier=None, steps=6, order=1, strategy=None):
-    """A small uniform session; ``tier`` (default: the machine's) is
-    selected the one way there is, ``REPRO_KERNEL_TIER``, and rides on
-    the session's grid from then on."""
+                    steps=6, order=1, strategy=None):
+    """A small uniform session."""
     workload = UniformPlasmaWorkload(
         n_cell=(8, 8, 8), tile_size=(4, 4, 4), ppc=8, max_steps=steps,
         shape_order=order, domains=domains,
         execution=ExecutionConfig(backend=backend, num_shards=shards))
-    with pytest.MonkeyPatch.context() as env:
-        if tier is not None:
-            env.setenv(KERNEL_TIER_ENV, tier)
-        return Session.from_workload(
-            workload,
-            deposition=make_strategy(strategy) if strategy else None)
+    return Session.from_workload(
+        workload, deposition=make_strategy(strategy) if strategy else None)
 
 
 def lwfa_session(steps=8, tile_size=(4, 4, 8), strategy=None):
@@ -287,26 +275,19 @@ class TestResumeParity:
                                     backend="threads", shards=2),
             5, 2, tmp_path, record_energy=True)
 
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_fused_kernel_tier(self, tmp_path):
-        self.parity(lambda: uniform_session(tier="fused"), 4, 2, tmp_path)
-        with uniform_session(tier="fused") as session:
-            assert session.breakdown.kernel_tier == "fused"
-
     @settings(max_examples=6, deadline=None)
     @given(
         backend=st.sampled_from(["serial", "threads"]),
         shards=st.integers(1, 3),
         domains=st.sampled_from([(1, 1, 1), (2, 1, 1), (1, 2, 1)]),
-        tier=st.sampled_from(KERNEL_TIERS),
         k=st.integers(1, 3),
     )
     def test_parity_over_random_tuples(self, backend, shards, domains,
-                                       tier, k, tmp_path_factory):
+                                       k, tmp_path_factory):
         tmp_path = tmp_path_factory.mktemp("ckpt-prop")
         self.parity(
             lambda: uniform_session(backend=backend, shards=shards,
-                                    domains=domains, tier=tier),
+                                    domains=domains),
             4, k, tmp_path)
 
 

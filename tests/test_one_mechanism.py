@@ -14,12 +14,10 @@ work runs in the caller's address space on every backend, so nothing
 under ``src/repro/`` asks whether memory is shared, ships tile payloads
 or marks a stage ``local=``.
 
-Bulk math is plain NumPy (the kernel-tier table is the only seam of the
-numerical layer: two rows and ``activate()``, the one rule that picks
-one — from ``REPRO_KERNEL_TIER`` or the machine, never from a run's
-configuration), the campaign grid's defaults and enumerations are
-stated in ``repro.workloads`` only, and ``ckpt/format.py`` holds the one
-temp-file + ``os.replace`` sequence.
+Bulk math is plain NumPy and BLAS with one scatter path, the stencil's
+(``repro.pic.stencil``; no module imports numba), the campaign grid's
+defaults and enumerations are stated in ``repro.workloads`` only, and
+``ckpt/format.py`` holds the one temp-file + ``os.replace`` sequence.
 
 The MatrixPIC kernel has one Stage 2 (``core/mpu_deposit.py::
 tile_rhocells``); the per-particle formulation it replaced is the test
@@ -76,11 +74,11 @@ import collections
 import inspect
 import os
 import re
+import shutil
 
 import pytest
 
 from repro import cli, workloads
-from repro.backend import KERNEL_TIERS, BackendConfig, activate
 from repro.ckpt import capture_state
 from repro.cli import build_parser
 from repro.config import ExecutionConfig
@@ -309,9 +307,9 @@ def test_the_array_backend_seam_is_gone():
 
 
 def test_no_ambient_run_state():
-    """The kernel table and the telemetry registry are handed to their
-    users; no module remembers a "current" one, and the two dispatched
-    kernels that only ever had one implementation stay plain code."""
+    """The telemetry registry is handed to its users; no module
+    remembers a "current" one, and the two dispatched kernels that only
+    ever had one implementation stay plain code."""
     retired = ("active_kernels", "active_selection", "use_backend",
                "use_telemetry", "gather6", "fdtd_roll", "check_api_surface",
                "telemetry()")
@@ -319,62 +317,76 @@ def test_no_ambient_run_state():
             for line in text.splitlines()
             if any(name in line for name in retired)] == []
     assert [(path, node.lineno) for path, tree in source_trees()
-            if path.startswith(("backend/", "obs/"))
+            if path == "backend.py" or path.startswith("obs/")
             for node in ast.walk(tree)
             if isinstance(node, (ast.Global, ast.Nonlocal))] == []
 
 
-def test_kernel_tiers_are_a_table():
-    # the registry (registration, priorities, availability callbacks,
-    # oracle inheritance, resolve cache) and the second tile loop over an
-    # instrumented kernel are gone, comments and docstrings included
-    retired = ("KernelRegistry", "KernelTier", "kernel_registry",
+def test_there_is_one_scatter_path():
+    # the kernel-tier table, its numba row and its selection rule are
+    # gone, comments and docstrings included, as are the registry before
+    # it (registration, priorities, availability callbacks, resolve
+    # cache), the second tile loop over an instrumented kernel, the
+    # cache-key numerics tag and the density-adaptive fallback kernel
+    retired = ("KERNEL_TIERS", "ActiveKernels", "scatter3", "kernels_numba",
+               "kernels_oracle", "REPRO_KERNEL_TIER", ".kernels",
+               "KernelRegistry", "KernelTier", "kernel_registry",
                "register_kernel_tier", "BackendSelection", "KERNEL_NAMES",
-               "backend_selection", "_deposit_kernel_tiles")
-    assert [(path, line.strip()) for path, text in source_texts()
-            for line in text.splitlines()
-            if any(name in line for name in retired)] == []
-    assert not hasattr(DepositionKernel, "deposit")
-    # one function reads REPRO_KERNEL_TIER: the rule, next to the table
-    assert functions_naming("KERNEL_TIER_ENV") == [
-        "backend/__init__.py", "backend/__init__.py::activate"]
-    assert [path for path, tree in source_trees() for node in ast.walk(tree)
-            if isinstance(node, ast.Constant)
-            and node.value == "REPRO_KERNEL_TIER"] == ["backend/__init__.py"]
-    # ... and what bench/harness.py stamps on a record is a row's name
-    assert activate(BackendConfig()).kernel_tier in KERNEL_TIERS
-
-
-def test_the_kernel_tier_is_the_machines():
-    # the library resolves the tier one way, activate() with no request
-    # (REPRO_KERNEL_TIER, else the best available row); requests are for
-    # tests and benchmarks/ that compare rows side by side
-    assert [(path, node.lineno) for path, tree in source_trees()
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and name_of(node.func) == "activate"
-            and (node.args or node.keywords)] == []
-    # no config field, workload field, grid key, Session argument, CLI
-    # flag or served key carries a tier request (comments and docstrings
-    # included); what survives reports the row a run resolved
-    def carries_requests(path):
-        return path in ("config.py", "api.py", "cli.py") or path.startswith(
-            ("workloads/", "serve/"))
-
-    assert [(path, line.strip()) for path, text in source_texts()
-            if carries_requests(path) for line in text.splitlines()
-            if any(name in line for name in (
-                "kernel_tier", "kernel-tier", "BackendConfig"))] == [
-        ("api.py", "kernel_tier=self.grid.kernels.kernel_tier,"),
-        ("cli.py", '"kernel_tier": session.breakdown.kernel_tier,'),
-        ("cli.py", "f\"kernel-tier={payload['kernel_tier']}\", file=stdout)")]
-    # ... and nothing is left of the cache-key numerics tag or the
-    # density-adaptive fallback kernel
-    retired = (".numerics", "NUMERICS_FLAT", "kernel_numerics",
+               "backend_selection", "_deposit_kernel_tiles",
+               ".numerics", "NUMERICS_FLAT", "kernel_numerics",
                "vpu_fallback_ppc", "fallback_kernel", "_pick_kernel",
                "use_atomics")
     assert [(path, line.strip()) for path, text in source_texts()
             for line in text.splitlines()
             if any(name in line for name in retired)] == []
+    assert not hasattr(DepositionKernel, "deposit")
+    # repro.backend is left for the benchmark record's stamp only
+    assert [(path, node.lineno) for path, tree in source_trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (
+                node.module == "repro.backend" or (
+                    node.module == "repro"
+                    and "backend" in [alias.name for alias in node.names]))
+            or isinstance(node, ast.Import)
+            and "repro.backend" in [alias.name for alias in node.names]
+            ] == []
+    # no config field, workload field, grid key, Session argument, CLI
+    # flag, served key or run report names a tier
+    def carries_requests(path):
+        return path in ("config.py", "api.py", "cli.py") or path.startswith(
+            ("workloads/", "serve/", "pic/"))
+
+    assert [(path, line.strip()) for path, text in source_texts()
+            if carries_requests(path) for line in text.splitlines()
+            if any(name in line for name in (
+                "kernel_tier", "kernel-tier", "BackendConfig"))] == []
+
+
+def numba_imports(root):
+    """``path:line`` of every import of numba under ``root``."""
+    return [f"{path}:{node.lineno}" for path, tree in source_trees(root)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import) and any(
+                alias.name.split(".")[0] == "numba" for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0
+            and (node.module or "").split(".")[0] == "numba"]
+
+
+def test_no_src_module_imports_numba():
+    # the numerics are NumPy and BLAS; there is no compiled tier to
+    # hold bitwise to them
+    assert numba_imports(SRC) == []
+
+
+@pytest.mark.parametrize("statement", [
+    "import numba", "from numba import njit", "import numba.core as nc"])
+def test_a_planted_numba_import_fails_the_guard(tmp_path, statement):
+    root = tmp_path / "repro"
+    shutil.copytree(SRC, root, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(root / "pic" / "stencil.py", "a", encoding="utf-8") as stream:
+        stream.write(f"\n{statement}\n")
+    assert [finding.split(":")[0] for finding in numba_imports(str(root))
+            ] == ["pic/stencil.py"]
 
 
 def test_the_per_particle_mpu_stage_lives_under_tests_only():
@@ -807,8 +819,9 @@ def test_the_paper_numbers_live_in_the_ledger_not_in_benchmarks():
                   if name != "__pycache__") == BENCHMARK_SCRIPTS, (
         "benchmarks/ holds only the two CI-gated scripts: a paper number "
         "is a row of tests/test_paper_ledger.py.  The two leave with what "
-        "they measure: bench_deposition_scatter.py with the kernel-tier "
-        "table (repro.backend), bench_domain_scaling.py with repro.domain")
+        "they measure: bench_deposition_scatter.py with the flat-index "
+        "scatter (repro.pic.stencil), bench_domain_scaling.py with "
+        "repro.domain")
 
 
 # the linter package, its subcommand and its suppression pragma are

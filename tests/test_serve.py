@@ -654,8 +654,7 @@ class TestHttpServer:
             status, body = await http_json(
                 port, "POST", "/v1/jobs", dict(GRID, n_cell=5))
             assert status == 400 and "n_cell" in body["error"]
-            # the tier is the machine's (REPRO_KERNEL_TIER, checked when
-            # the server starts), not a key of the grid
+            # there is one kernel tier, and no grid key names one
             status, body = await http_json(
                 port, "POST", "/v1/jobs", dict(GRID, kernel_tier="fused"))
             assert status == 400 and "kernel_tier" in body["error"]

@@ -9,19 +9,14 @@ module that needs an exception is a test oracle, and lives under
 ``tests/``.
 
 ``backend-purity``
-    ``np.<ufunc>.at`` is banned: scatter-add goes through the run's
-    kernel table (:mod:`repro.backend`), where the fused tier can replace
-    it and the flat-index engine fixes the summation order.  All other
-    bulk math and allocation is plain NumPy.
+    ``np.<ufunc>.at`` is banned: scatter-add goes through the stencil
+    (:mod:`repro.pic.stencil`), whose flat-index engine fixes the
+    summation order.  All other bulk math and allocation is plain NumPy.
 
 ``determinism``
     Seeded ``numpy.random.Generator`` streams only — the legacy
     ``RandomState`` and the global-state ``np.random.*`` functions are
-    banned.  ``fastmath`` is banned in ``njit``/``jit`` decorators (it
-    licenses reassociation, breaking the bitwise oracle/fused contract).
-    Kernel bodies (``njit``-decorated functions and anything in
-    ``kernels_*.py``) may not read wall clocks.  Hot-path modules may not
-    iterate sets directly (unordered iteration feeding FP accumulation
+    banned.  Hot-path modules may not iterate sets directly (unordered iteration feeding FP accumulation
     reorders sums between runs) — sort first.
 
 ``stage-effects``
@@ -60,7 +55,7 @@ from repro.pipeline import builder
 from repro.pipeline.effects import check_stage_set, conflicts, declared_effects
 from repro.workloads import FAMILIES
 
-from ast_helpers import SRC, dotted_chain, numpy_aliases, numpy_path, source_trees
+from ast_helpers import SRC, numpy_aliases, numpy_path, source_trees
 
 REPO_ROOT = os.path.dirname(os.path.dirname(SRC))
 
@@ -94,13 +89,13 @@ def check_backend_purity(root):
                 findings.append(
                     f"{path}:{node.lineno}: unbuffered numpy scatter "
                     f"`np.{dotted}` is banned; route scatter-adds through the "
-                    "run's kernel table (grid.kernels) so the fused tier can "
-                    "replace them")
+                    "stencil (repro.pic.stencil), which fixes their "
+                    "summation order")
     return findings
 
 
 #: path components marking a module as hot-path (feeds FP accumulation)
-HOT_PATH_PACKAGES = frozenset({"pic", "domain", "exec", "backend"})
+HOT_PATH_PACKAGES = frozenset({"pic", "domain", "exec"})
 
 #: ``np.random.<name>`` attributes that are deterministic-by-seed and
 #: therefore allowed; everything else on the module touches the hidden
@@ -110,21 +105,7 @@ ALLOWED_RANDOM_ATTRS = frozenset({
     "PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937",
 })
 
-#: dotted call paths that read a wall clock
-WALL_CLOCK_CALLS = frozenset({
-    "time.time", "time.time_ns", "time.perf_counter",
-    "time.perf_counter_ns", "time.monotonic", "time.monotonic_ns",
-    "time.process_time", "time.process_time_ns",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.now", "datetime.utcnow",
-})
-
 SEEDED = "thread an explicit seeded generator: `rng = np.random.default_rng(seed)`"
-
-
-def _decorator_name(node):
-    chain = dotted_chain(node.func if isinstance(node, ast.Call) else node)
-    return chain[-1] if chain else None
 
 
 def _determinism_problems(path, tree):
@@ -148,38 +129,6 @@ def _determinism_problems(path, tree):
         else:
             yield node.lineno, (f"`np.random.{leaf}` uses the hidden global "
                                 f"random stream; {SEEDED}")
-
-    # fastmath in njit/jit decorators, and wall clocks in kernel bodies
-    kernel_file = os.path.basename(path).startswith("kernels_")
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        jitted = False
-        for decorator in node.decorator_list:
-            if _decorator_name(decorator) not in ("njit", "jit"):
-                continue
-            jitted = True
-            if not isinstance(decorator, ast.Call):
-                continue
-            for keyword in decorator.keywords:
-                if keyword.arg == "fastmath" and not (
-                        isinstance(keyword.value, ast.Constant)
-                        and keyword.value.value is False):
-                    yield keyword.value.lineno, (
-                        "`fastmath` in a jit decorator licenses FP "
-                        "reassociation; fused kernels must stay bitwise "
-                        "identical to the oracle (numba defaults to "
-                        "fastmath=False)")
-        if not (jitted or kernel_file):
-            continue
-        for inner in ast.walk(node):
-            if not isinstance(inner, ast.Call):
-                continue
-            chain = dotted_chain(inner.func)
-            if chain and ".".join(chain) in WALL_CLOCK_CALLS:
-                yield inner.lineno, (
-                    f"kernel body reads the wall clock (`{'.'.join(chain)}`); "
-                    "time kernels from the caller (the pipeline timing hook)")
 
     # unordered set iteration on the hot path
     if not HOT_PATH_PACKAGES.intersection(path.split("/")):
@@ -371,6 +320,7 @@ class TestBackendPurity:
         assert len(findings) == 1
         assert findings[0].startswith("analysis/mod.py:5: ")
         assert "add.at" in findings[0]
+        assert "repro.pic.stencil" in findings[0]
 
     def test_detects_alias_and_from_imports(self, tmp_path):
         # the ufunc's plain call and hot-path allocation are not findings
@@ -408,7 +358,7 @@ class TestBackendPurity:
         assert len(check_backend_purity(root)) == 1
 
     def test_module_pragma_no_longer_suppresses(self, tmp_path):
-        root = write_tree(tmp_path, {"backend/oracle.py": """
+        root = write_tree(tmp_path, {"pic/oracle.py": """
             # repro-lint: allow-module(backend-purity): reference tier
             import numpy as np
 
@@ -446,64 +396,6 @@ class TestDeterminism:
             def noisy(n, seed):
                 rng = np.random.default_rng(np.random.SeedSequence(seed))
                 return rng.random(n)
-        """})
-        assert check_determinism(root) == []
-
-    def test_flags_fastmath_in_njit(self, tmp_path):
-        findings = check_determinism(write_tree(tmp_path, {
-            "backend/kern.py": """
-            from numba import njit
-
-            @njit(cache=True, fastmath=True)
-            def kernel(a):
-                return a * 2.0
-        """}))
-        assert len(findings) == 1
-        assert "fastmath" in findings[0]
-
-    def test_near_miss_fastmath_false_passes(self, tmp_path):
-        root = write_tree(tmp_path, {"backend/kern.py": """
-            from numba import njit
-
-            @njit(cache=True, fastmath=False)
-            def kernel(a):
-                return a * 2.0
-        """})
-        assert check_determinism(root) == []
-
-    def test_flags_wall_clock_in_jitted_body(self, tmp_path):
-        findings = check_determinism(write_tree(tmp_path, {
-            "analysis/kern.py": """
-            import time
-            from numba import njit
-
-            @njit
-            def kernel(a):
-                t0 = time.perf_counter()
-                return a * 2.0, t0
-        """}))
-        assert len(findings) == 1
-        assert "wall clock" in findings[0]
-
-    def test_wall_clock_applies_to_kernel_files_without_decorator(
-            self, tmp_path):
-        root = write_tree(tmp_path, {"backend/kernels_foo.py": """
-            import time
-
-            def kernel(a):
-                return a * 2.0, time.monotonic()
-        """})
-        assert len(check_determinism(root)) == 1
-
-    def test_near_miss_wall_clock_in_plain_function_passes(self, tmp_path):
-        # timing hooks outside kernels are exactly how stages ARE timed
-        root = write_tree(tmp_path, {"analysis/timing.py": """
-            import time
-
-            def measure(fn):
-                t0 = time.perf_counter()
-                fn()
-                return time.perf_counter() - t0
         """})
         assert check_determinism(root) == []
 

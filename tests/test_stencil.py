@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backend import KERNEL_TIERS, activate
 from repro.config import GridConfig
 from repro.exec import (
     SerialExecutor,
@@ -221,6 +220,19 @@ class TestScatterProperty:
         assert not out.any()
         assert op.gather(out).shape == (0,)
 
+    def test_empty_batch_guards(self):
+        """An empty staging builds ``(0, S^3)`` ids and weights, and an
+        empty flat scatter leaves its target untouched."""
+        empty_i = np.empty((0,), dtype=np.int64)
+        empty_w = np.empty((0, 2))
+        op = StencilOperator.from_shape_data(
+            (4, 4, 4), (True,) * 3, empty_i, empty_i, empty_i,
+            empty_w, empty_w, empty_w)
+        assert op.flat_ids.shape == (0, 8) and op.weights.shape == (0, 8)
+        out = np.zeros((2, 2, 2))
+        scatter_flat(np.empty((0, 8), dtype=np.int64), np.empty((0, 8)), out)
+        assert not out.any()
+
     def test_gather_many_shares_one_stencil(self):
         rng = np.random.default_rng(7)
         shape = (6, 6, 6)
@@ -329,73 +341,6 @@ class TestConsumers:
             expected = np.zeros((cells, nodes))
             np.add.at(expected, cell_ids, contrib)
             np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13)
-
-
-# ----------------------------------------------------------------------
-# kernel-tier parity (repro.backend): every row of the tier table that
-# can run here must reproduce the oracle — the fused tier bitwise.  In a
-# no-numba environment only the oracle tier can and these parametrize
-# down to it; the CI [jit] leg runs them with the fused tier too.
-# ----------------------------------------------------------------------
-def _can_run(tier):
-    try:
-        activate(tier)
-    except ValueError:
-        return False
-    return True
-
-
-AVAILABLE_TIERS = tuple(tier for tier in KERNEL_TIERS if _can_run(tier))
-
-
-class TestKernelTierParity:
-    @pytest.mark.parametrize("tier", AVAILABLE_TIERS)
-    @settings(max_examples=25, deadline=None)
-    @given(shape=_shapes, periodic=_periodics,
-           order=st.sampled_from([1, 2, 3]), n=st.integers(0, 90),
-           seed=st.integers(0, 2**31), out_of_domain=st.booleans())
-    def test_scatter_matches_addat_oracle_on_tier(self, tier, shape, periodic,
-                                                  order, n, seed,
-                                                  out_of_domain):
-        """Every runnable tier passes the np.add.at property pin, over
-        periodic wraps, clamped boundaries, far out-of-domain fallback
-        positions and empty batches."""
-        rng = np.random.default_rng(seed)
-        xi, yi, zi, amplitude = _random_batch(rng, shape, n, out_of_domain)
-        expected = oracle_scatter(shape, periodic, xi, yi, zi, order,
-                                  amplitude)
-        out = np.zeros(shape)
-        op = StencilOperator.for_box(shape, periodic, xi, yi, zi, order,
-                                     kernels=KERNEL_TIERS[tier])
-        op.scatter(amplitude, out)
-        bound = oracle_scatter(shape, periodic, xi, yi, zi, order,
-                               np.abs(amplitude))
-        tol = 64 * np.finfo(float).eps * (bound + bound.max())
-        np.testing.assert_array_less(np.abs(out - expected), tol + 1e-300)
-
-    @pytest.mark.parametrize("tier", AVAILABLE_TIERS)
-    @settings(max_examples=25, deadline=None)
-    @given(shape=_shapes, periodic=_periodics,
-           order=st.sampled_from([1, 2, 3]), n=st.integers(0, 90),
-           seed=st.integers(0, 2**31))
-    def test_tier_bitwise_identical_to_oracle_tier(self, tier, shape,
-                                                   periodic, order, n, seed):
-        """Cross-tier *bitwise* pin: scatter, rho-style amplitude scatter
-        and gather on any available tier equal the oracle tier exactly."""
-        rng = np.random.default_rng(seed)
-        xi, yi, zi, amplitude = _random_batch(rng, shape, n)
-        field = rng.normal(0.0, 1.0, shape)
-        results = {}
-        for name in ("oracle", tier):
-            op = StencilOperator.for_box(
-                shape, periodic, xi, yi, zi, order,
-                kernels=KERNEL_TIERS[name])
-            out = np.zeros(shape)
-            op.scatter(amplitude, out)
-            results[name] = (op.flat_ids.copy(), op.weights.copy(),
-                             out, op.gather(field))
-        for ref, got in zip(results["oracle"], results[tier]):
-            assert np.array_equal(ref, got)
 
 
 # ----------------------------------------------------------------------
