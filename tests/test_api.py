@@ -136,3 +136,129 @@ class TestLifecycle:
         assert executor is session.executor
         list(session.run(1))
         session.shutdown()
+
+
+def _digest(session):
+    """sha256 over every array of a session's checkpoint state."""
+    import hashlib
+
+    from repro.ckpt import capture_state
+
+    _meta, arrays = capture_state(session)
+    digest = hashlib.sha256()
+    for name in sorted(arrays):
+        digest.update(name.encode("ascii"))
+        digest.update(arrays[name].tobytes())
+    return digest.hexdigest()
+
+
+def tiny_workload(**kwargs):
+    return workload(**dict(dict(n_cell=(4, 4, 4), tile_size=(4, 4, 4),
+                                ppc=1, max_steps=2), **kwargs))
+
+
+class TestOneScatterPath:
+    """There is one scatter path: no argument, flag or environment
+    variable selects a kernel tier, and the variable that once did,
+    ``REPRO_KERNEL_TIER``, changes nothing."""
+
+    RUN = ["run", "--n-cell", "4,4,4", "--tile-size", "4,4,4", "--ppc", "1",
+           "--steps", "1", "--format", "json"]
+
+    @pytest.mark.parametrize("entry", [
+        "Session", "Session.from_workload", "SimulationConfig"])
+    def test_no_constructor_takes_a_tier_request(self, entry):
+        from repro.config import GridConfig, SimulationConfig
+
+        build = {
+            "Session": lambda: Session(tiny_workload().build_config(),
+                                       backend="oracle"),
+            "Session.from_workload": lambda: Session.from_workload(
+                tiny_workload(), backend="oracle"),
+            "SimulationConfig": lambda: SimulationConfig(
+                grid=GridConfig(n_cell=(4, 4, 4)), backend="oracle"),
+        }[entry]
+        with pytest.raises(TypeError, match="backend"):
+            build()
+
+    @pytest.mark.parametrize("command", ["run", "campaign", "serve"])
+    def test_there_is_no_kernel_tier_flag(self, command, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--kernel-tier", "oracle"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_run_ignores_the_retired_tier_variable(self, monkeypatch,
+                                                   capsys):
+        import json
+
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_KERNEL_TIER", "no-such-tier")
+        assert main(self.RUN) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["steps"] == 1 and "kernel_tier" not in payload
+
+    def test_serve_ignores_the_retired_tier_variable(self, monkeypatch,
+                                                     tmp_path):
+        import repro.serve as serve_package
+        from repro.cli import main
+
+        started = []
+        # cmd_serve imports run_server from the package at call time
+        monkeypatch.setattr(serve_package, "run_server",
+                            lambda config: started.append(config) or 0)
+        monkeypatch.setenv("REPRO_KERNEL_TIER", "no-such-tier")
+        assert main(["serve", "--port", "0",
+                     "--root", str(tmp_path / "root")]) == 0
+        assert len(started) == 1
+
+    @pytest.mark.parametrize("value", ["oracle", "fused", "no-such-tier"])
+    def test_a_session_ignores_the_retired_tier_variable(self, value,
+                                                         monkeypatch):
+        with tiny_workload().build_session() as session:
+            session.run_all(2)
+            expected = _digest(session)
+        monkeypatch.setenv("REPRO_KERNEL_TIER", value)
+        with tiny_workload().build_session() as session:
+            session.run_all(2)
+            assert _digest(session) == expected
+
+
+class TestRunIsolation:
+    """Nothing a run computes with belongs to the process: sessions in
+    one process never share state."""
+
+    def test_interleaved_sessions_match_their_solo_runs(self):
+        def solo(seed):
+            with tiny_workload(seed=seed, max_steps=3).build_session() \
+                    as session:
+                session.run_all(3)
+                return _digest(session)
+
+        expected = [solo(1), solo(2)]
+        assert expected[0] != expected[1]
+        with tiny_workload(seed=1, max_steps=3).build_session() as first, \
+                tiny_workload(seed=2, max_steps=3).build_session() as second:
+            for _ in range(3):
+                first.step()
+                second.step()
+            assert [_digest(first), _digest(second)] == expected
+
+    @pytest.mark.parametrize("domains", [(1, 1, 1), (2, 1, 1)],
+                             ids=["global", "domains2"])
+    def test_sharded_and_decomposed_paths_match_serial(self, domains):
+        """The threads backend's shard-private scratch grids and domain
+        slabs deposit what the serial backend does, bit for bit, at the
+        same shard count."""
+        digests = []
+        for backend in ("serial", "threads"):
+            with workload(domains=domains, max_steps=2,
+                          execution=ExecutionConfig(
+                              backend=backend, num_shards=2)
+                          ).build_session() as session:
+                session.run_all(2)
+                digests.append(_digest(session))
+        assert digests[0] == digests[1]

@@ -147,3 +147,31 @@ def test_stage_vocabulary_is_importable_from_one_place():
             "exported from repro.pipeline"
         )
         assert getattr(pipeline, class_name) is type(stage)
+
+
+# ``repro.backend`` is what the benchmark record's environment stamp
+# reads: ``activate(BackendConfig()).kernel_tier``.  There is one scatter
+# path, so the stamp names the one tier and depends on nothing else.
+def test_the_stamp_names_the_one_tier(monkeypatch):
+    from repro.backend import BackendConfig, activate
+
+    monkeypatch.setenv("REPRO_KERNEL_TIER", "fused")  # retired: inert
+    assert activate(BackendConfig()).kernel_tier == "oracle"
+
+
+def test_activate_returns_the_config_it_was_given():
+    from repro.backend import BackendConfig, activate
+
+    config = BackendConfig(kernel_tier="oracle")
+    assert activate(config) is config
+    # ... and remembers nothing for a later caller
+    assert activate(BackendConfig()) == config
+
+
+def test_the_stamp_config_is_frozen():
+    import dataclasses
+
+    from repro.backend import BackendConfig
+
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        BackendConfig().kernel_tier = "fused"

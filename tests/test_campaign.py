@@ -69,23 +69,10 @@ class TestExperimentSpec:
                 cls(sorting=SortingPolicyConfig(sort_interval=20))
 
     def test_workloads_take_no_kernel_tier(self):
-        """There is one scatter path: no workload, session or simulation
-        config carries a kernel tier."""
-        from repro.api import Session
-        from repro.config import GridConfig, SimulationConfig
-
+        """There is one scatter path: no workload carries a kernel tier."""
         for cls in (UniformPlasmaWorkload, LWFAWorkload):
             with pytest.raises(TypeError, match="backend"):
                 cls(backend={"kernel_tier": "oracle"})
-        workload = UniformPlasmaWorkload(n_cell=(4, 4, 4),
-                                         tile_size=(4, 4, 4), ppc=1)
-        for build in (
-                lambda: Session(workload.build_config(), backend="oracle"),
-                lambda: Session.from_workload(workload, backend="oracle"),
-                lambda: SimulationConfig(grid=GridConfig(n_cell=(4, 4, 4)),
-                                         backend="oracle")):
-            with pytest.raises(TypeError, match="backend"):
-                build()
 
     def test_build_workload_reconstructs_equal_builder(self):
         workload = tiny_workload(seed=7)
@@ -98,6 +85,14 @@ class TestCacheKey:
 
     def test_key_is_stable(self):
         assert tiny_spec().cache_key() == tiny_spec().cache_key()
+
+    def test_key_ignores_the_kernel_tier(self, monkeypatch):
+        # there is one scatter path, so the retired REPRO_KERNEL_TIER
+        # variable is inert: whatever it says, a key is the same
+        key = tiny_spec().cache_key()
+        for tier in ("oracle", "fused", "no-such-tier"):
+            monkeypatch.setenv("REPRO_KERNEL_TIER", tier)
+            assert tiny_spec().cache_key() == key
 
     @pytest.mark.parametrize("overrides", [
         {"configuration": "Baseline+IncrSort"},
@@ -546,6 +541,26 @@ class TestCLI:
         assert main(["run", "--workload", "lwfa", "--shape-order", "3"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "uniform" in err
+
+    def test_campaign_cli_ignores_the_retired_tier_variable(
+            self, tmp_path, capsys, monkeypatch):
+        # REPRO_KERNEL_TIER selected a kernel tier once; now nothing
+        # reads it, so a value no tier ever had runs and caches as usual
+        # and the result is the one a run without the variable caches
+        args = ["campaign", "--workload", "uniform", "--n-cell", "4,4,4",
+                "--tile-size", "4,4,4", "--ppc", "1",
+                "--configurations", "Baseline", "--steps", "1",
+                "--cache-dir", str(tmp_path / "cache"), "--format", "json"]
+        monkeypatch.setenv("REPRO_KERNEL_TIER", "no-such-tier")
+        assert main(args) == 0
+        cold = json.loads(capsys.readouterr().out)
+        assert cold["cache"]["misses"] == 1
+        monkeypatch.delenv("REPRO_KERNEL_TIER")
+        assert main(args) == 0
+        warm = json.loads(capsys.readouterr().out)
+        assert warm["cache"]["hits"] == 1
+        assert ([r["result"] for r in warm["results"]]
+                == [r["result"] for r in cold["results"]])
 
     def test_list_configurations(self, capsys):
         assert main(["campaign", "--list-configurations"]) == 0

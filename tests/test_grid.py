@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import GridConfig
-from repro.pic.grid import Grid
+from repro.pic.grid import Grid, apply_grid_geometry, grid_geometry
 
 
 @pytest.fixture
@@ -86,3 +86,29 @@ def test_field_energy_positive(grid):
 
 def test_field_energy_zero_for_empty(grid):
     assert grid.field_energy() == 0.0
+
+
+def test_grid_geometry_is_a_snapshot_of_the_live_corners(grid):
+    grid.lo += 2.0
+    grid.hi += 2.0
+    lo, hi = grid_geometry(grid)
+    np.testing.assert_array_equal(lo, [2.0, 2.0, 2.0])
+    np.testing.assert_array_equal(hi, [6.0, 8.0, 10.0])
+    # a copy: the window advancing again leaves the snapshot as it was
+    grid.lo += 1.0
+    np.testing.assert_array_equal(lo, [2.0, 2.0, 2.0])
+
+
+def test_apply_grid_geometry_moves_a_config_built_grid(grid):
+    """A scratch grid built from the config takes the live corners, and
+    normalises positions against them as the original does."""
+    grid.lo += 2.0
+    grid.hi += 2.0
+    scratch = Grid(grid.config)
+    assert apply_grid_geometry(scratch, grid_geometry(grid)) is scratch
+    np.testing.assert_array_equal(scratch.lo, grid.lo)
+    np.testing.assert_array_equal(scratch.hi, grid.hi)
+    x, y, z = np.array([2.5]), np.array([3.0]), np.array([9.75])
+    for got, expected in zip(scratch.normalized_position(x, y, z),
+                             grid.normalized_position(x, y, z)):
+        np.testing.assert_array_equal(got, expected)

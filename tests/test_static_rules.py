@@ -410,6 +410,26 @@ class TestDeterminism:
         assert len(findings) == 1
         assert "sorted" in findings[0]
 
+    @pytest.mark.parametrize("package", sorted(HOT_PATH_PACKAGES))
+    def test_every_hot_path_package_is_checked(self, tmp_path, package):
+        findings = check_determinism(write_tree(tmp_path, {
+            f"{package}/mod.py": """
+            def total(values):
+                return [v for v in {*values}]
+        """}))
+        assert len(findings) == 1
+        assert findings[0].startswith(f"{package}/mod.py:")
+
+    @pytest.mark.parametrize("package", ["analysis", "obs", "serve"])
+    def test_near_miss_set_iteration_off_the_hot_path_passes(
+            self, tmp_path, package):
+        # bookkeeping outside the numerics feeds no FP accumulation
+        root = write_tree(tmp_path, {f"{package}/mod.py": """
+            def names(values):
+                return [v for v in set(values)]
+        """})
+        assert check_determinism(root) == []
+
     def test_near_miss_sorted_set_iteration_passes(self, tmp_path):
         root = write_tree(tmp_path, {"pic/mod.py": """
             def total(values):

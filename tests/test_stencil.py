@@ -20,6 +20,7 @@ from repro.exec import (
     SerialExecutor,
     ThreadTileExecutor,
 )
+from repro.pic.deposition.base import prepare_tile_data, scatter_tile_currents
 from repro.pic.deposition.reference import (
     deposit_reference,
     deposit_rho_reference,
@@ -30,7 +31,9 @@ from repro.pic.particles import ParticleTile
 from repro.pic.shapes import shape_factors, shape_support
 from repro.pic.stencil import (
     StencilOperator,
+    _scatter,
     box_geometry,
+    box_segments,
     cell_block_ids,
     flat_node_ids,
     scatter_flat,
@@ -91,6 +94,13 @@ def _random_batch(rng, shape, n, out_of_domain=False):
     zi = rng.uniform(lo, hi if out_of_domain else shape[2], n)
     amplitude = rng.normal(0.0, 1.0, n)
     return xi, yi, zi, amplitude
+
+
+def _random_shape_data(rng, shape, n, order):
+    """In-domain per-axis base indices and 1-D weights of ``n`` particles."""
+    bases, weights = zip(*(shape_factors(rng.uniform(0.0, s, n), order)
+                           for s in shape))
+    return bases + weights
 
 
 _shapes = st.tuples(st.integers(2, 7), st.integers(2, 7), st.integers(2, 7))
@@ -292,6 +302,167 @@ class TestBlockGatherProperty:
             assert values.shape == (n,)
             np.testing.assert_array_less(np.abs(values - expected),
                                          tol + 1e-300)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_far_out_of_domain_batch_takes_the_exact_adjoint(self, order):
+        """A batch reaching more than a stencil width outside the domain
+        has no bounded box; the gather falls back to the stencil's
+        wrapped-space adjoint and still matches the loop oracle."""
+        rng = np.random.default_rng(40 + order)
+        shape, periodic = (5, 4, 6), (True, False, True)
+        grid = random_field_grid(shape, periodic, rng)
+        xi, yi, zi, _ = _random_batch(rng, shape, 50, out_of_domain=True)
+        assert box_geometry(shape, shape_factors(xi, order)[0],
+                            shape_factors(yi, order)[0],
+                            shape_factors(zi, order)[0],
+                            shape_support(order)) is None
+        tile = ParticleTile((0, 0, 0), (0, 0, 0), shape)
+        tile.append(x=xi, y=yi, z=zi)
+        for name, values in zip(FIELD_NAMES,
+                                gather_fields_for_tile(grid, tile, order)):
+            field = getattr(grid, name)
+            expected = oracle_gather(shape, periodic, field, xi, yi, zi,
+                                     order)
+            bound = oracle_gather(shape, periodic, np.abs(field), xi, yi,
+                                  zi, order)
+            tol = 64 * np.finfo(float).eps * (bound + bound.max())
+            np.testing.assert_array_less(np.abs(values - expected),
+                                         tol + 1e-300)
+
+
+# ----------------------------------------------------------------------
+# the engine's pieces against per-particle loops: the box ids and
+# weights, the flat scatter (bit for bit: it adds in input order), the
+# three-component current scatter and the box's boundary segments
+# ----------------------------------------------------------------------
+class TestScatterKernel:
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_build_weights_bitwise(self, order):
+        """Box ids ``((x - lo_x) * dy + y - lo_y) * dz + z - lo_z`` and
+        weights ``wx * wy * wz`` per stencil point, ``(i, j, k)``
+        row-major, equal a per-particle loop bit for bit."""
+        rng = np.random.default_rng(order)
+        shape = (6, 7, 5)
+        bx, by, bz, wx, wy, wz = _random_shape_data(rng, shape, 80, order)
+        op = StencilOperator.from_shape_data(shape, (True,) * 3,
+                                             bx, by, bz, wx, wy, wz)
+        lo, dims = op.box_lo, op.box_dims
+        assert lo == (bx.min(), by.min(), bz.min())
+        support = shape_support(order)
+        ids = np.empty((80, support**3), dtype=np.int64)
+        weights = np.empty((80, support**3))
+        for p in range(80):
+            m = 0
+            for i in range(support):
+                for j in range(support):
+                    for k in range(support):
+                        ids[p, m] = ((bx[p] + i - lo[0]) * dims[1]
+                                     + by[p] + j - lo[1]) * dims[2] \
+                            + bz[p] + k - lo[2]
+                        weights[p, m] = wx[p, i] * wy[p, j] * wz[p, k]
+                        m += 1
+        assert np.array_equal(op.flat_ids, ids)
+        assert np.array_equal(op.weights, weights)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("with_amplitude", [False, True])
+    def test_scatter_bitwise(self, order, with_amplitude):
+        rng = np.random.default_rng(10 + order)
+        shape = (6, 6, 6)
+        op = StencilOperator.from_shape_data(
+            shape, (True,) * 3, *_random_shape_data(rng, shape, 70, order))
+        size = int(np.prod(op.box_dims))
+        amplitude = rng.normal(size=70) if with_amplitude else None
+        expected = np.zeros(size)
+        for p in range(70):
+            for node, weight in zip(op.flat_ids[p], op.weights[p]):
+                expected[node] += weight if amplitude is None \
+                    else amplitude[p] * weight
+        got = _scatter(op.flat_ids, op.weights, amplitude, size)
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_tile_currents_are_three_componentwise_scatters(self, order):
+        """The current deposit is one amplitude scatter per component
+        over the shared stencil, bit for bit."""
+        config = GridConfig(n_cell=(6, 6, 6), hi=(6.0e-6,) * 3,
+                            tile_size=(6, 6, 6))
+        grid, container = make_plasma(config, ppc=(2, 2, 2),
+                                      seed=20 + order)
+        [tile] = container.nonempty_tiles()
+        data = prepare_tile_data(grid, tile, -1.6e-19, order)
+        scatter_tile_currents(grid, data)
+        op = StencilOperator.from_shape_data(
+            grid.shape, grid.periodic, data.base_x, data.base_y,
+            data.base_z, data.wx, data.wy, data.wz)
+        for amplitude, current in zip((data.wqx, data.wqy, data.wqz),
+                                      grid.current_arrays()):
+            expected = np.zeros(grid.shape)
+            op.scatter(amplitude, expected)
+            assert current.any() and np.array_equal(current, expected)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("periodic", [(True, True, True),
+                                          (False, True, False)],
+                             ids=["periodic", "mixed"])
+    def test_box_and_wrapped_fallback_agree(self, order, periodic):
+        """The bounding-box fast path and the exact wrapped-space ids of
+        the fallback scatter and gather the same sums, on an axis
+        shorter than the QSP support too."""
+        rng = np.random.default_rng(30 + order)
+        shape = (3, 5, 6)
+        bx, by, bz, wx, wy, wz = _random_shape_data(rng, shape, 60, order)
+        box = StencilOperator.from_shape_data(shape, periodic,
+                                              bx, by, bz, wx, wy, wz)
+        assert box.box_dims is not None
+        wrapped = StencilOperator(
+            flat_node_ids(shape, periodic, bx, by, bz, wx.shape[1]),
+            box.weights, shape, periodic, None, None)
+        amplitude = rng.normal(size=60)
+        field = rng.normal(size=shape)
+        outs = []
+        for op in (box, wrapped):
+            out = np.zeros(shape)
+            op.scatter(amplitude, out)
+            outs.append(out)
+        np.testing.assert_allclose(outs[0], outs[1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(box.gather(field), wrapped.gather(field),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("out_shape", [(24,), (6, 4), (2, 3, 4)])
+    def test_scatter_flat_adds_into_the_raveled_target(self, out_shape):
+        """Ids address ``out``'s row-major raveled view whatever its
+        rank, repeated ids add up, and what ``out`` held is kept."""
+        rng = np.random.default_rng(len(out_shape))
+        ids = rng.integers(0, 24, (30, 8))
+        weights = rng.normal(size=(30, 8))
+        out = rng.normal(size=out_shape)
+        expected = out.reshape(-1).copy()
+        np.add.at(expected, ids.ravel(), weights.ravel())
+        scatter_flat(ids, weights, out)
+        np.testing.assert_allclose(out.reshape(-1), expected,
+                                   rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("lo, dim, n, periodic, expected", [
+        (1, 3, 6, False, [(0, 3, 1, 4, False)]),
+        (-1, 4, 6, False, [(0, 1, 0, 1, True), (1, 4, 0, 3, False)]),
+        (4, 4, 6, False, [(0, 2, 4, 6, False), (2, 4, 5, 6, True)]),
+        (-2, 7, 2, False, [(0, 2, 0, 1, True), (2, 4, 0, 2, False),
+                           (4, 7, 1, 2, True)]),
+        (-1, 4, 6, True, [(0, 1, 5, 6, False), (1, 4, 0, 3, False)]),
+        (4, 5, 6, True, [(0, 2, 4, 6, False), (2, 5, 0, 3, False)]),
+        (-1, 5, 2, True, [(0, 1, 1, 2, False), (1, 3, 0, 2, False),
+                          (3, 5, 0, 2, False)]),
+    ], ids=["open-interior", "open-below", "open-above", "open-both",
+            "periodic-below", "periodic-above", "periodic-multiwrap"])
+    def test_box_segments(self, lo, dim, n, periodic, expected):
+        """One box axis ``[lo, lo + dim)`` split into grid segments:
+        periodic axes wrap once per period crossed, open axes collapse
+        their overhangs onto the boundary plane."""
+        segments = box_segments((lo, 0, 0), (dim, 1, 1), (n, 1, 1),
+                                (periodic, True, True))[0]
+        assert [(b.start, b.stop, g.start, g.stop, collapse)
+                for b, g, collapse in segments] == expected
 
 
 class TestFlatIds:
