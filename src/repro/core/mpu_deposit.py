@@ -54,6 +54,7 @@ import numpy as np
 from repro.config import SHAPE_ORDER_CIC
 from repro.pic.blocks import (
     BLOCK_ROWS,
+    BlockLayout,
     cell_block_slots,
     group_by_cell,
     outer_rows,
@@ -154,7 +155,8 @@ def _piece_rhocells(data: TileDepositionData, cells: np.ndarray,
     blocks of :data:`BLOCK_ROWS` rows (the tail zero-padded: exact
     zeros), every block is one matrix product — ``BLOCK_ROWS / 2`` MOPA
     accumulations into a resident tile, three components at once — and
-    a cell's blocks are folded in block order, so a cell's result
+    a cell's blocks are folded in block order (:func:`_fold_blocks`, one
+    running sum per run of equal-depth cells), so a cell's result
     depends on that cell's own particle sequence only.
     """
     n = data.num_particles
@@ -185,11 +187,28 @@ def _piece_rhocells(data: TileDepositionData, cells: np.ndarray,
         right.reshape(num_blocks, BLOCK_ROWS, width_right)
     ).reshape(num_blocks, 3 * nodes)
 
-    # fold each cell's blocks in block order, all cells at once per rank
-    first_block, depth = layout.first_block, layout.depth
-    folded = products[first_block]
-    for rank in range(1, int(depth.max(initial=0))):
-        more = depth > rank
-        folded[more] += products[first_block[more] + rank]
-    rhocells[:, layout.cells] = (folded.reshape(-1, 3, nodes)
-                                 .transpose(1, 0, 2))
+    rhocells[:, layout.cells] = (_fold_blocks(products, layout)
+                                 .reshape(-1, 3, nodes).transpose(1, 0, 2))
+
+
+def _fold_blocks(products: np.ndarray, layout: BlockLayout) -> np.ndarray:
+    """Sum each cell's block products, in block order, one row per cell.
+
+    ``products`` has one row per block of ``layout``'s row space.  The
+    cells of one depth own one contiguous run of blocks
+    (:attr:`~repro.pic.blocks.BlockLayout.depth_runs`), so each run is a
+    ``(cells, depth, width)`` view, and its cells' sums are one running
+    sum over the depth axis: block ``r`` added to the sum of blocks
+    ``0 .. r - 1``, for every cell of the run at once.
+    """
+    width = products.shape[1]
+    folded = np.empty((layout.cells.shape[0], width))
+    for depth, lo, hi in layout.depth_runs:
+        first = layout.first_block[lo]
+        run = products[first:first + (hi - lo) * depth].reshape(
+            hi - lo, depth, width)
+        total = folded[lo:hi]
+        total[...] = run[:, 0]
+        for rank in range(1, depth):
+            total += run[:, rank]
+    return folded

@@ -9,10 +9,12 @@ contracts the cell's nodes away.  Both lay a batch's particles into the
 same row space — grouped by cell, each cell's run cut into blocks of
 :data:`BLOCK_ROWS` rows, the tail block zero-padded, and the cells of
 equal depth (block count) side by side — and hand it to BLAS ``matmul``.
-The deposit multiplies block by block and folds each cell's blocks; the
-gather multiplies each run of equal-depth cells as one stack, every
-cell's rows against that cell's operand, which it builds once however
-deep the cell is (:attr:`BlockLayout.depth_runs`).  That layout is
+Both read the cells of one depth as one contiguous run
+(:attr:`BlockLayout.depth_runs`): the deposit multiplies block by block
+and folds each run's blocks as one ``(cells, depth, width)`` view, a
+running sum over the depth axis; the gather multiplies each run as one
+stack, every cell's rows against that cell's operand, which it builds
+once however deep the cell is.  That layout is
 stated here, once, with the one way both directions fill it:
 :func:`outer_rows` multiplies the node-major shape factors
 (:mod:`repro.pic.shapes`) along the particle axis and scatters each

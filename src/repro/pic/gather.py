@@ -23,20 +23,34 @@ batches, :mod:`repro.pic.pusher`) — and
    ``BLOCK_ROWS``-row space the deposit uses (:mod:`repro.pic.blocks`),
    where cells of equal depth (block count) sit side by side,
 3. builds each occupied cell's ``(S^2, S * 6)`` field operand once and
-   multiplies the cell's ``(depth * BLOCK_ROWS, S^2)`` panel of
-   ``sy (x) sz`` (built node-major by :func:`repro.pic.blocks.outer_rows`,
-   the deposit's panel builder) by it — one stacked BLAS ``matmul`` per
-   depth, every cell's rows against its own operand, as the paper's MPU
-   keeps a cell's tile resident while the cell's particles stream
-   through — and contracts the remaining ``sx`` factor per particle.
+   multiplies it, transposed, by the transpose of the cell's
+   ``(depth * BLOCK_ROWS, S^2)`` panel of ``sy (x) sz`` (built by
+   :func:`repro.pic.blocks.outer_rows`, the deposit's panel builder) —
+   one stacked BLAS ``matmul`` per depth, every cell's rows against its
+   own operand, as the paper's MPU keeps a cell's tile resident while
+   the cell's particles stream through — into a node-major
+   ``(S * 6, rows)`` result, takes every particle's column back once,
+   and contracts the remaining ``sx`` factor as ``S`` multiply-adds
+   along contiguous rows of ``sx.T`` and of that result.
 
 No ``(n, S^3)`` id, weight or value array is built, and no copy of a
-cell's operand per block.  A row of a block product depends on that row
-and the cell's operand only, whatever the depth of the stack, so a
-particle's gathered fields are a function of that particle and the grid
-— not of its tile-mates, its batch-mates or the storage order — which
-is what keeps executors, resumed runs, domain splits and any grouping
-of tiles into batches bitwise equal.
+cell's operand per block.  An entry of a block product depends on its
+row of the panel and the cell's operand only, whatever the depth of the
+stack, so a particle's gathered fields are a function of that particle
+and the grid — not of its tile-mates, its batch-mates or the storage
+order — which is what keeps executors, resumed runs, domain splits and
+any grouping of tiles into batches bitwise equal.
+
+**Rounding.**  The gather always multiplies all six components: BLAS
+picks its kernel, and with it the summation order over the ``S^2``
+inner axis, by the product's shape, so a narrower one-component
+product need not round as its rows of the six-component one do (under
+OpenBLAS's SkylakeX kernel the row-major ``(rows, 16) @ (16, 4)`` QSP
+product does not).  The ``sx`` contraction adds the ``S`` node terms
+in node order starting from zero, which is the order the row-major
+``einsum`` it replaced summed six components in, so the gathered fields
+are those of the row-major formulation bit for bit
+(``tests/test_operand_panels.py``).
 
 Batches reaching more than a stencil width outside the domain (no
 per-step caller does) fall back as a whole to the stencil engine's exact
@@ -47,7 +61,7 @@ which is also the oracle the block form is tested against.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -85,9 +99,11 @@ def _cell_operand_offsets(box_dims: Tuple[int, int, int], support: int,
     return flat
 
 
-def _gather_components(grid: Grid, fields: Sequence[Array], x: Array,
-                       y: Array, z: Array, order: int) -> Tuple[Array, ...]:
-    """Interpolate ``fields`` to the positions: the block gather."""
+def _gather_components(grid: Grid, x: Array, y: Array, z: Array,
+                       order: int) -> Tuple[Array, ...]:
+    """Interpolate the six field components to the positions: the block
+    gather."""
+    fields = (grid.ex, grid.ey, grid.ez, grid.bx, grid.by, grid.bz)
     xi, yi, zi = grid.normalized_position(x, y, z)
     base_x, sx = shape_factors(xi, order)
     base_y, sy = shape_factors(yi, order)
@@ -123,23 +139,30 @@ def _gather_components(grid: Grid, fields: Sequence[Array], x: Array,
     operand = box[layout.cells[:, None]
                   + _cell_operand_offsets(dims, support, components)
                   ].reshape(-1, plane, width)
-    # a run of equal-depth cells is one stack of (depth * BLOCK_ROWS, S^2)
-    # by (S^2, S * components) products, straight into its rows (the
-    # runs follow each other in row order)
-    rows = np.empty((num_rows, width))
+    # a run of equal-depth cells is one stack of (S * components, S^2) by
+    # (S^2, depth * BLOCK_ROWS) products, straight into its columns of the
+    # node-major result (the runs follow each other in row order)
+    products = np.empty((width, num_rows))
     first = 0
     for depth, lo, hi in layout.depth_runs:
-        shape = (hi - lo, depth * BLOCK_ROWS)
-        last = first + shape[0] * shape[1]
-        np.matmul(right[first:last].reshape(*shape, plane), operand[lo:hi],
-                  out=rows[first:last].reshape(*shape, width))
+        count, height = hi - lo, depth * BLOCK_ROWS
+        last = first + count * height
+        np.matmul(operand[lo:hi].transpose(0, 2, 1),
+                  right[first:last].reshape(count, height, plane
+                                            ).transpose(0, 2, 1),
+                  out=products[:, first:last].reshape(width, count, height
+                                                      ).transpose(1, 0, 2))
         first = last
-    picked = rows.take(layout.slots, axis=0).reshape(-1, support,
-                                                     components)
-    # einsum picks its summation order from the operands' strides: the
-    # contraction reads sx row-major, as it always has, so a one-component
-    # gather rounds as before (six components sum alike either way)
-    return tuple(np.einsum("pi,pic->cp", np.ascontiguousarray(sx), picked))
+    # row i * components + c of picked is node i of component c, per
+    # particle; the sx contraction is S multiply-adds along those rows,
+    # in node order from zero
+    picked = products.take(layout.slots, axis=1).reshape(support,
+                                                         components, -1)
+    picked *= sx.T[:, None, :]
+    gathered = np.zeros(picked.shape[1:])
+    for term in picked:
+        gathered += term
+    return tuple(gathered)
 
 
 def gather_fields(grid: Grid, x: Array, y: Array, z: Array, order: int
@@ -154,9 +177,7 @@ def gather_fields(grid: Grid, x: Array, y: Array, z: Array, order: int
     if x.shape[0] == 0:
         empty = np.empty(0)
         return (empty,) * 6
-    return _gather_components(
-        grid, (grid.ex, grid.ey, grid.ez, grid.bx, grid.by, grid.bz),
-        x, y, z, order)
+    return _gather_components(grid, x, y, z, order)
 
 
 def gather_fields_for_tile(grid: Grid, tile: ParticleTile, order: int

@@ -24,7 +24,12 @@ block deposit and the block gather as they built their panels before the
 node-major staging: one ``np.einsum`` per panel over an ``S``-wide
 innermost axis, from row-major ``(n, S)`` shape factors.
 ``tests/test_operand_panels.py`` holds the node-major panels, and with
-them ``tile_rhocells`` and ``gather_fields``, to these bit for bit.
+them ``tile_rhocells`` and ``gather_fields``, to these bit for bit.  The
+einsum gather also keeps the ``sx`` contraction as the gather ran it
+before it contracted node-major rows (``einsum("pi,pic->cp")`` over
+row-major ``sx``), and the einsum deposit the fold before it read the
+depth runs (``oracle_masked_fold``, which ``tests/test_mpu_deposit.py``
+holds ``_fold_blocks`` to bit for bit).
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.core.mpu_deposit import mpu_work_statistics
-from repro.pic.blocks import BLOCK_ROWS, cell_block_slots
+from repro.pic.blocks import BLOCK_ROWS, BlockLayout, cell_block_slots
 from repro.pic.deposition.base import (
     TileDepositionData,
     prepare_tile_data,
@@ -294,27 +299,33 @@ def oracle_einsum_tile_rhocells(data: TileDepositionData,
         right.reshape(num_blocks, BLOCK_ROWS, support * support)
     ).reshape(num_blocks, 3 * nodes)
 
+    rhocells = np.zeros((3, num_cells, nodes))
+    rhocells[:, layout.cells] = (oracle_masked_fold(products, layout)
+                                 .reshape(-1, 3, nodes).transpose(1, 0, 2))
+    return rhocells[0], rhocells[1], rhocells[2], stats
+
+
+def oracle_masked_fold(products: np.ndarray, layout: BlockLayout
+                       ) -> np.ndarray:
+    """``_fold_blocks`` as ``_piece_rhocells`` folded before it read the
+    depth runs: rank by rank over all cells at once, each rank's blocks
+    gathered under a mask of the cells at least that deep."""
     first_block, depth = layout.first_block, layout.depth
     folded = products[first_block]
     for rank in range(1, int(depth.max(initial=0))):
         more = depth > rank
         folded[more] += products[first_block[more] + rank]
-
-    rhocells = np.zeros((3, num_cells, nodes))
-    rhocells[:, layout.cells] = (folded.reshape(-1, 3, nodes)
-                                 .transpose(1, 0, 2))
-    return rhocells[0], rhocells[1], rhocells[2], stats
+    return folded
 
 
 def oracle_einsum_gather_fields(grid, x: np.ndarray, y: np.ndarray,
-                                z: np.ndarray, order: int,
-                                fields: Sequence[np.ndarray] = ()
+                                z: np.ndarray, order: int
                                 ) -> Tuple[np.ndarray, ...]:
     """``gather_fields`` with the einsum ``sy (x) sz`` panel, row-major
-    shape factors and one ``(BLOCK_ROWS, S^2)`` product per block against
+    shape factors, one ``(BLOCK_ROWS, S^2)`` product per block against
     a copy of its cell's operand (in-domain batches: a bounded field
-    box).  ``fields`` defaults to the six components."""
-    fields = fields or (grid.ex, grid.ey, grid.ez, grid.bx, grid.by, grid.bz)
+    box) and the ``sx`` contraction as one ``einsum``."""
+    fields = (grid.ex, grid.ey, grid.ez, grid.bx, grid.by, grid.bz)
     xi, yi, zi = grid.normalized_position(x, y, z)
     base_x, sx = _row_major(shape_factors(xi, order))
     base_y, sy = _row_major(shape_factors(yi, order))

@@ -21,7 +21,7 @@ from repro import constants
 from repro.config import GridConfig, SpeciesConfig
 from repro.core.framework import SORT_NONE, MatrixPICDeposition
 from repro.hardware.counters import PhaseCounters
-from repro.pic.gather import _gather_components
+from repro.pic.gather import gather_fields
 from repro.pic.grid import Grid
 from repro.pic.particles import _SOA_FIELDS, ParticleContainer
 from repro.pic.plasma import load_uniform_plasma
@@ -157,12 +157,14 @@ def total_deposited_charge(grid: Grid) -> float:
 
 
 def gather_field(grid: Grid, field, x, y, z, order: int):
-    """Interpolate one field component to the given particle positions,
-    through the block gather ``gather_fields`` runs (same rounding)."""
+    """Interpolate one of the grid's six field components (``field`` is
+    ``grid.ex`` ... ``grid.bz`` itself) to the given particle positions:
+    its column of ``gather_fields``."""
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         return np.zeros(x.shape)
-    return _gather_components(grid, (field,), x, y, z, order)[0]
+    index = [getattr(grid, name) is field for name in FIELD_NAMES].index(True)
+    return gather_fields(grid, x, y, z, order)[index]
 
 
 def gather_soa(container: ParticleContainer):

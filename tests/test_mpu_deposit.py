@@ -12,7 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deposit_oracles import oracle_tile_rhocells, pair_within_runs
+from deposit_oracles import (
+    oracle_masked_fold,
+    oracle_tile_rhocells,
+    pair_within_runs,
+)
 from helpers import make_plasma
 from mpu_oracles import (
     MatrixUnit,
@@ -30,10 +34,12 @@ from repro.core.framework import (
 from repro.core.hybrid_kernel import HybridMPUDeposition
 from repro.core.mpu_deposit import (
     BLOCK_ROWS,
+    _fold_blocks,
     mpu_work_statistics,
     tile_rhocells,
 )
 from repro.hardware.counters import KernelCounters
+from repro.pic.blocks import cell_block_slots
 from repro.pic.deposition.base import (
     TileDepositionData,
     cell_switch_fraction,
@@ -306,6 +312,27 @@ class TestWorkStatistics:
         # exactly: it feeds KernelCounters
         assert run_switch_fraction(stats["runs"], cells.shape[0]) \
             == cell_switch_fraction(cells)
+
+
+@settings(max_examples=60, deadline=None)
+@given(extra=st.lists(st.integers(0, 5), max_size=20),
+       width=st.sampled_from([3 * 2**3, 3 * 4**3]),
+       seed=st.integers(0, 2**16))
+def test_the_depth_run_fold_is_bitwise_the_masked_fold(extra, width, seed):
+    # cells one to five blocks deep (and empty ones), the depth classes
+    # interleaved across cell ids, as crowded cells beside sparse ones
+    rng = np.random.default_rng(seed)
+    depths = rng.permutation([1, 2, 3, 4, 5] + extra)
+    counts = [rng.integers((d - 1) * K + 1, d * K + 1) if d else 0
+              for d in depths]
+    cells = np.repeat(np.arange(depths.shape[0]), counts)
+    layout = cell_block_slots(rng.permutation(cells), depths.shape[0])
+    assert set(layout.depth.tolist()) == {1, 2, 3, 4, 5}
+    # block sums over six decades, so any other summation order rounds
+    products = rng.normal(size=(layout.num_blocks, width)) \
+        * 10.0 ** rng.integers(-3, 3, (layout.num_blocks, 1))
+    got = _fold_blocks(products, layout)
+    assert got.tobytes() == oracle_masked_fold(products, layout).tobytes()
 
 
 class TestBlockProductAgainstOracle:

@@ -263,17 +263,17 @@ class TestBlockGatherLocality:
             gather_field(grid, grid.by, x, y, z, order), got[4])
 
     def test_single_component_agrees_with_its_column_of_the_six(self):
-        # one component is a narrower block product (S columns, not
-        # 6 S), which BLAS may sum in another order: rounding only
+        # the block gather always multiplies all six components (a
+        # one-component product would be narrower, which BLAS may sum in
+        # another order): one component is its column, bit for bit
         rng = np.random.default_rng(3)
         grid = random_field_grid((6, 6, 6), (True, True, True), rng)
         x, y, z = (rng.uniform(0.0, 6.0, 90) for _ in range(3))
         six = gather_fields_for_tile(
             grid, _tile_of(x, y, z, (0, 0, 0), (6, 6, 6)), 3)
         for name, values in zip(FIELD_NAMES, six):
-            np.testing.assert_allclose(
-                gather_field(grid, getattr(grid, name), x, y, z, 3), values,
-                rtol=0.0, atol=1e-14)
+            assert np.array_equal(
+                gather_field(grid, getattr(grid, name), x, y, z, 3), values)
 
 
 class TestBorisPusherIntegration:
