@@ -13,10 +13,15 @@ window offset), the energy history and the session's ``KernelCounters``
 (one value per phase and counter).  A field one tree lacks, or holds in
 another shape (say, a different particle count), reads ``inf``.
 
-A case is a seeded session run for a few steps: uniform plasma at shape
-orders 1 and 3 under the reference deposit and ``MatrixPIC (FullOpt)``,
-on the ``serial`` executor with one shard and the ``threads`` executor
-with two, and an LWFA run under ``MatrixPIC (FullOpt)`` across several
+A case is a seeded session run for a few steps: uniform plasma (8^3
+cells, PPC 64) at shape orders 1 and 3 under the reference deposit and
+``MatrixPIC (FullOpt)``, on the ``serial`` executor with one shard and
+the ``threads`` executor with two, in 4^3 tiles (4096 particles each, a
+run of its own); the same plasma in 2^3 tiles (512 particles, grouped
+into runs of eight: the ``uniform-ref`` bench shape) at order 1 under
+both deposits and executors, and in one 8^3 tile (32 768 particles,
+worked in two pieces) under ``MatrixPIC (FullOpt)``; one ``Baseline``
+case; and an LWFA run under ``MatrixPIC (FullOpt)`` across several
 moving-window shifts.  ``--tiny`` shrinks every case to a few hundred
 particles and two steps (the tier-1 smoke test's size).  The script
 imports only ``Session.from_workload``, ``make_strategy``, the two
@@ -39,15 +44,24 @@ import numpy as np
 MPIC = "MatrixPIC (FullOpt)"
 
 #: name -> (family, shape order, strategy or None for the reference
-#: deposit, executor backend, shards)
-CASES: Dict[str, Tuple[str, int, Optional[str], str, int]] = {
+#: deposit, executor backend, shards, uniform tile edge in cells)
+CASES: Dict[str, Tuple[str, int, Optional[str], str, int, int]] = {
     f"uniform-o{order}-{tag}-{backend}{shards}": (
-        "uniform", order, strategy, backend, shards)
+        "uniform", order, strategy, backend, shards, 4)
     for order in (1, 3)
     for tag, strategy in (("ref", None), ("mpic", MPIC))
     for backend, shards in (("serial", 1), ("threads", 2))
 }
-CASES["lwfa-mpic-serial1"] = ("lwfa", 1, MPIC, "serial", 1)
+CASES.update({
+    f"small-tiles-o1-{tag}-{backend}{shards}": (
+        "uniform", 1, strategy, backend, shards, 2)
+    for tag, strategy in (("ref", None), ("mpic", MPIC))
+    for backend, shards in (("serial", 1), ("threads", 2))
+})
+CASES["dense-tile-o3-mpic-serial1"] = ("uniform", 3, MPIC, "serial", 1, 8)
+CASES["uniform-o1-baseline-serial1"] = ("uniform", 1, "Baseline", "serial",
+                                        1, 4)
+CASES["lwfa-mpic-serial1"] = ("lwfa", 1, MPIC, "serial", 1, 0)
 
 #: steps per case at full size; LWFA's window shifts one cell a step
 #: from the fourth step on, five times in eight steps
@@ -63,11 +77,11 @@ def _session(name: str, tiny: bool):
     from repro.workloads.lwfa import LWFAWorkload
     from repro.workloads.uniform import UniformPlasmaWorkload
 
-    family, order, strategy, backend, shards = CASES[name]
+    family, order, strategy, backend, shards, edge = CASES[name]
     execution = ExecutionConfig(backend=backend, num_shards=shards)
     if family == "uniform":
         workload = UniformPlasmaWorkload(
-            n_cell=(8, 8, 8), tile_size=(4, 4, 4), ppc=1 if tiny else 64,
+            n_cell=(8, 8, 8), tile_size=(edge,) * 3, ppc=1 if tiny else 64,
             shape_order=order, execution=execution, seed=7)
     else:
         workload = LWFAWorkload(
@@ -175,10 +189,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.against is None:
         parser.error("--against is required")
     rows = matrix(args.against.resolve(), names, args.tiny)
-    print(f"{'case':<26} {'field':<34} {'max|d|':>10} {'peak':>10} "
+    print(f"{'case':<28} {'field':<34} {'max|d|':>10} {'peak':>10} "
           f"{'max|d|/peak':>12}")
     for name, field, delta, peak in rows:
-        print(f"{name:<26} {field:<34} {delta:>10.3g} {peak:>10.3g} "
+        print(f"{name:<28} {field:<34} {delta:>10.3g} {peak:>10.3g} "
               f"{relative(delta, peak):>12.3g}")
     moved = sum(1 for row in rows if row[2] != 0.0)
     print(f"{moved} of {len(rows)} fields differ")
