@@ -11,9 +11,9 @@ What a snapshot holds
 ---------------------
 * the 10 dense field components plus the grid origin (``lo``/``hi``
   travel with the moving window),
-* every particle container: the SoA arrays of all tiles concatenated in
-  tile order plus per-tile counts (concatenate-then-split round-trips
-  exactly), ids, and the id allocator cursor,
+* every particle container: a copy of its store (one array per SoA
+  row, in tile order, and the ids) plus per-tile counts, and the id
+  allocator cursor,
 * step index, moving-window accumulator and total shift count,
 * both RNG streams (the construction-time generator and the moving
   window's refill stream) as exact bit-generator states,
@@ -46,7 +46,6 @@ from repro.ckpt.format import (
     write_snapshot,
 )
 from repro.hardware.counters import KernelCounters, PhaseCounters
-from repro.pic.particles import _SOA_FIELDS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api import Session
@@ -101,30 +100,27 @@ _WINDOW_RNG = "injector"
 
 def capture_state(simulation: "Session"
                   ) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
-    """Snapshot ``simulation`` into a ``(meta, arrays)`` pair."""
+    """Snapshot ``simulation`` into a ``(meta, arrays)`` pair of copies
+    (the step rewrites the grid arrays and particle stores in place)."""
     grid = simulation.grid
     arrays: Dict[str, np.ndarray] = {
-        f"grid.{name}": array for name, array in grid.field_arrays().items()
+        f"grid.{name}": array.copy()
+        for name, array in grid.field_arrays().items()
     }
-    arrays["grid.lo"] = grid.lo
-    arrays["grid.hi"] = grid.hi
+    arrays["grid.lo"] = grid.lo.copy()
+    arrays["grid.hi"] = grid.hi.copy()
     window = simulation.moving_window
     arrays["window.accumulated"] = np.array([window._accumulated],
                                             dtype=np.float64)
     containers_meta: List[Dict[str, Any]] = []
     for index, container in enumerate(simulation.containers):
-        tiles = container.tiles
         prefix = f"c{index}"
-        for name in _SOA_FIELDS:
-            arrays[f"{prefix}.{name}"] = np.concatenate(
-                [getattr(tile, name) for tile in tiles])
-        arrays[f"{prefix}.ids"] = np.concatenate(
-            [tile.ids for tile in tiles])
-        arrays[f"{prefix}.counts"] = np.array(
-            [tile.num_particles for tile in tiles], dtype=np.int64)
+        for name, array in container.soa_arrays().items():
+            arrays[f"{prefix}.{name}"] = array.copy()
+        arrays[f"{prefix}.counts"] = np.diff(container.offsets)
         containers_meta.append({
             "next_id": container._next_id,
-            "num_tiles": len(tiles),
+            "num_tiles": len(container.tiles),
         })
     meta: Dict[str, Any] = {
         "state_version": STATE_VERSION,
@@ -196,22 +192,13 @@ def restore_state(simulation: "Session", meta: Dict[str, Any],
                 f"snapshot container {index} has {cmeta['num_tiles']} "
                 f"tiles, simulation has {len(tiles)}")
         counts = arrays[f"{prefix}.counts"]
-        offsets = np.zeros(len(tiles) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        for name in (*_SOA_FIELDS, "ids"):
-            flat = arrays[f"{prefix}.{name}"]
-            if flat.shape[0] != offsets[-1]:
-                raise SnapshotMismatchError(
-                    f"snapshot container {index} field {name!r} length "
-                    "does not match the per-tile counts")
-            for tile_id, tile in enumerate(tiles):
-                chunk = flat[offsets[tile_id]:offsets[tile_id + 1]].copy()
-                if name == "ids":
-                    tile.ids = chunk
-                else:
-                    setattr(tile, name, chunk)
-        for tile in tiles:
-            tile.drop_sort_state()  # any sort state predates the snapshot
+        soa = {name: arrays[f"{prefix}.{name}"]
+               for name in container.soa_arrays()}
+        if any(flat.shape[0] != counts.sum() for flat in soa.values()):
+            raise SnapshotMismatchError(
+                f"snapshot container {index} SoA lengths do not match "
+                "the per-tile counts")
+        container.load_soa(soa, counts)  # drops the stale sort state
         container._next_id = int(cmeta["next_id"])
 
     rng_meta = meta.get("rng", {})

@@ -198,9 +198,8 @@ class IncrementalSorter:
                           ) -> TileSortState:
         """Return the tile's sort state, making a fresh one when there is none.
 
-        The migration regroup, ``append``, ``remove`` and ``permute`` drop
-        the state of a tile whose population or storage order they
-        change.  Such a tile gets a fresh state from
+        The migration, an insert and ``permute`` drop the state of a
+        tile whose population or storage order they change.  Such a tile gets a fresh state from
         :meth:`global_sort_tile` — adopting the regroup's cell ids where
         it left them — rather than the paper's Stage 1 insertions
         (§4.3.1) into its old GPMA.  The global sort's statistics are

@@ -37,7 +37,7 @@ from repro.config import (
 from repro.exec import TileExecutor, run_shards, shard_items
 from repro.hardware.counters import KernelCounters
 from repro.pic.grid import Grid, apply_grid_geometry, grid_geometry
-from repro.pic.particles import ParticleTile, concat_tiles
+from repro.pic.particles import ParticleTile, stored
 from repro.pic.pusher import velocities
 from repro.pic.shapes import shape_factors, shape_support
 from repro.pic.stencil import StencilOperator
@@ -199,19 +199,20 @@ def prepare_run_data(grid: Grid, tiles: Sequence[ParticleTile], charge: float,
                      ) -> TileDepositionData:
     """Compute shape factors and effective currents for a run of tiles.
 
-    The particles are staged once, concatenated in tile order, each
-    tile's in its *storage order*, so a kernel observing them sees
-    exactly the locality (or lack of it) that the sorting machinery
-    established.  ``selection`` picks the particles of that
-    concatenation to stage, in its order: a slice (a view, no copy) or
+    The particles are staged once from the run's slice of the store,
+    in tile order, each tile's in its *storage order*, so a kernel
+    observing them sees exactly the locality (or lack of it) that the
+    sorting machinery established.  ``selection`` picks the particles
+    of that slice to stage, in its order: a slice (a view, no copy) or
     storage indices (one gather).  Every staged value is a function of
     its own particle, so staging a selection gives the selected rows of
     the whole staging, bit for bit.  A one-tile run keeps its tile box
     for :attr:`TileDepositionData.local_cell_ids`.
     """
-    x, y, z, ux, uy, uz, w = (
-        concat_tiles(tiles, name)[selection]
-        for name in ("x", "y", "z", "ux", "uy", "uz", "w"))
+    block = stored(tiles)
+    x, y, z, ux, uy, uz, w = (block[:, selection]
+                              if isinstance(selection, slice)
+                              else np.take(block, selection, axis=1))
     xi, yi, zi = grid.normalized_position(x, y, z)
     base_x, wx = shape_factors(xi, order)
     base_y, wy = shape_factors(yi, order)

@@ -9,7 +9,7 @@ conservation, LWFA wakefield structure).
 Both densities deposit once per *run of tiles*, the runs the pusher uses
 (:func:`repro.pic.particles.tile_runs`: a shard's consecutive tiles,
 grouped until a run holds ``RUN_PARTICLES`` particles): one staging pass
-over the run's concatenated particles and one scatter into the run's
+over the run's slice of the particle store and one scatter into the run's
 bounding box.  A node's sum therefore follows the run partition.  Where
 one tile's particles alone reach a node, and wherever a run is a single
 tile, the result is bitwise that of depositing tile by tile; where tiles
@@ -35,12 +35,7 @@ from repro.pic.deposition.base import (
     scratch_reduce,
 )
 from repro.pic.grid import Grid
-from repro.pic.particles import (
-    ParticleContainer,
-    ParticleTile,
-    concat_tiles,
-    tile_runs,
-)
+from repro.pic.particles import ParticleContainer, ParticleTile, stored, tile_runs
 from repro.pic.stencil import StencilOperator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -62,7 +57,7 @@ def _rho_tiles(grid: Grid, tiles: Sequence[ParticleTile], charge: float,
     """
     cell_volume = float(np.prod(grid.cell_size))
     for run in tile_runs(tiles):
-        x, y, z, w = (concat_tiles(run, name) for name in ("x", "y", "z", "w"))
+        x, y, z, _, _, _, w = stored(run)
         stencil = StencilOperator.for_grid(grid, x, y, z, order)
         stencil.scatter(charge * w / cell_volume, grid.rho)
 

@@ -3,28 +3,35 @@
 Particles are stored per species in a :class:`ParticleContainer`, which
 splits the domain into tiles of ``particles.tile_size`` cells exactly as in
 the paper (Appendix A uses 8x8x8 for the uniform plasma and 8x8x64 for the
-LWFA workload).  Each :class:`ParticleTile` owns SoA arrays for positions,
-momenta, weights and ids, plus an optional ``sorter`` slot that the
-Matrix-PIC framework populates with the tile's sort state (§4.3).  A tile
-the sorter manages is marked ``keeps_cell_order``.
+LWFA workload).  The container holds one store per species: a float64
+``(7, N)`` block (rows ``x, y, z, ux, uy, uz, w``) and an ``ids`` array,
+both in tile order, plus the tile offsets.  A :class:`ParticleTile` is a
+range of that store: its SoA attributes are views of its columns, and it
+carries an optional ``sorter`` slot that the Matrix-PIC framework
+populates with the tile's sort state (§4.3).  A tile the sorter manages
+is marked ``keeps_cell_order``.
 
 The container is also responsible for the per-step redistribution that in
 WarpX happens in the particle exchange: applying the periodic/absorbing
 particle boundary conditions and moving particles whose positions left
-their tile into the owning tile.  Both run over many tiles per NumPy
-call: the wrap and the owner scan once per executor shard on the shard's
-concatenated coordinates, and the migration as one stable regroup of
-the changed tiles (:meth:`ParticleContainer.redistribute`, which states
-the storage-order contract the deposition's summation order rests on).
-The regroup also sorts: it leaves a changed tile that keeps cell order
-sorted by cell and hands the sorter those cell ids
+their tile into the owning tile (:meth:`ParticleContainer.redistribute`,
+which states the storage-order contract the deposition's summation order
+rests on).  The wrap, the absorb test and the owner scan run once per
+executor shard on the shard's slice of the store; the absorbs and moves
+are then one stable order and one block take of the span of the changed
+tiles.  The regroup also sorts: it leaves a tile that keeps cell order
+and moved particles sorted by cell and hands the sorter those cell ids
 (``ParticleTile.sorted_cells``), so the deposit that follows adopts them
 instead of re-sorting the tile.
 
-A tile's SoA arrays may therefore be slices of a batch array shared with
-other tiles (the pusher hands out slices too, :mod:`repro.pic.pusher`).
-The slices are disjoint, so writing into one tile's arrays never touches
-another tile's particles.
+Consecutive non-empty tiles sit side by side in the store, so a shard or
+a run of them is one slice of it (:func:`stored`), read without copying
+and written in place by the push (:mod:`repro.pic.pusher`) and the wrap;
+shards are disjoint slices.  Only the container changes the population:
+an insert (:meth:`ParticleContainer.add_particles`, every arrival at its
+tile's end) is one pass over the store, and the migration's take drops
+the absorbed, so a moving-window step moves each particle twice: once
+in the refill's insert and once in the take.
 
 The per-particle stages that do not work on a whole shard work on *runs*
 of a shard's consecutive tiles (:func:`tile_runs`, grouped until a run
@@ -36,7 +43,7 @@ dominates small tiles (eight 512-particle tiles gathered at once take
 about half the time of eight separate gathers), while the run's field
 or current box and temporaries grow with the batch (64 small tiles
 deposited in one box are slower than in runs of eight).  So a tile
-already holding ``RUN_PARTICLES`` is its own run and is not copied.
+already holding ``RUN_PARTICLES`` is its own run.
 
 A tile holding more than :data:`BATCH_PARTICLES` is the opposite case:
 its whole-tile panels and products (8-15 MB each for a 65 536-particle
@@ -89,41 +96,66 @@ BATCH_PARTICLES = 16384
 
 
 class ParticleTile:
-    """Particles belonging to one tile of cells, stored as SoA arrays."""
+    """One tile of cells and the range of its container's store it owns.
 
-    def __init__(self, tile_index: Tuple[int, int, int],
+    ``x`` ... ``w`` and ``ids`` are views of that range (read-only
+    attributes: write through them, never rebind them); they follow the
+    store when a migration, an insert or a compaction moves the range.
+    """
+
+    def __init__(self, container: "ParticleContainer", index: int,
+                 tile_index: Tuple[int, int, int],
                  cell_lo: Tuple[int, int, int],
                  cell_hi: Tuple[int, int, int]):
+        self._container = container
+        #: position of the tile in its container (and of its range)
+        self.index = index
         self.tile_index = tile_index
         #: inclusive lower cell index of the tile box, per axis
         self.cell_lo = tuple(int(v) for v in cell_lo)
         #: exclusive upper cell index of the tile box, per axis
         self.cell_hi = tuple(int(v) for v in cell_hi)
-        self.x = np.empty((0,))
-        self.y = np.empty((0,))
-        self.z = np.empty((0,))
-        self.ux = np.empty((0,))
-        self.uy = np.empty((0,))
-        self.uz = np.empty((0,))
-        self.w = np.empty((0,))
-        self.ids = np.empty((0,), dtype=np.int64)
         #: slot used by repro.core to attach the tile's sort state
         self.sorter = None
         #: set by the sorter on a tile it manages: the migration regroup
-        #: leaves such a tile in cell order (kept across append/remove)
+        #: leaves such a tile in cell order
         self.keeps_cell_order = False
         #: the regroup's handoff to the sorter: every particle's tile-local
         #: cell id in storage order, non-decreasing.  Valid only for the
         #: storage order and positions that regroup left, so anything that
-        #: changes either drops it (permute, append, remove,
-        #: split_to_tiles — the push and the boundary wrap).
+        #: changes either drops it (permute, insert, compaction, push, wrap).
         self.sorted_cells: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     @property
+    def columns(self) -> slice:
+        """The tile's range of store columns."""
+        offsets = self._container.offsets
+        return slice(int(offsets[self.index]), int(offsets[self.index + 1]))
+
+    @property
+    def block(self) -> np.ndarray:
+        """The tile's ``(7, n)`` view of the store (rows ``_SOA_FIELDS``)."""
+        return self._container.block[:, self.columns]
+
+    x = property(lambda self: self.block[0], doc="Positions along x [m].")
+    y = property(lambda self: self.block[1], doc="Positions along y [m].")
+    z = property(lambda self: self.block[2], doc="Positions along z [m].")
+    ux = property(lambda self: self.block[3], doc="Momenta ``gamma v_x``.")
+    uy = property(lambda self: self.block[4], doc="Momenta ``gamma v_y``.")
+    uz = property(lambda self: self.block[5], doc="Momenta ``gamma v_z``.")
+    w = property(lambda self: self.block[6], doc="Macro-particle weights.")
+
+    @property
+    def ids(self) -> np.ndarray:
+        """Particle ids (view of the store)."""
+        return self._container.ids[self.columns]
+
+    @property
     def num_particles(self) -> int:
         """Number of particles currently stored in the tile."""
-        return self.x.shape[0]
+        offsets = self._container.offsets
+        return int(offsets[self.index + 1] - offsets[self.index])
 
     @property
     def tile_cells(self) -> Tuple[int, int, int]:
@@ -137,44 +169,6 @@ class ParticleTile:
         return cx * cy * cz
 
     # ------------------------------------------------------------------
-    def append(self, **arrays: np.ndarray) -> None:
-        """Append particles given as keyword SoA arrays.
-
-        Missing momentum/weight arrays default to zero / one.  ``ids`` may be
-        omitted, in which case the caller is expected to re-id afterwards.
-        """
-        n = len(np.asarray(arrays["x"]))
-        for name in _SOA_FIELDS:
-            if name in arrays:
-                new = np.asarray(arrays[name], dtype=np.float64)
-            elif name == "w":
-                new = np.ones(n)
-            else:
-                new = np.zeros((n,))
-            if new.shape[0] != n:
-                raise ValueError(
-                    f"SoA field {name!r} has length {new.shape[0]}, expected {n}"
-                )
-            setattr(self, name, np.concatenate([getattr(self, name), new]))
-        new_ids = np.asarray(arrays.get("ids", np.full(n, -1)),
-                             dtype=np.int64)
-        self.ids = np.concatenate([self.ids, new_ids])
-        self.drop_sort_state()
-
-    def remove(self, mask: np.ndarray) -> Dict[str, np.ndarray]:
-        """Remove particles where ``mask`` is True and return their SoA data."""
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape[0] != self.num_particles:
-            raise ValueError("mask length does not match particle count")
-        removed = {name: getattr(self, name)[mask] for name in _SOA_FIELDS}
-        removed["ids"] = self.ids[mask]
-        keep = ~mask
-        for name in _SOA_FIELDS:
-            setattr(self, name, getattr(self, name)[keep])
-        self.ids = self.ids[keep]
-        self.drop_sort_state()
-        return removed
-
     def local_cell_ids(self, grid: Grid) -> np.ndarray:
         """Row-major cell index of each particle *within the tile*.
 
@@ -200,16 +194,16 @@ class ParticleTile:
         return (lx * cy + ly) * cz + lz
 
     def permute(self, order: np.ndarray) -> None:
-        """Reorder the SoA arrays in-place following ``order``.
+        """Reorder the tile's range of the store in place following ``order``.
 
         Drops the sort state: it describes the old storage order.
         """
         order = np.asarray(order, dtype=np.int64)
         if order.shape[0] != self.num_particles:
             raise ValueError("permutation length does not match particle count")
-        for name in _SOA_FIELDS:
-            setattr(self, name, getattr(self, name)[order])
-        self.ids = self.ids[order]
+        block, ids = self.block, self.ids
+        block[...] = np.take(block, order, axis=1)
+        ids[...] = ids[order]
         self.drop_sort_state()
 
     def drop_sort_state(self) -> None:
@@ -222,16 +216,19 @@ class ParticleTile:
         self.sorted_cells = None
 
 
-def concat_tiles(tiles: Sequence[ParticleTile], name: str) -> np.ndarray:
-    """The ``name`` SoA array of ``tiles`` joined in tile order.
+def stored(tiles: Sequence[ParticleTile]) -> np.ndarray:
+    """The ``(7, n)`` store view of consecutive ``tiles``, in tile order.
 
-    One tile's own array is returned as is, not copied: callers only
-    read the result.
+    A shard's or a run's non-empty tiles sit side by side in their
+    container's store, so their particles are one slice of it: reading
+    it copies nothing, and writing into it writes the tiles' particles.
     """
-    arrays = [getattr(tile, name) for tile in tiles]
-    if len(arrays) == 1:
-        return arrays[0]
-    return np.concatenate(arrays or [np.empty((0,))])
+    if not tiles:
+        return np.empty((len(_SOA_FIELDS), 0))
+    start, stop = tiles[0].columns.start, tiles[-1].columns.stop
+    if sum(tile.num_particles for tile in tiles) != stop - start:
+        raise ValueError("tiles are not consecutive in their store")
+    return tiles[0]._container.block[:, start:stop]
 
 
 def tile_runs(tiles: Sequence[ParticleTile]) -> Iterator[List[ParticleTile]]:
@@ -274,65 +271,37 @@ def piece_bounds(n: int, cuts: Optional[np.ndarray] = None) -> np.ndarray:
     return np.unique(allowed[np.searchsorted(allowed, bounds)])
 
 
-def split_to_tiles(tiles: Sequence[ParticleTile], ends: Sequence[int],
-                   arrays: Dict[str, np.ndarray]) -> None:
-    """Give each tile its slice of every batch array in ``arrays``.
+def _scan_shard(tiles: List[ParticleTile], grid: Grid,
+                periodic: Tuple[bool, ...], cell_keys: np.ndarray
+                ) -> np.ndarray:
+    """Executor task: boundary conditions and owner scan of one shard.
 
-    Tile ``k`` gets ``[ends[k - 1], ends[k])`` (from 0 for the first),
-    as views: the batch arrays are shared, their slices disjoint.  A
-    tile's ``sorted_cells`` no longer describe its arrays and are dropped.
+    Periodic axes are wrapped in place, one pass over the shard's slice
+    of the store; returns every particle's cell key
+    (:attr:`ParticleContainer.cell_keys`), -1 for a particle outside an
+    open axis (absorbed).
     """
-    start = 0
-    for tile, end in zip(tiles, ends):
-        for name, values in arrays.items():
-            setattr(tile, name, values[start:end])
-        tile.sorted_cells = None
-        start = end
-
-
-def _boundary_shard(tiles: List[ParticleTile], lo: np.ndarray, hi: np.ndarray,
-                    extent: np.ndarray, periodic: Tuple[bool, ...]) -> int:
-    """Executor task: boundary conditions for one shard of tiles.
-
-    Periodic axes are wrapped in one pass over the shard's concatenated
-    coordinates (each tile gets its slice back); the open-axis absorb
-    mask is computed on the concatenation too, and only the tiles whose
-    slice of it has a hit remove particles.  Returns the removed count.
-    """
-    counts = [tile.num_particles for tile in tiles]
-    ends = np.cumsum(counts, dtype=np.int64)
-    absorb = np.zeros(sum(counts), dtype=bool)
-    for axis, name in enumerate(("x", "y", "z")):
-        coords = concat_tiles(tiles, name)
+    coords = stored(tiles)[:3]
+    lo, hi = grid.lo, grid.hi
+    absorb = np.zeros(coords.shape[1], dtype=bool)
+    for axis in range(3):
         if periodic[axis]:
             # lo + mod(coords - lo, extent): np.mod costs several compares
             # and is the identity on the open interval (0, extent), so only
             # the offsets outside it go through np.mod (same bits)
-            offset = coords - lo[axis]
-            outside = ~((offset > 0.0) & (offset < extent[axis]))
-            offset[outside] = np.mod(offset[outside], extent[axis])
-            split_to_tiles(tiles, ends, {name: lo[axis] + offset})
+            extent = hi[axis] - lo[axis]
+            offset = coords[axis] - lo[axis]
+            outside = ~((offset > 0.0) & (offset < extent))
+            offset[outside] = np.mod(offset[outside], extent)
+            np.add(lo[axis], offset, out=coords[axis])
         else:
-            absorb |= (coords < lo[axis]) | (coords >= hi[axis])
-    hits = np.flatnonzero(absorb)
-    for k in np.unique(np.searchsorted(ends, hits, side="right")):
-        tiles[k].remove(absorb[ends[k] - counts[k]:ends[k]])
-    return int(hits.shape[0])
-
-
-def _owner_scan_shard(entries: List[Tuple[int, ParticleTile]],
-                      cell_keys: np.ndarray, grid: Grid) -> np.ndarray:
-    """Executor task: the cell key of every particle of a shard.
-
-    One cell-index + ``cell_keys`` (:attr:`ParticleContainer.cell_keys`)
-    lookup over the shard's concatenated positions (read-only); returned
-    in entry order, particle by particle.
-    """
-    tiles = [tile for _, tile in entries]
-    ix, iy, iz = grid.cell_index(concat_tiles(tiles, "x"),
-                                 concat_tiles(tiles, "y"),
-                                 concat_tiles(tiles, "z"))
-    return cell_keys[grid.linear_cell_id(ix, iy, iz)]
+            absorb |= (coords[axis] < lo[axis]) | (coords[axis] >= hi[axis])
+    if any(periodic):
+        for tile in tiles:
+            tile.sorted_cells = None
+    keys = cell_keys[grid.linear_cell_id(*grid.cell_index(*coords))]
+    keys[absorb] = -1
+    return keys
 
 
 def record_nothing(source_tile_id: int, owner_tile_ids: np.ndarray) -> None:
@@ -353,7 +322,12 @@ def _kinetic_shard(tiles: List[ParticleTile], mass: float) -> float:
 
 
 class ParticleContainer:
-    """All particles of one species, split into tiles over the domain."""
+    """All particles of one species, split into tiles over the domain.
+
+    One store (:attr:`block`, :attr:`ids`) in tile order, tile ``i``
+    owning columns ``offsets[i]:offsets[i + 1]``; only this module
+    writes the offsets or rebinds the store.
+    """
 
     def __init__(self, grid_config: GridConfig, species: SpeciesConfig):
         self.grid_config = grid_config
@@ -372,9 +346,16 @@ class ParticleContainer:
                     hi = (min((itx + 1) * tx, nx),
                           min((ity + 1) * ty, ny),
                           min((itz + 1) * tz, nz))
-                    self.tiles.append(ParticleTile((itx, ity, itz), lo, hi))
+                    self.tiles.append(ParticleTile(
+                        self, len(self.tiles), (itx, ity, itz), lo, hi))
         #: cells of a full tile: the stride of :attr:`cell_keys`
         self.cells_per_tile = tx * ty * tz
+        #: the particle block, rows :data:`_SOA_FIELDS`, in tile order
+        self.block = np.empty((len(_SOA_FIELDS), 0))
+        #: particle ids, in the block's order
+        self.ids = np.empty((0,), dtype=np.int64)
+        #: tile ``i`` owns store columns ``offsets[i]:offsets[i + 1]``
+        self.offsets = np.zeros(len(self.tiles) + 1, dtype=np.int64)
 
     @functools.cached_property
     def cell_keys(self) -> np.ndarray:
@@ -410,7 +391,7 @@ class ParticleContainer:
     @property
     def num_particles(self) -> int:
         """Total number of macro-particles across all tiles."""
-        return sum(tile.num_particles for tile in self.tiles)
+        return int(self.offsets[-1])
 
     def iter_tiles(self) -> Iterator[ParticleTile]:
         """Iterate over the tiles (including empty ones)."""
@@ -418,7 +399,26 @@ class ParticleContainer:
 
     def nonempty_tiles(self) -> List[ParticleTile]:
         """Tiles that currently hold at least one particle."""
-        return [tile for tile in self.tiles if tile.num_particles > 0]
+        counts = np.diff(self.offsets)
+        return [self.tiles[i] for i in np.flatnonzero(counts).tolist()]
+
+    def soa_arrays(self) -> Dict[str, np.ndarray]:
+        """The store by name: one view per block row, and ``ids``."""
+        return {**dict(zip(_SOA_FIELDS, self.block)), "ids": self.ids}
+
+    def load_soa(self, arrays: Dict[str, np.ndarray],
+                 counts: np.ndarray) -> None:
+        """Replace the store by ``arrays`` (as :meth:`soa_arrays` names
+        them, copied) holding ``counts[i]`` particles of tile ``i``.
+
+        Every tile's sort state is dropped: it predates the new store.
+        """
+        self.block = np.array([arrays[name] for name in _SOA_FIELDS],
+                              dtype=np.float64)
+        self.ids = np.array(arrays["ids"], dtype=np.int64)
+        self.offsets = np.concatenate(([0], np.cumsum(counts)))
+        for tile in self.tiles:
+            tile.drop_sort_state()
 
     # ------------------------------------------------------------------
     def tile_of_cell(self, ix: np.ndarray, iy: np.ndarray, iz: np.ndarray
@@ -436,80 +436,74 @@ class ParticleContainer:
                       uy: Optional[np.ndarray] = None,
                       uz: Optional[np.ndarray] = None,
                       w: Optional[np.ndarray] = None) -> None:
-        """Add particles, routing each one to the tile that owns its cell."""
-        x = np.asarray(x, dtype=np.float64)
-        n = x.shape[0]
+        """Add particles, routing each one to the tile that owns its cell.
+
+        One insert into the store: each tile's arrivals follow its
+        particles, in input order, and get the next ids.  Missing
+        momenta default to zero, missing weights to one.
+        """
+        n = len(x)
         if n == 0:
             return
-        y = np.asarray(y, dtype=np.float64)
-        z = np.asarray(z, dtype=np.float64)
-        ux = np.zeros((n,)) if ux is None \
-            else np.asarray(ux, dtype=np.float64)
-        uy = np.zeros((n,)) if uy is None \
-            else np.asarray(uy, dtype=np.float64)
-        uz = np.zeros((n,)) if uz is None \
-            else np.asarray(uz, dtype=np.float64)
-        w = np.ones(n) if w is None \
-            else np.asarray(w, dtype=np.float64)
+        new = np.zeros((len(_SOA_FIELDS), n))
+        new[6] = 1.0
+        for row, values in enumerate((x, y, z, ux, uy, uz, w)):
+            if values is not None:
+                new[row] = values
         ids = np.arange(self._next_id, self._next_id + n, dtype=np.int64)
         self._next_id += n
 
-        ix, iy, iz = grid.cell_index(x, y, z)
-        tile_ids = self.tile_of_cell(ix, iy, iz)
-        for tid in np.unique(tile_ids):
-            sel = tile_ids == tid
-            self.tiles[tid].append(
-                x=x[sel], y=y[sel], z=z[sel],
-                ux=ux[sel], uy=uy[sel], uz=uz[sel],
-                w=w[sel], ids=ids[sel],
-            )
+        tile_ids = self.tile_of_cell(*grid.cell_index(new[0], new[1], new[2]))
+        order = stable_order_by_bin(tile_ids, len(self.tiles))
+        new, ids = np.take(new, order, axis=1), ids[order]
+        arrivals = np.bincount(tile_ids, minlength=len(self.tiles))
+        # the store cut at each receiving tile's end, the arrivals between
+        receiving = np.flatnonzero(arrivals)
+        cuts = self.offsets[receiving + 1].tolist()
+        firsts = np.cumsum(arrivals[receiving]).tolist()
+        pieces, id_pieces, at, first = [], [], 0, 0
+        for cut, last in zip(cuts, firsts):
+            pieces += [self.block[:, at:cut], new[:, first:last]]
+            id_pieces += [self.ids[at:cut], ids[first:last]]
+            at, first = cut, last
+        self.block = np.concatenate(pieces + [self.block[:, at:]], axis=1)
+        self.ids = np.concatenate(id_pieces + [self.ids[at:]])
+        self.offsets[1:] += np.cumsum(arrivals)
+        for tile_id in receiving.tolist():
+            self.tiles[tile_id].drop_sort_state()
 
     # ------------------------------------------------------------------
-    def apply_boundary_conditions(self, grid: Grid,
-                                  executor: Optional[TileExecutor] = None
-                                  ) -> int:
-        """Wrap periodic axes and absorb particles leaving open boundaries.
-
-        Returns the number of particles removed by absorbing boundaries.
-        Tiles are independent and mutate in place; the per-tile work is
-        sharded through :func:`~repro.exec.map_shards`.
-        """
-        lo, hi = grid.lo, grid.hi
-        periodic = tuple(
-            bc == "periodic" for bc in self.grid_config.particle_boundary
-        )
-        return sum(map_shards(executor, _boundary_shard,
-                              self.nonempty_tiles(), lo, hi, hi - lo,
-                              periodic))
-
     def redistribute(self, grid: Grid,
                      executor: Optional[TileExecutor] = None,
                      move_recorder: Callable[[int, np.ndarray], None]
                      = record_nothing) -> int:
-        """Move particles that left their tile into the owning tile.
+        """Apply the particle boundary conditions and move particles that
+        left their tile into the owning tile.
 
-        Returns the number of particles moved between tiles.  Boundary
-        conditions must already have been applied, so every particle maps to
-        a valid tile.
+        Returns the number of particles moved between tiles.  Periodic
+        axes wrap; a particle outside an open axis is absorbed.
 
-        The read-only scan (cell index + :attr:`cell_keys` entry, that
-        is owning tile and cell within it, of every particle) runs once
-        per shard of the ``executor`` over the shard's concatenated
-        positions.  The moves are then applied as one stable
-        regroup of the changed tiles' concatenated SoA arrays — the tiles
-        that lose or gain a particle — by the key ``(destination, cell,
-        is_arrival)``, where ``cell`` is the particle's cell within its
-        destination for a tile that ``keeps_cell_order`` and 0 for any
-        other.  That is the storage-order contract, the same for every
-        backend.  A tile that does not keep cell order keeps its stayers
-        in their order, followed by its arrivals in ascending source-tile
-        order, each source's in its storage order.  A tile that keeps
-        cell order ends in that order stably sorted by cell — bit for
-        bit what a stable counting sort of it would give — and gets
-        those cell ids as ``sorted_cells``.  A changed tile's arrays
-        become slices of the regrouped arrays and its ``sorter`` is
-        cleared (its population changed, even when its count did not);
-        every other tile keeps its arrays and its ``sorter`` object.
+        The scan (wrap, absorb test, cell index + :attr:`cell_keys`
+        entry, that is owning tile and cell within it, of every
+        particle) runs once per shard of the ``executor`` over the
+        shard's slice of the store.  The absorbs and moves are then one
+        block take of the store's span from the first to the last
+        changed tile (one that loses or gains a particle), which drops
+        the absorbed and orders the rest stably by the key
+        ``(destination, cell, is_arrival)``, where ``cell`` is the
+        particle's cell within its destination for a tile that moves
+        particles and ``keeps_cell_order``, and 0 for any other.  That
+        is the storage-order contract, the same for every backend.  A
+        tile that does not keep cell order keeps its stayers in their
+        order, followed by its arrivals in ascending source-tile order,
+        each source's in its storage order.  A tile that keeps cell
+        order and moves particles ends in that order stably sorted by
+        cell — bit for bit what a stable counting sort of it would give
+        — and gets those cell ids as ``sorted_cells``.  A changed tile's
+        sort state is dropped (its population changed, even when its
+        count did not); every other tile keeps its particles in their
+        order and its ``sorter`` object.  The new offsets are a
+        ``bincount`` of the destinations.
 
         ``move_recorder`` is called, in ascending source-tile order, as
         ``move_recorder(source_tile_id, owner_tile_ids)`` with the
@@ -517,52 +511,65 @@ class ParticleContainer:
         hook the domain decomposition uses to account for particles
         migrating between subdomains without a second scan.
         """
-        entries = [(tile_id, tile) for tile_id, tile in enumerate(self.tiles)
-                   if tile.num_particles > 0]
+        periodic = tuple(
+            bc == "periodic" for bc in self.grid_config.particle_boundary)
         keys = np.concatenate(map_shards(
-            executor, _owner_scan_shard, entries, self.cell_keys, grid))
+            executor, _scan_shard, self.nonempty_tiles(), grid, periodic,
+            self.cell_keys))
         span = self.cells_per_tile
-        owner = keys // span
-        source = np.repeat(
-            np.array([tile_id for tile_id, _ in entries], dtype=np.int64),
-            [tile.num_particles for _, tile in entries])
+        num_tiles = len(self.tiles)
+        source = np.repeat(np.arange(num_tiles), np.diff(self.offsets))
+        absorbed = keys < 0
+        owner = np.where(absorbed, source, keys // span)
         leaving = owner != source
         departures, destinations = source[leaving], owner[leaving]
+        if departures.shape[0] == 0 and not absorbed.any():
+            return 0
 
         sources, first = np.unique(departures, return_index=True)
         for tile_id, owners in zip(sources.tolist(),
                                    np.split(destinations, first[1:])):
             move_recorder(tile_id, owners)
 
-        num_tiles = len(self.tiles)
-        changed = np.zeros(num_tiles, dtype=bool)
-        changed[departures] = True
-        changed[destinations] = True
-        ordered = changed & [tile.keeps_cell_order for tile in self.tiles]
-        member = changed[source]
-        owner, leaving = owner[member], leaving[member]
+        moving = np.zeros(num_tiles, dtype=bool)
+        moving[departures] = True
+        moving[destinations] = True
+        changed = moving.copy()
+        changed[source[absorbed]] = True
+        tile_ids = np.flatnonzero(changed)
+        begin, end = int(tile_ids[0]), int(tile_ids[-1]) + 1
+        start, stop = int(self.offsets[begin]), int(self.offsets[end])
+        ordered = moving & [tile.keeps_cell_order for tile in self.tiles]
+        owner, leaving = owner[start:stop], leaving[start:stop]
+        absorbed = absorbed[start:stop]
         if ordered.any():
             # (destination, cell, is_arrival); cell 0 where not ordered
-            key = keys[member]
-            if not ordered[changed].all():
+            key = keys[start:stop]
+            if not ordered[begin:end].all():
                 key = np.where(ordered[owner], key, owner * span)
         else:
             # (destination, is_arrival): no tile's cell enters the key
             key, span = owner, 1
-        order = stable_order_by_bin(2 * key + leaving, 2 * num_tiles * span)
-        tile_ids = np.flatnonzero(changed).tolist()
-        tiles = [self.tiles[tile_id] for tile_id in tile_ids]
-        counts = np.bincount(owner, minlength=num_tiles)[changed]
-        ends = np.cumsum(counts)
-        split_to_tiles(tiles, ends, {
-            name: concat_tiles(tiles, name)[order]
-            for name in (*_SOA_FIELDS, "ids")})
+        bins = np.where(absorbed, 2 * num_tiles * span, 2 * key + leaving)
+        kept = stop - start - int(absorbed.sum())
+        order = stable_order_by_bin(bins, 2 * num_tiles * span + 1)[:kept]
+        # one take of the store; what lies outside the span keeps its place
+        taken = np.concatenate((np.arange(start), start + order,
+                                np.arange(stop, self.ids.shape[0])))
+        self.block = np.take(self.block, taken, axis=1)
+        self.ids = self.ids[taken]
+        counts = np.bincount(owner[~absorbed] - begin, minlength=end - begin)
+        self.offsets[begin + 1:end + 1] = start + np.cumsum(counts)
+        self.offsets[end + 1:] -= stop - start - kept
         sorted_keys = key[order] if ordered.any() else None
-        for tile_id, tile, end, count in zip(tile_ids, tiles, ends, counts):
-            tile.sorter = None
+        for tile_id in tile_ids.tolist():
+            tile = self.tiles[tile_id]
+            tile.drop_sort_state()
             if ordered[tile_id]:
-                tile.sorted_cells = (sorted_keys[end - count:end]
-                                     - tile_id * span)
+                columns = tile.columns
+                tile.sorted_cells = (
+                    sorted_keys[columns.start - start:columns.stop - start]
+                    - tile_id * span)
         return int(departures.shape[0])
 
     # ------------------------------------------------------------------

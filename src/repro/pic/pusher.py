@@ -10,10 +10,12 @@ uses too), or a piece of a tile that is a run of its own and holds
 more than ``BATCH_PARTICLES`` particles
 (:func:`repro.pic.particles.piece_bounds`).  One block gather
 (:func:`repro.pic.gather.gather_fields`), one Boris update, one velocity
-and one position update serve a batch.  A whole run's result arrays
-become its tiles' arrays, each tile holding slices of them; a piece
-reads views of its tile's arrays and writes its slice of the tile's
-new arrays.  Small tiles are batched because the interpreter
+and one position update serve a batch.  A batch is a slice of its
+container's particle store (:func:`repro.pic.particles.stored`), read
+without copying, and its results are written back into that slice in
+place: every step is a per-particle function of the batch's own
+particles, so nothing a later batch reads is overwritten.  Small tiles
+are batched because the interpreter
 pays a fixed cost per NumPy call; a dense tile is cut because its
 whole-tile panels and products (8-13 MB each for a 65 536-particle QSP
 tile) stream from memory where a piece's stay in cache.  Each of those
@@ -24,7 +26,6 @@ bits as pushing tile by tile.
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -36,14 +37,10 @@ from repro.pic.grid import Grid
 from repro.pic.particles import (
     ParticleContainer,
     ParticleTile,
-    concat_tiles,
     piece_bounds,
-    split_to_tiles,
+    stored,
     tile_runs,
 )
-
-#: the SoA arrays the push reads and replaces
-_PUSHED = ("x", "y", "z", "ux", "uy", "uz")
 
 
 def lorentz_factor(ux: np.ndarray, uy: np.ndarray, uz: np.ndarray) -> np.ndarray:
@@ -101,43 +98,38 @@ def boris_push_momentum(ux: np.ndarray, uy: np.ndarray, uz: np.ndarray,
     return uxp + ax, uyp + ay, uzp + az
 
 
-def _pushed(grid: Grid, x: np.ndarray, y: np.ndarray, z: np.ndarray,
-            ux: np.ndarray, uy: np.ndarray, uz: np.ndarray, charge: float,
-            mass: float, dt: float, order: int) -> Tuple[np.ndarray, ...]:
-    """Gather + push one batch: its new ``_PUSHED`` arrays."""
+def _push_batch(grid: Grid, batch: np.ndarray, charge: float, mass: float,
+                dt: float, order: int) -> None:
+    """Gather + push one batch in place: ``batch`` is the ``x`` ... ``uz``
+    rows of a slice of the store."""
+    x, y, z, ux, uy, uz = batch
     ex, ey, ez, bx, by, bz = gather_fields(grid, x, y, z, order)
-    ux, uy, uz = boris_push_momentum(ux, uy, uz, ex, ey, ez, bx, by, bz,
-                                     charge, mass, dt)
+    for row, values in zip((ux, uy, uz), boris_push_momentum(
+            ux, uy, uz, ex, ey, ez, bx, by, bz, charge, mass, dt)):
+        row[...] = values
     vx, vy, vz = velocities(ux, uy, uz)
-    return x + vx * dt, y + vy * dt, z + vz * dt, ux, uy, uz
+    x += vx * dt
+    y += vy * dt
+    z += vz * dt
 
 
 def _push_shard_inplace(tiles: List[ParticleTile], grid: Grid, charge: float,
                         mass: float, dt: float, order: int) -> None:
     """Executor task: gather + push one shard of tiles, batch by batch.
 
-    A run of one piece keeps its batch's result arrays; a tile cut into
-    pieces gets new arrays that each piece writes its slice of.  Tiles
-    are independent (the gather reads the shared field arrays, the push
-    writes only the shard's own tiles), so shards run concurrently
-    without synchronisation.
+    Each batch writes its own slice of the store.  Tiles are independent
+    (the gather reads the shared field arrays, the push writes only the
+    shard's own slice), so shards run concurrently without
+    synchronisation.
     """
     for run in tile_runs(tiles):
-        held = [concat_tiles(run, name) for name in _PUSHED]
-        total = held[0].shape[0]
+        block = stored(run)
+        total = block.shape[1]
         bounds = piece_bounds(total) if len(run) == 1 else (0, total)
-        if len(bounds) == 2:
-            pushed = _pushed(grid, *held, charge, mass, dt, order)
-        else:
-            pushed = np.empty((len(_PUSHED), total))
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                for row, values in zip(pushed, _pushed(
-                        grid, *(array[lo:hi] for array in held),
-                        charge, mass, dt, order)):
-                    row[lo:hi] = values
-        split_to_tiles(
-            run, list(accumulate(tile.num_particles for tile in run)),
-            dict(zip(_PUSHED, pushed)))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            _push_batch(grid, block[:6, lo:hi], charge, mass, dt, order)
+        for tile in run:
+            tile.sorted_cells = None
 
 
 class BorisPusher:

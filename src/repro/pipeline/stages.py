@@ -30,7 +30,8 @@ __all__ = [
 
 
 class MigrateStage:
-    """Pipeline stage: particle boundary conditions + tile redistribution.
+    """Pipeline stage: particle boundary conditions + tile redistribution
+    (:meth:`~repro.pic.particles.ParticleContainer.redistribute` does both).
 
     It runs after the moving window: its absorbing wall at the new
     ``grid.lo`` drops what the window left behind, and its regroup
@@ -60,8 +61,6 @@ class MigrateStage:
                     else record_nothing)
         telemetry = session.telemetry
         for container in session.containers:
-            container.apply_boundary_conditions(session.grid,
-                                                executor=session.executor)
             moved = container.redistribute(session.grid,
                                            executor=session.executor,
                                            move_recorder=recorder)

@@ -23,7 +23,7 @@ from repro.core.framework import SORT_NONE, MatrixPICDeposition
 from repro.hardware.counters import PhaseCounters
 from repro.pic.gather import gather_fields
 from repro.pic.grid import Grid
-from repro.pic.particles import _SOA_FIELDS, ParticleContainer
+from repro.pic.particles import ParticleContainer
 from repro.pic.plasma import load_uniform_plasma
 
 
@@ -38,10 +38,25 @@ def make_plasma(grid_config: GridConfig, ppc=(2, 2, 2), seed: int = 7,
     for tile in container.iter_tiles():
         n = tile.num_particles
         if n:
-            tile.ux = rng.normal(0.0, momentum_scale, n)
-            tile.uy = rng.normal(0.0, momentum_scale, n)
-            tile.uz = rng.normal(0.0, momentum_scale, n)
+            tile.ux[...] = rng.normal(0.0, momentum_scale, n)
+            tile.uy[...] = rng.normal(0.0, momentum_scale, n)
+            tile.uz[...] = rng.normal(0.0, momentum_scale, n)
     return grid, container
+
+
+def tile_holding(grid, x, y, z, **momenta):
+    """Tile 0 of a fresh container over ``grid``'s configuration holding
+    exactly these particles, in this order, wherever they sit (what a
+    tile holds until a migration re-tiles it)."""
+    container = ParticleContainer(grid.config, SpeciesConfig())
+    inside = grid.lo + 0.5 * np.asarray(grid.cell_size)
+    n = len(x)
+    container.add_particles(grid, x=np.full(n, inside[0]),
+                            y=np.full(n, inside[1]),
+                            z=np.full(n, inside[2]), **momenta)
+    tile = container.tiles[0]
+    tile.x[...], tile.y[...], tile.z[...] = x, y, z
+    return tile
 
 
 def cells_outside_their_tile(grid, container):
@@ -87,14 +102,17 @@ def tiled_plasma(n_cell, tile_size, periodic, populations, seed,
         scale = 1.0e5 if name.startswith("e") else 1.0e-3
         getattr(grid, name)[...] = rng.normal(0.0, scale, grid.shape)
     container = ParticleContainer(config, species)
-    first = 0
+    pos, mom, w = [], [], []
     for tile, n in zip(container.tiles, populations):
-        pos = rng.uniform(tile.cell_lo, tile.cell_hi, (n, 3))
-        mom = rng.normal(0.0, 0.5 * constants.C_LIGHT, (n, 3))
-        tile.append(x=pos[:, 0], y=pos[:, 1], z=pos[:, 2], ux=mom[:, 0],
-                    uy=mom[:, 1], uz=mom[:, 2], w=rng.uniform(0.5, 1.5, n),
-                    ids=np.arange(first, first + n))
-        first += n
+        pos.append(rng.uniform(tile.cell_lo, tile.cell_hi, (n, 3)))
+        mom.append(rng.normal(0.0, 0.5 * constants.C_LIGHT, (n, 3)))
+        w.append(rng.uniform(0.5, 1.5, n))
+    pos, mom = np.concatenate(pos), np.concatenate(mom)
+    container.add_particles(grid, x=pos[:, 0], y=pos[:, 1], z=pos[:, 2],
+                            ux=mom[:, 0], uy=mom[:, 1], uz=mom[:, 2],
+                            w=np.concatenate(w))
+    assert all(tile.num_particles == n
+               for tile, n in zip(container.tiles, populations))
     return grid, container
 
 
@@ -168,14 +186,10 @@ def gather_field(grid: Grid, field, x, y, z, order: int):
 
 
 def gather_soa(container: ParticleContainer):
-    """Concatenate the SoA arrays (positions, momenta, weight, ids) of all
-    of a container's tiles."""
-    names = (*_SOA_FIELDS, "ids")
-    tiles = [tile for tile in container.tiles if tile.num_particles > 0]
-    if not tiles:
-        return {name: np.empty((0,)) for name in names}
-    return {name: np.concatenate([getattr(tile, name) for tile in tiles])
-            for name in names}
+    """A copy of the container's store: the SoA arrays (positions,
+    momenta, weight, ids) of all of its tiles, in tile order."""
+    return {name: array.copy()
+            for name, array in container.soa_arrays().items()}
 
 
 def total_events(counters: PhaseCounters) -> float:

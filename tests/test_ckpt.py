@@ -28,6 +28,7 @@ from repro.ckpt import (
     latest_valid_snapshot,
     list_snapshots,
     read_snapshot,
+    restore_state,
     snapshot_path,
     write_snapshot,
 )
@@ -238,6 +239,30 @@ class TestResumeParity:
             second.restore(path)
             run_steps(second, 3)
             assert_state_equal(ref, capture_state(second))
+
+    def test_a_capture_does_not_follow_the_run(self):
+        """The step rewrites the grid arrays and the particle store in
+        place (push, wrap, window shift), so a capture holds copies: two
+        more steps leave its arrays as they were, and restoring them
+        into a fresh session resumes the run bit for bit."""
+        def make():
+            return lwfa_session(tile_size=(8, 8, 16),
+                                strategy="MatrixPIC (FullOpt)")
+
+        with make() as session:
+            run_steps(session, 4)
+            meta, arrays = capture_state(session)
+            frozen = {name: array.copy() for name, array in arrays.items()}
+            shifted = session.moving_window.total_shift_cells
+            run_steps(session, 2)
+            assert session.moving_window.total_shift_cells > shifted
+            for name, array in arrays.items():
+                assert array.tobytes() == frozen[name].tobytes(), name
+            after = capture_state(session)
+        with make() as resumed:
+            restore_state(resumed, meta, arrays)
+            run_steps(resumed, 2)
+            assert_state_equal(after, capture_state(resumed))
 
     def test_shard_count_stays_in_fingerprint(self, tmp_path):
         path = str(tmp_path / "s.ckpt")

@@ -185,10 +185,9 @@ def test_repeated_steps_stay_exact(tiled_grid_config):
         for tile in container.iter_tiles():
             if tile.num_particles == 0:
                 continue
-            tile.x += rng.normal(0.0, dt_like, tile.num_particles)
-            tile.y += rng.normal(0.0, dt_like, tile.num_particles)
-            tile.z += rng.normal(0.0, dt_like, tile.num_particles)
-        container.apply_boundary_conditions(grid)
+            tile.x[...] += rng.normal(0.0, dt_like, tile.num_particles)
+            tile.y[...] += rng.normal(0.0, dt_like, tile.num_particles)
+            tile.z[...] += rng.normal(0.0, dt_like, tile.num_particles)
         container.redistribute(grid)
 
         reference = Grid(tiled_grid_config)

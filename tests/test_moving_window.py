@@ -62,7 +62,8 @@ def test_every_strategy_deposits_the_reference_current_on_a_moving_window(
         rng = np.random.default_rng(2027)
         for tile in container.nonempty_tiles():
             for name in ("ux", "uy", "uz"):
-                setattr(tile, name, rng.normal(0.0, SPREAD, tile.num_particles))
+                getattr(tile, name)[...] = rng.normal(0.0, SPREAD,
+                                                      tile.num_particles)
 
         misplaced = []
 

@@ -31,7 +31,10 @@ and ``tests/deposit_oracles.py``), the run rule is one function and one
 constant in ``pic/particles.py`` that the pusher and the reference
 deposit share, the piece rule for a dense tile is one more of each that
 the pusher and the MatrixPIC deposit share, and migration is one regroup that removes and appends
-nothing tile by tile.
+nothing tile by tile.  A species' particles are one store in
+``pic/particles.py``, a tile a range of it: no module concatenates or
+splits tiles, tiles neither append nor remove, and no other module
+rebinds a tile's arrays or builds a store.
 
 A decomposed run deposits on the frame grid like every other run, so
 ``scratch_reduce`` is the only reduce helper behind the fan-out rule, and
@@ -83,6 +86,7 @@ from repro.ckpt import capture_state
 from repro.cli import build_parser
 from repro.config import ExecutionConfig
 from repro.pic.deposition import DepositionKernel
+from repro.pic.particles import ParticleContainer, ParticleTile
 from repro.pipeline import DepositStage, check_stage_set, global_stages
 from repro.serve import expand_request
 
@@ -581,6 +585,86 @@ def test_particle_stages_run_once_per_batch():
     assert uses and all(any(use is func for func in called) for use in uses)
 
 
+#: a tile's SoA attributes, and the store attributes of its container
+TILE_ARRAYS = ("x", "y", "z", "ux", "uy", "uz", "w", "ids")
+STORE = ("block", "offsets")
+
+
+def store_layout_findings(root):
+    """``path:line: what`` for every place under ``root`` that restates
+    the particle layout: a concat/split helper defined, imported or
+    called anywhere, and outside ``pic/particles.py`` an assignment to a
+    tile or store attribute (plain, augmented or ``setattr``) or a tile
+    built."""
+    retired = {"concat_tiles", "split_to_tiles"}
+    findings = []
+    for path, tree in source_trees(root):
+        for node in ast.walk(tree):
+            names = set()
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name.split(".")[-1]
+                             for alias in node.names)
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                names.add(name_of(node))
+            findings += [f"{path}:{node.lineno}: {name}"
+                         for name in sorted(names & retired)]
+            if path == "pic/particles.py":
+                continue
+            targets = []
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            written = [target.attr for target in targets
+                       if isinstance(target, ast.Attribute)]
+            if isinstance(node, ast.Call) and name_of(node.func) == "setattr" \
+                    and len(node.args) > 1 \
+                    and isinstance(node.args[1], ast.Constant):
+                written.append(node.args[1].value)
+            findings += [f"{path}:{node.lineno}: assigns .{name}"
+                         for name in written
+                         if name in TILE_ARRAYS + STORE]
+            if isinstance(node, ast.Call) \
+                    and name_of(node.func) == "ParticleTile":
+                findings.append(f"{path}:{node.lineno}: builds a tile")
+    return findings
+
+
+def test_a_tile_is_a_range_of_its_species_store():
+    assert store_layout_findings(SRC) == []
+    assert not hasattr(ParticleTile, "append")
+    assert not hasattr(ParticleTile, "remove")
+    assert not hasattr(ParticleContainer, "apply_boundary_conditions")
+
+
+@pytest.mark.parametrize("path, statement, finding", [
+    ("pic/pusher.py", "from repro.pic.particles import concat_tiles",
+     "concat_tiles"),
+    ("pic/deposition/base.py",
+     "def split_to_tiles(tiles, ends, arrays):\n    pass", "split_to_tiles"),
+    ("ckpt/session.py", "def f(tile, values):\n    tile.x = values",
+     "assigns .x"),
+    ("ckpt/session.py", "def f(tile):\n    tile.ids += 1", "assigns .ids"),
+    ("pic/moving_window.py",
+     "def f(tile, values):\n    setattr(tile, 'uz', values)", "assigns .uz"),
+    ("ckpt/session.py", "def f(container, block):\n    container.block = block",
+     "assigns .block"),
+    ("pic/pusher.py", "def f(*args):\n    return ParticleTile(*args)",
+     "builds a tile"),
+])
+def test_a_planted_layout_restatement_fails_the_guard(tmp_path, path,
+                                                      statement, finding):
+    root = tmp_path / "repro"
+    shutil.copytree(SRC, root, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(root / path, "a", encoding="utf-8") as stream:
+        stream.write(f"\n\n{statement}\n")
+    found = store_layout_findings(str(root))
+    assert [item.split(":")[0] for item in found] == [path], found
+    assert found[0].endswith(finding), found
+
+
 def test_only_the_snapshot_format_stages_and_renames_files():
     def renames(tree):
         return any(isinstance(node, ast.Attribute) and node.attr == "replace"
@@ -809,19 +893,16 @@ def test_src_is_what_an_entry_point_reaches():
 
 #: what ``benchmarks/`` may hold: the two scripts CI runs and gates, and
 #: the fixture they share; the paper's numbers are tests/test_paper_ledger.py
-BENCHMARK_SCRIPTS = ["__init__.py", "bench_deposition_scatter.py",
-                     "bench_domain_scaling.py", "conftest.py"]
+BENCHMARK_SCRIPTS = ["__init__.py", "bench_domain_scaling.py", "conftest.py"]
 
 
 def test_the_paper_numbers_live_in_the_ledger_not_in_benchmarks():
     benchmarks = os.path.join(os.path.dirname(BENCH), "benchmarks")
     assert sorted(name for name in os.listdir(benchmarks)
                   if name != "__pycache__") == BENCHMARK_SCRIPTS, (
-        "benchmarks/ holds only the two CI-gated scripts: a paper number "
-        "is a row of tests/test_paper_ledger.py.  The two leave with what "
-        "they measure: bench_deposition_scatter.py with the flat-index "
-        "scatter (repro.pic.stencil), bench_domain_scaling.py with "
-        "repro.domain")
+        "benchmarks/ holds only the CI-gated script: a paper number "
+        "is a row of tests/test_paper_ledger.py.  It leaves with what "
+        "it measures: bench_domain_scaling.py with repro.domain")
 
 
 # the linter package, its subcommand and its suppression pragma are

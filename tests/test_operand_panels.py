@@ -115,16 +115,17 @@ def test_panels_rhocells_and_gather_are_bitwise_the_einsum_oracle(
             assert np.array_equal(g, w)
 
 
-def crowd_one_cell(tile, count, rng):
-    """Append ``count`` particles inside one random cell of ``tile``
-    (unit cells, as ``tiled_plasma`` builds them)."""
+def crowd_one_cell(grid, container, count, rng):
+    """Insert ``count`` particles inside one random cell of the
+    container's first tile (unit cells, as ``tiled_plasma`` builds them)."""
+    tile = container.tiles[0]
     cell = [rng.integers(lo, hi) for lo, hi in zip(tile.cell_lo,
                                                     tile.cell_hi)]
     pos = cell + rng.uniform(0.0, 1.0, (count, 3))
     mom = rng.normal(0.0, 0.5 * constants.C_LIGHT, (count, 3))
-    tile.append(x=pos[:, 0], y=pos[:, 1], z=pos[:, 2], ux=mom[:, 0],
-                uy=mom[:, 1], uz=mom[:, 2], w=rng.uniform(0.5, 1.5, count),
-                ids=np.arange(count))
+    container.add_particles(grid, x=pos[:, 0], y=pos[:, 1], z=pos[:, 2],
+                            ux=mom[:, 0], uy=mom[:, 1], uz=mom[:, 2],
+                            w=rng.uniform(0.5, 1.5, count))
 
 
 @pytest.mark.parametrize("order", [1, 3])
@@ -138,7 +139,7 @@ def test_the_gather_of_cells_of_several_depths_is_bitwise_the_oracle(
     grid, container = tiled_plasma(**scenario)
     rng = np.random.default_rng(scenario["seed"])
     for k in (1, 2, 3):
-        crowd_one_cell(container.tiles[0], k * BLOCK_ROWS + 1, rng)
+        crowd_one_cell(grid, container, k * BLOCK_ROWS + 1, rng)
     # each tile's particles in processing order, then all of them at once
     batches = []
     for tile in container.nonempty_tiles():
@@ -211,7 +212,7 @@ def test_the_deposit_cut_between_cells_is_bitwise_the_whole_tile(
     grid, container = tiled_plasma(**scenario)
     rng = np.random.default_rng(scenario["seed"])
     # one cell holding more than the cap: it must stay in one piece
-    crowd_one_cell(container.tiles[0], batch_particles + 1, rng)
+    crowd_one_cell(grid, container, batch_particles + 1, rng)
     for tile in container.nonempty_tiles():
         n, num_cells = tile.num_particles, tile.num_cells
         data = prepare_tile_data(grid, tile, container.charge, order)

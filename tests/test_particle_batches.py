@@ -1,18 +1,21 @@
 """The batched particle stages equal the per-tile ones, bit for bit.
 
 Gather + push run once per run of tiles (``repro.pic.pusher``), the
-boundary wrap once per shard and the migration as one stable regroup
-(``repro.pic.particles``).  The per-tile bodies they replaced are the
-oracle in ``tests/particle_oracles.py``; every tile's eight SoA arrays
-(values and storage order), the absorbed and moved counts, the
-``move_recorder`` call sequence, which tiles keep their ``sorter`` and
-the cell ids the regroup hands a tile kept in cell order must match it
-for any tile populations, tiles kept in cell order, shape order,
-boundary mix, run size and executor.
+boundary conditions and the migration as one scan per shard and one
+take of the store, an insert as one pass over it
+(``repro.pic.particles``).  The
+per-tile bodies they replaced are the oracle in
+``tests/particle_oracles.py``; every tile's eight SoA arrays (values and
+storage order), the absorbed and moved counts, the ``move_recorder``
+call sequence, which tiles keep their ``sorter`` and the cell ids the
+regroup hands a tile kept in cell order must match it for any tile
+populations, arrivals, tiles kept in cell order, shape order, boundary
+mix, run size and executor.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -30,7 +33,6 @@ from repro.pic.particles import (
     BATCH_PARTICLES,
     RUN_PARTICLES,
     ParticleContainer,
-    ParticleTile,
     piece_bounds,
     tile_runs,
 )
@@ -39,6 +41,7 @@ from repro.pic.stencil import StencilOperator
 
 from helpers import FIELD_NAMES, tiled_plasma, tiled_scenarios
 from particle_oracles import (
+    OracleContainer,
     oracle_apply_boundary_conditions,
     oracle_push,
     oracle_redistribute,
@@ -60,10 +63,24 @@ def jump(container, seed, share):
     for tile in container.tiles:
         far = rng.random(tile.num_particles) < share
         for axis, name in enumerate("xyz"):
-            coords = getattr(tile, name).copy()
-            coords[far] += rng.uniform(-2.0, 2.0, int(far.sum())) \
-                * extent[axis]
-            setattr(tile, name, coords)
+            getattr(tile, name)[far] += rng.uniform(
+                -2.0, 2.0, int(far.sum())) * extent[axis]
+
+
+def arrivals(container, seed, count, momenta):
+    """``add_particles`` arguments: ``count`` particles anywhere in the
+    domain and up to one cell past it (so open walls absorb some and
+    periodic seams wrap some), with momenta and weights when
+    ``momenta`` (the defaults otherwise)."""
+    rng = np.random.default_rng(seed)
+    extent = np.array(container.grid_config.n_cell, dtype=float)
+    pos = rng.uniform(-1.0, extent + 1.0, (count, 3))
+    batch = dict(x=pos[:, 0], y=pos[:, 1], z=pos[:, 2])
+    if momenta:
+        mom = rng.normal(0.0, 0.5 * constants.C_LIGHT, (count, 3))
+        batch.update(ux=mom[:, 0], uy=mom[:, 1], uz=mom[:, 2],
+                     w=rng.uniform(0.5, 1.5, count))
+    return batch
 
 
 def snapshot(container):
@@ -110,20 +127,26 @@ class TestBatchedStagesMatchThePerTileOracle:
            run_particles=st.sampled_from([1, 700, RUN_PARTICLES]),
            batch_particles=st.sampled_from([1, 700, BATCH_PARTICLES]),
            data=st.data())
-    def test_push_boundary_and_migration(self, scenario, order, share,
+    def test_push_refill_and_migration(self, scenario, order, share,
                                          run_particles, batch_particles,
                                          data):
         managed = data.draw(st.lists(
             st.booleans(), min_size=len(scenario["populations"]),
             max_size=len(scenario["populations"])), label="managed")
+        # the moving window's refill, between the push and the boundary
+        refill = data.draw(st.tuples(st.integers(0, 300), st.booleans()),
+                           label="refill")
         # the oracle, stage by stage
-        grid, oracle = tiled_plasma(**scenario)
+        grid, source = tiled_plasma(**scenario)
+        oracle = OracleContainer(source)
         oracle_push(oracle, grid, DT, order)
         pushed = snapshot(oracle)
+        oracle.add_particles(grid, **arrivals(oracle, scenario["seed"],
+                                              *refill))
+        added = snapshot(oracle)
         jump(oracle, scenario["seed"], share)
-        absorbed = oracle_apply_boundary_conditions(oracle, grid)
-        bounded = snapshot(oracle)
         marks = mark_sorters(oracle, managed)
+        absorbed = oracle_apply_boundary_conditions(oracle, grid)
         calls = []
         moved = oracle_redistribute(
             oracle, grid, lambda tile_id, owners: calls.append(
@@ -157,17 +180,19 @@ class TestBatchedStagesMatchThePerTileOracle:
                 if run_particles == 1:
                     assert all(len(run) == 1 for run in runs)
                 assert_same_tiles(pushed, batched)
+                batched.add_particles(grid, **arrivals(
+                    batched, scenario["seed"], *refill))
+                assert_same_tiles(added, batched)
                 jump(batched, scenario["seed"], share)
-                assert batched.apply_boundary_conditions(
-                    grid, executor=executor) == absorbed, name
-                assert_same_tiles(bounded, batched)
                 marks = mark_sorters(batched, managed)
+                held = batched.num_particles
                 mine = []
                 assert batched.redistribute(
                     grid, executor=executor,
                     move_recorder=lambda tile_id, owners: mine.append(
                         (type(tile_id), tile_id, owners.tolist()))
                 ) == moved, name
+                assert batched.num_particles == held - absorbed, name
             assert_same_tiles(snapshot(oracle), batched)
             assert mine == calls, name
             assert kept_sorters(batched, marks) == kept, name
@@ -177,8 +202,9 @@ class TestBatchedStagesMatchThePerTileOracle:
     def test_a_tile_of_run_size_is_pushed_alone(self, order):
         # a 5000-particle tile between small ones: its own run, no copy
         populations = [300, 5000, 0, 200, 4096, 100, 50, 20]
-        grid, oracle = tiled_plasma((8, 8, 8), (4, 4, 4),
+        grid, source = tiled_plasma((8, 8, 8), (4, 4, 4),
                                     (True, False, True), populations, seed=12)
+        oracle = OracleContainer(source)
         oracle_push(oracle, grid, DT, order)
         _, batched = tiled_plasma((8, 8, 8), (4, 4, 4), (True, False, True),
                                   populations, seed=12)
@@ -199,19 +225,21 @@ class TestBatchedStagesMatchThePerTileOracle:
             5.0e-324, np.nextafter(extent, 0.0), np.nextafter(0.0, -1.0),
             3.5, -3.5, 20.25, -1.0e-17, extent + 1.0e-15, np.inf, -np.inf,
             np.nan])
-        runs = []
-        for wrap in (oracle_apply_boundary_conditions,
-                     ParticleContainer.apply_boundary_conditions):
-            config = GridConfig(n_cell=(8, 4, 4), lo=(lo, 0.0, 0.0),
-                                hi=(lo + extent, 4.0, 4.0),
-                                tile_size=(4, 4, 4))
-            container = ParticleContainer(config, SpeciesConfig())
-            for tile in container.tiles:
-                n = offsets.shape[0]
-                tile.append(x=lo + offsets, y=np.full(n, 1.5),
-                            z=np.full(n, 2.5), ids=np.arange(n))
-            assert wrap(container, Grid(config)) == 0
-            runs.append(snapshot(container))
+        config = GridConfig(n_cell=(8, 4, 4), lo=(lo, 0.0, 0.0),
+                            hi=(lo + extent, 4.0, 4.0), tile_size=(4, 4, 4))
+        grid = Grid(config)
+        container = ParticleContainer(config, SpeciesConfig())
+        n = offsets.shape[0]
+        # every offset in each of the two tiles, placed past the routing
+        for tile in container.tiles:
+            container.add_particles(grid, x=np.full(n, tile.cell_lo[0] + lo),
+                                    y=np.full(n, 1.5), z=np.full(n, 2.5))
+            tile.x[...] = lo + offsets
+        oracle = OracleContainer(container)
+        assert oracle_apply_boundary_conditions(oracle, grid) == 0
+        moved = oracle_redistribute(oracle, grid)
+        assert container.redistribute(grid) == moved
+        runs = [snapshot(oracle), snapshot(container)]
         oracle, batched = runs
         for tile_arrays, want in zip(oracle, batched):
             for got, expected in zip(tile_arrays, want):
@@ -223,11 +251,7 @@ class TestRuns:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 3 * RUN_PARTICLES), max_size=40))
     def test_runs_are_consecutive_and_just_large_enough(self, populations):
-        tiles = []
-        for n in populations:
-            tile = ParticleTile((0, 0, 0), (0, 0, 0), (1, 1, 1))
-            tile.x = np.empty(n)
-            tiles.append(tile)
+        tiles = [SimpleNamespace(num_particles=n) for n in populations]
         runs = list(tile_runs(tiles))
         assert [tile for run in runs for tile in run] == tiles
         for index, run in enumerate(runs):
@@ -350,14 +374,13 @@ def test_cell_order_on_tiles_smaller_than_the_tile_size():
     scenario = dict(n_cell=(8, 10, 6), tile_size=(4, 4, 4),
                     periodic=(True, True, True), populations=[300] * 12,
                     seed=5)
-    grid, oracle = tiled_plasma(**scenario)
-    _, batched = tiled_plasma(**scenario)
+    grid, batched = tiled_plasma(**scenario)
+    oracle = OracleContainer(batched)
     for container in (oracle, batched):
         jump(container, scenario["seed"], 0.3)
         for tile in container.tiles:
             tile.keeps_cell_order = True
     oracle_apply_boundary_conditions(oracle, grid)
-    batched.apply_boundary_conditions(grid)
     moved = oracle_redistribute(oracle, grid)
     assert batched.redistribute(grid) == moved > 0
     assert_same_tiles(snapshot(oracle), batched)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import GridConfig, SpeciesConfig
 from repro.pic.grid import Grid
-from repro.pic.particles import ParticleContainer, ParticleTile
+from repro.pic.particles import ParticleContainer
 
 from helpers import gather_soa
 
@@ -19,9 +19,11 @@ def setup():
 
 
 class TestParticleTile:
-    def test_append_and_counts(self):
-        tile = ParticleTile((0, 0, 0), (0, 0, 0), (4, 4, 4))
-        tile.append(x=np.array([0.5, 1.5]), y=np.zeros(2), z=np.zeros(2))
+    def test_insert_and_counts(self, setup):
+        _, grid, container = setup
+        container.add_particles(grid, x=np.array([0.5, 1.5]), y=np.zeros(2),
+                                z=np.zeros(2))
+        tile = container.tiles[0]
         assert tile.num_particles == 2
         assert tile.num_cells == 64
         assert tile.tile_cells == (4, 4, 4)
@@ -29,49 +31,63 @@ class TestParticleTile:
         np.testing.assert_array_equal(tile.ux, np.zeros(2))
         np.testing.assert_array_equal(tile.w, np.ones(2))
 
-    def test_append_length_mismatch(self):
-        tile = ParticleTile((0, 0, 0), (0, 0, 0), (4, 4, 4))
+    def test_insert_length_mismatch(self, setup):
+        _, grid, container = setup
         with pytest.raises(ValueError):
-            tile.append(x=np.array([0.5, 1.5]), y=np.zeros(3), z=np.zeros(2))
+            container.add_particles(grid, x=np.array([0.5, 1.5]),
+                                    y=np.zeros(3), z=np.zeros(2))
 
-    def test_remove_returns_removed(self):
-        tile = ParticleTile((0, 0, 0), (0, 0, 0), (4, 4, 4))
-        tile.append(x=np.arange(4.0), y=np.zeros(4), z=np.zeros(4),
-                    ids=np.array([10, 11, 12, 13]))
-        removed = tile.remove(np.array([True, False, True, False]))
-        assert tile.num_particles == 2
-        np.testing.assert_array_equal(removed["ids"], [10, 12])
-        np.testing.assert_array_equal(tile.ids, [11, 13])
-        # the removed particles are the caller's to keep: no view of the
-        # tile's storage (mask indexing allocates; no second copy needed)
-        for name in ("x", "y", "z", "ux", "uy", "uz", "w", "ids"):
-            assert not np.shares_memory(removed[name], getattr(tile, name))
+    def test_arrivals_land_at_each_tiles_end_in_input_order(self, setup):
+        _, grid, container = setup
+        first, last = container.tiles[0], container.tiles[-1]
+        for _ in range(2):
+            container.add_particles(grid, x=np.array([7.5, 0.5, 7.5, 0.5]),
+                                    y=np.array([7.5, 0.5, 7.5, 0.5]),
+                                    z=np.array([7.5, 0.5, 7.5, 0.5]))
+        np.testing.assert_array_equal(first.ids, [1, 3, 5, 7])
+        np.testing.assert_array_equal(last.ids, [0, 2, 4, 6])
+        np.testing.assert_array_equal(container.ids, [1, 3, 5, 7, 0, 2, 4, 6])
+        np.testing.assert_array_equal(container.offsets,
+                                      [0, 4, 4, 4, 4, 4, 4, 4, 8])
 
-    def test_remove_mask_length_check(self):
-        tile = ParticleTile((0, 0, 0), (0, 0, 0), (4, 4, 4))
-        tile.append(x=np.zeros(2), y=np.zeros(2), z=np.zeros(2))
-        with pytest.raises(ValueError):
-            tile.remove(np.array([True]))
+    def test_tile_arrays_are_views_of_the_store(self, setup):
+        _, grid, container = setup
+        container.add_particles(grid, x=np.array([0.5, 6.5]),
+                                y=np.array([0.5, 6.5]), z=np.array([0.5, 6.5]))
+        tile = container.nonempty_tiles()[1]
+        tile.uz[0] = 3.0
+        assert container.block[5, 1] == 3.0
+        assert np.shares_memory(tile.ids, container.ids)
+        with pytest.raises(AttributeError):
+            tile.x = np.zeros(1)
 
-    def test_permute(self):
-        tile = ParticleTile((0, 0, 0), (0, 0, 0), (4, 4, 4))
-        tile.append(x=np.array([1.0, 2.0, 3.0]), y=np.zeros(3), z=np.zeros(3),
-                    ids=np.array([0, 1, 2]))
+    def test_permute(self, setup):
+        _, grid, container = setup
+        container.add_particles(grid, x=np.array([1.0, 2.0, 3.0]),
+                                y=np.zeros(3), z=np.zeros(3))
+        tile = container.tiles[0]
+        tile.sorter = object()
         tile.permute(np.array([2, 0, 1]))
         np.testing.assert_array_equal(tile.x, [3.0, 1.0, 2.0])
         np.testing.assert_array_equal(tile.ids, [2, 0, 1])
-
-    def test_append_invalidates_sorter(self):
-        tile = ParticleTile((0, 0, 0), (0, 0, 0), (4, 4, 4))
-        tile.sorter = object()
-        tile.append(x=np.array([0.5]), y=np.array([0.5]), z=np.array([0.5]))
         assert tile.sorter is None
+        with pytest.raises(ValueError):
+            tile.permute(np.array([0, 1]))
+
+    def test_insert_invalidates_only_the_receiving_sorters(self, setup):
+        _, grid, container = setup
+        receiving, other = container.tiles[0], container.tiles[1]
+        receiving.sorter = other.sorter = object()
+        container.add_particles(grid, x=np.array([0.5]), y=np.array([0.5]),
+                                z=np.array([0.5]))
+        assert receiving.sorter is None and other.sorter is not None
 
     def test_local_cell_ids(self, setup):
-        _, grid, _ = setup
-        tile = ParticleTile((1, 0, 0), (4, 0, 0), (8, 4, 4))
-        tile.append(x=np.array([4.5, 7.5]), y=np.array([0.5, 3.5]),
-                    z=np.array([0.5, 2.5]))
+        _, grid, container = setup
+        container.add_particles(grid, x=np.array([4.5, 7.5]),
+                                y=np.array([0.5, 3.5]), z=np.array([0.5, 2.5]))
+        (tile,) = container.nonempty_tiles()
+        assert tile.tile_index == (1, 0, 0)
         ids = tile.local_cell_ids(grid)
         assert ids[0] == 0          # cell (4,0,0) -> local (0,0,0)
         assert ids[1] == (3 * 4 + 3) * 4 + 2
@@ -110,8 +126,8 @@ class TestParticleContainer:
         tile = container.nonempty_tiles()[0]
         tile.x[0] = 8.7      # beyond the upper edge
         tile.z[0] = -0.3     # below the lower edge
-        removed = container.apply_boundary_conditions(grid)
-        assert removed == 0
+        assert container.redistribute(grid) == 1  # wrapped into another tile
+        (tile,) = container.nonempty_tiles()
         assert 0.0 <= tile.x[0] < 8.0
         assert 0.0 <= tile.z[0] < 8.0
 
@@ -125,9 +141,24 @@ class TestParticleContainer:
                                 y=np.array([0.5, 0.5]), z=np.array([0.5, 0.5]))
         tile = container.nonempty_tiles()[0]
         tile.z[0] = 9.0
-        removed = container.apply_boundary_conditions(grid)
-        assert removed == 1
+        assert container.redistribute(grid) == 0
         assert container.num_particles == 1
+
+    def test_compaction_keeps_the_order_and_the_untouched_sorters(self):
+        config = GridConfig(n_cell=(8, 8, 8), hi=(8.0, 8.0, 8.0),
+                            tile_size=(4, 4, 4),
+                            particle_boundary=("periodic", "periodic", "absorbing"))
+        grid = Grid(config)
+        container = ParticleContainer(config, SpeciesConfig())
+        container.add_particles(grid, x=np.full(6, 0.5), y=np.full(6, 0.5),
+                                z=np.array([0.5, 0.5, 0.5, 6.5, 0.5, 6.5]))
+        absorbing, untouched = container.nonempty_tiles()
+        absorbing.sorter = untouched.sorter = object()
+        absorbing.z[[0, 2]] = -1.0
+        assert container.redistribute(grid) == 0
+        np.testing.assert_array_equal(absorbing.ids, [1, 4])
+        np.testing.assert_array_equal(untouched.ids, [3, 5])
+        assert absorbing.sorter is None and untouched.sorter is not None
 
     def test_redistribute_moves_to_owner_tile(self, setup):
         _, grid, container = setup

@@ -8,7 +8,7 @@ from repro import constants
 from repro.config import GridConfig, SpeciesConfig
 from repro.pic.gather import gather_fields_for_tile
 from repro.pic.grid import Grid
-from repro.pic.particles import ParticleContainer, ParticleTile
+from repro.pic.particles import ParticleContainer
 from repro.pic.pusher import (
     BorisPusher,
     boris_push_momentum,
@@ -18,7 +18,7 @@ from repro.pic.pusher import (
 from repro.pic.shapes import shape_factors, shape_support
 from repro.pic.stencil import StencilOperator, box_geometry
 
-from helpers import FIELD_NAMES, gather_field, random_field_grid
+from helpers import FIELD_NAMES, gather_field, random_field_grid, tile_holding
 
 
 def _single(value=0.0):
@@ -122,12 +122,6 @@ class TestBorisPush:
             assert np.array_equal(got, expected)
 
 
-def _tile_of(x, y, z, cell_lo, cell_hi):
-    tile = ParticleTile((0, 0, 0), cell_lo, cell_hi)
-    tile.append(x=x, y=y, z=z)
-    return tile
-
-
 class TestGather:
     @pytest.fixture
     def grid(self):
@@ -150,9 +144,8 @@ class TestGather:
         assert value[0] == pytest.approx(3.25, rel=1e-12)
 
     def test_gather_fields_for_tile_shapes(self, grid):
-        tile = ParticleTile((0, 0, 0), (0, 0, 0), (8, 8, 8))
-        tile.append(x=np.array([1.0, 2.0]), y=np.array([1.0, 2.0]),
-                    z=np.array([1.0, 2.0]))
+        tile = tile_holding(grid, np.array([1.0, 2.0]), np.array([1.0, 2.0]),
+                            np.array([1.0, 2.0]))
         fields = gather_fields_for_tile(grid, tile, order=1)
         assert len(fields) == 6
         assert all(f.shape == (2,) for f in fields)
@@ -182,11 +175,11 @@ class TestBlockGatherLocality:
             keep = np.lexsort((np.floor(z), np.floor(y), np.floor(x)))
             x, y, z = x[keep], y[keep], z[keep]
         whole = gather_fields_for_tile(
-            grid, _tile_of(x, y, z, (0, 0, 0), shape), order)
+            grid, tile_holding(grid, x, y, z), order)
 
         perm = rng.permutation(n)
         shuffled = gather_fields_for_tile(
-            grid, _tile_of(x[perm], y[perm], z[perm], (0, 0, 0), shape),
+            grid, tile_holding(grid, x[perm], y[perm], z[perm]),
             order)
         for a, b in zip(whole, shuffled):
             assert np.array_equal(a[perm], b)
@@ -195,7 +188,7 @@ class TestBlockGatherLocality:
         keep = rng.random(n) < rng.choice([0.02, 0.5, 0.9])
         keep[rng.integers(n)] = True
         thinned = gather_fields_for_tile(
-            grid, _tile_of(x[keep], y[keep], z[keep], (0, 0, 0), shape),
+            grid, tile_holding(grid, x[keep], y[keep], z[keep]),
             order)
         for a, b in zip(whole, thinned):
             assert np.array_equal(a[keep], b)
@@ -223,7 +216,7 @@ class TestBlockGatherLocality:
         y = rng.uniform(0.0, 5.0, n)
         z = rng.uniform(0.0, 5.0, n)
         stale = gather_fields_for_tile(
-            grid, _tile_of(x, y, z, (0, 0, 0), (4, 4, 4)), order)
+            grid, tile_holding(grid, x, y, z), order)
 
         fresh = ParticleContainer(config, SpeciesConfig())
         fresh.add_particles(grid, x=x, y=y, z=z)
@@ -253,7 +246,7 @@ class TestBlockGatherLocality:
                             shape_factors(y, order)[0],
                             shape_factors(z, order)[0], support) is None
         got = gather_fields_for_tile(
-            grid, _tile_of(x, y, z, (0, 0, 0), shape), order)
+            grid, tile_holding(grid, x, y, z), order)
         operator = StencilOperator.for_grid(grid, x, y, z, order)
         assert operator.box_dims is None
         for name, values in zip(FIELD_NAMES, got):
@@ -270,7 +263,7 @@ class TestBlockGatherLocality:
         grid = random_field_grid((6, 6, 6), (True, True, True), rng)
         x, y, z = (rng.uniform(0.0, 6.0, 90) for _ in range(3))
         six = gather_fields_for_tile(
-            grid, _tile_of(x, y, z, (0, 0, 0), (6, 6, 6)), 3)
+            grid, tile_holding(grid, x, y, z), 3)
         for name, values in zip(FIELD_NAMES, six):
             assert np.array_equal(
                 gather_field(grid, getattr(grid, name), x, y, z, 3), values)

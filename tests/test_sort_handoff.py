@@ -49,15 +49,14 @@ def test_no_stage_between_migrate_and_deposit_invalidates_the_handoff():
 def regrouped():
     """A grid and a container whose tiles the sorter manages, right after
     a regroup that moved particles between every pair of neighbours."""
-    grid, container = tiled_plasma((8, 8, 8), (4, 4, 4), (True, True, True),
+    grid, container = tiled_plasma((8, 8, 8), (4, 4, 4), (True, True, False),
                                    [200] * 8, seed=3)
     sorter = IncrementalSorter()
     for tile in container.nonempty_tiles():
         sorter.global_sort_tile(grid, tile)
     for tile in container.tiles:
-        tile.x = tile.x + 1.0
-        tile.z = tile.z - 1.0
-    container.apply_boundary_conditions(grid)
+        tile.x[...] += 1.0
+        tile.z[...] -= 1.0
     assert container.redistribute(grid) > 0
     assert all(tile.sorted_cells is not None for tile in container.tiles)
     return grid, container, sorter
@@ -71,18 +70,20 @@ def recomputes(sorter, grid, tile):
     return spy.called
 
 
-def permute(tile):
+def permute(grid, container, tile):
     tile.permute(np.arange(tile.num_particles)[::-1])
 
 
-def append(tile):
-    tile.append(x=tile.x[:1], y=tile.y[:1], z=tile.z[:1])
+def insert(grid, container, tile):
+    container.add_particles(grid, x=tile.x[:1].copy(), y=tile.y[:1].copy(),
+                            z=tile.z[:1].copy())
 
 
-def remove(tile):
-    mask = np.zeros(tile.num_particles, dtype=bool)
-    mask[0] = True
-    tile.remove(mask)
+def compact(grid, container, tile):
+    tile.z[0] = -1.0  # out through the open wall
+    total = container.num_particles
+    assert container.redistribute(grid) == 0
+    assert container.num_particles == total - 1
 
 
 class TestTheHandoff:
@@ -97,11 +98,11 @@ class TestTheHandoff:
             assert np.array_equal(tile.ids, ids)
             assert tile.sorter.assigned_bins is tile.sorted_cells
 
-    @pytest.mark.parametrize("change", [permute, append, remove])
+    @pytest.mark.parametrize("change", [permute, insert, compact])
     def test_a_tile_changed_after_the_regroup_is_recomputed(self, change):
         grid, container, sorter = regrouped()
         tile = container.tiles[0]
-        change(tile)
+        change(grid, container, tile)
         assert tile.sorted_cells is None and tile.sorter is None
         assert tile.keeps_cell_order
         assert recomputes(sorter, grid, tile)

@@ -209,8 +209,8 @@ class TestIncrementalSorter:
         sorter = IncrementalSorter()
         tile = container.nonempty_tiles()[0]
         sorter.global_sort_tile(grid, tile)
-        tile.append(x=np.array([tile.x[0]]), y=np.array([tile.y[0]]),
-                    z=np.array([tile.z[0]]))
+        container.add_particles(grid, x=tile.x[:1].copy(),
+                                y=tile.y[:1].copy(), z=tile.z[:1].copy())
         stats = sorter.incremental_update_tile(grid, tile)
         # the rebuild is reported, and only once: the slot totals are the
         # structure's, not the rebuild's and the update's added up

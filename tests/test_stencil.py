@@ -27,7 +27,6 @@ from repro.pic.deposition.reference import (
 )
 from repro.pic.deposition.rhocell import scatter_rhocell_blocks
 from repro.pic.gather import gather_fields_for_tile
-from repro.pic.particles import ParticleTile
 from repro.pic.shapes import shape_factors, shape_support
 from repro.pic.stencil import (
     StencilOperator,
@@ -40,7 +39,7 @@ from repro.pic.stencil import (
     wrap_axis_indices,
 )
 
-from helpers import FIELD_NAMES, make_plasma, random_field_grid
+from helpers import FIELD_NAMES, make_plasma, random_field_grid, tile_holding
 
 
 # ----------------------------------------------------------------------
@@ -287,8 +286,7 @@ class TestBlockGatherProperty:
                             shape_factors(yi, order)[0],
                             shape_factors(zi, order)[0],
                             shape_support(order)) is not None
-        tile = ParticleTile((0, 0, 0), (0, 0, 0), shape)
-        tile.append(x=xi, y=yi, z=zi)
+        tile = tile_holding(grid, xi, yi, zi)
         got = gather_fields_for_tile(grid, tile, order)
         assert len(got) == 6
         for name, values in zip(FIELD_NAMES, got):
@@ -316,8 +314,7 @@ class TestBlockGatherProperty:
                             shape_factors(yi, order)[0],
                             shape_factors(zi, order)[0],
                             shape_support(order)) is None
-        tile = ParticleTile((0, 0, 0), (0, 0, 0), shape)
-        tile.append(x=xi, y=yi, z=zi)
+        tile = tile_holding(grid, xi, yi, zi)
         for name, values in zip(FIELD_NAMES,
                                 gather_fields_for_tile(grid, tile, order)):
             field = getattr(grid, name)
