@@ -124,8 +124,8 @@ def format_rows(rows: List[Dict[str, object]]) -> str:
 
 
 def output_path() -> str:
-    """Trajectory JSON location: ``$REPRO_BENCH_OUTPUT`` if set, as for
-    ``bench_deposition_scatter.py``, else the repo root's file."""
+    """Trajectory JSON location: ``$REPRO_BENCH_OUTPUT`` if set, else the
+    repo root's file."""
     default = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "BENCH_domain_scaling.json")
     return os.environ.get("REPRO_BENCH_OUTPUT", default)
