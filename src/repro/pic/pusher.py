@@ -15,13 +15,12 @@ container's particle store (:func:`repro.pic.particles.stored`), read
 without copying, and its results are written back into that slice in
 place: every step is a per-particle function of the batch's own
 particles, so nothing a later batch reads is overwritten.  Small tiles
-are batched because the interpreter
-pays a fixed cost per NumPy call; a dense tile is cut because its
-whole-tile panels and products (8-13 MB each for a 65 536-particle QSP
-tile) stream from memory where a piece's stay in cache.  Each of those
-steps is a per-particle function — a particle's gathered fields do not
-depend on its batch-mates — so every grouping and cut gives the same
-bits as pushing tile by tile.
+are batched because the interpreter pays a fixed cost per NumPy call;
+a dense tile is cut because its whole-tile panels and products (8-13 MB
+each for a 65 536-particle QSP tile) stream from memory where a piece's
+stay in cache.  Each of those steps is a per-particle function — a
+particle's gathered fields do not depend on its batch-mates — so every
+grouping and cut gives the same bits as pushing tile by tile.
 """
 
 from __future__ import annotations

@@ -127,7 +127,7 @@ class TestBatchedStagesMatchThePerTileOracle:
            run_particles=st.sampled_from([1, 700, RUN_PARTICLES]),
            batch_particles=st.sampled_from([1, 700, BATCH_PARTICLES]),
            data=st.data())
-    def test_push_refill_and_migration(self, scenario, order, share,
+    def test_push_boundary_and_migration(self, scenario, order, share,
                                          run_particles, batch_particles,
                                          data):
         managed = data.draw(st.lists(
