@@ -21,7 +21,7 @@ import os
 
 import numpy as np
 
-from repro.analysis.runner import sweep_configurations
+from repro.analysis.campaign import Campaign, expand_request
 from repro.analysis.tables import format_table
 from repro.baselines.configs import make_strategy
 from repro.workloads.lwfa import LWFAWorkload
@@ -57,14 +57,18 @@ def main() -> None:
     print(f"adaptive global sorts performed: {strategy.global_sorts_performed}")
 
     print("\n== 2. Figure 9: deposition kernel time, baseline vs MatrixPIC ==")
+    # one grid request: the lwfa family's 8x8x32 cells in 8x8x16 tiles,
+    # the plasma in its loaded order (no scramble), two measured steps
+    outcome = Campaign(expand_request({
+        "workload": "lwfa", "ppc": [1, 8] if SMOKE else [1, 8, 64],
+        "configurations": ["Baseline", "MatrixPIC (FullOpt)"],
+        "steps": 2, "scramble": False})).run()
+    seconds = {(entry.result.ppc, entry.result.configuration):
+               entry.result.timing.total for entry in outcome}
     rows = []
-    for ppc in (1, 8) if SMOKE else (1, 8, 64):
-        sweep = sweep_configurations(
-            LWFAWorkload(n_cell=(8, 8, 32), tile_size=(8, 8, 16), ppc=ppc,
-                         max_steps=2),
-            ("Baseline", "MatrixPIC (FullOpt)"), steps=2, scramble=False)
-        baseline = sweep["Baseline"].timing.total
-        matrix = sweep["MatrixPIC (FullOpt)"].timing.total
+    for ppc in sorted({ppc for ppc, _ in seconds}):
+        baseline = seconds[ppc, "Baseline"]
+        matrix = seconds[ppc, "MatrixPIC (FullOpt)"]
         rows.append((ppc, baseline, matrix, baseline / matrix))
     print(format_table(("PPC", "Baseline (s)", "MatrixPIC (s)", "Speedup"),
                        rows))

@@ -19,7 +19,7 @@ import os
 
 import numpy as np
 
-from repro.analysis.runner import sweep_configurations
+from repro.analysis.campaign import Campaign, expand_request
 from repro.analysis.tables import format_table
 from repro.api import Session
 from repro.config import ExecutionConfig
@@ -56,9 +56,15 @@ def main() -> None:
     print(f"max |J_MatrixPIC - J_reference| / max |J| = {residual / scale:.2e}\n")
 
     print("== 2. performance: modelled LX2 kernel time, baseline vs MatrixPIC ==")
-    results = sweep_configurations(
-        workload, ("Baseline", "Rhocell+IncrSort (VPU)", "MatrixPIC (FullOpt)"),
-        steps=2)
+    # the same plasma as a grid request: one cell per configuration
+    outcome = Campaign(expand_request({
+        "workload": "uniform", "n_cell": list(workload.n_cell),
+        "tile_size": list(workload.tile_size), "ppc": [workload.ppc],
+        "shape_order": workload.shape_order, "seed": workload.seed,
+        "configurations": ["Baseline", "Rhocell+IncrSort (VPU)",
+                           "MatrixPIC (FullOpt)"],
+        "steps": 2})).run()
+    results = {entry.spec.configuration: entry.result for entry in outcome}
     baseline = results["Baseline"].timing.total
     print(format_table(
         ("Configuration", "Total (s)", "Preproc. (s)", "Compute (s)",

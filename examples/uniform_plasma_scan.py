@@ -15,25 +15,27 @@ from __future__ import annotations
 
 import os
 
-from repro.analysis.runner import sweep_configurations
+from repro.analysis.campaign import Campaign, expand_request
 from repro.analysis.tables import format_table
 from repro.baselines.configs import ABLATION_CONFIGS
-from repro.workloads.uniform import UniformPlasmaWorkload
 
 #: CI smoke mode: same code paths, minimum useful problem size
 SMOKE = bool(os.environ.get("REPRO_EXAMPLES_SMOKE"))
 
 
 def main() -> None:
+    # one grid request: the uniform family's 8^3 cells in one 8^3 tile,
+    # CIC, the PPC scan x the ablation configurations, two measured steps
+    outcome = Campaign(expand_request({
+        "workload": "uniform", "shape_order": 1, "steps": 2,
+        "ppc": [1, 64] if SMOKE else [1, 8, 64, 128],
+        "configurations": list(ABLATION_CONFIGS)})).run()
     kernel_time = {}
     throughput = {}
-    for ppc in (1, 64) if SMOKE else (1, 8, 64, 128):
-        workload = UniformPlasmaWorkload(n_cell=(8, 8, 8), tile_size=(8, 8, 8),
-                                         ppc=ppc, shape_order=1, max_steps=2)
-        results = sweep_configurations(workload, ABLATION_CONFIGS, steps=2)
-        kernel_time[ppc] = {n: r.timing.total for n, r in results.items()}
-        throughput[ppc] = {n: r.throughput for n, r in results.items()}
-        print(f"finished PPC={ppc}")
+    for entry in outcome:
+        ppc, name = entry.result.ppc, entry.result.configuration
+        kernel_time.setdefault(ppc, {})[name] = entry.result.timing.total
+        throughput.setdefault(ppc, {})[name] = entry.result.throughput
 
     for title, series in (("modelled deposition kernel seconds", kernel_time),
                           ("particles per modelled second", throughput)):

@@ -13,10 +13,7 @@ from repro.analysis.metrics import (
     particles_per_second,
     speedup,
 )
-from repro.analysis.runner import (
-    run_deposition_experiment,
-    sweep_configurations,
-)
+from repro.analysis.runner import run_deposition_experiment
 from repro.analysis.tables import format_campaign_table
 
 __all__ = [
@@ -31,6 +28,5 @@ __all__ = [
     "speedup",
     "particles_per_second",
     "run_deposition_experiment",
-    "sweep_configurations",
     "format_campaign_table",
 ]

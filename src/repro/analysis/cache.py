@@ -1,8 +1,8 @@
 """On-disk result store for campaign experiments.
 
 Every experiment spec (see :mod:`repro.analysis.campaign`) hashes to a
-content key covering the workload parameters, configuration name, sorting
-policy, cost-model parameters, steps, seed and the library version; the
+content key covering the workload parameters, configuration name, steps,
+seed, the library version and a digest of the package sources; the
 cache stores one JSON file per key so a repeated sweep replays results
 instead of recomputing hours of simulation.
 

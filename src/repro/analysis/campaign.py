@@ -1,30 +1,29 @@
-"""Declarative experiment campaigns: grid expansion, caching, parallelism.
+"""Experiment campaigns: one grid schema, caching, parallelism.
 
 A :class:`Campaign` turns the paper's artifact generation from a pile of
 serial scripts into a small serving layer:
 
-* a declarative grid — workloads x configurations (x sorting policy,
-  cost model, steps, ...) — expands into :class:`ExperimentSpec` values;
-  the grid mapping that ``python -m repro campaign`` builds from its
-  flags and a ``repro.serve`` submission go through one function,
-  :func:`expand_request`, so both accept the same grids and hash them to
-  the same keys,
+* an experiment is described by a grid request — a mapping over
+  :data:`REQUEST_KEYS` (workload family, PPC scan, configurations,
+  steps, seed, shape order, ...; missing keys take
+  :data:`repro.workloads.GRID_DEFAULTS`) — and :func:`expand_request`,
+  the one place specs are built, expands it into
+  :class:`ExperimentSpec` cells; ``python -m repro campaign`` builds the
+  mapping from its flags and a ``repro.serve`` submission is one, so
+  both accept the same grids and hash them to the same keys,
 * each spec is a pure, picklable description of one experiment; running
   it builds a fully isolated :class:`repro.api.Session` (and therefore
   the :mod:`repro.pipeline` stage list), so results are identical whether
   a spec runs serially, in a worker process or is replayed from cache,
 * specs hash to content keys (workload parameters, configuration name,
-  sorting policy, cost-model parameters, steps, seed, library version)
-  that index the on-disk :class:`~repro.analysis.cache.ResultCache`,
+  steps, seed, library version, a digest of the package sources) that
+  index the on-disk :class:`~repro.analysis.cache.ResultCache`,
 * cache misses execute concurrently over a supervised process pool
   (:class:`repro.exec.pool.SupervisedPool`), degrading to in-process
   serial execution where the sandbox forbids subprocesses,
 * the cache is also the campaign's one durable per-cell record: each
   cell is stored the moment its payload exists, so a killed sweep re-run
   on the same cache adopts its completed cells and computes the rest.
-
-``sweep_configurations`` in :mod:`repro.analysis.runner` routes through
-this module, so a repeated sweep on the same cache is a pure cache hit.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import dataclasses
 import hashlib
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro._version import __version__
 from repro.analysis.cache import (
@@ -44,11 +43,8 @@ from repro.analysis.cache import (
     content_key,
 )
 from repro.analysis.metrics import ExperimentResult
-from repro.config import SortingPolicyConfig
 from repro.exec.base import TileTask
 from repro.exec.pool import SupervisedPool
-from repro.hardware.cost_model import CostModel
-from repro.hardware.spec import ArchSpec
 from repro.obs.registry import NULL_TELEMETRY, Telemetry
 
 
@@ -119,29 +115,6 @@ def source_fingerprint() -> str:
 
 
 # ----------------------------------------------------------------------
-# Parameter serialisation helpers
-# ----------------------------------------------------------------------
-
-def sorting_config_to_dict(config: SortingPolicyConfig) -> Dict[str, object]:
-    """JSON-able dict of a sorting policy configuration."""
-    return dataclasses.asdict(config)
-
-
-def cost_model_to_dict(cost_model: CostModel) -> Dict[str, object]:
-    """JSON-able dict of the cost-model parameters (arch spec + cores)."""
-    return {
-        "spec": dataclasses.asdict(cost_model.spec),
-        "parallel_cores": cost_model.parallel_cores,
-    }
-
-
-def cost_model_from_dict(payload: Mapping) -> CostModel:
-    """Rebuild a :class:`CostModel` from :func:`cost_model_to_dict`."""
-    return CostModel(spec=ArchSpec(**payload["spec"]),
-                     parallel_cores=int(payload["parallel_cores"]))
-
-
-# ----------------------------------------------------------------------
 # Experiment specs
 # ----------------------------------------------------------------------
 
@@ -151,9 +124,9 @@ class ExperimentSpec:
 
     A spec carries only JSON-able data, so it pickles cheaply to worker
     processes and hashes to a stable cache key.  ``workload_params``
-    includes the workload's ``seed`` and ``shape_order``; ``sorting`` and
-    ``cost_model`` are None for the library defaults (which are
-    normalised into the key, see :meth:`cache_key`).
+    includes the workload's ``seed`` and ``shape_order``.  The sorting
+    policy and the cost model are the library's (their defaults are
+    ``src/`` constants, so :func:`source_fingerprint` covers them).
     """
 
     workload_kind: str
@@ -162,8 +135,6 @@ class ExperimentSpec:
     steps: Optional[int] = None
     warmup_steps: int = 1
     scramble: bool = True
-    sorting: Optional[Mapping] = None
-    cost_model: Optional[Mapping] = None
 
     def to_dict(self) -> Dict[str, object]:
         """Plain-dict form (used for pickling, hashing and cache files)."""
@@ -174,9 +145,6 @@ class ExperimentSpec:
             "steps": self.steps,
             "warmup_steps": self.warmup_steps,
             "scramble": self.scramble,
-            "sorting": dict(self.sorting) if self.sorting is not None else None,
-            "cost_model": (dict(self.cost_model)
-                           if self.cost_model is not None else None),
         }
 
     @classmethod
@@ -189,39 +157,28 @@ class ExperimentSpec:
                    else int(payload["steps"])),
             warmup_steps=int(payload.get("warmup_steps", 1)),
             scramble=bool(payload.get("scramble", True)),
-            sorting=(dict(payload["sorting"])
-                     if payload.get("sorting") is not None else None),
-            cost_model=(dict(payload["cost_model"])
-                        if payload.get("cost_model") is not None else None),
         )
 
     def cache_key(self) -> str:
         """Content hash identifying this experiment's result.
 
-        Defaulted fields are expanded to their concrete values before
-        hashing, so ``sorting=None`` and an explicitly passed default
-        ``SortingPolicyConfig()`` share one key — and *any* change to a
-        cost-model parameter, sorting knob, step count or seed produces a
-        different key.  The library version and a digest of the package
-        sources are part of the payload: neither a new release nor an
-        in-place source edit ever replays results computed by older code.
+        Any change to a configuration, step count, workload parameter or
+        seed produces a different key.  The library version and a digest
+        of the package sources are part of the payload: neither a new
+        release nor an in-place source edit ever replays results computed
+        by older code.
         """
         payload = self.to_dict()
         params = dict(payload["workload_params"])
         if payload["steps"] is not None:
             # the workload's max_steps only serves as the default run
             # length; with an explicit step count it is inert, so drop it
-            # from the key (CLI and programmatic sweeps of the same
-            # experiment then share cache entries)
+            # from the key
             params.pop("max_steps", None)
         # observability is inert to results (a traced run is bitwise
         # identical to an untraced one), so it never splits cache keys
         params.pop("observe", None)
         payload["workload_params"] = params
-        if payload["sorting"] is None:
-            payload["sorting"] = sorting_config_to_dict(SortingPolicyConfig())
-        if payload["cost_model"] is None:
-            payload["cost_model"] = cost_model_to_dict(CostModel())
         payload["library_version"] = __version__
         payload["source_fingerprint"] = source_fingerprint()
         payload["cache_schema"] = CACHE_SCHEMA_VERSION
@@ -236,41 +193,6 @@ class ExperimentSpec:
         """Short human-readable identity for tables and logs."""
         ppc = self.workload_params.get("ppc", "?")
         return f"{self.workload_kind}/ppc={ppc}"
-
-
-def spec_for_workload(workload, configuration: str, *,
-                      steps: Optional[int] = None,
-                      warmup_steps: int = 1,
-                      scramble: bool = True,
-                      sorting_config: Optional[SortingPolicyConfig] = None,
-                      cost_model: Optional[CostModel] = None
-                      ) -> ExperimentSpec:
-    """Build the spec describing ``run_deposition_experiment`` on a workload.
-
-    Raises :class:`TypeError` when the workload is not a builder of one
-    of the families in :data:`repro.workloads.FAMILIES`.
-    """
-    from repro.workloads import FAMILIES
-
-    kind = next((name for name, family in FAMILIES.items()
-                 if type(workload) is family["builder"]), None)
-    if kind is None:
-        raise TypeError(
-            f"workload type {type(workload).__name__} is not one of the "
-            f"campaign's workload families {sorted(FAMILIES)}"
-        )
-    return ExperimentSpec(
-        workload_kind=kind,
-        workload_params=dataclasses.asdict(workload),
-        configuration=configuration,
-        steps=steps,
-        warmup_steps=warmup_steps,
-        scramble=scramble,
-        sorting=(sorting_config_to_dict(sorting_config)
-                 if sorting_config is not None else None),
-        cost_model=(cost_model_to_dict(cost_model)
-                    if cost_model is not None else None),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -297,7 +219,7 @@ def _int_value(key: str, value) -> int:
 def expand_request(request: Mapping, *, observe=None) -> List[ExperimentSpec]:
     """The one grid expansion: a grid mapping -> its cells' specs.
 
-    ``python -m repro campaign`` builds the mapping from its flags and a
+    The only place specs are built.  ``python -m repro campaign`` builds the mapping from its flags and a
     ``repro.serve`` submission is one, so the two accept the same grids
     and hash them to the same cache keys.  Missing keys take
     :data:`repro.workloads.GRID_DEFAULTS`; workloads nest outer,
@@ -358,8 +280,10 @@ def expand_request(request: Mapping, *, observe=None) -> List[ExperimentSpec]:
     for name in configurations:
         configuration_kernel(name).check_order(order)
     return [
-        spec_for_workload(workload, configuration, steps=steps,
-                          warmup_steps=warmup_steps, scramble=scramble)
+        ExperimentSpec(workload_kind=grid["workload"],
+                       workload_params=dataclasses.asdict(workload),
+                       configuration=configuration, steps=steps,
+                       warmup_steps=warmup_steps, scramble=scramble)
         for workload in workloads
         for configuration in configurations
     ]
@@ -373,15 +297,10 @@ def run_spec(spec: ExperimentSpec) -> ExperimentResult:
     """Execute one spec in-process with a fully isolated simulation."""
     from repro.analysis.runner import run_deposition_experiment
 
-    workload = spec.build_workload()
     return run_deposition_experiment(
-        workload,
+        spec.build_workload(),
         spec.configuration,
         steps=spec.steps,
-        cost_model=(cost_model_from_dict(spec.cost_model)
-                    if spec.cost_model is not None else None),
-        sorting_config=(SortingPolicyConfig(**spec.sorting)
-                        if spec.sorting is not None else None),
         scramble=spec.scramble,
         warmup_steps=spec.warmup_steps,
     )
@@ -438,35 +357,6 @@ class CampaignResult:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    @property
-    def results(self) -> List[ExperimentResult]:
-        return [entry.result for entry in self.entries]
-
-    def by_configuration(self) -> Dict[str, ExperimentResult]:
-        """Configuration name -> result (single-workload campaigns)."""
-        return {e.spec.configuration: e.result for e in self.entries}
-
-    def grouped(self) -> Dict[str, Dict[str, ExperimentResult]]:
-        """Workload label -> configuration -> result.
-
-        Labels are normally ``kind/ppc=N``; when two specs share that
-        label but differ in any other field (shape order, seed, steps,
-        ...), the later ones get a short content-hash suffix so no result
-        is silently overwritten.
-        """
-        out: Dict[str, Dict[str, ExperimentResult]] = {}
-        label_owner: Dict[str, str] = {}
-        for entry in self.entries:
-            label = entry.spec.label()
-            identity = canonical_json({
-                k: v for k, v in entry.spec.to_dict().items()
-                if k != "configuration"
-            })
-            if label_owner.setdefault(label, identity) != identity:
-                label = f"{label}#{content_key(identity)[:8]}"
-            out.setdefault(label, {})[entry.spec.configuration] = entry.result
-        return out
 
     def aggregated_metrics(self) -> Dict[str, float]:
         """Per-cell telemetry counters summed across every entry.
@@ -539,28 +429,6 @@ class Campaign:
         #: True when some cell of the last ``run`` wanted the pool but
         #: ran in-process instead
         self.degraded = False
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_grid(cls, workloads: Iterable, configurations: Iterable[str], *,
-                  steps: Optional[int] = None,
-                  warmup_steps: int = 1,
-                  scramble: bool = True,
-                  sorting_config: Optional[SortingPolicyConfig] = None,
-                  cost_model: Optional[CostModel] = None,
-                  cache: Optional[ResultCache] = None,
-                  jobs: int = 1,
-                  obs: Telemetry = NULL_TELEMETRY) -> "Campaign":
-        """Expand a workloads x configurations grid into a campaign."""
-        specs = [
-            spec_for_workload(workload, configuration, steps=steps,
-                              warmup_steps=warmup_steps, scramble=scramble,
-                              sorting_config=sorting_config,
-                              cost_model=cost_model)
-            for workload in workloads
-            for configuration in configurations
-        ]
-        return cls(specs, cache=cache, jobs=jobs, obs=obs)
 
     # ------------------------------------------------------------------
     def run(self) -> CampaignResult:

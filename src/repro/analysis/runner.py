@@ -1,33 +1,27 @@
-"""Experiment runners shared by the campaign layer, examples and tests.
+"""The experiment runner behind every campaign cell.
 
 :func:`run_deposition_experiment` runs one named configuration on one
 workload for a number of steps and returns an
 :class:`~repro.analysis.metrics.ExperimentResult` with the modelled
 kernel timing (this is what Tables 1-3 and Figures 8-10 are built from).
-``sweep_configurations`` maps a list of configuration names over a
-workload through the campaign layer (:mod:`repro.analysis.campaign`):
-every configuration runs on a freshly built, identically seeded
-simulation, optionally in parallel worker processes and replayed from the
-on-disk result cache.
+:func:`repro.analysis.campaign.run_spec` calls it for one cell of an
+expanded grid request; sweeps over configurations, PPC and shape order
+are grid requests run by :class:`repro.analysis.campaign.Campaign`.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, Optional
+from typing import Optional
 
 from repro.analysis.metrics import ExperimentResult
 from repro.api import Session
 from repro.baselines.configs import make_strategy
-from repro.config import SortingPolicyConfig
-from repro.hardware.cost_model import CostModel
 from repro.hardware.counters import KernelCounters
 
 
 def run_deposition_experiment(workload, configuration: str, *,
                               steps: Optional[int] = None,
-                              cost_model: Optional[CostModel] = None,
-                              sorting_config: Optional[SortingPolicyConfig] = None,
                               scramble: bool = True,
                               warmup_steps: int = 1) -> ExperimentResult:
     """Run one configuration on one workload and collect its kernel timing.
@@ -53,9 +47,7 @@ def run_deposition_experiment(workload, configuration: str, *,
         keeps one-off costs — the initial global sort of the sorted
         configurations — out of the per-step kernel numbers.
     """
-    cost_model = cost_model if cost_model is not None else CostModel()
-    strategy = make_strategy(configuration, sorting_config=sorting_config,
-                             cost_model=cost_model)
+    strategy = make_strategy(configuration)
     with Session.from_workload(workload, deposition=strategy) as session:
         if scramble and hasattr(workload, "scramble_particles"):
             workload.scramble_particles(session)
@@ -78,7 +70,7 @@ def run_deposition_experiment(workload, configuration: str, *,
             pass
         wall = time.perf_counter() - start
 
-    timing = cost_model.timing(session.deposition_counters)
+    timing = strategy.cost_model.timing(session.deposition_counters)
     shape_order = getattr(workload, "shape_order", session.config.shape_order)
     return ExperimentResult(
         configuration=configuration,
@@ -103,33 +95,3 @@ def run_deposition_experiment(workload, configuration: str, *,
         },
     )
 
-
-def sweep_configurations(workload, configurations: Iterable[str], *,
-                         steps: Optional[int] = None,
-                         cost_model: Optional[CostModel] = None,
-                         sorting_config: Optional[SortingPolicyConfig] = None,
-                         scramble: bool = True,
-                         warmup_steps: int = 1,
-                         cache=None,
-                         jobs: int = 1) -> Dict[str, ExperimentResult]:
-    """Run several configurations on the same workload definition.
-
-    The sweep routes through the campaign layer
-    (:mod:`repro.analysis.campaign`): pass ``cache`` (a
-    :class:`~repro.analysis.cache.ResultCache`) to replay previously
-    computed cells from disk and ``jobs`` to execute cache misses over a
-    process pool.  ``workload`` must be a builder of one of the
-    families in :data:`repro.workloads.FAMILIES` (a :class:`TypeError`
-    otherwise).
-    """
-    # imported here: campaign builds specs on top of this module's
-    # run_deposition_experiment, so a top-level import would be circular
-    from repro.analysis.campaign import Campaign
-
-    campaign = Campaign.from_grid(
-        [workload], list(configurations), steps=steps,
-        warmup_steps=warmup_steps, scramble=scramble,
-        sorting_config=sorting_config, cost_model=cost_model,
-        cache=cache, jobs=jobs,
-    )
-    return campaign.run().by_configuration()

@@ -35,7 +35,6 @@ from repro.core.framework import (
     SORT_NONE,
 )
 from repro.core.hybrid_kernel import HybridMPUDeposition
-from repro.hardware.cost_model import CostModel
 from repro.pic.deposition.base import DepositionKernel
 from repro.pic.deposition.baseline import BaselineDeposition
 from repro.pic.deposition.rhocell import RhocellDeposition
@@ -98,8 +97,7 @@ def configuration_kernel(name: str) -> Type[DepositionKernel]:
 
 
 def make_strategy(name: str,
-                  sorting_config: Optional[SortingPolicyConfig] = None,
-                  cost_model: Optional[CostModel] = None
+                  sorting_config: Optional[SortingPolicyConfig] = None
                   ) -> MatrixPICDeposition:
     """Build the named deposition strategy.
 
@@ -109,8 +107,6 @@ def make_strategy(name: str,
         One of :func:`available_configurations`.
     sorting_config:
         Adaptive sorting-policy parameters (Appendix A defaults when None).
-    cost_model:
-        Cost model used for the performance-degradation sorting trigger.
     """
     if name not in _CONFIGURATIONS:
         raise ValueError(
@@ -119,7 +115,4 @@ def make_strategy(name: str,
     kernel, kernel_args, sort_mode = _CONFIGURATIONS[name]
     return MatrixPICDeposition(
         kernel=kernel(**kernel_args), sort_mode=sort_mode,
-        sorting_config=(sorting_config if sorting_config is not None
-                        else SortingPolicyConfig()),
-        cost_model=cost_model if cost_model is not None else CostModel(),
-        name=name)
+        sorting_config=sorting_config, name=name)

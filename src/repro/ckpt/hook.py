@@ -7,8 +7,8 @@ the ``every`` interval — the snapshot filename records the number of
 fully executed steps.
 
 Like every shipped stage, the hook declares its ``reads``/``writes``
-effect sets against the :mod:`repro.pipeline.effects` vocabulary so the
-effect checkers (and the ``stage-effects`` rule) can reason about it: a
+effect sets over the stage resource vocabulary
+(``tests/stage_effects.py``, read by the ``stage-effects`` rule): a
 checkpoint reads essentially the whole simulation state and writes
 none of it.
 """

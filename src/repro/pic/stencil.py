@@ -1,16 +1,16 @@
 """Flat-index stencil scatter/gather engine.
 
 Every particle-mesh kernel in this library — current deposition, charge
-deposition, the rhocell cell->node reduction, the field gather, and the
-PM/PME workloads of Appendix B — evaluates the same tensor-product stencil:
-a particle at grid-normalised position ``xi`` touches ``support`` nodes per
-axis with separable 1-D weights, i.e. ``support**3`` grid nodes in total.
+deposition, the rhocell cell->node reduction and the field gather —
+evaluates the same tensor-product stencil: a particle at grid-normalised
+position ``xi`` touches ``support`` nodes per axis with separable 1-D
+weights, i.e. ``support**3`` grid nodes in total.
 (The per-step field gather does not build that stencil per particle: it
 is the cell-grouped block product of :mod:`repro.pic.gather`, which
 borrows this module's bounding box and wrap/clamp rule.  The adjoint
 here, :meth:`StencilOperator.gather`, is the boundary-exact generic form
-— the Appendix-B workloads, the far-out-of-domain fallback and the
-oracle the block form is tested against.)
+— the far-out-of-domain fallback of the block gather and the oracle the
+block form is tested against.)
 
 Historically each consumer walked that stencil with a triple Python loop,
 issuing one ``np.add.at`` (NumPy's slowest scatter primitive: an unbuffered
@@ -309,11 +309,12 @@ class StencilOperator:
     including axes shorter than the stencil support.
 
     Built from a :class:`~repro.pic.grid.Grid` plus positions
-    (:meth:`for_grid`), from raw normalised positions (:meth:`for_box`,
-    used by the grid-less PM/PME workloads), from precomputed shape data
-    (:meth:`from_shape_data`, the deposition staging path), or from
-    bare per-axis base indices (:meth:`from_bases`, the rhocell
-    reduction).
+    (:meth:`for_grid`, the reference ρ deposit), from raw normalised
+    positions (:meth:`for_box`, which ``for_grid`` calls and the tests'
+    oracle drives directly), from precomputed shape data
+    (:meth:`from_shape_data`, the deposition staging path and the
+    gather's far-out-of-domain fallback), or from bare per-axis base
+    indices (:meth:`from_bases`, the rhocell reduction).
     """
 
     __slots__ = ("flat_ids", "weights", "shape", "periodic", "box_lo",
@@ -443,9 +444,9 @@ class StencilOperator:
         The generic, boundary-exact adjoint: one ``(n, S^3)`` fancy-index
         read of the field through the shared ids, reduced against the
         weights by a fused ``einsum`` (no product temporary).  It serves
-        the grid-less Appendix-B workloads and batches far outside the
-        domain, and is the oracle of the per-step gather — which does
-        not come through here: :func:`repro.pic.gather.
+        batches far outside the domain (the block gather's fallback) and
+        is the tests' oracle of the per-step gather — which does not
+        come through here: :func:`repro.pic.gather.
         gather_fields_for_tile` computes the same sums as cell-grouped
         block products without the ``(n, S^3)`` arrays.
         """

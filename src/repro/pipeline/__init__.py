@@ -10,12 +10,10 @@ Public surface
 * :class:`BreakdownTimingHook` — the default per-stage timing hook;
 * :func:`build_pipeline` / :func:`global_stages` — the one stage list;
 * the stage vocabulary — gather/push, moving window, migrate, deposit,
-  laser, solve, boundary;
-* the effect contract (:mod:`repro.pipeline.effects`) — the
-  :data:`~repro.pipeline.effects.RESOURCES` vocabulary, per-stage
-  ``reads``/``writes`` declarations and the static write-after-read
-  hazard checker :func:`~repro.pipeline.effects.check_stage_set`
-  (run over the built stage list by ``tests/test_static_rules.py``).
+  laser, solve, boundary — each declaring the ``reads``/``writes``
+  effect sets that the ``stage-effects`` rule of
+  ``tests/test_static_rules.py`` checks (vocabulary and write-after-read
+  hazard checker: ``tests/stage_effects.py``).
 
 The bitwise contract of the old hand-wired loops carries over unchanged:
 pipeline-routed steps are bit-identical to the pre-redesign paths for
@@ -28,14 +26,6 @@ from repro.pipeline.core import (
     BreakdownTimingHook,
     Stage,
     StepPipeline,
-)
-from repro.pipeline.effects import (
-    EXTERNAL_RESOURCES,
-    RESOURCES,
-    STEP_CARRIED,
-    EffectViolation,
-    check_stage_set,
-    declared_effects,
 )
 from repro.pipeline.stages import (
     DepositStage,
@@ -50,20 +40,14 @@ from repro.pipeline.stages import (
 __all__ = [
     "BreakdownTimingHook",
     "DepositStage",
-    "EXTERNAL_RESOURCES",
-    "EffectViolation",
     "FieldBoundaryStage",
     "FieldSolveStage",
     "GatherPushStage",
     "LaserStage",
     "MigrateStage",
     "MovingWindowStage",
-    "RESOURCES",
-    "STEP_CARRIED",
     "Stage",
     "StepPipeline",
     "build_pipeline",
-    "check_stage_set",
-    "declared_effects",
     "global_stages",
 ]

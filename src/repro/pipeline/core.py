@@ -60,13 +60,13 @@ class Stage(Protocol):
     the stage's wall time is credited to; ``run`` performs the work,
     mutating the session's state.
 
-    ``reads`` and ``writes`` declare the stage's *effects*: the
-    :mod:`repro.pipeline.effects` resources it consumes and produces.
-    The declarations are the input to the static write-after-read hazard
-    checker (:func:`repro.pipeline.effects.check_stage_set`) and are
-    verified complete against the ``run`` body by the ``stage-effects``
-    rule of ``tests/test_static_rules.py`` — every shipped stage must
-    carry them.
+    ``reads`` and ``writes`` declare the stage's *effects*: the dotted
+    resources (roots are session attribute names) it consumes and
+    produces.  The ``stage-effects`` rule of
+    ``tests/test_static_rules.py`` checks them against the vocabulary
+    and the write-after-read hazard checker of ``tests/stage_effects.py``
+    and verifies them complete against the ``run`` body — every shipped
+    stage must carry them.
     """
 
     name: str

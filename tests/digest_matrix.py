@@ -21,8 +21,10 @@ run of its own); the same plasma in 2^3 tiles (512 particles, grouped
 into runs of eight: the ``uniform-ref`` bench shape) at order 1 under
 both deposits and executors, and in one 8^3 tile (32 768 particles,
 worked in two pieces) under ``MatrixPIC (FullOpt)``; one ``Baseline``
-case; and an LWFA run under ``MatrixPIC (FullOpt)`` across several
-moving-window shifts.  ``--tiny`` shrinks every case to a few hundred
+case; shape order 2 (TSC, which no bench workload runs) under the
+reference deposit and ``Baseline``, the only deposits that take it; and
+an LWFA run under ``MatrixPIC (FullOpt)`` and under the reference
+deposit across several moving-window shifts.  ``--tiny`` shrinks every case to a few hundred
 particles and two steps (the tier-1 smoke test's size).  The script
 imports only ``Session.from_workload``, ``make_strategy``, the two
 workload builders, ``ExecutionConfig`` and ``capture_state``, so it
@@ -61,7 +63,11 @@ CASES.update({
 CASES["dense-tile-o3-mpic-serial1"] = ("uniform", 3, MPIC, "serial", 1, 8)
 CASES["uniform-o1-baseline-serial1"] = ("uniform", 1, "Baseline", "serial",
                                         1, 4)
+CASES["uniform-o2-ref-serial1"] = ("uniform", 2, None, "serial", 1, 4)
+CASES["uniform-o2-baseline-serial1"] = ("uniform", 2, "Baseline", "serial",
+                                        1, 4)
 CASES["lwfa-mpic-serial1"] = ("lwfa", 1, MPIC, "serial", 1, 0)
+CASES["lwfa-ref-serial1"] = ("lwfa", 1, None, "serial", 1, 0)
 
 #: steps per case at full size; LWFA's window shifts one cell a step
 #: from the fourth step on, five times in eight steps

@@ -3,10 +3,11 @@
 Every shipped pipeline stage declares the *resources* it ``reads`` and
 ``writes`` as two frozensets of dotted resource names (see
 :data:`RESOURCES`).  The declarations are a machine-checked contract,
-enforced in two layers:
+held by the ``stage-effects`` rule of ``tests/test_static_rules.py``
+(no run reads them: the stage list is the constant
+:func:`repro.pipeline.global_stages`), in two layers:
 
-* the ``stage-effects`` rule of ``tests/test_static_rules.py``
-  AST-scans each stage's ``run`` method for attribute accesses on the
+* the rule AST-scans each stage's ``run`` method for attribute accesses on the
   :class:`~repro.api.Session` it is handed and verifies the
   declarations are *complete*: every session attribute the body
   touches must be the root of at least one declared resource;
@@ -32,16 +33,6 @@ from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.pipeline.core import Stage
-
-__all__ = [
-    "EXTERNAL_RESOURCES",
-    "RESOURCES",
-    "STEP_CARRIED",
-    "EffectViolation",
-    "check_stage_set",
-    "conflicts",
-    "declared_effects",
-]
 
 #: The closed resource vocabulary stages may declare effects over.  The
 #: first dotted component is always a :class:`~repro.api.Session`
@@ -177,8 +168,8 @@ def _declaration_violations(stage: Stage) -> List[EffectViolation]:
             violations.append(EffectViolation(
                 kind="vocabulary", stage=name,
                 message=f"{label} declare unknown resource(s) {unknown}; "
-                        "extend repro.pipeline.effects.RESOURCES or fix "
-                        "the spelling",
+                        "extend RESOURCES in tests/stage_effects.py or "
+                        "fix the spelling",
             ))
     return violations
 
@@ -233,7 +224,7 @@ def check_stage_set(stages: Iterable[Stage]) -> List[EffectViolation]:
                 f"reads {resource!r} before any same-step writer"
                 + (f" (written later by {writers})" if writers else "")
                 + "; declare the resource step-carried in "
-                  "repro.pipeline.effects.STEP_CARRIED or move a "
+                  "STEP_CARRIED of tests/stage_effects.py or move a "
                   "producing stage earlier"
             )
             violations.append(EffectViolation(

@@ -10,10 +10,8 @@ from repro.analysis.metrics import (
     particles_per_second,
     speedup,
 )
-from repro.analysis.runner import (
-    run_deposition_experiment,
-    sweep_configurations,
-)
+from repro.analysis.campaign import Campaign, expand_request
+from repro.analysis.runner import run_deposition_experiment
 from repro.analysis.tables import format_table
 from repro.api import Session
 from repro.hardware.cost_model import KernelTiming
@@ -88,13 +86,16 @@ class TestRunner:
         assert result.num_particles == 4 * 4 * 4 * 8
         assert result.extra["effective_flops"] > 0.0
 
-    def test_sweep_runs_all_configurations(self, tiny_workload):
-        results = sweep_configurations(tiny_workload,
-                                       ("Baseline", "MatrixPIC (FullOpt)"),
-                                       steps=1)
-        assert set(results) == {"Baseline", "MatrixPIC (FullOpt)"}
-        for result in results.values():
-            assert result.timing.total > 0.0
+    def test_sweep_runs_all_configurations(self):
+        outcome = Campaign(expand_request({
+            "workload": "uniform", "n_cell": [4, 4, 4],
+            "tile_size": [4, 4, 4], "ppc": [8],
+            "configurations": ["Baseline", "MatrixPIC (FullOpt)"],
+            "steps": 1})).run()
+        assert [entry.result.configuration for entry in outcome] \
+            == ["Baseline", "MatrixPIC (FullOpt)"]
+        for entry in outcome:
+            assert entry.result.timing.total > 0.0
 
     def test_simulation_experiment_breakdown(self, tiny_workload):
         with Session.from_workload(tiny_workload) as simulation:

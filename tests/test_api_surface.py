@@ -15,6 +15,20 @@ import pytest
 
 #: module -> frozen public-name snapshot (keep sorted)
 API_SURFACE = {
+    "repro.analysis": (
+        "CacheStats",
+        "Campaign",
+        "CampaignEntry",
+        "CampaignResult",
+        "ExperimentResult",
+        "ExperimentSpec",
+        "ResultCache",
+        "format_campaign_table",
+        "particles_per_second",
+        "run_deposition_experiment",
+        "run_spec",
+        "speedup",
+    ),
     "repro.api": (
         "Session",
         "StepResult",
@@ -62,21 +76,15 @@ API_SURFACE = {
     "repro.pipeline": (
         "BreakdownTimingHook",
         "DepositStage",
-        "EXTERNAL_RESOURCES",
-        "EffectViolation",
         "FieldBoundaryStage",
         "FieldSolveStage",
         "GatherPushStage",
         "LaserStage",
         "MigrateStage",
         "MovingWindowStage",
-        "RESOURCES",
-        "STEP_CARRIED",
         "Stage",
         "StepPipeline",
         "build_pipeline",
-        "check_stage_set",
-        "declared_effects",
         "global_stages",
     ),
     "repro.serve": (

@@ -16,28 +16,29 @@ from repro.analysis.campaign import (
     ExperimentSpec,
     expand_request,
     run_spec,
-    spec_for_workload,
 )
 from repro.analysis.metrics import ExperimentResult
-from repro.analysis.runner import sweep_configurations
 from repro.analysis.tables import campaign_rows, format_campaign_table
 from repro.cli import main
 from repro.config import SortingPolicyConfig
-from repro.hardware.cost_model import CostModel, KernelTiming
-from repro.hardware.spec import LX2_SPEC
+from repro.hardware.cost_model import KernelTiming
+from repro.workloads import FAMILIES
 from repro.workloads.lwfa import LWFAWorkload
 from repro.workloads.uniform import UniformPlasmaWorkload
 
 
-def tiny_workload(**overrides):
-    params = dict(n_cell=(4, 4, 4), tile_size=(4, 4, 4), ppc=8,
-                  shape_order=1, max_steps=2)
-    params.update(overrides)
-    return UniformPlasmaWorkload(**params)
+def tiny_grid(**overrides):
+    """A one-cell grid request (4^3 cells in one tile, PPC 8, one step);
+    ``overrides`` replace its keys."""
+    return {"workload": "uniform", "n_cell": [4, 4, 4],
+            "tile_size": [4, 4, 4], "ppc": [8], "shape_order": 1,
+            "configurations": ["Baseline"], "steps": 1, **overrides}
 
 
 def tiny_spec(**overrides):
-    spec = spec_for_workload(tiny_workload(), "Baseline", steps=1)
+    """The cell of :func:`tiny_grid`; ``overrides`` replace spec fields
+    (past what ``expand_request`` would accept, say an unknown name)."""
+    (spec,) = expand_request(tiny_grid())
     if overrides:
         spec = ExperimentSpec.from_dict({**spec.to_dict(), **overrides})
     return spec
@@ -53,16 +54,15 @@ class TestExperimentSpec:
         assert rebuilt.cache_key() == spec.cache_key()
 
     def test_known_workloads_are_registered(self):
-        assert spec_for_workload(
-            tiny_workload(), "Baseline").workload_kind == "uniform"
-        assert spec_for_workload(
-            LWFAWorkload(), "Baseline").workload_kind == "lwfa"
-        with pytest.raises(TypeError, match="workload families"):
-            spec_for_workload(object(), "Baseline")
+        for family in FAMILIES:
+            (spec,) = expand_request({"workload": family, "ppc": [1],
+                                      "configurations": ["Baseline"]})
+            assert spec.workload_kind == family
+            assert type(spec.build_workload()) is FAMILIES[family]["builder"]
 
     def test_workloads_take_no_sorting_policy(self):
-        """The policy a run uses travels in ``ExperimentSpec.sorting`` /
-        ``make_strategy(sorting_config=)``; a workload-level copy was
+        """A cell runs the default policy (a session of your own takes
+        ``make_strategy(sorting_config=)``); a workload-level copy was
         accepted, hashed and read by nothing."""
         for cls in (UniformPlasmaWorkload, LWFAWorkload):
             with pytest.raises(TypeError, match="sorting"):
@@ -75,9 +75,10 @@ class TestExperimentSpec:
                 cls(backend={"kernel_tier": "oracle"})
 
     def test_build_workload_reconstructs_equal_builder(self):
-        workload = tiny_workload(seed=7)
-        rebuilt = spec_for_workload(workload, "Baseline").build_workload()
-        assert rebuilt == workload
+        (spec,) = expand_request(tiny_grid(seed=7))
+        assert spec.build_workload() == UniformPlasmaWorkload(
+            n_cell=(4, 4, 4), tile_size=(4, 4, 4), ppc=8, shape_order=1,
+            max_steps=1, seed=7)
 
 
 class TestCacheKey:
@@ -104,41 +105,21 @@ class TestCacheKey:
         assert tiny_spec(**overrides).cache_key() != tiny_spec().cache_key()
 
     def test_key_changes_with_workload_params(self):
-        for workload in (tiny_workload(seed=7), tiny_workload(ppc=1),
-                         tiny_workload(shape_order=2)):
-            changed = spec_for_workload(workload, "Baseline", steps=1)
+        for overrides in ({"seed": 7}, {"ppc": [1]}, {"shape_order": 2}):
+            (changed,) = expand_request(tiny_grid(**overrides))
             assert changed.cache_key() != tiny_spec().cache_key()
-
-    def test_key_changes_with_sorting_config(self):
-        changed = spec_for_workload(
-            tiny_workload(), "Baseline", steps=1,
-            sorting_config=SortingPolicyConfig(sort_interval=75))
-        assert changed.cache_key() != tiny_spec().cache_key()
-
-    def test_key_changes_with_cost_model(self):
-        changed = spec_for_workload(
-            tiny_workload(), "Baseline", steps=1,
-            cost_model=CostModel(parallel_cores=4))
-        assert changed.cache_key() != tiny_spec().cache_key()
 
     def test_max_steps_is_inert_when_steps_explicit(self):
         """With an explicit step count the workload's max_steps (only a
         default run length) must not fragment the key space; without one
         it determines the run and must stay in the key."""
-        a = spec_for_workload(tiny_workload(max_steps=2), "Baseline", steps=1)
-        b = spec_for_workload(tiny_workload(max_steps=9), "Baseline", steps=1)
-        assert a.cache_key() == b.cache_key()
-        c = spec_for_workload(tiny_workload(max_steps=2), "Baseline")
-        d = spec_for_workload(tiny_workload(max_steps=9), "Baseline")
-        assert c.cache_key() != d.cache_key()
+        def spec(max_steps, steps):
+            params = {**tiny_spec().workload_params, "max_steps": max_steps}
+            return tiny_spec(workload_params=params, steps=steps)
 
-    def test_explicit_defaults_share_key_with_none(self):
-        """None and an explicitly passed default normalise to one key."""
-        explicit = spec_for_workload(
-            tiny_workload(), "Baseline", steps=1,
-            sorting_config=SortingPolicyConfig(),
-            cost_model=CostModel(spec=LX2_SPEC, parallel_cores=1))
-        assert explicit.cache_key() == tiny_spec().cache_key()
+        assert spec(2, steps=1).cache_key() == spec(9, steps=1).cache_key()
+        assert spec(2, steps=None).cache_key() \
+            != spec(9, steps=None).cache_key()
 
 
 class TestResultSerialization:
@@ -166,9 +147,8 @@ class TestCampaign:
     CONFIGS = ("Baseline", "Baseline+IncrSort")
 
     def test_grid_expansion_preserves_order(self):
-        campaign = Campaign.from_grid(
-            [tiny_workload(ppc=1), tiny_workload(ppc=8)], self.CONFIGS,
-            steps=1)
+        campaign = Campaign(expand_request(tiny_grid(
+            ppc=[1, 8], configurations=list(self.CONFIGS))))
         assert [s.configuration for s in campaign.specs] == list(
             self.CONFIGS) * 2
         assert [s.workload_params["ppc"] for s in campaign.specs] == [1, 1, 8, 8]
@@ -177,8 +157,8 @@ class TestCampaign:
         cache_dir = str(tmp_path / "cache")
 
         def sweep():
-            return Campaign.from_grid(
-                [tiny_workload()], self.CONFIGS, steps=1,
+            return Campaign(
+                expand_request(tiny_grid(configurations=list(self.CONFIGS))),
                 cache=ResultCache(cache_dir)).run()
 
         first = sweep()
@@ -197,10 +177,9 @@ class TestCampaign:
                     == canonical_json(b.result.to_json()))
 
     def test_parallel_results_equal_serial(self):
-        serial = Campaign.from_grid([tiny_workload(ppc=1), tiny_workload()],
-                                    self.CONFIGS, steps=1, jobs=1).run()
-        parallel = Campaign.from_grid([tiny_workload(ppc=1), tiny_workload()],
-                                      self.CONFIGS, steps=1, jobs=2).run()
+        grid = tiny_grid(ppc=[1, 8], configurations=list(self.CONFIGS))
+        serial = Campaign(expand_request(grid), jobs=1).run()
+        parallel = Campaign(expand_request(grid), jobs=2).run()
         assert len(serial) == len(parallel) == 4
         for a, b in zip(serial, parallel):
             assert a.spec == b.spec
@@ -211,8 +190,8 @@ class TestCampaign:
     def test_submit_failure_degrades_to_serial(self):
         """A pool whose submit() raises (fork blocked in the sandbox)
         must degrade to inline execution, not crash."""
-        campaign = Campaign.from_grid([tiny_workload(ppc=1)], self.CONFIGS,
-                                      steps=1, jobs=2)
+        campaign = Campaign(expand_request(tiny_grid(
+            ppc=[1], configurations=list(self.CONFIGS))), jobs=2)
 
         class FailingPool:
             def submit(self, fn, *args):
@@ -244,20 +223,6 @@ class TestCampaign:
         assert len(cache) == 0
         assert not orphan.exists()
         assert foreign.exists() and nested_foreign.exists()
-
-    def test_grouped_disambiguates_colliding_workload_labels(self):
-        """Two workloads with the same kind and PPC but different other
-        fields must both survive grouping (no silent overwrite)."""
-        outcome = Campaign.from_grid(
-            [tiny_workload(shape_order=1), tiny_workload(shape_order=2)],
-            ("Baseline",), steps=1).run()
-        groups = outcome.grouped()
-        assert len(groups) == 2
-        assert "uniform/ppc=8" in groups
-        orders = sorted(result.shape_order
-                        for row in groups.values()
-                        for result in row.values())
-        assert orders == [1, 2]
 
     def test_unwritable_cache_dir_degrades_instead_of_crashing(self, tmp_path):
         """A cache that cannot be written must not discard computed
@@ -396,37 +361,22 @@ class TestCampaign:
 class TestSweepIntegration:
     def test_sweep_through_campaign_matches_configurations(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
-        results = sweep_configurations(tiny_workload(),
-                                       ("Baseline", "Baseline+IncrSort"),
-                                       steps=1, cache=cache)
-        assert set(results) == {"Baseline", "Baseline+IncrSort"}
+        grid = tiny_grid(configurations=["Baseline", "Baseline+IncrSort"])
+        results = Campaign(expand_request(grid), cache=cache).run()
+        assert [entry.spec.configuration for entry in results] \
+            == ["Baseline", "Baseline+IncrSort"]
         assert cache.stats.misses == 2
-        again = sweep_configurations(tiny_workload(),
-                                     ("Baseline", "Baseline+IncrSort"),
-                                     steps=1, cache=cache)
+        again = Campaign(expand_request(grid), cache=cache).run()
         assert cache.stats.hits == 2
-        for name in results:
-            assert (canonical_json(results[name].to_json())
-                    == canonical_json(again[name].to_json()))
-
-    def test_a_workload_of_neither_family_is_a_type_error(self):
-        class OpaqueWorkload:
-            ppc = 8
-            shape_order = 1
-            max_steps = 1
-
-            def build_session(self, deposition=None):
-                return tiny_workload().build_session(deposition=deposition)
-
-        with pytest.raises(TypeError, match="workload families"):
-            sweep_configurations(OpaqueWorkload(), ("Baseline",), steps=1)
+        for a, b in zip(results, again):
+            assert (canonical_json(a.result.to_json())
+                    == canonical_json(b.result.to_json()))
 
 
 class TestFormatters:
     def test_campaign_table_and_rows(self, tmp_path):
-        outcome = Campaign.from_grid(
-            [tiny_workload()], ("Baseline",), steps=1,
-            cache=ResultCache(str(tmp_path / "cache"))).run()
+        outcome = Campaign(expand_request(tiny_grid()),
+                           cache=ResultCache(str(tmp_path / "cache"))).run()
         text = format_campaign_table(outcome)
         assert "Baseline" in text
         assert "uniform/ppc=8" in text

@@ -389,7 +389,8 @@ class TestCheckpointHook:
             CheckpointHook(str(tmp_path), keep=0)
 
     def test_effects_use_known_resources(self):
-        from repro.pipeline.effects import RESOURCES
+        from stage_effects import RESOURCES
+
         hook = CheckpointHook("unused")
         assert hook.reads <= set(RESOURCES)
         assert hook.writes <= set(RESOURCES)

@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro.analysis.cache import ResultCache
-from repro.analysis.campaign import Campaign
+from repro.analysis.campaign import Campaign, expand_request
 from repro.ckpt.faults import (
     SPEC_KILL_MARKER_ENV,
     BrokenPoolOnce,
@@ -29,7 +29,6 @@ from repro.cli import main
 from repro.exec.base import TileTask
 from repro.exec.pool import SupervisedPool, make_process_pool
 from repro.obs import ObsConfig, Telemetry
-from repro.workloads.uniform import UniformPlasmaWorkload
 
 from helpers import log_events
 
@@ -44,16 +43,18 @@ def square_tasks(n=6):
     return [TileTask(_square, (i,)) for i in range(n)]
 
 
-def small_workloads(count=2):
-    return [UniformPlasmaWorkload(n_cell=(4, 4, 4), tile_size=(4, 4, 4),
-                                  ppc=ppc, max_steps=1)
-            for ppc in (1, 8, 27, 64)[:count]]
+def small_grid(count=2):
+    """``count`` Baseline cells of 4^3 cells in one tile, one step each."""
+    return expand_request({
+        "workload": "uniform", "n_cell": [4, 4, 4], "tile_size": [4, 4, 4],
+        "ppc": [1, 8, 27, 64][:count], "configurations": ["Baseline"],
+        "steps": 1, "warmup_steps": 0})
 
 
 def make_campaign(cache_dir=None, *, workloads=2):
     """A small Baseline grid; ``cache_dir`` None runs it without a cache."""
-    return Campaign.from_grid(
-        small_workloads(workloads), ["Baseline"], steps=1, warmup_steps=0,
+    return Campaign(
+        small_grid(workloads),
         cache=ResultCache(str(cache_dir)) if cache_dir is not None else None)
 
 
@@ -147,12 +148,8 @@ class TestExecutorRecovery:
 
 class TestCampaignPoolRecovery:
     def test_worker_death_mid_cell_retries_serially(self):
-        reference = result_fields(Campaign.from_grid(
-            small_workloads(3), ["Baseline"], steps=1,
-            warmup_steps=0).run())
-        campaign = Campaign.from_grid(
-            small_workloads(3), ["Baseline"], steps=1, warmup_steps=0,
-            jobs=2)
+        reference = result_fields(Campaign(small_grid(3)).run())
+        campaign = Campaign(small_grid(3), jobs=2)
         fake = BrokenPoolOnce(fail="result", at=1)
         campaign.pool.factory = lambda max_workers: fake
         outcome = campaign.run()
@@ -171,18 +168,14 @@ class TestCampaignPoolRecovery:
         the cell is retried serially, results match the clean run."""
         import repro.analysis.campaign as campaign_module
 
-        reference = result_fields(Campaign.from_grid(
-            small_workloads(2), ["Baseline"], steps=1,
-            warmup_steps=0).run())
+        reference = result_fields(Campaign(small_grid(2)).run())
         switch = KillSwitch(str(tmp_path / "marker"))
         switch.arm()
         monkeypatch.setenv(SPEC_KILL_MARKER_ENV, switch.path)
         monkeypatch.setattr(campaign_module, "_execute_spec_payload",
                             killing_spec_executor)
         obs = Telemetry(ObsConfig(trace=True))
-        campaign = Campaign.from_grid(
-            small_workloads(2), ["Baseline"], steps=1, warmup_steps=0,
-            jobs=2, obs=obs)
+        campaign = Campaign(small_grid(2), jobs=2, obs=obs)
         try:
             outcome = campaign.run()
         finally:
@@ -240,8 +233,6 @@ class TestCampaignResume:
     def test_campaign_takes_no_progress_checkpoint_arguments(self, kwargs):
         with pytest.raises(TypeError):
             Campaign([], **kwargs)
-        with pytest.raises(TypeError):
-            Campaign.from_grid([], [], **kwargs)
 
 
 # ----------------------------------------------------------------------

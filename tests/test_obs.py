@@ -47,6 +47,12 @@ def _workload(**overrides):
     return UniformPlasmaWorkload(**defaults)
 
 
+#: the one-cell grid request of the campaign tests: ``_workload()``'s
+#: plasma, one Baseline step
+_GRID = {"workload": "uniform", "n_cell": [8, 8, 8], "tile_size": [8, 8, 8],
+         "ppc": [8], "configurations": ["Baseline"], "steps": 1}
+
+
 def _run_session(observe, steps=4, **workload_overrides):
     """Run a small session; returns (fields, energy history, telemetry)."""
     workload = _workload(**workload_overrides)
@@ -549,29 +555,26 @@ class TestCheckpointCounters:
 # ----------------------------------------------------------------------
 
 class TestCampaignMetrics:
+    def _specs(self, observe=None):
+        from repro.analysis.campaign import expand_request
+
+        return expand_request(_GRID, observe=observe)
+
     def _campaign(self, cache=None, obs=NULL_TELEMETRY):
         from repro.analysis.campaign import Campaign
 
-        workload = _workload(max_steps=2,
-                             observe=ObsConfig(enabled=True))
-        return Campaign.from_grid([workload], ["Baseline"], steps=1,
-                                  cache=cache, obs=obs)
+        return Campaign(self._specs(ObsConfig(enabled=True)),
+                        cache=cache, obs=obs)
 
     def test_observe_does_not_split_cache_keys(self):
-        from repro.analysis.campaign import spec_for_workload
-
-        plain = spec_for_workload(_workload(), "Baseline", steps=1)
-        observed = spec_for_workload(
-            _workload(observe=ObsConfig(trace=True, health=True)),
-            "Baseline", steps=1)
+        (plain,) = self._specs()
+        (observed,) = self._specs(ObsConfig(trace=True, health=True))
         assert plain.cache_key() == observed.cache_key()
 
     def test_spec_round_trips_observe(self):
-        from repro.analysis.campaign import ExperimentSpec, \
-            spec_for_workload
+        from repro.analysis.campaign import ExperimentSpec
 
-        spec = spec_for_workload(
-            _workload(observe=ObsConfig(enabled=True)), "Baseline")
+        (spec,) = self._specs(ObsConfig(enabled=True))
         rebuilt = ExperimentSpec.from_dict(
             json.loads(json.dumps(spec.to_dict()))).build_workload()
         assert rebuilt.observe == ObsConfig(enabled=True)

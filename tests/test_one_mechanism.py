@@ -54,6 +54,10 @@ No buffer outlives the call that uses it: the field solve computes plain
 temporaries and a sharded deposit's task builds its own scratch grid, so
 ``repro.pic`` keeps no process-wide pool and no lock.
 
+An experiment is a grid request: ``analysis/campaign.py::expand_request``
+alone builds ``ExperimentSpec`` cells, and a spec holds nothing a grid
+request cannot set.
+
 A campaign cell has one durable record, its result-cache entry: a killed
 sweep resumes by re-running on the same cache, so the campaign keeps no
 progress file.  A served cell has the same one record: the job journal
@@ -74,6 +78,7 @@ from __future__ import annotations
 
 import ast
 import collections
+import dataclasses
 import inspect
 import os
 import re
@@ -82,12 +87,13 @@ import shutil
 import pytest
 
 from repro import cli, workloads
+from repro.analysis.campaign import ExperimentSpec
 from repro.ckpt import capture_state
 from repro.cli import build_parser
 from repro.config import ExecutionConfig
 from repro.pic.deposition import DepositionKernel
 from repro.pic.particles import ParticleContainer, ParticleTile
-from repro.pipeline import DepositStage, check_stage_set, global_stages
+from repro.pipeline import DepositStage, global_stages
 from repro.serve import expand_request
 
 from ast_helpers import (
@@ -99,6 +105,7 @@ from ast_helpers import (
     source_texts,
     source_trees,
 )
+from stage_effects import check_stage_set
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(SRC)), "bench")
 
@@ -724,16 +731,88 @@ def test_run_reads_its_execution_defaults_from_execution_config(
     assert (args.backend, args.shards) == ("threads", 3)
 
 
+#: the second grid schema (workload objects x configuration names) and
+#: its spec builder, retired: every experiment is a grid request
+RETIRED_GRID_NAMES = {"from_grid", "sweep_configurations",
+                      "spec_for_workload"}
+
+
+def grid_schema_findings(root):
+    """``path:line: what`` for every place under ``root`` that builds
+    experiments outside the one grid expansion: a retired grid entry
+    point defined, imported or called, an ``expand_request`` defined
+    outside ``analysis/campaign.py``, or an ``ExperimentSpec`` built
+    outside ``expand_request`` (``from_dict``'s ``cls(...)`` rebuilds
+    one, it describes none)."""
+    findings = []
+    for path, tree in source_trees(root):
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) \
+                    and node.name == "expand_request":
+                if path != "analysis/campaign.py":
+                    findings.append(f"{path}:{node.lineno}: "
+                                    "a second expand_request")
+                inside.update(id(child) for child in ast.walk(node))
+        for node in ast.walk(tree):
+            names = set()
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name.split(".")[-1]
+                             for alias in node.names)
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                names.add(name_of(node))
+            findings += [f"{path}:{node.lineno}: {name}"
+                         for name in sorted(names & RETIRED_GRID_NAMES)]
+            if isinstance(node, ast.Call) \
+                    and name_of(node.func) == "ExperimentSpec" \
+                    and id(node) not in inside:
+                findings.append(f"{path}:{node.lineno}: builds a spec "
+                                "outside expand_request")
+    return findings
+
+
 def test_a_grid_is_expanded_in_one_place():
-    # the CLI and the service hand their grid to expand_request; neither
-    # builds specs of its own nor carries a second expansion
-    trees = dict(source_trees())
-    for path, tree in trees.items():
-        if path == "cli.py" or path.startswith("serve/"):
-            assert not names_in(tree) & {"spec_for_workload", "from_grid"}, \
-                path
-            assert "expand_request" not in defined_names(tree), path
-    assert "expand_request" in defined_names(trees["analysis/campaign.py"])
+    # the CLI and the service hand their grid to expand_request, which
+    # alone builds specs; there is no second schema beside it
+    assert grid_schema_findings(SRC) == []
+    assert "expand_request" in defined_names(
+        dict(source_trees())["analysis/campaign.py"])
+    # a spec is what a grid request says, and nothing a grid request
+    # cannot set
+    assert [field.name for field in dataclasses.fields(ExperimentSpec)] \
+        == ["workload_kind", "workload_params", "configuration", "steps",
+            "warmup_steps", "scramble"]
+
+
+@pytest.mark.parametrize("path, statement, finding", [
+    ("analysis/campaign.py",
+     "def spec_for_workload(workload, configuration):\n    pass",
+     "spec_for_workload"),
+    ("analysis/runner.py",
+     "def sweep_configurations(workload, names):\n    pass",
+     "sweep_configurations"),
+    ("analysis/campaign.py",
+     "class Grid:\n    @classmethod\n    def from_grid(cls):\n        pass",
+     "from_grid"),
+    ("serve/queue.py",
+     "def expand_request(request):\n    return []",
+     "a second expand_request"),
+    ("cli.py",
+     "def cell(workload):\n"
+     "    return ExperimentSpec('uniform', {}, 'Baseline')",
+     "builds a spec outside expand_request"),
+])
+def test_a_planted_second_grid_schema_fails_the_guard(tmp_path, path,
+                                                      statement, finding):
+    root = tmp_path / "repro"
+    shutil.copytree(SRC, root, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(root / path, "a", encoding="utf-8") as stream:
+        stream.write(f"\n\n{statement}\n")
+    found = grid_schema_findings(str(root))
+    assert [item.split(":")[0] for item in found] == [path], found
+    assert found[0].endswith(finding), found
 
 
 def test_grid_enumerations_are_not_restated_beside_the_schema():

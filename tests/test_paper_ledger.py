@@ -27,15 +27,14 @@ from typing import Callable, Dict, NamedTuple, Tuple
 
 import pytest
 
+from repro.analysis.campaign import expand_request, run_spec
 from repro.analysis.metrics import crossover_ppc
-from repro.analysis.runner import sweep_configurations
 from repro.baselines.configs import (
     ABLATION_CONFIGS,
     CIC_COMPARISON_CONFIGS,
     QSP_COMPARISON_CONFIGS,
 )
 from repro.hardware.cost_model import CostModel
-from repro.workloads import workload_for_family
 
 from efficiency_oracles import GPUDepositionModel, peak_efficiency
 
@@ -80,13 +79,15 @@ Cells = Dict[Tuple[str, int, int], Dict[str, object]]
 def cells() -> Cells:
     out = {}
     for (family, order, ppc), configurations in GRID.items():
-        workload = workload_for_family(
-            family, ppc=ppc, max_steps=STEPS,
-            shape_order=order if family == "uniform" else None)
-        # Fig. 9 runs the LWFA plasma in its loaded order, like the paper
-        out[family, order, ppc] = sweep_configurations(
-            workload, dict.fromkeys(configurations), steps=STEPS,
-            scramble=family == "uniform", cache=None, jobs=1)
+        request = {"workload": family, "ppc": [ppc], "steps": STEPS,
+                   "configurations": list(dict.fromkeys(configurations)),
+                   # Fig. 9 runs the LWFA plasma in its loaded order,
+                   # like the paper
+                   "scramble": family == "uniform"}
+        if family == "uniform":
+            request["shape_order"] = order
+        out[family, order, ppc] = {spec.configuration: run_spec(spec)
+                                   for spec in expand_request(request)}
     return out
 
 

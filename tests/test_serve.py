@@ -1,6 +1,7 @@
 """Tests for repro.serve: SSE, tenants, dedup, queue, service, HTTP."""
 
 import asyncio
+import dataclasses
 import json
 import os
 import signal
@@ -12,7 +13,7 @@ from urllib.request import Request, urlopen
 import pytest
 
 from repro.analysis.cache import canonical_json
-from repro.analysis.campaign import Campaign, spec_for_workload
+from repro.analysis.campaign import Campaign, ExperimentSpec
 from repro.ckpt.faults import (
     SPEC_KILL_MARKER_ENV,
     BrokenPoolOnce,
@@ -183,7 +184,9 @@ class TestExpandRequest:
         workload = UniformPlasmaWorkload(
             n_cell=(4, 4, 4), tile_size=(4, 4, 4), ppc=1, max_steps=1)
         expected = [
-            spec_for_workload(workload, name, steps=1)
+            ExperimentSpec(workload_kind="uniform",
+                           workload_params=dataclasses.asdict(workload),
+                           configuration=name, steps=1)
             for name in GRID["configurations"]
         ]
         assert [s.cache_key() for s in specs] \

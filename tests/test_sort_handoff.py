@@ -24,11 +24,11 @@ from repro.core import incremental_sort
 from repro.core.counting_sort import counting_sort_permutation
 from repro.core.incremental_sort import IncrementalSorter
 from repro.pipeline.builder import global_stages
-from repro.pipeline.effects import conflicts, declared_effects
 from repro.pic.pusher import BorisPusher
 from repro.workloads.uniform import UniformPlasmaWorkload
 
 from helpers import tiled_plasma
+from stage_effects import conflicts, declared_effects
 
 #: what the handoff is valid for: the storage order and the positions
 #: of the regroup, and the grid geometry its cell ids were taken on

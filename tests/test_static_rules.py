@@ -24,7 +24,7 @@ module that needs an exception is a test oracle, and lives under
     effect sets (AST-checked against every attribute its ``run`` body
     touches on the session it is handed), and the stage list passes the
     write-after-read hazard check
-    :func:`repro.pipeline.effects.check_stage_set`.
+    :func:`check_stage_set` of ``tests/stage_effects.py``.
 
 ``spec-purity``
     :class:`repro.analysis.campaign.ExperimentSpec` and every workload
@@ -52,10 +52,10 @@ import pytest
 
 from repro.analysis.campaign import ExperimentSpec
 from repro.pipeline import builder
-from repro.pipeline.effects import check_stage_set, conflicts, declared_effects
 from repro.workloads import FAMILIES
 
 from ast_helpers import SRC, numpy_aliases, numpy_path, source_trees
+from stage_effects import check_stage_set, conflicts, declared_effects
 
 REPO_ROOT = os.path.dirname(os.path.dirname(SRC))
 
@@ -164,7 +164,7 @@ def run_body_context_roots(run_method):
     method's parameter: a stage is handed the :class:`~repro.api.Session`
     and nothing else, so these first-level attributes are everything it
     can reach, and each must be the root of a declared
-    :data:`~repro.pipeline.effects.RESOURCES` name.
+    ``RESOURCES`` name of ``tests/stage_effects.py``.
     """
     tree = ast.parse(textwrap.dedent(inspect.getsource(run_method)))
     func = next(node for node in ast.walk(tree)
