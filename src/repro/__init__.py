@@ -20,8 +20,9 @@ Matrix Outer-product for High-Performance Particle-in-Cell Simulations*
 ``repro.core``
     The paper's contribution: the rhocell accumulator, the Gapped Packed
     Memory Array (GPMA), the incremental particle sorter, the adaptive
-    global resorting policy, the MPU outer-product deposition as stacked
-    block products and the hybrid VPU-MPU kernel.
+    global resorting policy (fixed at the paper's Appendix-A values), the
+    MPU outer-product deposition as stacked block products and the hybrid
+    VPU-MPU kernel.
 
 ``repro.baselines``
     The ablation and comparison configurations of the evaluation section.
@@ -53,7 +54,6 @@ from repro.config import (
     ExecutionConfig,
     GridConfig,
     SimulationConfig,
-    SortingPolicyConfig,
     SpeciesConfig,
 )
 from repro.exec import create_executor
@@ -65,7 +65,6 @@ __all__ = [
     "ExecutionConfig",
     "GridConfig",
     "SimulationConfig",
-    "SortingPolicyConfig",
     "SpeciesConfig",
     "Session",
     "StepPipeline",

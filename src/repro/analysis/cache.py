@@ -120,7 +120,8 @@ class ResultCache:
     """Content-addressed JSON store under ``cache_dir``."""
 
     cache_dir: str
-    stats: CacheStats = field(default_factory=CacheStats)
+    #: hit/miss/eviction counters of this handle (state, not an option)
+    stats: CacheStats = field(default_factory=CacheStats, init=False)
 
     def path_for(self, key: str) -> str:
         """Absolute path of the entry for ``key``."""

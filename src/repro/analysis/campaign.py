@@ -132,7 +132,7 @@ class ExperimentSpec:
     workload_kind: str
     workload_params: Mapping
     configuration: str
-    steps: Optional[int] = None
+    steps: int
     warmup_steps: int = 1
     scramble: bool = True
 
@@ -153,8 +153,7 @@ class ExperimentSpec:
             workload_kind=str(payload["workload_kind"]),
             workload_params=dict(payload["workload_params"]),
             configuration=str(payload["configuration"]),
-            steps=(None if payload.get("steps") is None
-                   else int(payload["steps"])),
+            steps=int(payload["steps"]),
             warmup_steps=int(payload.get("warmup_steps", 1)),
             scramble=bool(payload.get("scramble", True)),
         )
@@ -170,11 +169,6 @@ class ExperimentSpec:
         """
         payload = self.to_dict()
         params = dict(payload["workload_params"])
-        if payload["steps"] is not None:
-            # the workload's max_steps only serves as the default run
-            # length; with an explicit step count it is inert, so drop it
-            # from the key
-            params.pop("max_steps", None)
         # observability is inert to results (a traced run is bitwise
         # identical to an untraced one), so it never splits cache keys
         params.pop("observe", None)

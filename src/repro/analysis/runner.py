@@ -12,7 +12,6 @@ are grid requests run by :class:`repro.analysis.campaign.Campaign`.
 from __future__ import annotations
 
 import time
-from typing import Optional
 
 from repro.analysis.metrics import ExperimentResult
 from repro.api import Session
@@ -21,7 +20,7 @@ from repro.hardware.counters import KernelCounters
 
 
 def run_deposition_experiment(workload, configuration: str, *,
-                              steps: Optional[int] = None,
+                              steps: int,
                               scramble: bool = True,
                               warmup_steps: int = 1) -> ExperimentResult:
     """Run one configuration on one workload and collect its kernel timing.
@@ -30,13 +29,13 @@ def run_deposition_experiment(workload, configuration: str, *,
     ----------
     workload:
         A workload builder exposing ``build_session`` and the attributes
-        ``ppc``, ``shape_order`` and ``max_steps`` (both
+        ``ppc`` and ``shape_order`` (both
         :class:`~repro.workloads.uniform.UniformPlasmaWorkload` and
         :class:`~repro.workloads.lwfa.LWFAWorkload` qualify).
     configuration:
         A name accepted by :func:`repro.baselines.configs.make_strategy`.
     steps:
-        Steps to measure (defaults to the workload's ``max_steps``).
+        Steps to measure.
     scramble:
         Scramble the initial particle order when the workload supports it,
         so no-sort configurations see the unordered layout the paper's
@@ -64,9 +63,8 @@ def run_deposition_experiment(workload, configuration: str, *,
         if session.telemetry.enabled:
             session.telemetry.reset()
 
-        n_steps = workload.max_steps if steps is None else steps
         start = time.perf_counter()
-        for _ in session.run(n_steps):
+        for _ in session.run(steps):
             pass
         wall = time.perf_counter() - start
 
@@ -77,7 +75,7 @@ def run_deposition_experiment(workload, configuration: str, *,
         ppc=getattr(workload, "ppc", 0),
         shape_order=shape_order,
         num_particles=session.num_particles,
-        steps=n_steps,
+        steps=steps,
         timing=timing,
         wall_seconds=wall,
         # the coarse stage buckets (breakdown.seconds) — NOT the

@@ -170,8 +170,7 @@ class Session:
             self.pipeline.add_post_hook(tracing)
             self.pipeline.add_step_hook(tracing.on_step)
             if config.observe.health:
-                self.pipeline.add_step_hook(
-                    HealthHook(config.observe, self.telemetry))
+                self.pipeline.add_step_hook(HealthHook(self.telemetry))
 
     @classmethod
     def from_workload(cls, workload, *,

@@ -25,9 +25,8 @@ iterate them in the paper's order.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Type
+from typing import Tuple, Type
 
-from repro.config import SortingPolicyConfig
 from repro.core.framework import (
     MatrixPICDeposition,
     SORT_GLOBAL_EVERY_STEP,
@@ -69,18 +68,18 @@ QSP_COMPARISON_CONFIGS: Tuple[str, ...] = (
 #: every configuration: name -> (kernel class, kernel arguments, sorting
 #: mode), in the order :func:`available_configurations` lists them
 _CONFIGURATIONS = {
-    "Baseline": (BaselineDeposition, {}, SORT_NONE),
-    "Baseline+IncrSort": (BaselineDeposition, {}, SORT_INCREMENTAL),
-    "Rhocell": (RhocellDeposition, {"hand_tuned": False}, SORT_NONE),
-    "Rhocell+IncrSort": (RhocellDeposition, {"hand_tuned": False},
+    "Baseline": (BaselineDeposition, dict(), SORT_NONE),
+    "Baseline+IncrSort": (BaselineDeposition, dict(), SORT_INCREMENTAL),
+    "Rhocell": (RhocellDeposition, dict(hand_tuned=False), SORT_NONE),
+    "Rhocell+IncrSort": (RhocellDeposition, dict(hand_tuned=False),
                          SORT_INCREMENTAL),
-    "Rhocell+IncrSort (VPU)": (RhocellDeposition, {"hand_tuned": True},
+    "Rhocell+IncrSort (VPU)": (RhocellDeposition, dict(hand_tuned=True),
                                SORT_INCREMENTAL),
-    "Matrix-only": (HybridMPUDeposition, {"mode": "matrix_only"}, SORT_NONE),
-    "Hybrid-noSort": (HybridMPUDeposition, {"mode": "hybrid"}, SORT_NONE),
-    "Hybrid-GlobalSort": (HybridMPUDeposition, {"mode": "hybrid"},
+    "Matrix-only": (HybridMPUDeposition, dict(mode="matrix_only"), SORT_NONE),
+    "Hybrid-noSort": (HybridMPUDeposition, dict(mode="hybrid"), SORT_NONE),
+    "Hybrid-GlobalSort": (HybridMPUDeposition, dict(mode="hybrid"),
                           SORT_GLOBAL_EVERY_STEP),
-    "MatrixPIC (FullOpt)": (HybridMPUDeposition, {"mode": "hybrid"},
+    "MatrixPIC (FullOpt)": (HybridMPUDeposition, dict(mode="hybrid"),
                             SORT_INCREMENTAL),
 }
 
@@ -96,23 +95,14 @@ def configuration_kernel(name: str) -> Type[DepositionKernel]:
     return _CONFIGURATIONS[name][0]
 
 
-def make_strategy(name: str,
-                  sorting_config: Optional[SortingPolicyConfig] = None
-                  ) -> MatrixPICDeposition:
-    """Build the named deposition strategy.
-
-    Parameters
-    ----------
-    name:
-        One of :func:`available_configurations`.
-    sorting_config:
-        Adaptive sorting-policy parameters (Appendix A defaults when None).
-    """
+def make_strategy(name: str) -> MatrixPICDeposition:
+    """Build the named deposition strategy (one of
+    :func:`available_configurations`); its adaptive sorting policy is
+    the paper's Appendix-A one (:mod:`repro.core.sort_policy`)."""
     if name not in _CONFIGURATIONS:
         raise ValueError(
             f"unknown configuration {name!r}; expected one of "
             f"{available_configurations()}")
     kernel, kernel_args, sort_mode = _CONFIGURATIONS[name]
     return MatrixPICDeposition(
-        kernel=kernel(**kernel_args), sort_mode=sort_mode,
-        sorting_config=sorting_config, name=name)
+        kernel=kernel(**kernel_args), sort_mode=sort_mode, name=name)

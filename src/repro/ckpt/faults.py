@@ -30,7 +30,7 @@ import concurrent.futures
 import os
 import signal
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict
 
 from repro.obs.registry import NULL_TELEMETRY, Telemetry
 
@@ -119,27 +119,26 @@ def killing_spec_executor(spec_payload: Dict[str, Any]) -> Dict[str, Any]:
     return run_spec(ExperimentSpec.from_dict(spec_payload)).to_json()
 
 
-def truncate_file(path: str, nbytes: Optional[int] = None) -> int:
-    """Simulate a torn write: keep only the first ``nbytes`` of ``path``.
+def truncate_file(path: str) -> int:
+    """Simulate a torn write: keep only the first half of ``path``.
 
-    Defaults to half the file.  Returns the new size.
+    Returns the new size.
     """
-    size = os.path.getsize(path)
-    keep = size // 2 if nbytes is None else min(int(nbytes), size)
+    keep = os.path.getsize(path) // 2
     with open(path, "rb+") as fh:
         fh.truncate(keep)
     return keep
 
 
-def flip_byte(path: str, offset: Optional[int] = None) -> int:
-    """XOR one byte of ``path`` (default: the middle byte) in place.
+def flip_byte(path: str) -> int:
+    """XOR the middle byte of ``path`` in place.
 
     Returns the offset that was corrupted.
     """
     size = os.path.getsize(path)
     if size == 0:
         raise ValueError(f"{path} is empty; nothing to corrupt")
-    position = size // 2 if offset is None else int(offset)
+    position = size // 2
     with open(path, "rb+") as fh:
         fh.seek(position)
         original = fh.read(1)

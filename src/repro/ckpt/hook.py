@@ -15,11 +15,10 @@ none of it.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, List
 
 from repro.ckpt.session import save_simulation
-from repro.ckpt.store import list_snapshots, snapshot_path
+from repro.ckpt.store import snapshot_path
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api import Session
@@ -31,9 +30,8 @@ class CheckpointHook:
     """Step hook writing a snapshot every ``every`` completed steps.
 
     Attach with ``pipeline.add_step_hook(hook)``; detach with
-    ``pipeline.remove_hook(hook)``.  ``keep`` bounds the directory to
-    the newest ``keep`` snapshots (older ones are pruned best-effort
-    after each write); ``None`` keeps everything.
+    ``pipeline.remove_hook(hook)``.  Every snapshot is kept: the hook
+    deletes no file.
     """
 
     name = "checkpoint"
@@ -48,15 +46,11 @@ class CheckpointHook:
     })
     writes = frozenset({"telemetry"})
 
-    def __init__(self, directory: str, every: int = 1,
-                 keep: "int | None" = None) -> None:
+    def __init__(self, directory: str, every: int = 1) -> None:
         if every < 1:
             raise ValueError(f"every must be >= 1, got {every}")
-        if keep is not None and keep < 1:
-            raise ValueError(f"keep must be >= 1 or None, got {keep}")
         self.directory = str(directory)
         self.every = int(every)
-        self.keep = keep
         #: paths written by this hook, oldest first (diagnostics/tests)
         self.saved: List[str] = []
 
@@ -66,16 +60,6 @@ class CheckpointHook:
         path = snapshot_path(self.directory, session.step_index)
         save_simulation(session, path)
         self.saved.append(path)
-        if self.keep is not None:
-            self._prune()
-
-    def _prune(self) -> None:
-        snapshots = list_snapshots(self.directory)
-        for _step, path in snapshots[:-self.keep]:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"CheckpointHook(directory={self.directory!r}, "

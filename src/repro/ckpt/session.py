@@ -7,6 +7,14 @@ is bitwise identical — fields, currents, particles, energy history — to
 a run of ``k`` steps + :func:`save_simulation` + :func:`restore_simulation`
 into a fresh session + ``N - k`` more steps.
 
+Known limit: a snapshot holds no sort state (a tile's GPMA and cell
+order, the policy's rank statistics).  A restored tile under an
+incremental-sort configuration is counting-sorted and permuted on its
+first deposit, where the uninterrupted run follows its GPMA order, so a
+run whose sorted tile keeps its population across the save point does
+not resume bit for bit; tiles that change every step are re-sorted by
+the migration regroup either way and do.
+
 What a snapshot holds
 ---------------------
 * the 10 dense field components plus the grid origin (``lo``/``hi``

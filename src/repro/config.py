@@ -2,8 +2,10 @@
 
 The configuration mirrors the WarpX input parameters listed in Appendix A,
 Table 4 of the paper (``amr.n_cell``, ``particles.tile_size``,
-``algo.particle_shape``, the ``warpx.sort_*`` family, ...), expressed as
-plain dataclasses so that workloads and tests can build them directly.
+``algo.particle_shape``, ...), expressed as plain dataclasses so that
+workloads and tests can build them directly.  The ``warpx.sort_*``
+family is not configurable: the paper's evaluation fixes it at its
+Appendix-A values, which are the constants of :mod:`repro.core.sort_policy`.
 """
 
 from __future__ import annotations
@@ -122,41 +124,6 @@ class SpeciesConfig:
 
 
 @dataclass(frozen=True)
-class SortingPolicyConfig:
-    """Adaptive global re-sorting policy (paper §4.4 and Appendix A).
-
-    The attribute names follow the ``warpx.sort_*`` runtime parameters of
-    the paper's artifact, dropping the ``m_`` prefix used in the text.
-    """
-
-    sort_interval: int = 50
-    min_sort_interval: int = 10
-    sort_trigger_rebuild_count: int = 100
-    sort_trigger_empty_ratio: float = 0.15
-    sort_trigger_full_ratio: float = 0.85
-    sort_trigger_perf_enable: bool = True
-    sort_trigger_perf_degrad: float = 0.80
-    gap_fraction: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.min_sort_interval < 0 or self.sort_interval <= 0:
-            raise ValueError("sort intervals must be positive")
-        if self.min_sort_interval > self.sort_interval:
-            raise ValueError(
-                "min_sort_interval must not exceed sort_interval "
-                f"({self.min_sort_interval} > {self.sort_interval})"
-            )
-        if not 0.0 <= self.sort_trigger_empty_ratio <= 1.0:
-            raise ValueError("sort_trigger_empty_ratio must lie in [0, 1]")
-        if not 0.0 <= self.sort_trigger_full_ratio <= 1.0:
-            raise ValueError("sort_trigger_full_ratio must lie in [0, 1]")
-        if not 0.0 < self.sort_trigger_perf_degrad <= 1.0:
-            raise ValueError("sort_trigger_perf_degrad must lie in (0, 1]")
-        if not 0.0 <= self.gap_fraction < 1.0:
-            raise ValueError("gap_fraction must lie in [0, 1)")
-
-
-@dataclass(frozen=True)
 class LaserConfig:
     """Gaussian laser pulse injected by an antenna (LWFA workload)."""
 
@@ -164,7 +131,6 @@ class LaserConfig:
     a0: float = 4.0
     waist: float = 5.0e-6
     duration: float = 15.0e-15
-    focal_position: float = 0.0
     injection_position: float = 0.0
     polarization: str = "x"
 

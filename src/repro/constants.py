@@ -21,20 +21,12 @@ M_PROTON = 1.672_621_923_69e-27  #: proton mass [kg]
 K_BOLTZMANN = 1.380_649e-23  #: Boltzmann constant [J/K]
 
 
-def plasma_frequency(density: float, charge: float = Q_ELECTRON,
-                     mass: float = M_ELECTRON) -> float:
-    """Angular plasma frequency ``omega_p`` for a species [rad/s].
-
-    Parameters
-    ----------
-    density:
-        Number density in particles per cubic metre.
-    charge, mass:
-        Species charge [C] and mass [kg]; defaults are the electron values.
-    """
+def plasma_frequency(density: float) -> float:
+    """Electron angular plasma frequency ``omega_p`` [rad/s] at a number
+    density in particles per cubic metre."""
     if density < 0.0:
         raise ValueError(f"density must be non-negative, got {density}")
-    return math.sqrt(density * charge**2 / (mass * EPSILON_0))
+    return math.sqrt(density * Q_ELECTRON**2 / (M_ELECTRON * EPSILON_0))
 
 
 def plasma_wavelength(density: float) -> float:
@@ -61,9 +53,10 @@ def laser_a0_to_field(a0: float, wavelength: float) -> float:
     return a0 * M_ELECTRON * C_LIGHT * omega / Q_PROTON
 
 
-def thermal_velocity(temperature_ev: float, mass: float = M_ELECTRON) -> float:
-    """Thermal velocity [m/s] for a temperature given in electron-volts."""
+def thermal_velocity(temperature_ev: float) -> float:
+    """Electron thermal velocity [m/s] for a temperature given in
+    electron-volts."""
     if temperature_ev < 0.0:
         raise ValueError(f"temperature must be non-negative, got {temperature_ev}")
     joules = temperature_ev * Q_PROTON
-    return math.sqrt(joules / mass)
+    return math.sqrt(joules / M_ELECTRON)

@@ -15,9 +15,10 @@ every step, incremental + adaptive global sort).
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
-from repro.config import SortingPolicyConfig
+from repro.core.gpma import GAP_FRACTION
 from repro.core.hybrid_kernel import HybridMPUDeposition
 from repro.core.incremental_sort import IncrementalSorter, StepSortStats
 from repro.core.sort_policy import GlobalSortPolicy, RankSortStats
@@ -80,20 +81,17 @@ class MatrixPICDeposition:
 
     def __init__(self, kernel: Optional[DepositionKernel] = None,
                  sort_mode: str = SORT_INCREMENTAL,
-                 sorting_config: Optional[SortingPolicyConfig] = None,
-                 cost_model: Optional[CostModel] = None,
                  name: Optional[str] = None):
         if sort_mode not in _SORT_MODES:
             raise ValueError(f"sort_mode must be one of {_SORT_MODES}")
         self.kernel = kernel if kernel is not None else HybridMPUDeposition()
         self.sort_mode = sort_mode
-        self.sorting_config = (sorting_config if sorting_config is not None
-                               else SortingPolicyConfig())
-        self.cost_model = cost_model if cost_model is not None else CostModel()
+        #: the modelled clock the adaptive policy's throughput trigger reads
+        self.cost_model = CostModel()
         self.name = name if name is not None else self.kernel.name
 
-        self.sorter = IncrementalSorter(self.sorting_config)
-        self.policy = GlobalSortPolicy(self.sorting_config)
+        self.sorter = IncrementalSorter()
+        self.policy = GlobalSortPolicy()
         self.rank_stats = RankSortStats()
         #: number of adaptive global sorts performed so far
         self.global_sorts_performed = 0
@@ -134,7 +132,6 @@ class MatrixPICDeposition:
         throughput = self.cost_model.throughput(timing, container.num_particles)
         self.rank_stats.record_step(
             rebuilds=step_stats.local_rebuilds,
-            moved=step_stats.moved_particles,
             total_slots=step_stats.total_slots,
             empty_slots=step_stats.empty_slots,
             throughput=throughput,
@@ -147,7 +144,8 @@ class MatrixPICDeposition:
             self.global_sorts_performed += 1
             self.rank_stats.reset()
 
-    # ------------------------------------------------------------------
-    def timing(self, counters: KernelCounters):
-        """Convenience: convert counters with this strategy's cost model."""
-        return self.cost_model.timing(counters)
+    @property
+    def sorting_config(self) -> SimpleNamespace:
+        """The sorter's GPMA ``gap_fraction``: the one field left of the
+        retired sorting-policy config, kept while ``bench/`` reads it."""
+        return SimpleNamespace(gap_fraction=GAP_FRACTION)

@@ -42,6 +42,11 @@ import numpy as np
 from repro.config import INVALID_PARTICLE_ID
 from repro.pic.blocks import stable_order_by_bin
 
+#: gaps a build gives each bin, as a share of its population (Appendix A)
+GAP_FRACTION = 0.25
+#: gaps a build gives each bin at least: an empty bin takes one arrival
+MIN_GAP_SLOTS = 1
+
 
 @dataclass
 class GPMAUpdateStats:
@@ -62,33 +67,16 @@ class GPMAUpdateStats:
         self.rebuild_elements += other.rebuild_elements
 
 
-def empty_ratio(empty_slots: int, capacity: int) -> float:
-    """Fraction of ``capacity`` slots that are gaps (0 for no slots)."""
-    if capacity == 0:
-        return 0.0
-    return empty_slots / capacity
-
-
-def reserve_exhausted(empty_slots: int, capacity: int, num_particles: int,
-                      threshold: float) -> bool:
-    """The optional local-rebuild trigger: a structure holding particles
-    whose gap reserve fell below ``threshold`` of its slots."""
-    return empty_ratio(empty_slots, capacity) < threshold \
-        and num_particles > 0
-
-
 class GappedPMA:
     """Cell-sorted particle-index array with gaps for O(1) updates."""
 
-    def __init__(self, num_bins: int, gap_fraction: float = 0.25,
-                 min_gap_slots: int = 1):
+    def __init__(self, num_bins: int, gap_fraction: float = GAP_FRACTION):
         if num_bins <= 0:
             raise ValueError("num_bins must be positive")
         if not 0.0 <= gap_fraction < 1.0:
             raise ValueError("gap_fraction must lie in [0, 1)")
         self.num_bins = num_bins
         self.gap_fraction = gap_fraction
-        self.min_gap_slots = max(int(min_gap_slots), 0)
 
         self.local_index = np.empty(0, dtype=np.int64)
         self.bin_offsets = np.zeros(num_bins + 1, dtype=np.int64)
@@ -111,7 +99,7 @@ class GappedPMA:
 
         ``particle_bins[i]`` is the bin (tile-local cell id) of particle
         ``i``.  Gaps of ``gap_fraction`` of each bin's population (at least
-        ``min_gap_slots``) are appended to every bin region.  Particles
+        :data:`MIN_GAP_SLOTS`) are appended to every bin region.  Particles
         keep their index order within a bin (``slot = bin_offsets[bin] +
         rank within bin``).
         """
@@ -156,10 +144,10 @@ class GappedPMA:
         per bin: the one capacity formula.
 
         Each bin's population plus ``gap_fraction`` of it as gaps, at
-        least ``min_gap_slots``.
+        least :data:`MIN_GAP_SLOTS`.
         """
         gaps = np.maximum(np.ceil(counts * self.gap_fraction).astype(np.int64),
-                          self.min_gap_slots)
+                          MIN_GAP_SLOTS)
         return counts + gaps
 
     def _rank_within_bin(self, bins: np.ndarray
@@ -188,8 +176,9 @@ class GappedPMA:
 
     @property
     def empty_ratio(self) -> float:
-        """Fraction of slots that are gaps."""
-        return empty_ratio(self.num_empty_slots, self.capacity)
+        """Fraction of slots that are gaps (0 for no slots)."""
+        capacity = self.capacity
+        return self.num_empty_slots / capacity if capacity else 0.0
 
     @property
     def fill_ratio(self) -> float:
@@ -389,17 +378,17 @@ class GappedPMA:
         return stats
 
     # ------------------------------------------------------------------
-    def needs_rebuild(self, empty_ratio_threshold: float = 0.02,
-                      overflow_limit: int = 0) -> bool:
+    def needs_rebuild(self, empty_ratio_threshold: float = 0.02) -> bool:
         """Whether the structure requires a local rebuild (paper triggers).
 
         A rebuild is mandatory when overflow particles exist, or optional
-        when the gap reserve dropped below ``empty_ratio_threshold``.
+        when a structure holding particles has a gap reserve below
+        ``empty_ratio_threshold`` of its slots.
         """
-        if len(self.overflow) > overflow_limit:
+        if self.overflow:
             return True
-        return reserve_exhausted(self.num_empty_slots, self.capacity,
-                                 self.num_particles, empty_ratio_threshold)
+        return self.empty_ratio < empty_ratio_threshold \
+            and self.num_particles > 0
 
     def reset_step_flags(self) -> None:
         """Clear the per-step rebuild flag (called once per timestep)."""

@@ -53,9 +53,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.config import SortingPolicyConfig
 from repro.core.counting_sort import counting_sort_permutation, counting_sort_work
-from repro.core.gpma import GappedPMA, GPMAUpdateStats, reserve_exhausted
+from repro.core.gpma import GappedPMA, GPMAUpdateStats
 from repro.hardware.counters import KernelCounters
 from repro.pic.grid import Grid
 from repro.pic.particles import ParticleTile
@@ -82,8 +81,6 @@ class TileSortState:
         self.assigned_bins = assigned_bins
         self._gpma = gpma
         self._built = False
-        #: local rebuilds counted before the structure was built
-        self._rebuilds = 0
         #: slots of the structure built from the sorted bins
         self.fresh_capacity = int(gpma.region_sizes(
             np.bincount(assigned_bins, minlength=gpma.num_bins)).sum())
@@ -98,7 +95,8 @@ class TileSortState:
         """The tile's GPMA, built from the sorted bins on first use."""
         if not self._built:
             self._gpma.build(self.assigned_bins)
-            self._gpma.rebuild_count = self._rebuilds
+            # the deferred build is the global sort's, not a local rebuild
+            self._gpma.rebuild_count = 0
             self._built = True
         return self._gpma
 
@@ -108,29 +106,12 @@ class TileSortState:
             return self._gpma.iteration_order()
         return np.arange(self.num_particles, dtype=np.int64)
 
-    def count_reserve_rebuild(self, threshold: float) -> GPMAUpdateStats:
-        """The local rebuild a freshly built structure triggers when its
-        gap reserve is below ``threshold`` (a small ``gap_fraction``).
-
-        A rebuild from the same bins makes the same structure, so it is
-        counted (and returned for the caller to charge), not run.
-        """
-        empty = self.fresh_capacity - self.num_particles
-        if not reserve_exhausted(empty, self.fresh_capacity,
-                                 self.num_particles, threshold):
-            return GPMAUpdateStats()
-        self._rebuilds += 1
-        return GPMAUpdateStats(rebuilds=1,
-                               rebuild_elements=self.fresh_capacity)
-
 
 @dataclass
 class StepSortStats:
     """Per-step sorting statistics of one tile (or one rank when merged)."""
 
     moved_particles: int = 0
-    pending_inserts: int = 0
-    borrow_shifts: int = 0
     local_rebuilds: int = 0
     global_sorts: int = 0
     total_slots: int = 0
@@ -139,8 +120,6 @@ class StepSortStats:
     def merge(self, other: "StepSortStats") -> None:
         """Accumulate another tile's statistics."""
         self.moved_particles += other.moved_particles
-        self.pending_inserts += other.pending_inserts
-        self.borrow_shifts += other.borrow_shifts
         self.local_rebuilds += other.local_rebuilds
         self.global_sorts += other.global_sorts
         self.total_slots += other.total_slots
@@ -149,9 +128,6 @@ class StepSortStats:
 
 class IncrementalSorter:
     """Maintains cell-sorted particle order with O(1) amortised updates."""
-
-    def __init__(self, config: Optional[SortingPolicyConfig] = None):
-        self.config = config if config is not None else SortingPolicyConfig()
 
     # ------------------------------------------------------------------
     # global (per-tile) sort
@@ -179,8 +155,7 @@ class IncrementalSorter:
                 order, _ = counting_sort_permutation(cell_ids, num_cells)
                 tile.permute(order)
                 bins = cell_ids[order]
-        state = TileSortState(bins, GappedPMA(
-            num_cells, gap_fraction=self.config.gap_fraction))
+        state = TileSortState(bins, GappedPMA(num_cells))
         tile.sorter = state
         tile.keeps_cell_order = True
 
@@ -227,9 +202,11 @@ class IncrementalSorter:
         state = self.ensure_tile_state(grid, tile, counters, stats)
         if stats.global_sorts:
             # sorted a moment ago: this step's cells are on record and
-            # nothing moved; only the reserve trigger is left to count
+            # nothing moved; a fresh structure is at least a fifth gaps
+            # (GAP_FRACTION of each bin's population), far above the
+            # reserve trigger, so there is nothing to rebuild either
             moved = 0
-            update = state.count_reserve_rebuild(REBUILD_EMPTY_RATIO)
+            update = GPMAUpdateStats()
             stats.total_slots = state.fresh_capacity
             stats.empty_slots = state.fresh_capacity - n
         else:
@@ -249,8 +226,6 @@ class IncrementalSorter:
 
         stats.moved_particles = moved
         stats.local_rebuilds = update.rebuilds
-        stats.pending_inserts = update.insertions
-        stats.borrow_shifts = update.borrow_shifts
         if counters is not None:
             self._charge_incremental_work(counters, n, update, moved)
         return stats

@@ -4,29 +4,40 @@ The policy decides, once per timestep and per rank, whether to run the
 expensive ``GlobalSortParticlesByCell`` counting sort.  Five prioritised
 triggers are evaluated against the accumulated :class:`RankSortStats`:
 
-1. **Minimum interval** — never sort more often than ``min_sort_interval``.
-2. **Fixed interval** — always sort after ``sort_interval`` steps.
+1. **Minimum interval** — never sort more often than ``MIN_SORT_INTERVAL``.
+2. **Fixed interval** — always sort after ``SORT_INTERVAL`` steps.
 3. **Local rebuilds** — sort when the tiles' GPMA rebuilds accumulated past
-   ``sort_trigger_rebuild_count``.
+   ``SORT_TRIGGER_REBUILD_COUNT``.
 4. **Slot ratio** — sort when the rank-wide gap reserve falls below
-   ``sort_trigger_empty_ratio`` (the structure is nearly full and local
+   ``SORT_TRIGGER_EMPTY_RATIO`` (the structure is nearly full and local
    rebuilds are imminent, trigger name ``empty_ratio``) or the gap
-   fraction *exceeds* ``sort_trigger_full_ratio`` (the structure became
+   fraction *exceeds* ``SORT_TRIGGER_FULL_RATIO`` (the structure became
    sparse and cache-unfriendly, trigger name ``sparse_ratio``).  Both
    triggers compare the *empty* fraction (:attr:`RankSortStats.empty_ratio`,
    the complement of :attr:`RankSortStats.fill_ratio`) against its bound
    with a strict inequality.
-5. **Performance degradation** (optional) — sort when the deposition
-   throughput falls below ``sort_trigger_perf_degrad`` of the post-sort
-   baseline.
+5. **Performance degradation** — sort when the deposition throughput
+   falls below ``SORT_TRIGGER_PERF_DEGRAD`` of the post-sort baseline.
+
+The thresholds are the paper's Appendix-A values, module constants named
+after the ``warpx.sort_*`` runtime parameters of its artifact.  They are
+not configurable: a test that needs another threshold patches the
+constant, which :meth:`GlobalSortPolicy.should_sort` reads on every
+call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.config import SortingPolicyConfig
+# the triggers' thresholds, as listed above
+SORT_INTERVAL = 50
+MIN_SORT_INTERVAL = 10
+SORT_TRIGGER_REBUILD_COUNT = 100
+SORT_TRIGGER_EMPTY_RATIO = 0.15
+SORT_TRIGGER_FULL_RATIO = 0.85
+SORT_TRIGGER_PERF_DEGRAD = 0.80
 
 
 @dataclass
@@ -35,14 +46,12 @@ class RankSortStats:
 
     steps_since_sort: int = 0
     local_rebuilds: int = 0
-    moved_particles: int = 0
     total_slots: int = 0
     empty_slots: int = 0
     #: deposition throughput (particles per modelled second) of recent steps
     last_throughput: float = 0.0
     #: throughput measured right after the previous global sort
     baseline_throughput: float = 0.0
-    history: list = field(default_factory=list)
 
     @property
     def empty_ratio(self) -> float:
@@ -56,71 +65,63 @@ class RankSortStats:
         """Rank-wide fraction of GPMA slots that hold particles."""
         return 1.0 - self.empty_ratio
 
-    def record_step(self, *, rebuilds: int, moved: int, total_slots: int,
+    def record_step(self, *, rebuilds: int, total_slots: int,
                     empty_slots: int, throughput: float) -> None:
         """Fold one timestep's per-tile statistics into the rank totals."""
         self.steps_since_sort += 1
         self.local_rebuilds += int(rebuilds)
-        self.moved_particles += int(moved)
         self.total_slots = int(total_slots)
         self.empty_slots = int(empty_slots)
         self.last_throughput = float(throughput)
         if self.baseline_throughput == 0.0 and throughput > 0.0:
             self.baseline_throughput = float(throughput)
-        self.history.append(throughput)
 
     def reset(self) -> None:
         """Reset after a global sort (``ResetRankSortCounters``)."""
         self.steps_since_sort = 0
         self.local_rebuilds = 0
-        self.moved_particles = 0
         self.baseline_throughput = self.last_throughput
-        self.history.clear()
 
 
 class GlobalSortPolicy:
     """Implements ``ShouldPerformGlobalSort`` with the five triggers."""
 
-    def __init__(self, config: Optional[SortingPolicyConfig] = None):
-        self.config = config if config is not None else SortingPolicyConfig()
-        #: reason string of the last positive decision (for diagnostics)
-        self.last_trigger: Optional[str] = None
+    #: reason string of the last positive decision (for diagnostics)
+    last_trigger: Optional[str] = None
 
     def should_sort(self, stats: RankSortStats) -> bool:
         """Evaluate the prioritised triggers against the rank statistics."""
-        cfg = self.config
         self.last_trigger = None
 
         # 1. minimum interval — hard veto
-        if stats.steps_since_sort < cfg.min_sort_interval:
+        if stats.steps_since_sort < MIN_SORT_INTERVAL:
             return False
 
         # 2. fixed interval
-        if stats.steps_since_sort >= cfg.sort_interval:
+        if stats.steps_since_sort >= SORT_INTERVAL:
             self.last_trigger = "fixed_interval"
             return True
 
         # 3. accumulated local rebuilds
-        if stats.local_rebuilds >= cfg.sort_trigger_rebuild_count:
+        if stats.local_rebuilds >= SORT_TRIGGER_REBUILD_COUNT:
             self.last_trigger = "rebuild_count"
             return True
 
         # 4. empty-slot ratio: too few gaps left (structure nearly full) or
         #    far too many gaps (structure became sparse and cache-unfriendly)
         if stats.total_slots > 0:
-            if stats.empty_ratio < cfg.sort_trigger_empty_ratio:
+            if stats.empty_ratio < SORT_TRIGGER_EMPTY_RATIO:
                 self.last_trigger = "empty_ratio"
                 return True
-            if stats.empty_ratio > cfg.sort_trigger_full_ratio:
+            if stats.empty_ratio > SORT_TRIGGER_FULL_RATIO:
                 self.last_trigger = "sparse_ratio"
                 return True
 
-        # 5. performance degradation (optional)
-        if (cfg.sort_trigger_perf_enable
-                and stats.baseline_throughput > 0.0
+        # 5. performance degradation
+        if (stats.baseline_throughput > 0.0
                 and stats.last_throughput > 0.0
                 and stats.last_throughput
-                < cfg.sort_trigger_perf_degrad * stats.baseline_throughput):
+                < SORT_TRIGGER_PERF_DEGRAD * stats.baseline_throughput):
             self.last_trigger = "perf_degradation"
             return True
 

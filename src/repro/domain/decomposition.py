@@ -33,6 +33,10 @@ from repro.config import GridConfig
 from repro.exec.base import partition_shards
 from repro.pic.grid import Grid
 
+#: ghost cells per slab face: the field solver's reach (each leap-frog
+#: sub-update reads at most one cell past the cells it keeps)
+HALO = 1
+
 
 class Subdomain:
     """One axis-aligned block of the decomposition."""
@@ -87,22 +91,16 @@ class Subdomain:
 
 
 class Decomposition:
-    """Partition of the grid (and its tile lattice) into subdomains.
+    """Partition of the grid (and its tile lattice) into subdomains, each
+    slab padded with :data:`HALO` ghost cells per face."""
 
-    ``halo`` defaults to the field solver's reach: each leap-frog
-    sub-update reads at most one cell past the cells it keeps.
-    """
-
-    def __init__(self, grid_config: GridConfig,
-                 domains: Sequence[int], halo: int = 1):
+    def __init__(self, grid_config: GridConfig, domains: Sequence[int]):
         self.grid_config = grid_config
         self.domains = tuple(int(d) for d in domains)
         if len(self.domains) != 3 or any(d <= 0 for d in self.domains):
             raise ValueError(
                 f"domains must be 3 positive integers, got {domains!r}")
-        if int(halo) <= 0:
-            raise ValueError(f"halo must be positive, got {halo}")
-        self.halo = int(halo)
+        self.halo = HALO
 
         nx, ny, nz = grid_config.n_cell
         tx, ty, tz = grid_config.tile_size

@@ -105,11 +105,8 @@ class KernelTiming:
 class CostModel:
     """Converts :class:`KernelCounters` into :class:`KernelTiming`."""
 
-    def __init__(self, spec: ArchSpec = LX2_SPEC, parallel_cores: int = 1):
-        if parallel_cores <= 0:
-            raise ValueError("parallel_cores must be positive")
+    def __init__(self, spec: ArchSpec = LX2_SPEC):
         self.spec = spec
-        self.parallel_cores = parallel_cores
 
     # ------------------------------------------------------------------
     def phase_cycles(self, counters: PhaseCounters) -> float:
@@ -142,9 +139,9 @@ class CostModel:
         return max(vpu_issue, mpu_issue, memory)
 
     def phase_seconds(self, counters: PhaseCounters) -> float:
-        """Modelled seconds for one phase, spread over the parallel cores."""
+        """Modelled seconds for one phase on one core."""
         cycles = self.phase_cycles(counters)
-        return cycles / (self.spec.frequency_hz * self.parallel_cores)
+        return cycles / self.spec.frequency_hz
 
     def timing(self, counters: KernelCounters) -> KernelTiming:
         """Modelled timing of a whole kernel invocation."""

@@ -12,7 +12,7 @@ One spine for every runtime signal the library emits:
   per-step counter sample (the run → step → stage spans are opened and
   closed by the session and its pipeline);
 * :class:`HealthHook` (:mod:`repro.obs.health`) — per-step energy-drift,
-  charge-conservation and NaN/Inf probes with warn/abort thresholds;
+  charge-conservation probes that warn and a NaN/Inf probe that aborts;
 * :mod:`repro.obs.trace` — JSONL and Chrome ``trace_event`` export
   (Perfetto-loadable), schema validation and the ``python -m repro
   trace summarize`` folder;

@@ -5,8 +5,8 @@ telemetry layer and were scattered plain ``logging`` calls: readable by
 humans, invisible to machines.  :func:`log_event` routes each of them
 through one seam that emits **both**:
 
-* the human message, on the *original module logger* with the original
-  level and lazy ``%``-formatting — so ``caplog`` filters, logger-name
+* the human message, on the *original module logger* at ``WARNING``
+  with lazy ``%``-formatting — so ``caplog`` filters, logger-name
   based handler config and message text all behave exactly as before;
 * a machine-readable event into the caller's telemetry handle
   (``obs=``): a ``log.<name>`` counter always, plus a structured instant
@@ -33,7 +33,6 @@ _FALLBACK_LOGGER = logging.getLogger("repro.obs")
 
 def log_event(name: str, message: str, *args: Any,
               logger: Optional[logging.Logger] = None,
-              level: int = logging.WARNING,
               obs: Telemetry = NULL_TELEMETRY,
               **fields: Any) -> None:
     """Emit a human log line and mirror it as a structured event.
@@ -50,15 +49,13 @@ def log_event(name: str, message: str, *args: Any,
         The *original* module logger to emit the human line on; keeping
         it preserves logger-name based filtering and test expectations.
         Defaults to the ``repro.obs`` logger.
-    level:
-        Logging level for the human line (default ``WARNING``).
     obs:
         The registry that mirrors the event (default: none does).
     **fields:
         Extra structured payload attached to the trace event.
     """
     log = logger if logger is not None else _FALLBACK_LOGGER
-    log.log(level, message, *args)
+    log.warning(message, *args)
     if not obs.enabled:
         return
     try:

@@ -21,7 +21,7 @@ dependency) plus the span-nesting discipline Perfetto assumes (every
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.obs.registry import Telemetry
 
@@ -187,9 +187,7 @@ def _walk_schema(value: Any, schema: Dict[str, Any], where: str,
                 _walk_schema(element, items, f"{where}[{index}]", errors)
 
 
-def validate_chrome_trace(payload: Dict[str, Any],
-                          schema: Optional[Dict[str, Any]] = None
-                          ) -> List[str]:
+def validate_chrome_trace(payload: Dict[str, Any]) -> List[str]:
     """Validate an exported container; returns a list of problems.
 
     Runs the structural schema walk, then the span-nesting discipline:
@@ -197,7 +195,7 @@ def validate_chrome_trace(payload: Dict[str, Any],
     left open at the end.  An empty list means the trace is valid.
     """
     errors: List[str] = []
-    _walk_schema(payload, schema or TRACE_SCHEMA, "$", errors)
+    _walk_schema(payload, TRACE_SCHEMA, "$", errors)
     if errors:
         return errors
     stack: List[str] = []

@@ -87,20 +87,19 @@ class BlockLayout(NamedTuple):
         return int(self.depth.sum())
 
 
-def cell_block_slots(cells: np.ndarray, num_cells: int,
-                     order_idx: Optional[np.ndarray] = None) -> BlockLayout:
+def cell_block_slots(cells: np.ndarray, num_cells: int) -> BlockLayout:
     """Row of every particle in the zero-padded, block-aligned row space.
 
-    ``cells`` and ``order_idx`` are a processing order as
-    :func:`group_by_cell` takes it, which groups it by cell; every
+    ``cells`` is the cell id (in ``[0, num_cells)``) of each particle,
+    by storage index, which :func:`group_by_cell` groups by cell; every
     occupied cell then owns consecutive blocks, its particles filling
-    their rows in sequence.  The cells are laid out by ascending depth
+    their rows in storage order.  The cells are laid out by ascending depth
     and, within a depth, by cell id, so the cells of one depth own one
     contiguous run of blocks.  When no cell is deeper than one block,
     that is plain cell order and costs no ordering pass.
     """
     n = cells.shape[0]
-    order_idx, cells = group_by_cell(cells, num_cells, order_idx)
+    order_idx, cells = group_by_cell(cells, num_cells)
     counts = np.bincount(cells, minlength=num_cells)
     occupied = np.flatnonzero(counts)
     held = counts[occupied]

@@ -17,17 +17,17 @@ import numpy as np
 from repro.config import GridConfig
 from repro.pic.grid import Grid
 
+#: cells of the absorbing layer at each wall (at most half the axis)
+DAMPING_CELLS = 8
+#: exponent of the layer's Gaussian damping at the wall
+DAMPING_STRENGTH = 0.5
+
 
 class FieldBoundaryConditions:
     """Applies PEC / absorbing field boundaries after each field update."""
 
-    def __init__(self, config: GridConfig, damping_cells: int = 8,
-                 damping_strength: float = 0.5):
-        if damping_cells < 1:
-            raise ValueError("damping_cells must be at least 1")
+    def __init__(self, config: GridConfig):
         self.config = config
-        self.damping_cells = damping_cells
-        self.damping_strength = damping_strength
         self._profiles: Dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -58,11 +58,11 @@ class FieldBoundaryConditions:
         """The 1-D damping profile for an axis of ``n`` cells (cached)."""
         profile = self._profiles.get(n)
         if profile is None:
-            layer = min(self.damping_cells, n // 2)
+            layer = min(DAMPING_CELLS, n // 2)
             profile = np.ones(n)
             if layer > 0:
                 ramp = np.linspace(1.0, 0.0, layer, endpoint=False)[::-1]
-                damping = np.exp(-self.damping_strength * ramp**2)
+                damping = np.exp(-DAMPING_STRENGTH * ramp**2)
                 profile[:layer] = damping[::-1]
                 profile[-layer:] = damping
             profile.setflags(write=False)

@@ -25,10 +25,13 @@ from repro.config import SpeciesConfig
 from repro.pic.grid import Grid
 from repro.pic.particles import ParticleContainer
 
+#: amplitude of the random sub-cell displacement, in sub-lattice spacings
+JITTER = 0.5
+
 
 def _cell_positions(grid: Grid, cells: Tuple[np.ndarray, np.ndarray, np.ndarray],
-                    ppc: Tuple[int, int, int], rng: np.random.Generator,
-                    jitter: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    ppc: Tuple[int, int, int], rng: np.random.Generator
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sub-cell particle positions for the given cells (one ppc block each)."""
     ix, iy, iz = cells
     px, py, pz = ppc
@@ -41,10 +44,9 @@ def _cell_positions(grid: Grid, cells: Tuple[np.ndarray, np.ndarray, np.ndarray]
     n_sub = sub.shape[0]
 
     offsets = np.tile(sub, (n_cells, 1))
-    if jitter > 0.0:
-        spacing = np.array([1.0 / px, 1.0 / py, 1.0 / pz])
-        offsets = offsets + rng.uniform(-0.5, 0.5, offsets.shape) * spacing * jitter
-        offsets = np.clip(offsets, 1.0e-6, 1.0 - 1.0e-6)
+    spacing = np.array([1.0 / px, 1.0 / py, 1.0 / pz])
+    offsets = offsets + rng.uniform(-0.5, 0.5, offsets.shape) * spacing * JITTER
+    offsets = np.clip(offsets, 1.0e-6, 1.0 - 1.0e-6)
 
     cell_x = np.repeat(ix, n_sub)
     cell_y = np.repeat(iy, n_sub)
@@ -58,22 +60,20 @@ def _cell_positions(grid: Grid, cells: Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def load_uniform_plasma(grid: Grid, container: ParticleContainer,
                         species: SpeciesConfig,
-                        rng: Optional[np.random.Generator] = None,
-                        jitter: float = 0.5) -> int:
+                        rng: Optional[np.random.Generator] = None) -> int:
     """Fill the whole domain with a uniform plasma; returns particles added."""
     rng = np.random.default_rng(0) if rng is None else rng
     nx, ny, nz = grid.shape
     ix, iy, iz = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz),
                              indexing="ij")
     cells = (ix.ravel(), iy.ravel(), iz.ravel())
-    return _load_cells(grid, container, species, cells, rng, jitter)
+    return _load_cells(grid, container, species, cells, rng)
 
 
 def load_plasma_slab(grid: Grid, container: ParticleContainer,
                      species: SpeciesConfig, z_lo: float, z_hi: float,
                      density_profile: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                     rng: Optional[np.random.Generator] = None,
-                     jitter: float = 0.5) -> int:
+                     rng: Optional[np.random.Generator] = None) -> int:
     """Load plasma only inside ``[z_lo, z_hi)``; returns particles added.
 
     ``density_profile`` maps z coordinates to a multiplicative factor of the
@@ -88,18 +88,18 @@ def load_plasma_slab(grid: Grid, container: ParticleContainer,
         return 0
     ix, iy, iz = np.meshgrid(np.arange(nx), np.arange(ny), in_slab, indexing="ij")
     cells = (ix.ravel(), iy.ravel(), iz.ravel())
-    return _load_cells(grid, container, species, cells, rng, jitter,
+    return _load_cells(grid, container, species, cells, rng,
                        density_profile=density_profile)
 
 
 def _load_cells(grid: Grid, container: ParticleContainer, species: SpeciesConfig,
                 cells: Tuple[np.ndarray, np.ndarray, np.ndarray],
-                rng: np.random.Generator, jitter: float,
+                rng: np.random.Generator,
                 density_profile: Optional[Callable[[np.ndarray], np.ndarray]] = None
                 ) -> int:
     ppc = species.ppc
     n_per_cell = species.particles_per_cell
-    x, y, z = _cell_positions(grid, cells, ppc, rng, jitter)
+    x, y, z = _cell_positions(grid, cells, ppc, rng)
     n = x.shape[0]
     if n == 0:
         return 0

@@ -48,21 +48,20 @@ def format_sse(data: Dict[str, Any], *, event: Optional[str] = None,
                                        separators=(",", ":")))
     return ("\n".join(lines) + "\n\n").encode("utf-8")
 
+#: frames one job's broker keeps for replay to late subscribers
+HISTORY_LIMIT = 4096
+
 
 class EventBroker:
     """Fan-out of one job's SSE frames with full-history replay.
 
-    ``history_limit`` bounds the replay buffer; when exceeded, the
+    :data:`HISTORY_LIMIT` bounds the replay buffer; when exceeded, the
     oldest frames are dropped and :attr:`dropped` counts them (the live
     feed is unaffected — only late subscribers lose the overflow, and
     the ``id:`` sequence makes the gap visible to them).
     """
 
-    def __init__(self, history_limit: int = 4096) -> None:
-        if history_limit < 1:
-            raise ValueError(
-                f"history_limit must be >= 1, got {history_limit}")
-        self.history_limit = int(history_limit)
+    def __init__(self) -> None:
         self.dropped = 0
         self.closed = False
         self._next_id = 0
@@ -81,8 +80,8 @@ class EventBroker:
         frame = format_sse(data, event=event, event_id=self._next_id)
         self._next_id += 1
         self._history.append(frame)
-        if len(self._history) > self.history_limit:
-            overflow = len(self._history) - self.history_limit
+        if len(self._history) > HISTORY_LIMIT:
+            overflow = len(self._history) - HISTORY_LIMIT
             del self._history[:overflow]
             self.dropped += overflow
         for queue in self._queues:

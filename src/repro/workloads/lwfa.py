@@ -34,6 +34,13 @@ from repro.pic.plasma import load_plasma_slab
 from repro.pic.simulation import DepositionStrategy
 from repro.workloads.uniform import ppc_triple
 
+#: normalised vector potential of the driving laser
+LASER_A0 = 4.0
+#: laser wavelength [m] (the paper's 0.8 um Ti:sapphire pulse)
+LASER_WAVELENGTH = 0.8e-6
+#: share of the box length over which the plasma density ramps up
+RAMP_FRACTION = 0.2
+
 
 @dataclass
 class LWFAWorkload:
@@ -44,9 +51,6 @@ class LWFAWorkload:
     ppc: int = 8
     max_steps: int = 20
     density: float = 2.0e23
-    laser_a0: float = 4.0
-    laser_wavelength: float = 0.8e-6
-    ramp_fraction: float = 0.2
     #: tile execution engine used by the step loop (:mod:`repro.exec`)
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
     #: (px, py, pz) domain decomposition of the grid (:mod:`repro.domain`)
@@ -86,8 +90,8 @@ class LWFAWorkload:
             thermal_velocity=0.0,
         )
         laser = LaserConfig(
-            wavelength=self.laser_wavelength,
-            a0=self.laser_a0,
+            wavelength=LASER_WAVELENGTH,
+            a0=LASER_A0,
             waist=0.25 * min(extent[0], extent[1]),
             duration=10.0e-15,
             injection_position=extent[2] * 0.05,
@@ -113,7 +117,7 @@ class LWFAWorkload:
     # ------------------------------------------------------------------
     def density_profile(self, extent_z: float):
         """Longitudinal density profile: linear up-ramp then flat top."""
-        ramp_end = self.ramp_fraction * extent_z
+        ramp_end = RAMP_FRACTION * extent_z
 
         def profile(z: np.ndarray) -> np.ndarray:
             z = np.asarray(z, dtype=np.float64)

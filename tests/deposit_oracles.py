@@ -280,6 +280,18 @@ def einsum_deposit_panels(data: TileDepositionData, slots: np.ndarray,
     return left, right
 
 
+def storage_block_slots(cells: np.ndarray, num_cells: int,
+                        order_idx: np.ndarray) -> BlockLayout:
+    """:func:`cell_block_slots` of a processing order whose position ``p``
+    is storage index ``order_idx[p]`` and holds cell ``cells[p]``, with
+    ``slots`` indexed by storage index (the kernel groups such an order
+    by cell first, ``core/mpu_deposit.py``)."""
+    layout = cell_block_slots(cells, num_cells)
+    slots = np.empty_like(layout.slots)
+    slots[order_idx] = layout.slots
+    return layout._replace(slots=slots)
+
+
 def oracle_einsum_tile_rhocells(data: TileDepositionData,
                                 order_idx: np.ndarray, num_cells: int
                                 ) -> Tuple[np.ndarray, np.ndarray,
@@ -289,7 +301,7 @@ def oracle_einsum_tile_rhocells(data: TileDepositionData,
     nodes = support**3
     cells = data.local_cell_ids[order_idx]
     stats = mpu_work_statistics(cells, data.order)
-    layout = cell_block_slots(cells, num_cells, order_idx)
+    layout = storage_block_slots(cells, num_cells, order_idx)
     num_blocks = layout.num_blocks
     left, right = einsum_deposit_panels(data, layout.slots,
                                         num_blocks * BLOCK_ROWS)

@@ -10,7 +10,9 @@ a ``src/repro``), each tree in its own interpreter under
 relative move a change that alters numerics quotes.  The fields are the
 ``capture_state`` arrays (grid components, particle SoA, tile counts,
 window offset), the energy history and the session's ``KernelCounters``
-(one value per phase and counter).  A field one tree lacks, or holds in
+(one value per phase and counter).  No stage deposits the charge
+density during a run, so ``grid.rho`` is the final state's, deposited by
+``deposit_rho_reference`` just before the arrays are taken.  A field one tree lacks, or holds in
 another shape (say, a different particle count), reads ``inf``.
 
 A case is a seeded session run for a few steps: uniform plasma (8^3
@@ -27,8 +29,8 @@ an LWFA run under ``MatrixPIC (FullOpt)`` and under the reference
 deposit across several moving-window shifts.  ``--tiny`` shrinks every case to a few hundred
 particles and two steps (the tier-1 smoke test's size).  The script
 imports only ``Session.from_workload``, ``make_strategy``, the two
-workload builders, ``ExecutionConfig`` and ``capture_state``, so it
-runs against older trees too.
+workload builders, ``ExecutionConfig``, ``deposit_rho_reference`` and
+``capture_state``, so it runs against older trees too.
 """
 
 from __future__ import annotations
@@ -100,10 +102,14 @@ def _session(name: str, tiny: bool):
 def case_state(name: str, tiny: bool = False) -> Dict[str, np.ndarray]:
     """Every compared field of one case after its steps, as float64."""
     from repro.ckpt.session import capture_state
+    from repro.pic.deposition.reference import deposit_rho_reference
 
     steps = TINY_STEPS if tiny else STEPS[CASES[name][0]]
     with _session(name, tiny) as session:
         session.run_all(steps, record_energy=True)
+        for container in session.containers:
+            deposit_rho_reference(session.grid, container,
+                                  session.config.shape_order)
         _, arrays = capture_state(session)
         state = {key: np.asarray(array, dtype=np.float64)
                  for key, array in arrays.items()}

@@ -94,7 +94,7 @@ def peak_efficiency(cost_model: CostModel, timing: KernelTiming,
         per_cycle = max(vpu_flops_per_cycle(spec), mpu_flops_per_cycle(spec))
     else:
         raise ValueError(f"unknown peak reference {reference!r}")
-    peak = per_cycle * spec.frequency_hz * cost_model.parallel_cores
+    peak = per_cycle * spec.frequency_hz
     return timing.effective_flops / (timing.total * peak)
 
 

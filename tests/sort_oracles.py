@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.config import INVALID_PARTICLE_ID, SortingPolicyConfig
+from repro.config import INVALID_PARTICLE_ID
 from repro.core.counting_sort import counting_sort_permutation, counting_sort_work
 from repro.core.gpma import GappedPMA, GPMAUpdateStats
 from repro.core.incremental_sort import REBUILD_EMPTY_RATIO, StepSortStats
@@ -57,15 +57,13 @@ def oracle_counting_sort_permutation(cell_ids: np.ndarray, num_cells: int
 class OracleGappedPMA:
     """The dict/list GappedPMA as it stood before the array-native rewrite."""
 
-    def __init__(self, num_bins: int, gap_fraction: float = 0.25,
-                 min_gap_slots: int = 1):
+    def __init__(self, num_bins: int, gap_fraction: float = 0.25):
         if num_bins <= 0:
             raise ValueError("num_bins must be positive")
         if not 0.0 <= gap_fraction < 1.0:
             raise ValueError("gap_fraction must lie in [0, 1)")
         self.num_bins = num_bins
         self.gap_fraction = gap_fraction
-        self.min_gap_slots = max(int(min_gap_slots), 0)
 
         self.local_index = np.empty(0, dtype=np.int64)
         self.bin_offsets = np.zeros(num_bins + 1, dtype=np.int64)
@@ -90,7 +88,7 @@ class OracleGappedPMA:
 
         ``particle_bins[i]`` is the bin (tile-local cell id) of particle
         ``i``.  Gaps of ``gap_fraction`` of each bin's population (at least
-        ``min_gap_slots``) are appended to every bin region.
+        one) are appended to every bin region.
         """
         particle_bins = np.asarray(particle_bins, dtype=np.int64)
         if particle_bins.size and (
@@ -100,9 +98,7 @@ class OracleGappedPMA:
 
         counts = np.bincount(particle_bins, minlength=self.num_bins)
         gaps = np.maximum(
-            np.ceil(counts * self.gap_fraction).astype(np.int64),
-            self.min_gap_slots,
-        )
+            np.ceil(counts * self.gap_fraction).astype(np.int64), 1)
         region_sizes = counts + gaps
         self.bin_offsets = np.zeros(self.num_bins + 1, dtype=np.int64)
         np.cumsum(region_sizes, out=self.bin_offsets[1:])
@@ -252,14 +248,13 @@ class OracleGappedPMA:
         return shifted
 
     # ------------------------------------------------------------------
-    def needs_rebuild(self, empty_ratio_threshold: float = 0.02,
-                      overflow_limit: int = 0) -> bool:
+    def needs_rebuild(self, empty_ratio_threshold: float = 0.02) -> bool:
         """Whether the structure requires a local rebuild (paper triggers).
 
         A rebuild is mandatory when overflow particles exist, or optional
         when the gap reserve dropped below ``empty_ratio_threshold``.
         """
-        if len(self.overflow) > overflow_limit:
+        if self.overflow:
             return True
         return self.empty_ratio < empty_ratio_threshold and self.num_particles > 0
 
@@ -308,9 +303,6 @@ class OracleIncrementalSorter:
     leaves its tiles in storage order and hands over no cell ids.
     """
 
-    def __init__(self, config: Optional[SortingPolicyConfig] = None):
-        self.config = config if config is not None else SortingPolicyConfig()
-
     def global_sort_tile(self, grid: Grid, tile: ParticleTile,
                          counters: Optional[KernelCounters] = None
                          ) -> StepSortStats:
@@ -324,7 +316,7 @@ class OracleIncrementalSorter:
             order, _ = counting_sort_permutation(cell_ids, num_cells)
             tile.permute(order)
             bins = cell_ids[order]
-        gpma = GappedPMA(num_cells, gap_fraction=self.config.gap_fraction)
+        gpma = GappedPMA(num_cells)
         build_stats = gpma.build(bins)
         # a freshly built structure does not count towards the rebuild trigger
         gpma.rebuild_count = 0
@@ -379,8 +371,6 @@ class OracleIncrementalSorter:
             stats.local_rebuilds += 1
 
         state.assigned_bins = new_bins
-        stats.pending_inserts = update.insertions
-        stats.borrow_shifts = update.borrow_shifts
         stats.total_slots = gpma.capacity
         stats.empty_slots = gpma.num_empty_slots
 

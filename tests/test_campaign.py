@@ -20,7 +20,6 @@ from repro.analysis.campaign import (
 from repro.analysis.metrics import ExperimentResult
 from repro.analysis.tables import campaign_rows, format_campaign_table
 from repro.cli import main
-from repro.config import SortingPolicyConfig
 from repro.hardware.cost_model import KernelTiming
 from repro.workloads import FAMILIES
 from repro.workloads.lwfa import LWFAWorkload
@@ -61,12 +60,12 @@ class TestExperimentSpec:
             assert type(spec.build_workload()) is FAMILIES[family]["builder"]
 
     def test_workloads_take_no_sorting_policy(self):
-        """A cell runs the default policy (a session of your own takes
-        ``make_strategy(sorting_config=)``); a workload-level copy was
-        accepted, hashed and read by nothing."""
+        """Every run uses the paper's policy (the constants of
+        ``repro.core.sort_policy``); a workload-level copy was accepted,
+        hashed and read by nothing."""
         for cls in (UniformPlasmaWorkload, LWFAWorkload):
             with pytest.raises(TypeError, match="sorting"):
-                cls(sorting=SortingPolicyConfig(sort_interval=20))
+                cls(sorting={"sort_interval": 20})
 
     def test_workloads_take_no_kernel_tier(self):
         """There is one scatter path: no workload carries a kernel tier."""
@@ -109,17 +108,17 @@ class TestCacheKey:
             (changed,) = expand_request(tiny_grid(**overrides))
             assert changed.cache_key() != tiny_spec().cache_key()
 
-    def test_max_steps_is_inert_when_steps_explicit(self):
-        """With an explicit step count the workload's max_steps (only a
-        default run length) must not fragment the key space; without one
-        it determines the run and must stay in the key."""
-        def spec(max_steps, steps):
+    def test_every_workload_param_is_in_the_key(self):
+        """A spec always carries its step count and the key drops no
+        workload parameter, ``max_steps`` included (``expand_request``
+        sets it to ``steps``)."""
+        def spec(max_steps):
             params = {**tiny_spec().workload_params, "max_steps": max_steps}
-            return tiny_spec(workload_params=params, steps=steps)
+            return tiny_spec(workload_params=params)
 
-        assert spec(2, steps=1).cache_key() == spec(9, steps=1).cache_key()
-        assert spec(2, steps=None).cache_key() \
-            != spec(9, steps=None).cache_key()
+        assert spec(2).cache_key() != spec(9).cache_key()
+        with pytest.raises(TypeError, match="steps"):
+            ExperimentSpec("uniform", {}, "Baseline")
 
 
 class TestResultSerialization:

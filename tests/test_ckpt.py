@@ -114,7 +114,10 @@ class TestSnapshotFormat:
     def test_bad_magic_detected(self, tmp_path):
         path = str(tmp_path / "s.ckpt")
         write_snapshot(path, self.META, self.arrays())
-        flip_byte(path, offset=0)
+        with open(path, "rb+") as stream:  # corrupt the first byte
+            first = stream.read(1)
+            stream.seek(0)
+            stream.write(bytes([first[0] ^ 0xFF]))
         with pytest.raises(CorruptSnapshotError, match="magic"):
             read_snapshot(path)
 
@@ -374,19 +377,9 @@ class TestCheckpointHook:
             run_steps(second, 2, record_energy=True)
             assert_state_equal(ref, capture_state(second))
 
-    def test_keep_prunes_old_snapshots(self, tmp_path):
-        directory = str(tmp_path / "ck")
-        with uniform_session() as session:
-            session.pipeline.add_step_hook(
-                CheckpointHook(directory, every=1, keep=2))
-            run_steps(session, 5)
-        assert [step for step, _ in list_snapshots(directory)] == [4, 5]
-
     def test_rejects_bad_intervals(self, tmp_path):
         with pytest.raises(ValueError):
             CheckpointHook(str(tmp_path), every=0)
-        with pytest.raises(ValueError):
-            CheckpointHook(str(tmp_path), keep=0)
 
     def test_effects_use_known_resources(self):
         from stage_effects import RESOURCES

@@ -8,9 +8,9 @@ from repro.config import (
     LaserConfig,
     MovingWindowConfig,
     SimulationConfig,
-    SortingPolicyConfig,
     SpeciesConfig,
 )
+from repro.core import gpma, sort_policy
 
 
 class TestGridConfig:
@@ -56,24 +56,15 @@ class TestSpeciesConfig:
             SpeciesConfig(thermal_velocity=constants.C_LIGHT)
 
 
-class TestSortingPolicyConfig:
-    def test_defaults_match_appendix_a(self):
-        cfg = SortingPolicyConfig()
-        assert cfg.sort_interval == 50
-        assert cfg.min_sort_interval == 10
-        assert cfg.sort_trigger_rebuild_count == 100
-        assert cfg.sort_trigger_empty_ratio == pytest.approx(0.15)
-        assert cfg.sort_trigger_full_ratio == pytest.approx(0.85)
-        assert cfg.sort_trigger_perf_enable is True
-        assert cfg.sort_trigger_perf_degrad == pytest.approx(0.80)
-
-    def test_min_interval_must_not_exceed_interval(self):
-        with pytest.raises(ValueError):
-            SortingPolicyConfig(sort_interval=5, min_sort_interval=10)
-
-    def test_ratio_bounds(self):
-        with pytest.raises(ValueError):
-            SortingPolicyConfig(sort_trigger_empty_ratio=1.5)
+class TestSortingPolicy:
+    def test_constants_match_appendix_a(self):
+        assert sort_policy.SORT_INTERVAL == 50
+        assert sort_policy.MIN_SORT_INTERVAL == 10
+        assert sort_policy.SORT_TRIGGER_REBUILD_COUNT == 100
+        assert sort_policy.SORT_TRIGGER_EMPTY_RATIO == pytest.approx(0.15)
+        assert sort_policy.SORT_TRIGGER_FULL_RATIO == pytest.approx(0.85)
+        assert sort_policy.SORT_TRIGGER_PERF_DEGRAD == pytest.approx(0.80)
+        assert gpma.GAP_FRACTION == pytest.approx(0.25)
 
 
 class TestLaserConfig:

@@ -15,6 +15,9 @@ def test_two_runs_of_one_tree_read_zero():
     assert {field for _, field, *_ in rows} >= {
         "grid.jx", "c0.x", "c0.ux", "energy", "counters.compute.mpu_mopa"}
     assert [row for row in rows if row[2] != 0.0] == []
+    # the final state's charge density is deposited, so the row can move
+    assert all(peak > 0.0 for _, field, _, peak in rows
+               if field == "grid.rho")
 
 
 def test_a_current_of_flipped_sign_reads_twice_its_peak():

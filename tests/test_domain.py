@@ -9,6 +9,8 @@ the energy history.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from repro.config import (
     SimulationConfig,
     SpeciesConfig,
 )
+from repro.domain import decomposition
 from repro.domain.decomposition import Decomposition
 from repro.domain.halo import EM_FIELDS, HaloExchange
 from repro.pic.deposition.reference import deposit_reference
@@ -102,7 +105,7 @@ def assert_bitwise_equal(sim_a: Session, sim_b: Session,
 class TestDecomposition:
     def test_tile_aligned_partition(self):
         config = GridConfig(n_cell=(8, 8, 8), tile_size=(4, 4, 4))
-        decomp = Decomposition(config, (2, 1, 2), halo=1)
+        decomp = Decomposition(config, (2, 1, 2))
         assert decomp.num_domains == 4
         # every tile owned exactly once, interiors tile the grid
         owners = decomp.tile_owner
@@ -117,14 +120,14 @@ class TestDecomposition:
     def test_ragged_tiles(self):
         # 10 cells in tiles of 4 -> tiles of 4, 4, 2 along the axis
         config = GridConfig(n_cell=(10, 4, 4), tile_size=(4, 4, 4))
-        decomp = Decomposition(config, (3, 1, 1), halo=2)
+        decomp = Decomposition(config, (3, 1, 1))
         windows = decomp.axis_windows(0)
         assert windows == [(0, 4), (4, 8), (8, 10)]
 
     def test_rejects_more_domains_than_tiles(self):
         config = GridConfig(n_cell=(8, 8, 8), tile_size=(4, 4, 4))
         with pytest.raises(ValueError, match="tile-aligned"):
-            Decomposition(config, (4, 1, 1), halo=1)
+            Decomposition(config, (4, 1, 1))
 
     def test_simulation_rejects_bad_split(self):
         grid = GridConfig(n_cell=(8, 8, 8), hi=(1e-5,) * 3,
@@ -150,7 +153,8 @@ def _random_decomposed_fields(rng, n_cell, tile, domains, halo,
     frame = Grid(config)
     for name in EM_FIELDS:
         getattr(frame, name)[...] = rng.standard_normal(frame.shape)
-    decomp = Decomposition(config, domains, halo)
+    with mock.patch.object(decomposition, "HALO", halo):  # wider ghosts
+        decomp = Decomposition(config, domains)
     decomp.build_slabs(frame)
     for sub in decomp.subdomains:
         for name in EM_FIELDS:

@@ -11,7 +11,8 @@ from repro.baselines.configs import (
     make_strategy,
 )
 from repro.api import Session
-from repro.config import ExecutionConfig, SortingPolicyConfig
+from repro.config import ExecutionConfig
+from repro.core import gpma, sort_policy
 from repro.core.framework import (
     MatrixPICDeposition,
     SORT_GLOBAL_EVERY_STEP,
@@ -21,7 +22,6 @@ from repro.core.framework import (
 from repro.core.hybrid_kernel import HybridMPUDeposition
 from repro.core.incremental_sort import TileSortState
 from repro.exec import create_executor
-from repro.hardware.cost_model import CostModel
 from repro.pic.grid import Grid
 from repro.workloads.lwfa import LWFAWorkload
 
@@ -74,10 +74,12 @@ class TestMatrixPICDeposition:
         assert total_events(counters.phase("reduce")) > 0
         assert counters.effective_flops > 0
 
-    def test_adaptive_global_sort_triggered_by_interval(self, tiled_grid_config):
+    def test_adaptive_global_sort_triggered_by_interval(self, tiled_grid_config,
+                                                        monkeypatch):
         grid, container = make_plasma(tiled_grid_config)
-        policy = SortingPolicyConfig(sort_interval=3, min_sort_interval=1)
-        strategy = MatrixPICDeposition(sorting_config=policy)
+        monkeypatch.setattr(sort_policy, "SORT_INTERVAL", 3)
+        monkeypatch.setattr(sort_policy, "MIN_SORT_INTERVAL", 1)
+        strategy = MatrixPICDeposition()
         for step in range(4):
             grid.zero_currents()
             strategy.run_step(grid, container, 1, step)
@@ -85,12 +87,18 @@ class TestMatrixPICDeposition:
         # the rank counters were reset by the sort
         assert strategy.rank_stats.steps_since_sort < 4
 
-    def test_timing_helper(self, tiled_grid_config):
+    def test_counters_convert_with_the_strategy_cost_model(
+            self, tiled_grid_config):
         grid, container = make_plasma(tiled_grid_config)
-        strategy = MatrixPICDeposition(cost_model=CostModel())
+        strategy = MatrixPICDeposition()
         counters = strategy.run_step(grid, container, 1, 0)
-        timing = strategy.timing(counters)
+        timing = strategy.cost_model.timing(counters)
         assert timing.total > 0.0
+
+    def test_the_bench_reads_the_sorter_gap_fraction(self):
+        # bench/sim.py sizes its GPMA builds from this attribute
+        strategy = MatrixPICDeposition()
+        assert strategy.sorting_config.gap_fraction == gpma.GAP_FRACTION
 
 
 class TestNamedConfigurations:

@@ -99,9 +99,9 @@ class TestUpdates:
         gpma.check_invariants()
 
     def test_borrow_from_next_bin(self):
-        # bin 0 packed full (gap_fraction 0 would leave no gaps; use the
-        # minimum single gap and fill it first)
-        gpma = GappedPMA(num_bins=3, gap_fraction=0.0, min_gap_slots=1)
+        # bin 0 packed full (gap_fraction 0 leaves every bin the minimum
+        # single gap; fill it first)
+        gpma = GappedPMA(num_bins=3, gap_fraction=0.0)
         gpma.build(np.array([0, 0, 1, 1]))
         # fill bin 0's single gap
         gpma.delete(3)
@@ -115,8 +115,10 @@ class TestUpdates:
         gpma.check_invariants()
 
     def test_overflow_when_no_gaps_anywhere(self):
-        gpma = GappedPMA(num_bins=2, gap_fraction=0.0, min_gap_slots=0)
+        gpma = GappedPMA(num_bins=2, gap_fraction=0.0)
         gpma.build(np.array([0, 0, 1, 1]))
+        gpma.insert(4, 0)           # fill each bin's one gap
+        gpma.insert(5, 1)
         assert gpma.num_empty_slots == 0
         gpma.delete(0)
         gpma.insert(0, 0)           # reuses the freed slot
@@ -128,11 +130,13 @@ class TestUpdates:
         gpma.check_invariants()
 
     def test_needs_rebuild_on_overflow(self):
-        gpma = GappedPMA(num_bins=2, gap_fraction=0.0, min_gap_slots=0)
+        gpma = GappedPMA(num_bins=2, gap_fraction=0.0)
         gpma.build(np.array([0, 1]))
-        # force an overflow by inserting a brand-new particle index with no
-        # gaps available anywhere
+        # force an overflow by inserting brand-new particle indices into
+        # the last bin past its one gap: there is no next bin to borrow from
         gpma.insert(5, 1)
+        assert not gpma.overflow
+        gpma.insert(6, 1)
         assert len(gpma.overflow) == 1
         assert gpma.needs_rebuild()
 

@@ -128,13 +128,6 @@ class TestCostModel:
         assert timing.compute == pytest.approx(1.0)
         assert timing.total == pytest.approx(2.0)
 
-    def test_parallel_cores_divide_time(self):
-        counters = KernelCounters()
-        counters.phase("compute").add(vpu_fma=1.3e9)
-        single = CostModel(LX2_SPEC, parallel_cores=1).timing(counters)
-        multi = CostModel(LX2_SPEC, parallel_cores=4).timing(counters)
-        assert multi.total == pytest.approx(single.total / 4.0)
-
     def test_speedup(self):
         ref = KernelTiming("LX2", {"compute": 2.0})
         opt = KernelTiming("LX2", {"compute": 1.0})
@@ -163,10 +156,6 @@ class TestCostModel:
         assert t1.effective_flops == 15.0
         scaled = t1.scaled(2.0)
         assert scaled.total == pytest.approx(7.0)
-
-    def test_invalid_parallel_cores(self):
-        with pytest.raises(ValueError):
-            CostModel(LX2_SPEC, parallel_cores=0)
 
 
 class TestGPUModel:

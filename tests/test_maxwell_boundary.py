@@ -140,11 +140,13 @@ class TestBoundaries:
         assert np.all(grid.ez[:, :, 0] == 1.0)
 
     def test_absorbing_damps_boundary_fields(self):
-        grid, config = make_grid(16, bc=("periodic", "periodic", "absorbing"))
+        # a layer of DAMPING_CELLS = 8 at each wall of 32 cells
+        grid, config = make_grid(32, bc=("periodic", "periodic", "absorbing"))
         grid.ex[:] = 1.0
-        FieldBoundaryConditions(config, damping_cells=4).apply(grid)
+        FieldBoundaryConditions(config).apply(grid)
         assert np.all(grid.ex[:, :, 0] < 1.0)
-        assert np.all(grid.ex[:, :, 8] == 1.0)   # interior untouched
+        assert np.all(grid.ex[:, :, 7] < 1.0)
+        assert np.all(grid.ex[:, :, 8:24] == 1.0)   # interior untouched
 
     def test_periodic_axes_untouched(self):
         grid, config = make_grid(8)

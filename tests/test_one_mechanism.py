@@ -64,7 +64,8 @@ progress file.  A served cell has the same one record: the job journal
 holds jobs and cell keys, never a cell's spec or result.
 
 ``src/`` holds only what an entry point reaches: oracles and helpers that
-only tests call live under ``tests/``.  So do the static rules: they are
+only tests call live under ``tests/``, and an option only a test sets is
+a module constant.  So do the static rules: they are
 tier-1 tests in ``tests/test_static_rules.py``, sharing this file's AST
 helpers (``tests/ast_helpers.py``), with no linter, subcommand or
 suppression pragma in ``src/``.
@@ -108,6 +109,7 @@ from ast_helpers import (
 from stage_effects import check_stage_set
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(SRC)), "bench")
+EXAMPLES = os.path.join(os.path.dirname(BENCH), "examples")
 
 
 def writes_record_file(call):
@@ -968,6 +970,156 @@ def test_src_is_what_an_entry_point_reaches():
     assert not stale, (
         "ALLOWLIST entries that are gone or have a user now; delete them: "
         + ", ".join(stale))
+
+
+#: defaulted parameters and dataclass fields under ``src/`` that nothing
+#: under ``src/``, ``bench/`` or ``examples/`` passes, and why each stays;
+#: an entry that is gone or has gained a setter fails the guard below, so
+#: the list can only shrink
+OPTION_ALLOWLIST = {
+    "SupervisedPool(factory=)": "the fault-injection seam: a test hands "
+                                "the pool BrokenPoolOnce",
+    "BrokenPoolOnce(fail=)": "the fault injector's schedule: how it breaks",
+    "BrokenPoolOnce(at=)": "the fault injector's schedule: when it breaks",
+    "main(argv=)": "the CLI's seam: the console entry point parses "
+                   "sys.argv, a test passes its own list",
+    "SpeciesConfig(charge=)": "a species' identity, not a knob: the "
+                              "deposit tests put ions on the electrons",
+    "SpeciesConfig(mass=)": "a species' identity, not a knob (see charge)",
+    "BackendConfig(kernel_tier=)": "leaves with repro.backend, which only "
+                                   "the bench record stamp reads",
+}
+
+
+def options_in(src):
+    """``(owner, name, position, kind, path, line)`` of each defaulted
+    parameter under ``src`` (an ``__init__``'s owner is its class; a
+    keyword-only one has no position) and each defaulted ``__init__``
+    field of a dataclass (kind ``"field"``, or ``"frozen"``)."""
+    found = []
+
+    def visit(body, path, cls=None):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                for deco in node.decorator_list:
+                    if name_of(getattr(deco, "func", deco)) != "dataclass":
+                        continue
+                    kind = "frozen" if any(
+                        k.arg == "frozen" and getattr(k.value, "value", 0)
+                        for k in getattr(deco, "keywords", ())) else "field"
+                    fields = [item for item in node.body
+                              if isinstance(item, ast.AnnAssign)
+                              and "ClassVar" not in ast.unparse(item)
+                              and "init=False" not in ast.unparse(item)]
+                    found.extend((node.name, item.target.id, index, kind,
+                                  path, item.lineno)
+                                 for index, item in enumerate(fields)
+                                 if item.value is not None)
+                visit(node.body, path, node)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                skip = int(cls is not None and positional[:1] != []
+                           and positional[0].arg in ("self", "cls"))
+                owner = cls.name if cls and node.name == "__init__" \
+                    else node.name
+                first = len(positional) - len(args.defaults)
+                found.extend((owner, arg.arg, index - skip, "parameter",
+                              path, node.lineno)
+                             for index, arg in enumerate(positional)
+                             if index >= first)
+                found.extend((owner, arg.arg, None, "parameter", path,
+                              node.lineno)
+                             for arg, default in zip(args.kwonlyargs,
+                                                     args.kw_defaults)
+                             if default is not None)
+                visit(node.body, path)
+
+    for path, tree in source_trees(src):
+        visit(tree.body, path)
+    return found
+
+
+def options_without_setter(src, *users):
+    """``(label, path, line)`` of each option under ``src`` that no code
+    under ``src`` or ``users`` passes: by keyword to any call (keyword
+    arguments kept as data are spelled ``dict(name=...)``), by position
+    to a callee of the owner's name, through a ``*``/``**`` splat or a
+    ``partial`` of it, or, for a mutable dataclass's field, by an
+    attribute store.  One-hop and blind to homonyms, like the reach
+    guard: a parameter forwarded from its caller's own counts as set."""
+    keywords, stored, positional = set(), set(), collections.Counter()
+    for root in (src, *users):
+        for _path, tree in source_trees(root):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    callee = name_of(node.func)
+                    names = {keyword.arg for keyword in node.keywords}
+                    keywords |= names - {None}
+                    if callee == "partial" and node.args:
+                        positional[name_of(node.args[0])] = 1 << 30
+                    splat = None in names or any(
+                        isinstance(arg, ast.Starred) for arg in node.args)
+                    positional[callee] = max(
+                        positional[callee], 1 << 30 if splat else len(node.args))
+                elif isinstance(node, ast.Attribute) \
+                        and isinstance(node.ctx, ast.Store):
+                    stored.add(node.attr)
+    return [(f"{owner}({name}=)", path, line)
+            for owner, name, position, kind, path, line in options_in(src)
+            if name not in keywords
+            and (position is None or positional[owner] <= position)
+            and not (kind == "field" and name in stored)]
+
+
+def test_every_option_has_a_setter_outside_tests():
+    """An option only a test sets is a knob no run turns: make it a module
+    constant of the same value (a test patches it), or delete it."""
+    unset = options_without_setter(SRC, BENCH, EXAMPLES)
+    offenders = [f"src/repro/{path}:{line}: {label}"
+                 for label, path, line in unset
+                 if label not in OPTION_ALLOWLIST]
+    assert not offenders, "options nothing under src/, bench/ or " \
+        "examples/ passes:\n" + "\n".join(offenders)
+    stale = sorted(set(OPTION_ALLOWLIST) - {label for label, _, _ in unset})
+    assert not stale, ("OPTION_ALLOWLIST entries that are gone or have a "
+                       "setter now; delete them: " + ", ".join(stale))
+
+
+@pytest.mark.parametrize("path, text, label", [
+    ("pic/planted.py", "def deposit_all(grid, scale=1.0):\n"
+                       "    return scale\n\n\ndeposit_all(None)\n",
+     "deposit_all(scale=)"),
+    ("obs/planted.py", "import dataclasses\n\n\n"
+                       "@dataclasses.dataclass(frozen=True)\n"
+                       "class PlantedConfig:\n    cadence: int = 1\n",
+     "PlantedConfig(cadence=)"),
+], ids=["parameter", "frozen-field"])
+def test_a_planted_test_only_option_fails_the_guard(tmp_path, path, text,
+                                                    label):
+    root = tmp_path / "repro"
+    shutil.copytree(SRC, root, ignore=shutil.ignore_patterns("__pycache__"))
+    (root / path).write_text(text)
+    assert [entry for entry, _, _ in options_without_setter(
+        str(root), BENCH, EXAMPLES) if entry not in OPTION_ALLOWLIST] \
+        == [label]
+
+
+@pytest.mark.parametrize("user", [
+    "planted.deposit_all(None, scale=2.0)",      # by keyword
+    "planted.deposit_all(None, 2.0)",            # by position
+    "planted.deposit_all(**{'grid': None})",     # through a splat
+    "functools.partial(planted.deposit_all)",    # wrapped for a later call
+    "ARGS = dict(scale=2.0)",                    # a keyword kept as data
+])
+def test_a_setter_outside_tests_satisfies_the_guard(tmp_path, user):
+    for name, text in (("src/planted.py", "def deposit_all(grid, scale=1.0):"
+                                          "\n    return scale\n"),
+                       ("bench/run.py", f"{user}\n")):
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert options_without_setter(str(tmp_path / "src"),
+                                  str(tmp_path / "bench")) == []
 
 
 #: what ``benchmarks/`` may hold: the two scripts CI runs and gates, and

@@ -37,6 +37,7 @@ from deposit_oracles import (
     einsum_deposit_panels,
     oracle_einsum_gather_fields,
     oracle_einsum_tile_rhocells,
+    storage_block_slots,
 )
 from helpers import FIELD_NAMES, gather_field, tiled_plasma, tiled_scenarios
 from repro import constants
@@ -86,8 +87,8 @@ def test_panels_rhocells_and_gather_are_bitwise_the_einsum_oracle(
                               np.arange(tile.num_particles))
 
         # the deposit's two panels, scattered to the same slots
-        layout = cell_block_slots(data.local_cell_ids[order_idx],
-                                  num_cells, order_idx)
+        layout = storage_block_slots(data.local_cell_ids[order_idx],
+                                     num_cells, order_idx)
         slots = layout.slots
         want_left, want_right = einsum_deposit_panels(
             data, slots, layout.num_blocks * BLOCK_ROWS)
@@ -170,7 +171,8 @@ def test_cell_block_slots_lays_cells_of_equal_depth_side_by_side(
     cells = rng.permutation(np.repeat(np.arange(num_cells), counts))
     order_idx = rng.permutation(cells.shape[0]) if shuffle else None
     sequence = cells if order_idx is None else cells[order_idx]
-    layout = cell_block_slots(sequence, num_cells, order_idx)
+    layout = (cell_block_slots(sequence, num_cells) if order_idx is None
+              else storage_block_slots(sequence, num_cells, order_idx))
 
     # the occupied cells, each once, with ceil(count / BLOCK_ROWS) blocks
     counts = np.asarray(counts)

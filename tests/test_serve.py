@@ -32,6 +32,7 @@ from repro.serve import (
     WorkerPool,
     expand_request,
     format_sse,
+    sse,
     validate_tenant_name,
 )
 from repro.workloads.uniform import UniformPlasmaWorkload
@@ -107,9 +108,18 @@ class TestSSE:
         frames = asyncio.run(main())
         assert len(frames) == 2  # one replayed + one live
 
-    def test_broker_bounds_history(self):
+    def test_broker_replays_at_most_history_limit_frames(self):
+        broker = EventBroker()
+        for n in range(sse.HISTORY_LIMIT + 1):
+            broker.publish("cell", {"n": n})
+        assert len(broker) == sse.HISTORY_LIMIT == 4096
+        assert broker.dropped == 1
+
+    def test_broker_bounds_history(self, monkeypatch):
+        monkeypatch.setattr(sse, "HISTORY_LIMIT", 2)
+
         async def main():
-            broker = EventBroker(history_limit=2)
+            broker = EventBroker()
             for n in range(5):
                 broker.publish("cell", {"n": n})
             assert len(broker) == 2
@@ -120,10 +130,6 @@ class TestSSE:
             assert b"id: 3" in frames[0] and b"id: 4" in frames[1]
 
         asyncio.run(main())
-
-    def test_history_limit_validation(self):
-        with pytest.raises(ValueError):
-            EventBroker(history_limit=0)
 
 
 # ----------------------------------------------------------------------

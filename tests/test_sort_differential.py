@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import hashlib
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from repro import constants
 from repro.api import Session
 from repro.baselines.configs import available_configurations, make_strategy
 from repro.ckpt import capture_state
-from repro.config import GridConfig, SortingPolicyConfig
+from repro.config import GridConfig
+from repro.core import sort_policy
 from repro.core.counting_sort import counting_sort_permutation
 from repro.core.gpma import GappedPMA
 from repro.core.incremental_sort import (
@@ -102,9 +104,8 @@ def assert_same_structure(gpma, oracle):
     oracle.check_invariants()
 
 
-def build_pair(bins, num_bins, gap_fraction=0.25, min_gap_slots=1):
-    pair = [cls(num_bins, gap_fraction=gap_fraction,
-                min_gap_slots=min_gap_slots)
+def build_pair(bins, num_bins, gap_fraction=0.25):
+    pair = [cls(num_bins, gap_fraction=gap_fraction)
             for cls in (GappedPMA, OracleGappedPMA)]
     stats = [g.build(np.asarray(bins, dtype=np.int64)) for g in pair]
     assert stats[0] == stats[1]
@@ -138,34 +139,32 @@ def move_pair(gpma, oracle, bins, particles, targets,
 def gpma_scenarios(draw):
     num_bins = draw(st.integers(min_value=1, max_value=6))
     gap_fraction = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5]))
-    min_gap_slots = draw(st.integers(min_value=0, max_value=2))
     bin_ids = st.integers(min_value=0, max_value=num_bins - 1)
     bins = draw(st.lists(bin_ids, min_size=1, max_size=40))
     batch = st.lists(
         st.tuples(st.integers(min_value=0, max_value=len(bins) - 1), bin_ids),
         max_size=len(bins), unique_by=lambda move: move[0])
     batches = draw(st.lists(batch, max_size=6))
-    return num_bins, gap_fraction, min_gap_slots, bins, batches
+    return num_bins, gap_fraction, bins, batches
 
 
 class TestGappedPMAAgainstOracle:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=8),
            st.sampled_from([0.0, 0.1, 0.25, 0.5]),
-           st.integers(min_value=0, max_value=3),
            st.data())
-    def test_build(self, num_bins, gap_fraction, min_gap_slots, data):
+    def test_build(self, num_bins, gap_fraction, data):
         bins = data.draw(st.lists(
             st.integers(min_value=0, max_value=num_bins - 1), max_size=60))
-        build_pair(bins, num_bins, gap_fraction, min_gap_slots)
+        build_pair(bins, num_bins, gap_fraction)
 
     @settings(max_examples=150, deadline=None)
     @given(gpma_scenarios())
     def test_move_batches(self, scenario):
         """Random batches, tight gap reserves included: whichever of pop,
         borrow, overflow and rebuild a batch hits, both structures agree."""
-        num_bins, gap_fraction, min_gap_slots, bins, batches = scenario
-        gpma, oracle = build_pair(bins, num_bins, gap_fraction, min_gap_slots)
+        num_bins, gap_fraction, bins, batches = scenario
+        gpma, oracle = build_pair(bins, num_bins, gap_fraction)
         bins = np.asarray(bins, dtype=np.int64)
         for batch in batches:
             move_pair(gpma, oracle, bins,
@@ -190,7 +189,7 @@ class TestGappedPMAAgainstOracle:
     def test_batch_that_borrows(self):
         # two particles arrive in bin 0, which holds a single gap
         bins = np.array([0, 0, 1, 1, 1, 2, 2])
-        gpma, oracle = build_pair(bins, 3, gap_fraction=0.0, min_gap_slots=1)
+        gpma, oracle = build_pair(bins, 3, gap_fraction=0.0)
         stats, rebuilt = move_pair(gpma, oracle, bins, [4, 5], [0, 0],
                                    rebuild_empty_ratio=0.0)
         assert stats.borrow_shifts > 0
@@ -200,8 +199,9 @@ class TestGappedPMAAgainstOracle:
 
     def test_batch_that_overflows_and_rebuilds(self):
         bins = np.array([0, 0, 1, 1])
-        gpma, oracle = build_pair(bins, 2, gap_fraction=0.0, min_gap_slots=0)
-        # bin 1 is the last bin: nothing to borrow from, the arrivals overflow
+        gpma, oracle = build_pair(bins, 2, gap_fraction=0.0)
+        # bin 1 is the last bin and holds one gap: the first arrival takes
+        # it, the second has nothing to borrow from and overflows
         stats, rebuilt = move_pair(gpma, oracle, bins, [0, 1], [1, 1])
         assert stats.insertions == 2
         assert rebuilt and gpma.rebuild_count == 2
@@ -245,7 +245,7 @@ class TestLazyBuild:
     def test_equals_the_eager_build(self, num_bins, gap_fraction, data):
         """A fresh state's GPMA, built on first use from its sorted bins,
         is the structure an eager build makes; before the build its
-        iteration order, slot count and reserve trigger already are."""
+        iteration order and slot count already are."""
         bins = np.sort(np.asarray(data.draw(st.lists(
             st.integers(min_value=0, max_value=num_bins - 1), max_size=60)),
             dtype=np.int64))
@@ -256,27 +256,39 @@ class TestLazyBuild:
         np.testing.assert_array_equal(state.iteration_order(),
                                       eager.iteration_order())
         assert state.fresh_capacity == eager.capacity
-        rebuild = state.count_reserve_rebuild(REBUILD_EMPTY_RATIO)
-        assert rebuild.rebuilds == int(eager.needs_rebuild(REBUILD_EMPTY_RATIO))
-        assert rebuild.rebuild_elements == rebuild.rebuilds * eager.capacity
 
         lazy = state.gpma
         np.testing.assert_array_equal(lazy.local_index, eager.local_index)
         np.testing.assert_array_equal(lazy.bin_offsets, eager.bin_offsets)
         np.testing.assert_array_equal(lazy.bin_lengths, eager.bin_lengths)
         assert gap_stacks(lazy) == gap_stacks(eager)
-        assert lazy.rebuild_count == rebuild.rebuilds
+        assert lazy.rebuild_count == 0
         lazy.check_invariants()
         np.testing.assert_array_equal(state.iteration_order(),
                                       eager.iteration_order())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=8), st.data())
+    def test_a_fresh_structure_never_needs_the_reserve_rebuild(
+            self, num_bins, data):
+        """At ``GAP_FRACTION`` a fresh build is at least a fifth gaps, so
+        the sorter charges no reserve rebuild right after a global sort."""
+        bins = np.asarray(data.draw(st.lists(
+            st.integers(min_value=0, max_value=num_bins - 1), max_size=60)),
+            dtype=np.int64)
+        fresh = GappedPMA(num_bins)
+        fresh.build(bins)
+        assert fresh.empty_ratio >= 0.2
+        assert not fresh.needs_rebuild(REBUILD_EMPTY_RATIO)
 
 
 # ----------------------------------------------------------------------
 # whole sessions: adopting the regroup's order equals the recompute path
 # ----------------------------------------------------------------------
 
-#: a policy that re-sorts within a few steps, so its decisions are compared
-QUICK_POLICY = SortingPolicyConfig(sort_interval=3, min_sort_interval=2)
+#: a policy that re-sorts within a few steps, so its decisions are
+#: compared: the ``repro.core.sort_policy`` constants it patches
+QUICK_POLICY = dict(SORT_INTERVAL=3, MIN_SORT_INTERVAL=2)
 
 
 def uniform_qsp():
@@ -310,11 +322,11 @@ def record_sorter(sorter, log):
         setattr(sorter, name, recorded)
 
 
-def trajectory(workload, config_name, sorter_cls, steps, sorting):
+def trajectory(workload, config_name, sorter_cls, steps):
     """Per step: the state digest, the counters, the sort statistics of
     every tile visit, the rank statistics and the policy's decision."""
-    strategy = make_strategy(config_name, sorting_config=sorting)
-    strategy.sorter = sorter_cls(strategy.sorting_config)
+    strategy = make_strategy(config_name)
+    strategy.sorter = sorter_cls()
     visits = []
     record_sorter(strategy.sorter, visits)
     rows = []
@@ -343,12 +355,12 @@ def trajectory(workload, config_name, sorter_cls, steps, sorting):
     return rows, shifts
 
 
-def assert_same_trajectory(workload, config_name, steps,
-                           sorting=QUICK_POLICY):
-    mine, shifts = trajectory(workload(), config_name, IncrementalSorter,
-                              steps, sorting)
-    oracle, _ = trajectory(workload(), config_name, OracleIncrementalSorter,
-                           steps, sorting)
+def assert_same_trajectory(workload, config_name, steps):
+    with mock.patch.multiple(sort_policy, **QUICK_POLICY):
+        mine, shifts = trajectory(workload(), config_name, IncrementalSorter,
+                                  steps)
+        oracle, _ = trajectory(workload(), config_name,
+                               OracleIncrementalSorter, steps)
     for step, (got, want) in enumerate(zip(mine, oracle)):
         assert got == want, (config_name, step)
     return mine, shifts
@@ -375,21 +387,6 @@ class TestAdoptionEqualsTheRebuild:
             assert any(stats["global_sorts"] == 0
                        and stats["moved_particles"] > 0
                        for stats in updates)
-
-    def test_no_gaps_at_ppc_128(self):
-        """``gap_fraction=0`` leaves a fresh structure below the reserve
-        threshold, so the local rebuild right after every global sort is
-        counted and charged without building anything."""
-        workload = functools.partial(
-            UniformPlasmaWorkload, n_cell=(4, 4, 8), tile_size=(4, 4, 4),
-            ppc=128, shape_order=1, max_steps=100)
-        rows, _ = assert_same_trajectory(
-            workload, "MatrixPIC (FullOpt)", 4,
-            sorting=SortingPolicyConfig(gap_fraction=0.0))
-        fresh = [stats for row in rows for name, stats in row["visits"]
-                 if name == "incremental_update_tile"
-                 and stats["global_sorts"]]
-        assert fresh and all(stats["local_rebuilds"] == 1 for stats in fresh)
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import GridConfig, SortingPolicyConfig, SpeciesConfig
+from repro.config import GridConfig, SpeciesConfig
 from repro.core.counting_sort import counting_sort_permutation, counting_sort_work
 from repro.core.incremental_sort import IncrementalSorter, TileSortState
 from repro.core.sort_policy import GlobalSortPolicy, RankSortStats
@@ -67,39 +67,34 @@ class TestSortPolicy:
         return stats
 
     def test_minimum_interval_vetoes(self):
-        policy = GlobalSortPolicy(SortingPolicyConfig(min_sort_interval=10))
+        policy = GlobalSortPolicy()
         assert not policy.should_sort(self._stats(steps_since_sort=5,
                                                   local_rebuilds=10**6))
 
     def test_fixed_interval_triggers(self):
-        policy = GlobalSortPolicy(SortingPolicyConfig(sort_interval=50))
+        policy = GlobalSortPolicy()
         assert policy.should_sort(self._stats(steps_since_sort=50))
         assert policy.last_trigger == "fixed_interval"
 
     def test_rebuild_count_triggers(self):
-        policy = GlobalSortPolicy(SortingPolicyConfig(sort_trigger_rebuild_count=10))
-        assert policy.should_sort(self._stats(local_rebuilds=10))
+        policy = GlobalSortPolicy()
+        assert policy.should_sort(self._stats(local_rebuilds=100))
         assert policy.last_trigger == "rebuild_count"
 
     def test_empty_ratio_triggers(self):
-        policy = GlobalSortPolicy(SortingPolicyConfig(sort_trigger_empty_ratio=0.15))
+        policy = GlobalSortPolicy()
         assert policy.should_sort(self._stats(empty_slots=50))
         assert policy.last_trigger == "empty_ratio"
 
     def test_sparse_ratio_triggers(self):
-        policy = GlobalSortPolicy(SortingPolicyConfig(sort_trigger_full_ratio=0.85))
+        policy = GlobalSortPolicy()
         assert policy.should_sort(self._stats(empty_slots=900))
         assert policy.last_trigger == "sparse_ratio"
 
     def test_perf_degradation_triggers(self):
-        policy = GlobalSortPolicy(SortingPolicyConfig(sort_trigger_perf_degrad=0.8))
+        policy = GlobalSortPolicy()
         assert policy.should_sort(self._stats(last_throughput=50.0))
         assert policy.last_trigger == "perf_degradation"
-
-    def test_perf_trigger_can_be_disabled(self):
-        policy = GlobalSortPolicy(
-            SortingPolicyConfig(sort_trigger_perf_enable=False))
-        assert not policy.should_sort(self._stats(last_throughput=50.0))
 
     def test_healthy_state_does_not_trigger(self):
         policy = GlobalSortPolicy()
@@ -110,8 +105,7 @@ class TestSortPolicy:
         fraction against its bound with a strict inequality (the
         ``sort_trigger_full_ratio`` bound fires when the structure became
         sparse, not when occupancy is high)."""
-        policy = GlobalSortPolicy(SortingPolicyConfig(
-            sort_trigger_empty_ratio=0.15, sort_trigger_full_ratio=0.85))
+        policy = GlobalSortPolicy()
         # exactly at either bound: no trigger (strict comparisons)
         assert not policy.should_sort(self._stats(empty_slots=150))
         assert not policy.should_sort(self._stats(empty_slots=850))
@@ -133,9 +127,9 @@ class TestSortPolicy:
 
     def test_rank_stats_record_and_reset(self):
         stats = RankSortStats()
-        stats.record_step(rebuilds=2, moved=10, total_slots=100, empty_slots=30,
+        stats.record_step(rebuilds=2, total_slots=100, empty_slots=30,
                           throughput=5.0)
-        stats.record_step(rebuilds=1, moved=5, total_slots=100, empty_slots=25,
+        stats.record_step(rebuilds=1, total_slots=100, empty_slots=25,
                           throughput=4.0)
         assert stats.steps_since_sort == 2
         assert stats.local_rebuilds == 3
