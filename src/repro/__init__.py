@@ -36,6 +36,11 @@ Matrix Outer-product for High-Performance Particle-in-Cell Simulations*
     pre-stage/post-stage/step hooks, and the one stage list that the global,
     executor-sharded and domain-decomposed runs all step through.
 
+``repro.exec``
+    The one :class:`~repro.exec.TileExecutor` every per-tile stage shards
+    over (``serial`` or ``threads``, bitwise equal at a fixed shard
+    count) and the supervised process pool of campaigns and served jobs.
+
 ``repro.api``
     The run object: :class:`~repro.api.Session` assembles a simulation,
     owns the pipeline and drives it with a stepping iterator
@@ -56,7 +61,6 @@ from repro.config import (
     SimulationConfig,
     SpeciesConfig,
 )
-from repro.exec import create_executor
 from repro.core.framework import MatrixPICDeposition
 from repro.pipeline import StepPipeline, build_pipeline
 
@@ -70,5 +74,4 @@ __all__ = [
     "StepPipeline",
     "MatrixPICDeposition",
     "build_pipeline",
-    "create_executor",
 ]

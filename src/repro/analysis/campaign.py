@@ -29,6 +29,7 @@ serial scripts into a small serving layer:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import os
 from dataclasses import dataclass
@@ -43,7 +44,6 @@ from repro.analysis.cache import (
     content_key,
 )
 from repro.analysis.metrics import ExperimentResult
-from repro.exec.base import TileTask
 from repro.exec.pool import SupervisedPool
 from repro.obs.registry import NULL_TELEMETRY, Telemetry
 
@@ -525,7 +525,7 @@ class Campaign:
         :class:`~repro.exec.pool.SupervisedPool`'s business: the cells it
         could not finish run serially in-process, once.
         """
-        tasks = [TileTask(_execute_spec_payload, (spec.to_dict(),))
+        tasks = [functools.partial(_execute_spec_payload, spec.to_dict())
                  for spec in specs]
         off_pool_before = self.pool.off_pool_tasks
         try:

@@ -38,7 +38,7 @@ from typing import Iterator, List, Optional, Union
 import numpy as np
 
 from repro.config import SimulationConfig
-from repro.exec import TileExecutor, create_executor
+from repro.exec import TileExecutor
 from repro.hardware.counters import KernelCounters
 from repro.obs import HealthHook, ObsConfig, Telemetry, TracingHook
 from repro.obs.registry import NULL_TELEMETRY
@@ -136,10 +136,9 @@ class Session:
             deposition if deposition is not None else ReferenceDeposition()
         )
         #: tile execution engine shared by every per-tile stage of the loop
-        self.executor: TileExecutor = create_executor(config.execution,
-                                                      self.telemetry)
+        self.executor = TileExecutor(config.execution, self.telemetry)
 
-        #: domain-decomposed solve + migration accounting (``None`` on a
+        #: the domain-decomposed field solve (``None`` on a
         #: single-domain run)
         self.domain = None
         if config.domain.is_decomposed:
@@ -149,7 +148,6 @@ class Session:
 
         #: per-stage wall-time accounting of every step run so far
         self.breakdown = RuntimeBreakdown(
-            executor_name=self.executor.name,
             # share the telemetry's metric registry so the breakdown is
             # a view over the exported metrics (time.bucket.*/time.stage.*)
             metrics=(self.telemetry.metrics if self.telemetry.enabled

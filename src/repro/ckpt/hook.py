@@ -15,7 +15,7 @@ none of it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING
 
 from repro.ckpt.session import save_simulation
 from repro.ckpt.store import snapshot_path
@@ -51,15 +51,12 @@ class CheckpointHook:
             raise ValueError(f"every must be >= 1, got {every}")
         self.directory = str(directory)
         self.every = int(every)
-        #: paths written by this hook, oldest first (diagnostics/tests)
-        self.saved: List[str] = []
 
     def __call__(self, session: "Session") -> None:
         if session.step_index % self.every != 0:
             return
         path = snapshot_path(self.directory, session.step_index)
         save_simulation(session, path)
-        self.saved.append(path)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"CheckpointHook(directory={self.directory!r}, "

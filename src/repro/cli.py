@@ -39,8 +39,7 @@ from repro.analysis.cache import (
     default_cache_dir,
 )
 from repro.ckpt.store import CKPT_DIR_ENV, DEFAULT_CHECKPOINT_DIR
-from repro.config import ExecutionConfig
-from repro.exec import SUPPORTED_BACKENDS
+from repro.config import SUPPORTED_BACKENDS, ExecutionConfig
 from repro.workloads import (
     FAMILIES,
     GRID_CHOICES,
@@ -301,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "microseconds, final counter values, instant-event "
                     "counts and the maximum span nesting depth.",
     )
-    summarize.add_argument("file", help="trace file (Chrome JSON or the "
-                                        "JSONL event log)")
+    summarize.add_argument("file", help="Chrome trace JSON file, as "
+                                        "written by --trace")
     summarize.add_argument("--format", choices=("table", "json"),
                            default="table",
                            help="output format (default: table)")

@@ -15,9 +15,7 @@ from typing import Sequence, Tuple
 
 from repro import constants
 
-# safe: repro.exec and repro.obs have no runtime dependency back on this
-# module
-from repro.exec.base import SUPPORTED_BACKENDS
+# safe: repro.obs has no runtime dependency back on this module
 from repro.obs.config import ObsConfig
 
 #: Marker stored in a GPMA slot that holds no particle (paper:
@@ -146,9 +144,8 @@ class LaserConfig:
         return constants.laser_a0_to_field(self.a0, self.wavelength)
 
 
-#: Execution backends understood by :mod:`repro.exec` (re-exported from
-#: the single source of truth next to the executor implementations).
-EXECUTION_BACKENDS = SUPPORTED_BACKENDS
+#: The tile executor backends (:class:`repro.exec.TileExecutor`).
+SUPPORTED_BACKENDS = ("serial", "threads")
 
 
 @dataclass(frozen=True)
@@ -179,11 +176,11 @@ class ExecutionConfig:
     num_shards: int = 1
 
     def __post_init__(self) -> None:
-        if self.backend not in EXECUTION_BACKENDS:
+        if self.backend not in SUPPORTED_BACKENDS:
             hint = ("; 'threads' at the same num_shards is bitwise-identical"
                     if self.backend == "processes" else "")
             raise ValueError(
-                f"backend must be one of {EXECUTION_BACKENDS}, "
+                f"backend must be one of {SUPPORTED_BACKENDS}, "
                 f"got {self.backend!r}{hint}"
             )
         if type(self.num_shards) is not int or self.num_shards <= 0:

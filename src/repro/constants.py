@@ -52,11 +52,3 @@ def laser_a0_to_field(a0: float, wavelength: float) -> float:
     omega = 2.0 * math.pi * C_LIGHT / wavelength
     return a0 * M_ELECTRON * C_LIGHT * omega / Q_PROTON
 
-
-def thermal_velocity(temperature_ev: float) -> float:
-    """Electron thermal velocity [m/s] for a temperature given in
-    electron-volts."""
-    if temperature_ev < 0.0:
-        raise ValueError(f"temperature must be non-negative, got {temperature_ev}")
-    joules = temperature_ev * Q_PROTON
-    return math.sqrt(joules / M_ELECTRON)

@@ -18,7 +18,7 @@ passes with no Python-level loop over particles:
   stack lives in ``_gap_stack[bin_offsets[b]:]``, bottom first, and is as
   deep as the bin has gaps (``region size - bin_lengths[b]``; every empty
   slot of a region is on its stack, so no separate depth is stored), and
-* rebuild bookkeeping (``was_rebuilt_this_step``, cumulative rebuild count).
+* rebuild bookkeeping (the cumulative rebuild count).
 
 Deleting a particle marks its slot invalid and pushes it onto its bin's
 stack (O(1)).  Inserting first pops a gap from the target bin, then tries
@@ -87,7 +87,6 @@ class GappedPMA:
 
         self.num_particles = 0
         self.num_empty_slots = 0
-        self.was_rebuilt_this_step = False
         self.rebuild_count = 0
         self.overflow: List[tuple[int, int]] = []
 
@@ -135,7 +134,6 @@ class GappedPMA:
         self.num_particles = int(particle_bins.size)
         self.num_empty_slots = capacity - self.num_particles
         self.overflow = []
-        self.was_rebuilt_this_step = True
         self.rebuild_count += 1
         return GPMAUpdateStats(rebuilds=1, rebuild_elements=capacity)
 
@@ -389,10 +387,6 @@ class GappedPMA:
             return True
         return self.empty_ratio < empty_ratio_threshold \
             and self.num_particles > 0
-
-    def reset_step_flags(self) -> None:
-        """Clear the per-step rebuild flag (called once per timestep)."""
-        self.was_rebuilt_this_step = False
 
     def check_invariants(self) -> None:
         """Raise AssertionError if internal bookkeeping is inconsistent.

@@ -211,7 +211,6 @@ class IncrementalSorter:
             stats.empty_slots = state.fresh_capacity - n
         else:
             gpma = state.gpma
-            gpma.reset_step_flags()
             new_bins = tile.local_cell_ids(grid)
             movers = np.nonzero(new_bins != state.assigned_bins)[0]
             moved = int(movers.size)

@@ -13,21 +13,17 @@ at a fixed executor shard count.
   global<->local index maps,
 * :mod:`repro.domain.halo` — the halo-exchange engine for field ghost
   layers,
-* :mod:`repro.domain.migration` — cross-subdomain particle-migration
-  accounting on top of the tile redistribution scan,
 * :mod:`repro.domain.runtime` — the decomposed solve driven by the
   pipeline's solve stage.
 """
 
 from repro.domain.decomposition import Decomposition, Subdomain
 from repro.domain.halo import HaloExchange
-from repro.domain.migration import MigrationStats
 from repro.domain.runtime import DomainRuntime
 
 __all__ = [
     "Decomposition",
     "Subdomain",
     "HaloExchange",
-    "MigrationStats",
     "DomainRuntime",
 ]

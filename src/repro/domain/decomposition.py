@@ -18,9 +18,9 @@ Each subdomain owns:
   wrapped values instead).  The slab is the decomposed solve's scratch;
   the frame grid stays the array of record.
 
-The per-axis split reuses the contiguous first-gets-extra partition of
-:func:`repro.exec.base.partition_shards`, which is also how the executor
-shards tiles — one partition rule across the whole library.
+The per-axis split is :func:`numpy.array_split`'s contiguous
+first-gets-extra partition, the rule :meth:`repro.exec.TileExecutor.
+partition` shards tiles by.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.config import GridConfig
-from repro.exec.base import partition_shards
 from repro.pic.grid import Grid
 
 #: ghost cells per slab face: the field solver's reach (each leap-frog
@@ -41,13 +40,11 @@ HALO = 1
 class Subdomain:
     """One axis-aligned block of the decomposition."""
 
-    def __init__(self, index: Tuple[int, int, int], linear_index: int,
+    def __init__(self, index: Tuple[int, int, int],
                  cell_lo: Tuple[int, int, int], cell_hi: Tuple[int, int, int],
                  tile_ids: Tuple[int, ...], halo: int):
         #: position of the block within the (px, py, pz) domain grid
         self.index = index
-        #: row-major linear id of the block
-        self.linear_index = linear_index
         #: inclusive lower global cell index of the interior, per axis
         self.cell_lo = cell_lo
         #: exclusive upper global cell index of the interior, per axis
@@ -117,10 +114,9 @@ class Decomposition:
         self._axis_cells: List[List[Tuple[int, int]]] = []
         self._axis_tiles: List[List[Tuple[int, int]]] = []
         for axis in range(3):
-            chunks = partition_shards(self.tiles_per_axis[axis],
-                                      self.domains[axis])
-            tiles_axis = [(c.tile_indices[0], c.tile_indices[-1] + 1)
-                          for c in chunks]
+            chunks = np.array_split(np.arange(self.tiles_per_axis[axis]),
+                                    self.domains[axis])
+            tiles_axis = [(int(c[0]), int(c[-1]) + 1) for c in chunks]
             n = grid_config.n_cell[axis]
             t = tile_sizes[axis]
             cells_axis = [(lo * t, min(hi * t, n)) for lo, hi in tiles_axis]
@@ -145,17 +141,8 @@ class Decomposition:
                         for ity in range(*self._axis_tiles[1][iy])
                         for itz in range(*self._axis_tiles[2][iz])
                     )
-                    linear = (ix * self.domains[1] + iy) * self.domains[2] + iz
                     self.subdomains.append(Subdomain(
-                        (ix, iy, iz), linear, cell_lo, cell_hi, tile_ids,
-                        self.halo,
-                    ))
-
-        #: linear tile id -> linear subdomain id
-        self.tile_owner = np.empty(
-            (int(np.prod(self.tiles_per_axis)),), dtype=np.int64)
-        for sub in self.subdomains:
-            self.tile_owner[list(sub.tile_ids)] = sub.linear_index
+                        (ix, iy, iz), cell_lo, cell_hi, tile_ids, self.halo))
 
         #: per-axis map: global cell index -> domain position along the axis
         self._cell_owner_axis: List[np.ndarray] = []

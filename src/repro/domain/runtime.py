@@ -11,10 +11,6 @@ runs the leap-frog update per slab with halo exchanges between the three
 sub-updates, and stores the E/B interiors back.  The slabs are the
 solver's scratch; nothing else reads them.
 
-Particle tiles are statically owned by subdomains, so a cross-subdomain
-migration is a tile move whose destination belongs to another block
-(counted by :class:`MigrationStats` through the shared migrate stage).
-
 Determinism contract (bitwise)
 ------------------------------
 The decomposed run is **bitwise identical** to the single-domain run at
@@ -31,7 +27,6 @@ from typing import TYPE_CHECKING, List, Sequence
 
 from repro.domain.decomposition import Decomposition, Subdomain
 from repro.domain.halo import B_FIELDS, E_FIELDS, EM_FIELDS, HaloExchange
-from repro.domain.migration import MigrationStats
 from repro.exec import TileExecutor, map_shards
 from repro.pic.grid import Grid
 from repro.pic.maxwell import FDTDSolver
@@ -57,7 +52,6 @@ class DomainRuntime:
         self.decomposition.build_slabs(session.grid)
         self.halo = HaloExchange(self.decomposition, session.grid.periodic,
                                  session.telemetry)
-        self.migration = MigrationStats(self.decomposition)
         self.solvers: List[FDTDSolver] = (
             [FDTDSolver(sub.slab, scheme=config.field_solver)
              for sub in self.decomposition.subdomains]

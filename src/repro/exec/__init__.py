@@ -1,16 +1,17 @@
-"""Pluggable tile execution engine for the PIC step loop.
+"""Tile execution for the PIC step loop.
 
 Every per-tile stage of the Matrix-PIC cycle (push, boundary/redistribute
 scan, current deposition, energy reduction) calls :func:`map_shards`,
-which turns it into a list of :class:`TileTask` objects — one per
-contiguous *shard* of tiles — and hands them to a :class:`TileExecutor`:
+which splits its tiles into contiguous *shards* and hands one
+zero-argument task per shard to the run's :class:`TileExecutor`, built
+from :class:`repro.config.ExecutionConfig`:
 
 ``serial``
-    The reference backend: tasks run inline in submission order.
+    The reference backend: shards run inline in shard order.
 ``threads``
-    A shared :class:`~concurrent.futures.ThreadPoolExecutor`; NumPy's GIL
-    release inside large ufunc loops overlaps shard arithmetic on
-    multi-core machines.
+    A :class:`~concurrent.futures.ThreadPoolExecutor` of ``num_shards``
+    workers; NumPy's GIL release inside large ufunc loops overlaps shard
+    arithmetic on multi-core machines.
 
 Per-tile work stays in the caller's address space (the paper's execution
 model is shared-memory many-core: tile-local accumulators and a sorter
@@ -34,36 +35,13 @@ switching backends never changes the stage set — only how each stage
 runs.
 """
 
-from repro.exec.base import (
-    BACKEND_SERIAL,
-    BACKEND_THREADS,
-    SUPPORTED_BACKENDS,
-    TileExecutor,
-    TileShard,
-    TileTask,
-    map_shards,
-    partition_shards,
-    run_shards,
-    shard_items,
-)
-from repro.exec.factory import create_executor
+from repro.exec.base import TileExecutor, map_shards, run_shards, shard_items
 from repro.exec.pool import SupervisedPool
-from repro.exec.serial import SerialExecutor
-from repro.exec.threaded import ThreadTileExecutor
 
 __all__ = [
-    "BACKEND_SERIAL",
-    "BACKEND_THREADS",
-    "SUPPORTED_BACKENDS",
     "TileExecutor",
-    "TileShard",
-    "TileTask",
     "map_shards",
-    "partition_shards",
     "run_shards",
     "shard_items",
-    "create_executor",
-    "SerialExecutor",
     "SupervisedPool",
-    "ThreadTileExecutor",
 ]

@@ -1,12 +1,11 @@
-"""Tile executor protocol and shard partitioning.
+"""The tile executor and the one rule that shards per-tile work.
 
 The Matrix-PIC step loop is embarrassingly parallel over particle tiles:
 the pusher, the boundary/redistribution scan and current deposition all
-operate on one tile at a time.  The executor subsystem makes that
-parallelism explicit and pluggable: a :class:`TileExecutor` runs a list of
-:class:`TileTask` objects — one per *shard*, a contiguous chunk of tiles —
-and returns their results **in task order**, regardless of the order in
-which the backend finished them.
+operate on one tile at a time.  The :class:`TileExecutor` makes that
+parallelism explicit: it runs a list of zero-argument callables — one
+per *shard*, a contiguous chunk of tiles — and returns their results
+**in shard order**, regardless of the order in which they finished.
 
 Determinism contract
 --------------------
@@ -17,7 +16,8 @@ scratch-reduce helper built on :func:`shard_items` / :func:`run_shards`,
 :func:`repro.pic.deposition.base.scratch_reduce`).  What it enforces:
 
 1. items are partitioned into contiguous shards — a pure function of the
-   item list and the executor's shard count (:func:`partition_shards`),
+   item list and the executor's shard count
+   (:meth:`TileExecutor.partition`),
 2. each shard runs as one task that accumulates into private scratch
    state (zeroed grid buffers, fresh counters, partial sums), never into
    shared state,
@@ -25,114 +25,77 @@ scratch-reduce helper built on :func:`shard_items` / :func:`run_shards`,
 
 Because scratch buffers start from zero and the merge order is fixed, the
 floating-point reduction tree is a pure function of the shard partition —
-the serial and threaded backends are bitwise identical for the same shard
-count.  Both run their tasks in the caller's address space: a shard body
-mutates its own tiles in place and reads the caller's grid directly.
+the ``serial`` and ``threads`` backends are bitwise identical for the
+same shard count.  Both run their tasks in the caller's address space: a
+shard body mutates its own tiles in place and reads the caller's grid
+directly.
 """
 
 from __future__ import annotations
 
-import abc
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple, TypeVar
+import concurrent.futures
+import functools
+from typing import Any, Callable, List, Optional, Sequence, TypeVar
 
+from repro.config import ExecutionConfig
 from repro.obs.registry import NULL_TELEMETRY, Telemetry
 
 T = TypeVar("T")
 
-#: Backend names accepted by :class:`repro.config.ExecutionConfig`.
-BACKEND_SERIAL = "serial"
-BACKEND_THREADS = "threads"
-SUPPORTED_BACKENDS = (BACKEND_SERIAL, BACKEND_THREADS)
 
+class TileExecutor:
+    """Runs a stage's shards on the run's backend, preserving shard order.
 
-@dataclass(frozen=True)
-class TileTask:
-    """One unit of executor work: a function applied to a shard.
-
-    ``args`` is the positional payload of ``fn``.  Tile executors simply
-    invoke the task; :class:`repro.exec.pool.SupervisedPool` ships
-    ``(fn, args)`` to a worker process, which needs a module-level ``fn``
-    and a picklable payload and result.
-    """
-
-    fn: Callable[..., Any]
-    args: Tuple[Any, ...] = ()
-
-    def __call__(self) -> Any:
-        return self.fn(*self.args)
-
-
-@dataclass(frozen=True)
-class TileShard:
-    """A contiguous chunk of a container's tiles, the unit of scheduling."""
-
-    #: position of the shard in the partition (also its merge rank)
-    index: int
-    #: indices into the caller's tile list, in ascending order
-    tile_indices: Tuple[int, ...] = field(default_factory=tuple)
-
-    @property
-    def num_tiles(self) -> int:
-        return len(self.tile_indices)
-
-
-def partition_shards(num_items: int, num_shards: int) -> List[TileShard]:
-    """Split ``range(num_items)`` into at most ``num_shards`` contiguous shards.
-
-    The split follows :func:`numpy.array_split` semantics (first shards get
-    the extra items) but never emits an empty shard; with fewer items than
-    shards the partition degenerates to one item per shard.  The result is
-    a pure function of ``(num_items, num_shards)`` — the cornerstone of the
-    cross-backend determinism contract.
-    """
-    if num_shards <= 0:
-        raise ValueError(f"num_shards must be positive, got {num_shards}")
-    if num_items <= 0:
-        return []
-    shards = min(num_shards, num_items)
-    base, extra = divmod(num_items, shards)
-    out: List[TileShard] = []
-    start = 0
-    for index in range(shards):
-        size = base + (1 if index < extra else 0)
-        out.append(TileShard(index=index,
-                             tile_indices=tuple(range(start, start + size))))
-        start += size
-    return out
-
-
-class TileExecutor(abc.ABC):
-    """Executes tile tasks, one per shard, preserving task order.
+    ``serial`` runs the shards inline, in order.  ``threads`` runs them
+    on a :class:`~concurrent.futures.ThreadPoolExecutor` of
+    ``num_shards`` workers, created on first use and released by
+    :meth:`shutdown` (or the context-manager protocol); NumPy and BLAS
+    release the interpreter lock inside large loops, so shard arithmetic
+    can overlap on a multi-core machine.  A failing shard's exception is
+    re-raised only after every shard has settled, so none is left
+    half-finished in the background.
 
     Attributes
     ----------
     name:
-        Backend identifier (one of :data:`SUPPORTED_BACKENDS`).
+        The backend, ``"serial"`` or ``"threads"``.
     num_shards:
-        Target number of shards callers should partition into.  This is a
-        scheduling hint, not a hard cap — callers may submit fewer tasks
-        when a container has fewer non-empty tiles.
+        Number of shards callers partition into.  A scheduling hint, not
+        a hard cap — a container with fewer non-empty tiles gives fewer.
     obs:
-        The owning run's telemetry registry (``exec.*`` accounting).
+        The owning run's telemetry (``exec.*`` accounting of ``threads``).
     """
 
-    name: str = "abstract"
-
-    def __init__(self, num_shards: int = 1,
+    def __init__(self, config: ExecutionConfig,
                  obs: Telemetry = NULL_TELEMETRY):
-        if num_shards <= 0:
-            raise ValueError(f"num_shards must be positive, got {num_shards}")
-        self.num_shards = num_shards
+        self.name = config.backend
+        self.num_shards = config.num_shards
         self.obs = obs
+        self._pool: Optional[concurrent.futures.ThreadPoolExecutor] = None
 
-    # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def run(self, tasks: Sequence[TileTask]) -> List[Any]:
-        """Run all tasks and return their results in task order."""
+    def run(self, tasks: Sequence[Callable[[], T]]) -> List[T]:
+        """Call every task and return the results in task order."""
+        if self.name == "serial":
+            return [task() for task in tasks]
+        self.obs.count("exec.shard_batches")
+        self.obs.count("exec.shard_tasks", len(tasks))
+        if len(tasks) <= 1:
+            return [task() for task in tasks]
+        if self._pool is None:
+            self._pool = concurrent.futures.ThreadPoolExecutor(
+                max_workers=self.num_shards, thread_name_prefix="repro-tile")
+        with self.obs.span("shard_batch", cat="exec",
+                           args={"tasks": len(tasks)}):
+            futures = [self._pool.submit(task) for task in tasks]
+            concurrent.futures.wait(futures)
+            # .result() re-raises the first failing task's exception
+            return [future.result() for future in futures]
 
     def shutdown(self) -> None:
-        """Release any worker pools held by the backend."""
+        """Release the thread pool, if one was created."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
 
     def __enter__(self) -> "TileExecutor":
         return self
@@ -140,7 +103,6 @@ class TileExecutor(abc.ABC):
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
 
-    # ------------------------------------------------------------------
     @property
     def is_trivial(self) -> bool:
         """True when the executor cannot outrun the plain serial loop.
@@ -155,13 +117,25 @@ class TileExecutor(abc.ABC):
         """
         return self.num_shards == 1
 
-    def partition(self, items: Sequence[T]) -> List[List[T]]:
-        """Chunk ``items`` into per-shard lists following the fixed partition."""
-        shards = partition_shards(len(items), self.num_shards)
-        return [[items[i] for i in shard.tile_indices] for shard in shards]
+    def partition(self, items: Sequence[T]) -> List[Sequence[T]]:
+        """``items`` as at most ``num_shards`` contiguous slices.
+
+        The split follows :func:`numpy.array_split` (the first shards get
+        the extra items) but never yields an empty shard: with fewer items
+        than shards it is one item per shard.  A pure function of
+        ``(len(items), num_shards)`` — the cornerstone of the
+        cross-backend determinism contract.
+        """
+        shards = min(self.num_shards, len(items))
+        if shards == 0:
+            return []
+        base, extra = divmod(len(items), shards)
+        bounds = [index * base + min(index, extra)
+                  for index in range(shards + 1)]
+        return [items[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(num_shards={self.num_shards})"
+        return f"TileExecutor({self.name!r}, num_shards={self.num_shards})"
 
 
 def shard_items(executor: Optional[TileExecutor], items: Sequence[T]
@@ -183,11 +157,12 @@ def run_shards(executor: Optional[TileExecutor], fn: Callable[..., Any],
     """``fn(shard, *args)`` for every shard; results in shard order.
 
     A single shard is one inline call on the caller's thread.  Several
-    shards become one :class:`TileTask` each, run by the executor.
+    shards become one task each, run by the executor.
     """
     if len(shards) == 1:
         return [fn(shards[0], *args)]
-    return executor.run([TileTask(fn, (shard, *args)) for shard in shards])
+    return executor.run([functools.partial(fn, shard, *args)
+                         for shard in shards])
 
 
 def map_shards(executor: Optional[TileExecutor], fn: Callable[..., Any],

@@ -45,7 +45,6 @@ import weakref
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.exec.base import TileTask
 from repro.obs.log import log_event
 from repro.obs.registry import NULL_TELEMETRY, Telemetry
 
@@ -160,11 +159,13 @@ class SupervisedPool:
             self._incident(cause, broke=True)
         return True
 
-    def run(self, tasks: Sequence[TileTask],
+    def run(self, tasks: Sequence[Callable[[], Any]],
             on_result: Optional[Callable[[int, Any], None]] = None
             ) -> List[Any]:
-        """Run a batch and return the results in task order.
+        """Call a batch of zero-argument tasks; results in task order.
 
+        A task shipped to a worker must pickle: a module-level function,
+        or a :func:`functools.partial` of one over picklable arguments.
         ``on_result(position, result)`` fires as each result
         materializes — before the batch finishes — so a caller can
         persist completed work even when a later task raises.  Work the
@@ -185,7 +186,7 @@ class SupervisedPool:
         futures: Dict["concurrent.futures.Future", int] = {}
         if pooled:
             for position, task in enumerate(tasks):
-                future = self.submit(task.fn, *task.args)
+                future = self.submit(task)
                 if future is None:
                     # the rest of the batch runs inline below; a rebuilt
                     # pool is for the next batch

@@ -13,7 +13,7 @@ One spine for every runtime signal the library emits:
   closed by the session and its pipeline);
 * :class:`HealthHook` (:mod:`repro.obs.health`) — per-step energy-drift,
   charge-conservation probes that warn and a NaN/Inf probe that aborts;
-* :mod:`repro.obs.trace` — JSONL and Chrome ``trace_event`` export
+* :mod:`repro.obs.trace` — Chrome ``trace_event`` export
   (Perfetto-loadable), schema validation and the ``python -m repro
   trace summarize`` folder;
 * :func:`log_event` (:mod:`repro.obs.log`) — the structured-logging
@@ -35,7 +35,6 @@ from repro.obs.trace import (
     TRACE_SCHEMA,
     chrome_trace_events,
     export_chrome_trace,
-    export_jsonl,
     load_trace_events,
     summarize_trace,
     validate_chrome_trace,
@@ -51,7 +50,6 @@ __all__ = [
     "TracingHook",
     "chrome_trace_events",
     "export_chrome_trace",
-    "export_jsonl",
     "load_trace_events",
     "log_event",
     "summarize_trace",

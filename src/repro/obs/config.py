@@ -13,8 +13,8 @@ Three independent layers hang off the flags:
 * ``enabled`` — the master switch.  Off (the default) installs the
   shared null telemetry: every counter/span call is a single attribute
   check and the registry stays empty.
-* ``trace`` — record spans and structured events (exportable as JSONL
-  and Chrome ``trace_event`` JSON, see :mod:`repro.obs.trace`).
+* ``trace`` — record spans and structured events (exportable as
+  Chrome ``trace_event`` JSON, see :mod:`repro.obs.trace`).
   Counters are always on when ``enabled``; tracing adds the timeline.
 * ``health`` — per-step physics-health probes (energy drift, charge
   conservation, NaN/Inf field guards; :mod:`repro.obs.health`, whose

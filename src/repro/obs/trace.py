@@ -1,20 +1,16 @@
 """Trace export, validation and summarisation.
 
-Two export formats cover the two consumers:
-
-* **JSONL** (:func:`export_jsonl`) — one raw telemetry event per line,
-  the lossless machine format for ad-hoc scripting;
-* **Chrome ``trace_event`` JSON** (:func:`export_chrome_trace`) — the
-  ``{"traceEvents": [...]}`` container understood by Perfetto and
-  ``chrome://tracing``: ``B``/``E`` duration pairs for spans, ``C`` for
-  counter samples, ``i`` for instants, with microsecond timestamps
-  rebased to the first event.
+The one export format is **Chrome ``trace_event`` JSON**
+(:func:`export_chrome_trace`): the ``{"traceEvents": [...]}`` container
+understood by Perfetto and ``chrome://tracing`` — ``B``/``E`` duration
+pairs for spans, ``C`` for counter samples, ``i`` for instants, with
+microsecond timestamps rebased to the first event.
 
 :func:`validate_chrome_trace` checks an exported payload against
 :data:`TRACE_SCHEMA` with a hand-rolled walker (no ``jsonschema``
 dependency) plus the span-nesting discipline Perfetto assumes (every
 ``E`` closes the innermost open ``B`` on its thread, nothing left open);
-:func:`summarize_trace` folds either format into per-span totals for
+:func:`summarize_trace` folds an exported trace into per-span totals for
 ``python -m repro trace summarize``.
 """
 
@@ -29,7 +25,6 @@ __all__ = [
     "TRACE_SCHEMA",
     "chrome_trace_events",
     "export_chrome_trace",
-    "export_jsonl",
     "load_trace_events",
     "summarize_trace",
     "validate_chrome_trace",
@@ -121,43 +116,19 @@ def export_chrome_trace(handle: Telemetry, path: str) -> str:
     return path
 
 
-def export_jsonl(handle: Telemetry, path: str) -> str:
-    """Write one raw telemetry event per line to ``path``; returns it."""
-    with open(path, "w", encoding="utf-8") as stream:
-        for event in handle.events:
-            stream.write(json.dumps(event, sort_keys=False))
-            stream.write("\n")
-    return path
-
-
 # ----------------------------------------------------------------------
 # load + validate
 # ----------------------------------------------------------------------
 
 def load_trace_events(path: str) -> List[Dict[str, Any]]:
-    """Load a trace file in either export format, as Chrome events.
-
-    A leading ``{`` means the Chrome container; anything else is parsed
-    as JSONL of raw telemetry events and converted via
-    :func:`chrome_trace_events` so both feed the same summariser.
-    """
+    """The ``traceEvents`` of an exported Chrome trace file."""
     with open(path, "r", encoding="utf-8") as stream:
-        text = stream.read()
-    # both formats open with "{" (JSONL lines are event objects), so the
-    # discriminator is whether the whole file parses as one document
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError:
-        payload = None
-    if isinstance(payload, dict):
-        events = payload.get("traceEvents")
-        if not isinstance(events, list):
-            raise ValueError(f"{path}: no traceEvents array")
-        return events
-    raw = [json.loads(line) for line in text.splitlines() if line.strip()]
-    shim = Telemetry.__new__(Telemetry)
-    shim.events = raw
-    return chrome_trace_events(shim)
+        payload = json.load(stream)
+    events = payload.get("traceEvents") if isinstance(payload, dict) \
+        else None
+    if not isinstance(events, list):
+        raise ValueError(f"{path}: no traceEvents array")
+    return events
 
 
 def _walk_schema(value: Any, schema: Dict[str, Any], where: str,

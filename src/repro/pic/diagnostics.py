@@ -43,19 +43,13 @@ class RuntimeBreakdown:
       :class:`~repro.pipeline.Stage` name, filled by the pipeline's
       post-stage timing hook.  A bucket's value is the sum of its
       stages' values.
-
-    ``executor_name`` records which tile execution backend
-    (:mod:`repro.exec`) produced the timings, so scaling studies can
-    label their breakdowns.
     """
 
-    def __init__(self, executor_name: str = "serial",
-                 metrics: Optional[MetricSet] = None) -> None:
+    def __init__(self, metrics: Optional[MetricSet] = None) -> None:
         #: the backing metric registry (shared with the telemetry when
         #: observability is on, private otherwise)
         self.metrics = metrics if metrics is not None else MetricSet()
         self.steps = 0
-        self.executor_name = executor_name
 
     # ------------------------------------------------------------------
     # the one recording path

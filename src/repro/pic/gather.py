@@ -14,8 +14,9 @@ the particles of one cell the interpolation is one matrix product.
 (:func:`gather_fields_for_tile`) or a run of tiles' (the pusher's
 batches, :mod:`repro.pic.pusher`) — and
 
-1. extracts the wrapped/clamped field box of the batch **once** for all
-   six components,
+1. extracts the wrapped/clamped field box of the batch
+   (:func:`repro.pic.stencil.box_geometry`, bounded however far outside
+   the domain the batch lies) **once** for all six components,
 2. gives every particle its stencil *base cell* in box coordinates
    (from the shape factors' base indices, so a particle outside its
    tile's cell box on a shifted window is still gathered exactly) and
@@ -51,11 +52,6 @@ in node order starting from zero, which is the order the row-major
 ``einsum`` it replaced summed six components in, so the gathered fields
 are those of the row-major formulation bit for bit
 (``tests/test_operand_panels.py``).
-
-Batches reaching more than a stencil width outside the domain (no
-per-step caller does) fall back as a whole to the stencil engine's exact
-wrapped-space adjoint, :meth:`repro.pic.stencil.StencilOperator.gather`,
-which is also the oracle the block form is tested against.
 """
 
 from __future__ import annotations
@@ -69,12 +65,7 @@ from repro.pic.blocks import BLOCK_ROWS, cell_block_slots, outer_rows
 from repro.pic.grid import Grid
 from repro.pic.particles import ParticleTile
 from repro.pic.shapes import shape_factors
-from repro.pic.stencil import (
-    Array,
-    StencilOperator,
-    box_geometry,
-    box_node_ids,
-)
+from repro.pic.stencil import Array, box_geometry, box_node_ids
 
 
 @lru_cache(maxsize=256)
@@ -110,14 +101,8 @@ def _gather_components(grid: Grid, x: Array, y: Array, z: Array,
     base_z, sz = shape_factors(zi, order)
     support = sx.shape[1]
     shape, periodic = grid.shape, grid.periodic
-    geometry = box_geometry(shape, base_x, base_y, base_z, support)
-    if geometry is None:
-        # more than a stencil width outside the domain: the box would be
-        # unbounded, so the engine's exact wrapped-space adjoint serves
-        return StencilOperator.from_shape_data(
-            shape, periodic, base_x, base_y, base_z, sx, sy, sz
-        ).gather_many(fields)
-    lo, dims = geometry
+    (base_x, base_y, base_z), lo, dims = box_geometry(
+        shape, periodic, base_x, base_y, base_z, support)
     components = len(fields)
 
     # the wrapped/clamped field box, once for all components

@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import functools
 from typing import (
-    Callable,
     Dict,
     Iterator,
     List,
@@ -304,10 +303,6 @@ def _scan_shard(tiles: List[ParticleTile], grid: Grid,
     return keys
 
 
-def record_nothing(source_tile_id: int, owner_tile_ids: np.ndarray) -> None:
-    """The default ``move_recorder`` of :meth:`ParticleContainer.redistribute`."""
-
-
 def _kinetic_shard(tiles: List[ParticleTile], mass: float) -> float:
     """Executor task: relativistic kinetic energy of one shard of tiles."""
     from repro import constants
@@ -474,9 +469,7 @@ class ParticleContainer:
 
     # ------------------------------------------------------------------
     def redistribute(self, grid: Grid,
-                     executor: Optional[TileExecutor] = None,
-                     move_recorder: Callable[[int, np.ndarray], None]
-                     = record_nothing) -> int:
+                     executor: Optional[TileExecutor] = None) -> int:
         """Apply the particle boundary conditions and move particles that
         left their tile into the owning tile.
 
@@ -504,12 +497,6 @@ class ParticleContainer:
         count did not); every other tile keeps its particles in their
         order and its ``sorter`` object.  The new offsets are a
         ``bincount`` of the destinations.
-
-        ``move_recorder`` is called, in ascending source-tile order, as
-        ``move_recorder(source_tile_id, owner_tile_ids)`` with the
-        destination tile of every particle leaving that source — the
-        hook the domain decomposition uses to account for particles
-        migrating between subdomains without a second scan.
         """
         periodic = tuple(
             bc == "periodic" for bc in self.grid_config.particle_boundary)
@@ -525,11 +512,6 @@ class ParticleContainer:
         departures, destinations = source[leaving], owner[leaving]
         if departures.shape[0] == 0 and not absorbed.any():
             return 0
-
-        sources, first = np.unique(departures, return_index=True)
-        for tile_id, owners in zip(sources.tolist(),
-                                   np.split(destinations, first[1:])):
-            move_recorder(tile_id, owners)
 
         moving = np.zeros(num_tiles, dtype=bool)
         moving[departures] = True

@@ -5,12 +5,9 @@ deposition, the rhocell cell->node reduction and the field gather —
 evaluates the same tensor-product stencil: a particle at grid-normalised
 position ``xi`` touches ``support`` nodes per axis with separable 1-D
 weights, i.e. ``support**3`` grid nodes in total.
-(The per-step field gather does not build that stencil per particle: it
-is the cell-grouped block product of :mod:`repro.pic.gather`, which
-borrows this module's bounding box and wrap/clamp rule.  The adjoint
-here, :meth:`StencilOperator.gather`, is the boundary-exact generic form
-— the far-out-of-domain fallback of the block gather and the oracle the
-block form is tested against.)
+(The field gather does not build that stencil per particle: it is the
+cell-grouped block product of :mod:`repro.pic.gather`, which borrows
+this module's bounding box and wrap/clamp rule.)
 
 Historically each consumer walked that stencil with a triple Python loop,
 issuing one ``np.add.at`` (NumPy's slowest scatter primitive: an unbuffered
@@ -19,21 +16,19 @@ per current component — ``3 * support**3`` calls per tile, 192 at QSP
 order.  This module replaces that pattern with a single-pass formulation:
 
 1. node indices are resolved **once per axis** (not once per stencil
-   offset inside the loop nest).  On the fast path the operator works in
-   the coordinates of the batch's *bounding box* (the tile's cells plus
-   the stencil ghost ring): no wrapping is needed inside the box, the
-   ``support**3`` stencil offsets are the same constant cached vector for
-   every particle, and the full ``(n, support**3)`` id array is one
-   broadcast add off the particles' base corner id,
+   offset inside the loop nest).  The operator works in the coordinates
+   of the batch's *bounding box* (the tile's cells plus the stencil
+   ghost ring, :func:`box_geometry`): no wrapping is needed inside the
+   box, the ``support**3`` stencil offsets are the same constant cached
+   vector for every particle, and the full ``(n, support**3)`` id array
+   is one broadcast add off the particles' base corner id,
 2. the tensor-product weights are flattened to the matching
    ``(n, support**3)`` layout,
 3. each component is accumulated with a single scatter-add pass over the
    flattened stencil into a box accumulator, and the box is then applied
    to the grid as a handful of slice additions: periodic axes wrap the
    box's overhanging segments around (as many periods as needed), open
-   axes collapse them onto the boundary plane.  The adjoint gather
-   extracts the same wrapped/clamped box from the field and reads it
-   through the shared ids and weights.
+   axes collapse them onto the boundary plane.
 
 The box is *tile-sized*, not grid-sized, so the per-tile cost is
 ``O(n_particles * support**3 + box)`` — independent of the global grid
@@ -72,7 +67,6 @@ Array = np.ndarray
 __all__ = [
     "Array",
     "wrap_axis_indices",
-    "flat_node_ids",
     "scatter_flat",
     "cell_block_ids",
     "box_geometry",
@@ -88,39 +82,6 @@ def wrap_axis_indices(idx: Array, n: int, periodic: bool) -> Array:
     if periodic:
         return np.mod(idx, n)
     return np.clip(idx, 0, n - 1)
-
-
-def flat_node_ids(shape: Tuple[int, int, int], periodic: Sequence[bool],
-                  base_x: Array, base_y: Array, base_z: Array,
-                  support: int) -> Array:
-    """Row-major linear node ids of every stencil point, per particle.
-
-    The wrapped per-axis indices are computed once for all ``support``
-    offsets of each axis (three ``(n, support)`` arrays), then combined
-    into an ``(n, support**3)`` id array whose trailing axis is ordered
-    ``(i, j, k)`` row-major with ``k`` fastest — matching both the rhocell
-    flattening and :func:`repro.pic.shapes.combined_weights`.
-
-    This is the boundary-exact reference formulation, valid for arbitrary
-    (even far out-of-domain) base indices; the per-step hot paths use the
-    bounding-box :class:`StencilOperator` fast path instead.
-    """
-    nx, ny, nz = shape
-    base_x = np.asarray(base_x, dtype=np.int64)
-    n = base_x.shape[0]
-    offsets = np.arange(support, dtype=np.int64)
-    gx = wrap_axis_indices(base_x[:, None] + offsets, nx,
-                           bool(periodic[0])) * (ny * nz)
-    gy = wrap_axis_indices(
-        np.asarray(base_y, dtype=np.int64)[:, None] + offsets,
-        ny, bool(periodic[1])) * nz
-    gz = wrap_axis_indices(
-        np.asarray(base_z, dtype=np.int64)[:, None] + offsets,
-        nz, bool(periodic[2]))
-    # staged like the weight tensor product: the small (n, S^2) xy plane
-    # first, then one streaming pass over the full stencil
-    plane = (gx[:, :, None] + gy[:, None, :]).reshape(n, support * support)
-    return (plane[:, :, None] + gz[:, None, :]).reshape(n, support**3)
 
 
 def _scatter(flat_ids: Array, weights: Array, amplitude: Optional[Array],
@@ -163,7 +124,7 @@ def cell_block_ids(cell_ids: Array, nodes_per_cell: int) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# bounding-box fast path
+# the bounding box
 # ---------------------------------------------------------------------------
 @lru_cache(maxsize=256)
 def _box_offsets(box_yz: Tuple[int, int], support: int) -> Array:
@@ -177,27 +138,35 @@ def _box_offsets(box_yz: Tuple[int, int], support: int) -> Array:
     return flat
 
 
-def box_geometry(shape: Tuple[int, int, int],
+def box_geometry(shape: Tuple[int, int, int], periodic: Sequence[bool],
                  base_x: Array, base_y: Array, base_z: Array, support: int
-                 ) -> Optional[Tuple[Tuple[int, int, int],
-                                     Tuple[int, int, int]]]:
-    """Bounding box ``(lo, dims)`` of a batch's stencil footprint.
+                 ) -> Tuple[Tuple[Array, Array, Array],
+                            Tuple[int, int, int], Tuple[int, int, int]]:
+    """Bounding box ``(bases, lo, dims)`` of a batch's stencil footprint.
 
-    Returns ``None`` when any base index lies more than one stencil
-    width outside the domain: the box would grow unboundedly, so such
-    batches take the exact wrapped-space fallback instead.  Every
-    per-step caller stays in range because redistributed particles sit
-    within one stencil width of the domain.  An empty batch gets the
-    degenerate ``((0, 0, 0), (support,) * 3)`` box.
+    A batch whose base indices all lie within one stencil width of the
+    domain keeps them (every per-step batch does: redistributed
+    particles sit inside it).  A batch reaching further out has them
+    brought into range on copies — periodic axes reduced mod ``n``, open
+    axes clipped to ``[-support, n]`` — which address the same
+    wrapped/clamped nodes, so the box stays bounded by the domain plus
+    the stencil (``n + 2 * support`` per axis) however far out the batch
+    lies.  Callers place the particles in the box through the returned
+    ``bases``.  An empty batch gets the degenerate
+    ``((0, 0, 0), (support,) * 3)`` box.
     """
+    bases = (base_x, base_y, base_z)
     if base_x.shape[0] == 0:
-        return (0, 0, 0), (support, support, support)
-    lo = (int(base_x.min()), int(base_y.min()), int(base_z.min()))
-    hi = (int(base_x.max()), int(base_y.max()), int(base_z.max()))
+        return bases, (0, 0, 0), (support, support, support)
+    lo = tuple(int(base.min()) for base in bases)
+    hi = tuple(int(base.max()) for base in bases)
     if not all(lo[a] >= -support and hi[a] <= shape[a] for a in range(3)):
-        return None
+        bases = tuple(np.mod(base, n) if wrap else np.clip(base, -support, n)
+                      for base, n, wrap in zip(bases, shape, periodic))
+        lo = tuple(int(base.min()) for base in bases)
+        hi = tuple(int(base.max()) for base in bases)
     dims = tuple(hi[a] - lo[a] + support for a in range(3))
-    return lo, dims  # type: ignore[return-value]
+    return bases, lo, dims  # type: ignore[return-value]
 
 
 def box_node_ids(box_lo: Tuple[int, int, int], box_dims: Tuple[int, int, int],
@@ -288,33 +257,27 @@ def apply_box(box: Array, segments: Tuple[List, ...], out: Array) -> None:
 class StencilOperator:
     """The flattened tensor-product stencil of one particle batch.
 
-    Holds the ``(n, support**3)`` linear node ids and weights computed
-    once, and applies them in either direction:
+    Holds the ``(n, support**3)`` node ids — in the coordinates of the
+    batch's bounding box (:func:`box_geometry`) — and weights computed
+    once, and scatters through them:
 
     * :meth:`scatter` — deposit ``amplitude[p] * weights[p, m]`` into a
       dense grid array (one scatter-add pass per component),
     * :meth:`scatter_values` — deposit precomputed per-stencil-point
-      values (the rhocell cell->node reduction),
-    * :meth:`gather` — interpolate a dense grid array back to the
-      particles (the exact adjoint, sharing ids and weights).
+      values (the rhocell cell->node reduction).
 
-    On the fast path the ids live in the batch's bounding box
-    (``box_lo``/``box_dims`` set): no per-point wrapping, one constant
-    offset vector for every particle, a tile-sized accumulator, and a
-    fixed sequence of wrapped/clamped slice additions onto the grid.
-    Base indices far outside the domain (more than one stencil width)
-    would make the box unboundedly large, so they fall back to exact
-    per-point wrapping (``box_dims is None``); both modes produce
-    boundary-exact results for any mix of periodic and open axes,
-    including axes shorter than the stencil support.
+    Inside the box nothing wraps: one constant offset vector serves
+    every particle, the accumulator is tile-sized, and a fixed sequence
+    of wrapped/clamped slice additions puts it onto the grid — boundary
+    exact for any mix of periodic and open axes, including axes shorter
+    than the stencil support.
 
     Built from a :class:`~repro.pic.grid.Grid` plus positions
     (:meth:`for_grid`, the reference ρ deposit), from raw normalised
     positions (:meth:`for_box`, which ``for_grid`` calls and the tests'
     oracle drives directly), from precomputed shape data
-    (:meth:`from_shape_data`, the deposition staging path and the
-    gather's far-out-of-domain fallback), or from bare per-axis base
-    indices (:meth:`from_bases`, the rhocell reduction).
+    (:meth:`from_shape_data`, the deposition staging path), or from bare
+    per-axis base indices (:meth:`from_bases`, the rhocell reduction).
     """
 
     __slots__ = ("flat_ids", "weights", "shape", "periodic", "box_lo",
@@ -324,8 +287,8 @@ class StencilOperator:
                  weights: Optional[Array],
                  shape: Tuple[int, int, int],
                  periodic: Tuple[bool, bool, bool],
-                 box_lo: Optional[Tuple[int, int, int]],
-                 box_dims: Optional[Tuple[int, int, int]]):
+                 box_lo: Tuple[int, int, int],
+                 box_dims: Tuple[int, int, int]):
         self.flat_ids = flat_ids
         self.weights = weights
         self.shape = shape
@@ -346,15 +309,10 @@ class StencilOperator:
         """Build from per-axis base node indices (ids only by default)."""
         shape = tuple(int(s) for s in shape)
         periodic = tuple(bool(p) for p in periodic)
-        base_x = np.asarray(base_x, dtype=np.int64)
-        base_y = np.asarray(base_y, dtype=np.int64)
-        base_z = np.asarray(base_z, dtype=np.int64)
-        geometry = box_geometry(shape, base_x, base_y, base_z, support)
-        if geometry is None:
-            ids = flat_node_ids(shape, periodic, base_x, base_y, base_z,
-                                support)
-            return cls(ids, weights, shape, periodic, None, None)
-        lo, dims = geometry
+        (base_x, base_y, base_z), lo, dims = box_geometry(
+            shape, periodic, np.asarray(base_x, dtype=np.int64),
+            np.asarray(base_y, dtype=np.int64),
+            np.asarray(base_z, dtype=np.int64), support)
         base = ((base_x - lo[0]) * dims[1] + (base_y - lo[1])) * dims[2] \
             + (base_z - lo[2])
         ids = base[:, None] + _box_offsets((dims[1], dims[2]), support)
@@ -392,33 +350,24 @@ class StencilOperator:
         return cls.for_box(grid.shape, grid.periodic, xi, yi, zi, order)
 
     # ------------------------------------------------------------------
-    # box <-> grid transfer
+    # application
     # ------------------------------------------------------------------
-    def _segments(self) -> Tuple[List, ...]:
-        if self._segments_cache is None:
-            self._segments_cache = box_segments(self.box_lo, self.box_dims,
-                                                self.shape, self.periodic)
-        return self._segments_cache
-
     def _box_scatter(self, values: Array, amplitude: Optional[Array],
                      out: Array) -> None:
         """One scatter-add pass into the bounding box, then the box
         added onto the grid (wrap/clamp per axis)."""
+        if self.num_particles == 0:
+            return
+        if self._segments_cache is None:
+            self._segments_cache = box_segments(self.box_lo, self.box_dims,
+                                                self.shape, self.periodic)
         dims = self.box_dims
         box = _scatter(self.flat_ids, values, amplitude,
                        int(dims[0]) * int(dims[1]) * int(dims[2]))
-        apply_box(box.reshape(dims), self._segments(), out)
+        apply_box(box.reshape(dims), self._segments_cache, out)
 
-    # ------------------------------------------------------------------
-    # application
-    # ------------------------------------------------------------------
     def scatter_values(self, values: Array, out: Array) -> None:
         """Add per-stencil-point ``values`` (shape ``(n, S^3)``) to ``out``."""
-        if self.num_particles == 0:
-            return
-        if self.box_dims is None:
-            scatter_flat(self.flat_ids, values, out)
-            return
         self._box_scatter(values, None, out)
 
     def scatter(self, amplitude: Optional[Array], out: Array) -> None:
@@ -427,37 +376,4 @@ class StencilOperator:
         ``amplitude`` is a per-particle factor (charge/current term); pass
         ``None`` to scatter the bare stencil weights.
         """
-        if self.num_particles == 0:
-            return
-        if self.box_dims is None:
-            if amplitude is None:
-                contributions = self.weights
-            else:
-                contributions = np.asarray(amplitude)[:, None] * self.weights
-            scatter_flat(self.flat_ids, contributions, out)
-            return
         self._box_scatter(self.weights, amplitude, out)
-
-    def gather(self, field: Array) -> Array:
-        """Interpolate ``field`` to the particles (adjoint of scatter).
-
-        The generic, boundary-exact adjoint: one ``(n, S^3)`` fancy-index
-        read of the field through the shared ids, reduced against the
-        weights by a fused ``einsum`` (no product temporary).  It serves
-        batches far outside the domain (the block gather's fallback) and
-        is the tests' oracle of the per-step gather — which does not
-        come through here: :func:`repro.pic.gather.
-        gather_fields_for_tile` computes the same sums as cell-grouped
-        block products without the ``(n, S^3)`` arrays.
-        """
-        if self.num_particles == 0:
-            return np.empty(0)
-        source = field.reshape(-1)
-        if self.box_dims is not None:  # the wrapped/clamped box copy
-            source = source[box_node_ids(self.box_lo, self.box_dims,
-                                         self.shape, self.periodic)]
-        return np.einsum("pn,pn->p", source[self.flat_ids], self.weights)
-
-    def gather_many(self, fields: Sequence[Array]) -> Tuple[Array, ...]:
-        """Interpolate several field components through the shared stencil."""
-        return tuple(self.gather(field) for field in fields)

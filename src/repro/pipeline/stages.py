@@ -15,7 +15,6 @@ from repro.pic.boundary import FieldBoundaryStage
 from repro.pic.laser import LaserStage
 from repro.pic.maxwell import FieldSolveStage
 from repro.pic.moving_window import MovingWindowStage
-from repro.pic.particles import record_nothing
 from repro.pic.pusher import GatherPushStage
 
 __all__ = [
@@ -36,34 +35,25 @@ class MigrateStage:
     It runs after the moving window: its absorbing wall at the new
     ``grid.lo`` drops what the window left behind, and its regroup
     re-tiles the shift, so every particle's cell lies in its tile's box
-    when ``deposit`` runs.
-
-    Tiles are statically owned by subdomains on a decomposed run, so a
-    cross-subdomain migration is just a tile move whose destination
-    belongs to another block — the only difference is the
-    migration-statistics recorder the domain runtime hangs on the scan.
+    when ``deposit`` runs.  A decomposed run migrates the same way: its
+    subdomains own no particles.
     """
 
     name = "migrate"
     bucket = "boundary_redistribute"
     reads = frozenset({
         "containers.position", "containers.membership", "grid.geometry",
-        "executor", "domain.migration",
+        "executor",
     })
     writes = frozenset({
-        "containers.position", "containers.membership", "domain.migration",
-        "telemetry",
+        "containers.position", "containers.membership", "telemetry",
     })
 
     def run(self, session) -> None:
-        domain = session.domain
-        recorder = (domain.migration.recorder if domain is not None
-                    else record_nothing)
         telemetry = session.telemetry
         for container in session.containers:
             moved = container.redistribute(session.grid,
-                                           executor=session.executor,
-                                           move_recorder=recorder)
+                                           executor=session.executor)
             telemetry.count("particles.migrated", moved)
 
 

@@ -30,6 +30,13 @@ before it contracted node-major rows (``einsum("pi,pic->cp")`` over
 row-major ``sx``), and the einsum deposit the fold before it read the
 depth runs (``oracle_masked_fold``, which ``tests/test_mpu_deposit.py``
 holds ``_fold_blocks`` to bit for bit).
+
+``stencil_gather`` is the generic adjoint ``StencilOperator.gather``
+shipped before the block gather served every batch: one ``(n, S^3)``
+fancy-index read of the operator's wrapped/clamped field box, reduced
+against its weights.  ``tests/test_stencil.py``,
+``tests/test_pusher_gather.py`` and ``tests/test_particle_batches.py``
+hold the engine and the block gather to it.
 """
 
 from __future__ import annotations
@@ -54,6 +61,16 @@ from repro.pic.stencil import (
     box_geometry,
     box_node_ids,
 )
+
+
+def stencil_gather(op: StencilOperator, field: np.ndarray) -> np.ndarray:
+    """Interpolate ``field`` to the operator's particles (the adjoint of
+    its scatter, sharing ids and weights)."""
+    if op.num_particles == 0:
+        return np.empty(0)
+    source = field.reshape(-1)[box_node_ids(op.box_lo, op.box_dims,
+                                            op.shape, op.periodic)]
+    return np.einsum("pn,pn->p", source[op.flat_ids], op.weights)
 
 
 def _current_tiles(grid, tiles: Sequence, charge: float, order: int) -> None:
@@ -344,7 +361,8 @@ def oracle_einsum_gather_fields(grid, x: np.ndarray, y: np.ndarray,
     base_z, sz = _row_major(shape_factors(zi, order))
     n, support = sx.shape
     shape, periodic = grid.shape, grid.periodic
-    lo, dims = box_geometry(shape, base_x, base_y, base_z, support)
+    (base_x, base_y, base_z), lo, dims = box_geometry(
+        shape, periodic, base_x, base_y, base_z, support)
     components = len(fields)
 
     node_ids = box_node_ids(lo, dims, shape, periodic)

@@ -25,6 +25,7 @@ from repro.pic.gather import gather_fields
 from repro.pic.grid import Grid
 from repro.pic.particles import ParticleContainer
 from repro.pic.plasma import load_uniform_plasma
+from repro.pic.stencil import box_node_ids
 
 
 def make_plasma(grid_config: GridConfig, ppc=(2, 2, 2), seed: int = 7,
@@ -183,6 +184,14 @@ def gather_field(grid: Grid, field, x, y, z, order: int):
         return np.zeros(x.shape)
     index = [getattr(grid, name) is field for name in FIELD_NAMES].index(True)
     return gather_fields(grid, x, y, z, order)[index]
+
+
+def grid_node_ids(op):
+    """The grid node every stencil point of a ``StencilOperator``
+    addresses, per particle: its box ids through the box's
+    wrapped/clamped node map."""
+    return box_node_ids(op.box_lo, op.box_dims, op.shape,
+                        op.periodic)[op.flat_ids]
 
 
 def gather_soa(container: ParticleContainer):

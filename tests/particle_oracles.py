@@ -13,9 +13,8 @@ out of a container.  The bodies are verbatim up to dropping the executor (the
 per-tile results never depended on it).  They are slow and obviously
 right; ``tests/test_particle_batches.py`` holds the batched stages to
 their results bit for bit: every tile's SoA arrays and storage order,
-the absorbed and moved counts, the ``move_recorder`` call sequence,
-which tiles keep their ``sorter`` and the cell ids handed to the sorter
-(``sorted_cells``).
+the absorbed and moved counts, which tiles keep their ``sorter`` and the
+cell ids handed to the sorter (``sorted_cells``).
 """
 
 from __future__ import annotations
@@ -199,8 +198,7 @@ def oracle_apply_boundary_conditions(container: OracleContainer,
                for tile in container.nonempty_tiles())
 
 
-def oracle_redistribute(container: OracleContainer, grid: Grid,
-                        move_recorder=None) -> int:
+def oracle_redistribute(container: OracleContainer, grid: Grid) -> int:
     """``ParticleContainer.redistribute`` as a per-tile scan followed by
     ``remove`` from every source and ``append`` to every destination.
 
@@ -221,8 +219,6 @@ def oracle_redistribute(container: OracleContainer, grid: Grid,
     moved_total = 0
     pending: Dict[int, List[Dict[str, np.ndarray]]] = {}
     for tile_id, leaving, owners in scans:
-        if move_recorder is not None:
-            move_recorder(tile_id, owners)
         removed = container.tiles[tile_id].remove(leaving)
         for dest in np.unique(owners):
             sel = owners == dest

@@ -76,7 +76,6 @@ class OracleGappedPMA:
 
         self.num_particles = 0
         self.num_empty_slots = 0
-        self.was_rebuilt_this_step = False
         self.rebuild_count = 0
         self.overflow: List[tuple[int, int]] = []
 
@@ -130,7 +129,6 @@ class OracleGappedPMA:
         self.num_particles = int(particle_bins.size)
         self.num_empty_slots = capacity - self.num_particles
         self.overflow = []
-        self.was_rebuilt_this_step = True
         self.rebuild_count += 1
         return GPMAUpdateStats(rebuilds=1, rebuild_elements=capacity)
 
@@ -355,7 +353,6 @@ class OracleIncrementalSorter:
             return stats
         state = self.ensure_tile_state(grid, tile, counters, stats)
         gpma = state.gpma
-        gpma.reset_step_flags()
 
         # a tile sorted a moment ago has this step's cells on record already
         new_bins = (state.assigned_bins if stats.global_sorts

@@ -70,7 +70,6 @@ RESOURCES: FrozenSet[str] = frozenset({
     # domain-decomposed state (the slabs are the solve stage's scratch,
     # not a resource: nothing outlives the stage that fills them)
     "domain.solvers",
-    "domain.migration",
 })
 
 #: Resources whose value legitimately crosses the step boundary: a stage
@@ -85,7 +84,6 @@ STEP_CARRIED: FrozenSet[str] = frozenset({
     "containers.position",
     "containers.momentum",
     "containers.membership",
-    "domain.migration",
     "energy",
 })
 

@@ -67,7 +67,6 @@ API_SURFACE = {
         "TracingHook",
         "chrome_trace_events",
         "export_chrome_trace",
-        "export_jsonl",
         "load_trace_events",
         "log_event",
         "summarize_trace",

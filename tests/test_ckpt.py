@@ -367,8 +367,6 @@ class TestCheckpointHook:
             first.pipeline.add_step_hook(hook)
             run_steps(first, 4, record_energy=True)
             assert [step for step, _ in list_snapshots(directory)] == [2, 4]
-            assert hook.saved == [path for _, path in
-                                  list_snapshots(directory)]
         loaded = latest_valid_snapshot(directory)
         assert loaded is not None and loaded.step == 4
         assert loaded.meta["step_index"] == 4

@@ -51,8 +51,3 @@ def test_laser_a0_to_field_linear_in_a0():
     # a0 = 1 at 800 nm corresponds to ~4e12 V/m
     assert e1 == pytest.approx(4.0e12, rel=0.05)
 
-
-def test_thermal_velocity_monotonic():
-    assert constants.thermal_velocity(100.0) > constants.thermal_velocity(1.0)
-    with pytest.raises(ValueError):
-        constants.thermal_velocity(-1.0)

@@ -24,8 +24,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import constants
-from repro.config import SpeciesConfig
-from repro.exec import SerialExecutor, ThreadTileExecutor
+from repro.config import ExecutionConfig, SpeciesConfig
+from repro.exec import TileExecutor
 from repro.pic import particles
 from repro.pic.deposition import reference
 from repro.pic.deposition.base import prepare_run_data, prepare_tile_data
@@ -35,13 +35,13 @@ from repro.pic.deposition.reference import (
 )
 from repro.pic.particles import RUN_PARTICLES
 from repro.pic.shapes import shape_factors
-from repro.pic.stencil import flat_node_ids
+from repro.pic.stencil import StencilOperator
 
 from deposit_oracles import (
     oracle_deposit_reference,
     oracle_deposit_rho_reference,
 )
-from helpers import tiled_plasma, tiled_scenarios
+from helpers import grid_node_ids, tiled_plasma, tiled_scenarios
 
 DENSITIES = ("jx", "jy", "jz", "rho")
 IONS = SpeciesConfig(name="ions", charge=constants.Q_PROTON,
@@ -55,7 +55,8 @@ def tiles_reaching(grid, container, order):
     for tile in container.nonempty_tiles():
         xi, yi, zi = grid.normalized_position(tile.x, tile.y, tile.z)
         bases = [shape_factors(coords, order)[0] for coords in (xi, yi, zi)]
-        nodes = flat_node_ids(grid.shape, grid.periodic, *bases, order + 1)
+        nodes = grid_node_ids(StencilOperator.from_bases(
+            grid.shape, grid.periodic, *bases, order + 1))
         reach[np.unique(nodes)] += 1
     return reach.reshape(grid.shape)
 
@@ -89,7 +90,7 @@ def test_runs_match_the_per_tile_oracle(scenario, order, run_particles,
     got = {}
     with mock.patch.object(particles, "RUN_PARTICLES", run_particles):
         for shards in (1, 3):
-            with SerialExecutor(shards) as executor:
+            with TileExecutor(ExecutionConfig("serial", shards)) as executor:
                 want = deposit(executor, oracle=True)
                 got[shards] = deposit(executor)
             for name in DENSITIES:
@@ -101,7 +102,7 @@ def test_runs_match_the_per_tile_oracle(scenario, order, run_particles,
                 peak = float(np.max(np.abs(oracle), initial=0.0))
                 assert np.all(np.abs(mine - oracle) <= 1e-14 * peak), \
                     (shards, name)
-        with ThreadTileExecutor(3) as executor:
+        with TileExecutor(ExecutionConfig("threads", 3)) as executor:
             threads = deposit(executor)
     for name in DENSITIES:
         assert np.array_equal(threads[name], got[3][name]), name

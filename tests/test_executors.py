@@ -10,22 +10,14 @@ across backends.
 
 from __future__ import annotations
 
+import functools
 import threading
 
 import numpy as np
 import pytest
 
-from repro.config import ExecutionConfig
-from repro.exec import (
-    SUPPORTED_BACKENDS,
-    SerialExecutor,
-    SupervisedPool,
-    ThreadTileExecutor,
-    TileTask,
-    create_executor,
-    map_shards,
-    partition_shards,
-)
+from repro.config import SUPPORTED_BACKENDS, ExecutionConfig
+from repro.exec import SupervisedPool, TileExecutor, map_shards
 from repro.core.framework import MatrixPICDeposition, SORT_INCREMENTAL
 from repro.pic.deposition.base import scratch_reduce
 from repro.pic.deposition.baseline import BaselineDeposition
@@ -45,11 +37,12 @@ def _fresh_plasma(tiled_grid_config, seed=11):
     return make_plasma(tiled_grid_config, ppc=(2, 2, 2), seed=seed)
 
 
+def make_executor(backend="serial", shards=SHARDS, **kwargs):
+    return TileExecutor(ExecutionConfig(backend, shards), **kwargs)
+
+
 def _executors():
-    return {
-        "serial": SerialExecutor(SHARDS),
-        "threads": ThreadTileExecutor(SHARDS),
-    }
+    return {name: make_executor(name) for name in SUPPORTED_BACKENDS}
 
 
 # ----------------------------------------------------------------------
@@ -57,19 +50,22 @@ def _executors():
 # ----------------------------------------------------------------------
 class TestPartitioning:
     def test_partition_covers_all_items_in_order(self):
-        shards = partition_shards(10, 3)
-        flat = [i for s in shards for i in s.tile_indices]
-        assert flat == list(range(10))
-        assert [s.index for s in shards] == [0, 1, 2]
-        assert [s.num_tiles for s in shards] == [4, 3, 3]
+        shards = make_executor().partition(list(range(10)))
+        assert shards == [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]
+        # contiguous slices of what it was given
+        assert make_executor(shards=4).partition(range(6)) == [
+            range(0, 2), range(2, 4), range(4, 5), range(5, 6)]
 
     def test_partition_never_emits_empty_shards(self):
-        assert [s.num_tiles for s in partition_shards(2, 5)] == [1, 1]
-        assert partition_shards(0, 4) == []
-
-    def test_partition_rejects_bad_shard_count(self):
-        with pytest.raises(ValueError):
-            partition_shards(4, 0)
+        assert make_executor(shards=5).partition([7, 8]) == [[7], [8]]
+        assert make_executor(shards=4).partition([]) == []
+        for items in range(1, 12):
+            for shards in range(1, 6):
+                sizes = [len(shard) for shard in make_executor(
+                    shards=shards).partition(list(range(items)))]
+                # numpy.array_split's sizes, with the empty shards dropped
+                assert sizes == [len(part) for part in np.array_split(
+                    np.arange(items), shards) if len(part)]
 
     def test_execution_config_validation(self):
         # one test id (not parametrized) so the id stays stable
@@ -104,21 +100,50 @@ class TestPartitioning:
         args = build_parser().parse_args(["run", "--backend", "threads"])
         assert args.backend == "threads"
 
-    def test_factory_builds_each_backend(self):
-        for backend, cls in (("serial", SerialExecutor),
-                             ("threads", ThreadTileExecutor)):
-            executor = create_executor(
-                ExecutionConfig(backend=backend, num_shards=2))
-            assert isinstance(executor, cls)
-            assert executor.num_shards == 2
-            executor.shutdown()
-        assert create_executor(None).is_trivial
+    def test_the_executor_is_built_from_the_config(self):
+        for backend in SUPPORTED_BACKENDS:
+            with make_executor(backend, 2) as built:
+                assert (built.name, built.num_shards) == (backend, 2)
+                assert not built.is_trivial
+        assert make_executor(shards=1).is_trivial
 
     def test_executors_preserve_task_order(self):
-        tasks = [TileTask(_identity, (i,)) for i in range(7)]
-        for name, executor in _executors().items():
-            with executor:
-                assert executor.run(tasks) == list(range(7)), name
+        tasks = [functools.partial(_identity, i) for i in range(7)]
+        for name, built in _executors().items():
+            with built:
+                assert built.run(tasks) == list(range(7)), name
+
+    def test_only_threads_count_and_span_their_batches(self):
+        from repro.obs import ObsConfig, Telemetry
+
+        for name in SUPPORTED_BACKENDS:
+            obs = Telemetry(ObsConfig(trace=True))
+            with make_executor(name, obs=obs) as built:
+                built.run([functools.partial(_identity, i)
+                           for i in range(3)])
+            counted = obs.metrics.namespace("exec.")
+            spans = [event for event in obs.events
+                     if event["name"] == "shard_batch"]
+            if name == "serial":
+                assert counted == {} and spans == [], name
+            else:
+                assert counted == {"shard_batches": 1.0,
+                                   "shard_tasks": 3.0}, name
+                assert [event["type"] for event in spans] == ["B", "E"]
+
+    def test_a_failing_task_raises_after_its_siblings_settle(self):
+        done = []
+
+        def task(i):
+            if i == 0:
+                raise RuntimeError("first")
+            done.append(i)
+            return i
+
+        with make_executor("threads") as built:
+            with pytest.raises(RuntimeError, match="first"):
+                built.run([functools.partial(task, i) for i in range(3)])
+        assert sorted(done) == [1, 2]
 
 
 def _identity(value):
@@ -153,7 +178,8 @@ class TestMapShards:
             calls.append((threading.get_ident(), items))
             return tag
 
-        with ThreadTileExecutor(1) as one, ThreadTileExecutor(SHARDS) as many:
+        with make_executor("threads", 1) as one, \
+                make_executor("threads") as many:
             for executor, items in ((None, [1, 2, 3]), (one, [1, 2, 3]),
                                     (many, [7]), (many, [])):
                 calls.clear()
@@ -161,17 +187,17 @@ class TestMapShards:
                 assert calls == [(threading.get_ident(), items)]
 
     def test_results_come_back_in_shard_order(self):
-        for name, executor in _executors().items():
-            with executor:
-                assert map_shards(executor, _offset_shard, list(range(10)),
+        for name, built in _executors().items():
+            with built:
+                assert map_shards(built, _offset_shard, list(range(10)),
                                   100) == [[100, 101, 102, 103],
                                            [104, 105, 106],
                                            [107, 108, 109]], name
 
     def test_task_exception_propagates(self):
-        for name, executor in _executors().items():
-            with executor, pytest.raises(ZeroDivisionError):
-                map_shards(executor, _reciprocal_shard, [1, 2, 0, 4])
+        for name, built in _executors().items():
+            with built, pytest.raises(ZeroDivisionError):
+                map_shards(built, _reciprocal_shard, [1, 2, 0, 4])
 
 
 class TestScratchReduce:
@@ -179,22 +205,22 @@ class TestScratchReduce:
         grid, container = _fresh_plasma(tiled_grid_config)
         tiles = container.nonempty_tiles()
         expected = [[tile.tile_index for tile in shard]
-                    for shard in SerialExecutor(SHARDS).partition(tiles)]
+                    for shard in make_executor().partition(tiles)]
         assert len(expected) == SHARDS
-        for name, executor in _executors().items():
-            with executor:
-                assert scratch_reduce(executor, grid, tiles,
+        for name, built in _executors().items():
+            with built:
+                assert scratch_reduce(built, grid, tiles,
                                       _tile_index_body) == expected, name
         assert scratch_reduce(None, grid, tiles, _tile_index_body) == [
             [tile.tile_index for tile in tiles]]
 
     def test_a_raising_shard_body_propagates(self, tiled_grid_config):
         grid, container = _fresh_plasma(tiled_grid_config)
-        for name, executor in _executors().items():
+        for name, built in _executors().items():
             targets = []
-            with executor, pytest.raises(RuntimeError,
-                                         match="shard body failed"):
-                scratch_reduce(executor, grid, container.nonempty_tiles(),
+            with built, pytest.raises(RuntimeError,
+                                      match="shard body failed"):
+                scratch_reduce(built, grid, container.nonempty_tiles(),
                                _raising_body, targets)
             # the shards that ran got scratch grids of their own, and
             # nothing was merged into the grid
@@ -223,7 +249,7 @@ class TestReferenceParity:
         deposit_reference(grid_inline, container, order=1)
 
         grid_sharded, container = _fresh_plasma(tiled_grid_config)
-        with SerialExecutor(1) as executor:
+        with make_executor(shards=1) as executor:
             deposit_reference(grid_sharded, container, order=1,
                               executor=executor)
         assert np.array_equal(grid_inline.jx, grid_sharded.jx)
@@ -239,8 +265,7 @@ class TestReferenceParity:
         for name in SUPPORTED_BACKENDS:
             grid, container = _fresh_plasma(tiled_grid_config)
             _, other = _fresh_plasma(tiled_grid_config, seed=91)
-            with create_executor(ExecutionConfig(backend=name,
-                                                 num_shards=1)) as executor:
+            with make_executor(name, 1) as executor:
                 deposit_reference(grid, other, order=1, executor=executor)
                 deposit_reference(grid, container, order=1, executor=executor)
             results[name] = grid.jx.copy()
@@ -289,15 +314,14 @@ class TestKernelCounterParity:
         monkeypatch.setattr(
             Grid, "__init__",
             lambda *args, **kwargs: pytest.fail("built a scratch grid"))
-        with SerialExecutor(SHARDS) as executor:
+        with make_executor() as executor:
             deposit_unsorted(BaselineDeposition(), grid, container, 1,
                              executor)
         assert grid.jx.any()
 
     def test_matrix_pic_threaded_matches_serial(self, tiled_grid_config):
         results = {}
-        for name, executor in (("serial", SerialExecutor(SHARDS)),
-                               ("threads", ThreadTileExecutor(SHARDS))):
+        for name, executor in _executors().items():
             grid, container = _fresh_plasma(tiled_grid_config)
             strategy = MatrixPICDeposition(sort_mode=SORT_INCREMENTAL)
             with executor:
@@ -331,7 +355,7 @@ class TestSimulationParity:
                 "jx": simulation.grid.jx.copy(),
                 "soa": {k: v[order] for k, v in soa.items()},
                 "energy": simulation.energy.history[-1].total,
-                "executor": simulation.breakdown.executor_name,
+                "executor": simulation.executor.name,
             }
         finally:
             simulation.shutdown()
@@ -353,7 +377,7 @@ class TestSimulationParity:
             for tile in container.iter_tiles():
                 tile.x[...] += 2.5e-6
         moved_a = container_a.redistribute(grid_a)
-        with ThreadTileExecutor(SHARDS) as executor:
+        with make_executor("threads") as executor:
             moved_b = container_b.redistribute(grid_b, executor=executor)
         assert moved_a == moved_b > 0
         for tile_a, tile_b in zip(container_a.iter_tiles(),
@@ -374,6 +398,6 @@ def test_process_executor_degrades_to_inline(monkeypatch):
     monkeypatch.setattr(pool_mod.concurrent.futures,
                         "ProcessPoolExecutor", boom)
     pool = SupervisedPool(2, owner="executor")
-    tasks = [TileTask(_identity, (i,)) for i in range(4)]
+    tasks = [functools.partial(_identity, i) for i in range(4)]
     assert pool.run(tasks) == [0, 1, 2, 3]
     assert pool.degraded

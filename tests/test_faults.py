@@ -10,6 +10,7 @@ deterministic output.
 
 from __future__ import annotations
 
+import functools
 import os
 
 import pytest
@@ -26,7 +27,6 @@ from repro.ckpt.faults import (
     truncate_file,
 )
 from repro.cli import main
-from repro.exec.base import TileTask
 from repro.exec.pool import SupervisedPool, make_process_pool
 from repro.obs import ObsConfig, Telemetry
 
@@ -40,7 +40,7 @@ def _square(x):
 
 
 def square_tasks(n=6):
-    return [TileTask(_square, (i,)) for i in range(n)]
+    return [functools.partial(_square, i) for i in range(n)]
 
 
 def small_grid(count=2):
@@ -126,7 +126,7 @@ class TestExecutorRecovery:
         switch.arm()
         obs = Telemetry(ObsConfig(trace=True))
         pool = SupervisedPool(2, owner="executor", obs=obs)
-        tasks = [TileTask(chaos_shard_task, (switch.path, i))
+        tasks = [functools.partial(chaos_shard_task, switch.path, i)
                  for i in range(4)]
         try:
             results = pool.run(tasks)

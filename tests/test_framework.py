@@ -21,7 +21,7 @@ from repro.core.framework import (
 )
 from repro.core.hybrid_kernel import HybridMPUDeposition
 from repro.core.incremental_sort import TileSortState
-from repro.exec import create_executor
+from repro.exec import TileExecutor
 from repro.pic.grid import Grid
 from repro.workloads.lwfa import LWFAWorkload
 
@@ -165,7 +165,7 @@ class TestShardedDepositOnMovedWindow:
             grid_init(grid, *args, **kwargs)
 
         monkeypatch.setattr(Grid, "__init__", counting_init)
-        with create_executor(ExecutionConfig(backend, 2)) as executor:
+        with TileExecutor(ExecutionConfig(backend, 2)) as executor:
             sharded = self._deposit(shifted, name, executor)
         for got, ref in zip(sharded, one_shard):
             peak = np.abs(ref).max()

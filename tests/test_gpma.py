@@ -145,15 +145,8 @@ class TestUpdates:
         before = gpma.rebuild_count
         gpma.build(np.array([2, 2, 2]))
         assert gpma.rebuild_count == before + 1
-        assert gpma.was_rebuilt_this_step
         assert len(gpma.overflow) == 0
         gpma.check_invariants()
-
-    def test_reset_step_flags(self):
-        gpma = build_gpma([0])
-        assert gpma.was_rebuilt_this_step
-        gpma.reset_step_flags()
-        assert not gpma.was_rebuilt_this_step
 
 
 class TestGPMAProperties:

@@ -29,7 +29,6 @@ from repro.obs import (
     Telemetry,
     chrome_trace_events,
     export_chrome_trace,
-    export_jsonl,
     health,
     load_trace_events,
     log_event,
@@ -364,13 +363,19 @@ class TestTraceExport:
         assert summary["counters"]["metrics"]["particles.pushed"] == 10.0
         assert summary["instants"]["note"] == 1
 
-    def test_jsonl_round_trip(self, tmp_path):
+    def test_only_the_chrome_container_loads(self, tmp_path):
         t = self._traced()
-        path = export_jsonl(t, str(tmp_path / "trace.jsonl"))
-        # JSONL loads back as Chrome events so both formats summarise
+        path = export_chrome_trace(t, str(tmp_path / "trace.json"))
         events = load_trace_events(path)
         assert [e["ph"] for e in events] == ["B", "B", "E", "C", "i", "E"]
-        assert validate_chrome_trace({"traceEvents": events}) == []
+        # one raw event per line is not a trace file
+        lines = tmp_path / "trace.jsonl"
+        lines.write_text("".join(json.dumps(e) + "\n" for e in t.events))
+        with pytest.raises(ValueError):
+            load_trace_events(str(lines))
+        (tmp_path / "list.json").write_text("[]")
+        with pytest.raises(ValueError, match="no traceEvents"):
+            load_trace_events(str(tmp_path / "list.json"))
 
     def test_validator_catches_broken_nesting(self):
         t = self._traced()

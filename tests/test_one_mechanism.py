@@ -7,15 +7,18 @@ in ``repro/exec/pool.py``, the one record file (``write_snapshot`` with
 an empty array table, the job journal) in ``repro/serve/queue.py``, and
 the decision
 whether and how to shard per-tile work (``executor.partition``,
-``is_trivial``, ``TileTask``) in ``repro/exec/``.  A second
+``is_trivial``) in ``repro/exec/``.  A second
 implementation of any of them starts by naming one of those things, so
 naming them anywhere else under ``src/repro/`` fails here.  Per-tile
 work runs in the caller's address space on every backend, so nothing
 under ``src/repro/`` asks whether memory is shared, ships tile payloads
-or marks a stage ``local=``.
+or marks a stage ``local=``.  The backends are one class,
+``exec/base.py::TileExecutor``: no subclass, no factory, no task or
+shard type, and the tile thread pool is named there only.
 
 Bulk math is plain NumPy and BLAS with one scatter path, the stencil's
-(``repro.pic.stencil``; no module imports numba), the campaign grid's
+(``repro.pic.stencil``, whose batches all take its one bounding-box
+path; no module imports numba), the campaign grid's
 defaults and enumerations are stated in ``repro.workloads`` only, and
 ``ckpt/format.py`` holds the one temp-file + ``os.replace`` sequence.
 
@@ -94,6 +97,7 @@ from repro.cli import build_parser
 from repro.config import ExecutionConfig
 from repro.pic.deposition import DepositionKernel
 from repro.pic.particles import ParticleContainer, ParticleTile
+from repro.pic.stencil import StencilOperator
 from repro.pipeline import DepositStage, global_stages
 from repro.serve import expand_request
 
@@ -161,13 +165,72 @@ def test_only_repro_exec_decides_whether_to_shard():
     # hand-written fan-out needs the partition, the one-shard test or a
     # task list, and none of them is named outside repro/exec/ ...
     assert functions_naming("is_trivial") == []
-    # ... except by the campaign, whose tasks are whole experiment cells
-    # handed to the supervised pool, not tile shards
-    assert functions_naming("TileTask") == [
-        "analysis/campaign.py", "analysis/campaign.py::_execute"]
-    # ... and str.partition on an HTTP header line
+    # ... except str.partition on an HTTP header line
     assert functions_naming("partition") == [
         "serve/server.py::_read_request"]
+
+
+def tile_executor_findings(root):
+    """``path[:line]: what`` for every place under ``root`` that grows a
+    second tile executor or a second stencil path: a module in ``exec/``
+    beside the executor and the supervised pool, a subclass of
+    ``TileExecutor``, a ``ThreadPoolExecutor`` outside the executor and
+    the job queue, or a retired name (comments and docstrings
+    included)."""
+    findings = [f"exec/{name}: a module beside the executor and the pool"
+                for name in sorted(os.listdir(os.path.join(root, "exec")))
+                if name.endswith(".py")
+                and name not in ("__init__.py", "base.py", "pool.py")]
+    for path, tree in source_trees(root):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and "TileExecutor" in {
+                    name_of(base) for base in node.bases}:
+                findings.append(f"{path}:{node.lineno}: subclasses "
+                                "TileExecutor")
+            elif name_of(node) == "ThreadPoolExecutor" and path not in (
+                    "exec/base.py", "serve/queue.py"):
+                findings.append(f"{path}:{node.lineno}: names "
+                                "ThreadPoolExecutor")
+    retired = ("SerialExecutor", "ThreadTileExecutor", "create_executor",
+               "TileTask", "TileShard", "partition_shards",
+               "EXECUTION_BACKENDS", "MigrationStats", "record_nothing",
+               "export_jsonl", "flat_node_ids", "box_dims is None")
+    for path, text in source_texts(root):
+        for number, line in enumerate(text.splitlines(), 1):
+            findings += [f"{path}:{number}: {name}" for name in retired
+                         if name in line]
+    return findings
+
+
+def test_there_is_one_tile_executor():
+    # serial and threads are two branches of one class built from the
+    # run's ExecutionConfig; the stencil's batches take one box path
+    assert tile_executor_findings(SRC) == []
+
+
+@pytest.mark.parametrize("path, text, finding", [
+    ("exec/threaded.py", "", "a module beside the executor and the pool"),
+    ("pic/pusher.py", "class Fast(TileExecutor):\n    pass",
+     "subclasses TileExecutor"),
+    ("analysis/campaign.py",
+     "import concurrent.futures\nPOOL = concurrent.futures."
+     "ThreadPoolExecutor", "names ThreadPoolExecutor"),
+    ("pic/deposition/base.py",
+     "from concurrent.futures import ThreadPoolExecutor",
+     "names ThreadPoolExecutor"),
+    ("pic/stencil.py", "# the wrapped ids of flat_node_ids", "flat_node_ids"),
+    ("pic/gather.py", "def f(op):\n    return op.box_dims is None",
+     "box_dims is None"),
+])
+def test_a_planted_second_executor_fails_the_guard(tmp_path, path, text,
+                                                   finding):
+    root = tmp_path / "repro"
+    shutil.copytree(SRC, root, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(root / path, "a", encoding="utf-8") as stream:
+        stream.write(f"\n\n{text}\n")
+    found = tile_executor_findings(str(root))
+    assert [item.split(":")[0] for item in found] == [path], found
+    assert found[0].endswith(finding), found
 
 
 def test_per_tile_work_never_leaves_the_callers_address_space():
@@ -232,14 +295,13 @@ def test_there_is_one_stage_list():
             for line in text.splitlines()
             if any(name in line for name in retired)] == []
     # the domain runtime is built by the session and reached by the solve
-    # and migrate stages — nobody else asks whether a run is decomposed
+    # stage — nobody else asks whether a run is decomposed
     users = {f"{path}::{func.name}" for path, tree in source_trees()
              if not path.startswith("domain/")
              for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
              for node in ast.walk(func)
              if isinstance(node, ast.Attribute) and node.attr == "domain"}
-    assert users == {"api.py::__init__",
-                     "pic/maxwell.py::run", "pipeline/stages.py::run"}
+    assert users == {"api.py::__init__", "pic/maxwell.py::run"}
 
 
 def test_a_run_is_one_object():
@@ -494,10 +556,9 @@ def test_the_block_layout_is_stated_once():
 def test_the_step_reaches_one_gather():
     # per-step traffic gathers through gather_fields (a run of tiles per
     # call; gather_fields_for_tile is its one-tile entry point); the
-    # stencil engine's generic adjoint (StencilOperator.gather /
-    # gather_many) is called by the one documented out-of-domain
-    # fallback inside pic/gather.py and by gather_many's own loop,
-    # nowhere else under pic/, pipeline/ or core/
+    # stencil engine's generic adjoint is the test oracle
+    # tests/deposit_oracles.py::stencil_gather, called nowhere under
+    # pic/, pipeline/ or core/
     def adjoint_calls(tree):
         return [node.func.attr for node in ast.walk(tree)
                 if isinstance(node, ast.Call)
@@ -507,8 +568,8 @@ def test_the_step_reaches_one_gather():
     trees = dict(source_trees())
     assert {path: adjoint_calls(tree) for path, tree in trees.items()
             if path.startswith(("pic/", "pipeline/", "core/"))
-            and adjoint_calls(tree)} == {
-        "pic/gather.py": ["gather_many"], "pic/stencil.py": ["gather"]}
+            and adjoint_calls(tree)} == {}
+    assert not hasattr(StencilOperator, "gather")
     # ... and the pusher and the pipeline name no other gather function
     stage_names = {"gather_push", "GatherPushStage", "field_gather_push"}
     for path, tree in trees.items():
@@ -578,20 +639,13 @@ def test_particle_stages_run_once_per_batch():
             for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
             and node.name == "pair_within_runs"] == []
     # migration is one regroup: redistribute removes and appends nothing
-    # tile by tile, and calls its move recorder without asking whether
-    # there is one (a decomposed run takes the same path)
+    # tile by tile (a decomposed run takes the same path)
     (redistribute,) = [
         node for node in ast.walk(trees["pic/particles.py"])
         if isinstance(node, ast.FunctionDef) and node.name == "redistribute"]
     calls = [name_of(node.func) for node in ast.walk(redistribute)
              if isinstance(node, ast.Call)]
     assert "remove" not in calls and "append" not in calls
-    assert "move_recorder" in calls
-    uses = [node for node in ast.walk(redistribute)
-            if isinstance(node, ast.Name) and node.id == "move_recorder"]
-    called = [node.func for node in ast.walk(redistribute)
-              if isinstance(node, ast.Call)]
-    assert uses and all(any(use is func for func in called) for use in uses)
 
 
 #: a tile's SoA attributes, and the store attributes of its container

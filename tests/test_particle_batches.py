@@ -6,9 +6,8 @@ take of the store, an insert as one pass over it
 (``repro.pic.particles``).  The
 per-tile bodies they replaced are the oracle in
 ``tests/particle_oracles.py``; every tile's eight SoA arrays (values and
-storage order), the absorbed and moved counts, the ``move_recorder``
-call sequence, which tiles keep their ``sorter`` and the cell ids the
-regroup hands a tile kept in cell order must match it for any tile
+storage order), the absorbed and moved counts, which tiles keep their
+``sorter`` and the cell ids the regroup hands a tile kept in cell order must match it for any tile
 populations, arrivals, tiles kept in cell order, shape order, boundary
 mix, run size and executor.
 """
@@ -23,9 +22,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import constants
-from repro.config import GridConfig, SpeciesConfig
+from repro.config import ExecutionConfig, GridConfig, SpeciesConfig
 from repro.core.incremental_sort import IncrementalSorter
-from repro.exec import SerialExecutor, ThreadTileExecutor, shard_items
+from repro.exec import TileExecutor, shard_items
 from repro.pic import particles, pusher
 from repro.pic.gather import gather_fields
 from repro.pic.grid import Grid
@@ -39,6 +38,7 @@ from repro.pic.particles import (
 from repro.pic.pusher import BorisPusher, boris_push_momentum, velocities
 from repro.pic.stencil import StencilOperator
 
+from deposit_oracles import stencil_gather
 from helpers import FIELD_NAMES, tiled_plasma, tiled_scenarios
 from particle_oracles import (
     OracleContainer,
@@ -48,9 +48,9 @@ from particle_oracles import (
 )
 
 SOA = ("x", "y", "z", "ux", "uy", "uz", "w", "ids")
-EXECUTORS = {"serial1": lambda: SerialExecutor(1),
-             "serial3": lambda: SerialExecutor(3),
-             "threads2": lambda: ThreadTileExecutor(2)}
+EXECUTORS = {"serial1": lambda: TileExecutor(ExecutionConfig("serial", 1)),
+             "serial3": lambda: TileExecutor(ExecutionConfig("serial", 3)),
+             "threads2": lambda: TileExecutor(ExecutionConfig("threads", 2))}
 #: a step moves a particle at most half a cell
 DT = 0.5 / constants.C_LIGHT
 
@@ -147,10 +147,7 @@ class TestBatchedStagesMatchThePerTileOracle:
         jump(oracle, scenario["seed"], share)
         marks = mark_sorters(oracle, managed)
         absorbed = oracle_apply_boundary_conditions(oracle, grid)
-        calls = []
-        moved = oracle_redistribute(
-            oracle, grid, lambda tile_id, owners: calls.append(
-                (type(tile_id), tile_id, owners.tolist())))
+        moved = oracle_redistribute(oracle, grid)
         kept = kept_sorters(oracle, marks)
         handed = handed_cells(oracle)
 
@@ -186,15 +183,10 @@ class TestBatchedStagesMatchThePerTileOracle:
                 jump(batched, scenario["seed"], share)
                 marks = mark_sorters(batched, managed)
                 held = batched.num_particles
-                mine = []
                 assert batched.redistribute(
-                    grid, executor=executor,
-                    move_recorder=lambda tile_id, owners: mine.append(
-                        (type(tile_id), tile_id, owners.tolist()))
-                ) == moved, name
+                    grid, executor=executor) == moved, name
                 assert batched.num_particles == held - absorbed, name
             assert_same_tiles(snapshot(oracle), batched)
-            assert mine == calls, name
             assert kept_sorters(batched, marks) == kept, name
             assert handed_cells(batched) == handed, name
 
@@ -293,10 +285,12 @@ class TestPieces:
 
 
 @pytest.mark.parametrize("order", [1, 3])
-def test_a_run_reaching_far_outside_takes_the_fallback_as_a_whole(order):
-    """One particle more than a stencil width outside the domain leaves
-    the run's box unbounded: every particle of the run — not only that
-    tile's — is gathered by ``StencilOperator.gather``."""
+def test_a_run_reaching_far_outside_is_gathered_particle_by_particle(order):
+    """One particle more than a stencil width outside the domain brings
+    the run's bases into range, which moves its box but none of its
+    particles' fields: the run gathers, and pushes, bit for bit as its
+    tiles do one by one, and to rounding as the stencil's generic
+    adjoint does."""
     grid, container = tiled_plasma((8, 8, 8), (4, 4, 4), (True, False, True),
                                    [40] * 8, seed=21)
     container.tiles[3].x[0] = -40.0
@@ -304,11 +298,17 @@ def test_a_run_reaching_far_outside_takes_the_fallback_as_a_whole(order):
     x, y, z, ux, uy, uz = (
         np.concatenate([getattr(tile, name) for tile in container.tiles])
         for name in SOA[:6])
+    fields = gather_fields(grid, x, y, z, order)
+    by_tile = [gather_fields(grid, tile.x, tile.y, tile.z, order)
+               for tile in container.tiles]
     operator = StencilOperator.for_grid(grid, x, y, z, order)
-    assert operator.box_dims is None
-    fields = [operator.gather(getattr(grid, name)) for name in FIELD_NAMES]
-    for got, want in zip(gather_fields(grid, x, y, z, order), fields):
-        assert np.array_equal(got, want)
+    for index, (name, got) in enumerate(zip(FIELD_NAMES, fields)):
+        field = getattr(grid, name)
+        assert np.array_equal(
+            got, np.concatenate([tile[index] for tile in by_tile]))
+        np.testing.assert_allclose(got, stencil_gather(operator, field),
+                                   rtol=0,
+                                   atol=1e-13 * np.abs(field).max())
 
     ux, uy, uz = boris_push_momentum(ux, uy, uz, *fields, container.charge,
                                      container.mass, DT)

@@ -18,6 +18,7 @@ from repro.pic.pusher import (
 from repro.pic.shapes import shape_factors, shape_support
 from repro.pic.stencil import StencilOperator, box_geometry
 
+from deposit_oracles import stencil_gather
 from helpers import FIELD_NAMES, gather_field, random_field_grid, tile_holding
 
 
@@ -231,9 +232,10 @@ class TestBlockGatherLocality:
         assert seen == n
 
     @pytest.mark.parametrize("order", [1, 3])
-    def test_far_out_of_domain_falls_back_to_the_stencil_engine(self, order):
-        """More than a stencil width outside the domain there is no
-        bounded box: the result is ``StencilOperator.gather``'s."""
+    def test_far_out_of_domain_takes_the_box_path(self, order):
+        """More than a stencil width outside the domain the bases are
+        brought into range: the box stays bounded and the block gather
+        still equals the stencil's generic adjoint to rounding."""
         rng = np.random.default_rng(9)
         shape = (4, 5, 3)
         grid = random_field_grid(shape, (True, False, True), rng)
@@ -242,16 +244,20 @@ class TestBlockGatherLocality:
         y = rng.uniform(-30.0, 40.0, n)
         z = rng.uniform(-30.0, 40.0, n)
         support = shape_support(order)
-        assert box_geometry(shape, shape_factors(x, order)[0],
-                            shape_factors(y, order)[0],
-                            shape_factors(z, order)[0], support) is None
+        _, _, dims = box_geometry(shape, grid.periodic,
+                                  shape_factors(x, order)[0],
+                                  shape_factors(y, order)[0],
+                                  shape_factors(z, order)[0], support)
+        assert dims[0] <= 4 + support and dims[1] <= 5 + 2 * support \
+            and dims[2] <= 3 + support
         got = gather_fields_for_tile(
             grid, tile_holding(grid, x, y, z), order)
         operator = StencilOperator.for_grid(grid, x, y, z, order)
-        assert operator.box_dims is None
         for name, values in zip(FIELD_NAMES, got):
-            assert np.array_equal(values,
-                                  operator.gather(getattr(grid, name)))
+            field = getattr(grid, name)
+            np.testing.assert_allclose(
+                values, stencil_gather(operator, field),
+                rtol=0, atol=1e-13 * np.abs(field).max())
         assert np.array_equal(
             gather_field(grid, grid.by, x, y, z, order), got[4])
 

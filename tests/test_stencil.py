@@ -4,9 +4,10 @@ The engine (:mod:`repro.pic.stencil`) replaces every ``np.add.at`` stencil
 loop with single-pass ``np.bincount`` accumulation.  These tests pin it
 against an ``np.add.at`` oracle (the historical triple-loop formulation)
 over random positions — including periodic-wrap indices, clamped open
-boundaries, far out-of-domain fallback positions and empty batches — and
+boundaries, batches far outside the domain and empty batches — and
 assert that the executor backends remain bitwise identical through the
-new path.
+new path.  The generic adjoint the engine is held to on the gather side
+is ``deposit_oracles.stencil_gather``.
 """
 
 from __future__ import annotations
@@ -15,11 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import GridConfig
-from repro.exec import (
-    SerialExecutor,
-    ThreadTileExecutor,
-)
+from repro.config import ExecutionConfig, GridConfig
+from repro.exec import TileExecutor
 from repro.pic.deposition.base import prepare_tile_data, scatter_tile_currents
 from repro.pic.deposition.reference import (
     deposit_reference,
@@ -34,12 +32,18 @@ from repro.pic.stencil import (
     box_geometry,
     box_segments,
     cell_block_ids,
-    flat_node_ids,
     scatter_flat,
     wrap_axis_indices,
 )
 
-from helpers import FIELD_NAMES, make_plasma, random_field_grid, tile_holding
+from deposit_oracles import stencil_gather
+from helpers import (
+    FIELD_NAMES,
+    grid_node_ids,
+    make_plasma,
+    random_field_grid,
+    tile_holding,
+)
 
 
 # ----------------------------------------------------------------------
@@ -95,6 +99,25 @@ def _random_batch(rng, shape, n, out_of_domain=False):
     return xi, yi, zi, amplitude
 
 
+def oracle_node_ids(shape, periodic, bx, by, bz, support):
+    """Flat grid node id of every stencil point, per particle, wrapped or
+    clamped point by point — the loops' addressing."""
+    axes = [wrap_axis_indices(base[:, None] + np.arange(support), n, wrap)
+            for base, n, wrap in zip((bx, by, bz), shape, periodic)]
+    return ((axes[0][:, :, None, None] * shape[1]
+             + axes[1][:, None, :, None]) * shape[2]
+            + axes[2][:, None, None, :]).reshape(len(bx), -1)
+
+
+def assert_box_is_bounded(op, support):
+    """However far out its batch, a box spans at most the domain plus
+    the stencil: ``n + support`` cells on a periodic axis (bases reduced
+    into ``[0, n)``), ``n + 2 * support`` on an open one (bases clipped
+    into ``[-support, n]``)."""
+    for dim, n, wrap in zip(op.box_dims, op.shape, op.periodic):
+        assert dim <= n + (support if wrap else 2 * support)
+
+
 def _random_shape_data(rng, shape, n, order):
     """In-domain per-axis base indices and 1-D weights of ``n`` particles."""
     bases, weights = zip(*(shape_factors(rng.uniform(0.0, s, n), order)
@@ -114,14 +137,15 @@ class TestScatterProperty:
     def test_matches_addat_oracle(self, shape, periodic, order, n, seed,
                                   out_of_domain):
         """Element-wise equality with the oracle within ulp-scale bounds,
-        over periodic wraps, clamped boundaries, out-of-domain fallback
-        positions and empty batches."""
+        over periodic wraps, clamped boundaries, batches far outside the
+        domain (through the same bounded box) and empty batches."""
         rng = np.random.default_rng(seed)
         xi, yi, zi, amplitude = _random_batch(rng, shape, n, out_of_domain)
         expected = oracle_scatter(shape, periodic, xi, yi, zi, order,
                                   amplitude)
         out = np.zeros(shape)
         op = StencilOperator.for_box(shape, periodic, xi, yi, zi, order)
+        assert_box_is_bounded(op, shape_support(order))
         op.scatter(amplitude, out)
         # ulp-scale bound per node: reassociating a node's sum errs by at
         # most ~K*eps relative to its positive-mass bound (the same sum
@@ -144,8 +168,9 @@ class TestScatterProperty:
         xi, yi, zi, _ = _random_batch(rng, shape, n)
         field = rng.normal(0.0, 1.0, shape)
         expected = oracle_gather(shape, periodic, field, xi, yi, zi, order)
-        got = StencilOperator.for_box(shape, periodic, xi, yi, zi,
-                                      order).gather(field)
+        got = stencil_gather(
+            StencilOperator.for_box(shape, periodic, xi, yi, zi, order),
+            field)
         bound = oracle_gather(shape, periodic, np.abs(field), xi, yi, zi,
                               order)
         tol = 64 * np.finfo(float).eps * (bound + (bound.max() if n else 0.0))
@@ -211,13 +236,12 @@ class TestScatterProperty:
         amplitude = rng.normal(size=n)
         expected = oracle_scatter(shape, periodic, xi, yi, zi, 3, amplitude)
         op = StencilOperator.for_box(shape, periodic, xi, yi, zi, 3)
-        assert op.box_dims is not None  # the fast path must handle this
         out = np.zeros(shape)
         op.scatter(amplitude, out)
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
         field = rng.normal(size=shape)
         np.testing.assert_allclose(
-            op.gather(field),
+            stencil_gather(op, field),
             oracle_gather(shape, periodic, field, xi, yi, zi, 3),
             rtol=1e-12, atol=1e-12)
 
@@ -227,7 +251,7 @@ class TestScatterProperty:
                                      np.empty(0), np.empty(0), 1)
         op.scatter(np.empty(0), out)
         assert not out.any()
-        assert op.gather(out).shape == (0,)
+        assert stencil_gather(op, out).shape == (0,)
 
     def test_empty_batch_guards(self):
         """An empty staging builds ``(0, S^3)`` ids and weights, and an
@@ -242,24 +266,10 @@ class TestScatterProperty:
         scatter_flat(np.empty((0, 8), dtype=np.int64), np.empty((0, 8)), out)
         assert not out.any()
 
-    def test_gather_many_shares_one_stencil(self):
-        rng = np.random.default_rng(7)
-        shape = (6, 6, 6)
-        xi, yi, zi, _ = _random_batch(rng, shape, 50)
-        fields = [rng.normal(size=shape) for _ in range(6)]
-        op = StencilOperator.for_box(shape, (True,) * 3, xi, yi, zi, 3)
-        got = op.gather_many(fields)
-        assert len(got) == 6
-        for field, values in zip(fields, got):
-            expected = oracle_gather(shape, (True,) * 3, field, xi, yi, zi, 3)
-            np.testing.assert_allclose(values, expected, rtol=1e-13,
-                                       atol=1e-13)
-
 
 class TestBlockGatherProperty:
     """The per-step gather (``gather_fields_for_tile``: cell-grouped
-    block products) against the same loop oracle as the engine's
-    generic adjoint."""
+    block products) against the same loop oracle as the engine."""
 
     @settings(max_examples=60, deadline=None)
     @given(shape=_shapes, periodic=_periodics,
@@ -281,11 +291,11 @@ class TestBlockGatherProperty:
         if cell_sorted:
             keep = np.lexsort((np.floor(zi), np.floor(yi), np.floor(xi)))
             xi, yi, zi = xi[keep], yi[keep], zi[keep]
-        # the block path, not the far-out-of-domain fallback
-        assert box_geometry(shape, shape_factors(xi, order)[0],
-                            shape_factors(yi, order)[0],
-                            shape_factors(zi, order)[0],
-                            shape_support(order)) is not None
+        # within a stencil width of the domain the bases are kept as is
+        bases = tuple(shape_factors(c, order)[0] for c in (xi, yi, zi))
+        kept, _, _ = box_geometry(shape, periodic, *bases,
+                                  shape_support(order))
+        assert all(a is b for a, b in zip(kept, bases))
         tile = tile_holding(grid, xi, yi, zi)
         got = gather_fields_for_tile(grid, tile, order)
         assert len(got) == 6
@@ -302,18 +312,27 @@ class TestBlockGatherProperty:
                                          tol + 1e-300)
 
     @pytest.mark.parametrize("order", [1, 2, 3])
-    def test_far_out_of_domain_batch_takes_the_exact_adjoint(self, order):
+    def test_far_out_of_domain_batch_takes_the_box_path(self, order):
         """A batch reaching more than a stencil width outside the domain
-        has no bounded box; the gather falls back to the stencil's
-        wrapped-space adjoint and still matches the loop oracle."""
+        has its bases brought into range: its box stays bounded, and the
+        block gather and the engine's scatter still match the loop and
+        ``np.add.at`` oracles."""
         rng = np.random.default_rng(40 + order)
         shape, periodic = (5, 4, 6), (True, False, True)
+        support = shape_support(order)
         grid = random_field_grid(shape, periodic, rng)
-        xi, yi, zi, _ = _random_batch(rng, shape, 50, out_of_domain=True)
-        assert box_geometry(shape, shape_factors(xi, order)[0],
-                            shape_factors(yi, order)[0],
-                            shape_factors(zi, order)[0],
-                            shape_support(order)) is None
+        xi, yi, zi, amplitude = _random_batch(rng, shape, 50,
+                                              out_of_domain=True)
+        op = StencilOperator.for_box(shape, periodic, xi, yi, zi, order)
+        assert_box_is_bounded(op, support)
+        out = np.zeros(shape)
+        op.scatter(amplitude, out)
+        bound = oracle_scatter(shape, periodic, xi, yi, zi, order,
+                               np.abs(amplitude))
+        np.testing.assert_array_less(
+            np.abs(out - oracle_scatter(shape, periodic, xi, yi, zi, order,
+                                        amplitude)),
+            64 * np.finfo(float).eps * (bound + bound.max()) + 1e-300)
         tile = tile_holding(grid, xi, yi, zi)
         for name, values in zip(FIELD_NAMES,
                                 gather_fields_for_tile(grid, tile, order)):
@@ -402,28 +421,49 @@ class TestScatterKernel:
     @pytest.mark.parametrize("periodic", [(True, True, True),
                                           (False, True, False)],
                              ids=["periodic", "mixed"])
-    def test_box_and_wrapped_fallback_agree(self, order, periodic):
-        """The bounding-box fast path and the exact wrapped-space ids of
-        the fallback scatter and gather the same sums, on an axis
-        shorter than the QSP support too."""
+    def test_far_bases_address_the_nodes_of_their_images(self, order,
+                                                         periodic):
+        """Bases moved whole periods away on periodic axes, and past the
+        clamp on open axes, address exactly the grid nodes of their
+        in-range images, so both scatter and gather the same sums — on
+        an axis shorter than the QSP support too."""
         rng = np.random.default_rng(30 + order)
         shape = (3, 5, 6)
+        support = shape_support(order)
         bx, by, bz, wx, wy, wz = _random_shape_data(rng, shape, 60, order)
-        box = StencilOperator.from_shape_data(shape, periodic,
-                                              bx, by, bz, wx, wy, wz)
-        assert box.box_dims is not None
-        wrapped = StencilOperator(
-            flat_node_ids(shape, periodic, bx, by, bz, wx.shape[1]),
-            box.weights, shape, periodic, None, None)
+        images, far = [], []
+        for base, n, wrap in zip((bx, by, bz), shape, periodic):
+            if wrap:
+                image = base
+                moved = base + n * rng.integers(-9, 10, base.shape)
+            else:
+                # below -support every node clamps to 0, at or above n
+                # every node clamps to n - 1
+                side = rng.integers(0, 3, base.shape)
+                image = np.select([side == 0, side == 1],
+                                  [np.full_like(base, -support),
+                                   np.full_like(base, n)], base)
+                moved = np.select([side == 0, side == 1],
+                                  [-support - rng.integers(1, 50, base.shape),
+                                   n + rng.integers(1, 50, base.shape)],
+                                  base)
+            images.append(image)
+            far.append(moved)
+        ops = [StencilOperator.from_shape_data(shape, periodic, *bases,
+                                               wx, wy, wz)
+               for bases in (images, far)]
+        assert_box_is_bounded(ops[1], support)
+        assert np.array_equal(grid_node_ids(ops[0]), grid_node_ids(ops[1]))
         amplitude = rng.normal(size=60)
         field = rng.normal(size=shape)
         outs = []
-        for op in (box, wrapped):
+        for op in ops:
             out = np.zeros(shape)
             op.scatter(amplitude, out)
             outs.append(out)
         np.testing.assert_allclose(outs[0], outs[1], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(box.gather(field), wrapped.gather(field),
+        np.testing.assert_allclose(stencil_gather(ops[0], field),
+                                   stencil_gather(ops[1], field),
                                    rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("out_shape", [(24,), (6, 4), (2, 3, 4)])
@@ -463,33 +503,33 @@ class TestScatterKernel:
 
 
 class TestFlatIds:
-    def test_flat_ids_match_padded_fast_path(self):
-        """The reference wrapped-space ids and the padded fast path must
-        address the same nodes (checked through a scatter of ones)."""
+    @pytest.mark.parametrize("out_of_domain", [False, True],
+                             ids=["in-domain", "far-out"])
+    def test_flat_ids_address_the_loops_nodes(self, out_of_domain):
+        """The box ids, read through the box's wrapped/clamped node
+        map, address exactly the nodes the loops wrap or clamp to point
+        by point — near the domain and far outside it."""
         rng = np.random.default_rng(11)
         shape = (5, 6, 7)
         for periodic in [(True,) * 3, (False, True, False)]:
-            xi, yi, zi, _ = _random_batch(rng, shape, 80)
-            bx, _ = shape_factors(xi, 3)
-            by, _ = shape_factors(yi, 3)
-            bz, _ = shape_factors(zi, 3)
-            ids = flat_node_ids(shape, periodic, bx, by, bz, 4)
-            ref = np.zeros(shape)
-            scatter_flat(ids, np.ones_like(ids, dtype=float), ref)
-            out = np.zeros(shape)
+            xi, yi, zi, _ = _random_batch(rng, shape, 80, out_of_domain)
+            bx, by, bz = (shape_factors(c, 3)[0] for c in (xi, yi, zi))
             op = StencilOperator.from_bases(shape, periodic, bx, by, bz, 4)
-            assert op.box_dims is not None  # fast path engaged
-            op.scatter_values(np.ones(op.flat_ids.shape), out)
-            np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+            assert_box_is_bounded(op, 4)
+            assert np.array_equal(
+                grid_node_ids(op),
+                oracle_node_ids(shape, periodic, bx, by, bz, 4))
 
-    def test_out_of_range_bases_fall_back(self):
+    def test_out_of_range_bases_take_the_box_path(self):
         op = StencilOperator.from_bases((4, 4, 4), (True,) * 3,
                                         np.array([97]), np.array([0]),
                                         np.array([0]), 2)
-        assert op.box_dims is None  # exact wrapped-space fallback
+        # 97 mod 4: the box starts at node 1 and spans the stencil only
+        assert op.box_lo == (1, 0, 0) and op.box_dims == (2, 2, 2)
         out = np.zeros((4, 4, 4))
         op.scatter_values(np.ones((1, 8)), out)
         assert out.sum() == pytest.approx(8.0)
+        assert out[1:3, 0:2, 0:2].sum() == pytest.approx(8.0)
 
     def test_cell_block_ids_layout(self):
         ids = cell_block_ids(np.array([2, 0]), 4)
@@ -526,8 +566,8 @@ class TestExecutorBitwiseParity:
             particle_boundary=("absorbing", "periodic", "periodic"),
         )
         results = {}
-        for name, executor in (("serial", SerialExecutor(3)),
-                               ("threads", ThreadTileExecutor(3))):
+        for name in ("serial", "threads"):
+            executor = TileExecutor(ExecutionConfig(name, 3))
             grid, container = make_plasma(config, ppc=(2, 2, 2), seed=5)
             with executor:
                 deposit_reference(grid, container, order, executor=executor)
@@ -547,7 +587,7 @@ class TestExecutorBitwiseParity:
         grid_sharded, container = make_plasma(
             GridConfig(n_cell=(8, 8, 8), hi=(8.0e-6,) * 3,
                        tile_size=(4, 4, 4)), ppc=(2, 2, 2), seed=9)
-        with SerialExecutor(1) as executor:
+        with TileExecutor(ExecutionConfig()) as executor:
             deposit_reference(grid_sharded, container, 3, executor=executor)
         assert np.array_equal(grid_inline.jx, grid_sharded.jx)
 

@@ -12,12 +12,13 @@ The callers keep one wiring test each (``tests/test_faults.py``,
 from __future__ import annotations
 
 from concurrent.futures import Future
+import functools
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.ckpt.faults import BrokenPoolOnce
-from repro.exec import SupervisedPool, TileTask
+from repro.exec import SupervisedPool
 from repro.obs import ObsConfig, Telemetry
 
 from helpers import log_events
@@ -31,7 +32,7 @@ def make_tasks(ran, n=N_TASKS):
         ran.append(i)
         return i * i
 
-    return [TileTask(work, (i,)) for i in range(n)]
+    return [functools.partial(work, i) for i in range(n)]
 
 
 def expected(n=N_TASKS):
@@ -62,7 +63,7 @@ def run_pair(pool, tasks):
     """What an asyncio caller does with submit/retire, minus the awaits."""
     results = []
     for task in tasks:
-        future = pool.submit(task.fn, *task.args)
+        future = pool.submit(task)
         if future is not None:
             try:
                 results.append(future.result())
@@ -211,7 +212,8 @@ def boom(i):
 @ENTRY_POINTS
 def test_task_exception_propagates_untouched(drive):
     pool = SupervisedPool(2, owner="contract", factory=scheduled(healthy()))
-    tasks = make_tasks([], 2) + [TileTask(boom, (2,)), TileTask(boom, (3,))]
+    tasks = make_tasks([], 2) + [functools.partial(boom, 2),
+                                 functools.partial(boom, 3)]
     with pytest.raises(OSError, match="task 2 failed"):
         drive(pool, tasks)
     assert pool.pool_failures == 0 and not pool.degraded
@@ -219,7 +221,7 @@ def test_task_exception_propagates_untouched(drive):
 
 def test_batch_reports_siblings_before_raising():
     pool = SupervisedPool(2, owner="contract", factory=scheduled(healthy()))
-    tasks = [TileTask(boom, (0,))] + make_tasks([], 3)[1:]
+    tasks = [functools.partial(boom, 0)] + make_tasks([], 3)[1:]
     seen = {}
     with pytest.raises(OSError, match="task 0 failed"):
         pool.run(tasks, on_result=seen.__setitem__)
