@@ -6,7 +6,7 @@ Matrix Outer-product for High-Performance Particle-in-Cell Simulations*
 
 ``repro.pic``
     A complete 3D electromagnetic Particle-in-Cell substrate (the role WarpX
-    plays in the paper): Yee/CKC field solver, Boris pusher, CIC/TSC/QSP
+    plays in the paper): CKC field solver, Boris pusher, CIC/TSC/QSP
     shape functions, field gather, reference deposition kernels, tiled
     Structure-of-Arrays particle storage, boundaries, laser injection and a
     moving window.

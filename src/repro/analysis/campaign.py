@@ -308,7 +308,7 @@ def _execute_spec_payload(spec_payload: Mapping) -> Dict[str, object]:
     fresh parallel result and a cached replay are interchangeable.
     ``Campaign`` and the ``repro.serve`` worker pool both look this name
     up on the module at call time, so fault-injection harnesses can
-    substitute it (:func:`repro.ckpt.faults.killing_spec_executor`).
+    substitute it (``tests/faults.py::killing_spec_executor``).
     """
     result = run_spec(ExperimentSpec.from_dict(spec_payload))
     return result.to_json()

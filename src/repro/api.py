@@ -122,13 +122,10 @@ class Session:
                 load_uniform_plasma(self.grid, container, species, self.rng)
 
         self.pusher = BorisPusher(shape_order=config.shape_order)
-        self.solver = (
-            FDTDSolver(self.grid, scheme=config.field_solver)
-            if config.field_solver != "none" else None
-        )
+        self.solver = FDTDSolver(self.grid)
         self.boundaries = FieldBoundaryConditions(config.grid)
         self.laser = (
-            LaserAntenna(config.laser, self.grid, axis=config.moving_window.axis)
+            LaserAntenna(config.laser, self.grid)
             if config.laser is not None else None
         )
         self.moving_window = MovingWindow(config.moving_window, config.seed)
@@ -242,10 +239,9 @@ class Session:
         finally:
             self.telemetry.end_span("run")
 
-    def run_all(self, steps: Optional[int] = None,
-                record_energy: bool = False) -> RuntimeBreakdown:
+    def run_all(self, steps: Optional[int] = None) -> RuntimeBreakdown:
         """Drain :meth:`run` and return the runtime breakdown."""
-        for _ in self.run(steps, record_energy=record_energy):
+        for _ in self.run(steps):
             pass
         return self.breakdown
 

@@ -21,9 +21,10 @@ Layout:
   latest-valid selection (corrupt files are skipped, not fatal).
 * :mod:`repro.ckpt.hook` — :class:`CheckpointHook`, periodic snapshots
   through the pipeline's post-stage hook seam.
-* :mod:`repro.ckpt.faults` — the fault-injection harness (not
-  re-exported here; it is a test utility surface, imported explicitly
-  as ``repro.ckpt.faults``).
+
+The fault-injection harness that tests the recovery contract (kill
+switches, a breaking pool, torn and corrupted files) is
+``tests/faults.py``.
 """
 
 from repro.ckpt.format import (

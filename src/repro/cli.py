@@ -353,18 +353,16 @@ def _render_csv(campaign_result, stream) -> None:
     writer.writerows(rows)
 
 
-def cmd_campaign(args, stdout=None) -> int:
+def cmd_campaign(args) -> int:
     """Entry point of the ``campaign`` subcommand."""
     from repro.analysis.cache import ResultCache
     from repro.analysis.campaign import REQUEST_KEYS, Campaign, expand_request
     from repro.analysis.tables import format_campaign_table
     from repro.baselines.configs import available_configurations
 
-    stdout = stdout if stdout is not None else sys.stdout
-
     if args.list_configurations:
         for name in available_configurations():
-            print(name, file=stdout)
+            print(name)
         return 0
 
     # the grid flags are the grid keys the job service takes, so the
@@ -408,21 +406,18 @@ def cmd_campaign(args, stdout=None) -> int:
                   file=sys.stderr)
 
     if args.format == "json":
-        print(json.dumps(outcome.to_json(), indent=2, sort_keys=True),
-              file=stdout)
+        print(json.dumps(outcome.to_json(), indent=2, sort_keys=True))
     elif args.format == "csv":
         buffer = io.StringIO()
         _render_csv(outcome, buffer)
-        print(buffer.getvalue(), end="", file=stdout)
+        print(buffer.getvalue(), end="")
     else:
-        print(format_campaign_table(outcome), file=stdout)
+        print(format_campaign_table(outcome))
     return 0
 
 
-def cmd_run(args, stdout=None) -> int:
+def cmd_run(args) -> int:
     """Entry point of the ``run`` subcommand."""
-    stdout = stdout if stdout is not None else sys.stdout
-
     try:
         workload = workload_for_family(
             args.workload, ppc=args.ppc, max_steps=args.steps,
@@ -515,31 +510,30 @@ def cmd_run(args, stdout=None) -> int:
 
     if args.format == "json":
         payload["stages"] = list(payload["stages"])
-        print(json.dumps(payload, indent=2, sort_keys=True), file=stdout)
+        print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
 
     print(f"workload={args.workload} ppc={args.ppc} "
-          f"steps={payload['steps']} particles={payload['num_particles']}",
-          file=stdout)
-    print(f"pipeline: {' -> '.join(payload['stages'])}", file=stdout)
+          f"steps={payload['steps']} particles={payload['num_particles']}")
+    print(f"pipeline: {' -> '.join(payload['stages'])}")
     print(f"executor: {args.backend} x{args.shards}, "
-          f"domains={tuple(payload['domains'])}", file=stdout)
+          f"domains={tuple(payload['domains'])}")
     total = sum(payload["stage_seconds"].values()) or 1.0
-    print("per-stage wall time:", file=stdout)
+    print("per-stage wall time:")
     for stage, seconds in payload["stage_seconds"].items():
-        print(f"  {stage:16s} {seconds:9.4f} s  {100.0 * seconds / total:5.1f} %",
-              file=stdout)
+        print(f"  {stage:16s} {seconds:9.4f} s  "
+              f"{100.0 * seconds / total:5.1f} %")
     if args.record_energy:
         print(f"relative energy drift: "
-              f"{payload['relative_energy_drift']:.3e}", file=stdout)
+              f"{payload['relative_energy_drift']:.3e}")
     if args.metrics and payload.get("metrics"):
-        print("telemetry counters:", file=stdout)
+        print("telemetry counters:")
         for name, value in payload["metrics"].items():
-            print(f"  {name:32s} {value:g}", file=stdout)
+            print(f"  {name:32s} {value:g}")
     return 0
 
 
-def cmd_serve(args, stdout=None) -> int:
+def cmd_serve(args) -> int:
     """Entry point of the ``serve`` subcommand."""
     from repro.serve import DEFAULT_ROOT, ServeConfig, run_server
 
@@ -555,43 +549,41 @@ def cmd_serve(args, stdout=None) -> int:
     return run_server(config)
 
 
-def cmd_trace_summarize(args, stdout=None) -> int:
+def cmd_trace_summarize(args) -> int:
     """Entry point of the ``trace summarize`` subcommand."""
     from repro.obs import summarize_trace
 
-    stdout = stdout if stdout is not None else sys.stdout
     try:
         summary = summarize_trace(args.file)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
-        print(json.dumps(summary, indent=2, sort_keys=True), file=stdout)
+        print(json.dumps(summary, indent=2, sort_keys=True))
         return 0
     print(f"{summary['events']} events, max span depth "
-          f"{summary['max_depth']}", file=stdout)
+          f"{summary['max_depth']}")
     if summary["spans"]:
-        print("spans:", file=stdout)
+        print("spans:")
         for name, row in summary["spans"].items():
             print(f"  {name:24s} x{row['count']:<6d} "
-                  f"{row['total_us'] / 1000.0:10.3f} ms", file=stdout)
+                  f"{row['total_us'] / 1000.0:10.3f} ms")
     if summary["counters"]:
-        print("counters (last sample):", file=stdout)
+        print("counters (last sample):")
         for series, values in summary["counters"].items():
             for name, value in sorted(values.items()):
-                print(f"  {series}.{name:32s} {value:g}", file=stdout)
+                print(f"  {series}.{name:32s} {value:g}")
     if summary["instants"]:
-        print("instant events:", file=stdout)
+        print("instant events:")
         for name, count in summary["instants"].items():
-            print(f"  {name:32s} x{count}", file=stdout)
+            print(f"  {name:32s} x{count}")
     return 0
 
 
-def cmd_trace_validate(args, stdout=None) -> int:
+def cmd_trace_validate(args) -> int:
     """Entry point of the ``trace validate`` subcommand."""
     from repro.obs import validate_chrome_trace
 
-    stdout = stdout if stdout is not None else sys.stdout
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -601,11 +593,10 @@ def cmd_trace_validate(args, stdout=None) -> int:
     errors = validate_chrome_trace(payload)
     if errors:
         for error in errors:
-            print(f"invalid: {error}", file=stdout)
+            print(f"invalid: {error}")
         return 1
     events = payload.get("traceEvents", [])
-    print(f"OK: {len(events)} events conform to the trace_event schema",
-          file=stdout)
+    print(f"OK: {len(events)} events conform to the trace_event schema")
     return 0
 
 

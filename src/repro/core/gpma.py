@@ -183,13 +183,6 @@ class GappedPMA:
         """Fraction of slots that hold particles."""
         return 1.0 - self.empty_ratio
 
-    def bin_of(self, particle: int) -> Optional[int]:
-        """Bin currently storing ``particle`` or None if absent."""
-        particle = int(particle)
-        if self._slot_of(particle) < 0:
-            return None
-        return int(self._particle_bin[particle])
-
     def _slot_of(self, particle: int) -> int:
         """Slot storing ``particle``, -1 when it is not stored."""
         if not 0 <= particle < self._particle_slot.size:
@@ -203,13 +196,6 @@ class GappedPMA:
     def _gap_count(self, b: int) -> int:
         return int(self.bin_offsets[b + 1] - self.bin_offsets[b]
                    - self.bin_lengths[b])
-
-    def particles_in_bin(self, b: int) -> np.ndarray:
-        """Particle indices stored in bin ``b`` (in slot order)."""
-        if not 0 <= b < self.num_bins:
-            raise IndexError(f"bin {b} out of range")
-        region = self.local_index[self.bin_offsets[b]: self.bin_offsets[b + 1]]
-        return region[region != INVALID_PARTICLE_ID]
 
     def iteration_order(self) -> np.ndarray:
         """All stored particle indices in cell-sorted order."""

@@ -52,11 +52,8 @@ class DomainRuntime:
         self.decomposition.build_slabs(session.grid)
         self.halo = HaloExchange(self.decomposition, session.grid.periodic,
                                  session.telemetry)
-        self.solvers: List[FDTDSolver] = (
-            [FDTDSolver(sub.slab, scheme=config.field_solver)
-             for sub in self.decomposition.subdomains]
-            if config.field_solver != "none" else []
-        )
+        self.solvers: List[FDTDSolver] = [
+            FDTDSolver(sub.slab) for sub in self.decomposition.subdomains]
 
     @property
     def subdomains(self) -> List[Subdomain]:

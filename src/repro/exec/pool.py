@@ -89,7 +89,7 @@ class SupervisedPool:
     factory:
         ``factory(max_workers)`` returns a pool (anything with
         ``submit``/``shutdown``) or ``None`` where pools are unavailable;
-        fault tests substitute :class:`repro.ckpt.faults.BrokenPoolOnce`.
+        fault tests substitute ``BrokenPoolOnce`` (``tests/faults.py``).
     obs:
         The owner's registry: counts ``exec.pool_rebuilds`` and mirrors
         the ``pool.*`` events.

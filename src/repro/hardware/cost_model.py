@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping
 
 from repro.hardware.counters import KernelCounters, PhaseCounters
-from repro.hardware.spec import ArchSpec, LX2_SPEC
+from repro.hardware.spec import LX2_SPEC
 
 
 @dataclass
@@ -103,10 +103,10 @@ class KernelTiming:
 
 
 class CostModel:
-    """Converts :class:`KernelCounters` into :class:`KernelTiming`."""
+    """Converts :class:`KernelCounters` into :class:`KernelTiming` on the
+    paper's LX2 core."""
 
-    def __init__(self, spec: ArchSpec = LX2_SPEC):
-        self.spec = spec
+    spec = LX2_SPEC
 
     # ------------------------------------------------------------------
     def phase_cycles(self, counters: PhaseCounters) -> float:

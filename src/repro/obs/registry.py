@@ -45,7 +45,8 @@ Counter-name vocabulary (dotted, lowercase):
                                   tenant cache-budget LRU reclamation
 ``ckpt.saves`` / ``.restores`` / ``.bytes``
                                   checkpoint traffic
-``faults.injected``               injected faults observed
+``faults.injected``               faults the test double injected
+                                  (``tests/faults.py``)
 ``health.energy_drift`` / ``health.charge_residual``
                                   latest probe gauges
 ``log.<event>``                   structured log events by name

@@ -2,7 +2,7 @@
 
 This subpackage plays the role WarpX plays in the paper: it provides the
 grid, particle storage, shape functions, particle pusher, field gather,
-reference deposition kernels, Maxwell solvers, boundaries, laser injection,
+reference deposition kernels, the Maxwell solver, boundaries, laser injection,
 moving window and the deposition seam that the Matrix-PIC deposition
 framework (:mod:`repro.core`) plugs into; :class:`repro.api.Session`
 assembles them into a run.

@@ -80,20 +80,12 @@ class FieldBoundaryConditions:
 
 
 class FieldBoundaryStage:
-    """Pipeline stage: PEC/absorbing field boundaries on the global grid.
-
-    Gated on the simulation having a field solver, matching the
-    pre-pipeline loop (boundaries are part of the field update; a
-    solver-less run leaves the imposed fields untouched).
-    """
+    """Pipeline stage: PEC/absorbing field boundaries on the global grid."""
 
     name = "boundary"
     bucket = "field_solve"
-    reads = frozenset({
-        "grid.geometry", "solver", "boundaries",
-    })
+    reads = frozenset({"grid.geometry", "boundaries"})
     writes = frozenset({"grid.fields"})
 
     def run(self, session) -> None:
-        if session.solver is not None:
-            session.boundaries.apply(session.grid)
+        session.boundaries.apply(session.grid)

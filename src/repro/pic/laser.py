@@ -18,18 +18,16 @@ from repro.pic.grid import Grid
 
 
 class LaserAntenna:
-    """Plane antenna injecting a Gaussian laser pulse along the window axis."""
+    """Plane antenna injecting an x-polarised Gaussian laser pulse along z."""
 
-    def __init__(self, config: LaserConfig, grid: Grid, axis: int = 2):
-        if axis not in (0, 1, 2):
-            raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
+    def __init__(self, config: LaserConfig, grid: Grid):
         self.config = config
-        self.axis = axis
         self.omega = 2.0 * np.pi * constants.C_LIGHT / config.wavelength
         # plane index of the antenna within the grid
-        dz = grid.cell_size[axis]
-        offset = config.injection_position - grid.lo[axis]
-        self.plane_index = int(np.clip(round(offset / dz), 1, grid.shape[axis] - 2))
+        dz = grid.cell_size[2]
+        offset = config.injection_position - grid.lo[2]
+        self.plane_index = int(np.clip(round(offset / dz), 1,
+                                       grid.shape[2] - 2))
         #: time at which the pulse peak passes the antenna
         self.t_peak = 3.0 * config.duration
 
@@ -40,9 +38,8 @@ class LaserAntenna:
 
     def transverse_profile(self, grid: Grid) -> np.ndarray:
         """Transverse Gaussian profile on the antenna plane."""
-        trans_axes = [a for a in range(3) if a != self.axis]
         centers = []
-        for a in trans_axes:
+        for a in (0, 1):
             n = grid.shape[a]
             coords = grid.lo[a] + (np.arange(n) + 0.5) * grid.cell_size[a]
             mid = 0.5 * (grid.lo[a] + grid.hi[a])
@@ -61,10 +58,7 @@ class LaserAntenna:
         # soft source: add a current-like drive scaled so that a pulse of the
         # configured a0 builds up over the pulse duration
         drive = amplitude * dt * self.omega / (2.0 * np.pi)
-        field = grid.ex if self.config.polarization == "x" else grid.ey
-        index = [slice(None)] * 3
-        index[self.axis] = self.plane_index
-        field[tuple(index)] += drive * profile
+        grid.ex[:, :, self.plane_index] += drive * profile
 
 
 class LaserStage:

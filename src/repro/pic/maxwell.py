@@ -1,12 +1,9 @@
-"""Finite-difference time-domain Maxwell solvers.
+"""Finite-difference time-domain Maxwell solver.
 
-Two explicit solvers are provided, matching the paper's setup (§5.2 uses
-the CKC solver with ``warpx.cfl = 1.0``):
-
-* ``yee`` — the standard Yee leap-frog scheme,
-* ``ckc`` — the Cole-Karkkainen-Cowan scheme, which smooths the transverse
-  profile of each spatial derivative so that the scheme stays stable at a
-  CFL number of 1 along the axis of propagation.
+One explicit solver, the paper's (§5.2 runs CKC with ``warpx.cfl =
+1.0``): the Cole-Karkkainen-Cowan scheme, a leap-frog update that smooths
+the transverse profile of each spatial derivative so that it stays stable
+at a CFL number of 1 along the axis of propagation.
 
 All field arrays share the grid's ``(nx, ny, nz)`` shape; Yee staggering is
 implicit (``ex[i, j, k]`` lives at ``(i + 1/2, j, k)`` and so on) and the
@@ -73,18 +70,12 @@ def _transverse_smooth(field: Array, axis: int,
 
 
 class FDTDSolver:
-    """Explicit leap-frog solver for Maxwell's equations on the grid."""
+    """Explicit leap-frog CKC solver for Maxwell's equations on the grid."""
 
-    def __init__(self, grid: Grid, scheme: str = "ckc"):
-        if scheme not in ("yee", "ckc"):
-            raise ValueError(f"unknown scheme {scheme!r}")
+    def __init__(self, grid: Grid):
         self.grid = grid
-        self.scheme = scheme
-        if scheme == "ckc":
-            # Cole-Karkkainen-Cowan coefficients for cubic cells
-            self.alpha, self.beta, self.gamma = 7.0 / 12.0, 1.0 / 12.0, 1.0 / 48.0
-        else:
-            self.alpha, self.beta, self.gamma = 1.0, 0.0, 0.0
+        # Cole-Karkkainen-Cowan coefficients for cubic cells
+        self.alpha, self.beta, self.gamma = 7.0 / 12.0, 1.0 / 12.0, 1.0 / 48.0
 
     # ------------------------------------------------------------------
     def _curl_e(self) -> tuple[Array, Array, Array]:
@@ -105,11 +96,8 @@ class FDTDSolver:
 
     def _d(self, field: Array, axis: int, delta: float, forward: bool
            ) -> Array:
-        diff = _diff(field, axis, delta, forward)
-        if self.scheme == "ckc":
-            return _transverse_smooth(diff, axis, self.alpha, self.beta,
-                                      self.gamma)
-        return diff
+        return _transverse_smooth(_diff(field, axis, delta, forward), axis,
+                                  self.alpha, self.beta, self.gamma)
 
     # ------------------------------------------------------------------
     def push_b(self, dt: float) -> None:
@@ -141,8 +129,7 @@ class FieldSolveStage:
     The one stage a decomposed run does differently: with a domain
     runtime attached, the update runs per subdomain slab
     (:meth:`repro.domain.runtime.DomainRuntime.solve`, bitwise equal to
-    the global solver).  No-op when the simulation was configured with
-    ``field_solver="none"`` (kernel-only studies).
+    the global solver).
     """
 
     name = "solve"
@@ -154,10 +141,7 @@ class FieldSolveStage:
     writes = frozenset({"grid.fields", "telemetry"})
 
     def run(self, session) -> None:
-        solver = session.solver
-        if solver is None:
-            return
         if session.domain is not None:
             session.domain.solve(session.grid, session.dt, session.executor)
         else:
-            solver.step(session.dt)
+            session.solver.step(session.dt)

@@ -27,10 +27,10 @@ from repro.pic.plasma import load_plasma_slab
 class MovingWindow:
     """Shifts the grid to follow the laser and refills the exposed slab.
 
-    The refill loads each container's species along z
-    (:func:`~repro.pic.plasma.load_plasma_slab`), the axis of the one
-    workload that moves its window, jittered from the window's own
-    stream ``rng`` (seeded ``seed + 1``; :mod:`repro.ckpt` restores it).
+    The window moves along z; the refill loads each container's species
+    in the exposed z slab (:func:`~repro.pic.plasma.load_plasma_slab`),
+    jittered from the window's own stream ``rng`` (seeded ``seed + 1``;
+    :mod:`repro.ckpt` restores it).
     """
 
     def __init__(self, config: MovingWindowConfig, seed: int):
@@ -45,33 +45,29 @@ class MovingWindow:
         """Advance the window by ``dt``; returns the number of cells shifted."""
         if not self.config.enabled or step < self.config.start_step:
             return 0
-        axis = self.config.axis
-        dx = grid.cell_size[axis]
+        dz = grid.cell_size[2]
         self._accumulated += self.config.speed * dt
-        shift = int(self._accumulated // dx)
+        shift = int(self._accumulated // dz)
         if shift <= 0:
             return 0
-        self._accumulated -= shift * dx
+        self._accumulated -= shift * dz
         self.total_shift_cells += shift
 
         self._shift_fields(grid, shift)
-        old_hi = grid.hi[axis]
-        grid.lo[axis] += shift * dx
-        grid.hi[axis] += shift * dx
+        old_hi = grid.hi[2]
+        grid.lo[2] += shift * dz
+        grid.hi[2] += shift * dz
 
         for container in containers:
             load_plasma_slab(grid, container, container.species,
-                             z_lo=old_hi, z_hi=grid.hi[axis], rng=self.rng)
+                             z_lo=old_hi, z_hi=grid.hi[2], rng=self.rng)
         return shift
 
     # ------------------------------------------------------------------
     def _shift_fields(self, grid: Grid, shift: int) -> None:
-        axis = self.config.axis
         for arr in grid.field_arrays().values():
-            arr[...] = np.roll(arr, -shift, axis=axis)
-            index = [slice(None)] * 3
-            index[axis] = slice(-shift, None)
-            arr[tuple(index)] = 0.0
+            arr[...] = np.roll(arr, -shift, axis=2)
+            arr[:, :, -shift:] = 0.0
 
 
 class MovingWindowStage:

@@ -286,7 +286,7 @@ class WorkerPool:
         """``task_fn``, or the campaign worker entry point resolved *at
         call time* through the module attribute, so fault harnesses that
         monkeypatch ``repro.analysis.campaign._execute_spec_payload``
-        (:func:`repro.ckpt.faults.killing_spec_executor`) reach the
+        (``tests/faults.py::killing_spec_executor``) reach the
         service exactly like they reach ``Campaign.run``."""
         if self.task_fn is not None:
             return self.task_fn

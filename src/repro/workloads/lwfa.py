@@ -38,6 +38,8 @@ from repro.workloads.uniform import ppc_triple
 LASER_A0 = 4.0
 #: laser wavelength [m] (the paper's 0.8 um Ti:sapphire pulse)
 LASER_WAVELENGTH = 0.8e-6
+#: background electron density [m^-3] of the wake
+DENSITY = 2.0e23
 #: share of the box length over which the plasma density ramps up
 RAMP_FRACTION = 0.2
 
@@ -50,7 +52,6 @@ class LWFAWorkload:
     tile_size: Tuple[int, int, int] = (8, 8, 16)
     ppc: int = 8
     max_steps: int = 20
-    density: float = 2.0e23
     #: tile execution engine used by the step loop (:mod:`repro.exec`)
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
     #: (px, py, pz) domain decomposition of the grid (:mod:`repro.domain`)
@@ -63,7 +64,7 @@ class LWFAWorkload:
     # ------------------------------------------------------------------
     def domain_extent(self) -> Tuple[float, float, float]:
         """Domain sized to resolve the plasma wavelength along z."""
-        lambda_p = constants.plasma_wavelength(self.density)
+        lambda_p = constants.plasma_wavelength(DENSITY)
         dz = lambda_p / 32.0
         dt_transverse = lambda_p / 8.0
         return (
@@ -85,7 +86,7 @@ class LWFAWorkload:
         )
         species = SpeciesConfig(
             name="electrons",
-            density=self.density,
+            density=DENSITY,
             ppc=ppc_triple(self.ppc),
             thermal_velocity=0.0,
         )
@@ -95,17 +96,14 @@ class LWFAWorkload:
             waist=0.25 * min(extent[0], extent[1]),
             duration=10.0e-15,
             injection_position=extent[2] * 0.05,
-            polarization="x",
         )
-        window = MovingWindowConfig(enabled=True, axis=2,
-                                    speed=constants.C_LIGHT, start_step=2)
+        window = MovingWindowConfig(enabled=True, speed=constants.C_LIGHT,
+                                    start_step=2)
         return SimulationConfig(
             grid=grid,
             species=(species,),
             shape_order=1,
-            cfl=1.0,
             max_steps=self.max_steps,
-            field_solver="ckc",
             laser=laser,
             moving_window=window,
             execution=self.execution,

@@ -36,6 +36,11 @@ PPC_SCAN: Dict[int, Tuple[int, int, int]] = {
     128: (8, 4, 4),
 }
 
+#: electron density [m^-3] of the paper's uniform plasma
+DENSITY = 1.0e25
+#: Maxwellian momentum spread of the paper's uniform plasma [m/s]
+THERMAL_VELOCITY = 0.01 * constants.C_LIGHT
+
 
 def ppc_triple(ppc: int) -> Tuple[int, int, int]:
     """The per-axis particles-per-cell triple of an average PPC: the
@@ -60,9 +65,6 @@ class UniformPlasmaWorkload:
     ppc: int = 64
     shape_order: int = 1
     max_steps: int = 10
-    density: float = 1.0e25
-    thermal_velocity: float = 0.01 * constants.C_LIGHT
-    field_solver: str = "ckc"
     #: tile execution engine used by the step loop (:mod:`repro.exec`)
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
     #: (px, py, pz) domain decomposition of the grid (:mod:`repro.domain`)
@@ -74,7 +76,7 @@ class UniformPlasmaWorkload:
 
     def domain_extent(self) -> Tuple[float, float, float]:
         """Physical domain size: one plasma skin depth per ~10 cells."""
-        dx = constants.skin_depth(self.density) / 10.0
+        dx = constants.skin_depth(DENSITY) / 10.0
         return tuple(dx * n for n in self.n_cell)  # type: ignore[return-value]
 
     def build_config(self) -> SimulationConfig:
@@ -90,17 +92,15 @@ class UniformPlasmaWorkload:
         )
         species = SpeciesConfig(
             name="electrons",
-            density=self.density,
+            density=DENSITY,
             ppc=ppc_triple(self.ppc),
-            thermal_velocity=self.thermal_velocity,
+            thermal_velocity=THERMAL_VELOCITY,
         )
         return SimulationConfig(
             grid=grid,
             species=(species,),
             shape_order=self.shape_order,
-            cfl=1.0,
             max_steps=self.max_steps,
-            field_solver=self.field_solver,
             execution=self.execution,
             domain=DomainConfig(domains=self.domains),
             observe=self.observe,

@@ -26,11 +26,16 @@ worked in two pieces) under ``MatrixPIC (FullOpt)``; one ``Baseline``
 case; shape order 2 (TSC, which no bench workload runs) under the
 reference deposit and ``Baseline``, the only deposits that take it; and
 an LWFA run under ``MatrixPIC (FullOpt)`` and under the reference
-deposit across several moving-window shifts.  ``--tiny`` shrinks every case to a few hundred
+deposit across several moving-window shifts; and one 8^3 tile at PPC 8
+in a 0.3c plasma (``tests/helpers.py::hot_plasma_session``), which keeps
+its population while its particles change cells every step, under the
+two incremental sorters ``MatrixPIC (FullOpt)`` and ``Baseline+IncrSort``.
+``--tiny`` shrinks every case to a few hundred
 particles and two steps (the tier-1 smoke test's size).  The script
 imports only ``Session.from_workload``, ``make_strategy``, the two
-workload builders, ``ExecutionConfig``, ``deposit_rho_reference`` and
-``capture_state``, so it runs against older trees too.
+workload builders, ``ExecutionConfig``, ``deposit_rho_reference``,
+``capture_state`` and ``hot_plasma_session``, so it runs against older
+trees too.
 """
 
 from __future__ import annotations
@@ -70,10 +75,14 @@ CASES["uniform-o2-baseline-serial1"] = ("uniform", 2, "Baseline", "serial",
                                         1, 4)
 CASES["lwfa-mpic-serial1"] = ("lwfa", 1, MPIC, "serial", 1, 0)
 CASES["lwfa-ref-serial1"] = ("lwfa", 1, None, "serial", 1, 0)
+CASES.update({
+    f"hot-tile-o1-{tag}-serial1": ("hot", 1, strategy, "serial", 1, 8)
+    for tag, strategy in (("mpic", MPIC), ("incr", "Baseline+IncrSort"))
+})
 
 #: steps per case at full size; LWFA's window shifts one cell a step
 #: from the fourth step on, five times in eight steps
-STEPS = {"uniform": 4, "lwfa": 8}
+STEPS = {"uniform": 4, "lwfa": 8, "hot": 4}
 TINY_STEPS = 2
 
 
@@ -85,17 +94,22 @@ def _session(name: str, tiny: bool):
     from repro.workloads.lwfa import LWFAWorkload
     from repro.workloads.uniform import UniformPlasmaWorkload
 
+    from helpers import hot_plasma_session
+
     family, order, strategy, backend, shards, edge = CASES[name]
     execution = ExecutionConfig(backend=backend, num_shards=shards)
-    if family == "uniform":
-        workload = UniformPlasmaWorkload(
-            n_cell=(8, 8, 8), tile_size=(edge,) * 3, ppc=1 if tiny else 64,
-            shape_order=order, execution=execution, seed=7)
-    else:
+    deposition = make_strategy(strategy) if strategy else None
+    if family == "lwfa":
         workload = LWFAWorkload(
             n_cell=(8, 8, 32), tile_size=(8, 8, 16), ppc=1 if tiny else 8,
             execution=execution, seed=7)
-    deposition = make_strategy(strategy) if strategy else None
+        return Session.from_workload(workload, deposition=deposition)
+    workload = UniformPlasmaWorkload(
+        n_cell=(8, 8, 8), tile_size=(edge,) * 3,
+        ppc=1 if tiny else 64 if family == "uniform" else 8,
+        shape_order=order, execution=execution, seed=7)
+    if family == "hot":
+        return hot_plasma_session(workload, deposition)
     return Session.from_workload(workload, deposition=deposition)
 
 
@@ -106,7 +120,8 @@ def case_state(name: str, tiny: bool = False) -> Dict[str, np.ndarray]:
 
     steps = TINY_STEPS if tiny else STEPS[CASES[name][0]]
     with _session(name, tiny) as session:
-        session.run_all(steps, record_energy=True)
+        for _ in session.run(steps, record_energy=True):
+            pass
         for container in session.containers:
             deposit_rho_reference(session.grid, container,
                                   session.config.shape_order)

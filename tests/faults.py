@@ -20,8 +20,9 @@ instead of hoping:
 * :func:`truncate_file` / :func:`flip_byte` — torn-write and
   bit-corruption fixtures for snapshot, record-log and cache files.
 
-Nothing here is imported by production code; it is a harness, published
-as ``repro.ckpt.faults`` so external suites can reuse it.
+Nothing under ``src/`` imports it.  The pool forks, so a task defined
+here (:func:`chaos_shard_task`, :func:`killing_spec_executor`) unpickles
+in the worker.
 """
 
 from __future__ import annotations

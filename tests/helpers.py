@@ -14,18 +14,54 @@ that nothing under ``src/`` or ``bench/`` uses.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 from hypothesis import strategies as st
 
 from repro import constants
+from repro.api import Session
 from repro.config import GridConfig, SpeciesConfig
 from repro.core.framework import SORT_NONE, MatrixPICDeposition
 from repro.hardware.counters import PhaseCounters
 from repro.pic.gather import gather_fields
 from repro.pic.grid import Grid
+from repro.pic.maxwell import FDTDSolver
 from repro.pic.particles import ParticleContainer
 from repro.pic.plasma import load_uniform_plasma
 from repro.pic.stencil import box_node_ids
+
+
+#: thermal speed of the hot-plasma tests: every step moves particles
+#: between cells (and tiles), where the workloads' 0.01c barely does
+HOT_THERMAL_VELOCITY = 0.3 * constants.C_LIGHT
+
+
+def hot_plasma_session(workload, deposition=None,
+                       thermal_velocity=HOT_THERMAL_VELOCITY) -> Session:
+    """A session of a uniform ``workload``'s config with its species at
+    ``thermal_velocity`` (the workload's own spread is a module constant,
+    not a knob)."""
+    config = workload.build_config()
+    species = tuple(dataclasses.replace(each,
+                                        thermal_velocity=thermal_velocity)
+                    for each in config.species)
+    return Session(dataclasses.replace(config, species=species),
+                   deposition=deposition)
+
+
+def fdtd_solver(grid: Grid, scheme: str) -> FDTDSolver:
+    """The field solver over ``grid``: ``"ckc"``, the one a run uses, or
+    ``"yee"``, the same update with the transverse smoothing off
+    (``alpha = 1``, ``beta = gamma = 0``).  Yee agrees with a dedicated
+    Yee update up to the sign of zero: the zero-weight neighbours add
+    ``+0.0`` where a bare difference could read ``-0.0``."""
+    solver = FDTDSolver(grid)
+    if scheme == "yee":
+        solver.alpha, solver.beta, solver.gamma = 1.0, 0.0, 0.0
+    else:
+        assert scheme == "ckc", scheme
+    return solver
 
 
 def make_plasma(grid_config: GridConfig, ppc=(2, 2, 2), seed: int = 7,

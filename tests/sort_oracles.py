@@ -54,6 +54,23 @@ def oracle_counting_sort_permutation(cell_ids: np.ndarray, num_cells: int
     return order, counts.astype(np.int64)
 
 
+def bin_of(gpma: GappedPMA, particle: int) -> Optional[int]:
+    """The bin whose region holds ``particle`` in ``gpma``, None if absent
+    (read off ``local_index`` and ``bin_offsets``)."""
+    slots = np.flatnonzero(gpma.local_index == int(particle))
+    if slots.size == 0:
+        return None
+    return int(np.searchsorted(gpma.bin_offsets, slots[0], side="right")) - 1
+
+
+def particles_in_bin(gpma: GappedPMA, b: int) -> np.ndarray:
+    """Particle indices ``gpma`` stores in bin ``b``, in slot order."""
+    if not 0 <= b < gpma.num_bins:
+        raise IndexError(f"bin {b} out of range")
+    region = gpma.local_index[gpma.bin_offsets[b]:gpma.bin_offsets[b + 1]]
+    return region[region != INVALID_PARTICLE_ID]
+
+
 class OracleGappedPMA:
     """The dict/list GappedPMA as it stood before the array-native rewrite."""
 

@@ -32,7 +32,7 @@ from repro.ckpt import (
     snapshot_path,
     write_snapshot,
 )
-from repro.ckpt.faults import flip_byte, truncate_file
+from faults import flip_byte, truncate_file
 from repro.cli import main
 from repro.config import ExecutionConfig
 from repro.workloads.lwfa import LWFAWorkload

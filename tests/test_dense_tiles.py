@@ -18,8 +18,6 @@ from unittest import mock
 
 import pytest
 
-from repro import constants
-from repro.api import Session
 from repro.baselines.configs import (
     available_configurations,
     configuration_kernel,
@@ -31,6 +29,8 @@ from repro.core.hybrid_kernel import HybridMPUDeposition
 from repro.pic import particles
 from repro.pic.particles import BATCH_PARTICLES
 from repro.workloads import UniformPlasmaWorkload
+
+from helpers import hot_plasma_session
 
 MATRIX_PIC = [name for name in available_configurations()
               if configuration_kernel(name) is HybridMPUDeposition]
@@ -45,7 +45,6 @@ def dense_qsp(execution):
     hold unequal counts and a cut at a particle index splits one)."""
     return UniformPlasmaWorkload(n_cell=(8, 8, 24), tile_size=(8, 8, 12),
                                  ppc=27, shape_order=3, max_steps=100,
-                                 thermal_velocity=0.3 * constants.C_LIGHT,
                                  execution=execution)
 
 
@@ -69,8 +68,7 @@ def trajectory(config_name, execution):
     visits = []
     record_visits(strategy.sorter, visits)
     rows = []
-    with Session.from_workload(dense_qsp(execution),
-                               deposition=strategy) as session:
+    with hot_plasma_session(dense_qsp(execution), strategy) as session:
         assert min(tile.num_particles for tile in
                    session.containers[0].tiles) > BATCH_PARTICLES
         for _ in range(STEPS):

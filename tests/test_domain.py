@@ -31,9 +31,10 @@ from repro.domain.decomposition import Decomposition
 from repro.domain.halo import EM_FIELDS, HaloExchange
 from repro.pic.deposition.reference import deposit_reference
 from repro.pic.grid import Grid
-from repro.pic.maxwell import FDTDSolver
 from repro.workloads.lwfa import LWFAWorkload
 from repro.workloads.uniform import UniformPlasmaWorkload
+
+from helpers import fdtd_solver, hot_plasma_session
 
 ALL_COMPONENTS = ("ex", "ey", "ez", "bx", "by", "bz", "jx", "jy", "jz", "rho")
 
@@ -50,17 +51,18 @@ def run_uniform(domains, *, backend="serial", shards=1, steps=3, order=1,
     ``strategy`` names a ``make_strategy`` configuration (the reference
     deposition when None).
     """
-    kwargs = {} if thermal is None else {"thermal_velocity": thermal}
     workload = UniformPlasmaWorkload(
         n_cell=n_cell, tile_size=tile, ppc=ppc, shape_order=order,
         max_steps=steps, domains=domains,
         execution=ExecutionConfig(backend=backend, num_shards=shards),
-        **kwargs,
     )
-    simulation = workload.build_session(
-        deposition=make_strategy(strategy) if strategy else None)
+    deposition = make_strategy(strategy) if strategy else None
+    simulation = (workload.build_session(deposition=deposition)
+                  if thermal is None
+                  else hot_plasma_session(workload, deposition, thermal))
     try:
-        simulation.run_all(steps, record_energy=True)
+        for _ in simulation.run(steps, record_energy=True):
+            pass
         return simulation
     finally:
         simulation.shutdown()
@@ -75,7 +77,8 @@ def run_lwfa(domains, *, backend="serial", shards=1, steps=12):
     )
     simulation = workload.build_session()
     try:
-        simulation.run_all(steps, record_energy=True)
+        for _ in simulation.run(steps, record_energy=True):
+            pass
         return simulation
     finally:
         simulation.shutdown()
@@ -228,7 +231,8 @@ class TestStepParity:
                 rng = np.random.default_rng(11)
                 simulation.grid.ez[...] = 1e3 * rng.standard_normal(
                     simulation.grid.shape)
-                simulation.run_all(3, record_energy=True)
+                for _ in simulation.run(3, record_energy=True):
+                    pass
                 return simulation
             finally:
                 simulation.shutdown()
@@ -289,7 +293,7 @@ class TestFrameGridIsTheRecord:
     @staticmethod
     def final_grid(workload, steps):
         with workload.build_session() as session:
-            session.run_all(steps, record_energy=False)
+            session.run_all(steps)
             assert not session.energy.history
             return session.grid, session.moving_window
 
@@ -356,7 +360,8 @@ class TestPECBoundary:
             )
             simulation = Session(config)
             try:
-                simulation.run_all(record_energy=True)
+                for _ in simulation.run(record_energy=True):
+                    pass
                 return simulation
             finally:
                 simulation.shutdown()
@@ -392,15 +397,15 @@ def test_decomposed_solve_matches_global(split, scheme, seed):
             sub.interior_view(getattr(sub.slab, name))[...] = \
                 getattr(frame, name)[sub.global_slices]
     exchange = HaloExchange(decomp, frame.periodic)
-    solvers = [FDTDSolver(sub.slab, scheme=scheme)
+    solvers = [fdtd_solver(sub.slab, scheme)
                for sub in decomp.subdomains]
-    global_solver = FDTDSolver(frame, scheme=scheme)
+    global_solver = fdtd_solver(frame, scheme)
 
     dt = 1.0e-16
     reference = Grid(frame.config)
     for name, array in reference.field_arrays().items():
         np.copyto(array, frame.field_arrays()[name])
-    FDTDSolver(reference, scheme=scheme).step(dt)
+    fdtd_solver(reference, scheme).step(dt)
 
     exchange.exchange(("ex", "ey", "ez"))
     for solver in solvers:
@@ -442,7 +447,8 @@ def test_custom_strategy_runs_on_frame_and_matches():
             domains=domains)
         simulation = workload.build_session(deposition=_FrameStrategy())
         try:
-            simulation.run_all(3, record_energy=True)
+            for _ in simulation.run(3, record_energy=True):
+                pass
             return simulation
         finally:
             simulation.shutdown()

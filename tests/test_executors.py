@@ -348,7 +348,8 @@ class TestSimulationParity:
         )
         simulation = workload.build_session()
         try:
-            simulation.run_all(record_energy=True)
+            for _ in simulation.run(record_energy=True):
+                pass
             soa = gather_soa(simulation.containers[0])
             order = np.argsort(soa["ids"])
             return {

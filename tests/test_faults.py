@@ -1,7 +1,7 @@
 """Fault injection: worker death, torn writes, kill-and-resume recovery.
 
 Every failure mode the checkpoint/restart subsystem claims to survive is
-injected deterministically here (:mod:`repro.ckpt.faults`) and the
+injected deterministically here (``tests/faults.py``) and the
 recovery contract asserted: retried work produces the same results as an
 undisturbed run, corrupt state is detected rather than trusted, and a
 killed campaign re-run on the same result cache resumes to identical
@@ -17,7 +17,7 @@ import pytest
 
 from repro.analysis.cache import ResultCache
 from repro.analysis.campaign import Campaign, expand_request
-from repro.ckpt.faults import (
+from faults import (
     SPEC_KILL_MARKER_ENV,
     BrokenPoolOnce,
     KillSwitch,

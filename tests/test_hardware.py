@@ -107,19 +107,19 @@ class TestSpecs:
 
 class TestCostModel:
     def test_vpu_mpu_streams_overlap(self):
-        model = CostModel(LX2_SPEC)
+        model = CostModel()
         counters = PhaseCounters(vpu_fma=100.0, mpu_mopa=10.0)
         # 100 VPU cycles vs 20 MPU cycles -> the VPU stream dominates
         assert model.phase_cycles(counters) == pytest.approx(100.0)
 
     def test_memory_bound_phase(self):
-        model = CostModel(LX2_SPEC)
+        model = CostModel()
         counters = PhaseCounters(vpu_fma=1.0, bytes_far=1.0e6)
         assert model.phase_cycles(counters) == pytest.approx(
             1.0e6 / LX2_SPEC.bytes_per_cycle_far)
 
     def test_timing_phases_and_total(self):
-        model = CostModel(LX2_SPEC)
+        model = CostModel()
         counters = KernelCounters()
         counters.phase("preprocess").add(vpu_fma=1.3e9)   # one second of FMA
         counters.phase("compute").add(mpu_mopa=0.65e9)    # one second of MOPA
@@ -134,7 +134,7 @@ class TestCostModel:
         assert CostModel.speedup(ref, opt) == pytest.approx(2.0)
 
     def test_peak_efficiency_bounds(self):
-        model = CostModel(LX2_SPEC)
+        model = CostModel()
         counters = KernelCounters()
         # a kernel that does nothing but useful FMA at full VPU rate
         counters.phase("compute").add(vpu_fma=1.0e6,
@@ -144,7 +144,7 @@ class TestCostModel:
         assert peak_efficiency(model, timing, reference="max") == pytest.approx(0.25)
 
     def test_peak_efficiency_unknown_reference(self):
-        model = CostModel(LX2_SPEC)
+        model = CostModel()
         with pytest.raises(ValueError):
             peak_efficiency(model, KernelTiming("LX2", {"compute": 1.0}), reference="gpu")
 

@@ -17,7 +17,7 @@ import shutil
 
 import pytest
 
-from repro.ckpt.faults import flip_byte
+from faults import flip_byte
 from repro.ckpt.format import read_snapshot, write_snapshot
 from repro.obs import ObsConfig, Telemetry
 from repro.serve import QUEUE_FILENAME, JobJournal

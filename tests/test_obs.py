@@ -57,7 +57,8 @@ def _run_session(observe, steps=4, **workload_overrides):
     """Run a small session; returns (fields, energy history, telemetry)."""
     workload = _workload(**workload_overrides)
     with Session.from_workload(workload, observe=observe) as session:
-        session.run_all(steps, record_energy=True)
+        for _ in session.run(steps, record_energy=True):
+            pass
         fields = {name: getattr(session.grid, name).copy()
                   for name in ("ex", "ey", "ez", "bx", "by", "bz")}
         history = [(r.step, r.field_energy, r.kinetic_energy)
@@ -536,7 +537,7 @@ class TestCheckpointCounters:
     def test_fault_injection_counted(self):
         from concurrent.futures.process import BrokenProcessPool
 
-        from repro.ckpt.faults import BrokenPoolOnce
+        from faults import BrokenPoolOnce
 
         handle = Telemetry(ObsConfig(enabled=True))
         pool = BrokenPoolOnce(fail="submit", at=0, obs=handle)

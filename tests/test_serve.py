@@ -14,7 +14,7 @@ import pytest
 
 from repro.analysis.cache import canonical_json
 from repro.analysis.campaign import Campaign, ExperimentSpec
-from repro.ckpt.faults import (
+from faults import (
     SPEC_KILL_MARKER_ENV,
     BrokenPoolOnce,
     KillSwitch,
@@ -460,7 +460,7 @@ class TestJobService:
             pytest.skip("process pools unavailable in this sandbox")
         probe.shutdown(wait=False)
         import repro.analysis.campaign as campaign_module
-        from repro.ckpt.faults import killing_spec_executor
+        from faults import killing_spec_executor
 
         marker = tmp_path / "kill-marker"
         KillSwitch(str(marker)).arm()

@@ -18,7 +18,6 @@ def small_config(**kwargs):
         species=(SpeciesConfig(density=1.0e24, ppc=(1, 1, 1)),),
         shape_order=1,
         max_steps=3,
-        field_solver="ckc",
     )
     defaults.update(kwargs)
     return SimulationConfig(**defaults)
@@ -81,7 +80,8 @@ class TestSimulationRun:
 
     def test_energy_recording(self):
         sim = Session(small_config())
-        sim.run_all(2, record_energy=True)
+        for _ in sim.run(2, record_energy=True):
+            pass
         assert len(sim.energy.history) == 3
         assert np.isfinite(sim.energy.relative_energy_drift())
 
@@ -93,7 +93,8 @@ class TestSimulationRun:
             max_steps=5,
         )
         sim = Session(config)
-        sim.run_all(5, record_energy=True)
+        for _ in sim.run(5, record_energy=True):
+            pass
         final_kinetic = sim.energy.history[-1].kinetic_energy
         # the self-field pushes particles a little, but far below relativistic
         soa = gather_soa(sim.containers[0])

@@ -22,7 +22,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import constants
 from repro.api import Session
 from repro.baselines.configs import available_configurations, make_strategy
 from repro.ckpt import capture_state
@@ -38,10 +37,11 @@ from repro.core.incremental_sort import (
 from repro.workloads.lwfa import LWFAWorkload
 from repro.workloads.uniform import UniformPlasmaWorkload
 
-from helpers import make_plasma
+from helpers import hot_plasma_session, make_plasma
 from sort_oracles import (
     OracleGappedPMA,
     OracleIncrementalSorter,
+    bin_of,
     oracle_counting_sort_permutation,
 )
 
@@ -99,7 +99,7 @@ def assert_same_structure(gpma, oracle):
     # the order future insertions will be handed their slots in
     assert gap_stacks(gpma) == gap_stacks(oracle)
     for particle in range(gpma.num_particles + len(gpma.overflow) + 2):
-        assert gpma.bin_of(particle) == oracle.bin_of(particle)
+        assert bin_of(gpma, particle) == oracle.bin_of(particle)
     gpma.check_invariants()
     oracle.check_invariants()
 
@@ -303,10 +303,10 @@ def lwfa():
 
 def one_tile():
     """One tile spans the periodic box, so no step migrates a particle;
-    a hot plasma, so particles change cells every step."""
+    run hot (:func:`hot_plasma_session`), so particles change cells
+    every step."""
     return UniformPlasmaWorkload(n_cell=(8, 8, 8), tile_size=(8, 8, 8),
-                                 ppc=8, shape_order=1, max_steps=100,
-                                 thermal_velocity=0.3 * constants.C_LIGHT)
+                                 ppc=8, shape_order=1, max_steps=100)
 
 
 def record_sorter(sorter, log):
@@ -322,15 +322,17 @@ def record_sorter(sorter, log):
         setattr(sorter, name, recorded)
 
 
-def trajectory(workload, config_name, sorter_cls, steps):
+def trajectory(workload, config_name, sorter_cls, steps, hot=False):
     """Per step: the state digest, the counters, the sort statistics of
-    every tile visit, the rank statistics and the policy's decision."""
+    every tile visit, the rank statistics and the policy's decision; a
+    ``hot`` run's plasma is at 0.3c."""
     strategy = make_strategy(config_name)
     strategy.sorter = sorter_cls()
     visits = []
     record_sorter(strategy.sorter, visits)
     rows = []
-    with Session.from_workload(workload, deposition=strategy) as session:
+    build = hot_plasma_session if hot else Session.from_workload
+    with build(workload, deposition=strategy) as session:
         if hasattr(workload, "scramble_particles"):
             workload.scramble_particles(session.simulation)
         for _ in range(steps):
@@ -355,12 +357,12 @@ def trajectory(workload, config_name, sorter_cls, steps):
     return rows, shifts
 
 
-def assert_same_trajectory(workload, config_name, steps):
+def assert_same_trajectory(workload, config_name, steps, hot=False):
     with mock.patch.multiple(sort_policy, **QUICK_POLICY):
         mine, shifts = trajectory(workload(), config_name, IncrementalSorter,
-                                  steps)
+                                  steps, hot)
         oracle, _ = trajectory(workload(), config_name,
-                               OracleIncrementalSorter, steps)
+                               OracleIncrementalSorter, steps, hot)
     for step, (got, want) in enumerate(zip(mine, oracle)):
         assert got == want, (config_name, step)
     return mine, shifts
@@ -380,7 +382,7 @@ class TestAdoptionEqualsTheRebuild:
     def test_steps_without_migration(self, config_name):
         """The lazily built GPMA takes the moves: an incremental visit
         that moves particles, on a state no global sort made that step."""
-        rows, _ = assert_same_trajectory(one_tile, config_name, 3)
+        rows, _ = assert_same_trajectory(one_tile, config_name, 3, hot=True)
         updates = [stats for row in rows for name, stats in row["visits"]
                    if name == "incremental_update_tile"]
         if make_strategy(config_name).sort_mode == "incremental":

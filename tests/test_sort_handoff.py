@@ -16,7 +16,6 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro import constants
 from repro.api import Session
 from repro.baselines.configs import make_strategy
 from repro.ckpt import capture_state, restore_state
@@ -27,7 +26,7 @@ from repro.pipeline.builder import global_stages
 from repro.pic.pusher import BorisPusher
 from repro.workloads.uniform import UniformPlasmaWorkload
 
-from helpers import tiled_plasma
+from helpers import hot_plasma_session, tiled_plasma
 from stage_effects import conflicts, declared_effects
 
 #: what the handoff is valid for: the storage order and the positions
@@ -120,9 +119,9 @@ class TestTheHandoff:
         # hot enough that every step migrates particles between the tiles
         workload = UniformPlasmaWorkload(
             n_cell=(8, 8, 16), tile_size=(8, 8, 8), ppc=8, shape_order=3,
-            max_steps=10, thermal_velocity=0.3 * constants.C_LIGHT)
+            max_steps=10)
         strategy = make_strategy("MatrixPIC (FullOpt)")
-        with Session.from_workload(workload, deposition=strategy) as session:
+        with hot_plasma_session(workload, strategy) as session:
             session.step()
             session.step()
             tiles = session.containers[0].nonempty_tiles()

@@ -17,7 +17,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.ckpt.faults import BrokenPoolOnce
+from faults import BrokenPoolOnce
 from repro.exec import SupervisedPool
 from repro.obs import ObsConfig, Telemetry
 
