@@ -28,22 +28,24 @@ passes however many particles the tile holds.  Only a batch that must
 borrow gaps across cells runs its insertions one at a time.
 
 **What is not incremental.**  A tile that gained or lost a particle since
-its last visit (the moving window's refill, or ``migrate`` — which also
-absorbs what the window left behind and re-tiles its shift) gets a fresh
-sort state instead of GPMA deletions and insertions; the paper's Stage 1
-inserts the arrivals into the existing structure.  The fresh state costs
-no sort of its own on a tile the sorter manages
-(``ParticleTile.keeps_cell_order``): the migration regroup copies every
-changed tile anyway, its one stable key sort leaves such a tile in cell
-order, and it hands over the cell ids (``ParticleTile.sorted_cells``),
-which :meth:`IncrementalSorter.global_sort_tile` adopts as they are.  A
-delete/insert batch would not be smaller: a window shift lowers every
-particle's tile-local z index by one, so the batch would hold the whole
-tile.  A fresh state's GPMA is built only when an incremental update
-first needs it (:class:`TileSortState`).  The modelled clock still
-charges every fresh state a counting sort and a GPMA build; charging
-insertions instead would change the work counters and the modelled sort
-share, so it is left to a change that re-baselines them.
+its last visit (``migrate``, which also places the moving window's
+refill, absorbs what the window left behind and re-tiles its shift) gets
+a fresh sort state instead of GPMA deletions and insertions; the paper's
+Stage 1 inserts the arrivals into the existing structure.  On the wall
+clock the fresh state already costs in proportion to the movers: the
+migration reads the tile's pre-push cells off its sort state
+(``assigned_bins``, relabelled by the window's shift), keeps the
+particles still in them where they are in cell order, sorts only the
+cell changers, arrivals and refill and merges them in
+(:meth:`~repro.pic.particles.ParticleContainer.redistribute`), and hands
+over the cell ids (``ParticleTile.sorted_cells``), which
+:meth:`IncrementalSorter.global_sort_tile` adopts as they are.  A fresh
+state's GPMA is built only when an incremental update first needs it
+(:class:`TileSortState`).  The modelled clock still charges every fresh
+state a counting sort and a GPMA build; charging a departure as a
+delete, an arrival as an insert and a shift as a bin relabel would change
+the work counters and the modelled sort share, so it is left to a change
+that re-baselines them.
 """
 
 from __future__ import annotations

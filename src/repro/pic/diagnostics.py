@@ -146,13 +146,16 @@ class EnergyDiagnostic:
         return snapshot
 
     def relative_energy_drift(self) -> float:
-        """|E_final - E_initial| / E_initial over the recorded history."""
-        if len(self.history) < 2:
+        """|E_final - E_0| / |E_0| over the recorded history.
+
+        ``E_0`` is the first recorded non-zero total, as the health probe
+        (:mod:`repro.obs.health`) measures it: a cold plasma before the
+        laser arrives has nothing to drift from.  0 until there is one.
+        """
+        first = next((r.total for r in self.history if r.total != 0.0), None)
+        if first is None:
             return 0.0
-        first, last = self.history[0].total, self.history[-1].total
-        if first == 0.0:
-            return 0.0 if last == 0.0 else float("inf")
-        return abs(last - first) / abs(first)
+        return abs(self.history[-1].total - first) / abs(first)
 
 
 def total_particle_charge(container: ParticleContainer) -> float:

@@ -72,15 +72,14 @@ class Grid:
     def cell_index(self, x: np.ndarray, y: np.ndarray, z: np.ndarray
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Integer cell indices of positions, wrapped/clamped per axis."""
-        xi, yi, zi = self.normalized_position(x, y, z)
-        ix = np.floor(xi).astype(np.int64)
-        iy = np.floor(yi).astype(np.int64)
-        iz = np.floor(zi).astype(np.int64)
-        return (
-            self.wrap_node_index(ix, axis=0),
-            self.wrap_node_index(iy, axis=1),
-            self.wrap_node_index(iz, axis=2),
-        )
+        indices = []
+        for axis, normal in enumerate(self.normalized_position(x, y, z)):
+            # the floor cast straight into int64: floor().astype(int64)'s
+            # bits without the float temporary
+            floor = np.empty(np.shape(normal), dtype=np.int64)
+            np.floor(normal, out=floor, casting="unsafe")
+            indices.append(self.wrap_node_index(floor, axis=axis))
+        return tuple(indices)  # type: ignore[return-value]
 
     def wrap_node_index(self, idx: np.ndarray, axis: int) -> np.ndarray:
         """Wrap (periodic) or clamp (non-periodic) node indices on ``axis``."""
@@ -91,7 +90,11 @@ class Grid:
                        ) -> np.ndarray:
         """Row-major linear cell id for (ix, iy, iz) triples."""
         _, ny, nz = self.shape
-        return (np.asarray(ix) * ny + np.asarray(iy)) * nz + np.asarray(iz)
+        cells = np.asarray(ix) * ny
+        cells += iy
+        cells *= nz
+        cells += iz
+        return cells
 
     # ------------------------------------------------------------------
     # field/current management

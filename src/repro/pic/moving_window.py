@@ -8,10 +8,12 @@ has advanced by at least one cell, the implementation
 * shifts every field array backwards by the corresponding number of cells
   (zero-filling the newly exposed slab at the leading edge),
 * advances the grid origin, and
-* refills the newly exposed slab with fresh background plasma.
+* queues fresh background plasma for the newly exposed slab
+  (:meth:`~repro.pic.particles.ParticleContainer.queue_refill`).
 
 The ``migrate`` stage runs next: it drops the particles left behind the
-new trailing edge and re-tiles the rest against the new origin.
+new trailing edge, re-tiles the rest against the new origin and places
+the refill, all in its one take of the store.
 """
 
 from __future__ import annotations
@@ -21,14 +23,14 @@ import numpy as np
 from repro.config import MovingWindowConfig
 from repro.pic.grid import Grid
 from repro.pic.particles import ParticleContainer
-from repro.pic.plasma import load_plasma_slab
+from repro.pic.plasma import slab_particles
 
 
 class MovingWindow:
     """Shifts the grid to follow the laser and refills the exposed slab.
 
-    The window moves along z; the refill loads each container's species
-    in the exposed z slab (:func:`~repro.pic.plasma.load_plasma_slab`),
+    The window moves along z; the refill is each container's species
+    in the exposed z slab (:func:`~repro.pic.plasma.slab_particles`),
     jittered from the window's own stream ``rng`` (seeded ``seed + 1``;
     :mod:`repro.ckpt` restores it).
     """
@@ -59,8 +61,9 @@ class MovingWindow:
         grid.hi[2] += shift * dz
 
         for container in containers:
-            load_plasma_slab(grid, container, container.species,
-                             z_lo=old_hi, z_hi=grid.hi[2], rng=self.rng)
+            container.queue_refill(grid, shift, slab_particles(
+                grid, container.species, z_lo=old_hi, z_hi=grid.hi[2],
+                rng=self.rng))
         return shift
 
     # ------------------------------------------------------------------
@@ -71,7 +74,7 @@ class MovingWindow:
 
 
 class MovingWindowStage:
-    """Pipeline stage: move the window on the frame grid, refill its slab."""
+    """Pipeline stage: move the window on the frame grid, queue its refill."""
 
     name = "moving_window"
     bucket = "boundary_redistribute"

@@ -17,21 +17,24 @@ particle boundary conditions and moving particles whose positions left
 their tile into the owning tile (:meth:`ParticleContainer.redistribute`,
 which states the storage-order contract the deposition's summation order
 rests on).  The wrap, the absorb test and the owner scan run once per
-executor shard on the shard's slice of the store; the absorbs and moves
-are then one stable order and one block take of the span of the changed
-tiles.  The regroup also sorts: it leaves a tile that keeps cell order
-and moved particles sorted by cell and hands the sorter those cell ids
-(``ParticleTile.sorted_cells``), so the deposit that follows adopts them
-instead of re-sorting the tile.
+executor shard on the shard's slice of the store; the absorbs, moves
+and the moving window's refill are then one block take of the span of
+the changed tiles.  Its order is a merge, not a sort of the span: the
+stayers still in the cell their tile's sort state recorded before the
+push are in order already, so only the cell changers, the arrivals and
+the refill are sorted, and merged in.  The regroup leaves a tile that
+keeps cell order and moved particles sorted by cell and hands the sorter
+those cell ids (``ParticleTile.sorted_cells``), so the deposit that
+follows adopts them instead of re-sorting the tile.
 
 Consecutive non-empty tiles sit side by side in the store, so a shard or
 a run of them is one slice of it (:func:`stored`), read without copying
 and written in place by the push (:mod:`repro.pic.pusher`) and the wrap;
 shards are disjoint slices.  Only the container changes the population:
-an insert (:meth:`ParticleContainer.add_particles`, every arrival at its
-tile's end) is one pass over the store, and the migration's take drops
-the absorbed, so a moving-window step moves each particle twice: once
-in the refill's insert and once in the take.
+a setup load (:meth:`ParticleContainer.add_particles`, every arrival at
+its tile's end) is one pass over the store; the window's refill waits
+in a pending batch (:meth:`ParticleContainer.queue_refill`) for the
+migration's take, so a moving-window step moves each particle once.
 
 The per-particle stages that do not work on a whole shard work on *runs*
 of a shard's consecutive tiles (:func:`tile_runs`, grouped until a run
@@ -270,17 +273,14 @@ def piece_bounds(n: int, cuts: Optional[np.ndarray] = None) -> np.ndarray:
     return np.unique(allowed[np.searchsorted(allowed, bounds)])
 
 
-def _scan_shard(tiles: List[ParticleTile], grid: Grid,
-                periodic: Tuple[bool, ...], cell_keys: np.ndarray
-                ) -> np.ndarray:
-    """Executor task: boundary conditions and owner scan of one shard.
+def _scan(coords: np.ndarray, grid: Grid, periodic: Tuple[bool, ...],
+          cell_keys: np.ndarray) -> np.ndarray:
+    """Boundary conditions and owner scan of the ``x, y, z`` rows ``coords``.
 
-    Periodic axes are wrapped in place, one pass over the shard's slice
-    of the store; returns every particle's cell key
+    Periodic axes are wrapped in place; returns every particle's cell key
     (:attr:`ParticleContainer.cell_keys`), -1 for a particle outside an
     open axis (absorbed).
     """
-    coords = stored(tiles)[:3]
     lo, hi = grid.lo, grid.hi
     absorb = np.zeros(coords.shape[1], dtype=bool)
     for axis in range(3):
@@ -295,12 +295,19 @@ def _scan_shard(tiles: List[ParticleTile], grid: Grid,
             np.add(lo[axis], offset, out=coords[axis])
         else:
             absorb |= (coords[axis] < lo[axis]) | (coords[axis] >= hi[axis])
-    if any(periodic):
-        for tile in tiles:
-            tile.sorted_cells = None
     keys = cell_keys[grid.linear_cell_id(*grid.cell_index(*coords))]
     keys[absorb] = -1
     return keys
+
+
+def _scan_shard(tiles: List[ParticleTile], grid: Grid,
+                periodic: Tuple[bool, ...], cell_keys: np.ndarray
+                ) -> np.ndarray:
+    """Executor task: :func:`_scan` of one shard's slice of the store."""
+    if any(periodic):
+        for tile in tiles:
+            tile.sorted_cells = None
+    return _scan(stored(tiles)[:3], grid, periodic, cell_keys)
 
 
 def _kinetic_shard(tiles: List[ParticleTile], mass: float) -> float:
@@ -351,6 +358,10 @@ class ParticleContainer:
         self.ids = np.empty((0,), dtype=np.int64)
         #: tile ``i`` owns store columns ``offsets[i]:offsets[i + 1]``
         self.offsets = np.zeros(len(self.tiles) + 1, dtype=np.int64)
+        #: the moving window's refill (block, ids, inserting tile) and the
+        #: z cells it shifted, waiting for the next :meth:`redistribute`;
+        #: empty outside a step
+        self._clear_pending()
 
     @functools.cached_property
     def cell_keys(self) -> np.ndarray:
@@ -360,7 +371,7 @@ class ParticleContainer:
         owning tile's :meth:`ParticleTile.local_ids_from_cells`: one
         lookup gives the owning tile (``key // cells_per_tile``) and the
         cell within it.  Within a tile the keys ascend in local cell
-        order, so one stable sort by key groups particles by tile and
+        order, so ordering particles by key groups them by tile and
         orders each tile by cell.  Built on the first migration.
         """
         keys = np.empty(self.grid_config.n_cell, dtype=np.int64)
@@ -406,8 +417,10 @@ class ParticleContainer:
         """Replace the store by ``arrays`` (as :meth:`soa_arrays` names
         them, copied) holding ``counts[i]`` particles of tile ``i``.
 
-        Every tile's sort state is dropped: it predates the new store.
+        Every tile's sort state is dropped: it predates the new store, and
+        so does a pending refill (:meth:`queue_refill`), which is emptied.
         """
+        self._clear_pending()
         self.block = np.array([arrays[name] for name in _SOA_FIELDS],
                               dtype=np.float64)
         self.ids = np.array(arrays["ids"], dtype=np.int64)
@@ -426,6 +439,27 @@ class ParticleContainer:
         itz = np.clip(np.asarray(iz) // tz, 0, ntz - 1)
         return (itx * nty + ity) * ntz + itz
 
+    def _new_particles(self, grid: Grid, x: np.ndarray, y: np.ndarray,
+                       z: np.ndarray, ux: Optional[np.ndarray],
+                       uy: Optional[np.ndarray], uz: Optional[np.ndarray],
+                       w: Optional[np.ndarray]
+                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(block, ids, tile)`` of particles to add, in input order.
+
+        Missing momenta default to zero, missing weights to one; the
+        particles get the next ids, and ``tile`` is the tile owning each
+        one's cell.
+        """
+        n = len(x)
+        new = np.zeros((len(_SOA_FIELDS), n))
+        new[6] = 1.0
+        for row, values in enumerate((x, y, z, ux, uy, uz, w)):
+            if values is not None:
+                new[row] = values
+        ids = np.arange(self._next_id, self._next_id + n, dtype=np.int64)
+        self._next_id += n
+        return new, ids, self.tile_of_cell(*grid.cell_index(*new[:3]))
+
     def add_particles(self, grid: Grid, *, x: np.ndarray, y: np.ndarray,
                       z: np.ndarray, ux: Optional[np.ndarray] = None,
                       uy: Optional[np.ndarray] = None,
@@ -437,18 +471,9 @@ class ParticleContainer:
         particles, in input order, and get the next ids.  Missing
         momenta default to zero, missing weights to one.
         """
-        n = len(x)
-        if n == 0:
+        if len(x) == 0:
             return
-        new = np.zeros((len(_SOA_FIELDS), n))
-        new[6] = 1.0
-        for row, values in enumerate((x, y, z, ux, uy, uz, w)):
-            if values is not None:
-                new[row] = values
-        ids = np.arange(self._next_id, self._next_id + n, dtype=np.int64)
-        self._next_id += n
-
-        tile_ids = self.tile_of_cell(*grid.cell_index(new[0], new[1], new[2]))
+        new, ids, tile_ids = self._new_particles(grid, x, y, z, ux, uy, uz, w)
         order = stable_order_by_bin(tile_ids, len(self.tiles))
         new, ids = np.take(new, order, axis=1), ids[order]
         arrivals = np.bincount(tile_ids, minlength=len(self.tiles))
@@ -467,92 +492,218 @@ class ParticleContainer:
         for tile_id in receiving.tolist():
             self.tiles[tile_id].drop_sort_state()
 
+    def queue_refill(self, grid: Grid, shift_cells: int,
+                     particles: Dict[str, np.ndarray]) -> None:
+        """The moving window's refill after a shift of ``shift_cells`` z
+        cells: ``particles`` (:func:`repro.pic.plasma.slab_particles`)
+        join the pending batch that the next :meth:`redistribute` places.
+
+        Ids and tiles are assigned now, exactly as :meth:`add_particles`
+        would; the store is untouched until the migration, which puts
+        every pending particle where that insert would have left it.
+        """
+        new, ids, tile_ids = self._new_particles(
+            grid, *(particles.get(name) for name in _SOA_FIELDS))
+        self._pending = (np.concatenate((self._pending[0], new), axis=1),
+                         np.concatenate((self._pending[1], ids)),
+                         np.concatenate((self._pending[2], tile_ids)))
+        self._pending_shift += shift_cells
+
+    def _expected_keys(self, tile_id: int, ordered: bool,
+                       shift: int) -> np.ndarray:
+        """The key each stayer of tile ``tile_id`` has if it is in
+        :meth:`redistribute`'s group A, the stayers already in order.
+
+        For a tile whose key has no cell: the tile's key (every stayer
+        is in A).  For one that has: the cells on record plus the tile's
+        key, lowered by the window's ``shift`` — the sort state's
+        ``assigned_bins``, which describe this storage order from before
+        the push — when they are in cell order.  Otherwise (no record,
+        or one an incremental update left unsorted): -1, no stayer is.
+        """
+        n = int(self.offsets[tile_id + 1] - self.offsets[tile_id])
+        tile_key = tile_id * self.cells_per_tile
+        if not ordered:
+            return np.full(n, tile_key, dtype=np.int64)
+        record = getattr(self.tiles[tile_id].sorter, "assigned_bins", None)
+        if (record is None or record.shape[0] != n
+                or np.any(record[1:] < record[:-1])):
+            return np.full(n, -1, dtype=np.int64)
+        return record + (tile_key - shift)
+
     # ------------------------------------------------------------------
     def redistribute(self, grid: Grid,
                      executor: Optional[TileExecutor] = None) -> int:
-        """Apply the particle boundary conditions and move particles that
-        left their tile into the owning tile.
+        """Apply the particle boundary conditions, move particles that
+        left their tile into the owning tile and place the pending
+        refill (:meth:`queue_refill`).
 
         Returns the number of particles moved between tiles.  Periodic
-        axes wrap; a particle outside an open axis is absorbed.
+        axes wrap; a particle outside an open axis is absorbed.  The
+        result is bit for bit that of inserting the pending batch first
+        (:meth:`add_particles`: each tile's refill after its particles,
+        in input order) and then migrating the store, and a refill
+        particle whose cell another tile owns counts as moved.
 
         The scan (wrap, absorb test, cell index + :attr:`cell_keys`
         entry, that is owning tile and cell within it, of every
         particle) runs once per shard of the ``executor`` over the
-        shard's slice of the store.  The absorbs and moves are then one
-        block take of the store's span from the first to the last
-        changed tile (one that loses or gains a particle), which drops
-        the absorbed and orders the rest stably by the key
+        shard's slice of the store, and once over the pending batch.
+        The absorbs, moves and the refill are then one block take of the
+        store's span from the first to the last changed tile (one that
+        loses or gains a particle), which drops the absorbed and orders
+        the rest, each tile's refill at its end, stably by the key
         ``(destination, cell, is_arrival)``, where ``cell`` is the
         particle's cell within its destination for a tile that moves
         particles and ``keeps_cell_order``, and 0 for any other.  That
         is the storage-order contract, the same for every backend.  A
         tile that does not keep cell order keeps its stayers in their
-        order, followed by its arrivals in ascending source-tile order,
-        each source's in its storage order.  A tile that keeps cell
-        order and moves particles ends in that order stably sorted by
-        cell — bit for bit what a stable counting sort of it would give
-        — and gets those cell ids as ``sorted_cells``.  A changed tile's
-        sort state is dropped (its population changed, even when its
-        count did not); every other tile keeps its particles in their
-        order and its ``sorter`` object.  The new offsets are a
-        ``bincount`` of the destinations.
+        order, followed by its refill, then its arrivals in ascending
+        source-tile order, each source's in its storage order.  A tile
+        that keeps cell order and moves particles ends in that order
+        stably sorted by cell — bit for bit what a stable counting sort
+        of it would give — and gets those cell ids as ``sorted_cells``.
+        A changed tile's sort state is dropped (its population changed,
+        even when its count did not); every other tile keeps its
+        particles in their order and its ``sorter`` object.
+
+        The order is a merge, not a sort of the span.  Group A, the
+        stayers whose key is the one their tile's sort state recorded
+        before the push (:meth:`_expected_keys`; every stayer of a tile
+        whose key has no cell), is in key order already.  Group B,
+        everything else kept (cell changers, arrivals, the refill, every
+        stayer of a tile without a record in cell order), is sorted
+        alone by ``(key, is_arrival, position)`` and each B particle
+        goes after the A particles that precede it in that order (a
+        ``searchsorted``).  The choice of A changes only the cost: where
+        few particles change cell, the sort is small and the rest is a
+        fixed number of linear passes over the span.
         """
         periodic = tuple(
             bc == "periodic" for bc in self.grid_config.particle_boundary)
-        keys = np.concatenate(map_shards(
-            executor, _scan_shard, self.nonempty_tiles(), grid, periodic,
-            self.cell_keys))
+        scans = map_shards(executor, _scan_shard, self.nonempty_tiles(), grid,
+                           periodic, self.cell_keys)
+        keys = scans[0] if len(scans) == 1 else np.concatenate(scans)
+        (added, added_ids, inserted), shift = self._pending, self._pending_shift
+        self._clear_pending()
+        added_keys = _scan(added[:3], grid, periodic, self.cell_keys)
         span = self.cells_per_tile
         num_tiles = len(self.tiles)
-        source = np.repeat(np.arange(num_tiles), np.diff(self.offsets))
-        absorbed = keys < 0
-        owner = np.where(absorbed, source, keys // span)
-        leaving = owner != source
-        departures, destinations = source[leaving], owner[leaving]
-        if departures.shape[0] == 0 and not absorbed.any():
+        counts = np.diff(self.offsets)
+        base = np.repeat(np.arange(num_tiles) * span, counts)
+        # out of [0, span) for a particle that left its tile or is
+        # absorbed (key -1)
+        out = np.flatnonzero((keys - base).view(np.uint64) >= span)
+        if out.shape[0] == 0 and inserted.shape[0] == 0:
             return 0
-
+        out_from = np.searchsorted(self.offsets, out, side="right") - 1
+        out_to = keys[out] // span  # negative: absorbed
+        added_to = added_keys // span
         moving = np.zeros(num_tiles, dtype=bool)
-        moving[departures] = True
-        moving[destinations] = True
+        for source, destination in ((out_from, out_to), (inserted, added_to)):
+            leaving = (destination >= 0) & (destination != source)
+            moving[source[leaving]] = True
+            moving[destination[leaving]] = True
         changed = moving.copy()
-        changed[source[absorbed]] = True
+        changed[out_from] = True
+        changed[inserted] = True
         tile_ids = np.flatnonzero(changed)
         begin, end = int(tile_ids[0]), int(tile_ids[-1]) + 1
         start, stop = int(self.offsets[begin]), int(self.offsets[end])
         ordered = moving & [tile.keeps_cell_order for tile in self.tiles]
-        owner, leaving = owner[start:stop], leaving[start:stop]
-        absorbed = absorbed[start:stop]
-        if ordered.any():
-            # (destination, cell, is_arrival); cell 0 where not ordered
-            key = keys[start:stop]
-            if not ordered[begin:end].all():
-                key = np.where(ordered[owner], key, owner * span)
+
+        # every stayer's key in the span, and group A: the stayers with
+        # the key on record, in key order since every record is
+        keys, base = keys[start:stop], base[start:stop]
+        spanned = ordered[begin:end]
+        if not spanned.any():
+            key, in_a = base, np.ones(stop - start, dtype=bool)
         else:
-            # (destination, is_arrival): no tile's cell enters the key
-            key, span = owner, 1
-        bins = np.where(absorbed, 2 * num_tiles * span, 2 * key + leaving)
-        kept = stop - start - int(absorbed.sum())
-        order = stable_order_by_bin(bins, 2 * num_tiles * span + 1)[:kept]
-        # one take of the store; what lies outside the span keeps its place
-        taken = np.concatenate((np.arange(start), start + order,
-                                np.arange(stop, self.ids.shape[0])))
-        self.block = np.take(self.block, taken, axis=1)
-        self.ids = self.ids[taken]
-        counts = np.bincount(owner[~absorbed] - begin, minlength=end - begin)
-        self.offsets[begin + 1:end + 1] = start + np.cumsum(counts)
-        self.offsets[end + 1:] -= stop - start - kept
-        sorted_keys = key[order] if ordered.any() else None
+            key = keys if spanned.all() else np.where(
+                np.repeat(spanned, counts[begin:end]), keys, base)
+            in_a = key == np.concatenate([
+                self._expected_keys(tile_id, ordered[tile_id], shift)
+                for tile_id in range(begin, end)])
+        in_a[out - start] = False
+        a_at = np.flatnonzero(in_a)
+        # group B, the rest of the span and the refill, each refill
+        # particle just past its tile's last column (positions doubled),
+        # and how many A particles are stored before each
+        b_at = np.flatnonzero(~in_a)
+        ends = self.offsets[inserted + 1] - start
+        b_key = np.concatenate((keys[b_at], added_keys))
+        b_from = np.concatenate((
+            np.searchsorted(self.offsets, start + b_at, side="right") - 1,
+            inserted))
+        position = np.concatenate((2 * b_at, 2 * ends - 1))
+        stored_before = np.concatenate((b_at - np.arange(b_at.shape[0]),
+                                        ends - np.searchsorted(b_at, ends)))
+        kept = np.flatnonzero(b_key >= 0)
+        b_key, b_from = b_key[kept], b_from[kept]
+        position, stored_before = position[kept], stored_before[kept]
+        b_to = b_key // span
+        first, keyed = begin * span, (end - begin) * span
+        b_key = np.where(ordered[b_to], b_key, b_to * span) - first
+        arrival = b_to != b_from
+        # sort B by (key, is_arrival, position)
+        order = np.argsort((2 * b_key + arrival) * (2 * (stop - start) + 2)
+                           + position, kind="stable")
+        b_key, arrival = b_key[order], arrival[order]
+        position, stored_before = position[order], stored_before[order]
+        # each B particle goes after the A particles of a lower key and,
+        # unless it arrives, those of its key stored before it; A's
+        # population of each key is the span's less B's stored part
+        key[b_at] = first
+        population = np.bincount(key - first, minlength=keyed)
+        population[0] -= b_at.shape[0]
+        below = np.concatenate(([0], np.cumsum(population)))
+        slots = np.where(arrival, below[b_key + 1],
+                         np.clip(stored_before, below[b_key], below[b_key + 1]))
+        slots += np.arange(slots.shape[0])
+        population += np.bincount(b_key, minlength=keyed)
+
+        # one take of the store; what lies outside the span keeps its
+        # place, and a refill particle takes column 0, overwritten after
+        refill = position % 2 == 1
+        held = a_at.shape[0] + slots.shape[0]
+        from_a = np.ones(held, dtype=bool)
+        from_a[slots] = False
+        merged = np.empty(held, dtype=np.int64)
+        merged[from_a] = start + a_at
+        merged[slots] = np.where(refill, 0, start + position // 2)
+        fresh = start + slots[refill]
+        pending = kept[order[refill]] - b_at.shape[0]
+        if self.ids.shape[0]:
+            taken = np.concatenate((np.arange(start), merged,
+                                    np.arange(stop, self.ids.shape[0])))
+            self.block = np.take(self.block, taken, axis=1)
+            self.ids = self.ids[taken]
+        else:
+            self.block = np.empty((len(_SOA_FIELDS), held))
+            self.ids = np.empty((held,), dtype=np.int64)
+        self.block[:, fresh] = added[:, pending]
+        self.ids[fresh] = added_ids[pending]
+
+        # the population of each key gives the offsets and the handoff
+        population = population.reshape(end - begin, span)
+        self.offsets[begin + 1:end + 1] = start + np.cumsum(
+            population.sum(axis=1))
+        self.offsets[end + 1:] += held - (stop - start)
+        cells = np.arange(span)
         for tile_id in tile_ids.tolist():
             tile = self.tiles[tile_id]
             tile.drop_sort_state()
             if ordered[tile_id]:
-                columns = tile.columns
-                tile.sorted_cells = (
-                    sorted_keys[columns.start - start:columns.stop - start]
-                    - tile_id * span)
-        return int(departures.shape[0])
+                tile.sorted_cells = np.repeat(cells,
+                                              population[tile_id - begin])
+        return int(arrival.sum())
+
+    def _clear_pending(self) -> None:
+        """Empty the pending refill (:meth:`queue_refill`)."""
+        self._pending = (np.empty((len(_SOA_FIELDS), 0)),
+                         np.empty((0,), dtype=np.int64),
+                         np.empty((0,), dtype=np.int64))
+        self._pending_shift = 0
 
     # ------------------------------------------------------------------
     def kinetic_energy(self, executor: Optional[TileExecutor] = None

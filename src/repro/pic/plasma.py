@@ -17,7 +17,7 @@ macro-particle weight so the physical density is reproduced exactly:
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -67,14 +67,17 @@ def load_uniform_plasma(grid: Grid, container: ParticleContainer,
     ix, iy, iz = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz),
                              indexing="ij")
     cells = (ix.ravel(), iy.ravel(), iz.ravel())
-    return _load_cells(grid, container, species, cells, rng)
+    particles = _cell_particles(grid, species, cells, rng)
+    container.add_particles(grid, **particles)
+    return len(particles["x"])
 
 
-def load_plasma_slab(grid: Grid, container: ParticleContainer,
-                     species: SpeciesConfig, z_lo: float, z_hi: float,
-                     density_profile: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                     rng: Optional[np.random.Generator] = None) -> int:
-    """Load plasma only inside ``[z_lo, z_hi)``; returns particles added.
+def slab_particles(grid: Grid, species: SpeciesConfig, z_lo: float,
+                   z_hi: float,
+                   density_profile: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+                   rng: Optional[np.random.Generator] = None
+                   ) -> Dict[str, np.ndarray]:
+    """The plasma of ``[z_lo, z_hi)`` as ``add_particles`` arrays.
 
     ``density_profile`` maps z coordinates to a multiplicative factor of the
     species density (used by the LWFA workload for its up-ramp).
@@ -84,25 +87,36 @@ def load_plasma_slab(grid: Grid, container: ParticleContainer,
     dz = grid.cell_size[2]
     z_centers = grid.lo[2] + (np.arange(nz) + 0.5) * dz
     in_slab = np.nonzero((z_centers >= z_lo) & (z_centers < z_hi))[0]
-    if in_slab.size == 0:
-        return 0
     ix, iy, iz = np.meshgrid(np.arange(nx), np.arange(ny), in_slab, indexing="ij")
     cells = (ix.ravel(), iy.ravel(), iz.ravel())
-    return _load_cells(grid, container, species, cells, rng,
-                       density_profile=density_profile)
+    return _cell_particles(grid, species, cells, rng,
+                           density_profile=density_profile)
 
 
-def _load_cells(grid: Grid, container: ParticleContainer, species: SpeciesConfig,
-                cells: Tuple[np.ndarray, np.ndarray, np.ndarray],
-                rng: np.random.Generator,
-                density_profile: Optional[Callable[[np.ndarray], np.ndarray]] = None
-                ) -> int:
+def load_plasma_slab(grid: Grid, container: ParticleContainer,
+                     species: SpeciesConfig, z_lo: float, z_hi: float,
+                     density_profile: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+                     rng: Optional[np.random.Generator] = None) -> int:
+    """Load plasma only inside ``[z_lo, z_hi)`` (:func:`slab_particles`);
+    returns particles added."""
+    particles = slab_particles(grid, species, z_lo, z_hi,
+                               density_profile=density_profile, rng=rng)
+    container.add_particles(grid, **particles)
+    return len(particles["x"])
+
+
+def _cell_particles(grid: Grid, species: SpeciesConfig,
+                    cells: Tuple[np.ndarray, np.ndarray, np.ndarray],
+                    rng: np.random.Generator,
+                    density_profile: Optional[Callable[[np.ndarray], np.ndarray]] = None
+                    ) -> Dict[str, np.ndarray]:
+    """``species.ppc`` particles in each of ``cells``, as ``x`` ... ``w``."""
     ppc = species.ppc
     n_per_cell = species.particles_per_cell
     x, y, z = _cell_positions(grid, cells, ppc, rng)
     n = x.shape[0]
     if n == 0:
-        return 0
+        return dict(x=x, y=y, z=z)
 
     cell_volume = float(np.prod(grid.cell_size))
     weight = species.density * cell_volume / n_per_cell
@@ -117,6 +131,4 @@ def _load_cells(grid: Grid, container: ParticleContainer, species: SpeciesConfig
         uz = rng.normal(0.0, vth, n)
     else:
         ux = uy = uz = np.zeros((n,))
-
-    container.add_particles(grid, x=x, y=y, z=z, ux=ux, uy=uy, uz=uz, w=w)
-    return n
+    return dict(x=x, y=y, z=z, ux=ux, uy=uy, uz=uz, w=w)

@@ -78,10 +78,19 @@ __all__ = [
 
 
 def wrap_axis_indices(idx: Array, n: int, periodic: bool) -> Array:
-    """Wrap (periodic) or clamp (open boundary) node indices on one axis."""
-    if periodic:
-        return np.mod(idx, n)
-    return np.clip(idx, 0, n - 1)
+    """Wrap (periodic) or clamp (open boundary) node indices on one axis.
+
+    Always a new array.  The periodic wrap is ``np.mod`` of the indices
+    outside ``[0, n)`` only: it is the identity on that range, and a range
+    check costs far less than an integer modulo of every index.
+    """
+    if not periodic:
+        return np.clip(idx, 0, n - 1)
+    wrapped = np.array(idx, copy=True)
+    outside = (wrapped < 0) | (wrapped >= n)
+    if outside.any():
+        wrapped[outside] = np.mod(wrapped[outside], n)
+    return wrapped
 
 
 def _scatter(flat_ids: Array, weights: Array, amplitude: Optional[Array],

@@ -262,3 +262,23 @@ class TestRunIsolation:
                 session.run_all(2)
                 digests.append(_digest(session))
         assert digests[0] == digests[1]
+
+
+def test_run_reports_a_finite_energy_drift_on_a_cold_start(capsys):
+    """An LWFA run starts with a cold plasma and no laser: its first
+    energy records are 0.  ``repro run --record-energy`` measures the
+    drift against the first non-zero total, as the health probe does,
+    not against 0 (which read ``inf`` on every LWFA run)."""
+    import json
+
+    from repro.cli import main
+
+    assert main(["run", "--workload", "lwfa", "--ppc", "1", "--steps", "4",
+                 "--tile-size", "4,4,8", "--record-energy",
+                 "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    totals = [r["field"] + r["kinetic"] for r in payload["energy_history"]]
+    assert totals[0] == 0.0
+    first = next(total for total in totals if total != 0.0)
+    assert payload["relative_energy_drift"] == pytest.approx(
+        abs(totals[-1] - first) / abs(first))
