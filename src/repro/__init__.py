@@ -47,7 +47,7 @@ Matrix Outer-product for High-Performance Particle-in-Cell Simulations*
     (``Session.run(steps)``).
 
 ``repro.analysis``
-    Metrics (throughput, speedup), the experiment runners, the campaign
+    Metrics (throughput, speedup), the one cell runner, the campaign
     layer with its result cache, and a fixed-width table formatter.  The
     paper's numbers are held against the model in one test ledger,
     ``tests/test_paper_ledger.py``.

@@ -1,4 +1,4 @@
-"""Analysis utilities: metrics, runners, campaigns and table formatters."""
+"""Analysis utilities: metrics, the cell runner, campaigns and tables."""
 
 from repro.analysis.cache import CacheStats, ResultCache
 from repro.analysis.campaign import (
@@ -13,7 +13,6 @@ from repro.analysis.metrics import (
     particles_per_second,
     speedup,
 )
-from repro.analysis.runner import run_deposition_experiment
 from repro.analysis.tables import format_campaign_table
 
 __all__ = [
@@ -27,6 +26,5 @@ __all__ = [
     "run_spec",
     "speedup",
     "particles_per_second",
-    "run_deposition_experiment",
     "format_campaign_table",
 ]

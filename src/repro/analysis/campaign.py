@@ -44,6 +44,7 @@ from repro.analysis.cache import (
     content_key,
 )
 from repro.analysis.metrics import ExperimentResult
+from repro.analysis.runner import run_spec
 from repro.exec.pool import SupervisedPool
 from repro.obs.registry import NULL_TELEMETRY, Telemetry
 
@@ -210,17 +211,20 @@ def _int_value(key: str, value) -> int:
     return value
 
 
-def expand_request(request: Mapping, *, observe=None) -> List[ExperimentSpec]:
+def expand_request(request: Mapping, *, observe=None,
+                   execution=None) -> List[ExperimentSpec]:
     """The one grid expansion: a grid mapping -> its cells' specs.
 
-    The only place specs are built.  ``python -m repro campaign`` builds the mapping from its flags and a
-    ``repro.serve`` submission is one, so the two accept the same grids
+    The only place specs are built.  ``python -m repro campaign`` and
+    ``run`` (a one-cell grid) build the mapping from their flags and a
+    ``repro.serve`` submission is one, so they accept the same grids
     and hash them to the same cache keys.  Missing keys take
     :data:`repro.workloads.GRID_DEFAULTS`; workloads nest outer,
-    configurations inner; ``observe`` (inert to keys) goes to every
-    cell.  Raises :class:`ValueError` for anything malformed: an unknown
-    key or configuration, a PPC outside the paper's scan, a shape order
-    the lwfa workload or a configuration's kernel does not take, a
+    configurations inner; ``observe`` (inert to keys) and ``execution``
+    (the executor ``run`` asks for) go to every cell beside the grid.
+    Raises :class:`ValueError` for anything malformed: an unknown key or
+    configuration, a PPC outside the paper's scan, a shape order the
+    lwfa workload or a configuration's kernel does not take, a
     decomposition the tile lattice cannot split.
     """
     from repro.baselines.configs import (
@@ -267,7 +271,8 @@ def expand_request(request: Mapping, *, observe=None) -> List[ExperimentSpec]:
             grid["workload"], ppc=ppc, max_steps=steps, seed=seed,
             domains=grid.get("domains"), n_cell=grid.get("n_cell"),
             tile_size=grid.get("tile_size"),
-            shape_order=grid.get("shape_order"), observe=observe)
+            shape_order=grid.get("shape_order"), observe=observe,
+            execution=execution)
         for ppc in ppc_scan
     ]
     order = workloads[0].build_config().shape_order
@@ -286,19 +291,6 @@ def expand_request(request: Mapping, *, observe=None) -> List[ExperimentSpec]:
 # ----------------------------------------------------------------------
 # Spec execution (shared by the serial path and the worker processes)
 # ----------------------------------------------------------------------
-
-def run_spec(spec: ExperimentSpec) -> ExperimentResult:
-    """Execute one spec in-process with a fully isolated simulation."""
-    from repro.analysis.runner import run_deposition_experiment
-
-    return run_deposition_experiment(
-        spec.build_workload(),
-        spec.configuration,
-        steps=spec.steps,
-        scramble=spec.scramble,
-        warmup_steps=spec.warmup_steps,
-    )
-
 
 def _execute_spec_payload(spec_payload: Mapping) -> Dict[str, object]:
     """Worker entry point: run a spec dict, return the result as JSON data.

@@ -44,6 +44,9 @@ class ExperimentResult:
     #: (``Telemetry.snapshot()`` — wall-clock and executor-shaped series
     #: are already excluded there); empty when observability was off
     metrics: Dict[str, float] = field(default_factory=dict)
+    #: what an in-process run reports beyond this schema for ``repro run``
+    #: to render (:func:`~repro.analysis.runner.run_spec`); not serialised
+    live: Dict[str, object] = field(default_factory=dict, compare=False)
 
     @property
     def kernel_seconds(self) -> float:

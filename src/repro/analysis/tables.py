@@ -1,4 +1,4 @@
-"""Plain-text tables: the campaign CLI's rendering and the examples'.
+"""Plain-text tables: the campaign and run CLI renderings, the examples'.
 
 The paper's own tables are not rendered here: their numbers are held
 against the model in the test ledger ``tests/test_paper_ledger.py``.
@@ -73,4 +73,29 @@ def format_campaign_table(campaign_result) -> str:
         )
     if campaign_result.degraded:
         lines.append("note: process pool unavailable; misses ran serially")
+    return "\n".join(lines)
+
+
+def format_run_table(payload, metrics: bool) -> str:
+    """A ``repro run`` payload as text: the run, pipeline and executor,
+    the per-stage wall time, the energy drift when recorded and, with
+    ``metrics``, the telemetry counters."""
+    lines = [f"workload={payload['workload']} ppc={payload['ppc']} "
+             f"steps={payload['steps']} "
+             f"particles={payload['num_particles']}",
+             f"pipeline: {' -> '.join(payload['stages'])}",
+             f"executor: {payload['backend']} x{payload['shards']}, "
+             f"domains={tuple(payload['domains'])}",
+             "per-stage wall time:"]
+    total = sum(payload["stage_seconds"].values()) or 1.0
+    lines += [f"  {stage:16s} {seconds:9.4f} s  "
+              f"{100.0 * seconds / total:5.1f} %"
+              for stage, seconds in payload["stage_seconds"].items()]
+    if "relative_energy_drift" in payload:
+        lines.append("relative energy drift: "
+                     f"{payload['relative_energy_drift']:.3e}")
+    if metrics and payload.get("metrics"):
+        lines.append("telemetry counters:")
+        lines += [f"  {name:32s} {value:g}"
+                  for name, value in payload["metrics"].items()]
     return "\n".join(lines)

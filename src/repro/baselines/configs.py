@@ -15,7 +15,11 @@ Matrix-only                  MPU arithmetic, naive staging   none
 Hybrid-noSort                hybrid VPU-MPU                  none
 Hybrid-GlobalSort            hybrid VPU-MPU                  global every step
 MatrixPIC (FullOpt)          hybrid VPU-MPU                  incremental + policy
+Reference                    reference scatter-add           none
 ===========================  ==============================  ==================
+
+``Reference`` is :class:`~repro.pic.simulation.ReferenceDeposition`, the
+uninstrumented default of a session and ``repro run``: it counts nothing.
 
 The first block (ablation study, Figure 10) and the second block
 (comparative study, Tables 1 and 2) are exposed as ordered name lists so
@@ -34,9 +38,9 @@ from repro.core.framework import (
     SORT_NONE,
 )
 from repro.core.hybrid_kernel import HybridMPUDeposition
-from repro.pic.deposition.base import DepositionKernel
 from repro.pic.deposition.baseline import BaselineDeposition
 from repro.pic.deposition.rhocell import RhocellDeposition
+from repro.pic.simulation import DepositionStrategy, ReferenceDeposition
 
 #: Ablation study configurations (Figure 10), in the paper's order.
 ABLATION_CONFIGS: Tuple[str, ...] = (
@@ -81,6 +85,8 @@ _CONFIGURATIONS = {
                           SORT_GLOBAL_EVERY_STEP),
     "MatrixPIC (FullOpt)": (HybridMPUDeposition, dict(mode="hybrid"),
                             SORT_INCREMENTAL),
+    # no sorting mode: the strategy is the class itself
+    ReferenceDeposition.name: (ReferenceDeposition, dict(), None),
 }
 
 
@@ -89,20 +95,24 @@ def available_configurations() -> Tuple[str, ...]:
     return tuple(_CONFIGURATIONS)
 
 
-def configuration_kernel(name: str) -> Type[DepositionKernel]:
-    """The deposition kernel class configuration ``name`` runs, without
-    building it (its ``shape_orders`` say which orders the name takes)."""
+def configuration_kernel(name: str) -> Type:
+    """The deposition kernel class configuration ``name`` runs (for
+    ``Reference``, the strategy class), without building it: its
+    ``shape_orders`` say which orders the name takes."""
     return _CONFIGURATIONS[name][0]
 
 
-def make_strategy(name: str) -> MatrixPICDeposition:
+def make_strategy(name: str) -> DepositionStrategy:
     """Build the named deposition strategy (one of
-    :func:`available_configurations`); its adaptive sorting policy is
-    the paper's Appendix-A one (:mod:`repro.core.sort_policy`)."""
+    :func:`available_configurations`); a Matrix-PIC one's adaptive
+    sorting policy is the paper's Appendix-A one
+    (:mod:`repro.core.sort_policy`)."""
     if name not in _CONFIGURATIONS:
         raise ValueError(
             f"unknown configuration {name!r}; expected one of "
             f"{available_configurations()}")
     kernel, kernel_args, sort_mode = _CONFIGURATIONS[name]
+    if sort_mode is None:
+        return kernel(**kernel_args)
     return MatrixPICDeposition(
         kernel=kernel(**kernel_args), sort_mode=sort_mode, name=name)

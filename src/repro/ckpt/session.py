@@ -5,15 +5,8 @@ The resume contract mirrors the domain-parity contract: for any
 (backend, shard count, domain split), a run of ``N`` steps
 is bitwise identical — fields, currents, particles, energy history — to
 a run of ``k`` steps + :func:`save_simulation` + :func:`restore_simulation`
-into a fresh session + ``N - k`` more steps.
-
-Known limit: a snapshot holds no sort state (a tile's GPMA and cell
-order, the policy's rank statistics).  A restored tile under an
-incremental-sort configuration is counting-sorted and permuted on its
-first deposit, where the uninterrupted run follows its GPMA order, so a
-run whose sorted tile keeps its population across the save point does
-not resume bit for bit; tiles that change every step are re-sorted by
-the migration regroup either way and do.
+into a fresh session + ``N - k`` more steps, under every deposition
+configuration.
 
 What a snapshot holds
 ---------------------
@@ -22,6 +15,9 @@ What a snapshot holds
 * every particle container: a copy of its store (one array per SoA
   row, in tile order, and the ids) plus per-tile counts, and the id
   allocator cursor,
+* the sort state (per tile ``keeps_cell_order`` and its ``TileSortState``,
+  the policy's statistics and global sorts) and the configuration's
+  name, which a restore checks,
 * step index, moving-window accumulator and total shift count,
 * both RNG streams (the construction-time generator and the moving
   window's refill stream) as exact bit-generator states,
@@ -53,6 +49,8 @@ from repro.ckpt.format import (
     read_snapshot,
     write_snapshot,
 )
+from repro.core.incremental_sort import TileSortState
+from repro.core.sort_policy import RankSortStats
 from repro.hardware.counters import KernelCounters, PhaseCounters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -67,9 +65,9 @@ __all__ = [
     "save_simulation",
 ]
 
-#: logical state-inventory version (the container version lives in
-#: :mod:`repro.ckpt.format`)
-STATE_VERSION = 1
+#: logical state-inventory version (the container's is in
+#: :mod:`repro.ckpt.format`); version 1 held no sort state
+STATE_VERSION = 2
 
 
 #: config fields excluded from the restore fingerprint: the executor
@@ -110,7 +108,7 @@ def capture_state(simulation: "Session"
                   ) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
     """Snapshot ``simulation`` into a ``(meta, arrays)`` pair of copies
     (the step rewrites the grid arrays and particle stores in place)."""
-    grid = simulation.grid
+    grid, strategy = simulation.grid, simulation.deposition
     arrays: Dict[str, np.ndarray] = {
         f"grid.{name}": array.copy()
         for name, array in grid.field_arrays().items()
@@ -126,9 +124,17 @@ def capture_state(simulation: "Session"
         for name, array in container.soa_arrays().items():
             arrays[f"{prefix}.{name}"] = array.copy()
         arrays[f"{prefix}.counts"] = np.diff(container.offsets)
+        sorted_tiles = [tile for tile in container.tiles
+                        if isinstance(tile.sorter, TileSortState)]
+        for tile in sorted_tiles:
+            for name, array in tile.sorter.state_arrays().items():
+                arrays[f"{prefix}.sort.t{tile.index}.{name}"] = array
         containers_meta.append({
             "next_id": container._next_id,
             "num_tiles": len(container.tiles),
+            "keeps_cell_order": [tile.index for tile in container.tiles
+                                 if tile.keeps_cell_order],
+            "sort_states": [tile.index for tile in sorted_tiles],
         })
     meta: Dict[str, Any] = {
         "state_version": STATE_VERSION,
@@ -149,7 +155,12 @@ def capture_state(simulation: "Session"
             for phase, counters in
             simulation.deposition_counters.phases.items()
         },
+        "deposition": {"configuration": getattr(strategy, "name", None)},
     }
+    if hasattr(strategy, "rank_stats"):  # what its sorting policy carries
+        meta["deposition"].update(
+            rank_stats=dataclasses.asdict(strategy.rank_stats),
+            global_sorts_performed=strategy.global_sorts_performed)
     return meta, arrays
 
 
@@ -161,16 +172,25 @@ def restore_state(simulation: "Session", meta: Dict[str, Any],
     (fingerprint-checked); all grid arrays are written in place.
     """
     version = meta.get("state_version")
-    if version != STATE_VERSION:
+    if version not in (1, STATE_VERSION):
         raise SnapshotMismatchError(
             f"snapshot state version {version!r} is not supported "
-            f"(this build restores version {STATE_VERSION})")
+            f"(this build restores versions 1 and {STATE_VERSION})")
     fingerprint = config_fingerprint(simulation.config)
     if meta.get("config_fingerprint") != fingerprint:
         raise SnapshotMismatchError(
             "snapshot was taken from a different simulation "
             "configuration; rebuild the session from the original "
             "workload before restoring")
+    # a version-1 snapshot names no configuration and holds no sort
+    # state: its tiles restore unsorted, as they always did
+    strategy, saved = simulation.deposition, meta.get("deposition", {})
+    configuration = getattr(strategy, "name", None)
+    if saved.get("configuration", configuration) != configuration:
+        raise SnapshotMismatchError(
+            f"snapshot was taken under the configuration "
+            f"{saved['configuration']!r}, this session runs "
+            f"{configuration!r}")
     grid = simulation.grid
     for name, array in grid.field_arrays().items():
         loaded = arrays[f"grid.{name}"]
@@ -208,6 +228,19 @@ def restore_state(simulation: "Session", meta: Dict[str, Any],
                 "the per-tile counts")
         container.load_soa(soa, counts)  # drops the stale sort state
         container._next_id = int(cmeta["next_id"])
+        if version > 1:
+            keeps = set(cmeta["keeps_cell_order"])
+            for tile in tiles:
+                tile.keeps_cell_order = tile.index in keeps
+        for tile in (tiles[i] for i in cmeta.get("sort_states", ())):
+            tag = f"{prefix}.sort.t{tile.index}."
+            tile.sorter = TileSortState.from_arrays(
+                {name[len(tag):]: array for name, array in arrays.items()
+                 if name.startswith(tag)}, tile.num_cells)
+    if "rank_stats" in saved:
+        strategy.rank_stats = RankSortStats(**saved["rank_stats"])
+        strategy.global_sorts_performed = int(
+            saved["global_sorts_performed"])
 
     rng_meta = meta.get("rng", {})
     if rng_meta.get("simulation") is not None:

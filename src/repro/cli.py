@@ -14,12 +14,17 @@ computes only the cells it had not finished::
 The JSON output embeds the cache accounting (``{"cache": {"hits": ...}}``)
 so CI jobs can assert a warm rerun recomputed nothing.
 
-The ``run`` subcommand drives one :class:`repro.api.Session` (and
-therefore the :mod:`repro.pipeline` stage list) and reports the
-per-stage wall-time breakdown plus, optionally, the energy history::
+The ``run`` subcommand runs one cell — a one-cell grid, expanded and run
+as a campaign's are (:func:`repro.analysis.runner.run_spec`), with no
+warm-up and no scramble — and reports the per-stage wall-time breakdown
+plus, optionally, the energy history.  ``--configuration`` takes any
+``--configurations`` name (default: the reference deposit); the paper's
+path checkpoints, resumes bit for bit and traces like any other::
 
     python -m repro run --workload uniform --ppc 8 --steps 5 \\
         --backend threads --shards 4 --domains 2,1,1 --record-energy
+    python -m repro run --configuration "MatrixPIC (FullOpt)" \\
+        --steps 20 --checkpoint-every 10 --trace mpic-trace.json
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -40,11 +44,11 @@ from repro.analysis.cache import (
 )
 from repro.ckpt.store import CKPT_DIR_ENV, DEFAULT_CHECKPOINT_DIR
 from repro.config import SUPPORTED_BACKENDS, ExecutionConfig
+from repro.pic.simulation import ReferenceDeposition
 from repro.workloads import (
     FAMILIES,
     GRID_CHOICES,
     GRID_DEFAULTS,
-    workload_for_family,
 )
 
 
@@ -125,6 +129,19 @@ def _add_grid_arguments(sub: argparse.ArgumentParser) -> None:
                           f"(default: {GRID_DEFAULTS['seed']})")
 
 
+def _add_report_arguments(sub: argparse.ArgumentParser, subject: str,
+                          metrics: str, formats: Sequence[str]) -> None:
+    """The telemetry and output options ``campaign`` and ``run`` share."""
+    sub.add_argument("--trace", default=None, metavar="FILE",
+                     help="record a Chrome trace_event timeline of the "
+                          f"{subject} (repro.obs) and write it to FILE")
+    sub.add_argument("--metrics", action="store_true",
+                     help="collect telemetry counters (repro.obs); the "
+                          f"output then embeds {metrics}")
+    sub.add_argument("--format", choices=formats, default="table",
+                     help="output format (default: table)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level ``repro`` argument parser."""
     parser = argparse.ArgumentParser(
@@ -189,29 +206,27 @@ def build_parser() -> argparse.ArgumentParser:
                           help="delete every cached entry (including ones "
                                "stranded by source edits or version bumps) "
                                "before running")
-    campaign.add_argument("--trace", default=None, metavar="FILE",
-                          help="record a Chrome trace_event timeline of "
-                               "the campaign (repro.obs) and write it to "
-                               "FILE")
-    campaign.add_argument("--metrics", action="store_true",
-                          help="collect telemetry counters in every cell "
-                               "(repro.obs); the JSON output then embeds "
-                               "the aggregated campaign metrics")
-    campaign.add_argument("--format", choices=("table", "csv", "json"),
-                          default="table",
-                          help="output format (default: table)")
+    _add_report_arguments(campaign, "campaign",
+                          "the aggregated metrics of every cell",
+                          ("table", "csv", "json"))
     campaign.set_defaults(func=cmd_campaign)
 
     run = subparsers.add_parser(
         "run",
-        help="run one simulation as a repro.api.Session",
-        description="Build a single workload, drive it with Session.run "
-                    "(the repro.pipeline stage graph) and print the "
-                    "per-stage wall-time breakdown.",
+        help="run one cell (a one-cell grid) as a repro.api.Session",
+        description="Run one cell of a grid through the campaign's "
+                    "runner (the repro.pipeline stage graph) and print "
+                    "the per-stage wall-time breakdown.",
     )
     _add_grid_arguments(run)
     run.add_argument("--ppc", type=_positive_int, default=8,
                      help="particles per cell (default: 8)")
+    run.add_argument("--configuration", default=ReferenceDeposition.name,
+                     metavar="NAME",
+                     help="the deposition configuration: one of "
+                          "campaign's --configurations names "
+                          "(default: %(default)s, the uninstrumented "
+                          "reference deposit)")
     run.add_argument("--steps", type=_nonnegative_int, default=5,
                      help="steps to run (default: 5)")
     execution = ExecutionConfig()
@@ -237,18 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "checkpoint directory and run only the remaining "
                           "steps; the resumed run is bitwise identical to "
                           "an uninterrupted one")
-    run.add_argument("--trace", default=None, metavar="FILE",
-                     help="record a Chrome trace_event timeline of the run "
-                          "(repro.obs) and write it to FILE; open it in "
-                          "Perfetto or chrome://tracing")
-    run.add_argument("--metrics", action="store_true",
-                     help="collect telemetry counters (repro.obs) and "
-                          "include the snapshot in the output")
     run.add_argument("--health", action="store_true",
                      help="enable per-step physics-health probes (energy "
                           "drift, charge conservation, NaN/Inf guards)")
-    run.add_argument("--format", choices=("table", "json"), default="table",
-                     help="output format (default: table)")
+    _add_report_arguments(run, "run", "the registry's snapshot",
+                          ("table", "json"))
     run.set_defaults(func=cmd_run)
 
     serve = subparsers.add_parser(
@@ -417,119 +425,49 @@ def cmd_campaign(args) -> int:
 
 
 def cmd_run(args) -> int:
-    """Entry point of the ``run`` subcommand."""
+    """Entry point of the ``run`` subcommand: a one-cell grid, with no
+    warm-up and no scramble, run as a campaign cell is."""
+    from repro.analysis.campaign import REQUEST_KEYS, expand_request, run_spec
+    from repro.analysis.tables import format_run_table
+    from repro.ckpt import SnapshotError
+
+    request = {key: value for key, value in vars(args).items()
+               if key in REQUEST_KEYS}
+    request.update(configurations=[args.configuration], warmup_steps=0,
+                   scramble=False)
     try:
-        workload = workload_for_family(
-            args.workload, ppc=args.ppc, max_steps=args.steps,
-            seed=args.seed, domains=args.domains, n_cell=args.n_cell,
-            tile_size=args.tile_size, shape_order=args.shape_order,
+        (spec,) = expand_request(
+            request, observe=_observe_config(args, trace=bool(args.trace)),
             execution=ExecutionConfig(backend=args.backend,
-                                      num_shards=args.shards),
-            observe=_observe_config(args, trace=bool(args.trace)))
-        session = workload.build_session()
+                                      num_shards=args.shards))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    checkpointing = args.checkpoint_every is not None or args.resume
-    checkpoint_dir = args.checkpoint_dir
-    if checkpointing and checkpoint_dir is None:
-        from repro.ckpt import default_checkpoint_dir
-
-        checkpoint_dir = default_checkpoint_dir()
-
-    with session:
-        steps = args.steps
-        if args.resume:
-            from repro.ckpt import SnapshotError, latest_valid_snapshot
-
-            loaded = latest_valid_snapshot(checkpoint_dir,
-                                           session.telemetry)
-            if loaded is not None:
-                try:
-                    session.restore(loaded.path)
-                except SnapshotError as exc:
-                    print(f"error: cannot resume from {loaded.path}: {exc}",
-                          file=sys.stderr)
-                    return 2
-                print(f"resumed from {loaded.path} "
-                      f"(step {loaded.step})", file=sys.stderr)
-            # run only what remains toward the requested step count
-            steps = max(0, args.steps - session.step_index)
-        if args.checkpoint_every is not None:
-            from repro.ckpt import CheckpointHook
-
-            # fail before the first step, not at the first snapshot
-            try:
-                os.makedirs(checkpoint_dir, exist_ok=True)
-                if not os.access(checkpoint_dir, os.W_OK | os.X_OK):
-                    raise PermissionError(f"{checkpoint_dir!r} is not "
-                                          "writable")
-            except OSError as exc:
-                print(f"error: cannot use checkpoint directory: {exc}",
-                      file=sys.stderr)
-                return 2
-            session.pipeline.add_step_hook(
-                CheckpointHook(checkpoint_dir,
-                               every=args.checkpoint_every))
-        for _ in session.run(steps, record_energy=args.record_energy):
-            pass
-        payload = {
-            "workload": args.workload,
-            "ppc": args.ppc,
-            "steps": session.step_index,
-            "num_particles": session.num_particles,
-            "backend": args.backend,
-            "shards": args.shards,
-            "domains": list(args.domains or (1, 1, 1)),
-            "stages": session.pipeline.stage_names(),
-            "stage_seconds": {row["stage"]: row["seconds"]
-                              for row in session.breakdown.stage_rows()},
-            "bucket_seconds": dict(session.breakdown.seconds),
-        }
-        if args.record_energy:
-            payload["energy_history"] = [
-                {"step": r.step, "field": r.field_energy,
-                 "kinetic": r.kinetic_energy}
-                for r in session.energy.history
-            ]
-            payload["relative_energy_drift"] = \
-                session.energy.relative_energy_drift()
-        if args.metrics or args.trace or args.health:
-            # the full registry (deterministic=False keeps the time.* /
-            # exec.* series — this is a live report, not a cache artifact)
-            payload["metrics"] = session.telemetry.snapshot(
-                deterministic=False)
-        if args.trace:
-            from repro.obs import export_chrome_trace
-
-            export_chrome_trace(session.telemetry, args.trace)
-            print(f"trace written to {args.trace} "
-                  f"({len(session.telemetry.events)} events)",
-                  file=sys.stderr)
-
+    try:
+        result = run_spec(spec, checkpoint_dir=args.checkpoint_dir,
+                          checkpoint_every=args.checkpoint_every,
+                          resume=args.resume, trace=args.trace,
+                          record_energy=args.record_energy)
+    except (OSError, SnapshotError) as exc:
+        # a checkpoint directory or snapshot that does not fit
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    live = result.live
+    if "resumed_from" in live:
+        print("resumed from {} (step {})".format(*live.pop("resumed_from")),
+              file=sys.stderr)
+    if args.trace:
+        print(f"trace written to {args.trace} "
+              f"({live.pop('trace_events')} events)", file=sys.stderr)
+    payload = {"workload": args.workload, "ppc": args.ppc,
+               "steps": result.steps, "num_particles": result.num_particles,
+               "backend": args.backend, "shards": args.shards,
+               "domains": list(args.domains or (1, 1, 1)),
+               "bucket_seconds": result.stage_seconds, **live}
     if args.format == "json":
-        payload["stages"] = list(payload["stages"])
         print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-
-    print(f"workload={args.workload} ppc={args.ppc} "
-          f"steps={payload['steps']} particles={payload['num_particles']}")
-    print(f"pipeline: {' -> '.join(payload['stages'])}")
-    print(f"executor: {args.backend} x{args.shards}, "
-          f"domains={tuple(payload['domains'])}")
-    total = sum(payload["stage_seconds"].values()) or 1.0
-    print("per-stage wall time:")
-    for stage, seconds in payload["stage_seconds"].items():
-        print(f"  {stage:16s} {seconds:9.4f} s  "
-              f"{100.0 * seconds / total:5.1f} %")
-    if args.record_energy:
-        print(f"relative energy drift: "
-              f"{payload['relative_energy_drift']:.3e}")
-    if args.metrics and payload.get("metrics"):
-        print("telemetry counters:")
-        for name, value in payload["metrics"].items():
-            print(f"  {name:32s} {value:g}")
+    else:
+        print(format_run_table(payload, args.metrics))
     return 0
 
 

@@ -35,7 +35,7 @@ first after a build, last freed first after deletes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -46,6 +46,9 @@ from repro.pic.blocks import stable_order_by_bin
 GAP_FRACTION = 0.25
 #: gaps a build gives each bin at least: an empty bin takes one arrival
 MIN_GAP_SLOTS = 1
+#: the arrays that are a structure's state, with its ``rebuild_count``
+_STATE = ("local_index", "bin_offsets", "bin_lengths", "_particle_slot",
+          "_particle_bin", "_gap_stack")
 
 
 @dataclass
@@ -136,6 +139,22 @@ class GappedPMA:
         self.overflow = []
         self.rebuild_count += 1
         return GPMAUpdateStats(rebuilds=1, rebuild_elements=capacity)
+
+    def state_arrays(self) -> Dict[str, np.ndarray]:
+        """Copies of the structure between batches (``overflow`` is empty
+        then), for a snapshot."""
+        arrays = {name: getattr(self, name).copy() for name in _STATE}
+        arrays["rebuild_count"] = np.array([self.rebuild_count])
+        return arrays
+
+    def load_state(self, arrays: Mapping[str, np.ndarray]) -> None:
+        """Become the structure :meth:`state_arrays` gave ``arrays`` of."""
+        for name in _STATE:
+            setattr(self, name, np.array(arrays[name], dtype=np.int64))
+        self.rebuild_count = int(arrays["rebuild_count"][0])
+        self.num_particles = int(self.bin_lengths.sum())
+        self.num_empty_slots = self.capacity - self.num_particles
+        self.overflow = []
 
     def region_sizes(self, counts: np.ndarray) -> np.ndarray:
         """Slots of every bin's region in a build with ``counts`` particles
@@ -373,61 +392,3 @@ class GappedPMA:
             return True
         return self.empty_ratio < empty_ratio_threshold \
             and self.num_particles > 0
-
-    def check_invariants(self) -> None:
-        """Raise AssertionError if internal bookkeeping is inconsistent.
-
-        Used by the test suite and by property-based tests; not called on
-        the hot path.
-        """
-        capacity = self.capacity
-        region_sizes = np.diff(self.bin_offsets)
-        assert self.bin_offsets[0] == 0 and self.bin_offsets[-1] == capacity, \
-            "bin regions do not tile the slot array"
-        assert np.all(region_sizes >= 0), "bin offsets are not monotone"
-        slot_bin = np.repeat(np.arange(self.num_bins), region_sizes)
-
-        valid = self.local_index != INVALID_PARTICLE_ID
-        assert int(valid.sum()) == self.num_particles, "particle count mismatch"
-        assert capacity - self.num_particles == self.num_empty_slots, \
-            "empty-slot count mismatch"
-        np.testing.assert_array_equal(
-            np.bincount(slot_bin[valid], minlength=self.num_bins),
-            self.bin_lengths, err_msg="bin length mismatch")
-
-        # inverse maps <-> local_index round trip
-        stored_slots = np.nonzero(valid)[0]
-        stored = self.local_index[stored_slots]
-        assert stored.size == 0 or (
-            stored.min() >= 0 and stored.max() < self._particle_slot.size), \
-            "stored particle index outside the inverse maps"
-        np.testing.assert_array_equal(
-            self._particle_slot[stored], stored_slots,
-            err_msg="particle slot mismatch")
-        np.testing.assert_array_equal(
-            self._particle_bin[stored], slot_bin[stored_slots],
-            err_msg="particle bin mismatch")
-        assert int((self._particle_slot >= 0).sum()) == self.num_particles, \
-            "inverse map lists a particle that is not stored"
-        np.testing.assert_array_equal(
-            self._particle_slot >= 0, self._particle_bin >= 0,
-            err_msg="slot and bin maps disagree on which particles are stored")
-
-        # gap stacks: bin b's live entries are its region's empty slots,
-        # each exactly once (the depth equals the number of empty slots, so
-        # distinct + empty + inside the region means all of them)
-        gap_counts = self._gap_counts()
-        assert np.all(gap_counts >= 0), "bin holds more particles than slots"
-        depth = np.arange(capacity) - self.bin_offsets[:-1][slot_bin]
-        live = depth < gap_counts[slot_bin]
-        stacked = self._gap_stack[live]
-        assert stacked.size == 0 or (
-            stacked.min() >= 0 and stacked.max() < capacity), \
-            "stacked gap outside the slot array"
-        assert np.all(self.local_index[stacked] == INVALID_PARTICLE_ID), \
-            "a stacked slot is not empty"
-        np.testing.assert_array_equal(
-            slot_bin[stacked], slot_bin[live],
-            err_msg="a stacked slot lies outside its bin's region")
-        assert np.unique(stacked).size == stacked.size, \
-            "a slot is stacked twice"

@@ -51,7 +51,7 @@ that re-baselines them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
@@ -107,6 +107,28 @@ class TileSortState:
         if self._built:
             return self._gpma.iteration_order()
         return np.arange(self.num_particles, dtype=np.int64)
+
+    def state_arrays(self) -> Dict[str, np.ndarray]:
+        """Copies for a snapshot: the bins, and the GPMA if it is built
+        (taking them never builds it)."""
+        arrays = {"bins": self.assigned_bins.copy()}
+        if self._built:
+            arrays.update({f"gpma.{name}": array for name, array
+                           in self._gpma.state_arrays().items()})
+        return arrays
+
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray],
+                    num_bins: int) -> "TileSortState":
+        """The state :meth:`state_arrays` gave ``arrays`` of."""
+        state = cls(np.array(arrays["bins"], dtype=np.int64),
+                    GappedPMA(num_bins))
+        gpma = {name[len("gpma."):]: array for name, array in arrays.items()
+                if name.startswith("gpma.")}
+        if gpma:
+            state._gpma.load_state(gpma)
+            state._built = True
+        return state
 
 
 @dataclass

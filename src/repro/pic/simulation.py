@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Optional, Protocol
 
+from repro.config import SUPPORTED_SHAPE_ORDERS
 from repro.exec import TileExecutor
 from repro.hardware.counters import KernelCounters
 from repro.pic.deposition.reference import deposit_reference
@@ -42,9 +43,15 @@ class DepositionStrategy(Protocol):
 
 
 class ReferenceDeposition:
-    """Default strategy: the uninstrumented scatter-add reference kernel."""
+    """Default strategy: the uninstrumented scatter-add reference kernel,
+    the configuration named ``Reference``."""
 
     name = "Reference"
+    shape_orders = SUPPORTED_SHAPE_ORDERS
+
+    @classmethod
+    def check_order(cls, order: int) -> None:
+        """Refuse nothing: every supported order is deposited."""
 
     def run_step(self, grid: Grid, container: ParticleContainer,
                  order: int, step: int,

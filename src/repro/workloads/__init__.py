@@ -60,9 +60,9 @@ def workload_for_family(family: str, *, ppc: int, max_steps: int,
                         execution=None, observe=None):
     """One workload builder with the canonical per-family defaults.
 
-    The single defaulting point behind ``python -m repro run`` and the
-    grid expansion (:func:`repro.analysis.campaign.expand_request`) that
-    ``campaign`` and the ``repro.serve`` job service share.  Raises
+    The single defaulting point behind the grid expansion
+    (:func:`repro.analysis.campaign.expand_request`) that ``campaign``,
+    ``run`` and the ``repro.serve`` job service share.  Raises
     :class:`ValueError` for an unknown family or shape order, a
     ``shape_order`` on the (order-1-fixed) lwfa workload, a PPC outside
     the paper's scan, or a decomposition the tile lattice cannot split.

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro import constants
 from repro.api import Session
+from repro.baselines.configs import available_configurations
 from repro.config import GridConfig, SpeciesConfig
 from repro.core.framework import SORT_NONE, MatrixPICDeposition
 from repro.hardware.counters import PhaseCounters
@@ -31,6 +32,12 @@ from repro.pic.particles import ParticleContainer
 from repro.pic.plasma import load_uniform_plasma
 from repro.pic.stencil import box_node_ids
 
+
+#: the configurations that wrap a kernel and a sorting mode in the
+#: Matrix-PIC framework: every one but the reference deposit, which has
+#: no kernel object, counters or sorter to compare
+MATRIX_PIC_CONFIGS = [name for name in available_configurations()
+                      if name != "Reference"]
 
 #: thermal speed of the hot-plasma tests: every step moves particles
 #: between cells (and tiles), where the workloads' 0.01c barely does

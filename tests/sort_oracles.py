@@ -71,6 +71,61 @@ def particles_in_bin(gpma: GappedPMA, b: int) -> np.ndarray:
     return region[region != INVALID_PARTICLE_ID]
 
 
+def check_invariants(gpma: GappedPMA) -> None:
+    """Raise AssertionError if ``gpma``'s bookkeeping is inconsistent."""
+    capacity = gpma.capacity
+    region_sizes = np.diff(gpma.bin_offsets)
+    assert gpma.bin_offsets[0] == 0 and gpma.bin_offsets[-1] == capacity, \
+        "bin regions do not tile the slot array"
+    assert np.all(region_sizes >= 0), "bin offsets are not monotone"
+    slot_bin = np.repeat(np.arange(gpma.num_bins), region_sizes)
+
+    valid = gpma.local_index != INVALID_PARTICLE_ID
+    assert int(valid.sum()) == gpma.num_particles, "particle count mismatch"
+    assert capacity - gpma.num_particles == gpma.num_empty_slots, \
+        "empty-slot count mismatch"
+    np.testing.assert_array_equal(
+        np.bincount(slot_bin[valid], minlength=gpma.num_bins),
+        gpma.bin_lengths, err_msg="bin length mismatch")
+
+    # inverse maps <-> local_index round trip
+    stored_slots = np.nonzero(valid)[0]
+    stored = gpma.local_index[stored_slots]
+    assert stored.size == 0 or (
+        stored.min() >= 0 and stored.max() < gpma._particle_slot.size), \
+        "stored particle index outside the inverse maps"
+    np.testing.assert_array_equal(
+        gpma._particle_slot[stored], stored_slots,
+        err_msg="particle slot mismatch")
+    np.testing.assert_array_equal(
+        gpma._particle_bin[stored], slot_bin[stored_slots],
+        err_msg="particle bin mismatch")
+    assert int((gpma._particle_slot >= 0).sum()) == gpma.num_particles, \
+        "inverse map lists a particle that is not stored"
+    np.testing.assert_array_equal(
+        gpma._particle_slot >= 0, gpma._particle_bin >= 0,
+        err_msg="slot and bin maps disagree on which particles are stored")
+
+    # gap stacks: bin b's live entries are its region's empty slots,
+    # each exactly once (the depth equals the number of empty slots, so
+    # distinct + empty + inside the region means all of them)
+    gap_counts = gpma._gap_counts()
+    assert np.all(gap_counts >= 0), "bin holds more particles than slots"
+    depth = np.arange(capacity) - gpma.bin_offsets[:-1][slot_bin]
+    live = depth < gap_counts[slot_bin]
+    stacked = gpma._gap_stack[live]
+    assert stacked.size == 0 or (
+        stacked.min() >= 0 and stacked.max() < capacity), \
+        "stacked gap outside the slot array"
+    assert np.all(gpma.local_index[stacked] == INVALID_PARTICLE_ID), \
+        "a stacked slot is not empty"
+    np.testing.assert_array_equal(
+        slot_bin[stacked], slot_bin[live],
+        err_msg="a stacked slot lies outside its bin's region")
+    assert np.unique(stacked).size == stacked.size, \
+        "a slot is stacked twice"
+
+
 class OracleGappedPMA:
     """The dict/list GappedPMA as it stood before the array-native rewrite."""
 

@@ -1,4 +1,4 @@
-"""Tests for the metrics, experiment runners and the table formatter."""
+"""Tests for the metrics, the cell runner and the table formatter."""
 
 import re
 
@@ -10,8 +10,7 @@ from repro.analysis.metrics import (
     particles_per_second,
     speedup,
 )
-from repro.analysis.campaign import Campaign, expand_request
-from repro.analysis.runner import run_deposition_experiment
+from repro.analysis.campaign import Campaign, expand_request, run_spec
 from repro.analysis.tables import format_table
 from repro.api import Session
 from repro.hardware.cost_model import KernelTiming
@@ -72,14 +71,23 @@ class TestTables:
         assert len(ends[0]) == 3
 
 
+def tiny_cell(configuration, *, steps, warmup_steps=1):
+    """The one cell of a 4^3-cell, one-tile uniform grid at PPC 8."""
+    (spec,) = expand_request({
+        "workload": "uniform", "n_cell": [4, 4, 4], "tile_size": [4, 4, 4],
+        "ppc": [8], "configurations": [configuration], "steps": steps,
+        "warmup_steps": warmup_steps})
+    return spec
+
+
 class TestRunner:
     @pytest.fixture
     def tiny_workload(self):
         return UniformPlasmaWorkload(n_cell=(4, 4, 4), tile_size=(4, 4, 4),
                                      ppc=8, shape_order=1, max_steps=2)
 
-    def test_run_deposition_experiment(self, tiny_workload):
-        result = run_deposition_experiment(tiny_workload, "Baseline", steps=2)
+    def test_run_spec(self):
+        result = run_spec(tiny_cell("Baseline", steps=2))
         assert result.configuration == "Baseline"
         assert result.steps == 2
         assert result.timing.total > 0.0
@@ -103,18 +111,16 @@ class TestRunner:
         assert simulation.step_index == 2
         assert "current_deposition" in simulation.breakdown.seconds
 
-    def test_stage_breakdown_excludes_warmup_steps(self, tiny_workload):
+    def test_stage_breakdown_excludes_warmup_steps(self):
         """The reported stage_seconds must cover exactly the measured
         steps, like the kernel counters (the Figure-1 style breakdowns
         built from stage_seconds used to include warmup wall-clock)."""
         # zero measured steps after a warmup: every recorded stage second
         # would have to come from the warmup contamination this fix removed
-        result = run_deposition_experiment(tiny_workload, "Baseline",
-                                           steps=0, warmup_steps=2)
+        result = run_spec(tiny_cell("Baseline", steps=0, warmup_steps=2))
         assert result.stage_seconds == {}
         # and a measured run still records the full stage set
-        measured = run_deposition_experiment(tiny_workload, "Baseline",
-                                             steps=2, warmup_steps=1)
+        measured = run_spec(tiny_cell("Baseline", steps=2))
         assert "current_deposition" in measured.stage_seconds
         assert sum(measured.stage_seconds.values()) > 0.0
 
@@ -127,11 +133,8 @@ class TestRunner:
         assert simulation.breakdown.total == 0.0
         assert dict(simulation.breakdown.seconds) == {}
 
-    def test_warmup_excludes_initial_global_sort(self, tiny_workload):
-        with_warmup = run_deposition_experiment(tiny_workload,
-                                                "MatrixPIC (FullOpt)",
-                                                steps=1, warmup_steps=1)
-        without = run_deposition_experiment(tiny_workload,
-                                            "MatrixPIC (FullOpt)",
-                                            steps=1, warmup_steps=0)
+    def test_warmup_excludes_initial_global_sort(self):
+        with_warmup = run_spec(tiny_cell("MatrixPIC (FullOpt)", steps=1))
+        without = run_spec(tiny_cell("MatrixPIC (FullOpt)", steps=1,
+                                     warmup_steps=0))
         assert with_warmup.timing.sort <= without.timing.sort

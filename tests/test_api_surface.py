@@ -25,7 +25,6 @@ API_SURFACE = {
         "ResultCache",
         "format_campaign_table",
         "particles_per_second",
-        "run_deposition_experiment",
         "run_spec",
         "speedup",
     ),

@@ -529,6 +529,44 @@ class TestCLI:
         assert main(["run", "--domains", "3,1,1", "--steps", "1"]) == 2
         assert "cannot split" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, grid", [
+        (["--configuration", "TurboPIC"], {"configurations": ["TurboPIC"]}),
+        (["--configuration", "MatrixPIC (FullOpt)", "--shape-order", "2"],
+         {"configurations": ["MatrixPIC (FullOpt)"], "shape_order": 2}),
+    ], ids=["unknown", "order-its-kernel-cannot-deposit"])
+    def test_run_cli_refuses_a_configuration_as_campaign_does(
+            self, args, grid, capsys):
+        # `run` is a one-cell grid: the message is expand_request's
+        with pytest.raises(ValueError) as expected:
+            expand_request(grid)
+        assert main(["run", "--steps", "1"] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {expected.value}\n"
+
+    def test_run_cli_traces_the_papers_path(self, tmp_path, capsys,
+                                            monkeypatch):
+        from repro.core.framework import MatrixPICDeposition
+        from repro.obs import validate_chrome_trace
+
+        calls = []
+        run_step = MatrixPICDeposition.run_step
+        monkeypatch.setattr(MatrixPICDeposition, "run_step",
+                            lambda self, *args, **kwargs: calls.append(
+                                self.name) or run_step(self, *args,
+                                                       **kwargs))
+        path = tmp_path / "mpic-trace.json"
+        assert main(["run", "--configuration", "MatrixPIC (FullOpt)",
+                     "--n-cell", "8,8,8", "--steps", "2",
+                     "--trace", str(path)]) == 0
+        assert calls == ["MatrixPIC (FullOpt)"] * 2
+        with open(path, encoding="utf-8") as stream:
+            trace = json.load(stream)
+        assert validate_chrome_trace(trace) == []
+        deposits = [event for event in trace["traceEvents"]
+                    if event["name"] == "deposit" and event["ph"] == "B"]
+        assert len(deposits) == len(calls)
+
 
 # ----------------------------------------------------------------------
 # One grid expansion: the CLI accepts exactly the grids the service does

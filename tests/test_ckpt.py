@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import repro.ckpt as ckpt
 from repro.api import Session
-from repro.baselines.configs import make_strategy
+from repro.baselines.configs import available_configurations, make_strategy
 from repro.ckpt import (
     CheckpointHook,
     CorruptSnapshotError,
@@ -33,6 +33,7 @@ from repro.ckpt import (
     write_snapshot,
 )
 from faults import flip_byte, truncate_file
+from helpers import hot_plasma_session
 from repro.cli import main
 from repro.config import ExecutionConfig
 from repro.workloads.lwfa import LWFAWorkload
@@ -73,6 +74,7 @@ def assert_state_equal(ref, got):
     assert meta_r["window_total_shift_cells"] == \
         meta_g["window_total_shift_cells"]
     assert meta_r["containers"] == meta_g["containers"]
+    assert meta_r["deposition"] == meta_g["deposition"]
 
 
 def run_steps(session, n, record_energy=False):
@@ -319,6 +321,102 @@ class TestResumeParity:
             4, k, tmp_path)
 
 
+def hot_tile_session(configuration):
+    """One periodic 8^3 tile at PPC 8 in a 0.3c plasma: no particle
+    leaves the tile, and particles change cells every step, so a sorted
+    configuration carries its tile's sort state across a save."""
+    workload = UniformPlasmaWorkload(n_cell=(8, 8, 8), tile_size=(8, 8, 8),
+                                     ppc=8, shape_order=1)
+    return hot_plasma_session(workload,
+                              deposition=make_strategy(configuration))
+
+
+class TestSortState:
+    @pytest.mark.parametrize("configuration", available_configurations())
+    def test_a_kept_population_resumes_bit_for_bit(self, configuration):
+        """3 steps against 2 + capture + restore + 1.  Without the sort
+        state the restored tile was counting-sorted and permuted where
+        the uninterrupted run followed its GPMA: the store and ids moved
+        under ``MatrixPIC (FullOpt)``, the fields too under
+        ``Baseline+IncrSort``."""
+        with hot_tile_session(configuration) as full:
+            run_steps(full, 3)
+            ref = capture_state(full)
+        with hot_tile_session(configuration) as first:
+            run_steps(first, 2)
+            meta, arrays = capture_state(first)
+        with hot_tile_session(configuration) as second:
+            restore_state(second, meta, arrays)
+            run_steps(second, 1)
+            assert_state_equal(ref, capture_state(second))
+
+    def test_a_capture_does_not_build_the_gpma(self):
+        """A fresh sort state defers its GPMA build to the first
+        incremental update; a capture holds the bins only, and restores
+        a state that builds it when the run does."""
+        with hot_tile_session("MatrixPIC (FullOpt)") as session:
+            run_steps(session, 1)  # the first deposit's global sort
+            (tile,) = session.containers[0].nonempty_tiles()
+            meta, arrays = capture_state(session)
+            assert not tile.sorter._built
+            assert [name for name in arrays if ".sort." in name] \
+                == ["c0.sort.t0.bins"]
+            assert meta["containers"][0]["keeps_cell_order"] == [0]
+            run_steps(session, 1)  # an incremental update builds it
+            assert tile.sorter._built
+            meta, arrays = capture_state(session)
+            assert "c0.sort.t0.gpma.local_index" in arrays
+        with hot_tile_session("MatrixPIC (FullOpt)") as restored:
+            restore_state(restored, meta, arrays)
+            assert_state_equal((meta, arrays), capture_state(restored))
+
+    def test_the_policy_statistics_are_restored(self):
+        with hot_tile_session("MatrixPIC (FullOpt)") as session:
+            run_steps(session, 3)
+            meta, arrays = capture_state(session)
+            stats = session.deposition.rank_stats
+        assert meta["deposition"]["rank_stats"]["steps_since_sort"] == 3
+        with hot_tile_session("MatrixPIC (FullOpt)") as restored:
+            restore_state(restored, meta, arrays)
+            assert restored.deposition.rank_stats == stats
+            assert restored.deposition.global_sorts_performed \
+                == meta["deposition"]["global_sorts_performed"]
+
+    def test_another_configuration_is_refused(self):
+        with hot_tile_session("MatrixPIC (FullOpt)") as session:
+            run_steps(session, 1)
+            meta, arrays = capture_state(session)
+        with hot_tile_session("Baseline+IncrSort") as other:
+            with pytest.raises(SnapshotMismatchError,
+                               match="'MatrixPIC \\(FullOpt\\)'"):
+                restore_state(other, meta, arrays)
+
+    def test_a_version_1_snapshot_restores_without_sort_state(self,
+                                                              tmp_path):
+        """What a version-1 snapshot held, it still restores: the tiles
+        come back unsorted and the policy as the session built it."""
+        path = str(tmp_path / "v1.ckpt")
+        with hot_tile_session("MatrixPIC (FullOpt)") as session:
+            run_steps(session, 2)
+            meta, arrays = capture_state(session)
+        meta["state_version"] = 1
+        del meta["deposition"]
+        for entry in meta["containers"]:
+            del entry["keeps_cell_order"], entry["sort_states"]
+        write_snapshot(path, meta, {name: array for name, array
+                                    in arrays.items() if ".sort." not in name})
+        with hot_tile_session("MatrixPIC (FullOpt)") as restored:
+            restored.restore(path)
+            (tile,) = restored.containers[0].nonempty_tiles()
+            assert tile.sorter is None and not tile.keeps_cell_order
+            assert restored.step_index == 2
+            assert restored.deposition.global_sorts_performed == 0
+            got = capture_state(restored)[1]
+            for name, array in arrays.items():
+                if ".sort." not in name:
+                    assert got[name].tobytes() == array.tobytes(), name
+
+
 class TestRestoreGuards:
     def test_config_mismatch_rejected(self, tmp_path):
         path = str(tmp_path / "s.ckpt")
@@ -419,6 +517,25 @@ class TestRunCLI:
             ["--steps", "6", "--checkpoint-dir", directory, "--resume"],
             capsys)
         assert "resumed from" in err
+        assert self.stable(resumed) == self.stable(full)
+
+    @pytest.mark.parametrize("configuration",
+                             ["MatrixPIC (FullOpt)", "Baseline+IncrSort"])
+    def test_a_sorted_configuration_resumes_bit_for_bit(
+            self, configuration, tmp_path, capsys):
+        """The CI smoke's sorted legs: one 8^3 tile keeps its population,
+        so its GPMA and the policy's statistics cross the save point; at
+        10 + 10 steps the policy's global sort falls after it."""
+        directory = str(tmp_path / "ck")
+        shape = ["--configuration", configuration, "--tile-size", "8,8,8"]
+        full, _ = self.run_json(shape + ["--steps", "20"], capsys)
+        self.run_json(shape + ["--steps", "10", "--checkpoint-dir",
+                               directory, "--checkpoint-every", "10"],
+                      capsys)
+        resumed, err = self.run_json(
+            shape + ["--steps", "20", "--checkpoint-dir", directory,
+                     "--resume"], capsys)
+        assert "(step 10)" in err
         assert self.stable(resumed) == self.stable(full)
 
     def test_resume_without_snapshots_runs_from_scratch(self, tmp_path,

@@ -13,11 +13,7 @@ property of the reproduction.
 import numpy as np
 import pytest
 
-from repro.baselines.configs import (
-    available_configurations,
-    configuration_kernel,
-    make_strategy,
-)
+from repro.baselines.configs import configuration_kernel, make_strategy
 from repro.config import SUPPORTED_SHAPE_ORDERS
 from repro.core.framework import MatrixPICDeposition
 from repro.core.hybrid_kernel import HybridMPUDeposition
@@ -33,7 +29,13 @@ from repro.pic.deposition.rhocell import RhocellDeposition
 from repro.pic.grid import Grid
 from repro.pic.particles import RUN_PARTICLES
 
-from helpers import current_residual, deposit_unsorted, make_plasma, total_events
+from helpers import (
+    MATRIX_PIC_CONFIGS,
+    current_residual,
+    deposit_unsorted,
+    make_plasma,
+    total_events,
+)
 
 KERNELS = {
     "baseline": BaselineDeposition(),
@@ -143,7 +145,7 @@ def test_matrixpic_takes_no_fallback_knob(knob):
 
 
 @pytest.mark.parametrize("order", [1, 3])
-@pytest.mark.parametrize("config_name", available_configurations())
+@pytest.mark.parametrize("config_name", MATRIX_PIC_CONFIGS)
 def test_named_configuration_matches_reference(tiled_grid_config, config_name,
                                                order):
     """Every evaluation configuration (with its sorting) stays exact."""
@@ -156,7 +158,7 @@ def test_named_configuration_matches_reference(tiled_grid_config, config_name,
     assert isinstance(counters, KernelCounters)
 
 
-@pytest.mark.parametrize("config_name", available_configurations())
+@pytest.mark.parametrize("config_name", MATRIX_PIC_CONFIGS)
 def test_a_configuration_deposits_exactly_its_kernels_shape_orders(
         small_grid_config, config_name):
     """The orders a kernel class states are the ones its strategy

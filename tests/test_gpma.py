@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.gpma import GappedPMA
 
-from sort_oracles import bin_of, particles_in_bin
+from sort_oracles import bin_of, check_invariants, particles_in_bin
 
 
 def build_gpma(bins, num_bins=8, gap_fraction=0.25):
@@ -21,14 +21,14 @@ class TestBuild:
         gpma = build_gpma([])
         assert gpma.num_particles == 0
         assert gpma.capacity >= gpma.num_bins  # min one gap slot per bin
-        gpma.check_invariants()
+        check_invariants(gpma)
 
     def test_basic_build(self):
         gpma = build_gpma([0, 0, 1, 3, 3, 3])
         assert gpma.num_particles == 6
         np.testing.assert_array_equal(gpma.bin_lengths,
                                       [2, 1, 0, 3, 0, 0, 0, 0])
-        gpma.check_invariants()
+        check_invariants(gpma)
 
     def test_iteration_order_is_cell_sorted(self):
         bins = [3, 0, 2, 0, 1, 3]
@@ -70,7 +70,7 @@ class TestUpdates:
         assert gpma.num_particles == 2
         assert bin_of(gpma, 0) is None
         assert 0 not in gpma.iteration_order()
-        gpma.check_invariants()
+        check_invariants(gpma)
 
     def test_delete_missing_particle_raises(self):
         gpma = build_gpma([0])
@@ -84,7 +84,7 @@ class TestUpdates:
         assert stats.insertions == 1
         assert bin_of(gpma, 2) == 4
         assert 2 in particles_in_bin(gpma, 4)
-        gpma.check_invariants()
+        check_invariants(gpma)
 
     def test_insert_duplicate_raises(self):
         gpma = build_gpma([0])
@@ -98,7 +98,7 @@ class TestUpdates:
         assert bin_of(gpma, 1) == 3
         np.testing.assert_array_equal(gpma.bin_lengths,
                                       [1, 0, 1, 2, 0, 0, 0, 0])
-        gpma.check_invariants()
+        check_invariants(gpma)
 
     def test_borrow_from_next_bin(self):
         # bin 0 packed full (gap_fraction 0 leaves every bin the minimum
@@ -114,7 +114,7 @@ class TestUpdates:
         assert bin_of(gpma, 2) == 0
         assert len(gpma.overflow) == 0
         assert stats.borrow_shifts >= 0
-        gpma.check_invariants()
+        check_invariants(gpma)
 
     def test_overflow_when_no_gaps_anywhere(self):
         gpma = GappedPMA(num_bins=2, gap_fraction=0.0)
@@ -129,7 +129,7 @@ class TestUpdates:
         gpma.delete(3)
         gpma.insert(3, 0)           # bin 1's freed slot cannot serve bin 0...
         # ... unless borrowed; the last bin has a gap so borrowing succeeded
-        gpma.check_invariants()
+        check_invariants(gpma)
 
     def test_needs_rebuild_on_overflow(self):
         gpma = GappedPMA(num_bins=2, gap_fraction=0.0)
@@ -148,7 +148,7 @@ class TestUpdates:
         gpma.build(np.array([2, 2, 2]))
         assert gpma.rebuild_count == before + 1
         assert len(gpma.overflow) == 0
-        gpma.check_invariants()
+        check_invariants(gpma)
 
 
 class TestGPMAProperties:
@@ -156,7 +156,7 @@ class TestGPMAProperties:
     @given(st.lists(st.integers(min_value=0, max_value=7), min_size=0, max_size=60))
     def test_build_preserves_population(self, bins):
         gpma = build_gpma(bins)
-        gpma.check_invariants()
+        check_invariants(gpma)
         assert gpma.num_particles == len(bins)
         expected = np.bincount(np.asarray(bins, dtype=int), minlength=8)
         np.testing.assert_array_equal(gpma.bin_lengths, expected)
@@ -187,7 +187,7 @@ class TestGPMAProperties:
                     [current.get(i, 0) for i in range(n)])}
                 continue
             current[particle] = new_bin
-            gpma.check_invariants()
+            check_invariants(gpma)
         # population matches the tracked assignment
         expected = np.bincount(np.array([current[i] for i in range(n)]),
                                minlength=8)

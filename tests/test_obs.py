@@ -613,12 +613,11 @@ class TestCampaignMetrics:
         assert handle.metrics.get("campaign.cache.hits") == 1
 
     def test_result_metrics_round_trip(self):
+        from repro.analysis.campaign import run_spec
         from repro.analysis.metrics import ExperimentResult
-        from repro.analysis.runner import run_deposition_experiment
 
-        result = run_deposition_experiment(
-            _workload(max_steps=2, observe=ObsConfig(enabled=True)),
-            "Baseline", steps=1)
+        (spec,) = self._specs(ObsConfig(enabled=True))
+        result = run_spec(spec)
         assert result.metrics["particles.pushed"] > 0
         replayed = ExperimentResult.from_json(
             json.loads(json.dumps(result.to_json())))

@@ -59,7 +59,9 @@ temporaries and a sharded deposit's task builds its own scratch grid, so
 
 An experiment is a grid request: ``analysis/campaign.py::expand_request``
 alone builds ``ExperimentSpec`` cells, and a spec holds nothing a grid
-request cannot set.
+request cannot set.  A cell runs in one place,
+``analysis/runner.py::run_spec``, which alone builds a cell's session and
+steps it: for campaign and served cells and for ``repro run`` alike.
 
 A campaign cell has one durable record, its result-cache entry: a killed
 sweep resumes by re-running on the same cache, so the campaign keeps no
@@ -917,6 +919,60 @@ def test_a_planted_second_grid_schema_fails_the_guard(tmp_path, path,
     assert found[0].endswith(finding), found
 
 
+#: what builds a cell's session, and what steps a session
+SESSION_BUILDERS = {"Session", "build_session", "from_workload"}
+SESSION_STEPPERS = {"run", "run_all", "step"}
+
+
+def cell_runners(root=SRC):
+    """``path::function`` of every function under ``root`` that both
+    builds a session (``Session(``, ``build_session``, ``from_workload``)
+    and steps one (``.run(``, ``.run_all(``, ``.step(``)."""
+    found = []
+    for path, tree in source_trees(root):
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            calls = [node.func for node in ast.walk(func)
+                     if isinstance(node, ast.Call)]
+            if {name_of(call) for call in calls} & SESSION_BUILDERS and any(
+                    isinstance(call, ast.Attribute)
+                    and call.attr in SESSION_STEPPERS for call in calls):
+                found.append(f"{path}::{func.name}")
+    return sorted(found)
+
+
+def test_a_cell_runs_in_one_place():
+    # campaign and served cells and `repro run` (a one-cell grid) run
+    # through one function with the hooks a run may ask for; the runner
+    # beside it and the CLI's own session are gone
+    assert cell_runners() == ["analysis/runner.py::run_spec"]
+    assert "run_deposition_experiment" not in "".join(
+        text for _, text in source_texts())
+
+
+@pytest.mark.parametrize("path, statement", [
+    ("cli.py",
+     "def cmd_quick(args):\n"
+     "    session = workload_for_family('uniform', ppc=8,\n"
+     "                                  max_steps=1).build_session()\n"
+     "    for _ in session.run(1):\n"
+     "        pass\n"),
+    ("serve/queue.py",
+     "def warm(workload):\n"
+     "    with Session.from_workload(workload) as session:\n"
+     "        session.step()\n"),
+], ids=["cli-session", "from-workload-step"])
+def test_a_planted_second_runner_fails_the_guard(tmp_path, path, statement):
+    root = tmp_path / "repro"
+    shutil.copytree(SRC, root, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(root / path, "a", encoding="utf-8") as stream:
+        stream.write(f"\n\n{statement}")
+    function = statement.split("(")[0].split()[-1]
+    assert cell_runners(str(root)) == sorted(
+        [f"{path}::{function}", "analysis/runner.py::run_spec"])
+
+
 def test_grid_enumerations_are_not_restated_beside_the_schema():
     restated = [tuple(choices) for choices in workloads.GRID_CHOICES.values()]
     for path, tree in source_trees():
@@ -987,8 +1043,6 @@ ALLOWLIST = {
                      "sweep in bench/ that is to record it",
     "deposit_rho_reference": "the one rho deposit; waits on the Gauss's-law "
                              "health gauge, its first run-path caller",
-    "check_invariants": "the GPMA verification surface the sorter "
-                        "differential tests read",
     "axis_windows": "leaves with repro.domain",
 }
 

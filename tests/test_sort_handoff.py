@@ -126,9 +126,12 @@ class TestTheHandoff:
             session.step()
             tiles = session.containers[0].nonempty_tiles()
             assert any(tile.sorted_cells is not None for tile in tiles)
+            bins = [tile.sorter.assigned_bins.copy() for tile in tiles]
             restore_state(session, *capture_state(session))
-            for tile in tiles:
-                assert tile.sorted_cells is None and tile.sorter is None
+            for tile, recorded in zip(tiles, bins):
+                # a snapshot holds the sort state, never the handoff
+                assert tile.sorted_cells is None
+                assert np.array_equal(tile.sorter.assigned_bins, recorded)
                 assert recomputes(strategy.sorter, session.grid, tile)
 
 

@@ -15,6 +15,7 @@ from repro.pic.particles import ParticleContainer
 from repro.pic.plasma import load_uniform_plasma
 
 from helpers import total_events
+from sort_oracles import check_invariants
 
 
 class TestCountingSort:
@@ -159,7 +160,7 @@ class TestIncrementalSorter:
         cells = tile.local_cell_ids(grid)
         assert np.all(np.diff(cells) >= 0)
         assert isinstance(tile.sorter, TileSortState)
-        tile.sorter.gpma.check_invariants()
+        check_invariants(tile.sorter.gpma)
 
     def test_iteration_order_matches_gpma(self):
         grid, container = make_tiled_plasma()
