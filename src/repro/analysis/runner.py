@@ -58,7 +58,7 @@ def run_spec(spec: "ExperimentSpec", *,
             checkpoint_dir, session.telemetry) if resume else None
         if loaded is not None:
             try:
-                session.restore(loaded.path)
+                session.restore(loaded)
             except ckpt.SnapshotError as exc:
                 raise type(exc)(
                     f"cannot resume from {loaded.path}: {exc}") from exc

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Union
+from typing import TYPE_CHECKING, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -57,6 +57,9 @@ from repro.pic.plasma import load_uniform_plasma
 from repro.pic.pusher import BorisPusher
 from repro.pic.simulation import DepositionStrategy, ReferenceDeposition
 from repro.pipeline import StepPipeline, build_pipeline
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.ckpt import LoadedSnapshot
 
 __all__ = ["Session", "StepResult"]
 
@@ -264,8 +267,10 @@ class Session:
 
         return save_simulation(self, path)
 
-    def restore(self, path: str) -> "Session":
-        """Load the snapshot at ``path`` into this session, in place.
+    def restore(self, snapshot: Union[str, "LoadedSnapshot"]) -> "Session":
+        """Load a snapshot into this session, in place: the file at the
+        path ``snapshot``, or a :class:`~repro.ckpt.LoadedSnapshot`
+        already read and verified (:func:`repro.ckpt.latest_valid_snapshot`).
 
         The session must have been built from the same configuration as
         the one that was saved (fingerprint-checked).  After a restore,
@@ -275,7 +280,7 @@ class Session:
         """
         from repro.ckpt import restore_simulation
 
-        restore_simulation(self, path)
+        restore_simulation(self, snapshot)
         return self
 
     # ------------------------------------------------------------------

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import TYPE_CHECKING, Any, Dict, List, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -55,6 +55,7 @@ from repro.hardware.counters import KernelCounters, PhaseCounters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api import Session
+    from repro.ckpt.store import LoadedSnapshot
 
 __all__ = [
     "STATE_VERSION",
@@ -283,10 +284,18 @@ def save_simulation(simulation: "Session", path: str) -> str:
     return written
 
 
-def restore_simulation(simulation: "Session", path: str) -> None:
-    """Read, verify and load the snapshot at ``path`` into ``simulation``."""
+def restore_simulation(simulation: "Session",
+                       snapshot: Union[str, "LoadedSnapshot"]) -> None:
+    """Load a snapshot into ``simulation``: read and verify the file at
+    ``snapshot`` when it is a path, or take the contents a
+    :class:`~repro.ckpt.store.LoadedSnapshot` holds, which
+    :func:`~repro.ckpt.store.latest_valid_snapshot` has read and
+    verified already."""
     handle = simulation.telemetry
     with handle.span("ckpt.restore", cat="ckpt"):
-        meta, arrays = read_snapshot(path)
+        if isinstance(snapshot, str):
+            meta, arrays = read_snapshot(snapshot)
+        else:
+            meta, arrays = snapshot.meta, snapshot.arrays
         restore_state(simulation, meta, arrays)
     handle.count("ckpt.restores")

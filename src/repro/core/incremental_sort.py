@@ -38,7 +38,8 @@ migration reads the tile's pre-push cells off its sort state
 particles still in them where they are in cell order, sorts only the
 cell changers, arrivals and refill and merges them in
 (:meth:`~repro.pic.particles.ParticleContainer.redistribute`), and hands
-over the cell ids (``ParticleTile.sorted_cells``), which
+over the cell ids (``ParticleTile.sorted_cells``) with each cell's
+population (``ParticleTile.sorted_population``), which
 :meth:`IncrementalSorter.global_sort_tile` adopts as they are.  A fresh
 state's GPMA is built only when an incremental update first needs it
 (:class:`TileSortState`).  The modelled clock still charges every fresh
@@ -78,14 +79,15 @@ class TileSortState:
     would give.
     """
 
-    def __init__(self, assigned_bins: np.ndarray, gpma: GappedPMA):
+    def __init__(self, assigned_bins: np.ndarray, population: np.ndarray,
+                 gpma: GappedPMA):
         #: bin currently recorded for every particle index (mirrors the GPMA)
         self.assigned_bins = assigned_bins
         self._gpma = gpma
         self._built = False
-        #: slots of the structure built from the sorted bins
-        self.fresh_capacity = int(gpma.region_sizes(
-            np.bincount(assigned_bins, minlength=gpma.num_bins)).sum())
+        #: slots of the structure built from the sorted bins, whose
+        #: ``population`` per bin the caller hands over
+        self.fresh_capacity = int(gpma.region_sizes(population).sum())
 
     @property
     def num_particles(self) -> int:
@@ -121,7 +123,8 @@ class TileSortState:
     def from_arrays(cls, arrays: Mapping[str, np.ndarray],
                     num_bins: int) -> "TileSortState":
         """The state :meth:`state_arrays` gave ``arrays`` of."""
-        state = cls(np.array(arrays["bins"], dtype=np.int64),
+        bins = np.array(arrays["bins"], dtype=np.int64)
+        state = cls(bins, np.bincount(bins, minlength=num_bins),
                     GappedPMA(num_bins))
         gpma = {name[len("gpma."):]: array for name, array in arrays.items()
                 if name.startswith("gpma.")}
@@ -162,8 +165,9 @@ class IncrementalSorter:
         """Leave the tile's SoA arrays in cell order under a fresh state.
 
         A tile the migration regroup has just left in cell order hands
-        over its cell ids (``tile.sorted_cells``), which are adopted as
-        they are; any other tile is counting-sorted and permuted.  Either
+        over its cell ids (``tile.sorted_cells``) and their population
+        per cell (``tile.sorted_population``), which are adopted as they
+        are; any other tile is counting-sorted and permuted.  Either
         way the work charged is a counting sort and a GPMA build, though
         the build itself waits for the first incremental update
         (:class:`TileSortState`).  The tile is managed from then on
@@ -171,15 +175,17 @@ class IncrementalSorter:
         """
         n = tile.num_particles
         num_cells = tile.num_cells
-        bins = tile.sorted_cells
+        bins, population = tile.sorted_cells, tile.sorted_population
         if bins is None:
             bins = np.empty(0, dtype=np.int64)
+            population = np.zeros(num_cells, dtype=np.int64)
             if n > 0:
                 cell_ids = tile.local_cell_ids(grid)
-                order, _ = counting_sort_permutation(cell_ids, num_cells)
+                order, population = counting_sort_permutation(cell_ids,
+                                                              num_cells)
                 tile.permute(order)
                 bins = cell_ids[order]
-        state = TileSortState(bins, GappedPMA(num_cells))
+        state = TileSortState(bins, population, GappedPMA(num_cells))
         tile.sorter = state
         tile.keeps_cell_order = True
 

@@ -127,6 +127,9 @@ class ParticleTile:
         #: storage order and positions that regroup left, so anything that
         #: changes either drops it (permute, insert, compaction, push, wrap).
         self.sorted_cells: Optional[np.ndarray] = None
+        #: ... and how many of them each tile-local cell holds, handed
+        #: over and dropped with ``sorted_cells``
+        self.sorted_population: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     @property
@@ -215,7 +218,12 @@ class ParticleTile:
         ``keeps_cell_order`` stays.
         """
         self.sorter = None
+        self.drop_handoff()
+
+    def drop_handoff(self) -> None:
+        """Forget the regroup's cell ids and their population."""
         self.sorted_cells = None
+        self.sorted_population = None
 
 
 def stored(tiles: Sequence[ParticleTile]) -> np.ndarray:
@@ -306,7 +314,7 @@ def _scan_shard(tiles: List[ParticleTile], grid: Grid,
     """Executor task: :func:`_scan` of one shard's slice of the store."""
     if any(periodic):
         for tile in tiles:
-            tile.sorted_cells = None
+            tile.drop_handoff()
     return _scan(stored(tiles)[:3], grid, periodic, cell_keys)
 
 
@@ -694,8 +702,9 @@ class ParticleContainer:
             tile = self.tiles[tile_id]
             tile.drop_sort_state()
             if ordered[tile_id]:
-                tile.sorted_cells = np.repeat(cells,
-                                              population[tile_id - begin])
+                held = population[tile_id - begin, :tile.num_cells]
+                tile.sorted_cells = np.repeat(cells[:tile.num_cells], held)
+                tile.sorted_population = held
         return int(arrival.sum())
 
     def _clear_pending(self) -> None:

@@ -13,7 +13,9 @@ window offset), the energy history and the session's ``KernelCounters``
 (one value per phase and counter).  No stage deposits the charge
 density during a run, so ``grid.rho`` is the final state's, deposited by
 ``deposit_rho_reference`` just before the arrays are taken.  A field one tree lacks, or holds in
-another shape (say, a different particle count), reads ``inf``.
+another shape (say, a different particle count), reads ``inf``; the
+summary counts such one-sided fields apart from the shared fields that
+differ.
 
 A case is a seeded session run for a few steps: uniform plasma (8^3
 cells, PPC 64) at shape orders 1 and 3 under the reference deposit and
@@ -160,6 +162,18 @@ def relative(delta: float, peak: float) -> float:
     return delta / peak if peak > 0.0 else float("inf")
 
 
+def summary(rows: Sequence[Tuple]) -> Tuple[int, int, int]:
+    """``(differing, shared, one-sided)`` counts of :func:`compare` rows
+    (``(..., max |Δ|, peak)``): a field both trees hold in one shape is
+    shared and differs when ``max |Δ|`` is not 0; any other reads
+    ``inf`` and is one-sided, a new or dropped field rather than a
+    moved number."""
+    one_sided = sum(1 for *_, delta, peak in rows if np.isnan(peak))
+    moved = sum(1 for *_, delta, peak in rows
+                if delta != 0.0 and not np.isnan(peak))
+    return moved, len(rows) - one_sided, one_sided
+
+
 def _dump(path: str, names: Iterable[str], tiny: bool) -> None:
     arrays = {}
     for name in names:
@@ -221,8 +235,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for name, field, delta, peak in rows:
         print(f"{name:<28} {field:<34} {delta:>10.3g} {peak:>10.3g} "
               f"{relative(delta, peak):>12.3g}")
-    moved = sum(1 for row in rows if row[2] != 0.0)
-    print(f"{moved} of {len(rows)} fields differ")
+    moved, shared, one_sided = summary(rows)
+    print(f"{moved} of {shared} shared fields differ")
+    print(f"{one_sided} fields on one side only")
     return 0
 
 

@@ -43,6 +43,7 @@ class OracleTile:
         self.sorter = tile.sorter
         self.keeps_cell_order = tile.keeps_cell_order
         self.sorted_cells = tile.sorted_cells
+        self.sorted_population = tile.sorted_population
 
     num_particles = property(lambda self: self.x.shape[0])
     tile_cells = ParticleTile.tile_cells
@@ -50,6 +51,7 @@ class OracleTile:
     local_cell_ids = ParticleTile.local_cell_ids
     local_ids_from_cells = ParticleTile.local_ids_from_cells
     drop_sort_state = ParticleTile.drop_sort_state
+    drop_handoff = ParticleTile.drop_handoff
 
     def append(self, **arrays: np.ndarray) -> None:
         """Append particles given as keyword SoA arrays.
@@ -237,7 +239,9 @@ def oracle_redistribute(container: OracleContainer, grid: Grid) -> int:
         tile = container.tiles[tile_id]
         if tile.keeps_cell_order:
             cells = tile.local_cell_ids(grid)
-            order, _ = counting_sort_permutation(cells, tile.num_cells)
+            order, population = counting_sort_permutation(cells,
+                                                          tile.num_cells)
             tile.permute(order)
             tile.sorted_cells = cells[order]
+            tile.sorted_population = population
     return moved_total

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.ckpt as ckpt
+from repro.analysis.campaign import ExperimentSpec, expand_request, run_spec
 from repro.api import Session
 from repro.baselines.configs import available_configurations, make_strategy
 from repro.ckpt import (
@@ -484,6 +486,28 @@ class TestCheckpointHook:
         assert hook.reads <= set(RESOURCES)
         assert hook.writes <= set(RESOURCES)
         assert hook.writes <= hook.reads
+
+
+def test_a_resume_reads_its_snapshot_once(tmp_path):
+    """``run_spec(..., resume=True)`` restores the snapshot
+    ``latest_valid_snapshot`` read and verified, without reading the file
+    a second time."""
+    directory = str(tmp_path / "ck")
+    (spec,) = expand_request({
+        "workload": "uniform", "n_cell": [8, 8, 8], "tile_size": [4, 4, 4],
+        "ppc": [1], "configurations": ["Baseline"], "steps": 3})
+    run_spec(ExperimentSpec.from_dict({**spec.to_dict(), "steps": 1}),
+             checkpoint_dir=directory, checkpoint_every=1)
+    reads = []
+
+    def counted(path):
+        reads.append(path)
+        return read_snapshot(path)
+
+    with mock.patch.object(ckpt.store, "read_snapshot", counted), \
+            mock.patch.object(ckpt.session, "read_snapshot", counted):
+        run_spec(spec, checkpoint_dir=directory, resume=True)
+    assert reads == [snapshot_path(directory, 2)]
 
 
 # ----------------------------------------------------------------------

@@ -115,8 +115,10 @@ def kept_sorters(container, marks):
 
 
 def handed_cells(container):
-    """Every tile's ``sorted_cells`` as a list, None where there are none."""
-    return [None if tile.sorted_cells is None else tile.sorted_cells.tolist()
+    """Every tile's ``sorted_cells`` and ``sorted_population`` as lists,
+    None where there are none."""
+    return [None if tile.sorted_cells is None
+            else (tile.sorted_cells.tolist(), tile.sorted_population.tolist())
             for tile in container.tiles]
 
 

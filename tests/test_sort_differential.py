@@ -252,8 +252,8 @@ class TestLazyBuild:
             dtype=np.int64))
         eager = GappedPMA(num_bins, gap_fraction=gap_fraction)
         eager.build(bins)
-        state = TileSortState(bins, GappedPMA(num_bins,
-                                              gap_fraction=gap_fraction))
+        state = TileSortState(bins, np.bincount(bins, minlength=num_bins),
+                              GappedPMA(num_bins, gap_fraction=gap_fraction))
         np.testing.assert_array_equal(state.iteration_order(),
                                       eager.iteration_order())
         assert state.fresh_capacity == eager.capacity

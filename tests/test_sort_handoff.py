@@ -1,8 +1,10 @@
 """The migration regroup's handoff to the sorter, and when it is dropped.
 
 A tile the sorter manages leaves the regroup in cell order with its cell
-ids in ``ParticleTile.sorted_cells``; the next global sort of the tile
-adopts them instead of recomputing, counting-sorting and permuting.
+ids in ``ParticleTile.sorted_cells`` and their population per cell in
+``ParticleTile.sorted_population``; the next global sort of the tile
+adopts them instead of recomputing, counting-sorting and permuting (or
+recounting the cells for the fresh state's capacity).
 Those ids describe one storage order and one set of positions, so the
 handoff must reach the deposit untouched, and everything that changes
 the order or the positions afterwards must drop it (and with it the sort
@@ -15,18 +17,21 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.api import Session
 from repro.baselines.configs import make_strategy
 from repro.ckpt import capture_state, restore_state
 from repro.core import incremental_sort
 from repro.core.counting_sort import counting_sort_permutation
+from repro.core.gpma import GappedPMA
 from repro.core.incremental_sort import IncrementalSorter
+from repro.hardware.counters import KernelCounters
 from repro.pipeline.builder import global_stages
 from repro.pic.pusher import BorisPusher
 from repro.workloads.uniform import UniformPlasmaWorkload
 
-from helpers import hot_plasma_session, tiled_plasma
+from helpers import hot_plasma_session, tiled_plasma, tiled_scenarios
 from stage_effects import conflicts, declared_effects
 
 #: what the handoff is valid for: the storage order and the positions
@@ -152,3 +157,37 @@ def test_scrambling_drops_the_sort_state():
                                                             tile)
             assert stats.global_sorts == 1 and stats.moved_particles == 0
             assert np.all(np.diff(tile.local_cell_ids(session.grid)) >= 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(scenario=tiled_scenarios())
+def test_the_handed_population_is_the_recount(scenario):
+    """The regroup hands over each cell's population beside the cell
+    ids: it is their recount, so a fresh state's capacity, its
+    statistics and the sort phase's counters are those of a tile whose
+    cells the sorter counts itself."""
+    grid, container = tiled_plasma(**scenario)
+    sorter = IncrementalSorter()
+    for tile in container.nonempty_tiles():
+        sorter.global_sort_tile(grid, tile)
+    rng = np.random.default_rng(scenario["seed"])
+    for tile in container.tiles:  # up to a cell on every axis
+        for axis in (tile.x, tile.y, tile.z):
+            axis[...] += rng.uniform(-1.0, 1.0, tile.num_particles)
+    container.redistribute(grid)
+    for tile in container.tiles:
+        if tile.sorted_cells is None:
+            continue
+        recount = np.bincount(tile.sorted_cells, minlength=tile.num_cells)
+        assert np.array_equal(tile.sorted_population, recount)
+        handed, counted = KernelCounters(), KernelCounters()
+        stats = sorter.global_sort_tile(grid, tile, handed)
+        capacity = tile.sorter.fresh_capacity
+        tile.drop_sort_state()
+        assert recomputes(sorter, grid, tile) == (tile.num_particles > 0)
+        tile.drop_sort_state()
+        assert sorter.global_sort_tile(grid, tile, counted) == stats
+        assert capacity == tile.sorter.fresh_capacity == int(
+            GappedPMA(tile.num_cells).region_sizes(recount).sum())
+        assert handed.phase("sort").as_dict() \
+            == counted.phase("sort").as_dict()
