@@ -8,13 +8,16 @@ conservation, LWFA wakefield structure).
 
 Both densities deposit once per *run of tiles*, the runs the pusher uses
 (:func:`repro.pic.particles.tile_runs`: a shard's consecutive tiles,
-grouped until a run holds ``RUN_PARTICLES`` particles): one staging pass
+grouped until a run holds ``BATCH_PARTICLES`` particles): one staging pass
 over the run's slice of the particle store and one scatter into the run's
 bounding box.  A node's sum therefore follows the run partition.  Where
 one tile's particles alone reach a node, and wherever a run is a single
 tile, the result is bitwise that of depositing tile by tile; where tiles
 of one run meet, the box adds their particles in one pass and the sum
-differs from the per-tile one in the last ulps.
+differs from the per-tile one in the last ulps (so the batch size moves
+J at rounding level where runs meet).  This deposit has no block
+layout: the half blocks of :mod:`repro.pic.blocks` are the MatrixPIC
+deposit's and the gather's, and leave it as it is.
 
 Both entry points accept an optional tile executor (:mod:`repro.exec`)
 and shard through :func:`~repro.pic.deposition.base.scratch_reduce`.  The

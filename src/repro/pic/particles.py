@@ -36,22 +36,29 @@ its tile's end) is one pass over the store; the window's refill waits
 in a pending batch (:meth:`ParticleContainer.queue_refill`) for the
 migration's take, so a moving-window step moves each particle once.
 
-The per-particle stages that do not work on a whole shard work on *runs*
-of a shard's consecutive tiles (:func:`tile_runs`, grouped until a run
-holds :data:`RUN_PARTICLES` particles): the gather + push
+The per-particle stages that do not work on a whole shard work in
+*batches* of about :data:`BATCH_PARTICLES` particles, the one batch
+size.  Small tiles are grouped: a *run* of a shard's consecutive tiles
+is closed once it holds ``BATCH_PARTICLES`` (:func:`tile_runs`), and a
+tile already holding that many is its own run.  The gather + push
 (:mod:`repro.pic.pusher`) and the reference deposit
 (:mod:`repro.pic.deposition.reference`) use the same runs.  Why a
 threshold: the interpreter pays a fixed cost per NumPy call, which
-dominates small tiles (eight 512-particle tiles gathered at once take
-about half the time of eight separate gathers), while the run's field
-or current box and temporaries grow with the batch (64 small tiles
-deposited in one box are slower than in runs of eight).  So a tile
-already holding ``RUN_PARTICLES`` is its own run.
+dominates small tiles, while the run's field or current box and
+temporaries grow with the batch.  Measured on ``uniform-ref`` (64 tiles
+of 512 particles, seed 7, 60 steps per run size, the run sizes
+alternating step by step in one process; median ms per step on a 2-core
+Xeon, the fastest of three runs; 16 384 was the fastest size in each):
 
-A tile holding more than :data:`BATCH_PARTICLES` is the opposite case:
-its whole-tile panels and products (8-15 MB each for a 65 536-particle
-QSP tile) no longer fit the core's cache, and every pass over them
-streams from memory.  The gather + push and the MatrixPIC deposit
+=====================  ======  ======  ======  ======  ======
+run size (particles)    2 048   4 096   8 192  16 384  32 768
+median ms per step      22.05   18.90   17.77   17.71   18.93
+=====================  ======  ======  ======  ======  ======
+
+A tile holding more than ``BATCH_PARTICLES`` is the opposite case: its
+whole-tile panels and products (8-15 MB each for a 65 536-particle QSP
+tile) no longer fit the core's cache, and every pass over them streams
+from memory.  The gather + push and the MatrixPIC deposit
 (:mod:`repro.core.mpu_deposit`) work such a tile in near-equal pieces
 (:func:`piece_bounds`; the deposit cuts only between cells), each staged
 and multiplied on its own (on a 2-core Xeon with 2 MB of L2 per core,
@@ -82,18 +89,15 @@ from repro.pic.grid import Grid
 
 _SOA_FIELDS = ("x", "y", "z", "ux", "uy", "uz", "w")
 
-#: Particles a run of consecutive tiles holds before it is closed.  The
-#: push gives the same bits for any grouping; the reference deposit's
-#: grouping fixes J's summation order where runs meet, so this is one
-#: speed constant (4096 measured well on 512-particle tiles), not an
-#: option.
-RUN_PARTICLES = 4096
-
-#: Particles one piece of a dense tile holds: a tile above it is worked
-#: slice by slice (:func:`piece_bounds`), so that a piece's staging,
-#: operand panels and products stay in the core's cache (16 384 QSP
-#: particles stage about 2 MB per panel).  The per-particle stages give
-#: the same bits for any cut, so this is a speed constant too.
+#: Particles one batch of the per-particle stages holds: a run of small
+#: consecutive tiles is closed once it holds this many
+#: (:func:`tile_runs`), and a tile above it is worked slice by slice
+#: (:func:`piece_bounds`), so that a piece's staging, operand panels and
+#: products stay in the core's cache (16 384 QSP particles stage about
+#: 2 MB per panel).  The per-particle stages give the same bits for any
+#: grouping and cut; the reference deposit's grouping fixes J's
+#: summation order where runs meet.  So this is one speed constant,
+#: measured (module docstring), not an option.
 BATCH_PARTICLES = 16384
 
 
@@ -242,20 +246,21 @@ def stored(tiles: Sequence[ParticleTile]) -> np.ndarray:
 
 
 def tile_runs(tiles: Sequence[ParticleTile]) -> Iterator[List[ParticleTile]]:
-    """Consecutive ``tiles`` grouped into runs of ``RUN_PARTICLES`` or more.
+    """Consecutive ``tiles`` grouped into runs of ``BATCH_PARTICLES`` or
+    more.
 
-    Only the last run may hold fewer; a tile holding ``RUN_PARTICLES``
+    Only the last run may hold fewer; a tile holding ``BATCH_PARTICLES``
     or more is a run of its own.
     """
     run: List[ParticleTile] = []
     held = 0
     for tile in tiles:
-        if run and tile.num_particles >= RUN_PARTICLES:
+        if run and tile.num_particles >= BATCH_PARTICLES:
             yield run
             run, held = [], 0
         run.append(tile)
         held += tile.num_particles
-        if held >= RUN_PARTICLES:
+        if held >= BATCH_PARTICLES:
             yield run
             run, held = [], 0
     if run:

@@ -4,7 +4,8 @@ The paper's evaluation uses the Boris pusher (§5.2).  Momenta are stored as
 ``u = gamma * v`` so the update is the standard half-acceleration /
 rotation / half-acceleration scheme followed by the position advance.
 
-Gather and push run once per *batch*: a run of tiles
+Gather and push run once per *batch* of about ``BATCH_PARTICLES``
+particles, the one batch size: a run of tiles
 (:func:`repro.pic.particles.tile_runs`, the runs the reference deposit
 uses too), or a piece of a tile that is a run of its own and holds
 more than ``BATCH_PARTICLES`` particles

@@ -20,9 +20,9 @@ differ.
 A case is a seeded session run for a few steps: uniform plasma (8^3
 cells, PPC 64) at shape orders 1 and 3 under the reference deposit and
 ``MatrixPIC (FullOpt)``, on the ``serial`` executor with one shard and
-the ``threads`` executor with two, in 4^3 tiles (4096 particles each, a
-run of its own); the same plasma in 2^3 tiles (512 particles, grouped
-into runs of eight: the ``uniform-ref`` bench shape) at order 1 under
+the ``threads`` executor with two, in 4^3 tiles (4096 particles each,
+four to a run); the same plasma in 2^3 tiles (512 particles, grouped
+into runs of 32: the ``uniform-ref`` bench shape) at order 1 under
 both deposits and executors, and in one 8^3 tile (32 768 particles,
 worked in two pieces) under ``MatrixPIC (FullOpt)``; one ``Baseline``
 case; shape order 2 (TSC, which no bench workload runs) under the

@@ -33,7 +33,7 @@ from repro.pic.deposition.reference import (
     deposit_reference,
     deposit_rho_reference,
 )
-from repro.pic.particles import RUN_PARTICLES
+from repro.pic.particles import BATCH_PARTICLES
 from repro.pic.shapes import shape_factors
 from repro.pic.stencil import StencilOperator
 
@@ -63,9 +63,9 @@ def tiles_reaching(grid, container, order):
 
 @settings(max_examples=50, deadline=None)
 @given(scenario=tiled_scenarios(), order=st.integers(1, 3),
-       run_particles=st.sampled_from([1, 700, RUN_PARTICLES]),
+       batch_particles=st.sampled_from([1, 700, BATCH_PARTICLES]),
        prior=st.booleans())
-def test_runs_match_the_per_tile_oracle(scenario, order, run_particles,
+def test_runs_match_the_per_tile_oracle(scenario, order, batch_particles,
                                         prior):
     grid, electrons = tiled_plasma(**scenario)
     if prior:  # the grid already holds an ion species' densities
@@ -88,14 +88,14 @@ def test_runs_match_the_per_tile_oracle(scenario, order, run_particles,
 
     single = tiles_reaching(grid, electrons, order) <= 1
     got = {}
-    with mock.patch.object(particles, "RUN_PARTICLES", run_particles):
+    with mock.patch.object(particles, "BATCH_PARTICLES", batch_particles):
         for shards in (1, 3):
             with TileExecutor(ExecutionConfig("serial", shards)) as executor:
                 want = deposit(executor, oracle=True)
                 got[shards] = deposit(executor)
             for name in DENSITIES:
                 mine, oracle = got[shards][name], want[name]
-                if run_particles == 1:  # every run is one tile
+                if batch_particles == 1:  # every run is one tile
                     assert np.array_equal(mine, oracle), (shards, name)
                 assert np.array_equal(mine[single], oracle[single]), \
                     (shards, name)
@@ -128,15 +128,15 @@ def test_a_run_stages_its_tiles_in_order_and_has_no_tile_box():
     assert np.array_equal(alone[1].local_cell_ids, np.empty(0))
 
 
-@pytest.mark.parametrize("run_particles, deposits", [(1, 6), (700, 3),
-                                                     (RUN_PARTICLES, 1)])
-def test_one_staging_and_scatter_per_run(run_particles, deposits):
+@pytest.mark.parametrize("batch_particles, deposits", [(1, 6), (700, 3),
+                                                     (BATCH_PARTICLES, 1)])
+def test_one_staging_and_scatter_per_run(batch_particles, deposits):
     # six 400-particle tiles and two empty ones: the patched run size
     # reaches the deposit, which scatters once per run
     grid, container = tiled_plasma((8, 8, 8), (4, 4, 4), (True, False, True),
                                    [400, 0, 400, 400, 0, 400, 400, 400],
                                    seed=3)
-    with mock.patch.object(particles, "RUN_PARTICLES", run_particles), \
+    with mock.patch.object(particles, "BATCH_PARTICLES", batch_particles), \
             mock.patch.object(reference, "scatter_tile_currents",
                               wraps=reference.scatter_tile_currents) as spy:
         deposit_reference(grid, container, 1)

@@ -27,7 +27,7 @@ from repro.pic.deposition.baseline import BaselineDeposition
 from repro.pic.deposition.reference import deposit_reference
 from repro.pic.deposition.rhocell import RhocellDeposition
 from repro.pic.grid import Grid
-from repro.pic.particles import RUN_PARTICLES
+from repro.pic.particles import BATCH_PARTICLES, tile_runs
 
 from helpers import (
     MATRIX_PIC_CONFIGS,
@@ -82,18 +82,21 @@ def test_kernel_matches_reference_multi_tile(tiled_grid_config, name, order):
     ("small_grid_config", (2, 2, 2), 1),
     ("small_grid_config", (2, 2, 2), 2),
     ("small_grid_config", (2, 2, 2), 3),
-    ("tiled_grid_config", (4, 4, 4), 3),
+    ("tiled_grid_config", (4, 4, 16), 3),
 ], ids=["one-tile-cic", "one-tile-tsc", "one-tile-qsp", "full-run-tiles-qsp"])
 def test_baseline_is_the_reference_formula_bit_for_bit(request, layout, ppc,
                                                        order):
-    """Where every tile holds RUN_PARTICLES, the reference stages each
-    tile as its own run: the same staging and scatter, the same bits."""
+    """Where every tile is a run of its own (a lone tile, or tiles
+    holding BATCH_PARTICLES), the reference stages each tile as its own
+    run: the same staging and scatter, the same bits."""
     config = request.getfixturevalue(layout)
     reference = reference_current(config, order, ppc=ppc)
     grid, _, container = kernel_current(BaselineDeposition(), config, order,
                                         ppc=ppc)
-    assert {tile.num_particles for tile in container.iter_tiles()} \
-        == {RUN_PARTICLES}
+    tiles = list(container.iter_tiles())
+    assert list(tile_runs(tiles)) == [[tile] for tile in tiles]
+    assert len(tiles) == 1 or {tile.num_particles for tile in tiles} \
+        == {BATCH_PARTICLES}
     for got, want in zip(grid.current_arrays(), reference.current_arrays()):
         assert np.array_equal(got, want)
 

@@ -645,30 +645,24 @@ def test_particle_stages_run_once_per_batch():
     # (its loop is the oracle in tests/particle_oracles.py) ...
     assert [(path, line.strip()) for path, text in source_texts()
             for line in text.splitlines() if "push_tile" in line] == []
-    # ... the run size is one constant beside the tile SoA helpers, read
-    # by the run rule only ...
+    # ... the batch size is one constant beside the tile SoA helpers,
+    # read by the run rule and the piece rule only ...
     trees = dict(source_trees())
-    assert [path for path, tree in trees.items()
-            for node in ast.walk(tree) if isinstance(node, ast.Assign)
-            and any(name_of(target) == "RUN_PARTICLES"
-                    for target in node.targets)] == ["pic/particles.py"]
-    assert functions_naming("RUN_PARTICLES") == [
-        "pic/particles.py", "pic/particles.py::tile_runs"]
-    # ... and the rule is shared, not copied: the pusher and the reference
-    # deposit both call it
-    assert sorted({path for path, tree in trees.items()
-                   for node in ast.walk(tree) if isinstance(node, ast.Call)
-                   and name_of(node.func) == "tile_runs"}) == [
-        "pic/deposition/reference.py", "pic/pusher.py"]
-    # a dense tile is worked in pieces: the cap is one constant beside
-    # the run size, read by the piece rule only, and the pusher and the
-    # MatrixPIC deposit both take their pieces from that rule ...
     assert [path for path, tree in trees.items()
             for node in ast.walk(tree) if isinstance(node, ast.Assign)
             and any(name_of(target) == "BATCH_PARTICLES"
                     for target in node.targets)] == ["pic/particles.py"]
     assert functions_naming("BATCH_PARTICLES") == [
-        "pic/particles.py", "pic/particles.py::piece_bounds"]
+        "pic/particles.py", "pic/particles.py::piece_bounds",
+        "pic/particles.py::tile_runs"]
+    # ... and the rules are shared, not copied: the pusher and the
+    # reference deposit both call the run rule, and the pusher and the
+    # MatrixPIC deposit both take a dense tile's pieces from the piece
+    # rule
+    assert sorted({path for path, tree in trees.items()
+                   for node in ast.walk(tree) if isinstance(node, ast.Call)
+                   and name_of(node.func) == "tile_runs"}) == [
+        "pic/deposition/reference.py", "pic/pusher.py"]
     assert sorted({path for path, tree in trees.items()
                    for node in ast.walk(tree) if isinstance(node, ast.Call)
                    and name_of(node.func) == "piece_bounds"}) == [

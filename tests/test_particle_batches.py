@@ -30,7 +30,6 @@ from repro.pic.gather import gather_fields
 from repro.pic.grid import Grid
 from repro.pic.particles import (
     BATCH_PARTICLES,
-    RUN_PARTICLES,
     ParticleContainer,
     piece_bounds,
     tile_runs,
@@ -126,12 +125,10 @@ class TestBatchedStagesMatchThePerTileOracle:
     @settings(max_examples=40, deadline=None)
     @given(scenario=tiled_scenarios(), order=st.integers(1, 3),
            share=st.sampled_from([0.0, 0.05, 0.5]),
-           run_particles=st.sampled_from([1, 700, RUN_PARTICLES]),
            batch_particles=st.sampled_from([1, 700, BATCH_PARTICLES]),
            data=st.data())
     def test_push_boundary_and_migration(self, scenario, order, share,
-                                         run_particles, batch_particles,
-                                         data):
+                                         batch_particles, data):
         managed = data.draw(st.lists(
             st.booleans(), min_size=len(scenario["populations"]),
             max_size=len(scenario["populations"])), label="managed")
@@ -156,10 +153,8 @@ class TestBatchedStagesMatchThePerTileOracle:
         for name, make_executor in EXECUTORS.items():
             _, batched = tiled_plasma(**scenario)
             with make_executor() as executor:
-                with mock.patch.object(particles, "RUN_PARTICLES",
-                                       run_particles), \
-                        mock.patch.object(particles, "BATCH_PARTICLES",
-                                          batch_particles), \
+                with mock.patch.object(particles, "BATCH_PARTICLES",
+                                       batch_particles), \
                         mock.patch.object(pusher, "gather_fields",
                                           wraps=gather_fields) as gathers:
                     runs = [run for shard in shard_items(
@@ -167,7 +162,7 @@ class TestBatchedStagesMatchThePerTileOracle:
                             for run in tile_runs(shard)]
                     BorisPusher(order).push(batched, grid, DT,
                                             executor=executor)
-                # the patched run size and cap reach the pusher: one
+                # the patched batch size reaches the pusher: one
                 # gather a batch — a run, or a piece of a tile that is a
                 # run of its own and holds more than the cap
                 batches = [
@@ -176,7 +171,7 @@ class TestBatchedStagesMatchThePerTileOracle:
                     and run[0].num_particles > batch_particles else 1
                     for run in runs]
                 assert gathers.call_count == sum(batches), name
-                if run_particles == 1:
+                if batch_particles == 1:
                     assert all(len(run) == 1 for run in runs)
                 assert_same_tiles(pushed, batched)
                 batched.add_particles(grid, **arrivals(
@@ -194,8 +189,8 @@ class TestBatchedStagesMatchThePerTileOracle:
 
     @pytest.mark.parametrize("order", [1, 3])
     def test_a_tile_of_run_size_is_pushed_alone(self, order):
-        # a 5000-particle tile between small ones: its own run, no copy
-        populations = [300, 5000, 0, 200, 4096, 100, 50, 20]
+        # a tile of batch size between small ones: its own run, no copy
+        populations = [300, BATCH_PARTICLES, 0, 200, 5000, 100, 50, 20]
         grid, source = tiled_plasma((8, 8, 8), (4, 4, 4),
                                     (True, False, True), populations, seed=12)
         oracle = OracleContainer(source)
@@ -243,7 +238,7 @@ class TestBatchedStagesMatchThePerTileOracle:
 
 class TestRuns:
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.integers(0, 3 * RUN_PARTICLES), max_size=40))
+    @given(st.lists(st.integers(0, 3 * BATCH_PARTICLES), max_size=40))
     def test_runs_are_consecutive_and_just_large_enough(self, populations):
         tiles = [SimpleNamespace(num_particles=n) for n in populations]
         runs = list(tile_runs(tiles))
@@ -252,11 +247,11 @@ class TestRuns:
             held = [tile.num_particles for tile in run]
             assert run
             # a tile of run size is alone; a run stops as soon as it is full
-            assert len(run) == 1 or max(held) < RUN_PARTICLES
-            assert sum(held[:-1]) < RUN_PARTICLES
+            assert len(run) == 1 or max(held) < BATCH_PARTICLES
+            assert sum(held[:-1]) < BATCH_PARTICLES
             if index + 1 < len(runs):
-                assert (sum(held) >= RUN_PARTICLES
-                        or runs[index + 1][0].num_particles >= RUN_PARTICLES)
+                assert (sum(held) >= BATCH_PARTICLES
+                        or runs[index + 1][0].num_particles >= BATCH_PARTICLES)
 
 
 class TestPieces:
@@ -296,7 +291,7 @@ def test_a_run_reaching_far_outside_is_gathered_particle_by_particle(order):
     grid, container = tiled_plasma((8, 8, 8), (4, 4, 4), (True, False, True),
                                    [40] * 8, seed=21)
     container.tiles[3].x[0] = -40.0
-    assert container.num_particles < RUN_PARTICLES  # one run
+    assert container.num_particles < BATCH_PARTICLES  # one run
     x, y, z, ux, uy, uz = (
         np.concatenate([getattr(tile, name) for tile in container.tiles])
         for name in SOA[:6])
