@@ -26,13 +26,11 @@ Summed over a cell's particles those pair outer products are one matrix
 product ``A^T B``, and :func:`tile_rhocells`, the production Stage 2,
 computes that product: a tile is a stack of fixed-height block products
 handed to BLAS GEMM (this machine's MOPA-accumulate) and no per-particle
-``S^3`` block is built.  A cell that fits a half block owns one, as
-the paper's MPU pads a cell only to a particle pair: at eight particles
-a cell, padding to full blocks would leave half the rows zero.  Its
-data preparation — the VPU side of the paper's hybrid pipeline — is
-particle-inner: the operand panels are long-axis products of the
-node-major shape factors (:func:`repro.pic.blocks.outer_rows`), and the
-tile-local cell ids come from the sort state when it holds them.  As the paper's VPU stages
+``S^3`` block is built.  Its data preparation — the VPU side of the
+paper's hybrid pipeline — is particle-inner: the operand panels are
+long-axis products of the node-major shape factors
+(:func:`repro.pic.blocks.outer_rows`), and the tile-local cell ids come
+from the sort state when it holds them.  As the paper's VPU stages
 operands just ahead of the MPU, a dense tile is staged, multiplied and
 folded piece by piece — cell-aligned pieces of about
 ``BATCH_PARTICLES`` particles (:func:`repro.pic.particles.piece_bounds`)
@@ -153,21 +151,13 @@ def _piece_rhocells(data: TileDepositionData, cells: np.ndarray,
     ``3S`` / ``S^2`` products along the particle axis of the node-major
     factors and scattered to the particles' rows
     (:func:`~repro.pic.blocks.outer_rows`: the same values, bit for bit,
-    as a per-particle outer product).  A cell of at most half a block
-    owns one half block; any other cell's run is cut into blocks of
-    :data:`BLOCK_ROWS` rows, the tail zero-padded
-    (:func:`~repro.pic.blocks.cell_block_slots`).  Every block is one
-    matrix product — one MOPA accumulation per particle pair into a
-    resident tile, three components at once — the half blocks
-    multiplied as one stack and the full blocks as another, and a
-    cell's blocks are folded in block order (:func:`_fold_blocks`, one
+    as a per-particle outer product).  Each cell's run is cut into
+    blocks of :data:`BLOCK_ROWS` rows (the tail zero-padded: exact
+    zeros), every block is one matrix product — ``BLOCK_ROWS / 2`` MOPA
+    accumulations into a resident tile, three components at once — and
+    a cell's blocks are folded in block order (:func:`_fold_blocks`, one
     running sum per run of equal-depth cells), so a cell's result
-    depends on that cell's own particle sequence only.  A half block
-    sums the particles its cell's one full block would, in the same
-    order; the padding only added exact zeros after them, so the half
-    blocks keep the bits of an all-full layout
-    (``tests/test_half_blocks.py``) in half its rows at eight particles
-    a cell.
+    depends on that cell's own particle sequence only.
     """
     n = data.num_particles
     support = data.support
@@ -176,10 +166,11 @@ def _piece_rhocells(data: TileDepositionData, cells: np.ndarray,
     # every particle's row in the cell-grouped, block-aligned row space
     # (the layout the gather shares: repro.pic.blocks)
     layout = cell_block_slots(cells, num_cells)
-    slots, rows = layout.slots, layout.num_rows
+    slots, num_blocks = layout.slots, layout.num_blocks
 
     # the two operand panels, built node-major and scattered to their
     # slots: 3S + S^2 doubles per particle for all three components
+    rows = num_blocks * BLOCK_ROWS
     width_left = 3 * support
     width_right = support * support
     panels = np.zeros(rows * (width_left + width_right))
@@ -189,40 +180,32 @@ def _piece_rhocells(data: TileDepositionData, cells: np.ndarray,
     outer_rows(left, slots, wq, data.wx.T)
     outer_rows(right, slots, data.wy.T, data.wz.T)
 
-    # one (3S, S^2) product per block, the half blocks as one stack and
-    # the full blocks after them as another; row c*S + i, column j*S + k
-    # is component c of rhocell entry (i, j, k)
-    half = layout.halves * layout.half_rows
-    stacks = []
-    for lo, hi, height in ((0, half, layout.half_rows),
-                           (half, rows, BLOCK_ROWS)):
-        stacks.append(np.matmul(
-            left[lo:hi].reshape(-1, height, width_left).transpose(0, 2, 1),
-            right[lo:hi].reshape(-1, height, width_right)
-        ).reshape(-1, 3 * nodes))
+    # one (3S, S^2) product per block; row c*S + i, column j*S + k is
+    # component c of rhocell entry (i, j, k)
+    products = np.matmul(
+        left.reshape(num_blocks, BLOCK_ROWS, width_left).transpose(0, 2, 1),
+        right.reshape(num_blocks, BLOCK_ROWS, width_right)
+    ).reshape(num_blocks, 3 * nodes)
 
-    rhocells[:, layout.cells] = (_fold_blocks(*stacks, layout)
+    rhocells[:, layout.cells] = (_fold_blocks(products, layout)
                                  .reshape(-1, 3, nodes).transpose(1, 0, 2))
 
 
-def _fold_blocks(halves: np.ndarray, full: np.ndarray, layout: BlockLayout
-                 ) -> np.ndarray:
+def _fold_blocks(products: np.ndarray, layout: BlockLayout) -> np.ndarray:
     """Sum each cell's block products, in block order, one row per cell.
 
-    ``halves`` has one row per half block of ``layout``'s row space, the
-    sum of its cell, and ``full`` one per full block.  The cells of one
-    depth own one contiguous run of full blocks
+    ``products`` has one row per block of ``layout``'s row space.  The
+    cells of one depth own one contiguous run of blocks
     (:attr:`~repro.pic.blocks.BlockLayout.depth_runs`), so each run is a
     ``(cells, depth, width)`` view, and its cells' sums are one running
     sum over the depth axis: block ``r`` added to the sum of blocks
     ``0 .. r - 1``, for every cell of the run at once.
     """
-    width = full.shape[1]
+    width = products.shape[1]
     folded = np.empty((layout.cells.shape[0], width))
-    folded[:layout.halves] = halves
     for depth, lo, hi in layout.depth_runs:
         first = layout.first_block[lo]
-        run = full[first:first + (hi - lo) * depth].reshape(
+        run = products[first:first + (hi - lo) * depth].reshape(
             hi - lo, depth, width)
         total = folded[lo:hi]
         total[...] = run[:, 0]

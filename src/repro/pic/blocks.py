@@ -9,26 +9,16 @@ contracts the cell's nodes away.  Both lay a batch's particles into the
 same row space — grouped by cell, each cell's run cut into blocks of
 :data:`BLOCK_ROWS` rows, the tail block zero-padded, and the cells of
 equal depth (block count) side by side — and hand it to BLAS ``matmul``.
-A cell of at most :data:`HALF_BLOCK_ROWS` particles owns one half block
-instead, as the paper's MPU pads a cell only to a particle pair: at
-eight particles a cell (the bench's plasmas) padding to full blocks
-would leave half the rows zero.  The half blocks lead the row space and
-the full blocks follow, so each is one uniform stack.  Both read the
-cells of one depth as one contiguous run (:attr:`BlockLayout.row_runs`,
-:attr:`BlockLayout.depth_runs`): the deposit multiplies the half blocks
-as one stack and the full blocks as another, and folds each run's full
-blocks as one ``(cells, depth, width)`` view, a running sum over the
-depth axis; the gather multiplies each run as one stack, every cell's
-rows against that cell's operand, which it builds once however deep
-the cell is.  A half block holds the particles its cell's one full
-block would, in the same order: the deposit's block sum only loses the
-exact zeros that padding added after them, and the gather's rows do
-not depend on the block's height, so half blocks keep the bits
-(``tests/test_half_blocks.py``).  That layout is stated here, once,
-with the one way both directions fill it: :func:`outer_rows`
-multiplies the node-major shape factors (:mod:`repro.pic.shapes`) along
-the particle axis and scatters each particle's outer product to its
-row.
+Both read the cells of one depth as one contiguous run
+(:attr:`BlockLayout.depth_runs`): the deposit multiplies block by block
+and folds each run's blocks as one ``(cells, depth, width)`` view, a
+running sum over the depth axis; the gather multiplies each run as one
+stack, every cell's rows against that cell's operand, which it builds
+once however deep the cell is.  That layout is
+stated here, once, with the one way both directions fill it:
+:func:`outer_rows` multiplies the node-major shape factors
+(:mod:`repro.pic.shapes`) along the particle axis and scatters each
+particle's outer product to its row.
 """
 
 from __future__ import annotations
@@ -41,12 +31,6 @@ import numpy as np
 #: cell's particles are grouped before they are summed, so it is part of
 #: the numerics — a constant, not an option.
 BLOCK_ROWS = 16
-
-#: Rows of a half block: the one block of a cell that holds this many
-#: particles or fewer.  It holds the particles the cell's one full
-#: block would, in the same order, without the zero rows that padding
-#: to :data:`BLOCK_ROWS` adds, so it keeps the bits.
-HALF_BLOCK_ROWS = BLOCK_ROWS // 2
 
 
 def stable_order_by_bin(bins: np.ndarray, num_bins: int) -> np.ndarray:
@@ -84,16 +68,12 @@ def group_by_cell(cells: np.ndarray, num_cells: int,
 class BlockLayout(NamedTuple):
     """The row space of one batch (:func:`cell_block_slots`).
 
-    ``cells`` are the occupied cells in row order and ``slots`` is every
-    particle's row, by storage index.  ``cells[:halves]`` own one half
-    block each (:attr:`half_rows` rows), side by side in the leading
-    rows; the full blocks (:data:`BLOCK_ROWS` rows) follow them.
-    ``depth`` is each cell's count of full blocks (0 for a half block's
-    cell, non-decreasing) and ``first_block`` the first of its ``depth``
-    consecutive full blocks, counted from the first full block.
-    ``depth_runs`` holds one ``(depth, lo, hi)`` per depth of full blocks
-    present, in row order: ``cells[lo:hi]`` are the cells of that depth,
-    and own the full blocks from ``first_block[lo]`` on.
+    ``cells`` are the occupied cells in row order, ``depth`` their block
+    counts (non-decreasing) and ``first_block`` the first of each cell's
+    ``depth`` consecutive blocks; ``slots`` is every particle's row, by
+    storage index.  ``depth_runs`` holds one ``(depth, lo, hi)`` per
+    depth present, in row order: ``cells[lo:hi]`` are the cells of that
+    depth, and own the blocks from ``first_block[lo]`` on.
     """
 
     slots: np.ndarray
@@ -101,28 +81,10 @@ class BlockLayout(NamedTuple):
     depth: np.ndarray
     first_block: np.ndarray
     depth_runs: Tuple[Tuple[int, int, int], ...]
-    halves: int
-
-    #: rows of a half block (a class constant, not a field)
-    half_rows = HALF_BLOCK_ROWS
 
     @property
     def num_blocks(self) -> int:
-        """Full blocks."""
         return int(self.depth.sum())
-
-    @property
-    def num_rows(self) -> int:
-        return self.halves * HALF_BLOCK_ROWS + self.num_blocks * BLOCK_ROWS
-
-    @property
-    def row_runs(self) -> Tuple[Tuple[int, int, int], ...]:
-        """``(rows, lo, hi)`` per run of ``cells[lo:hi]`` that each own
-        ``rows`` consecutive rows, in row order: the half blocks' cells,
-        then each depth of full blocks."""
-        runs = ((HALF_BLOCK_ROWS, 0, self.halves),) if self.halves else ()
-        return runs + tuple((depth * BLOCK_ROWS, lo, hi)
-                            for depth, lo, hi in self.depth_runs)
 
 
 def cell_block_slots(cells: np.ndarray, num_cells: int) -> BlockLayout:
@@ -130,14 +92,11 @@ def cell_block_slots(cells: np.ndarray, num_cells: int) -> BlockLayout:
 
     ``cells`` is the cell id (in ``[0, num_cells)``) of each particle,
     by storage index, which :func:`group_by_cell` groups by cell; every
-    occupied cell then owns consecutive rows, its particles filling
-    them in storage order.  A cell of at most :data:`HALF_BLOCK_ROWS`
-    particles owns one half block; any other cell owns full blocks of
-    :data:`BLOCK_ROWS` rows, the last one zero-padded.  The cells are
-    laid out by ascending depth (half blocks first) and, within a depth,
-    by cell id, so the cells of one depth own one contiguous run of
-    rows.  When every cell has one depth, that is plain cell order and
-    costs no ordering pass.
+    occupied cell then owns consecutive blocks, its particles filling
+    their rows in storage order.  The cells are laid out by ascending depth
+    and, within a depth, by cell id, so the cells of one depth own one
+    contiguous run of blocks.  When no cell is deeper than one block,
+    that is plain cell order and costs no ordering pass.
     """
     n = cells.shape[0]
     order_idx, cells = group_by_cell(cells, num_cells)
@@ -145,31 +104,25 @@ def cell_block_slots(cells: np.ndarray, num_cells: int) -> BlockLayout:
     occupied = np.flatnonzero(counts)
     held = counts[occupied]
     run_start = np.cumsum(held) - held
-    depth = np.where(held > HALF_BLOCK_ROWS,
-                     (held + (BLOCK_ROWS - 1)) // BLOCK_ROWS, 0)
+    depth = (held + (BLOCK_ROWS - 1)) // BLOCK_ROWS
     per_depth = np.bincount(depth)
-    if np.count_nonzero(per_depth) > 1:  # cells of several depths
+    if per_depth.shape[0] > 2:  # some cell is deeper than one block
         by_depth = stable_order_by_bin(depth, per_depth.shape[0])
         occupied, run_start = occupied[by_depth], run_start[by_depth]
         depth = depth[by_depth]
     first_block = np.cumsum(depth) - depth
     ends = np.cumsum(per_depth).tolist()
-    halves = ends[0] if ends else 0
     runs = tuple((d, ends[d - 1], ends[d]) for d in range(1, len(ends))
                  if ends[d] > ends[d - 1])
-    # only the entries of occupied cells are ever read; a half block's
-    # cell has no full block before it, and the full blocks start after
-    # every half block
+    # only the entries of occupied cells are ever read
     shift = np.empty(num_cells, dtype=np.int64)
-    shift[occupied] = (first_block * BLOCK_ROWS - run_start
-                       + np.minimum(np.arange(occupied.shape[0]), halves)
-                       * HALF_BLOCK_ROWS)
+    shift[occupied] = first_block * BLOCK_ROWS - run_start
     grouped = np.arange(n, dtype=np.int64) + shift[cells]
     if order_idx is not None:
         slots = np.empty(n, dtype=np.int64)
         slots[order_idx] = grouped
         grouped = slots
-    return BlockLayout(grouped, occupied, depth, first_block, runs, halves)
+    return BlockLayout(grouped, occupied, depth, first_block, runs)
 
 
 def outer_rows(out: np.ndarray, slots: np.ndarray, a: np.ndarray,

@@ -15,9 +15,7 @@ one tile's particles alone reach a node, and wherever a run is a single
 tile, the result is bitwise that of depositing tile by tile; where tiles
 of one run meet, the box adds their particles in one pass and the sum
 differs from the per-tile one in the last ulps (so the batch size moves
-J at rounding level where runs meet).  This deposit has no block
-layout: the half blocks of :mod:`repro.pic.blocks` are the MatrixPIC
-deposit's and the gather's, and leave it as it is.
+J at rounding level where runs meet).
 
 Both entry points accept an optional tile executor (:mod:`repro.exec`)
 and shard through :func:`~repro.pic.deposition.base.scratch_reduce`.  The

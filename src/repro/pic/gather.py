@@ -22,16 +22,14 @@ batches, :mod:`repro.pic.pusher`) — and
    tile's cell box on a shifted window is still gathered exactly) and
    lays the particles into the cell-grouped, zero-padded
    ``BLOCK_ROWS``-row space the deposit uses (:mod:`repro.pic.blocks`),
-   where cells of equal depth (block count) sit side by side and a cell
-   of at most half a block owns a half block,
+   where cells of equal depth (block count) sit side by side,
 3. builds each occupied cell's ``(S^2, S * 6)`` field operand once and
-   multiplies it, transposed, by the transpose of the cell's panel of
-   ``sy (x) sz`` (its rows of the layout's
-   :attr:`~repro.pic.blocks.BlockLayout.row_runs`, built by
+   multiplies it, transposed, by the transpose of the cell's
+   ``(depth * BLOCK_ROWS, S^2)`` panel of ``sy (x) sz`` (built by
    :func:`repro.pic.blocks.outer_rows`, the deposit's panel builder) —
-   one stacked BLAS ``matmul`` per row height, every cell's rows
-   against its own operand, as the paper's MPU keeps a cell's tile
-   resident while the cell's particles stream through — into a node-major
+   one stacked BLAS ``matmul`` per depth, every cell's rows against its
+   own operand, as the paper's MPU keeps a cell's tile resident while
+   the cell's particles stream through — into a node-major
    ``(S * 6, rows)`` result, takes every particle's column back once,
    and contracts the remaining ``sx`` factor as ``S`` multiply-adds
    along contiguous rows of ``sx.T`` and of that result.
@@ -39,7 +37,7 @@ batches, :mod:`repro.pic.pusher`) — and
 No ``(n, S^3)`` id, weight or value array is built, and no copy of a
 cell's operand per block.  An entry of a block product depends on its
 row of the panel and the cell's operand only, whatever the depth of the
-stack or the height of the block (a half block keeps the bits), so a particle's gathered fields are a function of that particle
+stack, so a particle's gathered fields are a function of that particle
 and the grid — not of its tile-mates, its batch-mates or the storage
 order — which is what keeps executors, resumed runs, domain splits and
 any grouping of tiles into batches bitwise equal.
@@ -63,7 +61,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.pic.blocks import cell_block_slots, outer_rows
+from repro.pic.blocks import BLOCK_ROWS, cell_block_slots, outer_rows
 from repro.pic.grid import Grid
 from repro.pic.particles import ParticleTile
 from repro.pic.shapes import shape_factors
@@ -116,7 +114,7 @@ def _gather_components(grid: Grid, x: Array, y: Array, z: Array,
         + (base_z - lo[2])
     num_cells = dims[0] * dims[1] * dims[2]
     layout = cell_block_slots(cells, num_cells)
-    num_rows = layout.num_rows
+    num_rows = layout.num_blocks * BLOCK_ROWS
 
     plane = support * support
     width = support * components
@@ -126,14 +124,13 @@ def _gather_components(grid: Grid, x: Array, y: Array, z: Array,
     operand = box[layout.cells[:, None]
                   + _cell_operand_offsets(dims, support, components)
                   ].reshape(-1, plane, width)
-    # a run of cells owning equally many rows is one stack of
-    # (S * components, S^2) by (S^2, rows) products, straight into its
-    # columns of the node-major result (the runs follow each other in
-    # row order)
+    # a run of equal-depth cells is one stack of (S * components, S^2) by
+    # (S^2, depth * BLOCK_ROWS) products, straight into its columns of the
+    # node-major result (the runs follow each other in row order)
     products = np.empty((width, num_rows))
     first = 0
-    for height, lo, hi in layout.row_runs:
-        count = hi - lo
+    for depth, lo, hi in layout.depth_runs:
+        count, height = hi - lo, depth * BLOCK_ROWS
         last = first + count * height
         np.matmul(operand[lo:hi].transpose(0, 2, 1),
                   right[first:last].reshape(count, height, plane

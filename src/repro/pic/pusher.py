@@ -21,11 +21,7 @@ a dense tile is cut because its whole-tile panels and products (8-13 MB
 each for a 65 536-particle QSP tile) stream from memory where a piece's
 stay in cache.  Each of those steps is a per-particle function — a
 particle's gathered fields do not depend on its batch-mates — so every
-grouping and cut gives the same bits as pushing tile by tile.  The
-gather lays a cell of at most half a block into a half block
-(:mod:`repro.pic.blocks`), half the rows a full block pads it to at
-eight particles a cell; a particle's row of a block product does not
-depend on the block's height, so that keeps the bits too.
+grouping and cut gives the same bits as pushing tile by tile.
 """
 
 from __future__ import annotations

@@ -24,11 +24,7 @@ block deposit and the block gather as they built their panels before the
 node-major staging: one ``np.einsum`` per panel over an ``S``-wide
 innermost axis, from row-major ``(n, S)`` shape factors.
 ``tests/test_operand_panels.py`` holds the node-major panels, and with
-them ``tile_rhocells`` and ``gather_fields``, to these bit for bit.
-These oracles lay rows out as the kernels did before half blocks, every
-cell padded to full ``BLOCK_ROWS``-row blocks (``full_block_slots``, a
-copy of that ``cell_block_slots``), so ``tests/test_half_blocks.py``
-holds the half-block layout to the all-full one independently.  The
+them ``tile_rhocells`` and ``gather_fields``, to these bit for bit.  The
 einsum gather also keeps the ``sx`` contraction as the gather ran it
 before it contracted node-major rows (``einsum("pi,pic->cp")`` over
 row-major ``sx``), and the einsum deposit the fold before it read the
@@ -45,17 +41,12 @@ hold the engine and the block gather to it.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.core.mpu_deposit import mpu_work_statistics
-from repro.pic.blocks import (
-    BLOCK_ROWS,
-    cell_block_slots,
-    group_by_cell,
-    stable_order_by_bin,
-)
+from repro.pic.blocks import BLOCK_ROWS, BlockLayout, cell_block_slots
 from repro.pic.deposition.base import (
     TileDepositionData,
     prepare_tile_data,
@@ -306,60 +297,13 @@ def einsum_deposit_panels(data: TileDepositionData, slots: np.ndarray,
     return left, right
 
 
-class FullBlockLayout(NamedTuple):
-    """The row space of :func:`full_block_slots`: every block a full
-    ``BLOCK_ROWS`` rows, a cell's last one zero-padded."""
-
-    slots: np.ndarray
-    cells: np.ndarray
-    depth: np.ndarray
-    first_block: np.ndarray
-    depth_runs: Tuple[Tuple[int, int, int], ...]
-
-    @property
-    def num_blocks(self) -> int:
-        return int(self.depth.sum())
-
-
-def full_block_slots(cells: np.ndarray, num_cells: int) -> FullBlockLayout:
-    """``repro.pic.blocks.cell_block_slots`` as it laid rows out before
-    half blocks: each cell padded to a multiple of ``BLOCK_ROWS`` rows,
-    the cells by ascending block count and, within one, by cell id."""
-    n = cells.shape[0]
-    order_idx, cells = group_by_cell(cells, num_cells)
-    counts = np.bincount(cells, minlength=num_cells)
-    occupied = np.flatnonzero(counts)
-    held = counts[occupied]
-    run_start = np.cumsum(held) - held
-    depth = (held + (BLOCK_ROWS - 1)) // BLOCK_ROWS
-    per_depth = np.bincount(depth)
-    if per_depth.shape[0] > 2:  # some cell is deeper than one block
-        by_depth = stable_order_by_bin(depth, per_depth.shape[0])
-        occupied, run_start = occupied[by_depth], run_start[by_depth]
-        depth = depth[by_depth]
-    first_block = np.cumsum(depth) - depth
-    ends = np.cumsum(per_depth).tolist()
-    runs = tuple((d, ends[d - 1], ends[d]) for d in range(1, len(ends))
-                 if ends[d] > ends[d - 1])
-    shift = np.empty(num_cells, dtype=np.int64)
-    shift[occupied] = first_block * BLOCK_ROWS - run_start
-    grouped = np.arange(n, dtype=np.int64) + shift[cells]
-    if order_idx is not None:
-        slots = np.empty(n, dtype=np.int64)
-        slots[order_idx] = grouped
-        grouped = slots
-    return FullBlockLayout(grouped, occupied, depth, first_block, runs)
-
-
 def storage_block_slots(cells: np.ndarray, num_cells: int,
-                        order_idx: np.ndarray,
-                        block_slots: Callable = cell_block_slots):
-    """``block_slots`` (the production :func:`cell_block_slots`, or
-    :func:`full_block_slots`) of a processing order whose position ``p``
+                        order_idx: np.ndarray) -> BlockLayout:
+    """:func:`cell_block_slots` of a processing order whose position ``p``
     is storage index ``order_idx[p]`` and holds cell ``cells[p]``, with
     ``slots`` indexed by storage index (the kernel groups such an order
     by cell first, ``core/mpu_deposit.py``)."""
-    layout = block_slots(cells, num_cells)
+    layout = cell_block_slots(cells, num_cells)
     slots = np.empty_like(layout.slots)
     slots[order_idx] = layout.slots
     return layout._replace(slots=slots)
@@ -374,8 +318,7 @@ def oracle_einsum_tile_rhocells(data: TileDepositionData,
     nodes = support**3
     cells = data.local_cell_ids[order_idx]
     stats = mpu_work_statistics(cells, data.order)
-    layout = storage_block_slots(cells, num_cells, order_idx,
-                                 full_block_slots)
+    layout = storage_block_slots(cells, num_cells, order_idx)
     num_blocks = layout.num_blocks
     left, right = einsum_deposit_panels(data, layout.slots,
                                         num_blocks * BLOCK_ROWS)
@@ -391,7 +334,7 @@ def oracle_einsum_tile_rhocells(data: TileDepositionData,
     return rhocells[0], rhocells[1], rhocells[2], stats
 
 
-def oracle_masked_fold(products: np.ndarray, layout: FullBlockLayout
+def oracle_masked_fold(products: np.ndarray, layout: BlockLayout
                        ) -> np.ndarray:
     """``_fold_blocks`` as ``_piece_rhocells`` folded before it read the
     depth runs: rank by rank over all cells at once, each rank's blocks
@@ -428,7 +371,7 @@ def oracle_einsum_gather_fields(grid, x: np.ndarray, y: np.ndarray,
     cells = ((base_x - lo[0]) * dims[1] + (base_y - lo[1])) * dims[2] \
         + (base_z - lo[2])
     num_cells = dims[0] * dims[1] * dims[2]
-    layout = full_block_slots(cells, num_cells)
+    layout = cell_block_slots(cells, num_cells)
     slots, num_blocks = layout.slots, layout.num_blocks
 
     plane = support * support

@@ -23,7 +23,6 @@ from repro import constants
 from repro.api import Session
 from repro.baselines.configs import available_configurations
 from repro.config import GridConfig, SpeciesConfig
-from repro.core.gpma import GappedPMA
 from repro.core.framework import SORT_NONE, MatrixPICDeposition
 from repro.hardware.counters import PhaseCounters
 from repro.pic.gather import gather_fields
@@ -250,26 +249,3 @@ def total_events(counters: PhaseCounters) -> float:
     excluded)."""
     skip = {"bytes_near", "bytes_far", "effective_flops"}
     return sum(v for k, v in counters.as_dict().items() if k not in skip)
-
-
-#: the processing orders of :func:`processing_order`
-ORDERINGS = ("sorted", "gpma", "shuffled")
-
-
-def processing_order(cells, num_cells, ordering, rng):
-    """A processing order of a tile: stably cell-sorted, a GPMA's
-    iteration order after a batch of moves (grouped by cell, but not in
-    storage order within a cell), or a random shuffle."""
-    if ordering == "sorted":
-        return np.argsort(cells, kind="stable")
-    if ordering == "shuffled":
-        return rng.permutation(cells.shape[0])
-    # the GPMA held every particle in a stale cell, then took the moves
-    gpma = GappedPMA(num_cells)
-    stale = rng.permutation(cells)
-    gpma.build(stale)
-    moved = np.nonzero(stale != cells)[0]
-    gpma.apply_moves(moved, cells[moved])
-    if gpma.overflow:
-        gpma.build(cells)
-    return gpma.iteration_order()

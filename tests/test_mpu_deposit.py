@@ -13,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deposit_oracles import (
-    full_block_slots,
     oracle_masked_fold,
     oracle_tile_rhocells,
     pair_within_runs,
@@ -316,46 +315,24 @@ class TestWorkStatistics:
 
 
 @settings(max_examples=60, deadline=None)
-@given(extra=st.lists(st.integers(-1, 5), max_size=20),
+@given(extra=st.lists(st.integers(0, 5), max_size=20),
        width=st.sampled_from([3 * 2**3, 3 * 4**3]),
        seed=st.integers(0, 2**16))
 def test_the_depth_run_fold_is_bitwise_the_masked_fold(extra, width, seed):
-    # cells one to five full blocks deep, cells of half a block or less
-    # (and empty ones), the depth classes interleaved across cell ids, as
-    # crowded cells beside sparse ones
-    # (depth -1: an empty cell, 0: a cell of half a block or less)
+    # cells one to five blocks deep (and empty ones), the depth classes
+    # interleaved across cell ids, as crowded cells beside sparse ones
     rng = np.random.default_rng(seed)
-    depths = rng.permutation([-1, 0, 1, 2, 3, 4, 5] + extra)
-    counts = [0 if d < 0
-              else rng.integers(1, K // 2 + 1) if d == 0
-              else rng.integers(K // 2 + 1, K + 1) if d == 1
-              else rng.integers((d - 1) * K + 1, d * K + 1)
+    depths = rng.permutation([1, 2, 3, 4, 5] + extra)
+    counts = [rng.integers((d - 1) * K + 1, d * K + 1) if d else 0
               for d in depths]
-    cells = rng.permutation(np.repeat(np.arange(depths.shape[0]), counts))
-    layout = cell_block_slots(cells, depths.shape[0])
-    full = full_block_slots(cells, depths.shape[0])
-    assert set(layout.depth.tolist()) == {0, 1, 2, 3, 4, 5}
-    assert layout.halves == sum(1 for d in depths if d == 0)
-    assert set(full.depth.tolist()) == {1, 2, 3, 4, 5}
-    # block sums over six decades, so any other summation order rounds;
-    # a cell's blocks are those of the all-full layout, a half block the
-    # product of its cell's one full block there
-    products = rng.normal(size=(full.num_blocks, width)) \
-        * 10.0 ** rng.integers(-3, 3, (full.num_blocks, 1))
-    old_first = dict(zip(full.cells.tolist(), full.first_block.tolist()))
-    halves = products[[old_first[cell]
-                       for cell in layout.cells[:layout.halves].tolist()]]
-    blocks = np.empty((layout.num_blocks, width))
-    for index in range(layout.halves, layout.cells.shape[0]):
-        first = old_first[int(layout.cells[index])]
-        depth, new_first = int(layout.depth[index]), \
-            int(layout.first_block[index])
-        blocks[new_first:new_first + depth] = products[first:first + depth]
-    got = _fold_blocks(halves, blocks, layout)
-    want = oracle_masked_fold(products, full)
-    rows = np.argsort(full.cells)[np.searchsorted(
-        np.sort(full.cells), layout.cells)]
-    assert got.tobytes() == want[rows].tobytes()
+    cells = np.repeat(np.arange(depths.shape[0]), counts)
+    layout = cell_block_slots(rng.permutation(cells), depths.shape[0])
+    assert set(layout.depth.tolist()) == {1, 2, 3, 4, 5}
+    # block sums over six decades, so any other summation order rounds
+    products = rng.normal(size=(layout.num_blocks, width)) \
+        * 10.0 ** rng.integers(-3, 3, (layout.num_blocks, 1))
+    got = _fold_blocks(products, layout)
+    assert got.tobytes() == oracle_masked_fold(products, layout).tobytes()
 
 
 class TestBlockProductAgainstOracle:

@@ -563,26 +563,16 @@ def test_the_block_layout_is_stated_once():
         return {name_of(node.func) for node in calls(tree, function)}
 
     trees = dict(source_trees())
-    for name in ("BLOCK_ROWS", "HALF_BLOCK_ROWS", "cell_block_slots",
-                 "stable_order_by_bin", "outer_rows"):
+    for name in ("BLOCK_ROWS", "cell_block_slots", "stable_order_by_bin",
+                 "outer_rows"):
         assert [path for path, tree in trees.items()
                 if defines(tree, name)] == ["pic/blocks.py"], name
     for name in ("BLOCK_ROWS", "cell_block_slots", "outer_rows"):
         assert sorted(path for path, text in source_texts()
                       if name in text) == [
             "core/mpu_deposit.py", "pic/blocks.py", "pic/gather.py"], name
-    for name in ("cell_block_slots", "outer_rows"):
         for user in ("core/mpu_deposit.py", "pic/gather.py"):
             assert name in imported_from(trees[user])["repro.pic.blocks"]
-    # the deposit stacks its full blocks by BLOCK_ROWS; every other row
-    # height, the half block's included, reaches the two users through
-    # the layout: the half-block unit is named, and derived, nowhere else
-    assert "BLOCK_ROWS" in imported_from(
-        trees["core/mpu_deposit.py"])["repro.pic.blocks"]
-    assert "BLOCK_ROWS" not in names_in(trees["pic/gather.py"])
-    assert [path for path, text in source_texts()
-            if "HALF_BLOCK_ROWS" in text or "BLOCK_ROWS //" in text
-            or "BLOCK_ROWS / 2" in text] == ["pic/blocks.py"]
     # ... and both build their operand panels through outer_rows: an
     # einsum left in either is a contraction (some input index summed
     # away), never an outer-product operand build
@@ -602,11 +592,8 @@ def test_the_block_layout_is_stated_once():
     for user, function in (("core/mpu_deposit.py", "_piece_rhocells"),
                            ("pic/gather.py", "_gather_components")):
         assert not call_names(trees[user], function) & ordering, user
-    assert "row_runs" in {
-        node.attr for node in ast.walk(trees["pic/gather.py"])
-        if isinstance(node, ast.Attribute)}
     assert "depth_runs" in {
-        node.attr for node in ast.walk(trees["core/mpu_deposit.py"])
+        node.attr for node in ast.walk(trees["pic/gather.py"])
         if isinstance(node, ast.Attribute)}
     # ... which is on the pic side because repro.pic stays below repro.core
     assert [path for path, text in source_texts() if path.startswith("pic/")

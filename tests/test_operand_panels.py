@@ -16,9 +16,8 @@ the whole tile at once.  A cell's blocks do not depend on the cut, so
 the two are equal bit for bit at any cap, a cell above the cap included.
 
 The row space lays the cells of one depth (block count) side by side,
-a cell of at most half a block in a half block, and the gather
-multiplies each run of equal row height as one stack against one copy
-of each cell's operand; the oracle multiplies full block by full block
+and the gather multiplies each depth's cells as one stack against one
+copy of each cell's operand; the oracle multiplies block by block
 against a copy per block.  Crowded cells one to four blocks deep beside
 sparse ones hold the two equal bit for bit, and a property test holds
 ``cell_block_slots`` to its layout.
@@ -40,21 +39,37 @@ from deposit_oracles import (
     oracle_einsum_tile_rhocells,
     storage_block_slots,
 )
-from helpers import (
-    FIELD_NAMES,
-    ORDERINGS,
-    gather_field,
-    processing_order,
-    tiled_plasma,
-    tiled_scenarios,
-)
+from helpers import FIELD_NAMES, gather_field, tiled_plasma, tiled_scenarios
 from repro import constants
+from repro.core.gpma import GappedPMA
 from repro.core.mpu_deposit import tile_rhocells
 from repro.pic import particles
 from repro.pic.blocks import BLOCK_ROWS, cell_block_slots, outer_rows
 from repro.pic.deposition.base import prepare_run_data, prepare_tile_data
 from repro.pic.gather import gather_fields
 from repro.pic.particles import BATCH_PARTICLES
+
+ORDERINGS = ("sorted", "gpma", "shuffled")
+
+
+def processing_order(cells, num_cells, ordering, rng):
+    """A processing order of a tile: stably cell-sorted, a GPMA's
+    iteration order after a batch of moves (grouped by cell, but not in
+    storage order within a cell), or a random shuffle."""
+    if ordering == "sorted":
+        return np.argsort(cells, kind="stable")
+    if ordering == "shuffled":
+        return rng.permutation(cells.shape[0])
+    # the GPMA held every particle in a stale cell, then took the moves
+    gpma = GappedPMA(num_cells)
+    stale = rng.permutation(cells)
+    gpma.build(stale)
+    moved = np.nonzero(stale != cells)[0]
+    gpma.apply_moves(moved, cells[moved])
+    if gpma.overflow:
+        gpma.build(cells)
+    return gpma.iteration_order()
+
 
 @settings(max_examples=50, deadline=None)
 @given(scenario=tiled_scenarios(), order=st.sampled_from([1, 3]),
@@ -75,8 +90,8 @@ def test_panels_rhocells_and_gather_are_bitwise_the_einsum_oracle(
         layout = storage_block_slots(data.local_cell_ids[order_idx],
                                      num_cells, order_idx)
         slots = layout.slots
-        want_left, want_right = einsum_deposit_panels(data, slots,
-                                                      layout.num_rows)
+        want_left, want_right = einsum_deposit_panels(
+            data, slots, layout.num_blocks * BLOCK_ROWS)
         left = np.zeros_like(want_left)
         right = np.zeros_like(want_right)
         outer_rows(left, slots, np.stack((data.wqx, data.wqy, data.wqz)),
@@ -146,8 +161,7 @@ def test_the_gather_of_cells_of_several_depths_is_bitwise_the_oracle(
 
 
 @settings(max_examples=100, deadline=None)
-@given(counts=st.lists(st.one_of(st.just(0), st.integers(1, 70),
-                                 st.sampled_from([8, 16, 24, 32, 48])),
+@given(counts=st.lists(st.one_of(st.just(0), st.integers(1, 70)),
                        min_size=1, max_size=40),
        shuffle=st.booleans(), seed=st.integers(0, 2**31))
 def test_cell_block_slots_lays_cells_of_equal_depth_side_by_side(
@@ -160,33 +174,23 @@ def test_cell_block_slots_lays_cells_of_equal_depth_side_by_side(
     layout = (cell_block_slots(sequence, num_cells) if order_idx is None
               else storage_block_slots(sequence, num_cells, order_idx))
 
-    # the occupied cells, each once: a half block for a cell of at most
-    # half a block, else ceil(count / BLOCK_ROWS) full blocks
+    # the occupied cells, each once, with ceil(count / BLOCK_ROWS) blocks
     counts = np.asarray(counts)
-    half = layout.half_rows
-    assert half * 2 == BLOCK_ROWS
     assert sorted(layout.cells.tolist()) == np.flatnonzero(counts).tolist()
-    held = counts[layout.cells]
-    assert np.array_equal(layout.depth, np.where(
-        held > half, -(-held // BLOCK_ROWS), 0))
-    assert np.array_equal(held[:layout.halves] <= half,
-                          np.ones(layout.halves, dtype=bool))
-    assert np.all(held[layout.halves:] > half)
-    # each cell's full blocks are consecutive, the cells back to back
+    assert np.array_equal(layout.depth,
+                          -(-counts[layout.cells] // BLOCK_ROWS))
+    # each cell's blocks are consecutive, the cells back to back
     assert np.array_equal(layout.first_block,
                           np.cumsum(layout.depth) - layout.depth)
     # cells of equal depth are contiguous, and the runs say where
     runs = layout.depth_runs
-    assert len(runs) == len(set(layout.depth[layout.halves:].tolist()))
+    assert len(runs) == len(set(layout.depth.tolist()))
     assert [(lo, hi) for _, lo, hi in runs] == list(
-        zip([layout.halves] + [hi for _, _, hi in runs[:-1]],
+        zip([0] + [hi for _, _, hi in runs[:-1]],
             [hi for _, _, hi in runs]))
-    assert (runs[-1][2] if runs else layout.halves) == layout.cells.shape[0]
+    assert (runs[-1][2] if runs else 0) == layout.cells.shape[0]
     for depth, lo, hi in runs:
         assert set(layout.depth[lo:hi].tolist()) == {depth}
-    # the row runs tile the row space in order, the half blocks first
-    assert sum((hi - lo) * rows for rows, lo, hi in layout.row_runs) \
-        == layout.num_rows
     # the slots fill the leading rows of each cell's blocks, one particle
     # a row, in the processing order
     rows_of = {}
@@ -194,10 +198,8 @@ def test_cell_block_slots_lays_cells_of_equal_depth_side_by_side(
                   else order_idx)
     for p in processing:
         rows_of.setdefault(int(cells[p]), []).append(int(layout.slots[p]))
-    for index, (cell, first) in enumerate(zip(layout.cells,
-                                              layout.first_block)):
-        start = (index * half if index < layout.halves
-                 else layout.halves * half + int(first) * BLOCK_ROWS)
+    for cell, first in zip(layout.cells, layout.first_block):
+        start = int(first) * BLOCK_ROWS
         assert rows_of[int(cell)] == list(
             range(start, start + int(counts[cell])))
     assert len(set(layout.slots.tolist())) == cells.shape[0]
